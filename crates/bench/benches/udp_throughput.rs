@@ -2,12 +2,11 @@
 //!
 //! The question this answers: what does leaving the process cost?  The
 //! same null chain moves the same packets either over detachable pipes
-//! (`Proxy::add_stream_batched`), over two loopback UDP sockets with
-//! dedicated pump threads (`Proxy::add_stream_udp` — encode, datagram,
-//! decode on both edges), or over a reactor-driven *shared* carrier socket
-//! (`Proxy::add_stream_udp_shared` — same framing, batched readiness
-//! drains on the worker pool, zero pump threads), and every path is
-//! measured at a per-packet batch size and at batch 32.
+//! (`Proxy::add_stream_batched`) or over two loopback UDP sockets through
+//! a reactor-driven carrier (`Proxy::add_stream_udp_shared` — encode,
+//! datagram, decode on both edges, batched readiness drains on the worker
+//! pool), and both paths are measured at a per-packet batch size and at
+//! batch 32.
 //!
 //! The wire path pays for framing (encode + CRC + decode) and two kernel
 //! crossings per packet, so the pipe path is expected to win by an order
@@ -26,10 +25,10 @@ use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::{Proxy, SharedUdpStreamConfig, UdpCarrierConfig, UdpStreamConfig};
+use rapidware::proxy::{Proxy, SharedUdpStreamConfig, UdpCarrierConfig};
 use rapidware::runtime::RuntimeConfig;
 use rapidware::streams::{DetachableReceiver, TryRecvError};
-use rapidware::transport::{SharedDrain, SharedUdpIngress, UdpConfig, UdpIngress};
+use rapidware::transport::{SharedDrain, SharedUdpIngress, UdpConfig};
 use rapidware_bench::report::{median, BenchReport};
 
 const PACKETS: u64 = 20_000;
@@ -87,55 +86,10 @@ fn pipe_path(batch_size: usize) -> f64 {
     received as f64 / elapsed.as_secs_f64()
 }
 
-/// Sockets end to end: producer thread encodes and sends datagrams to the
-/// proxy ingress (paced against the ingress counter, since UDP has no
-/// back-pressure), main thread drains the app-side ingress.  Returns
-/// packets/second.
-fn socket_path(batch_size: usize) -> f64 {
-    let app_rx = UdpIngress::bind(
-        "127.0.0.1:0",
-        &UdpConfig::default().with_capacity(CAPACITY).with_batch_size(batch_size),
-    )
-    .unwrap();
-    let mut proxy = Proxy::new("bench");
-    let handle = proxy
-        .add_stream_udp(
-            "s",
-            UdpStreamConfig::to_peer(app_rx.local_addr())
-                .with_capacity(CAPACITY)
-                .with_batch_size(batch_size),
-        )
-        .unwrap();
-    let ingress_addr = handle.ingress_addr();
-    // Pace end to end against the *receiver-side* counter: neither the
-    // proxy ingress nor the app ingress may fall a full window behind, so
-    // no socket buffer on the path can overflow.
-    let app_stats = app_rx.stats();
-    let producer = std::thread::spawn(move || {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut scratch = Vec::new();
-        for window in 0..(PACKETS / WINDOW) {
-            for seq in window * WINDOW..(window + 1) * WINDOW {
-                packet(seq).encode_into(&mut scratch);
-                socket.send_to(&scratch, ingress_addr).unwrap();
-            }
-            while app_stats.rx_datagrams() < (window + 1) * WINDOW {
-                std::thread::yield_now();
-            }
-        }
-    });
-    let start = Instant::now();
-    let received = drain(&app_rx.receiver(), PACKETS);
-    let elapsed = start.elapsed();
-    producer.join().unwrap();
-    proxy.shutdown().unwrap();
-    received as f64 / elapsed.as_secs_f64()
-}
-
-/// Shared carrier end to end: the same wire as `socket_path`, but the
-/// proxy side is one reactor-driven carrier socket drained in batches on
-/// the worker pool — no pump threads.  The app side drains its own shared
-/// socket non-blockingly.  Returns packets/second.
+/// Sockets end to end: a producer thread encodes and sends datagrams to
+/// the proxy's carrier socket, which the reactor drains in batches on the
+/// worker pool; the main thread drains the app-side socket
+/// non-blockingly.  Returns packets/second.
 fn shared_path(batch_size: usize) -> f64 {
     let app = SharedUdpIngress::bind(
         "127.0.0.1:0",
@@ -163,9 +117,10 @@ fn shared_path(batch_size: usize) -> f64 {
         )
         .unwrap();
     let ingress_addr = carrier.ingress_addr();
-    // Same end-to-end pacing as `socket_path`: the producer never runs a
-    // full window ahead of the app-side receive counter, which the main
-    // thread advances by pumping `drain_batch`.
+    // Paced end to end against the *receiver-side* counter (UDP has no
+    // back-pressure): the producer never runs a full window ahead of the
+    // app-side receive counter, which the main thread advances by calling
+    // `drain_batch`, so no socket buffer on the path can overflow.
     let app_stats = app.stats();
     let producer = std::thread::spawn(move || {
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -209,34 +164,15 @@ fn main() {
     let pipe_1 = median(&pipe_1_samples);
     let pipe_32 = median(&pipe_32_samples);
     println!("{:<28} {:>13.0} pps {:>13.0} pps", "in-process pipes", pipe_1, pipe_32);
-    let socket_1_samples = pps_samples(|| socket_path(1));
-    let socket_32_samples = pps_samples(|| socket_path(32));
-    let socket_1 = median(&socket_1_samples);
-    let socket_32 = median(&socket_32_samples);
-    println!("{:<28} {:>13.0} pps {:>13.0} pps", "loopback UDP sockets", socket_1, socket_32);
     let shared_1_samples = pps_samples(|| shared_path(1));
     let shared_32_samples = pps_samples(|| shared_path(32));
     let shared_1 = median(&shared_1_samples);
     let shared_32 = median(&shared_32_samples);
     println!("{:<28} {:>13.0} pps {:>13.0} pps", "shared carrier (reactor)", shared_1, shared_32);
     println!(
-        "\npipe/socket ratio: {:.1}x at batch=1, {:.1}x at batch=32",
-        pipe_1 / socket_1,
-        pipe_32 / socket_32
-    );
-    println!(
-        "pipe/shared ratio: {:.1}x at batch=1, {:.1}x at batch=32",
+        "\npipe/shared ratio: {:.1}x at batch=1, {:.1}x at batch=32",
         pipe_1 / shared_1,
         pipe_32 / shared_32
-    );
-    println!(
-        "shared/dedicated-socket ratio: {:.2}x at batch=1, {:.2}x at batch=32",
-        shared_1 / socket_1,
-        shared_32 / socket_32
-    );
-    println!(
-        "socket batching gain: {:.2}x (batch=32 over batch=1)",
-        socket_32 / socket_1
     );
     println!(
         "shared batched-drain gain: {:.2}x (batch=32 over batch=1)",
@@ -246,9 +182,6 @@ fn main() {
     let mut report = BenchReport::new("udp_throughput");
     report.record("pipes/batch-1", "packets/s", &pipe_1_samples);
     report.record("pipes/batch-32", "packets/s", &pipe_32_samples);
-    report.record("sockets/batch-1", "packets/s", &socket_1_samples);
-    report.record("sockets/batch-32", "packets/s", &socket_32_samples);
-    report.record("sockets/batching-gain", "x", &[socket_32 / socket_1]);
     report.record("shared/batch-1", "packets/s", &shared_1_samples);
     report.record("shared/batch-32", "packets/s", &shared_32_samples);
     report.record("shared/batching-gain", "x", &[shared_32 / shared_1]);

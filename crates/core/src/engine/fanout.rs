@@ -495,7 +495,7 @@ impl SessionFanoutApplier {
         let marker_seq = self.next_marker;
         self.next_marker += 1;
         send_marker(&self.session.input(), marker_seq);
-        drain_lanes_until_marker(&self.outputs, marker_seq)
+        drain_lanes_until_marker(&self.outputs, marker_seq, || {})
     }
 }
 
@@ -513,15 +513,18 @@ fn send_marker(input: &rapidware_streams::DetachableSender<Packet>, marker_seq: 
 /// so blocking on lane 0 while the fanout is parked against lane 1 would
 /// deadlock whenever a window (amplified by an expanding head filter)
 /// overflows a pipe.  Draining every lane keeps the fanout moving no
-/// matter which pipe fills first.  Shared by the threaded-session and
-/// pooled-session appliers so the protocol cannot drift between runtimes.
+/// matter which pipe fills first.  Shared by every session applier so the
+/// protocol cannot drift between runtimes; `feed` runs before each sweep
+/// (the wire applier drains its app-side sockets into `outputs` there).
 pub(super) fn drain_lanes_until_marker(
     outputs: &[DetachableReceiver<Packet>],
     marker_seq: u64,
+    feed: impl Fn(),
 ) -> Vec<Vec<Packet>> {
     let mut collected: Vec<Vec<Packet>> = vec![Vec::new(); outputs.len()];
     let mut done = vec![false; outputs.len()];
     while done.iter().any(|flag| !flag) {
+        feed();
         let mut progressed = false;
         for lane in 0..outputs.len() {
             if done[lane] {
@@ -550,9 +553,14 @@ pub(super) fn drain_lanes_until_marker(
 /// Round-robin drains every lane to end of stream, appending everything
 /// (markers excluded) to `residue`; the finishing counterpart of
 /// [`drain_lanes_until_marker`].
-pub(super) fn drain_lanes_to_eof(outputs: &[DetachableReceiver<Packet>], residue: &mut [Vec<Packet>]) {
+pub(super) fn drain_lanes_to_eof(
+    outputs: &[DetachableReceiver<Packet>],
+    residue: &mut [Vec<Packet>],
+    feed: impl Fn(),
+) {
     let mut done = vec![false; outputs.len()];
     while done.iter().any(|flag| !flag) {
+        feed();
         let mut progressed = false;
         for lane in 0..outputs.len() {
             if done[lane] {
@@ -639,7 +647,7 @@ impl FanoutApplier for SessionFanoutApplier {
         // quiesce_all: the fanout worker must stay free to move the final
         // flush through whichever lane pipe fills first.
         let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
-        drain_lanes_to_eof(&self.outputs, &mut residue);
+        drain_lanes_to_eof(&self.outputs, &mut residue, || {});
         residue
     }
 
@@ -744,7 +752,7 @@ impl RuntimeFanoutApplier {
         let marker_seq = self.next_marker;
         self.next_marker += 1;
         send_marker(&self.session.input(), marker_seq);
-        drain_lanes_until_marker(&self.outputs, marker_seq)
+        drain_lanes_until_marker(&self.outputs, marker_seq, || {})
     }
 }
 
@@ -800,7 +808,7 @@ impl FanoutApplier for RuntimeFanoutApplier {
         self.finished = true;
         self.session.close_input();
         let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
-        drain_lanes_to_eof(&self.outputs, &mut residue);
+        drain_lanes_to_eof(&self.outputs, &mut residue, || {});
         residue
     }
 
@@ -1149,20 +1157,12 @@ impl FanoutEngine {
         self.run_with(&mut RuntimeFanoutApplier::for_spec(&self.spec))
     }
 
-    /// Runs the scenario on a [`UdpFanoutApplier`](super::UdpFanoutApplier):
-    /// the session's ingress and every lane egress are loopback UDP
-    /// sockets.  The report must agree with the in-process appliers at the
-    /// same seed.
-    pub fn run_udp(&self) -> FanoutOutcome {
-        self.run_with(&mut super::UdpFanoutApplier::for_spec(&self.spec))
-    }
-
     /// Runs the scenario on a
-    /// [`SharedUdpFanoutApplier`](super::SharedUdpFanoutApplier): the same
-    /// wire path as [`run_udp`](Self::run_udp), but the whole session rides
-    /// one shared carrier socket demuxed by the readiness reactor onto the
-    /// worker pool.  The report must agree with the in-process appliers at
-    /// the same seed.
+    /// [`SharedUdpFanoutApplier`](super::SharedUdpFanoutApplier): every
+    /// packet crosses real loopback UDP sockets, the whole session riding
+    /// one carrier socket demuxed by the readiness reactor onto the worker
+    /// pool.  The report must agree with the in-process appliers at the
+    /// same seed.
     pub fn run_udp_shared(&self) -> FanoutOutcome {
         self.run_with(&mut super::SharedUdpFanoutApplier::for_spec(&self.spec))
     }

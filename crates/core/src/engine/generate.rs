@@ -126,7 +126,7 @@ struct Shrink {
     /// Brackets the derived scenario with the AEAD secure-channel pair
     /// (flat: `ScenarioSpec::secure`, with a midpoint key rotation; fanout:
     /// encrypt/decrypt appended to the head filters) and widens conformance
-    /// with the UDP and shared-UDP appliers.  Unlike `shared_udp` this
+    /// with the shared-UDP appliers.  Unlike `shared_udp` this
     /// token is *shrinkable*: dropping it is the first candidate tried, so
     /// a failure that reproduces without crypto minimizes to a plaintext
     /// line.
@@ -210,7 +210,7 @@ impl GeneratedSpec {
     /// `true` if this spec's corpus line carries the `secure` token: the
     /// derived scenario runs under the AEAD secure-channel pair (sealed
     /// payloads, a midpoint key rotation on flat shapes) and conformance
-    /// additionally runs the UDP and shared-UDP appliers.
+    /// additionally runs the shared-UDP appliers.
     pub fn secure(&self) -> bool {
         self.shrink.secure
     }
@@ -488,7 +488,7 @@ impl GeneratedSpec {
     /// * nothing delivered by the link fails to surface (`undelivered == 0`);
     /// * replaying the recorded trace reproduces the report;
     /// * with the `shared_udp` token, a run over a shared-socket carrier
-    ///   (reactor-demuxed, zero pump threads) matches the sync applier
+    ///   (reactor-demuxed, real loopback sockets) matches the sync applier
     ///   byte for byte too.
     pub fn conformance_problems(&self) -> Vec<String> {
         match &self.shape {
@@ -512,9 +512,6 @@ impl GeneratedSpec {
             ("threaded", engine.run_threaded()),
             ("pooled", engine.run_pooled()),
         ];
-        if self.shrink.secure {
-            runs.push(("udp", engine.run_udp()));
-        }
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }
@@ -586,9 +583,6 @@ impl GeneratedSpec {
             ("session", engine.run_session()),
             ("pooled", engine.run_pooled()),
         ];
-        if self.shrink.secure {
-            runs.push(("udp", engine.run_udp()));
-        }
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }

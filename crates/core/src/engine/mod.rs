@@ -48,13 +48,11 @@ mod report;
 mod shared_udp;
 mod spec;
 mod trace;
-mod udp;
 
 pub use applier::{
     apply_actions_to_chain, ActionApplier, RuntimeApplier, SyncChainApplier, ThreadedProxyApplier,
 };
 pub use shared_udp::{SharedUdpApplier, SharedUdpFanoutApplier};
-pub use udp::{UdpApplier, UdpFanoutApplier};
 pub use fanout::{
     FanoutApplier, FanoutEngine, FanoutOutcome, FanoutReport, FanoutSpec, LaneReport, LaneSpec,
     RuntimeFanoutApplier, SessionFanoutApplier, SyncFanoutApplier,
@@ -233,19 +231,11 @@ impl ScenarioEngine {
         ))
     }
 
-    /// Runs the scenario against a [`UdpApplier`]: every packet crosses
-    /// two real loopback UDP sockets on its way through the chain.  The
-    /// report must agree with the in-process appliers at the same seed.
-    pub fn run_udp(&self) -> ScenarioOutcome {
-        let window = self.spec.sample_interval as usize;
-        self.run_with(&mut UdpApplier::new(self.spec.batch_size, window))
-    }
-
-    /// Runs the scenario against a [`SharedUdpApplier`]: the same wire
-    /// path as [`run_udp`](Self::run_udp), but the proxy side is a
-    /// shared-socket carrier demuxed by the readiness reactor onto the
-    /// worker pool — one socket, zero pump threads.  The report must agree
-    /// with the in-process appliers at the same seed.
+    /// Runs the scenario against a [`SharedUdpApplier`]: every packet
+    /// crosses two real loopback UDP sockets on its way through the chain,
+    /// the proxy side being a carrier demuxed by the readiness reactor onto
+    /// the worker pool.  The report must agree with the in-process appliers
+    /// at the same seed.
     pub fn run_udp_shared(&self) -> ScenarioOutcome {
         let window = self.spec.sample_interval as usize;
         self.run_with(&mut SharedUdpApplier::new(self.spec.batch_size, window))
@@ -320,7 +310,7 @@ impl ScenarioEngine {
 
         // Secure channel: the seal/verify pair brackets the chain for the
         // whole run.  Installed through the applier's own action path so
-        // every runtime (sync, threaded, pooled, UDP, shared-UDP) places it
+        // every runtime (sync, threaded, pooled, shared-UDP) places it
         // identically; FEC adaptation inserts at the head, upstream of the
         // pair, so parity gets sealed too.
         let rekey_at = if spec.secure {

@@ -1,36 +1,46 @@
-//! Appliers that run a scenario over a **shared-socket carrier**: the
-//! reactor-driven data plane from
+//! Appliers that run a scenario's chain over **real loopback UDP
+//! sockets**: the reactor-driven data plane from
 //! [`Proxy::add_udp_carrier`](rapidware_proxy::Proxy), where one bound UDP
-//! socket carries every stream of the scenario and pool tasks — woken by
-//! socket readiness, not pump threads — drain and flush it in batches.
+//! socket carries every stream of the scenario and pool tasks woken by
+//! socket readiness drain and flush it in batches.
 //!
 //! ```text
 //!   engine ──encode──▶ UDP ──▶ carrier demux ─▶ pooled chain ─▶ carrier mux ──▶ UDP ──decode──▶ engine
 //! ```
 //!
-//! [`SharedUdpApplier`] and [`SharedUdpFanoutApplier`] are the conformance
-//! witnesses for that path: they run the exact protocol of the pump-thread
-//! appliers in [`udp`](super::udp) — same control-marker quiescence, same
-//! app-side sockets — so the scenario matrix can require their reports and
-//! canonical traces to be **byte-identical** to the sync applier's.  The
-//! scenario's source packets ride stream id 1 and the quiescence markers
-//! ride the reserved marker stream; both ids are routed to the same chain,
-//! which preserves the single-socket FIFO order determinism rests on.
+//! Same closed loop as the in-process appliers, different data plane:
+//! [`SharedUdpApplier`] and [`SharedUdpFanoutApplier`] encode every packet
+//! into a datagram, send it to the carrier, and decode what comes back off
+//! hand-driven application-side sockets (one [`SharedUdpIngress`] per
+//! receiver, drained from the engine's own receive loop).
+//!
+//! Determinism over a real socket path relies on two facts: loopback UDP
+//! from a single socket is FIFO and (with window-bounded in-flight data)
+//! lossless, and the appliers quiesce with the same control-marker
+//! protocol as their in-process siblings — a [`PacketKind::Control`]
+//! marker rides the full socket → chain → socket path, so everything a
+//! window produced is collected, in order, before the engine moves on.
+//! The scenario's source packets ride stream id 1 and the quiescence
+//! markers ride the reserved marker stream; both ids are routed to the
+//! same chain (and, app-side, to the same route pipe), which preserves the
+//! single-socket FIFO order.  The scenario matrix requires these appliers'
+//! reports and canonical traces to be **byte-identical** to the sync
+//! applier's.
 
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
 
-use rapidware_packet::{Packet, PacketKind, StreamId};
+use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_proxy::{
     Proxy, RuntimeConfig, SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig,
     SharedUdpStreamHandle, UdpCarrierConfig,
 };
 use rapidware_raplets::{apply_to_pooled_session, apply_to_proxy, AdaptationAction};
-use rapidware_streams::DetachableReceiver;
-use rapidware_transport::{UdpConfig, UdpIngress};
+use rapidware_streams::{pipe, DetachableReceiver, TryRecvError};
+use rapidware_transport::{SharedDrain, SharedUdpIngress, UdpConfig};
 
 use super::applier::{marker_stream, ActionApplier};
 use super::fanout::{drain_lanes_to_eof, drain_lanes_until_marker, FanoutApplier, FanoutSpec};
-use super::udp::{marker, transmit};
 use super::POOLED_APPLIER_SHARDS;
 
 /// The stream id scenario sources emit on (see
@@ -44,9 +54,42 @@ fn scenario_stream() -> StreamId {
 /// The name every applier-owned carrier registers under.
 const CARRIER: &str = "carrier";
 
-/// The shared-socket applier: one flat pooled stream riding a carrier, so
-/// the whole closed loop crosses the readiness reactor instead of pump
-/// threads.
+/// How long an app-side receive loop naps when its socket is dry.
+const APP_POLL: Duration = Duration::from_micros(50);
+
+/// Encodes `packet` and sends it to `peer` as one datagram.
+fn transmit(socket: &UdpSocket, peer: SocketAddr, packet: &Packet, scratch: &mut Vec<u8>) {
+    packet.encode_into(scratch);
+    socket
+        .send_to(scratch, peer)
+        .expect("loopback sends do not fail");
+}
+
+fn marker(seq: u64) -> Packet {
+    Packet::new(marker_stream(), SeqNo::new(seq), PacketKind::Control, Vec::new())
+}
+
+/// Binds an application-side receive socket whose scenario and marker
+/// stream ids share one route pipe (so their relative order survives the
+/// demux).  The chain's FIN rides the scenario stream id and closes it.
+fn bind_app_socket(capacity: usize) -> (SharedUdpIngress, DetachableReceiver<Packet>) {
+    let app = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default().with_capacity(capacity))
+        .expect("binding an ephemeral loopback socket");
+    let (sink, route) = pipe(capacity);
+    for stream in [scenario_stream(), marker_stream()] {
+        app.open_stream_into(stream, sink.clone())
+            .expect("a fresh socket has no routes");
+    }
+    (app, route)
+}
+
+/// Moves everything the OS is holding for `app` onto its route pipes.
+fn drain_app(app: &SharedUdpIngress) {
+    while app.drain_batch() == SharedDrain::MoreReady {}
+}
+
+/// The wire applier: one flat pooled stream riding a carrier, so the
+/// whole closed loop crosses two real sockets and the readiness reactor.
 #[derive(Debug)]
 pub struct SharedUdpApplier {
     proxy: Proxy,
@@ -54,7 +97,8 @@ pub struct SharedUdpApplier {
     handle: SharedUdpStreamHandle,
     tx: UdpSocket,
     scratch: Vec<u8>,
-    rx: UdpIngress,
+    app: SharedUdpIngress,
+    rx: DetachableReceiver<Packet>,
     next_marker: u64,
     finished: bool,
 }
@@ -70,9 +114,7 @@ impl SharedUdpApplier {
     /// Panics if a loopback socket cannot be bound (resource exhaustion).
     pub fn new(batch_size: usize, window_hint: usize) -> Self {
         let capacity = (window_hint.max(32)) * 4;
-        let udp_config = UdpConfig::default().with_capacity(capacity);
-        let rx = UdpIngress::bind("127.0.0.1:0", &udp_config)
-            .expect("binding an ephemeral loopback socket");
+        let (app, rx) = bind_app_socket(capacity);
         let mut proxy = Proxy::with_runtime(
             "scenario-proxy",
             RuntimeConfig::new(POOLED_APPLIER_SHARDS, batch_size.max(1))
@@ -89,7 +131,7 @@ impl SharedUdpApplier {
         let handle = proxy
             .add_stream_udp_shared(
                 "scenario",
-                SharedUdpStreamConfig::on_carrier(CARRIER, rx.local_addr())
+                SharedUdpStreamConfig::on_carrier(CARRIER, app.local_addr())
                     .with_stream(scenario_stream())
                     .with_stream(marker_stream())
                     .with_capacity(capacity)
@@ -103,9 +145,26 @@ impl SharedUdpApplier {
             handle,
             tx,
             scratch: Vec::new(),
+            app,
             rx,
             next_marker: 0,
             finished: false,
+        }
+    }
+
+    /// The next packet off the app-side socket, or `None` once the
+    /// stream's FIN has closed the route.
+    fn recv(&self) -> Option<Packet> {
+        loop {
+            match self.rx.try_recv() {
+                Ok(packet) => return Some(packet),
+                Err(TryRecvError::Empty) => {}
+                Err(_) => return None,
+            }
+            drain_app(&self.app);
+            if self.rx.is_empty() {
+                std::thread::sleep(APP_POLL);
+            }
         }
     }
 
@@ -116,7 +175,6 @@ impl SharedUdpApplier {
         let mut collected = Vec::new();
         loop {
             let packet = self
-                .rx
                 .recv()
                 .expect("the marker is still in flight, so the stream cannot end");
             if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
@@ -157,11 +215,11 @@ impl ActionApplier for SharedUdpApplier {
     fn finish(&mut self) -> Vec<Packet> {
         self.finished = true;
         // Closing the chain input flushes every filter; the residue rides
-        // out the shared egress followed by a per-stream FIN, which ends
-        // the app-side stream.
+        // out the carrier's egress followed by the stream's FIN, which
+        // ends the app-side stream.
         self.handle.close_input();
         let mut residue = Vec::new();
-        while let Ok(packet) = self.rx.recv() {
+        while let Some(packet) = self.recv() {
             if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
                 continue;
             }
@@ -180,8 +238,8 @@ impl Drop for SharedUdpApplier {
     }
 }
 
-/// The shared-socket fanout applier: a pooled session riding a carrier,
-/// every lane multiplexed back out of the carrier's one socket to its own
+/// The wire fanout applier: a pooled session riding a carrier, every lane
+/// multiplexed back out of the carrier's one socket to its own
 /// application-side receiver.
 pub struct SharedUdpFanoutApplier {
     proxy: Proxy,
@@ -189,9 +247,9 @@ pub struct SharedUdpFanoutApplier {
     handle: SharedUdpSessionHandle,
     tx: UdpSocket,
     scratch: Vec<u8>,
-    /// Application-side sockets, one per lane (kept alive; their pipe
-    /// receivers are in `outputs`).
-    lane_rx: Vec<UdpIngress>,
+    /// Application-side sockets, one per lane, drained by hand into the
+    /// route pipes in `outputs`.
+    lane_rx: Vec<SharedUdpIngress>,
     outputs: Vec<DetachableReceiver<Packet>>,
     lane_names: Vec<String>,
     /// Packets collected for a lane outside its own turn; prepended to that
@@ -220,18 +278,18 @@ impl SharedUdpFanoutApplier {
     /// Panics if a loopback socket cannot be bound (resource exhaustion).
     pub fn for_spec(spec: &FanoutSpec) -> Self {
         let capacity = (spec.sample_interval.max(32) as usize) * 4;
-        let udp_config = UdpConfig::default().with_capacity(capacity);
         let mut lane_rx = Vec::with_capacity(spec.lanes.len());
+        let mut outputs = Vec::with_capacity(spec.lanes.len());
         let mut session_config = SharedUdpSessionConfig::on_carrier(CARRIER)
             .with_stream(scenario_stream())
             .with_stream(marker_stream())
             .with_capacity(capacity)
             .with_batch_size(spec.batch_size.max(1));
         for lane in &spec.lanes {
-            let ingress = UdpIngress::bind("127.0.0.1:0", &udp_config)
-                .expect("binding an ephemeral loopback socket");
-            session_config = session_config.with_lane(&lane.name, ingress.local_addr());
-            lane_rx.push(ingress);
+            let (app, route) = bind_app_socket(capacity);
+            session_config = session_config.with_lane(&lane.name, app.local_addr());
+            lane_rx.push(app);
+            outputs.push(route);
         }
         let mut proxy = Proxy::with_runtime(
             "scenario-proxy",
@@ -258,8 +316,6 @@ impl SharedUdpFanoutApplier {
                 .expect("head filter specs reference registered kinds");
         }
         let tx = UdpSocket::bind("127.0.0.1:0").expect("binding the app-side send socket");
-        let outputs: Vec<DetachableReceiver<Packet>> =
-            lane_rx.iter().map(UdpIngress::receiver).collect();
         let lane_names: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
         let lane_count = lane_names.len();
         Self {
@@ -284,7 +340,8 @@ impl SharedUdpFanoutApplier {
         let marker_seq = self.next_marker;
         self.next_marker += 1;
         transmit(&self.tx, self.handle.ingress_addr(), &marker(marker_seq), &mut self.scratch);
-        drain_lanes_until_marker(&self.outputs, marker_seq)
+        let lane_rx = &self.lane_rx;
+        drain_lanes_until_marker(&self.outputs, marker_seq, || lane_rx.iter().for_each(drain_app))
     }
 }
 
@@ -342,12 +399,13 @@ impl FanoutApplier for SharedUdpFanoutApplier {
     fn finish(&mut self) -> Vec<Vec<Packet>> {
         self.finished = true;
         // Closing the session input flushes the head through every lane;
-        // each lane sends its residue and a per-stream FIN out of the one
-        // carrier socket, which closes the matching app-side pipe, so the
-        // EOF drain below terminates.
+        // each lane sends its residue and its FIN out of the one carrier
+        // socket, which closes the matching app-side pipe, so the EOF
+        // drain below terminates.
         self.handle.close_input();
         let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
-        drain_lanes_to_eof(&self.outputs, &mut residue);
+        let lane_rx = &self.lane_rx;
+        drain_lanes_to_eof(&self.outputs, &mut residue, || lane_rx.iter().for_each(drain_app));
         residue
     }
 }
@@ -357,7 +415,6 @@ impl Drop for SharedUdpFanoutApplier {
         if !self.finished {
             self.handle.close_input();
         }
-        let _ = self.lane_rx.drain(..);
         let _ = self.proxy.shutdown();
     }
 }

@@ -14,7 +14,7 @@
 //! | [`fec`] | `rapidware-fec` | (n, k) block erasure codes over GF(2⁸) |
 //! | [`filters`] | `rapidware-filters` | the `Filter` trait, the reconfigurable chain, and the built-in filter library |
 //! | [`proxy`] | `rapidware-proxy` | thread-per-filter proxy runtime, filter registry, control protocol |
-//! | [`transport`] | `rapidware-transport` | real UDP ingress/egress endpoints and the deterministic loopback impairment shim |
+//! | [`transport`] | `rapidware-transport` | reactor-driven UDP endpoints (N streams per socket) and the deterministic loopback impairment shim |
 //! | [`raplets`] | `rapidware-raplets` | observer / responder raplets and the adaptation engine |
 //! | [`netsim`] | `rapidware-netsim` | deterministic wireless LAN simulator (the testbed substitute) |
 //! | [`media`] | `rapidware-media` | synthetic audio / video workloads and measurement sinks |
@@ -86,9 +86,12 @@ pub mod prelude {
     pub use rapidware_pavilion::{CollaborativeSession, DeviceProfile};
     pub use rapidware_proxy::{
         Command, ControlManager, FilterRegistry, FilterSpec, PooledChain, PooledSession, Proxy,
-        Runtime, RuntimeConfig, ThreadedChain, UdpSessionConfig, UdpStreamConfig,
+        Runtime, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, ThreadedChain,
+        UdpCarrierConfig,
     };
-    pub use rapidware_transport::{ImpairedUdp, ImpairmentPlan, UdpConfig, UdpEgress, UdpIngress};
+    pub use rapidware_transport::{
+        ImpairedUdp, ImpairmentPlan, SharedUdpEgress, SharedUdpIngress, UdpConfig,
+    };
     pub use rapidware_raplets::{
         AdaptationAction, AdaptationEngine, FecResponder, LinkSample, LossRateObserver,
     };

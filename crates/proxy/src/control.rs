@@ -215,24 +215,15 @@ impl fmt::Display for Response {
                 for transport in &status.transports {
                     write!(
                         f,
-                        " udp={}:{} at={} rx={} tx={} decode-err={} drop={}",
+                        " udp={} at={} rx={} tx={} decode-err={} drop={} unknown-stream={}",
                         transport.name,
-                        if transport.shared {
-                            "shared"
-                        } else if transport.session {
-                            "session"
-                        } else {
-                            "stream"
-                        },
                         transport.ingress_addr,
                         transport.ingress.rx_packets,
                         transport.egress.tx_packets,
                         transport.ingress.decode_errors,
                         transport.ingress.dropped + transport.egress.dropped,
+                        transport.unknown_streams,
                     )?;
-                    if transport.shared {
-                        write!(f, " unknown-stream={}", transport.unknown_streams)?;
-                    }
                 }
                 if !status.secure.is_empty() {
                     // The stats-struct metrics render in their snapshot

@@ -79,11 +79,10 @@ pub use session::{LaneStatus, Session, SessionStatus};
 pub use threaded::{ChainStats, ThreadedChain, DEFAULT_BATCH_SIZE};
 pub use udp::{
     SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig, SharedUdpStreamHandle,
-    UdpCarrierConfig, UdpCarrierHandle, UdpSessionConfig, UdpSessionHandle, UdpStreamConfig,
-    UdpStreamHandle, UdpTransportStatus,
+    UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,
 };
 // Re-exported so callers reading `ProxyStatus::transports` (or holding the
-// stats handles in a `Udp*Handle`) need not depend on the transport crate.
+// stats handles in a `UdpCarrierHandle`) need not depend on the transport crate.
 pub use rapidware_transport::{TransportSnapshot, TransportStats};
 // Re-exported so callers consuming `Proxy::telemetry()` snapshots (or
 // registering their own instruments on `Proxy::telemetry_registry()`) need

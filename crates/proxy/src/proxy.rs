@@ -9,7 +9,7 @@ use rapidware_packet::Packet;
 use rapidware_streams::{DetachableReceiver, DetachableSender};
 use rapidware_telemetry::{Registry, StatSource, TelemetrySnapshot};
 
-use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig, UdpEgress, UdpIngress};
+use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
@@ -21,8 +21,7 @@ use crate::threaded::{ChainStats, ThreadedChain};
 use crate::udp::{
     SharedEgressWork, SharedIngressWork, SharedUdpSessionConfig, SharedUdpSessionHandle,
     SharedUdpStreamConfig, SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle,
-    UdpSessionConfig, UdpSessionHandle, UdpSessionTransport, UdpStreamConfig, UdpStreamHandle,
-    UdpStreamTransport, UdpTransportStatus,
+    UdpTransportStatus,
 };
 
 /// A snapshot of one stream's configuration and statistics.
@@ -129,8 +128,8 @@ pub struct ProxyStatus {
     /// Sharded-runtime snapshot (per-shard queue depths, live tasks,
     /// steals) when the proxy runs a worker pool; `None` otherwise.
     pub runtime: Option<RuntimeStatus>,
-    /// Per-endpoint counters of every UDP-backed stream and session
-    /// (rx/tx datagrams and packets, decode errors, drops), sorted by
+    /// Socket-wide counters of every UDP carrier (rx/tx datagrams and
+    /// packets, decode errors, drops, unknown-stream frames), sorted by
     /// name.
     pub transports: Vec<UdpTransportStatus>,
     /// Secure-channel counters summed over every stream and session: how
@@ -148,8 +147,6 @@ pub struct Proxy {
     streams: BTreeMap<String, StreamChain>,
     sessions: BTreeMap<String, Session>,
     pooled_sessions: BTreeMap<String, PooledSession>,
-    udp_streams: BTreeMap<String, UdpStreamTransport>,
-    udp_sessions: BTreeMap<String, UdpSessionTransport>,
     udp_carriers: BTreeMap<String, UdpCarrier>,
     runtime: Option<Arc<Runtime>>,
     telemetry: Option<Arc<Registry>>,
@@ -190,8 +187,6 @@ impl Proxy {
             streams: BTreeMap::new(),
             sessions: BTreeMap::new(),
             pooled_sessions: BTreeMap::new(),
-            udp_streams: BTreeMap::new(),
-            udp_sessions: BTreeMap::new(),
             udp_carriers: BTreeMap::new(),
             runtime: None,
             telemetry: None,
@@ -236,9 +231,9 @@ impl Proxy {
     ///
     /// Idempotent: repeat calls return the same registry.  For complete
     /// coverage enable telemetry *before* installing filters on threaded
-    /// chains (their stage workers pick the spans up at spawn) and before
-    /// binding shared-socket carriers (their drain-batch histogram is wired
-    /// at bind time); everything else attaches retroactively.
+    /// chains (their stage workers pick the spans up at spawn); everything
+    /// else — carriers' drain-batch histograms included — attaches
+    /// retroactively.
     pub fn enable_telemetry(&mut self) -> Arc<Registry> {
         if self.telemetry.is_none() {
             self.telemetry = Some(Registry::new());
@@ -255,6 +250,9 @@ impl Proxy {
         }
         for session in self.pooled_sessions.values() {
             session.enable_telemetry(&registry);
+        }
+        for (name, carrier) in &self.udp_carriers {
+            carrier.enable_telemetry(&registry, name);
         }
         registry
     }
@@ -472,175 +470,18 @@ impl Proxy {
         names
     }
 
-    /// Creates a stream whose endpoints are **real UDP sockets**: an
-    /// ingress socket decodes arriving datagrams straight into the chain
-    /// input, and the chain output is framed and sent to
-    /// `config.egress_peer`, one packet per datagram.  The chain itself is
-    /// an ordinary stream — it appears in [`stream_names`](Self::stream_names),
-    /// accepts live filter splices through the usual control surface, and
-    /// runs thread-per-filter or on the worker pool per `config.pooled`.
-    ///
-    /// The returned [`UdpStreamHandle`] carries the concrete socket
-    /// addresses (ports are ephemeral by default), the per-endpoint
-    /// counters, and [`close_input`](UdpStreamHandle::close_input) for a
-    /// clean end of stream; the same counters surface in
-    /// [`ProxyStatus::transports`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if the stream name is taken,
-    /// [`ProxyError::RuntimeDisabled`] for a pooled placement without a
-    /// runtime, or [`ProxyError::Transport`] if a socket cannot be bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.capacity` is zero.
-    pub fn add_stream_udp(
-        &mut self,
-        name: impl Into<String>,
-        config: UdpStreamConfig,
-    ) -> Result<UdpStreamHandle, ProxyError> {
-        let name = name.into();
-        let chain = if config.pooled {
-            let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-            StreamChain::Pooled(runtime.add_chain_with(
-                name.clone(),
-                config.capacity,
-                config.batch_size.max(1),
-            ))
-        } else {
-            StreamChain::Threaded(ThreadedChain::with_batch_size(
-                config.capacity,
-                config.batch_size.max(1),
-            )?)
-        };
-        let (input, output) = self.install_stream(name.clone(), chain)?;
-        let udp_config = UdpConfig::default()
-            .with_capacity(config.capacity)
-            .with_batch_size(config.batch_size.max(1));
-        let ingress = UdpIngress::bind_into(config.ingress_bind, input.clone(), &udp_config)
-            .map_err(|err| self.transport_failure(&name, err))?;
-        let egress = UdpEgress::drain(output, config.egress_peer, &udp_config)
-            .map_err(|err| self.transport_failure(&name, err))?;
-        let handle = UdpStreamHandle {
-            ingress_addr: ingress.local_addr(),
-            egress_addr: egress.local_addr(),
-            ingress_stats: ingress.stats(),
-            egress_stats: egress.stats(),
-            input: input.clone(),
-        };
-        self.udp_streams.insert(
-            name,
-            UdpStreamTransport {
-                ingress,
-                egress,
-                input,
-            },
-        );
-        Ok(handle)
-    }
-
-    /// Removes the half-installed stream after a socket failure and wraps
-    /// the error; an `add_stream_udp` that fails leaves no trace behind.
-    fn transport_failure(&mut self, name: &str, err: std::io::Error) -> ProxyError {
-        if let Some(chain) = self.streams.remove(name) {
-            let _ = chain.shutdown();
-        }
-        ProxyError::Transport(err.to_string())
-    }
-
-    /// Creates a fanout session whose endpoints are **real UDP sockets**:
-    /// one ingress socket feeding the shared head chain, and one egress
-    /// socket per `config.lanes` entry sending that lane's packets to its
-    /// peer.  The session is an ordinary session otherwise — it appears in
-    /// [`session_names`](Self::session_names) and accepts per-lane filter
-    /// splices through [`session`](Self::session) /
-    /// [`pooled_session`](Self::pooled_session) (per `config.pooled`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if the session name is taken,
-    /// [`ProxyError::RuntimeDisabled`] for a pooled placement without a
-    /// runtime, or [`ProxyError::Transport`] if a socket cannot be bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.capacity` is zero.
-    pub fn add_session_udp(
-        &mut self,
-        name: impl Into<String>,
-        config: UdpSessionConfig,
-    ) -> Result<UdpSessionHandle, ProxyError> {
-        let name = name.into();
-        let input = if config.pooled {
-            self.add_session_pooled(name.clone(), config.capacity, config.batch_size.max(1))?
-        } else {
-            self.add_session(name.clone(), config.capacity, config.batch_size.max(1))?
-        };
-        let udp_config = UdpConfig::default()
-            .with_capacity(config.capacity)
-            .with_batch_size(config.batch_size.max(1));
-        let result = (|| -> Result<(UdpIngress, Vec<(String, UdpEgress)>), ProxyError> {
-            let ingress = UdpIngress::bind_into(config.ingress_bind, input.clone(), &udp_config)
-                .map_err(|err| ProxyError::Transport(err.to_string()))?;
-            let mut lanes = Vec::with_capacity(config.lanes.len());
-            for (lane_name, peer) in &config.lanes {
-                let lane_output = if config.pooled {
-                    self.pooled_session(&name)?.add_lane(lane_name)?
-                } else {
-                    self.session(&name)?.add_lane(lane_name)?
-                };
-                let egress = UdpEgress::drain(lane_output, *peer, &udp_config)
-                    .map_err(|err| ProxyError::Transport(err.to_string()))?;
-                lanes.push((lane_name.clone(), egress));
-            }
-            Ok((ingress, lanes))
-        })();
-        let (ingress, lanes) = match result {
-            Ok(parts) => parts,
-            Err(err) => {
-                // Tear the half-installed session down so the name is free.
-                if let Some(session) = self.sessions.remove(&name) {
-                    let _ = session.shutdown();
-                }
-                if let Some(session) = self.pooled_sessions.remove(&name) {
-                    let _ = session.shutdown();
-                }
-                return Err(err);
-            }
-        };
-        let handle = UdpSessionHandle {
-            ingress_addr: ingress.local_addr(),
-            ingress_stats: ingress.stats(),
-            lanes: lanes
-                .iter()
-                .map(|(lane_name, egress)| (lane_name.clone(), egress.stats()))
-                .collect(),
-            input: input.clone(),
-        };
-        self.udp_sessions.insert(
-            name,
-            UdpSessionTransport {
-                ingress,
-                lanes,
-                input,
-            },
-        );
-        Ok(handle)
-    }
-
-    /// Binds a **shared-socket carrier**: one UDP socket that many pooled
-    /// streams and sessions ride at once, demultiplexed by the stream id in
-    /// every packet header.  Unlike [`add_stream_udp`](Self::add_stream_udp)
-    /// (two pump threads per socket), a carrier costs zero threads — the
-    /// runtime's readiness reactor wakes pool tasks that drain and flush
-    /// the socket in batches.
+    /// Binds a **carrier**: one UDP socket that many pooled streams and
+    /// sessions ride at once, demultiplexed by the stream id in every
+    /// packet header.  A carrier costs zero threads — the runtime's
+    /// readiness reactor wakes pool tasks that drain and flush the socket
+    /// in batches.
     ///
     /// Place work on the carrier with
     /// [`add_stream_udp_shared`](Self::add_stream_udp_shared) and
-    /// [`add_session_udp_shared`](Self::add_session_udp_shared); the
-    /// carrier's socket-wide counters (and its unknown-stream drop count)
-    /// appear in [`ProxyStatus::transports`] with `shared` set.
+    /// [`add_session_udp_shared`](Self::add_session_udp_shared) — a
+    /// dedicated socket is a carrier with one such route; the carrier's
+    /// socket-wide counters (and its unknown-stream drop count) appear in
+    /// [`ProxyStatus::transports`].
     ///
     /// # Errors
     ///
@@ -676,16 +517,14 @@ impl Proxy {
         // receive side wakes on socket readability, the send side on pipe
         // watchers installed per attached lane (readability would be
         // noise for it).
+        let ingress_work = Arc::new(SharedIngressWork {
+            ingress: Arc::clone(&ingress),
+            drain_batch: std::sync::OnceLock::new(),
+        });
         let ingress_driver = runtime.drive_socket(
             ingress.socket(),
             SocketInterest::Readable,
-            Arc::new(SharedIngressWork {
-                ingress: Arc::clone(&ingress),
-                drain_batch: self
-                    .telemetry
-                    .as_ref()
-                    .map(|registry| registry.histogram(format!("udp.{name}.drain_batch"))),
-            }),
+            ingress_work.clone(),
         );
         let egress_driver = runtime.drive_socket(
             egress.socket(),
@@ -695,31 +534,32 @@ impl Proxy {
             }),
         );
         let handle = UdpCarrierHandle {
-            ingress: Arc::clone(&ingress),
+            ingress,
             egress_stats: egress.stats(),
         };
-        self.udp_carriers.insert(
-            name,
-            UdpCarrier {
-                ingress,
-                egress,
-                ingress_driver,
-                egress_driver,
-            },
-        );
+        let carrier = UdpCarrier {
+            ingress_work,
+            egress,
+            ingress_driver,
+            egress_driver,
+        };
+        if let Some(registry) = &self.telemetry {
+            carrier.enable_telemetry(registry, &name);
+        }
+        self.udp_carriers.insert(name, carrier);
         Ok(handle)
     }
 
-    /// Names of the shared-socket carriers on this proxy.
+    /// Names of the carriers on this proxy.
     pub fn carrier_names(&self) -> Vec<String> {
         self.udp_carriers.keys().cloned().collect()
     }
 
-    /// Creates a pooled stream riding a shared-socket carrier: datagrams
+    /// Creates a pooled stream riding a carrier: datagrams
     /// arriving on the carrier whose stream id is in `config.streams` are
     /// decoded straight into the chain input, and the chain output is
     /// multiplexed back onto the carrier's socket towards
-    /// `config.egress_peer`, ending with a per-stream FIN.  The chain is an
+    /// `config.egress_peer`, ending with the stream's FIN.  The chain is an
     /// ordinary pooled stream otherwise — it appears in
     /// [`stream_names`](Self::stream_names) and accepts live filter
     /// splices.
@@ -760,11 +600,11 @@ impl Proxy {
             .expect("carrier existence checked above");
         let mut opened = Vec::with_capacity(config.streams.len());
         for stream in &config.streams {
-            match carrier.ingress.open_stream_into(*stream, input.clone()) {
+            match carrier.ingress().open_stream_into(*stream, input.clone()) {
                 Ok(()) => opened.push(*stream),
                 Err(err) => {
                     for stream in opened {
-                        carrier.ingress.close_stream(stream);
+                        carrier.ingress().close_stream(stream);
                     }
                     if let Some(chain) = self.streams.remove(&name) {
                         let _ = chain.shutdown();
@@ -785,13 +625,13 @@ impl Proxy {
         carrier.egress_driver.kick();
         Ok(SharedUdpStreamHandle {
             carrier: config.carrier,
-            ingress_addr: carrier.ingress.local_addr(),
+            ingress_addr: carrier.ingress().local_addr(),
             streams: config.streams,
             input,
         })
     }
 
-    /// Creates a pooled fanout session riding a shared-socket carrier:
+    /// Creates a pooled fanout session riding a carrier:
     /// datagrams for `config.streams` feed the shared head chain, and each
     /// `config.lanes` entry multiplexes that lane's packets back onto the
     /// carrier's socket towards its own peer (FIN per lane).  The session
@@ -831,7 +671,7 @@ impl Proxy {
                 .expect("carrier existence checked above");
             for stream in &config.streams {
                 carrier
-                    .ingress
+                    .ingress()
                     .open_stream_into(*stream, input.clone())
                     .map_err(|err| {
                         ProxyError::Splice(format!("carrier {}: {err}", config.carrier))
@@ -852,7 +692,7 @@ impl Proxy {
             // lanes finish silently once the session's pipes close.
             if let Some(carrier) = self.udp_carriers.get(&config.carrier) {
                 for stream in opened {
-                    carrier.ingress.close_stream(stream);
+                    carrier.ingress().close_stream(stream);
                 }
             }
             if let Some(session) = self.pooled_sessions.remove(&name) {
@@ -863,7 +703,7 @@ impl Proxy {
         let carrier = &self.udp_carriers[&config.carrier];
         Ok(SharedUdpSessionHandle {
             carrier: config.carrier.clone(),
-            ingress_addr: carrier.ingress.local_addr(),
+            ingress_addr: carrier.ingress().local_addr(),
             streams: config.streams,
             lanes: config.lanes.iter().map(|(lane, _)| lane.clone()).collect(),
             input,
@@ -964,22 +804,11 @@ impl Proxy {
             .chain(self.pooled_sessions.values().map(PooledSession::status))
             .collect();
         sessions.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut transports: Vec<UdpTransportStatus> = self
-            .udp_streams
+        let transports: Vec<UdpTransportStatus> = self
+            .udp_carriers
             .iter()
-            .map(|(name, transport)| transport.status(name))
-            .chain(
-                self.udp_sessions
-                    .iter()
-                    .map(|(name, transport)| transport.status(name)),
-            )
-            .chain(
-                self.udp_carriers
-                    .iter()
-                    .map(|(name, carrier)| carrier.status(name)),
-            )
+            .map(|(name, carrier)| carrier.status(name))
             .collect();
-        transports.sort_by(|a, b| a.name.cmp(&b.name));
         let streams: Vec<StreamStatus> = self
             .streams
             .iter()
@@ -1019,8 +848,8 @@ impl Proxy {
     /// drain-batch histograms (`udp.*.drain_batch`) — plus the legacy
     /// stats structs folded in as flat metrics under the same scopes:
     /// per-stream chain and secure-channel counters, per-session head and
-    /// lane counters, per-transport rx/tx counters, and the runtime's
-    /// worker/queue/steal/poll counters.
+    /// lane counters, per-carrier rx/tx and unknown-stream counters, and
+    /// the runtime's worker/queue/steal/poll counters.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let registry = self.telemetry.as_ref()?;
         let mut snapshot = registry.snapshot();
@@ -1046,33 +875,18 @@ impl Proxy {
                 snapshot.push_stats(&format!("{scope}.secure"), session.secure.snapshot());
             }
         }
-        let transports = self
-            .udp_streams
-            .iter()
-            .map(|(name, transport)| transport.status(name))
-            .chain(
-                self.udp_sessions
-                    .iter()
-                    .map(|(name, transport)| transport.status(name)),
-            )
-            .chain(
-                self.udp_carriers
-                    .iter()
-                    .map(|(name, carrier)| carrier.status(name)),
-            );
-        for transport in transports {
-            let scope = format!("udp.{}", transport.name);
+        for (name, carrier) in &self.udp_carriers {
+            let transport = carrier.status(name);
+            let scope = format!("udp.{name}");
             snapshot.push_stats(&format!("{scope}.ingress"), transport.ingress.snapshot());
             snapshot.push_stats(&format!("{scope}.egress"), transport.egress.snapshot());
-            if transport.shared {
-                snapshot.push_stats(
-                    &scope,
-                    vec![rapidware_telemetry::Metric::new(
-                        "unknown_streams",
-                        transport.unknown_streams,
-                    )],
-                );
-            }
+            snapshot.push_stats(
+                &scope,
+                vec![rapidware_telemetry::Metric::new(
+                    "unknown_streams",
+                    transport.unknown_streams,
+                )],
+            );
         }
         if let Some(runtime) = &self.runtime {
             snapshot.push_stats("runtime", runtime.status().snapshot());
@@ -1095,31 +909,16 @@ impl Proxy {
     /// the remaining streams regardless).
     pub fn shutdown(&mut self) -> Result<(), ProxyError> {
         let mut first_error = None;
-        // Transport teardown brackets the chain teardown: ingress pumps
-        // stop first (while their chains are still draining, so a pump
-        // blocked on chain back-pressure can always exit), the chain
-        // inputs close so every chain flushes, and the egress pumps are
-        // joined last — after the chains have delivered their final
-        // output, so nothing in flight is stranded.
-        let mut udp_streams = std::mem::take(&mut self.udp_streams);
-        let mut udp_sessions = std::mem::take(&mut self.udp_sessions);
+        // Transport teardown brackets the chain teardown: each carrier's
+        // receive-side task stops first (one final drain, then no new
+        // arrivals) and its routes close, so every riding chain and
+        // session sees end-of-input and flushes.
         let udp_carriers = std::mem::take(&mut self.udp_carriers);
-        for transport in udp_streams.values_mut() {
-            transport.ingress.shutdown();
-            transport.input.close();
-        }
-        for transport in udp_sessions.values_mut() {
-            transport.ingress.shutdown();
-            transport.input.close();
-        }
-        // Carriers follow the same bracket: the receive-side task stops
-        // first (one final drain, then no new arrivals), the routes close
-        // so every riding chain and session sees end-of-input and flushes.
         for carrier in udp_carriers.values() {
             if let Err(err) = carrier.ingress_driver.shutdown() {
                 first_error.get_or_insert(err);
             }
-            carrier.ingress.close_all_streams();
+            carrier.ingress().close_all_streams();
         }
         for (_, chain) in std::mem::take(&mut self.streams) {
             if let Err(err) = chain.shutdown() {
@@ -1134,14 +933,6 @@ impl Proxy {
         for (_, session) in std::mem::take(&mut self.pooled_sessions) {
             if let Err(err) = session.shutdown() {
                 first_error.get_or_insert(err);
-            }
-        }
-        for transport in udp_streams.values_mut() {
-            transport.egress.shutdown();
-        }
-        for transport in udp_sessions.values_mut() {
-            for (_, egress) in &mut transport.lanes {
-                egress.shutdown();
             }
         }
         // The carriers' send-side tasks stop after the chains have
@@ -1408,109 +1199,6 @@ mod tests {
         socket.send_to(&scratch, peer).unwrap();
     }
 
-    #[test]
-    fn udp_streams_carry_packets_over_real_sockets() {
-        let mut proxy = Proxy::new("wire");
-        // The application's receiving endpoint.
-        let app_rx = rapidware_transport::UdpIngress::bind(
-            "127.0.0.1:0",
-            &rapidware_transport::UdpConfig::default(),
-        )
-        .unwrap();
-        let handle = proxy
-            .add_stream_udp("audio", UdpStreamConfig::to_peer(app_rx.local_addr()))
-            .unwrap();
-        // The stream is an ordinary stream: filters splice in live.
-        proxy.insert_filter("audio", 0, &FilterSpec::new("tap").with_param("name", "wire")).unwrap();
-        assert_eq!(proxy.stream_names(), vec!["audio"]);
-
-        let app_tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        for seq in 0..16 {
-            encode_to(&app_tx, handle.ingress_addr(), &packet(seq));
-        }
-        for seq in 0..16 {
-            assert_eq!(app_rx.recv().unwrap().seq().value(), seq);
-        }
-        // Ending the stream from the proxy side flushes and FINs.
-        handle.close_input();
-        assert!(app_rx.recv().is_err(), "FIN must end the app-side stream");
-
-        let status = proxy.status();
-        assert_eq!(status.transports.len(), 1);
-        let transport = &status.transports[0];
-        assert_eq!(transport.name, "audio");
-        assert!(!transport.session);
-        assert_eq!(transport.ingress.rx_packets, 16);
-        assert_eq!(transport.egress.tx_packets, 17, "16 data + 1 FIN");
-        assert_eq!(handle.ingress_stats().rx_packets(), 16);
-        assert_eq!(handle.egress_stats().tx_packets(), 17);
-        assert_ne!(handle.egress_addr().port(), 0);
-        // The control protocol renders the endpoint counters.
-        let rendered = crate::Response::Status(status).to_string();
-        assert!(rendered.contains("udp=audio:stream"), "{rendered}");
-        assert!(rendered.contains("rx=16"), "{rendered}");
-        proxy.shutdown().unwrap();
-    }
-
-    #[test]
-    fn udp_sessions_fan_out_to_per_lane_sockets() {
-        let config = rapidware_transport::UdpConfig::default();
-        let lane_a = rapidware_transport::UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let lane_b = rapidware_transport::UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let mut proxy = Proxy::with_runtime("wire", RuntimeConfig::new(2, 8));
-        let handle = proxy
-            .add_session_udp(
-                "fanout",
-                UdpSessionConfig::new()
-                    .pooled()
-                    .with_lane("a", lane_a.local_addr())
-                    .with_lane("b", lane_b.local_addr()),
-            )
-            .unwrap();
-        assert_eq!(proxy.session_names(), vec!["fanout"]);
-        let app_tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        for seq in 0..8 {
-            encode_to(&app_tx, handle.ingress_addr(), &packet(seq));
-        }
-        for seq in 0..8 {
-            assert_eq!(lane_a.recv().unwrap().seq().value(), seq);
-            assert_eq!(lane_b.recv().unwrap().seq().value(), seq);
-        }
-        handle.close_input();
-        assert!(lane_a.recv().is_err(), "lane a must see the FIN");
-        assert!(lane_b.recv().is_err(), "lane b must see the FIN");
-        assert_eq!(handle.lane_stats("a").unwrap().tx_packets(), 9);
-        assert!(handle.lane_stats("nope").is_none());
-        let status = proxy.status();
-        assert_eq!(status.transports.len(), 1);
-        assert!(status.transports[0].session);
-        assert_eq!(status.transports[0].egress.tx_packets, 18, "two lanes x (8 + FIN)");
-        proxy.shutdown().unwrap();
-    }
-
-    #[test]
-    fn udp_failures_leave_no_half_installed_stream_behind() {
-        let mut proxy = Proxy::new("wire");
-        let peer = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
-        // Binding a non-local address fails; the stream name must be free
-        // again afterwards.
-        let bogus = UdpStreamConfig::to_peer(peer)
-            .with_ingress_bind(std::net::SocketAddr::from(([203, 0, 113, 1], 0)));
-        assert!(matches!(
-            proxy.add_stream_udp("s", bogus),
-            Err(ProxyError::Transport(_))
-        ));
-        assert!(proxy.stream_names().is_empty());
-        // Pooled placement still requires a runtime.
-        assert!(matches!(
-            proxy.add_stream_udp("s", UdpStreamConfig::to_peer(peer).pooled()),
-            Err(ProxyError::RuntimeDisabled)
-        ));
-        // And the name stays usable for a working configuration.
-        proxy.add_stream_udp("s", UdpStreamConfig::to_peer(peer)).unwrap();
-        proxy.shutdown().unwrap();
-    }
-
     fn stream_packet(stream: u32, seq: u64) -> Packet {
         Packet::new(
             StreamId::new(stream),
@@ -1582,8 +1270,8 @@ mod tests {
         }
 
         // Ending stream a FINs only stream a; its socket-mate keeps
-        // flowing.  (The app side has no pump thread either, so the FIN
-        // only becomes observable through a drain.)
+        // flowing.  (The app side is hand-driven, so the FIN only becomes
+        // observable through a drain.)
         handle_a.close_input();
         drain_app_until(&app, || {
             matches!(route_a.try_recv(), Err(rapidware_streams::TryRecvError::Eof))
@@ -1598,17 +1286,15 @@ mod tests {
             std::thread::yield_now();
         }
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared[0].name, "wire");
-        assert!(!shared[0].session);
-        assert_eq!(shared[0].ingress.rx_packets, 17, "two live streams, one socket");
-        assert_eq!(shared[0].unknown_streams, 1);
+        assert_eq!(status.transports.len(), 1);
+        assert_eq!(status.transports[0].name, "wire");
+        assert_eq!(status.transports[0].ingress.rx_packets, 17, "two live streams, one socket");
+        assert_eq!(status.transports[0].unknown_streams, 1);
         let rendered = crate::Response::Status(status).to_string();
-        assert!(rendered.contains("udp=wire:shared"), "{rendered}");
+        assert!(rendered.contains("udp=wire at="), "{rendered}");
         assert!(rendered.contains("unknown-stream=1"), "{rendered}");
 
-        // Zero pump threads: the only live transport machinery is the
+        // Zero per-socket threads: the only live transport machinery is the
         // reactor registration (one ingress + one egress driver).
         assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 2);
         handle_b.close_input();
@@ -1659,8 +1345,7 @@ mod tests {
             matches!(lane_b.try_recv(), Err(rapidware_streams::TryRecvError::Eof))
         });
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
-        assert_eq!(shared[0].egress.tx_packets, 10, "two lanes x (4 + FIN)");
+        assert_eq!(status.transports[0].egress.tx_packets, 10, "two lanes x (4 + FIN)");
         let _ = carrier;
         proxy.shutdown().unwrap();
     }
@@ -1690,6 +1375,15 @@ mod tests {
             ),
             Err(ProxyError::UnknownCarrier(_))
         ));
+        // Binding a non-local address fails; the carrier name must be free
+        // again afterwards.
+        let bogus = UdpCarrierConfig::new()
+            .with_bind(std::net::SocketAddr::from(([203, 0, 113, 1], 0)));
+        assert!(matches!(
+            proxy.add_udp_carrier("wire", bogus),
+            Err(ProxyError::Transport(_))
+        ));
+        assert!(proxy.carrier_names().is_empty());
         let carrier = proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
         assert!(matches!(
             proxy.add_udp_carrier("wire", UdpCarrierConfig::new()),

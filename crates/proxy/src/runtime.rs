@@ -808,7 +808,7 @@ impl Runtime {
 
     /// Registers socket-backed work as a pool task woken by the socket
     /// reactor: the readiness analogue of a chain task's `PipeWatcher`
-    /// wiring, and the replacement for per-socket pump threads.
+    /// wiring, so a socket costs a task, not a thread.
     ///
     /// The task is stepped whenever the reactor observes the registered
     /// interest on `socket` (or [`SocketDriver::kick`] / a watcher

@@ -1,30 +1,8 @@
 //! Datagram transport wiring: streams and fanout sessions whose endpoints
 //! are real UDP sockets instead of in-process pipes.
 //!
-//! [`Proxy::add_stream_udp`](crate::Proxy::add_stream_udp) and
-//! [`Proxy::add_session_udp`](crate::Proxy::add_session_udp) build the same
-//! chains and sessions as their pipe-backed siblings and then bridge them
-//! onto the wire with `rapidware-transport` endpoints:
-//!
-//! ```text
-//!   sender ──UDP──▶ UdpIngress ──▶ chain input … chain output ──▶ UdpEgress ──UDP──▶ receiver
-//! ```
-//!
-//! The chain itself is unchanged — it still reads and writes detachable
-//! pipes, is live-reconfigurable through the ordinary control surface
-//! (`insert_filter`, `remove_filter`, sessions' per-lane splices), and can
-//! be placed on either the thread-per-filter or the pooled runtime.  The
-//! only new moving parts are the ingress/egress pump threads, whose
-//! rx/tx/drop/decode-error counters surface through
-//! [`ProxyStatus::transports`](crate::ProxyStatus) and the control
-//! protocol.
-//!
-//! ## Shared-socket carriers
-//!
-//! Those pump threads are fine for a handful of streams but scale as two
-//! threads per socket.  A **carrier**
-//! ([`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier)) instead
-//! binds *one* shared socket and registers it with the pooled runtime's
+//! A **carrier** ([`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier))
+//! binds one UDP socket and registers it with the pooled runtime's
 //! readiness reactor, so it costs **zero** threads no matter how many
 //! streams and sessions ride it:
 //!
@@ -38,345 +16,56 @@
 //! [`Proxy::add_session_udp_shared`](crate::Proxy::add_session_udp_shared)
 //! place a pooled chain or session on a named carrier: inbound datagrams
 //! are routed to it by the stream ids it claimed, and its output lanes are
-//! multiplexed back out with per-stream FIN framing.  The per-socket-thread
-//! endpoints above remain for single-stream edges but are deprecated for
-//! multi-session use.
+//! multiplexed back out, each ending with its stream's FIN.  A *dedicated*
+//! socket is a carrier with one such route.
+//!
+//! The chain itself is unchanged — it still reads and writes detachable
+//! pipes and is live-reconfigurable through the ordinary control surface
+//! (`insert_filter`, `remove_filter`, sessions' per-lane splices).  The
+//! carrier's rx/tx/drop/decode-error counters surface through
+//! [`ProxyStatus::transports`](crate::ProxyStatus) and the control
+//! protocol.
 
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rapidware_packet::{Packet, StreamId};
 use rapidware_streams::DetachableSender;
-use rapidware_telemetry::Histogram;
+use rapidware_telemetry::{Histogram, Registry};
 use rapidware_transport::{
     SharedDrain, SharedFlush, SharedUdpEgress, SharedUdpIngress, TransportSnapshot,
-    TransportStats, UdpEgress, UdpIngress,
+    TransportStats,
 };
 
 use crate::runtime::{SocketDriver, SocketStep, SocketWork};
-
-/// Placement and socket configuration of a UDP-backed stream.
-#[derive(Debug, Clone)]
-pub struct UdpStreamConfig {
-    /// Address the ingress socket binds (use port 0 for an ephemeral port;
-    /// the concrete address comes back in the handle).
-    pub ingress_bind: SocketAddr,
-    /// Destination the chain's output packets are sent to.
-    pub egress_peer: SocketAddr,
-    /// Pipe capacity between the sockets and the chain (back-pressure
-    /// window, in packets).
-    pub capacity: usize,
-    /// Per-stage batch size of the chain and the transport pumps.
-    pub batch_size: usize,
-    /// `true` places the chain on the proxy's sharded worker pool instead
-    /// of thread-per-filter (requires
-    /// [`Proxy::with_runtime`](crate::Proxy::with_runtime)).
-    pub pooled: bool,
-}
-
-impl UdpStreamConfig {
-    /// A loopback-bound stream sending its output to `peer`, with the
-    /// default capacity (256) and batch size (8), thread-per-filter.
-    pub fn to_peer(peer: SocketAddr) -> Self {
-        Self {
-            ingress_bind: loopback_ephemeral(),
-            egress_peer: peer,
-            capacity: 256,
-            batch_size: 8,
-            pooled: false,
-        }
-    }
-
-    /// Overrides the ingress bind address.
-    #[must_use]
-    pub fn with_ingress_bind(mut self, bind: SocketAddr) -> Self {
-        self.ingress_bind = bind;
-        self
-    }
-
-    /// Overrides the pipe capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "stream pipe capacity must be non-zero");
-        self.capacity = capacity;
-        self
-    }
-
-    /// Overrides the batch size (clamped to at least 1).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Places the chain on the sharded worker pool.
-    #[must_use]
-    pub fn pooled(mut self) -> Self {
-        self.pooled = true;
-        self
-    }
-}
-
-/// Placement and socket configuration of a UDP-backed fanout session: one
-/// ingress socket feeding the shared head chain, one egress socket per
-/// receiver lane.
-#[derive(Debug, Clone)]
-pub struct UdpSessionConfig {
-    /// Address the ingress socket binds.
-    pub ingress_bind: SocketAddr,
-    /// Pipe capacity of the session and the transport pumps.
-    pub capacity: usize,
-    /// Batch size of the session stages and the transport pumps.
-    pub batch_size: usize,
-    /// `true` hosts the session on the sharded worker pool.
-    pub pooled: bool,
-    /// `(lane name, egress destination)` pairs, one per receiver.
-    pub lanes: Vec<(String, SocketAddr)>,
-}
-
-impl UdpSessionConfig {
-    /// A loopback-bound session with the default capacity (256) and batch
-    /// size (8), no lanes yet, thread-per-filter.
-    pub fn new() -> Self {
-        Self {
-            ingress_bind: loopback_ephemeral(),
-            capacity: 256,
-            batch_size: 8,
-            pooled: false,
-            lanes: Vec::new(),
-        }
-    }
-
-    /// Adds a receiver lane sending to `peer`.
-    #[must_use]
-    pub fn with_lane(mut self, name: impl Into<String>, peer: SocketAddr) -> Self {
-        self.lanes.push((name.into(), peer));
-        self
-    }
-
-    /// Overrides the ingress bind address.
-    #[must_use]
-    pub fn with_ingress_bind(mut self, bind: SocketAddr) -> Self {
-        self.ingress_bind = bind;
-        self
-    }
-
-    /// Overrides the pipe capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "session pipe capacity must be non-zero");
-        self.capacity = capacity;
-        self
-    }
-
-    /// Overrides the batch size (clamped to at least 1).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Hosts the session on the sharded worker pool.
-    #[must_use]
-    pub fn pooled(mut self) -> Self {
-        self.pooled = true;
-        self
-    }
-}
-
-impl Default for UdpSessionConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 fn loopback_ephemeral() -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], 0))
 }
 
-/// What the caller gets back from
-/// [`Proxy::add_stream_udp`](crate::Proxy::add_stream_udp): the concrete
-/// socket addresses, the endpoint counters, and the means to end the
-/// stream cleanly.
-pub struct UdpStreamHandle {
-    pub(crate) ingress_addr: SocketAddr,
-    pub(crate) egress_addr: SocketAddr,
-    pub(crate) ingress_stats: TransportStats,
-    pub(crate) egress_stats: TransportStats,
-    pub(crate) input: DetachableSender<Packet>,
-}
-
-impl fmt::Debug for UdpStreamHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpStreamHandle")
-            .field("ingress_addr", &self.ingress_addr)
-            .field("egress_addr", &self.egress_addr)
-            .finish()
-    }
-}
-
-impl UdpStreamHandle {
-    /// The bound ingress address: send encoded packets here.
-    pub fn ingress_addr(&self) -> SocketAddr {
-        self.ingress_addr
-    }
-
-    /// The egress socket's (source) address.
-    pub fn egress_addr(&self) -> SocketAddr {
-        self.egress_addr
-    }
-
-    /// Counters of the ingress endpoint.
-    pub fn ingress_stats(&self) -> TransportStats {
-        self.ingress_stats.clone()
-    }
-
-    /// Counters of the egress endpoint.
-    pub fn egress_stats(&self) -> TransportStats {
-        self.egress_stats.clone()
-    }
-
-    /// Ends the stream from the proxy side: closes the chain input, which
-    /// flushes every filter; the residue rides out the egress, followed by
-    /// the transport's FIN frame, so the remote receiver observes a clean
-    /// end of stream.  (A remote sender ends the stream by sending its own
-    /// FIN instead.)
-    pub fn close_input(&self) {
-        self.input.close();
-    }
-}
-
-/// What the caller gets back from
-/// [`Proxy::add_session_udp`](crate::Proxy::add_session_udp).
-pub struct UdpSessionHandle {
-    pub(crate) ingress_addr: SocketAddr,
-    pub(crate) ingress_stats: TransportStats,
-    pub(crate) lanes: Vec<(String, TransportStats)>,
-    pub(crate) input: DetachableSender<Packet>,
-}
-
-impl fmt::Debug for UdpSessionHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpSessionHandle")
-            .field("ingress_addr", &self.ingress_addr)
-            .field("lanes", &self.lanes.iter().map(|(name, _)| name).collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl UdpSessionHandle {
-    /// The bound ingress address: send encoded packets here.
-    pub fn ingress_addr(&self) -> SocketAddr {
-        self.ingress_addr
-    }
-
-    /// Counters of the ingress endpoint.
-    pub fn ingress_stats(&self) -> TransportStats {
-        self.ingress_stats.clone()
-    }
-
-    /// Counters of `lane`'s egress endpoint, if the lane exists.
-    pub fn lane_stats(&self, lane: &str) -> Option<TransportStats> {
-        self.lanes
-            .iter()
-            .find(|(name, _)| name == lane)
-            .map(|(_, stats)| stats.clone())
-    }
-
-    /// Ends the session from the proxy side (see
-    /// [`UdpStreamHandle::close_input`]): every lane flushes and sends its
-    /// own FIN.
-    pub fn close_input(&self) {
-        self.input.close();
-    }
-}
-
-/// One UDP-backed stream or session as reported in
-/// [`ProxyStatus`](crate::ProxyStatus): the endpoint counters the control
-/// manager renders next to the chain statistics.
+/// One carrier as reported in [`ProxyStatus`](crate::ProxyStatus): the
+/// socket-wide counters (across every stream and session riding it) the
+/// control manager renders next to the chain statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpTransportStatus {
-    /// Name of the stream or session the endpoints serve.
+    /// Name of the carrier.
     pub name: String,
-    /// `true` for a fanout session (egress counters are then the merged
-    /// per-lane totals), `false` for a flat stream.
-    pub session: bool,
-    /// `true` for a shared-socket carrier (counters are then the whole
-    /// socket's, across every stream and session riding it).
-    pub shared: bool,
     /// The bound ingress address.
     pub ingress_addr: String,
     /// Ingress counters (rx datagrams/packets, decode errors, drops).
     pub ingress: TransportSnapshot,
     /// Egress counters (tx datagrams/packets, drops).
     pub egress: TransportSnapshot,
-    /// Decoded datagrams whose stream id had no registered route — always
-    /// zero for dedicated (non-shared) endpoints.
+    /// Decoded datagrams whose stream id had no registered route.
     pub unknown_streams: u64,
 }
 
-/// The live transport state the proxy keeps per UDP stream.
-pub(crate) struct UdpStreamTransport {
-    pub(crate) ingress: UdpIngress,
-    pub(crate) egress: UdpEgress,
-    pub(crate) input: DetachableSender<Packet>,
-}
-
-/// The live transport state the proxy keeps per UDP session.
-pub(crate) struct UdpSessionTransport {
-    pub(crate) ingress: UdpIngress,
-    pub(crate) lanes: Vec<(String, UdpEgress)>,
-    pub(crate) input: DetachableSender<Packet>,
-}
-
-impl UdpStreamTransport {
-    pub(crate) fn status(&self, name: &str) -> UdpTransportStatus {
-        UdpTransportStatus {
-            name: name.to_string(),
-            session: false,
-            shared: false,
-            ingress_addr: self.ingress.local_addr().to_string(),
-            ingress: self.ingress.stats().snapshot(),
-            egress: self.egress.stats().snapshot(),
-            unknown_streams: 0,
-        }
-    }
-}
-
-impl UdpSessionTransport {
-    pub(crate) fn status(&self, name: &str) -> UdpTransportStatus {
-        let egress = self
-            .lanes
-            .iter()
-            .fold(TransportSnapshot::default(), |merged, (_, egress)| {
-                merged.merged(&egress.stats().snapshot())
-            });
-        UdpTransportStatus {
-            name: name.to_string(),
-            session: true,
-            shared: false,
-            ingress_addr: self.ingress.local_addr().to_string(),
-            ingress: self.ingress.stats().snapshot(),
-            egress,
-            unknown_streams: 0,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Shared-socket carriers.
+// Configuration and handles.
 // ---------------------------------------------------------------------------
 
-/// Socket configuration of a shared-socket **carrier** (see
+/// Socket configuration of a **carrier** (see
 /// [`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier)): one bound
 /// socket whose inbound datagrams are demultiplexed by stream id and whose
 /// outbound lanes are multiplexed back onto the same port.
@@ -436,7 +125,7 @@ impl Default for UdpCarrierConfig {
     }
 }
 
-/// Placement of a pooled stream on a shared-socket carrier (see
+/// Placement of a pooled stream on a carrier (see
 /// [`Proxy::add_stream_udp_shared`](crate::Proxy::add_stream_udp_shared)).
 #[derive(Debug, Clone)]
 pub struct SharedUdpStreamConfig {
@@ -495,7 +184,7 @@ impl SharedUdpStreamConfig {
     }
 }
 
-/// Placement of a pooled fanout session on a shared-socket carrier (see
+/// Placement of a pooled fanout session on a carrier (see
 /// [`Proxy::add_session_udp_shared`](crate::Proxy::add_session_udp_shared)).
 #[derive(Debug, Clone)]
 pub struct SharedUdpSessionConfig {
@@ -638,8 +327,8 @@ impl SharedUdpStreamHandle {
     }
 
     /// Ends the stream from the proxy side: closes the chain input, which
-    /// flushes every filter; the residue rides out the shared egress
-    /// followed by a per-stream FIN, so the remote receiver observes a
+    /// flushes every filter; the residue rides out the carrier's egress
+    /// followed by the stream's FIN, so the remote receiver observes a
     /// clean end of exactly this stream — its socket-mates keep flowing.
     pub fn close_input(&self) {
         self.input.close();
@@ -690,7 +379,7 @@ impl SharedUdpSessionHandle {
 
     /// Ends the session from the proxy side (see
     /// [`SharedUdpStreamHandle::close_input`]): every lane flushes and
-    /// sends its own per-stream FIN.
+    /// sends its own FIN.
     pub fn close_input(&self) {
         self.input.close();
     }
@@ -700,28 +389,27 @@ impl SharedUdpSessionHandle {
 /// one bounded demux drain.
 pub(crate) struct SharedIngressWork {
     pub(crate) ingress: Arc<SharedUdpIngress>,
-    /// When proxy telemetry is enabled at carrier-bind time, each drain
-    /// pass records how many datagrams it pulled off the socket
-    /// (`udp.<carrier>.drain_batch`) — the batching the reactor actually
-    /// achieves under load.
-    pub(crate) drain_batch: Option<Arc<Histogram>>,
+    /// Once proxy telemetry is enabled, each drain pass records how many
+    /// datagrams it pulled off the socket (`udp.<carrier>.drain_batch`) —
+    /// the batching the reactor actually achieves under load.
+    pub(crate) drain_batch: OnceLock<Arc<Histogram>>,
 }
 
 impl SocketWork for SharedIngressWork {
     fn service(&self) -> SocketStep {
-        let before = self
-            .drain_batch
-            .as_ref()
-            .map(|_| self.ingress.stats().rx_datagrams());
-        let step = match self.ingress.drain_batch() {
+        let drain = || match self.ingress.drain_batch() {
             SharedDrain::MoreReady => SocketStep::Progress,
             SharedDrain::Empty => SocketStep::Idle,
         };
-        if let (Some(histogram), Some(before)) = (self.drain_batch.as_ref(), before) {
-            let drained = self.ingress.stats().rx_datagrams().saturating_sub(before);
-            if drained != 0 {
-                histogram.record(drained);
-            }
+        let Some(histogram) = self.drain_batch.get() else {
+            return drain();
+        };
+        let stats = self.ingress.stats();
+        let before = stats.rx_datagrams();
+        let step = drain();
+        let drained = stats.rx_datagrams().saturating_sub(before);
+        if drained != 0 {
+            histogram.record(drained);
         }
         step
     }
@@ -743,25 +431,36 @@ impl SocketWork for SharedEgressWork {
     }
 }
 
-/// The live state the proxy keeps per shared-socket carrier: both endpoint
-/// halves plus the reactor drivers stepping them.
+/// The live state the proxy keeps per carrier: both endpoint halves plus
+/// the reactor drivers stepping them.
 pub(crate) struct UdpCarrier {
-    pub(crate) ingress: Arc<SharedUdpIngress>,
+    pub(crate) ingress_work: Arc<SharedIngressWork>,
     pub(crate) egress: Arc<SharedUdpEgress>,
     pub(crate) ingress_driver: SocketDriver,
     pub(crate) egress_driver: SocketDriver,
 }
 
 impl UdpCarrier {
+    pub(crate) fn ingress(&self) -> &SharedUdpIngress {
+        &self.ingress_work.ingress
+    }
+
+    /// Registers `udp.<name>.drain_batch` and starts recording into it
+    /// (idempotent, like every other `enable_telemetry`).
+    pub(crate) fn enable_telemetry(&self, registry: &Registry, name: &str) {
+        self.ingress_work
+            .drain_batch
+            .get_or_init(|| registry.histogram(format!("udp.{name}.drain_batch")));
+    }
+
     pub(crate) fn status(&self, name: &str) -> UdpTransportStatus {
+        let ingress = self.ingress();
         UdpTransportStatus {
             name: name.to_string(),
-            session: false,
-            shared: true,
-            ingress_addr: self.ingress.local_addr().to_string(),
-            ingress: self.ingress.stats().snapshot(),
+            ingress_addr: ingress.local_addr().to_string(),
+            ingress: ingress.stats().snapshot(),
             egress: self.egress.stats().snapshot(),
-            unknown_streams: self.ingress.unknown_streams(),
+            unknown_streams: ingress.unknown_streams(),
         }
     }
 }

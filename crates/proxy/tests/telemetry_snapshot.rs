@@ -7,7 +7,8 @@
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_proxy::{
-    FilterSpec, Proxy, RuntimeConfig, SharedUdpSessionConfig, UdpCarrierConfig,
+    FilterSpec, Proxy, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig,
+    UdpCarrierConfig,
 };
 use rapidware_transport::{SharedDrain, SharedUdpIngress, UdpConfig};
 
@@ -148,5 +149,34 @@ fn pooled_shared_udp_encrypted_fec_session_reports_unified_telemetry() {
     assert!(direct.histogram("session.fanout.lane.wlan.e2e_ns").is_some());
 
     handle.close_input();
+    proxy.shutdown().unwrap();
+}
+
+#[test]
+fn a_carrier_bound_before_enable_telemetry_still_records_drain_batches() {
+    // `enable_telemetry` must reach carriers that already exist, exactly
+    // as it reaches existing streams, sessions and the runtime.
+    let app = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+    let route = app.open_stream(StreamId::new(1)).unwrap();
+    let mut proxy = Proxy::with_runtime("late", RuntimeConfig::new(1, 16));
+    let carrier = proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
+    proxy
+        .add_stream_udp_shared(
+            "s",
+            SharedUdpStreamConfig::on_carrier("wire", app.local_addr()).with_stream(StreamId::new(1)),
+        )
+        .unwrap();
+    proxy.enable_telemetry();
+
+    let app_tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    for seq in 0..8u64 {
+        encode_to(&app_tx, carrier.ingress_addr(), &stream_packet(seq));
+    }
+    drain_app_until(&app, || app.stats().rx_packets() == 8);
+    assert_eq!(route.try_recv_up_to(8).unwrap().len(), 8);
+
+    let snapshot = proxy.telemetry().expect("telemetry enabled");
+    let drain = snapshot.histogram("udp.wire.drain_batch").expect("attached retroactively");
+    assert!(drain.count() > 0 && drain.sum >= 8, "carrier drain batch sizes: {drain:?}");
     proxy.shutdown().unwrap();
 }

@@ -1,49 +1,16 @@
-//! The UDP endpoints: [`UdpIngress`] and [`UdpEgress`].
-//!
-//! Each endpoint pairs a socket with a pump thread and a detachable pipe.
-//! The pipe is what gives a socket the full endpoint surface the rest of
-//! the system is written against — blocking and non-blocking batch
-//! operations, watcher-based readiness, clean EOF — without teaching any
-//! chain, lane, or runtime task about sockets:
-//!
-//! ```text
-//!   ingress:  socket ──(pump: decode, count)──▶ pipe ──▶ consumer/chain
-//!   egress:   producer/chain ──▶ pipe ──(pump: encode)──▶ socket
-//! ```
-//!
-//! In **bridged** mode (`bind_into` / `drain`) the pipe belongs to someone
-//! else — a proxy chain input or output — so packets flow from the wire
-//! straight into a live filter chain and back out.  In **owned** mode
-//! (`bind` / `connect`) the endpoint creates its own pipe and exposes the
-//! pipe-endpoint surface by delegation.
-
-use std::fmt;
-use std::io;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use rapidware_packet::Packet;
-use rapidware_streams::{
-    pipe, DetachableReceiver, DetachableSender, PipeWatcher, RecvError, SendError, TryRecvError,
-};
-
-use crate::stats::TransportStats;
-use crate::{fin_packet, fits_in_datagram, is_fin, is_stream_fin, MAX_DATAGRAM_LEN};
+//! [`UdpConfig`]: the tuning both halves of a UDP endpoint
+//! ([`SharedUdpIngress`](crate::SharedUdpIngress) /
+//! [`SharedUdpEgress`](crate::SharedUdpEgress)) are built from.
 
 /// Tuning for a UDP endpoint.
 #[derive(Debug, Clone)]
 pub struct UdpConfig {
-    /// Capacity (in packets) of the endpoint's detachable pipe; this is the
-    /// back-pressure window between the socket and the consumer/producer.
+    /// Capacity (in packets) of the pipe behind each owned ingress route;
+    /// this is the window a consumer may fall behind before the route
+    /// sheds frames.
     pub capacity: usize,
-    /// Batch size the pumps move per lock acquisition.
+    /// How many datagrams one drain or flush pass moves.
     pub batch_size: usize,
-    /// How often a pump re-checks its shutdown flag while idle.  Pure
-    /// shutdown latency — it never gates data movement.
-    pub poll_interval: Duration,
 }
 
 impl Default for UdpConfig {
@@ -51,7 +18,6 @@ impl Default for UdpConfig {
         Self {
             capacity: 256,
             batch_size: 32,
-            poll_interval: Duration::from_millis(20),
         }
     }
 }
@@ -69,7 +35,7 @@ impl UdpConfig {
         self
     }
 
-    /// Overrides the pump batch size.
+    /// Overrides the batch size (clamped to at least 1).
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
@@ -77,769 +43,210 @@ impl UdpConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ingress.
-// ---------------------------------------------------------------------------
-
-/// The receiving half of the datagram transport: a bound socket whose pump
-/// decodes each arriving datagram and delivers it into a detachable pipe.
-///
-/// Created with [`bind`](UdpIngress::bind) (owned pipe: this endpoint *is*
-/// the consumer-facing receiver, exposing `recv` / `recv_up_to` /
-/// `try_recv_up_to` / watcher registration by delegation) or
-/// [`bind_into`](UdpIngress::bind_into) (bridged: datagrams land on a pipe
-/// sender supplied by the caller, e.g. a proxy chain input).
-///
-/// A received FIN frame closes the pipe, so consumers observe the same
-/// clean end of stream a local producer's `close()` would deliver.
-pub struct UdpIngress {
-    local_addr: SocketAddr,
-    receiver: Option<DetachableReceiver<Packet>>,
-    stats: TransportStats,
-    stop: Arc<AtomicBool>,
-    pump: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for UdpIngress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpIngress")
-            .field("local_addr", &self.local_addr)
-            .field("owned_pipe", &self.receiver.is_some())
-            .field("rx_packets", &self.stats.rx_packets())
-            .finish()
-    }
-}
-
-impl UdpIngress {
-    /// Binds a socket on `addr` and delivers decoded packets into a fresh
-    /// internal pipe whose receiver surface this endpoint exposes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn bind(addr: impl ToSocketAddrs, config: &UdpConfig) -> io::Result<Self> {
-        let (sink, receiver) = pipe(config.capacity);
-        let mut ingress = Self::bind_into(addr, sink, config)?;
-        ingress.receiver = Some(receiver);
-        Ok(ingress)
-    }
-
-    /// Binds a socket on `addr` and delivers decoded packets into `sink` —
-    /// the bridged mode the proxy uses to run datagrams straight into a
-    /// live chain input.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn bind_into(
-        addr: impl ToSocketAddrs,
-        sink: DetachableSender<Packet>,
-        config: &UdpConfig,
-    ) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
-        socket.set_read_timeout(Some(config.poll_interval))?;
-        let local_addr = socket.local_addr()?;
-        let stats = TransportStats::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let stats = stats.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("udp-ingress-{local_addr}"))
-                .spawn(move || pump_ingress(&socket, &sink, &stats, &stop))
-                .expect("spawning the ingress pump thread")
-        };
-        Ok(Self {
-            local_addr,
-            receiver: None,
-            stats,
-            stop,
-            pump: Some(pump),
-        })
-    }
-
-    /// The socket's bound address (the port is concrete even when the
-    /// endpoint was bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// This endpoint's transfer counters.
-    pub fn stats(&self) -> TransportStats {
-        self.stats.clone()
-    }
-
-    /// A clone of the consumer-facing pipe receiver, for handing to code
-    /// written against [`DetachableReceiver`] (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (`bind_into`), where the consumer side
-    /// belongs to the caller.
-    pub fn receiver(&self) -> DetachableReceiver<Packet> {
-        self.pipe().clone()
-    }
-
-    fn pipe(&self) -> &DetachableReceiver<Packet> {
-        self.receiver
-            .as_ref()
-            .expect("this ingress was bound into an external pipe; read from that pipe instead")
-    }
-
-    /// Blocks until a packet arrives and returns it (owned mode only; see
-    /// [`DetachableReceiver::recv`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvError::Eof`] after a FIN frame drained, or
-    /// [`RecvError::Closed`] if the pipe was closed locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn recv(&self) -> Result<Packet, RecvError> {
-        self.pipe().recv()
-    }
-
-    /// Receives up to `max` buffered packets, blocking only for the first
-    /// (owned mode only; see [`DetachableReceiver::recv_up_to`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`recv`](Self::recv).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode, or if `max` is zero.
-    pub fn recv_up_to(&self, max: usize) -> Result<Vec<Packet>, RecvError> {
-        self.pipe().recv_up_to(max)
-    }
-
-    /// Receives up to `max` buffered packets without blocking (owned mode
-    /// only; see [`DetachableReceiver::try_recv_up_to`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TryRecvError::Empty`] when nothing is buffered, plus the
-    /// end-of-stream errors of [`recv`](Self::recv).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode, or if `max` is zero.
-    pub fn try_recv_up_to(&self, max: usize) -> Result<Vec<Packet>, TryRecvError> {
-        self.pipe().try_recv_up_to(max)
-    }
-
-    /// Like [`recv`](Self::recv) but gives up after `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TryRecvError::Empty`] on timeout, plus the usual
-    /// end-of-stream errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet, TryRecvError> {
-        self.pipe().recv_timeout(timeout)
-    }
-
-    /// Installs the data-readiness watcher on the consumer side (owned mode
-    /// only; see [`DetachableReceiver::set_data_watcher`] — registration
-    /// fires immediately when data, EOF, or close is already observable).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn set_data_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
-        self.pipe().set_data_watcher(watcher);
-    }
-
-    /// Number of packets currently buffered (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn available(&self) -> usize {
-        self.pipe().available()
-    }
-
-    /// Stops the pump thread and waits for it to exit.
-    ///
-    /// Teardown ordering is identical to `Drop`: the owned pipe (if any) is
-    /// closed *before* the join, so a pump stalled on back-pressure — or a
-    /// consumer blocked on `recv` — is released and the join cannot hang.
-    /// In bridged mode the downstream pipe belongs to the caller and is
-    /// left untouched; it must still be draining (or be closed) for the
-    /// pump to observe the flag, which is why the proxy shuts ingress
-    /// endpoints down while their chains are still live.
-    pub fn shutdown(&mut self) {
-        self.teardown();
-    }
-
-    /// The single teardown path shared by [`shutdown`](Self::shutdown) and
-    /// `Drop`: flag the pump, close the owned pipe (releasing anything
-    /// blocked on it), then join.
-    fn teardown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Closing the owned pipe unblocks a pump stalled on back-pressure;
-        // a bridged pipe belongs to the caller and is left untouched.
-        if let Some(receiver) = &self.receiver {
-            receiver.close();
-        }
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-    }
-}
-
-impl Drop for UdpIngress {
-    fn drop(&mut self) {
-        self.teardown();
-    }
-}
-
-fn pump_ingress(
-    socket: &UdpSocket,
-    sink: &DetachableSender<Packet>,
-    stats: &TransportStats,
-    stop: &AtomicBool,
-) {
-    let mut buf = vec![0u8; MAX_DATAGRAM_LEN];
-    while !stop.load(Ordering::SeqCst) {
-        let len = match socket.recv_from(&mut buf) {
-            Ok((len, _peer)) => len,
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        };
-        stats.record_rx_datagram();
-        match Packet::decode(&buf[..len]) {
-            Ok(packet) if is_fin(&packet) || is_stream_fin(&packet) => {
-                // The remote stream ended: propagate EOF through the pipe.
-                // A dedicated socket carries exactly one logical stream, so
-                // a per-stream FIN (from a shared egress) ends it just like
-                // the legacy transport-wide FIN does.
-                sink.close();
-                return;
-            }
-            Ok(mut packet) => {
-                // Stamp the span clock at the socket boundary: end-to-end
-                // latency spans start the moment the datagram left the OS.
-                packet.stamp_ingress_ns(rapidware_telemetry::now_ns());
-                // Received ⇒ counted: the counter moves before the packet
-                // becomes observable to any consumer.
-                stats.record_rx_packet();
-                if sink.send(packet).is_err() {
-                    stats.record_drop();
-                    return;
-                }
-            }
-            Err(_) => stats.record_decode_error(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Egress.
-// ---------------------------------------------------------------------------
-
-/// The sending half of the datagram transport: a pump drains a detachable
-/// pipe, frames each packet, and sends one datagram per packet to `peer`.
-///
-/// Created with [`connect`](UdpEgress::connect) (owned pipe: this endpoint
-/// *is* the producer-facing sender, exposing `send` / `send_batch` /
-/// `try_send_batch` / watcher registration by delegation) or
-/// [`drain`](UdpEgress::drain) (bridged: the pump drains a pipe receiver
-/// supplied by the caller, e.g. a proxy chain output).
-///
-/// When the upstream pipe reports EOF the pump sends a FIN frame so the
-/// remote ingress can close its stream, then exits.
-pub struct UdpEgress {
-    local_addr: SocketAddr,
-    peer: SocketAddr,
-    sender: Option<DetachableSender<Packet>>,
-    stats: TransportStats,
-    stop: Arc<AtomicBool>,
-    pump: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for UdpEgress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UdpEgress")
-            .field("local_addr", &self.local_addr)
-            .field("peer", &self.peer)
-            .field("owned_pipe", &self.sender.is_some())
-            .field("tx_packets", &self.stats.tx_packets())
-            .finish()
-    }
-}
-
-impl UdpEgress {
-    /// Creates an egress with its own pipe: packets written through this
-    /// endpoint's sender surface are framed and sent to `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn connect(peer: impl ToSocketAddrs, config: &UdpConfig) -> io::Result<Self> {
-        let (sender, source) = pipe(config.capacity);
-        let mut egress = Self::drain(source, peer, config)?;
-        egress.sender = Some(sender);
-        Ok(egress)
-    }
-
-    /// Creates an egress whose pump drains `source` — the bridged mode the
-    /// proxy uses to put a live chain output on the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket `bind`/configuration error, if any.
-    pub fn drain(
-        source: DetachableReceiver<Packet>,
-        peer: impl ToSocketAddrs,
-        config: &UdpConfig,
-    ) -> io::Result<Self> {
-        let peer = crate::resolve_peer(peer)?;
-        let socket = UdpSocket::bind((loopback_like(&peer), 0))?;
-        let local_addr = socket.local_addr()?;
-        let stats = TransportStats::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let stats = stats.clone();
-            let stop = Arc::clone(&stop);
-            let poll = config.poll_interval;
-            // Clamped here as well as in the builder: the field is public,
-            // and a zero batch would panic the pump's try_recv_up_to.
-            let batch = config.batch_size.max(1);
-            std::thread::Builder::new()
-                .name(format!("udp-egress-{local_addr}"))
-                .spawn(move || pump_egress(&socket, &source, peer, &stats, &stop, poll, batch))
-                .expect("spawning the egress pump thread")
-        };
-        Ok(Self {
-            local_addr,
-            peer,
-            sender: None,
-            stats,
-            stop,
-            pump: Some(pump),
-        })
-    }
-
-    /// The socket's bound (source) address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The destination every framed packet is sent to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// This endpoint's transfer counters.
-    pub fn stats(&self) -> TransportStats {
-        self.stats.clone()
-    }
-
-    /// A clone of the producer-facing pipe sender, for handing to code
-    /// written against [`DetachableSender`] (owned mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (`drain`), where the producer side belongs to
-    /// the caller.
-    pub fn sender(&self) -> DetachableSender<Packet> {
-        self.pipe().clone()
-    }
-
-    fn pipe(&self) -> &DetachableSender<Packet> {
-        self.sender
-            .as_ref()
-            .expect("this egress drains an external pipe; write into that pipe instead")
-    }
-
-    /// Queues one packet for transmission, blocking under back-pressure
-    /// (owned mode only; see [`DetachableSender::send`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] if the endpoint was closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn send(&self, packet: Packet) -> Result<(), SendError<Packet>> {
-        self.pipe().send(packet)
-    }
-
-    /// Queues a whole batch with one lock acquisition (owned mode only; see
-    /// [`DetachableSender::send_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] carrying the undelivered packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn send_batch(&self, packets: Vec<Packet>) -> Result<(), SendError<Vec<Packet>>> {
-        self.pipe().send_batch(packets)
-    }
-
-    /// Queues as much of `packets` as currently fits without blocking and
-    /// returns the rest (owned mode only; see
-    /// [`DetachableSender::try_send_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the pipe's [`SendError`] carrying the undelivered packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn try_send_batch(&self, packets: Vec<Packet>) -> Result<Vec<Packet>, SendError<Vec<Packet>>> {
-        self.pipe().try_send_batch(packets)
-    }
-
-    /// Installs the readiness watcher on the producer side (owned mode
-    /// only; see [`DetachableSender::set_ready_watcher`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode.
-    pub fn set_ready_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
-        self.pipe().set_ready_watcher(watcher);
-    }
-
-    /// Ends the stream (owned mode only): the pump drains what is queued,
-    /// sends the FIN frame, and exits.
-    ///
-    /// # Panics
-    ///
-    /// Panics in bridged mode (close the upstream pipe instead).
-    pub fn close(&self) {
-        self.pipe().close();
-    }
-
-    /// Stops the pump thread and waits for it to exit.  This is an abort,
-    /// not a flush: the pump finishes at most the batch it is currently
-    /// sending and anything else still queued in the pipe is discarded —
-    /// use [`close`](Self::close) (or close the bridged upstream pipe) for
-    /// a clean end of stream.
-    ///
-    /// Teardown ordering is identical to `Drop`: the owned pipe (if any)
-    /// is closed *before* the join, so a producer blocked on a full pipe
-    /// is released and a back-pressured egress can never hang teardown.
-    pub fn shutdown(&mut self) {
-        self.teardown(true);
-    }
-
-    /// The single teardown path shared by [`shutdown`](Self::shutdown) and
-    /// `Drop`.  Both close the owned pipe before joining (releasing any
-    /// producer blocked on back-pressure); `abort` additionally flags the
-    /// pump to stop without draining, where a plain drop lets an owned
-    /// pump flush its queue and send the FIN.
-    fn teardown(&mut self, abort: bool) {
-        if let Some(sender) = &self.sender {
-            sender.close();
-        }
-        if abort || self.sender.is_none() {
-            // Bridged mode always flags the pump: the upstream pipe may
-            // outlive us, so the pump cannot wait for EOF.
-            self.stop.store(true, Ordering::SeqCst);
-        }
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-    }
-}
-
-impl Drop for UdpEgress {
-    fn drop(&mut self) {
-        // A clean close first, so dropping an owned egress flushes and
-        // FINs; bridged mode stops the pump instead of waiting for EOF.
-        self.teardown(false);
-    }
-}
-
-/// Picks a bind address in the same family (and loopback-ness) as the
-/// peer, so an egress towards loopback never binds a routable interface.
-fn loopback_like(peer: &SocketAddr) -> std::net::IpAddr {
-    match peer {
-        SocketAddr::V4(v4) if v4.ip().is_loopback() => std::net::Ipv4Addr::LOCALHOST.into(),
-        SocketAddr::V4(_) => std::net::Ipv4Addr::UNSPECIFIED.into(),
-        SocketAddr::V6(v6) if v6.ip().is_loopback() => std::net::Ipv6Addr::LOCALHOST.into(),
-        SocketAddr::V6(_) => std::net::Ipv6Addr::UNSPECIFIED.into(),
-    }
-}
-
-fn pump_egress(
-    socket: &UdpSocket,
-    source: &DetachableReceiver<Packet>,
-    peer: SocketAddr,
-    stats: &TransportStats,
-    stop: &AtomicBool,
-    poll: Duration,
-    batch: usize,
-) {
-    let mut scratch = Vec::new();
-    loop {
-        // Checked every iteration, not only when idle: a producer that
-        // never pauses must not be able to starve a shutdown.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match source.recv_timeout(poll) {
-            Ok(packet) => {
-                send_frame(socket, peer, &packet, &mut scratch, stats);
-                // Opportunistically move whatever else is queued, one
-                // batch per lock acquisition, re-checking the stop flag
-                // between batches.
-                while !stop.load(Ordering::SeqCst) {
-                    match source.try_recv_up_to(batch) {
-                        Ok(more) => {
-                            for packet in more {
-                                send_frame(socket, peer, &packet, &mut scratch, stats);
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Eof) => {
-                // Clean end of stream: tell the remote ingress.
-                send_frame(socket, peer, &fin_packet(), &mut scratch, stats);
-                return;
-            }
-            Err(TryRecvError::Closed) => return,
-        }
-    }
-}
-
-fn send_frame(
-    socket: &UdpSocket,
-    peer: SocketAddr,
-    packet: &Packet,
-    scratch: &mut Vec<u8>,
-    stats: &TransportStats,
-) {
-    if !fits_in_datagram(packet) {
-        stats.record_drop();
-        return;
-    }
-    packet.encode_into(scratch);
-    match socket.send_to(scratch, peer) {
-        Ok(_) => stats.record_tx(),
-        Err(_) => stats.record_drop(),
-    }
-}
-
+/// Socket-boundary behaviour of the endpoint pair in its simplest shape —
+/// one egress lane aimed at one ingress route, the "dedicated socket" —
+/// complementing the multiplexing tests in `shared.rs`.
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use rapidware_packet::{PacketKind, SeqNo, StreamId};
+    use std::net::UdpSocket;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
+    use rapidware_streams::{
+        pipe, DetachableReceiver, DetachableSender, PipeWatcher, RecvError, TryRecvError,
+    };
+
+    use super::UdpConfig;
+    use crate::{SharedUdpEgress, SharedUdpIngress, MAX_DATAGRAM_LEN};
+
+    const STREAM: u32 = 7;
 
     fn packet(seq: u64) -> Packet {
-        Packet::new(StreamId::new(7), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 48])
+        Packet::new(StreamId::new(STREAM), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 48])
+    }
+
+    /// An egress with one lane aimed at an ingress with one route, both
+    /// hand-driven by the test.
+    struct Pair {
+        ingress: SharedUdpIngress,
+        route: DetachableReceiver<Packet>,
+        egress: SharedUdpEgress,
+        lane: DetachableSender<Packet>,
+    }
+
+    impl Pair {
+        fn new(config: &UdpConfig) -> Self {
+            let ingress = SharedUdpIngress::bind("127.0.0.1:0", config).unwrap();
+            let route = ingress.open_stream(StreamId::new(STREAM)).unwrap();
+            let egress = SharedUdpEgress::bind("127.0.0.1:0", config).unwrap();
+            let (lane, source) = pipe::<Packet>(config.capacity);
+            egress.attach(StreamId::new(STREAM), ingress.local_addr(), source);
+            Self {
+                ingress,
+                route,
+                egress,
+                lane,
+            }
+        }
+
+        /// Flushes and drains until `done` holds; the deadline only bounds
+        /// a genuine hang.
+        fn drive_until(&self, done: impl Fn(&Self) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done(self) {
+                assert!(Instant::now() < deadline, "the endpoint pair made no progress");
+                self.egress.flush_batch();
+                self.ingress.drain_batch();
+            }
+        }
     }
 
     #[test]
     fn loopback_round_trip_preserves_packets_in_order() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+        let pair = Pair::new(&UdpConfig::default());
         let sent: Vec<Packet> = (0..64).map(packet).collect();
-        egress.send_batch(sent.clone()).unwrap();
-        let mut received = Vec::new();
-        while received.len() < sent.len() {
-            received.extend(ingress.recv_up_to(16).expect("stream is still open"));
-        }
-        assert_eq!(received, sent);
-        // Receiving a datagram does not synchronise with the pump's relaxed
-        // counter bump, so give the final increments a moment to land.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while egress.stats().tx_packets() < 64 {
-            assert!(std::time::Instant::now() < deadline, "tx count never reached 64");
-            std::thread::yield_now();
-        }
-        assert_eq!(egress.stats().tx_packets(), 64);
-        assert_eq!(ingress.stats().rx_packets(), 64);
-        assert_eq!(ingress.stats().decode_errors(), 0);
+        pair.lane.send_batch(sent.clone()).unwrap();
+        pair.drive_until(|pair| pair.ingress.stats().rx_packets() == 64);
+        assert_eq!(pair.route.try_recv_up_to(64).unwrap(), sent);
+        assert_eq!(pair.egress.stats().tx_packets(), 64);
+        assert_eq!(pair.ingress.stats().decode_errors(), 0);
+        assert_eq!(pair.ingress.unknown_streams(), 0);
     }
 
     #[test]
     fn closing_the_egress_sends_fin_and_ends_the_stream() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(1)).unwrap();
-        egress.close();
-        assert_eq!(ingress.recv().unwrap().seq().value(), 1);
-        assert_eq!(ingress.recv().unwrap_err(), RecvError::Eof);
+        let pair = Pair::new(&UdpConfig::default());
+        pair.lane.send(packet(1)).unwrap();
+        pair.lane.close();
+        pair.drive_until(|pair| pair.ingress.route_count() == 0);
+        assert_eq!(pair.route.recv().unwrap().seq().value(), 1);
+        assert_eq!(pair.route.recv().unwrap_err(), RecvError::Eof);
+        assert_eq!(pair.egress.lane_count(), 0, "a finished lane is pruned");
     }
 
     #[test]
     fn garbage_datagrams_count_as_decode_errors_without_breaking_the_stream() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
+        let pair = Pair::new(&UdpConfig::default());
         let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
-        probe.send_to(b"definitely not a packet", ingress.local_addr()).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(9)).unwrap();
-        assert_eq!(ingress.recv().unwrap().seq().value(), 9);
-        assert_eq!(ingress.stats().decode_errors(), 1);
-        assert_eq!(ingress.stats().rx_datagrams(), 2);
-        assert_eq!(ingress.stats().rx_packets(), 1);
+        probe.send_to(b"definitely not a packet", pair.ingress.local_addr()).unwrap();
+        pair.drive_until(|pair| pair.ingress.stats().rx_datagrams() == 1);
+        pair.lane.send(packet(9)).unwrap();
+        pair.drive_until(|pair| pair.ingress.stats().rx_datagrams() == 2);
+        assert_eq!(pair.route.try_recv().unwrap().seq().value(), 9);
+        assert_eq!(pair.ingress.stats().decode_errors(), 1);
+        assert_eq!(pair.ingress.stats().rx_packets(), 1);
     }
 
     #[test]
     fn oversized_packets_are_dropped_at_the_egress() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+        let pair = Pair::new(&UdpConfig::default());
         let oversized = Packet::new(
-            StreamId::new(1),
+            StreamId::new(STREAM),
             SeqNo::new(0),
             PacketKind::Data,
             vec![0u8; MAX_DATAGRAM_LEN],
         );
-        egress.send(oversized).unwrap();
-        egress.send(packet(3)).unwrap();
+        pair.lane.send(oversized).unwrap();
+        pair.lane.send(packet(3)).unwrap();
+        pair.drive_until(|pair| pair.ingress.stats().rx_packets() == 1);
         // The oversized packet vanished; the next one flows.
-        assert_eq!(ingress.recv().unwrap().seq().value(), 3);
-        assert_eq!(egress.stats().dropped(), 1);
-        assert_eq!(egress.stats().tx_packets(), 1);
+        assert_eq!(pair.route.try_recv().unwrap().seq().value(), 3);
+        assert_eq!(pair.egress.stats().dropped(), 1);
+        assert_eq!(pair.egress.stats().tx_packets(), 1);
     }
 
     #[test]
     fn try_surfaces_work_over_sockets() {
-        let config = UdpConfig::default().with_capacity(4);
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        // try_send_batch on the egress surface: everything fits eventually
-        // because the pump keeps draining.
+        let pair = Pair::new(&UdpConfig::default().with_capacity(4));
+        // try_send_batch on the lane: everything fits eventually because
+        // each pass drains the capacity-4 pipe onto the socket, and
+        // try_recv_up_to keeps the capacity-4 route from shedding.
         let mut pending: Vec<Packet> = (0..32).map(packet).collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while !pending.is_empty() {
-            assert!(std::time::Instant::now() < deadline, "egress stalled");
-            pending = egress.try_send_batch(pending).unwrap();
+        let mut received = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while received.len() < 32 {
+            assert!(Instant::now() < deadline, "the endpoint pair stalled");
             if !pending.is_empty() {
-                std::thread::yield_now();
+                pending = pair.lane.try_send_batch(pending).unwrap();
             }
-        }
-        let mut received = 0usize;
-        while received < 32 {
-            assert!(std::time::Instant::now() < deadline, "ingress stalled");
-            match ingress.try_recv_up_to(8) {
-                Ok(batch) => received += batch.len(),
-                Err(TryRecvError::Empty) => std::thread::yield_now(),
+            pair.egress.flush_batch();
+            pair.ingress.drain_batch();
+            match pair.route.try_recv_up_to(8) {
+                Ok(batch) => received.extend(batch.iter().map(|p| p.seq().value())),
+                Err(TryRecvError::Empty) => {}
                 Err(other) => panic!("unexpected receive error: {other}"),
             }
         }
+        assert_eq!(received, (0..32).collect::<Vec<_>>());
+        assert_eq!(pair.ingress.stats().dropped(), 0);
     }
 
     #[test]
     fn data_watcher_fires_for_socket_arrivals() {
-        struct Gate {
-            fired: std::sync::Mutex<bool>,
-            cv: std::sync::Condvar,
-        }
-        impl PipeWatcher for Gate {
+        struct Flag(std::sync::atomic::AtomicBool);
+        impl PipeWatcher for Flag {
             fn notify(&self) {
-                *self.fired.lock().unwrap() = true;
-                self.cv.notify_all();
+                self.0.store(true, std::sync::atomic::Ordering::SeqCst);
             }
         }
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let gate = Arc::new(Gate {
-            fired: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        });
-        ingress.set_data_watcher(gate.clone());
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        egress.send(packet(0)).unwrap();
-        let guard = gate.fired.lock().unwrap();
-        let (guard, timeout) = gate
-            .cv
-            .wait_timeout_while(guard, Duration::from_secs(10), |fired| !*fired)
-            .unwrap();
-        assert!(!timeout.timed_out(), "watcher never fired for a socket arrival");
-        drop(guard);
-        assert_eq!(ingress.available(), 1);
+        let pair = Pair::new(&UdpConfig::default());
+        let flag = Arc::new(Flag(std::sync::atomic::AtomicBool::new(false)));
+        pair.route.set_data_watcher(flag.clone());
+        assert!(!flag.0.load(std::sync::atomic::Ordering::SeqCst), "nothing has arrived yet");
+        pair.lane.send(packet(0)).unwrap();
+        pair.drive_until(|pair| pair.ingress.stats().rx_packets() == 1);
+        assert!(
+            flag.0.load(std::sync::atomic::Ordering::SeqCst),
+            "the drain that routed the datagram must wake the route's consumer"
+        );
+        assert_eq!(pair.route.available(), 1);
     }
 
     #[test]
     fn debug_impls_are_nonempty() {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-        assert!(format!("{ingress:?}").contains("UdpIngress"));
-        assert!(format!("{egress:?}").contains("UdpEgress"));
-    }
-
-    /// Joins `handle` through a channel so a regression back to the old
-    /// teardown ordering fails the test instead of hanging it.
-    fn join_within(handle: std::thread::JoinHandle<()>, what: &str) {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let _ = handle.join();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("{what} is still blocked after teardown"));
-        let _ = waiter.join();
+        let pair = Pair::new(&UdpConfig::default());
+        assert!(format!("{:?}", pair.ingress).contains("SharedUdpIngress"));
+        assert!(format!("{:?}", pair.egress).contains("SharedUdpEgress"));
     }
 
     #[test]
     fn shutdown_releases_a_producer_blocked_on_a_back_pressured_egress() {
-        // Regression: `shutdown` used to stop the pump *without* closing
-        // the owned pipe (unlike `Drop`), so a producer blocked on a full
-        // pipe after the pump exited would block forever.
-        let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let config = UdpConfig::default().with_capacity(2);
-        let mut egress = UdpEgress::connect(sink.local_addr().unwrap(), &config).unwrap();
-        let stats = egress.stats();
-        let sender = egress.sender();
-        let producer = std::thread::spawn(move || {
-            // Send until the closed pipe errors out.  Once shutdown stops
-            // the pump, the capacity-2 pipe fills and `send` blocks — only
-            // the shutdown-path close can release it.
-            let mut seq = 0;
-            while sender.send(packet(seq)).is_ok() {
-                seq += 1;
+        // The egress owns the only receiving end of each lane pipe, so
+        // tearing it down must release a producer parked on a full lane —
+        // a back-pressured egress can never hang a shutdown.
+        let Pair { egress, lane, .. } = Pair::new(&UdpConfig::default().with_capacity(2));
+        let stats = lane.stats();
+        std::thread::scope(|scope| {
+            // Nothing flushes the lane, so the third send parks on the
+            // capacity-2 pipe; only the teardown can end the loop.
+            let producer = scope.spawn(|| (0..).take_while(|seq| lane.send(packet(*seq)).is_ok()).count());
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while stats.blocked_sends() == 0 {
+                assert!(Instant::now() < deadline, "the producer never hit back-pressure");
+                std::thread::yield_now();
             }
+            drop(egress);
+            assert_eq!(producer.join().unwrap(), 2, "exactly the pipe's capacity was accepted");
         });
-        // Let the path move at least one frame so the pump is provably up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while stats.tx_packets() == 0 {
-            assert!(std::time::Instant::now() < deadline, "egress never sent");
-            std::thread::yield_now();
-        }
-        egress.shutdown();
-        join_within(producer, "the back-pressured producer");
     }
 
     #[test]
     fn shutdown_releases_a_consumer_blocked_on_an_owned_ingress() {
-        // The mirror regression on the receive side: stopping the pump
-        // without closing the owned pipe left a blocked `recv` waiting for
-        // a packet that could never arrive.
-        let config = UdpConfig::default();
-        let mut ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let rx = ingress.receiver();
-        let consumer = std::thread::spawn(move || {
-            // Blocks until the shutdown-path close errors it out.
-            let _ = rx.recv();
+        // `close_all_streams` is the ingress half of `Proxy::shutdown`: a
+        // consumer parked on an owned route must be released by it, not
+        // left waiting for a datagram that can no longer be routed.
+        let pair = Pair::new(&UdpConfig::default());
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                parked_tx.send(()).unwrap();
+                pair.route.recv()
+            });
+            parked_rx.recv().unwrap();
+            pair.ingress.close_all_streams();
+            assert!(consumer.join().unwrap().is_err(), "the closed route must end the blocked recv");
         });
-        ingress.shutdown();
-        join_within(consumer, "the blocked consumer");
+        assert_eq!(pair.ingress.route_count(), 0);
     }
 }

@@ -250,7 +250,9 @@ impl ImpairedUdp {
     ///
     /// Returns the socket `bind`/configuration error, if any.
     pub fn spawn(peer: impl ToSocketAddrs, plan: ImpairmentPlan) -> io::Result<Self> {
-        let peer = crate::resolve_peer(peer)?;
+        let peer = peer.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "peer resolved to nothing")
+        })?;
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.set_read_timeout(Some(Duration::from_millis(20)))?;
         let local_addr = socket.local_addr()?;

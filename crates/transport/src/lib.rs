@@ -1,52 +1,43 @@
-//! # rapidware-transport — real UDP ingress/egress behind the proxy
+//! # rapidware-transport — real UDP endpoints behind the proxy
 //!
 //! Every other crate in this workspace moves packets over in-process
 //! detachable pipes or the simulated `netsim` medium.  This crate is where
 //! bytes first cross a socket: it carries the existing wire format
 //! ([`Packet::encode_into`] / [`Packet::decode`], one packet per datagram)
-//! over nonblocking [`std::net::UdpSocket`]s, behind endpoints that expose
-//! the *same surface* as a [`DetachableSender`] / [`DetachableReceiver`]
-//! pair — `send` / `send_batch` / `try_send_batch` on the way out, `recv` /
-//! `recv_up_to` / `try_recv_up_to` plus [`PipeWatcher`]-style readiness on
-//! the way in — so filter chains, fanout lanes, and pooled-runtime tasks
-//! run unmodified whether their peer is a pipe or a socket.
+//! over nonblocking [`std::net::UdpSocket`]s, behind endpoints whose
+//! consumer and producer sides are ordinary [`DetachableReceiver`] /
+//! [`DetachableSender`] pipes — so filter chains, fanout lanes, and
+//! pooled-runtime tasks run unmodified whether their peer is a pipe or a
+//! socket.
 //!
-//! * [`UdpIngress`] — binds a socket; a pump thread decodes each datagram
-//!   and delivers it into a detachable pipe (its own, or one supplied by
-//!   the proxy so the packets land directly on a chain input).
-//! * [`UdpEgress`] — a pump thread drains a detachable pipe (its own, or a
-//!   chain output supplied by the proxy), frames each packet with
-//!   [`Packet::encode_into`], and sends one datagram per packet to a peer.
+//! * [`SharedUdpIngress`] — one bound socket carrying N logical streams,
+//!   demultiplexed by the stream id in every [`Packet`] header onto one
+//!   registered pipe route per stream.
+//! * [`SharedUdpEgress`] — N lanes, each draining its own pipe towards its
+//!   own peer, multiplexed onto one socket (normally the ingress's, so one
+//!   port carries both directions).
 //! * [`ImpairedUdp`] — a loopback relay applying a **seeded, deterministic**
 //!   drop/delay schedule to the datagrams passing through it, mirroring
 //!   `netsim`'s `ScheduledLoss` so scenario runs over real sockets stay
 //!   reproducible.
-//! * [`SharedUdpIngress`] / [`SharedUdpEgress`] — **shared-socket**
-//!   endpoints: one bound socket carrying N logical streams, demultiplexed
-//!   by the stream id in every [`Packet`] header.
-//!   They have no pump threads at all; a readiness reactor (the pooled
-//!   runtime's) wakes pool tasks that call [`drain_batch`] /
-//!   [`flush_batch`] directly, so hundreds of sessions share a handful of
-//!   sockets with zero per-socket threads.  The pump-per-socket endpoints
-//!   above remain for single-stream edges (and as the app-side harness in
-//!   tests), but are deprecated in spirit for multi-session use.
+//!
+//! The endpoints own no threads.  They expose non-blocking batch
+//! operations — [`drain_batch`] and [`flush_batch`] — and a driver calls
+//! them when the socket is readable or a lane pipe has data: inside a
+//! proxy that driver is the pooled runtime's readiness reactor, so hundreds
+//! of sessions share a handful of sockets; an application (or a test) on
+//! the far end of the wire calls them from its own receive loop.  A
+//! *dedicated* socket is simply an endpoint with one route.
 //!
 //! ## End of stream
 //!
 //! UDP has no connection teardown, so the transport defines one: when an
-//! egress pump's upstream ends (the pipe reports EOF), it sends a final
-//! **FIN frame** — a [`PacketKind::Control`] packet on the reserved
-//! [`FIN_STREAM`] — and an ingress that receives a FIN closes its pipe, so
-//! the consumer observes the same clean end-of-stream a local pipe would
-//! deliver.  [`FIN_STREAM`] is reserved for the transport; application
-//! traffic must not use it.
-//!
-//! Shared sockets need a finer-grained form: ending one stream must not
-//! end its socket-mates.  A **per-stream FIN** ([`stream_fin_packet`]) is a
-//! control frame on the ending stream's *own* id at the reserved sequence
-//! number [`STREAM_FIN_SEQ`]; a shared ingress closes only that stream's
-//! route, while a dedicated [`UdpIngress`] (which carries exactly one
-//! logical stream) treats it like the transport-wide FIN.
+//! egress lane's upstream ends (the pipe reports EOF), the lane sends a
+//! final **FIN frame** ([`stream_fin_packet`]) — a [`PacketKind::Control`]
+//! frame on the ending stream's *own* id at the reserved sequence number
+//! [`STREAM_FIN_SEQ`] — and an ingress that receives it closes exactly that
+//! stream's route, so the consumer observes the same clean end of stream a
+//! local pipe would deliver while its socket-mates keep flowing.
 //!
 //! [`drain_batch`]: SharedUdpIngress::drain_batch
 //! [`flush_batch`]: SharedUdpEgress::flush_batch
@@ -63,19 +54,29 @@
 //!
 //! ```
 //! use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-//! use rapidware_transport::{UdpConfig, UdpEgress, UdpIngress};
+//! use rapidware_streams::{pipe, TryRecvError};
+//! use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig};
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let config = UdpConfig::default();
-//! let ingress = UdpIngress::bind("127.0.0.1:0", &config)?;
-//! let egress = UdpEgress::connect(ingress.local_addr(), &config)?;
+//! let stream = StreamId::new(1);
+//! let ingress = SharedUdpIngress::bind("127.0.0.1:0", &config)?;
+//! let route = ingress.open_stream(stream).expect("the id is free");
+//! let egress = SharedUdpEgress::bind("127.0.0.1:0", &config)?;
+//! let (lane, source) = pipe(config.capacity);
+//! egress.attach(stream, ingress.local_addr(), source);
 //!
-//! let packet = Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![1, 2, 3]);
-//! egress.send(packet.clone()).expect("egress pipe is open");
-//! assert_eq!(ingress.recv().expect("delivered over loopback"), packet);
+//! let packet = Packet::new(stream, SeqNo::new(0), PacketKind::AudioData, vec![1, 2, 3]);
+//! lane.send(packet.clone()).expect("the lane pipe is open");
+//! lane.close(); // the lane flushes, then sends the stream's FIN
 //!
-//! egress.close(); // sends the FIN frame
-//! assert!(ingress.recv().is_err(), "FIN closes the stream");
+//! // Drive both halves by hand until the FIN has closed the route.
+//! while ingress.route_count() > 0 {
+//!     egress.flush_batch();
+//!     ingress.drain_batch();
+//! }
+//! assert_eq!(route.try_recv().expect("delivered over loopback"), packet);
+//! assert_eq!(route.try_recv().unwrap_err(), TryRecvError::Eof, "the FIN closes the stream");
 //! # Ok(())
 //! # }
 //! ```
@@ -84,7 +85,6 @@
 //! [`Packet::decode`]: rapidware_packet::Packet::decode
 //! [`DetachableSender`]: rapidware_streams::DetachableSender
 //! [`DetachableReceiver`]: rapidware_streams::DetachableReceiver
-//! [`PipeWatcher`]: rapidware_streams::PipeWatcher
 //! [`PacketKind::Control`]: rapidware_packet::PacketKind::Control
 
 #![forbid(unsafe_code)]
@@ -96,7 +96,7 @@ mod impaired;
 mod shared;
 mod stats;
 
-pub use endpoint::{UdpConfig, UdpEgress, UdpIngress};
+pub use endpoint::UdpConfig;
 pub use impaired::{
     ImpairedSnapshot, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan,
 };
@@ -112,37 +112,16 @@ use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 /// the frame CRC.
 pub const MAX_DATAGRAM_LEN: usize = 65_507;
 
-/// Stream id reserved for the transport's FIN frames.
+/// Sequence number reserved for FIN frames.
 ///
-/// Chosen next to the scenario engine's quiescence-marker stream
-/// (`u32::MAX`) so both live outside any plausible media stream id space.
-pub const FIN_STREAM: u32 = u32::MAX - 1;
-
-/// Builds the FIN frame an egress sends when its upstream ends.
-pub fn fin_packet() -> Packet {
-    Packet::new(
-        StreamId::new(FIN_STREAM),
-        SeqNo::new(0),
-        PacketKind::Control,
-        Vec::new(),
-    )
-}
-
-/// Returns `true` if `packet` is a transport FIN frame.
-pub fn is_fin(packet: &Packet) -> bool {
-    packet.kind() == PacketKind::Control && packet.stream().value() == FIN_STREAM
-}
-
-/// Sequence number reserved for **per-stream** FIN frames.
-///
-/// A shared socket carries many logical streams, so the transport-wide
-/// [`FIN_STREAM`] frame cannot say *which* of them ended.  A per-stream FIN
-/// instead rides the ending stream's own id, marked by this reserved
-/// sequence number on a [`PacketKind::Control`] frame.  Application
-/// control traffic must not use `u64::MAX` as a sequence number.
+/// A socket carries many logical streams, so a FIN must say *which* of
+/// them ended: it rides the ending stream's own id, marked by this
+/// reserved sequence number on a [`PacketKind::Control`] frame.
+/// Application control traffic must not use `u64::MAX` as a sequence
+/// number.
 pub const STREAM_FIN_SEQ: u64 = u64::MAX;
 
-/// Builds the FIN frame a shared egress sends when one stream's upstream
+/// Builds the FIN frame an egress lane sends when its stream's upstream
 /// ends: a control frame on the stream's own id at [`STREAM_FIN_SEQ`].
 pub fn stream_fin_packet(stream: StreamId) -> Packet {
     Packet::new(
@@ -153,7 +132,7 @@ pub fn stream_fin_packet(stream: StreamId) -> Packet {
     )
 }
 
-/// Returns `true` if `packet` is a per-stream FIN frame built by
+/// Returns `true` if `packet` is a FIN frame built by
 /// [`stream_fin_packet`].
 pub fn is_stream_fin(packet: &Packet) -> bool {
     packet.kind() == PacketKind::Control && packet.seq().value() == STREAM_FIN_SEQ
@@ -165,16 +144,6 @@ pub(crate) fn fits_in_datagram(packet: &Packet) -> bool {
     packet.wire_len() <= MAX_DATAGRAM_LEN
 }
 
-/// Resolves a peer argument to its first socket address (shared by the
-/// egress and the impairment relay so the two cannot drift).
-pub(crate) fn resolve_peer(
-    peer: impl std::net::ToSocketAddrs,
-) -> std::io::Result<std::net::SocketAddr> {
-    peer.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "peer resolved to nothing")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,14 +151,16 @@ mod tests {
 
     #[test]
     fn fin_frames_are_recognised_and_fit_in_a_datagram() {
-        let fin = fin_packet();
-        assert!(is_fin(&fin));
+        let fin = stream_fin_packet(StreamId::new(7));
+        assert!(is_stream_fin(&fin));
+        assert_eq!(fin.stream().value(), 7, "a FIN names the stream it ends");
         assert!(fits_in_datagram(&fin));
-        let data = Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::Data, vec![1]);
-        assert!(!is_fin(&data));
-        // A control packet on another stream is not a FIN.
+        let data = Packet::new(StreamId::new(7), SeqNo::new(STREAM_FIN_SEQ), PacketKind::Data, vec![1]);
+        assert!(!is_stream_fin(&data), "only control frames are FINs");
+        // A control frame at any other sequence number (e.g. the scenario
+        // engine's quiescence markers) is not a FIN.
         let marker = Packet::new(StreamId::new(u32::MAX), SeqNo::new(0), PacketKind::Control, vec![]);
-        assert!(!is_fin(&marker));
+        assert!(!is_stream_fin(&marker));
     }
 
     #[test]

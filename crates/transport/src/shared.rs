@@ -1,13 +1,10 @@
-//! Shared-socket UDP endpoints: one bound socket carrying N streams.
+//! The UDP endpoints: one bound socket carrying N streams.
 //!
-//! [`UdpIngress`](crate::UdpIngress) / [`UdpEgress`](crate::UdpEgress)
-//! spend two pump threads per socket, which at hundreds of sessions is the
-//! thread-per-filter anti-pattern all over again.  The shared endpoints
-//! here spend **zero** threads: they only expose non-blocking batch
-//! operations — [`SharedUdpIngress::drain_batch`] and
-//! [`SharedUdpEgress::flush_batch`] — and rely on a readiness loop (the
-//! pooled runtime's reactor) to call them when the socket is readable or
-//! a pipe has data:
+//! The endpoints spend **zero** threads: they only expose non-blocking
+//! batch operations — [`SharedUdpIngress::drain_batch`] and
+//! [`SharedUdpEgress::flush_batch`] — and rely on a driver (inside a proxy,
+//! the pooled runtime's readiness reactor) to call them when the socket is
+//! readable or a pipe has data:
 //!
 //! ```text
 //!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route by stream id ──▶ pipe per stream
@@ -18,7 +15,7 @@
 //! [`Packet`] header.  Frames for an
 //! unregistered stream id are counted (see
 //! [`SharedUdpIngress::unknown_streams`]) and dropped without disturbing
-//! registered neighbours; a per-stream FIN
+//! registered neighbours; a FIN
 //! ([`stream_fin_packet`](crate::stream_fin_packet)) closes only its own
 //! stream's route.  Both endpoints keep the transport-wide accounting
 //! invariants: an ingress counts a packet **before** it becomes observable
@@ -89,7 +86,7 @@ pub enum SharedFlush {
 /// route ([`open_stream`](Self::open_stream), returning the pipe receiver)
 /// or a bridged route ([`open_stream_into`](Self::open_stream_into),
 /// delivering straight into a supplied sender such as a proxy chain
-/// input).  There is no pump thread; a driver (normally a pooled-runtime
+/// input).  The endpoint owns no thread; a driver (normally a pooled-runtime
 /// task woken by the reactor) calls [`drain_batch`](Self::drain_batch)
 /// whenever the socket is readable.
 pub struct SharedUdpIngress {
@@ -213,8 +210,8 @@ impl SharedUdpIngress {
         }
     }
 
-    /// Closes and deregisters every route — the shared-socket equivalent
-    /// of closing a dedicated ingress's pipe at shutdown.
+    /// Closes and deregisters every route, so every consumer observes end
+    /// of stream — the ingress half of a proxy shutdown.
     pub fn close_all_streams(&self) {
         let mut routes = self.lock_routes();
         for (_, sink) in std::mem::take(&mut *routes) {
@@ -303,15 +300,14 @@ struct EgressLane {
 ///
 /// Created with [`over`](Self::over) (reusing a [`SharedUdpIngress`]'s
 /// socket, so one port carries both directions) or
-/// [`bind`](Self::bind).  There is no pump thread; a driver calls
+/// [`bind`](Self::bind).  The endpoint owns no thread; a driver calls
 /// [`flush_batch`](Self::flush_batch) when any source pipe has data (and
 /// again after a writability tick if the socket pushed back).
 ///
 /// When a lane's pipe reports EOF the lane sends a per-stream FIN
 /// ([`stream_fin_packet`](crate::stream_fin_packet)) so the remote end
 /// can close exactly that stream; a pipe closed without EOF finishes the
-/// lane silently (abort semantics, matching
-/// [`UdpEgress`](crate::UdpEgress)).
+/// lane silently (abort semantics: no FIN is owed).
 pub struct SharedUdpEgress {
     socket: Arc<UdpSocket>,
     local_addr: SocketAddr,

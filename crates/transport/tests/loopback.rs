@@ -2,22 +2,49 @@
 //! pipes — same surface, same ordering, same EOF, and the same stats
 //! invariant — and the impairment relay must be deterministic per seed.
 //!
-//! Everything here synchronises on data (blocking receives, watchdog
+//! The application side of every wire here is a hand-driven
+//! [`SharedUdpIngress`] with one route: the test's own receive loop calls
+//! `drain_batch()`.  Everything synchronises on data (counters, watchdog
 //! deadlines), never on sleeps.
 
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_streams::{pipe, DetachableReceiver, TryRecvError};
 use rapidware_transport::{
-    ImpairmentPlan, UdpConfig, UdpEgress, UdpIngress,
+    stream_fin_packet, ImpairedUdp, ImpairmentPhase, ImpairmentPlan, SharedUdpIngress, UdpConfig,
 };
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
+fn stream() -> StreamId {
+    StreamId::new(3)
+}
+
 fn packet(seq: u64) -> Packet {
-    Packet::new(StreamId::new(3), SeqNo::new(seq), PacketKind::AudioData, vec![(seq % 251) as u8; 64])
+    Packet::new(stream(), SeqNo::new(seq), PacketKind::AudioData, vec![(seq % 251) as u8; 64])
+}
+
+/// Encodes `packet` and sends it as one datagram to `peer`.
+fn send_encoded(socket: &UdpSocket, peer: SocketAddr, packet: &Packet) {
+    socket.send_to(&packet.encode(), peer).expect("loopback send");
+}
+
+/// Drains `ingress` by hand, collecting `route`'s sequence numbers, until
+/// the stream's FIN has closed the route.
+fn drain_to_fin(ingress: &SharedUdpIngress, route: &DetachableReceiver<Packet>) -> Vec<u64> {
+    let mut seqs = Vec::new();
+    let deadline = Instant::now() + WATCHDOG;
+    loop {
+        assert!(Instant::now() < deadline, "the stream never ended");
+        ingress.drain_batch();
+        match route.try_recv() {
+            Ok(packet) => seqs.push(packet.seq().value()),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+            Err(_) => return seqs,
+        }
+    }
 }
 
 /// The received ⇒ counted regression, shared across **both endpoint
@@ -79,26 +106,32 @@ fn received_implies_counted_on_socket_endpoints() {
     // (the appliers quiesce every window): UDP has no end-to-end
     // back-pressure, so an unpaced 2,000-packet blast would overflow the
     // loopback socket buffer and the OS — not the endpoint — would drop.
-    let config = UdpConfig::default().with_capacity(8);
-    let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-    let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
+    // One drain pass moves at most `batch_size` datagrams, and the
+    // consumer empties the route between passes, so the capacity-8 route
+    // never sheds.
+    let config = UdpConfig::default().with_capacity(8).with_batch_size(8);
+    let ingress = SharedUdpIngress::bind("127.0.0.1:0", &config).unwrap();
+    let route = ingress.open_stream(stream()).unwrap();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
     let stats = ingress.stats();
     let mut received = 0u64;
     for window in 0..40u64 {
-        egress
-            .send_batch((window * 50..(window + 1) * 50).map(packet).collect())
-            .unwrap();
+        for seq in window * 50..(window + 1) * 50 {
+            send_encoded(&tx, ingress.local_addr(), &packet(seq));
+        }
         assert_received_implies_counted(&mut received, (window + 1) * 50, || stats.rx_packets(), || {
-            ingress.try_recv_up_to(16)
+            ingress.drain_batch();
+            route.try_recv_up_to(16)
         });
     }
     assert_eq!(stats.rx_packets(), 2_000);
+    assert_eq!(stats.dropped(), 0);
 }
 
 #[test]
 fn the_socket_surface_is_interchangeable_with_a_pipe_receiver() {
     // Code written against DetachableReceiver<Packet> must accept an
-    // ingress's receiver handle without knowing a socket is behind it.
+    // ingress route without knowing a socket is behind it.
     fn drain_to_eof(rx: &DetachableReceiver<Packet>) -> Vec<u64> {
         let mut seqs = Vec::new();
         let deadline = Instant::now() + WATCHDOG;
@@ -111,13 +144,19 @@ fn the_socket_surface_is_interchangeable_with_a_pipe_receiver() {
             }
         }
     }
-    let config = UdpConfig::default();
-    let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-    let egress = UdpEgress::connect(ingress.local_addr(), &config).unwrap();
-    egress.send_batch((0..10).map(packet).collect()).unwrap();
-    egress.close();
-    let handle = ingress.receiver();
-    assert_eq!(drain_to_eof(&handle), (0..10).collect::<Vec<_>>());
+    let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+    let route = ingress.open_stream(stream()).unwrap();
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for seq in 0..10 {
+        send_encoded(&tx, ingress.local_addr(), &packet(seq));
+    }
+    send_encoded(&tx, ingress.local_addr(), &stream_fin_packet(stream()));
+    let deadline = Instant::now() + WATCHDOG;
+    while ingress.route_count() > 0 {
+        assert!(Instant::now() < deadline, "the FIN never arrived");
+        ingress.drain_batch();
+    }
+    assert_eq!(drain_to_eof(&route), (0..10).collect::<Vec<_>>());
 }
 
 #[test]
@@ -125,37 +164,20 @@ fn impaired_relay_is_deterministic_per_seed() {
     // The same plan and seed must drop the same frames on every run —
     // the property that makes scenario runs over real sockets repeatable.
     fn run(seed: u64) -> (Vec<u64>, u64) {
-        let config = UdpConfig::default();
-        let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-        let relay = rapidware_transport::ImpairedUdp::spawn(
-            ingress.local_addr(),
-            ImpairmentPlan::bernoulli(seed, 0.2),
-        )
-        .unwrap();
-        let egress = UdpEgress::connect(relay.local_addr(), &config).unwrap();
+        let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        let route = ingress.open_stream(stream()).unwrap();
+        let relay =
+            ImpairedUdp::spawn(ingress.local_addr(), ImpairmentPlan::bernoulli(seed, 0.2)).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let relay_stats = relay.stats();
         let ingress_stats = ingress.stats();
-        // Drain concurrently so the survivors never pile up in a socket
-        // buffer while the producer runs ahead (the relay's decisions
-        // depend only on arrival order, not on consumer speed).
-        let consumer = std::thread::spawn(move || {
-            let mut seqs = Vec::new();
-            let deadline = Instant::now() + WATCHDOG;
-            loop {
-                assert!(Instant::now() < deadline, "impaired stream never ended");
-                match ingress.recv_timeout(Duration::from_millis(50)) {
-                    Ok(packet) => seqs.push(packet.seq().value()),
-                    Err(TryRecvError::Empty) => continue,
-                    Err(_) => return seqs,
-                }
-            }
-        });
+        let mut seqs = Vec::new();
         for window in 0..10u64 {
-            egress
-                .send_batch((window * 50..(window + 1) * 50).map(packet).collect())
-                .unwrap();
+            for seq in window * 50..(window + 1) * 50 {
+                send_encoded(&tx, relay.local_addr(), &packet(seq));
+            }
             // Pace each window end to end: every frame accounted by the
-            // relay (forwarded or dropped), every survivor received by the
+            // relay (forwarded or dropped), every survivor drained by the
             // ingress, before the next burst — so neither socket's kernel
             // buffer can overflow and silently lose a frame (or, worse,
             // the FIN).  UDP has no back-pressure; the accounting is the
@@ -169,11 +191,14 @@ fn impaired_relay_is_deterministic_per_seed() {
             }
             while ingress_stats.rx_datagrams() < relay_stats.forwarded() {
                 assert!(Instant::now() < deadline, "the ingress fell behind");
-                std::thread::yield_now();
+                ingress.drain_batch();
+                while let Ok(packet) = route.try_recv() {
+                    seqs.push(packet.seq().value());
+                }
             }
         }
-        egress.close();
-        let seqs = consumer.join().unwrap();
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(stream()));
+        seqs.extend(drain_to_fin(&ingress, &route));
         (seqs, relay.stats().dropped())
     }
     let (first, dropped_first) = run(2001);
@@ -189,27 +214,20 @@ fn impaired_relay_is_deterministic_per_seed() {
 
 #[test]
 fn impaired_delay_reorders_deterministically_without_loss() {
-    let config = UdpConfig::default();
-    let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
+    let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+    let route = ingress.open_stream(stream()).unwrap();
     // Hold every 4th data frame back for 3 frames.
-    let relay = rapidware_transport::ImpairedUdp::spawn(
+    let relay = ImpairedUdp::spawn(
         ingress.local_addr(),
-        ImpairmentPlan::new(7, vec![(0, rapidware_transport::ImpairmentPhase::delay(4, 3))]),
+        ImpairmentPlan::new(7, vec![(0, ImpairmentPhase::delay(4, 3))]),
     )
     .unwrap();
-    let egress = UdpEgress::connect(relay.local_addr(), &config).unwrap();
-    egress.send_batch((0..40).map(packet).collect()).unwrap();
-    egress.close();
-    let mut seqs = Vec::new();
-    let deadline = Instant::now() + WATCHDOG;
-    loop {
-        assert!(Instant::now() < deadline, "delayed stream never ended");
-        match ingress.recv_timeout(Duration::from_millis(50)) {
-            Ok(packet) => seqs.push(packet.seq().value()),
-            Err(TryRecvError::Empty) => continue,
-            Err(_) => break,
-        }
+    let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for seq in 0..40 {
+        send_encoded(&tx, relay.local_addr(), &packet(seq));
     }
+    send_encoded(&tx, relay.local_addr(), &stream_fin_packet(stream()));
+    let seqs = drain_to_fin(&ingress, &route);
     assert_eq!(seqs.len(), 40, "delay must never lose frames");
     let mut sorted = seqs.clone();
     sorted.sort_unstable();
@@ -221,8 +239,8 @@ fn impaired_delay_reorders_deterministically_without_loss() {
 
 #[test]
 fn undecodable_datagrams_do_not_reach_the_consumer() {
-    let config = UdpConfig::default();
-    let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
+    let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+    let route = ingress.open_stream(stream()).unwrap();
     let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
     // A truncated frame and a corrupted frame: both must be counted and
     // neither may surface as a packet.
@@ -232,9 +250,13 @@ fn undecodable_datagrams_do_not_reach_the_consumer() {
     corrupted[25] ^= 0xFF;
     probe.send_to(&corrupted, ingress.local_addr()).unwrap();
     probe.send_to(&valid, ingress.local_addr()).unwrap();
-    let delivered = ingress.recv().unwrap();
-    assert_eq!(delivered.seq().value(), 5);
+    let deadline = Instant::now() + WATCHDOG;
+    while ingress.stats().rx_datagrams() < 3 {
+        assert!(Instant::now() < deadline, "the probes never arrived");
+        ingress.drain_batch();
+    }
+    assert_eq!(route.try_recv().unwrap().seq().value(), 5);
+    assert_eq!(route.try_recv().unwrap_err(), TryRecvError::Empty);
     assert_eq!(ingress.stats().decode_errors(), 2);
     assert_eq!(ingress.stats().rx_packets(), 1);
-    assert_eq!(ingress.stats().rx_datagrams(), 3);
 }

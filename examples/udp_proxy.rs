@@ -1,8 +1,9 @@
 //! A composable proxy on real UDP sockets.
 //!
 //! The smallest end-to-end wire setup: a sender application encodes
-//! packets into datagrams and sends them to a proxy whose stream endpoints
-//! are UDP sockets; the proxy runs them through a live-reconfigurable
+//! packets into datagrams and sends them to a proxy carrier (one UDP
+//! socket, here with a single route — a dedicated socket); the proxy runs
+//! them through a live-reconfigurable
 //! filter chain (FEC protection is spliced in mid-stream, exactly as the
 //! paper's control thread would) and forwards the output — over a
 //! deterministic lossy relay — to a receiver application that repairs the
@@ -15,27 +16,38 @@
 //! Run with `cargo run --example udp_proxy`.
 
 use std::net::UdpSocket;
+use std::time::{Duration, Instant};
 
 use rapidware::filters::{FecDecoderFilter, Filter};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware::prelude::*;
 
 fn main() {
-    // The receiver application's socket: a transport ingress whose surface
-    // is an ordinary detachable receiver.
-    let receiver = UdpIngress::bind("127.0.0.1:0", &UdpConfig::default())
+    // The receiver application's socket: a transport ingress with one
+    // route, whose consumer side is an ordinary detachable receiver.  The
+    // endpoint owns no thread; the receive loop below drains it.
+    let receiver = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default())
         .expect("binding the receiver socket");
+    let route = receiver.open_stream(StreamId::new(1)).expect("a fresh socket has no routes");
 
     // A deterministic lossy hop in front of it: every 5th frame dropped,
     // seeded so the run is repeatable.
     let relay = ImpairedUdp::spawn(receiver.local_addr(), ImpairmentPlan::drop_every(2001, 5))
         .expect("spawning the impairment relay");
 
-    // The proxy: one UDP-backed stream towards the lossy hop.
-    let mut proxy = Proxy::new("edge-proxy");
+    // The proxy: a carrier socket on the worker pool's reactor, and one
+    // stream riding it towards the lossy hop.
+    let mut proxy = Proxy::with_runtime("edge-proxy", RuntimeConfig::new(2, 8));
+    let carrier = proxy
+        .add_udp_carrier("wire", UdpCarrierConfig::new())
+        .expect("binding the proxy's carrier socket");
     let handle = proxy
-        .add_stream_udp("audio", UdpStreamConfig::to_peer(relay.local_addr()))
-        .expect("binding the proxy's stream endpoints");
+        .add_stream_udp_shared(
+            "audio",
+            SharedUdpStreamConfig::on_carrier("wire", relay.local_addr())
+                .with_stream(StreamId::new(1)),
+        )
+        .expect("the carrier accepts its first stream");
 
     // Protect the stream: splice FEC(6,4) into the live chain.
     proxy
@@ -53,7 +65,7 @@ fn main() {
         let packet =
             Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![0u8; 160]);
         packet.encode_into(&mut scratch);
-        sender.send_to(&scratch, handle.ingress_addr()).expect("loopback send");
+        sender.send_to(&scratch, carrier.ingress_addr()).expect("loopback send");
     }
 
     // Receive through the lossy hop and repair with the matching decoder.
@@ -61,12 +73,18 @@ fn main() {
     let mut decoder = FecDecoderFilter::new(6, 4).expect("valid FEC parameters");
     let mut delivered = 0u64;
     let mut repaired = Vec::new();
-    for _ in 0..96 {
-        let survivor = receiver.recv().expect("the stream is still open");
-        if survivor.kind().is_payload() {
-            delivered += 1;
+    let mut survivors = 0;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while survivors < 96 {
+        assert!(Instant::now() < deadline, "the stream stalled at {survivors}/96");
+        receiver.drain_batch();
+        while let Ok(survivor) = route.try_recv() {
+            survivors += 1;
+            if survivor.kind().is_payload() {
+                delivered += 1;
+            }
+            decoder.process(survivor, &mut repaired).expect("decoder accepts the stream");
         }
-        decoder.process(survivor, &mut repaired).expect("decoder accepts the stream");
     }
     let recovered = repaired.iter().filter(|p| p.kind().is_payload()).count() as u64;
 
@@ -75,7 +93,7 @@ fn main() {
     println!("receiver delivered : {delivered} raw, {recovered} after FEC repair");
     let status = proxy.status();
     println!(
-        "proxy endpoint     : rx={} tx={} decode-errors={}",
+        "proxy carrier      : rx={} tx={} decode-errors={}",
         status.transports[0].ingress.rx_packets,
         status.transports[0].egress.tx_packets,
         status.transports[0].ingress.decode_errors,

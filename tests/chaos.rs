@@ -20,7 +20,11 @@
 //!   are duplicated and rode through a reordering relay; every data frame
 //!   still arrives exactly once, every marker copy is delivered (not
 //!   deduplicated into silence), and a duplicated FIN still ends the
-//!   stream cleanly exactly once.
+//!   stream cleanly exactly once (the second copy is a counted
+//!   unknown-stream frame).
+//!
+//! The application side of every wire is a hand-driven one-route
+//! [`SharedUdpIngress`]: the test's own receive loop calls `drain_batch()`.
 //!
 //! Everything runs under a watchdog: a wedged pool or socket fails fast
 //! instead of hanging CI.
@@ -36,13 +40,13 @@ use rapidware::proxy::{FilterSpec, Proxy, SharedUdpStreamConfig, UdpCarrierConfi
 use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware::streams::TryRecvError;
 use rapidware::transport::{
-    fin_packet, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan, SharedDrain,
-    SharedUdpIngress, UdpConfig, UdpIngress,
+    stream_fin_packet, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan, SharedDrain,
+    SharedUdpIngress, UdpConfig,
 };
 
 use common::{
-    assert_conservation, audio_packet, drain_count_to_eof, drain_to_eof, send_encoded, watchdog,
-    WATCHDOG,
+    assert_conservation, audio_packet, bind_app, drain_count_to_eof, drain_to_eof,
+    recv_app_to_eof, send_encoded, watchdog, WATCHDOG,
 };
 
 const BATCH_SIZE: usize = 16;
@@ -208,8 +212,8 @@ fn a_mid_run_socket_blackout_is_counted_never_silent() {
         const BEFORE: u64 = 100;
         const DURING: u64 = 50;
         const AFTER: u64 = 100;
-        let ingress = UdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
-        let relay = ImpairedUdp::spawn(ingress.local_addr(), ImpairmentPlan::clean(7)).unwrap();
+        let (app, route) = bind_app(&[1]);
+        let relay = ImpairedUdp::spawn(app.local_addr(), ImpairmentPlan::clean(7)).unwrap();
         let stats = relay.stats();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
 
@@ -233,19 +237,12 @@ fn a_mid_run_socket_blackout_is_counted_never_silent() {
             send_encoded(&tx, relay.local_addr(), &audio_packet(seq, 64));
         }
         await_relay_accounted(&stats, BEFORE + DURING + AFTER);
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
 
         // received ⇒ counted: everything the relay forwarded reaches the
         // application, everything else is in `dropped`, and the two sides
         // add back up to the send count.
-        let mut received = Vec::new();
-        loop {
-            match ingress.recv_timeout(Duration::from_millis(50)) {
-                Ok(packet) => received.push(packet),
-                Err(rapidware::streams::TryRecvError::Empty) => continue,
-                Err(_) => break,
-            }
-        }
+        let received = recv_app_to_eof(&app, &route, Instant::now() + WATCHDOG / 2);
         assert_eq!(received.len() as u64, stats.forwarded(), "forwarded ⇒ received");
         assert_conservation(
             "blackout relay",
@@ -436,7 +433,7 @@ fn a_blackout_on_a_shared_carrier_is_counted_and_poisons_no_stream() {
         // The carrier was blameless: it demuxed every forwarded datagram to
         // a registered stream and dropped nothing itself.
         let status = proxy.status();
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
+        let shared = &status.transports;
         assert_eq!(shared.len(), 1, "one carrier serves all four streams");
         assert_eq!(
             shared[0].ingress.rx_packets,
@@ -465,12 +462,14 @@ fn reordered_and_duplicated_markers_conserve_every_data_frame() {
     watchdog("chaos-marker-storm", WATCHDOG, || {
         const TOTAL: u64 = 120;
         const MARKER_EVERY: u64 = 30;
-        let ingress = UdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        // Data and markers ride different stream ids; routing both onto
+        // one pipe keeps their relative order observable.
+        let (app, route) = bind_app(&[1, u32::MAX]);
         // The relay holds every 5th data frame back 3 frames — a
         // deterministic reordering — while control frames pass immediately
         // (flushing any held frames first, so no data crosses a marker).
         let relay = ImpairedUdp::spawn(
-            ingress.local_addr(),
+            app.local_addr(),
             ImpairmentPlan::new(11, vec![(0, ImpairmentPhase::delay(5, 3))]),
         )
         .unwrap();
@@ -495,19 +494,14 @@ fn reordered_and_duplicated_markers_conserve_every_data_frame() {
         await_relay_accounted(&stats, TOTAL);
         // A duplicated FIN: the first ends the stream, the second must be
         // absorbed without wedging or reopening anything.
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
-        send_encoded(&tx, relay.local_addr(), &fin_packet());
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
+        send_encoded(&tx, relay.local_addr(), &stream_fin_packet(StreamId::new(1)));
 
-        let mut data = Vec::new();
-        let mut markers_received = 0u64;
-        loop {
-            match ingress.recv_timeout(Duration::from_millis(50)) {
-                Ok(packet) if packet.kind() == PacketKind::Control => markers_received += 1,
-                Ok(packet) => data.push(packet),
-                Err(rapidware::streams::TryRecvError::Empty) => continue,
-                Err(_) => break,
-            }
-        }
+        let (markers, data): (Vec<Packet>, Vec<Packet>) =
+            recv_app_to_eof(&app, &route, Instant::now() + WATCHDOG / 2)
+                .into_iter()
+                .partition(|packet| packet.kind() == PacketKind::Control);
+        let markers_received = markers.len() as u64;
         // received ⇒ counted: every data frame exactly once (the delays
         // reorder, never drop), every marker copy delivered, none invented.
         let mut seqs: Vec<u64> = data.iter().map(|p| p.seq().value()).collect();
@@ -517,8 +511,14 @@ fn reordered_and_duplicated_markers_conserve_every_data_frame() {
         assert!(stats.delayed() > 0, "the reordering schedule never actually held a frame");
         assert_conservation("marker relay", TOTAL, stats.forwarded(), stats.dropped(), 0);
         assert_eq!(stats.dropped(), 0);
-        // The duplicate FIN arrived after the pipe closed; nothing to do,
-        // nothing wedged — the drain loop above already returned on EOF.
+        // The duplicate FIN finds its route already closed: absorbed as a
+        // counted unknown-stream frame, nothing wedged, nothing reopened.
+        let deadline = Instant::now() + WATCHDOG / 2;
+        while app.stats().rx_datagrams() < TOTAL + markers_sent + 2 {
+            assert!(Instant::now() < deadline, "the duplicate FIN never arrived");
+            app.drain_batch();
+        }
+        assert_eq!(app.unknown_streams(), 1);
     });
 }
 
@@ -844,7 +844,7 @@ fn a_blackout_straddling_a_rekey_on_a_shared_carrier_conserves_per_stream() {
         // a registered stream, nothing dropped carrier-side.
         assert_eq!(status.secure.rejected, u64::from(STREAMS));
         assert_eq!(status.secure.rekeys, u64::from(STREAMS));
-        let shared: Vec<_> = status.transports.iter().filter(|t| t.shared).collect();
+        let shared = &status.transports;
         assert_eq!(shared.len(), 1, "one carrier serves both streams");
         assert_eq!(
             shared[0].ingress.rx_packets,

@@ -8,8 +8,11 @@
 //!
 //! * **watchdogs, not sleeps** — anything that could wedge runs on a
 //!   supervised thread ([`watchdog`]) or against a deadline
-//!   ([`drain_count`]/[`drain_to_eof`]), so a deadlock fails the test
+//!   ([`recv_app_count`]/[`drain_to_eof`]), so a deadlock fails the test
 //!   instead of hanging CI;
+//! * **app-side sockets are hand-driven** — the far end of every wire is a
+//!   [`SharedUdpIngress`] with one route pipe ([`bind_app`]) whose
+//!   `drain_batch()` the test's own receive loop calls ([`poll_app`]);
 //! * **conservation, not vibes** — delivery claims go through
 //!   [`assert_conservation`]: `sent == delivered + lost + undelivered`,
 //!   with the terms tallied from *independent* counters;
@@ -23,7 +26,8 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::streams::{DetachableReceiver, TryRecvError};
+use rapidware::streams::{pipe, DetachableReceiver, TryRecvError};
+use rapidware::transport::{SharedUdpIngress, UdpConfig};
 
 /// Default wall-clock bound for a whole suite body.
 pub const WATCHDOG: Duration = Duration::from_secs(120);
@@ -64,20 +68,67 @@ pub fn watchdog(name: &str, wall_clock: Duration, body: impl FnOnce() + Send + '
     }
 }
 
-/// Drains exactly `count` packets from `rx` under the deadline.
-pub fn drain_count(rx: &DetachableReceiver<Packet>, count: usize, deadline: Instant) -> Vec<Packet> {
+/// Binds an application-side receive socket — the far end of a wire whose
+/// near end is a proxy carrier — with `streams` routed onto one pipe (so
+/// their relative order stays observable).  A FIN on any of them ends it.
+pub fn bind_app(streams: &[u32]) -> (SharedUdpIngress, DetachableReceiver<Packet>) {
+    let config = UdpConfig::default();
+    let app = SharedUdpIngress::bind("127.0.0.1:0", &config)
+        .expect("binding an ephemeral loopback socket");
+    let (sink, route) = pipe(config.capacity);
+    for stream in streams {
+        app.open_stream_into(StreamId::new(*stream), sink.clone())
+            .expect("a fresh socket has no routes");
+    }
+    (app, route)
+}
+
+/// One non-blocking receive step: drains `app` once and moves whatever its
+/// route holds into `into`.  Returns `false` once the stream's FIN has
+/// closed the route and everything before it was collected.
+pub fn poll_app(
+    app: &SharedUdpIngress,
+    route: &DetachableReceiver<Packet>,
+    into: &mut Vec<Packet>,
+) -> bool {
+    app.drain_batch();
+    loop {
+        match route.try_recv() {
+            Ok(packet) => into.push(packet),
+            Err(TryRecvError::Empty) => return true,
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Receives off `app`'s route until `count` packets have arrived (plus
+/// whatever else the same drain pass delivered), under the deadline.
+pub fn recv_app_count(
+    app: &SharedUdpIngress,
+    route: &DetachableReceiver<Packet>,
+    count: usize,
+    deadline: Instant,
+) -> Vec<Packet> {
     let mut packets = Vec::with_capacity(count);
     while packets.len() < count {
-        assert!(
-            Instant::now() < deadline,
-            "stream stalled at {}/{count}",
-            packets.len()
-        );
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(packet) => packets.push(packet),
-            Err(TryRecvError::Empty) => continue,
-            Err(other) => panic!("stream ended early at {}/{count}: {other}", packets.len()),
-        }
+        assert!(Instant::now() < deadline, "stream stalled at {}/{count}", packets.len());
+        let open = poll_app(app, route, &mut packets);
+        assert!(open || packets.len() >= count, "stream ended early at {}/{count}", packets.len());
+    }
+    packets
+}
+
+/// Receives off `app`'s route until the stream's FIN ends it, returning
+/// what was left.
+pub fn recv_app_to_eof(
+    app: &SharedUdpIngress,
+    route: &DetachableReceiver<Packet>,
+    deadline: Instant,
+) -> Vec<Packet> {
+    let mut packets = Vec::new();
+    while poll_app(app, route, &mut packets) {
+        assert!(Instant::now() < deadline, "stream never ended ({} left over)", packets.len());
+        std::thread::yield_now();
     }
     packets
 }

@@ -7,7 +7,7 @@
 //!   source ─▶ root session (10 branch lanes)      ── pooled runtime
 //!                │ … per branch …
 //!                ▼
-//!        UDP bridge (loopback socket hop)          ── transport
+//!        UDP bridge (loopback hop into a carrier)  ── transport
 //!                ▼
 //!        tier-2 session (100 leaf lanes)           ── pooled runtime
 //!                ▼
@@ -21,9 +21,9 @@
 //!   real socket hop);
 //! * per-leaf conservation holds from independent counters
 //!   (`sent == delivered + lost + undelivered` with `lost == 0`);
-//! * the whole tree — 1 root + 10 tier-2 sessions, 1010 lanes, ~1030 pool
-//!   tasks — runs on **one** fixed 4-worker runtime, and shuts down with
-//!   **zero** leaked tasks.
+//! * the whole tree — 1 root + 10 tier-2 sessions, 1010 lanes, 10 bridge
+//!   carriers, ~1050 pool tasks — runs on **one** fixed 4-worker runtime,
+//!   and shuts down with **zero** leaked tasks.
 
 mod common;
 
@@ -31,9 +31,11 @@ use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rapidware::runtime::{Runtime, RuntimeConfig};
+use rapidware::packet::StreamId;
+use rapidware::proxy::{Proxy, SharedUdpSessionConfig, UdpCarrierConfig};
+use rapidware::runtime::RuntimeConfig;
 use rapidware::streams::TryRecvError;
-use rapidware::transport::{fin_packet, UdpConfig, UdpIngress};
+use rapidware::transport::stream_fin_packet;
 
 use common::{assert_conservation, audio_packet, send_encoded, watchdog};
 
@@ -46,48 +48,49 @@ const TREE_WALL_CLOCK: Duration = Duration::from_secs(240);
 #[test]
 fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
     watchdog("multicast-tree-soak", TREE_WALL_CLOCK, || {
-        let runtime = Runtime::start(RuntimeConfig::new(4, BATCH_SIZE));
+        let mut proxy = Proxy::with_runtime("tree", RuntimeConfig::new(4, BATCH_SIZE));
+        let runtime = Arc::clone(proxy.runtime().expect("the proxy was built with a runtime"));
 
-        // Tier 2 first: each branch gets its own UDP ingress, a pooled
-        // session fed from it, and 100 leaf lanes.
-        let config = UdpConfig::default();
+        // Tier 2 first: each branch gets its own bridge carrier (a
+        // dedicated socket: one route), a pooled session fed straight from
+        // it — no egress lanes, the leaves read their lane pipes — and 100
+        // leaf lanes.  The bridge's FIN closes the route and with it the
+        // session input.
         let mut tier2 = Vec::with_capacity(BRANCHES);
-        let mut pumps = Vec::with_capacity(BRANCHES);
-        let mut bridge_addrs = Vec::with_capacity(BRANCHES);
         for branch in 0..BRANCHES {
-            let ingress = UdpIngress::bind("127.0.0.1:0", &config).unwrap();
-            bridge_addrs.push(ingress.local_addr());
-            let session = Arc::new(runtime.add_session(format!("tier2-{branch}")));
+            let bridge = format!("bridge-{branch}");
+            let carrier = proxy.add_udp_carrier(&bridge, UdpCarrierConfig::new()).unwrap();
+            let name = format!("tier2-{branch}");
+            proxy
+                .add_session_udp_shared(
+                    &name,
+                    SharedUdpSessionConfig::on_carrier(&bridge)
+                        .with_stream(StreamId::new(1))
+                        .with_batch_size(BATCH_SIZE),
+                )
+                .unwrap();
+            let session = proxy.pooled_session(&name).expect("just placed");
             let leaves: Vec<_> = (0..LEAVES_PER_BRANCH)
                 .map(|leaf| {
-                    let name = format!("leaf-{leaf}");
-                    let rx = session.add_lane(&name).expect("fresh tier-2 session");
-                    (name, rx)
+                    let leaf = format!("leaf-{leaf}");
+                    let rx = session.add_lane(&leaf).expect("fresh tier-2 session");
+                    (leaf, rx)
                 })
                 .collect();
-            // The ingress pump: datagrams from the branch bridge become the
-            // tier-2 session's source stream; the bridge's FIN closes it.
-            let pump = {
-                let session = Arc::clone(&session);
-                let rx = ingress.receiver();
-                std::thread::spawn(move || {
-                    let input = session.input();
-                    while let Ok(packet) = rx.recv() {
-                        input.send(packet).expect("tier-2 input stays open");
-                    }
-                    session.close_input();
-                })
-            };
-            pumps.push(pump);
-            tier2.push((session, leaves, ingress));
+            tier2.push((name, leaves, carrier));
         }
 
         // The root: one pooled session whose 10 branch lanes each feed a
-        // UDP bridge to a tier-2 ingress.
-        let root = runtime.add_session("root");
+        // UDP bridge to a tier-2 carrier.
+        let input = proxy.add_session_pooled("root", 256, BATCH_SIZE).unwrap();
         let mut bridges = Vec::with_capacity(BRANCHES);
-        for (branch, peer) in bridge_addrs.iter().copied().enumerate() {
-            let rx = root.add_lane(format!("branch-{branch}")).expect("fresh root session");
+        for (branch, (_, _, carrier)) in tier2.iter().enumerate() {
+            let peer = carrier.ingress_addr();
+            let rx = proxy
+                .pooled_session("root")
+                .expect("just placed")
+                .add_lane(format!("branch-{branch}"))
+                .expect("fresh root session");
             bridges.push(std::thread::spawn(move || {
                 let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
                 let mut relayed = 0u64;
@@ -95,8 +98,8 @@ fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
                     send_encoded(&socket, peer, &packet);
                     relayed += 1;
                 }
-                // Lane EOF: tell the far ingress the stream is over.
-                send_encoded(&socket, peer, &fin_packet());
+                // Lane EOF: tell the far carrier the stream is over.
+                send_encoded(&socket, peer, &stream_fin_packet(StreamId::new(1)));
                 relayed
             }));
         }
@@ -153,35 +156,31 @@ fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
             .collect();
 
         // Drive the source and end the stream.
-        let input = root.input();
         for seq in 0..PACKETS {
             input.send(audio_packet(seq, 64)).expect("root input stays open");
         }
-        root.close_input();
+        input.close();
 
         // Every branch bridge must have relayed the full stream.
         for (branch, bridge) in bridges.into_iter().enumerate() {
             let relayed = bridge.join().expect("bridge thread must not panic");
             assert_eq!(relayed, PACKETS, "branch {branch}: the UDP bridge lost traffic");
         }
-        for pump in pumps {
-            pump.join().expect("ingress pump must not panic");
-        }
 
         // Every leaf, in every branch: full delivery and conservation.
         let mut total_delivered = 0u64;
-        for ((session, leaves, ingress), collector) in tier2.iter().zip(collectors) {
+        for ((session_name, leaves, carrier), collector) in tier2.iter().zip(collectors) {
             let delivered = collector.join().expect("collector must not panic");
+            let session = proxy.pooled_session(session_name).expect("tier-2 session");
             for ((name, rx), count) in leaves.iter().zip(delivered) {
                 assert_eq!(
                     count,
                     PACKETS,
-                    "{}/{name}: a leaf missed part of the stream",
-                    session.name()
+                    "{session_name}/{name}: a leaf missed part of the stream"
                 );
                 let stats = session.lane_stats(name).expect("leaf stats");
                 assert_conservation(
-                    &format!("{}/{name}", session.name()),
+                    &format!("{session_name}/{name}"),
                     stats.packets_in,
                     count,
                     stats.packets_in - stats.packets_out,
@@ -190,7 +189,12 @@ fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
                 assert_eq!(stats.packets_in - stats.packets_out, 0, "lossless tree");
                 total_delivered += count;
             }
-            assert_eq!(ingress.stats().rx_packets(), PACKETS, "bridge hop dropped datagrams");
+            assert_eq!(
+                carrier.ingress_stats().rx_packets(),
+                PACKETS,
+                "bridge hop dropped datagrams"
+            );
+            assert_eq!(carrier.ingress_stats().dropped(), 0, "bridge carrier shed frames");
         }
         assert_eq!(
             total_delivered,
@@ -199,11 +203,7 @@ fn a_thousand_leaf_multicast_tree_delivers_everything_over_udp_bridges() {
         );
 
         // Teardown: the whole tree folds back into an empty pool.
-        root.shutdown().expect("root session shuts down cleanly");
-        for (session, _, _) in &tier2 {
-            session.shutdown().expect("tier-2 session shuts down cleanly");
-        }
+        proxy.shutdown().expect("the tree shuts down cleanly");
         assert_eq!(runtime.live_tasks(), 0, "the multicast tree leaked pool tasks");
-        runtime.shutdown().expect("worker pool joins cleanly");
     });
 }

@@ -165,50 +165,14 @@ fn fanout_traces_are_byte_identical_per_spec_and_seed() {
 }
 
 #[test]
-fn a_fixed_seed_scenario_over_loopback_udp_matches_the_sync_applier() {
+fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier() {
     // The wire must be invisible to the closed loop: the same scenario at
     // the same seed, run with every packet crossing two real loopback UDP
-    // sockets (socket → chain → socket, via `Proxy::add_stream_udp`), must
-    // produce the sync applier's report — delivered + recovered totals
-    // exactly — and the identical canonical trace.
-    let spec = ScenarioSpec::handoff_cliff().with_seed(MATRIX_SEEDS[0]);
-    let engine = ScenarioEngine::new(spec);
-    let sync = engine.run_sync();
-    let udp = engine.run_udp();
-    for (receiver, (s, u)) in sync.report.receivers.iter().zip(&udp.report.receivers).enumerate() {
-        assert_eq!(
-            s.delivered + s.recovered,
-            u.delivered + u.recovered,
-            "receiver {receiver}: delivered+recovered diverged over the wire"
-        );
-    }
-    assert_eq!(sync.report, udp.report, "the wire changed the outcome");
-    assert_eq!(
-        sync.trace.canonical_text(),
-        udp.trace.canonical_text(),
-        "sync and udp appliers diverge"
-    );
-
-    // Same bar for a fanout spec: one UDP egress per lane.
-    let fanout = FanoutSpec::fanout_matrix()
-        .into_iter()
-        .next()
-        .expect("the fanout matrix is non-empty")
-        .with_seed(MATRIX_SEEDS[0]);
-    let engine = FanoutEngine::new(fanout);
-    let sync = engine.run_sync();
-    let udp = engine.run_udp();
-    assert_eq!(sync.report, udp.report, "the wire changed the fanout outcome");
-}
-
-#[test]
-fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier() {
-    // Same bar as the dedicated-socket wire test, for the reactor path:
-    // every packet crosses a *shared* carrier socket (one UDP socket
-    // demuxed by stream id onto the worker pool, zero pump threads, via
-    // `Proxy::add_stream_udp_shared`), and the multiplexing must be
-    // invisible — the sync applier's report and canonical trace, byte for
-    // byte, at both matrix seeds.
+    // sockets (app socket → carrier demuxed by stream id onto the worker
+    // pool → app socket, via `Proxy::add_stream_udp_shared`), must produce
+    // the sync applier's report — delivered + recovered totals exactly —
+    // and the identical canonical trace, byte for byte, at both matrix
+    // seeds.
     for seed in MATRIX_SEEDS {
         let spec = ScenarioSpec::handoff_cliff().with_seed(seed);
         let engine = ScenarioEngine::new(spec);

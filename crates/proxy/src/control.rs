@@ -215,7 +215,7 @@ impl fmt::Display for Response {
                 for transport in &status.transports {
                     write!(
                         f,
-                        " udp={} at={} rx={} tx={} decode-err={} drop={} unknown-stream={}",
+                        " udp={} at={} rx={} tx={} decode-err={} drop={} unknown-stream={} io-err={}",
                         transport.name,
                         transport.ingress_addr,
                         transport.ingress.rx_packets,
@@ -223,6 +223,7 @@ impl fmt::Display for Response {
                         transport.ingress.decode_errors,
                         transport.ingress.dropped + transport.egress.dropped,
                         transport.unknown_streams,
+                        transport.io_errors,
                     )?;
                 }
                 if !status.secure.is_empty() {

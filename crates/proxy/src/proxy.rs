@@ -510,13 +510,14 @@ impl Proxy {
                 .map_err(|err| ProxyError::Transport(err.to_string()))?,
         );
         let egress = Arc::new(
-            SharedUdpEgress::over(ingress.socket(), &udp_config)
+            SharedUdpEgress::over(&ingress.socket(), &udp_config)
                 .map_err(|err| ProxyError::Transport(err.to_string()))?,
         );
         // Two reactor-driven tasks per *carrier* (not per stream): the
         // receive side wakes on socket readability, the send side on pipe
         // watchers installed per attached lane (readability would be
-        // noise for it).
+        // noise for it) and, after a refused send, on writability of its
+        // own fd for the same port.
         let ingress_work = Arc::new(SharedIngressWork {
             ingress: Arc::clone(&ingress),
             drain_batch: std::sync::OnceLock::new(),
@@ -848,7 +849,8 @@ impl Proxy {
     /// drain-batch histograms (`udp.*.drain_batch`) — plus the legacy
     /// stats structs folded in as flat metrics under the same scopes:
     /// per-stream chain and secure-channel counters, per-session head and
-    /// lane counters, per-carrier rx/tx and unknown-stream counters, and
+    /// lane counters, per-carrier rx/tx, unknown-stream and socket-error
+    /// counters, and
     /// the runtime's worker/queue/steal/poll counters.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let registry = self.telemetry.as_ref()?;
@@ -882,10 +884,10 @@ impl Proxy {
             snapshot.push_stats(&format!("{scope}.egress"), transport.egress.snapshot());
             snapshot.push_stats(
                 &scope,
-                vec![rapidware_telemetry::Metric::new(
-                    "unknown_streams",
-                    transport.unknown_streams,
-                )],
+                vec![
+                    rapidware_telemetry::Metric::new("unknown_streams", transport.unknown_streams),
+                    rapidware_telemetry::Metric::new("io_errors", transport.io_errors),
+                ],
             );
         }
         if let Some(runtime) = &self.runtime {
@@ -1292,7 +1294,7 @@ mod tests {
         assert_eq!(status.transports[0].unknown_streams, 1);
         let rendered = crate::Response::Status(status).to_string();
         assert!(rendered.contains("udp=wire at="), "{rendered}");
-        assert!(rendered.contains("unknown-stream=1"), "{rendered}");
+        assert!(rendered.contains("unknown-stream=1 io-err=0"), "{rendered}");
 
         // Zero per-socket threads: the only live transport machinery is the
         // reactor registration (one ingress + one egress driver).

@@ -57,6 +57,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -69,6 +70,7 @@ use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain};
 use rapidware_telemetry::{now_ns, Histogram, Registry};
 use rapidware_packet::Packet;
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, PipeWatcher, TryRecvError};
+use rapidware_transport::{Interest, Poller, Token};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
@@ -174,7 +176,8 @@ struct RuntimeTelemetry {
     /// step up — the scheduling latency the paper's adaptation loop rides
     /// on.
     queue_wait_ns: Arc<Histogram>,
-    /// Wall time of each reactor pass over the socket registration table.
+    /// One sample per reactor wake: from `epoll_wait` returning to the
+    /// last ready task being scheduled.  An idle proxy records none.
     scan_ns: Arc<Histogram>,
 }
 
@@ -625,8 +628,9 @@ impl Runtime {
 
     /// Installs the pool's profiling instruments into `registry`: task poll
     /// durations (`runtime.poll_ns`), run-queue wait (`runtime.queue_wait_ns`),
-    /// and reactor scan latency (`runtime.reactor.scan_ns`).  Until this is
-    /// called the hot path pays nothing beyond one relaxed poll counter.
+    /// and reactor dispatch time per wake (`runtime.reactor.scan_ns`).  Until
+    /// this is called the hot path pays nothing beyond one relaxed poll
+    /// counter.
     ///
     /// Idempotent: the first registry wins; later calls are no-ops.
     pub fn enable_telemetry(&self, registry: &Arc<Registry>) {
@@ -643,15 +647,20 @@ impl Runtime {
     }
 
     /// Registers a work item as a task on the next shard (round robin) and
-    /// gives it an initial kick.
-    fn register(self: &Arc<Self>, work: Box<dyn TaskWork>) -> Arc<Task> {
+    /// gives it an initial kick.  `work` is built with the task's own weak
+    /// handle in reach, for work that must hand its waker out before it can
+    /// exist (a socket's reactor registration).
+    fn register(
+        self: &Arc<Self>,
+        work: impl FnOnce(&Weak<Task>) -> Box<dyn TaskWork>,
+    ) -> Arc<Task> {
         let shard = self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.config.shards;
-        let task = Arc::new(Task {
+        let task = Arc::new_cyclic(|task| Task {
             state: AtomicU8::new(IDLE),
             shard,
             pool: Arc::downgrade(&self.shared),
             enqueued_ns: AtomicU64::new(0),
-            work,
+            work: work(task),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
@@ -694,7 +703,7 @@ impl Runtime {
             errors: AtomicU64::new(0),
             splices: AtomicU64::new(0),
         });
-        let task = self.register(Box::new(Arc::clone(&work)));
+        let task = self.register(|_| Box::new(Arc::clone(&work)));
         // The task wakes when its inbox has data, when its outbox frees
         // space, and when its outbox sender becomes usable again after a
         // pause/reconnect splice.
@@ -755,7 +764,7 @@ impl Runtime {
             }),
             batch_size,
         });
-        let fanout_task = self.register(Box::new(Arc::clone(&fanout_work)));
+        let fanout_task = self.register(|_| Box::new(Arc::clone(&fanout_work)));
         head_out.set_data_watcher(Arc::new(TaskWaker {
             task: Arc::downgrade(&fanout_task),
         }));
@@ -810,32 +819,30 @@ impl Runtime {
     /// reactor: the readiness analogue of a chain task's `PipeWatcher`
     /// wiring, so a socket costs a task, not a thread.
     ///
-    /// The task is stepped whenever the reactor observes the registered
+    /// The task is stepped whenever the reactor reports the registered
     /// interest on `socket` (or [`SocketDriver::kick`] / a watcher
     /// installed via [`SocketDriver::watch_source`] fires), and calls
     /// `work.service()` each step; see [`SocketWork`] for the contract.
     /// The reactor thread itself is started lazily by the first driver and
     /// is shared by every socket on this runtime — session counts scale
     /// with **zero** additional threads.
+    ///
+    /// The reactor keys registrations on the file descriptor, so two
+    /// drivers of one port (a receive half and a send half) each bring
+    /// their own fd — `SharedUdpEgress::over` `try_clone()`s one for the
+    /// send half.  Linux-only: the reactor blocks in `epoll_wait`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the reactor cannot be created or refuses the socket: the
+    /// process is out of file descriptors or kernel memory, or this very
+    /// fd is registered already.
     pub fn drive_socket(
         self: &Arc<Self>,
         socket: Arc<UdpSocket>,
         interest: SocketInterest,
         work: Arc<dyn SocketWork>,
     ) -> SocketDriver {
-        let stop = Arc::new(AtomicBool::new(false));
-        let armed = Arc::new(AtomicBool::new(false));
-        let task = self.register(Box::new(SocketTaskWork {
-            work,
-            stop: Arc::clone(&stop),
-            armed: Arc::clone(&armed),
-        }));
-        let entry = ReactorEntry {
-            socket,
-            task: Arc::downgrade(&task),
-            armed,
-            readable: matches!(interest, SocketInterest::Readable),
-        };
         let mut slot = self.reactor.lock();
         let handle = slot.get_or_insert_with(ReactorHandle::start);
         // A reactor started after enable_telemetry still gets the
@@ -843,18 +850,46 @@ impl Runtime {
         if let Some(telemetry) = self.shared.telemetry.get() {
             let _ = handle.shared.telemetry.set(Arc::clone(telemetry));
         }
-        handle.register(entry);
-        SocketDriver { task, stop }
+        let reactor = Arc::clone(&handle.shared);
+        let stop = Arc::new(AtomicBool::new(false));
+        let idle_interest = match interest {
+            SocketInterest::Readable => Interest::READABLE,
+            SocketInterest::Writable => Interest::NONE,
+        };
+        let mut token = None;
+        // The socket is in the epoll set before the task's first step (the
+        // initial kick inside `register`), so that step's re-arm finds it.
+        let task = self.register(|task| {
+            let registered = reactor
+                .poller
+                .add(socket, idle_interest, task.clone())
+                .expect("registering a socket with the reactor");
+            token = Some(registered);
+            Box::new(SocketTaskWork {
+                work,
+                stop: Arc::clone(&stop),
+                reactor: Arc::clone(&reactor),
+                token: registered,
+                idle_interest,
+            })
+        });
+        SocketDriver {
+            task,
+            stop,
+            reactor,
+            token: token.expect("register builds the work exactly once"),
+        }
     }
 
     /// Sockets currently registered with the reactor — zero when no
-    /// [`drive_socket`](Self::drive_socket) driver is live (entries for
-    /// finished drivers are pruned on the next tick).
+    /// [`drive_socket`](Self::drive_socket) driver is live.  Exact: a
+    /// driver's registration is gone the moment its
+    /// [`shutdown`](SocketDriver::shutdown) returns.
     pub fn reactor_sockets(&self) -> usize {
         self.reactor
             .lock()
             .as_ref()
-            .map_or(0, |handle| handle.shared.entries.lock().len())
+            .map_or(0, |handle| handle.shared.poller.len())
     }
 
     /// Stops the worker pool: workers finish their current step and exit.
@@ -865,19 +900,20 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::WorkerFailed`] if a worker thread panicked.
+    /// Returns [`ProxyError::WorkerFailed`] if a worker thread or the
+    /// socket reactor panicked.
     pub fn shutdown(&self) -> Result<(), ProxyError> {
         // The reactor goes first: with the wake source gone, no new socket
         // work can be scheduled while the workers drain and exit.
+        let mut failure = None;
         if let Some(reactor) = self.reactor.lock().take() {
-            reactor.stop();
+            failure = reactor.stop().err();
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
             let _sleepers = self.shared.sleepers.lock();
             self.shared.wake.notify_all();
         }
-        let mut failure = None;
         for (index, handle) in self.workers.lock().drain(..).enumerate() {
             if handle.join().is_err() && failure.is_none() {
                 failure = Some(ProxyError::WorkerFailed(format!("shard worker {index}")));
@@ -900,13 +936,6 @@ impl Drop for Runtime {
 // Socket reactor.
 // ---------------------------------------------------------------------------
 
-/// The reactor's probe cadence: how long a registered socket can be
-/// readable before its task is scheduled, and the retry latency after a
-/// `Blocked` send.  Latency only — while a drain keeps reporting
-/// [`SocketStep::Progress`], the task requeues itself through the pool and
-/// the reactor is not involved at all.
-const REACTOR_TICK: Duration = Duration::from_micros(250);
-
 /// Which readiness events should wake a [`drive_socket`] task.
 ///
 /// [`drive_socket`]: Runtime::drive_socket
@@ -915,9 +944,10 @@ pub enum SocketInterest {
     /// Wake whenever the socket holds readable datagrams (a receive-side
     /// driver).
     Readable,
-    /// Wake only when armed by a [`SocketStep::Blocked`] service pass (a
-    /// send-side driver: new frames arrive via pipe watchers installed
-    /// with [`SocketDriver::watch_source`], so readability is noise).
+    /// Wake only when the socket turns writable after a
+    /// [`SocketStep::Blocked`] service pass (a send-side driver: new frames
+    /// arrive via pipe watchers installed with
+    /// [`SocketDriver::watch_source`], so readability is noise).
     Writable,
 }
 
@@ -928,7 +958,8 @@ pub enum SocketStep {
     Progress,
     /// Nothing to do until the socket or a watched pipe becomes ready.
     Idle,
-    /// The OS refused a send (`WouldBlock`): retry after a reactor tick.
+    /// The OS refused a send (`WouldBlock`): step again when the socket
+    /// reports writable.
     Blocked,
 }
 
@@ -941,15 +972,35 @@ pub trait SocketWork: Send + Sync {
     fn service(&self) -> SocketStep;
 }
 
-/// Adapts a [`SocketWork`] to the pool's task state machine.  `stop` is
-/// the driver's abort flag: the task runs one final service pass (a
-/// best-effort flush) and finishes.
+/// Adapts a [`SocketWork`] to the pool's task state machine and owns the
+/// re-arm half of the reactor's one-shot protocol.  `stop` is the driver's
+/// abort flag: the task runs one final service pass (a best-effort flush)
+/// and finishes.
 struct SocketTaskWork {
     work: Arc<dyn SocketWork>,
     stop: Arc<AtomicBool>,
-    /// Set on `Blocked` so the reactor schedules the task on its next tick
-    /// even without socket readability (write-retry arming).
-    armed: Arc<AtomicBool>,
+    reactor: Arc<ReactorShared>,
+    token: Token,
+    /// What the socket is armed for while the task is idle.
+    idle_interest: Interest,
+}
+
+impl SocketTaskWork {
+    /// Re-arms the socket's one-shot registration.  Runs inside the step,
+    /// *after* the service pass saw the socket run dry (or full): the
+    /// kernel re-polls the socket on re-arm, so readiness that appeared in
+    /// between fires at once and lands on the notify-while-running state
+    /// machine — no wake can be lost, and none arrives while a drain is
+    /// still making progress.
+    fn arm(&self, interest: Interest) {
+        match self.reactor.poller.arm(self.token, interest) {
+            Ok(()) => {}
+            // The driver was deregistered while this step ran (its pool is
+            // stopping): no further wake is owed.
+            Err(err) if err.kind() == io::ErrorKind::NotFound => {}
+            Err(err) => panic!("re-arming a reactor socket failed: {err}"),
+        }
+    }
 }
 
 impl TaskWork for SocketTaskWork {
@@ -960,28 +1011,27 @@ impl TaskWork for SocketTaskWork {
         }
         match self.work.service() {
             SocketStep::Progress => StepOutcome::Progress,
-            SocketStep::Idle => StepOutcome::Idle,
+            SocketStep::Idle => {
+                // A send half idles on its pipe watchers alone.
+                if self.idle_interest != Interest::NONE {
+                    self.arm(self.idle_interest);
+                }
+                StepOutcome::Idle
+            }
             SocketStep::Blocked => {
-                self.armed.store(true, Ordering::SeqCst);
+                self.arm(Interest {
+                    writable: true,
+                    ..self.idle_interest
+                });
                 StepOutcome::Idle
             }
         }
     }
 }
 
-/// One registered socket: who to wake, and when.
-struct ReactorEntry {
-    socket: Arc<UdpSocket>,
-    task: Weak<Task>,
-    armed: Arc<AtomicBool>,
-    /// Probe for readable datagrams (ingress) or only honour arms
-    /// (egress).
-    readable: bool,
-}
-
 struct ReactorShared {
-    entries: Mutex<Vec<ReactorEntry>>,
-    shutdown: AtomicBool,
+    /// Every registered socket, carrying the task its readiness wakes.
+    poller: Poller<Weak<Task>>,
     /// Profiling instruments shared with the pool; empty until telemetry
     /// is enabled on the owning runtime.
     telemetry: OnceLock<Arc<RuntimeTelemetry>>,
@@ -990,17 +1040,13 @@ struct ReactorShared {
 /// The running reactor: one thread for *all* registered sockets.
 struct ReactorHandle {
     shared: Arc<ReactorShared>,
-    /// Unpark handle, so registration and shutdown cut the current tick
-    /// short instead of waiting it out.
-    thread: std::thread::Thread,
-    join: Option<JoinHandle<()>>,
+    join: JoinHandle<()>,
 }
 
 impl ReactorHandle {
     fn start() -> Self {
         let shared = Arc::new(ReactorShared {
-            entries: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
+            poller: Poller::new().expect("creating the reactor's epoll set and eventfd"),
             telemetry: OnceLock::new(),
         });
         let loop_shared = Arc::clone(&shared);
@@ -1008,73 +1054,49 @@ impl ReactorHandle {
             .name("rapidware-reactor".to_string())
             .spawn(move || reactor_loop(&loop_shared))
             .expect("spawning the reactor thread never fails");
-        let thread = join.thread().clone();
-        Self {
-            shared,
-            thread,
-            join: Some(join),
-        }
+        Self { shared, join }
     }
 
-    fn register(&self, entry: ReactorEntry) {
-        self.shared.entries.lock().push(entry);
-        self.thread.unpark();
-    }
-
-    fn stop(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.thread.unpark();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+    /// Wakes the reactor out of `epoll_wait` — the poller's wake-up has no
+    /// other use, so the loop takes it as the order to exit — and joins it.
+    fn stop(self) -> Result<(), ProxyError> {
+        // Without the wake the join below would never return.
+        self.shared.poller.wake().map_err(|err| {
+            ProxyError::WorkerFailed(format!("socket reactor could not be woken: {err}"))
+        })?;
+        self.join
+            .join()
+            .map_err(|_| ProxyError::WorkerFailed("socket reactor".to_string()))
     }
 }
 
-/// The readiness loop: a level-triggered scan over the registration table.
+/// The readiness loop: block in `epoll_wait` — no timeout, so an idle
+/// proxy makes no wake-ups at all — and schedule the task of every socket
+/// that fired, exactly the wake a `PipeWatcher` would deliver for a pipe.
 ///
-/// Each tick, every live entry is probed with a non-blocking 1-byte
-/// `peek_from` (`MSG_PEEK`: nothing is consumed, truncation is harmless) —
-/// a readable socket schedules its task, exactly the wake a `PipeWatcher`
-/// would deliver for a pipe.  Level triggering means a wake can never be
-/// lost: if the task goes idle with data still queued, the next tick
-/// re-schedules it.  Spurious wakes are free — the task model already
-/// tolerates them.  Entries whose task finished (or was dropped) are
-/// pruned in place.
+/// Registrations are one-shot: a socket that fired stays disarmed until
+/// its task re-arms it (see [`SocketTaskWork::arm`]), so while a drain
+/// keeps reporting [`SocketStep::Progress`] the task requeues itself
+/// through the pool and the reactor sleeps.
 fn reactor_loop(shared: &ReactorShared) {
-    let mut probe = [0u8; 1];
+    let mut ready = Vec::new();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        let stopping = shared
+            .poller
+            .wait(&mut ready)
+            .expect("waiting on the reactor's epoll set");
+        if stopping {
             return;
         }
-        {
-            let telemetry = shared.telemetry.get();
-            let scan_start = telemetry.map(|_| now_ns());
-            let mut entries = shared.entries.lock();
-            entries.retain(|entry| {
-                let Some(task) = entry.task.upgrade() else {
-                    return false;
-                };
-                if task.is_done() {
-                    return false;
-                }
-                if entry.armed.swap(false, Ordering::SeqCst) {
-                    task.schedule();
-                } else if entry.readable {
-                    match entry.socket.peek_from(&mut probe) {
-                        Ok(_) => task.schedule(),
-                        Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {}
-                        // Let the driver observe and classify the error.
-                        Err(_) => task.schedule(),
-                    }
-                }
-                true
-            });
-            drop(entries);
-            if let (Some(telemetry), Some(start)) = (telemetry, scan_start) {
-                telemetry.scan_ns.record(now_ns().saturating_sub(start));
+        let woke = shared.telemetry.get().map(|telemetry| (telemetry, now_ns()));
+        for task in ready.drain(..) {
+            if let Some(task) = task.upgrade() {
+                task.schedule();
             }
         }
-        std::thread::park_timeout(REACTOR_TICK);
+        if let Some((telemetry, start)) = woke {
+            telemetry.scan_ns.record(now_ns().saturating_sub(start));
+        }
     }
 }
 
@@ -1083,6 +1105,8 @@ fn reactor_loop(shared: &ReactorShared) {
 pub struct SocketDriver {
     task: Arc<Task>,
     stop: Arc<AtomicBool>,
+    reactor: Arc<ReactorShared>,
+    token: Token,
 }
 
 impl fmt::Debug for SocketDriver {
@@ -1109,32 +1133,43 @@ impl SocketDriver {
         }));
     }
 
-    /// `true` once the task has finished (after [`shutdown`](Self::shutdown),
-    /// or a service pass observed a terminal condition).
+    /// `true` once the task has finished (after [`shutdown`](Self::shutdown)).
     pub fn is_done(&self) -> bool {
         self.task.is_done()
     }
 
     /// Stops the driver: the task runs one final service pass (best-effort
-    /// flush) and finishes; the reactor prunes the socket on its next
-    /// tick.  Call while the runtime's workers are still running.
+    /// flush) and finishes, and the socket is deregistered from the
+    /// reactor before this returns.  Call while the runtime's workers are
+    /// still running.
     ///
     /// # Errors
     ///
     /// Returns [`ProxyError::WorkerFailed`] if the task cannot complete
-    /// because the pool stopped first.
+    /// because the pool stopped first, or [`ProxyError::Transport`] if the
+    /// reactor failed to deregister the socket.
     pub fn shutdown(&self) -> Result<(), ProxyError> {
         self.stop.store(true, Ordering::SeqCst);
         self.task.schedule();
-        if self.task.is_done()
-            || (self.task.pool_running() && self.task.wait_done(SHUTDOWN_GRACE))
-        {
-            Ok(())
-        } else {
-            Err(ProxyError::WorkerFailed(
+        let finished = self.task.is_done()
+            || (self.task.pool_running() && self.task.wait_done(SHUTDOWN_GRACE));
+        let deregistered = self.reactor.poller.remove(self.token);
+        if !finished {
+            return Err(ProxyError::WorkerFailed(
                 "socket driver task never finished".to_string(),
-            ))
+            ));
         }
+        deregistered
+            .map(drop)
+            .map_err(|err| ProxyError::Transport(format!("deregistering a reactor socket: {err}")))
+    }
+}
+
+impl Drop for SocketDriver {
+    fn drop(&mut self) {
+        // A driver dropped without `shutdown` must not pin its socket in
+        // the reactor; after `shutdown` this finds nothing to remove.
+        let _ = self.reactor.poller.remove(self.token);
     }
 }
 
@@ -2356,5 +2391,164 @@ mod tests {
         let config = RuntimeConfig::new(0, 0);
         assert_eq!(config.shards, 1);
         assert_eq!(config.batch_size, 1);
+    }
+
+    // -- The reactor's wake protocol ---------------------------------------
+    //
+    // Each test scripts a fake `SocketWork` by step number and follows it
+    // through a channel; the only clock is the bound on a genuine hang.
+
+    const HANG: Duration = Duration::from_secs(30);
+
+    /// A `SocketWork` whose `n`-th service pass runs `script(n, socket)`
+    /// and then reports `n` to the test.
+    struct ScriptedWork<F> {
+        socket: Arc<UdpSocket>,
+        script: F,
+        passes: AtomicU64,
+        report: Mutex<std::sync::mpsc::Sender<u64>>,
+    }
+
+    impl<F: Fn(u64, &UdpSocket) -> SocketStep + Send + Sync> SocketWork for ScriptedWork<F> {
+        fn service(&self) -> SocketStep {
+            let pass = self.passes.fetch_add(1, Ordering::SeqCst);
+            let step = (self.script)(pass, &self.socket);
+            let _ = self.report.lock().send(pass);
+            step
+        }
+    }
+
+    fn loopback_socket() -> Arc<UdpSocket> {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.set_nonblocking(true).unwrap();
+        Arc::new(socket)
+    }
+
+    /// Loopback delivery is synchronous: the datagram is in `socket`'s
+    /// receive queue when this returns.
+    fn send_to(socket: &UdpSocket) {
+        socket.send_to(b"x", socket.local_addr().unwrap()).unwrap();
+    }
+
+    /// Empties the receive queue and returns how many datagrams it held.
+    fn drain(socket: &UdpSocket) -> usize {
+        let mut byte = [0u8; 1];
+        std::iter::from_fn(|| socket.recv_from(&mut byte).ok()).count()
+    }
+
+    fn drive_scripted(
+        runtime: &Arc<Runtime>,
+        socket: &Arc<UdpSocket>,
+        interest: SocketInterest,
+        script: impl Fn(u64, &UdpSocket) -> SocketStep + Send + Sync + 'static,
+    ) -> (SocketDriver, std::sync::mpsc::Receiver<u64>) {
+        let (report, passes) = std::sync::mpsc::channel();
+        let work = Arc::new(ScriptedWork {
+            socket: Arc::clone(socket),
+            script,
+            passes: AtomicU64::new(0),
+            report: Mutex::new(report),
+        });
+        (runtime.drive_socket(Arc::clone(socket), interest, work), passes)
+    }
+
+    fn reactor_wakes(registry: &Registry) -> u64 {
+        registry.histogram("runtime.reactor.scan_ns").snapshot().count()
+    }
+
+    #[test]
+    fn reactor_rearm_loses_no_wake() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let consumed = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&consumed);
+        let (driver, passes) =
+            drive_scripted(&runtime, &socket, SocketInterest::Readable, move |_, socket| {
+                // The drain runs dry …
+                let drained = drain(socket) as u64;
+                if drained > 0 && seen.fetch_add(drained, Ordering::SeqCst) == 0 {
+                    // … and one more datagram lands before the task goes
+                    // idle and re-arms its fired (hence silent) socket.
+                    send_to(socket);
+                }
+                SocketStep::Idle
+            });
+        send_to(&socket);
+        // Nothing else ever kicks the task: only the re-arm re-polling the
+        // socket can get the second datagram consumed.
+        while consumed.load(Ordering::SeqCst) < 2 {
+            passes
+                .recv_timeout(HANG)
+                .expect("the datagram that raced the re-arm must wake the task again");
+        }
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_blocked_wakes_on_writability() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let (driver, passes) =
+            drive_scripted(&runtime, &socket, SocketInterest::Writable, |pass, _| {
+                if pass == 0 {
+                    SocketStep::Blocked
+                } else {
+                    SocketStep::Idle
+                }
+            });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        // Nothing kicks the task and nothing is readable: only EPOLLOUT on
+        // the (empty, hence writable) socket can deliver this step.
+        assert_eq!(passes.recv_timeout(HANG), Ok(1));
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_one_shot_holds_under_load() {
+        const BUSY: u64 = 100;
+        let registry = Registry::new();
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        runtime.enable_telemetry(&registry);
+        let socket = loopback_socket();
+        // Readable from the start: the registration fires exactly once.
+        send_to(&socket);
+        let (driver, passes) =
+            drive_scripted(&runtime, &socket, SocketInterest::Readable, |pass, socket| {
+                if pass < BUSY {
+                    // A drain that keeps finding work while more keeps
+                    // landing on the (fired, hence silent) socket.
+                    send_to(socket);
+                    SocketStep::Progress
+                } else {
+                    drain(socket);
+                    SocketStep::Idle
+                }
+            });
+        while passes.recv_timeout(HANG).expect("the drain runs to its end") < BUSY {}
+        driver.shutdown().unwrap();
+        // Joins the reactor, so every sample it took is in the histogram.
+        runtime.shutdown().unwrap();
+        assert!(
+            reactor_wakes(&registry) <= 1,
+            "{BUSY} busy passes over a readable socket woke the reactor {} times",
+            reactor_wakes(&registry)
+        );
+    }
+
+    #[test]
+    fn reactor_idle_means_idle() {
+        let mut proxy = crate::Proxy::with_runtime("idle", RuntimeConfig::new(2, 8));
+        let registry = proxy.enable_telemetry();
+        proxy
+            .add_udp_carrier("wire", crate::UdpCarrierConfig::new())
+            .unwrap();
+        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 2);
+        // The observation window, not a synchronisation: the old reactor
+        // would have ticked ~800 times in it.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(reactor_wakes(&registry), 0, "no traffic, no wake-ups");
+        proxy.shutdown().unwrap();
     }
 }

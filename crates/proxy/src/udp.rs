@@ -59,6 +59,8 @@ pub struct UdpTransportStatus {
     pub egress: TransportSnapshot,
     /// Decoded datagrams whose stream id had no registered route.
     pub unknown_streams: u64,
+    /// Receive calls the socket failed with anything but `WouldBlock`.
+    pub io_errors: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -415,8 +417,9 @@ impl SocketWork for SharedIngressWork {
     }
 }
 
-/// Adapts a carrier's send side to the reactor: a pipe-watcher wake (or a
-/// write-retry tick after `Blocked`) runs one bounded mux flush.
+/// Adapts a carrier's send side to the reactor: a pipe-watcher wake (or,
+/// after `Blocked`, the socket turning writable) runs one bounded mux
+/// flush.
 pub(crate) struct SharedEgressWork {
     pub(crate) egress: Arc<SharedUdpEgress>,
 }
@@ -461,6 +464,7 @@ impl UdpCarrier {
             ingress: ingress.stats().snapshot(),
             egress: self.egress.stats().snapshot(),
             unknown_streams: ingress.unknown_streams(),
+            io_errors: ingress.io_errors(),
         }
     }
 }

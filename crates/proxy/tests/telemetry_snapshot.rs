@@ -134,6 +134,7 @@ fn pooled_shared_udp_encrypted_fec_session_reports_unified_telemetry() {
     assert!(snapshot.stat("udp.wire.ingress.rx_datagrams") >= Some(8));
     assert!(snapshot.stat("udp.wire.egress.tx_datagrams") >= Some(8));
     assert_eq!(snapshot.stat("udp.wire.unknown_streams"), Some(0));
+    assert_eq!(snapshot.stat("udp.wire.io_errors"), Some(0));
     assert!(snapshot.stat("runtime.polls") > Some(0));
     assert!(snapshot.stat("runtime.steals").is_some(), "steal counter present even when zero");
     assert_eq!(snapshot.stat("runtime.workers"), Some(2));

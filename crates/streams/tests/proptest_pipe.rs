@@ -5,7 +5,7 @@
 //! sequence of receivers the sender was attached to.
 
 use proptest::prelude::*;
-use rapidware_streams::{detached_pair, pipe, DetachableReceiver, TryRecvError};
+use rapidware_streams::{detached_pair, pipe, DetachableReceiver, ReconnectError, TryRecvError};
 
 /// One step of a randomly generated splice schedule.
 #[derive(Debug, Clone)]
@@ -109,7 +109,7 @@ proptest! {
         }
         let pauser = {
             let tx = tx.clone();
-            std::thread::spawn(move || tx.pause().unwrap())
+            std::thread::spawn(move || tx.pause())
         };
         loop {
             match rx_a.recv_timeout(std::time::Duration::from_millis(10)) {
@@ -119,15 +119,26 @@ proptest! {
                         break;
                     }
                 }
+                // The producer sent everything and closed before the pause
+                // took hold: every item came through `rx_a`.
+                Err(TryRecvError::Eof) => break,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        pauser.join().unwrap();
+        let paused = pauser.join().unwrap();
 
         let rx_b = DetachableReceiver::new_detached(8);
-        tx.reconnect(&rx_b).unwrap();
-        while let Ok(v) = rx_b.recv() {
-            seen.push(v);
+        match tx.reconnect(&rx_b) {
+            Ok(()) => {
+                prop_assert!(paused.is_ok(), "a reconnectable sender was paused");
+                while let Ok(v) = rx_b.recv() {
+                    seen.push(v);
+                }
+            }
+            // Same interleaving seen from the sender: the producer closed
+            // it before (the pause reports closed) or right after the pause.
+            Err(ReconnectError::SenderClosed) => {}
+            Err(e) => panic!("unexpected error: {e}"),
         }
         producer.join().unwrap();
 

@@ -16,6 +16,9 @@
 //! * [`SharedUdpEgress`] — N lanes, each draining its own pipe towards its
 //!   own peer, multiplexed onto one socket (normally the ingress's, so one
 //!   port carries both directions).
+//! * [`Poller`] — the one-shot `epoll` readiness set a driver blocks in to
+//!   learn *when* to call those endpoints; this is what makes the socket
+//!   path **Linux-only**.
 //! * [`ImpairedUdp`] — a loopback relay applying a **seeded, deterministic**
 //!   drop/delay schedule to the datagrams passing through it, mirroring
 //!   `netsim`'s `ScheduledLoss` so scenario runs over real sockets stay
@@ -87,12 +90,17 @@
 //! [`DetachableReceiver`]: rapidware_streams::DetachableReceiver
 //! [`PacketKind::Control`]: rapidware_packet::PacketKind::Control
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the readiness module (`poller`) opts back in
+// with a scoped `#[allow]` — it is the only unsafe code in the crate (four
+// epoll/eventfd declarations std has no safe form of), and its safety
+// contract is documented at the module head.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod endpoint;
 mod impaired;
+mod poller;
 mod shared;
 mod stats;
 
@@ -100,6 +108,7 @@ pub use endpoint::UdpConfig;
 pub use impaired::{
     ImpairedSnapshot, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan,
 };
+pub use poller::{Interest, Poller, Token};
 pub use shared::{SharedDrain, SharedFlush, SharedUdpEgress, SharedUdpError, SharedUdpIngress};
 pub use stats::{TransportSnapshot, TransportStats};
 

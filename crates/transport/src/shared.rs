@@ -3,8 +3,9 @@
 //! The endpoints spend **zero** threads: they only expose non-blocking
 //! batch operations — [`SharedUdpIngress::drain_batch`] and
 //! [`SharedUdpEgress::flush_batch`] — and rely on a driver (inside a proxy,
-//! the pooled runtime's readiness reactor) to call them when the socket is
-//! readable or a pipe has data:
+//! the pooled runtime's readiness reactor, blocked in a
+//! [`Poller`](crate::Poller)) to call them when the socket is readable or a
+//! pipe has data:
 //!
 //! ```text
 //!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route by stream id ──▶ pipe per stream
@@ -75,7 +76,7 @@ pub enum SharedFlush {
     /// Nothing to send: every live source pipe was empty.
     Idle,
     /// The socket refused a send (`WouldBlock`); the frame is held and the
-    /// caller should retry after a writability tick.
+    /// caller should retry once the socket reports writable.
     Blocked,
 }
 
@@ -96,6 +97,7 @@ pub struct SharedUdpIngress {
     route_capacity: usize,
     stats: TransportStats,
     unknown_streams: Arc<AtomicU64>,
+    io_errors: AtomicU64,
     routes: Mutex<BTreeMap<u32, DetachableSender<Packet>>>,
     scratch: Mutex<Vec<u8>>,
 }
@@ -131,6 +133,7 @@ impl SharedUdpIngress {
             route_capacity: config.capacity,
             stats: TransportStats::new(),
             unknown_streams: Arc::new(AtomicU64::new(0)),
+            io_errors: AtomicU64::new(0),
             routes: Mutex::new(BTreeMap::new()),
             scratch: Mutex::new(vec![0u8; MAX_DATAGRAM_LEN]),
         })
@@ -142,8 +145,8 @@ impl SharedUdpIngress {
     }
 
     /// The underlying socket, shared so a [`SharedUdpEgress`] can send
-    /// from the same port ([`SharedUdpEgress::over`]) and a reactor can
-    /// watch it for readability.
+    /// from the same port ([`SharedUdpEgress::over`]) and a
+    /// [`Poller`](crate::Poller) can watch it for readability.
     pub fn socket(&self) -> Arc<UdpSocket> {
         Arc::clone(&self.socket)
     }
@@ -158,6 +161,13 @@ impl SharedUdpIngress {
     /// [`dropped`](TransportStats::dropped).
     pub fn unknown_streams(&self) -> u64 {
         self.unknown_streams.load(Ordering::Relaxed)
+    }
+
+    /// `recv_from` failures other than `WouldBlock` (for example an ICMP
+    /// error queued on the socket).  Each ends its
+    /// [`drain_batch`](Self::drain_batch) pass; no datagram is counted.
+    pub fn io_errors(&self) -> u64 {
+        self.io_errors.load(Ordering::Relaxed)
     }
 
     /// Number of currently registered stream routes.
@@ -225,16 +235,22 @@ impl SharedUdpIngress {
     /// by the packet's stream id.  A per-stream FIN closes that stream's
     /// route only; frames for unregistered streams bump
     /// [`unknown_streams`](Self::unknown_streams) and are dropped; a full
-    /// route drops the frame rather than stall its socket-mates.
+    /// route drops the frame rather than stall its socket-mates.  A socket
+    /// error is counted in [`io_errors`](Self::io_errors) and ends the pass
+    /// like an empty socket.
     pub fn drain_batch(&self) -> SharedDrain {
         let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         for _ in 0..self.batch_size {
             let len = match self.socket.recv_from(&mut scratch) {
                 Ok((len, _peer)) => len,
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return SharedDrain::Empty,
-                // Transient socket errors (e.g. ICMP-induced) are treated
-                // as "nothing readable"; the reactor will retry.
-                Err(_) => return SharedDrain::Empty,
+                // A socket error (e.g. ICMP-induced) is consumed by the
+                // failed call: count it and report "nothing readable", so
+                // the driver re-arms and the next datagram wakes it.
+                Err(_) => {
+                    self.io_errors.fetch_add(1, Ordering::Relaxed);
+                    return SharedDrain::Empty;
+                }
             };
             self.stats.record_rx_datagram();
             match Packet::decode(&scratch[..len]) {
@@ -298,11 +314,11 @@ struct EgressLane {
 /// The sending half of a shared socket: N lanes, each draining its own
 /// pipe and sending to its own peer, multiplexed onto one socket.
 ///
-/// Created with [`over`](Self::over) (reusing a [`SharedUdpIngress`]'s
-/// socket, so one port carries both directions) or
+/// Created with [`over`](Self::over) (sending from a
+/// [`SharedUdpIngress`]'s port, so one port carries both directions) or
 /// [`bind`](Self::bind).  The endpoint owns no thread; a driver calls
 /// [`flush_batch`](Self::flush_batch) when any source pipe has data (and
-/// again after a writability tick if the socket pushed back).
+/// again once the socket reports writable if it pushed back).
 ///
 /// When a lane's pipe reports EOF the lane sends a per-stream FIN
 /// ([`stream_fin_packet`](crate::stream_fin_packet)) so the remote end
@@ -334,25 +350,21 @@ enum SendOutcome {
 }
 
 impl SharedUdpEgress {
-    /// Builds an egress over an existing (non-blocking) socket — normally
-    /// a [`SharedUdpIngress::socket`], so one bound port carries both
+    /// Builds an egress over an existing socket — normally a
+    /// [`SharedUdpIngress::socket`], so one bound port carries both
     /// directions of all its streams.
+    ///
+    /// The egress sends through its own `try_clone()` of `socket`: same
+    /// port, separate fd.  A [`Poller`](crate::Poller) keys registrations
+    /// on the fd, so the receive half and the send half of one port can
+    /// each be registered, and re-armed, without knowing about the other.
     ///
     /// # Errors
     ///
-    /// Any socket error from reading the local address or switching the
-    /// socket to non-blocking mode.
-    pub fn over(socket: Arc<UdpSocket>, config: &crate::UdpConfig) -> io::Result<Self> {
-        socket.set_nonblocking(true)?;
-        let local_addr = socket.local_addr()?;
-        Ok(Self {
-            socket,
-            local_addr,
-            batch_size: config.batch_size.max(1),
-            stats: TransportStats::new(),
-            lanes: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
-        })
+    /// Any socket error from duplicating the fd, reading the local address
+    /// or switching the socket to non-blocking mode.
+    pub fn over(socket: &UdpSocket, config: &crate::UdpConfig) -> io::Result<Self> {
+        Self::from_socket(socket.try_clone()?, config)
     }
 
     /// Binds a fresh non-blocking socket on `addr` for a send-only egress.
@@ -361,8 +373,20 @@ impl SharedUdpEgress {
     ///
     /// Any socket error from binding.
     pub fn bind(addr: impl ToSocketAddrs, config: &crate::UdpConfig) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
-        Self::over(Arc::new(socket), config)
+        Self::from_socket(UdpSocket::bind(addr)?, config)
+    }
+
+    fn from_socket(socket: UdpSocket, config: &crate::UdpConfig) -> io::Result<Self> {
+        socket.set_nonblocking(true)?;
+        let local_addr = socket.local_addr()?;
+        Ok(Self {
+            socket: Arc::new(socket),
+            local_addr,
+            batch_size: config.batch_size.max(1),
+            stats: TransportStats::new(),
+            lanes: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
+        })
     }
 
     /// The socket's bound address.
@@ -370,7 +394,8 @@ impl SharedUdpEgress {
         self.local_addr
     }
 
-    /// The underlying socket (for reactor registration).
+    /// The socket this egress sends through (for
+    /// [`Poller`](crate::Poller) registration).
     pub fn socket(&self) -> Arc<UdpSocket> {
         Arc::clone(&self.socket)
     }
@@ -405,7 +430,7 @@ impl SharedUdpEgress {
     ///
     /// Returns [`SharedFlush::Blocked`] as soon as the OS refuses a send
     /// (`WouldBlock`): the refused frame is held, and the caller should
-    /// retry after a writability tick.  Finished lanes are pruned.
+    /// retry once the socket reports writable.  Finished lanes are pruned.
     pub fn flush_batch(&self) -> SharedFlush {
         let mut lanes = self.lock_lanes();
         let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
@@ -646,6 +671,23 @@ mod tests {
         }
         assert_eq!(delivered, 4);
         assert_eq!(neighbour.try_recv().unwrap().stream().value(), 2, "neighbour unaffected");
+    }
+
+    #[test]
+    fn a_socket_error_is_counted_and_ends_the_pass_like_an_empty_socket() {
+        let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        let _route = ingress.open_stream(StreamId::new(1)).unwrap();
+        // Queue an ICMP port-unreachable on the ingress socket: a connected
+        // UDP socket that sends to a closed loopback port gets
+        // ECONNREFUSED from its next receive.
+        let closed = UdpSocket::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        ingress.socket.connect(closed).unwrap();
+        ingress.socket.send(b"anyone there?").unwrap();
+        drain_until(&ingress, || ingress.io_errors() == 1);
+        assert_eq!(ingress.drain_batch(), SharedDrain::Empty, "the error was consumed");
+        assert_eq!(ingress.io_errors(), 1);
+        assert_eq!(ingress.stats().rx_datagrams(), 0, "an error is not a datagram");
+        assert_eq!(ingress.route_count(), 1, "routes are untouched");
     }
 
     #[test]

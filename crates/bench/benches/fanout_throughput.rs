@@ -20,7 +20,7 @@ use std::time::Instant;
 use rapidware::engine::{FanoutApplier, FanoutSpec, LaneSpec, SyncFanoutApplier};
 use rapidware::filters::{FecEncoderFilter, FilterChain};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::{FilterSpec, Session};
+use rapidware::proxy::{FilterSpec, Proxy, RuntimeConfig};
 use rapidware_bench::report::BenchReport;
 
 const PACKETS: usize = 8_192;
@@ -99,11 +99,13 @@ fn independent_chains_pps(packets: &[Packet]) -> f64 {
     packets.len() as f64 / elapsed
 }
 
-/// The live threaded session (head worker + fanout worker + lane chains),
-/// drained concurrently — reported for color, not asserted (thread
-/// scheduling noise).
+/// The live session on a two-worker proxy (head task + fanout task + lane
+/// tasks), drained concurrently — reported for color, not asserted
+/// (scheduling noise).
 fn live_session_pps(packets: &[Packet]) -> f64 {
-    let session = Session::new("bench").expect("sessions are constructible");
+    let mut proxy = Proxy::with_runtime("bench", RuntimeConfig::new(2, 32));
+    let input = proxy.add_session_pooled("bench", 128, 32).expect("unique session name");
+    let session = proxy.pooled_session("bench").expect("just added");
     session
         .insert_head_filter(0, &FilterSpec::new("fec-encoder"))
         .expect("registered kind");
@@ -113,18 +115,17 @@ fn live_session_pps(packets: &[Packet]) -> f64 {
             std::thread::spawn(move || std::iter::from_fn(|| rx.recv().ok()).count())
         })
         .collect();
-    let input = session.input();
     let start = Instant::now();
     for packet in packets {
         input.send(packet.clone()).expect("session accepts packets");
     }
-    session.close_input();
+    input.close();
     let mut delivered = 0usize;
     for consumer in consumers {
         delivered += consumer.join().expect("drain does not panic");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    session.shutdown().expect("clean shutdown");
+    proxy.shutdown().expect("clean shutdown");
     assert!(delivered >= LANES * packets.len());
     packets.len() as f64 / elapsed
 }
@@ -145,7 +146,7 @@ fn main() {
 
     println!("independent chains (head x{LANES}):   {independent:>12.0} source pkts/s");
     println!("fanout session (head x1, sync):   {fanout:>12.0} source pkts/s");
-    println!("fanout session (live threaded):   {session:>12.0} source pkts/s");
+    println!("fanout session (live, 2 workers): {session:>12.0} source pkts/s");
     let speedup = fanout / independent;
     println!("amortization speedup (sync):      {speedup:>11.2}x");
 

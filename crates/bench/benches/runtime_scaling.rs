@@ -1,24 +1,21 @@
-//! Session density: the sharded runtime vs thread-per-filter, hosting the
-//! same 256 fanout sessions.
+//! Session density: 256 fanout sessions hosted on an 8-worker pool.
 //!
-//! The claim under test: a pooled session costs **zero** dedicated OS
-//! threads — the head chain, the fanout stage, and every lane run as
-//! cooperative tasks on a fixed pool — so a machine hosts hundreds of
-//! concurrent sessions on `WORKERS` threads, where the thread-per-filter
-//! runtime needs several threads *per session* (head stage workers, the
-//! fanout worker, lane stage workers).
+//! The claim under test: a session costs **zero** dedicated OS threads —
+//! the head chain, the fanout stage, and every lane run as cooperative
+//! tasks on a fixed pool — so a machine hosts hundreds of concurrent
+//! sessions on `WORKERS` threads.
 //!
-//! Both modes host `SESSIONS` live sessions (one filtered head stage, one
-//! receiver lane each), push a burst of packets through every session, and
-//! verify delivery.  Density is `sessions / threads used to host them`,
-//! with the thread counts read from `/proc/self/status` (falling back to
-//! the analytic per-runtime thread accounting off Linux).  The bench
-//! asserts the pooled runtime reaches at least **4x** the thread-per-filter
-//! session density at 256 sessions on 8 workers.
+//! The bench hosts `SESSIONS` live sessions (one filtered head stage, one
+//! receiver lane each), pushes a burst of packets through every session,
+//! and verifies delivery.  The threads used to host them are read from
+//! `/proc/self/status` around pool start-up *and* session set-up (falling
+//! back to the analytic count off Linux), and the bench asserts that the
+//! count is exactly `WORKERS`: hosting 256 sessions spawned nothing beyond
+//! the pool.
 //!
-//! Each mode runs `REPETITIONS` times (sessions are single-use: `drive`
-//! closes every input, so a repetition rebuilds them from scratch); the
-//! median packets/second and the measured thread counts go to
+//! The run repeats `REPETITIONS` times (sessions are single-use: `drive`
+//! closes every input, so a repetition rebuilds them from scratch); every
+//! packets/second sample and the measured thread count go to
 //! `BENCH_runtime_scaling.json` at the workspace root.
 //!
 //! Run with `cargo bench -p rapidware-bench --bench runtime_scaling`.
@@ -26,7 +23,7 @@
 use std::time::Instant;
 
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::{FilterSpec, Session};
+use rapidware::proxy::FilterSpec;
 use rapidware::runtime::{Runtime, RuntimeConfig};
 use rapidware_bench::report::{median, BenchReport};
 
@@ -93,48 +90,13 @@ fn drive(
     (SESSIONS as u64 * PACKETS_PER_SESSION) as f64 / elapsed
 }
 
-/// One full thread-per-filter run: build the sessions, push the burst,
-/// tear everything down.  Returns (threads used to host, packets/second).
-fn threaded_run() -> (usize, f64) {
-    // Each session spawns a head stage worker and a fanout worker
-    // (2 threads/session at this shape).
-    let (threaded_threads, sessions) = hosting_threads(SESSIONS * 2, || {
-        let sessions: Vec<(Session, _, _)> = (0..SESSIONS)
-            .map(|i| {
-                let session = Session::with_config(
-                    format!("threaded-{i}"),
-                    rapidware::proxy::FilterRegistry::with_builtins(),
-                    PIPE_CAPACITY,
-                    BATCH_SIZE,
-                )
-                .expect("sessions are constructible");
-                session
-                    .insert_head_filter(0, &FilterSpec::new("null"))
-                    .expect("null is a registered kind");
-                let lane = session.add_lane("lane").expect("fresh session");
-                let input = session.input();
-                (session, input, lane)
-            })
-            .collect();
-        sessions
-    });
-    let inputs: Vec<_> = sessions.iter().map(|(_, input, _)| input.clone()).collect();
-    let lanes: Vec<_> = sessions.iter().map(|(_, _, lane)| lane.clone()).collect();
-    let threaded_pps = drive(&inputs, &lanes);
-    for (session, _, _) in &sessions {
-        session.shutdown().expect("clean shutdown");
-    }
-    drop(sessions);
-    (threaded_threads, threaded_pps)
-}
-
-/// One full pooled run: the same 256 sessions as tasks on `WORKERS` fixed
-/// workers.  Returns (threads used to host, packets/second).
+/// One full run: 256 sessions as tasks on `WORKERS` fixed workers.
+/// Returns (threads used to host, packets/second).
 fn pooled_run() -> (usize, f64) {
-    let runtime = Runtime::start(
-        RuntimeConfig::new(WORKERS, BATCH_SIZE).with_pipe_capacity(PIPE_CAPACITY),
-    );
-    let (pooled_threads, pooled) = hosting_threads(WORKERS, || {
+    let (pooled_threads, (runtime, pooled)) = hosting_threads(WORKERS, || {
+        let runtime = Runtime::start(
+            RuntimeConfig::new(WORKERS, BATCH_SIZE).with_pipe_capacity(PIPE_CAPACITY),
+        );
         let sessions: Vec<_> = (0..SESSIONS)
             .map(|i| {
                 let session = runtime.add_session(format!("pooled-{i}"));
@@ -146,11 +108,8 @@ fn pooled_run() -> (usize, f64) {
                 (session, input, lane)
             })
             .collect();
-        sessions
+        (runtime, sessions)
     });
-    // The workers were spawned before the measured setup: hosting 256 more
-    // sessions must not have spawned a single thread.
-    let pooled_threads = pooled_threads.max(WORKERS);
     let inputs: Vec<_> = pooled.iter().map(|(_, input, _)| input.clone()).collect();
     let lanes: Vec<_> = pooled.iter().map(|(_, _, lane)| lane.clone()).collect();
     let pooled_pps = drive(&inputs, &lanes);
@@ -170,17 +129,8 @@ fn main() {
     );
     println!("{}", "-".repeat(72));
 
-    // Thread counts come from the first repetition (they are a property of
-    // the topology, not of load); throughput keeps every sample.
-    let mut threaded_threads = 0usize;
-    let mut threaded_samples = Vec::with_capacity(REPETITIONS);
-    for rep in 0..REPETITIONS {
-        let (threads, pps) = threaded_run();
-        if rep == 0 {
-            threaded_threads = threads;
-        }
-        threaded_samples.push(pps);
-    }
+    // The thread count comes from the first repetition (it is a property
+    // of the topology, not of load); throughput keeps every sample.
     let mut pooled_threads = 0usize;
     let mut pooled_samples = Vec::with_capacity(REPETITIONS);
     for rep in 0..REPETITIONS {
@@ -190,36 +140,22 @@ fn main() {
         }
         pooled_samples.push(pps);
     }
-    let threaded_pps = median(&threaded_samples);
     let pooled_pps = median(&pooled_samples);
-
-    let threaded_density = SESSIONS as f64 / threaded_threads as f64;
-    let pooled_density = SESSIONS as f64 / pooled_threads as f64;
     println!(
-        "thread-per-filter: {threaded_threads:>5} threads  {threaded_density:>8.2} sessions/thread  {threaded_pps:>12.0} pkts/s"
+        "sharded pool: {pooled_threads:>5} threads  {:>8.2} sessions/thread  {pooled_pps:>12.0} pkts/s",
+        SESSIONS as f64 / pooled_threads as f64
     );
-    println!(
-        "sharded pool:      {pooled_threads:>5} threads  {pooled_density:>8.2} sessions/thread  {pooled_pps:>12.0} pkts/s"
-    );
-    let density_gain = pooled_density / threaded_density;
-    println!("session-density gain:            {density_gain:>8.2}x");
 
-    // Write the report before the density assert: a machine that misses
-    // the 4x bar still leaves its numbers behind for inspection.
+    // Write the report before the assert: a machine that misses it still
+    // leaves its numbers behind for inspection.
     let mut report = BenchReport::new("runtime_scaling");
-    report.record("thread-per-filter/throughput", "packets/s", &threaded_samples);
     report.record("pooled/throughput", "packets/s", &pooled_samples);
-    report.record("thread-per-filter/hosting-threads", "threads", &[threaded_threads as f64]);
     report.record("pooled/hosting-threads", "threads", &[pooled_threads as f64]);
-    report.record("thread-per-filter/density", "sessions/thread", &[threaded_density]);
-    report.record("pooled/density", "sessions/thread", &[pooled_density]);
-    report.record("density-gain", "x", &[density_gain]);
     let path = report.write().expect("writing the bench report");
     println!("report: {}", path.display());
 
-    assert!(
-        density_gain >= 4.0,
-        "pooled runtime must host >= 4x the sessions per thread at {SESSIONS} sessions on \
-         {WORKERS} workers, got {density_gain:.2}x"
+    assert_eq!(
+        pooled_threads, WORKERS,
+        "hosting {SESSIONS} sessions must cost exactly the pool's {WORKERS} workers"
     );
 }

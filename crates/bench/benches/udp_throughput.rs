@@ -1,12 +1,13 @@
 //! Socket-path vs in-process-pipe throughput, at batch sizes 1 and 32.
 //!
 //! The question this answers: what does leaving the process cost?  The
-//! same null chain moves the same packets either over detachable pipes
-//! (`Proxy::add_stream_batched`) or over two loopback UDP sockets through
-//! a reactor-driven carrier (`Proxy::add_stream_udp_shared` — encode,
-//! datagram, decode on both edges, batched readiness drains on the worker
-//! pool), and both paths are measured at a per-packet batch size and at
-//! batch 32.
+//! same null chain on the same two-worker pool moves the same packets
+//! either over detachable pipes (`Proxy::add_stream_pooled`) or over two
+//! loopback UDP sockets through a reactor-driven carrier
+//! (`Proxy::add_stream_udp_shared` — encode, datagram, decode on both
+//! edges, batched readiness drains on the worker pool), so the two legs
+//! differ by the sockets alone, and both are measured at a per-packet
+//! batch size and at batch 32.
 //!
 //! The wire path pays for framing (encode + CRC + decode) and two kernel
 //! crossings per packet, so the pipe path is expected to win by an order
@@ -70,8 +71,11 @@ fn drain(rx: &DetachableReceiver<Packet>, count: u64) -> u64 {
 /// Pipes end to end: producer thread writes the chain input, main thread
 /// drains the output.  Returns packets/second.
 fn pipe_path(batch_size: usize) -> f64 {
-    let mut proxy = Proxy::new("bench");
-    let (input, output) = proxy.add_stream_batched("s", CAPACITY, batch_size).unwrap();
+    let mut proxy = Proxy::with_runtime(
+        "bench",
+        RuntimeConfig::new(2, batch_size).with_pipe_capacity(CAPACITY),
+    );
+    let (input, output) = proxy.add_stream_pooled("s").unwrap();
     let producer = std::thread::spawn(move || {
         for window in 0..(PACKETS / WINDOW) {
             let batch: Vec<Packet> = (window * WINDOW..(window + 1) * WINDOW).map(packet).collect();

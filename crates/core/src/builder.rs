@@ -103,7 +103,7 @@ impl AdaptiveProxyBuilder {
         let mut proxy = Proxy::new(self.name);
         let mut endpoints = Vec::new();
         for stream in &self.streams {
-            endpoints.push(proxy.add_stream(stream.clone())?);
+            endpoints.push(proxy.add_stream_pooled(stream.clone())?);
         }
         for (stream, spec) in &self.initial_filters {
             let position = proxy.filter_names(stream)?.len();

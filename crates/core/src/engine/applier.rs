@@ -7,16 +7,16 @@
 //!
 //! * [`SyncChainApplier`] — the deterministic, synchronous
 //!   [`FilterChain`] used by simulations and benchmarks.
-//! * [`ThreadedProxyApplier`] — a live [`Proxy`] stream whose filters run
-//!   on their own threads, reconfigured through the proxy's control
-//!   surface (the paper's splice protocol).
+//! * [`RuntimeApplier`] — a live [`Proxy`] stream running as a task on the
+//!   proxy's worker pool, reconfigured through the proxy's control surface
+//!   while packets flow.
 //!
-//! The threaded applier stays deterministic by quiescing the pipeline at
-//! every step: after pushing a window of packets (or applying actions that
-//! flush residue), it sends a [`PacketKind::Control`] marker and drains the
-//! chain output until the marker emerges.  Every built-in filter passes
-//! control packets through untouched and each stage is FIFO, so everything
-//! the window produced is collected, in order, before the engine moves on.
+//! The live applier stays deterministic by quiescing the pipeline at every
+//! step: after pushing a window of packets (or applying actions that flush
+//! residue), it sends a [`PacketKind::Control`] marker and drains the chain
+//! output until the marker emerges.  Every built-in filter passes control
+//! packets through untouched and the task path is FIFO, so everything the
+//! window produced is collected, in order, before the engine moves on.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ pub(super) fn marker_stream() -> StreamId {
 /// scenario engine can put them on the air; implementations must preserve
 /// packet order and must be deterministic for a given input sequence.
 pub trait ActionApplier {
-    /// Short label for reports (`"sync"` / `"threaded"`).
+    /// Short label for reports (`"sync"` / `"pooled"`).
     fn label(&self) -> &'static str;
 
     /// Pushes one window of source packets through the chain and returns
@@ -188,150 +188,13 @@ impl ActionApplier for SyncChainApplier {
     }
 }
 
-/// The live applier: one stream on a thread-per-filter [`Proxy`],
-/// reconfigured through the proxy control surface while packets flow.
-#[derive(Debug)]
-pub struct ThreadedProxyApplier {
-    proxy: Proxy,
-    stream: String,
-    telemetry: Arc<Registry>,
-    input: DetachableSender<Packet>,
-    output: DetachableReceiver<Packet>,
-    next_marker: u64,
-    finished: bool,
-}
-
-impl ThreadedProxyApplier {
-    /// Spins up a proxy with a single stream whose filter workers process
-    /// packets in batches of up to `batch_size`.
-    ///
-    /// `window_hint` sizes the inter-stage pipes so a whole sample window
-    /// (plus its parity overhead) fits without blocking the driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the proxy cannot create the stream (it is freshly built,
-    /// so the only failure is resource exhaustion).
-    pub fn new(batch_size: usize, window_hint: usize) -> Self {
-        let mut proxy = Proxy::new("scenario-proxy");
-        // Telemetry goes on before the stream exists so its chain picks up
-        // lifecycle spans at creation (spans reach threaded filter workers
-        // when they spawn).
-        let telemetry = proxy.enable_telemetry();
-        let capacity = (window_hint.max(32)) * 4;
-        let (input, output) = proxy
-            .add_stream_batched("scenario", capacity, batch_size.max(1))
-            .expect("fresh proxy accepts its first stream");
-        Self {
-            proxy,
-            stream: "scenario".to_string(),
-            telemetry,
-            input,
-            output,
-            next_marker: 0,
-            finished: false,
-        }
-    }
-
-    /// Sends a control marker and drains the chain output until it comes
-    /// back, returning everything that emerged before it.
-    fn quiesce(&mut self) -> Vec<Packet> {
-        let marker_seq = self.next_marker;
-        self.next_marker += 1;
-        quiesce_stream(&self.input, &self.output, marker_seq)
-    }
-}
-
-/// Sends control marker `marker_seq` into `input` and drains `output` until
-/// it comes back, returning everything that emerged before it.  Shared by
-/// the threaded and pooled appliers so the quiescence protocol cannot
-/// drift between the two runtimes.
-fn quiesce_stream(
-    input: &DetachableSender<Packet>,
-    output: &DetachableReceiver<Packet>,
-    marker_seq: u64,
-) -> Vec<Packet> {
-    let marker =
-        Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
-    input.send(marker).expect("scenario chain input stays open");
-    let mut collected = Vec::new();
-    loop {
-        let packet = output
-            .recv()
-            .expect("marker is still in flight, so the stream cannot end");
-        if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
-            if packet.seq().value() == marker_seq {
-                return collected;
-            }
-            // A stale marker from an earlier window (only possible if a
-            // caller ignored a drain's result); skip it.
-            continue;
-        }
-        collected.push(packet);
-    }
-}
-
-impl ActionApplier for ThreadedProxyApplier {
-    fn label(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        for packet in packets {
-            self.input.send(packet).expect("scenario chain input stays open");
-        }
-        self.quiesce()
-    }
-
-    fn apply(&mut self, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_to_proxy(&self.proxy, &self.stream, actions)
-            .expect("responder actions are valid for the live chain");
-        // Removal/replacement flushes the outgoing filter's residue into the
-        // downstream pipe; quiescing picks it up in order.
-        self.quiesce()
-    }
-
-    fn installed_filters(&self) -> Vec<String> {
-        self.proxy
-            .filter_names(&self.stream)
-            .expect("the scenario stream exists for the applier's lifetime")
-    }
-
-    fn finish(&mut self) -> Vec<Packet> {
-        self.finished = true;
-        self.input.close();
-        let mut residue = Vec::new();
-        while let Ok(packet) = self.output.recv() {
-            if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
-                continue;
-            }
-            residue.push(packet);
-        }
-        residue
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-impl Drop for ThreadedProxyApplier {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.input.close();
-        }
-        let _ = self.proxy.shutdown();
-    }
-}
-
-/// The pooled applier: one stream on a [`Proxy`] running the sharded
-/// worker-pool runtime — the whole chain executes as a cooperative task on
-/// a fixed set of workers instead of thread-per-filter.
+/// The live applier: one stream on a [`Proxy`] — the whole chain executes
+/// as a cooperative task on the proxy's fixed worker pool, reconfigured
+/// through the proxy control surface while packets flow.
 ///
-/// Determinism uses the same control-marker quiescence protocol as the
-/// threaded applier: markers ride the FIFO task path, so draining to the
-/// marker collects exactly the window's output, in order, regardless of
-/// shard count or batch size.
+/// Determinism comes from control-marker quiescence: markers ride the FIFO
+/// task path, so draining to the marker collects exactly the window's
+/// output, in order, regardless of shard count or batch size.
 #[derive(Debug)]
 pub struct RuntimeApplier {
     proxy: Proxy,
@@ -360,11 +223,11 @@ impl RuntimeApplier {
         let config = RuntimeConfig::new(shards, batch_size).with_pipe_capacity(capacity);
         let mut proxy = Proxy::with_runtime("scenario-proxy", config);
         // Spans plus runtime profiling (poll / queue-wait histograms) go on
-        // before the stream exists, mirroring the threaded applier.
+        // before the stream exists.
         let telemetry = proxy.enable_telemetry();
         let (input, output) = proxy
             .add_stream_pooled("scenario")
-            .expect("fresh proxy with a runtime accepts its first pooled stream");
+            .expect("fresh proxy accepts its first stream");
         Self {
             proxy,
             stream: "scenario".to_string(),
@@ -376,10 +239,30 @@ impl RuntimeApplier {
         }
     }
 
+    /// Sends a control marker and drains the chain output until it comes
+    /// back, returning everything that emerged before it.
     fn quiesce(&mut self) -> Vec<Packet> {
         let marker_seq = self.next_marker;
         self.next_marker += 1;
-        quiesce_stream(&self.input, &self.output, marker_seq)
+        let marker =
+            Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
+        self.input.send(marker).expect("scenario chain input stays open");
+        let mut collected = Vec::new();
+        loop {
+            let packet = self
+                .output
+                .recv()
+                .expect("marker is still in flight, so the stream cannot end");
+            if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
+                if packet.seq().value() == marker_seq {
+                    return collected;
+                }
+                // A stale marker from an earlier window (only possible if a
+                // caller ignored a drain's result); skip it.
+                continue;
+            }
+            collected.push(packet);
+        }
     }
 }
 
@@ -479,10 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_threaded_and_pooled_appliers_emit_identical_streams() {
+    fn sync_and_pooled_appliers_emit_identical_streams() {
         let sync = run_script(&mut SyncChainApplier::new());
-        let threaded = run_script(&mut ThreadedProxyApplier::new(4, 16));
-        assert_eq!(sync, threaded);
         let pooled = run_script(&mut RuntimeApplier::new(4, 4, 16));
         assert_eq!(sync, pooled);
         // 12 payloads; seqs 4..8 form one full FEC block (2 parities) and
@@ -494,13 +375,12 @@ mod tests {
     #[test]
     fn labels_distinguish_appliers() {
         assert_eq!(SyncChainApplier::new().label(), "sync");
-        assert_eq!(ThreadedProxyApplier::new(1, 8).label(), "threaded");
         assert_eq!(RuntimeApplier::new(2, 1, 8).label(), "pooled");
     }
 
     #[test]
-    fn threaded_applier_is_reusable_across_many_windows() {
-        let mut applier = ThreadedProxyApplier::new(2, 8);
+    fn pooled_applier_is_reusable_across_many_windows() {
+        let mut applier = RuntimeApplier::new(2, 2, 8);
         applier.apply(&[insert_fec()]);
         let mut total = 0;
         for window in 0..10u64 {

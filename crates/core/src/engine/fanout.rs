@@ -19,7 +19,7 @@
 //!
 //! Like the flat engine, a fanout run is deterministic per spec and seed,
 //! produces a replayable [`ScenarioTrace`], and behaves identically on the
-//! synchronous applier and on a live threaded [`Session`].
+//! synchronous applier and on a live [`PooledSession`].
 //!
 //! ```
 //! use rapidware::engine::{FanoutEngine, FanoutSpec};
@@ -39,9 +39,9 @@ use rapidware_filters::{ChainSpans, FecDecoderFilter, FilterChain};
 use rapidware_media::{AudioConfig, AudioSource};
 use rapidware_netsim::{ReceiverId, SimTime, WirelessLan};
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{FilterRegistry, FilterSpec, PooledSession, Registry, Session};
+use rapidware_proxy::{FilterRegistry, FilterSpec, PooledSession, Registry};
 use rapidware_raplets::{
-    apply_to_session, AdaptationAction, AdaptationEngine, FecResponder, LinkSample,
+    apply_to_pooled_session, AdaptationAction, AdaptationEngine, FecResponder, LinkSample,
     LossRateObserver,
 };
 use rapidware_streams::DetachableReceiver;
@@ -362,7 +362,7 @@ impl FanoutApplier for SyncFanoutApplier {
             .head
             .process_batch(packets)
             .expect("scenario head filters do not fail");
-        // Like the live fanout worker: clone for all but the last lane,
+        // Like the live fanout task: clone for all but the last lane,
         // move into the last.
         let last = self.lanes.len().saturating_sub(1);
         let mut shared = Some(shared);
@@ -412,97 +412,6 @@ impl FanoutApplier for SyncFanoutApplier {
     fn latency(&self) -> Option<LatencySummary> {
         LatencySummary::from_snapshot(&self.telemetry.snapshot())
     }
-}
-
-/// The live fanout applier: a threaded [`Session`] (shared head chain,
-/// fanout worker, one tail chain per lane), reconfigured per lane through
-/// the session control surface while packets flow.
-///
-/// Determinism uses the same quiescence trick as the flat threaded applier:
-/// a [`PacketKind::Control`] marker is pushed through the head chain, fans
-/// out to every lane, and each lane is drained until its copy of the marker
-/// emerges.
-pub struct SessionFanoutApplier {
-    session: Session,
-    telemetry: std::sync::Arc<Registry>,
-    lane_names: Vec<String>,
-    outputs: Vec<DetachableReceiver<Packet>>,
-    /// Packets collected for a lane outside its own turn (possible only if
-    /// a caller interleaves `apply` with undrained traffic); prepended to
-    /// that lane's next `process` result so nothing is ever dropped.
-    pending: Vec<Vec<Packet>>,
-    next_marker: u64,
-    finished: bool,
-}
-
-impl fmt::Debug for SessionFanoutApplier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionFanoutApplier")
-            .field("lanes", &self.lane_names)
-            .finish()
-    }
-}
-
-impl SessionFanoutApplier {
-    /// Spins up a live session for a spec: head filters installed, one lane
-    /// per [`LaneSpec`], pipes sized so a whole sample window (plus parity
-    /// overhead) fits without blocking the driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session cannot be constructed (fresh sessions only
-    /// fail on resource exhaustion).
-    pub fn for_spec(spec: &FanoutSpec) -> Self {
-        let capacity = (spec.sample_interval.max(32) as usize) * 4;
-        let session = Session::with_config(
-            spec.name.clone(),
-            FilterRegistry::with_builtins(),
-            capacity,
-            spec.batch_size.max(1),
-        )
-        .expect("fresh sessions are always constructible");
-        // Spans go on before head filters and lanes exist so every worker
-        // picks them up when it spawns.
-        let telemetry = Registry::new();
-        session.enable_telemetry(&telemetry);
-        for (position, filter_spec) in spec.head_filters.iter().enumerate() {
-            session
-                .insert_head_filter(position, filter_spec)
-                .expect("head filter specs reference registered kinds");
-        }
-        let mut outputs = Vec::with_capacity(spec.lanes.len());
-        let mut lane_names = Vec::with_capacity(spec.lanes.len());
-        for lane in &spec.lanes {
-            outputs.push(session.add_lane(&lane.name).expect("spec lane names are unique"));
-            lane_names.push(lane.name.clone());
-        }
-        let lane_count = lane_names.len();
-        Self {
-            session,
-            telemetry,
-            lane_names,
-            outputs,
-            pending: vec![Vec::new(); lane_count],
-            next_marker: 0,
-            finished: false,
-        }
-    }
-
-    /// Sends one control marker through the head chain (it fans out to
-    /// every lane) and drains **all lanes concurrently** until each copy of
-    /// the marker emerges, returning the per-lane packets that preceded it.
-    fn quiesce_all(&mut self) -> Vec<Vec<Packet>> {
-        let marker_seq = self.next_marker;
-        self.next_marker += 1;
-        send_marker(&self.session.input(), marker_seq);
-        drain_lanes_until_marker(&self.outputs, marker_seq, || {})
-    }
-}
-
-fn send_marker(input: &rapidware_streams::DetachableSender<Packet>, marker_seq: u64) {
-    let marker =
-        Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
-    input.send(marker).expect("session input stays open");
 }
 
 /// Drains **all lanes concurrently** until each one yields its copy of
@@ -591,97 +500,26 @@ pub(super) fn drain_lanes_to_eof(
     }
 }
 
-impl FanoutApplier for SessionFanoutApplier {
-    fn label(&self) -> &'static str {
-        "session"
-    }
-
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>> {
-        let input = self.session.input();
-        for packet in packets {
-            input.send(packet).expect("session input stays open");
-        }
-        let mut out = self.quiesce_all();
-        for (lane, extra) in out.iter_mut().enumerate() {
-            if !self.pending[lane].is_empty() {
-                let mut merged = std::mem::take(&mut self.pending[lane]);
-                merged.append(extra);
-                *extra = merged;
-            }
-        }
-        out
-    }
-
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_to_session(&self.session, &self.lane_names[lane], actions)
-            .expect("responder actions are valid for the live lane");
-        // Residue flushed out of the removed/replaced lane filter is
-        // buffered at this lane's endpoint.  Quiescing drains every lane
-        // (see quiesce_all); the other lanes have no traffic in flight at
-        // an apply point, but anything they do produce is parked in
-        // `pending` and handed back with their next window.
-        let mut all = self.quiesce_all();
-        let target = std::mem::take(&mut all[lane]);
-        for (index, extra) in all.into_iter().enumerate() {
-            if !extra.is_empty() {
-                self.pending[index].extend(extra);
-            }
-        }
-        target
-    }
-
-    fn lane_filters(&self, lane: usize) -> Vec<String> {
-        self.session
-            .lane_filter_names(&self.lane_names[lane])
-            .expect("spec lanes exist for the applier's lifetime")
-    }
-
-    fn head_filters(&self) -> Vec<String> {
-        self.session.head_filter_names()
-    }
-
-    fn finish(&mut self) -> Vec<Vec<Packet>> {
-        self.finished = true;
-        self.session.close_input();
-        // Round-robin drain to EOF on every lane, for the same reason as
-        // quiesce_all: the fanout worker must stay free to move the final
-        // flush through whichever lane pipe fills first.
-        let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
-        drain_lanes_to_eof(&self.outputs, &mut residue, || {});
-        residue
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-impl Drop for SessionFanoutApplier {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.session.close_input();
-        }
-        let _ = self.session.shutdown();
-    }
-}
-
-/// The pooled fanout applier: a [`PooledSession`] on a sharded worker-pool
+/// The live fanout applier: a [`PooledSession`] on a sharded worker-pool
 /// [`Runtime`](rapidware_proxy::Runtime) — head chain, fanout stage, and
 /// every lane tail run as cooperative tasks on
 /// [`POOLED_APPLIER_SHARDS`](super::POOLED_APPLIER_SHARDS) fixed workers,
-/// with zero dedicated threads per session.
+/// reconfigured per lane through the session control surface while packets
+/// flow.
 ///
-/// Uses the same control-marker quiescence and round-robin lane drains as
-/// [`SessionFanoutApplier`], and must agree with it (and the sync applier)
-/// byte for byte.
+/// Determinism uses control-marker quiescence: a [`PacketKind::Control`]
+/// marker is pushed through the head chain, fans out to every lane, and
+/// each lane is drained until its copy of the marker emerges.  It must
+/// agree with the sync applier byte for byte.
 pub struct RuntimeFanoutApplier {
     runtime: std::sync::Arc<rapidware_proxy::Runtime>,
     session: PooledSession,
     telemetry: std::sync::Arc<Registry>,
     lane_names: Vec<String>,
     outputs: Vec<DetachableReceiver<Packet>>,
-    /// Packets collected for a lane outside its own turn; prepended to that
-    /// lane's next `process` result so nothing is ever dropped.
+    /// Packets collected for a lane outside its own turn (possible only if
+    /// a caller interleaves `apply` with undrained traffic); prepended to
+    /// that lane's next `process` result so nothing is ever dropped.
     pending: Vec<Vec<Packet>>,
     next_marker: u64,
     finished: bool,
@@ -720,7 +558,7 @@ impl RuntimeFanoutApplier {
             spec.batch_size.max(1),
         );
         // Session spans plus runtime profiling go on before the head
-        // filters and lanes exist, mirroring the threaded applier.
+        // filters and lanes exist.
         let telemetry = Registry::new();
         runtime.enable_telemetry(&telemetry);
         session.enable_telemetry(&telemetry);
@@ -748,10 +586,15 @@ impl RuntimeFanoutApplier {
         }
     }
 
+    /// Sends one control marker through the head chain (it fans out to
+    /// every lane) and drains **all lanes concurrently** until each copy of
+    /// the marker emerges, returning the per-lane packets that preceded it.
     fn quiesce_all(&mut self) -> Vec<Vec<Packet>> {
         let marker_seq = self.next_marker;
         self.next_marker += 1;
-        send_marker(&self.session.input(), marker_seq);
+        let marker =
+            Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
+        self.session.input().send(marker).expect("session input stays open");
         drain_lanes_until_marker(&self.outputs, marker_seq, || {})
     }
 }
@@ -778,12 +621,13 @@ impl FanoutApplier for RuntimeFanoutApplier {
     }
 
     fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        rapidware_raplets::apply_to_pooled_session(
-            &self.session,
-            &self.lane_names[lane],
-            actions,
-        )
-        .expect("responder actions are valid for the pooled lane");
+        apply_to_pooled_session(&self.session, &self.lane_names[lane], actions)
+            .expect("responder actions are valid for the live lane");
+        // Residue flushed out of the removed/replaced lane filter is
+        // buffered at this lane's endpoint.  Quiescing drains every lane
+        // (see quiesce_all); the other lanes have no traffic in flight at
+        // an apply point, but anything they do produce is parked in
+        // `pending` and handed back with their next window.
         let mut all = self.quiesce_all();
         let target = std::mem::take(&mut all[lane]);
         for (index, extra) in all.into_iter().enumerate() {
@@ -807,6 +651,9 @@ impl FanoutApplier for RuntimeFanoutApplier {
     fn finish(&mut self) -> Vec<Vec<Packet>> {
         self.finished = true;
         self.session.close_input();
+        // Round-robin drain to EOF on every lane, for the same reason as
+        // quiesce_all: the fanout task must stay free to move the final
+        // flush through whichever lane pipe fills first.
         let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
         drain_lanes_to_eof(&self.outputs, &mut residue, || {});
         residue
@@ -1145,14 +992,9 @@ impl FanoutEngine {
         self.try_run_with(&mut SyncFanoutApplier::for_spec(&self.spec))
     }
 
-    /// Runs the scenario on a live threaded [`SessionFanoutApplier`].
-    pub fn run_session(&self) -> FanoutOutcome {
-        self.run_with(&mut SessionFanoutApplier::for_spec(&self.spec))
-    }
-
-    /// Runs the scenario on a [`RuntimeFanoutApplier`]: the whole session
-    /// multiplexed over a sharded worker pool.  The trace must be
-    /// byte-identical to the sync and threaded-session runs.
+    /// Runs the scenario on a live [`RuntimeFanoutApplier`]: the whole
+    /// session multiplexed over a sharded worker pool.  The trace must be
+    /// byte-identical to the sync run.
     pub fn run_pooled(&self) -> FanoutOutcome {
         self.run_with(&mut RuntimeFanoutApplier::for_spec(&self.spec))
     }
@@ -1482,13 +1324,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_session_and_pooled_appliers_agree_byte_for_byte() {
+    fn sync_and_pooled_appliers_agree_byte_for_byte() {
         let spec = FanoutSpec::wired_plus_lossy_wlan().with_packets(600);
         let engine = FanoutEngine::new(spec);
         let sync = engine.run_sync();
-        let session = engine.run_session();
-        assert_eq!(sync.trace.canonical_text(), session.trace.canonical_text());
-        assert_eq!(sync.report, session.report);
         let pooled = engine.run_pooled();
         assert_eq!(sync.trace.canonical_text(), pooled.trace.canonical_text());
         assert_eq!(sync.report, pooled.report);
@@ -1544,10 +1383,11 @@ mod tests {
 
     #[test]
     fn pooled_applier_survives_a_head_chain_that_outgrows_the_lane_pipes() {
-        // The pooled cousin of the session-applier overflow test: FEC(6,1)
-        // in the head expands every window 6x past the lane pipe capacity,
-        // so the fanout task back-pressures mid-window and the round-robin
-        // drain must keep it moving.
+        // FEC(6,1) in the head expands every window 6x — past the lane
+        // pipe capacity — so the fanout task back-pressures mid-window.
+        // The applier's round-robin drain must keep it moving (a
+        // lane-by-lane drain would deadlock here), and the run must still
+        // agree with the sync applier byte for byte.
         let mut spec = FanoutSpec::all_wired().with_packets(150);
         spec.head_filters = vec![FilterSpec::new("fec-encoder")
             .with_param("n", "6")
@@ -1557,25 +1397,7 @@ mod tests {
         let sync = engine.run_sync();
         assert_eq!(pooled.report.source_packets_sent, 150);
         assert_eq!(sync.trace.canonical_text(), pooled.trace.canonical_text());
-    }
-
-    #[test]
-    fn session_applier_survives_a_head_chain_that_outgrows_the_lane_pipes() {
-        // FEC(6,1) in the head expands every window 6x — past the lane
-        // pipe capacity — so the fanout worker back-pressures mid-window.
-        // The session applier's round-robin drain must keep the worker
-        // moving (a lane-by-lane drain would deadlock here), and the run
-        // must still agree with the sync applier byte for byte.
-        let mut spec = FanoutSpec::all_wired().with_packets(150);
-        spec.head_filters = vec![FilterSpec::new("fec-encoder")
-            .with_param("n", "6")
-            .with_param("k", "1")];
-        let engine = FanoutEngine::new(spec);
-        let session = engine.run_session();
-        let sync = engine.run_sync();
-        assert_eq!(session.report.source_packets_sent, 150);
-        assert_eq!(sync.trace.canonical_text(), session.trace.canonical_text());
-        for lane in &session.report.lanes {
+        for lane in &pooled.report.lanes {
             assert_eq!(lane.outcome.delivered, 150, "perfect links deliver everything");
         }
     }

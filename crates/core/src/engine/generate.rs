@@ -17,8 +17,8 @@
 //!    the line stores only the seed and the shrink state, never the derived
 //!    scenario, so the corpus can never drift from the sampler.
 //! 2. **Conformance** — [`conformance_problems`](GeneratedSpec::conformance_problems)
-//!    runs the derived scenario on every applier (sync, threaded/session,
-//!    pooled, plus the sampled placement) and checks the universal
+//!    runs the derived scenario on every applier (sync, pooled, plus the
+//!    sampled placement) and checks the universal
 //!    invariants no random regime can break: byte-identical canonical
 //!    traces, equal reports, full per-receiver accounting
 //!    (`delivered + recovered + lost + undelivered == packets`), zero
@@ -55,8 +55,6 @@ use super::{RuntimeApplier, ScenarioEngine, POOLED_APPLIER_SHARDS};
 pub enum PlacementKind {
     /// The synchronous in-process applier.
     Sync,
-    /// The thread-per-stage applier (threaded chain / threaded session).
-    Threaded,
     /// The sharded worker-pool applier.
     Pooled,
 }
@@ -65,7 +63,6 @@ impl fmt::Display for PlacementKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlacementKind::Sync => write!(f, "sync"),
-            PlacementKind::Threaded => write!(f, "threaded"),
             PlacementKind::Pooled => write!(f, "pooled"),
         }
     }
@@ -241,9 +238,10 @@ impl GeneratedSpec {
         let flat = rng.gen_bool(0.5);
         let mut packets = rng.gen_range(4u64..=16) * MIN_PACKETS;
         let batch_size = BATCH_CHOICES[rng.gen_range(0usize..BATCH_CHOICES.len())];
+        // Three-way draw kept from when a thread-per-filter placement
+        // existed, so every corpus seed still derives the same shape.
         let kind = match rng.gen_range(0u32..3) {
             0 => PlacementKind::Sync,
-            1 => PlacementKind::Threaded,
             _ => PlacementKind::Pooled,
         };
         let shards = rng.gen_range(1usize..=8);
@@ -479,8 +477,8 @@ impl GeneratedSpec {
     /// happened to do:
     ///
     /// * the sync run is deterministic (two runs, identical bytes);
-    /// * threaded/session and pooled appliers produce byte-identical
-    ///   canonical traces and equal reports;
+    /// * the pooled applier produces a byte-identical canonical trace and
+    ///   an equal report;
     /// * a pooled run at the sampled placement shard count agrees too
     ///   (scheduler shape must be invisible);
     /// * every receiver/lane accounts for every packet
@@ -508,10 +506,7 @@ impl GeneratedSpec {
         if again.trace.canonical_text() != reference.trace.canonical_text() {
             problems.push("sync applier is not deterministic per seed".to_string());
         }
-        let mut runs = vec![
-            ("threaded", engine.run_threaded()),
-            ("pooled", engine.run_pooled()),
-        ];
+        let mut runs = vec![("pooled", engine.run_pooled())];
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }
@@ -579,10 +574,7 @@ impl GeneratedSpec {
         if again.trace.canonical_text() != reference.trace.canonical_text() {
             problems.push("sync fanout applier is not deterministic per seed".to_string());
         }
-        let mut runs = vec![
-            ("session", engine.run_session()),
-            ("pooled", engine.run_pooled()),
-        ];
+        let mut runs = vec![("pooled", engine.run_pooled())];
         if self.shrink.shared_udp || self.shrink.secure {
             runs.push(("shared-udp", engine.run_udp_shared()));
         }
@@ -870,7 +862,7 @@ mod tests {
             }
         }
         assert!(flat > 50 && fanout > 50, "both shapes sampled ({flat}/{fanout})");
-        assert_eq!(placements.len(), 3, "all three placements sampled");
+        assert_eq!(placements.len(), 2, "both placements sampled");
         assert_eq!(batches.len(), BATCH_CHOICES.len(), "all batch sizes sampled");
         assert!(multi_phase > 50, "multi-phase regimes are common ({multi_phase})");
         assert!(churned > 10, "churn schedules are sampled ({churned})");

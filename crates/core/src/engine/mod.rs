@@ -5,14 +5,14 @@
 //! per-window [`LinkSample`]s → the raplets' [`AdaptationEngine`] raises
 //! events and emits [`AdaptationAction`]s → an [`ActionApplier`] applies
 //! them to a running filter chain (the synchronous [`FilterChain`] or a
-//! live thread-per-filter [`Proxy`] stream) → the reconfigured chain shapes
-//! the traffic the topology sees next.  Every step is stamped in
+//! live [`Proxy`] stream) → the reconfigured chain shapes the traffic the
+//! topology sees next.  Every step is stamped in
 //! [`SimTime`] and appended to a replayable [`ScenarioTrace`].
 //!
 //! ```text
 //!  data    AudioSource ─▶ ActionApplier ─▶ WirelessLan ─▶ FEC decoders
 //!  plane                  (FilterChain /    (seeded loss)   + sinks
-//!                          ThreadedChain)        │
+//!                          Proxy stream)         │
 //!                                ▲               ▼ per-window counts
 //!  control  AdaptationAction ◀─ Responder ◀─ Observer ◀─ LinkSample
 //!  plane          │
@@ -20,7 +20,7 @@
 //! ```
 //!
 //! Runs are deterministic: the same [`ScenarioSpec`] and seed produce a
-//! byte-identical trace on every run, and the sync and threaded appliers
+//! byte-identical trace on every run, and the sync and pooled appliers
 //! produce the same adaptation timeline.
 //!
 //! ```
@@ -49,13 +49,11 @@ mod shared_udp;
 mod spec;
 mod trace;
 
-pub use applier::{
-    apply_actions_to_chain, ActionApplier, RuntimeApplier, SyncChainApplier, ThreadedProxyApplier,
-};
+pub use applier::{apply_actions_to_chain, ActionApplier, RuntimeApplier, SyncChainApplier};
 pub use shared_udp::{SharedUdpApplier, SharedUdpFanoutApplier};
 pub use fanout::{
     FanoutApplier, FanoutEngine, FanoutOutcome, FanoutReport, FanoutSpec, LaneReport, LaneSpec,
-    RuntimeFanoutApplier, SessionFanoutApplier, SyncFanoutApplier,
+    RuntimeFanoutApplier, SyncFanoutApplier,
 };
 pub use generate::{ChurnEvent, GeneratedShape, GeneratedSpec, PlacementKind, PlacementSpec};
 pub use report::{LatencySummary, ReceiverOutcome, ScenarioReport, TimelineEntry};
@@ -209,19 +207,11 @@ impl ScenarioEngine {
         self.try_run_with(&mut SyncChainApplier::new())
     }
 
-    /// Runs the scenario against a live [`ThreadedProxyApplier`] (filters
-    /// on their own threads, reconfigured through the proxy control
-    /// surface), using the spec's batch size.
-    pub fn run_threaded(&self) -> ScenarioOutcome {
-        let window = self.spec.sample_interval as usize;
-        self.run_with(&mut ThreadedProxyApplier::new(self.spec.batch_size, window))
-    }
-
-    /// Runs the scenario against a [`RuntimeApplier`]: the chain executes
-    /// as a cooperative task on a sharded worker pool
-    /// ([`POOLED_APPLIER_SHARDS`] workers), reconfigured through the same
-    /// proxy control surface.  The trace must be byte-identical to the sync
-    /// and threaded runs.
+    /// Runs the scenario against a live [`RuntimeApplier`]: the chain
+    /// executes as a cooperative task on a sharded worker pool
+    /// ([`POOLED_APPLIER_SHARDS`] workers), reconfigured through the proxy
+    /// control surface, using the spec's batch size.  The trace must be
+    /// byte-identical to the sync run.
     pub fn run_pooled(&self) -> ScenarioOutcome {
         let window = self.spec.sample_interval as usize;
         self.run_with(&mut RuntimeApplier::new(
@@ -310,7 +300,7 @@ impl ScenarioEngine {
 
         // Secure channel: the seal/verify pair brackets the chain for the
         // whole run.  Installed through the applier's own action path so
-        // every runtime (sync, threaded, pooled, shared-UDP) places it
+        // every applier (sync, pooled, shared-UDP) places it
         // identically; FEC adaptation inserts at the head, upstream of the
         // pair, so parity gets sealed too.
         let rekey_at = if spec.secure {

@@ -58,7 +58,7 @@ impl ReceiverOutcome {
 /// Latency is *observational*: it depends on the host, the scheduler, and
 /// the applier's runtime, so — unlike the packet accounting — it is
 /// **excluded from report equality**.  Two runs that differ only in
-/// latency compare equal, which is what keeps the sync/threaded/pooled
+/// latency compare equal, which is what keeps the sync/pooled
 /// byte-identity and trace-replay invariants intact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {

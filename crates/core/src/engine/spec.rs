@@ -291,7 +291,7 @@ pub struct ScenarioSpec {
     pub raplets: RapletSet,
     /// Width of the sampling window, in source packets.
     pub sample_interval: u64,
-    /// Per-stage batch size used by the threaded applier (1 = per-packet).
+    /// Task batch size used by the live appliers (1 = per-packet).
     pub batch_size: usize,
     /// Whether this scenario's loss schedule should provoke at least one
     /// FEC insertion (checked by the scenario-matrix harness).
@@ -468,7 +468,7 @@ impl ScenarioSpec {
         self
     }
 
-    /// Overrides the threaded applier's per-stage batch size.
+    /// Overrides the live appliers' task batch size.
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);

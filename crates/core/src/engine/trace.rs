@@ -333,7 +333,7 @@ impl ScenarioTrace {
 
     /// The adaptation timeline: every observer event, applied action, and
     /// chain reconfiguration, in order, with timestamps.  This is the
-    /// subsequence that must match between the sync and threaded appliers.
+    /// subsequence that must match between the sync and live appliers.
     pub fn adaptation_timeline(&self) -> Vec<TimelineEntry> {
         self.events
             .iter()

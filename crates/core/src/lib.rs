@@ -13,7 +13,7 @@
 //! | [`packet`] | `rapidware-packet` | the packet model, reorder buffers, receipt statistics |
 //! | [`fec`] | `rapidware-fec` | (n, k) block erasure codes over GF(2⁸) |
 //! | [`filters`] | `rapidware-filters` | the `Filter` trait, the reconfigurable chain, and the built-in filter library |
-//! | [`proxy`] | `rapidware-proxy` | thread-per-filter proxy runtime, filter registry, control protocol |
+//! | [`proxy`] | `rapidware-proxy` | the proxy: live-reconfigurable streams and fanout sessions on a fixed worker pool, filter registry, control protocol (plus the paper's thread-per-filter `ThreadedChain` as a reference type) |
 //! | [`transport`] | `rapidware-transport` | reactor-driven UDP endpoints (N streams per socket) and the deterministic loopback impairment shim |
 //! | [`raplets`] | `rapidware-raplets` | observer / responder raplets and the adaptation engine |
 //! | [`netsim`] | `rapidware-netsim` | deterministic wireless LAN simulator (the testbed substitute) |
@@ -60,9 +60,9 @@ pub mod engine;
 pub mod scenario;
 
 pub use builder::AdaptiveProxyBuilder;
-/// The sharded session runtime (re-exported from `rapidware-proxy`): a
-/// fixed worker pool hosting hundreds of chains and fanout sessions as
-/// cooperative tasks instead of thread-per-filter.
+/// The sharded session runtime (re-exported from `rapidware-proxy`): the
+/// fixed worker pool that hosts every proxy stream and fanout session as
+/// cooperative tasks.
 pub use rapidware_proxy::runtime;
 
 /// The most commonly used types, re-exported for glob import.
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::builder::AdaptiveProxyBuilder;
     pub use crate::engine::{
         ActionApplier, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec, ScenarioTrace,
-        SyncChainApplier, ThreadedProxyApplier,
+        SyncChainApplier,
     };
     pub use crate::scenario::{FecScenario, ReceiverReport, ScenarioConfig, ScenarioReport};
     pub use rapidware_fec::FecCodec;

@@ -300,7 +300,7 @@ impl ControlManager {
             Command::ListKinds => {
                 return Response::Kinds(self.proxy.status().available_kinds);
             }
-            Command::AddStream { stream } => self.proxy.add_stream(stream).map(|_| ()),
+            Command::AddStream { stream } => self.proxy.add_stream_pooled(stream).map(|_| ()),
             Command::Insert {
                 stream,
                 position,

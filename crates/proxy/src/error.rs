@@ -39,8 +39,8 @@ pub enum ProxyError {
     },
     /// A control command could not be parsed.
     MalformedCommand(String),
-    /// A pooled stream or session was requested on a proxy whose sharded
-    /// runtime was never enabled.
+    /// A stream, session or carrier was requested on a proxy whose worker
+    /// pool is gone — i.e. after [`Proxy::shutdown`](crate::Proxy::shutdown).
     RuntimeDisabled,
     /// A UDP transport endpoint could not be created (socket bind or
     /// configuration failure; the text carries the OS error).
@@ -69,7 +69,7 @@ impl fmt::Display for ProxyError {
             }
             ProxyError::MalformedCommand(text) => write!(f, "malformed control command: {text}"),
             ProxyError::RuntimeDisabled => {
-                write!(f, "sharded runtime not enabled on this proxy (use with_runtime)")
+                write!(f, "proxy is shut down (its worker pool is stopped)")
             }
             ProxyError::Transport(what) => write!(f, "transport endpoint failed: {what}"),
             ProxyError::ChainClosed => write!(f, "chain has been shut down"),

@@ -3,12 +3,14 @@
 //! This crate assembles detachable streams and composable filters into the
 //! proxy described in Sections 3–4 of the paper:
 //!
-//! * [`ThreadedChain`] — the paper's `ControlThread` plus its filter vector:
-//!   every filter runs on its own thread, filters are connected by
-//!   detachable pipes, and filters can be **inserted, removed, and
-//!   reordered while packets are flowing** using the pause → reconnect
-//!   splice protocol.  Two `EndPoint` handles (the chain's input sender and
-//!   output receiver) plus an empty chain form the paper's "null proxy".
+//! * [`Proxy`] — one proxy process: a set of named streams and fanout
+//!   sessions, each with its own chain that can have filters **inserted,
+//!   removed, and reordered while packets are flowing**, plus the registry
+//!   and control plumbing.  Every stream ([`PooledChain`]) and session
+//!   ([`PooledSession`]) runs as cooperative tasks on the proxy's fixed
+//!   worker pool (the [`runtime`] module); two `EndPoint` handles (a
+//!   stream's input sender and output receiver) plus an empty chain form
+//!   the paper's "null proxy".
 //! * [`FilterRegistry`] and [`FilterSpec`] — the dynamic-upload path.  The
 //!   paper serialises Java filter objects across the network into a running
 //!   proxy; the Rust equivalent is a serialisable filter *description*
@@ -19,37 +21,39 @@
 //! * [`ControlManager`], [`Command`], [`Response`] — the management
 //!   interface (the paper's Swing GUI, minus the Swing): query a proxy's
 //!   configuration, insert/remove/move filters, upload filter bundles.
-//! * [`Proxy`] — one proxy process: a set of named streams, each with its
-//!   own reconfigurable chain, plus the registry and control plumbing.
+//! * [`ThreadedChain`] — the reference implementation of the paper's
+//!   `ControlThread` plus its filter vector: every filter runs on its own
+//!   thread, filters are connected by detachable pipes, and a splice is the
+//!   paper's pause → drain → reconnect protocol.  It is a library type the
+//!   experiment binaries and benches measure; a [`Proxy`] places no work on
+//!   it.
 //!
 //! ## Example
 //!
 //! ```
-//! use rapidware_proxy::ThreadedChain;
-//! use rapidware_filters::NullFilter;
+//! use rapidware_proxy::{FilterSpec, Proxy};
 //! use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 //!
 //! # fn main() -> Result<(), rapidware_proxy::ProxyError> {
 //! // A null proxy: two endpoints and no filters.
-//! let chain = ThreadedChain::new()?;
-//! let input = chain.input();
-//! let output = chain.output();
+//! let mut proxy = Proxy::new("edge");
+//! let (input, output) = proxy.add_stream_pooled("audio")?;
 //!
 //! input.send(Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![1, 2, 3]))
-//!     .expect("chain accepts packets");
+//!     .expect("stream accepts packets");
 //! assert_eq!(output.recv().expect("forwarded").seq(), SeqNo::new(0));
 //!
-//! // Splice a (do-nothing) filter into the running chain, then keep going.
-//! chain.insert(0, Box::new(NullFilter::new()))?;
+//! // Splice a (do-nothing) filter into the running stream, then keep going.
+//! proxy.insert_filter("audio", 0, &FilterSpec::new("null"))?;
 //!
 //! input.send(Packet::new(StreamId::new(1), SeqNo::new(1), PacketKind::AudioData, vec![4, 5, 6]))
-//!     .expect("chain still accepts packets");
-//! chain.close_input();
+//!     .expect("stream still accepts packets");
+//! input.close();
 //!
 //! let delivered: Vec<_> = std::iter::from_fn(|| output.recv().ok()).collect();
 //! assert_eq!(delivered.len(), 1);
 //! assert_eq!(delivered[0].seq(), SeqNo::new(1));
-//! chain.shutdown()?;
+//! proxy.shutdown()?;
 //! # Ok(())
 //! # }
 //! ```
@@ -75,7 +79,7 @@ pub use runtime::{
     PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus, SocketDriver,
     SocketInterest, SocketStep, SocketWork,
 };
-pub use session::{LaneStatus, Session, SessionStatus};
+pub use session::{LaneStatus, SessionStatus};
 pub use threaded::{ChainStats, ThreadedChain, DEFAULT_BATCH_SIZE};
 pub use udp::{
     SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig, SharedUdpStreamHandle,

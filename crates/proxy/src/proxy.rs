@@ -16,8 +16,8 @@ use crate::registry::{FilterRegistry, FilterSpec};
 use crate::runtime::{
     PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, SocketInterest,
 };
-use crate::session::{Session, SessionStatus};
-use crate::threaded::{ChainStats, ThreadedChain};
+use crate::session::SessionStatus;
+use crate::threaded::ChainStats;
 use crate::udp::{
     SharedEgressWork, SharedIngressWork, SharedUdpSessionConfig, SharedUdpSessionHandle,
     SharedUdpStreamConfig, SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle,
@@ -33,77 +33,9 @@ pub struct StreamStatus {
     pub filters: Vec<String>,
     /// Runtime counters.
     pub stats: ChainStats,
-    /// `true` if this stream runs on the sharded worker pool instead of
-    /// thread-per-filter.
-    pub pooled: bool,
     /// Secure-channel counters summed over this chain's crypto stages
     /// (all-zero when the chain carries plaintext).
     pub secure: SecureChannelSnapshot,
-}
-
-/// One stream's chain, on whichever runtime the caller placed it:
-/// thread-per-filter ([`ThreadedChain`]) or the sharded worker pool
-/// ([`PooledChain`]).  Both support the same live-reconfiguration surface,
-/// so the proxy control plane treats them uniformly.
-#[derive(Debug)]
-enum StreamChain {
-    Threaded(ThreadedChain),
-    Pooled(PooledChain),
-}
-
-impl StreamChain {
-    fn insert(&self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
-        match self {
-            StreamChain::Threaded(chain) => chain.insert(position, filter),
-            StreamChain::Pooled(chain) => chain.insert(position, filter),
-        }
-    }
-
-    fn remove(&self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
-        match self {
-            StreamChain::Threaded(chain) => chain.remove(position),
-            StreamChain::Pooled(chain) => chain.remove(position),
-        }
-    }
-
-    fn names(&self) -> Vec<String> {
-        match self {
-            StreamChain::Threaded(chain) => chain.names(),
-            StreamChain::Pooled(chain) => chain.names(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            StreamChain::Threaded(chain) => chain.len(),
-            StreamChain::Pooled(chain) => chain.len(),
-        }
-    }
-
-    fn stats(&self) -> ChainStats {
-        match self {
-            StreamChain::Threaded(chain) => chain.stats(),
-            StreamChain::Pooled(chain) => chain.stats(),
-        }
-    }
-
-    fn secure_snapshot(&self) -> SecureChannelSnapshot {
-        match self {
-            StreamChain::Threaded(chain) => chain.secure_snapshot(),
-            StreamChain::Pooled(chain) => chain.secure_snapshot(),
-        }
-    }
-
-    fn shutdown(&self) -> Result<(), ProxyError> {
-        match self {
-            StreamChain::Threaded(chain) => chain.shutdown(),
-            StreamChain::Pooled(chain) => chain.shutdown(),
-        }
-    }
-
-    fn is_pooled(&self) -> bool {
-        matches!(self, StreamChain::Pooled(_))
-    }
 }
 
 /// A snapshot of a whole proxy, as reported to the control manager.
@@ -121,12 +53,12 @@ pub struct ProxyStatus {
     /// Per-stream snapshots, sorted by stream name.
     pub streams: Vec<StreamStatus>,
     /// Per-session snapshots (head chain plus per-lane stats), sorted by
-    /// session name; pooled and threaded sessions report the same shape.
+    /// session name.
     pub sessions: Vec<SessionStatus>,
     /// Filter kinds this proxy can instantiate.
     pub available_kinds: Vec<String>,
-    /// Sharded-runtime snapshot (per-shard queue depths, live tasks,
-    /// steals) when the proxy runs a worker pool; `None` otherwise.
+    /// Worker-pool snapshot (per-shard queue depths, live tasks, steals);
+    /// `None` only after [`Proxy::shutdown`].
     pub runtime: Option<RuntimeStatus>,
     /// Socket-wide counters of every UDP carrier (rx/tx datagrams and
     /// packets, decode errors, drops, unknown-stream frames), sorted by
@@ -144,22 +76,16 @@ pub struct ProxyStatus {
 pub struct Proxy {
     name: String,
     registry: FilterRegistry,
-    streams: BTreeMap<String, StreamChain>,
-    sessions: BTreeMap<String, Session>,
-    pooled_sessions: BTreeMap<String, PooledSession>,
+    streams: BTreeMap<String, PooledChain>,
+    sessions: BTreeMap<String, PooledSession>,
     udp_carriers: BTreeMap<String, UdpCarrier>,
     runtime: Option<Arc<Runtime>>,
     telemetry: Option<Arc<Registry>>,
 }
 
-/// Builds the latency spans for a flat stream (`stream.<name>.*`) and
-/// installs them on whichever chain variant backs it.
-fn attach_stream_spans(registry: &Arc<Registry>, name: &str, chain: &StreamChain) {
-    let spans = ChainSpans::egress(registry, format!("stream.{name}"));
-    match chain {
-        StreamChain::Threaded(chain) => chain.set_spans(spans),
-        StreamChain::Pooled(chain) => chain.set_spans(spans),
-    }
+/// The latency spans of a flat stream (`stream.<name>.*`).
+fn stream_spans(registry: &Arc<Registry>, name: &str) -> Arc<ChainSpans> {
+    ChainSpans::egress(registry, format!("stream.{name}"))
 }
 
 impl fmt::Debug for Proxy {
@@ -173,49 +99,37 @@ impl fmt::Debug for Proxy {
 }
 
 impl Proxy {
-    /// Creates a proxy with the built-in filter registry.
+    /// Creates a proxy with the built-in filter registry and a worker pool
+    /// of [`RuntimeConfig::default`] shape.
     pub fn new(name: impl Into<String>) -> Self {
         Self::with_registry(name, FilterRegistry::with_builtins())
     }
 
     /// Creates a proxy with a custom registry (e.g. one extended with
-    /// third-party filters).
+    /// third-party filters) and a worker pool of [`RuntimeConfig::default`]
+    /// shape.
     pub fn with_registry(name: impl Into<String>, registry: FilterRegistry) -> Self {
+        Self::start(name.into(), registry, RuntimeConfig::default())
+    }
+
+    /// Creates a proxy with the built-in registry and a worker pool of the
+    /// given shape (shard count, task batch size, pipe capacity).  Every
+    /// stream and session the proxy hosts runs as cooperative tasks on this
+    /// pool.
+    pub fn with_runtime(name: impl Into<String>, config: RuntimeConfig) -> Self {
+        Self::start(name.into(), FilterRegistry::with_builtins(), config)
+    }
+
+    fn start(name: String, registry: FilterRegistry, config: RuntimeConfig) -> Self {
         Self {
-            name: name.into(),
+            name,
             registry,
             streams: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            pooled_sessions: BTreeMap::new(),
             udp_carriers: BTreeMap::new(),
-            runtime: None,
+            runtime: Some(Runtime::start(config)),
             telemetry: None,
         }
-    }
-
-    /// Creates a proxy with the built-in registry **and** a sharded worker
-    /// pool, so streams and sessions can be placed on the pool with
-    /// [`add_stream_pooled`](Self::add_stream_pooled) and
-    /// [`add_session_pooled`](Self::add_session_pooled) instead of spawning
-    /// threads.  Thread-per-filter placement stays available per stream.
-    pub fn with_runtime(name: impl Into<String>, config: RuntimeConfig) -> Self {
-        let mut proxy = Self::new(name);
-        proxy.enable_runtime(config);
-        proxy
-    }
-
-    /// Starts (or replaces the handle to) the proxy's sharded runtime.
-    /// Existing pooled streams and sessions keep running on the pool they
-    /// were created on (each holds its own handle to it, so the old pool
-    /// stays up as long as they do); new pooled placements use the new
-    /// pool.
-    pub fn enable_runtime(&mut self, config: RuntimeConfig) -> Arc<Runtime> {
-        let runtime = Runtime::start(config);
-        if let Some(registry) = &self.telemetry {
-            runtime.enable_telemetry(registry);
-        }
-        self.runtime = Some(Arc::clone(&runtime));
-        runtime
     }
 
     /// Enables the unified telemetry subsystem and returns its registry.
@@ -223,17 +137,14 @@ impl Proxy {
     /// From this call on, every stream and session (existing and future)
     /// records packet-lifecycle latency spans — per-batch chain latency,
     /// sampled per-filter stage timings, and ingress-to-egress end-to-end
-    /// histograms — and the sharded runtime (if enabled, in either order)
-    /// records its profiling histograms: task poll duration, run-queue
-    /// wait, and reactor scan latency.  Read the result with
-    /// [`telemetry`](Self::telemetry) / [`telemetry_json`](Self::telemetry_json)
-    /// or the `TELEMETRY` control verb.
+    /// histograms — and the worker pool records its profiling histograms:
+    /// task poll duration, run-queue wait, and reactor scan latency.  Read
+    /// the result with [`telemetry`](Self::telemetry) /
+    /// [`telemetry_json`](Self::telemetry_json) or the `TELEMETRY` control
+    /// verb.
     ///
-    /// Idempotent: repeat calls return the same registry.  For complete
-    /// coverage enable telemetry *before* installing filters on threaded
-    /// chains (their stage workers pick the spans up at spawn); everything
-    /// else — carriers' drain-batch histograms included — attaches
-    /// retroactively.
+    /// Idempotent: repeat calls return the same registry.  Everything —
+    /// carriers' drain-batch histograms included — attaches retroactively.
     pub fn enable_telemetry(&mut self) -> Arc<Registry> {
         if self.telemetry.is_none() {
             self.telemetry = Some(Registry::new());
@@ -243,12 +154,9 @@ impl Proxy {
             runtime.enable_telemetry(&registry);
         }
         for (name, chain) in &self.streams {
-            attach_stream_spans(&registry, name, chain);
+            chain.set_spans(stream_spans(&registry, name));
         }
         for session in self.sessions.values() {
-            session.enable_telemetry(&registry);
-        }
-        for session in self.pooled_sessions.values() {
             session.enable_telemetry(&registry);
         }
         for (name, carrier) in &self.udp_carriers {
@@ -264,7 +172,7 @@ impl Proxy {
         self.telemetry.as_ref()
     }
 
-    /// The sharded runtime, if one was enabled.
+    /// The worker pool; `None` only after [`shutdown`](Self::shutdown).
     pub fn runtime(&self) -> Option<&Arc<Runtime>> {
         self.runtime.as_ref()
     }
@@ -287,29 +195,14 @@ impl Proxy {
     /// Creates a new stream through this proxy and returns its two
     /// endpoints: a sender the upstream EndPoint writes into and a receiver
     /// the downstream EndPoint reads from.  The stream starts as a null
-    /// proxy (no filters).
+    /// proxy (no filters); its whole filter chain runs as one cooperative
+    /// task on the proxy's worker pool and accepts live filter splices.
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::Splice`] if a stream with this name already
-    /// exists.
-    pub fn add_stream(
-        &mut self,
-        name: impl Into<String>,
-    ) -> Result<(DetachableSender<Packet>, DetachableReceiver<Packet>), ProxyError> {
-        self.install_stream(name.into(), StreamChain::Threaded(ThreadedChain::new()?))
-    }
-
-    /// Creates a new stream placed on the proxy's sharded worker pool: the
-    /// whole filter chain runs as one cooperative task on the pool's fixed
-    /// workers instead of one thread per filter.  The stream supports the
-    /// same live reconfiguration surface as a threaded stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::RuntimeDisabled`] if no runtime was enabled
-    /// (see [`with_runtime`](Self::with_runtime)) or [`ProxyError::Splice`]
-    /// if a stream with this name already exists.
+    /// Returns [`ProxyError::RuntimeDisabled`] after
+    /// [`shutdown`](Self::shutdown) or [`ProxyError::Splice`] if a stream
+    /// with this name already exists.
     pub fn add_stream_pooled(
         &mut self,
         name: impl Into<String>,
@@ -317,53 +210,26 @@ impl Proxy {
         let name = name.into();
         let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
         let chain = runtime.add_chain(name.clone());
-        self.install_stream(name, StreamChain::Pooled(chain))
-    }
-
-    /// Creates a new stream whose filter workers process packets in batches
-    /// of up to `batch_size` (see [`ThreadedChain::with_batch_size`]), with
-    /// inter-stage pipes buffering up to `capacity` packets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if a stream with this name already
-    /// exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `batch_size` is zero.
-    pub fn add_stream_batched(
-        &mut self,
-        name: impl Into<String>,
-        capacity: usize,
-        batch_size: usize,
-    ) -> Result<(DetachableSender<Packet>, DetachableReceiver<Packet>), ProxyError> {
-        self.install_stream(
-            name.into(),
-            StreamChain::Threaded(ThreadedChain::with_batch_size(capacity, batch_size)?),
-        )
+        self.install_stream(name, chain)
     }
 
     fn install_stream(
         &mut self,
         name: String,
-        chain: StreamChain,
+        chain: PooledChain,
     ) -> Result<(DetachableSender<Packet>, DetachableReceiver<Packet>), ProxyError> {
         if self.streams.contains_key(&name) {
             return Err(ProxyError::Splice(format!("stream {name} already exists")));
         }
-        let (input, output) = match &chain {
-            StreamChain::Threaded(chain) => (chain.input(), chain.output()),
-            StreamChain::Pooled(chain) => (chain.input(), chain.output()),
-        };
+        let endpoints = (chain.input(), chain.output());
         if let Some(registry) = &self.telemetry {
-            attach_stream_spans(registry, &name, &chain);
+            chain.set_spans(stream_spans(registry, &name));
         }
         self.streams.insert(name, chain);
-        Ok((input, output))
+        Ok(endpoints)
     }
 
-    fn chain(&self, stream: &str) -> Result<&StreamChain, ProxyError> {
+    fn chain(&self, stream: &str) -> Result<&PooledChain, ProxyError> {
         self.streams
             .get(stream)
             .ok_or_else(|| ProxyError::UnknownStream(stream.to_string()))
@@ -371,46 +237,17 @@ impl Proxy {
 
     /// Creates a fanout session through this proxy: one upstream input, a
     /// shared head chain, and (initially zero) receiver lanes added through
-    /// [`Session::add_lane`].  Returns the session's input endpoint; use
-    /// [`session`](Self::session) to add lanes and per-lane filters.
+    /// [`PooledSession::add_lane`].  The head chain, the fanout stage, and
+    /// every receiver lane run as cooperative tasks on the proxy's worker
+    /// pool.  Returns the session's input endpoint; use
+    /// [`pooled_session`](Self::pooled_session) to add lanes and per-lane
+    /// filters.
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::Splice`] if a session with this name already
-    /// exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `batch_size` is zero (see
-    /// [`Session::with_config`]).
-    pub fn add_session(
-        &mut self,
-        name: impl Into<String>,
-        capacity: usize,
-        batch_size: usize,
-    ) -> Result<DetachableSender<Packet>, ProxyError> {
-        let name = name.into();
-        if self.sessions.contains_key(&name) || self.pooled_sessions.contains_key(&name) {
-            return Err(ProxyError::Splice(format!("session {name} already exists")));
-        }
-        let session =
-            Session::with_config(name.clone(), self.registry.clone(), capacity, batch_size)?;
-        if let Some(registry) = &self.telemetry {
-            session.enable_telemetry(registry);
-        }
-        let input = session.input();
-        self.sessions.insert(name, session);
-        Ok(input)
-    }
-
-    /// Creates a fanout session hosted on the sharded worker pool: the
-    /// shared head chain, the fanout stage, and every receiver lane run as
-    /// cooperative tasks, so the session costs no dedicated threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::RuntimeDisabled`] if no runtime was enabled or
-    /// [`ProxyError::Splice`] if a session with this name already exists.
+    /// Returns [`ProxyError::RuntimeDisabled`] after
+    /// [`shutdown`](Self::shutdown) or [`ProxyError::Splice`] if a session
+    /// with this name already exists.
     ///
     /// # Panics
     ///
@@ -423,7 +260,7 @@ impl Proxy {
     ) -> Result<DetachableSender<Packet>, ProxyError> {
         let name = name.into();
         let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        if self.pooled_sessions.contains_key(&name) || self.sessions.contains_key(&name) {
+        if self.sessions.contains_key(&name) {
             return Err(ProxyError::Splice(format!("session {name} already exists")));
         }
         let session =
@@ -432,7 +269,7 @@ impl Proxy {
             session.enable_telemetry(registry);
         }
         let input = session.input();
-        self.pooled_sessions.insert(name, session);
+        self.sessions.insert(name, session);
         Ok(input)
     }
 
@@ -441,36 +278,18 @@ impl Proxy {
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownSession`] for unknown sessions.
-    pub fn session(&self, name: &str) -> Result<&Session, ProxyError> {
+    pub fn pooled_session(&self, name: &str) -> Result<&PooledSession, ProxyError> {
         self.sessions
             .get(name)
             .ok_or_else(|| ProxyError::UnknownSession(name.to_string()))
     }
 
-    /// The named pooled fanout session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownSession`] for unknown sessions.
-    pub fn pooled_session(&self, name: &str) -> Result<&PooledSession, ProxyError> {
-        self.pooled_sessions
-            .get(name)
-            .ok_or_else(|| ProxyError::UnknownSession(name.to_string()))
-    }
-
-    /// Names of the fanout sessions on this proxy (threaded and pooled).
+    /// Names of the fanout sessions on this proxy.
     pub fn session_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .sessions
-            .keys()
-            .chain(self.pooled_sessions.keys())
-            .cloned()
-            .collect();
-        names.sort();
-        names
+        self.sessions.keys().cloned().collect()
     }
 
-    /// Binds a **carrier**: one UDP socket that many pooled streams and
+    /// Binds a **carrier**: one UDP socket that many streams and
     /// sessions ride at once, demultiplexed by the stream id in every
     /// packet header.  A carrier costs zero threads — the runtime's
     /// readiness reactor wakes pool tasks that drain and flush the socket
@@ -485,8 +304,9 @@ impl Proxy {
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::RuntimeDisabled`] without a runtime,
-    /// [`ProxyError::Splice`] if the carrier name is taken, or
+    /// Returns [`ProxyError::RuntimeDisabled`] after
+    /// [`shutdown`](Self::shutdown), [`ProxyError::Splice`] if the carrier
+    /// name is taken, or
     /// [`ProxyError::Transport`] if the socket cannot be bound.
     ///
     /// # Panics
@@ -556,12 +376,12 @@ impl Proxy {
         self.udp_carriers.keys().cloned().collect()
     }
 
-    /// Creates a pooled stream riding a carrier: datagrams
-    /// arriving on the carrier whose stream id is in `config.streams` are
+    /// Creates a stream riding a carrier: datagrams arriving on the
+    /// carrier whose stream id is in `config.streams` are
     /// decoded straight into the chain input, and the chain output is
     /// multiplexed back onto the carrier's socket towards
     /// `config.egress_peer`, ending with the stream's FIN.  The chain is an
-    /// ordinary pooled stream otherwise — it appears in
+    /// ordinary stream otherwise — it appears in
     /// [`stream_names`](Self::stream_names) and accepts live filter
     /// splices.
     ///
@@ -589,11 +409,8 @@ impl Proxy {
             return Err(ProxyError::UnknownCarrier(config.carrier.clone()));
         }
         let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        let chain = StreamChain::Pooled(runtime.add_chain_with(
-            name.clone(),
-            config.capacity,
-            config.batch_size.max(1),
-        ));
+        let chain =
+            runtime.add_chain_with(name.clone(), config.capacity, config.batch_size.max(1));
         let (input, output) = self.install_stream(name.clone(), chain)?;
         let carrier = self
             .udp_carriers
@@ -632,17 +449,18 @@ impl Proxy {
         })
     }
 
-    /// Creates a pooled fanout session riding a carrier:
-    /// datagrams for `config.streams` feed the shared head chain, and each
-    /// `config.lanes` entry multiplexes that lane's packets back onto the
-    /// carrier's socket towards its own peer (FIN per lane).  The session
-    /// is an ordinary pooled session otherwise — per-lane filters splice
-    /// through [`pooled_session`](Self::pooled_session).
+    /// Creates a fanout session riding a carrier: datagrams for
+    /// `config.streams` feed the shared head chain, and each `config.lanes`
+    /// entry multiplexes that lane's packets back onto the carrier's socket
+    /// towards its own peer (FIN per lane).  The session is an ordinary
+    /// session otherwise — per-lane filters splice through
+    /// [`pooled_session`](Self::pooled_session).
     ///
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownCarrier`] if `config.carrier` does not
-    /// exist, [`ProxyError::RuntimeDisabled`] without a runtime, or
+    /// exist, [`ProxyError::RuntimeDisabled`] after
+    /// [`shutdown`](Self::shutdown), or
     /// [`ProxyError::Splice`] if the session name is taken, a stream id is
     /// already routed, or `config.streams` is empty.
     ///
@@ -696,7 +514,7 @@ impl Proxy {
                     carrier.ingress().close_stream(stream);
                 }
             }
-            if let Some(session) = self.pooled_sessions.remove(&name) {
+            if let Some(session) = self.sessions.remove(&name) {
                 let _ = session.shutdown();
             }
             return Err(err);
@@ -758,24 +576,17 @@ impl Proxy {
         self.chain(stream)?.remove(position)
     }
 
-    /// Moves a filter from one position to another on `stream` by removing
-    /// and re-inserting it (two splices, matching how the paper's
-    /// ControlThread reorders its filter vector).
+    /// Moves a filter from one position to another on `stream` as one
+    /// splice: the chain is locked once, so no batch crosses it with the
+    /// filter absent, and the filter is not flushed (an FEC encoder keeps
+    /// its half-collected block).
     ///
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownStream`], position errors, or splice
     /// errors.
     pub fn move_filter(&self, stream: &str, from: usize, to: usize) -> Result<(), ProxyError> {
-        let chain = self.chain(stream)?;
-        if to > chain.len().saturating_sub(1) {
-            return Err(ProxyError::PositionOutOfRange {
-                position: to,
-                len: chain.len(),
-            });
-        }
-        let filter = chain.remove(from)?;
-        chain.insert(to, filter)
+        self.chain(stream)?.move_filter(from, to)
     }
 
     /// Names of the filters installed on `stream`.
@@ -798,13 +609,8 @@ impl Proxy {
 
     /// A full status snapshot (what the control manager renders).
     pub fn status(&self) -> ProxyStatus {
-        let mut sessions: Vec<SessionStatus> = self
-            .sessions
-            .values()
-            .map(Session::status)
-            .chain(self.pooled_sessions.values().map(PooledSession::status))
-            .collect();
-        sessions.sort_by(|a, b| a.name.cmp(&b.name));
+        let sessions: Vec<SessionStatus> =
+            self.sessions.values().map(PooledSession::status).collect();
         let transports: Vec<UdpTransportStatus> = self
             .udp_carriers
             .iter()
@@ -817,7 +623,6 @@ impl Proxy {
                 name: name.clone(),
                 filters: chain.names(),
                 stats: chain.stats(),
-                pooled: chain.is_pooled(),
                 secure: chain.secure_snapshot(),
             })
             .collect();
@@ -862,12 +667,7 @@ impl Proxy {
                 snapshot.push_stats(&format!("stream.{name}.secure"), secure.snapshot());
             }
         }
-        let sessions = self
-            .sessions
-            .values()
-            .map(Session::status)
-            .chain(self.pooled_sessions.values().map(PooledSession::status));
-        for session in sessions {
+        for session in self.sessions.values().map(PooledSession::status) {
             let scope = format!("session.{}", session.name);
             snapshot.push_stats(&format!("{scope}.head"), session.head_stats.snapshot());
             for lane in &session.lanes {
@@ -903,12 +703,14 @@ impl Proxy {
         self.telemetry().map(|snapshot| snapshot.to_json())
     }
 
-    /// Shuts down every stream, waiting for all filter threads to exit.
+    /// Shuts down every carrier, stream and session, then stops the worker
+    /// pool.  Later placements fail with [`ProxyError::RuntimeDisabled`];
+    /// a repeated call is a no-op.
     ///
     /// # Errors
     ///
-    /// Returns the first worker failure encountered (shutdown continues for
-    /// the remaining streams regardless).
+    /// Returns the first failure encountered (shutdown continues for the
+    /// remaining streams regardless).
     pub fn shutdown(&mut self) -> Result<(), ProxyError> {
         let mut first_error = None;
         // Transport teardown brackets the chain teardown: each carrier's
@@ -932,11 +734,6 @@ impl Proxy {
                 first_error.get_or_insert(err);
             }
         }
-        for (_, session) in std::mem::take(&mut self.pooled_sessions) {
-            if let Err(err) = session.shutdown() {
-                first_error.get_or_insert(err);
-            }
-        }
         // The carriers' send-side tasks stop after the chains have
         // delivered their final output (one last flush pass each), so
         // nothing in flight is stranded.
@@ -945,7 +742,7 @@ impl Proxy {
                 first_error.get_or_insert(err);
             }
         }
-        // Pooled chains and sessions are down; stopping the workers last
+        // Chains and sessions are down; stopping the workers last
         // means every task could run to completion.
         if let Some(runtime) = self.runtime.take() {
             if let Err(err) = runtime.shutdown() {
@@ -977,7 +774,7 @@ mod tests {
     #[test]
     fn add_stream_and_forward_packets() {
         let mut proxy = Proxy::new("edge-proxy");
-        let (input, output) = proxy.add_stream("audio").unwrap();
+        let (input, output) = proxy.add_stream_pooled("audio").unwrap();
         input.send(packet(0)).unwrap();
         assert_eq!(output.recv().unwrap().seq().value(), 0);
         assert_eq!(proxy.stream_names(), vec!["audio"]);
@@ -988,14 +785,14 @@ mod tests {
     #[test]
     fn duplicate_stream_names_are_rejected() {
         let mut proxy = Proxy::new("p");
-        proxy.add_stream("audio").unwrap();
-        assert!(proxy.add_stream("audio").is_err());
+        proxy.add_stream_pooled("audio").unwrap();
+        assert!(proxy.add_stream_pooled("audio").is_err());
     }
 
     #[test]
     fn insert_and_remove_filters_by_spec() {
         let mut proxy = Proxy::new("p");
-        let (input, output) = proxy.add_stream("audio").unwrap();
+        let (input, output) = proxy.add_stream_pooled("audio").unwrap();
         proxy
             .insert_filter("audio", 0, &FilterSpec::new("fec-encoder"))
             .unwrap();
@@ -1038,24 +835,47 @@ mod tests {
     #[test]
     fn move_filter_reorders_live_chain() {
         let mut proxy = Proxy::new("p");
-        let (_input, _output) = proxy.add_stream("s").unwrap();
+        let (input, output) = proxy.add_stream_pooled("s").unwrap();
         proxy
-            .insert_filter("s", 0, &FilterSpec::new("tap").with_param("name", "a"))
+            .insert_filter("s", 0, &FilterSpec::new("fec-encoder"))
             .unwrap();
         proxy
-            .insert_filter("s", 1, &FilterSpec::new("tap").with_param("name", "b"))
+            .insert_filter("s", 1, &FilterSpec::new("tap").with_param("name", "t"))
             .unwrap();
-        proxy.move_filter("s", 1, 0).unwrap();
-        assert_eq!(proxy.filter_names("s").unwrap(), vec!["b", "a"]);
+        // Half an FEC(6,4) block goes in and comes out as plain data; the
+        // encoder now holds two sources towards its next parity pair.
+        input.send(packet(0)).unwrap();
+        input.send(packet(1)).unwrap();
+        let mut received = vec![output.recv().unwrap(), output.recv().unwrap()];
+        let splices = proxy.stream_stats("s").unwrap().splices;
+
+        proxy.move_filter("s", 0, 1).unwrap();
+        assert_eq!(proxy.filter_names("s").unwrap(), vec!["t", "fec-encoder(6,4)"]);
+        assert_eq!(
+            proxy.stream_stats("s").unwrap().splices,
+            splices + 1,
+            "a move is one splice, not a remove plus an insert"
+        );
         assert!(proxy.move_filter("s", 0, 5).is_err());
+
+        input.send(packet(2)).unwrap();
+        input.send(packet(3)).unwrap();
+        input.close();
+        received.extend(std::iter::from_fn(|| output.recv().ok()));
+        // The move did not flush the encoder: the block completes across
+        // it and emits exactly its two parities (a flush would have padded
+        // the half block out to two parities and the second half to two
+        // more).
+        let data = received.iter().filter(|p| p.kind().is_payload()).count();
+        assert_eq!((data, received.len() - data), (4, 2), "{received:?}");
         proxy.shutdown().unwrap();
     }
 
     #[test]
     fn status_reports_streams_and_kinds() {
         let mut proxy = Proxy::new("status-proxy");
-        proxy.add_stream("audio").unwrap();
-        proxy.add_stream("video").unwrap();
+        proxy.add_stream_pooled("audio").unwrap();
+        proxy.add_stream_pooled("video").unwrap();
         proxy
             .insert_filter("video", 0, &FilterSpec::new("rate-limiter"))
             .unwrap();
@@ -1071,10 +891,10 @@ mod tests {
     #[test]
     fn sessions_report_per_lane_status_instead_of_flattened_streams() {
         let mut proxy = Proxy::new("edge");
-        proxy.add_stream("plain").unwrap();
-        let input = proxy.add_session("fanout", 64, 8).unwrap();
-        let wired = proxy.session("fanout").unwrap().add_lane("wired").unwrap();
-        let wlan = proxy.session("fanout").unwrap().add_lane("wlan").unwrap();
+        proxy.add_stream_pooled("plain").unwrap();
+        let input = proxy.add_session_pooled("fanout", 64, 8).unwrap();
+        let wired = proxy.pooled_session("fanout").unwrap().add_lane("wired").unwrap();
+        let wlan = proxy.pooled_session("fanout").unwrap().add_lane("wlan").unwrap();
         for seq in 0..4 {
             input.send(packet(seq)).unwrap();
         }
@@ -1096,8 +916,12 @@ mod tests {
             assert_eq!(lane.queue_depth, 0);
         }
         // Duplicate and unknown session names are rejected.
-        assert!(proxy.add_session("fanout", 64, 8).is_err());
-        assert!(matches!(proxy.session("nope"), Err(ProxyError::UnknownSession(_))));
+        assert_eq!(proxy.session_names(), vec!["fanout"]);
+        assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
+        assert!(matches!(
+            proxy.pooled_session("nope"),
+            Err(ProxyError::UnknownSession(_))
+        ));
         proxy.shutdown().unwrap();
     }
 
@@ -1120,79 +944,64 @@ mod tests {
         let removed = proxy.remove_filter("audio", 0).unwrap();
         assert_eq!(removed.name(), "fec-encoder(6,4)");
         let status = proxy.status();
-        assert!(status.streams[0].pooled);
-        let runtime = status.runtime.expect("runtime status present in pooled mode");
+        let runtime = status.runtime.expect("runtime status present on a live proxy");
         assert_eq!(runtime.workers, 2);
         assert_eq!(runtime.shards.len(), 2);
         proxy.shutdown().unwrap();
     }
 
     #[test]
-    fn pooled_sessions_report_like_threaded_ones() {
-        let mut proxy = Proxy::with_runtime("mixed", RuntimeConfig::new(2, 8));
-        let input = proxy.add_session_pooled("fanout", 64, 8).unwrap();
-        let lane = proxy.pooled_session("fanout").unwrap().add_lane("wired").unwrap();
-        for seq in 0..4 {
-            input.send(packet(seq)).unwrap();
-        }
-        for _ in 0..4 {
-            lane.recv().unwrap();
-        }
-        let status = proxy.status();
-        assert_eq!(status.sessions.len(), 1);
-        assert_eq!(status.sessions[0].lanes[0].delivered, 4);
-        assert_eq!(proxy.session_names(), vec!["fanout"]);
-        // Threaded and pooled sessions share one namespace.
-        assert!(proxy.add_session("fanout", 64, 8).is_err());
-        assert!(proxy.add_session_pooled("fanout", 64, 8).is_err());
-        assert!(matches!(
-            proxy.pooled_session("nope"),
-            Err(ProxyError::UnknownSession(_))
-        ));
+    fn placement_after_shutdown_is_refused_and_leaves_no_trace() {
+        let mut proxy = Proxy::new("down");
+        assert_eq!(
+            proxy.runtime().expect("a proxy starts its pool").config(),
+            RuntimeConfig::default()
+        );
+        proxy.add_stream_pooled("s").unwrap();
+        proxy.add_session_pooled("f", 64, 8).unwrap();
+        proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
         proxy.shutdown().unwrap();
-    }
+        assert!(proxy.runtime().is_none());
+        assert!(proxy.status().runtime.is_none());
 
-    #[test]
-    fn replacing_the_runtime_keeps_existing_pooled_streams_alive() {
-        // Regression: a pooled chain holds its own handle to the pool it
-        // runs on, so enable_runtime replacing the proxy's handle must not
-        // stop the old workers under a live stream.
-        let mut proxy = Proxy::with_runtime("swap", RuntimeConfig::new(1, 4));
-        let (input, output) = proxy.add_stream_pooled("s").unwrap();
-        proxy.enable_runtime(RuntimeConfig::new(2, 4));
-        let producer = std::thread::spawn(move || {
-            for seq in 0..300u64 {
-                input.send(packet(seq)).unwrap();
-            }
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let mut received = 0u64;
-        while received < 300 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "stream on the replaced runtime stopped flowing ({received} of 300)"
-            );
-            if output.recv_timeout(std::time::Duration::from_millis(50)).is_ok() {
-                received += 1;
-            }
-        }
-        producer.join().unwrap();
-        proxy.shutdown().unwrap();
-    }
-
-    #[test]
-    fn pooled_placement_requires_an_enabled_runtime() {
-        let mut proxy = Proxy::new("plain");
+        let peer = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
+        let started = std::time::Instant::now();
         assert!(matches!(
             proxy.add_stream_pooled("s"),
             Err(ProxyError::RuntimeDisabled)
         ));
         assert!(matches!(
-            proxy.add_session_pooled("s", 64, 8),
+            proxy.add_session_pooled("f", 64, 8),
             Err(ProxyError::RuntimeDisabled)
         ));
-        assert!(proxy.runtime().is_none());
-        assert!(proxy.status().runtime.is_none());
+        assert!(matches!(
+            proxy.add_udp_carrier("wire", UdpCarrierConfig::new()),
+            Err(ProxyError::RuntimeDisabled)
+        ));
+        // The carrier went down with the proxy, so nothing can ride it.
+        assert!(matches!(
+            proxy.add_stream_udp_shared(
+                "s",
+                SharedUdpStreamConfig::on_carrier("wire", peer).with_stream(StreamId::new(1)),
+            ),
+            Err(ProxyError::UnknownCarrier(_))
+        ));
+        assert!(matches!(
+            proxy.add_session_udp_shared(
+                "f",
+                SharedUdpSessionConfig::on_carrier("wire").with_stream(StreamId::new(1)),
+            ),
+            Err(ProxyError::UnknownCarrier(_))
+        ));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "a refused placement must not wait on the stopped pool"
+        );
+        assert!(proxy.stream_names().is_empty());
+        assert!(proxy.session_names().is_empty());
+        assert!(proxy.carrier_names().is_empty());
+        // A second shutdown (and the Drop after it) stays Ok.
+        proxy.shutdown().unwrap();
     }
 
     fn encode_to(socket: &std::net::UdpSocket, peer: std::net::SocketAddr, packet: &Packet) {
@@ -1354,12 +1163,6 @@ mod tests {
 
     #[test]
     fn shared_placement_failures_leave_no_trace_behind() {
-        let mut proxy = Proxy::new("plain");
-        // Carriers require the pooled runtime.
-        assert!(matches!(
-            proxy.add_udp_carrier("wire", UdpCarrierConfig::new()),
-            Err(ProxyError::RuntimeDisabled)
-        ));
         let mut proxy = Proxy::with_runtime("shared", RuntimeConfig::new(1, 4));
         let peer = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
         // Placement on a carrier that does not exist.
@@ -1435,7 +1238,7 @@ mod tests {
     #[test]
     fn stream_stats_track_traffic() {
         let mut proxy = Proxy::new("p");
-        let (input, output) = proxy.add_stream("s").unwrap();
+        let (input, output) = proxy.add_stream_pooled("s").unwrap();
         for seq in 0..5 {
             input.send(packet(seq)).unwrap();
         }

@@ -1,16 +1,15 @@
 //! The sharded session runtime: many chains and sessions multiplexed over a
 //! **fixed** pool of workers.
 //!
-//! The thread-per-filter [`ThreadedChain`](crate::ThreadedChain) is the
-//! faithful port of the paper's architecture, but it spends one OS thread
-//! per filter and one more per fanout session — at hundreds of concurrent
-//! sessions the thread count, stack memory, and context-switch load topple
-//! the proxy long before the hardware does.  This module is the scalable
-//! alternative, shaped like the worker-multiplexed stage executors of
-//! streaming-pipe systems: a [`Runtime`] owns `shards` worker threads, each
-//! with its own run queue of **chain tasks**, and every
-//! [`PooledChain`]/[`PooledSession`] is a set of such tasks instead of a
-//! set of threads.
+//! This is the executor every [`Proxy`](crate::Proxy) stream and session
+//! runs on.  The paper's architecture spends one OS thread per filter — at
+//! hundreds of concurrent sessions the thread count, stack memory, and
+//! context-switch load topple the proxy long before the hardware does — so
+//! the proxy is shaped like the worker-multiplexed stage executors of
+//! streaming-pipe systems instead: a [`Runtime`] owns `shards` worker
+//! threads, each with its own run queue of **chain tasks**, and every
+//! [`PooledChain`]/[`PooledSession`] is a set of such tasks, never a set of
+//! threads.
 //!
 //! ```text
 //!                 ┌─ shard 0: [task][task][task…]  ◀─ steal ─┐
@@ -669,10 +668,8 @@ impl Runtime {
         task
     }
 
-    /// Creates a chain hosted on this pool (the pooled analogue of
-    /// [`ThreadedChain::new`](crate::ThreadedChain::new)): a null proxy
-    /// with an input and an output endpoint, reconfigurable while packets
-    /// flow.
+    /// Creates a chain hosted on this pool: a null proxy with an input and
+    /// an output endpoint, reconfigurable while packets flow.
     pub fn add_chain(self: &Arc<Self>, name: impl Into<String>) -> PooledChain {
         self.add_chain_with(name, self.config.pipe_capacity, self.config.batch_size)
     }
@@ -727,10 +724,9 @@ impl Runtime {
         }
     }
 
-    /// Creates a fanout session hosted on this pool (the pooled analogue of
-    /// [`Session`](crate::Session)): one input, a shared head chain task, a
-    /// fanout task, and live-addable receiver lanes, each a chain task of
-    /// its own.
+    /// Creates a fanout session hosted on this pool: one input, a shared
+    /// head chain task, a fanout task, and live-addable receiver lanes,
+    /// each a chain task of its own.
     pub fn add_session(self: &Arc<Self>, name: impl Into<String>) -> PooledSession {
         self.add_session_with(
             name,
@@ -1199,8 +1195,7 @@ struct ChainWork {
 impl ChainWork {
     /// Forwards as much of `pending_out` as the outbox accepts.  Returns
     /// `true` when nothing is left to forward (a closed outbox counts: the
-    /// packets are dropped, exactly as a threaded stage drops output for a
-    /// departed consumer).
+    /// packets are dropped — the consumer has departed).
     fn flush_pending(&self, inner: &mut ChainWorkInner) -> bool {
         if inner.pending_out.is_empty() {
             return true;
@@ -1270,15 +1265,14 @@ impl TaskWork for Arc<ChainWork> {
     }
 }
 
-/// A filter chain hosted on a [`Runtime`] worker pool instead of
-/// thread-per-filter.
+/// A filter chain hosted on a [`Runtime`] worker pool: the whole chain is
+/// one cooperative task.
 ///
-/// The public surface mirrors [`ThreadedChain`](crate::ThreadedChain) —
-/// `input`/`output` endpoints, live `insert`/`remove`/`move_filter`,
-/// `stats`, `shutdown` — so the proxy can place a stream on either runtime
-/// behind one API.  Reconfiguration takes effect between two batches and
-/// never loses, duplicates, or reorders a packet: the residue flushed out
-/// of a removed filter is forwarded ahead of all later traffic.
+/// The public surface is `input`/`output` endpoints, live
+/// `insert`/`remove`/`move_filter`, `stats`, `shutdown`.  Reconfiguration
+/// takes effect between two batches and never loses, duplicates, or
+/// reorders a packet: the residue flushed out of a removed filter is
+/// forwarded ahead of all later traffic.
 pub struct PooledChain {
     name: String,
     /// Keeps the hosting pool alive: a chain's task can only run while its
@@ -1364,7 +1358,7 @@ impl PooledChain {
         self.work.inner.lock().chain.set_spans(spans);
     }
 
-    /// Current chain statistics (same counters as a threaded chain).
+    /// Current chain statistics.
     pub fn stats(&self) -> ChainStats {
         ChainStats {
             filters: self.len(),
@@ -1408,7 +1402,7 @@ impl PooledChain {
 
     /// Removes and returns the filter at `position`.  Anything the filter
     /// had buffered is flushed through the remaining downstream filters and
-    /// forwarded ahead of later traffic, exactly like a threaded splice.
+    /// forwarded ahead of later traffic.
     ///
     /// # Errors
     ///
@@ -1595,16 +1589,15 @@ struct PooledLanes {
     closed: bool,
 }
 
-/// A fanout session hosted on a [`Runtime`] worker pool: the pooled
-/// analogue of [`Session`](crate::Session).
+/// A fanout session hosted on a [`Runtime`] worker pool.
 ///
 /// One head chain task does the shared work once per packet, a fanout task
 /// clones each batch to every lane (zero-copy: payloads are `Arc`-backed),
 /// and each lane is a chain task of its own — so a session costs **zero**
 /// dedicated threads, and hundreds of sessions share the pool's fixed
-/// workers.  Unlike the threaded session, lanes can also be removed while
-/// the session runs ([`remove_lane`](Self::remove_lane)), which the soak
-/// suite exercises as continuous churn.
+/// workers.  Lanes can be added and removed while the session runs
+/// ([`add_lane`](Self::add_lane), [`remove_lane`](Self::remove_lane)),
+/// which the soak suite exercises as continuous churn.
 pub struct PooledSession {
     name: String,
     registry: FilterRegistry,
@@ -1796,9 +1789,10 @@ impl PooledSession {
     }
 
     /// Instantiates a filter from `spec` and splices it into `lane`'s tail
-    /// chain at `position` — the per-receiver adaptation path.  As with the
-    /// threaded session, the built-in `fec-decoder` kind keeps its stats
-    /// handle so per-lane `recovered` counts surface in the status.
+    /// chain at `position` — the per-receiver adaptation path.  The
+    /// built-in `fec-decoder` kind keeps its stats handle so per-lane
+    /// `recovered` counts surface in the status (a registry override of
+    /// that kind is installed as-is, without them).
     ///
     /// # Errors
     ///
@@ -1864,7 +1858,8 @@ impl PooledSession {
             .ok_or_else(|| ProxyError::UnknownLane(lane.to_string()))
     }
 
-    /// A full status snapshot, in the same shape as a threaded session's.
+    /// A full status snapshot: head-chain state plus per-lane delivery,
+    /// recovery, and queue-depth counters.
     pub fn status(&self) -> SessionStatus {
         let lanes = self.lanes.lock();
         let mut secure = self.head.secure_snapshot();
@@ -1916,8 +1911,7 @@ impl PooledSession {
         lanes.closed = true;
         // Close every lane delivery endpoint first: a lane task parked
         // against an abandoned (full, never drained) endpoint fails its
-        // sends immediately instead of wedging the fanout task — same
-        // ordering as the threaded session's shutdown.
+        // sends immediately instead of wedging the fanout task.
         for lane in lanes.live.iter().chain(lanes.retired.iter()) {
             lane.output.close();
         }

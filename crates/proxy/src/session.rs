@@ -4,34 +4,21 @@
 //! The paper's proxy serves one media source to *heterogeneous* receivers:
 //! wired peers want the raw stream, while each wireless receiver wants its
 //! own adaptation (FEC strength, rate, transforms) matched to its link.  A
-//! [`Session`] is that unit of fanout:
-//!
-//! * one **head chain** ([`ThreadedChain`]) does the work every receiver
-//!   shares — transcoding, compression, tapping — exactly once per packet,
-//!   no matter how many receivers are attached;
-//! * a **fanout worker** clones each head-chain batch to every lane.  The
-//!   clone is zero-copy: packet payloads are `Arc`-backed, so fanning a
-//!   batch out to N lanes bumps N reference counts instead of copying
-//!   bytes.  A lane-local filter that *rewrites* payload bytes gets a
-//!   private copy on write ([`Packet::payload_mut`]), so lanes can never
-//!   observe each other's mutations;
-//! * each **receiver lane** ([`Session::add_lane`]) owns a tail
-//!   [`ThreadedChain`] of its own, live-reconfigurable through the same
-//!   splice protocol as any stream — this is where a per-receiver
-//!   adaptation loop inserts FEC for a lossy WLAN receiver while its wired
-//!   siblings pay nothing.
-//!
-//! The shape follows the session/link layering of messaging systems such as
-//! AMQP: one connection (the upstream source and head chain), many
-//! independently flow-controlled links (the lanes), each with its own
-//! endpoint and its own state.
+//! [`PooledSession`](crate::PooledSession) is that unit of fanout — a head
+//! task that does the shared work once per packet, a fanout task that
+//! clones each batch to every lane (zero-copy: payloads are `Arc`-backed,
+//! and a lane filter that rewrites bytes copies on write), and one
+//! live-reconfigurable lane task per receiver.  This module holds what a
+//! session *reports* ([`SessionStatus`], [`LaneStatus`]) and how a lane
+//! filter is built; the session itself lives in [`runtime`](crate::runtime).
 //!
 //! ```
-//! use rapidware_proxy::Session;
+//! use rapidware_proxy::runtime::{Runtime, RuntimeConfig};
 //! use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 //!
 //! # fn main() -> Result<(), rapidware_proxy::ProxyError> {
-//! let session = Session::new("audio")?;
+//! let runtime = Runtime::start(RuntimeConfig::default());
+//! let session = runtime.add_session("audio");
 //! let wired = session.add_lane("wired")?;
 //! let wlan = session.add_lane("wlan")?;
 //!
@@ -44,29 +31,18 @@
 //! let b = wlan.recv().expect("wlan lane delivers");
 //! assert!(a.shares_payload_with(&b), "fanout is zero-copy");
 //! session.shutdown()?;
+//! runtime.shutdown()?;
 //! # Ok(())
 //! # }
 //! ```
 
-use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
-
-use rapidware_filters::{
-    ChainSpans, FecDecoderFilter, FecDecoderStats, Filter, SecureChannelSnapshot,
-};
-use rapidware_packet::Packet;
-use rapidware_streams::{DetachableReceiver, DetachableSender};
-use rapidware_telemetry::Registry;
+use rapidware_filters::{FecDecoderFilter, FecDecoderStats, Filter, SecureChannelSnapshot};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
-use crate::threaded::{ChainStats, ThreadedChain, DEFAULT_BATCH_SIZE};
-
-/// Default per-pipe buffer capacity for session chains.
-const DEFAULT_SESSION_CAPACITY: usize = 128;
+use crate::threaded::ChainStats;
 
 /// A status snapshot of one receiver lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,382 +94,12 @@ pub struct SessionStatus {
     pub secure: SecureChannelSnapshot,
 }
 
-/// One receiver lane: a tail chain plus its endpoints and bookkeeping.
-struct ReceiverLane {
-    name: String,
-    chain: ThreadedChain,
-    output: DetachableReceiver<Packet>,
-    decoder_stats: Vec<Arc<FecDecoderStats>>,
-}
-
-impl fmt::Debug for ReceiverLane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReceiverLane").field("name", &self.name).finish()
-    }
-}
-
-struct SessionInner {
-    lanes: Vec<ReceiverLane>,
-    closed: bool,
-}
-
-/// The lane input senders the fanout worker writes into; shared so lanes
-/// can be added while the session is live (a late joiner sees the stream
-/// from its join point onward).
-type LaneInputs = Arc<Mutex<Vec<DetachableSender<Packet>>>>;
-
-/// One fanout session: a shared head chain feeding N receiver lanes, each
-/// with its own live-reconfigurable tail chain and delivery endpoint.
-pub struct Session {
-    name: String,
-    registry: FilterRegistry,
-    head: ThreadedChain,
-    inner: Mutex<SessionInner>,
-    lane_inputs: LaneInputs,
-    fanout: Mutex<Option<JoinHandle<()>>>,
-    capacity: usize,
-    batch_size: usize,
-    /// Registry latency spans are created in, once telemetry is enabled;
-    /// lanes added afterwards attach their own spans from here.
-    telemetry: Mutex<Option<Arc<Registry>>>,
-}
-
-impl fmt::Debug for Session {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Session")
-            .field("name", &self.name)
-            .field("lanes", &self.lane_names())
-            .finish()
-    }
-}
-
-impl Session {
-    /// Creates a session with the built-in filter registry and default
-    /// capacity/batch size.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for parity with the chain
-    /// constructors it wraps.
-    pub fn new(name: impl Into<String>) -> Result<Self, ProxyError> {
-        Self::with_config(
-            name,
-            FilterRegistry::with_builtins(),
-            DEFAULT_SESSION_CAPACITY,
-            DEFAULT_BATCH_SIZE,
-        )
-    }
-
-    /// Creates a session with an explicit registry, per-pipe `capacity`,
-    /// and per-stage `batch_size` (both the head chain and every lane tail
-    /// chain use these).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible (see [`new`](Self::new)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `batch_size` is zero.
-    pub fn with_config(
-        name: impl Into<String>,
-        registry: FilterRegistry,
-        capacity: usize,
-        batch_size: usize,
-    ) -> Result<Self, ProxyError> {
-        let head = ThreadedChain::with_batch_size(capacity, batch_size)?;
-        let lane_inputs: LaneInputs = Arc::new(Mutex::new(Vec::new()));
-        let fanout = spawn_fanout(head.output(), Arc::clone(&lane_inputs), batch_size);
-        Ok(Self {
-            name: name.into(),
-            registry,
-            head,
-            inner: Mutex::new(SessionInner {
-                lanes: Vec::new(),
-                closed: false,
-            }),
-            lane_inputs,
-            fanout: Mutex::new(Some(fanout)),
-            capacity,
-            batch_size,
-            telemetry: Mutex::new(None),
-        })
-    }
-
-    /// Enables latency spans on this session: the shared head chain records
-    /// under `session.<name>.head` (interior — packets exit downstream),
-    /// and every lane, current and future, records under
-    /// `session.<name>.lane.<lane>` with per-packet end-to-end latency at
-    /// lane exit.
-    pub fn enable_telemetry(&self, registry: &Arc<Registry>) {
-        self.head
-            .set_spans(ChainSpans::interior(registry, format!("session.{}.head", self.name)));
-        // Publish first, then sweep: a concurrently added lane either sees
-        // the registry itself or is already in the list swept below.
-        *self.telemetry.lock() = Some(Arc::clone(registry));
-        let inner = self.inner.lock();
-        for lane in &inner.lanes {
-            lane.chain.set_spans(ChainSpans::egress(
-                registry,
-                format!("session.{}.lane.{}", self.name, lane.name),
-            ));
-        }
-    }
-
-    /// Session name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The endpoint the upstream source writes into (feeds the head chain).
-    pub fn input(&self) -> DetachableSender<Packet> {
-        self.head.input()
-    }
-
-    /// Names of the lanes, in creation order.
-    pub fn lane_names(&self) -> Vec<String> {
-        self.inner.lock().lanes.iter().map(|l| l.name.clone()).collect()
-    }
-
-    /// Number of receiver lanes.
-    pub fn lane_count(&self) -> usize {
-        self.inner.lock().lanes.len()
-    }
-
-    /// Adds a receiver lane and returns its delivery endpoint.
-    ///
-    /// The lane starts as a null proxy (empty tail chain).  Packets that
-    /// passed the fanout point before the lane existed are not replayed: a
-    /// lane added mid-stream sees the stream from its join point onward.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Splice`] if a lane with this name already
-    /// exists or [`ProxyError::ChainClosed`] after shutdown.
-    pub fn add_lane(
-        &self,
-        name: impl Into<String>,
-    ) -> Result<DetachableReceiver<Packet>, ProxyError> {
-        let name = name.into();
-        // Read before taking the lanes lock (enable_telemetry publishes the
-        // registry first and then sweeps the lane list under that lock).
-        let spans_registry = self.telemetry.lock().clone();
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(ProxyError::ChainClosed);
-        }
-        if inner.lanes.iter().any(|l| l.name == name) {
-            return Err(ProxyError::Splice(format!("lane {name} already exists")));
-        }
-        let chain = ThreadedChain::with_batch_size(self.capacity, self.batch_size)?;
-        if let Some(registry) = &spans_registry {
-            chain.set_spans(ChainSpans::egress(
-                registry,
-                format!("session.{}.lane.{name}", self.name),
-            ));
-        }
-        let output = chain.output();
-        // Publish the lane input to the fanout worker only once the lane is
-        // fully constructed; the worker starts feeding it on its next batch.
-        self.lane_inputs.lock().push(chain.input());
-        inner.lanes.push(ReceiverLane {
-            name,
-            chain,
-            output: output.clone(),
-            decoder_stats: Vec::new(),
-        });
-        Ok(output)
-    }
-
-    /// A (new) handle on a lane's delivery endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownLane`] for unknown lanes.
-    pub fn lane_output(&self, lane: &str) -> Result<DetachableReceiver<Packet>, ProxyError> {
-        let inner = self.inner.lock();
-        let lane = find_lane(&inner.lanes, lane)?;
-        Ok(lane.output.clone())
-    }
-
-    /// Instantiates a filter from `spec` and splices it into the shared
-    /// head chain at `position`.
-    ///
-    /// # Errors
-    ///
-    /// Returns registry, spec-validation, or splice errors.
-    pub fn insert_head_filter(&self, position: usize, spec: &FilterSpec) -> Result<(), ProxyError> {
-        let filter = self.registry.instantiate(spec)?;
-        self.head.insert(position, filter)
-    }
-
-    /// Removes and returns the head-chain filter at `position`.
-    ///
-    /// # Errors
-    ///
-    /// Returns position or splice errors.
-    pub fn remove_head_filter(&self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
-        self.head.remove(position)
-    }
-
-    /// Names of the filters installed on the head chain.
-    pub fn head_filter_names(&self) -> Vec<String> {
-        self.head.names()
-    }
-
-    /// Instantiates a filter from `spec` and splices it into `lane`'s tail
-    /// chain at `position` — the per-receiver adaptation path: only this
-    /// lane's traffic flows through the new filter.
-    ///
-    /// The built-in `fec-decoder` kind is constructed directly (after the
-    /// registry has validated that the kind is registered) so the lane can
-    /// keep the decoder's stats handle — the per-lane `recovered` counts in
-    /// [`LaneStatus`] come from here.  A registry that does not register
-    /// `fec-decoder` sees the usual [`ProxyError::UnknownFilterKind`];
-    /// a registry that overrides the kind with a custom filter keeps its
-    /// override, without per-lane recovered stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownLane`], registry, spec-validation, or
-    /// splice errors.
-    pub fn insert_lane_filter(
-        &self,
-        lane: &str,
-        position: usize,
-        spec: &FilterSpec,
-    ) -> Result<(), ProxyError> {
-        let (filter, decoder_stats) = build_lane_filter(&self.registry, spec)?;
-        let mut inner = self.inner.lock();
-        let lane = find_lane_mut(&mut inner.lanes, lane)?;
-        lane.chain.insert(position, filter)?;
-        if let Some(stats) = decoder_stats {
-            lane.decoder_stats.push(stats);
-        }
-        Ok(())
-    }
-
-    /// Removes and returns the filter at `position` on `lane`'s tail chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownLane`], position, or splice errors.
-    pub fn remove_lane_filter(
-        &self,
-        lane: &str,
-        position: usize,
-    ) -> Result<Box<dyn Filter>, ProxyError> {
-        let inner = self.inner.lock();
-        find_lane(&inner.lanes, lane)?.chain.remove(position)
-    }
-
-    /// Names of the filters installed on `lane`'s tail chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::UnknownLane`] for unknown lanes.
-    pub fn lane_filter_names(&self, lane: &str) -> Result<Vec<String>, ProxyError> {
-        let inner = self.inner.lock();
-        Ok(find_lane(&inner.lanes, lane)?.chain.names())
-    }
-
-    /// A full status snapshot: head-chain state plus per-lane delivery,
-    /// recovery, and queue-depth counters.
-    pub fn status(&self) -> SessionStatus {
-        let inner = self.inner.lock();
-        let mut secure = self.head.secure_snapshot();
-        for lane in &inner.lanes {
-            secure.merge(lane.chain.secure_snapshot());
-        }
-        SessionStatus {
-            name: self.name.clone(),
-            head_filters: self.head.names(),
-            head_stats: self.head.stats(),
-            lanes: inner
-                .lanes
-                .iter()
-                .map(|lane| {
-                    let stats = lane.chain.stats();
-                    LaneStatus {
-                        name: lane.name.clone(),
-                        filters: lane.chain.names(),
-                        delivered: stats.packets_out,
-                        recovered: lane.decoder_stats.iter().map(|s| s.recovered()).sum(),
-                        queue_depth: lane.output.available(),
-                        stats,
-                    }
-                })
-                .collect(),
-            secure,
-        }
-    }
-
-    /// Closes the session input: once in-flight packets drain through the
-    /// head chain and every lane, each lane's endpoint observes end of
-    /// stream.
-    pub fn close_input(&self) {
-        self.head.close_input();
-    }
-
-    /// Shuts the session down: closes the input, joins the fanout worker,
-    /// and shuts down the head chain and every lane chain.
-    ///
-    /// Undrained lanes do not block shutdown: any packets still buffered at
-    /// abandoned lane endpoints are discarded while the pipeline winds
-    /// down (the fanout worker could otherwise sit in a back-pressured
-    /// send against a full lane forever).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first worker failure encountered (shutdown continues for
-    /// the remaining chains regardless).
-    pub fn shutdown(&self) -> Result<(), ProxyError> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Ok(());
-        }
-        inner.closed = true;
-        self.head.close_input();
-        // Close every lane endpoint first: the fanout worker (or a lane
-        // stage worker) may be parked in a back-pressured send against an
-        // abandoned lane, and a closed receiver fails that send
-        // immediately instead of blocking the joins below forever.
-        for lane in &inner.lanes {
-            lane.output.close();
-        }
-        // The fanout worker now runs to head EOF (sends to closed lanes
-        // drop their batches) and exits after closing every lane input.
-        if let Some(handle) = self.fanout.lock().take() {
-            if handle.join().is_err() {
-                return Err(ProxyError::WorkerFailed(format!("fanout worker of {}", self.name)));
-            }
-        }
-        let mut first_error = self.head.shutdown().err();
-        for lane in inner.lanes.drain(..) {
-            if let Err(err) = lane.chain.shutdown() {
-                first_error.get_or_insert(err);
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
-}
-
 /// Builds the filter a lane-level insert installs, capturing the decoder
 /// stats handle when the spec names the built-in `fec-decoder` kind.  The
 /// (n, k) come from the registry-built filter's own name, so the registry
 /// stays the single source of truth for parameter handling; the direct
 /// construction only exists to capture the stats handle the boxed trait
-/// object cannot expose.  Shared by the threaded and pooled sessions so
-/// their per-lane `recovered` accounting can never drift.
+/// object cannot expose.
 pub(crate) type LaneFilterBuild = (Box<dyn Filter>, Option<Arc<FecDecoderStats>>);
 
 pub(crate) fn build_lane_filter(
@@ -524,89 +130,28 @@ fn parse_decoder_code(name: &str) -> Option<(usize, usize)> {
     Some((n.trim().parse().ok()?, k.trim().parse().ok()?))
 }
 
-fn find_lane<'a>(lanes: &'a [ReceiverLane], name: &str) -> Result<&'a ReceiverLane, ProxyError> {
-    lanes
-        .iter()
-        .find(|l| l.name == name)
-        .ok_or_else(|| ProxyError::UnknownLane(name.to_string()))
-}
-
-fn find_lane_mut<'a>(
-    lanes: &'a mut [ReceiverLane],
-    name: &str,
-) -> Result<&'a mut ReceiverLane, ProxyError> {
-    lanes
-        .iter_mut()
-        .find(|l| l.name == name)
-        .ok_or_else(|| ProxyError::UnknownLane(name.to_string()))
-}
-
-/// Spawns the fanout worker: drains head-chain output in batches and clones
-/// each batch to every lane input.  Cloning a packet shares its `Arc`-backed
-/// payload, so the fanout cost per lane is a refcount bump per packet, not a
-/// byte copy.
-fn spawn_fanout(
-    head_out: DetachableReceiver<Packet>,
-    lanes: LaneInputs,
-    batch_size: usize,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("rapidware-fanout".to_string())
-        .spawn(move || loop {
-            match head_out.recv_up_to(batch_size.max(1)) {
-                Ok(batch) => {
-                    // Snapshot the lane list and send OUTSIDE the lock: a
-                    // send may block on a full lane pipe, and holding the
-                    // lock across it would wedge add_lane (and through it
-                    // the whole session, shutdown included) behind one
-                    // stalled consumer.  Sender handles are cheap clones.
-                    let snapshot: Vec<DetachableSender<Packet>> = lanes.lock().clone();
-                    // Clone to all but the last lane; move into the last
-                    // (the common single-lane case forwards without any
-                    // clone at all).  With no lanes yet the batch is
-                    // dropped, matching the "a lane sees the stream from
-                    // its join point onward" contract.
-                    let mut dead: Vec<usize> = Vec::new();
-                    if let Some((last, rest)) = snapshot.split_last() {
-                        for (index, lane) in rest.iter().enumerate() {
-                            if lane.send_batch(batch.clone()).is_err() {
-                                dead.push(index);
-                            }
-                        }
-                        if last.send_batch(batch).is_err() {
-                            dead.push(snapshot.len() - 1);
-                        }
-                    }
-                    // A failed send means the lane's receiver went away;
-                    // prune it so departed receivers stop costing a clone
-                    // per batch.  Indices are stable: only this worker
-                    // removes entries, everyone else appends.
-                    if !dead.is_empty() {
-                        let mut lanes = lanes.lock();
-                        for &index in dead.iter().rev() {
-                            if index < lanes.len() {
-                                lanes.remove(index);
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Head EOF (input closed) or chain shutdown: propagate
-                    // end of stream to every lane and exit.
-                    for lane in lanes.lock().iter() {
-                        lane.close();
-                    }
-                    break;
-                }
-            }
-        })
-        .expect("spawning the fanout worker thread never fails")
-}
-
 #[cfg(test)]
 mod tests {
+    //! Session behaviour, driven through [`PooledSession`] on a default
+    //! pool.
+
     use super::*;
-    use rapidware_packet::{PacketKind, SeqNo, StreamId};
+    use crate::runtime::{PooledSession, Runtime, RuntimeConfig};
+    use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
+    use rapidware_streams::DetachableReceiver;
+
+    fn session(name: &str) -> PooledSession {
+        Runtime::start(RuntimeConfig::default()).add_session(name)
+    }
+
+    fn session_with(name: &str, capacity: usize, batch_size: usize) -> PooledSession {
+        Runtime::start(RuntimeConfig::default()).add_session_with(
+            name,
+            FilterRegistry::with_builtins(),
+            capacity,
+            batch_size,
+        )
+    }
 
     fn packet(seq: u64) -> Packet {
         Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 64])
@@ -622,7 +167,7 @@ mod tests {
 
     #[test]
     fn fanout_delivers_every_packet_to_every_lane_in_order() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         let lanes: Vec<_> = (0..4).map(|i| session.add_lane(format!("lane-{i}")).unwrap()).collect();
         let input = session.input();
         // Stay under the per-lane pipe capacity so the sequential drain
@@ -644,7 +189,7 @@ mod tests {
 
     #[test]
     fn concurrent_lane_drains_sustain_heavy_fanout() {
-        let session = Session::new("stress").unwrap();
+        let session = session("stress");
         let consumers: Vec<_> = (0..4)
             .map(|i| {
                 let rx = session.add_lane(format!("lane-{i}")).unwrap();
@@ -668,7 +213,7 @@ mod tests {
 
     #[test]
     fn fanout_is_zero_copy_across_lanes() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         let a = session.add_lane("a").unwrap();
         let b = session.add_lane("b").unwrap();
         session.input().send(packet(0)).unwrap();
@@ -680,7 +225,7 @@ mod tests {
 
     #[test]
     fn lane_filters_only_affect_their_own_lane() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         let plain = session.add_lane("plain").unwrap();
         let scrambled = session.add_lane("scrambled").unwrap();
         session
@@ -709,7 +254,7 @@ mod tests {
 
     #[test]
     fn head_filters_run_once_for_all_lanes() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         let a = session.add_lane("a").unwrap();
         let b = session.add_lane("b").unwrap();
         session
@@ -734,7 +279,7 @@ mod tests {
 
     #[test]
     fn status_reports_per_lane_delivery_and_queue_depth() {
-        let session = Session::new("status").unwrap();
+        let session = session("status");
         let fast = session.add_lane("fast").unwrap();
         let _slow = session.add_lane("slow").unwrap();
         let input = session.input();
@@ -745,7 +290,7 @@ mod tests {
         for _ in 0..8 {
             fast.recv().unwrap();
         }
-        // Wait (bounded) for the fanout worker to finish pushing into the
+        // Wait (bounded) for the fanout task to finish pushing into the
         // slow lane, then snapshot.
         let mut waited = 0;
         let status = loop {
@@ -770,7 +315,7 @@ mod tests {
 
     #[test]
     fn lane_fec_decoder_reports_recovered_packets() {
-        let session = Session::new("fec").unwrap();
+        let session = session("fec");
         let lane = session.add_lane("lossy").unwrap();
         // Encode on the lane, drop every 5th packet, decode again — the
         // decoder's reconstructions surface in the lane status.
@@ -783,12 +328,13 @@ mod tests {
         session
             .insert_lane_filter("lossy", 2, &FilterSpec::new("fec-decoder"))
             .unwrap();
+        let consumer = std::thread::spawn(move || collect_all(&lane));
         let input = session.input();
         for seq in 0..400u64 {
             input.send(packet(seq)).unwrap();
         }
         session.close_input();
-        let received = collect_all(&lane);
+        let received = consumer.join().unwrap();
         assert!(received.len() >= 395, "near-complete recovery, got {}", received.len());
         let status = session.status();
         assert!(status.lanes[0].recovered > 0, "decoder stats wired into the lane status");
@@ -797,7 +343,7 @@ mod tests {
 
     #[test]
     fn unknown_lanes_are_reported() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         assert!(matches!(
             session.lane_filter_names("nope"),
             Err(ProxyError::UnknownLane(_))
@@ -812,7 +358,7 @@ mod tests {
 
     #[test]
     fn duplicate_lane_names_are_rejected_and_shutdown_is_idempotent() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         session.add_lane("a").unwrap();
         assert!(session.add_lane("a").is_err());
         session.shutdown().unwrap();
@@ -823,14 +369,13 @@ mod tests {
     #[test]
     fn shutdown_with_undrained_lanes_does_not_deadlock() {
         // More packets than the lane pipes can hold, never drained: the
-        // fanout worker is parked in a back-pressured send when shutdown
+        // fanout task is parked against full lane inboxes when shutdown
         // begins, and shutdown must still complete by discarding the
         // backlog.
-        let session = Session::with_config("abandoned", FilterRegistry::with_builtins(), 16, 4)
-            .unwrap();
+        let session = session_with("abandoned", 16, 4);
         let _never_drained = session.add_lane("a").unwrap();
         let _also_never_drained = session.add_lane("b").unwrap();
-        // A lane with a filter too, so the stage-worker flush path is
+        // A lane with a filter too, so the lane task's flush path is
         // exercised as well.
         session
             .insert_lane_filter("b", 0, &FilterSpec::new("fec-encoder"))
@@ -871,11 +416,9 @@ mod tests {
     #[test]
     fn add_lane_while_worker_is_backpressured_does_not_deadlock() {
         // One stalled consumer must not wedge the control surface: while
-        // the fanout worker is parked in a send against lane a's full
-        // pipe, add_lane (which touches the same lane list) has to
-        // complete.
-        let session =
-            Session::with_config("bp", FilterRegistry::with_builtins(), 8, 2).unwrap();
+        // the fanout task is parked against lane a's full pipe, add_lane
+        // (which touches the same lane list) has to complete.
+        let session = session_with("bp", 8, 2);
         let stalled = session.add_lane("a").unwrap();
         let input = session.input();
         let producer = std::thread::spawn(move || {
@@ -885,7 +428,7 @@ mod tests {
                 }
             }
         });
-        // Give the worker time to fill lane a's pipe and park.
+        // Give the fanout task time to fill lane a's pipe and park.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let added = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -903,8 +446,8 @@ mod tests {
                 added.load(std::sync::atomic::Ordering::SeqCst),
                 "add_lane deadlocked behind a stalled lane consumer"
             );
-            // Unblock the worker so the scope's spawned thread (already
-            // done) and the producer can wind down.
+            // Unblock the fanout task so the scope's spawned thread
+            // (already done) and the producer can wind down.
             stalled.close();
         });
         session.shutdown().unwrap();
@@ -913,7 +456,7 @@ mod tests {
 
     #[test]
     fn lane_added_mid_stream_sees_only_later_packets() {
-        let session = Session::new("s").unwrap();
+        let session = session("s");
         let first = session.add_lane("first").unwrap();
         let input = session.input();
         input.send(packet(0)).unwrap();

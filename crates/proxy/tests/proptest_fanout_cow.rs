@@ -1,8 +1,8 @@
 //! COW fanout isolation: a tail filter that rewrites payload bytes on one
-//! lane of a [`Session`] must leave every other lane byte-identical to the
+//! lane of a [`PooledSession`] must leave every other lane byte-identical to the
 //! serial per-receiver baseline.
 //!
-//! The fanout worker hands every lane the *same* `Arc`-backed payload
+//! The fanout task hands every lane the *same* `Arc`-backed payload
 //! buffers (zero-copy).  The property under test is that copy-on-write is
 //! the only way a lane-local mutation can happen: lane A's scrambler
 //! rewrites bytes in place when it owns the buffer and copies first when it
@@ -13,7 +13,12 @@
 use proptest::prelude::*;
 use rapidware_filters::{EncryptFilter, Filter, ScramblerFilter, TAG_LEN};
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{FilterSpec, Session};
+use rapidware_proxy::{FilterSpec, PooledSession, Runtime, RuntimeConfig};
+
+/// A session on a pool of its own; the session keeps the pool alive.
+fn session(name: &str) -> PooledSession {
+    Runtime::start(RuntimeConfig::default()).add_session(name)
+}
 
 fn packet(seq: u64, payload: Vec<u8>) -> Packet {
     Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, payload)
@@ -47,7 +52,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let session = Session::new("cow").expect("sessions are constructible");
+        let session = session("cow");
         let mut lanes = Vec::with_capacity(lane_count);
         for index in 0..lane_count {
             lanes.push(session.add_lane(format!("lane-{index}")).expect("unique lane names"));
@@ -105,7 +110,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let session = Session::new("cow-grow").expect("sessions are constructible");
+        let session = session("cow-grow");
         let mut lanes = Vec::with_capacity(lane_count);
         for index in 0..lane_count {
             lanes.push(session.add_lane(format!("lane-{index}")).expect("unique lane names"));

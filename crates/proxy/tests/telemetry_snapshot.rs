@@ -76,18 +76,22 @@ fn pooled_shared_udp_encrypted_fec_session_reports_unified_telemetry() {
         .unwrap();
 
     let app_tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    // One frame in flight at a time: a burst sent right after set-up can
+    // be swallowed whole by the carrier task's *initial* step, before the
+    // reactor ever has to wake it, and the scan-latency assertion below
+    // needs at least one real wake.
+    let mut received = 0u64;
     for seq in 0..8u64 {
         encode_to(&app_tx, handle.ingress_addr(), &stream_packet(seq));
+        drain_app_until(&app, || {
+            while let Ok(packet) = route.try_recv() {
+                assert_eq!(packet.seq().value(), received, "plaintext source order");
+                assert_eq!(packet.payload(), &[7u8; 48][..], "decrypt restored payload");
+                received += 1;
+            }
+            received == seq + 1
+        });
     }
-    let mut received = 0u64;
-    drain_app_until(&app, || {
-        while let Ok(packet) = route.try_recv() {
-            assert_eq!(packet.seq().value(), received, "plaintext source order");
-            assert_eq!(packet.payload(), &[7u8; 48][..], "decrypt restored payload");
-            received += 1;
-        }
-        received == 8
-    });
 
     // Snapshot while the session is live so the legacy stats structs are
     // still attached.

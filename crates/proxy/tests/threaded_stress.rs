@@ -1,12 +1,12 @@
-//! Stress tests for the thread-per-filter runtime: concurrent control
-//! operations racing against a live stream, multiple independent streams on
-//! one proxy, and shutdown under load.
+//! Stress tests for the thread-per-filter reference chain: concurrent
+//! control operations racing against a live stream, independent chains side
+//! by side, and shutdown under load.
 
 use std::sync::Arc;
 
 use rapidware_filters::{NullFilter, TapFilter};
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{FilterSpec, Proxy, ThreadedChain};
+use rapidware_proxy::ThreadedChain;
 
 fn packet(stream: u32, seq: u64) -> Packet {
     Packet::new(
@@ -74,14 +74,13 @@ fn concurrent_splices_from_two_control_threads() {
 
 #[test]
 fn multiple_streams_are_isolated() {
-    let mut proxy = Proxy::new("multi-stream");
-    let (audio_in, audio_out) = proxy.add_stream("audio").unwrap();
-    let (video_in, video_out) = proxy.add_stream("video").unwrap();
+    let audio = ThreadedChain::new().expect("chain");
+    let video = ThreadedChain::new().expect("chain");
+    let (audio_in, audio_out) = (audio.input(), audio.output());
+    let (video_in, video_out) = (video.input(), video.output());
     // Only the video stream gets a filter; the audio stream must be
     // unaffected by its presence (and by its later removal).
-    proxy
-        .insert_filter("video", 0, &FilterSpec::new("tap").with_param("name", "video-tap"))
-        .unwrap();
+    video.insert(0, Box::new(TapFilter::new("video-tap"))).unwrap();
 
     let audio_consumer = std::thread::spawn(move || {
         let mut count = 0u64;
@@ -102,7 +101,7 @@ fn multiple_streams_are_isolated() {
         audio_in.send(packet(1, seq)).unwrap();
         video_in.send(packet(2, seq)).unwrap();
     }
-    proxy.remove_filter("video", 0).unwrap();
+    video.remove(0).unwrap();
     for seq in 500..1_000u64 {
         audio_in.send(packet(1, seq)).unwrap();
         video_in.send(packet(2, seq)).unwrap();
@@ -111,10 +110,10 @@ fn multiple_streams_are_isolated() {
     video_in.close();
     assert_eq!(audio_consumer.join().unwrap(), 1_000);
     assert_eq!(video_consumer.join().unwrap(), 1_000);
-    let status = proxy.status();
-    assert_eq!(status.streams.len(), 2);
-    assert!(status.streams.iter().all(|s| s.stats.packets_in == 1_000));
-    proxy.shutdown().unwrap();
+    assert_eq!(audio.stats().packets_in, 1_000);
+    assert_eq!(video.stats().packets_in, 1_000);
+    audio.shutdown().unwrap();
+    video.shutdown().unwrap();
 }
 
 #[test]

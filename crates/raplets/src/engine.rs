@@ -3,7 +3,7 @@
 use std::fmt;
 
 use rapidware_netsim::SimTime;
-use rapidware_proxy::{PooledSession, Proxy, ProxyError, Session};
+use rapidware_proxy::{PooledSession, Proxy, ProxyError};
 
 use crate::observer::{AdaptationEvent, Observer};
 use crate::responder::{AdaptationAction, Responder};
@@ -98,7 +98,7 @@ impl fmt::Display for AdaptationRecord {
     }
 }
 
-/// Applies adaptation actions to a stream of a live (threaded) [`Proxy`].
+/// Applies adaptation actions to a stream of a live [`Proxy`].
 ///
 /// `RemoveKind`/`ReplaceKind` resolve the position by matching the kind
 /// prefix of the installed filter names (filter names are
@@ -122,35 +122,13 @@ pub fn apply_to_proxy(
 }
 
 /// Applies adaptation actions to one receiver lane of a live fanout
-/// [`Session`] — the per-receiver flavour of [`apply_to_proxy`].
+/// [`PooledSession`] — the per-receiver flavour of [`apply_to_proxy`].
 ///
 /// Each lane runs its own observer/responder loop ([`AdaptationEngine`]
 /// instances are cheap, so a fanout session simply owns one per adaptive
 /// lane), and the actions that loop emits land only on that lane's tail
 /// chain: inserting FEC for a lossy WLAN receiver leaves its wired siblings
 /// untouched.
-///
-/// # Errors
-///
-/// Propagates the first proxy error encountered; earlier actions stay
-/// applied.
-pub fn apply_to_session(
-    session: &Session,
-    lane: &str,
-    actions: &[AdaptationAction],
-) -> Result<(), ProxyError> {
-    apply_to_chain_surface(
-        actions,
-        |position, spec| session.insert_lane_filter(lane, position, spec),
-        |position| session.remove_lane_filter(lane, position).map(|_| ()),
-        || session.lane_filter_names(lane),
-    )
-}
-
-/// Applies adaptation actions to one receiver lane of a [`PooledSession`]
-/// hosted on the sharded worker pool — identical semantics to
-/// [`apply_to_session`], so a lane's adaptation loop behaves the same
-/// whether the session runs thread-per-filter or pooled.
 ///
 /// # Errors
 ///
@@ -170,7 +148,7 @@ pub fn apply_to_pooled_session(
 }
 
 /// The shared action-dispatch logic behind [`apply_to_proxy`] and
-/// [`apply_to_session`]: insert at a position, remove/replace by kind
+/// [`apply_to_pooled_session`]: insert at a position, remove/replace by kind
 /// prefix, with a replace of a missing kind falling back to an insert at
 /// the head.  Keeping one implementation guarantees proxy streams and
 /// session lanes can never drift in how they interpret actions.
@@ -262,7 +240,7 @@ mod tests {
     #[test]
     fn actions_apply_to_a_live_proxy() {
         let mut proxy = Proxy::new("adaptive");
-        let (input, output) = proxy.add_stream("audio").unwrap();
+        let (input, output) = proxy.add_stream_pooled("audio").unwrap();
         let mut engine = engine();
 
         // Loss spike: FEC encoder appears on the live chain.
@@ -298,7 +276,7 @@ mod tests {
     #[test]
     fn remove_kind_for_missing_filter_is_a_no_op() {
         let mut proxy = Proxy::new("p");
-        proxy.add_stream("s").unwrap();
+        proxy.add_stream_pooled("s").unwrap();
         apply_to_proxy(
             &proxy,
             "s",

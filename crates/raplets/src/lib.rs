@@ -20,9 +20,10 @@
 //!
 //! Responders do not mutate proxies directly; they emit
 //! [`AdaptationAction`]s which the caller applies to whichever chain
-//! implementation it runs (the threaded proxy runtime or the deterministic
-//! synchronous chain used by simulations).  [`apply_to_proxy`] is the glue
-//! for the threaded runtime.
+//! implementation it runs (a live proxy or the deterministic synchronous
+//! chain used by simulations).  [`apply_to_proxy`] is the glue for a live
+//! proxy stream, [`apply_to_pooled_session`] for one lane of a fanout
+//! session.
 //!
 //! ## Example
 //!
@@ -52,9 +53,7 @@ mod observer;
 mod responder;
 mod sample;
 
-pub use engine::{
-    apply_to_pooled_session, apply_to_proxy, apply_to_session, AdaptationEngine, AdaptationRecord,
-};
+pub use engine::{apply_to_pooled_session, apply_to_proxy, AdaptationEngine, AdaptationRecord};
 pub use observer::{AdaptationEvent, LossRateObserver, Observer, ThroughputObserver};
 pub use responder::{AdaptationAction, FecResponder, Responder, TranscoderResponder};
 pub use sample::LinkSample;

@@ -9,9 +9,9 @@ use crate::observer::AdaptationEvent;
 /// A reconfiguration requested by a responder.
 ///
 /// Actions are descriptions, not side effects: the adaptation engine's
-/// caller applies them to whichever chain implementation it runs (the
-/// threaded proxy, the synchronous simulation chain, or a remote proxy via
-/// the control protocol).
+/// caller applies them to whichever chain implementation it runs (a live
+/// proxy, the synchronous simulation chain, or a remote proxy via the
+/// control protocol).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdaptationAction {
     /// Instantiate a filter from `spec` and splice it in at `position`.

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. One proxy per constrained member, each configured from the member's
     //    device profile using the composable filter framework.
     let mut proxy = Proxy::new("session-proxy");
-    let (laptop_in, laptop_out) = proxy.add_stream("laptop")?;
-    let (palmtop_in, palmtop_out) = proxy.add_stream("palmtop")?;
+    let (laptop_in, laptop_out) = proxy.add_stream_pooled("laptop")?;
+    let (palmtop_in, palmtop_out) = proxy.add_stream_pooled("palmtop")?;
     // Bob's wireless laptop: protect the multicast with FEC.
     proxy.insert_filter("laptop", 0, &FilterSpec::new("fec-encoder"))?;
     // Carol's palmtop: compress and scramble (her link crosses a public AP),

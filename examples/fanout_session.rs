@@ -1,7 +1,7 @@
 //! One session, heterogeneous receivers: a lossy WLAN lane gains FEC while
 //! its wired siblings carry the raw stream untouched.
 //!
-//! This is the repository's flagship workload.  A fanout `Session` owns one
+//! This is the repository's flagship workload.  A fanout session owns one
 //! upstream source and a shared head chain; each receiver gets its own
 //! *lane* — a private tail chain plus its own adaptation loop.  The head
 //! stage's work is done once no matter how many receivers are attached
@@ -12,15 +12,16 @@
 
 use rapidware::engine::{FanoutEngine, FanoutSpec};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::Session;
+use rapidware::proxy::Proxy;
 
 fn main() {
-    // Part 1 — the mechanics, on a live threaded session: zero-copy fanout
-    // and per-lane filters.
-    let session = Session::new("demo").expect("sessions are constructible");
+    // Part 1 — the mechanics, on a live proxy session: zero-copy fanout
+    // and per-lane endpoints.
+    let mut proxy = Proxy::new("edge");
+    let input = proxy.add_session_pooled("demo", 128, 32).expect("unique session name");
+    let session = proxy.pooled_session("demo").expect("just added");
     let wired = session.add_lane("wired").expect("unique lane names");
     let wlan = session.add_lane("wlan").expect("unique lane names");
-    let input = session.input();
     input
         .send(Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![7u8; 64]))
         .expect("session accepts packets");
@@ -30,7 +31,7 @@ fn main() {
         "zero-copy fanout: both lanes share one payload allocation: {}",
         at_wired.shares_payload_with(&at_wlan)
     );
-    session.shutdown().expect("clean shutdown");
+    proxy.shutdown().expect("clean shutdown");
 
     // Part 2 — the closed loop, end to end: one lossy WLAN receiver among
     // three wired peers, each lane running its own observer/responder

@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    packets pass straight from the input endpoint to the output
     //    endpoint.
     let mut proxy = Proxy::new("quickstart-proxy");
-    let (input, output) = proxy.add_stream("audio")?;
+    let (input, output) = proxy.add_stream_pooled("audio")?;
 
     // A consumer thread plays the role of the wireless sender end point.
     let consumer = std::thread::spawn(move || {

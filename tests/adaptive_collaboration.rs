@@ -19,7 +19,7 @@ fn session_members_get_proxies_matching_their_devices() {
     for id in session.members_needing_proxies() {
         let member = session.member(id).unwrap().clone();
         let stream = member.name.clone();
-        proxy.add_stream(stream.clone()).unwrap();
+        proxy.add_stream_pooled(stream.clone()).unwrap();
         let mut position = 0;
         if member.device.needs_transcoding() {
             proxy
@@ -53,7 +53,7 @@ fn observer_driven_adaptation_follows_a_simulated_walk() {
     // proxy.  By the end of the walk the FEC encoder must be installed; if
     // the user walks back, it must be removed again.
     let mut proxy = Proxy::new("adaptive");
-    let (_input, _output) = proxy.add_stream("audio").unwrap();
+    let (_input, _output) = proxy.add_stream_pooled("audio").unwrap();
     let mut engine = AdaptationEngine::new();
     engine.add_observer(Box::new(LossRateObserver::paper_default()));
     engine.add_responder(Box::new(FecResponder::paper_default()));

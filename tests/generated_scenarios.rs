@@ -9,8 +9,8 @@
 //! * the spec **validates** (the sampler never emits a degenerate spec),
 //! * the sync applier is **deterministic** per seed (two runs, identical
 //!   canonical traces),
-//! * every other applier — threaded, pooled, and the sampled placement's
-//!   own shard count — produces a **byte-identical** report and canonical
+//! * every other applier — pooled, and the sampled placement's own shard
+//!   count — produces a **byte-identical** report and canonical
 //!   trace,
 //! * conservation holds per receiver/lane: everything sent is delivered,
 //!   recovered, lost, or undelivered — and undelivered is zero, and

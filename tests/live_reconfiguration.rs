@@ -2,8 +2,9 @@
 //!
 //! Exercises the property at the core of the paper — filters can be
 //! inserted, removed, and reordered on a running stream without losing,
-//! duplicating, or reordering application data — on the threaded proxy
-//! runtime, via the control protocol, and under repeated churn.
+//! duplicating, or reordering application data — on the thread-per-filter
+//! reference chain, on a live proxy via the control protocol, and under
+//! repeated churn.
 
 use rapidware::prelude::*;
 
@@ -76,7 +77,7 @@ fn repeated_splice_churn_preserves_the_stream() {
 #[test]
 fn control_protocol_drives_a_live_proxy() {
     let mut proxy = Proxy::new("controlled");
-    let (input, output) = proxy.add_stream("audio").unwrap();
+    let (input, output) = proxy.add_stream_pooled("audio").unwrap();
     let mut manager = ControlManager::new(proxy);
 
     let consumer = std::thread::spawn(move || {

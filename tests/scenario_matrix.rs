@@ -11,8 +11,8 @@
 //! * the loss-driven scenarios insert FEC after the spike and remove it
 //!   after recovery, converging back to an empty chain,
 //! * the same spec and seed produce a byte-identical trace on every run,
-//! * the sync, threaded, and pooled (sharded worker-pool) appliers agree
-//!   byte for byte, and
+//! * the sync and pooled (sharded worker-pool) appliers agree byte for
+//!   byte, and
 //! * replaying a recorded trace reproduces the identical report.
 //!
 //! The per-run health criteria live in `ScenarioOutcome::health_problems`,
@@ -41,23 +41,11 @@ fn every_builtin_scenario_closes_the_loop_on_both_appliers_at_both_seeds() {
                 outcome.report.timeline
             );
 
-            // The threaded applier — every filter on its own thread,
-            // reconfigured through the proxy's live splice protocol — must
-            // agree with the sync run byte for byte, which transitively
-            // gives it every property checked above.
-            let threaded = engine.run_threaded();
-            assert_same_outcome(
-                &context,
-                "threaded",
-                &outcome.trace.canonical_text(),
-                &outcome.report,
-                &threaded.trace.canonical_text(),
-                &threaded.report,
-            );
-
             // The pooled applier — the whole chain as one cooperative task
-            // on a sharded worker pool, reconfigured through the same proxy
-            // control surface — must agree byte for byte as well.
+            // on a sharded worker pool, reconfigured through the live
+            // proxy's control surface — must agree with the sync run byte
+            // for byte, which transitively gives it every property checked
+            // above.
             let pooled = engine.run_pooled();
             assert_same_outcome(
                 &context,
@@ -118,23 +106,10 @@ fn every_fanout_scenario_closes_its_per_lane_loops_on_both_appliers_at_both_seed
             let problems = outcome.health_problems(&spec);
             assert!(problems.is_empty(), "{context}: {problems:?}");
 
-            // The live session applier — shared head chain, fanout worker,
-            // one tail chain per lane, reconfigured lane by lane through
-            // the splice protocol — must agree with the sync run byte for
-            // byte.
-            let session = engine.run_session();
-            assert_same_outcome(
-                &context,
-                "session",
-                &outcome.trace.canonical_text(),
-                &outcome.report,
-                &session.trace.canonical_text(),
-                &session.report,
-            );
-
-            // And so must the pooled session applier, where the head, the
-            // fanout stage, and every lane run as tasks on a fixed worker
-            // pool with zero dedicated threads per session.
+            // The live session applier — shared head chain, fanout stage,
+            // one tail chain per lane, all tasks on a fixed worker pool,
+            // reconfigured lane by lane while packets flow — must agree
+            // with the sync run byte for byte.
             let pooled = engine.run_pooled();
             assert_same_outcome(
                 &context,
@@ -211,10 +186,10 @@ fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier()
 #[test]
 fn batch_size_does_not_change_the_closed_loop() {
     // PR 1's batched data plane must be invisible to the control plane:
-    // per-packet and batch-32 threaded chains produce the same trace.
+    // per-packet and batch-32 live chains produce the same trace.
     let spec = ScenarioSpec::handoff_cliff().with_packets(1_200);
-    let per_packet = ScenarioEngine::new(spec.clone().with_batch_size(1)).run_threaded();
-    let batched = ScenarioEngine::new(spec.with_batch_size(32)).run_threaded();
+    let per_packet = ScenarioEngine::new(spec.clone().with_batch_size(1)).run_pooled();
+    let batched = ScenarioEngine::new(spec.with_batch_size(32)).run_pooled();
     assert_eq!(per_packet.trace.canonical_text(), batched.trace.canonical_text());
     assert_eq!(per_packet.report, batched.report);
 }

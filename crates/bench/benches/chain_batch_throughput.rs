@@ -194,26 +194,21 @@ fn main() {
 
     // Encrypted vs plaintext: the same batched FEC round-trip with the
     // AEAD pair sealing every frame (sources and parity).  The asserted
-    // floor keeps the in-crate ChaCha20-Poly1305 honest.  The floor is
-    // 0.2x, not 0.5x: since the GF(2⁸) kernels went SIMD the plaintext
-    // chain runs several times faster, so the scalar AEAD now dominates
-    // the encrypted chain — the ratio tracks that split, and anything
-    // below 0.2x would mean sealing itself regressed.
+    // floor keeps the in-crate ChaCha20-Poly1305 honest.  With the 8-way
+    // keystream a 320-byte frame seals or opens in about 570 ns (1,065 ns
+    // scalar) and the ratio reads 0.38–0.41x over repeated runs (0.33–0.36x
+    // before); the floor is that reading less a fifth, because a shared
+    // host moves either median by more than the cipher does.  The tight
+    // tripwire for the cipher alone is `fec_codec`'s `aead_kernel` group.
+    const ENCRYPTED_FLOOR: f64 = 0.3;
     let encrypted_samples = pps_samples(|| sync_batched_on(encrypted_chain(), &packets));
     let encrypted = best(&encrypted_samples);
     let ratio = median(&encrypted_samples) / median(&sync_batch_samples);
     println!("sync/batch-{BATCH} aead:   {encrypted:>12.0} packets/s");
-    println!(
-        "encrypted/plaintext:  {ratio:.2}x ({})",
-        if ratio >= 0.2 {
-            "meets the >= 0.2x floor"
-        } else {
-            "below the 0.2x floor"
-        }
-    );
+    println!("encrypted/plaintext:  {ratio:.2}x (floor {ENCRYPTED_FLOOR}x)");
     assert!(
-        ratio >= 0.2,
-        "encrypted batch-{BATCH} throughput fell below a fifth of plaintext ({ratio:.2}x)"
+        ratio >= ENCRYPTED_FLOOR,
+        "encrypted batch-{BATCH} throughput fell below {ENCRYPTED_FLOOR}x of plaintext ({ratio:.2}x)"
     );
 
     let mut report = BenchReport::new("chain_batch");

@@ -10,13 +10,19 @@
 //! * `gf256_kernel` — the dispatched bulk `addmul_slice` kernel against the
 //!   always-compiled scalar reference on 1 KiB slices.  When a SIMD kernel
 //!   is active this bench **asserts** it is at least 2× the scalar path —
-//!   the regression tripwire for the PSHUFB-style nibble-split kernels.
+//!   the regression tripwire for the PSHUFB-style nibble-split kernels;
+//! * `aead_kernel` — the dispatched ChaCha20-Poly1305 seal (AVX2 8-way
+//!   keystream under the same dispatcher) against the scalar-keystream seal
+//!   on 1 KiB payloads, with the same **≥ 2×** assertion when the wide
+//!   kernel is active.  The Poly1305 half is shared, so this is a floor on
+//!   the whole seal, not on the keystream alone.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rapidware::fec::gf256;
 use rapidware::fec::FecCodec;
+use rapidware::filters::Keystream;
 
 const SHARD_LEN: usize = 360; // one 320-byte audio packet + header, roughly
 
@@ -113,5 +119,45 @@ fn bench_kernels(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_kernels);
+/// Times `kernel.seal` over `iters` 1 KiB payloads under a 32-byte header
+/// and returns bytes/second.
+fn seal_throughput(kernel: Keystream, iters: usize) -> f64 {
+    const LEN: usize = 1024;
+    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
+    let aad = [0x5Au8; 32];
+    let plaintext: Vec<u8> = (0..LEN).map(|i| (i * 37 + 5) as u8).collect();
+    let mut nonce = [0u8; 12];
+    std::hint::black_box(kernel.seal(&key, &nonce, &aad, &plaintext));
+    let start = Instant::now();
+    for i in 0..iters {
+        nonce[4..].copy_from_slice(&(i as u64).to_be_bytes());
+        std::hint::black_box(kernel.seal(&key, &nonce, &aad, std::hint::black_box(&plaintext)));
+    }
+    (LEN * iters) as f64 / start.elapsed().as_secs_f64()
+}
+
+fn bench_aead_kernels(_c: &mut Criterion) {
+    const ITERS: usize = 100_000;
+    const REPS: usize = 5;
+    let best = |kernel: Keystream| (0..REPS).map(|_| seal_throughput(kernel, ITERS)).fold(0.0, f64::max);
+    let active = Keystream::active();
+    let dispatched = best(active);
+    let scalar = best(Keystream::scalar());
+    let speedup = dispatched / scalar;
+    println!(
+        "aead_kernel: seal 1KiB  dispatched({}) {:>8.1} MB/s  scalar {:>8.1} MB/s  ({speedup:.2}x)",
+        active.name(),
+        dispatched / 1e6,
+        scalar / 1e6,
+    );
+    if active.name() != "scalar" {
+        assert!(
+            speedup >= 2.0,
+            "wide-keystream seal must be >= 2x the scalar seal on 1 KiB payloads, got {speedup:.2}x ({})",
+            active.name()
+        );
+    }
+}
+
+criterion_group!(benches, bench_encode, bench_decode, bench_kernels, bench_aead_kernels);
 criterion_main!(benches);

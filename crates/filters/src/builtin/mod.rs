@@ -5,6 +5,7 @@
 //! diagnostic and fault-injection filters used by the test suite and the
 //! experiment harness.
 
+mod chacha_simd;
 pub(crate) mod compress;
 pub(crate) mod faults;
 pub(crate) mod fec_decode;

@@ -51,7 +51,13 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: exactly one module — `builtin::chacha_simd`, the
+// AVX2 ChaCha20 keystream kernel — carries a scoped `allow(unsafe_code)`
+// for its `#[target_feature]` calls and unaligned vector loads/stores,
+// with a `SAFETY:` comment on every block (the same arrangement as
+// `rapidware-fec` and its `gf256_simd`).  `forbid` cannot be overridden
+// by an inner `allow`; everything else in the crate is still rejected.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -73,6 +79,10 @@ pub use builtin::secure::{
     parse_rekey, rekey_packet, DecryptFilter, EncryptFilter, SecureChannelSnapshot,
     SecureChannelStats, TAG_LEN,
 };
+// Not API: the per-kernel AEAD entry points, for `tests/proptest_aead_kernels.rs`
+// and the `aead_kernel` bench group, which live outside the crate.
+#[doc(hidden)]
+pub use builtin::secure::{poly1305, Keystream};
 pub use builtin::tap::{TapCounters, TapFilter};
 pub use builtin::transcode::{AudioTranscoderFilter, TranscodeMode};
 pub use chain::{ChainEvent, FilterChain};

@@ -397,6 +397,24 @@ impl Packet {
     /// ```
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
+        self.encode_append(buf);
+    }
+
+    /// Appends the packet's wire representation to `buf`, leaving what is
+    /// already there untouched: how a sender lays many frames end to end
+    /// in one arena (a batched socket send) with one encode per frame.
+    ///
+    /// ```
+    /// use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
+    ///
+    /// let packet = Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::Data, vec![7; 8]);
+    /// let mut arena = vec![0xAA; 3];
+    /// packet.encode_append(&mut arena);
+    /// assert_eq!(arena.len(), 3 + packet.wire_len());
+    /// assert_eq!(Packet::decode(&arena[3..]).unwrap(), packet);
+    /// ```
+    pub fn encode_append(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
         buf.reserve(self.wire_len());
         buf.put_u32(self.header.stream.value());
         buf.put_u64(self.header.seq.value());
@@ -409,7 +427,7 @@ impl Packet {
         buf.put_u64(block);
         buf.put_u32(self.payload.len() as u32);
         let crc = {
-            let state = crc32_update(crc32_init(), buf);
+            let state = crc32_update(crc32_init(), &buf[start..]);
             crc32_finish(crc32_update(state, &self.payload))
         };
         buf.put_u32(crc);

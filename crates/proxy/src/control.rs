@@ -215,7 +215,8 @@ impl fmt::Display for Response {
                 for transport in &status.transports {
                     write!(
                         f,
-                        " udp={} at={} rx={} tx={} decode-err={} drop={} unknown-stream={} io-err={}",
+                        " udp={} at={} rx={} tx={} decode-err={} drop={} unknown-stream={} io-err={} \
+                         tx-batches={} gso-refused={}",
                         transport.name,
                         transport.ingress_addr,
                         transport.ingress.rx_packets,
@@ -224,6 +225,8 @@ impl fmt::Display for Response {
                         transport.ingress.dropped + transport.egress.dropped,
                         transport.unknown_streams,
                         transport.io_errors,
+                        transport.egress.tx_batches,
+                        transport.egress.gso_refused,
                     )?;
                 }
                 if !status.secure.is_empty() {

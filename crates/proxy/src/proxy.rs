@@ -650,8 +650,9 @@ impl Proxy {
     /// The snapshot carries every registered instrument — the latency
     /// histograms (`stream.*`/`session.*` batch, per-stage, and end-to-end
     /// spans), the runtime profiling histograms (`runtime.poll_ns`,
-    /// `runtime.queue_wait_ns`, `runtime.reactor.scan_ns`), and carrier
-    /// drain-batch histograms (`udp.*.drain_batch`) — plus the legacy
+    /// `runtime.queue_wait_ns`, `runtime.reactor.scan_ns`), and the carrier
+    /// batch-shape histograms (`udp.*.drain_batch`, `udp.*.flush_batch`,
+    /// `udp.*.tx_segments`) — plus the legacy
     /// stats structs folded in as flat metrics under the same scopes:
     /// per-stream chain and secure-channel counters, per-session head and
     /// lane counters, per-carrier rx/tx, unknown-stream and socket-error
@@ -1103,7 +1104,8 @@ mod tests {
         assert_eq!(status.transports[0].unknown_streams, 1);
         let rendered = crate::Response::Status(status).to_string();
         assert!(rendered.contains("udp=wire at="), "{rendered}");
-        assert!(rendered.contains("unknown-stream=1 io-err=0"), "{rendered}");
+        assert!(rendered.contains("unknown-stream=1 io-err=0 tx-batches="), "{rendered}");
+        assert!(rendered.contains(" gso-refused=0"), "{rendered}");
 
         // Zero per-socket threads: the only live transport machinery is the
         // reactor registration (one ingress + one egress driver).

@@ -448,12 +448,19 @@ impl UdpCarrier {
         &self.ingress_work.ingress
     }
 
-    /// Registers `udp.<name>.drain_batch` and starts recording into it
-    /// (idempotent, like every other `enable_telemetry`).
+    /// Registers `udp.<name>.drain_batch` and its send-side twins —
+    /// `udp.<name>.flush_batch` (frames per kernel crossing) and
+    /// `udp.<name>.tx_segments` (datagrams per message) — and starts
+    /// recording into them (idempotent, like every other
+    /// `enable_telemetry`).
     pub(crate) fn enable_telemetry(&self, registry: &Registry, name: &str) {
         self.ingress_work
             .drain_batch
             .get_or_init(|| registry.histogram(format!("udp.{name}.drain_batch")));
+        self.egress.record_send_shape(
+            registry.histogram(format!("udp.{name}.flush_batch")),
+            registry.histogram(format!("udp.{name}.tx_segments")),
+        );
     }
 
     pub(crate) fn status(&self, name: &str) -> UdpTransportStatus {

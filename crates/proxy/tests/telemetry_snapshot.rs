@@ -10,6 +10,7 @@ use rapidware_proxy::{
     FilterSpec, Proxy, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig,
     UdpCarrierConfig,
 };
+use rapidware_telemetry::TelemetrySnapshot;
 use rapidware_transport::{SharedDrain, SharedUdpIngress, UdpConfig};
 
 fn stream_packet(seq: u64) -> Packet {
@@ -129,6 +130,20 @@ fn pooled_shared_udp_encrypted_fec_session_reports_unified_telemetry() {
     );
     let drain = snapshot.histogram("udp.wire.drain_batch").expect("drain-batch histogram");
     assert!(drain.count() > 0 && drain.sum >= 8, "carrier drain batch sizes: {drain:?}");
+    // The send-side twins: frames per kernel crossing, datagrams per
+    // message — both account for every frame the egress counted.
+    // (The egress books a crossing after the kernel delivered it, so the
+    // app may hold the last frame a moment before the books close.)
+    let sent = settled(&proxy, |sent| {
+        let flush = sent.histogram("udp.wire.flush_batch").expect("flush-batch histogram");
+        let segments = sent.histogram("udp.wire.tx_segments").expect("segment histogram");
+        let tx_packets = sent.stat("udp.wire.egress.tx_packets").expect("egress counters");
+        tx_packets >= 8
+            && flush.sum == tx_packets
+            && segments.sum == tx_packets
+            && sent.stat("udp.wire.egress.tx_batches") >= Some(flush.count())
+    });
+    assert_eq!(sent.stat("udp.wire.egress.gso_refused"), Some(0));
 
     // Legacy stats folded into the same snapshot as flat metrics.
     assert_eq!(snapshot.stat("session.fanout.lane.wlan.delivered"), Some(8));
@@ -157,6 +172,23 @@ fn pooled_shared_udp_encrypted_fec_session_reports_unified_telemetry() {
     proxy.shutdown().unwrap();
 }
 
+/// Re-takes the telemetry snapshot until `done` holds; the deadline only
+/// bounds a genuine failure.
+fn settled(proxy: &Proxy, done: impl Fn(&TelemetrySnapshot) -> bool) -> TelemetrySnapshot {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let snapshot = proxy.telemetry().expect("telemetry enabled");
+        if done(&snapshot) {
+            return snapshot;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the send-side books never closed: {snapshot:?}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn a_carrier_bound_before_enable_telemetry_still_records_drain_batches() {
     // `enable_telemetry` must reach carriers that already exist, exactly
@@ -183,5 +215,8 @@ fn a_carrier_bound_before_enable_telemetry_still_records_drain_batches() {
     let snapshot = proxy.telemetry().expect("telemetry enabled");
     let drain = snapshot.histogram("udp.wire.drain_batch").expect("attached retroactively");
     assert!(drain.count() > 0 && drain.sum >= 8, "carrier drain batch sizes: {drain:?}");
+    settled(&proxy, |sent| {
+        sent.histogram("udp.wire.flush_batch").expect("attached retroactively").sum == 8
+    });
     proxy.shutdown().unwrap();
 }

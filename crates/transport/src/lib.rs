@@ -90,16 +90,18 @@
 //! [`DetachableReceiver`]: rapidware_streams::DetachableReceiver
 //! [`PacketKind::Control`]: rapidware_packet::PacketKind::Control
 
-// `deny` rather than `forbid`: the readiness module (`poller`) opts back in
-// with a scoped `#[allow]` — it is the only unsafe code in the crate (four
-// epoll/eventfd declarations std has no safe form of), and its safety
-// contract is documented at the module head.
+// `deny` rather than `forbid`: two modules opt back in with a scoped
+// `#[allow]` — `poller` (four epoll/eventfd declarations) and `mmsg` (one
+// `sendmmsg` declaration), foreign calls std has no safe form of.  They are
+// the only unsafe code in the crate, and each documents its safety contract
+// at the module head.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod endpoint;
 mod impaired;
+mod mmsg;
 mod poller;
 mod shared;
 mod stats;

@@ -8,9 +8,15 @@
 //! pipe has data:
 //!
 //! ```text
-//!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route by stream id ──▶ pipe per stream
-//!   pipe per lane ──▶ flush_batch: try_recv × batch ──encode──▶ send_to(lane peer) ──▶ socket
+//!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route runs by stream id ──▶ pipe per stream
+//!   pipe per lane ──▶ flush_batch: gather ──encode──▶ one arena ──coalesce──▶ one sendmmsg ──▶ socket
 //! ```
+//!
+//! The send half crosses into the kernel once per pass, not once per
+//! frame: every lane's frames are encoded end to end into one arena,
+//! neighbouring equal-length frames towards one peer leave as a single
+//! `UDP_SEGMENT` message that the kernel cuts back into datagrams, and the
+//! whole pass is one `sendmmsg` (the `mmsg` module holds the FFI).
 //!
 //! Demultiplexing is by the stream id already in every
 //! [`Packet`] header.  Frames for an
@@ -31,11 +37,13 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use rapidware_packet::{Packet, StreamId};
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, TryRecvError};
+use rapidware_telemetry::Histogram;
 
+use crate::mmsg::{refuses_segmentation, Message, SendBatch, MAX_SEGMENTS};
 use crate::stats::TransportStats;
 use crate::{fits_in_datagram, is_stream_fin, stream_fin_packet, MAX_DATAGRAM_LEN};
 
@@ -71,12 +79,14 @@ pub enum SharedDrain {
 /// How a [`SharedUdpEgress::flush_batch`] pass ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharedFlush {
-    /// At least one frame moved; more may be pending, run another pass.
+    /// Some lane filled its batch and may hold more: run another pass.
     Progress,
-    /// Nothing to send: every live source pipe was empty.
+    /// Nothing is left to send: whatever the pass found went out, and
+    /// every source pipe was seen empty, ended or closed — a frame that
+    /// arrives from now on fires its pipe's data watcher.
     Idle,
-    /// The socket refused a send (`WouldBlock`); the frame is held and the
-    /// caller should retry once the socket reports writable.
+    /// The socket stopped accepting (`WouldBlock`); the unsent frames are
+    /// held and the caller should retry once the socket reports writable.
     Blocked,
 }
 
@@ -99,7 +109,14 @@ pub struct SharedUdpIngress {
     unknown_streams: Arc<AtomicU64>,
     io_errors: AtomicU64,
     routes: Mutex<BTreeMap<u32, DetachableSender<Packet>>>,
-    scratch: Mutex<Vec<u8>>,
+    scratch: Mutex<DrainScratch>,
+}
+
+/// What one drain pass works in: the receive buffer and the decoded frames
+/// waiting to be routed (empty between passes).
+struct DrainScratch {
+    datagram: Vec<u8>,
+    pass: Vec<Packet>,
 }
 
 impl fmt::Debug for SharedUdpIngress {
@@ -135,7 +152,10 @@ impl SharedUdpIngress {
             unknown_streams: Arc::new(AtomicU64::new(0)),
             io_errors: AtomicU64::new(0),
             routes: Mutex::new(BTreeMap::new()),
-            scratch: Mutex::new(vec![0u8; MAX_DATAGRAM_LEN]),
+            scratch: Mutex::new(DrainScratch {
+                datagram: vec![0u8; MAX_DATAGRAM_LEN],
+                pass: Vec::new(),
+            }),
         })
     }
 
@@ -231,63 +251,97 @@ impl SharedUdpIngress {
 
     /// Receives and routes up to `batch_size` datagrams without blocking.
     ///
-    /// Per frame: count the datagram, decode (errors counted), then route
-    /// by the packet's stream id.  A per-stream FIN closes that stream's
-    /// route only; frames for unregistered streams bump
+    /// Per frame: count the datagram, decode (errors counted); then the
+    /// whole pass is routed by stream id under one hold of the route table,
+    /// each run of consecutive frames of one stream with a single
+    /// hand-off to its pipe (one watcher fire).  A per-stream FIN closes
+    /// that stream's route only, after the frames that preceded it; frames
+    /// for unregistered streams bump
     /// [`unknown_streams`](Self::unknown_streams) and are dropped; a full
-    /// route drops the frame rather than stall its socket-mates.  A socket
-    /// error is counted in [`io_errors`](Self::io_errors) and ends the pass
-    /// like an empty socket.
+    /// route drops the frames it has no room for rather than stall its
+    /// socket-mates.  A socket error is counted in
+    /// [`io_errors`](Self::io_errors) and ends the pass like an empty
+    /// socket.
     pub fn drain_batch(&self) -> SharedDrain {
         let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        let DrainScratch { datagram, pass } = &mut *scratch;
+        let mut outcome = SharedDrain::MoreReady;
         for _ in 0..self.batch_size {
-            let len = match self.socket.recv_from(&mut scratch) {
+            let len = match self.socket.recv_from(datagram) {
                 Ok((len, _peer)) => len,
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return SharedDrain::Empty,
-                // A socket error (e.g. ICMP-induced) is consumed by the
-                // failed call: count it and report "nothing readable", so
-                // the driver re-arms and the next datagram wakes it.
-                Err(_) => {
-                    self.io_errors.fetch_add(1, Ordering::Relaxed);
-                    return SharedDrain::Empty;
+                Err(err) => {
+                    // A socket error (e.g. ICMP-induced) is consumed by the
+                    // failed call: count it and report "nothing readable",
+                    // so the driver re-arms and the next datagram wakes it.
+                    if err.kind() != io::ErrorKind::WouldBlock {
+                        self.io_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    outcome = SharedDrain::Empty;
+                    break;
                 }
             };
             self.stats.record_rx_datagram();
-            match Packet::decode(&scratch[..len]) {
+            match Packet::decode(&datagram[..len]) {
                 Ok(mut packet) => {
                     // Stamp the span clock at the socket boundary so
                     // end-to-end latency covers routing and demux time too.
                     packet.stamp_ingress_ns(rapidware_telemetry::now_ns());
-                    self.route(packet);
+                    pass.push(packet);
                 }
                 Err(_) => self.stats.record_decode_error(),
             }
         }
-        SharedDrain::MoreReady
+        self.route(pass);
+        outcome
     }
 
-    fn route(&self, packet: Packet) {
-        let stream = packet.stream().value();
+    /// Routes a drained pass in arrival order, as runs of consecutive
+    /// frames of one stream.
+    fn route(&self, pass: &mut Vec<Packet>) {
+        if pass.is_empty() {
+            return;
+        }
         let mut routes = self.lock_routes();
-        let Some(sink) = routes.get(&stream) else {
-            self.unknown_streams.fetch_add(1, Ordering::Relaxed);
-            self.stats.record_drop();
+        let mut run: Vec<Packet> = Vec::new();
+        for packet in pass.drain(..) {
+            let stream = packet.stream().value();
+            if run.first().is_some_and(|head| head.stream().value() != stream) {
+                self.deliver(&routes, std::mem::take(&mut run));
+            }
+            if is_stream_fin(&packet) && routes.contains_key(&stream) {
+                // The stream's earlier frames of this pass go first.
+                self.deliver(&routes, std::mem::take(&mut run));
+                if let Some(sink) = routes.remove(&stream) {
+                    sink.close();
+                }
+                continue;
+            }
+            run.push(packet);
+        }
+        self.deliver(&routes, run);
+    }
+
+    /// Hands one stream's run to its route.
+    fn deliver(&self, routes: &BTreeMap<u32, DetachableSender<Packet>>, run: Vec<Packet>) {
+        let Some(head) = run.first() else {
             return;
         };
-        if is_stream_fin(&packet) {
-            sink.close();
-            routes.remove(&stream);
+        let Some(sink) = routes.get(&head.stream().value()) else {
+            self.unknown_streams.fetch_add(run.len() as u64, Ordering::Relaxed);
+            self.stats.record_drops(run.len());
             return;
-        }
-        // Received ⇒ counted: the counter moves before the packet becomes
+        };
+        // Received ⇒ counted: the counter moves before the packets become
         // observable to any consumer.
-        self.stats.record_rx_packet();
-        // Never block the drain: a full (or paused/closed) route sheds the
-        // frame, UDP-style, instead of stalling neighbouring streams.
-        match sink.try_send_batch(vec![packet]) {
-            Ok(leftover) if leftover.is_empty() => {}
-            Ok(_) | Err(_) => self.stats.record_drop(),
-        }
+        self.stats.record_rx_packets(run.len());
+        // Never block the drain: a full (or paused/closed) route sheds what
+        // it cannot take, UDP-style, instead of stalling neighbouring
+        // streams.
+        let shed = match sink.try_send_batch(run) {
+            Ok(leftover) => leftover,
+            Err(err) => err.into_inner(),
+        };
+        self.stats.record_drops(shed.len());
     }
 
     fn lock_routes(&self) -> MutexGuard<'_, BTreeMap<u32, DetachableSender<Packet>>> {
@@ -302,13 +356,51 @@ struct EgressLane {
     stream: StreamId,
     peer: SocketAddr,
     source: DetachableReceiver<Packet>,
-    /// Frames accepted from the pipe but not yet accepted by the OS
-    /// (socket `WouldBlock`); drained before anything new is pulled.
+    /// Frames pulled from the pipe that the OS has not accepted yet (their
+    /// pass ended `Blocked`); they lead the lane's next pass.
     held: VecDeque<Packet>,
     /// The source hit EOF; the FIN still needs to go out.
     fin_due: bool,
-    /// Nothing more will ever move on this lane.
+    /// Nothing more will ever be pulled from `source`.
     finished: bool,
+}
+
+/// One frame of a pass.  Records sit in the order their frames were encoded
+/// into the arena: lane by lane, each lane's own order kept.
+struct Record {
+    /// Index of the lane the frame came from.
+    lane: usize,
+    /// `None` is the lane's FIN.
+    packet: Option<Packet>,
+    /// The frame's encoded length.
+    len: usize,
+}
+
+/// The submit step of a pass: offers messages — ranges of the arena — to
+/// the kernel in one crossing and returns how many of them, from the
+/// front, it took.  [`SendBatch::send`] on a real egress; the unit tests
+/// script it.
+type Submit = Box<dyn FnMut(&UdpSocket, &[u8], &[Message]) -> io::Result<usize> + Send>;
+
+/// Everything a flush pass works on, under one lock.
+struct EgressState {
+    /// Lanes towards one peer sit next to each other, so that their frames
+    /// are neighbours in a pass and can share a segmented message.
+    lanes: Vec<EgressLane>,
+    /// The frames of the running pass, encoded end to end.
+    arena: Vec<u8>,
+    records: Vec<Record>,
+    messages: Vec<Message>,
+    /// Cleared for good the first time the kernel refuses a segmented
+    /// message on this socket.
+    coalesce: bool,
+    submit: Submit,
+}
+
+/// Where an egress records the shape of its sends once telemetry is on.
+struct SendShape {
+    flush_batch: Arc<Histogram>,
+    tx_segments: Arc<Histogram>,
 }
 
 /// The sending half of a shared socket: N lanes, each draining its own
@@ -329,8 +421,8 @@ pub struct SharedUdpEgress {
     local_addr: SocketAddr,
     batch_size: usize,
     stats: TransportStats,
-    lanes: Mutex<Vec<EgressLane>>,
-    scratch: Mutex<Vec<u8>>,
+    state: Mutex<EgressState>,
+    shape: OnceLock<SendShape>,
 }
 
 impl fmt::Debug for SharedUdpEgress {
@@ -341,12 +433,6 @@ impl fmt::Debug for SharedUdpEgress {
             .field("lanes", &self.lane_count())
             .finish()
     }
-}
-
-enum SendOutcome {
-    Sent,
-    Dropped,
-    Blocked,
 }
 
 impl SharedUdpEgress {
@@ -377,6 +463,19 @@ impl SharedUdpEgress {
     }
 
     fn from_socket(socket: UdpSocket, config: &crate::UdpConfig) -> io::Result<Self> {
+        let mut batch = SendBatch::default();
+        Self::with_submit(
+            socket,
+            config,
+            Box::new(move |socket, arena, messages| batch.send(socket, arena, messages)),
+        )
+    }
+
+    fn with_submit(
+        socket: UdpSocket,
+        config: &crate::UdpConfig,
+        submit: Submit,
+    ) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
         let local_addr = socket.local_addr()?;
         Ok(Self {
@@ -384,8 +483,15 @@ impl SharedUdpEgress {
             local_addr,
             batch_size: config.batch_size.max(1),
             stats: TransportStats::new(),
-            lanes: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
+            state: Mutex::new(EgressState {
+                lanes: Vec::new(),
+                arena: Vec::new(),
+                records: Vec::new(),
+                messages: Vec::new(),
+                coalesce: true,
+                submit,
+            }),
+            shape: OnceLock::new(),
         })
     }
 
@@ -405,9 +511,20 @@ impl SharedUdpEgress {
         self.stats.clone()
     }
 
+    /// Starts recording the shape of this egress's sends: into
+    /// `flush_batch` the frames each kernel crossing carried, into
+    /// `tx_segments` the datagrams each message of a crossing was cut into
+    /// (1 for a frame sent on its own).  The first call wins.
+    pub fn record_send_shape(&self, flush_batch: Arc<Histogram>, tx_segments: Arc<Histogram>) {
+        let _ = self.shape.set(SendShape {
+            flush_batch,
+            tx_segments,
+        });
+    }
+
     /// Number of attached lanes still capable of moving frames.
     pub fn lane_count(&self) -> usize {
-        self.lock_lanes().iter().filter(|lane| !lane.finished).count()
+        self.lock_state().lanes.len()
     }
 
     /// Attaches a lane: frames from `source` are encoded and sent to
@@ -415,137 +532,245 @@ impl SharedUdpEgress {
     /// sent.  Lanes may share a peer (distinguished by stream id) or a
     /// stream id (towards distinct peers, e.g. fanout).
     pub fn attach(&self, stream: StreamId, peer: SocketAddr, source: DetachableReceiver<Packet>) {
-        self.lock_lanes().push(EgressLane {
-            stream,
-            peer,
-            source,
-            held: VecDeque::new(),
-            fin_due: false,
-            finished: false,
-        });
+        let lanes = &mut self.lock_state().lanes;
+        // Behind the last lane towards the same peer (see `EgressState`).
+        let at = lanes
+            .iter()
+            .rposition(|lane| lane.peer == peer)
+            .map_or(lanes.len(), |last| last + 1);
+        lanes.insert(
+            at,
+            EgressLane {
+                stream,
+                peer,
+                source,
+                held: VecDeque::new(),
+                fin_due: false,
+                finished: false,
+            },
+        );
     }
 
     /// Drains every lane's pipe onto the socket, up to `batch_size`
-    /// frames per lane per pass.
+    /// frames per lane per pass, in one kernel crossing.
     ///
-    /// Returns [`SharedFlush::Blocked`] as soon as the OS refuses a send
-    /// (`WouldBlock`): the refused frame is held, and the caller should
-    /// retry once the socket reports writable.  Finished lanes are pruned.
+    /// A pass **gathers** each lane's held frames, then fresh ones from its
+    /// pipe, then its FIN if the pipe ended, encoding every frame once into
+    /// one arena; **coalesces** neighbouring frames towards one peer that
+    /// share a wire length (the last of a run may be shorter) into one
+    /// message the kernel cuts back into datagrams (`UDP_SEGMENT`), within
+    /// the kernel's limits of 64 segments and one datagram's worth of
+    /// bytes; and **submits** all messages with one `sendmmsg`.  A frame
+    /// alone in its run is an ordinary datagram; what arrives at each peer
+    /// is byte for byte what a `send_to` per frame would have put there,
+    /// each lane's frames in order.
+    ///
+    /// Returns [`SharedFlush::Blocked`] when the OS stopped accepting
+    /// (`WouldBlock`): the frames it did not take are held, in order, and
+    /// the caller should retry once the socket reports writable.  A
+    /// segmented message the kernel refuses (no offload on the route, a
+    /// frame above the path MTU) is re-submitted as single datagrams in the
+    /// same pass, counted in [`gso_refused`](TransportStats::gso_refused),
+    /// and the socket stops coalescing.  Returns [`SharedFlush::Progress`]
+    /// only when some lane filled its `batch_size` and may hold more; a
+    /// frame that lands in a pipe after the pass looked at it fires that
+    /// pipe's watcher.  Finished lanes are pruned.
     pub fn flush_batch(&self) -> SharedFlush {
-        let mut lanes = self.lock_lanes();
-        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let mut progressed = false;
-        let mut blocked = false;
-        for lane in lanes.iter_mut() {
-            if lane.finished {
-                continue;
-            }
-            match self.flush_lane(lane, &mut scratch) {
-                SharedFlush::Progress => progressed = true,
-                SharedFlush::Blocked => {
-                    // One refused send means the socket's buffer is full
-                    // for every lane; stop the pass here.
-                    blocked = true;
-                    break;
+        let mut state = self.lock_state();
+        let state = &mut *state;
+        let mut more = false;
+        for index in 0..state.lanes.len() {
+            more |= self.gather(state, index);
+        }
+        cut_messages(&mut state.messages, &state.records, &state.lanes, state.coalesce);
+        let (sent, blocked) = self.submit(state);
+        // Settle: what the OS did not take goes back to its lane, in order.
+        let EgressState { lanes, records, .. } = state;
+        for (index, record) in records.drain(..).enumerate() {
+            let lane = &mut lanes[record.lane];
+            match record.packet {
+                Some(packet) if index >= sent => lane.held.push_back(packet),
+                None if index < sent => {
+                    lane.fin_due = false;
+                    lane.finished = true;
                 }
-                SharedFlush::Idle => {}
+                _ => {}
             }
         }
-        lanes.retain(|lane| !lane.finished);
+        lanes.retain(|lane| !lane.finished || !lane.held.is_empty());
+        state.arena.clear();
+        state.messages.clear();
         if blocked {
             SharedFlush::Blocked
-        } else if progressed {
+        } else if more {
             SharedFlush::Progress
         } else {
             SharedFlush::Idle
         }
     }
 
-    /// Moves one lane's frames: held frames first, then up to
-    /// `batch_size` fresh ones from the pipe, then the FIN if due.
-    fn flush_lane(&self, lane: &mut EgressLane, scratch: &mut Vec<u8>) -> SharedFlush {
-        let mut progressed = false;
-        while let Some(packet) = lane.held.front() {
-            match self.send_frame(lane.peer, packet, scratch) {
-                SendOutcome::Blocked => return SharedFlush::Blocked,
-                SendOutcome::Sent | SendOutcome::Dropped => {
-                    lane.held.pop_front();
-                    progressed = true;
+    /// Moves one lane's share of a pass into the arena: held frames first,
+    /// then fresh ones until the lane's `batch_size` is used up or its pipe
+    /// has answered empty, ended or closed — so that whatever reaches the
+    /// pipe later fires its watcher — then the FIN if one is due.  Returns
+    /// `true` if the batch filled: the pipe may hold more.
+    fn gather(&self, state: &mut EgressState, index: usize) -> bool {
+        let EgressState {
+            lanes,
+            arena,
+            records,
+            ..
+        } = state;
+        let lane = &mut lanes[index];
+        let stream = lane.stream;
+        // `None` encodes the lane's FIN.
+        let mut push = |packet: Option<Packet>| {
+            let fin;
+            let frame = match &packet {
+                Some(packet) => packet,
+                None => {
+                    fin = stream_fin_packet(stream);
+                    &fin
                 }
+            };
+            if !fits_in_datagram(frame) {
+                self.stats.record_drops(1);
+                return;
             }
-        }
-        if !lane.fin_due {
-            match lane.source.try_recv_up_to(self.batch_size) {
+            let start = arena.len();
+            frame.encode_append(arena);
+            records.push(Record {
+                lane: index,
+                packet,
+                len: arena.len() - start,
+            });
+        };
+        let mut room = self.batch_size.saturating_sub(lane.held.len());
+        lane.held.drain(..).for_each(|packet| push(Some(packet)));
+        while room > 0 && !lane.fin_due && !lane.finished {
+            match lane.source.try_recv_up_to(room) {
                 Ok(batch) => {
-                    let mut queue: VecDeque<Packet> = batch.into();
-                    while let Some(packet) = queue.front() {
-                        match self.send_frame(lane.peer, packet, scratch) {
-                            SendOutcome::Blocked => {
-                                lane.held = queue;
-                                return SharedFlush::Blocked;
-                            }
-                            SendOutcome::Sent | SendOutcome::Dropped => {
-                                queue.pop_front();
-                                progressed = true;
-                            }
-                        }
-                    }
+                    room -= batch.len();
+                    batch.into_iter().for_each(|packet| push(Some(packet)));
                 }
-                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Eof) => lane.fin_due = true,
-                Err(TryRecvError::Closed) => {
-                    // Abort semantics: the producer side vanished without a
-                    // clean end of stream, so no FIN is owed.
-                    lane.finished = true;
-                    return if progressed { SharedFlush::Progress } else { SharedFlush::Idle };
-                }
+                // Abort semantics: the producer side vanished without a
+                // clean end of stream, so no FIN is owed.
+                Err(TryRecvError::Closed) => lane.finished = true,
             }
         }
         if lane.fin_due {
-            match self.send_frame(lane.peer, &stream_fin_packet(lane.stream), scratch) {
-                SendOutcome::Blocked => return SharedFlush::Blocked,
-                SendOutcome::Sent | SendOutcome::Dropped => {
-                    lane.fin_due = false;
-                    lane.finished = true;
-                    progressed = true;
+            push(None);
+        }
+        room == 0
+    }
+
+    /// Offers the pass's messages to the kernel until all are dealt with or
+    /// the socket pushes back.  Returns how many records, from the front,
+    /// are settled (sent, or dropped and counted) and whether the pass
+    /// ended on `WouldBlock`.
+    fn submit(&self, state: &mut EgressState) -> (usize, bool) {
+        let EgressState {
+            lanes,
+            arena,
+            records,
+            messages,
+            coalesce,
+            submit,
+        } = state;
+        let mut next = 0; // first message not yet dealt with
+        let mut settled = 0; // records behind `messages[..next]`
+        while next < messages.len() {
+            self.stats.record_tx_batch();
+            match submit(&self.socket, arena, &messages[next..]) {
+                // `sendmmsg` takes at least one message or fails.
+                Ok(0) => return (settled, true),
+                Ok(taken) => {
+                    let taken = &messages[next..next + taken];
+                    let frames: usize = taken.iter().map(Message::segments).sum();
+                    self.stats.record_tx(frames);
+                    if let Some(shape) = self.shape.get() {
+                        shape.flush_batch.record(frames as u64);
+                        for message in taken {
+                            shape.tx_segments.record(message.segments() as u64);
+                        }
+                    }
+                    settled += frames;
+                    next += taken.len();
+                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return (settled, true),
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) if messages[next].segments() > 1 && refuses_segmentation(&err) => {
+                    // No offload on this route, or a frame above its MTU:
+                    // the rest of the pass goes out one datagram per frame,
+                    // and so does everything after it.
+                    self.stats.record_gso_refused();
+                    *coalesce = false;
+                    messages.truncate(next);
+                    cut_messages(messages, &records[settled..], lanes, false);
+                }
+                // As a refused `send_to` always was: a counted drop.
+                Err(_) => {
+                    let frames = messages[next].segments();
+                    self.stats.record_drops(frames);
+                    settled += frames;
+                    next += 1;
                 }
             }
         }
-        if progressed {
-            SharedFlush::Progress
-        } else {
-            SharedFlush::Idle
-        }
+        (settled, false)
     }
 
-    fn send_frame(&self, peer: SocketAddr, packet: &Packet, scratch: &mut Vec<u8>) -> SendOutcome {
-        if !fits_in_datagram(packet) {
-            self.stats.record_drop();
-            return SendOutcome::Dropped;
-        }
-        packet.encode_into(scratch);
-        match self.socket.send_to(scratch, peer) {
-            Ok(_) => {
-                self.stats.record_tx();
-                SendOutcome::Sent
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => SendOutcome::Blocked,
-            Err(_) => {
-                self.stats.record_drop();
-                SendOutcome::Dropped
-            }
-        }
+    fn lock_state(&self) -> MutexGuard<'_, EgressState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
 
-    fn lock_lanes(&self) -> MutexGuard<'_, Vec<EgressLane>> {
-        self.lanes.lock().unwrap_or_else(|e| e.into_inner())
+/// Appends the messages for `records` — which lie in the arena directly
+/// behind the last of `messages` — one per run of neighbouring frames that
+/// go to the same peer with the same length, where the last frame of a run
+/// may be shorter; with `coalesce` off, one per frame.
+fn cut_messages(
+    messages: &mut Vec<Message>,
+    records: &[Record],
+    lanes: &[EgressLane],
+    coalesce: bool,
+) {
+    let mut start = messages.last().map_or(0, |last| last.start + last.len);
+    let mut open = false; // the last message is a run that may still grow
+    for record in records {
+        let peer = lanes[record.lane].peer;
+        let len = record.len;
+        match messages.last_mut() {
+            Some(run)
+                if open
+                    && run.peer == peer
+                    && len <= run.segment
+                    && run.segments() < MAX_SEGMENTS
+                    && run.len + len <= MAX_DATAGRAM_LEN =>
+            {
+                run.len += len;
+                open = len == run.segment;
+            }
+            _ => {
+                messages.push(Message {
+                    peer,
+                    start,
+                    len,
+                    segment: len,
+                });
+                open = coalesce;
+            }
+        }
+        start += len;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UdpConfig;
+    use crate::{UdpConfig, STREAM_FIN_SEQ};
     use rapidware_packet::{PacketKind, SeqNo};
     use std::time::{Duration, Instant};
 
@@ -602,6 +827,47 @@ mod tests {
         }
         assert_eq!(ingress.unknown_streams(), 0);
         assert_eq!(ingress.stats().dropped(), 0);
+    }
+
+    #[test]
+    fn a_run_of_one_stream_is_one_hand_off_and_a_mid_pass_fin_follows_its_frames() {
+        struct Fires(AtomicU64);
+        impl rapidware_streams::PipeWatcher for Fires {
+            fn notify(&self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        let first = ingress.open_stream(StreamId::new(1)).unwrap();
+        let second = ingress.open_stream(StreamId::new(2)).unwrap();
+        let fires = Arc::new(Fires(AtomicU64::new(0)));
+        first.set_data_watcher(fires.clone());
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        // One pass: six frames of stream 1, its FIN, a straggler behind the
+        // FIN, then two frames of stream 2.
+        for seq in 0..6u64 {
+            send_encoded(&tx, ingress.local_addr(), &packet(1, seq));
+        }
+        send_encoded(&tx, ingress.local_addr(), &stream_fin_packet(StreamId::new(1)));
+        send_encoded(&tx, ingress.local_addr(), &packet(1, 6));
+        send_encoded(&tx, ingress.local_addr(), &packet(2, 0));
+        send_encoded(&tx, ingress.local_addr(), &packet(2, 1));
+        // Loopback delivery is synchronous: all ten are queued already.
+        assert_eq!(ingress.drain_batch(), SharedDrain::Empty);
+        assert_eq!(ingress.stats().rx_datagrams(), 10);
+        assert_eq!(
+            fires.0.load(Ordering::SeqCst),
+            2,
+            "one fire for the run of six, one for the FIN's end of stream"
+        );
+        let delivered = first.try_recv_up_to(16).unwrap();
+        let seqs: Vec<u64> = delivered.iter().map(|p| p.seq().value()).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 5], "the FIN closed the route behind its frames");
+        assert_eq!(first.try_recv().unwrap_err(), TryRecvError::Eof);
+        assert_eq!(ingress.unknown_streams(), 1, "the straggler found no route");
+        assert_eq!(ingress.stats().dropped(), 1);
+        assert_eq!(ingress.stats().rx_packets(), 8);
+        assert_eq!(second.try_recv_up_to(16).unwrap().len(), 2);
     }
 
     #[test]
@@ -748,6 +1014,266 @@ mod tests {
         assert_eq!(egress.stats().tx_packets(), 1, "no FIN after an abort");
         drop(tx);
         let _ = route;
+    }
+
+    /// The kernel as the scripted-submit tests see it: what it was offered,
+    /// how it was told to answer, and what it put on the wire.
+    #[derive(Default)]
+    struct Kernel {
+        /// Answers for the next crossings, in order; once empty, every
+        /// message is taken.
+        script: VecDeque<io::Result<usize>>,
+        /// Per crossing, the segment count of each message offered.
+        offered: Vec<Vec<usize>>,
+        /// Every datagram taken, cut at the segment boundaries.
+        wire: Vec<(SocketAddr, Vec<u8>)>,
+        /// Runs at the start of the next crossing — "meanwhile, …".
+        meanwhile: Option<Box<dyn FnOnce() + Send>>,
+    }
+
+    impl Kernel {
+        /// The `(stream, seq)` of every datagram on the wire, in order.
+        fn frames(&self) -> Vec<(u32, u64)> {
+            self.wire
+                .iter()
+                .map(|(_, datagram)| {
+                    let packet = Packet::decode(datagram).expect("the wire carries whole frames");
+                    (packet.stream().value(), packet.seq().value())
+                })
+                .collect()
+        }
+    }
+
+    /// An egress (batch size 8) whose submit step is `kernel`.
+    fn scripted_egress(kernel: &Arc<Mutex<Kernel>>) -> SharedUdpEgress {
+        scripted_egress_with(kernel, 8)
+    }
+
+    fn scripted_egress_with(kernel: &Arc<Mutex<Kernel>>, batch_size: usize) -> SharedUdpEgress {
+        let kernel = Arc::clone(kernel);
+        let submit: Submit = Box::new(move |_socket, arena, messages| {
+            let mut kernel = kernel.lock().unwrap();
+            if let Some(meanwhile) = kernel.meanwhile.take() {
+                meanwhile();
+            }
+            kernel.offered.push(messages.iter().map(Message::segments).collect());
+            let taken = match kernel.script.pop_front() {
+                Some(answer) => answer?.min(messages.len()),
+                None => messages.len(),
+            };
+            for message in &messages[..taken] {
+                let payload = &arena[message.start..][..message.len];
+                for datagram in payload.chunks(message.segment) {
+                    kernel.wire.push((message.peer, datagram.to_vec()));
+                }
+            }
+            Ok(taken)
+        });
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let config = UdpConfig::default().with_batch_size(batch_size);
+        SharedUdpEgress::with_submit(socket, &config, submit).unwrap()
+    }
+
+    fn sized(stream: u32, seq: u64, payload: usize) -> Packet {
+        Packet::new(
+            StreamId::new(stream),
+            SeqNo::new(seq),
+            PacketKind::Data,
+            vec![seq as u8; payload],
+        )
+    }
+
+    fn peer(port: u16) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], port))
+    }
+
+    #[test]
+    fn neighbouring_equal_frames_share_a_message_within_the_kernel_limits() {
+        let kernel = Arc::new(Mutex::new(Kernel::default()));
+        let egress = scripted_egress(&kernel);
+        let (tx_a, rx_a) = pipe::<Packet>(16);
+        let (tx_b, rx_b) = pipe::<Packet>(16);
+        let (tx_c, rx_c) = pipe::<Packet>(16);
+        // A and C share a peer, so C is gathered right behind A although B
+        // was attached in between.
+        egress.attach(StreamId::new(1), peer(1001), rx_a);
+        egress.attach(StreamId::new(2), peer(1002), rx_b);
+        egress.attach(StreamId::new(3), peer(1001), rx_c);
+        tx_a.send_batch((0..3).map(|seq| sized(1, seq, 100)).collect()).unwrap();
+        // 100, 100, a shorter 60 (closes the run), 100, a longer 120.
+        tx_c.send_batch(
+            [100, 100, 60, 100, 120]
+                .iter()
+                .enumerate()
+                .map(|(seq, &len)| sized(3, seq as u64, len))
+                .collect(),
+        )
+        .unwrap();
+        tx_b.send(sized(2, 0, 100)).unwrap();
+        tx_b.close();
+        assert_eq!(egress.flush_batch(), SharedFlush::Idle, "no lane filled its batch");
+        let kernel = kernel.lock().unwrap();
+        // A's three and C's first three in one message, C's 100 alone (120
+        // is longer), 120 alone; then B's frame with its shorter FIN.
+        assert_eq!(kernel.offered, [vec![6, 1, 1, 2]], "one crossing for the pass");
+        assert_eq!(
+            kernel.frames(),
+            [
+                (1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4),
+                (2, 0), (2, STREAM_FIN_SEQ),
+            ]
+        );
+        assert!(kernel.wire[..8].iter().all(|(to, _)| *to == peer(1001)));
+        assert_eq!(egress.stats().tx_packets(), 10);
+        assert_eq!(egress.stats().tx_datagrams(), 10);
+        assert_eq!(egress.stats().tx_batches(), 1);
+        assert_eq!(egress.lane_count(), 2, "B sent its FIN and is pruned");
+        drop(kernel);
+
+        // 65 equal frames: the 65th starts a new message.  Four frames of
+        // 30 000 bytes: only two fit one datagram's worth.
+        for (count, payload, shapes) in [(65, 10, [64, 1]), (4, 30_000, [2, 2])] {
+            let kernel = Arc::new(Mutex::new(Kernel::default()));
+            let egress = scripted_egress_with(&kernel, 128);
+            let (tx, rx) = pipe::<Packet>(128);
+            egress.attach(StreamId::new(1), peer(1001), rx);
+            tx.send_batch((0..count).map(|seq| sized(1, seq, payload)).collect()).unwrap();
+            assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+            let kernel = kernel.lock().unwrap();
+            assert_eq!(kernel.offered, [shapes]);
+            assert_eq!(kernel.wire.len() as u64, count);
+        }
+    }
+
+    #[test]
+    fn a_partially_accepted_pass_holds_the_unsent_suffix_in_lane_order() {
+        let kernel = Arc::new(Mutex::new(Kernel::default()));
+        let egress = scripted_egress(&kernel);
+        let (tx_a, rx_a) = pipe::<Packet>(16);
+        let (tx_b, rx_b) = pipe::<Packet>(16);
+        egress.attach(StreamId::new(1), peer(1001), rx_a);
+        egress.attach(StreamId::new(2), peer(1002), rx_b);
+        // Growing lengths: every frame of A is a message of its own.
+        tx_a.send_batch((0..4).map(|seq| sized(1, seq, 40 + 10 * seq as usize)).collect())
+            .unwrap();
+        tx_b.send_batch((0..3).map(|seq| sized(2, seq, 64)).collect()).unwrap();
+        tx_b.close();
+        // Two of A's four are taken, then the socket is full.
+        kernel.lock().unwrap().script =
+            VecDeque::from([Ok(2), Err(io::ErrorKind::WouldBlock.into())]);
+        assert_eq!(egress.flush_batch(), SharedFlush::Blocked);
+        assert_eq!(kernel.lock().unwrap().offered, [vec![1, 1, 1, 1, 4], vec![1, 1, 4]]);
+        assert_eq!(kernel.lock().unwrap().frames(), [(1, 0), (1, 1)]);
+        assert_eq!(egress.stats().tx_packets(), 2);
+        assert_eq!(egress.stats().tx_batches(), 2);
+        assert_eq!(egress.lane_count(), 2, "B's FIN is still owed");
+        // A fresh frame queues behind the held ones; the next pass resumes
+        // where the socket stopped and re-sends nothing.
+        tx_a.send(sized(1, 4, 90)).unwrap();
+        kernel.lock().unwrap().script =
+            VecDeque::from([Ok(1), Err(io::ErrorKind::WouldBlock.into())]);
+        assert_eq!(egress.flush_batch(), SharedFlush::Blocked);
+        assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+        assert_eq!(
+            kernel.lock().unwrap().frames(),
+            [
+                (1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
+                (2, 0), (2, 1), (2, 2), (2, STREAM_FIN_SEQ),
+            ]
+        );
+        assert_eq!(egress.stats().tx_packets(), 9);
+        assert_eq!(egress.stats().dropped(), 0);
+        assert_eq!(egress.lane_count(), 1);
+    }
+
+    #[test]
+    fn a_refused_segmented_message_goes_out_as_singles_and_coalescing_stops() {
+        let kernel = Arc::new(Mutex::new(Kernel::default()));
+        let egress = scripted_egress(&kernel);
+        let (tx_a, rx_a) = pipe::<Packet>(16);
+        let (tx_b, rx_b) = pipe::<Packet>(16);
+        egress.attach(StreamId::new(1), peer(1001), rx_a);
+        egress.attach(StreamId::new(2), peer(1002), rx_b);
+        tx_a.send(sized(1, 0, 64)).unwrap();
+        tx_b.send_batch((0..4).map(|seq| sized(2, seq, 64)).collect()).unwrap();
+        // A's single is taken; B's four-segment message is refused (EIO: no
+        // checksum offload on the route) once it comes first.
+        kernel.lock().unwrap().script =
+            VecDeque::from([Ok(1), Err(io::Error::from_raw_os_error(5))]);
+        assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+        assert_eq!(
+            kernel.lock().unwrap().offered,
+            [vec![1, 4], vec![4], vec![1, 1, 1, 1]],
+            "the refused message is re-cut in the same pass"
+        );
+        assert_eq!(kernel.lock().unwrap().frames(), [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]);
+        assert_eq!(egress.stats().gso_refused(), 1);
+        assert_eq!(egress.stats().tx_packets(), 5);
+        assert_eq!(egress.stats().dropped(), 0, "a refusal is never a drop");
+        // From now on this socket sends one frame per message.
+        tx_b.send_batch((4..7).map(|seq| sized(2, seq, 64)).collect()).unwrap();
+        assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+        assert_eq!(kernel.lock().unwrap().offered[3], [1, 1, 1]);
+        assert_eq!(egress.stats().gso_refused(), 1);
+    }
+
+    #[test]
+    fn a_failed_message_is_a_counted_drop_and_the_rest_of_the_pass_goes_on() {
+        let kernel = Arc::new(Mutex::new(Kernel::default()));
+        let egress = scripted_egress(&kernel);
+        let (tx, rx) = pipe::<Packet>(16);
+        egress.attach(StreamId::new(1), peer(1001), rx);
+        tx.send_batch((0..3).map(|seq| sized(1, seq, 40 + 10 * seq as usize)).collect())
+            .unwrap();
+        // EINVAL on a plain datagram is no refusal of segmentation; EINTR
+        // is tried again.
+        kernel.lock().unwrap().script = VecDeque::from([
+            Err(io::Error::from_raw_os_error(22)),
+            Err(io::ErrorKind::Interrupted.into()),
+        ]);
+        assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+        assert_eq!(kernel.lock().unwrap().frames(), [(1, 1), (1, 2)]);
+        assert_eq!(egress.stats().dropped(), 1);
+        assert_eq!(egress.stats().gso_refused(), 0);
+        assert_eq!(egress.stats().tx_packets(), 2);
+    }
+
+    #[test]
+    fn a_frame_pushed_during_a_pass_is_sent_without_a_kick() {
+        struct Wakes(AtomicU64);
+        impl rapidware_streams::PipeWatcher for Wakes {
+            fn notify(&self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let kernel = Arc::new(Mutex::new(Kernel::default()));
+        let egress = scripted_egress(&kernel);
+        let (tx, rx) = pipe::<Packet>(16);
+        let wakes = Arc::new(Wakes(AtomicU64::new(0)));
+        rx.set_data_watcher(wakes.clone());
+        egress.attach(StreamId::new(1), peer(1001), rx);
+        tx.send(sized(1, 0, 64)).unwrap();
+        // While the first pass is inside the kernel — its pipe already
+        // looked at — a second frame lands.
+        let late = tx.clone();
+        kernel.lock().unwrap().meanwhile =
+            Some(Box::new(move || late.send(sized(1, 1, 64)).unwrap()));
+        // The driver's rule: run passes while they report progress, then
+        // sleep until a watcher fired.  Nothing else ever steps the egress.
+        let mut handled = 0;
+        let mut passes = 0;
+        loop {
+            let woken = wakes.0.load(Ordering::SeqCst);
+            if woken == handled {
+                break;
+            }
+            handled = woken;
+            passes += 1;
+            // A partial batch asks for no second pass.
+            assert_eq!(egress.flush_batch(), SharedFlush::Idle);
+        }
+        assert_eq!(passes, 2, "the late frame's own watcher fire brought the second pass");
+        assert_eq!(kernel.lock().unwrap().frames(), [(1, 0), (1, 1)]);
     }
 
     #[test]

@@ -28,6 +28,8 @@ struct StatsInner {
     rx_packets: AtomicU64,
     tx_datagrams: AtomicU64,
     tx_packets: AtomicU64,
+    tx_batches: AtomicU64,
+    gso_refused: AtomicU64,
     decode_errors: AtomicU64,
     dropped: AtomicU64,
 }
@@ -43,6 +45,13 @@ pub struct TransportSnapshot {
     pub tx_datagrams: u64,
     /// Packets framed and sent.
     pub tx_packets: u64,
+    /// Kernel crossings on the send side: one `sendmmsg` each, whatever
+    /// number of datagrams it carried.
+    pub tx_batches: u64,
+    /// Times the kernel turned down a segmented (`UDP_SEGMENT`) message;
+    /// its frames were re-sent one by one, and the socket stopped
+    /// coalescing.
+    pub gso_refused: u64,
     /// Datagrams that failed [`Packet::decode`](rapidware_packet::Packet::decode).
     pub decode_errors: u64,
     /// Packets discarded by the endpoint (oversized frames, sends the OS
@@ -60,21 +69,30 @@ impl TransportStats {
         self.inner.rx_datagrams.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_rx_packet(&self) {
-        self.inner.rx_packets.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_rx_packets(&self, packets: usize) {
+        self.inner.rx_packets.fetch_add(packets as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_tx(&self) {
-        self.inner.tx_datagrams.fetch_add(1, Ordering::Relaxed);
-        self.inner.tx_packets.fetch_add(1, Ordering::Relaxed);
+    /// `frames` packets went out, one datagram each.
+    pub(crate) fn record_tx(&self, frames: usize) {
+        self.inner.tx_datagrams.fetch_add(frames as u64, Ordering::Relaxed);
+        self.inner.tx_packets.fetch_add(frames as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_tx_batch(&self) {
+        self.inner.tx_batches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_gso_refused(&self) {
+        self.inner.gso_refused.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_decode_error(&self) {
         self.inner.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_drop(&self) {
-        self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_drops(&self, packets: usize) {
+        self.inner.dropped.fetch_add(packets as u64, Ordering::Relaxed);
     }
 
     /// Datagrams received off the socket so far.
@@ -97,6 +115,17 @@ impl TransportStats {
         self.inner.tx_packets.load(Ordering::Relaxed)
     }
 
+    /// Send-side kernel crossings (`sendmmsg` calls) so far.
+    pub fn tx_batches(&self) -> u64 {
+        self.inner.tx_batches.load(Ordering::Relaxed)
+    }
+
+    /// Segmented messages the kernel refused so far (each was re-sent as
+    /// single datagrams).
+    pub fn gso_refused(&self) -> u64 {
+        self.inner.gso_refused.load(Ordering::Relaxed)
+    }
+
     /// Datagrams that failed to decode so far.
     pub fn decode_errors(&self) -> u64 {
         self.inner.decode_errors.load(Ordering::Relaxed)
@@ -114,6 +143,8 @@ impl TransportStats {
             rx_packets: self.rx_packets(),
             tx_datagrams: self.tx_datagrams(),
             tx_packets: self.tx_packets(),
+            tx_batches: self.tx_batches(),
+            gso_refused: self.gso_refused(),
             decode_errors: self.decode_errors(),
             dropped: self.dropped(),
         }
@@ -134,6 +165,8 @@ impl rapidware_telemetry::StatSource for TransportSnapshot {
             Metric::new("rx_packets", self.rx_packets),
             Metric::new("tx_datagrams", self.tx_datagrams),
             Metric::new("tx_packets", self.tx_packets),
+            Metric::new("tx_batches", self.tx_batches),
+            Metric::new("gso_refused", self.gso_refused),
             Metric::new("decode_errors", self.decode_errors),
             Metric::new("dropped", self.dropped),
         ]
@@ -150,6 +183,8 @@ impl TransportSnapshot {
             rx_packets: self.rx_packets + other.rx_packets,
             tx_datagrams: self.tx_datagrams + other.tx_datagrams,
             tx_packets: self.tx_packets + other.tx_packets,
+            tx_batches: self.tx_batches + other.tx_batches,
+            gso_refused: self.gso_refused + other.gso_refused,
             decode_errors: self.decode_errors + other.decode_errors,
             dropped: self.dropped + other.dropped,
         }
@@ -164,15 +199,19 @@ mod tests {
     fn counters_accumulate_and_snapshot() {
         let stats = TransportStats::new();
         stats.record_rx_datagram();
-        stats.record_rx_packet();
-        stats.record_tx();
+        stats.record_rx_packets(1);
+        stats.record_tx(1);
+        stats.record_tx_batch();
+        stats.record_gso_refused();
         stats.record_decode_error();
-        stats.record_drop();
+        stats.record_drops(1);
         let snap = stats.snapshot();
         assert_eq!(snap.rx_datagrams, 1);
         assert_eq!(snap.rx_packets, 1);
         assert_eq!(snap.tx_datagrams, 1);
         assert_eq!(snap.tx_packets, 1);
+        assert_eq!(snap.tx_batches, 1);
+        assert_eq!(snap.gso_refused, 1);
         assert_eq!(snap.decode_errors, 1);
         assert_eq!(snap.dropped, 1);
     }
@@ -181,7 +220,7 @@ mod tests {
     fn clones_share_counters_and_snapshots_merge() {
         let stats = TransportStats::new();
         let clone = stats.clone();
-        clone.record_tx();
+        clone.record_tx(1);
         assert_eq!(stats.tx_packets(), 1);
         let merged = stats.snapshot().merged(&stats.snapshot());
         assert_eq!(merged.tx_packets, 2);

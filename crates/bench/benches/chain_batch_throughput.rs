@@ -193,23 +193,17 @@ fn main() {
     println!("sync speedup:         {:.2}x", sync_batch / sync_serial);
 
     // Encrypted vs plaintext: the same batched FEC round-trip with the
-    // AEAD pair sealing every frame (sources and parity).  The asserted
-    // floor keeps the in-crate ChaCha20-Poly1305 honest.  With the 8-way
-    // keystream a 320-byte frame seals or opens in about 570 ns (1,065 ns
-    // scalar) and the ratio reads 0.38–0.41x over repeated runs (0.33–0.36x
-    // before); the floor is that reading less a fifth, because a shared
-    // host moves either median by more than the cipher does.  The tight
-    // tripwire for the cipher alone is `fec_codec`'s `aead_kernel` group.
-    const ENCRYPTED_FLOOR: f64 = 0.3;
+    // AEAD pair sealing every frame (sources and parity).  Reported, not
+    // asserted: it is a ratio of two throughputs that one optimisation
+    // raises unequally (the folded CRC more than doubled the plaintext
+    // chain and sped the encrypted one up by half, so the ratio *fell* on a
+    // pure speed-up).  The tripwires sit on the kernels themselves, in
+    // `fec_codec`: `gf256_kernel`, `aead_kernel`, `crc_kernel`, `mac_kernel`.
     let encrypted_samples = pps_samples(|| sync_batched_on(encrypted_chain(), &packets));
     let encrypted = best(&encrypted_samples);
     let ratio = median(&encrypted_samples) / median(&sync_batch_samples);
     println!("sync/batch-{BATCH} aead:   {encrypted:>12.0} packets/s");
-    println!("encrypted/plaintext:  {ratio:.2}x (floor {ENCRYPTED_FLOOR}x)");
-    assert!(
-        ratio >= ENCRYPTED_FLOOR,
-        "encrypted batch-{BATCH} throughput fell below {ENCRYPTED_FLOOR}x of plaintext ({ratio:.2}x)"
-    );
+    println!("encrypted/plaintext:  {ratio:.2}x");
 
     let mut report = BenchReport::new("chain_batch");
     report.record("threaded/per-packet", "packets/s", &threaded_serial_samples);

@@ -12,10 +12,17 @@
 //!   is active this bench **asserts** it is at least 2× the scalar path —
 //!   the regression tripwire for the PSHUFB-style nibble-split kernels;
 //! * `aead_kernel` — the dispatched ChaCha20-Poly1305 seal (AVX2 8-way
-//!   keystream under the same dispatcher) against the scalar-keystream seal
-//!   on 1 KiB payloads, with the same **≥ 2×** assertion when the wide
-//!   kernel is active.  The Poly1305 half is shared, so this is a floor on
-//!   the whole seal, not on the keystream alone.
+//!   keystream and 4-way MAC under the same dispatcher) against the scalar
+//!   seal on 1 KiB payloads, with the same **≥ 2×** assertion when the wide
+//!   kernels are active — a floor on the whole seal;
+//! * `crc_kernel` — the `PCLMULQDQ` folding CRC-32 against the slice-by-16
+//!   tables on 1 KiB slices, asserted **≥ 4×** where the CPU has the
+//!   instruction;
+//! * `mac_kernel` — the AVX2 4-way Poly1305 against the scalar one on 1 KiB
+//!   messages, asserted **≥ 1.5×** where the CPU has AVX2.
+//!
+//! The last two name each kernel directly, so they hold whatever
+//! `RAPIDWARE_FORCE_SCALAR` says, and skip when only the scalar path exists.
 
 use std::time::Instant;
 
@@ -23,6 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rapidware::fec::gf256;
 use rapidware::fec::FecCodec;
 use rapidware::filters::Keystream;
+use rapidware::packet::CrcKernel;
 
 const SHARD_LEN: usize = 360; // one 320-byte audio packet + header, roughly
 
@@ -76,88 +84,112 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times `addmul(target, source, c)` over `iters` passes on 1 KiB slices
-/// and returns bytes/second.
-fn addmul_throughput(addmul: impl Fn(&mut [u8], &[u8], u8), iters: usize) -> f64 {
+/// Best-of-`REPS` bytes/second of each of two routines over 1 KiB of input,
+/// `iters` calls per repetition, the repetitions alternated so that a slow
+/// spell of the host falls on both.
+fn kib_throughputs(iters: usize, mut wide: impl FnMut(&[u8]), mut reference: impl FnMut(&[u8])) -> (f64, f64) {
     const LEN: usize = 1024;
-    let source: Vec<u8> = (0..LEN).map(|i| (i * 37 + 5) as u8).collect();
-    let mut target = vec![0u8; LEN];
-    // Warm the tables and the branch predictor.
-    addmul(&mut target, &source, 29);
-    let start = Instant::now();
-    for i in 0..iters {
-        addmul(&mut target, &source, (i % 255 + 1) as u8);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    std::hint::black_box(&target);
-    (LEN * iters) as f64 / elapsed
+    const REPS: usize = 7;
+    let input: Vec<u8> = (0..LEN).map(|i| (i * 37 + 5) as u8).collect();
+    let rate = |run: &mut dyn FnMut(&[u8])| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            run(std::hint::black_box(&input));
+        }
+        (LEN * iters) as f64 / start.elapsed().as_secs_f64()
+    };
+    (0..REPS).fold((0.0, 0.0), |(best_wide, best_reference), _| {
+        (best_wide.max(rate(&mut wide)), best_reference.max(rate(&mut reference)))
+    })
+}
+
+/// Prints `group`'s two readings and, unless the first kernel *is* the
+/// reference, asserts it is at least `floor` times as fast.
+fn assert_speedup(group: &str, what: &str, names: (&str, &str), rates: (f64, f64), floor: f64) {
+    let speedup = rates.0 / rates.1;
+    println!(
+        "{group}: {what} 1KiB  {} {:>8.1} MB/s  {} {:>8.1} MB/s  ({speedup:.2}x)",
+        names.0,
+        rates.0 / 1e6,
+        names.1,
+        rates.1 / 1e6,
+    );
+    assert!(
+        names.0 == names.1 || speedup >= floor,
+        "{group}: {} must be >= {floor}x {} on 1 KiB, got {speedup:.2}x",
+        names.0,
+        names.1
+    );
 }
 
 fn bench_kernels(_c: &mut Criterion) {
-    const ITERS: usize = 200_000;
-    const REPS: usize = 5;
-    let dispatched = (0..REPS)
-        .map(|_| addmul_throughput(gf256::addmul_slice, ITERS))
-        .fold(0.0, f64::max);
-    let scalar = (0..REPS)
-        .map(|_| addmul_throughput(gf256::addmul_slice_scalar, ITERS))
-        .fold(0.0, f64::max);
-    let kernel = gf256::active_kernel();
-    let speedup = dispatched / scalar;
-    println!(
-        "gf256_kernel: addmul 1KiB  dispatched({}) {:>8.1} MB/s  scalar {:>8.1} MB/s  ({speedup:.2}x)",
-        kernel.name(),
-        dispatched / 1e6,
-        scalar / 1e6,
-    );
-    if kernel != gf256::Kernel::Scalar {
-        assert!(
-            speedup >= 2.0,
-            "SIMD addmul must be >= 2x scalar on 1 KiB slices, got {speedup:.2}x ({})",
-            kernel.name()
-        );
-    }
-}
-
-/// Times `kernel.seal` over `iters` 1 KiB payloads under a 32-byte header
-/// and returns bytes/second.
-fn seal_throughput(kernel: Keystream, iters: usize) -> f64 {
-    const LEN: usize = 1024;
-    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
-    let aad = [0x5Au8; 32];
-    let plaintext: Vec<u8> = (0..LEN).map(|i| (i * 37 + 5) as u8).collect();
-    let mut nonce = [0u8; 12];
-    std::hint::black_box(kernel.seal(&key, &nonce, &aad, &plaintext));
-    let start = Instant::now();
-    for i in 0..iters {
-        nonce[4..].copy_from_slice(&(i as u64).to_be_bytes());
-        std::hint::black_box(kernel.seal(&key, &nonce, &aad, std::hint::black_box(&plaintext)));
-    }
-    (LEN * iters) as f64 / start.elapsed().as_secs_f64()
+    let run = |addmul: fn(&mut [u8], &[u8], u8)| {
+        let mut target = vec![0u8; 1024];
+        let mut coefficient = 0u8;
+        move |source: &[u8]| {
+            coefficient = coefficient % 255 + 1;
+            addmul(&mut target, source, coefficient);
+            std::hint::black_box(&target);
+        }
+    };
+    let rates = kib_throughputs(200_000, run(gf256::addmul_slice), run(gf256::addmul_slice_scalar));
+    assert_speedup("gf256_kernel", "addmul", (gf256::active_kernel().name(), "scalar"), rates, 2.0);
 }
 
 fn bench_aead_kernels(_c: &mut Criterion) {
-    const ITERS: usize = 100_000;
-    const REPS: usize = 5;
-    let best = |kernel: Keystream| (0..REPS).map(|_| seal_throughput(kernel, ITERS)).fold(0.0, f64::max);
+    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
+    let run = |kernel: Keystream| {
+        let mut sealed = 0u64;
+        move |plaintext: &[u8]| {
+            // A fresh nonce per seal, under a 32-byte header.
+            sealed += 1;
+            let mut nonce = [0u8; 12];
+            nonce[4..].copy_from_slice(&sealed.to_be_bytes());
+            std::hint::black_box(kernel.seal(&key, &nonce, &[0x5A; 32], plaintext));
+        }
+    };
     let active = Keystream::active();
-    let dispatched = best(active);
-    let scalar = best(Keystream::scalar());
-    let speedup = dispatched / scalar;
-    println!(
-        "aead_kernel: seal 1KiB  dispatched({}) {:>8.1} MB/s  scalar {:>8.1} MB/s  ({speedup:.2}x)",
-        active.name(),
-        dispatched / 1e6,
-        scalar / 1e6,
-    );
-    if active.name() != "scalar" {
-        assert!(
-            speedup >= 2.0,
-            "wide-keystream seal must be >= 2x the scalar seal on 1 KiB payloads, got {speedup:.2}x ({})",
-            active.name()
-        );
-    }
+    let rates = kib_throughputs(100_000, run(active), run(Keystream::scalar()));
+    assert_speedup("aead_kernel", "seal", (active.name(), "scalar"), rates, 2.0);
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_kernels, bench_aead_kernels);
+fn bench_crc_kernels(_c: &mut Criterion) {
+    let Some(folded) = CrcKernel::folded() else {
+        println!("crc_kernel: no PCLMULQDQ on this CPU, only the tables exist — skipped");
+        return;
+    };
+    let tables = CrcKernel::tables();
+    let run = |kernel: CrcKernel| {
+        move |input: &[u8]| {
+            std::hint::black_box(kernel.update(0xFFFF_FFFF, input));
+        }
+    };
+    let rates = kib_throughputs(300_000, run(folded), run(tables));
+    assert_speedup("crc_kernel", "crc32", (folded.name(), tables.name()), rates, 4.0);
+}
+
+fn bench_mac_kernels(_c: &mut Criterion) {
+    let Some(avx2) = Keystream::avx2() else {
+        println!("mac_kernel: no AVX2 on this CPU, only the scalar MAC exists — skipped");
+        return;
+    };
+    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
+    let run = |kernel: Keystream| {
+        move |input: &[u8]| {
+            std::hint::black_box(kernel.poly1305(std::hint::black_box(&key), input));
+        }
+    };
+    let rates = kib_throughputs(200_000, run(avx2), run(Keystream::scalar()));
+    assert_speedup("mac_kernel", "poly1305", (avx2.name(), "scalar"), rates, 1.5);
+}
+
+criterion_group!(
+    benches,
+    bench_encode,
+    bench_decode,
+    bench_kernels,
+    bench_aead_kernels,
+    bench_crc_kernels,
+    bench_mac_kernels
+);
 criterion_main!(benches);

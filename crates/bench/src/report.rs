@@ -46,8 +46,9 @@ pub struct RunMeta {
     pub date: String,
     /// Host description: architecture, OS, and logical CPU count.
     pub host: String,
-    /// Feature flags that affect the numbers — currently the dispatched
-    /// GF(2⁸) kernel and whether `RAPIDWARE_FORCE_SCALAR` was set.
+    /// Feature flags that affect the numbers — the dispatched GF(2⁸), CRC-32
+    /// and AEAD (keystream + MAC) kernels and whether
+    /// `RAPIDWARE_FORCE_SCALAR` was set.
     pub flags: String,
 }
 
@@ -75,8 +76,10 @@ impl RunMeta {
                 std::env::consts::OS
             ),
             flags: format!(
-                "gf256-kernel={} force-scalar={}",
+                "gf256-kernel={} crc-kernel={} mac-kernel={} force-scalar={}",
                 rapidware::fec::gf256::active_kernel().name(),
+                rapidware::packet::CrcKernel::active().name(),
+                rapidware::filters::Keystream::active().name(),
                 force_scalar
             ),
         }
@@ -284,7 +287,9 @@ mod tests {
             "\"host\": {}",
             json_string(&report.meta().host)
         )));
-        assert!(json.contains("gf256-kernel="));
+        for flag in ["gf256-kernel=", "crc-kernel=", "mac-kernel=", "force-scalar="] {
+            assert!(json.contains(flag), "{flag} missing from {json}");
+        }
     }
 
     #[test]

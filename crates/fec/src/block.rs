@@ -66,17 +66,70 @@ impl DecodeScratch {
     }
 }
 
+/// A complete block still lying in its [`BlockAssembler`]: the `k` framed
+/// source shards, padded to their common length, from which each parity can
+/// be encoded straight into the buffer it will be sent from.
+#[derive(Debug)]
+pub struct FramedBlock<'a> {
+    codec: &'a FecCodec,
+    shards: &'a [Vec<u8>],
+    occupied: usize,
+}
+
+impl FramedBlock<'_> {
+    /// The codec the block's parities are encoded with.
+    pub fn codec(&self) -> &FecCodec {
+        self.codec
+    }
+
+    /// Common shard length of this block: two bytes more than its largest
+    /// payload.
+    pub fn shard_len(&self) -> usize {
+        self.shards.first().map_or(0, Vec::len)
+    }
+
+    /// Number of payloads that were real data (the rest were flush padding).
+    pub fn occupied(&self) -> usize {
+        self.occupied
+    }
+
+    /// Encodes parity shard `index` (`0..n − k`) into `parity`, which must
+    /// be [`shard_len`](Self::shard_len) bytes.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`FecCodec::encode_parity_into`].
+    pub fn parity_into(&self, index: usize, parity: &mut [u8]) -> Result<(), FecError> {
+        self.codec.encode_parity_into(self.shards, index, parity)
+    }
+
+    /// All `n − k` parity shards in fresh buffers.
+    fn encoded(&self) -> Result<EncodedBlock, FecError> {
+        let mut parities = vec![vec![0u8; self.shard_len()]; self.codec.parity_count()];
+        for (index, parity) in parities.iter_mut().enumerate() {
+            self.parity_into(index, parity)?;
+        }
+        Ok(EncodedBlock {
+            k: self.codec.k(),
+            n: self.codec.n(),
+            shard_len: self.shard_len(),
+            parities,
+            occupied: self.occupied,
+        })
+    }
+}
+
 /// Groups source payloads into blocks of `k` and emits parity shards.
 #[derive(Debug)]
 pub struct BlockAssembler {
     codec: FecCodec,
-    /// Payload slots for the block being filled.  Only the first
+    /// The block being filled, one framed shard per payload — length
+    /// prefix, then the payload, written once and in place; the zero
+    /// padding follows when the block completes.  Only the first
     /// `pending_len` entries are live; the rest are retained allocations
-    /// that later blocks overwrite in place.
-    pending: Vec<Vec<u8>>,
+    /// that later blocks overwrite.
+    shards: Vec<Vec<u8>>,
     pending_len: usize,
-    /// Framed-shard scratch, reused across blocks.
-    framed: Vec<Vec<u8>>,
     blocks_emitted: u64,
 }
 
@@ -85,9 +138,8 @@ impl BlockAssembler {
     pub fn new(codec: FecCodec) -> Self {
         Self {
             codec,
-            pending: Vec::new(),
+            shards: Vec::new(),
             pending_len: 0,
-            framed: Vec::new(),
             blocks_emitted: 0,
         }
     }
@@ -115,18 +167,35 @@ impl BlockAssembler {
     /// Returns [`FecError::CorruptPayload`] if the payload is larger than
     /// [`MAX_PAYLOAD_LEN`].
     pub fn push(&mut self, payload: &[u8]) -> Result<Option<EncodedBlock>, FecError> {
-        if payload.len() > MAX_PAYLOAD_LEN {
+        self.push_with(|shard| shard.extend_from_slice(payload))?
+            .map(|block| block.encoded())
+            .transpose()
+    }
+
+    /// Adds the source payload that `write` appends to the buffer it is
+    /// handed — the payload's final place inside its framed shard, so a
+    /// sender serialises each packet once, here, instead of into a scratch
+    /// that is copied in.  Returns the completed block when this payload
+    /// fills the current group of `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FecError::CorruptPayload`] (and takes nothing) if `write`
+    /// appended more than [`MAX_PAYLOAD_LEN`] bytes.
+    pub fn push_with(
+        &mut self,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Option<FramedBlock<'_>>, FecError> {
+        let shard = self.next_shard();
+        write(shard);
+        let Some(len) = shard.len().checked_sub(2).and_then(|len| u16::try_from(len).ok()) else {
+            shard.clear();
             return Err(FecError::CorruptPayload);
-        }
-        if let Some(slot) = self.pending.get_mut(self.pending_len) {
-            slot.clear();
-            slot.extend_from_slice(payload);
-        } else {
-            self.pending.push(payload.to_vec());
-        }
+        };
+        shard[..2].copy_from_slice(&len.to_be_bytes());
         self.pending_len += 1;
         if self.pending_len == self.codec.k() {
-            Ok(Some(self.emit(self.codec.k())?))
+            Ok(Some(self.complete(self.codec.k())))
         } else {
             Ok(None)
         }
@@ -140,41 +209,50 @@ impl BlockAssembler {
     ///
     /// Propagates codec errors (which cannot occur for well-formed state).
     pub fn flush(&mut self) -> Result<Option<EncodedBlock>, FecError> {
+        self.flush_framed().map(|block| block.encoded()).transpose()
+    }
+
+    /// [`flush`](Self::flush), leaving the parities to be encoded in place
+    /// through the returned [`FramedBlock`].
+    pub fn flush_framed(&mut self) -> Option<FramedBlock<'_>> {
         if self.pending_len == 0 {
-            return Ok(None);
+            return None;
         }
         let occupied = self.pending_len;
         while self.pending_len < self.codec.k() {
-            if let Some(slot) = self.pending.get_mut(self.pending_len) {
-                slot.clear();
-            } else {
-                self.pending.push(Vec::new());
-            }
+            self.next_shard();
             self.pending_len += 1;
         }
-        Ok(Some(self.emit(occupied)?))
+        Some(self.complete(occupied))
     }
 
-    fn emit(&mut self, occupied: usize) -> Result<EncodedBlock, FecError> {
-        let live = &self.pending[..self.pending_len];
-        let shard_len = shard_len_for(live);
-        self.framed.resize_with(live.len(), Vec::new);
-        for (payload, shard) in live.iter().zip(self.framed.iter_mut()) {
-            frame_payload_into(payload, shard_len, shard);
+    /// The next free shard slot, holding an empty payload's frame.
+    fn next_shard(&mut self) -> &mut Vec<u8> {
+        if self.pending_len == self.shards.len() {
+            self.shards.push(Vec::new());
         }
-        let shard_refs: Vec<&[u8]> = self.framed.iter().map(|s| s.as_slice()).collect();
-        let parities = self.codec.encode(&shard_refs)?;
-        // Keep the payload and framing buffers for the next block; only the
-        // logical length resets.
+        let shard = &mut self.shards[self.pending_len];
+        shard.clear();
+        shard.extend_from_slice(&[0, 0]);
+        shard
+    }
+
+    /// Pads the `k` pending shards to their common length and hands them
+    /// out; the slots are kept for the next block, only the logical length
+    /// resets.
+    fn complete(&mut self, occupied: usize) -> FramedBlock<'_> {
+        let live = &mut self.shards[..self.pending_len];
+        let shard_len = live.iter().map(Vec::len).max().unwrap_or(0);
+        for shard in live.iter_mut() {
+            shard.resize(shard_len, 0);
+        }
         self.pending_len = 0;
         self.blocks_emitted += 1;
-        Ok(EncodedBlock {
-            k: self.codec.k(),
-            n: self.codec.n(),
-            shard_len,
-            parities,
+        FramedBlock {
+            codec: &self.codec,
+            shards: live,
             occupied,
-        })
+        }
     }
 }
 
@@ -327,10 +405,6 @@ impl BlockReconstructor {
         }
         Ok(recovered)
     }
-}
-
-fn shard_len_for(payloads: &[Vec<u8>]) -> usize {
-    2 + payloads.iter().map(Vec::len).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -620,6 +694,50 @@ mod tests {
             }
         }
         assert_eq!(block.parities, expected.unwrap().parities);
+    }
+
+    #[test]
+    fn payloads_written_in_place_frame_like_pushed_ones() {
+        // `push_with` + `parity_into` (behind a prefix, as the encoder
+        // filter uses them) against `push` on a second assembler, over two
+        // blocks so reused slots are covered, then a flushed partial block.
+        let mut in_place = BlockAssembler::new(codec_6_4());
+        let mut pushed = BlockAssembler::new(codec_6_4());
+        let parities_of = |block: &FramedBlock<'_>| -> Vec<Vec<u8>> {
+            (0..2)
+                .map(|index| {
+                    let mut buffer = vec![0xEE; 8 + block.shard_len()];
+                    block.parity_into(index, &mut buffer[8..]).unwrap();
+                    buffer.split_off(8)
+                })
+                .collect()
+        };
+        for payload in payloads(&[300, 7, 41, 128, 9, 0, 64, 2]) {
+            let expected = pushed.push(&payload).unwrap();
+            let block = in_place.push_with(|shard| shard.extend_from_slice(&payload)).unwrap();
+            assert_eq!(block.is_some(), expected.is_some());
+            if let (Some(block), Some(expected)) = (block, expected) {
+                assert_eq!(block.shard_len(), expected.shard_len);
+                assert_eq!(block.occupied(), 4);
+                assert_eq!(parities_of(&block), expected.parities);
+            }
+        }
+        assert_eq!(in_place.blocks_emitted(), 2);
+
+        // Too long: refused, and the slot it touched is not taken.
+        let huge = vec![1u8; MAX_PAYLOAD_LEN + 1];
+        let refused = in_place.push_with(|shard| shard.extend_from_slice(&huge));
+        assert_eq!(refused.unwrap_err(), FecError::CorruptPayload);
+        assert_eq!(in_place.pending(), 0);
+
+        let tail = payloads(&[50]);
+        pushed.push(&tail[0]).unwrap();
+        in_place.push_with(|shard| shard.extend_from_slice(&tail[0])).unwrap();
+        let expected = pushed.flush().unwrap().expect("partial block");
+        let block = in_place.flush_framed().expect("partial block");
+        assert_eq!(block.occupied(), 1);
+        assert_eq!(parities_of(&block), expected.parities);
+        assert!(in_place.flush_framed().is_none());
     }
 
     #[test]

@@ -101,28 +101,67 @@ impl FecCodec {
         sources: &[&[u8]],
         parities: &mut Vec<Vec<u8>>,
     ) -> Result<(), FecError> {
+        let shard_len = self.common_len(sources)?;
+        parities.resize_with(self.parity_count(), Vec::new);
+        for (index, parity) in parities.iter_mut().enumerate() {
+            parity.resize(shard_len, 0);
+            self.write_parity(sources, index, parity);
+        }
+        Ok(())
+    }
+
+    /// Encodes one parity shard — number `index` of the `n − k`, the shard
+    /// [`encode`](Self::encode) returns at that position — into a
+    /// caller-owned slice of the common source length, overwriting all of
+    /// it.  This is how a sender produces a parity where it will be sent
+    /// from (a packet payload behind a header) instead of in a scratch
+    /// shard that is copied there.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`encode`](Self::encode), plus
+    /// [`FecError::InvalidShardIndex`] if `index ≥ n − k` and
+    /// [`FecError::UnequalShardLengths`] if `parity` is not as long as the
+    /// sources.
+    pub fn encode_parity_into<S: AsRef<[u8]>>(
+        &self,
+        sources: &[S],
+        index: usize,
+        parity: &mut [u8],
+    ) -> Result<(), FecError> {
+        if index >= self.parity_count() {
+            return Err(FecError::InvalidShardIndex(self.k + index));
+        }
+        if self.common_len(sources)? != parity.len() {
+            return Err(FecError::UnequalShardLengths);
+        }
+        self.write_parity(sources, index, parity);
+        Ok(())
+    }
+
+    /// The length every one of the `k` `sources` has.
+    fn common_len<S: AsRef<[u8]>>(&self, sources: &[S]) -> Result<usize, FecError> {
         if sources.len() != self.k {
             return Err(FecError::WrongShardCount {
                 expected: self.k,
                 actual: sources.len(),
             });
         }
-        let shard_len = sources.first().map_or(0, |s| s.len());
-        if sources.iter().any(|s| s.len() != shard_len) {
+        let shard_len = sources.first().map_or(0, |s| s.as_ref().len());
+        if sources.iter().any(|s| s.as_ref().len() != shard_len) {
             return Err(FecError::UnequalShardLengths);
         }
-        parities.resize_with(self.parity_count(), Vec::new);
-        for (index, parity) in parities.iter_mut().enumerate() {
-            let row = self.k + index;
-            parity.resize(shard_len, 0);
-            let first_coeff = self.generator.get(row, 0);
-            gf256::mul_slice_into(parity, sources[0], first_coeff);
-            for (col, source) in sources.iter().enumerate().skip(1) {
-                let coeff = self.generator.get(row, col);
-                gf256::addmul_slice(parity, source, coeff);
-            }
+        Ok(shard_len)
+    }
+
+    /// Generator row `k + index` times the (already checked) `sources`,
+    /// written over `parity`.
+    fn write_parity<S: AsRef<[u8]>>(&self, sources: &[S], index: usize, parity: &mut [u8]) {
+        let row = self.k + index;
+        gf256::mul_slice_into(parity, sources[0].as_ref(), self.generator.get(row, 0));
+        for (col, source) in sources.iter().enumerate().skip(1) {
+            gf256::addmul_slice(parity, source.as_ref(), self.generator.get(row, col));
         }
-        Ok(())
     }
 
     /// Reconstructs all `k` source shards from any `k` of the `n` encoded
@@ -462,6 +501,33 @@ mod tests {
             .decode(&[(2usize, parities[1].as_slice())], 3)
             .unwrap();
         assert_eq!(decoded[0], source[0]);
+    }
+
+    #[test]
+    fn a_parity_encoded_in_place_equals_the_one_encode_returns() {
+        let codec = FecCodec::new(6, 4).unwrap();
+        let sources = sample_sources(4, 100);
+        let parities = codec.encode(&refs(&sources)).unwrap();
+        for (index, expected) in parities.iter().enumerate() {
+            // Behind an 8-byte prefix of a dirty buffer, as a sender uses it.
+            let mut buffer = [0xEEu8; 8 + 100];
+            codec.encode_parity_into(&sources, index, &mut buffer[8..]).unwrap();
+            assert_eq!(&buffer[8..], &expected[..], "parity {index}");
+            assert_eq!(&buffer[..8], &[0xEE; 8], "prefix untouched");
+        }
+        let mut out = vec![0u8; 100];
+        assert_eq!(
+            codec.encode_parity_into(&sources, 2, &mut out).unwrap_err(),
+            FecError::InvalidShardIndex(6)
+        );
+        assert_eq!(
+            codec.encode_parity_into(&sources, 0, &mut out[..99]).unwrap_err(),
+            FecError::UnequalShardLengths
+        );
+        assert!(matches!(
+            codec.encode_parity_into(&sources[..3], 0, &mut out).unwrap_err(),
+            FecError::WrongShardCount { expected: 4, actual: 3 }
+        ));
     }
 
     #[test]

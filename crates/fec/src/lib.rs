@@ -62,7 +62,8 @@ mod gf256_simd;
 mod matrix;
 
 pub use block::{
-    BlockAssembler, BlockReconstructor, DecodeScratch, EncodedBlock, RecoveredPayload,
+    BlockAssembler, BlockReconstructor, DecodeScratch, EncodedBlock, FramedBlock,
+    RecoveredPayload,
     MAX_PAYLOAD_LEN,
 };
 pub use codec::FecCodec;

@@ -14,9 +14,14 @@
 //! the **wire encodings** of the block's source packets — so a receiver can
 //! reconstruct a lost packet in its entirety (header, timestamp, and
 //! payload), not just its payload bytes.
+//!
+//! Each source is serialised once, straight into its shard slot inside the
+//! block assembler, and each parity is encoded straight into the payload
+//! buffer its packet is sent with: per source the filter allocates nothing,
+//! per block only the `n − k` parity payloads themselves.
 
-use rapidware_fec::{BlockAssembler, FecCodec};
-use rapidware_packet::{BlockId, Packet, PacketKind, SeqNo};
+use rapidware_fec::{BlockAssembler, FecCodec, FramedBlock};
+use rapidware_packet::{BlockId, Bytes, Packet, PacketKind, SeqNo, StreamId};
 
 use crate::error::FilterError;
 use crate::filter::{Filter, FilterDescriptor, FilterOutput, InsertionPoint};
@@ -27,19 +32,64 @@ use crate::filter::{Filter, FilterDescriptor, FilterOutput, InsertionPoint};
 pub struct FecEncoderFilter {
     name: String,
     assembler: BlockAssembler,
-    /// Sequence number of the first packet of the block being assembled.
-    block_first_seq: Option<SeqNo>,
-    /// Stream/timestamp template for parity packets (copied from the most
-    /// recent source packet).
-    template: Option<Packet>,
-    next_block: BlockId,
+    parities: ParityStamper,
     require_frame_boundary: bool,
+}
+
+/// What the parity packets of the block being assembled will carry besides
+/// their shard, and the running block/parity counts.
+#[derive(Debug)]
+struct ParityStamper {
+    /// Sequence number of the block's first source; `None` between blocks.
+    first_seq: Option<SeqNo>,
+    /// Stream and timestamp of the block's most recent source.
+    stream: StreamId,
+    timestamp_us: u64,
+    next_block: BlockId,
     blocks_encoded: u64,
     parities_emitted: u64,
-    /// Reused wire-encoding buffer: each source packet is serialised into
-    /// this scratch before joining its FEC block, so the hot path allocates
-    /// nothing per packet.
-    wire_scratch: Vec<u8>,
+}
+
+impl ParityStamper {
+    fn note_source(&mut self, packet: &Packet) {
+        self.first_seq.get_or_insert(packet.seq());
+        self.stream = packet.stream();
+        self.timestamp_us = packet.timestamp_us();
+    }
+
+    /// Emits the `n − k` parity packets of a completed block.
+    fn emit(&mut self, block: &FramedBlock<'_>, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+        let first_seq = self
+            .first_seq
+            .take()
+            .ok_or_else(|| FilterError::Internal("fec block without a first sequence".into()))?;
+        let block_id = self.next_block;
+        self.next_block = self.next_block.next();
+        self.blocks_encoded += 1;
+
+        let (n, k) = (block.codec().n(), block.codec().k());
+        for index in 0..n - k {
+            // The shard is encoded where it is sent from: behind the block's
+            // first sequence number, in the payload's own allocation.
+            let mut payload = Bytes::zeroed(8 + block.shard_len());
+            let (prefix, shard) = payload.make_mut().split_at_mut(8);
+            prefix.copy_from_slice(&first_seq.value().to_be_bytes());
+            block.parity_into(index, shard)?;
+            let kind = PacketKind::Parity {
+                block: block_id,
+                index: (k + index) as u8,
+                k: k as u8,
+                n: n as u8,
+            };
+            // Parity packets get sequence numbers in a disjoint "parity
+            // space" derived from the block so they never collide with
+            // source sequence numbers at a reordering buffer.
+            let parity_seq = SeqNo::new(u64::MAX / 2 + block_id.value() * n as u64 + index as u64);
+            out.emit(Packet::with_timestamp(self.stream, parity_seq, kind, self.timestamp_us, payload));
+            self.parities_emitted += 1;
+        }
+        Ok(())
+    }
 }
 
 impl FecEncoderFilter {
@@ -54,13 +104,15 @@ impl FecEncoderFilter {
         Ok(Self {
             name: format!("fec-encoder({n},{k})"),
             assembler: BlockAssembler::new(codec),
-            block_first_seq: None,
-            template: None,
-            next_block: BlockId::new(0),
+            parities: ParityStamper {
+                first_seq: None,
+                stream: StreamId::new(0),
+                timestamp_us: 0,
+                next_block: BlockId::new(0),
+                blocks_encoded: 0,
+                parities_emitted: 0,
+            },
             require_frame_boundary: false,
-            blocks_encoded: 0,
-            parities_emitted: 0,
-            wire_scratch: Vec::new(),
         })
     }
 
@@ -94,60 +146,14 @@ impl FecEncoderFilter {
 
     /// Number of complete blocks encoded so far.
     pub fn blocks_encoded(&self) -> u64 {
-        self.blocks_encoded
+        self.parities.blocks_encoded
     }
 
     /// Number of parity packets emitted so far.
     pub fn parities_emitted(&self) -> u64 {
-        self.parities_emitted
+        self.parities.parities_emitted
     }
 
-    fn emit_parities(
-        &mut self,
-        block: rapidware_fec::EncodedBlock,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        let first_seq = self
-            .block_first_seq
-            .take()
-            .ok_or_else(|| FilterError::Internal("fec block without a first sequence".into()))?;
-        let template = self
-            .template
-            .clone()
-            .ok_or_else(|| FilterError::Internal("fec block without a template packet".into()))?;
-        let block_id = self.next_block;
-        self.next_block = self.next_block.next();
-        self.blocks_encoded += 1;
-
-        for (index, shard) in block.parities.into_iter().enumerate() {
-            let mut payload = Vec::with_capacity(8 + shard.len());
-            payload.extend_from_slice(&first_seq.value().to_be_bytes());
-            payload.extend_from_slice(&shard);
-            let kind = PacketKind::Parity {
-                block: block_id,
-                index: (self.k() + index) as u8,
-                k: self.k() as u8,
-                n: self.n() as u8,
-            };
-            // Parity packets get sequence numbers in a disjoint "parity
-            // space" derived from the block so they never collide with
-            // source sequence numbers at a reordering buffer.
-            let parity_seq = SeqNo::new(u64::MAX / 2 + block_id.value() * self.n() as u64 + index as u64);
-            let parity = Packet::with_timestamp(
-                template.stream(),
-                parity_seq,
-                kind,
-                template.timestamp_us(),
-                payload,
-            );
-            out.emit(parity);
-            self.parities_emitted += 1;
-        }
-        Ok(())
-    }
-}
-
-impl FecEncoderFilter {
     /// Encodes one packet; shared by the serial and batched paths so both
     /// produce identical output.
     fn encode_one(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
@@ -157,18 +163,17 @@ impl FecEncoderFilter {
             out.emit(packet);
             return Ok(());
         }
-        if self.block_first_seq.is_none() {
-            self.block_first_seq = Some(packet.seq());
-        }
-        packet.encode_into(&mut self.wire_scratch);
-        self.template = Some(packet.clone());
+        self.parities.note_source(&packet);
+        // The block's shard is the packet's *wire image*, serialised once
+        // and in place.
+        let block = self.assembler.push_with(|shard| packet.encode_append(shard))?;
         // The source packet itself is forwarded immediately (systematic
         // code: zero added latency on the data path).
         out.emit(packet);
-        if let Some(block) = self.assembler.push(&self.wire_scratch)? {
-            self.emit_parities(block, out)?;
+        match block {
+            Some(block) => self.parities.emit(&block, out),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -186,11 +191,11 @@ impl Filter for FecEncoderFilter {
         packets: Vec<Packet>,
         out: &mut dyn FilterOutput,
     ) -> Result<(), FilterError> {
-        // The wire-encoding scratch stays warm for the whole batch and each
+        // The assembler's shard slots stay warm for the whole batch and each
         // completed block's parities are produced by the codec's bulk
         // slice routines, so a 32-packet batch through FEC(6,4) costs eight
-        // block encodes and no per-packet allocation beyond the parity
-        // payloads themselves.
+        // block encodes and no allocation beyond the parity payloads
+        // themselves.
         for packet in packets {
             self.encode_one(packet, out)?;
         }
@@ -198,10 +203,10 @@ impl Filter for FecEncoderFilter {
     }
 
     fn flush(&mut self, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        if let Some(block) = self.assembler.flush()? {
-            self.emit_parities(block, out)?;
+        match self.assembler.flush_framed() {
+            Some(block) => self.parities.emit(&block, out),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn insertion_point(&self) -> InsertionPoint {
@@ -220,8 +225,8 @@ impl Filter for FecEncoderFilter {
                 "n={}, k={}, blocks={}, parities={}",
                 self.n(),
                 self.k(),
-                self.blocks_encoded,
-                self.parities_emitted
+                self.blocks_encoded(),
+                self.parities_emitted()
             ),
         }
     }

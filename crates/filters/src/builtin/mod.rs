@@ -11,6 +11,7 @@ pub(crate) mod faults;
 pub(crate) mod fec_decode;
 pub(crate) mod fec_encode;
 pub(crate) mod null;
+mod poly1305_simd;
 pub(crate) mod ratelimit;
 pub(crate) mod scramble;
 pub(crate) mod secure;

@@ -51,10 +51,11 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: exactly one module — `builtin::chacha_simd`, the
-// AVX2 ChaCha20 keystream kernel — carries a scoped `allow(unsafe_code)`
-// for its `#[target_feature]` calls and unaligned vector loads/stores,
-// with a `SAFETY:` comment on every block (the same arrangement as
+// `deny`, not `forbid`: exactly two modules — `builtin::chacha_simd`, the
+// AVX2 ChaCha20 keystream kernel, and `builtin::poly1305_simd`, the AVX2
+// 4-way Poly1305 kernel — carry a scoped `allow` of `unsafe_code` for their
+// `#[target_feature]` calls and unaligned vector loads/stores, with a
+// `SAFETY:` comment on every block (the same arrangement as
 // `rapidware-fec` and its `gf256_simd`).  `forbid` cannot be overridden
 // by an inner `allow`; everything else in the crate is still rejected.
 #![deny(unsafe_code)]
@@ -80,9 +81,10 @@ pub use builtin::secure::{
     SecureChannelStats, TAG_LEN,
 };
 // Not API: the per-kernel AEAD entry points, for `tests/proptest_aead_kernels.rs`
-// and the `aead_kernel` bench group, which live outside the crate.
+// and the `aead_kernel`/`mac_kernel` bench groups, which live outside the
+// crate.
 #[doc(hidden)]
-pub use builtin::secure::{poly1305, Keystream};
+pub use builtin::secure::Keystream;
 pub use builtin::tap::{TapCounters, TapFilter};
 pub use builtin::transcode::{AudioTranscoderFilter, TranscodeMode};
 pub use chain::{ChainEvent, FilterChain};

@@ -1,5 +1,5 @@
-//! Byte-identity tests for the ChaCha20 keystream kernels behind the
-//! secure-channel filters, in the shape of `rapidware-fec`'s
+//! Byte-identity tests for the ChaCha20 keystream and Poly1305 kernels
+//! behind the secure-channel filters, in the shape of `rapidware-fec`'s
 //! `proptest_kernels.rs`.
 //!
 //! [`Keystream::active`] is what the filters run: the AVX2 8-blocks-per-call
@@ -10,14 +10,20 @@
 //! boundaries, arbitrary initial counters including the `u32::MAX` wrap
 //! inside one 8-block group, and unaligned subslices; through the RFC 8439
 //! vectors on each kernel; and across kernels (sealed on one, opened on the
-//! other).  CI runs this suite twice — once as-is and once under
+//! other).  The same [`Keystream`] value names the MAC kernel: the 4-way
+//! AVX2 Poly1305 is held to the scalar one at every length up to 2 KiB, on
+//! messages built to push every limb carry and the final reduction to their
+//! edges, through the RFC vector, and — through the filter, whole packets
+//! on the wire — to a digest recorded before either SIMD kernel existed.
+//! CI runs this suite twice — once as-is and once under
 //! `RAPIDWARE_FORCE_SCALAR=1` — so both sides of the dispatch stay covered.
 //!
 //! (That the one-pass seal equals the three-pass seal it replaced is
 //! checked next to the `#[cfg(test)]` reference, in `secure.rs`.)
 
 use proptest::prelude::*;
-use rapidware_filters::{poly1305, Keystream, TAG_LEN};
+use rapidware_filters::{rekey_packet, EncryptFilter, Filter, Keystream, TAG_LEN};
+use rapidware_packet::{BlockId, FrameType, Packet, PacketKind, SeqNo, StreamId};
 
 /// Deterministic pseudo-random bytes from a seed (the LCG the FEC property
 /// suites use).
@@ -148,7 +154,7 @@ proptest! {
     ) {
         let (key, nonce) = key_and_nonce(seed);
         let mut aad = fill(seed ^ 0xAAD, 32);
-        let mut sealed = Keystream::scalar().seal(&key, &nonce, &aad, &fill(seed, len));
+        let mut sealed = Keystream::scalar().seal(&key, &nonce, &aad, &fill(seed, len)).to_vec();
         let victim = if in_aad { &mut aad } else { &mut sealed };
         let position = (position % victim.len() as u64) as usize;
         victim[position] ^= 1 << bit;
@@ -255,7 +261,6 @@ fn rfc8439_2_4_2_encryption_on_each_kernel() {
 
 #[test]
 fn rfc8439_2_5_2_poly1305() {
-    // The MAC has one implementation, whatever the keystream kernel.
     let key: [u8; 32] = [
         0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5, 0x06,
         0xa8, 0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
@@ -265,7 +270,19 @@ fn rfc8439_2_5_2_poly1305() {
         0xa8, 0x06, 0x1d, 0xc1, 0x30, 0x51, 0x36, 0xc6, 0xc2, 0x2b, 0x8b, 0xaf, 0x0c, 0x01, 0x27,
         0xa9,
     ];
-    assert_eq!(poly1305(&key, b"Cryptographic Forum Research Group"), expected);
+    let message = b"Cryptographic Forum Research Group";
+    for kernel in every_kernel() {
+        assert_eq!(kernel.poly1305(&key, message), expected, "{} kernel", kernel.name());
+        // 34 bytes never reach the 4-way kernel; five copies of the message
+        // do, and must still be what the scalar MAC makes of them.
+        let repeated = message.repeat(5);
+        assert_eq!(
+            kernel.poly1305(&key, &repeated),
+            Keystream::scalar().poly1305(&key, &repeated),
+            "{} kernel, 170 bytes",
+            kernel.name()
+        );
+    }
 }
 
 #[test]
@@ -289,8 +306,128 @@ fn rfc8439_2_8_2_aead_on_each_kernel() {
         // 114 bytes are two blocks after block 0: enough for the 8-way
         // kernel to take the packet, block 0 riding in its first group.
         let sealed = kernel.seal(&key, &nonce, &aad, SUNSCREEN);
-        assert_eq!(sealed, expected, "{} kernel", kernel.name());
+        assert_eq!(&sealed[..], &expected[..], "{} kernel", kernel.name());
         let opened = kernel.open(&key, &nonce, &aad, &expected);
         assert_eq!(opened.as_deref(), Some(&SUNSCREEN[..]), "{} kernel", kernel.name());
     }
 }
+
+// -- The MAC kernels ---------------------------------------------------------
+
+/// A one-time key whose `r` half is `r` (before clamping) and whose `s` half
+/// is `s`.
+fn mac_key(r: [u8; 16], s: [u8; 16]) -> [u8; 32] {
+    let mut key = [0u8; 32];
+    key[..16].copy_from_slice(&r);
+    key[16..].copy_from_slice(&s);
+    key
+}
+
+/// The 4-way kernel takes whole 64-byte groups and the scalar code the rest,
+/// so every length 0..=2048 is every count of groups with every tail.
+#[test]
+fn mac_kernels_agree_at_every_length() {
+    let message = fill(0x004D_4143, 2_048);
+    for len in 0..=message.len() {
+        let key: [u8; 32] = fill(len as u64 + 1, 32).try_into().expect("32 bytes");
+        let expected = Keystream::scalar().poly1305(&key, &message[..len]);
+        for kernel in kernels_under_test() {
+            assert_eq!(kernel.poly1305(&key, &message[..len]), expected, "{} kernel, len {len}", kernel.name());
+        }
+    }
+}
+
+/// Messages and keys that drive the limbs to their bounds: all-ones blocks
+/// (every message limb at its maximum) under the largest `r` clamping
+/// allows and under all-ones `s`, at every group count up to nine and with
+/// each tail shape.
+#[test]
+fn mac_kernels_agree_on_saturated_limbs() {
+    let ones = [0xFFu8; 16 * 40];
+    // Clamping keeps 0x0ffffffc_0ffffffc_0ffffffc_0fffffff of this.
+    let largest_r = mac_key([0xFF; 16], [0xFF; 16]);
+    let small_r = mac_key([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0xFF; 16]);
+    for key in [largest_r, small_r] {
+        for len in (0..=ones.len()).filter(|len| len % 64 < 2 || len % 16 == 15 || len % 64 == 48) {
+            let expected = Keystream::scalar().poly1305(&key, &ones[..len]);
+            for kernel in kernels_under_test() {
+                assert_eq!(kernel.poly1305(&key, &ones[..len]), expected, "{} kernel, len {len}", kernel.name());
+            }
+        }
+    }
+}
+
+/// With `r = 1` the accumulator is the plain sum of the blocks (each with
+/// its 2¹²⁸ bit), so four blocks can be chosen to leave it exactly `δ` past
+/// a multiple of `p = 2¹³⁰ − 5`: three all-ones blocks and a fourth of
+/// `2¹²⁸ − 7 + δ` sum to `2p + δ`.  The tag is then `δ mod p` (plus `s = 0`),
+/// which every kernel must reach through its own carries: just below `p`,
+/// exactly `p`, just above — once as the only group and once after a group
+/// that leaves the accumulator at zero.
+#[test]
+fn mac_kernels_reduce_correctly_around_the_modulus() {
+    let key = mac_key([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0; 16]);
+    let group = |delta: i8| {
+        let mut blocks = [0xFFu8; 64];
+        blocks[48] = (0xF9i16 + i16::from(delta)) as u8;
+        blocks
+    };
+    let mut below = [0xFFu8; 16];
+    below[0] = 0xFA; // p − 1, truncated to 128 bits
+    let mut above = [0u8; 16];
+    above[0] = 1;
+    for kernel in every_kernel() {
+        for (delta, expected) in [(-1, below), (0, [0u8; 16]), (1, above)] {
+            let name = kernel.name();
+            assert_eq!(kernel.poly1305(&key, &group(delta)), expected, "{name} kernel, δ = {delta}");
+            let two_groups = [group(0), group(delta)].concat();
+            assert_eq!(kernel.poly1305(&key, &two_groups), expected, "{name} kernel, 0 then δ = {delta}");
+        }
+    }
+}
+
+// -- Whole packets, as the filter emits them ---------------------------------
+
+/// 669 packets of every length class up to 9,000 bytes and every packet
+/// kind, sealed by an [`EncryptFilter`] across two key rotations and encoded
+/// for the wire; FNV-1a over all of it.
+fn sealed_wire_digest() -> u64 {
+    let mut encrypt = EncryptFilter::new(0x005E_A1ED);
+    let mut emitted: Vec<Packet> = Vec::new();
+    let stream = StreamId::new(7);
+    for index in 0..669u64 {
+        if index == 223 || index == 446 {
+            let rekey = rekey_packet(stream, (index / 223) as u32, index, index * 20);
+            encrypt.process(rekey, &mut emitted).expect("rekey frames pass");
+        }
+        let kind = match index % 4 {
+            0 => PacketKind::AudioData,
+            1 => PacketKind::Data,
+            2 => PacketKind::VideoFrame { frame: FrameType::P, boundary: index % 8 == 2 },
+            _ => PacketKind::Parity { block: BlockId::new(index), index: 5, k: 4, n: 6 },
+        };
+        let len = (index * 9_000 / 668) as usize;
+        let packet = Packet::with_timestamp(stream, SeqNo::new(index), kind, index * 20, fill(index, len));
+        encrypt.process(packet, &mut emitted).expect("sealing cannot fail");
+    }
+    assert_eq!(emitted.len(), 669 + 2);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for packet in &emitted {
+        for &byte in packet.encode().iter() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// The digest was taken at the commit before the folded CRC and the 4-way
+/// MAC existed (slice-by-16 CRC, scalar Poly1305, `Vec`-built payloads) and
+/// is the same under `RAPIDWARE_FORCE_SCALAR=1`: sealed bytes, tags, header
+/// bytes and frame checksums have not moved.
+#[test]
+fn sealed_packets_on_the_wire_are_byte_identical_to_the_recorded_digest() {
+    let digest = sealed_wire_digest();
+    assert_eq!(digest, SEALED_WIRE_DIGEST, "got {digest:#018x}");
+}
+
+const SEALED_WIRE_DIGEST: u64 = 0x16bd_7334_970e_9ec6;

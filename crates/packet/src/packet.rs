@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 
 use crate::crc::{crc32_finish, crc32_init, crc32_update};
 use crate::id::{BlockId, SeqNo, StreamId};
@@ -414,23 +414,16 @@ impl Packet {
     /// assert_eq!(Packet::decode(&arena[3..]).unwrap(), packet);
     /// ```
     pub fn encode_append(&self, buf: &mut Vec<u8>) {
-        let start = buf.len();
-        buf.reserve(self.wire_len());
-        buf.put_u32(self.header.stream.value());
-        buf.put_u64(self.header.seq.value());
-        buf.put_u64(self.header.timestamp_us);
-        buf.put_u8(self.header.kind.tag());
-        let (aux0, aux1, aux2, block) = self.aux_fields();
-        buf.put_u8(aux0);
-        buf.put_u8(aux1);
-        buf.put_u8(aux2);
-        buf.put_u64(block);
-        buf.put_u32(self.payload.len() as u32);
+        let mut header = [0u8; HEADER_LEN];
+        header[..32].copy_from_slice(&self.aad_bytes());
+        header[32..36].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
         let crc = {
-            let state = crc32_update(crc32_init(), &buf[start..]);
+            let state = crc32_update(crc32_init(), &header[..HEADER_LEN - 4]);
             crc32_finish(crc32_update(state, &self.payload))
         };
-        buf.put_u32(crc);
+        header[36..].copy_from_slice(&crc.to_be_bytes());
+        buf.reserve(self.wire_len());
+        buf.extend_from_slice(&header);
         buf.extend_from_slice(&self.payload);
     }
 
@@ -441,31 +434,28 @@ impl Packet {
     /// Returns a [`DecodeError`] if the input is truncated, carries an
     /// unknown kind or frame type, or fails the CRC check.
     pub fn decode(wire: &[u8]) -> Result<Packet, DecodeError> {
-        if wire.len() < HEADER_LEN {
+        let Some((header, body)) = wire.split_first_chunk::<HEADER_LEN>() else {
             return Err(DecodeError::Truncated);
-        }
-        let mut cursor = wire;
-        let stream = StreamId::new(cursor.get_u32());
-        let seq = SeqNo::new(cursor.get_u64());
-        let timestamp_us = cursor.get_u64();
-        let tag = cursor.get_u8();
-        let aux0 = cursor.get_u8();
-        let aux1 = cursor.get_u8();
-        let aux2 = cursor.get_u8();
-        let block = cursor.get_u64();
-        let payload_len = cursor.get_u32() as usize;
-        let carried_crc = cursor.get_u32();
+        };
+        let be_u32 = |at: usize| u32::from_be_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+        let be_u64 = |at: usize| u64::from_be_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let stream = StreamId::new(be_u32(0));
+        let seq = SeqNo::new(be_u64(4));
+        let timestamp_us = be_u64(12);
+        let [tag, aux0, aux1, aux2] = [header[20], header[21], header[22], header[23]];
+        let block = be_u64(24);
+        let payload_len = be_u32(32) as usize;
+        let carried_crc = be_u32(36);
         if payload_len > MAX_PAYLOAD_LEN {
             return Err(DecodeError::FrameTooLarge {
                 declared: payload_len,
             });
         }
-        if wire.len() < HEADER_LEN + payload_len {
+        let Some(payload) = body.get(..payload_len) else {
             return Err(DecodeError::BadLength);
-        }
-        let payload = &wire[HEADER_LEN..HEADER_LEN + payload_len];
+        };
         let computed = {
-            let state = crc32_update(crc32_init(), &wire[..HEADER_LEN - 4]);
+            let state = crc32_update(crc32_init(), &header[..HEADER_LEN - 4]);
             crc32_finish(crc32_update(state, payload))
         };
         if computed != carried_crc {

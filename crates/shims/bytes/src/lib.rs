@@ -29,6 +29,19 @@ impl Bytes {
         Self::default()
     }
 
+    /// A buffer of `len` zero bytes, allocated once and uniquely owned: the
+    /// way to *build* a buffer in place.  [`make_mut`](Self::make_mut) on
+    /// the fresh handle writes straight into that allocation (no
+    /// `Vec` filled first and copied behind the reference count
+    /// afterwards); once the handle has been cloned, `make_mut` copies
+    /// before writing as it does for any shared buffer.  (Not in the real
+    /// crate, which spells this `BytesMut::zeroed(len)` … `freeze()`.)
+    pub fn zeroed(len: usize) -> Self {
+        Self {
+            data: std::iter::repeat_n(0u8, len).collect(),
+        }
+    }
+
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Self { data: data.into() }
@@ -312,6 +325,25 @@ mod tests {
         assert_eq!(&b[..], &[9, 2, 3], "other clone keeps the original bytes");
         assert_ne!(a.as_ptr(), b.as_ptr(), "shared buffer was copied on write");
         assert!(a.is_unique() && b.is_unique());
+    }
+
+    #[test]
+    fn a_buffer_built_in_place_is_isolated_from_its_clones_like_make_mut() {
+        let mut built = Bytes::zeroed(4);
+        assert!(built.is_unique());
+        assert_eq!(&built[..], &[0, 0, 0, 0]);
+        let allocation = built.as_ptr();
+        built.make_mut().copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(built.as_ptr(), allocation, "built where it was allocated");
+
+        // From the first clone on it is an ordinary shared buffer.
+        let sibling = built.clone();
+        assert_eq!(sibling.as_ptr(), allocation);
+        built.make_mut()[0] = 9;
+        assert_eq!(&built[..], &[9, 2, 3, 4]);
+        assert_eq!(&sibling[..], &[1, 2, 3, 4], "the clone keeps what it saw");
+        assert_ne!(built.as_ptr(), sibling.as_ptr(), "written through a private copy");
+        assert_eq!(Bytes::zeroed(0), Bytes::new());
     }
 
     #[test]

@@ -99,9 +99,9 @@ fn independent_chains_pps(packets: &[Packet]) -> f64 {
     packets.len() as f64 / elapsed
 }
 
-/// The live session on a two-worker proxy (head task + fanout task + lane
-/// tasks), drained concurrently — reported for color, not asserted
-/// (scheduling noise).
+/// The live session on a two-worker proxy (one session task runs the head,
+/// the fanout and every lane chain), drained concurrently — reported for
+/// color, not asserted (scheduling noise).
 fn live_session_pps(packets: &[Packet]) -> f64 {
     let mut proxy = Proxy::with_runtime("bench", RuntimeConfig::new(2, 32));
     let input = proxy.add_session_pooled("bench", 128, 32).expect("unique session name");

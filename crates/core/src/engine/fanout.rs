@@ -362,7 +362,7 @@ impl FanoutApplier for SyncFanoutApplier {
             .head
             .process_batch(packets)
             .expect("scenario head filters do not fail");
-        // Like the live fanout task: clone for all but the last lane,
+        // Like the live session task: clone for all but the last lane,
         // move into the last.
         let last = self.lanes.len().saturating_sub(1);
         let mut shared = Some(shared);
@@ -652,7 +652,7 @@ impl FanoutApplier for RuntimeFanoutApplier {
         self.finished = true;
         self.session.close_input();
         // Round-robin drain to EOF on every lane, for the same reason as
-        // quiesce_all: the fanout task must stay free to move the final
+        // quiesce_all: the session task must stay free to move the final
         // flush through whichever lane pipe fills first.
         let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
         drain_lanes_to_eof(&self.outputs, &mut residue, || {});
@@ -1384,7 +1384,7 @@ mod tests {
     #[test]
     fn pooled_applier_survives_a_head_chain_that_outgrows_the_lane_pipes() {
         // FEC(6,1) in the head expands every window 6x — past the lane
-        // pipe capacity — so the fanout task back-pressures mid-window.
+        // pipe capacity — so the session task back-pressures mid-window.
         // The applier's round-robin drain must keep it moving (a
         // lane-by-lane drain would deadlock here), and the run must still
         // agree with the sync applier byte for byte.

@@ -237,8 +237,8 @@ impl Proxy {
 
     /// Creates a fanout session through this proxy: one upstream input, a
     /// shared head chain, and (initially zero) receiver lanes added through
-    /// [`PooledSession::add_lane`].  The head chain, the fanout stage, and
-    /// every receiver lane run as cooperative tasks on the proxy's worker
+    /// [`PooledSession::add_lane`].  The head chain, the fanout, and every
+    /// receiver lane run as one cooperative task on the proxy's worker
     /// pool.  Returns the session's input endpoint; use
     /// [`pooled_session`](Self::pooled_session) to add lanes and per-lane
     /// filters.
@@ -482,12 +482,21 @@ impl Proxy {
             return Err(ProxyError::UnknownCarrier(config.carrier.clone()));
         }
         let input = self.add_session_pooled(name.clone(), config.capacity, config.batch_size.max(1))?;
+        let carrier = self
+            .udp_carriers
+            .get(&config.carrier)
+            .expect("carrier existence checked above");
         let mut opened = Vec::with_capacity(config.streams.len());
         let outcome = (|| -> Result<(), ProxyError> {
-            let carrier = self
-                .udp_carriers
-                .get(&config.carrier)
-                .expect("carrier existence checked above");
+            // Every lane exists before the first route opens: a datagram
+            // that arrives during set-up must reach all of them, not be
+            // fanned out to none.
+            for (lane_name, peer) in &config.lanes {
+                let lane_output = self.pooled_session(&name)?.add_lane(lane_name)?;
+                carrier.egress_driver.watch_source(&lane_output);
+                carrier.egress.attach(config.streams[0], *peer, lane_output);
+            }
+            carrier.egress_driver.kick();
             for stream in &config.streams {
                 carrier
                     .ingress()
@@ -497,29 +506,21 @@ impl Proxy {
                     })?;
                 opened.push(*stream);
             }
-            for (lane_name, peer) in &config.lanes {
-                let lane_output = self.pooled_session(&name)?.add_lane(lane_name)?;
-                carrier.egress_driver.watch_source(&lane_output);
-                carrier.egress.attach(config.streams[0], *peer, lane_output);
-            }
-            carrier.egress_driver.kick();
             Ok(())
         })();
         if let Err(err) = outcome {
-            // Tear the half-installed session down so the name and the
-            // routed stream ids are free again.  Already-attached egress
-            // lanes finish silently once the session's pipes close.
-            if let Some(carrier) = self.udp_carriers.get(&config.carrier) {
-                for stream in opened {
-                    carrier.ingress().close_stream(stream);
-                }
+            // Undo in reverse: close the routes, then tear the session
+            // down so the name and the stream ids are free again.
+            // Already-attached egress lanes finish silently once the
+            // session's pipes close.
+            for stream in opened {
+                carrier.ingress().close_stream(stream);
             }
             if let Some(session) = self.sessions.remove(&name) {
                 let _ = session.shutdown();
             }
             return Err(err);
         }
-        let carrier = &self.udp_carriers[&config.carrier];
         Ok(SharedUdpSessionHandle {
             carrier: config.carrier.clone(),
             ingress_addr: carrier.ingress().local_addr(),
@@ -1160,6 +1161,64 @@ mod tests {
         let status = proxy.status();
         assert_eq!(status.transports[0].egress.tx_packets, 10, "two lanes x (4 + FIN)");
         let _ = carrier;
+        proxy.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_session_installed_under_traffic_fans_every_accepted_datagram_to_every_lane() {
+        const SESSIONS: u32 = 8;
+        let mut proxy = Proxy::with_runtime("racing", RuntimeConfig::new(2, 8));
+        let carrier = proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
+        let sink = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let sink = sink.local_addr().unwrap();
+        let sending = std::sync::atomic::AtomicBool::new(true);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            while !done() {
+                assert!(std::time::Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+                let mut seq = 0;
+                while sending.load(std::sync::atomic::Ordering::SeqCst) {
+                    for stream in 1..=SESSIONS {
+                        encode_to(&tx, carrier.ingress_addr(), &stream_packet(stream, seq));
+                    }
+                    seq += 1;
+                }
+            });
+            // Datagrams for every session's stream id are already arriving
+            // when the sessions are placed, one after another.
+            wait_for("traffic never reached the carrier", &|| {
+                carrier.unknown_streams() > 0
+            });
+            for stream in 1..=SESSIONS {
+                let config = SharedUdpSessionConfig::on_carrier("wire")
+                    .with_stream(StreamId::new(stream))
+                    .with_lane("a", sink)
+                    .with_lane("b", sink);
+                proxy.add_session_udp_shared(format!("s{stream}"), config).unwrap();
+            }
+            for name in proxy.session_names() {
+                let session = proxy.pooled_session(&name).unwrap();
+                wait_for("a session never saw traffic", &|| {
+                    session.status().head_stats.packets_in > 0
+                });
+            }
+            sending.store(false, std::sync::atomic::Ordering::SeqCst);
+        });
+        for name in proxy.session_names() {
+            let session = proxy.pooled_session(&name).unwrap();
+            session.close_input();
+            wait_for("a lane missed datagrams the head accepted", &|| {
+                let status = session.status();
+                let head = status.head_stats.packets_in;
+                status.lanes.iter().all(|lane| lane.stats.packets_in == head)
+            });
+        }
         proxy.shutdown().unwrap();
     }
 

@@ -7,28 +7,33 @@
 //! context-switch load topple the proxy long before the hardware does — so
 //! the proxy is shaped like the worker-multiplexed stage executors of
 //! streaming-pipe systems instead: a [`Runtime`] owns `shards` worker
-//! threads, each with its own run queue of **chain tasks**, and every
-//! [`PooledChain`]/[`PooledSession`] is a set of such tasks, never a set of
-//! threads.
+//! threads, each with its own run queue of tasks, and every
+//! [`PooledChain`] and every [`PooledSession`] is exactly **one** task,
+//! never a thread.
 //!
 //! ```text
 //!                 ┌─ shard 0: [task][task][task…]  ◀─ steal ─┐
 //!   N sessions ──▶┤  shard 1: [task][task…]                  ├─ workers
 //!   (tasks)       └─ shard …: [task…]             ◀─ steal ──┘
 //!
-//!   chain task:  inbox ─try_recv_up_to(batch)─▶ FilterChain::process_batch
-//!                  ─▶ pending_out ─try_send_batch─▶ outbox
+//!   chain task:    inbox ─try_recv_up_to(batch)─▶ FilterChain::process_batch
+//!                    ─▶ pending ─try_send_batch─▶ outbox
+//!
+//!   session task:  inbox ─▶ head chain ─┬─▶ lane chain ─▶ pending ─▶ lane outbox
+//!                          (Arc clones) └─▶ lane chain ─▶ pending ─▶ lane outbox
 //! ```
 //!
 //! A chain task drains up to `batch_size` packets from its inbox pipe,
 //! pushes them through its (synchronous, re-entrant) `FilterChain`, and
 //! forwards the results to its outbox with
 //! [`try_send_batch`](rapidware_streams::DetachableSender::try_send_batch).
-//! When the
-//! downstream pipe is full the task parks — **without** holding a worker —
-//! until the pipe's space watcher fires; when its inbox is empty it parks
-//! until the data watcher fires.  Workers steal queued tasks from sibling
-//! shards, so a skewed session population cannot idle half the pool.
+//! A session task runs each batch to completion in the same step: the head
+//! chain once, then every lane's chain on an `Arc`-clone of the head's
+//! output, straight into each lane's delivery pipe.  When a downstream pipe
+//! is full the task parks — **without** holding a worker — until the pipe's
+//! space watcher fires; when its inbox is empty it parks until the data
+//! watcher fires.  Workers steal queued tasks from sibling shards, so a
+//! skewed session population cannot idle half the pool.
 //!
 //! Live reconfiguration needs no pipe splicing here: the filters live in a
 //! mutex-guarded `FilterChain`, so insert/remove serialise with batch
@@ -63,7 +68,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain};
 use rapidware_telemetry::{now_ns, Histogram, Registry};
@@ -144,7 +149,7 @@ pub struct RuntimeStatus {
     /// Tasks a worker executed from a shard other than its own.
     pub steals: u64,
     /// Task steps workers have actually run (a step is one `poll` of a
-    /// chain, fanout, or socket task).
+    /// chain, session, or socket task).
     pub polls: u64,
 }
 
@@ -169,7 +174,7 @@ impl rapidware_telemetry::StatSource for RuntimeStatus {
 /// the hot path holds pre-resolved `Arc` handles and records with relaxed
 /// atomics — no locks, no allocation.
 struct RuntimeTelemetry {
-    /// Wall time of each task step (one chain/fanout/socket poll).
+    /// Wall time of each task step (one chain/session/socket poll).
     poll_ns: Arc<Histogram>,
     /// Delay between a task entering a run queue and a worker picking its
     /// step up — the scheduling latency the paper's adaptation loop rides
@@ -288,25 +293,24 @@ impl Task {
         *self.done.lock()
     }
 
-    /// `true` while the pool that would run this task still has workers.
-    fn pool_running(&self) -> bool {
-        self.pool
+    /// Waits, bounded by [`SHUTDOWN_GRACE`], for the task to finish; `false`
+    /// if it does not — certain once the pool has stopped its workers, the
+    /// only threads that can run the task's final step.
+    fn wait_finished(&self) -> bool {
+        let running = self
+            .pool
             .upgrade()
-            .is_some_and(|pool| !pool.shutdown.load(Ordering::SeqCst))
-    }
-
-    /// Waits (bounded) for the task to finish.
-    fn wait_done(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+            .is_some_and(|pool| !pool.shutdown.load(Ordering::SeqCst));
+        let deadline = std::time::Instant::now() + SHUTDOWN_GRACE;
         let mut done = self.done.lock();
-        while !*done {
+        while !*done && running {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
             }
             self.done_cv.wait_for(&mut done, deadline - now);
         }
-        true
+        *done
     }
 }
 
@@ -323,6 +327,14 @@ impl fmt::Debug for Task {
 /// of a dropped chain cannot keep its task alive.
 struct TaskWaker {
     task: Weak<Task>,
+}
+
+impl TaskWaker {
+    fn of(task: &Arc<Task>) -> Arc<Self> {
+        Arc::new(Self {
+            task: Arc::downgrade(task),
+        })
+    }
 }
 
 impl PipeWatcher for TaskWaker {
@@ -689,44 +701,31 @@ impl Runtime {
         let (in_tx, in_rx) = pipe::<Packet>(capacity);
         let (out_tx, out_rx) = pipe::<Packet>(capacity);
         let work = Arc::new(ChainWork {
-            inner: Mutex::new(ChainWorkInner {
-                chain: FilterChain::new(),
-                pending_out: Vec::new(),
-                draining: false,
-            }),
+            inner: Mutex::default(),
             in_rx: in_rx.clone(),
             out_tx: out_tx.clone(),
             batch_size,
-            errors: AtomicU64::new(0),
-            splices: AtomicU64::new(0),
         });
         let task = self.register(|_| Box::new(Arc::clone(&work)));
         // The task wakes when its inbox has data, when its outbox frees
         // space, and when its outbox sender becomes usable again after a
         // pause/reconnect splice.
-        in_rx.set_data_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&task),
-        }));
-        out_rx.set_space_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&task),
-        }));
-        out_tx.set_ready_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&task),
-        }));
+        in_rx.set_data_watcher(TaskWaker::of(&task));
+        out_rx.set_space_watcher(TaskWaker::of(&task));
+        out_tx.set_ready_watcher(TaskWaker::of(&task));
         PooledChain {
             name: name.into(),
             runtime: Arc::clone(self),
             work,
             task,
             input: in_tx,
-            input_rx: in_rx,
             output: out_rx,
         }
     }
 
     /// Creates a fanout session hosted on this pool: one input, a shared
-    /// head chain task, a fanout task, and live-addable receiver lanes,
-    /// each a chain task of its own.
+    /// head chain, and live-addable receiver lanes — all run to completion
+    /// by one task.
     pub fn add_session(self: &Arc<Self>, name: impl Into<String>) -> PooledSession {
         self.add_session_with(
             name,
@@ -749,36 +748,23 @@ impl Runtime {
         capacity: usize,
         batch_size: usize,
     ) -> PooledSession {
-        let name = name.into();
-        let head = self.add_chain_with(format!("{name}/head"), capacity, batch_size);
-        let head_out = head.output();
-        let fanout_work = Arc::new(FanoutWork {
-            head_rx: head_out.clone(),
-            inner: Mutex::new(FanoutInner {
-                lanes: Vec::new(),
-                eof: false,
-            }),
+        assert!(batch_size > 0, "batch size must be non-zero");
+        let (input, in_rx) = pipe::<Packet>(capacity);
+        let work = Arc::new(SessionWork {
+            inner: Mutex::default(),
+            in_rx: in_rx.clone(),
             batch_size,
         });
-        let fanout_task = self.register(|_| Box::new(Arc::clone(&fanout_work)));
-        head_out.set_data_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&fanout_task),
-        }));
+        let task = self.register(|_| Box::new(Arc::clone(&work)));
+        in_rx.set_data_watcher(TaskWaker::of(&task));
         PooledSession {
-            name,
+            name: name.into(),
             registry,
-            runtime: Arc::clone(self),
-            head,
-            fanout_work,
-            fanout_task,
-            lanes: Mutex::new(PooledLanes {
-                live: Vec::new(),
-                retired: Vec::new(),
-                closed: false,
-            }),
+            _runtime: Arc::clone(self),
+            work,
+            task,
+            input,
             capacity,
-            batch_size,
-            telemetry: Mutex::new(None),
         }
     }
 
@@ -960,7 +946,7 @@ pub enum SocketStep {
 }
 
 /// Non-blocking socket work driven as a pool task — the socket analogue of
-/// the (private) chain/fanout task work.  `service` must never block: it
+/// the (private) chain/session task work.  `service` must never block: it
 /// drains or flushes at most one batch against a non-blocking socket and
 /// reports how it left things.
 pub trait SocketWork: Send + Sync {
@@ -1124,9 +1110,7 @@ impl SocketDriver {
     /// the same `TaskWaker` wiring chain tasks get on their inboxes.  Use
     /// this on every pipe a send-side [`SocketWork`] drains.
     pub fn watch_source(&self, source: &DetachableReceiver<Packet>) {
-        source.set_data_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&self.task),
-        }));
+        source.set_data_watcher(TaskWaker::of(&self.task));
     }
 
     /// `true` once the task has finished (after [`shutdown`](Self::shutdown)).
@@ -1147,8 +1131,7 @@ impl SocketDriver {
     pub fn shutdown(&self) -> Result<(), ProxyError> {
         self.stop.store(true, Ordering::SeqCst);
         self.task.schedule();
-        let finished = self.task.is_done()
-            || (self.task.pool_running() && self.task.wait_done(SHUTDOWN_GRACE));
+        let finished = self.task.wait_finished();
         let deregistered = self.reactor.poller.remove(self.token);
         if !finished {
             return Err(ProxyError::WorkerFailed(
@@ -1173,13 +1156,96 @@ impl Drop for SocketDriver {
 // Chain tasks.
 // ---------------------------------------------------------------------------
 
-struct ChainWorkInner {
+/// A filter chain plus the output its downstream pipe has not taken yet:
+/// what a chain task runs, and what a session task runs for its head and
+/// for every lane.  Only touched under its task's lock, so a splice lands
+/// exactly between two batches.
+#[derive(Default)]
+struct Stage {
     chain: FilterChain,
-    /// Output the downstream pipe had no room for yet; the task's
-    /// back-pressure buffer.
-    pending_out: Vec<Packet>,
+    /// Output not forwarded yet: the back-pressure buffer (for a session
+    /// head, output not fanned out yet).
+    pending: Vec<Packet>,
+    splices: u64,
+    errors: u64,
+}
+
+impl Stage {
+    /// Runs `batch` through the chain, appending the output to `pending`.
+    fn process(&mut self, batch: Vec<Packet>) {
+        if self.chain.process_batch_into(batch, &mut self.pending).is_err() {
+            self.errors += 1;
+        }
+    }
+
+    /// End of stream: appends what the filters still buffer to `pending`.
+    fn flush(&mut self) {
+        match self.chain.flush() {
+            Ok(residue) => self.pending.extend(residue),
+            Err(_) => self.errors += 1,
+        }
+    }
+
+    /// Forwards as much of `pending` as `out` accepts.  Returns `true` when
+    /// nothing is left to forward (a closed pipe counts: the packets are
+    /// dropped — the consumer has departed).
+    fn forward(&mut self, out: &DetachableSender<Packet>) -> bool {
+        if self.pending.is_empty() {
+            return true;
+        }
+        match out.try_send_batch(std::mem::take(&mut self.pending)) {
+            Ok(leftover) => {
+                self.pending = leftover;
+                self.pending.is_empty()
+            }
+            Err(error) => {
+                // Discard the backlog, keeping its allocation for the next
+                // batch.
+                let mut items = error.into_inner();
+                items.clear();
+                self.pending = items;
+                true
+            }
+        }
+    }
+
+    fn insert(&mut self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
+        self.chain.insert(position, filter).map_err(map_chain_error)?;
+        self.splices += 1;
+        Ok(())
+    }
+
+    /// Removes the filter at `position`; what it had buffered, run through
+    /// the filters after it, joins `pending` ahead of all later traffic.
+    fn remove(&mut self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
+        let (filter, residue) = self.chain.remove(position).map_err(map_chain_error)?;
+        self.pending.extend(residue);
+        self.splices += 1;
+        Ok(filter)
+    }
+
+    fn move_filter(&mut self, from: usize, to: usize) -> Result<(), ProxyError> {
+        self.chain.move_filter(from, to).map_err(map_chain_error)?;
+        self.splices += 1;
+        Ok(())
+    }
+
+    fn stats(&self, packets_in: u64, packets_out: u64) -> ChainStats {
+        ChainStats {
+            filters: self.chain.len(),
+            packets_in,
+            packets_out,
+            splices: self.splices,
+            filter_errors: self.errors,
+        }
+    }
+}
+
+#[derive(Default)]
+struct ChainWorkInner {
+    stage: Stage,
     /// Set once the inbox reported EOF/close and the chain was flushed:
-    /// only `pending_out` remains to be forwarded.
+    /// only `stage.pending` remains to be forwarded.
     draining: bool,
 }
 
@@ -1188,80 +1254,39 @@ struct ChainWork {
     in_rx: DetachableReceiver<Packet>,
     out_tx: DetachableSender<Packet>,
     batch_size: usize,
-    errors: AtomicU64,
-    splices: AtomicU64,
-}
-
-impl ChainWork {
-    /// Forwards as much of `pending_out` as the outbox accepts.  Returns
-    /// `true` when nothing is left to forward (a closed outbox counts: the
-    /// packets are dropped — the consumer has departed).
-    fn flush_pending(&self, inner: &mut ChainWorkInner) -> bool {
-        if inner.pending_out.is_empty() {
-            return true;
-        }
-        match self.out_tx.try_send_batch(std::mem::take(&mut inner.pending_out)) {
-            Ok(leftover) => {
-                inner.pending_out = leftover;
-                inner.pending_out.is_empty()
-            }
-            Err(error) => {
-                // Sender or receiver closed: the downstream consumer is
-                // gone, so the backlog can only be discarded — keeping its
-                // allocation for the next batch.
-                let mut items = error.into_inner();
-                items.clear();
-                inner.pending_out = items;
-                true
-            }
-        }
-    }
 }
 
 impl TaskWork for Arc<ChainWork> {
     fn step(&self) -> StepOutcome {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         // 1. Clear the back-pressure buffer first: nothing new may be
         //    processed while older output waits, or order would be lost.
-        if !self.flush_pending(&mut inner) {
+        if !inner.stage.forward(&self.out_tx) {
             return StepOutcome::Idle;
+        }
+        if !inner.draining {
+            // 2. Drain one batch from the inbox and run it through the chain.
+            match self.in_rx.try_recv_up_to(self.batch_size) {
+                Ok(batch) => inner.stage.process(batch),
+                Err(TryRecvError::Empty) => return StepOutcome::Idle,
+                // End of stream (or forced close): flush the chain's
+                // buffered state, then drain what the flush produced.
+                Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
+                    inner.stage.flush();
+                    inner.draining = true;
+                }
+            }
+            if !inner.stage.forward(&self.out_tx) {
+                return StepOutcome::Idle;
+            }
         }
         if inner.draining {
             // Everything flushed after EOF: propagate end of stream.
             self.out_tx.close();
             return StepOutcome::Done;
         }
-        // 2. Drain one batch from the inbox and run it through the chain.
-        match self.in_rx.try_recv_up_to(self.batch_size) {
-            Ok(batch) => {
-                let inner = &mut *inner;
-                if inner.chain.process_batch_into(batch, &mut inner.pending_out).is_err() {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                if !self.flush_pending(inner) {
-                    return StepOutcome::Idle;
-                }
-                StepOutcome::Progress
-            }
-            Err(TryRecvError::Empty) => StepOutcome::Idle,
-            Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
-                // End of stream (or forced close): flush the chain's
-                // buffered state, then drain what the flush produced.
-                let inner = &mut *inner;
-                match inner.chain.flush() {
-                    Ok(residue) => inner.pending_out.extend(residue),
-                    Err(_) => {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                inner.draining = true;
-                if self.flush_pending(inner) {
-                    self.out_tx.close();
-                    return StepOutcome::Done;
-                }
-                StepOutcome::Idle
-            }
-        }
+        StepOutcome::Progress
     }
 }
 
@@ -1282,9 +1307,6 @@ pub struct PooledChain {
     work: Arc<ChainWork>,
     task: Arc<Task>,
     input: DetachableSender<Packet>,
-    /// The task-side handle of the inbox, kept so a session can watch the
-    /// inbox for space on behalf of its fanout task.
-    input_rx: DetachableReceiver<Packet>,
     output: DetachableReceiver<Packet>,
 }
 
@@ -1327,12 +1349,12 @@ impl PooledChain {
 
     /// Names of the installed filters, in stream order.
     pub fn names(&self) -> Vec<String> {
-        self.work.inner.lock().chain.names()
+        self.work.inner.lock().stage.chain.names()
     }
 
     /// Number of installed filters.
     pub fn len(&self) -> usize {
-        self.work.inner.lock().chain.len()
+        self.work.inner.lock().stage.chain.len()
     }
 
     /// Returns `true` if no filters are installed.
@@ -1348,25 +1370,32 @@ impl PooledChain {
     /// Secure-channel counters summed over the installed crypto stages
     /// (all-zero when no encrypt/decrypt filter is installed).
     pub fn secure_snapshot(&self) -> rapidware_filters::SecureChannelSnapshot {
-        self.work.inner.lock().chain.secure_snapshot()
+        self.work.inner.lock().stage.chain.secure_snapshot()
     }
 
     /// Attaches latency spans: every batch the chain task processes records
     /// into `spans`' instruments, and egress spans additionally record each
     /// packet's ingress-to-exit latency as it leaves the chain.
     pub fn set_spans(&self, spans: Arc<ChainSpans>) {
-        self.work.inner.lock().chain.set_spans(spans);
+        self.work.inner.lock().stage.chain.set_spans(spans);
     }
 
     /// Current chain statistics.
     pub fn stats(&self) -> ChainStats {
-        ChainStats {
-            filters: self.len(),
-            packets_in: self.input.stats().items(),
-            packets_out: self.output.stats().items(),
-            splices: self.work.splices.load(Ordering::Relaxed),
-            filter_errors: self.work.errors.load(Ordering::Relaxed),
+        self.work
+            .inner
+            .lock()
+            .stage
+            .stats(self.input.stats().items(), self.output.stats().items())
+    }
+
+    /// The chain's state, locked, while it still accepts splices.
+    fn splicable(&self) -> Result<MutexGuard<'_, ChainWorkInner>, ProxyError> {
+        let inner = self.work.inner.lock();
+        if inner.draining || self.task.is_done() {
+            return Err(ProxyError::ChainClosed);
         }
+        Ok(inner)
     }
 
     /// Inserts `filter` at `position` while packets flow.  The insertion
@@ -1379,13 +1408,7 @@ impl PooledChain {
     /// Returns [`ProxyError::PositionOutOfRange`] for a bad position or
     /// [`ProxyError::ChainClosed`] once the chain has finished.
     pub fn insert(&self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
-        let mut inner = self.work.inner.lock();
-        if inner.draining || self.task.is_done() {
-            return Err(ProxyError::ChainClosed);
-        }
-        inner.chain.insert(position, filter).map_err(map_chain_error)?;
-        self.work.splices.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
+        self.splicable()?.stage.insert(position, filter)?;
         self.task.schedule();
         Ok(())
     }
@@ -1409,14 +1432,7 @@ impl PooledChain {
     /// Returns [`ProxyError::PositionOutOfRange`] or
     /// [`ProxyError::ChainClosed`].
     pub fn remove(&self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
-        let mut inner = self.work.inner.lock();
-        if inner.draining || self.task.is_done() {
-            return Err(ProxyError::ChainClosed);
-        }
-        let inner = &mut *inner;
-        let (filter, residue) = inner.chain.remove(position).map_err(map_chain_error)?;
-        inner.pending_out.extend(residue);
-        self.work.splices.fetch_add(1, Ordering::Relaxed);
+        let filter = self.splicable()?.stage.remove(position)?;
         self.task.schedule();
         Ok(filter)
     }
@@ -1428,13 +1444,7 @@ impl PooledChain {
     /// Returns [`ProxyError::PositionOutOfRange`] or
     /// [`ProxyError::ChainClosed`].
     pub fn move_filter(&self, from: usize, to: usize) -> Result<(), ProxyError> {
-        let mut inner = self.work.inner.lock();
-        if inner.draining || self.task.is_done() {
-            return Err(ProxyError::ChainClosed);
-        }
-        inner.chain.move_filter(from, to).map_err(map_chain_error)?;
-        self.work.splices.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.splicable()?.stage.move_filter(from, to)
     }
 
     /// Shuts the chain down: closes both endpoints (undrained output is
@@ -1451,9 +1461,7 @@ impl PooledChain {
         // Both closes fire the task's watchers; all that remains is to wait
         // for the final step to observe them.
         self.task.schedule();
-        if self.task.is_done()
-            || (self.task.pool_running() && self.task.wait_done(SHUTDOWN_GRACE))
-        {
+        if self.task.wait_finished() {
             Ok(())
         } else {
             Err(ProxyError::WorkerFailed(format!("pooled chain {}", self.name)))
@@ -1482,135 +1490,153 @@ fn map_chain_error(err: rapidware_filters::FilterError) -> ProxyError {
 // Pooled sessions.
 // ---------------------------------------------------------------------------
 
-/// One lane slot inside the fanout task.
-struct FanLaneSlot {
+/// One receiver lane of a [`PooledSession`]: a tail chain whose output goes
+/// straight into the lane's delivery pipe.
+struct Lane {
     name: String,
-    tx: DetachableSender<Packet>,
-    /// Clones of the current head batch this lane had no room for yet.
-    pending: Vec<Packet>,
-    dead: bool,
+    stage: Stage,
+    out_tx: DetachableSender<Packet>,
+    output: DetachableReceiver<Packet>,
+    /// Packets fanned out to this lane's chain.
+    packets_in: u64,
+    decoder_stats: Vec<Arc<FecDecoderStats>>,
 }
 
-struct FanoutInner {
-    lanes: Vec<FanLaneSlot>,
-    eof: bool,
+impl Lane {
+    fn feed(&mut self, batch: Vec<Packet>) {
+        self.packets_in += batch.len() as u64;
+        self.stage.process(batch);
+    }
+
+    fn stats(&self) -> ChainStats {
+        self.stage.stats(self.packets_in, self.output.stats().items())
+    }
 }
 
-struct FanoutWork {
-    head_rx: DetachableReceiver<Packet>,
-    inner: Mutex<FanoutInner>,
-    batch_size: usize,
+#[derive(Default)]
+struct SessionInner {
+    head: Stage,
+    /// Packets the head chain has handed to the lanes.
+    head_out: u64,
+    live: Vec<Lane>,
+    /// Lanes removed while the session ran: each still delivers what it
+    /// was owed, then its pipe closes; their stats stay readable.
+    retired: Vec<Lane>,
+    /// Set once the inbox reported EOF/close and every chain was flushed:
+    /// only the lanes' `pending` output remains to be forwarded.
+    draining: bool,
+    /// Set by shutdown: no lane joins any more.
+    closed: bool,
+    /// Registry latency spans are created in, once telemetry is enabled;
+    /// lanes added afterwards attach their own spans from here.
+    telemetry: Option<Arc<Registry>>,
 }
 
-impl FanoutWork {
-    /// Flushes per-lane pendings; returns `true` when every live lane's
-    /// pending buffer is empty.
-    fn flush_lanes(inner: &mut FanoutInner) -> bool {
-        let mut clear = true;
-        for lane in inner.lanes.iter_mut() {
-            if lane.dead || lane.pending.is_empty() {
-                continue;
+impl SessionInner {
+    /// Hands the head's output to every live lane — `Arc` clones (a
+    /// refcount bump per payload) to all but the last, which takes the
+    /// `Vec` itself — and runs each lane's chain on it.
+    fn fan_out(&mut self) {
+        let batch = std::mem::take(&mut self.head.pending);
+        if batch.is_empty() {
+            return;
+        }
+        self.head_out += batch.len() as u64;
+        if let Some((last, rest)) = self.live.split_last_mut() {
+            for lane in rest {
+                lane.feed(batch.clone());
             }
-            match lane.tx.try_send_batch(std::mem::take(&mut lane.pending)) {
-                Ok(leftover) => {
-                    lane.pending = leftover;
-                    clear &= lane.pending.is_empty();
-                }
-                Err(_) => {
-                    // The lane's chain went away: stop feeding it.
-                    lane.dead = true;
-                }
+            last.feed(batch);
+        }
+    }
+
+    /// Forwards every lane's pending output; a retired lane's pipe closes
+    /// once it has drained.  Returns `false` while a lane that gates the
+    /// task is still owed output: any live lane — a slow receiver holds
+    /// the next batch back instead of growing a backlog — and, once the
+    /// stream has ended, any lane at all.
+    fn forward(&mut self) -> bool {
+        let mut clear = true;
+        for lane in &mut self.live {
+            clear &= lane.stage.forward(&lane.out_tx);
+        }
+        for lane in self.retired.iter_mut().filter(|lane| !lane.stage.pending.is_empty()) {
+            if lane.stage.forward(&lane.out_tx) {
+                lane.out_tx.close();
+            } else {
+                clear &= !self.draining;
             }
         }
         clear
     }
 }
 
-impl TaskWork for Arc<FanoutWork> {
+struct SessionWork {
+    inner: Mutex<SessionInner>,
+    in_rx: DetachableReceiver<Packet>,
+    batch_size: usize,
+}
+
+impl TaskWork for Arc<SessionWork> {
     fn step(&self) -> StepOutcome {
         let mut inner = self.inner.lock();
-        // A lane still owed part of an earlier batch gates the head drain:
-        // this is the back-pressure that stops one slow receiver's backlog
-        // from growing without bound.
-        if !FanoutWork::flush_lanes(&mut inner) {
+        let inner = &mut *inner;
+        if !inner.forward() {
             return StepOutcome::Idle;
         }
-        if inner.eof {
-            for lane in inner.lanes.iter() {
-                lane.tx.close();
+        if !inner.draining {
+            match self.in_rx.try_recv_up_to(self.batch_size) {
+                Ok(batch) => {
+                    inner.head.process(batch);
+                    inner.fan_out();
+                }
+                Err(TryRecvError::Empty) => return StepOutcome::Idle,
+                // End of stream: the head's residue goes through the lanes,
+                // then every lane chain flushes its own.
+                Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
+                    inner.head.flush();
+                    inner.fan_out();
+                    for lane in &mut inner.live {
+                        lane.stage.flush();
+                    }
+                    inner.draining = true;
+                }
+            }
+            if !inner.forward() {
+                return StepOutcome::Idle;
+            }
+        }
+        if inner.draining {
+            for lane in &inner.live {
+                lane.out_tx.close();
             }
             return StepOutcome::Done;
         }
-        match self.head_rx.try_recv_up_to(self.batch_size) {
-            Ok(batch) => {
-                // Clone to all but the last live lane, reusing each lane's
-                // pending allocation (flush_lanes just emptied them); move
-                // the batch itself into the last.  Payloads are Arc-backed,
-                // so a clone is a refcount bump.
-                if let Some(last) = inner.lanes.iter().rposition(|lane| !lane.dead) {
-                    for lane in inner.lanes[..last].iter_mut().filter(|lane| !lane.dead) {
-                        lane.pending.clear();
-                        lane.pending.extend(batch.iter().cloned());
-                    }
-                    inner.lanes[last].pending = batch;
-                }
-                if FanoutWork::flush_lanes(&mut inner) {
-                    StepOutcome::Progress
-                } else {
-                    StepOutcome::Idle
-                }
-            }
-            Err(TryRecvError::Empty) => StepOutcome::Idle,
-            Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
-                inner.eof = true;
-                for lane in inner.lanes.iter() {
-                    lane.tx.close();
-                }
-                StepOutcome::Done
-            }
-        }
+        StepOutcome::Progress
     }
-}
-
-/// One receiver lane of a [`PooledSession`].
-struct PooledLane {
-    name: String,
-    chain: PooledChain,
-    output: DetachableReceiver<Packet>,
-    decoder_stats: Vec<Arc<FecDecoderStats>>,
-}
-
-struct PooledLanes {
-    live: Vec<PooledLane>,
-    /// Lanes removed while the session ran; kept so their backlogs can
-    /// drain, their stats stay readable, and shutdown can finalise their
-    /// tasks (zero leaked tasks even under churn).
-    retired: Vec<PooledLane>,
-    closed: bool,
 }
 
 /// A fanout session hosted on a [`Runtime`] worker pool.
 ///
-/// One head chain task does the shared work once per packet, a fanout task
-/// clones each batch to every lane (zero-copy: payloads are `Arc`-backed),
-/// and each lane is a chain task of its own — so a session costs **zero**
-/// dedicated threads, and hundreds of sessions share the pool's fixed
+/// The whole session is **one** task that runs each input batch to
+/// completion: the head chain does the shared work once per packet, the
+/// batch is cloned to every lane (zero-copy: payloads are `Arc`-backed),
+/// and each lane's own chain writes straight into the lane's delivery pipe
+/// — so a session costs one task and **zero** dedicated threads however
+/// many lanes it has, and hundreds of sessions share the pool's fixed
 /// workers.  Lanes can be added and removed while the session runs
 /// ([`add_lane`](Self::add_lane), [`remove_lane`](Self::remove_lane)),
 /// which the soak suite exercises as continuous churn.
 pub struct PooledSession {
     name: String,
     registry: FilterRegistry,
-    runtime: Arc<Runtime>,
-    head: PooledChain,
-    fanout_work: Arc<FanoutWork>,
-    fanout_task: Arc<Task>,
-    lanes: Mutex<PooledLanes>,
+    /// Keeps the hosting pool alive, as [`PooledChain`]'s does.
+    _runtime: Arc<Runtime>,
+    work: Arc<SessionWork>,
+    task: Arc<Task>,
+    input: DetachableSender<Packet>,
+    /// Capacity of every lane's delivery pipe.
     capacity: usize,
-    batch_size: usize,
-    /// Registry latency spans are created in, once telemetry is enabled;
-    /// lanes added afterwards attach their own spans from here.
-    telemetry: Mutex<Option<Arc<Registry>>>,
 }
 
 impl fmt::Debug for PooledSession {
@@ -1630,12 +1656,12 @@ impl PooledSession {
 
     /// The endpoint the upstream source writes into (feeds the head chain).
     pub fn input(&self) -> DetachableSender<Packet> {
-        self.head.input()
+        self.input.clone()
     }
 
     /// Names of the live lanes, in creation order.
     pub fn lane_names(&self) -> Vec<String> {
-        self.lanes.lock().live.iter().map(|l| l.name.clone()).collect()
+        self.work.inner.lock().live.iter().map(|l| l.name.clone()).collect()
     }
 
     /// Enables latency spans on this session: the shared head chain records
@@ -1644,20 +1670,21 @@ impl PooledSession {
     /// `session.<name>.lane.<lane>` with per-packet end-to-end latency at
     /// lane exit.
     pub fn enable_telemetry(&self, registry: &Arc<Registry>) {
-        self.head
+        let mut inner = self.work.inner.lock();
+        let inner = &mut *inner;
+        inner
+            .head
+            .chain
             .set_spans(ChainSpans::interior(registry, format!("session.{}.head", self.name)));
-        // Publish first, then sweep: a concurrently added lane either sees
-        // the registry itself or is already in the list swept below.
-        *self.telemetry.lock() = Some(Arc::clone(registry));
-        let lanes = self.lanes.lock();
-        for lane in lanes.live.iter().chain(lanes.retired.iter()) {
-            lane.chain.set_spans(lane_spans(registry, &self.name, &lane.name));
+        for lane in inner.live.iter_mut().chain(inner.retired.iter_mut()) {
+            lane.stage.chain.set_spans(lane_spans(registry, &self.name, &lane.name));
         }
+        inner.telemetry = Some(Arc::clone(registry));
     }
 
     /// Number of live receiver lanes.
     pub fn lane_count(&self) -> usize {
-        self.lanes.lock().live.len()
+        self.work.inner.lock().live.len()
     }
 
     /// Adds a receiver lane and returns its delivery endpoint.  A lane
@@ -1669,53 +1696,33 @@ impl PooledSession {
     /// exists or [`ProxyError::ChainClosed`] after shutdown.
     pub fn add_lane(&self, name: impl Into<String>) -> Result<DetachableReceiver<Packet>, ProxyError> {
         let name = name.into();
-        // Read before taking the lanes lock (enable_telemetry publishes the
-        // registry first and then sweeps the lane list under that lock, so
-        // a lane racing it gets spans from one side or the other).
-        let spans_registry = self.telemetry.lock().clone();
-        let mut lanes = self.lanes.lock();
-        if lanes.closed {
+        let mut inner = self.work.inner.lock();
+        if inner.closed {
             return Err(ProxyError::ChainClosed);
         }
-        if lanes.live.iter().any(|l| l.name == name) {
+        if inner.live.iter().any(|l| l.name == name) {
             return Err(ProxyError::Splice(format!("lane {name} already exists")));
         }
-        let chain = self.runtime.add_chain_with(
-            format!("{}/{name}", self.name),
-            self.capacity,
-            self.batch_size,
-        );
-        if let Some(registry) = &spans_registry {
-            chain.set_spans(lane_spans(registry, &self.name, &name));
+        let mut stage = Stage::default();
+        if let Some(registry) = &inner.telemetry {
+            stage.chain.set_spans(lane_spans(registry, &self.name, &name));
         }
-        let output = chain.output();
-        // Wake the fanout task whenever this lane's inbox frees space, and
-        // publish the lane input to it; the next batch includes this lane.
-        chain.input_rx.set_space_watcher(Arc::new(TaskWaker {
-            task: Arc::downgrade(&self.fanout_task),
-        }));
-        {
-            let mut fanout = self.fanout_work.inner.lock();
-            if fanout.eof {
-                // The stream already ended and the fanout task has retired:
-                // nothing will ever feed (or close) this lane, so it joins
-                // after the last packet — an immediate clean end of stream
-                // instead of a consumer hanging forever.
-                drop(fanout);
-                chain.close_input();
-            } else {
-                fanout.lanes.push(FanLaneSlot {
-                    name: name.clone(),
-                    tx: chain.input(),
-                    pending: Vec::new(),
-                    dead: false,
-                });
-            }
+        let (out_tx, output) = pipe::<Packet>(self.capacity);
+        if inner.draining {
+            // The stream already ended: the lane joins after the last
+            // packet — an immediate clean end of stream instead of a
+            // consumer hanging forever.
+            out_tx.close();
         }
-        lanes.live.push(PooledLane {
+        // The task wakes whenever this lane's pipe frees space; its next
+        // batch includes the lane.
+        output.set_space_watcher(TaskWaker::of(&self.task));
+        inner.live.push(Lane {
             name,
-            chain,
+            stage,
+            out_tx,
             output: output.clone(),
+            packets_in: 0,
             decoder_stats: Vec::new(),
         });
         Ok(output)
@@ -1729,27 +1736,24 @@ impl PooledSession {
     ///
     /// Returns [`ProxyError::UnknownLane`] for unknown lanes.
     pub fn remove_lane(&self, name: &str) -> Result<(), ProxyError> {
-        let mut lanes = self.lanes.lock();
-        let index = lanes
+        let mut inner = self.work.inner.lock();
+        let index = inner
             .live
             .iter()
             .position(|l| l.name == name)
             .ok_or_else(|| ProxyError::UnknownLane(name.to_string()))?;
-        let lane = lanes.live.remove(index);
-        {
-            // Drop the fanout slot: whatever the fanout still owed this
-            // lane goes with it, but the lane's own inbox backlog drains.
-            let mut fanout = self.fanout_work.inner.lock();
-            fanout.lanes.retain(|slot| slot.name != name);
+        let mut lane = inner.live.remove(index);
+        lane.stage.flush();
+        // What the lane is owed goes out now if its pipe has room, else
+        // from the task once the consumer frees space; then the pipe closes.
+        if lane.stage.forward(&lane.out_tx) {
+            lane.out_tx.close();
         }
-        // The fanout may be parked on the removed lane's full inbox, and
-        // with the slot gone no watcher of that pipe will ever wake it
-        // again — kick it explicitly so the surviving lanes keep flowing.
-        self.fanout_task.schedule();
-        // EOF the lane's chain so its task flushes and completes once the
-        // consumer drains the endpoint.
-        lane.chain.close_input();
-        lanes.retired.push(lane);
+        inner.retired.push(lane);
+        drop(inner);
+        // The task may be parked on the removed lane's full pipe, which no
+        // longer gates it: kick it so the surviving lanes keep flowing.
+        self.task.schedule();
         Ok(())
     }
 
@@ -1759,8 +1763,16 @@ impl PooledSession {
     ///
     /// Returns [`ProxyError::UnknownLane`] for unknown lanes.
     pub fn lane_output(&self, lane: &str) -> Result<DetachableReceiver<Packet>, ProxyError> {
-        let lanes = self.lanes.lock();
-        Ok(find_pooled_lane(&lanes.live, lane)?.output.clone())
+        Ok(find_lane(&self.work.inner.lock().live, lane)?.output.clone())
+    }
+
+    /// The session's state, locked, while it still accepts splices.
+    fn splicable(&self) -> Result<MutexGuard<'_, SessionInner>, ProxyError> {
+        let inner = self.work.inner.lock();
+        if inner.draining {
+            return Err(ProxyError::ChainClosed);
+        }
+        Ok(inner)
     }
 
     /// Instantiates a filter from `spec` and splices it into the shared
@@ -1771,21 +1783,28 @@ impl PooledSession {
     /// Returns registry, spec-validation, or splice errors.
     pub fn insert_head_filter(&self, position: usize, spec: &FilterSpec) -> Result<(), ProxyError> {
         let filter = self.registry.instantiate(spec)?;
-        self.head.insert(position, filter)
+        self.splicable()?.head.insert(position, filter)
     }
 
-    /// Removes and returns the head-chain filter at `position`.
+    /// Removes and returns the head-chain filter at `position`.  Anything
+    /// the filter had buffered goes out on every lane ahead of later
+    /// traffic.
     ///
     /// # Errors
     ///
     /// Returns position or splice errors.
     pub fn remove_head_filter(&self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
-        self.head.remove(position)
+        let mut inner = self.splicable()?;
+        let filter = inner.head.remove(position)?;
+        inner.fan_out();
+        drop(inner);
+        self.task.schedule();
+        Ok(filter)
     }
 
     /// Names of the filters installed on the head chain.
     pub fn head_filter_names(&self) -> Vec<String> {
-        self.head.names()
+        self.work.inner.lock().head.chain.names()
     }
 
     /// Instantiates a filter from `spec` and splices it into `lane`'s tail
@@ -1805,12 +1824,10 @@ impl PooledSession {
         spec: &FilterSpec,
     ) -> Result<(), ProxyError> {
         let (filter, decoder_stats) = build_lane_filter(&self.registry, spec)?;
-        let mut lanes = self.lanes.lock();
-        let lane = find_pooled_lane_mut(&mut lanes.live, lane)?;
-        lane.chain.insert(position, filter)?;
-        if let Some(stats) = decoder_stats {
-            lane.decoder_stats.push(stats);
-        }
+        let mut inner = self.splicable()?;
+        let lane = find_lane_mut(&mut inner.live, lane)?;
+        lane.stage.insert(position, filter)?;
+        lane.decoder_stats.extend(decoder_stats);
         Ok(())
     }
 
@@ -1824,8 +1841,11 @@ impl PooledSession {
         lane: &str,
         position: usize,
     ) -> Result<Box<dyn Filter>, ProxyError> {
-        let lanes = self.lanes.lock();
-        find_pooled_lane(&lanes.live, lane)?.chain.remove(position)
+        let filter = find_lane_mut(&mut self.splicable()?.live, lane)?
+            .stage
+            .remove(position)?;
+        self.task.schedule();
+        Ok(filter)
     }
 
     /// Names of the filters installed on `lane`'s tail chain.
@@ -1834,50 +1854,49 @@ impl PooledSession {
     ///
     /// Returns [`ProxyError::UnknownLane`] for unknown lanes.
     pub fn lane_filter_names(&self, lane: &str) -> Result<Vec<String>, ProxyError> {
-        let lanes = self.lanes.lock();
-        Ok(find_pooled_lane(&lanes.live, lane)?.chain.names())
+        Ok(find_lane(&self.work.inner.lock().live, lane)?.stage.chain.names())
     }
 
     /// Chain statistics of a lane — **including** lanes already removed
-    /// with [`remove_lane`](Self::remove_lane), whose chains keep draining
-    /// (and counting) until the session shuts down.  This is what lets the
-    /// soak suite assert per-lane conservation across churn.
+    /// with [`remove_lane`](Self::remove_lane), which keep delivering (and
+    /// counting) their backlog.  This is what lets the soak suite assert
+    /// per-lane conservation across churn.
     ///
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownLane`] if no live or retired lane has
     /// this name.
     pub fn lane_stats(&self, lane: &str) -> Result<ChainStats, ProxyError> {
-        let lanes = self.lanes.lock();
-        lanes
+        let inner = self.work.inner.lock();
+        inner
             .live
             .iter()
-            .chain(lanes.retired.iter())
+            .chain(inner.retired.iter())
             .find(|l| l.name == lane)
-            .map(|l| l.chain.stats())
+            .map(Lane::stats)
             .ok_or_else(|| ProxyError::UnknownLane(lane.to_string()))
     }
 
     /// A full status snapshot: head-chain state plus per-lane delivery,
     /// recovery, and queue-depth counters.
     pub fn status(&self) -> SessionStatus {
-        let lanes = self.lanes.lock();
-        let mut secure = self.head.secure_snapshot();
-        for lane in lanes.live.iter().chain(lanes.retired.iter()) {
-            secure.merge(lane.chain.secure_snapshot());
+        let inner = self.work.inner.lock();
+        let mut secure = inner.head.chain.secure_snapshot();
+        for lane in inner.live.iter().chain(inner.retired.iter()) {
+            secure.merge(lane.stage.chain.secure_snapshot());
         }
         SessionStatus {
             name: self.name.clone(),
-            head_filters: self.head.names(),
-            head_stats: self.head.stats(),
-            lanes: lanes
+            head_filters: inner.head.chain.names(),
+            head_stats: inner.head.stats(self.input.stats().items(), inner.head_out),
+            lanes: inner
                 .live
                 .iter()
                 .map(|lane| {
-                    let stats = lane.chain.stats();
+                    let stats = lane.stats();
                     LaneStatus {
                         name: lane.name.clone(),
-                        filters: lane.chain.names(),
+                        filters: lane.stage.chain.names(),
                         delivered: stats.packets_out,
                         recovered: lane.decoder_stats.iter().map(|s| s.recovered()).sum(),
                         queue_depth: lane.output.available(),
@@ -1893,53 +1912,36 @@ impl PooledSession {
     /// head chain and every lane, each lane endpoint observes end of
     /// stream.
     pub fn close_input(&self) {
-        self.head.close_input();
+        self.input.close();
     }
 
-    /// Shuts the session down: head, fanout, and every lane task complete
-    /// (undrained lane backlogs are discarded), leaving zero tasks behind.
+    /// Shuts the session down: its task completes (undrained lane backlogs
+    /// are discarded), leaving zero tasks behind.
     ///
     /// # Errors
     ///
-    /// Returns the first task that failed to finish (only possible if the
-    /// runtime's workers were stopped first).
+    /// Returns [`ProxyError::WorkerFailed`] if the task did not finish
+    /// (only possible if the runtime's workers were stopped first).
     pub fn shutdown(&self) -> Result<(), ProxyError> {
-        let mut lanes = self.lanes.lock();
-        if lanes.closed {
-            return Ok(());
-        }
-        lanes.closed = true;
-        // Close every lane delivery endpoint first: a lane task parked
-        // against an abandoned (full, never drained) endpoint fails its
-        // sends immediately instead of wedging the fanout task.
-        for lane in lanes.live.iter().chain(lanes.retired.iter()) {
-            lane.output.close();
-        }
-        let mut first_error = self.head.shutdown().err();
-        // Head EOF reaches the fanout task through its data watcher; it
-        // closes every lane inbox and completes.
-        self.fanout_task.schedule();
-        let fanout_done = self.fanout_task.is_done()
-            || (self.fanout_task.pool_running() && self.fanout_task.wait_done(SHUTDOWN_GRACE));
-        if !fanout_done && first_error.is_none() {
-            first_error = Some(ProxyError::WorkerFailed(format!(
-                "fanout task of {}",
-                self.name
-            )));
-        }
-        for lane in lanes.live.drain(..) {
-            if let Err(err) = lane.chain.shutdown() {
-                first_error.get_or_insert(err);
+        {
+            let mut inner = self.work.inner.lock();
+            if inner.closed {
+                return Ok(());
+            }
+            inner.closed = true;
+            // Close every lane delivery endpoint first: the task then
+            // discards what an abandoned (full, never drained) endpoint is
+            // owed instead of waiting on it forever.
+            for lane in inner.live.iter().chain(inner.retired.iter()) {
+                lane.output.close();
             }
         }
-        for lane in lanes.retired.drain(..) {
-            if let Err(err) = lane.chain.shutdown() {
-                first_error.get_or_insert(err);
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(()),
+        self.input.close();
+        self.task.schedule();
+        if self.task.wait_finished() {
+            Ok(())
+        } else {
+            Err(ProxyError::WorkerFailed(format!("pooled session {}", self.name)))
         }
     }
 }
@@ -1950,20 +1952,14 @@ impl Drop for PooledSession {
     }
 }
 
-fn find_pooled_lane<'a>(
-    lanes: &'a [PooledLane],
-    name: &str,
-) -> Result<&'a PooledLane, ProxyError> {
+fn find_lane<'a>(lanes: &'a [Lane], name: &str) -> Result<&'a Lane, ProxyError> {
     lanes
         .iter()
         .find(|l| l.name == name)
         .ok_or_else(|| ProxyError::UnknownLane(name.to_string()))
 }
 
-fn find_pooled_lane_mut<'a>(
-    lanes: &'a mut [PooledLane],
-    name: &str,
-) -> Result<&'a mut PooledLane, ProxyError> {
+fn find_lane_mut<'a>(lanes: &'a mut [Lane], name: &str) -> Result<&'a mut Lane, ProxyError> {
     lanes
         .iter_mut()
         .find(|l| l.name == name)
@@ -2136,6 +2132,7 @@ mod tests {
         let session = runtime.add_session("fan");
         let lanes: Vec<_> =
             (0..4).map(|i| session.add_lane(format!("lane-{i}")).unwrap()).collect();
+        assert_eq!(runtime.live_tasks(), 1, "head, fanout and four lanes are one task");
         let input = session.input();
         let consumers: Vec<_> = lanes
             .into_iter()
@@ -2179,6 +2176,7 @@ mod tests {
         assert_eq!(session.lane_names(), vec!["keeper"]);
         // A late joiner sees the stream from its join point onward.
         let late = session.add_lane("late").unwrap();
+        assert_eq!(runtime.live_tasks(), 1, "lane churn adds no task");
         let late_consumer = std::thread::spawn(move || collect_all(&late));
         for seq in 200..400u64 {
             input.send(packet(seq)).unwrap();
@@ -2200,15 +2198,15 @@ mod tests {
 
     #[test]
     fn remove_lane_unblocks_a_fanout_stalled_on_it() {
-        // Regression: the fanout task can be parked on a stalled lane's
-        // full inbox when remove_lane drops that lane's slot; with the
-        // slot gone, no pipe watcher will ever wake the fanout again, so
+        // Regression: the session task can be parked on a stalled lane's
+        // full pipe when remove_lane retires that lane; the lane no longer
+        // gates the task, but no live lane's watcher will fire either, so
         // remove_lane must kick it explicitly or the healthy lanes starve.
         let runtime = Runtime::start(RuntimeConfig::new(2, 4));
         let session =
             runtime.add_session_with("stall", FilterRegistry::with_builtins(), 4, 4);
         let ok = session.add_lane("ok").unwrap();
-        let _stuck = session.add_lane("stuck").unwrap();
+        let stuck = session.add_lane("stuck").unwrap();
         let input = session.input();
         let producer = std::thread::spawn(move || {
             for seq in 0..200u64 {
@@ -2242,6 +2240,18 @@ mod tests {
         }
         assert!(removed, "the stalled sibling should have wedged the fanout first");
         assert_eq!(seqs, (0..200).collect::<Vec<u64>>());
+        // Read only now, the removed lane still delivers what it was owed —
+        // a prefix of the stream — and then ends cleanly.
+        let mut backlog = Vec::new();
+        loop {
+            match stuck.recv_timeout(HANG) {
+                Ok(p) => backlog.push(p.seq().value()),
+                Err(rapidware_streams::TryRecvError::Eof) => break,
+                Err(other) => panic!("the removed lane must end cleanly, got {other}"),
+            }
+        }
+        assert!(!backlog.is_empty(), "the stalled lane had a backlog");
+        assert_eq!(backlog, (0..backlog.len() as u64).collect::<Vec<u64>>());
         producer.join().unwrap();
         session.shutdown().unwrap();
         runtime.shutdown().unwrap();
@@ -2249,17 +2259,17 @@ mod tests {
 
     #[test]
     fn lane_added_after_stream_end_sees_immediate_eof() {
-        // Regression: a lane added after the fanout task retired (head
-        // EOF observed) used to register a slot nothing would ever feed or
-        // close, hanging its consumer forever.
+        // Regression: a lane added after the session observed end of
+        // stream used to register a slot nothing would ever feed or close,
+        // hanging its consumer forever.
         let runtime = Runtime::start(RuntimeConfig::new(2, 4));
         let session = runtime.add_session("ended");
         let first = session.add_lane("first").unwrap();
         let input = session.input();
         input.send(packet(0)).unwrap();
         session.close_input();
-        // Draining the first lane to EOF proves the fanout observed the
-        // end of stream and retired.
+        // Draining the first lane to EOF proves the session observed the
+        // end of stream and finished.
         assert_eq!(collect_all(&first).len(), 1);
         let late = session.add_lane("late-joiner").unwrap();
         match late.recv_timeout(Duration::from_secs(10)) {
@@ -2268,6 +2278,36 @@ mod tests {
         }
         session.shutdown().unwrap();
         assert_eq!(runtime.live_tasks(), 0);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn removing_a_head_encoder_delivers_its_residue_on_every_lane_first() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let session = runtime.add_session("residue");
+        let lanes: Vec<_> =
+            (0..3).map(|i| session.add_lane(format!("lane-{i}")).unwrap()).collect();
+        session.insert_head_filter(0, &FilterSpec::new("fec-encoder")).unwrap();
+        // Half an FEC(6,4) block: both sources pass straight through, and
+        // the encoder holds them towards its parity pair.
+        let input = session.input();
+        input.send(packet(0)).unwrap();
+        input.send(packet(1)).unwrap();
+        for lane in &lanes {
+            assert!(lane.recv().unwrap().kind().is_payload());
+            assert!(lane.recv().unwrap().kind().is_payload());
+        }
+        session.remove_head_filter(0).unwrap();
+        input.send(packet(2)).unwrap();
+        session.close_input();
+        for lane in &lanes {
+            // The flushed half block's two parities, then the later packet.
+            let received = collect_all(lane);
+            let payload: Vec<bool> = received.iter().map(|p| p.kind().is_payload()).collect();
+            assert_eq!(payload, [false, false, true], "{received:?}");
+            assert_eq!(received[2].seq().value(), 2);
+        }
+        session.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
 

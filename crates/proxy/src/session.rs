@@ -4,13 +4,15 @@
 //! The paper's proxy serves one media source to *heterogeneous* receivers:
 //! wired peers want the raw stream, while each wireless receiver wants its
 //! own adaptation (FEC strength, rate, transforms) matched to its link.  A
-//! [`PooledSession`](crate::PooledSession) is that unit of fanout — a head
-//! task that does the shared work once per packet, a fanout task that
-//! clones each batch to every lane (zero-copy: payloads are `Arc`-backed,
-//! and a lane filter that rewrites bytes copies on write), and one
-//! live-reconfigurable lane task per receiver.  This module holds what a
-//! session *reports* ([`SessionStatus`], [`LaneStatus`]) and how a lane
-//! filter is built; the session itself lives in [`runtime`](crate::runtime).
+//! [`PooledSession`](crate::PooledSession) is that unit of fanout — one
+//! pool task that runs each batch to completion: a head chain does the
+//! shared work once per packet, the batch is cloned to every lane
+//! (zero-copy: payloads are `Arc`-backed, and a lane filter that rewrites
+//! bytes copies on write), and one live-reconfigurable lane chain per
+//! receiver writes straight into that receiver's delivery pipe.  This
+//! module holds what a session *reports* ([`SessionStatus`],
+//! [`LaneStatus`]) and how a lane filter is built; the session itself lives
+//! in [`runtime`](crate::runtime).
 //!
 //! ```
 //! use rapidware_proxy::runtime::{Runtime, RuntimeConfig};
@@ -290,7 +292,7 @@ mod tests {
         for _ in 0..8 {
             fast.recv().unwrap();
         }
-        // Wait (bounded) for the fanout task to finish pushing into the
+        // Wait (bounded) for the session task to finish pushing into the
         // slow lane, then snapshot.
         let mut waited = 0;
         let status = loop {
@@ -369,13 +371,13 @@ mod tests {
     #[test]
     fn shutdown_with_undrained_lanes_does_not_deadlock() {
         // More packets than the lane pipes can hold, never drained: the
-        // fanout task is parked against full lane inboxes when shutdown
+        // session task is parked against full lane pipes when shutdown
         // begins, and shutdown must still complete by discarding the
         // backlog.
         let session = session_with("abandoned", 16, 4);
         let _never_drained = session.add_lane("a").unwrap();
         let _also_never_drained = session.add_lane("b").unwrap();
-        // A lane with a filter too, so the lane task's flush path is
+        // A lane with a filter too, so the lane chain's flush path is
         // exercised as well.
         session
             .insert_lane_filter("b", 0, &FilterSpec::new("fec-encoder"))
@@ -416,7 +418,7 @@ mod tests {
     #[test]
     fn add_lane_while_worker_is_backpressured_does_not_deadlock() {
         // One stalled consumer must not wedge the control surface: while
-        // the fanout task is parked against lane a's full pipe, add_lane
+        // the session task is parked against lane a's full pipe, add_lane
         // (which touches the same lane list) has to complete.
         let session = session_with("bp", 8, 2);
         let stalled = session.add_lane("a").unwrap();
@@ -428,7 +430,7 @@ mod tests {
                 }
             }
         });
-        // Give the fanout task time to fill lane a's pipe and park.
+        // Give the session task time to fill lane a's pipe and park.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let added = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -446,7 +448,7 @@ mod tests {
                 added.load(std::sync::atomic::Ordering::SeqCst),
                 "add_lane deadlocked behind a stalled lane consumer"
             );
-            // Unblock the fanout task so the scope's spawned thread
+            // Unblock the session task so the scope's spawned thread
             // (already done) and the producer can wind down.
             stalled.close();
         });

@@ -2,7 +2,7 @@
 //! lane of a [`PooledSession`] must leave every other lane byte-identical to the
 //! serial per-receiver baseline.
 //!
-//! The fanout task hands every lane the *same* `Arc`-backed payload
+//! The session task hands every lane the *same* `Arc`-backed payload
 //! buffers (zero-copy).  The property under test is that copy-on-write is
 //! the only way a lane-local mutation can happen: lane A's scrambler
 //! rewrites bytes in place when it owns the buffer and copies first when it

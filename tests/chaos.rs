@@ -95,7 +95,7 @@ fn a_stalled_shard_never_breaks_conservation_or_leaks_tasks() {
         let mut next_seq = 0u64;
         for phase in 0..PHASES {
             // The fault schedule: the stall moves to a different shard each
-            // phase (including the one hosting the fanout tasks), with one
+            // phase (including the one hosting the session tasks), with one
             // clean phase to show recovery.
             runtime.chaos_clear();
             if phase != PHASES - 1 {

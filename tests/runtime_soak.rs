@@ -201,15 +201,19 @@ fn run_soak() {
                     // Pump the phase's traffic through all 25 sessions with
                     // non-blocking sends and drains only: a wedged pool
                     // shows up as no-progress, not as a blocked driver.
+                    // The phase ends only once the base lane has delivered
+                    // all of it: a packet still in a session's inbox would
+                    // otherwise reach the next phase's churn lane before
+                    // its drop filter is spliced in.
                     loop {
                         let mut progressed = false;
-                        let mut all_sent = true;
+                        let mut all_delivered = true;
                         for s in sessions.iter_mut() {
                             progressed |= s.pump();
                             progressed |= s.drain();
-                            all_sent &= s.backlog.is_empty();
+                            all_delivered &= s.backlog.is_empty() && s.base_delivered == s.next_seq;
                         }
-                        if all_sent {
+                        if all_delivered {
                             break;
                         }
                         if !progressed {

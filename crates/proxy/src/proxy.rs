@@ -377,10 +377,10 @@ impl Proxy {
     }
 
     /// Creates a stream riding a carrier: datagrams arriving on the
-    /// carrier whose stream id is in `config.streams` are
-    /// decoded straight into the chain input, and the chain output is
-    /// multiplexed back onto the carrier's socket towards
-    /// `config.egress_peer`, ending with the stream's FIN.  The chain is an
+    /// carrier whose stream id is in `config.streams` are decoded into the
+    /// chain (run in place by the carrier while the chain is caught up),
+    /// and the chain output is multiplexed back onto the carrier's socket
+    /// towards `config.egress_peer`, ending with the stream's FIN.  The chain is an
     /// ordinary stream otherwise — it appears in
     /// [`stream_names`](Self::stream_names) and accepts live filter
     /// splices.
@@ -411,6 +411,7 @@ impl Proxy {
         let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
         let chain =
             runtime.add_chain_with(name.clone(), config.capacity, config.batch_size.max(1));
+        let inlet = chain.inlet();
         let (input, output) = self.install_stream(name.clone(), chain)?;
         let carrier = self
             .udp_carriers
@@ -418,7 +419,12 @@ impl Proxy {
             .expect("carrier existence checked above");
         let mut opened = Vec::with_capacity(config.streams.len());
         for stream in &config.streams {
-            match carrier.ingress().open_stream_into(*stream, input.clone()) {
+            let route = carrier.ingress().open_stream_with_inlet(
+                *stream,
+                input.clone(),
+                Arc::clone(&inlet),
+            );
+            match route {
                 Ok(()) => opened.push(*stream),
                 Err(err) => {
                     for stream in opened {
@@ -450,7 +456,9 @@ impl Proxy {
     }
 
     /// Creates a fanout session riding a carrier: datagrams for
-    /// `config.streams` feed the shared head chain, and each `config.lanes`
+    /// `config.streams` feed the shared head chain (in place, as for
+    /// [`add_stream_udp_shared`](Self::add_stream_udp_shared)), and each
+    /// `config.lanes`
     /// entry multiplexes that lane's packets back onto the carrier's socket
     /// towards its own peer (FIN per lane).  The session is an ordinary
     /// session otherwise — per-lane filters splice through
@@ -482,6 +490,7 @@ impl Proxy {
             return Err(ProxyError::UnknownCarrier(config.carrier.clone()));
         }
         let input = self.add_session_pooled(name.clone(), config.capacity, config.batch_size.max(1))?;
+        let inlet = self.pooled_session(&name)?.inlet();
         let carrier = self
             .udp_carriers
             .get(&config.carrier)
@@ -500,7 +509,7 @@ impl Proxy {
             for stream in &config.streams {
                 carrier
                     .ingress()
-                    .open_stream_into(*stream, input.clone())
+                    .open_stream_with_inlet(*stream, input.clone(), Arc::clone(&inlet))
                     .map_err(|err| {
                         ProxyError::Splice(format!("carrier {}: {err}", config.carrier))
                     })?;

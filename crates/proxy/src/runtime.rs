@@ -21,6 +21,9 @@
 //!
 //!   session task:  inbox ─▶ head chain ─┬─▶ lane chain ─▶ pending ─▶ lane outbox
 //!                          (Arc clones) └─▶ lane chain ─▶ pending ─▶ lane outbox
+//!
+//!   carrier route: drain ─▶ task idle and caught up? ─yes─▶ the same body, in place
+//!   (see TaskInlet)                                  └─no──▶ inbox (as above)
 //! ```
 //!
 //! A chain task drains up to `batch_size` packets from its inbox pipe,
@@ -74,7 +77,7 @@ use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain};
 use rapidware_telemetry::{now_ns, Histogram, Registry};
 use rapidware_packet::Packet;
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, PipeWatcher, TryRecvError};
-use rapidware_transport::{Interest, Poller, Token};
+use rapidware_transport::{Interest, Poller, RouteInlet, Token};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
@@ -1247,6 +1250,8 @@ struct ChainWorkInner {
     /// Set once the inbox reported EOF/close and the chain was flushed:
     /// only `stage.pending` remains to be forwarded.
     draining: bool,
+    /// Packets a carrier route ran in place, past the inbox.
+    handed_in: u64,
 }
 
 struct ChainWork {
@@ -1254,6 +1259,15 @@ struct ChainWork {
     in_rx: DetachableReceiver<Packet>,
     out_tx: DetachableSender<Packet>,
     batch_size: usize,
+}
+
+impl ChainWork {
+    /// A step's body, shared with the carrier inlet: runs one input batch
+    /// and forwards the output; `false` while some of it is left pending.
+    fn advance(&self, inner: &mut ChainWorkInner, batch: Vec<Packet>) -> bool {
+        inner.stage.process(batch);
+        inner.stage.forward(&self.out_tx)
+    }
 }
 
 impl TaskWork for Arc<ChainWork> {
@@ -1267,17 +1281,18 @@ impl TaskWork for Arc<ChainWork> {
         }
         if !inner.draining {
             // 2. Drain one batch from the inbox and run it through the chain.
-            match self.in_rx.try_recv_up_to(self.batch_size) {
-                Ok(batch) => inner.stage.process(batch),
+            let clear = match self.in_rx.try_recv_up_to(self.batch_size) {
+                Ok(batch) => self.advance(inner, batch),
                 Err(TryRecvError::Empty) => return StepOutcome::Idle,
                 // End of stream (or forced close): flush the chain's
                 // buffered state, then drain what the flush produced.
                 Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
                     inner.stage.flush();
                     inner.draining = true;
+                    inner.stage.forward(&self.out_tx)
                 }
-            }
-            if !inner.stage.forward(&self.out_tx) {
+            };
+            if !clear {
                 return StepOutcome::Idle;
             }
         }
@@ -1382,11 +1397,25 @@ impl PooledChain {
 
     /// Current chain statistics.
     pub fn stats(&self) -> ChainStats {
-        self.work
-            .inner
-            .lock()
-            .stage
-            .stats(self.input.stats().items(), self.output.stats().items())
+        let inner = self.work.inner.lock();
+        let packets_in = self.input.stats().items() + inner.handed_in;
+        inner.stage.stats(packets_in, self.output.stats().items())
+    }
+
+    /// The chain as a carrier route's [`RouteInlet`].
+    pub(crate) fn inlet(&self) -> Arc<dyn RouteInlet> {
+        let work = Arc::clone(&self.work);
+        let in_place = Box::new(move |run: Vec<Packet>| {
+            let Some(mut inner) = work.inner.try_lock() else {
+                return Err(run);
+            };
+            if inner.draining || !inner.stage.forward(&work.out_tx) || !work.in_rx.is_idle() {
+                return Err(run);
+            }
+            inner.handed_in += run.len() as u64;
+            Ok(!work.advance(&mut inner, run))
+        });
+        Arc::new(TaskInlet { task: Arc::downgrade(&self.task), in_place })
     }
 
     /// The chain's state, locked, while it still accepts splices.
@@ -1469,6 +1498,40 @@ impl PooledChain {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Run-to-completion carrier routes.
+// ---------------------------------------------------------------------------
+
+/// A chain or session as its carrier route's inlet.  `in_place` takes a
+/// run only while the task is idle (`try_lock`: the drain never waits
+/// behind a step or a splice) and caught up — inbox empty and open,
+/// nothing pending, not draining — so it overtakes nothing; it counts the
+/// run into the input statistics, runs a step's body on it and reports
+/// whether output is left pending, or hands the run back.
+struct TaskInlet {
+    task: Weak<Task>,
+    in_place: Box<InPlace>,
+}
+
+type InPlace = dyn Fn(Vec<Packet>) -> Result<bool, Vec<Packet>> + Send + Sync;
+
+impl RouteInlet for TaskInlet {
+    fn offer(&self, run: Vec<Packet>) -> Option<Vec<Packet>> {
+        match (self.in_place)(run) {
+            Err(run) => Some(run),
+            Ok(pending) => {
+                // The task forwards what its pipes did not take.
+                if pending {
+                    if let Some(task) = self.task.upgrade() {
+                        task.schedule();
+                    }
+                }
+                None
+            }
+        }
+    }
+}
+
 /// Egress spans for one session lane (`session.<session>.lane.<lane>`).
 fn lane_spans(registry: &Arc<Registry>, session: &str, lane: &str) -> Arc<ChainSpans> {
     ChainSpans::egress(registry, format!("session.{session}.lane.{lane}"))
@@ -1527,6 +1590,8 @@ struct SessionInner {
     draining: bool,
     /// Set by shutdown: no lane joins any more.
     closed: bool,
+    /// Packets a carrier route ran in place, past the inbox.
+    handed_in: u64,
     /// Registry latency spans are created in, once telemetry is enabled;
     /// lanes added afterwards attach their own spans from here.
     telemetry: Option<Arc<Registry>>,
@@ -1548,6 +1613,14 @@ impl SessionInner {
             }
             last.feed(batch);
         }
+    }
+
+    /// A step's body, shared with the carrier inlet: runs one input batch
+    /// and forwards the output; `false` while some of it is left pending.
+    fn advance(&mut self, batch: Vec<Packet>) -> bool {
+        self.head.process(batch);
+        self.fan_out();
+        self.forward()
     }
 
     /// Forwards every lane's pending output; a retired lane's pipe closes
@@ -1585,11 +1658,8 @@ impl TaskWork for Arc<SessionWork> {
             return StepOutcome::Idle;
         }
         if !inner.draining {
-            match self.in_rx.try_recv_up_to(self.batch_size) {
-                Ok(batch) => {
-                    inner.head.process(batch);
-                    inner.fan_out();
-                }
+            let clear = match self.in_rx.try_recv_up_to(self.batch_size) {
+                Ok(batch) => inner.advance(batch),
                 Err(TryRecvError::Empty) => return StepOutcome::Idle,
                 // End of stream: the head's residue goes through the lanes,
                 // then every lane chain flushes its own.
@@ -1600,9 +1670,10 @@ impl TaskWork for Arc<SessionWork> {
                         lane.stage.flush();
                     }
                     inner.draining = true;
+                    inner.forward()
                 }
-            }
-            if !inner.forward() {
+            };
+            if !clear {
                 return StepOutcome::Idle;
             }
         }
@@ -1888,7 +1959,9 @@ impl PooledSession {
         SessionStatus {
             name: self.name.clone(),
             head_filters: inner.head.chain.names(),
-            head_stats: inner.head.stats(self.input.stats().items(), inner.head_out),
+            head_stats: inner
+                .head
+                .stats(self.input.stats().items() + inner.handed_in, inner.head_out),
             lanes: inner
                 .live
                 .iter()
@@ -1913,6 +1986,22 @@ impl PooledSession {
     /// stream.
     pub fn close_input(&self) {
         self.input.close();
+    }
+
+    /// The session as a carrier route's [`RouteInlet`].
+    pub(crate) fn inlet(&self) -> Arc<dyn RouteInlet> {
+        let work = Arc::clone(&self.work);
+        let in_place = Box::new(move |run: Vec<Packet>| {
+            let Some(mut inner) = work.inner.try_lock() else {
+                return Err(run);
+            };
+            if inner.draining || !inner.forward() || !work.in_rx.is_idle() {
+                return Err(run);
+            }
+            inner.handed_in += run.len() as u64;
+            Ok(!inner.advance(run))
+        });
+        Arc::new(TaskInlet { task: Arc::downgrade(&self.task), in_place })
     }
 
     /// Shuts the session down: its task completes (undrained lane backlogs
@@ -2123,6 +2212,57 @@ mod tests {
             chain.shutdown().unwrap();
         }
         assert_eq!(runtime.live_tasks(), 0, "no leaked chain tasks");
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn an_inlet_flipping_between_in_place_and_queued_delivers_every_packet_once_in_order() {
+        // This thread plays the carrier's drain — offer each run, send what
+        // is handed back through the inbox — and the consumer: it empties
+        // the 4-slot output only every eighth run, so the chain keeps going
+        // from caught up (runs taken in place) to backed up (runs queued).
+        const RUNS: u64 = 1_500;
+        const RUN: u64 = 3;
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let chain = runtime.add_chain_with("flip", 4, 8);
+        let inlet = chain.inlet();
+        let input = chain.input();
+        let output = chain.output();
+        let mut delivered = Vec::new();
+        let collect = |delivered: &mut Vec<u64>| {
+            while let Ok(batch) = output.try_recv_up_to(64) {
+                delivered.extend(batch.iter().map(|p| p.seq().value()));
+            }
+        };
+        let (mut in_place, mut queued) = (0, 0);
+        for run in 0..RUNS {
+            let batch: Vec<Packet> = (run * RUN..(run + 1) * RUN).map(packet).collect();
+            match inlet.offer(batch) {
+                None => in_place += 1,
+                Some(mut back) => {
+                    queued += 1;
+                    // A full inbox is where a real drain sheds; here the
+                    // consumer makes room instead, so nothing may go missing.
+                    while !back.is_empty() {
+                        back = input.try_send_batch(back).unwrap();
+                        if !back.is_empty() {
+                            collect(&mut delivered);
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            }
+            if run % 8 == 7 {
+                collect(&mut delivered);
+            }
+        }
+        chain.close_input();
+        delivered.extend(collect_all(&chain.output()).iter().map(|p| p.seq().value()));
+        let misplaced = delivered.iter().zip(0..).position(|(&seq, at)| seq != at);
+        assert_eq!((delivered.len() as u64, misplaced), (RUNS * RUN, None), "once each, in order");
+        assert!(in_place > 0 && queued > 0, "in place {in_place}, queued {queued}");
+        assert_eq!(chain.stats().packets_in, RUNS * RUN, "both paths count their input");
+        chain.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
 

@@ -7,7 +7,7 @@
 //! streams and sessions ride it:
 //!
 //! ```text
-//!   one socket ──▶ SharedUdpIngress ──demux by stream id──▶ chain/session inputs
+//!   one socket ──▶ SharedUdpIngress ──demux by stream id──▶ chain/session, in place or via input
 //!   chain/session outputs ──▶ SharedUdpEgress ──mux──▶ the same socket
 //! ```
 //!
@@ -19,6 +19,8 @@
 //! multiplexed back out, each ending with its stream's FIN.  A *dedicated*
 //! socket is a carrier with one such route.
 //!
+//! A chain or session that is idle and caught up is run in place by the
+//! carrier's receive task, straight into the pipes the egress watches.
 //! The chain itself is unchanged — it still reads and writes detachable
 //! pipes and is live-reconfigurable through the ordinary control surface
 //! (`insert_filter`, `remove_filter`, sessions' per-lane splices).  The

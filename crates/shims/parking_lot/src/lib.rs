@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// A mutual-exclusion lock that never poisons.
@@ -49,6 +50,16 @@ impl<T: ?Sized> Mutex<T> {
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
             ),
         }
+    }
+
+    /// Acquires the lock only if no other thread holds it right now.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { guard: Some(guard) })
     }
 
     /// Mutable access without locking (the borrow checker guarantees
@@ -96,9 +107,21 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable whose wait methods borrow the guard mutably.
+///
+/// Notifying nobody is free.  The condvar counts the threads inside
+/// [`wait`](Self::wait) / [`wait_for`](Self::wait_for), and
+/// [`notify_one`](Self::notify_one) / [`notify_all`](Self::notify_all) skip
+/// the wake-up — a `FUTEX_WAKE` syscall on every call of std's condvar —
+/// while that count is zero.  A waiter raises the count while it still
+/// holds the mutex, so no wake-up is lost as long as every waiter, and
+/// every change to the state it waits for, holds **this condvar's own
+/// mutex**: a notifier that made its change under the mutex acquired it
+/// after any waiter that missed the change had counted itself.  Every
+/// condvar in this workspace is used that way.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -106,16 +129,19 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Blocks until notified, releasing the guard's lock while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.guard.take().expect("guard present outside wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(inner);
     }
 
@@ -126,27 +152,30 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.guard.take().expect("guard present outside wait");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((inner, result)) => (inner, result),
-            Err(poisoned) => {
-                let (inner, result) = poisoned.into_inner();
-                (inner, result)
-            }
-        };
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
         }
     }
 
-    /// Wakes one waiting thread.
+    /// Wakes one waiting thread, if any.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wakes every waiting thread.
+    /// Wakes every waiting thread, if any.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -185,6 +214,60 @@ mod tests {
             cvar.notify_all();
         }
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let mutex = Mutex::new(0u32);
+        let held = mutex.lock();
+        assert!(mutex.try_lock().is_none());
+        drop(held);
+        *mutex.try_lock().expect("the lock is free") += 1;
+        assert_eq!(*mutex.lock(), 1);
+    }
+
+    /// Two threads hand a token back and forth 100 000 times, each waking
+    /// the other only through the waiter-counted condvar: a lost wake-up
+    /// wedges both, and the watchdog turns that into a failure.
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        const ROUNDS: u64 = 100_000;
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sides: Vec<_> = (0..2u64)
+            .map(|parity| {
+                let pair = Arc::clone(&pair);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let (lock, cvar) = &*pair;
+                    let mut turn = lock.lock();
+                    while *turn < ROUNDS {
+                        if *turn % 2 == parity {
+                            *turn += 1;
+                            cvar.notify_one();
+                        } else if parity == 0 {
+                            cvar.wait(&mut turn);
+                        } else {
+                            // One side waits with a deadline far beyond the
+                            // watchdog's, so both wait paths are exercised.
+                            cvar.wait_for(&mut turn, Duration::from_secs(3_600));
+                        }
+                    }
+                    cvar.notify_all();
+                    let _ = done_tx.send(());
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("watchdog: a notify was lost and the ping-pong wedged");
+        }
+        for side in sides {
+            side.join().unwrap();
+        }
+        assert_eq!(*pair.0.lock(), ROUNDS);
+        assert_eq!(pair.1.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! * `reconnect()` validates that neither side is still connected, splices
 //!   the two halves together, clears the pause flag, and wakes every thread
 //!   that was blocked on the paused pipe (the `notifyAll()` calls).
+//!
+//! Beside the blocking calls each pipe offers non-blocking ones
+//! (`try_send_batch`, `try_recv_up_to`) and [`PipeWatcher`] hooks for
+//! cooperative tasks.  Wakes go only where someone waits: a condvar
+//! notify with no waiter costs no syscall (see the `parking_lot` shim),
+//! and a pop fires the space watcher only after a `try_send_batch` was
+//! refused room, so a writer that keeps up is not re-woken per item.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -17,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{PauseError, ReconnectError, RecvError, SendError, TryRecvError};
 use crate::stats::PipeStats;
@@ -64,8 +71,12 @@ struct RecvInner<T> {
     closed: bool,
     /// Notified when items (or EOF/close) become observable to a reader.
     data_watcher: Option<Arc<dyn PipeWatcher>>,
-    /// Notified when buffer space (or close) becomes observable to a writer.
+    /// Notified when buffer space (or close) becomes observable to a writer
+    /// that was refused room.
     space_watcher: Option<Arc<dyn PipeWatcher>>,
+    /// A `try_send_batch` was refused room since the space watcher last
+    /// fired: the next pop fires it.
+    refused: bool,
 }
 
 struct RecvShared<T> {
@@ -79,6 +90,30 @@ struct RecvShared<T> {
     /// Number of live `DetachableReceiver` handles sharing this state.
     handles: AtomicUsize,
     stats: PipeStats,
+}
+
+impl<T> RecvShared<T> {
+    /// Releases `r` after a pop (`many`: possibly several slots freed) and
+    /// wakes who may be waiting for it: blocked senders, a pauser once the
+    /// queue is empty, and the space watcher only if a `try_send_batch`
+    /// was refused room since it last fired — a producer that was never
+    /// refused is not waiting for space.
+    fn popped(&self, mut r: MutexGuard<'_, RecvInner<T>>, many: bool) {
+        let empty = r.queue.is_empty();
+        let watcher = if std::mem::take(&mut r.refused) { r.space_watcher.clone() } else { None };
+        drop(r);
+        if many {
+            self.not_full.notify_all();
+        } else {
+            self.not_full.notify_one();
+        }
+        if empty {
+            self.drained.notify_all();
+        }
+        if let Some(watcher) = watcher {
+            watcher.notify();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +469,7 @@ impl<T> DetachableSender<T> {
                     self.shared.stats.record_items(delivered);
                 }
                 let watcher = if delivered > 0 { r.data_watcher.clone() } else { None };
+                r.refused |= !leftover.is_empty();
                 drop(r);
                 if delivered > 0 {
                     sink.not_empty.notify_one();
@@ -797,6 +833,7 @@ impl<T> DetachableReceiver<T> {
                     closed: false,
                     data_watcher: None,
                     space_watcher: None,
+                    refused: false,
                 }),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
@@ -822,16 +859,7 @@ impl<T> DetachableReceiver<T> {
         let mut r = self.shared.inner.lock();
         loop {
             if let Some(item) = r.queue.pop_front() {
-                let empty = r.queue.is_empty();
-                let watcher = r.space_watcher.clone();
-                drop(r);
-                self.shared.not_full.notify_one();
-                if empty {
-                    self.shared.drained.notify_all();
-                }
-                if let Some(watcher) = watcher {
-                    watcher.notify();
-                }
+                self.shared.popped(r, false);
                 return Ok(item);
             }
             if r.closed {
@@ -880,18 +908,7 @@ impl<T> DetachableReceiver<T> {
             if !r.queue.is_empty() {
                 let take = r.queue.len().min(max);
                 let batch: Vec<T> = r.queue.drain(..take).collect();
-                let empty = r.queue.is_empty();
-                let watcher = r.space_watcher.clone();
-                drop(r);
-                // Potentially many slots opened up: wake every blocked
-                // producer, not just one.
-                self.shared.not_full.notify_all();
-                if empty {
-                    self.shared.drained.notify_all();
-                }
-                if let Some(watcher) = watcher {
-                    watcher.notify();
-                }
+                self.shared.popped(r, true);
                 return Ok(batch);
             }
             if r.closed {
@@ -940,16 +957,7 @@ impl<T> DetachableReceiver<T> {
         if !r.queue.is_empty() {
             let take = r.queue.len().min(max);
             let batch: Vec<T> = r.queue.drain(..take).collect();
-            let empty = r.queue.is_empty();
-            let watcher = r.space_watcher.clone();
-            drop(r);
-            self.shared.not_full.notify_all();
-            if empty {
-                self.shared.drained.notify_all();
-            }
-            if let Some(watcher) = watcher {
-                watcher.notify();
-            }
+            self.shared.popped(r, true);
             return Ok(batch);
         }
         if r.closed {
@@ -972,16 +980,7 @@ impl<T> DetachableReceiver<T> {
         let mut r = self.shared.inner.lock();
         loop {
             if let Some(item) = r.queue.pop_front() {
-                let empty = r.queue.is_empty();
-                let watcher = r.space_watcher.clone();
-                drop(r);
-                self.shared.not_full.notify_one();
-                if empty {
-                    self.shared.drained.notify_all();
-                }
-                if let Some(watcher) = watcher {
-                    watcher.notify();
-                }
+                self.shared.popped(r, false);
                 return Ok(item);
             }
             if r.closed {
@@ -1018,16 +1017,7 @@ impl<T> DetachableReceiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut r = self.shared.inner.lock();
         if let Some(item) = r.queue.pop_front() {
-            let empty = r.queue.is_empty();
-            let watcher = r.space_watcher.clone();
-            drop(r);
-            self.shared.not_full.notify_one();
-            if empty {
-                self.shared.drained.notify_all();
-            }
-            if let Some(watcher) = watcher {
-                watcher.notify();
-            }
+            self.shared.popped(r, false);
             return Ok(item);
         }
         if r.closed {
@@ -1047,6 +1037,14 @@ impl<T> DetachableReceiver<T> {
     /// Returns `true` if no items are buffered.
     pub fn is_empty(&self) -> bool {
         self.available() == 0
+    }
+
+    /// Returns `true` while nothing is buffered and the stream has neither
+    /// ended nor been closed: a consumer handed an item from elsewhere now
+    /// overtakes nothing this pipe still owes it.
+    pub fn is_idle(&self) -> bool {
+        let r = self.shared.inner.lock();
+        r.queue.is_empty() && !r.eof && !r.closed
     }
 
     /// Buffer capacity this receiver was created with.
@@ -1105,14 +1103,8 @@ impl<T> DetachableReceiver<T> {
     pub fn drain_buffered(&self) -> Vec<T> {
         let mut r = self.shared.inner.lock();
         let items: Vec<T> = r.queue.drain(..).collect();
-        let watcher = r.space_watcher.clone();
-        drop(r);
         if !items.is_empty() {
-            self.shared.not_full.notify_all();
-            self.shared.drained.notify_all();
-            if let Some(watcher) = watcher {
-                watcher.notify();
-            }
+            self.shared.popped(r, true);
         }
         items
     }
@@ -1145,11 +1137,16 @@ impl<T> DetachableReceiver<T> {
 
     /// Installs (or replaces) the space-readiness watcher of this receiver.
     ///
-    /// The watcher is notified after a consumer pops items (buffer space
-    /// opened up) and when the receiver is closed (writers should fail
-    /// fast).  If the buffer already has free space — or the receiver is
-    /// already closed — at registration time, the watcher fires
-    /// immediately.
+    /// The watcher is for a cooperative writer that parks when
+    /// [`try_send_batch`](DetachableSender::try_send_batch) hands items
+    /// back.  It is notified on the first pop after such a refusal (buffer
+    /// space opened up for a writer that is waiting for it) — a pop that
+    /// follows no refusal fires nothing, so a writer that keeps up is not
+    /// woken once per consumed item — and whenever the receiver is closed
+    /// (writers should fail fast).  If the buffer already has free space —
+    /// or the receiver is already closed — at registration time, the
+    /// watcher fires immediately.  Blocking senders wait on the pipe
+    /// itself and need no watcher.
     pub fn set_space_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
         let fire = {
             let mut r = self.shared.inner.lock();
@@ -1706,17 +1703,76 @@ mod tests {
         rx.set_space_watcher(watcher.clone());
         assert_eq!(watcher.count(), 0, "full buffer: registration must not fire");
 
+        // A writer refused room is owed one wake, on the next pop.
+        assert_eq!(tx.try_send_batch(vec![3]).unwrap(), vec![3]);
+        assert_eq!(watcher.count(), 0, "a refusal itself fires nothing");
         assert_eq!(rx.try_recv_up_to(1).unwrap(), vec![1]);
-        assert!(watcher.wait_fired(Duration::from_secs(1)));
-        watcher.reset();
+        assert_eq!(watcher.count(), 1);
         rx.close();
-        assert!(watcher.wait_fired(Duration::from_secs(1)), "close must wake writers");
+        assert_eq!(watcher.count(), 2, "close must wake writers");
 
         // A receiver with free space fires at registration.
         let (_tx3, rx3) = pipe::<u8>(2);
         let roomy = CountingWatcher::new();
         rx3.set_space_watcher(roomy.clone());
         assert_eq!(roomy.count(), 1);
+    }
+
+    #[test]
+    fn a_refusal_then_pops_fire_the_space_watcher_exactly_once() {
+        let (tx, rx) = pipe::<u8>(2);
+        let watcher = CountingWatcher::new();
+        rx.set_space_watcher(watcher.clone());
+        assert_eq!(watcher.count(), 1, "room at registration");
+        assert_eq!(tx.try_send_batch(vec![1, 2, 3, 4]).unwrap(), vec![3, 4]);
+        // Every kind of pop: only the first after the refusal fires.
+        assert_eq!(rx.try_recv().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap(), 2);
+        assert_eq!(watcher.count(), 2);
+        tx.send_batch(vec![5, 6]).unwrap();
+        assert_eq!(rx.recv_up_to(1).unwrap(), vec![5]);
+        assert_eq!(rx.drain_buffered(), vec![6]);
+        assert_eq!(watcher.count(), 2, "blocking sends are never refused");
+        // A second refusal is owed a second wake.
+        tx.send_batch(vec![7, 8]).unwrap();
+        assert_eq!(tx.try_send_batch(vec![9]).unwrap(), vec![9]);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 7);
+        assert_eq!(rx.try_recv_up_to(4).unwrap(), vec![8]);
+        assert_eq!(watcher.count(), 3);
+    }
+
+    #[test]
+    fn a_pop_after_no_refusal_does_not_fire_the_space_watcher() {
+        let (tx, rx) = pipe::<u8>(4);
+        let watcher = CountingWatcher::new();
+        rx.set_space_watcher(watcher.clone());
+        assert_eq!(watcher.count(), 1, "room at registration");
+        // A writer that always fits, even filling the buffer exactly.
+        for round in 0..8u8 {
+            assert!(tx.try_send_batch(vec![round; 4]).unwrap().is_empty());
+            assert_eq!(rx.try_recv_up_to(4).unwrap(), vec![round; 4]);
+        }
+        assert_eq!(watcher.count(), 1, "nobody waited for space");
+    }
+
+    #[test]
+    fn close_always_fires_the_space_watcher() {
+        // Full, empty, or just refused: a close is always news to a writer.
+        for setup in 0..3 {
+            let (tx, rx) = pipe::<u8>(1);
+            if setup > 0 {
+                tx.send(1).unwrap();
+            }
+            if setup > 1 {
+                assert_eq!(tx.try_send_batch(vec![2]).unwrap(), vec![2]);
+            }
+            let watcher = CountingWatcher::new();
+            rx.set_space_watcher(watcher.clone());
+            let registered = watcher.count();
+            assert_eq!(registered, usize::from(setup == 0), "fire-at-registration holds");
+            rx.close();
+            assert_eq!(watcher.count(), registered + 1, "setup {setup}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * [`SharedUdpIngress`] — one bound socket carrying N logical streams,
 //!   demultiplexed by the stream id in every [`Packet`] header onto one
-//!   registered pipe route per stream.
+//!   registered pipe route per stream (or its [`RouteInlet`], in place).
 //! * [`SharedUdpEgress`] — N lanes, each draining its own pipe towards its
 //!   own peer, multiplexed onto one socket (normally the ingress's, so one
 //!   port carries both directions).
@@ -49,7 +49,7 @@
 //!
 //! Both endpoints keep [`TransportStats`]: datagrams and packets in and
 //! out, decode errors, and drops.  The ingress counts a packet **before**
-//! handing it to the pipe, upholding the same received ⇒ counted invariant
+//! handing it to the inlet or the pipe, upholding the same received ⇒ counted invariant
 //! the in-process pipes provide — by the time a consumer holds a packet,
 //! the endpoint's counters already include it.
 //!
@@ -111,7 +111,9 @@ pub use impaired::{
     ImpairedSnapshot, ImpairedStats, ImpairedUdp, ImpairmentPhase, ImpairmentPlan,
 };
 pub use poller::{Interest, Poller, Token};
-pub use shared::{SharedDrain, SharedFlush, SharedUdpEgress, SharedUdpError, SharedUdpIngress};
+pub use shared::{
+    RouteInlet, SharedDrain, SharedFlush, SharedUdpEgress, SharedUdpError, SharedUdpIngress,
+};
 pub use stats::{TransportSnapshot, TransportStats};
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};

@@ -8,9 +8,13 @@
 //! pipe has data:
 //!
 //! ```text
-//!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route runs by stream id ──▶ pipe per stream
+//!   socket ──▶ drain_batch: recv_from × batch ──decode──▶ route runs by stream id
+//!          ──▶ per stream: its inlet (the consumer runs the run in place), else its pipe
 //!   pipe per lane ──▶ flush_batch: gather ──encode──▶ one arena ──coalesce──▶ one sendmmsg ──▶ socket
 //! ```
+//!
+//! A route's [`RouteInlet`], if it has one, may take a run on the
+//! draining thread instead: no pipe push, no task wake.
 //!
 //! The send half crosses into the kernel once per pass, not once per
 //! frame: every lane's frames are encoded end to end into one arena,
@@ -108,8 +112,27 @@ pub struct SharedUdpIngress {
     stats: TransportStats,
     unknown_streams: Arc<AtomicU64>,
     io_errors: AtomicU64,
-    routes: Mutex<BTreeMap<u32, DetachableSender<Packet>>>,
+    routes: Mutex<BTreeMap<u32, Route>>,
     scratch: Mutex<DrainScratch>,
+}
+
+/// A route's consumer, offered each run before the pipe: one that can run
+/// the frames to completion at once (in a proxy, a caught-up chain or
+/// session) takes them on the draining thread.  `offer` must not block,
+/// and may take a run only when nothing delivered to the pipe earlier
+/// still waits there, so per-stream order holds.
+pub trait RouteInlet: Send + Sync {
+    /// Takes `run` — consecutive frames of one stream, already counted as
+    /// received — and returns `None`, or hands it back untouched to go
+    /// through the route's pipe.
+    fn offer(&self, run: Vec<Packet>) -> Option<Vec<Packet>>;
+}
+
+/// One registered stream: the pipe its frames are delivered into, and the
+/// consumer offered them first, if any.
+struct Route {
+    sink: DetachableSender<Packet>,
+    inlet: Option<Arc<dyn RouteInlet>>,
 }
 
 /// What one drain pass works in: the receive buffer and the decoded frames
@@ -220,11 +243,31 @@ impl SharedUdpIngress {
         stream: StreamId,
         sink: DetachableSender<Packet>,
     ) -> Result<(), SharedUdpError> {
+        self.open_route(stream, Route { sink, inlet: None })
+    }
+
+    /// Registers a bridged route whose runs are first offered to `inlet`
+    /// (see [`RouteInlet`]); what it hands back is delivered into `sink`,
+    /// as with [`open_stream_into`](Self::open_stream_into).
+    ///
+    /// # Errors
+    ///
+    /// [`SharedUdpError::StreamTaken`] if the stream id is already routed.
+    pub fn open_stream_with_inlet(
+        &self,
+        stream: StreamId,
+        sink: DetachableSender<Packet>,
+        inlet: Arc<dyn RouteInlet>,
+    ) -> Result<(), SharedUdpError> {
+        self.open_route(stream, Route { sink, inlet: Some(inlet) })
+    }
+
+    fn open_route(&self, stream: StreamId, route: Route) -> Result<(), SharedUdpError> {
         let mut routes = self.lock_routes();
         if routes.contains_key(&stream.value()) {
             return Err(SharedUdpError::StreamTaken(stream));
         }
-        routes.insert(stream.value(), sink);
+        routes.insert(stream.value(), route);
         Ok(())
     }
 
@@ -232,8 +275,8 @@ impl SharedUdpIngress {
     /// if no such route existed.
     pub fn close_stream(&self, stream: StreamId) -> bool {
         match self.lock_routes().remove(&stream.value()) {
-            Some(sink) => {
-                sink.close();
+            Some(route) => {
+                route.sink.close();
                 true
             }
             None => false,
@@ -244,8 +287,8 @@ impl SharedUdpIngress {
     /// of stream — the ingress half of a proxy shutdown.
     pub fn close_all_streams(&self) {
         let mut routes = self.lock_routes();
-        for (_, sink) in std::mem::take(&mut *routes) {
-            sink.close();
+        for (_, route) in std::mem::take(&mut *routes) {
+            route.sink.close();
         }
     }
 
@@ -254,7 +297,8 @@ impl SharedUdpIngress {
     /// Per frame: count the datagram, decode (errors counted); then the
     /// whole pass is routed by stream id under one hold of the route table,
     /// each run of consecutive frames of one stream with a single
-    /// hand-off to its pipe (one watcher fire).  A per-stream FIN closes
+    /// hand-off: to the route's [`RouteInlet`] if it takes the run, else
+    /// to its pipe (one watcher fire).  A per-stream FIN closes
     /// that stream's route only, after the frames that preceded it; frames
     /// for unregistered streams bump
     /// [`unknown_streams`](Self::unknown_streams) and are dropped; a full
@@ -311,8 +355,8 @@ impl SharedUdpIngress {
             if is_stream_fin(&packet) && routes.contains_key(&stream) {
                 // The stream's earlier frames of this pass go first.
                 self.deliver(&routes, std::mem::take(&mut run));
-                if let Some(sink) = routes.remove(&stream) {
-                    sink.close();
+                if let Some(route) = routes.remove(&stream) {
+                    route.sink.close();
                 }
                 continue;
             }
@@ -322,11 +366,11 @@ impl SharedUdpIngress {
     }
 
     /// Hands one stream's run to its route.
-    fn deliver(&self, routes: &BTreeMap<u32, DetachableSender<Packet>>, run: Vec<Packet>) {
+    fn deliver(&self, routes: &BTreeMap<u32, Route>, run: Vec<Packet>) {
         let Some(head) = run.first() else {
             return;
         };
-        let Some(sink) = routes.get(&head.stream().value()) else {
+        let Some(route) = routes.get(&head.stream().value()) else {
             self.unknown_streams.fetch_add(run.len() as u64, Ordering::Relaxed);
             self.stats.record_drops(run.len());
             return;
@@ -334,17 +378,22 @@ impl SharedUdpIngress {
         // Received ⇒ counted: the counter moves before the packets become
         // observable to any consumer.
         self.stats.record_rx_packets(run.len());
+        let offered = match &route.inlet {
+            Some(inlet) => inlet.offer(run),
+            None => Some(run),
+        };
+        let Some(run) = offered else { return };
         // Never block the drain: a full (or paused/closed) route sheds what
         // it cannot take, UDP-style, instead of stalling neighbouring
         // streams.
-        let shed = match sink.try_send_batch(run) {
+        let shed = match route.sink.try_send_batch(run) {
             Ok(leftover) => leftover,
             Err(err) => err.into_inner(),
         };
         self.stats.record_drops(shed.len());
     }
 
-    fn lock_routes(&self) -> MutexGuard<'_, BTreeMap<u32, DetachableSender<Packet>>> {
+    fn lock_routes(&self) -> MutexGuard<'_, BTreeMap<u32, Route>> {
         self.routes.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -868,6 +917,53 @@ mod tests {
         assert_eq!(ingress.stats().dropped(), 1);
         assert_eq!(ingress.stats().rx_packets(), 8);
         assert_eq!(second.try_recv_up_to(16).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_route_inlet_is_offered_each_run_first_and_its_refusals_take_the_pipe() {
+        /// Takes every other run, counting what it saw as received.
+        struct EveryOther {
+            ingress: TransportStats,
+            taken: Mutex<Vec<u64>>,
+            offers: AtomicU64,
+        }
+        impl RouteInlet for EveryOther {
+            fn offer(&self, run: Vec<Packet>) -> Option<Vec<Packet>> {
+                let counted = self.ingress.rx_packets();
+                let seen = self.taken.lock().unwrap().len() as u64;
+                assert!(counted >= seen + run.len() as u64, "offered before it was counted");
+                if self.offers.fetch_add(1, Ordering::SeqCst) % 2 == 1 {
+                    return Some(run);
+                }
+                self.taken.lock().unwrap().extend(run.iter().map(|p| p.seq().value()));
+                None
+            }
+        }
+        let ingress = SharedUdpIngress::bind("127.0.0.1:0", &UdpConfig::default()).unwrap();
+        let inlet = Arc::new(EveryOther {
+            ingress: ingress.stats(),
+            taken: Mutex::new(Vec::new()),
+            offers: AtomicU64::new(0),
+        });
+        let (sink, piped) = pipe::<Packet>(64);
+        ingress.open_stream_with_inlet(StreamId::new(1), sink, inlet.clone()).unwrap();
+        let plain = ingress.open_stream(StreamId::new(2)).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        // Runs of stream 1 — [0 1] [2] [3 4] [5] — split by stream 2's frames.
+        for (stream, seq) in [(1, 0), (1, 1), (2, 0), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2)] {
+            send_encoded(&tx, ingress.local_addr(), &packet(stream, seq));
+        }
+        send_encoded(&tx, ingress.local_addr(), &packet(1, 5));
+        drain_until(&ingress, || ingress.stats.rx_packets() == 9);
+        assert_eq!(*inlet.taken.lock().unwrap(), [0, 1, 3, 4]);
+        let queued = piped.try_recv_up_to(16).unwrap();
+        assert_eq!(queued.iter().map(|p| p.seq().value()).collect::<Vec<_>>(), [2, 5]);
+        assert_eq!(plain.try_recv_up_to(16).unwrap().len(), 3, "inlet-free routes are untouched");
+        assert_eq!(ingress.stats().dropped(), 0);
+        // A FIN still closes the route behind the frames that preceded it.
+        send_encoded(&tx, ingress.local_addr(), &stream_fin_packet(StreamId::new(1)));
+        drain_until(&ingress, || ingress.route_count() == 1);
+        assert_eq!(piped.try_recv().unwrap_err(), TryRecvError::Eof);
     }
 
     #[test]

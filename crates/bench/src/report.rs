@@ -46,8 +46,8 @@ pub struct RunMeta {
     pub date: String,
     /// Host description: architecture, OS, and logical CPU count.
     pub host: String,
-    /// Feature flags that affect the numbers — the dispatched GF(2⁸), CRC-32
-    /// and AEAD (keystream + MAC) kernels and whether
+    /// Feature flags that affect the numbers — the dispatched GF(2⁸), CRC-32,
+    /// ChaCha20 keystream and Poly1305 kernels and whether
     /// `RAPIDWARE_FORCE_SCALAR` was set.
     pub flags: String,
 }
@@ -64,6 +64,7 @@ impl RunMeta {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get().to_string())
             .unwrap_or_else(|_| "?".to_string());
+        let aead = rapidware::filters::Keystream::active();
         let force_scalar = std::env::var("RAPIDWARE_FORCE_SCALAR")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
@@ -76,10 +77,11 @@ impl RunMeta {
                 std::env::consts::OS
             ),
             flags: format!(
-                "gf256-kernel={} crc-kernel={} mac-kernel={} force-scalar={}",
+                "gf256-kernel={} crc-kernel={} chacha-kernel={} mac-kernel={} force-scalar={}",
                 rapidware::fec::gf256::active_kernel().name(),
                 rapidware::packet::CrcKernel::active().name(),
-                rapidware::filters::Keystream::active().name(),
+                aead.name(),
+                aead.mac_name(),
                 force_scalar
             ),
         }
@@ -287,7 +289,7 @@ mod tests {
             "\"host\": {}",
             json_string(&report.meta().host)
         )));
-        for flag in ["gf256-kernel=", "crc-kernel=", "mac-kernel=", "force-scalar="] {
+        for flag in ["gf256-kernel=", "crc-kernel=", "chacha-kernel=", "mac-kernel=", "force-scalar="] {
             assert!(json.contains(flag), "{flag} missing from {json}");
         }
     }

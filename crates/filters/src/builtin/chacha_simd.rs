@@ -1,4 +1,5 @@
-//! x86-64 AVX2 kernel for the ChaCha20 keystream: eight blocks per call.
+//! x86-64 kernels for the ChaCha20 keystream: eight blocks per call on
+//! AVX2, sixteen plus up to four on AVX-512.
 //!
 //! ChaCha20 blocks under one `(key, nonce)` differ only in their counter
 //! word, so eight of them run side by side: each of the sixteen state words
@@ -12,33 +13,60 @@
 //! blocks, which are XORed with the source on their way to the
 //! destination.
 //!
+//! The AVX-512 kernel ([`Avx512`]) runs the same word-major layout sixteen
+//! lanes wide in `zmm` registers, where `vprold` does all four rotations,
+//! and a 16 × 16 transpose (`vpunpck{l,h}{dq,qdq}`, then `vshufi32x4`)
+//! brings the blocks back.  A call that needs more than sixteen blocks
+//! carries up to four more in *row layout*: one whole block per 128-bit
+//! lane, rows `a`, `b`, `c`, `d` in four vectors, the diagonal round
+//! reached by rotating rows with `vpshufd`.  Those four blocks are one long
+//! dependent chain, so their rounds are interleaved into the sixteen
+//! lanes' round loop, where that chain hides under the lanes' throughput.
+//! One call thus covers 1 to [`WIDEST_BLOCKS`] (20) blocks; a ragged last
+//! block is read and written through AVX-512BW byte masks.
+//!
 //! # Safety
 //!
-//! This is the only module in the crate that uses `unsafe`, and it uses it
-//! for exactly two things:
+//! This module and `poly1305_simd.rs` are the only ones in the crate that
+//! use `unsafe`, and this one uses it for exactly two things:
 //!
-//! * **`#[target_feature]` calls** — the kernel is compiled for AVX2, which
-//!   the build target does not guarantee.  It is reachable only through the
-//!   methods of [`Avx2`], a token whose two constructors are the only code
-//!   that can make one: [`Avx2::active`] hands it out when the process-wide
-//!   dispatcher `rapidware_fec::gf256::active_kernel()` selected AVX2
-//!   (which it does only after `is_x86_feature_detected!("avx2")`), and
-//!   [`Avx2::detected`] runs that detection itself.  Holding a token is
-//!   proof the instructions exist.
+//! * **`#[target_feature]` calls** — the kernels are compiled for AVX2 and
+//!   AVX-512F/BW, which the build target does not guarantee.  They are
+//!   reachable only through the methods of [`Avx2`] and [`Avx512`], tokens
+//!   whose constructors are the only code that can make one:
+//!   [`Avx2::active`] hands one out when the process-wide dispatcher
+//!   `rapidware_fec::gf256::active_kernel()` selected AVX2 (which it does
+//!   only after `is_x86_feature_detected!("avx2")`), [`Avx512::active`]
+//!   when it did *and* `is_x86_feature_detected!` confirms `avx512f` and
+//!   `avx512bw`, and the two `detected` constructors run the detection
+//!   themselves.  Holding a token is proof the instructions exist.
 //! * **unaligned vector loads/stores** — `_mm256_loadu_si256` /
 //!   `_mm256_storeu_si256` through pointers derived from the argument
-//!   slices, at offsets `0, 32, …, 480`.  The safe wrappers assert that
-//!   every slice is exactly [`GROUP_LEN`] (512) bytes before calling.
+//!   slices, at offsets `0, 32, …, 480`, whose safe wrapper asserts that
+//!   every slice is exactly [`GROUP_LEN`] (512) bytes; and
+//!   `_mm512_loadu_si512` / `_mm512_storeu_si512` at offsets `0, 64, …`
+//!   below the slices' common length, the ragged last block through
+//!   `_mm512_maskz_loadu_epi8` / `_mm512_mask_storeu_epi8` whose mask
+//!   enables only the bytes below that length (masked-off bytes are never
+//!   accessed).  That wrapper asserts equal lengths and at most
+//!   [`WIDEST_BLOCKS`] blocks.
 //!
 //! The scalar `chacha20_words` in `secure.rs` stays the always-compiled
-//! reference and the path for short inputs and tails; this kernel is a
-//! drop-in with byte-identical output (property-tested in
+//! reference and the path for short inputs and tails; these kernels are
+//! drop-ins with byte-identical output (property-tested in
 //! `tests/proptest_aead_kernels.rs`, including the `u32::MAX` counter wrap
-//! inside a group).
+//! at every position of a call).
 #![allow(unsafe_code)]
 
-/// Bytes of keystream one kernel call produces: eight 64-byte blocks.
+/// Bytes of keystream one AVX2 call produces: eight 64-byte blocks.
 pub(crate) const GROUP_LEN: usize = 512;
+
+/// Blocks one AVX-512 call produces in its word-major lanes alone.
+pub(crate) const LANE_BLOCKS: usize = 16;
+
+/// Most blocks one AVX-512 call produces: the sixteen lanes and four
+/// row-layout blocks.
+pub(crate) const WIDEST_BLOCKS: usize = LANE_BLOCKS + 4;
 
 /// Proof that this CPU executes AVX2; the only handle to the kernel.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +129,82 @@ impl Avx2 {
     }
 }
 
+/// Proof that this CPU executes AVX-512F, AVX-512BW and AVX2; the only
+/// handle to the 16+4-way kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx512(());
+
+impl Avx512 {
+    /// The token, if the process-wide dispatcher selected the wide (AVX2)
+    /// kernels and the CPU also has AVX-512F and AVX-512BW — so
+    /// `RAPIDWARE_FORCE_SCALAR` pins this kernel off too.
+    pub(crate) fn active() -> Option<Self> {
+        Avx2::active().and_then(|_| Self::detected())
+    }
+
+    /// The token, if the CPU has AVX-512F, AVX-512BW and AVX2 — regardless
+    /// of the dispatcher.  For the parity suites and the kernel bench.
+    pub(crate) fn detected() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && Avx2::detected().is_some()
+        {
+            return Some(Self(()));
+        }
+        None
+    }
+
+    /// The AVX2 token, which this one implies.
+    pub(crate) fn avx2(self) -> Avx2 {
+        Avx2(())
+    }
+
+    /// One call over the blocks starting at `state`'s counter (`state[12]`,
+    /// wrapping): with `key`, the first block's raw keystream lands there;
+    /// the blocks after it give `dst = src ^ keystream`, a ragged last block
+    /// using only its first bytes.  `src` and `dst` must be the same length
+    /// and the call at most [`WIDEST_BLOCKS`] blocks, `key` included.
+    #[inline]
+    pub(crate) fn xor(self, state: &[u32; 16], key: Option<&mut [u8; 64]>, src: &[u8], dst: &mut [u8]) {
+        assert_eq!(src.len(), dst.len(), "xor needs equal-length slices");
+        self.call(state, key, Some(src), dst);
+    }
+
+    /// One call writing raw keystream over `dst`, at most
+    /// [`WIDEST_BLOCKS`] blocks of it.
+    #[inline]
+    pub(crate) fn keystream(self, state: &[u32; 16], dst: &mut [u8]) {
+        self.call(state, None, None, dst);
+    }
+
+    #[inline]
+    fn call(self, state: &[u32; 16], key: Option<&mut [u8; 64]>, src: Option<&[u8]>, dst: &mut [u8]) {
+        let blocks = usize::from(key.is_some()) + dst.len().div_ceil(64);
+        assert!(blocks <= WIDEST_BLOCKS, "one call is at most 20 blocks");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` proves AVX-512F/BW were detected (see the module
+        // doc); the kernel writes 64 bytes to `key` when there is one,
+        // reads `src` and writes `dst` below `dst.len()` only — `src` is as
+        // long (asserted by `xor`) — and produces at most the 20 blocks
+        // just asserted.
+        unsafe {
+            x86::blocks(
+                state,
+                key.map(|key| key.as_mut_ptr()),
+                src.map(<[u8]>::as_ptr),
+                dst.as_mut_ptr(),
+                dst.len(),
+            );
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (state, key, src, blocks);
+            unreachable!("no Avx512 token exists off x86-64");
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
@@ -108,8 +212,15 @@ mod x86 {
         _mm256_permute2x128_si256, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setr_epi8,
         _mm256_shuffle_epi8, _mm256_slli_epi32, _mm256_srli_epi32, _mm256_storeu_si256,
         _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi32,
-        _mm256_unpacklo_epi64, _mm256_xor_si256,
+        _mm256_unpacklo_epi64, _mm256_xor_si256, _mm512_add_epi32, _mm512_broadcast_i32x4,
+        _mm512_loadu_si512, _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi8, _mm512_rol_epi32,
+        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512, _mm512_shuffle_epi32,
+        _mm512_shuffle_i32x4, _mm512_storeu_si512, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64,
+        _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512, _mm_loadu_si128, __m128i,
+        __m512i,
     };
+
+    use super::{LANE_BLOCKS, WIDEST_BLOCKS};
 
     /// Eight ChaCha20 blocks: keystream, XORed with `src` when there is one.
     ///
@@ -227,6 +338,229 @@ mod x86 {
             _mm256_permute2x128_si256::<0x31>(abcd[1], efgh[1]),
             _mm256_permute2x128_si256::<0x31>(abcd[2], efgh[2]),
             _mm256_permute2x128_si256::<0x31>(abcd[3], efgh[3]),
+        ]
+    }
+
+    /// One 16+4-way call: `usize::from(key.is_some()) + ⌈len / 64⌉` blocks
+    /// from `state`'s counter.  The first goes raw to `key` when there is
+    /// one; the rest give `dst = src ^ keystream` (raw keystream without
+    /// `src`) over `len` bytes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512BW.  At most [`WIDEST_BLOCKS`] blocks;
+    /// `key`, when `Some`, must be valid for 64 bytes of writes, `dst` for
+    /// `len` bytes of writes and `src`, when `Some`, for `len` bytes of
+    /// reads.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn blocks(
+        state: &[u32; 16],
+        key: Option<*mut u8>,
+        src: Option<*const u8>,
+        dst: *mut u8,
+        len: usize,
+    ) {
+        let sink = Sink {
+            count: usize::from(key.is_some()) + len.div_ceil(64),
+            key,
+            src,
+            dst,
+            len,
+        };
+        debug_assert!(sink.count <= WIDEST_BLOCKS);
+        // The row-layout blocks add about a seventh to the call (≈ 310 →
+        // 350 ns), so only a call that needs them computes them.
+        if sink.count > LANE_BLOCKS {
+            keystream16::<true>(state, &sink);
+        } else {
+            keystream16::<false>(state, &sink);
+        }
+    }
+
+    /// Where the blocks of one [`blocks`] call go, as it describes.
+    struct Sink {
+        /// Blocks the call produces.
+        count: usize,
+        key: Option<*mut u8>,
+        src: Option<*const u8>,
+        dst: *mut u8,
+        len: usize,
+    }
+
+    impl Sink {
+        /// Puts keystream block `index` of the call where it belongs, or
+        /// drops it if the call needs fewer blocks.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512F and AVX-512BW, and the pointers to be valid as
+        /// [`blocks`] requires.
+        #[target_feature(enable = "avx512f,avx512bw")]
+        #[inline]
+        unsafe fn put(&self, index: usize, block: __m512i) {
+            if index >= self.count {
+                return;
+            }
+            // With a `key`, block 0 goes there and `dst` starts at block 1.
+            let skip = usize::from(self.key.is_some());
+            let Some(offset) = index.checked_sub(skip).map(|block| block * 64) else {
+                if let Some(key) = self.key {
+                    _mm512_storeu_si512(key.cast::<__m512i>(), block);
+                }
+                return;
+            };
+            let rest = self.len - offset;
+            if rest >= 64 {
+                let out = match self.src {
+                    Some(src) => {
+                        _mm512_xor_si512(block, _mm512_loadu_si512(src.add(offset).cast::<__m512i>()))
+                    }
+                    None => block,
+                };
+                _mm512_storeu_si512(self.dst.add(offset).cast::<__m512i>(), out);
+            } else {
+                // Only the bytes below `len` are enabled, so nothing past
+                // either slice is read or written.
+                let mask = (1u64 << rest) - 1;
+                let out = match self.src {
+                    Some(src) => {
+                        _mm512_xor_si512(block, _mm512_maskz_loadu_epi8(mask, src.add(offset).cast::<i8>()))
+                    }
+                    None => block,
+                };
+                _mm512_mask_storeu_epi8(self.dst.add(offset).cast::<i8>(), mask, out);
+            }
+        }
+    }
+
+    /// The keystream blocks `counter .. counter + 16` (and, with `ROWS`,
+    /// `counter + 16 .. counter + 20`), each handed to `sink` as soon as it
+    /// is whole.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn keystream16<const ROWS: bool>(state: &[u32; 16], sink: &Sink) {
+        // Word-major lanes: vector `i` holds state word `i` of sixteen
+        // blocks; the counter lane-wise wrapping, like the scalar
+        // `wrapping_add(1)`.  The feed-forward re-broadcasts the state
+        // rather than keeping sixteen more vectors live across the rounds.
+        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut x = [_mm512_setzero_si512(); 16];
+        for (vector, word) in x.iter_mut().zip(state) {
+            *vector = _mm512_set1_epi32(*word as i32);
+        }
+        x[12] = _mm512_add_epi32(x[12], lanes);
+        // Row layout: vector `r` holds row `r` (words `4r .. 4r + 4`) of
+        // blocks 16..20, one block per 128-bit lane.
+        let counters = _mm512_setr_epi32(16, 0, 0, 0, 17, 0, 0, 0, 18, 0, 0, 0, 19, 0, 0, 0);
+        let mut rows = [_mm512_setzero_si512(); 4];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = _mm512_broadcast_i32x4(_mm_loadu_si128(state[4 * r..].as_ptr().cast::<__m128i>()));
+        }
+        rows[3] = _mm512_add_epi32(rows[3], counters);
+        let rows_initial = rows;
+
+        for _ in 0..10 {
+            quarter_round16(&mut x, 0, 4, 8, 12);
+            quarter_round16(&mut x, 1, 5, 9, 13);
+            if ROWS {
+                row_round(&mut rows);
+                // Rotate rows b, c, d left by 1, 2, 3 words: the diagonals
+                // become columns.
+                rows[1] = _mm512_shuffle_epi32::<0x39>(rows[1]);
+                rows[2] = _mm512_shuffle_epi32::<0x4E>(rows[2]);
+                rows[3] = _mm512_shuffle_epi32::<0x93>(rows[3]);
+            }
+            quarter_round16(&mut x, 2, 6, 10, 14);
+            quarter_round16(&mut x, 3, 7, 11, 15);
+            quarter_round16(&mut x, 0, 5, 10, 15);
+            quarter_round16(&mut x, 1, 6, 11, 12);
+            if ROWS {
+                row_round(&mut rows);
+                rows[1] = _mm512_shuffle_epi32::<0x93>(rows[1]);
+                rows[2] = _mm512_shuffle_epi32::<0x4E>(rows[2]);
+                rows[3] = _mm512_shuffle_epi32::<0x39>(rows[3]);
+            }
+            quarter_round16(&mut x, 2, 7, 8, 13);
+            quarter_round16(&mut x, 3, 4, 9, 14);
+        }
+        for (vector, word) in x.iter_mut().zip(state) {
+            *vector = _mm512_add_epi32(*vector, _mm512_set1_epi32(*word as i32));
+        }
+        x[12] = _mm512_add_epi32(x[12], lanes);
+
+        // Two rounds of 32- then 64-bit interleaves turn words `4g .. 4g + 4`
+        // into four vectors `quads[r][g]` whose 128-bit lane `l` holds those
+        // words of block `4l + r`; a 4 × 4 lane transpose finishes.
+        let mut quads = [[_mm512_setzero_si512(); 4]; 4];
+        for (g, words) in x.chunks_exact(4).enumerate() {
+            let ab_lo = _mm512_unpacklo_epi32(words[0], words[1]);
+            let ab_hi = _mm512_unpackhi_epi32(words[0], words[1]);
+            let cd_lo = _mm512_unpacklo_epi32(words[2], words[3]);
+            let cd_hi = _mm512_unpackhi_epi32(words[2], words[3]);
+            quads[0][g] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+            quads[1][g] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+            quads[2][g] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+            quads[3][g] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+        }
+        for (r, quad) in quads.into_iter().enumerate() {
+            for (lane, block) in transpose_lanes(quad).into_iter().enumerate() {
+                sink.put(4 * lane + r, block);
+            }
+        }
+        if ROWS {
+            for (row, start) in rows.iter_mut().zip(&rows_initial) {
+                *row = _mm512_add_epi32(*row, *start);
+            }
+            for (k, block) in transpose_lanes(rows).into_iter().enumerate() {
+                sink.put(LANE_BLOCKS + k, block);
+            }
+        }
+    }
+
+    /// The scalar quarter round of `secure.rs`, sixteen blocks wide.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn quarter_round16(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// Four quarter rounds of four row-layout blocks at once: each 32-bit
+    /// lane of `rows` is one column (or, rotated, one diagonal).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn row_round(rows: &mut [__m512i; 4]) {
+        let [a, b, c, d] = rows;
+        *a = _mm512_add_epi32(*a, *b);
+        *d = _mm512_rol_epi32::<16>(_mm512_xor_si512(*d, *a));
+        *c = _mm512_add_epi32(*c, *d);
+        *b = _mm512_rol_epi32::<12>(_mm512_xor_si512(*b, *c));
+        *a = _mm512_add_epi32(*a, *b);
+        *d = _mm512_rol_epi32::<8>(_mm512_xor_si512(*d, *a));
+        *c = _mm512_add_epi32(*c, *d);
+        *b = _mm512_rol_epi32::<7>(_mm512_xor_si512(*b, *c));
+    }
+
+    /// Transposes a 4 × 4 matrix of 128-bit lanes: vector `k` of the result
+    /// is lane `k` of each input vector, in input order.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn transpose_lanes([a, b, c, d]: [__m512i; 4]) -> [__m512i; 4] {
+        let ab_lo = _mm512_shuffle_i32x4::<0x44>(a, b); // a0 a1 b0 b1
+        let cd_lo = _mm512_shuffle_i32x4::<0x44>(c, d); // c0 c1 d0 d1
+        let ab_hi = _mm512_shuffle_i32x4::<0xEE>(a, b); // a2 a3 b2 b3
+        let cd_hi = _mm512_shuffle_i32x4::<0xEE>(c, d); // c2 c3 d2 d3
+        [
+            _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo),
+            _mm512_shuffle_i32x4::<0xDD>(ab_lo, cd_lo),
+            _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi),
+            _mm512_shuffle_i32x4::<0xDD>(ab_hi, cd_hi),
         ]
     }
 }

@@ -11,7 +11,7 @@
 //! any tag, nonce, or key mismatch into a *counted drop* — never a panic,
 //! never a forwarded corrupt frame.
 //!
-//! ## One pass, one allocation, two kernels
+//! ## One pass, one allocation, three keystream kernels
 //!
 //! Sealing reads the shared payload where it lies and writes ciphertext
 //! straight into the new payload's `Bytes`, MAC-ing each run of at most
@@ -20,15 +20,20 @@
 //! against the borrowed bytes first and allocates only for a frame that
 //! authenticates, so a forged frame costs its MAC and no more.
 //!
-//! The ChaCha20 keystream comes from one of two kernels: the scalar block
-//! function in this file — always compiled, the reference, and the path
-//! for short payloads and tails — or the AVX2 kernel of `chacha_simd.rs`,
-//! which produces eight blocks per call.  Which one is decided by
-//! `rapidware_fec::gf256::active_kernel()`, the dispatcher the GF(2⁸)
-//! kernels already use, so `RAPIDWARE_FORCE_SCALAR=1` pins the cipher to
-//! the scalar path along with them.  Block 0 (whose first half is the
-//! Poly1305 one-time key) is generated in the same 8-way call as the first
-//! 448 bytes of payload keystream.
+//! The ChaCha20 keystream comes from one of three kernels: the scalar
+//! block function in this file — always compiled, the reference, and the
+//! path for short payloads and tails — or the AVX2 kernel of
+//! `chacha_simd.rs`, which produces eight blocks per call, or its AVX-512
+//! kernel, which produces sixteen plus up to four per call and takes
+//! every packet past one 8-way group ([`WIDER_MIN_BLOCKS`]).  Which ones
+//! exist is decided by `rapidware_fec::gf256::active_kernel()`, the
+//! dispatcher the GF(2⁸) kernels already use (and, for AVX-512, feature
+//! detection on top), so `RAPIDWARE_FORCE_SCALAR=1` pins the cipher to the
+//! scalar path along with them.  Block 0 (whose first half is the Poly1305
+//! one-time key) is generated in the same call as the first payload
+//! keystream: the first 448 bytes of it on the 8-way kernel, up to 1,216
+//! bytes — a whole 1 KiB frame — on the 16+4-way one, whose payload blocks
+//! are XORed straight into the sealed payload.
 //!
 //! The same choice covers the MAC.  The scalar Poly1305 in this file
 //! (44-bit limbs, two blocks per step) is the reference and finishes every
@@ -66,7 +71,7 @@ use std::sync::Arc;
 
 use rapidware_packet::{Bytes, Packet, PacketKind};
 
-use super::chacha_simd::{Avx2, GROUP_LEN};
+use super::chacha_simd::{Avx2, Avx512, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
 use super::poly1305_simd;
 use crate::error::FilterError;
 use crate::filter::{Filter, FilterDescriptor, FilterOutput};
@@ -147,9 +152,11 @@ fn xor_into(dst: &mut [u8], src: &[u8], pad: &[u8]) {
 }
 
 /// Which kernels a call runs on: the scalar [`chacha20_words`] block by
-/// block and the scalar [`Poly1305`], or the AVX2 kernels of
+/// block and the scalar [`Poly1305`]; or the AVX2 kernels of
 /// `chacha_simd.rs` (eight keystream blocks per call) and
-/// `poly1305_simd.rs` (four MAC blocks per step).
+/// `poly1305_simd.rs` (four MAC blocks per step); or those two plus the
+/// AVX-512 keystream kernel of `chacha_simd.rs` (16 + 4 blocks per call),
+/// which takes every packet past one 8-way group.
 ///
 /// The filters always run [`Keystream::active`].  The type is exported
 /// (hidden from the documented API) only so the kernel parity suite and the
@@ -157,7 +164,10 @@ fn xor_into(dst: &mut [u8], src: &[u8], pad: &[u8]) {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
 pub struct Keystream {
+    /// The 8-way keystream and 4-way MAC kernels; `None` runs scalar.
     wide: Option<Avx2>,
+    /// The 16+4-way keystream kernel; only ever set together with `wide`.
+    wider: Option<Avx512>,
 }
 
 /// Blocks of keystream still needed from which one 8-way call beats going
@@ -166,9 +176,23 @@ pub struct Keystream {
 /// block), so from three blocks up the wide kernel is never slower.
 const WIDE_MIN_BLOCKS: usize = 3;
 
+/// Blocks of keystream a packet needs (block 0 included) from which it runs
+/// on the 16+4-way kernel rather than the 8-way one: past one 8-way group,
+/// i.e. payloads over 448 bytes.  Measured on a Xeon (Sapphire Rapids,
+/// 2 vCPUs): a 16-block call reads within 15 % of one 8-way group (≈ 285
+/// against 300–340 ns), too close to separate on that host, so a packet
+/// that fits one group keeps the 8-way kernel; from nine blocks the one
+/// call replaces a second group or scalar tail blocks and is 1.7–2.6×
+/// cheaper (see ARCHITECTURE.md).
+const WIDER_MIN_BLOCKS: usize = 9;
+
 /// Ciphertext bytes [`Keystream::seal`] produces before it stops to MAC
-/// them: eight keystream groups.
-const MAC_RUN_LEN: usize = 8 * GROUP_LEN;
+/// them: sixty-four blocks, which are whole 8-way groups and whole 16-block
+/// calls.
+const MAC_RUN_LEN: usize = 64 * 64;
+
+/// Keystream bytes a [`Cipher`] can hold ahead of use: one 16+4-way call.
+const AHEAD_LEN: usize = WIDEST_BLOCKS * 64;
 
 /// Ciphertext bytes from which a frame's MAC runs on the 4-way kernel.
 /// Below it the kernel's fixed costs — three more powers of `r`, the re-cut
@@ -180,30 +204,68 @@ const WIDE_MAC_MIN_LEN: usize = 384;
 impl Keystream {
     /// The scalar reference kernel.
     pub fn scalar() -> Self {
-        Self { wide: None }
-    }
-
-    /// The AVX2 kernel, or `None` when this CPU does not have AVX2.
-    /// Ignores `RAPIDWARE_FORCE_SCALAR`.
-    pub fn avx2() -> Option<Self> {
-        Avx2::detected().map(|simd| Self { wide: Some(simd) })
-    }
-
-    /// The kernel `rapidware_fec::gf256::active_kernel()` selects for this
-    /// process — the one dispatcher (and the one `RAPIDWARE_FORCE_SCALAR`
-    /// switch) the GF(2⁸) kernels use.
-    pub fn active() -> Self {
         Self {
-            wide: Avx2::active(),
+            wide: None,
+            wider: None,
         }
     }
 
-    /// `"avx2"` or `"scalar"`.
+    /// The AVX2 kernels alone, or `None` when this CPU does not have AVX2.
+    /// Ignores `RAPIDWARE_FORCE_SCALAR`.
+    pub fn avx2() -> Option<Self> {
+        Avx2::detected().map(|simd| Self {
+            wide: Some(simd),
+            wider: None,
+        })
+    }
+
+    /// The AVX-512 keystream kernel over the AVX2 ones, or `None` when this
+    /// CPU lacks AVX-512F/BW.  Ignores `RAPIDWARE_FORCE_SCALAR`.
+    pub fn avx512() -> Option<Self> {
+        Avx512::detected().map(|simd| Self {
+            wide: Some(simd.avx2()),
+            wider: Some(simd),
+        })
+    }
+
+    /// The kernels `rapidware_fec::gf256::active_kernel()` selects for this
+    /// process — the one dispatcher (and the one `RAPIDWARE_FORCE_SCALAR`
+    /// switch) the GF(2⁸) kernels use — widened to AVX-512 where the CPU
+    /// has it.
+    pub fn active() -> Self {
+        Self {
+            wide: Avx2::active(),
+            wider: Avx512::active(),
+        }
+    }
+
+    /// The widest keystream kernel: `"avx512"`, `"avx2"` or `"scalar"`.
     pub fn name(self) -> &'static str {
+        match (self.wider, self.wide) {
+            (Some(_), _) => "avx512",
+            (None, Some(_)) => "avx2",
+            (None, None) => "scalar",
+        }
+    }
+
+    /// The MAC kernel, which has no AVX-512 form: `"avx2"` or `"scalar"`.
+    pub fn mac_name(self) -> &'static str {
         if self.wide.is_some() {
             "avx2"
         } else {
             "scalar"
+        }
+    }
+
+    /// These kernels as a packet needing `blocks` blocks of keystream
+    /// (block 0 included) runs them: the widest one that pays off.
+    fn for_blocks(self, blocks: usize) -> Self {
+        if blocks < WIDE_MIN_BLOCKS {
+            Self::scalar()
+        } else if blocks < WIDER_MIN_BLOCKS {
+            Self { wider: None, ..self }
+        } else {
+            self
         }
     }
 
@@ -241,11 +303,11 @@ impl Keystream {
         let mut sealed = Bytes::zeroed(plaintext.len() + TAG_LEN);
         let (ciphertext, tag) = sealed.make_mut().split_at_mut(plaintext.len());
         let mut cipher = Cipher::for_packet(self, key, nonce, plaintext.len());
-        let mut mac = self.mac_begin(&cipher.one_time_key(), aad, plaintext.len());
-        // The first run ends where its last keystream group does, so
-        // every later run is whole groups.
-        let head = plaintext.len().min(cipher.buffered() + MAC_RUN_LEN - GROUP_LEN);
-        cipher.apply(&plaintext[..head], &mut ciphertext[..head]);
+        // Block 0 and the first run are one run of blocks, so every later
+        // run starts on a group and call boundary.
+        let head = plaintext.len().min(MAC_RUN_LEN - 64);
+        let otk = cipher.start(&plaintext[..head], &mut ciphertext[..head]);
+        let mut mac = self.mac_begin(&otk, aad, plaintext.len());
         mac.update(&ciphertext[..head]);
         for (src, dst) in plaintext[head..]
             .chunks(MAC_RUN_LEN)
@@ -266,7 +328,7 @@ impl Keystream {
         let plaintext_len = sealed.len().checked_sub(TAG_LEN)?;
         let (ciphertext, tag) = sealed.split_at(plaintext_len);
         let mut cipher = Cipher::for_packet(self, key, nonce, plaintext_len);
-        if !self.tag_matches(&cipher.one_time_key(), aad, ciphertext, tag) {
+        if !self.tag_matches(&cipher.one_time_key(plaintext_len), aad, ciphertext, tag) {
             return None;
         }
         let mut plaintext = Bytes::zeroed(plaintext_len);
@@ -303,21 +365,45 @@ impl Keystream {
 struct Cipher {
     /// The state whose counter word is the next block to generate.
     state: [u32; 16],
-    /// The 8-way kernel and its read-ahead; `None` goes block by block.
-    wide: Option<Wide>,
-    /// Set once a call has ended inside a scalar block, whose unused
-    /// keystream is dropped: that call must be the cipher's last.
+    /// The kernels this keystream runs on.
+    kernel: Keystream,
+    /// Keystream an earlier call generated past what its caller could use
+    /// yet; `None` until a call first needs the room, so a cipher that never
+    /// does (every seal on the 16+4-way kernel) never clears it.
+    ahead: Option<Ahead>,
+    /// Set once a call has ended inside a block whose unused keystream was
+    /// dropped: that call must be the cipher's last.
     ended: bool,
 }
 
-/// The 8-way side of a [`Cipher`].  A group is 512 bytes of keystream
-/// whether or not the caller has that much to XOR yet, so what is generated
-/// past the end of one `apply` waits here for the next.
-struct Wide {
-    simd: Avx2,
-    /// Keystream generated but not yet used: `ahead[ahead_pos..]`.
-    ahead: [u8; GROUP_LEN],
-    ahead_pos: usize,
+/// Read-ahead keystream: `bytes[pos..end]` is generated but not yet used.
+struct Ahead {
+    bytes: [u8; AHEAD_LEN],
+    pos: usize,
+    end: usize,
+}
+
+impl Ahead {
+    /// Room for one call's keystream, of which the caller fills
+    /// `bytes[..end]` and uses `bytes[..pos]` at once.
+    fn new(pos: usize, end: usize) -> Self {
+        Self {
+            bytes: [0u8; AHEAD_LEN],
+            pos,
+            end,
+        }
+    }
+}
+
+/// Blocks the next 16+4-way call takes of `blocks` still needed: all of
+/// them if one call can, else sixteen — so the last call of a run carries
+/// what is left over a multiple of sixteen, up to four blocks of it.
+fn call_blocks(blocks: usize) -> usize {
+    if blocks > WIDEST_BLOCKS {
+        LANE_BLOCKS
+    } else {
+        blocks
+    }
 }
 
 impl Cipher {
@@ -325,76 +411,118 @@ impl Cipher {
     fn at(kernel: Keystream, state: [u32; 16]) -> Self {
         Self {
             state,
-            wide: kernel.wide.map(|simd| Wide {
-                simd,
-                ahead: [0u8; GROUP_LEN],
-                ahead_pos: GROUP_LEN,
-            }),
+            kernel,
+            ahead: None,
             ended: false,
         }
     }
 
     /// A cipher at block 0 of the keystream of one packet whose payload is
-    /// `payload_len` bytes.  A payload too short to need
-    /// [`WIDE_MIN_BLOCKS`] blocks (counting block 0) goes block by block
-    /// whatever the kernel.
+    /// `payload_len` bytes, on the kernel that packet's length calls for
+    /// ([`Keystream::for_blocks`]).
     fn for_packet(kernel: Keystream, key: &[u8; 32], nonce: &[u8; 12], payload_len: usize) -> Self {
-        let kernel = if 1 + payload_len.div_ceil(64) < WIDE_MIN_BLOCKS {
-            Keystream::scalar()
-        } else {
-            kernel
-        };
+        let kernel = kernel.for_blocks(1 + payload_len.div_ceil(64));
         Self::at(kernel, chacha20_state(key, 0, nonce))
     }
 
+    fn advance(&mut self, blocks: usize) {
+        self.state[12] = self.state[12].wrapping_add(blocks as u32);
+    }
+
     /// Generates block 0 and returns its first half — the Poly1305 one-time
-    /// key — leaving the cipher at block 1, where the payload starts.  On
-    /// the 8-way kernel block 0 rides in the first group, so the same call
-    /// already holds the keystream for the first 448 payload bytes.
-    fn one_time_key(&mut self) -> [u8; 32] {
+    /// key — leaving the cipher at block 1, where the `payload_len`-byte
+    /// payload starts.  A wide kernel generates block 0 in the call that
+    /// also makes the payload's first keystream, which waits ahead.
+    fn one_time_key(&mut self, payload_len: usize) -> [u8; 32] {
         debug_assert_eq!(self.state[12], 0, "the one-time key is block 0");
         let mut otk = [0u8; 32];
-        if let Some(wide) = &mut self.wide {
-            wide.simd.keystream_group(&self.state, &mut wide.ahead);
-            wide.ahead_pos = 64;
-            self.state[12] = 8;
-            otk.copy_from_slice(&wide.ahead[..32]);
-        } else {
+        let Some(simd) = self.kernel.wide else {
             words_to_bytes(&chacha20_words(&self.state)[..8], &mut otk);
-            self.state[12] = 1;
+            self.advance(1);
+            return otk;
+        };
+        let blocks = match self.kernel.wider {
+            Some(_) => call_blocks(1 + payload_len.div_ceil(64)),
+            None => 8,
+        };
+        let ahead = self.ahead.insert(Ahead::new(64, blocks * 64));
+        match self.kernel.wider {
+            Some(wider) => wider.keystream(&self.state, &mut ahead.bytes[..blocks * 64]),
+            None => simd.keystream_group(&self.state, &mut ahead.bytes[..GROUP_LEN]),
         }
+        otk.copy_from_slice(&ahead.bytes[..32]);
+        self.advance(blocks);
         otk
     }
 
-    /// Keystream bytes already generated and waiting to be used.
-    fn buffered(&self) -> usize {
-        self.wide.as_ref().map_or(0, |wide| GROUP_LEN - wide.ahead_pos)
+    /// [`one_time_key`](Self::one_time_key), then [`apply`](Self::apply)
+    /// over `src` — which on the 16+4-way kernel is one call less: its
+    /// first call carries block 0 and XORs the rest straight into `dst`.
+    fn start(&mut self, src: &[u8], dst: &mut [u8]) -> [u8; 32] {
+        let Some(simd) = self.kernel.wider else {
+            let otk = self.one_time_key(src.len());
+            self.apply(src, dst);
+            return otk;
+        };
+        debug_assert_eq!(self.state[12], 0, "the one-time key is block 0");
+        let first = src.len().min((call_blocks(1 + src.len().div_ceil(64)) - 1) * 64);
+        let mut block0 = [0u8; 64];
+        simd.xor(&self.state, Some(&mut block0), &src[..first], &mut dst[..first]);
+        self.advance(1 + first.div_ceil(64));
+        if first < src.len() {
+            self.apply(&src[first..], &mut dst[first..]);
+        } else {
+            self.ended = !first.is_multiple_of(64);
+        }
+        let mut otk = [0u8; 32];
+        otk.copy_from_slice(&block0[..32]);
+        otk
     }
 
     /// `dst = src ^ keystream`, advancing the position by `src.len()`.
     fn apply(&mut self, mut src: &[u8], mut dst: &mut [u8]) {
         assert!(!self.ended, "a call that ends inside a block is the last");
         debug_assert_eq!(src.len(), dst.len());
-        if let Some(wide) = &mut self.wide {
-            let ready = src.len().min(GROUP_LEN - wide.ahead_pos);
+        if let Some(ahead) = &mut self.ahead {
+            let ready = src.len().min(ahead.end - ahead.pos);
             let (src_ready, src_rest) = src.split_at(ready);
             let (dst_ready, dst_rest) = std::mem::take(&mut dst).split_at_mut(ready);
-            xor_into(dst_ready, src_ready, &wide.ahead[wide.ahead_pos..][..ready]);
-            wide.ahead_pos += ready;
+            xor_into(dst_ready, src_ready, &ahead.bytes[ahead.pos..][..ready]);
+            ahead.pos += ready;
+            src = src_rest;
+            dst = dst_rest;
+        }
 
-            let mut src_groups = src_rest.chunks_exact(GROUP_LEN);
-            let mut dst_groups = dst_rest.chunks_exact_mut(GROUP_LEN);
+        if let Some(simd) = self.kernel.wider {
+            // Every call XORs straight into `dst`; only the last can end
+            // inside a block.
+            while !src.is_empty() {
+                let take = src.len().min(call_blocks(src.len().div_ceil(64)) * 64);
+                let (src_call, src_rest) = src.split_at(take);
+                let (dst_call, dst_rest) = std::mem::take(&mut dst).split_at_mut(take);
+                simd.xor(&self.state, None, src_call, dst_call);
+                self.advance(take.div_ceil(64));
+                self.ended = !take.is_multiple_of(64);
+                src = src_rest;
+                dst = dst_rest;
+            }
+            return;
+        }
+
+        if let Some(simd) = self.kernel.wide {
+            let mut src_groups = src.chunks_exact(GROUP_LEN);
+            let mut dst_groups = std::mem::take(&mut dst).chunks_exact_mut(GROUP_LEN);
             for (src_group, dst_group) in (&mut src_groups).zip(&mut dst_groups) {
-                wide.simd.xor_group(&self.state, src_group, dst_group);
-                self.state[12] = self.state[12].wrapping_add(8);
+                simd.xor_group(&self.state, src_group, dst_group);
+                self.advance(8);
             }
             src = src_groups.remainder();
             dst = dst_groups.into_remainder();
             if src.len().div_ceil(64) >= WIDE_MIN_BLOCKS {
-                wide.simd.keystream_group(&self.state, &mut wide.ahead);
-                self.state[12] = self.state[12].wrapping_add(8);
-                xor_into(dst, src, &wide.ahead[..src.len()]);
-                wide.ahead_pos = src.len();
+                let ahead = self.ahead.insert(Ahead::new(src.len(), GROUP_LEN));
+                simd.keystream_group(&self.state, &mut ahead.bytes[..GROUP_LEN]);
+                xor_into(dst, src, &ahead.bytes[..src.len()]);
+                self.advance(8);
                 return;
             }
         }
@@ -402,7 +530,7 @@ impl Cipher {
         for (src_block, dst_block) in src.chunks(64).zip(dst.chunks_mut(64)) {
             let mut block = [0u8; 64];
             words_to_bytes(&chacha20_words(&self.state), &mut block);
-            self.state[12] = self.state[12].wrapping_add(1);
+            self.advance(1);
             xor_into(dst_block, src_block, &block[..src_block.len()]);
             self.ended = src_block.len() < 64;
         }
@@ -779,6 +907,20 @@ impl SecureChannelStats {
         self.rekeys.load(Ordering::Relaxed)
     }
 
+    /// Adds what a filter tallied over one packet or one batch.
+    fn publish(&self, tally: SecureChannelSnapshot) {
+        for (counter, count) in [
+            (&self.sealed, tally.sealed),
+            (&self.opened, tally.opened),
+            (&self.rejected, tally.rejected),
+            (&self.rekeys, tally.rekeys),
+        ] {
+            if count > 0 {
+                counter.fetch_add(count, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> SecureChannelSnapshot {
         SecureChannelSnapshot {
@@ -845,6 +987,10 @@ impl rapidware_telemetry::StatSource for SecureChannelSnapshot {
 struct EpochTable {
     base: [u8; 32],
     epochs: Vec<(u32, u64, [u8; 32])>,
+    /// The entry the last lookup chose and the seqs `lo..hi` that choose
+    /// it too, so a run of same-epoch packets looks its key up once;
+    /// cleared by every install.
+    last: Option<(usize, std::ops::Range<u64>)>,
 }
 
 impl EpochTable {
@@ -854,6 +1000,7 @@ impl EpochTable {
         Self {
             base,
             epochs: vec![(0, 0, initial)],
+            last: None,
         }
     }
 
@@ -866,19 +1013,30 @@ impl EpochTable {
         let key = epoch_key(&self.base, epoch);
         self.epochs.push((epoch, boundary, key));
         self.epochs.sort_by_key(|(e, _, _)| *e);
+        self.last = None;
         true
     }
 
     /// The key for `seq`: the highest installed epoch whose boundary does
     /// not exceed `seq`.  Old keys stay installed so re-ordered
     /// pre-boundary frames still open.
-    fn key_for(&self, seq: u64) -> &[u8; 32] {
-        self.epochs
-            .iter()
-            .rev()
-            .find(|(_, boundary, _)| *boundary <= seq)
-            .map(|(_, _, key)| key)
-            .unwrap_or(&self.epochs[0].2)
+    fn key_for(&mut self, seq: u64) -> &[u8; 32] {
+        let index = match &self.last {
+            Some((index, seqs)) if seqs.contains(&seq) => *index,
+            _ => {
+                let index = self
+                    .epochs
+                    .iter()
+                    .rposition(|(_, boundary, _)| *boundary <= seq)
+                    .unwrap_or(0);
+                // Every seq from this entry's boundary up to the lowest
+                // boundary of a newer epoch chooses the same entry.
+                let newer = self.epochs[index + 1..].iter().map(|(_, boundary, _)| *boundary);
+                self.last = Some((index, self.epochs[index].1..newer.min().unwrap_or(u64::MAX)));
+                index
+            }
+        };
+        &self.epochs[index].2
     }
 }
 
@@ -965,26 +1123,66 @@ impl DecryptFilter {
     }
 }
 
+impl EncryptFilter {
+    /// [`Filter::process`] on a named kernel instead of
+    /// [`Keystream::active`]: for the parity suite, which pins the sealed
+    /// wire bytes under every kernel the CPU has.
+    #[doc(hidden)]
+    pub fn process_on(&mut self, kernel: Keystream, packet: Packet, out: &mut dyn FilterOutput) {
+        let mut tally = SecureChannelSnapshot::default();
+        self.seal_into(kernel, packet, out, &mut tally);
+        self.stats.publish(tally);
+    }
+
+    /// Seals (or, for a control frame, installs and forwards) one packet,
+    /// tallying into `tally` rather than the shared counters.
+    fn seal_into(
+        &mut self,
+        kernel: Keystream,
+        packet: Packet,
+        out: &mut dyn FilterOutput,
+        tally: &mut SecureChannelSnapshot,
+    ) {
+        if packet.kind() == PacketKind::Control {
+            if let Some((epoch, boundary)) = parse_rekey(&packet) {
+                if self.table.install(epoch, boundary) {
+                    tally.rekeys += 1;
+                }
+            }
+            out.emit(packet);
+            return;
+        }
+        let key = self.table.key_for(packet.seq().value());
+        let sealed = kernel.seal(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload());
+        tally.sealed += 1;
+        out.emit(packet.with_payload(sealed));
+    }
+}
+
 impl Filter for EncryptFilter {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        if packet.kind() == PacketKind::Control {
-            if let Some((epoch, boundary)) = parse_rekey(&packet) {
-                if self.table.install(epoch, boundary) {
-                    self.stats.rekeys.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            out.emit(packet);
-            return Ok(());
+        self.process_on(Keystream::active(), packet, out);
+        Ok(())
+    }
+
+    fn process_batch(
+        &mut self,
+        packets: Vec<Packet>,
+        out: &mut dyn FilterOutput,
+    ) -> Result<(), FilterError> {
+        // One kernel choice and one counter update per batch; the key is
+        // looked up once per run of same-epoch packets, and a rekey frame
+        // takes effect at its own position, exactly as on the serial path.
+        let kernel = Keystream::active();
+        let mut tally = SecureChannelSnapshot::default();
+        for packet in packets {
+            self.seal_into(kernel, packet, out, &mut tally);
         }
-        let key = self.table.key_for(packet.seq().value());
-        let sealed =
-            Keystream::active().seal(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload());
-        self.stats.sealed.fetch_add(1, Ordering::Relaxed);
-        out.emit(packet.with_payload(sealed));
+        self.stats.publish(tally);
         Ok(())
     }
 
@@ -1001,37 +1199,65 @@ impl Filter for EncryptFilter {
     }
 }
 
+impl DecryptFilter {
+    /// Opens (or rejects, or for a rekey frame installs and consumes) one
+    /// packet, tallying into `tally` rather than the shared counters.
+    fn open_into(
+        &mut self,
+        kernel: Keystream,
+        packet: Packet,
+        out: &mut dyn FilterOutput,
+        tally: &mut SecureChannelSnapshot,
+    ) {
+        if packet.kind() == PacketKind::Control {
+            if let Some((epoch, boundary)) = parse_rekey(&packet) {
+                if self.table.install(epoch, boundary) {
+                    tally.rekeys += 1;
+                }
+                // Consumed: rotation plumbing never reaches a sink.
+                return;
+            }
+            out.emit(packet);
+            return;
+        }
+        let key = self.table.key_for(packet.seq().value());
+        match kernel.open(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload()) {
+            Some(plaintext) => {
+                tally.opened += 1;
+                out.emit(packet.with_payload(plaintext));
+            }
+            // A counted drop: never a panic, never a forwarded corrupt
+            // frame, and the rest of the batch is untouched.
+            None => tally.rejected += 1,
+        }
+    }
+}
+
 impl Filter for DecryptFilter {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        if packet.kind() == PacketKind::Control {
-            if let Some((epoch, boundary)) = parse_rekey(&packet) {
-                if self.table.install(epoch, boundary) {
-                    self.stats.rekeys.fetch_add(1, Ordering::Relaxed);
-                }
-                // Consumed: rotation plumbing never reaches a sink.
-                return Ok(());
-            }
-            out.emit(packet);
-            return Ok(());
+        let mut tally = SecureChannelSnapshot::default();
+        self.open_into(Keystream::active(), packet, out, &mut tally);
+        self.stats.publish(tally);
+        Ok(())
+    }
+
+    fn process_batch(
+        &mut self,
+        packets: Vec<Packet>,
+        out: &mut dyn FilterOutput,
+    ) -> Result<(), FilterError> {
+        // As `EncryptFilter::process_batch`: one kernel choice, one counter
+        // update, one key lookup per same-epoch run.
+        let kernel = Keystream::active();
+        let mut tally = SecureChannelSnapshot::default();
+        for packet in packets {
+            self.open_into(kernel, packet, out, &mut tally);
         }
-        let key = self.table.key_for(packet.seq().value());
-        let opened =
-            Keystream::active().open(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload());
-        match opened {
-            Some(plaintext) => {
-                self.stats.opened.fetch_add(1, Ordering::Relaxed);
-                out.emit(packet.with_payload(plaintext));
-            }
-            // A counted drop: never a panic, never a forwarded corrupt
-            // frame, and the rest of the batch is untouched.
-            None => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.stats.publish(tally);
         Ok(())
     }
 
@@ -1055,9 +1281,12 @@ mod tests {
 
     // -- RFC 8439 test vectors ---------------------------------------------
 
-    /// Both kernels where the CPU has AVX2, else the scalar one alone.
+    /// Every kernel this CPU can run, the scalar one always.
     fn kernels() -> Vec<Keystream> {
-        std::iter::once(Keystream::scalar()).chain(Keystream::avx2()).collect()
+        std::iter::once(Keystream::scalar())
+            .chain(Keystream::avx2())
+            .chain(Keystream::avx512())
+            .collect()
     }
 
     #[test]
@@ -1218,16 +1447,20 @@ only one tip for the future, sunscreen would be it.";
         let body: Vec<u8> = (0..8_200u32).map(|i| (i * 197 + 3) as u8).collect();
         // Every length around the block, first-group (448), group and
         // two-group boundaries, the MAC threshold, the ends of the first
-        // (4,032) and second (8,128) MAC runs, plus the benchmark's payload
-        // sizes.
+        // 16+4-way call (960, 1,216) and of the later ones (1,984, 2,240),
+        // the ends of the first (4,032) and second (8,128) MAC runs, plus
+        // the benchmark's payload sizes.
         let lengths = (0..=130)
             .chain(380..=390)
             .chain(440..=460)
             .chain(505..=520)
             .chain(955..=970)
+            .chain(1_210..=1_222)
+            .chain(1_980..=1_990)
+            .chain(2_236..=2_246)
             .chain(4_025..=4_040)
             .chain(8_120..=8_135)
-            .chain([256, 1_023, 1_024, 1_025, 1_400, 2_048, 2_100, 8_200]);
+            .chain([256, 1_023, 1_024, 1_025, 1_074, 1_400, 2_048, 2_100, 8_200]);
         for len in lengths {
             for aad in [&b""[..], &b"twelve bytes"[..], &[0xA5u8; 32][..]] {
                 let expected = three_pass_seal(&key, &nonce, aad, &body[..len]);
@@ -1256,7 +1489,7 @@ only one tip for the future, sunscreen would be it.";
             let sealed = kernel.seal(&key, &nonce, &header, &[0x5Au8; 300]);
             let matches = |aad: &[u8], sealed: &[u8]| {
                 let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-                let otk = Cipher::for_packet(kernel, &key, &nonce, ciphertext.len()).one_time_key();
+                let otk = Cipher::for_packet(kernel, &key, &nonce, ciphertext.len()).one_time_key(ciphertext.len());
                 let verdict = kernel.tag_matches(&otk, aad, ciphertext, tag);
                 assert_eq!(kernel.open(&key, &nonce, aad, sealed).is_some(), verdict);
                 verdict

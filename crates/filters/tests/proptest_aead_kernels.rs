@@ -2,19 +2,24 @@
 //! behind the secure-channel filters, in the shape of `rapidware-fec`'s
 //! `proptest_kernels.rs`.
 //!
-//! [`Keystream::active`] is what the filters run: the AVX2 8-blocks-per-call
-//! kernel where `rapidware_fec::gf256::active_kernel()` selected AVX2, the
-//! scalar block function otherwise.  These tests pin it — and the AVX2
-//! kernel by name, wherever the CPU has it — to the always-compiled scalar
-//! reference byte for byte: over every length residue mod 64 and the group
-//! boundaries, arbitrary initial counters including the `u32::MAX` wrap
-//! inside one 8-block group, and unaligned subslices; through the RFC 8439
-//! vectors on each kernel; and across kernels (sealed on one, opened on the
-//! other).  The same [`Keystream`] value names the MAC kernel: the 4-way
+//! [`Keystream::active`] is what the filters run: where
+//! `rapidware_fec::gf256::active_kernel()` selected AVX2, the AVX2
+//! 8-blocks-per-call kernel — widened, on a CPU with AVX-512F/BW, to the
+//! 16+4-blocks-per-call kernel for every packet past one 8-way group — and
+//! the scalar block function otherwise.  These tests pin it — and the AVX2
+//! and AVX-512 kernels by name, wherever the CPU has them — to the
+//! always-compiled scalar reference byte for byte: over every length
+//! residue mod 64 around the 8-way group ends and the 16+4-way call ends,
+//! arbitrary initial counters including the `u32::MAX` wrap at every
+//! position of an 8-block group and of a 16+4-block call, and unaligned
+//! subslices; through the RFC 8439 vectors on each kernel (and through the
+//! row-layout blocks of the 16+4-way call); and across kernels (sealed on
+//! one, opened on the other).  The same [`Keystream`] value names the MAC kernel: the 4-way
 //! AVX2 Poly1305 is held to the scalar one at every length up to 2 KiB, on
 //! messages built to push every limb carry and the final reduction to their
-//! edges, through the RFC vector, and — through the filter, whole packets
-//! on the wire — to a digest recorded before either SIMD kernel existed.
+//! edges, through the RFC vector, and — through the filter on each kernel,
+//! whole packets on the wire — to a digest recorded before any SIMD kernel
+//! existed.
 //! CI runs this suite twice — once as-is and once under
 //! `RAPIDWARE_FORCE_SCALAR=1` — so both sides of the dispatch stay covered.
 //!
@@ -49,11 +54,13 @@ fn key_and_nonce(seed: u64) -> ([u8; 32], [u8; 12]) {
 }
 
 /// The kernels to hold to the scalar reference: the dispatched one, and the
-/// AVX2 one by name when this CPU has it (under `RAPIDWARE_FORCE_SCALAR`
-/// the dispatched kernel *is* the scalar one, and AVX2 is still checked).
+/// AVX2 and AVX-512 ones by name where this CPU has them (under
+/// `RAPIDWARE_FORCE_SCALAR` the dispatched kernel *is* the scalar one, and
+/// the others are still checked).
 fn kernels_under_test() -> Vec<Keystream> {
     std::iter::once(Keystream::active())
         .chain(Keystream::avx2())
+        .chain(Keystream::avx512())
         .collect()
 }
 
@@ -63,7 +70,30 @@ fn every_kernel() -> Vec<Keystream> {
     if avx2.is_none() {
         eprintln!("AVX2 not detected: its vectors and parity checks are skipped");
     }
-    std::iter::once(Keystream::scalar()).chain(avx2).collect()
+    let avx512 = Keystream::avx512();
+    if avx512.is_none() {
+        eprintln!("AVX-512F/BW not detected: its vectors and parity checks are skipped");
+    }
+    std::iter::once(Keystream::scalar()).chain(avx2).chain(avx512).collect()
+}
+
+/// Whether this Linux host's `/proc/cpuinfo` lists `flag` (`false` off
+/// Linux, where nothing is asserted from it).
+fn cpuinfo_lists(flag: &str) -> bool {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .is_ok_and(|cpuinfo| cpuinfo.split_whitespace().any(|word| word == flag))
+}
+
+/// Names every kernel this run held to the reference, on one line CI looks
+/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists
+/// AVX-512F and AVX-512BW must have had the 16+4-way kernel checked.
+#[test]
+fn the_kernels_checked_are_the_ones_the_cpu_has() {
+    let names: Vec<&str> = every_kernel().into_iter().map(Keystream::name).collect();
+    println!("aead kernels checked: {}", names.join(" "));
+    if cpuinfo_lists("avx512f") && cpuinfo_lists("avx512bw") {
+        assert!(names.contains(&"avx512"), "the CPU lists AVX-512F/BW, checked only {names:?}");
+    }
 }
 
 /// `keystream XOR source` into a dirty target carved out at `offset`, so the
@@ -189,6 +219,41 @@ fn the_counter_wraps_inside_a_group_like_the_scalar_one() {
     }
 }
 
+/// The same on the 16+4-way kernel: the wrap at every position inside the
+/// sixteen word-major lanes and inside the four row-layout blocks, in a
+/// call of sixteen, of seventeen and of twenty blocks, and in every call of
+/// a 16 + 20-block run.
+#[test]
+fn the_counter_wraps_inside_a_16_plus_4_call_like_the_scalar_one() {
+    for blocks in [16usize, 17, 20, 36] {
+        for back in 0..blocks as u32 {
+            assert_matches_scalar(blocks * 64, 7, 1, u32::MAX - back, u64::from(back) + 7);
+        }
+    }
+}
+
+/// Every residue mod 64 around where the 16+4-way kernel's calls end, for a
+/// keystream from block 1 (a sealed payload: the first call carries block 0
+/// and ends at 960 or 1,216 bytes, the second at 1,984 or 2,240) and from
+/// block 0 (a bare XOR: ends 64 bytes later), on unaligned subslices; the
+/// sealed bytes equal the scalar seal's and open on every kernel.
+#[test]
+fn every_residue_around_the_16_plus_4_call_ends_matches_scalar() {
+    let aad = fill(0xAAD, 32);
+    for len in (896..=1_344).chain(1_920..=2_368) {
+        assert_matches_scalar(len, len % 7, len % 13, 1, len as u64);
+        assert_matches_scalar(len, len % 11, len % 5, 0, len as u64);
+        let (key, nonce) = key_and_nonce(len as u64);
+        let plaintext = fill(len as u64, len);
+        let reference = Keystream::scalar().seal(&key, &nonce, &aad, &plaintext);
+        for kernel in kernels_under_test() {
+            assert_eq!(kernel.seal(&key, &nonce, &aad, &plaintext), reference, "{} seal, len {len}", kernel.name());
+            let opened = kernel.open(&key, &nonce, &aad, &reference);
+            assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} open, len {len}", kernel.name());
+        }
+    }
+}
+
 // -- RFC 8439 vectors, through each kernel by name ---------------------------
 
 fn sequential_key(first: u8) -> [u8; 32] {
@@ -215,6 +280,23 @@ fn xor_as_head_of_two_groups(
     out
 }
 
+/// `kernel`'s keystream XOR over `head` placed at block 16 of a 20-block
+/// call — the row-layout blocks of the 16+4-way kernel — with block 16 at
+/// `counter`; returns the bytes under `head`.
+fn xor_in_the_row_blocks(
+    kernel: Keystream,
+    key: &[u8; 32],
+    nonce: &[u8; 12],
+    counter: u32,
+    head: &[u8],
+) -> Vec<u8> {
+    let mut source = vec![0u8; 1_024];
+    source.extend_from_slice(head);
+    source.resize(1_280, 0);
+    let out = xor_at_offset(kernel, key, nonce, counter.wrapping_sub(16), &source, 0);
+    out[1_024..1_024 + head.len()].to_vec()
+}
+
 #[test]
 fn rfc8439_2_3_2_block_function_on_each_kernel() {
     let key = sequential_key(0);
@@ -230,6 +312,8 @@ fn rfc8439_2_3_2_block_function_on_each_kernel() {
         // Keystream alone is the XOR over zeros.
         let block = xor_as_head_of_two_groups(kernel, &key, &nonce, 1, &[0u8; 64]);
         assert_eq!(block, expected, "{} kernel", kernel.name());
+        let block = xor_in_the_row_blocks(kernel, &key, &nonce, 1, &[0u8; 64]);
+        assert_eq!(block, expected, "{} kernel, row-layout block", kernel.name());
     }
 }
 
@@ -256,6 +340,9 @@ fn rfc8439_2_4_2_encryption_on_each_kernel() {
         // takes a group at a time.
         let grouped = xor_as_head_of_two_groups(kernel, &key, &nonce, 1, SUNSCREEN);
         assert_eq!(grouped, expected, "{} kernel, in a group", kernel.name());
+        // … and in the row-layout blocks of a 16+4-block call.
+        let rows = xor_in_the_row_blocks(kernel, &key, &nonce, 1, SUNSCREEN);
+        assert_eq!(rows, expected, "{} kernel, row-layout blocks", kernel.name());
     }
 }
 
@@ -389,16 +476,16 @@ fn mac_kernels_reduce_correctly_around_the_modulus() {
 // -- Whole packets, as the filter emits them ---------------------------------
 
 /// 669 packets of every length class up to 9,000 bytes and every packet
-/// kind, sealed by an [`EncryptFilter`] across two key rotations and encoded
-/// for the wire; FNV-1a over all of it.
-fn sealed_wire_digest() -> u64 {
+/// kind, sealed by an [`EncryptFilter`] on `kernel` across two key rotations
+/// and encoded for the wire; FNV-1a over all of it.
+fn sealed_wire_digest(kernel: Keystream) -> u64 {
     let mut encrypt = EncryptFilter::new(0x005E_A1ED);
     let mut emitted: Vec<Packet> = Vec::new();
     let stream = StreamId::new(7);
     for index in 0..669u64 {
         if index == 223 || index == 446 {
             let rekey = rekey_packet(stream, (index / 223) as u32, index, index * 20);
-            encrypt.process(rekey, &mut emitted).expect("rekey frames pass");
+            encrypt.process_on(kernel, rekey, &mut emitted);
         }
         let kind = match index % 4 {
             0 => PacketKind::AudioData,
@@ -408,7 +495,7 @@ fn sealed_wire_digest() -> u64 {
         };
         let len = (index * 9_000 / 668) as usize;
         let packet = Packet::with_timestamp(stream, SeqNo::new(index), kind, index * 20, fill(index, len));
-        encrypt.process(packet, &mut emitted).expect("sealing cannot fail");
+        encrypt.process_on(kernel, packet, &mut emitted);
     }
     assert_eq!(emitted.len(), 669 + 2);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -422,12 +509,22 @@ fn sealed_wire_digest() -> u64 {
 
 /// The digest was taken at the commit before the folded CRC and the 4-way
 /// MAC existed (slice-by-16 CRC, scalar Poly1305, `Vec`-built payloads) and
-/// is the same under `RAPIDWARE_FORCE_SCALAR=1`: sealed bytes, tags, header
-/// bytes and frame checksums have not moved.
+/// is the same on every kernel, the dispatched one (through
+/// `Filter::process`) included: sealed bytes, tags, header bytes and frame
+/// checksums have not moved.
 #[test]
 fn sealed_packets_on_the_wire_are_byte_identical_to_the_recorded_digest() {
-    let digest = sealed_wire_digest();
-    assert_eq!(digest, SEALED_WIRE_DIGEST, "got {digest:#018x}");
+    let mut encrypt = EncryptFilter::new(0x005E_A1ED);
+    let mut dispatched: Vec<Packet> = Vec::new();
+    let mut named: Vec<Packet> = Vec::new();
+    let packet = Packet::new(StreamId::new(7), SeqNo::new(1), PacketKind::Data, fill(1, 1_000));
+    encrypt.process(packet.clone(), &mut dispatched).expect("sealing cannot fail");
+    EncryptFilter::new(0x005E_A1ED).process_on(Keystream::active(), packet, &mut named);
+    assert_eq!(dispatched, named, "Filter::process runs Keystream::active()");
+    for kernel in every_kernel() {
+        let digest = sealed_wire_digest(kernel);
+        assert_eq!(digest, SEALED_WIRE_DIGEST, "{} kernel: got {digest:#018x}", kernel.name());
+    }
 }
 
 const SEALED_WIRE_DIGEST: u64 = 0x16bd_7334_970e_9ec6;

@@ -18,7 +18,10 @@
 //!   neighbours: the good frames open in order, bit-exact;
 //! * `Encrypt ∘ Decrypt` obeys the batch/serial parity contract across the
 //!   built-in chain shapes, with FEC placed before *and* after the crypto
-//!   stage, including loss-and-recovery of sealed frames.
+//!   stage, including loss-and-recovery of sealed frames, and with a rekey
+//!   frame at every position of a batch (the filters' batch path looks a
+//!   key up once per same-epoch run, so a rotation must still land exactly
+//!   where its frame does).
 
 use proptest::prelude::*;
 use rapidware_filters::{
@@ -359,5 +362,71 @@ proptest! {
         prop_assert_eq!(serial_stats.rejected, 0);
         // Both halves observed the rotation.
         prop_assert_eq!(serial_stats.rekeys, 2);
+    }
+}
+
+/// `EncryptFilter` and `DecryptFilter` take a batch with one kernel choice,
+/// one key lookup per same-epoch run and one counter update; a rekey frame
+/// must still take effect exactly at its own position.  Every position of a
+/// rekey frame inside batches of every length up to 9 (and one of 32), on
+/// the pair and on each filter alone: the batched output and counters equal
+/// the serial ones, and the pair returns the plaintext.
+#[test]
+fn a_rekey_at_every_batch_position_keeps_batch_serial_parity() {
+    let data: Vec<Packet> = (0..40u64)
+        .map(|seq| data_packet(seq, (0..(seq as usize * 37) % 300).map(|i| (i * 13 + seq as usize) as u8).collect()))
+        .collect();
+    let sealed_serially = |packets: &[Packet]| {
+        let mut encrypt = EncryptFilter::new(KEY);
+        let mut out: Vec<Packet> = Vec::new();
+        for packet in packets {
+            encrypt.process(packet.clone(), &mut out).expect("encrypt never fails");
+        }
+        out
+    };
+    for batch_len in (1..=9).chain([32]) {
+        for rekey_at in 0..data.len() {
+            let mut packets = data.clone();
+            let boundary = packets[rekey_at].seq().value();
+            packets.insert(rekey_at, rekey_packet(StreamId::new(7), 1, boundary, 0));
+            let context = format!("batch of {batch_len}, rekey at {rekey_at}");
+
+            let pair = |chunked: bool| {
+                let mut chain = crypto_chain(0);
+                let mut out: Vec<Packet> = Vec::new();
+                if chunked {
+                    for chunk in packets.chunks(batch_len) {
+                        out.extend(chain.process_batch(chunk.to_vec()).unwrap());
+                    }
+                } else {
+                    for packet in &packets {
+                        out.extend(chain.process(packet.clone()).unwrap());
+                    }
+                }
+                (out, chain.secure_snapshot())
+            };
+            let (serial, serial_stats) = pair(false);
+            assert_eq!(serial, data, "{context}: the pair lost the plaintext");
+            assert_eq!(pair(true), (serial, serial_stats), "{context}: pair");
+
+            // Each filter alone, batched, against the same filter serially.
+            let sealed = sealed_serially(&packets);
+            let mut encrypt = EncryptFilter::new(KEY);
+            let mut batched: Vec<Packet> = Vec::new();
+            for chunk in packets.chunks(batch_len) {
+                encrypt.process_batch(chunk.to_vec(), &mut batched).unwrap();
+            }
+            assert_eq!(batched, sealed, "{context}: encrypt");
+            assert_eq!((encrypt.stats().sealed(), encrypt.stats().rekeys()), (40, 1), "{context}");
+
+            let mut decrypt = DecryptFilter::new(KEY);
+            let mut opened: Vec<Packet> = Vec::new();
+            for chunk in sealed.chunks(batch_len) {
+                decrypt.process_batch(chunk.to_vec(), &mut opened).unwrap();
+            }
+            assert_eq!(opened, data, "{context}: decrypt");
+            let stats = decrypt.stats().snapshot();
+            assert_eq!((stats.opened, stats.rejected, stats.rekeys), (40, 0, 1), "{context}");
+        }
     }
 }

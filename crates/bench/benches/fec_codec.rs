@@ -12,7 +12,7 @@
 //!   is active this bench **asserts** it is at least 2× the scalar path —
 //!   the regression tripwire for the PSHUFB-style nibble-split kernels;
 //! * `aead_kernel` — the dispatched ChaCha20-Poly1305 seal (AVX2 8-way or
-//!   AVX-512 16+4-way keystream and 4-way MAC under the same dispatcher)
+//!   AVX-512 16+4-way keystream and 4-way MAC, from the same `Cpu`)
 //!   against the scalar seal on 1 KiB payloads, with the same **≥ 2×**
 //!   assertion when the wide kernels are active — a floor on the whole
 //!   seal;
@@ -28,15 +28,17 @@
 //! * `mac_kernel` — the AVX2 4-way Poly1305 against the scalar one on 1 KiB
 //!   messages, asserted **≥ 1.5×** where the CPU has AVX2.
 //!
-//! The last two name each kernel directly, so they hold whatever
-//! `RAPIDWARE_FORCE_SCALAR` says, and skip when only the scalar path exists.
+//! The last three name each kernel directly from `Cpu::detected()`, so they
+//! hold whatever `RAPIDWARE_FORCE_SCALAR` says, and skip when the CPU lacks
+//! the kernel.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rapidware::fec::gf256;
+use rapidware::fec::gf256::{self, Kernel};
 use rapidware::fec::FecCodec;
 use rapidware::filters::Keystream;
+use rapidware::packet::cpu::Cpu;
 use rapidware::packet::CrcKernel;
 
 const SHARD_LEN: usize = 360; // one 320-byte audio packet + header, roughly
@@ -135,17 +137,18 @@ fn assert_speedup(group: &str, what: &str, len: usize, names: (&str, &str), rate
 }
 
 fn bench_kernels(_c: &mut Criterion) {
-    let run = |addmul: fn(&mut [u8], &[u8], u8)| {
+    let run = |kernel: Kernel| {
         let mut target = vec![0u8; 1024];
         let mut coefficient = 0u8;
         move |source: &[u8]| {
             coefficient = coefficient % 255 + 1;
-            addmul(&mut target, source, coefficient);
+            kernel.addmul(&mut target, source, coefficient);
             std::hint::black_box(&target);
         }
     };
-    let rates = throughputs(1024, 200_000, 7, run(gf256::addmul_slice), run(gf256::addmul_slice_scalar));
-    assert_speedup("gf256_kernel", "addmul", 1024, (gf256::active_kernel().name(), "scalar"), rates, 2.0);
+    let active = gf256::active_kernel();
+    let rates = throughputs(1024, 200_000, 7, run(active), run(Kernel::Scalar));
+    assert_speedup("gf256_kernel", "addmul", 1024, (active.name(), "scalar"), rates, 2.0);
 }
 
 /// A seal routine on `kernel`: a fresh nonce per call, under a 32-byte
@@ -162,25 +165,26 @@ fn sealer(kernel: Keystream) -> impl FnMut(&[u8]) {
 }
 
 fn bench_aead_kernels(_c: &mut Criterion) {
-    let active = Keystream::active();
-    let rates = throughputs(1024, 100_000, 7, sealer(active), sealer(Keystream::scalar()));
+    let active = Keystream::new(Cpu::active());
+    let rates = throughputs(1024, 100_000, 7, sealer(active), sealer(Keystream::Scalar));
     assert_speedup("aead_kernel", "seal", 1024, (active.name(), "scalar"), rates, 2.0);
 }
 
 fn bench_aead_avx512(_c: &mut Criterion) {
-    let Some(avx512) = Keystream::avx512() else {
+    let Some(avx512) = Cpu::detected().avx512() else {
         println!("aead_avx512: no AVX-512F/BW on this CPU, only the AVX2 keystream exists — skipped");
         return;
     };
-    let avx2 = Keystream::avx2().expect("AVX-512 hosts have AVX2");
+    let avx2 = Keystream::Avx2(avx512.avx2());
+    let avx512 = Keystream::Avx512(avx512);
     let rates = throughputs(1024, 100_000, 15, sealer(avx512), sealer(avx2));
     assert_speedup("aead_avx512", "seal", 1024, (avx512.name(), avx2.name()), rates, 1.4);
     // Short payloads stay on the 8-way kernel (or scalar) whatever the
     // CPU: the dispatched seal must be no slower than the AVX2 one there.
     // Both sides run the same code, so the floor is the host's noise:
     // twice the repetitions, and 0.85×.
-    let active = Keystream::active();
-    if active.name() != avx512.name() {
+    let active = Keystream::new(Cpu::active());
+    if active != avx512 {
         println!("aead_avx512: dispatch pinned to {} — short-payload check skipped", active.name());
         return;
     }
@@ -191,11 +195,12 @@ fn bench_aead_avx512(_c: &mut Criterion) {
 }
 
 fn bench_crc_kernels(_c: &mut Criterion) {
-    let Some(folded) = CrcKernel::folded() else {
+    let folded = CrcKernel::new(Cpu::detected());
+    let tables = CrcKernel::new(Cpu::scalar());
+    if folded == tables {
         println!("crc_kernel: no PCLMULQDQ on this CPU, only the tables exist — skipped");
         return;
-    };
-    let tables = CrcKernel::tables();
+    }
     let run = |kernel: CrcKernel| {
         move |input: &[u8]| {
             std::hint::black_box(kernel.update(0xFFFF_FFFF, input));
@@ -206,7 +211,7 @@ fn bench_crc_kernels(_c: &mut Criterion) {
 }
 
 fn bench_mac_kernels(_c: &mut Criterion) {
-    let Some(avx2) = Keystream::avx2() else {
+    let Some(avx2) = Cpu::detected().avx2().map(Keystream::Avx2) else {
         println!("mac_kernel: no AVX2 on this CPU, only the scalar MAC exists — skipped");
         return;
     };
@@ -216,7 +221,7 @@ fn bench_mac_kernels(_c: &mut Criterion) {
             std::hint::black_box(kernel.poly1305(std::hint::black_box(&key), input));
         }
     };
-    let rates = throughputs(1024, 200_000, 7, run(avx2), run(Keystream::scalar()));
+    let rates = throughputs(1024, 200_000, 7, run(avx2), run(Keystream::Scalar));
     assert_speedup("mac_kernel", "poly1305", 1024, (avx2.mac_name(), "scalar"), rates, 1.5);
 }
 

@@ -35,6 +35,11 @@
 use std::io;
 use std::path::PathBuf;
 
+use rapidware::fec::gf256;
+use rapidware::filters::Keystream;
+use rapidware::packet::cpu::Cpu;
+use rapidware::packet::CrcKernel;
+
 /// Provenance for one bench run, embedded as the report's `meta` object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
@@ -46,9 +51,9 @@ pub struct RunMeta {
     pub date: String,
     /// Host description: architecture, OS, and logical CPU count.
     pub host: String,
-    /// Feature flags that affect the numbers — the dispatched GF(2⁸), CRC-32,
-    /// ChaCha20 keystream and Poly1305 kernels and whether
-    /// `RAPIDWARE_FORCE_SCALAR` was set.
+    /// Feature flags that affect the numbers — the GF(2⁸), CRC-32, ChaCha20
+    /// keystream and Poly1305 kernels of `Cpu::active()`, and whether
+    /// `RAPIDWARE_FORCE_SCALAR` emptied it.
     pub flags: String,
 }
 
@@ -64,10 +69,8 @@ impl RunMeta {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get().to_string())
             .unwrap_or_else(|_| "?".to_string());
-        let aead = rapidware::filters::Keystream::active();
-        let force_scalar = std::env::var("RAPIDWARE_FORCE_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
+        let cpu = Cpu::active();
+        let aead = Keystream::new(cpu);
         Self {
             commit: env_or_unknown("RAPIDWARE_BENCH_COMMIT"),
             date: env_or_unknown("RAPIDWARE_BENCH_DATE"),
@@ -78,11 +81,11 @@ impl RunMeta {
             ),
             flags: format!(
                 "gf256-kernel={} crc-kernel={} chacha-kernel={} mac-kernel={} force-scalar={}",
-                rapidware::fec::gf256::active_kernel().name(),
-                rapidware::packet::CrcKernel::active().name(),
+                gf256::Kernel::new(cpu).name(),
+                CrcKernel::new(cpu).name(),
                 aead.name(),
                 aead.mac_name(),
-                force_scalar
+                cpu.forced_scalar()
             ),
         }
     }

@@ -10,21 +10,22 @@
 //! # Bulk kernels
 //!
 //! The slice routines ([`addmul_slice`], [`mul_slice_into`], [`xor_slice`])
-//! are the encoder's and decoder's inner loops, and they dispatch once per
-//! call to the fastest kernel the CPU supports:
+//! are the encoder's and decoder's inner loops, and they run on the
+//! [`Kernel`] that `rapidware_packet::cpu::Cpu::active()` allows (see
+//! [`active_kernel`]):
 //!
-//! * **AVX2** / **SSSE3** (x86-64) — splat-table nibble-split kernels
-//!   (`vpshufb`/`pshufb`): each coefficient's multiplication map is two
-//!   16-entry tables (low and high nibble), so 32 (or 16) products cost two
-//!   shuffles and one XOR.  Selected at runtime via
-//!   `is_x86_feature_detected!`, never assumed at compile time.
+//! * **AVX2** / **SSSE3** (x86-64, `gf256_simd.rs`) — splat-table
+//!   nibble-split kernels (`vpshufb`/`pshufb`): each coefficient's
+//!   multiplication map is two 16-entry tables (low and high nibble), so 32
+//!   (or 16) products cost two shuffles and one XOR.  Each variant carries
+//!   the `cpu` token that proves its instructions exist.
 //! * **Scalar** — the portable table loop, always compiled, always the
-//!   reference: the `*_scalar` variants are public so equivalence can be
-//!   property-tested against the SIMD paths on any machine.
-//!
-//! Setting `RAPIDWARE_FORCE_SCALAR=1` in the environment pins the process
-//! to the scalar kernels (read once, at first use).  [`active_kernel`]
-//! reports which kernel won.
+//!   reference: [`Kernel::Scalar`] is what the SIMD kernels are
+//!   property-tested against on any machine.
+
+use rapidware_packet::cpu::{Avx2, Cpu, Ssse3};
+
+use crate::gf256_simd;
 
 /// The primitive polynomial used to construct the field (without the x⁸ term).
 const PRIMITIVE_POLY: u16 = 0x11D;
@@ -128,57 +129,119 @@ const fn build_nibble_tables() -> [NibblePair; 256] {
     tables
 }
 
-/// Which bulk-slice kernel the process dispatches to.
+/// Which bulk-slice kernel a call runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// 32-byte `vpshufb` nibble-split kernel (x86-64 with AVX2).
-    Avx2,
+    Avx2(Avx2),
     /// 16-byte `pshufb` nibble-split kernel (x86-64 with SSSE3).
-    Ssse3,
-    /// The portable table-driven loop (always available).
+    Ssse3(Ssse3),
+    /// The portable table-driven loop (always available): the reference.
     Scalar,
 }
 
 impl Kernel {
+    /// The widest kernel `cpu` allows.
+    #[inline]
+    pub fn new(cpu: Cpu) -> Self {
+        match (cpu.avx2(), cpu.ssse3()) {
+            (Some(avx2), _) => Kernel::Avx2(avx2),
+            (None, Some(ssse3)) => Kernel::Ssse3(ssse3),
+            (None, None) => Kernel::Scalar,
+        }
+    }
+
     /// A short stable name, suitable for bench-report metadata.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Avx2 => "avx2",
-            Kernel::Ssse3 => "ssse3",
+            Kernel::Avx2(_) => "avx2",
+            Kernel::Ssse3(_) => "ssse3",
             Kernel::Scalar => "scalar",
         }
     }
+
+    /// [`xor_slice`] on this kernel: AVX2 takes slices of 32 bytes and
+    /// more, 32 bytes per step; everything else runs eight bytes at a time
+    /// through `u64` words, which the compiler further vectorises.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn xor(self, dst: &mut [u8], src: &[u8]) {
+        assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
+        if let Kernel::Avx2(avx2) = self {
+            if dst.len() >= 32 {
+                return gf256_simd::xor_avx2(avx2, dst, src);
+            }
+        }
+        let mut dst_words = dst.chunks_exact_mut(8);
+        let mut src_words = src.chunks_exact(8);
+        for (d, s) in dst_words.by_ref().zip(src_words.by_ref()) {
+            let word = u64::from_ne_bytes(d.try_into().expect("chunk of 8"))
+                ^ u64::from_ne_bytes(s.try_into().expect("chunk of 8"));
+            d.copy_from_slice(&word.to_ne_bytes());
+        }
+        for (d, s) in dst_words
+            .into_remainder()
+            .iter_mut()
+            .zip(src_words.remainder())
+        {
+            *d ^= *s;
+        }
+    }
+
+    /// [`addmul_slice`] on this kernel: the SIMD ones take slices of one
+    /// vector (32 or 16 bytes) and more, the scalar loop everything else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn addmul(self, dst: &mut [u8], src: &[u8], c: u8) {
+        assert_eq!(dst.len(), src.len(), "addmul_slice length mismatch");
+        match c {
+            0 => {}
+            1 => self.xor(dst, src),
+            _ => self.mul::<true>(dst, src, c),
+        }
+    }
+
+    /// [`mul_slice_into`] on this kernel, with the thresholds of
+    /// [`addmul`](Self::addmul).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn mul_into(self, dst: &mut [u8], src: &[u8], c: u8) {
+        assert_eq!(dst.len(), src.len(), "mul_slice_into length mismatch");
+        match c {
+            0 => dst.fill(0),
+            1 => dst.copy_from_slice(src),
+            _ => self.mul::<false>(dst, src, c),
+        }
+    }
+
+    /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`.
+    fn mul<const ADD: bool>(self, dst: &mut [u8], src: &[u8], c: u8) {
+        let nibbles = &NIBBLE_TABLES[c as usize];
+        let row = mul_row(c);
+        match self {
+            Kernel::Avx2(avx2) if dst.len() >= 32 => gf256_simd::mul_avx2::<ADD>(avx2, dst, src, nibbles, row),
+            Kernel::Ssse3(ssse3) if dst.len() >= 16 => gf256_simd::mul_ssse3::<ADD>(ssse3, dst, src, nibbles, row),
+            _ => {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d = row[*s as usize] ^ if ADD { *d } else { 0 };
+                }
+            }
+        }
+    }
 }
 
-static ACTIVE_KERNEL: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-
-/// The kernel the bulk slice routines dispatch to, detected once per
-/// process.
-///
-/// Honors `RAPIDWARE_FORCE_SCALAR` (any value other than empty or `0`
-/// pins the scalar path); otherwise picks the widest instruction set
-/// `is_x86_feature_detected!` confirms.  Non-x86-64 targets always run
-/// scalar.
+/// The kernel the bulk slice routines run on: the widest one
+/// `Cpu::active()` allows — so `RAPIDWARE_FORCE_SCALAR` pins
+/// [`Kernel::Scalar`].
+#[inline]
 pub fn active_kernel() -> Kernel {
-    *ACTIVE_KERNEL.get_or_init(detect_kernel)
-}
-
-fn detect_kernel() -> Kernel {
-    let forced = std::env::var_os("RAPIDWARE_FORCE_SCALAR")
-        .is_some_and(|v| !v.is_empty() && v != "0");
-    if forced {
-        return Kernel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            return Kernel::Ssse3;
-        }
-    }
-    Kernel::Scalar
+    Kernel::new(Cpu::active())
 }
 
 /// Adds two field elements (XOR).
@@ -245,180 +308,41 @@ pub fn pow(a: u8, e: u32) -> u8 {
     TABLES.exp[idx as usize]
 }
 
-/// Computes `dst[i] ^= src[i]` for every byte (bulk field addition).
-///
-/// Dispatches to the AVX2 kernel when available (32 bytes per step);
-/// otherwise the portable loop works on eight bytes at a time through
-/// `u64` words, which the compiler further vectorises.  This is the
-/// `c == 1` fast path of the encoder and the whole story for XOR-based
-/// parity.
+/// Computes `dst[i] ^= src[i]` for every byte (bulk field addition) on
+/// the [`active_kernel`].  This is the `c == 1` fast path of the encoder
+/// and the whole story for XOR-based parity.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if dst.len() >= 32 && active_kernel() == Kernel::Avx2 {
-        // SAFETY: AVX2 confirmed by `active_kernel`, lengths equal (asserted).
-        #[allow(unsafe_code)]
-        unsafe {
-            crate::gf256_simd::xor_avx2(dst, src);
-        }
-        return;
-    }
-    xor_slice_scalar(dst, src);
+    active_kernel().xor(dst, src);
 }
 
-/// The portable word-at-a-time body of [`xor_slice`]; public so the SIMD
-/// path can be property-tested against it.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn xor_slice_scalar(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-    let mut dst_words = dst.chunks_exact_mut(8);
-    let mut src_words = src.chunks_exact(8);
-    for (d, s) in dst_words.by_ref().zip(src_words.by_ref()) {
-        let word = u64::from_ne_bytes(d.try_into().expect("chunk of 8"))
-            ^ u64::from_ne_bytes(s.try_into().expect("chunk of 8"));
-        d.copy_from_slice(&word.to_ne_bytes());
-    }
-    for (d, s) in dst_words
-        .into_remainder()
-        .iter_mut()
-        .zip(src_words.remainder())
-    {
-        *d ^= *s;
-    }
-}
-
-/// Computes `dst[i] ^= c * src[i]` for every byte — the inner loop of the
-/// encoder and of Gaussian elimination on data rows.
-///
-/// Dispatches to the nibble-split SIMD kernel when the CPU has one (two
-/// shuffles and one XOR per 16/32 bytes); otherwise one lookup in the
-/// precomputed `c` row per byte, with wide XOR for `c == 1`.
+/// Computes `dst[i] ^= c * src[i]` for every byte on the
+/// [`active_kernel`] — the inner loop of the encoder and of Gaussian
+/// elimination on data rows: two shuffles and one XOR per 16/32 bytes on
+/// the SIMD kernels, one lookup in the precomputed `c` row per byte on the
+/// scalar one, and wide XOR for `c == 1`.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn addmul_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "addmul_slice length mismatch");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(dst, src);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let nibbles = &NIBBLE_TABLES[c as usize];
-        match active_kernel() {
-            // SAFETY: the kernel's feature was confirmed by
-            // `is_x86_feature_detected!` inside `active_kernel`, and the
-            // slices have equal length (asserted above).
-            #[allow(unsafe_code)]
-            Kernel::Avx2 if dst.len() >= 32 => {
-                return unsafe { crate::gf256_simd::addmul_avx2(dst, src, nibbles, mul_row(c)) };
-            }
-            #[allow(unsafe_code)]
-            Kernel::Ssse3 if dst.len() >= 16 => {
-                return unsafe { crate::gf256_simd::addmul_ssse3(dst, src, nibbles, mul_row(c)) };
-            }
-            _ => {}
-        }
-    }
-    let row = mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= row[*s as usize];
-    }
+    active_kernel().addmul(dst, src, c);
 }
 
-/// The portable table-driven body of [`addmul_slice`]; public so the SIMD
-/// path can be property-tested (and benchmarked) against it.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn addmul_slice_scalar(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "addmul_slice length mismatch");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice_scalar(dst, src);
-        return;
-    }
-    let row = mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= row[*s as usize];
-    }
-}
-
-/// Computes `dst[i] = c * src[i]` for every byte.
+/// Computes `dst[i] = c * src[i]` for every byte on the [`active_kernel`].
 ///
 /// This is the "first column" of a parity row: writing the scaled source
 /// directly saves the zero-fill plus XOR that `addmul` into a fresh buffer
-/// would cost.  Dispatches like [`addmul_slice`].
+/// would cost.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn mul_slice_into(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "mul_slice_into length mismatch");
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    if c == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let nibbles = &NIBBLE_TABLES[c as usize];
-        match active_kernel() {
-            // SAFETY: feature confirmed by `active_kernel`, lengths equal.
-            #[allow(unsafe_code)]
-            Kernel::Avx2 if dst.len() >= 32 => {
-                return unsafe { crate::gf256_simd::mul_into_avx2(dst, src, nibbles, mul_row(c)) };
-            }
-            #[allow(unsafe_code)]
-            Kernel::Ssse3 if dst.len() >= 16 => {
-                return unsafe { crate::gf256_simd::mul_into_ssse3(dst, src, nibbles, mul_row(c)) };
-            }
-            _ => {}
-        }
-    }
-    let row = mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = row[*s as usize];
-    }
-}
-
-/// The portable table-driven body of [`mul_slice_into`]; public so the
-/// SIMD path can be property-tested against it.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_slice_into_scalar(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "mul_slice_into length mismatch");
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    if c == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let row = mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = row[*s as usize];
-    }
+    active_kernel().mul_into(dst, src, c);
 }
 
 /// Computes `dst[i] = c * dst[i]` for every byte.
@@ -581,29 +505,32 @@ mod tests {
 
     #[test]
     fn dispatched_kernels_match_scalar_across_lengths_and_coefficients() {
-        // Exercises whatever kernel this machine dispatches to (the proptest
-        // suite covers the same ground with random data and offsets).
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 1024] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-            let base: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
-            for c in [0u8, 1, 2, 29, 128, 255] {
-                let mut simd = base.clone();
-                let mut scalar = base.clone();
-                addmul_slice(&mut simd, &src, c);
-                addmul_slice_scalar(&mut scalar, &src, c);
-                assert_eq!(simd, scalar, "addmul len={len} c={c}");
+        // Exercises every kernel this machine has (the proptest suite
+        // covers the same ground with random data and offsets).
+        for kernel in Cpu::tiers().map(Kernel::new) {
+            for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 1024] {
+                let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+                let base: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+                let name = kernel.name();
+                for c in [0u8, 1, 2, 29, 128, 255] {
+                    let mut simd = base.clone();
+                    let mut scalar = base.clone();
+                    kernel.addmul(&mut simd, &src, c);
+                    Kernel::Scalar.addmul(&mut scalar, &src, c);
+                    assert_eq!(simd, scalar, "{name} addmul len={len} c={c}");
 
+                    let mut simd = base.clone();
+                    let mut scalar = base.clone();
+                    kernel.mul_into(&mut simd, &src, c);
+                    Kernel::Scalar.mul_into(&mut scalar, &src, c);
+                    assert_eq!(simd, scalar, "{name} mul_into len={len} c={c}");
+                }
                 let mut simd = base.clone();
-                let mut scalar = base.clone();
-                mul_slice_into(&mut simd, &src, c);
-                mul_slice_into_scalar(&mut scalar, &src, c);
-                assert_eq!(simd, scalar, "mul_into len={len} c={c}");
+                let mut scalar = base;
+                kernel.xor(&mut simd, &src);
+                Kernel::Scalar.xor(&mut scalar, &src);
+                assert_eq!(simd, scalar, "{name} xor len={len}");
             }
-            let mut simd = base.clone();
-            let mut scalar = base;
-            xor_slice(&mut simd, &src);
-            xor_slice_scalar(&mut scalar, &src);
-            assert_eq!(simd, scalar, "xor len={len}");
         }
     }
 

@@ -16,170 +16,183 @@
 //!
 //! * **`#[target_feature]` calls** — every kernel is compiled for an
 //!   instruction-set extension the build target may not guarantee, so
-//!   callers must prove at runtime that the CPU supports it.  The single
-//!   dispatcher in `gf256.rs` is the only caller, and it only selects a
-//!   kernel after `is_x86_feature_detected!` has confirmed the feature
-//!   (cached once per process, see `gf256::active_kernel`).
+//!   callers must prove the CPU supports it.  The kernels are reachable
+//!   only through the safe functions below, each of which demands the
+//!   matching `rapidware_packet::cpu` token ([`Avx2`], [`Ssse3`]) — proof of
+//!   detection that only `cpu.rs` can mint.
 //! * **unaligned vector loads/stores** — `_mm*_loadu_*`/`_mm*_storeu_*`
 //!   through raw pointers derived from the argument slices.  Every pointer
 //!   offset is bounded by the `while i + LANES <= len` loop condition, and
-//!   the dispatcher asserts `dst.len() == src.len()` before calling.
+//!   each safe function asserts `dst.len() == src.len()` before calling.
 //!
-//! The scalar routines in `gf256.rs` remain the always-compiled,
+//! The scalar arm of `gf256::Kernel` remains the always-compiled,
 //! always-correct baseline: these kernels are a pure drop-in with
 //! byte-identical output (property-tested in `tests/proptest_kernels.rs`
 //! over lengths, alignments, and all 256 coefficients).
 #![allow(unsafe_code)]
 
-use core::arch::x86_64::{
-    __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
-    _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
-    _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
-    _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
-};
+use rapidware_packet::cpu::{Avx2, Ssse3};
 
 use crate::gf256::NibblePair;
 
-/// `dst[i] ^= c * src[i]`, 32 bytes per step.
-///
-/// # Safety
-///
-/// Requires AVX2 (caller must have verified via feature detection) and
-/// `dst.len() == src.len()`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn addmul_avx2(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
-    let lo_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.lo.as_ptr().cast()));
-    let hi_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.hi.as_ptr().cast()));
-    let mask = _mm256_set1_epi8(0x0F);
-    let len = dst.len();
-    let mut i = 0usize;
-    while i + 32 <= len {
-        let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
-        let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast::<__m256i>());
-        let prod = mul_bytes_avx2(s, lo_table, hi_table, mask);
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), _mm256_xor_si256(d, prod));
-        i += 32;
+/// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 32 bytes
+/// per step; `nibbles` and `row` are `c`'s tables, the row finishing the
+/// tail.
+pub(crate) fn mul_avx2<const ADD: bool>(_avx2: Avx2, dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
+    assert_eq!(dst.len(), src.len(), "gf256 slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Avx2` token proves AVX2 was detected, and the slices
+    // were just asserted to be the same length.
+    unsafe {
+        x86::mul_avx2::<ADD>(dst, src, nibbles, row)
     }
-    for j in i..len {
-        dst[j] ^= row[src[j] as usize];
-    }
-}
-
-/// `dst[i] = c * src[i]`, 32 bytes per step.
-///
-/// # Safety
-///
-/// Requires AVX2 and `dst.len() == src.len()`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn mul_into_avx2(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
-    let lo_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.lo.as_ptr().cast()));
-    let hi_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.hi.as_ptr().cast()));
-    let mask = _mm256_set1_epi8(0x0F);
-    let len = dst.len();
-    let mut i = 0usize;
-    while i + 32 <= len {
-        let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
-        let prod = mul_bytes_avx2(s, lo_table, hi_table, mask);
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), prod);
-        i += 32;
-    }
-    for j in i..len {
-        dst[j] = row[src[j] as usize];
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (nibbles, row);
+        unreachable!("no Avx2 token exists off x86-64");
     }
 }
 
 /// `dst[i] ^= src[i]`, 32 bytes per step.
-///
-/// # Safety
-///
-/// Requires AVX2 and `dst.len() == src.len()`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn xor_avx2(dst: &mut [u8], src: &[u8]) {
-    let len = dst.len();
-    let mut i = 0usize;
-    while i + 32 <= len {
-        let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
-        let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast::<__m256i>());
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), _mm256_xor_si256(d, s));
-        i += 32;
+pub(crate) fn xor_avx2(_avx2: Avx2, dst: &mut [u8], src: &[u8]) {
+    assert_eq!(dst.len(), src.len(), "gf256 slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Avx2` token proves AVX2 was detected, and the slices
+    // were just asserted to be the same length.
+    unsafe {
+        x86::xor_avx2(dst, src)
     }
-    for j in i..len {
-        dst[j] ^= src[j];
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("no Avx2 token exists off x86-64");
+}
+
+/// [`mul_avx2`] 16 bytes per step.
+pub(crate) fn mul_ssse3<const ADD: bool>(_ssse3: Ssse3, dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
+    assert_eq!(dst.len(), src.len(), "gf256 slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Ssse3` token proves SSSE3 was detected, and the slices
+    // were just asserted to be the same length.
+    unsafe {
+        x86::mul_ssse3::<ADD>(dst, src, nibbles, row)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (nibbles, row);
+        unreachable!("no Ssse3 token exists off x86-64");
     }
 }
 
-/// Multiplies 32 bytes by the broadcast coefficient tables: two in-lane
-/// shuffles and one XOR.  `vpshufb` indexes within each 128-bit lane, which
-/// is exactly right because both lanes hold the same broadcast 16-entry
-/// table.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn mul_bytes_avx2(s: __m256i, lo_table: __m256i, hi_table: __m256i, mask: __m256i) -> __m256i {
-    let lo_idx = _mm256_and_si256(s, mask);
-    // The 64-bit shift drags bits across byte boundaries, but the mask
-    // keeps only each byte's own high nibble.
-    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-    _mm256_xor_si256(
-        _mm256_shuffle_epi8(lo_table, lo_idx),
-        _mm256_shuffle_epi8(hi_table, hi_idx),
-    )
-}
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use core::arch::x86_64::{
+        __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
+        _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
+        _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
+    };
 
-/// `dst[i] ^= c * src[i]`, 16 bytes per step.
-///
-/// # Safety
-///
-/// Requires SSSE3 and `dst.len() == src.len()`.
-#[target_feature(enable = "ssse3")]
-pub(crate) unsafe fn addmul_ssse3(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
-    let lo_table = _mm_loadu_si128(nibbles.lo.as_ptr().cast());
-    let hi_table = _mm_loadu_si128(nibbles.hi.as_ptr().cast());
-    let mask = _mm_set1_epi8(0x0F);
-    let len = dst.len();
-    let mut i = 0usize;
-    while i + 16 <= len {
-        let s = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-        let d = _mm_loadu_si128(dst.as_ptr().add(i).cast::<__m128i>());
-        let prod = mul_bytes_ssse3(s, lo_table, hi_table, mask);
-        _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), _mm_xor_si128(d, prod));
-        i += 16;
-    }
-    for j in i..len {
-        dst[j] ^= row[src[j] as usize];
-    }
-}
+    use crate::gf256::NibblePair;
 
-/// `dst[i] = c * src[i]`, 16 bytes per step.
-///
-/// # Safety
-///
-/// Requires SSSE3 and `dst.len() == src.len()`.
-#[target_feature(enable = "ssse3")]
-pub(crate) unsafe fn mul_into_ssse3(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
-    let lo_table = _mm_loadu_si128(nibbles.lo.as_ptr().cast());
-    let hi_table = _mm_loadu_si128(nibbles.hi.as_ptr().cast());
-    let mask = _mm_set1_epi8(0x0F);
-    let len = dst.len();
-    let mut i = 0usize;
-    while i + 16 <= len {
-        let s = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-        let prod = mul_bytes_ssse3(s, lo_table, hi_table, mask);
-        _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), prod);
-        i += 16;
+    /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 32
+    /// bytes per step.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `dst.len() == src.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mul_avx2<const ADD: bool>(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
+        let lo_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.lo.as_ptr().cast()));
+        let hi_table = _mm256_broadcastsi128_si256(_mm_loadu_si128(nibbles.hi.as_ptr().cast()));
+        let mask = _mm256_set1_epi8(0x0F);
+        let len = dst.len();
+        let mut i = 0usize;
+        while i + 32 <= len {
+            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
+            let mut prod = mul_bytes_avx2(s, lo_table, hi_table, mask);
+            if ADD {
+                prod = _mm256_xor_si256(prod, _mm256_loadu_si256(dst.as_ptr().add(i).cast::<__m256i>()));
+            }
+            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), prod);
+            i += 32;
+        }
+        for j in i..len {
+            dst[j] = row[src[j] as usize] ^ if ADD { dst[j] } else { 0 };
+        }
     }
-    for j in i..len {
-        dst[j] = row[src[j] as usize];
-    }
-}
 
-/// Multiplies 16 bytes by the broadcast coefficient tables.
-#[target_feature(enable = "ssse3")]
-#[inline]
-unsafe fn mul_bytes_ssse3(s: __m128i, lo_table: __m128i, hi_table: __m128i, mask: __m128i) -> __m128i {
-    let lo_idx = _mm_and_si128(s, mask);
-    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-    _mm_xor_si128(
-        _mm_shuffle_epi8(lo_table, lo_idx),
-        _mm_shuffle_epi8(hi_table, hi_idx),
-    )
+    /// `dst[i] ^= src[i]`, 32 bytes per step.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `dst.len() == src.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn xor_avx2(dst: &mut [u8], src: &[u8]) {
+        let len = dst.len();
+        let mut i = 0usize;
+        while i + 32 <= len {
+            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
+            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast::<__m256i>());
+            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), _mm256_xor_si256(d, s));
+            i += 32;
+        }
+        for j in i..len {
+            dst[j] ^= src[j];
+        }
+    }
+
+    /// Multiplies 32 bytes by the broadcast coefficient tables: two in-lane
+    /// shuffles and one XOR.  `vpshufb` indexes within each 128-bit lane,
+    /// which is exactly right because both lanes hold the same broadcast
+    /// 16-entry table.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mul_bytes_avx2(s: __m256i, lo_table: __m256i, hi_table: __m256i, mask: __m256i) -> __m256i {
+        let lo_idx = _mm256_and_si256(s, mask);
+        // The 64-bit shift drags bits across byte boundaries, but the mask
+        // keeps only each byte's own high nibble.
+        let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
+        _mm256_xor_si256(
+            _mm256_shuffle_epi8(lo_table, lo_idx),
+            _mm256_shuffle_epi8(hi_table, hi_idx),
+        )
+    }
+
+    /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 16
+    /// bytes per step.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSSE3 and `dst.len() == src.len()`.
+    #[target_feature(enable = "ssse3")]
+    pub(super) unsafe fn mul_ssse3<const ADD: bool>(dst: &mut [u8], src: &[u8], nibbles: &NibblePair, row: &[u8; 256]) {
+        let lo_table = _mm_loadu_si128(nibbles.lo.as_ptr().cast());
+        let hi_table = _mm_loadu_si128(nibbles.hi.as_ptr().cast());
+        let mask = _mm_set1_epi8(0x0F);
+        let len = dst.len();
+        let mut i = 0usize;
+        while i + 16 <= len {
+            let s = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
+            let mut prod = mul_bytes_ssse3(s, lo_table, hi_table, mask);
+            if ADD {
+                prod = _mm_xor_si128(prod, _mm_loadu_si128(dst.as_ptr().add(i).cast::<__m128i>()));
+            }
+            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), prod);
+            i += 16;
+        }
+        for j in i..len {
+            dst[j] = row[src[j] as usize] ^ if ADD { dst[j] } else { 0 };
+        }
+    }
+
+    /// Multiplies 16 bytes by the broadcast coefficient tables.
+    #[target_feature(enable = "ssse3")]
+    #[inline]
+    unsafe fn mul_bytes_ssse3(s: __m128i, lo_table: __m128i, hi_table: __m128i, mask: __m128i) -> __m128i {
+        let lo_idx = _mm_and_si128(s, mask);
+        let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
+        _mm_xor_si128(
+            _mm_shuffle_epi8(lo_table, lo_idx),
+            _mm_shuffle_epi8(hi_table, hi_idx),
+        )
+    }
 }

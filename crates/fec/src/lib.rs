@@ -48,7 +48,9 @@
 
 // `deny` rather than `forbid`: the SIMD kernel module (`gf256_simd`) opts
 // back in with a scoped `#[allow]` — it is the only unsafe code in the
-// crate, and its safety contract is documented at the module head.
+// crate, its safety contract is documented at the module head, and every
+// kernel in it demands the `rapidware_packet::cpu` token that proves its
+// instructions exist.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -57,7 +59,6 @@ mod block;
 mod codec;
 mod error;
 pub mod gf256;
-#[cfg(target_arch = "x86_64")]
 mod gf256_simd;
 mod matrix;
 

@@ -32,14 +32,10 @@
 //!
 //! * **`#[target_feature]` calls** — the kernels are compiled for AVX2 and
 //!   AVX-512F/BW, which the build target does not guarantee.  They are
-//!   reachable only through the methods of [`Avx2`] and [`Avx512`], tokens
-//!   whose constructors are the only code that can make one:
-//!   [`Avx2::active`] hands one out when the process-wide dispatcher
-//!   `rapidware_fec::gf256::active_kernel()` selected AVX2 (which it does
-//!   only after `is_x86_feature_detected!("avx2")`), [`Avx512::active`]
-//!   when it did *and* `is_x86_feature_detected!` confirms `avx512f` and
-//!   `avx512bw`, and the two `detected` constructors run the detection
-//!   themselves.  Holding a token is proof the instructions exist.
+//!   reachable only through the safe functions below, each of which
+//!   demands a `rapidware_packet::cpu` token — [`Avx2`] or [`Avx512`] —
+//!   that only `cpu.rs` can mint, after detecting the instructions.
+//!   Holding a token is proof they exist.
 //! * **unaligned vector loads/stores** — `_mm256_loadu_si256` /
 //!   `_mm256_storeu_si256` through pointers derived from the argument
 //!   slices, at offsets `0, 32, …, 480`, whose safe wrapper asserts that
@@ -58,6 +54,8 @@
 //! at every position of a call).
 #![allow(unsafe_code)]
 
+use rapidware_packet::cpu::{Avx2, Avx512};
+
 /// Bytes of keystream one AVX2 call produces: eight 64-byte blocks.
 pub(crate) const GROUP_LEN: usize = 512;
 
@@ -68,140 +66,67 @@ pub(crate) const LANE_BLOCKS: usize = 16;
 /// row-layout blocks.
 pub(crate) const WIDEST_BLOCKS: usize = LANE_BLOCKS + 4;
 
-/// Proof that this CPU executes AVX2; the only handle to the kernel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx2(());
-
-impl Avx2 {
-    /// The token, if the process-wide kernel dispatcher selected AVX2 (so
-    /// `RAPIDWARE_FORCE_SCALAR` pins the cipher together with GF(2⁸)).
-    pub(crate) fn active() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if rapidware_fec::gf256::active_kernel() == rapidware_fec::gf256::Kernel::Avx2 {
-            return Some(Self(()));
-        }
-        None
+/// The eight blocks starting at `state`'s counter (`state[12]`, wrapping)
+/// into `dst`: `src ^ keystream` when there is a `src`, raw keystream
+/// otherwise.  Every slice must be [`GROUP_LEN`] bytes.
+#[inline]
+pub(crate) fn group(_avx2: Avx2, state: &[u32; 16], src: Option<&[u8]>, dst: &mut [u8]) {
+    assert!(
+        dst.len() == GROUP_LEN && src.is_none_or(|src| src.len() == GROUP_LEN),
+        "one group is 512 bytes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Avx2` token proves AVX2 was detected (see the module
+    // doc), and `dst` and — when there is one — `src` were just asserted to
+    // be exactly `GROUP_LEN` bytes, which is all the kernel reads or writes.
+    unsafe {
+        x86::group(state, src.map(<[u8]>::as_ptr), dst.as_mut_ptr());
     }
-
-    /// The token, if the CPU has AVX2 — regardless of the dispatcher.  For
-    /// the parity suites and the kernel bench, which name each kernel.
-    pub(crate) fn detected() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(Self(()));
-        }
-        None
-    }
-
-    /// `dst = src ^ keystream` for the eight blocks starting at `state`'s
-    /// counter (`state[12]`, wrapping).  Both slices must be [`GROUP_LEN`]
-    /// bytes.
-    #[inline]
-    pub(crate) fn xor_group(self, state: &[u32; 16], src: &[u8], dst: &mut [u8]) {
-        self.group(state, Some(src), dst);
-    }
-
-    /// Writes the eight blocks of raw keystream starting at `state`'s
-    /// counter into `dst`, which must be [`GROUP_LEN`] bytes.
-    #[inline]
-    pub(crate) fn keystream_group(self, state: &[u32; 16], dst: &mut [u8]) {
-        self.group(state, None, dst);
-    }
-
-    #[inline]
-    fn group(self, state: &[u32; 16], src: Option<&[u8]>, dst: &mut [u8]) {
-        assert!(
-            dst.len() == GROUP_LEN && src.is_none_or(|src| src.len() == GROUP_LEN),
-            "one group is 512 bytes"
-        );
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` proves AVX2 was detected (see the module doc), and
-        // `dst` and — when there is one — `src` were just asserted to be
-        // exactly `GROUP_LEN` bytes, which is all the kernel reads or writes.
-        unsafe {
-            x86::group(state, src.map(<[u8]>::as_ptr), dst.as_mut_ptr());
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = state;
-            unreachable!("no Avx2 token exists off x86-64");
-        }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = state;
+        unreachable!("no Avx2 token exists off x86-64");
     }
 }
 
-/// Proof that this CPU executes AVX-512F, AVX-512BW and AVX2; the only
-/// handle to the 16+4-way kernel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx512(());
-
-impl Avx512 {
-    /// The token, if the process-wide dispatcher selected the wide (AVX2)
-    /// kernels and the CPU also has AVX-512F and AVX-512BW — so
-    /// `RAPIDWARE_FORCE_SCALAR` pins this kernel off too.
-    pub(crate) fn active() -> Option<Self> {
-        Avx2::active().and_then(|_| Self::detected())
+/// One 16+4-way call over the blocks starting at `state`'s counter
+/// (`state[12]`, wrapping): with `key`, the first block's raw keystream
+/// lands there; the blocks after it go to `dst` — `src ^ keystream` when
+/// there is a `src`, raw keystream otherwise — a ragged last block using
+/// only its first bytes.  A `src` must be as long as `dst`, and the call at
+/// most [`WIDEST_BLOCKS`] blocks, `key` included.
+#[inline]
+pub(crate) fn blocks(
+    _avx512: Avx512,
+    state: &[u32; 16],
+    key: Option<&mut [u8; 64]>,
+    src: Option<&[u8]>,
+    dst: &mut [u8],
+) {
+    let blocks = usize::from(key.is_some()) + dst.len().div_ceil(64);
+    assert!(
+        blocks <= WIDEST_BLOCKS && src.is_none_or(|src| src.len() == dst.len()),
+        "one call is at most 20 blocks, between equal-length slices"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Avx512` token proves AVX-512F/BW were detected (see the
+    // module doc); the kernel writes 64 bytes to `key` when there is one,
+    // reads `src` and writes `dst` below `dst.len()` only — `src` was just
+    // asserted to be as long — and produces at most the 20 blocks just
+    // asserted.
+    unsafe {
+        x86::blocks(
+            state,
+            key.map(|key| key.as_mut_ptr()),
+            src.map(<[u8]>::as_ptr),
+            dst.as_mut_ptr(),
+            dst.len(),
+        );
     }
-
-    /// The token, if the CPU has AVX-512F, AVX-512BW and AVX2 — regardless
-    /// of the dispatcher.  For the parity suites and the kernel bench.
-    pub(crate) fn detected() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && Avx2::detected().is_some()
-        {
-            return Some(Self(()));
-        }
-        None
-    }
-
-    /// The AVX2 token, which this one implies.
-    pub(crate) fn avx2(self) -> Avx2 {
-        Avx2(())
-    }
-
-    /// One call over the blocks starting at `state`'s counter (`state[12]`,
-    /// wrapping): with `key`, the first block's raw keystream lands there;
-    /// the blocks after it give `dst = src ^ keystream`, a ragged last block
-    /// using only its first bytes.  `src` and `dst` must be the same length
-    /// and the call at most [`WIDEST_BLOCKS`] blocks, `key` included.
-    #[inline]
-    pub(crate) fn xor(self, state: &[u32; 16], key: Option<&mut [u8; 64]>, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "xor needs equal-length slices");
-        self.call(state, key, Some(src), dst);
-    }
-
-    /// One call writing raw keystream over `dst`, at most
-    /// [`WIDEST_BLOCKS`] blocks of it.
-    #[inline]
-    pub(crate) fn keystream(self, state: &[u32; 16], dst: &mut [u8]) {
-        self.call(state, None, None, dst);
-    }
-
-    #[inline]
-    fn call(self, state: &[u32; 16], key: Option<&mut [u8; 64]>, src: Option<&[u8]>, dst: &mut [u8]) {
-        let blocks = usize::from(key.is_some()) + dst.len().div_ceil(64);
-        assert!(blocks <= WIDEST_BLOCKS, "one call is at most 20 blocks");
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` proves AVX-512F/BW were detected (see the module
-        // doc); the kernel writes 64 bytes to `key` when there is one,
-        // reads `src` and writes `dst` below `dst.len()` only — `src` is as
-        // long (asserted by `xor`) — and produces at most the 20 blocks
-        // just asserted.
-        unsafe {
-            x86::blocks(
-                state,
-                key.map(|key| key.as_mut_ptr()),
-                src.map(<[u8]>::as_ptr),
-                dst.as_mut_ptr(),
-                dst.len(),
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (state, key, src, blocks);
-            unreachable!("no Avx512 token exists off x86-64");
-        }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (state, key, src, blocks);
+        unreachable!("no Avx512 token exists off x86-64");
     }
 }
 

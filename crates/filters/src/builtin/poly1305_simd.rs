@@ -29,14 +29,14 @@
 //! * **`#[target_feature]` calls** — the kernel is compiled for AVX2, which
 //!   the build target does not guarantee.  It is reachable only through
 //!   [`absorb`], which demands an [`Avx2`] token: proof of detection that
-//!   only `chacha_simd.rs` can mint (see its module doc).
+//!   only `rapidware_packet::cpu` can mint.
 //! * **unaligned vector loads/stores** — `_mm256_loadu_si256` through
 //!   pointers taken from the two 32-byte halves of a `&[u8; 64]` (the input
 //!   is cut with `as_chunks::<64>`), and one `_mm256_storeu_si256` into a
 //!   local `[u64; 4]`.
 #![allow(unsafe_code)]
 
-use super::chacha_simd::Avx2;
+use rapidware_packet::cpu::Avx2;
 
 /// Bytes the kernel absorbs per step: four blocks, one per lane.
 pub(crate) const GROUP_LEN: usize = 64;

@@ -26,14 +26,14 @@
 //! `chacha_simd.rs`, which produces eight blocks per call, or its AVX-512
 //! kernel, which produces sixteen plus up to four per call and takes
 //! every packet past one 8-way group ([`WIDER_MIN_BLOCKS`]).  Which ones
-//! exist is decided by `rapidware_fec::gf256::active_kernel()`, the
-//! dispatcher the GF(2⁸) kernels already use (and, for AVX-512, feature
-//! detection on top), so `RAPIDWARE_FORCE_SCALAR=1` pins the cipher to the
-//! scalar path along with them.  Block 0 (whose first half is the Poly1305
-//! one-time key) is generated in the same call as the first payload
-//! keystream: the first 448 bytes of it on the 8-way kernel, up to 1,216
-//! bytes — a whole 1 KiB frame — on the 16+4-way one, whose payload blocks
-//! are XORed straight into the sealed payload.
+//! exist is decided by the `rapidware_packet::cpu` tokens of
+//! `Cpu::active()`, the value the CRC and GF(2⁸) kernels are chosen from,
+//! so `RAPIDWARE_FORCE_SCALAR=1` pins the cipher to the scalar path along
+//! with them.  Block 0 (whose first half is the Poly1305 one-time key) is
+//! generated in the same call as the first payload keystream: the first
+//! 448 bytes of it on the 8-way kernel, up to 1,216 bytes — a whole 1 KiB
+//! frame — on the 16+4-way one, whose payload blocks are XORed straight
+//! into the sealed payload.
 //!
 //! The same choice covers the MAC.  The scalar Poly1305 in this file
 //! (44-bit limbs, two blocks per step) is the reference and finishes every
@@ -69,9 +69,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rapidware_packet::cpu::{Avx2, Avx512, Cpu};
 use rapidware_packet::{Bytes, Packet, PacketKind};
 
-use super::chacha_simd::{Avx2, Avx512, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
+use super::chacha_simd::{self, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
 use super::poly1305_simd;
 use crate::error::FilterError;
 use crate::filter::{Filter, FilterDescriptor, FilterOutput};
@@ -158,16 +159,19 @@ fn xor_into(dst: &mut [u8], src: &[u8], pad: &[u8]) {
 /// AVX-512 keystream kernel of `chacha_simd.rs` (16 + 4 blocks per call),
 /// which takes every packet past one 8-way group.
 ///
-/// The filters always run [`Keystream::active`].  The type is exported
-/// (hidden from the documented API) only so the kernel parity suite and the
-/// kernel bench — both outside this crate — can name each kernel.
+/// The filters always run the kernels of `Cpu::active()`.  The type is
+/// exported (hidden from the documented API) only so the kernel parity
+/// suite and the kernel bench — both outside this crate — can name each
+/// kernel.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub struct Keystream {
-    /// The 8-way keystream and 4-way MAC kernels; `None` runs scalar.
-    wide: Option<Avx2>,
-    /// The 16+4-way keystream kernel; only ever set together with `wide`.
-    wider: Option<Avx512>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keystream {
+    /// The scalar keystream and MAC: the reference.
+    Scalar,
+    /// The 8-way keystream and 4-way MAC kernels.
+    Avx2(Avx2),
+    /// The 16+4-way keystream kernel over the AVX2 ones.
+    Avx512(Avx512),
 }
 
 /// Blocks of keystream still needed from which one 8-way call beats going
@@ -202,70 +206,51 @@ const AHEAD_LEN: usize = WIDEST_BLOCKS * 64;
 const WIDE_MAC_MIN_LEN: usize = 384;
 
 impl Keystream {
-    /// The scalar reference kernel.
-    pub fn scalar() -> Self {
-        Self {
-            wide: None,
-            wider: None,
-        }
-    }
-
-    /// The AVX2 kernels alone, or `None` when this CPU does not have AVX2.
-    /// Ignores `RAPIDWARE_FORCE_SCALAR`.
-    pub fn avx2() -> Option<Self> {
-        Avx2::detected().map(|simd| Self {
-            wide: Some(simd),
-            wider: None,
-        })
-    }
-
-    /// The AVX-512 keystream kernel over the AVX2 ones, or `None` when this
-    /// CPU lacks AVX-512F/BW.  Ignores `RAPIDWARE_FORCE_SCALAR`.
-    pub fn avx512() -> Option<Self> {
-        Avx512::detected().map(|simd| Self {
-            wide: Some(simd.avx2()),
-            wider: Some(simd),
-        })
-    }
-
-    /// The kernels `rapidware_fec::gf256::active_kernel()` selects for this
-    /// process — the one dispatcher (and the one `RAPIDWARE_FORCE_SCALAR`
-    /// switch) the GF(2⁸) kernels use — widened to AVX-512 where the CPU
-    /// has it.
-    pub fn active() -> Self {
-        Self {
-            wide: Avx2::active(),
-            wider: Avx512::active(),
+    /// The widest kernels `cpu` allows.
+    #[inline]
+    pub fn new(cpu: Cpu) -> Self {
+        match (cpu.avx512(), cpu.avx2()) {
+            (Some(avx512), _) => Keystream::Avx512(avx512),
+            (None, Some(avx2)) => Keystream::Avx2(avx2),
+            (None, None) => Keystream::Scalar,
         }
     }
 
     /// The widest keystream kernel: `"avx512"`, `"avx2"` or `"scalar"`.
     pub fn name(self) -> &'static str {
-        match (self.wider, self.wide) {
-            (Some(_), _) => "avx512",
-            (None, Some(_)) => "avx2",
-            (None, None) => "scalar",
+        match self {
+            Keystream::Avx512(_) => "avx512",
+            Keystream::Avx2(_) => "avx2",
+            Keystream::Scalar => "scalar",
         }
     }
 
     /// The MAC kernel, which has no AVX-512 form: `"avx2"` or `"scalar"`.
     pub fn mac_name(self) -> &'static str {
-        if self.wide.is_some() {
+        if self.wide().is_some() {
             "avx2"
         } else {
             "scalar"
         }
     }
 
+    /// The 8-way keystream and 4-way MAC kernels' token, which both wide
+    /// variants carry.
+    fn wide(self) -> Option<Avx2> {
+        match self {
+            Keystream::Avx512(avx512) => Some(avx512.avx2()),
+            Keystream::Avx2(avx2) => Some(avx2),
+            Keystream::Scalar => None,
+        }
+    }
+
     /// These kernels as a packet needing `blocks` blocks of keystream
     /// (block 0 included) runs them: the widest one that pays off.
     fn for_blocks(self, blocks: usize) -> Self {
-        if blocks < WIDE_MIN_BLOCKS {
-            Self::scalar()
-        } else if blocks < WIDER_MIN_BLOCKS {
-            Self { wider: None, ..self }
-        } else {
-            self
+        match self {
+            _ if blocks < WIDE_MIN_BLOCKS => Keystream::Scalar,
+            Keystream::Avx512(avx512) if blocks < WIDER_MIN_BLOCKS => Keystream::Avx2(avx512.avx2()),
+            _ => self,
         }
     }
 
@@ -287,7 +272,7 @@ impl Keystream {
     /// bench, so without the length threshold [`seal`](Self::seal) applies:
     /// the 4-way kernel takes every whole 64-byte group.
     pub fn poly1305(self, key: &[u8; 32], message: &[u8]) -> [u8; 16] {
-        let mut mac = Poly1305::new(key, self.wide);
+        let mut mac = Poly1305::new(key, self.wide());
         mac.update(message);
         mac.finish()
     }
@@ -339,7 +324,7 @@ impl Keystream {
     /// Starts the tag computation of a frame of `ciphertext_len` bytes:
     /// picks the MAC kernel, then absorbs the padded associated data.
     fn mac_begin(self, otk: &[u8; 32], aad: &[u8], ciphertext_len: usize) -> Poly1305 {
-        let wide = self.wide.filter(|_| ciphertext_len >= WIDE_MAC_MIN_LEN);
+        let wide = self.wide().filter(|_| ciphertext_len >= WIDE_MAC_MIN_LEN);
         let mut mac = Poly1305::new(otk, wide);
         mac.update(aad);
         mac.pad16();
@@ -436,21 +421,26 @@ impl Cipher {
     fn one_time_key(&mut self, payload_len: usize) -> [u8; 32] {
         debug_assert_eq!(self.state[12], 0, "the one-time key is block 0");
         let mut otk = [0u8; 32];
-        let Some(simd) = self.kernel.wide else {
-            words_to_bytes(&chacha20_words(&self.state)[..8], &mut otk);
-            self.advance(1);
-            return otk;
+        let ahead = match self.kernel {
+            Keystream::Scalar => {
+                words_to_bytes(&chacha20_words(&self.state)[..8], &mut otk);
+                self.advance(1);
+                return otk;
+            }
+            Keystream::Avx2(avx2) => {
+                let ahead = self.ahead.insert(Ahead::new(64, GROUP_LEN));
+                chacha_simd::group(avx2, &self.state, None, &mut ahead.bytes[..GROUP_LEN]);
+                ahead
+            }
+            Keystream::Avx512(avx512) => {
+                let blocks = call_blocks(1 + payload_len.div_ceil(64));
+                let ahead = self.ahead.insert(Ahead::new(64, blocks * 64));
+                chacha_simd::blocks(avx512, &self.state, None, None, &mut ahead.bytes[..blocks * 64]);
+                ahead
+            }
         };
-        let blocks = match self.kernel.wider {
-            Some(_) => call_blocks(1 + payload_len.div_ceil(64)),
-            None => 8,
-        };
-        let ahead = self.ahead.insert(Ahead::new(64, blocks * 64));
-        match self.kernel.wider {
-            Some(wider) => wider.keystream(&self.state, &mut ahead.bytes[..blocks * 64]),
-            None => simd.keystream_group(&self.state, &mut ahead.bytes[..GROUP_LEN]),
-        }
         otk.copy_from_slice(&ahead.bytes[..32]);
+        let blocks = ahead.end / 64;
         self.advance(blocks);
         otk
     }
@@ -459,7 +449,7 @@ impl Cipher {
     /// over `src` — which on the 16+4-way kernel is one call less: its
     /// first call carries block 0 and XORs the rest straight into `dst`.
     fn start(&mut self, src: &[u8], dst: &mut [u8]) -> [u8; 32] {
-        let Some(simd) = self.kernel.wider else {
+        let Keystream::Avx512(avx512) = self.kernel else {
             let otk = self.one_time_key(src.len());
             self.apply(src, dst);
             return otk;
@@ -467,7 +457,7 @@ impl Cipher {
         debug_assert_eq!(self.state[12], 0, "the one-time key is block 0");
         let first = src.len().min((call_blocks(1 + src.len().div_ceil(64)) - 1) * 64);
         let mut block0 = [0u8; 64];
-        simd.xor(&self.state, Some(&mut block0), &src[..first], &mut dst[..first]);
+        chacha_simd::blocks(avx512, &self.state, Some(&mut block0), Some(&src[..first]), &mut dst[..first]);
         self.advance(1 + first.div_ceil(64));
         if first < src.len() {
             self.apply(&src[first..], &mut dst[first..]);
@@ -493,14 +483,14 @@ impl Cipher {
             dst = dst_rest;
         }
 
-        if let Some(simd) = self.kernel.wider {
+        if let Keystream::Avx512(avx512) = self.kernel {
             // Every call XORs straight into `dst`; only the last can end
             // inside a block.
             while !src.is_empty() {
                 let take = src.len().min(call_blocks(src.len().div_ceil(64)) * 64);
                 let (src_call, src_rest) = src.split_at(take);
                 let (dst_call, dst_rest) = std::mem::take(&mut dst).split_at_mut(take);
-                simd.xor(&self.state, None, src_call, dst_call);
+                chacha_simd::blocks(avx512, &self.state, None, Some(src_call), dst_call);
                 self.advance(take.div_ceil(64));
                 self.ended = !take.is_multiple_of(64);
                 src = src_rest;
@@ -509,18 +499,18 @@ impl Cipher {
             return;
         }
 
-        if let Some(simd) = self.kernel.wide {
+        if let Keystream::Avx2(avx2) = self.kernel {
             let mut src_groups = src.chunks_exact(GROUP_LEN);
             let mut dst_groups = std::mem::take(&mut dst).chunks_exact_mut(GROUP_LEN);
             for (src_group, dst_group) in (&mut src_groups).zip(&mut dst_groups) {
-                simd.xor_group(&self.state, src_group, dst_group);
+                chacha_simd::group(avx2, &self.state, Some(src_group), dst_group);
                 self.advance(8);
             }
             src = src_groups.remainder();
             dst = dst_groups.into_remainder();
             if src.len().div_ceil(64) >= WIDE_MIN_BLOCKS {
                 let ahead = self.ahead.insert(Ahead::new(src.len(), GROUP_LEN));
-                simd.keystream_group(&self.state, &mut ahead.bytes[..GROUP_LEN]);
+                chacha_simd::group(avx2, &self.state, None, &mut ahead.bytes[..GROUP_LEN]);
                 xor_into(dst, src, &ahead.bytes[..src.len()]);
                 self.advance(8);
                 return;
@@ -1124,8 +1114,8 @@ impl DecryptFilter {
 }
 
 impl EncryptFilter {
-    /// [`Filter::process`] on a named kernel instead of
-    /// [`Keystream::active`]: for the parity suite, which pins the sealed
+    /// [`Filter::process`] on a named kernel instead of the one
+    /// `Cpu::active()` allows: for the parity suite, which pins the sealed
     /// wire bytes under every kernel the CPU has.
     #[doc(hidden)]
     pub fn process_on(&mut self, kernel: Keystream, packet: Packet, out: &mut dyn FilterOutput) {
@@ -1165,7 +1155,7 @@ impl Filter for EncryptFilter {
     }
 
     fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        self.process_on(Keystream::active(), packet, out);
+        self.process_on(Keystream::new(Cpu::active()), packet, out);
         Ok(())
     }
 
@@ -1177,7 +1167,7 @@ impl Filter for EncryptFilter {
         // One kernel choice and one counter update per batch; the key is
         // looked up once per run of same-epoch packets, and a rekey frame
         // takes effect at its own position, exactly as on the serial path.
-        let kernel = Keystream::active();
+        let kernel = Keystream::new(Cpu::active());
         let mut tally = SecureChannelSnapshot::default();
         for packet in packets {
             self.seal_into(kernel, packet, out, &mut tally);
@@ -1240,7 +1230,7 @@ impl Filter for DecryptFilter {
 
     fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
         let mut tally = SecureChannelSnapshot::default();
-        self.open_into(Keystream::active(), packet, out, &mut tally);
+        self.open_into(Keystream::new(Cpu::active()), packet, out, &mut tally);
         self.stats.publish(tally);
         Ok(())
     }
@@ -1252,7 +1242,7 @@ impl Filter for DecryptFilter {
     ) -> Result<(), FilterError> {
         // As `EncryptFilter::process_batch`: one kernel choice, one counter
         // update, one key lookup per same-epoch run.
-        let kernel = Keystream::active();
+        let kernel = Keystream::new(Cpu::active());
         let mut tally = SecureChannelSnapshot::default();
         for packet in packets {
             self.open_into(kernel, packet, out, &mut tally);
@@ -1281,12 +1271,11 @@ mod tests {
 
     // -- RFC 8439 test vectors ---------------------------------------------
 
-    /// Every kernel this CPU can run, the scalar one always.
+    /// Every kernel this CPU can run, the scalar one first.
     fn kernels() -> Vec<Keystream> {
-        std::iter::once(Keystream::scalar())
-            .chain(Keystream::avx2())
-            .chain(Keystream::avx512())
-            .collect()
+        let mut kernels: Vec<Keystream> = Cpu::tiers().map(Keystream::new).collect();
+        kernels.dedup();
+        kernels
     }
 
     #[test]
@@ -1356,7 +1345,7 @@ mod tests {
                 let name = kernel.name();
                 assert_eq!(kernel.poly1305(&key, message), expected, "len {len}, one update, {name}");
                 for split in [1, 15, 16, 17, 33, 64, 100] {
-                    let mut pieces = Poly1305::new(&key, kernel.wide);
+                    let mut pieces = Poly1305::new(&key, kernel.wide());
                     for piece in message.chunks(split) {
                         pieces.update(piece);
                     }

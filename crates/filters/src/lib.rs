@@ -52,12 +52,14 @@
 //! ```
 
 // `deny`, not `forbid`: exactly two modules — `builtin::chacha_simd`, the
-// AVX2 ChaCha20 keystream kernel, and `builtin::poly1305_simd`, the AVX2
-// 4-way Poly1305 kernel — carry a scoped `allow` of `unsafe_code` for their
-// `#[target_feature]` calls and unaligned vector loads/stores, with a
-// `SAFETY:` comment on every block (the same arrangement as
-// `rapidware-fec` and its `gf256_simd`).  `forbid` cannot be overridden
-// by an inner `allow`; everything else in the crate is still rejected.
+// AVX2 and AVX-512 ChaCha20 keystream kernels, and `builtin::poly1305_simd`,
+// the AVX2 4-way Poly1305 kernel — carry a scoped `allow` of `unsafe_code`
+// for their `#[target_feature]` calls and unaligned vector loads/stores,
+// with a `SAFETY:` comment on every block naming the
+// `rapidware_packet::cpu` token that proves the instructions exist (the
+// same arrangement as `rapidware-fec` and its `gf256_simd`).  `forbid`
+// cannot be overridden by an inner `allow`; everything else in the crate is
+// still rejected.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

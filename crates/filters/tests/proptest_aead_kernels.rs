@@ -2,13 +2,12 @@
 //! behind the secure-channel filters, in the shape of `rapidware-fec`'s
 //! `proptest_kernels.rs`.
 //!
-//! [`Keystream::active`] is what the filters run: where
-//! `rapidware_fec::gf256::active_kernel()` selected AVX2, the AVX2
-//! 8-blocks-per-call kernel — widened, on a CPU with AVX-512F/BW, to the
-//! 16+4-blocks-per-call kernel for every packet past one 8-way group — and
-//! the scalar block function otherwise.  These tests pin it — and the AVX2
-//! and AVX-512 kernels by name, wherever the CPU has them — to the
-//! always-compiled scalar reference byte for byte: over every length
+//! `Keystream::new(Cpu::active())` is what the filters run: where the CPU
+//! has AVX2, the AVX2 8-blocks-per-call kernel — widened, on a CPU with
+//! AVX-512F/BW, to the 16+4-blocks-per-call kernel for every packet past
+//! one 8-way group — and the scalar block function otherwise.  These tests
+//! pin every kernel this host has, built from each of `Cpu::tiers()`, to
+//! the always-compiled scalar reference byte for byte: over every length
 //! residue mod 64 around the 8-way group ends and the 16+4-way call ends,
 //! arbitrary initial counters including the `u32::MAX` wrap at every
 //! position of an 8-block group and of a 16+4-block call, and unaligned
@@ -28,6 +27,7 @@
 
 use proptest::prelude::*;
 use rapidware_filters::{rekey_packet, EncryptFilter, Filter, Keystream, TAG_LEN};
+use rapidware_packet::cpu::Cpu;
 use rapidware_packet::{BlockId, FrameType, Packet, PacketKind, SeqNo, StreamId};
 
 /// Deterministic pseudo-random bytes from a seed (the LCG the FEC property
@@ -53,28 +53,13 @@ fn key_and_nonce(seed: u64) -> ([u8; 32], [u8; 12]) {
     (key, nonce)
 }
 
-/// The kernels to hold to the scalar reference: the dispatched one, and the
-/// AVX2 and AVX-512 ones by name where this CPU has them (under
-/// `RAPIDWARE_FORCE_SCALAR` the dispatched kernel *is* the scalar one, and
+/// Every kernel this CPU can run, the scalar one first (under
+/// `RAPIDWARE_FORCE_SCALAR` the dispatched kernel is the scalar one, and
 /// the others are still checked).
-fn kernels_under_test() -> Vec<Keystream> {
-    std::iter::once(Keystream::active())
-        .chain(Keystream::avx2())
-        .chain(Keystream::avx512())
-        .collect()
-}
-
-/// Every kernel this CPU can run, each named explicitly.
 fn every_kernel() -> Vec<Keystream> {
-    let avx2 = Keystream::avx2();
-    if avx2.is_none() {
-        eprintln!("AVX2 not detected: its vectors and parity checks are skipped");
-    }
-    let avx512 = Keystream::avx512();
-    if avx512.is_none() {
-        eprintln!("AVX-512F/BW not detected: its vectors and parity checks are skipped");
-    }
-    std::iter::once(Keystream::scalar()).chain(avx2).chain(avx512).collect()
+    let mut kernels: Vec<Keystream> = Cpu::tiers().map(Keystream::new).collect();
+    kernels.dedup();
+    kernels
 }
 
 /// Whether this Linux host's `/proc/cpuinfo` lists `flag` (`false` off
@@ -85,12 +70,16 @@ fn cpuinfo_lists(flag: &str) -> bool {
 }
 
 /// Names every kernel this run held to the reference, on one line CI looks
-/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists
-/// AVX-512F and AVX-512BW must have had the 16+4-way kernel checked.
+/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists AVX2
+/// must have had the 8-way kernel checked, and one that lists AVX-512F and
+/// AVX-512BW the 16+4-way kernel.
 #[test]
 fn the_kernels_checked_are_the_ones_the_cpu_has() {
     let names: Vec<&str> = every_kernel().into_iter().map(Keystream::name).collect();
     println!("aead kernels checked: {}", names.join(" "));
+    if cpuinfo_lists("avx2") {
+        assert!(names.contains(&"avx2"), "the CPU lists AVX2, checked only {names:?}");
+    }
     if cpuinfo_lists("avx512f") && cpuinfo_lists("avx512bw") {
         assert!(names.contains(&"avx512"), "the CPU lists AVX-512F/BW, checked only {names:?}");
     }
@@ -115,8 +104,8 @@ fn assert_matches_scalar(len: usize, src_offset: usize, dst_offset: usize, count
     let (key, nonce) = key_and_nonce(seed);
     let backing = fill(seed, src_offset + len);
     let source = &backing[src_offset..];
-    let expected = xor_at_offset(Keystream::scalar(), &key, &nonce, counter, source, 0);
-    for kernel in kernels_under_test() {
+    let expected = xor_at_offset(Keystream::Scalar, &key, &nonce, counter, source, 0);
+    for kernel in every_kernel() {
         let actual = xor_at_offset(kernel, &key, &nonce, counter, source, dst_offset);
         assert_eq!(
             actual,
@@ -160,12 +149,12 @@ proptest! {
         let (key, nonce) = key_and_nonce(seed);
         let plaintext = fill(seed, len);
         let aad = fill(seed ^ 0xAAD, aad_len);
-        let reference = Keystream::scalar().seal(&key, &nonce, &aad, &plaintext);
+        let reference = Keystream::Scalar.seal(&key, &nonce, &aad, &plaintext);
         prop_assert_eq!(reference.len(), len + TAG_LEN);
-        for sealer in kernels_under_test() {
+        for sealer in every_kernel() {
             let sealed = sealer.seal(&key, &nonce, &aad, &plaintext);
             prop_assert_eq!(&sealed, &reference, "{} seal", sealer.name());
-            let opened = Keystream::scalar().open(&key, &nonce, &aad, &sealed);
+            let opened = Keystream::Scalar.open(&key, &nonce, &aad, &sealed);
             prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} -> scalar", sealer.name());
             let opened = sealer.open(&key, &nonce, &aad, &reference);
             prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "scalar -> {}", sealer.name());
@@ -184,11 +173,11 @@ proptest! {
     ) {
         let (key, nonce) = key_and_nonce(seed);
         let mut aad = fill(seed ^ 0xAAD, 32);
-        let mut sealed = Keystream::scalar().seal(&key, &nonce, &aad, &fill(seed, len)).to_vec();
+        let mut sealed = Keystream::Scalar.seal(&key, &nonce, &aad, &fill(seed, len)).to_vec();
         let victim = if in_aad { &mut aad } else { &mut sealed };
         let position = (position % victim.len() as u64) as usize;
         victim[position] ^= 1 << bit;
-        for kernel in kernels_under_test() {
+        for kernel in every_kernel() {
             prop_assert!(kernel.open(&key, &nonce, &aad, &sealed).is_none(), "{}", kernel.name());
         }
     }
@@ -245,8 +234,8 @@ fn every_residue_around_the_16_plus_4_call_ends_matches_scalar() {
         assert_matches_scalar(len, len % 11, len % 5, 0, len as u64);
         let (key, nonce) = key_and_nonce(len as u64);
         let plaintext = fill(len as u64, len);
-        let reference = Keystream::scalar().seal(&key, &nonce, &aad, &plaintext);
-        for kernel in kernels_under_test() {
+        let reference = Keystream::Scalar.seal(&key, &nonce, &aad, &plaintext);
+        for kernel in every_kernel() {
             assert_eq!(kernel.seal(&key, &nonce, &aad, &plaintext), reference, "{} seal, len {len}", kernel.name());
             let opened = kernel.open(&key, &nonce, &aad, &reference);
             assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} open, len {len}", kernel.name());
@@ -365,7 +354,7 @@ fn rfc8439_2_5_2_poly1305() {
         let repeated = message.repeat(5);
         assert_eq!(
             kernel.poly1305(&key, &repeated),
-            Keystream::scalar().poly1305(&key, &repeated),
+            Keystream::Scalar.poly1305(&key, &repeated),
             "{} kernel, 170 bytes",
             kernel.name()
         );
@@ -417,8 +406,8 @@ fn mac_kernels_agree_at_every_length() {
     let message = fill(0x004D_4143, 2_048);
     for len in 0..=message.len() {
         let key: [u8; 32] = fill(len as u64 + 1, 32).try_into().expect("32 bytes");
-        let expected = Keystream::scalar().poly1305(&key, &message[..len]);
-        for kernel in kernels_under_test() {
+        let expected = Keystream::Scalar.poly1305(&key, &message[..len]);
+        for kernel in every_kernel() {
             assert_eq!(kernel.poly1305(&key, &message[..len]), expected, "{} kernel, len {len}", kernel.name());
         }
     }
@@ -436,8 +425,8 @@ fn mac_kernels_agree_on_saturated_limbs() {
     let small_r = mac_key([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0xFF; 16]);
     for key in [largest_r, small_r] {
         for len in (0..=ones.len()).filter(|len| len % 64 < 2 || len % 16 == 15 || len % 64 == 48) {
-            let expected = Keystream::scalar().poly1305(&key, &ones[..len]);
-            for kernel in kernels_under_test() {
+            let expected = Keystream::Scalar.poly1305(&key, &ones[..len]);
+            for kernel in every_kernel() {
                 assert_eq!(kernel.poly1305(&key, &ones[..len]), expected, "{} kernel, len {len}", kernel.name());
             }
         }
@@ -519,8 +508,9 @@ fn sealed_packets_on_the_wire_are_byte_identical_to_the_recorded_digest() {
     let mut named: Vec<Packet> = Vec::new();
     let packet = Packet::new(StreamId::new(7), SeqNo::new(1), PacketKind::Data, fill(1, 1_000));
     encrypt.process(packet.clone(), &mut dispatched).expect("sealing cannot fail");
-    EncryptFilter::new(0x005E_A1ED).process_on(Keystream::active(), packet, &mut named);
-    assert_eq!(dispatched, named, "Filter::process runs Keystream::active()");
+    let active = Keystream::new(Cpu::active());
+    EncryptFilter::new(0x005E_A1ED).process_on(active, packet, &mut named);
+    assert_eq!(dispatched, named, "Filter::process runs the kernel of Cpu::active()");
     for kernel in every_kernel() {
         let digest = sealed_wire_digest(kernel);
         assert_eq!(digest, SEALED_WIRE_DIGEST, "{} kernel: got {digest:#018x}", kernel.name());

@@ -6,14 +6,13 @@
 //! cryptographic integrity mechanism.
 //!
 //! Every frame that is encoded, decoded or FEC-framed pays it per byte, so
-//! [`crc32_update`] runs on one of two kernels, chosen once per process:
+//! [`crc32_update`] runs on one of two kernels, the one
+//! [`Cpu::active`](crate::cpu::Cpu::active) allows:
 //!
 //! * **folded** (`crc_simd.rs`) — `PCLMULQDQ` carry-less multiplies fold 64
 //!   bytes per step into four 128-bit accumulators and a Barrett reduction
 //!   brings the last 128 bits down to the 32-bit state.  Taken for slices of
-//!   at least 64 bytes on x86-64 CPUs that have the instruction, unless
-//!   `RAPIDWARE_FORCE_SCALAR` is set (the switch the GF(2⁸) and ChaCha20
-//!   kernels obey).
+//!   at least 64 bytes when the `Cpu` holds a [`Clmul`] token.
 //! * **slice-by-16** — sixteen derived lookup tables (16 KiB, built at
 //!   compile time) fold sixteen input bytes per step with sixteen
 //!   independent loads.  Always compiled: the path for short slices (the
@@ -26,9 +25,8 @@
 //! [`crc32_update_bytewise`] — the reference both kernels are
 //! property-tested against (`tests/proptest_crc.rs`).
 
-use std::sync::OnceLock;
-
-use crate::crc_simd::{Clmul, FOLD_LEN};
+use crate::cpu::{Clmul, Cpu};
+use crate::crc_simd::{self, FOLD_LEN};
 
 /// Computes the CRC-32 (IEEE) of `data`.
 ///
@@ -63,50 +61,27 @@ pub fn crc32_init() -> u32 {
 /// ```
 #[inline]
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    CrcKernel::active().update(state, data)
+    CrcKernel::new(Cpu::active()).update(state, data)
 }
 
 /// Which kernel a [`crc32_update`] call runs on: the carry-less-multiply
 /// folding kernel of `crc_simd.rs` with the tables behind it, or the
 /// tables alone.
 ///
-/// The codec always runs [`CrcKernel::active`].  The type is exported
-/// (hidden from the documented API) only so the parity suite and the kernel
-/// bench — both outside this crate — can name each kernel.
+/// The codec always runs the kernel of [`Cpu::active`].  The type is
+/// exported (hidden from the documented API) only so the parity suite and
+/// the kernel bench — both outside this crate — can name each kernel.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrcKernel {
     folded: Option<Clmul>,
 }
 
 impl CrcKernel {
-    /// The slice-by-16 tables alone.
-    pub fn tables() -> Self {
-        Self { folded: None }
-    }
-
-    /// The folding kernel, or `None` when this CPU has no `PCLMULQDQ`.
-    /// Ignores `RAPIDWARE_FORCE_SCALAR`.
-    pub fn folded() -> Option<Self> {
-        Clmul::detected().map(|clmul| Self { folded: Some(clmul) })
-    }
-
-    /// The kernel this process dispatches to, detected once: the folding
-    /// kernel where the CPU has it, unless `RAPIDWARE_FORCE_SCALAR` is set
-    /// to anything but empty or `0` — the rule of
-    /// `rapidware_fec::gf256::active_kernel()`, restated here because this
-    /// crate sits below the FEC one.
-    pub fn active() -> Self {
-        static ACTIVE: OnceLock<CrcKernel> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            let forced = std::env::var_os("RAPIDWARE_FORCE_SCALAR")
-                .is_some_and(|v| !v.is_empty() && v != "0");
-            if forced {
-                Self::tables()
-            } else {
-                Self::folded().unwrap_or_else(Self::tables)
-            }
-        })
+    /// The widest kernel `cpu` allows.
+    #[inline]
+    pub fn new(cpu: Cpu) -> Self {
+        Self { folded: cpu.clmul() }
     }
 
     /// `"pclmulqdq"` or `"slice16"`.
@@ -124,7 +99,7 @@ impl CrcKernel {
         match self.folded {
             Some(clmul) if data.len() >= FOLD_LEN => {
                 let (blocks, tail) = data.split_at(data.len() & !15);
-                slice16_update(clmul.fold(state, blocks), tail)
+                slice16_update(crc_simd::fold(clmul, state, blocks), tail)
             }
             _ => slice16_update(state, data),
         }
@@ -263,19 +238,18 @@ mod tests {
     fn slice_by_16_matches_bytewise_at_every_length() {
         // Cover the wide loop, the tail, and every alignment of the seam.
         let data: Vec<u8> = (0..96).map(|i| (i * 37 + 11) as u8).collect();
-        assert_matches_bytewise(CrcKernel::tables(), &data);
+        assert_matches_bytewise(CrcKernel::new(Cpu::scalar()), &data);
     }
 
     #[test]
     fn folded_kernel_matches_bytewise_at_every_length() {
         // Below 64 bytes the tables run whatever the kernel; from there up,
         // the four-accumulator loop, the 16-byte steps after it, and the
-        // table tail — at every alignment of each seam.
+        // table tail — at every alignment of each seam — on every kernel
+        // this host has.
         let data: Vec<u8> = (0..300).map(|i| (i * 37 + 11) as u8).collect();
-        assert_matches_bytewise(CrcKernel::active(), &data);
-        match CrcKernel::folded() {
-            Some(folded) => assert_matches_bytewise(folded, &data),
-            None => eprintln!("PCLMULQDQ not detected: the folded kernel is skipped"),
+        for cpu in Cpu::tiers() {
+            assert_matches_bytewise(CrcKernel::new(cpu), &data);
         }
     }
 

@@ -30,9 +30,8 @@
 //!
 //! * **`#[target_feature]` calls** — the kernel is compiled for `pclmulqdq`
 //!   (and `sse2`, which x86-64 guarantees), which the build target does not
-//!   promise.  It is reachable only through [`Clmul::fold`], and the only
-//!   code that makes a [`Clmul`] token is [`Clmul::detected`], after
-//!   `is_x86_feature_detected!("pclmulqdq")`.
+//!   promise.  It is reachable only through [`fold`], which demands a
+//!   [`Clmul`] token: proof of detection that only `cpu.rs` can mint.
 //! * **unaligned vector loads** — `_mm_loadu_si128` through a pointer taken
 //!   from a `&[u8; 16]` (the input is cut with `as_chunks::<16>`), so each
 //!   load reads exactly the 16 bytes its reference covers.
@@ -42,43 +41,30 @@
 //! this kernel to them at every length, misalignment and starting state.
 #![allow(unsafe_code)]
 
+use crate::cpu::Clmul;
+
 /// Bytes the kernel consumes per step of its main loop, and the shortest
 /// input it accepts: four 128-bit accumulators.
 pub(crate) const FOLD_LEN: usize = 64;
 
-/// Proof that this CPU executes `PCLMULQDQ`; the only handle to the kernel.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Clmul(());
-
-impl Clmul {
-    /// The token, if the CPU has the instruction.
-    pub(crate) fn detected() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("pclmulqdq") {
-            return Some(Self(()));
-        }
-        None
+/// Folds `blocks` — at least [`FOLD_LEN`] bytes and a whole number of
+/// 16-byte chunks — into the running (un-finalised) CRC-32 `state`.
+#[inline]
+pub(crate) fn fold(_clmul: Clmul, state: u32, blocks: &[u8]) -> u32 {
+    assert!(
+        blocks.len() >= FOLD_LEN && blocks.len().is_multiple_of(16),
+        "the folding kernel takes whole 16-byte chunks, four or more"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Clmul` token proves `pclmulqdq` was detected (see the
+    // module doc), which is all the kernel requires of its caller.
+    unsafe {
+        x86::fold(state, blocks)
     }
-
-    /// Folds `blocks` — at least [`FOLD_LEN`] bytes and a whole number of
-    /// 16-byte chunks — into the running (un-finalised) CRC-32 `state`.
-    #[inline]
-    pub(crate) fn fold(self, state: u32, blocks: &[u8]) -> u32 {
-        assert!(
-            blocks.len() >= FOLD_LEN && blocks.len().is_multiple_of(16),
-            "the folding kernel takes whole 16-byte chunks, four or more"
-        );
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `self` proves `pclmulqdq` was detected (see the module
-        // doc), which is all the kernel requires of its caller.
-        unsafe {
-            x86::fold(state, blocks)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = state;
-            unreachable!("no Clmul token exists off x86-64");
-        }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = state;
+        unreachable!("no Clmul token exists off x86-64");
     }
 }
 

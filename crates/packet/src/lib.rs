@@ -18,6 +18,8 @@
 //!   Figure 6).
 //! * [`ReceiptStats`] / [`WindowStats`] — per-window receipt and
 //!   reconstruction accounting used to regenerate the paper's Figure 7.
+//! * [`cpu`] — the one decision of which SIMD kernels this host runs, for
+//!   the CRC here and the FEC and cipher kernels above this crate.
 //!
 //! ## Example
 //!
@@ -34,14 +36,17 @@
 // `deny`, not `forbid`: exactly one module — `crc_simd`, the PCLMULQDQ
 // CRC-32 folding kernel — carries a scoped `allow` of `unsafe_code` for its
 // `#[target_feature]` call and unaligned vector loads, with a `SAFETY:`
-// comment on every block (the arrangement of `rapidware-fec`'s `gf256_simd`
-// and `rapidware-filters`' `chacha_simd`).  `forbid` cannot be overridden
-// by an inner `allow`; everything else in the crate is still rejected.
+// comment on every block naming the `cpu::Clmul` token that proves the
+// instruction exists (the arrangement of `rapidware-fec`'s `gf256_simd`
+// and `rapidware-filters`' `chacha_simd`).  `cpu`, which mints the tokens,
+// is safe code.  `forbid` cannot be overridden by an inner `allow`;
+// everything else in the crate is still rejected.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod buffer;
+pub mod cpu;
 mod crc;
 mod crc_simd;
 mod id;

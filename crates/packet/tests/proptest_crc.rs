@@ -2,15 +2,17 @@
 //! byte-at-a-time reference.
 //!
 //! `crc32_update` runs the `PCLMULQDQ` folding kernel on slices of 64 bytes
-//! and more (where the CPU has it and `RAPIDWARE_FORCE_SCALAR` is unset) and
-//! the slice-by-16 tables otherwise; `crc32_update_bytewise` is the textbook
-//! loop.  These tests pin every kernel to the reference: the dispatched one
-//! through the public functions, and each by name through the hidden
-//! [`CrcKernel`] — so a run under `RAPIDWARE_FORCE_SCALAR=1` still covers the
-//! folding kernel, and a run without it still covers the tables on long
-//! slices.  CI runs the suite both ways.
+//! and more (where `Cpu::active()` holds the token) and the slice-by-16
+//! tables otherwise; `crc32_update_bytewise` is the textbook loop.  These
+//! tests pin every kernel to the reference: the dispatched one through the
+//! public functions, and each one this host has by name through the hidden
+//! [`CrcKernel`], built from each of `Cpu::tiers()` — so a run under
+//! `RAPIDWARE_FORCE_SCALAR=1` still covers the folding kernel, and a run
+//! without it still covers the tables on long slices.  CI runs the suite
+//! both ways.
 
 use proptest::prelude::*;
+use rapidware_packet::cpu::Cpu;
 use rapidware_packet::{
     crc32, crc32_finish, crc32_init, crc32_update, crc32_update_bytewise, CrcKernel,
 };
@@ -29,16 +31,30 @@ fn fill(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The dispatched kernel, then every kernel this CPU can run by name.
-fn kernels_under_test() -> Vec<CrcKernel> {
-    let folded = CrcKernel::folded();
-    if folded.is_none() {
-        eprintln!("PCLMULQDQ not detected: the folded kernel's checks are skipped");
+/// Every kernel this CPU can run, the tables first.
+fn every_kernel() -> Vec<CrcKernel> {
+    let mut kernels: Vec<CrcKernel> = Cpu::tiers().map(CrcKernel::new).collect();
+    kernels.dedup();
+    kernels
+}
+
+/// Whether this Linux host's `/proc/cpuinfo` lists `flag` (`false` off
+/// Linux, where nothing is asserted from it).
+fn cpuinfo_lists(flag: &str) -> bool {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .is_ok_and(|cpuinfo| cpuinfo.split_whitespace().any(|word| word == flag))
+}
+
+/// Names every kernel this run held to the reference, on one line CI looks
+/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists
+/// `pclmulqdq` must have had the folding kernel checked.
+#[test]
+fn the_kernels_checked_are_the_ones_the_cpu_has() {
+    let names: Vec<&str> = every_kernel().into_iter().map(CrcKernel::name).collect();
+    println!("crc kernels checked: {}", names.join(" "));
+    if cpuinfo_lists("pclmulqdq") {
+        assert!(names.contains(&"pclmulqdq"), "the CPU lists PCLMULQDQ, checked only {names:?}");
     }
-    [Some(CrcKernel::active()), Some(CrcKernel::tables()), folded]
-        .into_iter()
-        .flatten()
-        .collect()
 }
 
 /// Every length up to 4 KiB at every start misalignment within a 16-byte
@@ -48,7 +64,7 @@ fn kernels_under_test() -> Vec<CrcKernel> {
 /// met or missed by each piece) against the byte-wise loop.
 #[test]
 fn every_kernel_matches_bytewise_at_every_length_and_misalignment() {
-    let kernels = kernels_under_test();
+    let kernels = every_kernel();
     let backing = fill(0xC4C3_2000, 4096 + 16);
     for len in 0..=4096usize {
         for misalignment in 0..16usize {
@@ -127,7 +143,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..2_000),
     ) {
         let expected = crc32_update_bytewise(state, &data);
-        for kernel in kernels_under_test() {
+        for kernel in every_kernel() {
             prop_assert_eq!(kernel.update(state, &data), expected, "{} kernel", kernel.name());
         }
     }

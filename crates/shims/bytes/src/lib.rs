@@ -2,9 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this shim provides
 //! exactly the subset of the `bytes` API the workspace consumes: a cheaply
-//! clonable, reference-counted immutable byte buffer ([`Bytes`]), a growable
-//! builder ([`BytesMut`]), and the big-endian cursor traits ([`Buf`],
-//! [`BufMut`]).  Semantics match the real crate for this subset; swap the
+//! clonable, reference-counted immutable byte buffer ([`Bytes`]).
+//! Semantics match the real crate for this subset; swap the
 //! `[workspace.dependencies]` entry for the crates.io version to drop the
 //! shim.
 
@@ -164,140 +163,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into a [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty builder with room for `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            data: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Length of the accumulated contents in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, data: &[u8]) {
-        self.data.extend_from_slice(data);
-    }
-
-    /// Converts the accumulated contents into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Read cursor over a byte source; integers are big-endian, as on the wire.
-pub trait Buf {
-    /// Number of bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// Reads `n` bytes into `dst` and advances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `dst.len()` bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Reads one byte and advances.
-    fn get_u8(&mut self) -> u8 {
-        let mut buf = [0u8; 1];
-        self.copy_to_slice(&mut buf);
-        buf[0]
-    }
-
-    /// Reads a big-endian `u32` and advances.
-    fn get_u32(&mut self) -> u32 {
-        let mut buf = [0u8; 4];
-        self.copy_to_slice(&mut buf);
-        u32::from_be_bytes(buf)
-    }
-
-    /// Reads a big-endian `u64` and advances.
-    fn get_u64(&mut self) -> u64 {
-        let mut buf = [0u8; 8];
-        self.copy_to_slice(&mut buf);
-        u64::from_be_bytes(buf)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.len() >= dst.len(), "buffer underflow");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
-    }
-}
-
-/// Write sink for bytes; integers are big-endian, as on the wire.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, value: u8) {
-        self.put_slice(&[value]);
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, value: u32) {
-        self.put_slice(&value.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, value: u64) {
-        self.put_slice(&value.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,19 +209,5 @@ mod tests {
         assert_eq!(&sibling[..], &[1, 2, 3, 4], "the clone keeps what it saw");
         assert_ne!(built.as_ptr(), sibling.as_ptr(), "written through a private copy");
         assert_eq!(Bytes::zeroed(0), Bytes::new());
-    }
-
-    #[test]
-    fn round_trip_big_endian() {
-        let mut buf = BytesMut::with_capacity(13);
-        buf.put_u32(0xDEAD_BEEF);
-        buf.put_u64(42);
-        buf.put_u8(7);
-        let frozen = buf.freeze();
-        let mut cursor = &frozen[..];
-        assert_eq!(cursor.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(cursor.get_u64(), 42);
-        assert_eq!(cursor.get_u8(), 7);
-        assert_eq!(cursor.remaining(), 0);
     }
 }

@@ -209,3 +209,55 @@ fn scheduler_shape_does_not_change_the_closed_loop() {
     assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
     assert_eq!(single.report, wide.report);
 }
+
+/// Canonical-trace digests of every built-in sync run — the six flat
+/// scenarios and the three fanout scenarios, each at both matrix seeds —
+/// recorded once and checked on every commit.  Every other equality in
+/// this file compares two appliers within one build; this one pins the
+/// sync applier's traces across builds, so a change to how the sync path
+/// batches, flushes or orders packets cannot shift every placement at
+/// once unnoticed.
+const PINNED_SYNC_DIGESTS: [(&str, u64, u64); 18] = [
+    ("steady-wlan", 2001, 0xfb7f5926e4342c1e),
+    ("bursty-gilbert-elliott", 2001, 0xe5c2fce1ae06a497),
+    ("handoff-cliff", 2001, 0xa0fb18c787d3d70b),
+    ("multicast-fanout-lossy-receiver", 2001, 0xb61881688249289f),
+    ("congestion-ramp", 2001, 0x4121e8b5c8ba4f1e),
+    ("flapping-link", 2001, 0x53587772b17a3add),
+    ("fanout-wired-plus-lossy-wlan", 2001, 0x318b80c516339848),
+    ("fanout-tiered-wireless", 2001, 0xb81bc1cb6847ef17),
+    ("fanout-all-wired", 2001, 0x632596ead5e376d1),
+    ("steady-wlan", 42, 0x1d80ac8ce23800bd),
+    ("bursty-gilbert-elliott", 42, 0xf716bbd455047150),
+    ("handoff-cliff", 42, 0x350c5b7452bc2bfc),
+    ("multicast-fanout-lossy-receiver", 42, 0x51b44d10e376f68d),
+    ("congestion-ramp", 42, 0x7615c5e47832a725),
+    ("flapping-link", 42, 0xa43aafd4a239b9a1),
+    ("fanout-wired-plus-lossy-wlan", 42, 0xbaa9bda0c483200a),
+    ("fanout-tiered-wireless", 42, 0xc600200defc54443),
+    ("fanout-all-wired", 42, 0x8916c8af5d4e956c),
+];
+
+#[test]
+fn builtin_sync_trace_digests_are_pinned() {
+    let mut actual = Vec::new();
+    for seed in MATRIX_SEEDS {
+        for spec in ScenarioSpec::builtin_matrix() {
+            let outcome = ScenarioEngine::new(spec.clone().with_seed(seed)).run_sync();
+            actual.push((spec.name, seed, outcome.trace.digest()));
+        }
+        for spec in FanoutSpec::fanout_matrix() {
+            let outcome = FanoutEngine::new(spec.clone().with_seed(seed)).run_sync();
+            actual.push((spec.name, seed, outcome.trace.digest()));
+        }
+    }
+    let pinned: Vec<(String, u64, u64)> = PINNED_SYNC_DIGESTS
+        .iter()
+        .map(|&(name, seed, digest)| (name.to_string(), seed, digest))
+        .collect();
+    let rendered: String = actual
+        .iter()
+        .map(|(name, seed, digest)| format!("    ({name:?}, {seed}, {digest:#018x}),\n"))
+        .collect();
+    assert_eq!(actual, pinned, "sync trace digests moved; now:\n{rendered}");
+}

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use rapidware::engine::{FanoutApplier, FanoutSpec, LaneSpec, SyncFanoutApplier};
+use rapidware::engine::{Applier, FanoutSpec, LaneSpec, SyncApplier};
 use rapidware::filters::{FecEncoderFilter, FilterChain};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware::proxy::{FilterSpec, Proxy, RuntimeConfig};
@@ -62,7 +62,8 @@ fn best(samples: &[f64]) -> f64 {
 /// Shared head chain, one encode per packet, zero-copy fanout to N lanes.
 fn fanout_pps(packets: &[Packet]) -> f64 {
     let spec = fanout_spec();
-    let mut applier = SyncFanoutApplier::for_spec(&spec);
+    let lanes: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
+    let mut applier = SyncApplier::new(&spec.name, &spec.head_filters, &lanes);
     let start = Instant::now();
     let per_lane = applier.process(packets.to_vec());
     let residue = applier.finish();

@@ -1,30 +1,25 @@
 //! Appliers: where adaptation actions land.
 //!
 //! The [`AdaptationEngine`](rapidware_raplets::AdaptationEngine) emits
-//! [`AdaptationAction`]s without touching any chain; an [`ActionApplier`]
-//! owns a concrete chain implementation and applies them.  Two appliers are
-//! provided, and a scenario must behave identically on both:
+//! [`AdaptationAction`]s without touching any chain; an [`Applier`] owns
+//! the chains a scenario runs through and applies them.  Every applier has
+//! one shape — a shared head chain feeding one tail chain per receiver
+//! lane — and a flat scenario is the one-lane case with an empty head.
+//! Two appliers exist, and a scenario must behave identically on both:
 //!
-//! * [`SyncChainApplier`] — the deterministic, synchronous
-//!   [`FilterChain`] used by simulations and benchmarks.
-//! * [`RuntimeApplier`] — a live [`Proxy`] stream running as a task on the
-//!   proxy's worker pool, reconfigured through the proxy's control surface
-//!   while packets flow.
-//!
-//! The live applier stays deterministic by quiescing the pipeline at every
-//! step: after pushing a window of packets (or applying actions that flush
-//! residue), it sends a [`PacketKind::Control`] marker and drains the chain
-//! output until the marker emerges.  Every built-in filter passes control
-//! packets through untouched and the task path is FIFO, so everything the
-//! window produced is collected, in order, before the engine moves on.
+//! * [`SyncApplier`] — deterministic, synchronous [`FilterChain`]s, used
+//!   by simulations and benchmarks.
+//! * [`LiveApplier`](super::LiveApplier) — a live
+//!   [`Proxy`](rapidware_proxy::Proxy) stream or session on the proxy's
+//!   worker pool, fed over in-process pipes or a loopback UDP carrier.
 
+use std::fmt;
 use std::sync::Arc;
 
 use rapidware_filters::{ChainSpans, FilterChain};
-use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{FilterRegistry, Proxy, Registry, RuntimeConfig};
-use rapidware_raplets::{apply_to_proxy, AdaptationAction};
-use rapidware_streams::{DetachableReceiver, DetachableSender};
+use rapidware_packet::{Packet, StreamId};
+use rapidware_proxy::{FilterRegistry, FilterSpec, Registry};
+use rapidware_raplets::AdaptationAction;
 
 use super::report::LatencySummary;
 
@@ -34,34 +29,37 @@ pub(super) fn marker_stream() -> StreamId {
     StreamId::new(u32::MAX)
 }
 
-/// A chain implementation that adaptation actions can be applied to.
+/// The chains a scenario runs through: a shared head chain and one tail
+/// chain per receiver lane, and where per-lane adaptation actions land.
 ///
-/// `process` and `apply` both return the packets the chain emitted so the
-/// scenario engine can put them on the air; implementations must preserve
-/// packet order and must be deterministic for a given input sequence.
-pub trait ActionApplier {
-    /// Short label for reports (`"sync"` / `"pooled"`).
-    fn label(&self) -> &'static str;
+/// `process` and `finish` return one output vector **per lane**, in lane
+/// order, and `apply` returns the residue of one lane; the engine puts all
+/// of it on the air.  Implementations must preserve packet order and must
+/// be deterministic for a given input sequence.
+pub trait Applier {
+    /// Pushes one window of source packets through the head chain and every
+    /// lane tail, returning each lane's emissions in lane order.
+    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>>;
 
-    /// Pushes one window of source packets through the chain and returns
-    /// everything the chain emitted for them, in order.
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Packet>;
+    /// Applies adaptation actions to one lane's tail chain, returning any
+    /// residue flushed out of removed or replaced filters on that lane.
+    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet>;
 
-    /// Applies adaptation actions, returning any residue flushed out of
-    /// removed or replaced filters (the caller must transmit it).
-    fn apply(&mut self, actions: &[AdaptationAction]) -> Vec<Packet>;
+    /// Names of the filters installed on `lane`'s tail chain.
+    fn lane_filters(&self, lane: usize) -> Vec<String>;
 
-    /// Names of the currently installed filters, in stream order.
-    fn installed_filters(&self) -> Vec<String>;
+    /// Names of the filters installed on the shared head chain.
+    fn head_filters(&self) -> Vec<String>;
 
-    /// Ends the stream: flushes every filter and returns the tail residue
-    /// (e.g. parity for a partial FEC block).  The applier must not be used
-    /// afterwards.
-    fn finish(&mut self) -> Vec<Packet>;
+    /// Ends the stream: flushes the head chain through every lane and every
+    /// lane tail, returning each lane's residue in lane order.  The applier
+    /// must not be used afterwards.
+    fn finish(&mut self) -> Vec<Vec<Packet>>;
 
-    /// End-to-end latency percentiles observed by the applier's telemetry
-    /// spans, or `None` for appliers without instrumentation.  Purely
-    /// observational — latency never participates in report equality.
+    /// End-to-end latency percentiles (head ingress to lane egress, all
+    /// lanes merged) observed by the applier's telemetry spans, or `None`
+    /// for appliers without instrumentation.  Purely observational —
+    /// latency never participates in report equality.
     fn latency(&self) -> Option<LatencySummary> {
         None
     }
@@ -127,202 +125,131 @@ fn position_of_kind(chain: &FilterChain, kind: &str) -> Option<usize> {
     chain.names().iter().position(|name| name.starts_with(kind))
 }
 
-/// The synchronous applier: a [`FilterChain`] plus the registry used to
-/// instantiate filters named by actions.
-#[derive(Debug)]
-pub struct SyncChainApplier {
-    chain: FilterChain,
+/// The synchronous applier: one [`FilterChain`] head, one per lane, plus
+/// the registry used to instantiate filters named by actions.
+pub struct SyncApplier {
+    head: FilterChain,
+    lanes: Vec<FilterChain>,
     registry: FilterRegistry,
     telemetry: Arc<Registry>,
 }
 
-impl SyncChainApplier {
-    /// Creates an applier around an empty chain and the built-in registry.
-    /// The chain carries egress telemetry spans so the run's report can
-    /// surface end-to-end latency percentiles.
-    pub fn new() -> Self {
-        let telemetry = Registry::new();
-        let mut chain = FilterChain::new();
-        chain.set_spans(ChainSpans::egress(&telemetry, "stream.scenario"));
-        Self {
-            chain,
-            registry: FilterRegistry::with_builtins(),
-            telemetry,
-        }
+impl fmt::Debug for SyncApplier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SyncApplier")
+            .field("head", &self.head.names())
+            .field("lanes", &self.lanes.len())
+            .finish()
     }
 }
 
-impl Default for SyncChainApplier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ActionApplier for SyncChainApplier {
-    fn label(&self) -> &'static str {
-        "sync"
-    }
-
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(packets.len());
-        for packet in packets {
-            out.extend(self.chain.process(packet).expect("scenario filters do not fail"));
-        }
-        out
-    }
-
-    fn apply(&mut self, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_actions_to_chain(&mut self.chain, &self.registry, actions)
-    }
-
-    fn installed_filters(&self) -> Vec<String> {
-        self.chain.names()
-    }
-
-    fn finish(&mut self) -> Vec<Packet> {
-        self.chain.flush().expect("scenario filters do not fail")
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-/// The live applier: one stream on a [`Proxy`] — the whole chain executes
-/// as a cooperative task on the proxy's fixed worker pool, reconfigured
-/// through the proxy control surface while packets flow.
-///
-/// Determinism comes from control-marker quiescence: markers ride the FIFO
-/// task path, so draining to the marker collects exactly the window's
-/// output, in order, regardless of shard count or batch size.
-#[derive(Debug)]
-pub struct RuntimeApplier {
-    proxy: Proxy,
-    stream: String,
-    telemetry: Arc<Registry>,
-    input: DetachableSender<Packet>,
-    output: DetachableReceiver<Packet>,
-    next_marker: u64,
-    finished: bool,
-}
-
-impl RuntimeApplier {
-    /// Spins up a proxy with a sharded runtime of `shards` workers and a
-    /// single pooled stream processing packets in batches of up to
-    /// `batch_size`.
-    ///
-    /// `window_hint` sizes the stream's pipes so a whole sample window
-    /// (plus parity overhead) fits without blocking the driver.
+impl SyncApplier {
+    /// Creates the sync applier: the head chain is populated from
+    /// `head_filters`, and one empty tail chain per lane name.  `name`
+    /// labels the telemetry spans (`session.<name>.head`,
+    /// `session.<name>.lane.<lane>`), as on a live session.
     ///
     /// # Panics
     ///
-    /// Panics if the proxy cannot create the stream (it is freshly built,
-    /// so the only failure is resource exhaustion).
-    pub fn new(shards: usize, batch_size: usize, window_hint: usize) -> Self {
-        let capacity = (window_hint.max(32)) * 4;
-        let config = RuntimeConfig::new(shards, batch_size).with_pipe_capacity(capacity);
-        let mut proxy = Proxy::with_runtime("scenario-proxy", config);
-        // Spans plus runtime profiling (poll / queue-wait histograms) go on
-        // before the stream exists.
-        let telemetry = proxy.enable_telemetry();
-        let (input, output) = proxy
-            .add_stream_pooled("scenario")
-            .expect("fresh proxy accepts its first stream");
-        Self {
-            proxy,
-            stream: "scenario".to_string(),
-            telemetry,
-            input,
-            output,
-            next_marker: 0,
-            finished: false,
+    /// Panics if a head filter spec names an unknown kind (specs are
+    /// expected to reference registered kinds).
+    pub fn new(name: &str, head_filters: &[FilterSpec], lanes: &[String]) -> Self {
+        let registry = FilterRegistry::with_builtins();
+        let telemetry = Registry::new();
+        let mut head = FilterChain::new();
+        // Interior spans on the head stamp ingress; egress spans on each
+        // lane close the ingress-to-egress measurement, so lane e2e covers
+        // the full head-plus-tail path.
+        head.set_spans(ChainSpans::interior(&telemetry, format!("session.{name}.head")));
+        for filter_spec in head_filters {
+            let filter = registry
+                .instantiate(filter_spec)
+                .expect("head filter specs reference registered kinds");
+            head.push_back(filter).expect("appending to a fresh chain never fails");
         }
-    }
-
-    /// Sends a control marker and drains the chain output until it comes
-    /// back, returning everything that emerged before it.
-    fn quiesce(&mut self) -> Vec<Packet> {
-        let marker_seq = self.next_marker;
-        self.next_marker += 1;
-        let marker =
-            Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
-        self.input.send(marker).expect("scenario chain input stays open");
-        let mut collected = Vec::new();
-        loop {
-            let packet = self
-                .output
-                .recv()
-                .expect("marker is still in flight, so the stream cannot end");
-            if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
-                if packet.seq().value() == marker_seq {
-                    return collected;
-                }
-                // A stale marker from an earlier window (only possible if a
-                // caller ignored a drain's result); skip it.
-                continue;
-            }
-            collected.push(packet);
+        let lanes = lanes
+            .iter()
+            .map(|lane| {
+                let mut chain = FilterChain::new();
+                chain.set_spans(ChainSpans::egress(
+                    &telemetry,
+                    format!("session.{name}.lane.{lane}"),
+                ));
+                chain
+            })
+            .collect();
+        Self {
+            head,
+            lanes,
+            registry,
+            telemetry,
         }
     }
 }
 
-impl ActionApplier for RuntimeApplier {
-    fn label(&self) -> &'static str {
-        "pooled"
+impl Applier for SyncApplier {
+    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>> {
+        let shared = self
+            .head
+            .process_batch(packets)
+            .expect("scenario head filters do not fail");
+        // Like the live session task: clone for all but the last lane,
+        // move into the last.
+        let last = self.lanes.len().saturating_sub(1);
+        let mut shared = Some(shared);
+        self.lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(index, lane)| {
+                let batch = if index == last {
+                    shared.take().expect("only the last lane takes the batch")
+                } else {
+                    shared.as_ref().expect("batch present until the last lane").clone()
+                };
+                lane.process_batch(batch).expect("scenario lane filters do not fail")
+            })
+            .collect()
     }
 
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        for packet in packets {
-            self.input.send(packet).expect("scenario chain input stays open");
-        }
-        self.quiesce()
+    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
+        apply_actions_to_chain(&mut self.lanes[lane], &self.registry, actions)
     }
 
-    fn apply(&mut self, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_to_proxy(&self.proxy, &self.stream, actions)
-            .expect("responder actions are valid for the pooled chain");
-        // Residue flushed out of removed/replaced filters lands in the
-        // task's pending buffer; quiescing picks it up in order.
-        self.quiesce()
+    fn lane_filters(&self, lane: usize) -> Vec<String> {
+        self.lanes[lane].names()
     }
 
-    fn installed_filters(&self) -> Vec<String> {
-        self.proxy
-            .filter_names(&self.stream)
-            .expect("the scenario stream exists for the applier's lifetime")
+    fn head_filters(&self) -> Vec<String> {
+        self.head.names()
     }
 
-    fn finish(&mut self) -> Vec<Packet> {
-        self.finished = true;
-        self.input.close();
-        let mut residue = Vec::new();
-        while let Ok(packet) = self.output.recv() {
-            if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
-                continue;
-            }
-            residue.push(packet);
-        }
-        residue
+    fn finish(&mut self) -> Vec<Vec<Packet>> {
+        // The head's tail residue (e.g. a partial block of a head-side
+        // filter) flows through every lane before the lanes flush, exactly
+        // as EOF propagates through a live session.
+        let head_residue = self.head.flush().expect("scenario head filters do not fail");
+        self.lanes
+            .iter_mut()
+            .map(|lane| {
+                let mut out = lane
+                    .process_batch(head_residue.clone())
+                    .expect("scenario lane filters do not fail");
+                out.extend(lane.flush().expect("scenario lane filters do not fail"));
+                out
+            })
+            .collect()
     }
 
     fn latency(&self) -> Option<LatencySummary> {
         LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-impl Drop for RuntimeApplier {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.input.close();
-        }
-        let _ = self.proxy.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapidware_proxy::FilterSpec;
+    use crate::engine::{LiveApplier, LiveIo};
+    use rapidware_packet::{PacketKind, SeqNo};
 
     fn audio(seq: u64) -> Packet {
         Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 32])
@@ -343,19 +270,19 @@ mod tests {
         }
     }
 
-    /// Drives the same script through an applier: plain window, insert FEC,
-    /// encoded window, remove FEC, final window, finish.
-    fn run_script(applier: &mut dyn ActionApplier) -> Vec<(u64, bool)> {
+    /// Drives the same script through lane 0 of an applier: plain window,
+    /// insert FEC, encoded window, remove FEC, final window, finish.
+    fn run_script(applier: &mut dyn Applier) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
-        out.extend(applier.process((0..4).map(audio).collect()));
-        assert!(applier.installed_filters().is_empty());
-        out.extend(applier.apply(&[insert_fec()]));
-        assert_eq!(applier.installed_filters(), vec!["fec-encoder(6,4)"]);
-        out.extend(applier.process((4..10).map(audio).collect()));
-        out.extend(applier.apply(&[remove_fec()]));
-        assert!(applier.installed_filters().is_empty());
-        out.extend(applier.process((10..12).map(audio).collect()));
-        out.extend(applier.finish());
+        out.extend(applier.process((0..4).map(audio).collect()).swap_remove(0));
+        assert!(applier.lane_filters(0).is_empty());
+        out.extend(applier.apply(0, &[insert_fec()]));
+        assert_eq!(applier.lane_filters(0), vec!["fec-encoder(6,4)"]);
+        out.extend(applier.process((4..10).map(audio).collect()).swap_remove(0));
+        out.extend(applier.apply(0, &[remove_fec()]));
+        assert!(applier.lane_filters(0).is_empty());
+        out.extend(applier.process((10..12).map(audio).collect()).swap_remove(0));
+        out.extend(applier.finish().swap_remove(0));
         out.iter()
             .map(|p| (p.seq().value(), p.kind().is_parity()))
             .collect()
@@ -363,8 +290,8 @@ mod tests {
 
     #[test]
     fn sync_and_pooled_appliers_emit_identical_streams() {
-        let sync = run_script(&mut SyncChainApplier::new());
-        let pooled = run_script(&mut RuntimeApplier::new(4, 4, 16));
+        let sync = run_script(&mut SyncApplier::new("unit", &[], &["unit".to_string()]));
+        let pooled = run_script(&mut LiveApplier::stream(LiveIo::Pipes, 4, 4, 16));
         assert_eq!(sync, pooled);
         // 12 payloads; seqs 4..8 form one full FEC block (2 parities) and
         // 8..10 a partial block flushed on removal (2 more parities).
@@ -373,22 +300,16 @@ mod tests {
     }
 
     #[test]
-    fn labels_distinguish_appliers() {
-        assert_eq!(SyncChainApplier::new().label(), "sync");
-        assert_eq!(RuntimeApplier::new(2, 1, 8).label(), "pooled");
-    }
-
-    #[test]
     fn pooled_applier_is_reusable_across_many_windows() {
-        let mut applier = RuntimeApplier::new(2, 2, 8);
-        applier.apply(&[insert_fec()]);
+        let mut applier = LiveApplier::stream(LiveIo::Pipes, 2, 2, 8);
+        applier.apply(0, &[insert_fec()]);
         let mut total = 0;
         for window in 0..10u64 {
             let packets: Vec<Packet> = (window * 8..(window + 1) * 8).map(audio).collect();
-            total += applier.process(packets).len();
+            total += applier.process(packets)[0].len();
         }
         // 80 payloads in full blocks of 4 → 20 blocks → 40 parities.
         assert_eq!(total, 120);
-        assert!(applier.finish().is_empty());
+        assert!(applier.finish()[0].is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! Like the flat engine, a fanout run is deterministic per spec and seed,
 //! produces a replayable [`ScenarioTrace`], and behaves identically on the
-//! synchronous applier and on a live [`PooledSession`].
+//! synchronous applier and on a live session on every placement.
 //!
 //! ```
 //! use rapidware::engine::{FanoutEngine, FanoutSpec};
@@ -35,22 +35,17 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use rapidware_filters::{ChainSpans, FecDecoderFilter, FilterChain};
+use rapidware_filters::FecDecoderFilter;
 use rapidware_media::{AudioConfig, AudioSource};
 use rapidware_netsim::{ReceiverId, SimTime, WirelessLan};
-use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{FilterRegistry, FilterSpec, PooledSession, Registry};
-use rapidware_raplets::{
-    apply_to_pooled_session, AdaptationAction, AdaptationEngine, FecResponder, LinkSample,
-    LossRateObserver,
-};
-use rapidware_streams::DetachableReceiver;
+use rapidware_packet::{Packet, StreamId};
+use rapidware_proxy::FilterSpec;
+use rapidware_raplets::{AdaptationEngine, FecResponder, LinkSample, LossRateObserver};
 
-use super::applier::{apply_actions_to_chain, marker_stream};
 use super::report::{LatencySummary, ReceiverOutcome};
 use super::spec::{validate_regime, LossRegime, RapletSet, SpecError};
 use super::trace::{describe_action, describe_event, ScenarioTrace, TraceEvent};
-use super::TimelineEntry;
+use super::{Applier, LiveApplier, LiveIo, SyncApplier, TimelineEntry, POOLED_APPLIER_SHARDS};
 
 /// One receiver lane of a [`FanoutSpec`]: its link, and whether it runs an
 /// adaptation loop of its own.
@@ -248,429 +243,6 @@ impl FanoutSpec {
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
-    }
-}
-
-/// The chain side of a fanout run: where the head chain and the per-lane
-/// tail chains live, and where per-lane adaptation actions land.
-///
-/// `process` returns one output vector **per lane**, in lane order;
-/// implementations must be deterministic for a given input sequence, and
-/// both provided appliers must produce identical per-lane streams.
-pub trait FanoutApplier {
-    /// Short label for reports (`"sync"` / `"session"`).
-    fn label(&self) -> &'static str;
-
-    /// Pushes one window of source packets through the head chain and every
-    /// lane tail, returning each lane's emissions in lane order.
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>>;
-
-    /// Applies adaptation actions to one lane's tail chain, returning any
-    /// residue flushed out of removed or replaced filters on that lane.
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet>;
-
-    /// Names of the filters installed on `lane`'s tail chain.
-    fn lane_filters(&self, lane: usize) -> Vec<String>;
-
-    /// Names of the filters installed on the shared head chain.
-    fn head_filters(&self) -> Vec<String>;
-
-    /// Ends the stream: flushes the head chain through every lane and every
-    /// lane tail, returning each lane's residue in lane order.  The applier
-    /// must not be used afterwards.
-    fn finish(&mut self) -> Vec<Vec<Packet>>;
-
-    /// End-to-end latency percentiles (head ingress to lane egress, all
-    /// lanes merged) observed by the applier's telemetry spans, or `None`
-    /// for appliers without instrumentation.  Purely observational —
-    /// latency never participates in report equality.
-    fn latency(&self) -> Option<LatencySummary> {
-        None
-    }
-}
-
-/// The synchronous fanout applier: one [`FilterChain`] head, one per lane.
-pub struct SyncFanoutApplier {
-    head: FilterChain,
-    lanes: Vec<FilterChain>,
-    registry: FilterRegistry,
-    telemetry: std::sync::Arc<Registry>,
-}
-
-impl fmt::Debug for SyncFanoutApplier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SyncFanoutApplier")
-            .field("head", &self.head.names())
-            .field("lanes", &self.lanes.len())
-            .finish()
-    }
-}
-
-impl SyncFanoutApplier {
-    /// Creates the sync applier for a spec: the head chain is populated
-    /// from `spec.head_filters`, and one empty tail chain per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a head filter spec names an unknown kind (specs are
-    /// expected to reference registered kinds).
-    pub fn for_spec(spec: &FanoutSpec) -> Self {
-        let registry = FilterRegistry::with_builtins();
-        let telemetry = Registry::new();
-        let mut head = FilterChain::new();
-        // Interior spans on the head stamp ingress; egress spans on each
-        // lane close the ingress-to-egress measurement, so lane e2e covers
-        // the full head-plus-tail path.
-        head.set_spans(ChainSpans::interior(
-            &telemetry,
-            format!("session.{}.head", spec.name),
-        ));
-        for filter_spec in &spec.head_filters {
-            let filter = registry
-                .instantiate(filter_spec)
-                .expect("head filter specs reference registered kinds");
-            head.push_back(filter).expect("appending to a fresh chain never fails");
-        }
-        let lanes = spec
-            .lanes
-            .iter()
-            .map(|lane| {
-                let mut chain = FilterChain::new();
-                chain.set_spans(ChainSpans::egress(
-                    &telemetry,
-                    format!("session.{}.lane.{}", spec.name, lane.name),
-                ));
-                chain
-            })
-            .collect();
-        Self {
-            head,
-            lanes,
-            registry,
-            telemetry,
-        }
-    }
-}
-
-impl FanoutApplier for SyncFanoutApplier {
-    fn label(&self) -> &'static str {
-        "sync"
-    }
-
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>> {
-        let shared = self
-            .head
-            .process_batch(packets)
-            .expect("scenario head filters do not fail");
-        // Like the live session task: clone for all but the last lane,
-        // move into the last.
-        let last = self.lanes.len().saturating_sub(1);
-        let mut shared = Some(shared);
-        self.lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(index, lane)| {
-                let batch = if index == last {
-                    shared.take().expect("only the last lane takes the batch")
-                } else {
-                    shared.as_ref().expect("batch present until the last lane").clone()
-                };
-                lane.process_batch(batch).expect("scenario lane filters do not fail")
-            })
-            .collect()
-    }
-
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_actions_to_chain(&mut self.lanes[lane], &self.registry, actions)
-    }
-
-    fn lane_filters(&self, lane: usize) -> Vec<String> {
-        self.lanes[lane].names()
-    }
-
-    fn head_filters(&self) -> Vec<String> {
-        self.head.names()
-    }
-
-    fn finish(&mut self) -> Vec<Vec<Packet>> {
-        // The head's tail residue (e.g. a partial block of a head-side
-        // filter) flows through every lane before the lanes flush, exactly
-        // as EOF propagates through a live session.
-        let head_residue = self.head.flush().expect("scenario head filters do not fail");
-        self.lanes
-            .iter_mut()
-            .map(|lane| {
-                let mut out = lane
-                    .process_batch(head_residue.clone())
-                    .expect("scenario lane filters do not fail");
-                out.extend(lane.flush().expect("scenario lane filters do not fail"));
-                out
-            })
-            .collect()
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-/// Drains **all lanes concurrently** until each one yields its copy of
-/// marker `marker_seq`, returning the per-lane packets that preceded it.
-///
-/// The drain is round-robin with non-blocking receives rather than
-/// lane-by-lane: the fanout stage back-pressures against full lane pipes,
-/// so blocking on lane 0 while the fanout is parked against lane 1 would
-/// deadlock whenever a window (amplified by an expanding head filter)
-/// overflows a pipe.  Draining every lane keeps the fanout moving no
-/// matter which pipe fills first.  Shared by every session applier so the
-/// protocol cannot drift between runtimes; `feed` runs before each sweep
-/// (the wire applier drains its app-side sockets into `outputs` there).
-pub(super) fn drain_lanes_until_marker(
-    outputs: &[DetachableReceiver<Packet>],
-    marker_seq: u64,
-    feed: impl Fn(),
-) -> Vec<Vec<Packet>> {
-    let mut collected: Vec<Vec<Packet>> = vec![Vec::new(); outputs.len()];
-    let mut done = vec![false; outputs.len()];
-    while done.iter().any(|flag| !flag) {
-        feed();
-        let mut progressed = false;
-        for lane in 0..outputs.len() {
-            if done[lane] {
-                continue;
-            }
-            while let Ok(packet) = outputs[lane].try_recv() {
-                progressed = true;
-                if packet.kind() == PacketKind::Control && packet.stream() == marker_stream() {
-                    if packet.seq().value() == marker_seq {
-                        done[lane] = true;
-                        break;
-                    }
-                    // Stale marker from an earlier quiescence point.
-                    continue;
-                }
-                collected[lane].push(packet);
-            }
-        }
-        if !progressed {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-    collected
-}
-
-/// Round-robin drains every lane to end of stream, appending everything
-/// (markers excluded) to `residue`; the finishing counterpart of
-/// [`drain_lanes_until_marker`].
-pub(super) fn drain_lanes_to_eof(
-    outputs: &[DetachableReceiver<Packet>],
-    residue: &mut [Vec<Packet>],
-    feed: impl Fn(),
-) {
-    let mut done = vec![false; outputs.len()];
-    while done.iter().any(|flag| !flag) {
-        feed();
-        let mut progressed = false;
-        for lane in 0..outputs.len() {
-            if done[lane] {
-                continue;
-            }
-            loop {
-                match outputs[lane].try_recv() {
-                    Ok(packet) => {
-                        progressed = true;
-                        if packet.kind() == PacketKind::Control
-                            && packet.stream() == marker_stream()
-                        {
-                            continue;
-                        }
-                        residue[lane].push(packet);
-                    }
-                    Err(rapidware_streams::TryRecvError::Empty) => break,
-                    Err(_) => {
-                        done[lane] = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !progressed {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-}
-
-/// The live fanout applier: a [`PooledSession`] on a sharded worker-pool
-/// [`Runtime`](rapidware_proxy::Runtime) — head chain, fanout stage, and
-/// every lane tail run as cooperative tasks on
-/// [`POOLED_APPLIER_SHARDS`](super::POOLED_APPLIER_SHARDS) fixed workers,
-/// reconfigured per lane through the session control surface while packets
-/// flow.
-///
-/// Determinism uses control-marker quiescence: a [`PacketKind::Control`]
-/// marker is pushed through the head chain, fans out to every lane, and
-/// each lane is drained until its copy of the marker emerges.  It must
-/// agree with the sync applier byte for byte.
-pub struct RuntimeFanoutApplier {
-    runtime: std::sync::Arc<rapidware_proxy::Runtime>,
-    session: PooledSession,
-    telemetry: std::sync::Arc<Registry>,
-    lane_names: Vec<String>,
-    outputs: Vec<DetachableReceiver<Packet>>,
-    /// Packets collected for a lane outside its own turn (possible only if
-    /// a caller interleaves `apply` with undrained traffic); prepended to
-    /// that lane's next `process` result so nothing is ever dropped.
-    pending: Vec<Vec<Packet>>,
-    next_marker: u64,
-    finished: bool,
-}
-
-impl fmt::Debug for RuntimeFanoutApplier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RuntimeFanoutApplier")
-            .field("lanes", &self.lane_names)
-            .finish()
-    }
-}
-
-impl RuntimeFanoutApplier {
-    /// Spins up a pooled session for a spec on a fresh worker pool: head
-    /// filters installed, one lane per [`LaneSpec`], pipes sized so a whole
-    /// sample window (plus parity overhead) fits without blocking the
-    /// driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session cannot be constructed (fresh sessions only
-    /// fail on resource exhaustion).
-    pub fn for_spec(spec: &FanoutSpec) -> Self {
-        let capacity = (spec.sample_interval.max(32) as usize) * 4;
-        let config = rapidware_proxy::RuntimeConfig::new(
-            super::POOLED_APPLIER_SHARDS,
-            spec.batch_size.max(1),
-        )
-        .with_pipe_capacity(capacity);
-        let runtime = rapidware_proxy::Runtime::start(config);
-        let session = runtime.add_session_with(
-            spec.name.clone(),
-            FilterRegistry::with_builtins(),
-            capacity,
-            spec.batch_size.max(1),
-        );
-        // Session spans plus runtime profiling go on before the head
-        // filters and lanes exist.
-        let telemetry = Registry::new();
-        runtime.enable_telemetry(&telemetry);
-        session.enable_telemetry(&telemetry);
-        for (position, filter_spec) in spec.head_filters.iter().enumerate() {
-            session
-                .insert_head_filter(position, filter_spec)
-                .expect("head filter specs reference registered kinds");
-        }
-        let mut outputs = Vec::with_capacity(spec.lanes.len());
-        let mut lane_names = Vec::with_capacity(spec.lanes.len());
-        for lane in &spec.lanes {
-            outputs.push(session.add_lane(&lane.name).expect("spec lane names are unique"));
-            lane_names.push(lane.name.clone());
-        }
-        let lane_count = lane_names.len();
-        Self {
-            runtime,
-            session,
-            telemetry,
-            lane_names,
-            outputs,
-            pending: vec![Vec::new(); lane_count],
-            next_marker: 0,
-            finished: false,
-        }
-    }
-
-    /// Sends one control marker through the head chain (it fans out to
-    /// every lane) and drains **all lanes concurrently** until each copy of
-    /// the marker emerges, returning the per-lane packets that preceded it.
-    fn quiesce_all(&mut self) -> Vec<Vec<Packet>> {
-        let marker_seq = self.next_marker;
-        self.next_marker += 1;
-        let marker =
-            Packet::new(marker_stream(), SeqNo::new(marker_seq), PacketKind::Control, Vec::new());
-        self.session.input().send(marker).expect("session input stays open");
-        drain_lanes_until_marker(&self.outputs, marker_seq, || {})
-    }
-}
-
-impl FanoutApplier for RuntimeFanoutApplier {
-    fn label(&self) -> &'static str {
-        "pooled"
-    }
-
-    fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>> {
-        let input = self.session.input();
-        for packet in packets {
-            input.send(packet).expect("session input stays open");
-        }
-        let mut out = self.quiesce_all();
-        for (lane, extra) in out.iter_mut().enumerate() {
-            if !self.pending[lane].is_empty() {
-                let mut merged = std::mem::take(&mut self.pending[lane]);
-                merged.append(extra);
-                *extra = merged;
-            }
-        }
-        out
-    }
-
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_to_pooled_session(&self.session, &self.lane_names[lane], actions)
-            .expect("responder actions are valid for the live lane");
-        // Residue flushed out of the removed/replaced lane filter is
-        // buffered at this lane's endpoint.  Quiescing drains every lane
-        // (see quiesce_all); the other lanes have no traffic in flight at
-        // an apply point, but anything they do produce is parked in
-        // `pending` and handed back with their next window.
-        let mut all = self.quiesce_all();
-        let target = std::mem::take(&mut all[lane]);
-        for (index, extra) in all.into_iter().enumerate() {
-            if !extra.is_empty() {
-                self.pending[index].extend(extra);
-            }
-        }
-        target
-    }
-
-    fn lane_filters(&self, lane: usize) -> Vec<String> {
-        self.session
-            .lane_filter_names(&self.lane_names[lane])
-            .expect("spec lanes exist for the applier's lifetime")
-    }
-
-    fn head_filters(&self) -> Vec<String> {
-        self.session.head_filter_names()
-    }
-
-    fn finish(&mut self) -> Vec<Vec<Packet>> {
-        self.finished = true;
-        self.session.close_input();
-        // Round-robin drain to EOF on every lane, for the same reason as
-        // quiesce_all: the session task must stay free to move the final
-        // flush through whichever lane pipe fills first.
-        let mut residue: Vec<Vec<Packet>> = std::mem::take(&mut self.pending);
-        drain_lanes_to_eof(&self.outputs, &mut residue, || {});
-        residue
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        LatencySummary::from_snapshot(&self.telemetry.snapshot())
-    }
-}
-
-impl Drop for RuntimeFanoutApplier {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.session.close_input();
-        }
-        let _ = self.session.shutdown();
-        let _ = self.runtime.shutdown();
     }
 }
 
@@ -980,33 +552,39 @@ impl FanoutEngine {
         &self.spec
     }
 
-    /// Runs the scenario on the synchronous [`SyncFanoutApplier`].
+    /// Runs the scenario on the synchronous [`SyncApplier`].
     pub fn run_sync(&self) -> FanoutOutcome {
-        self.run_with(&mut SyncFanoutApplier::for_spec(&self.spec))
+        let spec = self.valid_spec();
+        self.run_validated(&mut sync_applier(spec))
     }
 
     /// Like [`run_sync`](Self::run_sync), but rejects degenerate specs with
     /// a typed [`SpecError`] instead of panicking.
     pub fn try_run_sync(&self) -> Result<FanoutOutcome, SpecError> {
         self.spec.validate()?;
-        self.try_run_with(&mut SyncFanoutApplier::for_spec(&self.spec))
+        Ok(self.run_validated(&mut sync_applier(&self.spec)))
     }
 
-    /// Runs the scenario on a live [`RuntimeFanoutApplier`]: the whole
-    /// session multiplexed over a sharded worker pool.  The trace must be
+    /// Runs the scenario on a [`LiveApplier`] session over
+    /// [`LiveIo::Pipes`]: the whole session multiplexed over a sharded
+    /// worker pool.  The trace must be
     /// byte-identical to the sync run.
     pub fn run_pooled(&self) -> FanoutOutcome {
-        self.run_with(&mut RuntimeFanoutApplier::for_spec(&self.spec))
+        self.run_live(LiveIo::Pipes)
     }
 
-    /// Runs the scenario on a
-    /// [`SharedUdpFanoutApplier`](super::SharedUdpFanoutApplier): every
-    /// packet crosses real loopback UDP sockets, the whole session riding
-    /// one carrier socket demuxed by the readiness reactor onto the worker
-    /// pool.  The report must agree with the in-process appliers at the
-    /// same seed.
+    /// Runs the scenario on a [`LiveApplier`] session over a
+    /// [`LiveIo::Carrier`]: every packet crosses real loopback UDP sockets,
+    /// the whole session riding one carrier socket demuxed by the readiness
+    /// reactor onto the worker pool.  The report must agree with the
+    /// in-process appliers at the same seed.
     pub fn run_udp_shared(&self) -> FanoutOutcome {
-        self.run_with(&mut super::SharedUdpFanoutApplier::for_spec(&self.spec))
+        self.run_live(LiveIo::Carrier)
+    }
+
+    fn run_live(&self, io: LiveIo) -> FanoutOutcome {
+        let spec = self.valid_spec();
+        self.run_validated(&mut live_applier(spec, io, POOLED_APPLIER_SHARDS))
     }
 
     /// Runs the scenario against any applier.
@@ -1017,18 +595,28 @@ impl FanoutEngine {
     /// filter fails, which the built-in fanout scenarios never do.  Use
     /// [`try_run_with`](Self::try_run_with) to get degenerate specs back as
     /// typed errors instead.
-    pub fn run_with(&self, applier: &mut dyn FanoutApplier) -> FanoutOutcome {
-        self.try_run_with(applier).unwrap_or_else(|err| panic!("invalid fanout spec: {err}"))
+    pub fn run_with(&self, applier: &mut dyn Applier) -> FanoutOutcome {
+        self.valid_spec();
+        self.run_validated(applier)
     }
 
     /// Runs the scenario against any applier, rejecting degenerate specs
     /// with a typed [`SpecError`] instead of panicking.
-    pub fn try_run_with(
-        &self,
-        applier: &mut dyn FanoutApplier,
-    ) -> Result<FanoutOutcome, SpecError> {
+    pub fn try_run_with(&self, applier: &mut dyn Applier) -> Result<FanoutOutcome, SpecError> {
+        self.spec.validate()?;
+        Ok(self.run_validated(applier))
+    }
+
+    /// The spec, checked once before any applier is built.
+    fn valid_spec(&self) -> &FanoutSpec {
+        if let Err(err) = self.spec.validate() {
+            panic!("invalid fanout spec: {err}");
+        }
+        &self.spec
+    }
+
+    fn run_validated(&self, applier: &mut dyn Applier) -> FanoutOutcome {
         let spec = &self.spec;
-        spec.validate()?;
         let mut trace = ScenarioTrace::new(spec.name.clone(), spec.seed);
 
         // The topology: one seeded LAN, one receiver per lane, each with
@@ -1200,8 +788,26 @@ impl FanoutEngine {
         for (lane, replayed_lane) in report.lanes.iter_mut().zip(replayed.lanes) {
             lane.timeline = replayed_lane.timeline;
         }
-        Ok(FanoutOutcome { report, trace })
+        FanoutOutcome { report, trace }
     }
+}
+
+fn lane_names(spec: &FanoutSpec) -> Vec<String> {
+    spec.lanes.iter().map(|lane| lane.name.clone()).collect()
+}
+
+/// The sync applier for a spec: head filters installed, one lane per
+/// [`LaneSpec`].
+fn sync_applier(spec: &FanoutSpec) -> SyncApplier {
+    SyncApplier::new(&spec.name, &spec.head_filters, &lane_names(spec))
+}
+
+/// A live session for a spec on a `shards`-worker pool, at the spec's
+/// batch size, pipes sized for one sample window.
+pub(super) fn live_applier(spec: &FanoutSpec, io: LiveIo, shards: usize) -> LiveApplier {
+    let lanes = lane_names(spec);
+    let window = spec.sample_interval as usize;
+    LiveApplier::session(io, &spec.name, &spec.head_filters, &lanes, shards, spec.batch_size, window)
 }
 
 /// Builds the per-lane adaptation loop from a raplet set.
@@ -1460,6 +1066,14 @@ mod tests {
         let mut spec = FanoutSpec::all_wired();
         spec.lanes.clear();
         let _ = FanoutEngine::new(spec).run_sync();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fanout spec")]
+    fn run_pooled_rejects_duplicate_lanes_before_placing_a_session() {
+        let mut spec = FanoutSpec::all_wired();
+        spec.lanes = vec![LaneSpec::wired("twin"), LaneSpec::wired("twin")];
+        let _ = FanoutEngine::new(spec).run_pooled();
     }
 
     #[test]

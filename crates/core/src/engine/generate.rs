@@ -46,9 +46,10 @@ use rand::{Rng, SeedableRng};
 use rapidware_netsim::{sample_phase_boundaries, SimTime};
 use rapidware_proxy::FilterSpec;
 
-use super::fanout::{FanoutEngine, FanoutSpec, LaneSpec};
+use super::fanout::{live_applier, FanoutEngine, FanoutSpec, LaneSpec};
 use super::spec::{LossRegime, ScenarioSpec};
-use super::{RuntimeApplier, ScenarioEngine, POOLED_APPLIER_SHARDS};
+use super::trace::ScenarioTrace;
+use super::{LiveApplier, LiveIo, ScenarioEngine, POOLED_APPLIER_SHARDS};
 
 /// Which applier family a generated run is placed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +324,7 @@ impl GeneratedSpec {
             if shrink.secure {
                 // The secure pair is an identity-preserving head stage
                 // (seal then verify-and-strip), so every lane's accounting
-                // is untouched while all five fanout appliers exercise it.
+                // is untouched while every fanout placement exercises it.
                 head_filters.push(secure_filter_spec("encrypt"));
                 head_filters.push(secure_filter_spec("decrypt"));
             }
@@ -479,8 +480,8 @@ impl GeneratedSpec {
     /// * the sync run is deterministic (two runs, identical bytes);
     /// * the pooled applier produces a byte-identical canonical trace and
     ///   an equal report;
-    /// * a pooled run at the sampled placement shard count agrees too
-    ///   (scheduler shape must be invisible);
+    /// * a pooled run at the sampled placement shard count agrees too, flat
+    ///   or fanout (scheduler shape must be invisible);
     /// * every receiver/lane accounts for every packet
     ///   (`delivered + recovered + lost + undelivered == packets`);
     /// * nothing delivered by the link fails to surface (`undelivered == 0`);
@@ -495,45 +496,66 @@ impl GeneratedSpec {
         }
     }
 
-    fn flat_conformance(&self, spec: &ScenarioSpec) -> Vec<String> {
+    /// Holds every placement to the sync reference run: a second sync run
+    /// (determinism), the pooled run, the shared-UDP run when the
+    /// `shared_udp` or `secure` token asks for it, and a pooled run at the
+    /// sampled shard count when that differs from the default.  `run`
+    /// runs the scenario on the sync applier (`None`) or on a live applier
+    /// with the given I/O and shard count.
+    fn placement_problems<R: PartialEq>(
+        &self,
+        trace: &ScenarioTrace,
+        report: &R,
+        run: impl Fn(Option<(LiveIo, usize)>) -> (ScenarioTrace, R),
+    ) -> Vec<String> {
+        let reference = trace.canonical_text();
         let mut problems = Vec::new();
+        if run(None).0.canonical_text() != reference {
+            problems.push("sync applier is not deterministic per seed".to_string());
+        }
+        let mut placements = vec![("pooled".to_string(), LiveIo::Pipes, POOLED_APPLIER_SHARDS)];
+        if self.shrink.shared_udp || self.shrink.secure {
+            placements.push((
+                "shared-udp".to_string(),
+                LiveIo::Carrier,
+                POOLED_APPLIER_SHARDS,
+            ));
+        }
+        let shards = self.placement.shards;
+        if self.placement.kind == PlacementKind::Pooled && shards != POOLED_APPLIER_SHARDS {
+            placements.push((format!("pooled at {shards} shards"), LiveIo::Pipes, shards));
+        }
+        for (label, io, shards) in placements {
+            let (placed_trace, placed_report) = run(Some((io, shards)));
+            if placed_trace.canonical_text() != reference {
+                problems.push(format!("{label} trace diverges from sync"));
+            }
+            if placed_report != *report {
+                problems.push(format!("{label} report diverges from sync"));
+            }
+        }
+        problems
+    }
+
+    fn flat_conformance(&self, spec: &ScenarioSpec) -> Vec<String> {
         let engine = ScenarioEngine::new(spec.clone());
         let reference = match engine.try_run_sync() {
             Ok(outcome) => outcome,
             Err(err) => return vec![format!("sampled spec rejected: {err}")],
         };
-        let again = engine.run_sync();
-        if again.trace.canonical_text() != reference.trace.canonical_text() {
-            problems.push("sync applier is not deterministic per seed".to_string());
-        }
-        let mut runs = vec![("pooled", engine.run_pooled())];
-        if self.shrink.shared_udp || self.shrink.secure {
-            runs.push(("shared-udp", engine.run_udp_shared()));
-        }
-        for (label, outcome) in runs {
-            if outcome.trace.canonical_text() != reference.trace.canonical_text() {
-                problems.push(format!("{label} trace diverges from sync"));
-            }
-            if outcome.report != reference.report {
-                problems.push(format!("{label} report diverges from sync"));
-            }
-        }
-        if self.placement.kind == PlacementKind::Pooled
-            && self.placement.shards != POOLED_APPLIER_SHARDS
-        {
-            let window = spec.sample_interval as usize;
-            let placed = engine.run_with(&mut RuntimeApplier::new(
-                self.placement.shards,
-                spec.batch_size,
-                window,
-            ));
-            if placed.trace.canonical_text() != reference.trace.canonical_text() {
-                problems.push(format!(
-                    "pooled trace at {} shards diverges from sync",
-                    self.placement.shards
-                ));
-            }
-        }
+        let window = spec.sample_interval as usize;
+        let mut problems = self.placement_problems(&reference.trace, &reference.report, |live| {
+            let outcome = match live {
+                None => engine.run_sync(),
+                Some((io, shards)) => engine.run_with(&mut LiveApplier::stream(
+                    io,
+                    shards,
+                    spec.batch_size,
+                    window,
+                )),
+            };
+            (outcome.trace, outcome.report)
+        });
         let report = &reference.report;
         if report.source_packets_sent != spec.packets {
             problems.push(format!(
@@ -564,28 +586,18 @@ impl GeneratedSpec {
     }
 
     fn fanout_conformance(&self, spec: &FanoutSpec) -> Vec<String> {
-        let mut problems = Vec::new();
         let engine = FanoutEngine::new(spec.clone());
         let reference = match engine.try_run_sync() {
             Ok(outcome) => outcome,
             Err(err) => return vec![format!("sampled spec rejected: {err}")],
         };
-        let again = engine.run_sync();
-        if again.trace.canonical_text() != reference.trace.canonical_text() {
-            problems.push("sync fanout applier is not deterministic per seed".to_string());
-        }
-        let mut runs = vec![("pooled", engine.run_pooled())];
-        if self.shrink.shared_udp || self.shrink.secure {
-            runs.push(("shared-udp", engine.run_udp_shared()));
-        }
-        for (label, outcome) in runs {
-            if outcome.trace.canonical_text() != reference.trace.canonical_text() {
-                problems.push(format!("{label} trace diverges from sync"));
-            }
-            if outcome.report != reference.report {
-                problems.push(format!("{label} report diverges from sync"));
-            }
-        }
+        let mut problems = self.placement_problems(&reference.trace, &reference.report, |live| {
+            let outcome = match live {
+                None => engine.run_sync(),
+                Some((io, shards)) => engine.run_with(&mut live_applier(spec, io, shards)),
+            };
+            (outcome.trace, outcome.report)
+        });
         let report = &reference.report;
         if report.source_packets_sent != spec.packets {
             problems.push(format!(

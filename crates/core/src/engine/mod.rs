@@ -3,25 +3,25 @@
 //! This module closes the control loop the paper describes but the rest of
 //! the workspace only exposes as parts: a seeded `netsim` topology produces
 //! per-window [`LinkSample`]s → the raplets' [`AdaptationEngine`] raises
-//! events and emits [`AdaptationAction`]s → an [`ActionApplier`] applies
-//! them to a running filter chain (the synchronous [`FilterChain`] or a
-//! live [`Proxy`] stream) → the reconfigured chain shapes the traffic the
-//! topology sees next.  Every step is stamped in
+//! events and emits [`AdaptationAction`]s → an [`Applier`] applies them to
+//! running filter chains (the synchronous [`SyncApplier`] or a
+//! [`LiveApplier`] on a live [`Proxy`]) → the reconfigured chain shapes
+//! the traffic the topology sees next.  Every step is stamped in
 //! [`SimTime`] and appended to a replayable [`ScenarioTrace`].
 //!
 //! ```text
-//!  data    AudioSource ─▶ ActionApplier ─▶ WirelessLan ─▶ FEC decoders
-//!  plane                  (FilterChain /    (seeded loss)   + sinks
-//!                          Proxy stream)         │
-//!                                ▲               ▼ per-window counts
+//!  data    AudioSource ─▶ Applier ─▶ WirelessLan ─▶ FEC decoders
+//!  plane                  (Sync /     (seeded loss)   + sinks
+//!                          Live)           │
+//!                            ▲             ▼ per-window counts
 //!  control  AdaptationAction ◀─ Responder ◀─ Observer ◀─ LinkSample
 //!  plane          │
 //!                 └──▶ ScenarioTrace (SimTime-stamped, replayable)
 //! ```
 //!
 //! Runs are deterministic: the same [`ScenarioSpec`] and seed produce a
-//! byte-identical trace on every run, and the sync and pooled appliers
-//! produce the same adaptation timeline.
+//! byte-identical trace on every run, and every placement — sync, pooled
+//! and shared-UDP carrier — produces the same adaptation timeline.
 //!
 //! ```
 //! use rapidware::engine::{ScenarioEngine, ScenarioSpec};
@@ -44,18 +44,15 @@
 mod applier;
 mod fanout;
 mod generate;
+mod live;
 mod report;
-mod shared_udp;
 mod spec;
 mod trace;
 
-pub use applier::{apply_actions_to_chain, ActionApplier, RuntimeApplier, SyncChainApplier};
-pub use shared_udp::{SharedUdpApplier, SharedUdpFanoutApplier};
-pub use fanout::{
-    FanoutApplier, FanoutEngine, FanoutOutcome, FanoutReport, FanoutSpec, LaneReport, LaneSpec,
-    RuntimeFanoutApplier, SyncFanoutApplier,
-};
+pub use applier::{apply_actions_to_chain, Applier, SyncApplier};
+pub use fanout::{FanoutEngine, FanoutOutcome, FanoutReport, FanoutSpec, LaneReport, LaneSpec};
 pub use generate::{ChurnEvent, GeneratedShape, GeneratedSpec, PlacementKind, PlacementSpec};
+pub use live::{LiveApplier, LiveIo};
 pub use report::{LatencySummary, ReceiverOutcome, ScenarioReport, TimelineEntry};
 pub use spec::{LossRegime, RapletSet, ScenarioSpec, SpecError};
 pub use trace::{describe_action, describe_event, ScenarioTrace, TraceEvent};
@@ -196,42 +193,51 @@ impl ScenarioEngine {
         &self.spec
     }
 
-    /// Runs the scenario against the synchronous [`SyncChainApplier`].
+    /// Runs the scenario against the synchronous [`SyncApplier`]: one lane,
+    /// no head chain.
     pub fn run_sync(&self) -> ScenarioOutcome {
-        self.run_with(&mut SyncChainApplier::new())
+        self.valid_spec();
+        self.run_validated(&mut flat_sync_applier())
     }
 
     /// Like [`run_sync`](Self::run_sync), but rejects degenerate specs with
     /// a typed [`SpecError`] instead of panicking.
     pub fn try_run_sync(&self) -> Result<ScenarioOutcome, SpecError> {
-        self.try_run_with(&mut SyncChainApplier::new())
+        self.spec.validate()?;
+        Ok(self.run_validated(&mut flat_sync_applier()))
     }
 
-    /// Runs the scenario against a live [`RuntimeApplier`]: the chain
-    /// executes as a cooperative task on a sharded worker pool
-    /// ([`POOLED_APPLIER_SHARDS`] workers), reconfigured through the proxy
-    /// control surface, using the spec's batch size.  The trace must be
-    /// byte-identical to the sync run.
+    /// Runs the scenario against a [`LiveApplier`] stream over
+    /// [`LiveIo::Pipes`]: the chain executes as a cooperative task on a
+    /// sharded worker pool ([`POOLED_APPLIER_SHARDS`] workers),
+    /// reconfigured through the proxy control surface, using the spec's
+    /// batch size.  The trace must be byte-identical to the sync run.
     pub fn run_pooled(&self) -> ScenarioOutcome {
-        let window = self.spec.sample_interval as usize;
-        self.run_with(&mut RuntimeApplier::new(
+        self.run_live(LiveIo::Pipes)
+    }
+
+    /// Runs the scenario against a [`LiveApplier`] stream over a
+    /// [`LiveIo::Carrier`]: every packet crosses two real loopback UDP
+    /// sockets on its way through the chain, the proxy side being a carrier
+    /// demuxed by the readiness reactor onto the worker pool.  The report
+    /// must agree with the in-process appliers at the same seed.
+    pub fn run_udp_shared(&self) -> ScenarioOutcome {
+        self.run_live(LiveIo::Carrier)
+    }
+
+    fn run_live(&self, io: LiveIo) -> ScenarioOutcome {
+        let spec = self.valid_spec();
+        let window = spec.sample_interval as usize;
+        self.run_validated(&mut LiveApplier::stream(
+            io,
             POOLED_APPLIER_SHARDS,
-            self.spec.batch_size,
+            spec.batch_size,
             window,
         ))
     }
 
-    /// Runs the scenario against a [`SharedUdpApplier`]: every packet
-    /// crosses two real loopback UDP sockets on its way through the chain,
-    /// the proxy side being a carrier demuxed by the readiness reactor onto
-    /// the worker pool.  The report must agree with the in-process appliers
-    /// at the same seed.
-    pub fn run_udp_shared(&self) -> ScenarioOutcome {
-        let window = self.spec.sample_interval as usize;
-        self.run_with(&mut SharedUdpApplier::new(self.spec.batch_size, window))
-    }
-
-    /// Runs the scenario against any applier.
+    /// Runs the scenario against any applier, driving lane 0 of it (a flat
+    /// scenario is the one-lane case).
     ///
     /// # Panics
     ///
@@ -239,18 +245,28 @@ impl ScenarioEngine {
     /// a filter fails, which the built-in scenarios never do.  Use
     /// [`try_run_with`](Self::try_run_with) to get degenerate specs back as
     /// typed errors instead.
-    pub fn run_with(&self, chain: &mut dyn ActionApplier) -> ScenarioOutcome {
-        self.try_run_with(chain).unwrap_or_else(|err| panic!("invalid scenario spec: {err}"))
+    pub fn run_with(&self, applier: &mut dyn Applier) -> ScenarioOutcome {
+        self.valid_spec();
+        self.run_validated(applier)
     }
 
     /// Runs the scenario against any applier, rejecting degenerate specs
     /// with a typed [`SpecError`] instead of panicking.
-    pub fn try_run_with(
-        &self,
-        chain: &mut dyn ActionApplier,
-    ) -> Result<ScenarioOutcome, SpecError> {
+    pub fn try_run_with(&self, applier: &mut dyn Applier) -> Result<ScenarioOutcome, SpecError> {
+        self.spec.validate()?;
+        Ok(self.run_validated(applier))
+    }
+
+    /// The spec, checked once before any applier is built.
+    fn valid_spec(&self) -> &ScenarioSpec {
+        if let Err(err) = self.spec.validate() {
+            panic!("invalid scenario spec: {err}");
+        }
+        &self.spec
+    }
+
+    fn run_validated(&self, chain: &mut dyn Applier) -> ScenarioOutcome {
         let spec = &self.spec;
-        spec.validate()?;
         let mut trace = ScenarioTrace::new(spec.name.clone(), spec.seed);
 
         // The topology: one seeded LAN, one loss regime per receiver.
@@ -306,13 +322,16 @@ impl ScenarioEngine {
         let rekey_at = if spec.secure {
             let key = FilterSpec::new("encrypt").with_param("key", SECURE_SCENARIO_KEY);
             let decrypt = FilterSpec::new("decrypt").with_param("key", SECURE_SCENARIO_KEY);
-            let installed = chain.apply(&[
-                AdaptationAction::Insert { position: 0, spec: key },
-                AdaptationAction::Insert {
-                    position: 1,
-                    spec: decrypt,
-                },
-            ]);
+            let installed = chain.apply(
+                0,
+                &[
+                    AdaptationAction::Insert { position: 0, spec: key },
+                    AdaptationAction::Insert {
+                        position: 1,
+                        spec: decrypt,
+                    },
+                ],
+            );
             debug_assert!(installed.is_empty(), "inserting flushes nothing");
             // Rotate the channel key at the midpoint of the run (skipped
             // for single-packet runs, where no seq strictly follows 0).
@@ -349,7 +368,7 @@ impl ScenarioEngine {
                 window.last().expect("windows are non-empty").timestamp_us(),
             );
             let mut air_time = SimTime::from_micros(window[0].timestamp_us());
-            let outgoing = chain.process(window);
+            let outgoing = chain.process(window).swap_remove(0);
 
             // Transmit: payload packets go on the air at their own media
             // timestamp; parity (and any other derived traffic) rides at
@@ -397,20 +416,20 @@ impl ScenarioEngine {
             if !actions.is_empty() {
                 // Residue flushed out of removed/replaced filters still has
                 // to reach the receivers (it completes their open blocks).
-                for packet in chain.apply(&actions) {
+                for packet in chain.apply(0, &actions) {
                     broadcast(&mut lan, now, &packet, spec.packets, &mut receivers, &mut counters);
                 }
                 trace.push(TraceEvent::ChainReconfigured {
                     time: now,
-                    filters: chain.installed_filters(),
+                    filters: chain.lane_filters(0),
                 });
             }
         }
 
         // End of stream: flush the chain's tail (e.g. a partial FEC block).
         let final_time = SimTime::from_micros(spec.packets * spec.audio.packet_interval_us());
-        let final_filters = chain.installed_filters();
-        for packet in chain.finish() {
+        let final_filters = chain.lane_filters(0);
+        for packet in chain.finish().swap_remove(0) {
             broadcast(&mut lan, final_time, &packet, spec.packets, &mut receivers, &mut counters);
         }
 
@@ -456,8 +475,13 @@ impl ScenarioEngine {
             final_filters,
             latency: chain.latency(),
         };
-        Ok(ScenarioOutcome { report, trace })
+        ScenarioOutcome { report, trace }
     }
+}
+
+/// The flat scenario's sync applier: one lane, no head chain.
+fn flat_sync_applier() -> SyncApplier {
+    SyncApplier::new("scenario", &[], &["scenario".to_string()])
 }
 
 /// Puts one packet on the air and routes the per-receiver deliveries into

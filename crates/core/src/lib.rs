@@ -69,8 +69,8 @@ pub use rapidware_proxy::runtime;
 pub mod prelude {
     pub use crate::builder::AdaptiveProxyBuilder;
     pub use crate::engine::{
-        ActionApplier, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec, ScenarioTrace,
-        SyncChainApplier,
+        Applier, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec, ScenarioTrace,
+        SyncApplier,
     };
     pub use crate::scenario::{FecScenario, ReceiverReport, ScenarioConfig, ScenarioReport};
     pub use rapidware_fec::FecCodec;

@@ -21,7 +21,9 @@
 
 mod common;
 
-use rapidware::engine::{FanoutEngine, FanoutSpec, ScenarioEngine, ScenarioSpec, MATRIX_SEEDS};
+use rapidware::engine::{
+    FanoutEngine, FanoutSpec, LiveApplier, LiveIo, ScenarioEngine, ScenarioSpec, MATRIX_SEEDS,
+};
 
 use common::assert_same_outcome;
 
@@ -199,13 +201,32 @@ fn scheduler_shape_does_not_change_the_closed_loop() {
     // The sharded runtime must be invisible to the control plane too:
     // worker count and step batch size are pure execution details, so a
     // 1-shard batch-1 pool and an 8-shard batch-32 pool produce the same
-    // trace as each other (and, via the matrix test, as the sync run).
-    use rapidware::engine::RuntimeApplier;
+    // trace as each other (and, via the matrix test, as the sync run) —
+    // for a flat stream and for a fanout session alike.
     let spec = ScenarioSpec::handoff_cliff().with_packets(1_200);
     let engine = ScenarioEngine::new(spec);
     let window = 50usize;
-    let single = engine.run_with(&mut RuntimeApplier::new(1, 1, window));
-    let wide = engine.run_with(&mut RuntimeApplier::new(8, 32, window));
+    let single = engine.run_with(&mut LiveApplier::stream(LiveIo::Pipes, 1, 1, window));
+    let wide = engine.run_with(&mut LiveApplier::stream(LiveIo::Pipes, 8, 32, window));
+    assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
+    assert_eq!(single.report, wide.report);
+
+    let spec = FanoutSpec::wired_plus_lossy_wlan().with_packets(600);
+    let lanes: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
+    let session = |shards, batch_size| {
+        LiveApplier::session(
+            LiveIo::Pipes,
+            &spec.name,
+            &spec.head_filters,
+            &lanes,
+            shards,
+            batch_size,
+            spec.sample_interval as usize,
+        )
+    };
+    let engine = FanoutEngine::new(spec.clone());
+    let single = engine.run_with(&mut session(1, 1));
+    let wide = engine.run_with(&mut session(8, 32));
     assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
     assert_eq!(single.report, wide.report);
 }

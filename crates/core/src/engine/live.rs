@@ -207,12 +207,17 @@ impl LiveApplier {
         window: usize,
     ) -> Self {
         Self::place(io, shards, batch_size, window, |proxy, capacity| {
-            let (ends, carrier_outputs) = match io {
+            let (ends, outputs) = match io {
                 LiveIo::Pipes => {
                     let input = proxy
                         .add_session_pooled(name, capacity, batch_size.max(1))
                         .expect("a fresh proxy accepts its first session");
-                    (Ends::Pipes(input), None)
+                    let session = proxy.pooled_session(name).expect("the session was just created");
+                    let outputs = lanes
+                        .iter()
+                        .map(|lane| session.add_lane(lane).expect("lane names are unique"))
+                        .collect();
+                    (Ends::Pipes(input), outputs)
                 }
                 LiveIo::Carrier => {
                     let (apps, outputs): (Vec<_>, Vec<_>) =
@@ -230,7 +235,7 @@ impl LiveApplier {
                         .expect("a fresh carrier accepts its first session");
                     let ingress = handle.ingress_addr();
                     let close_input = Box::new(move || handle.close_input());
-                    (carrier_ends(ingress, apps, close_input), Some(outputs))
+                    (carrier_ends(ingress, apps, close_input), outputs)
                 }
             };
             let session = proxy.pooled_session(name).expect("the session was just created");
@@ -239,12 +244,6 @@ impl LiveApplier {
                     .insert_head_filter(position, filter_spec)
                     .expect("head filter specs reference registered kinds");
             }
-            let outputs = carrier_outputs.unwrap_or_else(|| {
-                lanes
-                    .iter()
-                    .map(|lane| session.add_lane(lane).expect("lane names are unique"))
-                    .collect()
-            });
             let target = Target::Session {
                 name: name.to_string(),
                 lanes: lanes.to_vec(),

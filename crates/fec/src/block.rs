@@ -12,8 +12,10 @@
 //! is two bytes more than the largest payload in the block.  Parity shards
 //! produced by the codec therefore carry enough information for the receiver
 //! to recover both the bytes *and* the original length of a lost payload.
+//! Both sides write a payload straight into its shard, behind the prefix
+//! (`frame_with`), and `unframe` is the one way back.
 
-use crate::codec::FecCodec;
+use crate::codec::{CodecScratch, FecCodec};
 use crate::error::FecError;
 
 /// Maximum payload size representable by the two-byte length prefix.
@@ -44,18 +46,20 @@ pub struct RecoveredPayload {
     pub data: Vec<u8>,
 }
 
-/// Reusable decode-side shard buffers for
-/// [`BlockReconstructor::recover_with`].
+/// Reusable decode-side buffers for [`BlockReconstructor::recover_with`].
 ///
 /// One scratch serves any number of reconstructors sequentially; in
 /// steady state (block after block of similar shard lengths) recovery
-/// performs no shard-buffer allocations at all.
+/// performs no allocations at all.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// Received source payloads re-framed to the block's shard length.
+    /// Received source payloads, framed to the block's shard length.
     framed: Vec<Vec<u8>>,
-    /// Output buffers handed to [`FecCodec::decode_into`].
+    /// The slots being recovered, in order.
+    missing: Vec<usize>,
+    /// One decoded shard per missing slot.
     decoded: Vec<Vec<u8>>,
+    codec: CodecScratch,
 }
 
 impl DecodeScratch {
@@ -186,13 +190,7 @@ impl BlockAssembler {
         &mut self,
         write: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Option<FramedBlock<'_>>, FecError> {
-        let shard = self.next_shard();
-        write(shard);
-        let Some(len) = shard.len().checked_sub(2).and_then(|len| u16::try_from(len).ok()) else {
-            shard.clear();
-            return Err(FecError::CorruptPayload);
-        };
-        shard[..2].copy_from_slice(&len.to_be_bytes());
+        frame_with(self.next_shard(), write)?;
         self.pending_len += 1;
         if self.pending_len == self.codec.k() {
             Ok(Some(self.complete(self.codec.k())))
@@ -220,21 +218,18 @@ impl BlockAssembler {
         }
         let occupied = self.pending_len;
         while self.pending_len < self.codec.k() {
-            self.next_shard();
+            frame_with(self.next_shard(), |_| ()).expect("an empty payload fits its prefix");
             self.pending_len += 1;
         }
         Some(self.complete(occupied))
     }
 
-    /// The next free shard slot, holding an empty payload's frame.
+    /// The next free shard slot.
     fn next_shard(&mut self) -> &mut Vec<u8> {
         if self.pending_len == self.shards.len() {
             self.shards.push(Vec::new());
         }
-        let shard = &mut self.shards[self.pending_len];
-        shard.clear();
-        shard.extend_from_slice(&[0, 0]);
-        shard
+        &mut self.shards[self.pending_len]
     }
 
     /// Pads the `k` pending shards to their common length and hands them
@@ -256,181 +251,230 @@ impl BlockAssembler {
     }
 }
 
-/// Rebuilds missing source payloads of one block on the receiver side.
+/// Tracks one block's shards on the receiver side and rebuilds its missing
+/// source payloads.
+///
+/// Shards are held as caller handles `S` (the FEC decoder filter keeps
+/// `Packet`s: a reference-count bump, no byte copy) and which of them are
+/// present is a bitmask.  Bytes are only touched by
+/// [`recover_with`](Self::recover_with), which frames each present source
+/// into the scratch there, so a block that loses nothing is never framed.
+/// [`clear`](Self::clear) readies the slot arrays for another block.
 #[derive(Debug)]
-pub struct BlockReconstructor {
-    codec: FecCodec,
-    sources: Vec<Option<Vec<u8>>>,
-    parities: Vec<Option<Vec<u8>>>,
+pub struct BlockReconstructor<S> {
+    k: usize,
+    /// One slot per encoded shard: sources `0..k`, then the parities.
+    shards: Vec<Option<S>>,
+    /// Bit `i` is set when `shards[i]` holds a handle (`n ≤ 255`).
+    present: [u64; 4],
     shard_len: Option<usize>,
 }
 
-impl BlockReconstructor {
-    /// Creates a reconstructor for one block encoded with `codec`.
-    pub fn new(codec: FecCodec) -> Self {
-        let k = codec.k();
-        let parity_count = codec.parity_count();
+impl<S> BlockReconstructor<S> {
+    /// Creates an empty tracker for one block encoded with `codec`.
+    pub fn new(codec: &FecCodec) -> Self {
         Self {
-            codec,
-            sources: vec![None; k],
-            parities: vec![None; parity_count],
+            k: codec.k(),
+            shards: std::iter::repeat_with(|| None).take(codec.n()).collect(),
+            present: [0; 4],
             shard_len: None,
         }
     }
 
-    /// Records a received source payload occupying `slot` (`0..k`).
+    /// Drops every held shard, keeping the slot arrays for the next block.
+    pub fn clear(&mut self) {
+        self.shards.iter_mut().for_each(|shard| *shard = None);
+        self.present = [0; 4];
+        self.shard_len = None;
+    }
+
+    /// Whether shard `index` (sources `0..k`, then the parities) is held.
+    pub fn holds(&self, index: usize) -> bool {
+        self.present.get(index / 64).is_some_and(|word| word & (1 << (index % 64)) != 0)
+    }
+
+    /// Holds `shard` at `index` unless a copy is already held.
+    fn put(&mut self, index: usize, shard: S) {
+        if !self.holds(index) {
+            self.present[index / 64] |= 1 << (index % 64);
+            self.shards[index] = Some(shard);
+        }
+    }
+
+    /// Records a received source occupying `slot` (`0..k`).
     ///
     /// # Errors
     ///
     /// Returns [`FecError::InvalidShardIndex`] if the slot is out of range.
     /// Duplicate deliveries of the same slot are ignored.
-    pub fn add_source(&mut self, slot: usize, payload: &[u8]) -> Result<(), FecError> {
-        if slot >= self.codec.k() {
+    pub fn add_source(&mut self, slot: usize, source: S) -> Result<(), FecError> {
+        if slot >= self.k {
             return Err(FecError::InvalidShardIndex(slot));
         }
-        if self.sources[slot].is_none() {
-            self.sources[slot] = Some(payload.to_vec());
-        }
+        self.put(slot, source);
         Ok(())
     }
 
-    /// Records a received parity shard with encoded index `k + parity_index`.
+    /// Records a received parity with encoded index `k + parity_index`
+    /// whose shard is `shard_len` bytes.
     ///
     /// # Errors
     ///
     /// Returns [`FecError::InvalidShardIndex`] if the parity index is out of
     /// range, or [`FecError::UnequalShardLengths`] if its length contradicts
-    /// a previously received parity shard.
-    pub fn add_parity(&mut self, parity_index: usize, shard: &[u8]) -> Result<(), FecError> {
-        if parity_index >= self.codec.parity_count() {
-            return Err(FecError::InvalidShardIndex(self.codec.k() + parity_index));
+    /// a previously received parity shard.  Duplicates are checked, then
+    /// ignored.
+    pub fn add_parity(
+        &mut self,
+        parity_index: usize,
+        shard_len: usize,
+        parity: S,
+    ) -> Result<(), FecError> {
+        let index = self.k + parity_index;
+        if index >= self.shards.len() {
+            return Err(FecError::InvalidShardIndex(index));
         }
-        match self.shard_len {
-            Some(len) if len != shard.len() => return Err(FecError::UnequalShardLengths),
-            _ => self.shard_len = Some(shard.len()),
+        if *self.shard_len.get_or_insert(shard_len) != shard_len {
+            return Err(FecError::UnequalShardLengths);
         }
-        if self.parities[parity_index].is_none() {
-            self.parities[parity_index] = Some(shard.to_vec());
-        }
+        self.put(index, parity);
         Ok(())
     }
 
-    /// Slots (`0..k`) whose source payload has not been received.
-    pub fn missing_slots(&self) -> Vec<usize> {
-        self.sources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect()
+    /// Slots (`0..k`) whose source has not been received.
+    pub fn missing_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.k).filter(|&slot| !self.holds(slot))
     }
 
     /// Number of distinct shards (sources + parities) received so far.
     pub fn shards_available(&self) -> usize {
-        self.sources.iter().flatten().count() + self.parities.iter().flatten().count()
+        self.present.iter().map(|word| word.count_ones() as usize).sum()
     }
 
     /// Returns `true` if enough shards have arrived to recover every missing
     /// source payload.
     pub fn is_decodable(&self) -> bool {
-        self.missing_slots().is_empty()
-            || (self.shards_available() >= self.codec.k() && self.shard_len.is_some())
+        self.missing_slots().next().is_none()
+            || (self.shards_available() >= self.k && self.shard_len.is_some())
     }
 
-    /// Attempts to recover the missing source payloads.
+    /// Recovers the missing source payloads through `scratch`, yielding
+    /// `(slot, payload)` for each previously missing slot, framing removed;
+    /// nothing if no slot is missing.
     ///
-    /// Returns one [`RecoveredPayload`] per previously missing slot.  Slots
-    /// that were received directly are not returned (the caller already has
-    /// them).  Returns an empty vector if nothing was missing.
+    /// `write_source` appends a held source's payload to the shard it is
+    /// handed, behind the length prefix; `parity_shard` returns a held
+    /// parity's shard bytes, read in place.
     ///
     /// # Errors
     ///
     /// * [`FecError::NotEnoughShards`] if fewer than `k` shards are present;
-    /// * [`FecError::CorruptPayload`] if a recovered shard's framing is
-    ///   inconsistent (e.g. its length prefix exceeds the shard size).
-    pub fn recover(&self) -> Result<Vec<RecoveredPayload>, FecError> {
-        let mut scratch = DecodeScratch::new();
-        self.recover_with(&mut scratch)
+    /// * [`FecError::CorruptPayload`] if a source is too long to frame or a
+    ///   recovered shard's length prefix exceeds the shard, checked for
+    ///   every slot before any is yielded;
+    /// * the codec's errors.
+    pub fn recover_with<'s>(
+        &self,
+        codec: &FecCodec,
+        scratch: &'s mut DecodeScratch,
+        mut write_source: impl FnMut(&S, &mut Vec<u8>),
+        parity_shard: impl Fn(&S) -> &[u8],
+    ) -> Result<impl Iterator<Item = (usize, &'s [u8])>, FecError> {
+        scratch.missing.clear();
+        scratch.missing.extend(self.missing_slots());
+        let wanted = scratch.missing.len();
+        if wanted > 0 {
+            let shard_len = self.shard_len.ok_or(FecError::NotEnoughShards {
+                needed: self.k,
+                available: self.shards_available(),
+            })?;
+            scratch.framed.resize_with(self.k, Vec::new);
+            for (source, framed) in self.shards.iter().zip(&mut scratch.framed) {
+                if let Some(source) = source {
+                    frame_with(framed, |shard| write_source(source, shard))?;
+                    framed.resize(shard_len, 0);
+                }
+            }
+            if scratch.decoded.len() < wanted {
+                scratch.decoded.resize_with(wanted, Vec::new);
+            }
+            let (k, framed) = (self.k, &scratch.framed);
+            let available = self.shards.iter().enumerate().filter_map(|(index, shard)| {
+                let shard = shard.as_ref()?;
+                Some((index, if index < k { &framed[index][..] } else { parity_shard(shard) }))
+            });
+            codec.decode_rows_into(
+                available,
+                shard_len,
+                scratch.missing.iter().copied(),
+                &mut scratch.codec,
+                &mut scratch.decoded[..wanted],
+            )?;
+            for shard in &scratch.decoded[..wanted] {
+                unframe(shard)?;
+            }
+        }
+        Ok(scratch
+            .missing
+            .iter()
+            .zip(&scratch.decoded)
+            .map(|(&slot, shard)| (slot, unframe(shard).expect("every recovered frame was checked"))))
     }
+}
 
-    /// Like [`recover`](Self::recover), but reuses the shard buffers in
-    /// `scratch` instead of allocating fresh ones per block — the form the
-    /// FEC decoder filter uses so steady-state recovery is allocation-free.
+impl<S: AsRef<[u8]>> BlockReconstructor<S> {
+    /// [`recover_with`](Self::recover_with) into fresh buffers, for handles
+    /// that are the payload and parity bytes themselves.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`recover`](Self::recover).
-    pub fn recover_with(
-        &self,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Vec<RecoveredPayload>, FecError> {
-        let missing = self.missing_slots();
-        if missing.is_empty() {
-            return Ok(Vec::new());
-        }
-        let shard_len = self.shard_len.ok_or(FecError::NotEnoughShards {
-            needed: self.codec.k(),
-            available: self.shards_available(),
-        })?;
-
-        // Frame the received sources to the block's shard length (into the
-        // reused scratch slots) and collect everything we have, indexed the
-        // way the codec expects.
-        scratch.framed.resize_with(self.codec.k(), Vec::new);
-        for (slot, source) in self.sources.iter().enumerate() {
-            if let Some(payload) = source {
-                frame_payload_into(payload, shard_len, &mut scratch.framed[slot]);
-            }
-        }
-        let mut available: Vec<(usize, &[u8])> = Vec::new();
-        for (slot, source) in self.sources.iter().enumerate() {
-            if source.is_some() {
-                let framed = &scratch.framed[slot];
-                if framed.len() != shard_len {
-                    return Err(FecError::CorruptPayload);
-                }
-                available.push((slot, framed.as_slice()));
-            }
-        }
-        for (i, parity) in self.parities.iter().enumerate() {
-            if let Some(parity) = parity {
-                available.push((self.codec.k() + i, parity.as_slice()));
-            }
-        }
-
-        self.codec.decode_into(&available, shard_len, &mut scratch.decoded)?;
-        let mut recovered = Vec::with_capacity(missing.len());
-        for slot in missing {
-            let data = unframe_payload(&scratch.decoded[slot])?;
-            recovered.push(RecoveredPayload { slot, data });
-        }
-        Ok(recovered)
+    /// Those of [`recover_with`](Self::recover_with).
+    pub fn recover(&self, codec: &FecCodec) -> Result<Vec<RecoveredPayload>, FecError> {
+        let mut scratch = DecodeScratch::new();
+        let recovered = self.recover_with(
+            codec,
+            &mut scratch,
+            |source, shard| shard.extend_from_slice(source.as_ref()),
+            AsRef::as_ref,
+        )?;
+        Ok(recovered
+            .map(|(slot, data)| RecoveredPayload {
+                slot,
+                data: data.to_vec(),
+            })
+            .collect())
     }
 }
 
-#[cfg(test)]
-fn frame_payload(payload: &[u8], shard_len: usize) -> Vec<u8> {
-    let mut shard = Vec::new();
-    frame_payload_into(payload, shard_len, &mut shard);
-    shard
-}
-
-fn frame_payload_into(payload: &[u8], shard_len: usize, shard: &mut Vec<u8>) {
+/// Frames one payload in `shard`, replacing its contents: `write` appends
+/// the payload behind a two-byte length prefix, which is then filled in.
+///
+/// # Errors
+///
+/// Returns [`FecError::CorruptPayload`] (and leaves `shard` empty) if
+/// `write` appended more than [`MAX_PAYLOAD_LEN`] bytes.
+fn frame_with(shard: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), FecError> {
     shard.clear();
-    shard.resize(shard_len.max(payload.len() + 2), 0);
-    shard[..2].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-    shard[2..2 + payload.len()].copy_from_slice(payload);
-    shard.truncate(shard_len);
+    shard.extend_from_slice(&[0, 0]);
+    write(shard);
+    let Some(len) = shard.len().checked_sub(2).and_then(|len| u16::try_from(len).ok()) else {
+        shard.clear();
+        return Err(FecError::CorruptPayload);
+    };
+    shard[..2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
-fn unframe_payload(shard: &[u8]) -> Result<Vec<u8>, FecError> {
-    if shard.len() < 2 {
-        return Err(FecError::CorruptPayload);
-    }
-    let len = u16::from_be_bytes([shard[0], shard[1]]) as usize;
-    if len > shard.len() - 2 {
-        return Err(FecError::CorruptPayload);
-    }
-    Ok(shard[2..2 + len].to_vec())
+/// The payload a framed shard carries.
+///
+/// # Errors
+///
+/// Returns [`FecError::CorruptPayload`] if the shard is shorter than its
+/// prefix or the prefix claims more bytes than the shard holds.
+fn unframe(shard: &[u8]) -> Result<&[u8], FecError> {
+    let (prefix, body) = shard.split_first_chunk::<2>().ok_or(FecError::CorruptPayload)?;
+    body.get(..usize::from(u16::from_be_bytes(*prefix)))
+        .ok_or(FecError::CorruptPayload)
 }
 
 #[cfg(test)]
@@ -502,14 +546,14 @@ mod tests {
         let block = block.unwrap();
 
         // Packet in slot 2 is lost; one parity arrives.
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(0, &data[0]).unwrap();
         reconstructor.add_source(1, &data[1]).unwrap();
         reconstructor.add_source(3, &data[3]).unwrap();
-        reconstructor.add_parity(0, &block.parities[0]).unwrap();
-        assert_eq!(reconstructor.missing_slots(), vec![2]);
+        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
+        assert_eq!(reconstructor.missing_slots().collect::<Vec<_>>(), vec![2]);
         assert!(reconstructor.is_decodable());
-        let recovered = reconstructor.recover().unwrap();
+        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].slot, 2);
         assert_eq!(recovered[0].data, data[2]);
@@ -527,13 +571,12 @@ mod tests {
         }
         let block = block.unwrap();
 
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(1, &data[1]).unwrap();
         reconstructor.add_source(2, &data[2]).unwrap();
-        reconstructor.add_parity(0, &block.parities[0]).unwrap();
-        reconstructor.add_parity(1, &block.parities[1]).unwrap();
-        let mut recovered = reconstructor.recover().unwrap();
-        recovered.sort_by_key(|r| r.slot);
+        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
+        reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
+        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
         assert_eq!(recovered.len(), 2);
         assert_eq!(recovered[0].slot, 0);
         assert_eq!(recovered[0].data, data[0]);
@@ -554,13 +597,13 @@ mod tests {
         let block = block.unwrap();
 
         // Three sources lost, only one source + two parities = 3 < k.
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(0, &data[0]).unwrap();
-        reconstructor.add_parity(0, &block.parities[0]).unwrap();
-        reconstructor.add_parity(1, &block.parities[1]).unwrap();
+        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
+        reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
         assert!(!reconstructor.is_decodable());
         assert!(matches!(
-            reconstructor.recover().unwrap_err(),
+            reconstructor.recover(&codec_6_4()).unwrap_err(),
             FecError::NotEnoughShards { .. }
         ));
     }
@@ -568,33 +611,38 @@ mod tests {
     #[test]
     fn nothing_missing_returns_empty() {
         let data = payloads(&[10, 20, 30, 40]);
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         for (slot, payload) in data.iter().enumerate() {
             reconstructor.add_source(slot, payload).unwrap();
         }
         assert!(reconstructor.is_decodable());
-        assert!(reconstructor.recover().unwrap().is_empty());
+        assert!(reconstructor.recover(&codec_6_4()).unwrap().is_empty());
     }
 
     #[test]
     fn invalid_indices_rejected() {
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         assert_eq!(
-            reconstructor.add_source(4, &[1]).unwrap_err(),
+            reconstructor.add_source(4, [1]).unwrap_err(),
             FecError::InvalidShardIndex(4)
         );
         assert_eq!(
-            reconstructor.add_parity(2, &[1]).unwrap_err(),
+            reconstructor.add_parity(2, 1, [1]).unwrap_err(),
             FecError::InvalidShardIndex(6)
         );
     }
 
     #[test]
     fn conflicting_parity_lengths_rejected() {
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
-        reconstructor.add_parity(0, &[0u8; 10]).unwrap();
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
+        reconstructor.add_parity(0, 10, vec![0u8; 10]).unwrap();
         assert_eq!(
-            reconstructor.add_parity(1, &[0u8; 12]).unwrap_err(),
+            reconstructor.add_parity(1, 12, vec![0u8; 12]).unwrap_err(),
+            FecError::UnequalShardLengths
+        );
+        // A duplicate is checked too before it is ignored.
+        assert_eq!(
+            reconstructor.add_parity(0, 12, vec![0u8; 12]).unwrap_err(),
             FecError::UnequalShardLengths
         );
     }
@@ -602,10 +650,11 @@ mod tests {
     #[test]
     fn duplicate_deliveries_are_ignored() {
         let data = payloads(&[16, 16, 16, 16]);
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(0, &data[0]).unwrap();
         reconstructor.add_source(0, &data[1]).unwrap(); // ignored duplicate
         assert_eq!(reconstructor.shards_available(), 1);
+        assert_eq!(reconstructor.missing_slots().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -619,29 +668,35 @@ mod tests {
             }
         }
         let block = block.unwrap();
-        let mut reconstructor = BlockReconstructor::new(codec_6_4());
+        let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(1, &data[1]).unwrap();
         reconstructor.add_source(3, &data[3]).unwrap();
-        reconstructor.add_parity(0, &block.parities[0]).unwrap();
-        reconstructor.add_parity(1, &block.parities[1]).unwrap();
-        let mut recovered = reconstructor.recover().unwrap();
-        recovered.sort_by_key(|r| r.slot);
+        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
+        reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
+        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
         assert_eq!(recovered[0].data, data[0]);
         assert_eq!(recovered[1].data, data[2]);
     }
 
     #[test]
     fn recover_with_reused_dirty_scratch_matches_recover() {
-        // Byte-parity regression for the scratch-arena path: a scratch left
-        // dirty by a previous block (different shard length, stale bytes)
-        // must produce exactly the same recovery as the allocating path.
+        // Byte-parity regression for the scratch-arena path: a scratch and
+        // a reconstructor left dirty by a previous block (different shard
+        // length, stale bytes, other missing slots) must produce exactly
+        // the same recovery as the allocating path.
+        let codec = codec_6_4();
         let mut scratch = DecodeScratch::new();
-        for (block_index, lens) in [[300usize, 7, 41, 128], [9, 9, 9, 9], [1, 500, 0, 33]]
-            .iter()
-            .enumerate()
+        let mut reconstructor = BlockReconstructor::new(&codec);
+        for (block_index, (lens, kept)) in [
+            ([300usize, 7, 41, 128], [0usize, 2]),
+            ([9, 9, 9, 9], [1, 2]),
+            ([1, 500, 0, 33], [0, 3]),
+        ]
+        .iter()
+        .enumerate()
         {
             let data = payloads(lens);
-            let mut assembler = BlockAssembler::new(codec_6_4());
+            let mut assembler = BlockAssembler::new(codec.clone());
             let mut block = None;
             for payload in &data {
                 if let Some(b) = assembler.push(payload).unwrap() {
@@ -650,18 +705,31 @@ mod tests {
             }
             let block = block.unwrap();
 
-            let mut reconstructor = BlockReconstructor::new(codec_6_4());
-            reconstructor.add_source(0, &data[0]).unwrap();
-            reconstructor.add_source(2, &data[2]).unwrap();
-            reconstructor.add_parity(0, &block.parities[0]).unwrap();
-            reconstructor.add_parity(1, &block.parities[1]).unwrap();
+            reconstructor.clear();
+            for &slot in kept {
+                reconstructor.add_source(slot, data[slot].clone()).unwrap();
+            }
+            for (index, parity) in block.parities.into_iter().enumerate() {
+                reconstructor.add_parity(index, block.shard_len, parity).unwrap();
+            }
 
-            let fresh = reconstructor.recover().unwrap();
-            let reused = reconstructor.recover_with(&mut scratch).unwrap();
+            let fresh = reconstructor.recover(&codec).unwrap();
+            let reused: Vec<RecoveredPayload> = reconstructor
+                .recover_with(
+                    &codec,
+                    &mut scratch,
+                    |source, shard| shard.extend_from_slice(source),
+                    Vec::as_slice,
+                )
+                .unwrap()
+                .map(|(slot, data)| RecoveredPayload { slot, data: data.to_vec() })
+                .collect();
             assert_eq!(fresh, reused, "block {block_index}");
             assert_eq!(reused.len(), 2);
-            assert_eq!(reused[0].data, data[1]);
-            assert_eq!(reused[1].data, data[3]);
+            for recovered in &reused {
+                assert!(!kept.contains(&recovered.slot));
+                assert_eq!(recovered.data, data[recovered.slot]);
+            }
         }
     }
 
@@ -740,12 +808,22 @@ mod tests {
         assert!(in_place.flush_framed().is_none());
     }
 
+    /// `payload` framed and padded to `shard_len`.
+    fn frame_payload(payload: &[u8], shard_len: usize) -> Vec<u8> {
+        let mut shard = vec![0xEE; 3];
+        frame_with(&mut shard, |shard| shard.extend_from_slice(payload)).unwrap();
+        shard.resize(shard_len, 0);
+        shard
+    }
+
     #[test]
     fn frame_and_unframe_round_trip() {
         let payload = vec![1u8, 2, 3, 4, 5];
         let shard = frame_payload(&payload, 12);
         assert_eq!(shard.len(), 12);
-        assert_eq!(unframe_payload(&shard).unwrap(), payload);
+        assert_eq!(&shard[..2], &[0, 5]);
+        assert_eq!(unframe(&shard).unwrap(), &payload[..]);
+        assert_eq!(unframe(&frame_payload(&[], 2)).unwrap(), &[] as &[u8]);
     }
 
     #[test]
@@ -753,7 +831,7 @@ mod tests {
         let mut shard = frame_payload(&[1, 2, 3], 8);
         shard[0] = 0xFF;
         shard[1] = 0xFF;
-        assert_eq!(unframe_payload(&shard).unwrap_err(), FecError::CorruptPayload);
-        assert_eq!(unframe_payload(&[1]).unwrap_err(), FecError::CorruptPayload);
+        assert_eq!(unframe(&shard).unwrap_err(), FecError::CorruptPayload);
+        assert_eq!(unframe(&[1]).unwrap_err(), FecError::CorruptPayload);
     }
 }

@@ -194,10 +194,10 @@ impl FecCodec {
     ///
     /// `sources` is resized to `k` shards of `shard_len` bytes each, and
     /// existing buffer allocations are **reused** — a steady-state decoder
-    /// (one block after another of the same shard length) allocates
-    /// nothing, where [`decode`](Self::decode) used to clone every shard
-    /// into a fresh `Vec<Vec<u8>>` per call.  On error the contents of
-    /// `sources` are unspecified (but always safe to reuse for the next
+    /// (one block after another of the same shard length) allocates no
+    /// shard buffers, where [`decode`](Self::decode) used to clone every
+    /// shard into a fresh `Vec<Vec<u8>>` per call.  On error the contents
+    /// of `sources` are unspecified (but always safe to reuse for the next
     /// call).
     ///
     /// # Errors
@@ -209,15 +209,51 @@ impl FecCodec {
         shard_len: usize,
         sources: &mut Vec<Vec<u8>>,
     ) -> Result<(), FecError> {
-        // Collect up to k distinct shards, preferring source shards (cheaper:
-        // they need no matrix work), then parities.
+        sources.resize_with(self.k, Vec::new);
+        self.decode_rows_into(
+            available.iter().copied(),
+            shard_len,
+            0..self.k,
+            &mut CodecScratch::default(),
+            sources,
+        )
+    }
+
+    /// Reconstructs only the `wanted` source shards (indices `0..k`, in
+    /// any order) into `rows` — `rows[i]` receives source `wanted[i]`,
+    /// resized to `shard_len` with its allocation reused.  A receiver asks
+    /// for its missing slots alone: each costs one pass over `k` shards,
+    /// where decoding every source costs `k` of them.
+    ///
+    /// `available` is iterated more than once, so it must be cheap to
+    /// clone (an adapter over borrowed shards is); like
+    /// [`decode`](Self::decode), the first `k` of its shards are the ones
+    /// decoded from, and all of them are checked.  The shard selection,
+    /// the chosen generator rows and their inverse live in `scratch`, so a
+    /// decode allocates nothing once the buffers have grown.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`decode`](Self::decode), plus
+    /// [`FecError::InvalidShardIndex`] for a wanted index `≥ k`.
+    pub fn decode_rows_into<'a, A>(
+        &self,
+        available: A,
+        shard_len: usize,
+        wanted: impl IntoIterator<Item = usize>,
+        scratch: &mut CodecScratch,
+        rows: &mut [Vec<u8>],
+    ) -> Result<(), FecError>
+    where
+        A: IntoIterator<Item = (usize, &'a [u8])>,
+        A::IntoIter: Clone,
+    {
+        let available = available.into_iter();
         let mut seen = [false; 256];
-        let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
-        for &(index, data) in available {
-            if index >= self.n {
-                return Err(FecError::InvalidShardIndex(index));
-            }
-            if seen[index] {
+        let chosen = &mut scratch.chosen;
+        chosen.clear();
+        for (index, data) in available.clone() {
+            if index >= self.n || seen[index] {
                 return Err(FecError::InvalidShardIndex(index));
             }
             if data.len() != shard_len {
@@ -225,7 +261,7 @@ impl FecCodec {
             }
             seen[index] = true;
             if chosen.len() < self.k {
-                chosen.push((index, data));
+                chosen.push(index);
             }
         }
         if chosen.len() < self.k {
@@ -234,39 +270,58 @@ impl FecCodec {
                 available: chosen.len(),
             });
         }
-
-        sources.resize_with(self.k, Vec::new);
-
-        // Fast path: all k source shards are present — copy each into its
-        // reused buffer, no matrix work.
-        if chosen.iter().all(|(i, _)| *i < self.k) {
-            for &(i, data) in &chosen {
-                let buf = &mut sources[i];
-                buf.clear();
-                buf.extend_from_slice(data);
-            }
-            return Ok(());
+        // With a parity among the chosen shards, wanted rows come from the
+        // inverse of the k × k generator submatrix the chosen rows form.
+        if chosen.iter().any(|&index| index >= self.k) {
+            self.generator.select_rows_into(chosen, &mut scratch.submatrix);
+            scratch.submatrix.invert_into(&mut scratch.inverse)?;
         }
-
-        // General path: invert the k × k submatrix of the generator formed by
-        // the chosen shard rows, then multiply it into the shard data.
-        let rows: Vec<usize> = chosen.iter().map(|(i, _)| *i).collect();
-        let submatrix = self.generator.select_rows(&rows);
-        let inverse = submatrix.inverted()?;
-
-        for (source_index, source) in sources.iter_mut().enumerate() {
-            // First shard is written (not accumulated), the rest are XORed
-            // in — whole-row bulk operations, no per-byte zero tests, and
+        let shards = available.take(self.k).map(|(_, data)| data);
+        for (row, out) in wanted.into_iter().zip(rows.iter_mut()) {
+            if row >= self.k {
+                return Err(FecError::InvalidShardIndex(row));
+            }
+            out.resize(shard_len, 0);
+            // A wanted source that arrived is a copy.
+            if let Some(at) = chosen.iter().position(|&index| index == row) {
+                out.copy_from_slice(shards.clone().nth(at).expect("k shards chosen"));
+                continue;
+            }
+            // Otherwise: the first shard is written (not accumulated), the
+            // rest are XORed in — whole-row bulk operations, and
             // `mul_slice_into` overwrites every byte so stale buffer
             // contents never leak through.
-            source.resize(shard_len, 0);
-            gf256::mul_slice_into(source, chosen[0].1, inverse.get(source_index, 0));
-            for (chosen_pos, &(_, data)) in chosen.iter().enumerate().skip(1) {
-                let coeff = inverse.get(source_index, chosen_pos);
-                gf256::addmul_slice(source, data, coeff);
+            let mut terms = shards.clone().zip(scratch.inverse.row(row));
+            let (first, &coeff) = terms.next().expect("k ≥ 1 shards chosen");
+            gf256::mul_slice_into(out, first, coeff);
+            for (data, &coeff) in terms {
+                if coeff != 0 {
+                    gf256::addmul_slice(out, data, coeff);
+                }
             }
         }
         Ok(())
+    }
+}
+
+/// Caller-owned scratch for [`FecCodec::decode_rows_into`]: which shards a
+/// decode picked, the generator rows they form, and that matrix's inverse.
+/// Reused from one decode to the next, it stops allocating once it has
+/// grown to the codec's `k`.
+#[derive(Debug)]
+pub struct CodecScratch {
+    chosen: Vec<usize>,
+    submatrix: Matrix,
+    inverse: Matrix,
+}
+
+impl Default for CodecScratch {
+    fn default() -> Self {
+        Self {
+            chosen: Vec::new(),
+            submatrix: Matrix::empty(),
+            inverse: Matrix::empty(),
+        }
     }
 }
 
@@ -317,6 +372,32 @@ mod tests {
             codec.decode_into(&all, len, &mut scratch).unwrap();
             assert_eq!(fresh, scratch, "fast path, len {len}");
         }
+    }
+
+    #[test]
+    fn decode_rows_into_rebuilds_only_the_wanted_rows() {
+        let codec = FecCodec::new(6, 4).unwrap();
+        let sources = sample_sources(4, 40);
+        let parities = codec.encode(&refs(&sources)).unwrap();
+        let available = [
+            (0usize, sources[0].as_slice()),
+            (4, parities[0].as_slice()),
+            (2, sources[2].as_slice()),
+            (5, parities[1].as_slice()),
+        ];
+        let mut scratch = CodecScratch::default();
+        let mut rows = vec![vec![0xAB; 100]; 3];
+        codec.decode_rows_into(available, 40, [3, 1], &mut scratch, &mut rows).unwrap();
+        assert_eq!(rows[0], sources[3]);
+        assert_eq!(rows[1], sources[1]);
+        assert_eq!(rows[2], vec![0xAB; 100], "no row beyond the wanted ones");
+        // A received source asked for is a copy of it.
+        codec.decode_rows_into(available, 40, [2], &mut scratch, &mut rows).unwrap();
+        assert_eq!(rows[0], sources[2]);
+        assert_eq!(
+            codec.decode_rows_into(available, 40, [4], &mut scratch, &mut rows).unwrap_err(),
+            FecError::InvalidShardIndex(4)
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   shards;
 //! * [`BlockAssembler`] / [`BlockReconstructor`] — packet-level framing that
 //!   groups variable-size payloads into fixed groups of `k`, pads them to a
-//!   common length, and recovers missing payloads at the receiver.
+//!   common length, and recovers missing payloads at the receiver (which
+//!   holds received shards by handle and frames them only to decode).
 //!
 //! ## Example
 //!
@@ -64,9 +65,8 @@ mod matrix;
 
 pub use block::{
     BlockAssembler, BlockReconstructor, DecodeScratch, EncodedBlock, FramedBlock,
-    RecoveredPayload,
-    MAX_PAYLOAD_LEN,
+    RecoveredPayload, MAX_PAYLOAD_LEN,
 };
-pub use codec::FecCodec;
+pub use codec::{CodecScratch, FecCodec};
 pub use error::FecError;
 pub use matrix::Matrix;

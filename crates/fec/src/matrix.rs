@@ -40,6 +40,15 @@ impl Matrix {
         }
     }
 
+    /// A 0 × 0 placeholder whose storage an in-place operation fills.
+    pub(crate) const fn empty() -> Self {
+        Self {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
     /// Creates an identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zero(n, n);
@@ -122,11 +131,18 @@ impl Matrix {
     /// order.
     pub fn select_rows(&self, rows: &[usize]) -> Matrix {
         let mut m = Matrix::zero(rows.len(), self.cols);
-        for (dst, &src) in rows.iter().enumerate() {
-            let start = dst * self.cols;
-            m.data[start..start + self.cols].copy_from_slice(self.row(src));
-        }
+        self.select_rows_into(rows, &mut m);
         m
+    }
+
+    /// [`select_rows`](Self::select_rows) into `out`, reusing its storage.
+    pub(crate) fn select_rows_into(&self, rows: &[usize], out: &mut Matrix) {
+        out.rows = rows.len();
+        out.cols = self.cols;
+        out.data.clear();
+        for &src in rows {
+            out.data.extend_from_slice(self.row(src));
+        }
     }
 
     /// Matrix product `self * rhs`.
@@ -164,10 +180,33 @@ impl Matrix {
     ///
     /// Panics if the matrix is not square.
     pub fn inverted(&self) -> Result<Matrix, FecError> {
+        let mut inverse = Matrix::empty();
+        self.clone().invert_into(&mut inverse)?;
+        Ok(inverse)
+    }
+
+    /// Writes the inverse of this square matrix into `inverse`, reusing its
+    /// storage; Gauss-Jordan elimination runs on `self`, which is left
+    /// reduced (the identity on success).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FecError::SingularMatrix`] when no inverse exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub(crate) fn invert_into(&mut self, inverse: &mut Matrix) -> Result<(), FecError> {
         assert_eq!(self.rows, self.cols, "only square matrices can be inverted");
         let n = self.rows;
-        let mut work = self.clone();
-        let mut inverse = Matrix::identity(n);
+        let work = self;
+        inverse.rows = n;
+        inverse.cols = n;
+        inverse.data.clear();
+        inverse.data.resize(n * n, 0);
+        for i in 0..n {
+            inverse.data[i * n + i] = 1;
+        }
 
         for col in 0..n {
             // Find a pivot row with a non-zero entry in this column.
@@ -195,7 +234,7 @@ impl Matrix {
                 }
             }
         }
-        Ok(inverse)
+        Ok(())
     }
 
     fn swap_rows(&mut self, a: usize, b: usize) {

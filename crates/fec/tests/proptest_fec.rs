@@ -94,14 +94,14 @@ proptest! {
         }
         let block = block.expect("four payloads complete a (6,4) block");
 
-        let mut reconstructor = BlockReconstructor::new(codec);
+        let mut reconstructor = BlockReconstructor::new(&codec);
         for (slot, payload) in payloads.iter().enumerate() {
             if slot != lost_slot {
                 reconstructor.add_source(slot, payload).unwrap();
             }
         }
-        reconstructor.add_parity(0, &block.parities[0]).unwrap();
-        let recovered = reconstructor.recover().unwrap();
+        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
+        let recovered = reconstructor.recover(&codec).unwrap();
         prop_assert_eq!(recovered.len(), 1);
         prop_assert_eq!(recovered[0].slot, lost_slot);
         prop_assert_eq!(&recovered[0].data, &payloads[lost_slot]);

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rapidware_fec::gf256::{self, Kernel};
-use rapidware_fec::FecCodec;
+use rapidware_fec::{CodecScratch, FecCodec};
 use rapidware_packet::cpu::Cpu;
 
 /// Deterministic pseudo-random bytes from a seed (same LCG the other FEC
@@ -132,8 +132,9 @@ proptest! {
     }
 
     /// `FecCodec::decode_into` with a dirty reused scratch produces exactly
-    /// what the allocating `decode` does, for arbitrary (n, k), shard
-    /// contents, and erasure patterns.
+    /// what the allocating `decode` does, and `decode_rows_into` exactly
+    /// its wanted rows of it, for arbitrary (n, k), shard contents, and
+    /// erasure patterns.
     #[test]
     fn decode_into_matches_decode(
         k in 1usize..8,
@@ -171,7 +172,23 @@ proptest! {
         // stale bytes.
         let mut scratch: Vec<Vec<u8>> = vec![vec![0xEE; shard_len + 17]; k + 3];
         codec.decode_into(&available, shard_len, &mut scratch).unwrap();
-        prop_assert_eq!(fresh, scratch);
+        prop_assert_eq!(&fresh, &scratch);
+
+        // Every row, then the lost rows alone (last first) through the
+        // scratch that decode left dirty: each equals its source.
+        let mut codec_scratch = CodecScratch::default();
+        let mut rows = vec![vec![0xEE; 5]; k];
+        codec
+            .decode_rows_into(available.iter().copied(), shard_len, 0..k, &mut codec_scratch, &mut rows)
+            .unwrap();
+        prop_assert_eq!(&rows[..], &shards[..k]);
+        let lost: Vec<usize> = order[k..].iter().rev().copied().filter(|&i| i < k).collect();
+        codec
+            .decode_rows_into(available.iter().copied(), shard_len, lost.iter().copied(), &mut codec_scratch, &mut rows)
+            .unwrap();
+        for (row, &slot) in rows.iter().zip(&lost) {
+            prop_assert_eq!(row, &shards[slot]);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! the missing packets in their entirety and injects them back into the
 //! stream.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,6 +16,13 @@ use rapidware_packet::{Packet, PacketKind};
 
 use crate::error::FilterError;
 use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+
+/// Blocks held open at once; opening one more closes the oldest.
+const MAX_OPEN_BLOCKS: usize = 64;
+
+/// Bytes of a parity payload ahead of its shard: the block's first
+/// sequence number.
+const PARITY_HEADER_LEN: usize = 8;
 
 /// Shared counters describing what a [`FecDecoderFilter`] has done.
 #[derive(Debug, Default)]
@@ -43,7 +50,11 @@ impl FecDecoderStats {
         self.recovered.load(Ordering::Relaxed)
     }
 
-    /// Blocks that had losses but not enough surviving shards to decode.
+    /// Blocks that had losses but not enough surviving shards to decode,
+    /// counted when they close: pushed out by newer blocks, or at
+    /// [`flush`](Filter::flush) (end of stream, or the decoder spliced
+    /// out).  A flush-padded tail block that lost too many shards counts
+    /// as well: without decoding, padding cannot be told from loss.
     pub fn unrecoverable_blocks(&self) -> u64 {
         self.unrecoverable_blocks.load(Ordering::Relaxed)
     }
@@ -54,36 +65,83 @@ impl FecDecoderStats {
     }
 }
 
-struct BlockState {
-    reconstructor: BlockReconstructor,
+/// One block being collected: its shards by handle, and whether it has
+/// been decoded.
+#[derive(Debug)]
+struct OpenBlock {
     first_seq: u64,
-    recovery_attempted: bool,
+    shards: BlockReconstructor<Packet>,
+    /// Set once the block was decoded (its missing packets rebuilt): later
+    /// shards are still checked, but the block is not decoded again.
+    decoded: bool,
+}
+
+/// A window over sequence numbers: slot `seq % len` holds the latest item
+/// seen with that residue, beside its number.
+#[derive(Debug)]
+struct SeqRing<T> {
+    slots: Vec<Option<(u64, T)>>,
+}
+
+impl<T> SeqRing<T> {
+    fn new(len: usize) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| None).take(len).collect(),
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq % self.slots.len() as u64) as usize
+    }
+
+    /// The item held for `seq`, if any.
+    fn get(&self, seq: u64) -> Option<&T> {
+        match &self.slots[self.slot(seq)] {
+            Some((held, item)) if *held == seq => Some(item),
+            _ => None,
+        }
+    }
+
+    /// Holds `item` for `seq` unless its slot holds a later number;
+    /// returns `false` if an item for `seq` was held already.
+    fn insert(&mut self, seq: u64, item: T) -> bool {
+        let at = self.slot(seq);
+        let slot = &mut self.slots[at];
+        match slot {
+            Some((held, _)) if *held > seq => true,
+            _ => slot.replace((seq, item)).is_none_or(|(held, _)| held != seq),
+        }
+    }
 }
 
 /// A composable proxy filter that reconstructs lost packets from FEC parity
 /// packets produced by a matching
 /// [`FecEncoderFilter`](crate::FecEncoderFilter).
+///
+/// A received frame costs slot bookkeeping only: sources and parities are
+/// kept as `Packet` handles (no byte copy), and bytes move only when a
+/// block is decoded — its received sources wire-encoded straight into the
+/// reused decode scratch, its parities read in place, and only its missing
+/// rows rebuilt.  Storage is fixed per decoder: a ring of the last `64·k`
+/// sources, at most 64 open blocks whose slot arrays are recycled, and a
+/// ring of the last `64·k` re-injected sequence numbers.
 pub struct FecDecoderFilter {
     name: String,
     codec: FecCodec,
-    /// Recently seen source packets, so a parity that arrives later can use
-    /// them as shards.  Keyed by sequence number; bounded FIFO.
-    recent_sources: BTreeMap<u64, Packet>,
-    recent_order: VecDeque<u64>,
-    history: usize,
-    /// Blocks keyed by the sequence number of their first source packet.
-    blocks: BTreeMap<u64, BlockState>,
-    /// Sequence numbers this filter has already re-injected.
-    recovered_seqs: HashSet<u64>,
+    /// Recent source packets, so a parity that arrives later can use them
+    /// as shards.
+    recent_sources: SeqRing<Packet>,
+    /// Open blocks in ascending order of first sequence number.
+    blocks: VecDeque<OpenBlock>,
+    /// Cleared slot arrays of closed blocks, for the next blocks to open.
+    spare: Vec<BlockReconstructor<Packet>>,
+    /// Sequence numbers this filter has re-injected lately.
+    recovered_seqs: SeqRing<()>,
     forward_parity: bool,
     stats: Arc<FecDecoderStats>,
-    /// Reused wire-encoding buffer for feeding received source packets into
-    /// block reconstructors without a per-packet allocation.
-    wire_scratch: Vec<u8>,
-    /// Reused shard buffers for block recovery.  The filter is owned by one
-    /// chain (itself owned by one runtime task), so this doubles as the
-    /// per-task decode arena: steady-state recovery allocates no shard
-    /// buffers.
+    /// Reused framing and decode buffers.  The filter is owned by one chain
+    /// (itself owned by one runtime task), so this doubles as the per-task
+    /// decode arena.
     decode_scratch: DecodeScratch,
 }
 
@@ -92,7 +150,6 @@ impl std::fmt::Debug for FecDecoderFilter {
         f.debug_struct("FecDecoderFilter")
             .field("name", &self.name)
             .field("tracked_blocks", &self.blocks.len())
-            .field("recent_sources", &self.recent_sources.len())
             .field("recovered", &self.stats.recovered())
             .finish()
     }
@@ -107,17 +164,16 @@ impl FecDecoderFilter {
     /// Returns a [`FilterError::Fec`] for invalid parameters.
     pub fn new(n: usize, k: usize) -> Result<Self, FilterError> {
         let codec = FecCodec::new(n, k)?;
+        let history = 64 * k;
         Ok(Self {
             name: format!("fec-decoder({n},{k})"),
             codec,
-            recent_sources: BTreeMap::new(),
-            recent_order: VecDeque::new(),
-            history: 64 * k.max(1),
-            blocks: BTreeMap::new(),
-            recovered_seqs: HashSet::new(),
+            recent_sources: SeqRing::new(history),
+            blocks: VecDeque::new(),
+            spare: Vec::new(),
+            recovered_seqs: SeqRing::new(history),
             forward_parity: false,
             stats: Arc::new(FecDecoderStats::default()),
-            wire_scratch: Vec::new(),
             decode_scratch: DecodeScratch::new(),
         })
     }
@@ -144,81 +200,84 @@ impl FecDecoderFilter {
         Arc::clone(&self.stats)
     }
 
-    fn remember_source(&mut self, packet: &Packet) {
-        let seq = packet.seq().value();
-        if self.recent_sources.insert(seq, packet.clone()).is_none() {
-            self.recent_order.push_back(seq);
-            while self.recent_order.len() > self.history {
-                if let Some(old) = self.recent_order.pop_front() {
-                    self.recent_sources.remove(&old);
-                }
+    /// The index of the open block with first sequence number
+    /// `first_seq`, opened (on a recycled slot array) if need be.
+    fn open_block(&mut self, first_seq: u64) -> usize {
+        match self.blocks.binary_search_by_key(&first_seq, |block| block.first_seq) {
+            Ok(at) => at,
+            Err(at) => {
+                let shards = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| BlockReconstructor::new(&self.codec));
+                let block = OpenBlock {
+                    first_seq,
+                    shards,
+                    decoded: false,
+                };
+                self.blocks.insert(at, block);
+                at
             }
         }
     }
 
+    /// Closes the oldest open block, counting it if it lost packets it
+    /// never recovered; its slot array goes back to the spares.
+    fn close_front(&mut self) {
+        let Some(OpenBlock {
+            mut shards, decoded, ..
+        }) = self.blocks.pop_front()
+        else {
+            return;
+        };
+        if !decoded && shards.missing_slots().next().is_some() {
+            self.stats
+                .unrecoverable_blocks
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        shards.clear();
+        self.spare.push(shards);
+    }
+
+    /// Decodes `block` if it misses packets and holds enough shards, and
+    /// re-injects every rebuilt packet not re-injected before.
     fn try_recover(
-        state: &mut BlockState,
-        k: usize,
-        recovered_seqs: &mut HashSet<u64>,
+        block: &mut OpenBlock,
+        codec: &FecCodec,
+        recovered_seqs: &mut SeqRing<()>,
         stats: &FecDecoderStats,
         scratch: &mut DecodeScratch,
         out: &mut dyn FilterOutput,
-    ) -> Result<bool, FilterError> {
-        if !state.reconstructor.is_decodable() {
-            return Ok(false);
+    ) -> Result<(), FilterError> {
+        if block.decoded || !block.shards.is_decodable() {
+            return Ok(());
         }
-        if state.reconstructor.missing_slots().is_empty() {
-            return Ok(true);
-        }
-        match state.reconstructor.recover_with(scratch) {
-            Ok(recovered) => {
-                for payload in recovered {
-                    if payload.data.is_empty() {
-                        // A flush-padded slot (the encoder filled a partial
-                        // block with empty payloads): nothing to re-inject.
-                        continue;
-                    }
-                    let packet = Packet::decode(&payload.data)?;
-                    let seq = packet.seq().value();
-                    debug_assert_eq!(seq, state.first_seq + payload.slot as u64);
-                    if recovered_seqs.insert(seq) {
-                        stats.recovered.fetch_add(1, Ordering::Relaxed);
-                        out.emit(packet);
-                    }
-                }
-                let _ = k;
-                state.recovery_attempted = true;
-                Ok(true)
+        let recovered = match block.shards.recover_with(
+            codec,
+            scratch,
+            |source, shard| source.encode_append(shard),
+            |parity| &parity.payload()[PARITY_HEADER_LEN..],
+        ) {
+            Ok(recovered) => recovered,
+            Err(FecError::NotEnoughShards { .. }) => return Ok(()),
+            Err(other) => return Err(other.into()),
+        };
+        for (slot, wire) in recovered {
+            if wire.is_empty() {
+                // A flush-padded slot (the encoder filled a partial block
+                // with empty payloads): nothing to re-inject.
+                continue;
             }
-            Err(FecError::NotEnoughShards { .. }) => Ok(false),
-            Err(other) => Err(other.into()),
-        }
-    }
-
-    fn garbage_collect(&mut self) {
-        // Keep a bounded number of open blocks; the oldest ones are closed.
-        const MAX_OPEN_BLOCKS: usize = 64;
-        while self.blocks.len() > MAX_OPEN_BLOCKS {
-            if let Some((&oldest, _)) = self.blocks.iter().next() {
-                if let Some(state) = self.blocks.remove(&oldest) {
-                    if !state.recovery_attempted && !state.reconstructor.missing_slots().is_empty()
-                    {
-                        self.stats
-                            .unrecoverable_blocks
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            let packet = Packet::decode(wire)?;
+            let seq = packet.seq().value();
+            debug_assert_eq!(seq, block.first_seq.wrapping_add(slot as u64));
+            if recovered_seqs.insert(seq, ()) {
+                stats.recovered.fetch_add(1, Ordering::Relaxed);
+                out.emit(packet);
             }
         }
-        // Forget re-injected sequence numbers that are far in the past.
-        if self.recovered_seqs.len() > 4 * self.history {
-            let horizon = self
-                .recent_order
-                .front()
-                .copied()
-                .unwrap_or(0);
-            self.recovered_seqs.retain(|&seq| seq >= horizon);
-        }
+        block.decoded = true;
+        Ok(())
     }
 }
 
@@ -235,40 +294,36 @@ impl FecDecoderFilter {
                         self.name
                     )));
                 }
-                let payload = packet.payload();
-                if payload.len() < 8 {
+                let Some((header, shard)) =
+                    packet.payload().split_first_chunk::<PARITY_HEADER_LEN>()
+                else {
                     return Err(FilterError::Internal(
                         "parity packet payload shorter than its block header".into(),
                     ));
-                }
-                let first_seq = u64::from_be_bytes(
-                    payload[..8]
-                        .try_into()
-                        .expect("slice of length 8 converts to [u8; 8]"),
-                );
-                let shard = &payload[8..];
+                };
+                let first_seq = u64::from_be_bytes(*header);
+                let shard_len = shard.len();
                 let parity_index = usize::from(index).saturating_sub(self.codec.k());
 
-                // Attach any already-seen sources of this block, wire-encoded
-                // through the reused scratch buffer (no per-source clone or
-                // allocation).
-                let k = self.codec.k();
-                let codec = self.codec.clone();
-                let state = self.blocks.entry(first_seq).or_insert_with(|| BlockState {
-                    reconstructor: BlockReconstructor::new(codec),
-                    first_seq,
-                    recovery_attempted: false,
-                });
-                for slot in 0..k {
-                    if let Some(source) = self.recent_sources.get(&(first_seq + slot as u64)) {
-                        source.encode_into(&mut self.wire_scratch);
-                        state.reconstructor.add_source(slot, &self.wire_scratch)?;
+                // Attach the block's remembered sources it still misses,
+                // then the parity itself (checked even once decoded).
+                let at = self.open_block(first_seq);
+                let block = &mut self.blocks[at];
+                if !block.decoded {
+                    for slot in 0..self.codec.k() {
+                        let seq = first_seq.wrapping_add(slot as u64);
+                        match self.recent_sources.get(seq) {
+                            Some(source) if !block.shards.holds(slot) => {
+                                block.shards.add_source(slot, source.clone())?;
+                            }
+                            _ => {}
+                        }
                     }
                 }
-                state.reconstructor.add_parity(parity_index, shard)?;
+                block.shards.add_parity(parity_index, shard_len, packet.clone())?;
                 Self::try_recover(
-                    state,
-                    k,
+                    block,
+                    &self.codec,
                     &mut self.recovered_seqs,
                     &self.stats,
                     &mut self.decode_scratch,
@@ -277,12 +332,14 @@ impl FecDecoderFilter {
                 if self.forward_parity {
                     out.emit(packet);
                 }
-                self.garbage_collect();
+                while self.blocks.len() > MAX_OPEN_BLOCKS {
+                    self.close_front();
+                }
                 Ok(())
             }
             kind if kind.is_payload() => {
                 let seq = packet.seq().value();
-                if self.recovered_seqs.contains(&seq) {
+                if self.recovered_seqs.get(seq).is_some() {
                     // A late copy of a packet we already rebuilt: suppress it
                     // so downstream never sees a duplicate.
                     self.stats
@@ -290,31 +347,26 @@ impl FecDecoderFilter {
                         .fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                self.remember_source(&packet);
+                self.recent_sources.insert(seq, packet.clone());
                 // If an open block is waiting for this packet, feed it.
                 let k = self.codec.k() as u64;
-                let block_key = self
-                    .blocks
-                    .range(..=seq)
-                    .next_back()
-                    .map(|(&first, _)| first)
-                    .filter(|&first| seq < first + k);
-                if let Some(first) = block_key {
-                    packet.encode_into(&mut self.wire_scratch);
-                    let stats = Arc::clone(&self.stats);
-                    if let Some(state) = self.blocks.get_mut(&first) {
-                        state
-                            .reconstructor
-                            .add_source((seq - first) as usize, &self.wire_scratch)?;
-                        Self::try_recover(
-                            state,
-                            k as usize,
-                            &mut self.recovered_seqs,
-                            &stats,
-                            &mut self.decode_scratch,
-                            out,
-                        )?;
-                    }
+                let at = self.blocks.partition_point(|block| block.first_seq <= seq);
+                if let Some(block) = at
+                    .checked_sub(1)
+                    .map(|at| &mut self.blocks[at])
+                    .filter(|block| seq - block.first_seq < k && !block.decoded)
+                {
+                    block
+                        .shards
+                        .add_source((seq - block.first_seq) as usize, packet.clone())?;
+                    Self::try_recover(
+                        block,
+                        &self.codec,
+                        &mut self.recovered_seqs,
+                        &self.stats,
+                        &mut self.decode_scratch,
+                        out,
+                    )?;
                 }
                 out.emit(packet);
                 Ok(())
@@ -375,6 +427,17 @@ impl Filter for FecDecoderFilter {
             self.stats.parities_seen.fetch_add(parities, Ordering::Relaxed);
         }
         result
+    }
+
+    /// End of stream, or the decoder leaving its chain: every open block
+    /// closes, so one still missing packets it could not recover is
+    /// counted in [`FecDecoderStats::unrecoverable_blocks`].  Nothing is
+    /// emitted.
+    fn flush(&mut self, _out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+        while !self.blocks.is_empty() {
+            self.close_front();
+        }
+        Ok(())
     }
 
     fn descriptor(&self) -> FilterDescriptor {
@@ -496,6 +559,29 @@ mod tests {
     }
 
     #[test]
+    fn flush_counts_an_open_block_it_could_not_recover() {
+        let stream = encoded_stream(8, 120);
+        let mut decoder = FecDecoderFilter::fec_6_4().unwrap();
+        let stats = decoder.stats();
+        let mut out: Vec<Packet> = Vec::new();
+        for packet in stream {
+            // Three of the second block's four sources are lost.
+            if packet.kind().is_payload() && matches!(packet.seq().value(), 4..=6) {
+                continue;
+            }
+            decoder.process(packet, &mut out).unwrap();
+        }
+        assert_eq!(stats.unrecoverable_blocks(), 0, "the block is still open");
+        let delivered = out.len();
+        decoder.flush(&mut out).unwrap();
+        assert_eq!(out.len(), delivered, "flush emits nothing");
+        assert_eq!(stats.unrecoverable_blocks(), 1);
+        // The blocks are closed: a second flush counts nothing more.
+        decoder.flush(&mut out).unwrap();
+        assert_eq!(stats.unrecoverable_blocks(), 1);
+    }
+
+    #[test]
     fn lost_parities_do_not_matter_when_sources_survive() {
         let stream = encoded_stream(4, 100);
         let mut decoder = FecDecoderFilter::fec_6_4().unwrap();
@@ -552,6 +638,36 @@ mod tests {
         let mut sink: Vec<Packet> = Vec::new();
         let err = decoder.process(parity, &mut sink).unwrap_err();
         assert!(matches!(err, FilterError::Unsupported(_)));
+    }
+
+    #[test]
+    fn malformed_parities_are_rejected() {
+        let parity = encoded_stream(4, 64)
+            .into_iter()
+            .find(|p| p.kind().is_parity())
+            .expect("one block was encoded");
+        let PacketKind::Parity { block, k, n, .. } = parity.kind() else {
+            unreachable!("a parity packet");
+        };
+        let with = |index: u8, payload: &[u8]| {
+            Packet::new(
+                parity.stream(),
+                parity.seq(),
+                PacketKind::Parity { block, index, k, n },
+                payload.to_vec(),
+            )
+        };
+        let mut decoder = FecDecoderFilter::fec_6_4().unwrap();
+        let mut out: Vec<Packet> = Vec::new();
+        let short = decoder.process(with(4, &parity.payload()[..7]), &mut out);
+        assert!(matches!(short, Err(FilterError::Internal(_))));
+        let index = decoder.process(with(6, parity.payload()), &mut out);
+        assert!(matches!(index, Err(FilterError::Fec(FecError::InvalidShardIndex(6)))));
+        decoder.process(with(4, parity.payload()), &mut out).unwrap();
+        let longer = [parity.payload(), &[0]].concat();
+        let length = decoder.process(with(5, &longer), &mut out);
+        assert!(matches!(length, Err(FilterError::Fec(FecError::UnequalShardLengths))));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   decoded; each recovered, non-empty payload is a framed packet that is
 //!   re-injected unless its sequence number already was;
 //! * at most 64 blocks stay open: the oldest is closed first, and counted
-//!   unrecoverable if it still misses a source and was never decoded.
+//!   unrecoverable if it still misses a source and was never decoded;
+//! * a flush closes every open block by the same rule and emits nothing.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -116,10 +117,7 @@ impl Model {
                     out.push(packet);
                 }
                 while self.blocks.len() > MAX_OPEN_BLOCKS {
-                    let (_, oldest) = self.blocks.pop_first().unwrap();
-                    if !oldest.decoded && !oldest.missing().is_empty() {
-                        self.counters.unrecoverable_blocks += 1;
-                    }
+                    self.close_oldest();
                 }
                 if self.recovered_seqs.len() > 4 * self.history {
                     let horizon = self.recent_order.front().copied().unwrap_or(0);
@@ -207,7 +205,19 @@ impl Model {
         block.decoded = true;
     }
 
-    fn flush(&mut self) {}
+    fn close_oldest(&mut self) {
+        let (_, oldest) = self.blocks.pop_first().unwrap();
+        if !oldest.decoded && !oldest.missing().is_empty() {
+            self.counters.unrecoverable_blocks += 1;
+        }
+    }
+
+    /// End of stream: every open block closes.
+    fn flush(&mut self) {
+        while !self.blocks.is_empty() {
+            self.close_oldest();
+        }
+    }
 }
 
 /// A small deterministic generator for the per-case stream shape.

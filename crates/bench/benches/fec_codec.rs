@@ -6,7 +6,9 @@
 //!
 //! * `fec_encode/<n>,<k>` — producing the n − k parity shards of one block;
 //! * `fec_decode/<n>,<k>` — recovering the maximum tolerable number of lost
-//!   shards (n − k) from a received block;
+//!   shards (n − k) from a received block, and `fec_decode/6,4 one lost` —
+//!   rebuilding the single lost source of an FEC(6,4) block alone
+//!   (`decode_rows_into`, reused scratch), the receiver's common case;
 //! * `gf256_kernel` — the dispatched bulk `addmul_slice` kernel against the
 //!   always-compiled scalar reference on 1 KiB slices.  When a SIMD kernel
 //!   is active this bench **asserts** it is at least 2× the scalar path —
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rapidware::fec::gf256::{self, Kernel};
-use rapidware::fec::FecCodec;
+use rapidware::fec::{CodecScratch, FecCodec};
 use rapidware::filters::Keystream;
 use rapidware::packet::cpu::Cpu;
 use rapidware::packet::CrcKernel;
@@ -90,6 +92,27 @@ fn bench_decode(c: &mut Criterion) {
             },
         );
     }
+    // The receiver's common case: one of four sources lost, rebuilt alone
+    // into reused rows through a reused codec scratch.
+    let codec = FecCodec::new(6, 4).expect("valid parameters");
+    let data = sources(4);
+    let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
+    let parities = codec.encode(&refs).expect("encode");
+    let available: Vec<(usize, &[u8])> = [0, 1, 3]
+        .map(|index| (index, data[index].as_slice()))
+        .into_iter()
+        .chain([(4, parities[0].as_slice())])
+        .collect();
+    let mut scratch = CodecScratch::default();
+    let mut rows = vec![Vec::new()];
+    group.throughput(Throughput::Bytes(SHARD_LEN as u64));
+    group.bench_function("6,4 one lost", |b| {
+        b.iter(|| {
+            codec
+                .decode_rows_into(available.iter().copied(), SHARD_LEN, [2], &mut scratch, &mut rows)
+                .expect("decode");
+        });
+    });
     group.finish();
 }
 

@@ -330,7 +330,7 @@ impl<S> BlockReconstructor<S> {
         shard_len: usize,
         parity: S,
     ) -> Result<(), FecError> {
-        let index = self.k + parity_index;
+        let index = self.k.saturating_add(parity_index);
         if index >= self.shards.len() {
             return Err(FecError::InvalidShardIndex(index));
         }

@@ -309,15 +309,13 @@ impl FecDecoderFilter {
                 // then the parity itself (checked even once decoded).
                 let at = self.open_block(first_seq);
                 let block = &mut self.blocks[at];
-                if !block.decoded {
-                    for slot in 0..self.codec.k() {
-                        let seq = first_seq.wrapping_add(slot as u64);
-                        match self.recent_sources.get(seq) {
-                            Some(source) if !block.shards.holds(slot) => {
-                                block.shards.add_source(slot, source.clone())?;
-                            }
-                            _ => {}
-                        }
+                for slot in 0..self.codec.k() {
+                    if block.decoded || block.shards.holds(slot) {
+                        continue;
+                    }
+                    let seq = first_seq.wrapping_add(slot as u64);
+                    if let Some(source) = self.recent_sources.get(seq) {
+                        block.shards.add_source(slot, source.clone())?;
                     }
                 }
                 block.shards.add_parity(parity_index, shard_len, packet.clone())?;

@@ -315,29 +315,41 @@ impl<S> BlockReconstructor<S> {
         Ok(())
     }
 
-    /// Records a received parity with encoded index `k + parity_index`
-    /// whose shard is `shard_len` bytes.
+    /// Checks a parity with encoded index `k + parity_index` whose shard is
+    /// `shard_len` bytes against this block, without recording it.
     ///
     /// # Errors
     ///
     /// Returns [`FecError::InvalidShardIndex`] if the parity index is out of
     /// range, or [`FecError::UnequalShardLengths`] if its length contradicts
-    /// a previously received parity shard.  Duplicates are checked, then
-    /// ignored.
+    /// a previously received parity shard.
+    pub fn check_parity(&self, parity_index: usize, shard_len: usize) -> Result<(), FecError> {
+        let index = self.k.saturating_add(parity_index);
+        if index >= self.shards.len() {
+            return Err(FecError::InvalidShardIndex(index));
+        }
+        if self.shard_len.is_some_and(|len| len != shard_len) {
+            return Err(FecError::UnequalShardLengths);
+        }
+        Ok(())
+    }
+
+    /// Records a received parity with encoded index `k + parity_index`
+    /// whose shard is `shard_len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`check_parity`](Self::check_parity).  Duplicates are
+    /// checked, then ignored.
     pub fn add_parity(
         &mut self,
         parity_index: usize,
         shard_len: usize,
         parity: S,
     ) -> Result<(), FecError> {
-        let index = self.k.saturating_add(parity_index);
-        if index >= self.shards.len() {
-            return Err(FecError::InvalidShardIndex(index));
-        }
-        if *self.shard_len.get_or_insert(shard_len) != shard_len {
-            return Err(FecError::UnequalShardLengths);
-        }
-        self.put(index, parity);
+        self.check_parity(parity_index, shard_len)?;
+        self.shard_len = Some(shard_len);
+        self.put(self.k + parity_index, parity);
         Ok(())
     }
 
@@ -645,6 +657,11 @@ mod tests {
             reconstructor.add_parity(0, 12, vec![0u8; 12]).unwrap_err(),
             FecError::UnequalShardLengths
         );
+        // Checking alone records nothing.
+        reconstructor.check_parity(1, 10).unwrap();
+        assert_eq!(reconstructor.check_parity(1, 12).unwrap_err(), FecError::UnequalShardLengths);
+        assert_eq!(reconstructor.check_parity(2, 10).unwrap_err(), FecError::InvalidShardIndex(6));
+        assert_eq!(reconstructor.shards_available(), 1);
     }
 
     #[test]

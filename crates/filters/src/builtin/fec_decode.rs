@@ -72,7 +72,8 @@ struct OpenBlock {
     first_seq: u64,
     shards: BlockReconstructor<Packet>,
     /// Set once the block was decoded (its missing packets rebuilt): later
-    /// shards are still checked, but the block is not decoded again.
+    /// parities are still checked, then dropped, and later sources are not
+    /// attached.
     decoded: bool,
 }
 
@@ -239,7 +240,7 @@ impl FecDecoderFilter {
         self.spare.push(shards);
     }
 
-    /// Decodes `block` if it misses packets and holds enough shards, and
+    /// Decodes `block` (not decoded yet) if it holds enough shards, and
     /// re-injects every rebuilt packet not re-injected before.
     fn try_recover(
         block: &mut OpenBlock,
@@ -249,7 +250,7 @@ impl FecDecoderFilter {
         scratch: &mut DecodeScratch,
         out: &mut dyn FilterOutput,
     ) -> Result<(), FilterError> {
-        if block.decoded || !block.shards.is_decodable() {
+        if !block.shards.is_decodable() {
             return Ok(());
         }
         let recovered = match block.shards.recover_with(
@@ -305,28 +306,32 @@ impl FecDecoderFilter {
                 let shard_len = shard.len();
                 let parity_index = usize::from(index).saturating_sub(self.codec.k());
 
-                // Attach the block's remembered sources it still misses,
-                // then the parity itself (checked even once decoded).
                 let at = self.open_block(first_seq);
                 let block = &mut self.blocks[at];
-                for slot in 0..self.codec.k() {
-                    if block.decoded || block.shards.holds(slot) {
-                        continue;
+                if block.decoded {
+                    block.shards.check_parity(parity_index, shard_len)?;
+                } else {
+                    // Attach the remembered sources the block still
+                    // misses, then the parity itself.
+                    for slot in 0..self.codec.k() {
+                        if block.shards.holds(slot) {
+                            continue;
+                        }
+                        let seq = first_seq.wrapping_add(slot as u64);
+                        if let Some(source) = self.recent_sources.get(seq) {
+                            block.shards.add_source(slot, source.clone())?;
+                        }
                     }
-                    let seq = first_seq.wrapping_add(slot as u64);
-                    if let Some(source) = self.recent_sources.get(seq) {
-                        block.shards.add_source(slot, source.clone())?;
-                    }
+                    block.shards.add_parity(parity_index, shard_len, packet.clone())?;
+                    Self::try_recover(
+                        block,
+                        &self.codec,
+                        &mut self.recovered_seqs,
+                        &self.stats,
+                        &mut self.decode_scratch,
+                        out,
+                    )?;
                 }
-                block.shards.add_parity(parity_index, shard_len, packet.clone())?;
-                Self::try_recover(
-                    block,
-                    &self.codec,
-                    &mut self.recovered_seqs,
-                    &self.stats,
-                    &mut self.decode_scratch,
-                    out,
-                )?;
                 if self.forward_parity {
                     out.emit(packet);
                 }
@@ -640,9 +645,11 @@ mod tests {
 
     #[test]
     fn malformed_parities_are_rejected() {
-        let parity = encoded_stream(4, 64)
-            .into_iter()
+        let stream = encoded_stream(4, 64);
+        let parity = stream
+            .iter()
             .find(|p| p.kind().is_parity())
+            .cloned()
             .expect("one block was encoded");
         let PacketKind::Parity { block, k, n, .. } = parity.kind() else {
             unreachable!("a parity packet");
@@ -666,6 +673,15 @@ mod tests {
         let length = decoder.process(with(5, &longer), &mut out);
         assert!(matches!(length, Err(FilterError::Fec(FecError::UnequalShardLengths))));
         assert!(out.is_empty());
+
+        // Three sources complete the block, which is decoded; a later
+        // parity is still checked.
+        for source in stream.iter().filter(|p| p.kind().is_payload()).take(3) {
+            decoder.process(source.clone(), &mut out).unwrap();
+        }
+        assert_eq!(out.len(), 4, "three sources and the rebuilt fourth");
+        let length = decoder.process(with(5, &longer), &mut out);
+        assert!(matches!(length, Err(FilterError::Fec(FecError::UnequalShardLengths))));
     }
 
     #[test]

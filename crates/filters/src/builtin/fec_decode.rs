@@ -225,19 +225,16 @@ impl FecDecoderFilter {
     /// Closes the oldest open block, counting it if it lost packets it
     /// never recovered; its slot array goes back to the spares.
     fn close_front(&mut self) {
-        let Some(OpenBlock {
-            mut shards, decoded, ..
-        }) = self.blocks.pop_front()
-        else {
+        let Some(mut block) = self.blocks.pop_front() else {
             return;
         };
-        if !decoded && shards.missing_slots().next().is_some() {
+        if !block.decoded && block.shards.missing_slots().next().is_some() {
             self.stats
                 .unrecoverable_blocks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        shards.clear();
-        self.spare.push(shards);
+        block.shards.clear();
+        self.spare.push(block.shards);
     }
 
     /// Decodes `block` (not decoded yet) if it holds enough shards, and

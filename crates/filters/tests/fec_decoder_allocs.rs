@@ -60,8 +60,15 @@ fn received_frames(count: usize) -> Vec<Packet> {
     let mut wire_index = 0;
     let mut seq = 0u64;
     while frames.len() < count {
-        let payload: Vec<u8> = (0..PAYLOAD_LEN).map(|i| (seq as usize * 7 + i) as u8).collect();
-        let packet = Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, payload);
+        let payload: Vec<u8> = (0..PAYLOAD_LEN)
+            .map(|i| (seq as usize * 7 + i) as u8)
+            .collect();
+        let packet = Packet::new(
+            StreamId::new(1),
+            SeqNo::new(seq),
+            PacketKind::AudioData,
+            payload,
+        );
         encoder.process(packet, &mut wire).unwrap();
         for frame in wire.drain(..) {
             if wire_index % DROP_EVERY != DROP_EVERY - 1 {

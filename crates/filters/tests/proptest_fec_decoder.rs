@@ -179,9 +179,11 @@ impl Model {
                 Some((slot, shard))
             })
             .collect();
-        let parities = block.parities.iter().enumerate().filter_map(|(index, parity)| {
-            Some((self.codec.k() + index, parity.as_deref()?))
-        });
+        let parities = block
+            .parities
+            .iter()
+            .enumerate()
+            .filter_map(|(index, parity)| Some((self.codec.k() + index, parity.as_deref()?)));
         let available: Vec<(usize, &[u8])> = framed
             .iter()
             .map(|(slot, shard)| (*slot, shard.as_slice()))
@@ -257,7 +259,8 @@ fn encoded_stream(n: usize, k: usize, first_seq: u64, count: usize, rng: &mut Lc
         };
         let len = rng.below(301) as usize;
         let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-        let packet = Packet::with_timestamp(StreamId::new(9), SeqNo::new(seq), kind, seq * 20, payload);
+        let packet =
+            Packet::with_timestamp(StreamId::new(9), SeqNo::new(seq), kind, seq * 20, payload);
         encoder.process(packet, &mut wire).unwrap();
     }
     encoder.flush(&mut wire).unwrap();

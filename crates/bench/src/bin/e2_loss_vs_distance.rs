@@ -5,15 +5,30 @@
 //! rate can change dramatically over a distance of several meters on
 //! wireless LANs".  This experiment sweeps the receiver's distance and
 //! reports the raw receipt rate and the post-FEC reconstruction rate, with
-//! and without the FEC(6,4) filter installed.
+//! and without the FEC(6,4) filter installed.  Each point is the
+//! `ScenarioSpec::figure7()` preset with one receiver at that distance.
+//!
+//! FEC overhead is parity packets ÷ source packets (earlier versions of
+//! this binary reported payload bytes, which read higher because parity
+//! carries shard framing).
 //!
 //! Run with `cargo run --release -p rapidware-bench --bin e2_loss_vs_distance`.
 
-use rapidware::scenario::{FecScenario, ScenarioConfig};
+use rapidware::engine::{FecPolicy, LossRegime, ScenarioEngine, ScenarioSpec};
 use rapidware_bench::{pct, rule};
 
+const PACKETS: u64 = 4_000;
+
+fn run(meters: f64, fec: FecPolicy) -> rapidware::engine::ScenarioOutcome {
+    ScenarioEngine::new(ScenarioSpec {
+        receivers: vec![LossRegime::AtDistance { meters }],
+        fec,
+        ..ScenarioSpec::figure7().with_packets(PACKETS)
+    })
+    .run_sync()
+}
+
 fn main() {
-    const PACKETS: u64 = 4_000;
     println!("E2: loss vs distance ({PACKETS} packets per point, FEC(6,4) vs no FEC)");
     println!(
         "{:>9}  {:>9}  {:>13}  {:>13}  {:>9}",
@@ -21,28 +36,16 @@ fn main() {
     );
     rule(62);
     for distance in [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0] {
-        let with_fec = FecScenario::new(
-            ScenarioConfig::figure7()
-                .with_packets(PACKETS)
-                .with_receivers(1)
-                .with_distance(distance),
-        )
-        .run();
-        let without_fec = FecScenario::new(
-            ScenarioConfig::figure7()
-                .without_fec()
-                .with_packets(PACKETS)
-                .with_receivers(1)
-                .with_distance(distance),
-        )
-        .run();
+        let with_fec = run(distance, FecPolicy::Fixed(6, 4));
+        let without_fec = run(distance, FecPolicy::Off);
+        let with_stats = with_fec.receipt_stats(0, PACKETS);
         println!(
             "{:>7} m  {:>9}  {:>13}  {:>13}  {:>8.1}%",
             distance,
-            pct(with_fec.receivers[0].received_pct()),
-            pct(with_fec.receivers[0].reconstructed_pct()),
-            pct(without_fec.receivers[0].reconstructed_pct()),
-            with_fec.overhead() * 100.0
+            pct(with_stats.received_pct()),
+            pct(with_stats.reconstructed_pct()),
+            pct(without_fec.receipt_stats(0, PACKETS).reconstructed_pct()),
+            with_fec.report.parity_overhead() * 100.0
         );
     }
     rule(62);

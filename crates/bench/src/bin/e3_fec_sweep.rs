@@ -4,15 +4,30 @@
 //! for Figure 7.  This experiment sweeps the block-code parameters at
 //! several loss rates to show the trade-off the authors navigated: stronger
 //! codes recover more but cost more wireless bandwidth, and larger k delays
-//! parity emission (jitter).
+//! parity emission (jitter).  Each cell is the `ScenarioSpec::figure7()`
+//! preset with one receiver on a fixed-rate lossy link.
+//!
+//! FEC overhead is parity packets ÷ source packets, i.e. (n − k) / k for
+//! whole blocks (earlier versions of this binary reported payload bytes,
+//! which read higher because parity carries shard framing).
 //!
 //! Run with `cargo run --release -p rapidware-bench --bin e3_fec_sweep`.
 
-use rapidware::scenario::{FecScenario, ScenarioConfig};
+use rapidware::engine::{FecPolicy, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
 use rapidware_bench::{pct, rule};
 
+const PACKETS: u64 = 4_000;
+
+fn run(rate: f64, fec: FecPolicy) -> ScenarioOutcome {
+    ScenarioEngine::new(ScenarioSpec {
+        receivers: vec![LossRegime::Bernoulli { rate }],
+        fec,
+        ..ScenarioSpec::figure7().with_packets(PACKETS)
+    })
+    .run_sync()
+}
+
 fn main() {
-    const PACKETS: u64 = 4_000;
     let codes: [(usize, usize); 6] = [(5, 4), (6, 4), (8, 4), (8, 6), (10, 8), (12, 8)];
     let loss_rates = [0.015, 0.05, 0.10, 0.20];
 
@@ -24,39 +39,23 @@ fn main() {
     println!("  {:>10}", "overhead");
     rule(8 + loss_rates.len() * 18 + 12);
 
-    for (n, k) in codes {
-        print!("{:>8}", format!("({n},{k})"));
+    let rows = codes
+        .map(|(n, k)| (format!("({n},{k})"), FecPolicy::Fixed(n, k)))
+        .into_iter()
+        .chain([("none".to_string(), FecPolicy::Off)]);
+    for (label, fec) in rows {
+        print!("{label:>8}");
         let mut overhead = 0.0;
         for loss in loss_rates {
-            let report = FecScenario::new(
-                ScenarioConfig::figure7()
-                    .with_packets(PACKETS)
-                    .with_receivers(1)
-                    .with_loss_rate(loss)
-                    .with_fec(n, k),
-            )
-            .run();
-            overhead = report.overhead();
-            print!("  {:>16}", pct(report.receivers[0].reconstructed_pct()));
+            let outcome = run(loss, fec.clone());
+            overhead = outcome.report.parity_overhead();
+            print!(
+                "  {:>16}",
+                pct(outcome.receipt_stats(0, PACKETS).reconstructed_pct())
+            );
         }
         println!("  {:>9.1}%", overhead * 100.0);
     }
-    rule(8 + loss_rates.len() * 18 + 12);
-
-    // Baseline row: no FEC at all.
-    print!("{:>8}", "none");
-    for loss in loss_rates {
-        let report = FecScenario::new(
-            ScenarioConfig::figure7()
-                .without_fec()
-                .with_packets(PACKETS)
-                .with_receivers(1)
-                .with_loss_rate(loss),
-        )
-        .run();
-        print!("  {:>16}", pct(report.receivers[0].reconstructed_pct()));
-    }
-    println!("  {:>9.1}%", 0.0);
     println!(
         "\nexpected shape: every code beats 'none'; higher (n-k)/k recovers more at high\n\
          loss but costs proportionally more bandwidth; (6,4) is enough at the paper's\n\

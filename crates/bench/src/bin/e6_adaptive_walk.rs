@@ -5,35 +5,69 @@
 //! and walks down the hall; loss rises "dramatically over a distance of
 //! several meters"; the RAPIDware observer notices and the responder splices
 //! an FEC encoder into the running stream.  This experiment compares three
-//! policies over the same walk and seed:
+//! policies over the same walk and seed, each the
+//! `ScenarioSpec::adaptive_walk()` preset with its FEC policy swapped:
 //!
 //! * `none`      — no FEC at all;
 //! * `static`    — FEC(6,4) installed for the whole session;
 //! * `adaptive`  — raplets insert/upgrade/remove the encoder on demand.
 //!
+//! FEC overhead is parity packets ÷ source packets (earlier versions of
+//! this binary reported payload bytes, which read higher because parity
+//! carries shard framing).  A playout gap is a maximal run of consecutive
+//! source packets neither received nor reconstructed.
+//!
 //! Run with `cargo run --release -p rapidware-bench --bin e6_adaptive_walk`.
 
+use rapidware::engine::{
+    FecPolicy, LossRegime, RapletSet, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
+};
 use rapidware::netsim::{LinearWalk, SimTime};
-use rapidware::scenario::{FecScenario, ScenarioConfig, ScenarioReport};
+use rapidware::packet::LossEvent;
 use rapidware_bench::{pct, rule};
 
-fn walk_config() -> ScenarioConfig {
-    ScenarioConfig::figure7()
-        .with_packets(9_000)
-        .with_receivers(1)
-        .with_walk(LinearWalk::new(5.0, 38.0, SimTime::from_secs(60), 1.0))
+fn run(fec: FecPolicy) -> ScenarioOutcome {
+    ScenarioEngine::new(ScenarioSpec {
+        receivers: vec![LossRegime::Walking(LinearWalk::new(
+            5.0,
+            38.0,
+            SimTime::from_secs(60),
+            1.0,
+        ))],
+        fec,
+        ..ScenarioSpec::adaptive_walk()
+    })
+    .run_sync()
 }
 
-fn row(label: &str, report: &ScenarioReport) {
-    let receiver = &report.receivers[0];
+/// Maximal runs of lost packets in one receiver's per-seq fates.
+fn playout_gaps(events: &[LossEvent]) -> usize {
+    let mut gaps = 0;
+    let mut in_gap = false;
+    for event in events {
+        let lost = *event == LossEvent::Lost;
+        gaps += usize::from(lost && !in_gap);
+        in_gap = lost;
+    }
+    gaps
+}
+
+fn row(label: &str, outcome: &ScenarioOutcome) {
+    let report = &outcome.report;
+    let stats = outcome.receipt_stats(0, report.source_packets_sent);
+    let adaptations = report
+        .timeline
+        .iter()
+        .filter(|step| step.entry.starts_with("event "))
+        .count();
     println!(
         "{:<10}  {:>9}  {:>14}  {:>9.1}%  {:>7}  {:>11}",
         label,
-        pct(receiver.received_pct()),
-        pct(receiver.reconstructed_pct()),
-        report.overhead() * 100.0,
-        receiver.playout.gaps,
-        report.adaptation_log.len()
+        pct(stats.received_pct()),
+        pct(stats.reconstructed_pct()),
+        report.parity_overhead() * 100.0,
+        playout_gaps(&outcome.events[0]),
+        adaptations
     );
 }
 
@@ -44,30 +78,22 @@ fn main() {
         "policy", "raw recv", "reconstructed", "overhead", "gaps", "adaptations"
     );
     rule(72);
-
-    let none = FecScenario::new(walk_config().without_fec()).run();
-    row("none", &none);
-
-    let fixed = FecScenario::new(walk_config().with_fec(6, 4)).run();
-    row("static", &fixed);
-
-    let mut adaptive_config = walk_config();
-    adaptive_config.fec = None;
-    adaptive_config.adaptive = true;
-    let adaptive = FecScenario::new(adaptive_config).run();
+    row("none", &run(FecPolicy::Off));
+    row("static", &run(FecPolicy::Fixed(6, 4)));
+    let adaptive = run(FecPolicy::Adaptive(RapletSet::paper_default()));
     row("adaptive", &adaptive);
     rule(72);
 
-    println!("\nadaptation log (adaptive policy):");
-    for record in &adaptive.adaptation_log {
-        println!("  {record}");
+    println!("\nadaptation timeline (adaptive policy):");
+    for step in &adaptive.report.timeline {
+        println!("  {step}");
     }
     println!(
         "\nfinal sender chain (adaptive policy): {:?}",
-        adaptive.final_sender_filters
+        adaptive.report.final_filters
     );
     println!("\nexpected shape: 'none' degrades sharply once the walk starts; 'static' keeps");
-    println!("quality but pays ~50% parity overhead for the whole session; 'adaptive'");
+    println!("quality but pays 50% parity overhead for the whole session; 'adaptive'");
     println!("approaches the static policy's quality while paying the overhead only after");
     println!("loss actually rises.");
 }

@@ -78,7 +78,7 @@ pub trait Applier {
 ///
 /// Panics if an action names a filter kind the registry cannot instantiate
 /// (responder specs are expected to reference registered kinds).
-pub fn apply_actions_to_chain(
+fn apply_actions_to_chain(
     chain: &mut FilterChain,
     registry: &FilterRegistry,
     actions: &[AdaptationAction],

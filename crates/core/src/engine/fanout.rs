@@ -35,17 +35,19 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use rapidware_filters::FecDecoderFilter;
 use rapidware_media::{AudioConfig, AudioSource};
 use rapidware_netsim::{ReceiverId, SimTime, WirelessLan};
 use rapidware_packet::{Packet, StreamId};
 use rapidware_proxy::FilterSpec;
-use rapidware_raplets::{AdaptationEngine, FecResponder, LinkSample, LossRateObserver};
+use rapidware_raplets::{AdaptationEngine, LinkSample};
 
 use super::report::{LatencySummary, ReceiverOutcome};
 use super::spec::{validate_regime, LossRegime, RapletSet, SpecError};
-use super::trace::{describe_action, describe_event, ScenarioTrace, TraceEvent};
-use super::{Applier, LiveApplier, LiveIo, SyncApplier, TimelineEntry, POOLED_APPLIER_SHARDS};
+use super::trace::{describe_action, describe_event, render_filters, ScenarioTrace, TraceEvent};
+use super::{
+    account, decoders, Applier, Decoders, LiveApplier, LiveIo, SyncApplier, TimelineEntry,
+    POOLED_APPLIER_SHARDS,
+};
 
 /// One receiver lane of a [`FanoutSpec`]: its link, and whether it runs an
 /// adaptation loop of its own.
@@ -199,7 +201,8 @@ impl FanoutSpec {
     /// Checks the spec for degenerate inputs that would otherwise panic
     /// deep inside the engine, the live session, or the simulator: zero
     /// packets, no lanes, duplicate lane names, empty phase lists, nested
-    /// walks, zero strides.
+    /// walks, zero strides, and a raplet set the observer or the codec
+    /// reject.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.packets == 0 {
             return Err(SpecError::ZeroPackets {
@@ -221,7 +224,7 @@ impl FanoutSpec {
             }
             validate_regime(&lane.regime, &self.name, &format!("lane {}", lane.name))?;
         }
-        Ok(())
+        self.raplets.validate(&self.name)
     }
 
     /// Overrides the simulator seed.
@@ -358,10 +361,7 @@ impl FanoutReport {
                     *lane,
                     TimelineEntry {
                         time: *time,
-                        entry: format!(
-                            "chain {}",
-                            if filters.is_empty() { "-".to_string() } else { filters.join("+") }
-                        ),
+                        entry: format!("chain {}", render_filters(filters)),
                     },
                 )),
                 TraceEvent::LaneTotals {
@@ -425,11 +425,7 @@ impl fmt::Display for FanoutReport {
                 lane.outcome.undelivered,
                 lane.parity_sent,
                 lane.timeline.len(),
-                if lane.final_filters.is_empty() {
-                    "-".to_string()
-                } else {
-                    lane.final_filters.join("+")
-                }
+                render_filters(&lane.final_filters)
             )?;
         }
         Ok(())
@@ -526,7 +522,7 @@ struct LaneRuntime {
     receiver: ReceiverId,
     adaptation: Option<AdaptationEngine>,
     logged: usize,
-    decoders: Vec<((usize, usize), FecDecoderFilter)>,
+    decoders: Decoders,
     received: HashSet<u64>,
     emitted: HashSet<u64>,
     parity_sent: u64,
@@ -622,6 +618,7 @@ impl FanoutEngine {
         // The topology: one seeded LAN, one receiver per lane, each with
         // its own loss schedule.
         let mut lan = WirelessLan::wavelan_2mbps(spec.seed);
+        let codes = spec.raplets.decoder_codes();
         let mut lanes: Vec<LaneRuntime> = spec
             .lanes
             .iter()
@@ -630,17 +627,9 @@ impl FanoutEngine {
                 let receiver = *lan.receiver_ids().last().expect("receiver was just attached");
                 LaneRuntime {
                     receiver,
-                    adaptation: lane_spec.adaptive.then(|| lane_engine(&spec.raplets)),
+                    adaptation: lane_spec.adaptive.then(|| spec.raplets.adaptation_engine()),
                     logged: 0,
-                    decoders: decoder_codes(&spec.raplets)
-                        .into_iter()
-                        .map(|(n, k)| {
-                            (
-                                (n, k),
-                                FecDecoderFilter::new(n, k).expect("spec uses valid FEC parameters"),
-                            )
-                        })
-                        .collect(),
+                    decoders: decoders(&codes),
                     received: HashSet::new(),
                     emitted: HashSet::new(),
                     parity_sent: 0,
@@ -736,20 +725,7 @@ impl FanoutEngine {
         // Final accounting, one totals record per lane.
         let mut report_lanes = Vec::with_capacity(lanes.len());
         for (index, lane) in lanes.iter().enumerate() {
-            let mut outcome = ReceiverOutcome {
-                delivered: 0,
-                recovered: 0,
-                lost: 0,
-                undelivered: 0,
-            };
-            for seq in 0..spec.packets {
-                match (lane.received.contains(&seq), lane.emitted.contains(&seq)) {
-                    (true, true) => outcome.delivered += 1,
-                    (true, false) => outcome.undelivered += 1,
-                    (false, true) => outcome.recovered += 1,
-                    (false, false) => outcome.lost += 1,
-                }
-            }
+            let (outcome, _) = account(&lane.received, &lane.emitted, spec.packets);
             let name = spec.lanes[index].name.clone();
             trace.push(TraceEvent::LaneTotals {
                 lane: index,
@@ -808,31 +784,6 @@ pub(super) fn live_applier(spec: &FanoutSpec, io: LiveIo, shards: usize) -> Live
     let lanes = lane_names(spec);
     let window = spec.sample_interval as usize;
     LiveApplier::session(io, &spec.name, &spec.head_filters, &lanes, shards, spec.batch_size, window)
-}
-
-/// Builds the per-lane adaptation loop from a raplet set.
-fn lane_engine(raplets: &RapletSet) -> AdaptationEngine {
-    let (high, low) = raplets.loss_thresholds;
-    let mut engine = AdaptationEngine::new();
-    engine.add_observer(Box::new(
-        LossRateObserver::with_thresholds(high, low).with_smoothing(raplets.smoothing),
-    ));
-    engine.add_responder(Box::new(FecResponder::new(
-        0,
-        raplets.fec_moderate,
-        raplets.fec_strong,
-        raplets.strong_threshold,
-    )));
-    engine
-}
-
-/// The distinct (n, k) codes a lane's receiver must be able to decode.
-fn decoder_codes(raplets: &RapletSet) -> Vec<(usize, usize)> {
-    let mut codes = vec![raplets.fec_moderate];
-    if raplets.fec_strong != raplets.fec_moderate {
-        codes.push(raplets.fec_strong);
-    }
-    codes
 }
 
 /// Puts one lane's packets on that lane's link, in order, and routes
@@ -1058,6 +1009,26 @@ mod tests {
         for spec in FanoutSpec::fanout_matrix() {
             assert_eq!(spec.validate(), Ok(()), "{} must validate", spec.name);
         }
+    }
+
+    #[test]
+    fn invalid_raplet_sets_return_typed_errors_instead_of_panicking() {
+        let mut inverted_code = FanoutSpec::all_wired();
+        inverted_code.raplets.fec_moderate = (4, 6);
+        assert_eq!(
+            FanoutEngine::new(inverted_code).try_run_sync().unwrap_err(),
+            SpecError::InvalidFecCode {
+                scenario: "fanout-all-wired".into(),
+                n: 4,
+                k: 6
+            }
+        );
+        let mut inverted_thresholds = FanoutSpec::all_wired();
+        inverted_thresholds.raplets.loss_thresholds = (0.005, 0.02);
+        assert!(matches!(
+            FanoutEngine::new(inverted_thresholds).try_run_sync(),
+            Err(SpecError::InvalidRaplets { .. })
+        ));
     }
 
     #[test]

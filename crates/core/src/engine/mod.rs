@@ -49,12 +49,12 @@ mod report;
 mod spec;
 mod trace;
 
-pub use applier::{apply_actions_to_chain, Applier, SyncApplier};
+pub use applier::{Applier, SyncApplier};
 pub use fanout::{FanoutEngine, FanoutOutcome, FanoutReport, FanoutSpec, LaneReport, LaneSpec};
 pub use generate::{ChurnEvent, GeneratedShape, GeneratedSpec, PlacementKind, PlacementSpec};
 pub use live::{LiveApplier, LiveIo};
 pub use report::{LatencySummary, ReceiverOutcome, ScenarioReport, TimelineEntry};
-pub use spec::{LossRegime, RapletSet, ScenarioSpec, SpecError};
+pub use spec::{FecPolicy, LossRegime, RapletSet, ScenarioSpec, SpecError};
 pub use trace::{describe_action, describe_event, ScenarioTrace, TraceEvent};
 
 use std::collections::HashSet;
@@ -62,11 +62,9 @@ use std::collections::HashSet;
 use rapidware_filters::{rekey_packet, FecDecoderFilter, Filter};
 use rapidware_media::AudioSource;
 use rapidware_netsim::{SimTime, WirelessLan};
-use rapidware_packet::{Packet, StreamId};
+use rapidware_packet::{LossEvent, Packet, ReceiptStats, SeqNo, StreamId};
 use rapidware_proxy::FilterSpec;
-use rapidware_raplets::{
-    AdaptationAction, AdaptationEngine, FecResponder, LinkSample, LossRateObserver,
-};
+use rapidware_raplets::{AdaptationAction, LinkSample};
 
 /// The fixed seeds the scenario-matrix harness runs at.  The integration
 /// tests and the `scenario_matrix` bench binary both read this constant, so
@@ -86,17 +84,34 @@ pub const SECURE_SCENARIO_KEY: &str = "24301";
 /// The epoch a secure scenario's midpoint rotation installs.
 const SECURE_REKEY_EPOCH: u32 = 1;
 
-/// Everything a closed-loop run produces: the final accounting and the
-/// step-by-step trace it was derived from.
+/// Everything a closed-loop run produces: the final accounting, the
+/// step-by-step trace it was derived from, and each source packet's fate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Delivery accounting and adaptation timeline.
     pub report: ScenarioReport,
     /// The replayable record of the run (`trace.replay() == report`).
     pub trace: ScenarioTrace,
+    /// Per receiver, the fate of every source packet, indexed by sequence
+    /// number: received over the air, reconstructed by FEC, or lost.
+    pub events: Vec<Vec<LossEvent>>,
 }
 
 impl ScenarioOutcome {
+    /// One receiver's per-seq fates folded into `window`-packet statistics
+    /// windows (Figure 7 uses 432).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `receiver` is out of range or `window` is zero.
+    pub fn receipt_stats(&self, receiver: usize, window: u64) -> ReceiptStats {
+        let mut stats = ReceiptStats::new(window);
+        for (seq, event) in (0..).zip(&self.events[receiver]) {
+            stats.record(SeqNo::new(seq), *event);
+        }
+        stats
+    }
+
     /// The scenario-matrix health checks, shared by the test harness
     /// (which asserts the list is empty) and the `scenario_matrix` bench
     /// binary (which prints it): one line per violated property of a run
@@ -143,7 +158,7 @@ impl ScenarioOutcome {
                     report.timeline.len()
                 ));
             }
-            if report.parity_packets_sent != 0 {
+            if report.parity_packets_sent != 0 && !matches!(spec.fec, FecPolicy::Fixed(..)) {
                 problems.push("unexpected parity on a quiet link".to_string());
             }
         }
@@ -157,11 +172,26 @@ impl ScenarioOutcome {
     }
 }
 
-/// Per-receiver simulation state: one sync FEC decoder per code the
-/// responder can install (a decoder only accepts parity of its own (n, k)),
-/// plus the bookkeeping needed for the final accounting.
+/// One sync FEC decoder per code the sender can put on the air (a decoder
+/// only accepts parity of its own (n, k)).
+type Decoders = Vec<((usize, usize), FecDecoderFilter)>;
+
+/// A receiver's decoders for `codes`, which the spec's validation has
+/// already checked against the codec.
+fn decoders(codes: &[(usize, usize)]) -> Decoders {
+    codes
+        .iter()
+        .map(|&(n, k)| {
+            let decoder = FecDecoderFilter::new(n, k).expect("validated specs use valid FEC codes");
+            ((n, k), decoder)
+        })
+        .collect()
+}
+
+/// Per-receiver simulation state: the receiver's decoders plus the
+/// bookkeeping needed for the final accounting.
 struct ReceiverState {
-    decoders: Vec<((usize, usize), FecDecoderFilter)>,
+    decoders: Decoders,
     received: HashSet<u64>,
     emitted: HashSet<u64>,
 }
@@ -275,38 +305,17 @@ impl ScenarioEngine {
             regime.attach(&mut lan, &format!("receiver-{index}"));
         }
         let monitor = lan.receiver_ids()[0];
-        let mut codes = vec![spec.raplets.fec_moderate];
-        if spec.raplets.fec_strong != spec.raplets.fec_moderate {
-            codes.push(spec.raplets.fec_strong);
-        }
+        let codes = spec.fec.decoder_codes();
         let mut receivers: Vec<ReceiverState> = (0..spec.receivers.len())
             .map(|_| ReceiverState {
-                decoders: codes
-                    .iter()
-                    .map(|&(n, k)| {
-                        (
-                            (n, k),
-                            FecDecoderFilter::new(n, k).expect("spec uses valid FEC parameters"),
-                        )
-                    })
-                    .collect(),
+                decoders: decoders(&codes),
                 received: HashSet::new(),
                 emitted: HashSet::new(),
             })
             .collect();
 
-        // The raplets.
-        let (high, low) = spec.raplets.loss_thresholds;
-        let mut adaptation = AdaptationEngine::new();
-        adaptation.add_observer(Box::new(
-            LossRateObserver::with_thresholds(high, low).with_smoothing(spec.raplets.smoothing),
-        ));
-        adaptation.add_responder(Box::new(FecResponder::new(
-            0,
-            spec.raplets.fec_moderate,
-            spec.raplets.fec_strong,
-            spec.raplets.strong_threshold,
-        )));
+        // The raplets, when FEC is theirs to manage.
+        let mut adaptation = spec.fec.adaptation_engine();
         let mut logged = 0usize;
 
         let mut source = AudioSource::new(StreamId::new(1), spec.audio);
@@ -339,6 +348,15 @@ impl ScenarioEngine {
         } else {
             None
         };
+        // A fixed code goes in the same way, at the head, so it too sits
+        // upstream of any secure pair.
+        if let FecPolicy::Fixed(n, k) = spec.fec {
+            let encoder = FilterSpec::new("fec-encoder")
+                .with_param("n", n.to_string())
+                .with_param("k", k.to_string());
+            let installed = chain.apply(0, &[AdaptationAction::Insert { position: 0, spec: encoder }]);
+            debug_assert!(installed.is_empty(), "inserting flushes nothing");
+        }
 
         while sent < spec.packets {
             // One sample window of source packets through the chain.
@@ -399,6 +417,9 @@ impl ScenarioEngine {
             window_start = now;
 
             // Observer → responder → applier.
+            let Some(adaptation) = adaptation.as_mut() else {
+                continue;
+            };
             let actions = adaptation.ingest(&sample);
             for record in &adaptation.log()[logged..] {
                 trace.push(TraceEvent::Observed {
@@ -435,21 +456,10 @@ impl ScenarioEngine {
 
         // Final accounting.
         let mut outcomes = Vec::with_capacity(receivers.len());
+        let mut events = Vec::with_capacity(receivers.len());
         for (index, state) in receivers.iter().enumerate() {
-            let mut outcome = ReceiverOutcome {
-                delivered: 0,
-                recovered: 0,
-                lost: 0,
-                undelivered: 0,
-            };
-            for seq in 0..spec.packets {
-                match (state.received.contains(&seq), state.emitted.contains(&seq)) {
-                    (true, true) => outcome.delivered += 1,
-                    (true, false) => outcome.undelivered += 1,
-                    (false, true) => outcome.recovered += 1,
-                    (false, false) => outcome.lost += 1,
-                }
-            }
+            let (outcome, fates) = account(&state.received, &state.emitted, spec.packets);
+            events.push(fates);
             trace.push(TraceEvent::ReceiverTotals {
                 receiver: index,
                 delivered: outcome.delivered,
@@ -475,13 +485,43 @@ impl ScenarioEngine {
             final_filters,
             latency: chain.latency(),
         };
-        ScenarioOutcome { report, trace }
+        ScenarioOutcome {
+            report,
+            trace,
+            events,
+        }
     }
 }
 
 /// The flat scenario's sync applier: one lane, no head chain.
 fn flat_sync_applier() -> SyncApplier {
     SyncApplier::new("scenario", &[], &["scenario".to_string()])
+}
+
+/// Classifies every source seq at one receiver from what its link
+/// delivered and what its decoders surfaced: the report's four buckets and
+/// the per-seq fates.  A packet the link delivered is `Received` in the
+/// fates even if the receiver never surfaced it; the `undelivered` bucket
+/// is where that failure shows.
+fn account(
+    received: &HashSet<u64>,
+    emitted: &HashSet<u64>,
+    packets: u64,
+) -> (ReceiverOutcome, Vec<LossEvent>) {
+    let mut outcome = ReceiverOutcome::default();
+    let fates = (0..packets)
+        .map(|seq| {
+            let (bucket, fate) = match (received.contains(&seq), emitted.contains(&seq)) {
+                (true, true) => (&mut outcome.delivered, LossEvent::Received),
+                (true, false) => (&mut outcome.undelivered, LossEvent::Received),
+                (false, true) => (&mut outcome.recovered, LossEvent::Reconstructed),
+                (false, false) => (&mut outcome.lost, LossEvent::Lost),
+            };
+            *bucket += 1;
+            fate
+        })
+        .collect();
+    (outcome, fates)
 }
 
 /// Puts one packet on the air and routes the per-receiver deliveries into
@@ -521,7 +561,8 @@ fn broadcast(
 /// Feeds one delivered packet into a receiver's per-code FEC decoders and
 /// records any reconstructed source payloads in `emitted`.  Shared by the
 /// flat engine's broadcast path and the fanout engine's per-lane path so
-/// the two can never drift in how deliveries are routed.
+/// the two can never drift in how deliveries are routed.  A receiver with
+/// no decoders (FEC off) surfaces each delivered payload as is.
 ///
 /// Parity is routed to the decoder of its own code; payload feeds every
 /// decoder (whichever has the block open uses it — duplicates are absorbed
@@ -534,7 +575,7 @@ fn broadcast(
 /// only surface as `lost`, never as a corrupted delivery.
 fn feed_decoders(
     packet: &Packet,
-    decoders: &mut [((usize, usize), FecDecoderFilter)],
+    decoders: &mut Decoders,
     emitted: &mut HashSet<u64>,
     total_sources: u64,
 ) {
@@ -545,6 +586,9 @@ fn feed_decoders(
         _ => None,
     };
     let mut decoded: Vec<Packet> = Vec::new();
+    if decoders.is_empty() {
+        decoded.push(packet.clone());
+    }
     for (code, decoder) in decoders {
         if parity_code.is_some_and(|parity| parity != *code) {
             continue;
@@ -648,6 +692,43 @@ mod tests {
                 scenario: "steady-wlan".into()
             }
         );
+    }
+
+    #[test]
+    fn invalid_fec_policies_return_typed_errors_instead_of_panicking() {
+        let raplets = RapletSet::paper_default();
+        let cases = [
+            (FecPolicy::Fixed(6, 0), "FEC(6,0)"),
+            (
+                FecPolicy::Adaptive(RapletSet {
+                    fec_moderate: (4, 6),
+                    ..raplets.clone()
+                }),
+                "FEC(4,6)",
+            ),
+            (
+                FecPolicy::Adaptive(RapletSet {
+                    loss_thresholds: (0.005, 0.02),
+                    ..raplets.clone()
+                }),
+                "below the low threshold",
+            ),
+            (
+                FecPolicy::Adaptive(RapletSet {
+                    smoothing: 0.0,
+                    ..raplets
+                }),
+                "smoothing",
+            ),
+        ];
+        for (fec, message) in cases {
+            let spec = ScenarioSpec {
+                fec,
+                ..ScenarioSpec::steady_wlan()
+            };
+            let err = ScenarioEngine::new(spec).try_run_sync().unwrap_err();
+            assert!(err.to_string().contains(message), "{err}");
+        }
     }
 
     #[test]

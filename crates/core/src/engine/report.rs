@@ -5,6 +5,8 @@ use std::fmt;
 use rapidware_netsim::SimTime;
 use rapidware_proxy::{HistogramSnapshot, TelemetrySnapshot};
 
+use super::trace::render_filters;
+
 /// One timestamped entry of the adaptation timeline (an observer event, an
 /// applied action, or the resulting chain configuration).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,7 +24,7 @@ impl fmt::Display for TimelineEntry {
 }
 
 /// Final packet accounting for one receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverOutcome {
     /// Source packets delivered directly over the network.
     pub delivered: u64,
@@ -164,6 +166,16 @@ impl ScenarioReport {
         self.receivers.iter().map(|r| r.recovered).sum()
     }
 
+    /// FEC overhead: parity packets sent per source packet sent (0.5 for
+    /// FEC(6,4) over whole blocks).
+    pub fn parity_overhead(&self) -> f64 {
+        if self.source_packets_sent == 0 {
+            0.0
+        } else {
+            self.parity_packets_sent as f64 / self.source_packets_sent as f64
+        }
+    }
+
     /// `true` if the chain converged back to empty by the end of the run
     /// (the expected end state when the link finishes clean).
     pub fn converged(&self) -> bool {
@@ -222,15 +234,7 @@ impl fmt::Display for ScenarioReport {
                 receiver.availability() * 100.0
             )?;
         }
-        write!(
-            f,
-            "  final chain: {}",
-            if self.final_filters.is_empty() {
-                "-".to_string()
-            } else {
-                self.final_filters.join("+")
-            }
-        )
+        write!(f, "  final chain: {}", render_filters(&self.final_filters))
     }
 }
 
@@ -283,6 +287,7 @@ mod tests {
         assert_eq!(report.undelivered_total(), 0);
         assert_eq!(report.lost_total(), 2);
         assert_eq!(report.recovered_total(), 8);
+        assert!((report.parity_overhead() - 0.2).abs() < 1e-9);
         assert!(report.converged());
         assert!(report.fec_was_inserted());
         assert!(report.fec_was_removed());
@@ -305,13 +310,7 @@ mod tests {
         assert!(text.contains("unit (seed 1)"));
         assert!(text.contains("receiver-0"));
         assert!(text.contains("final chain: -"));
-        let empty = ReceiverOutcome {
-            delivered: 0,
-            recovered: 0,
-            lost: 0,
-            undelivered: 0,
-        };
-        assert!((empty.availability() - 1.0).abs() < 1e-9);
+        assert!((ReceiverOutcome::default().availability() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Declarative scenario descriptions.
 //!
 //! A [`ScenarioSpec`] says *what* to simulate — topology, loss regime,
-//! media workload, raplet set, batch size — without saying how; the
+//! media workload, FEC policy, batch size — without saying how; the
 //! [`ScenarioEngine`](super::ScenarioEngine) turns it into a closed-loop
 //! run.  The module ships the built-in scenario matrix the test harness and
-//! CI run at fixed seeds: steady WLAN, bursty Gilbert–Elliott, handoff
+//! CI run at fixed seeds (steady WLAN, bursty Gilbert–Elliott, handoff
 //! cliff, multicast fan-out with one lossy receiver, congestion ramp, and a
-//! flapping link.
+//! flapping link) and the paper's evaluation presets: Figure 7, its
+//! multicast widening, and the adaptive office-to-conference-room walk.
 
 use std::fmt;
 
+use rapidware_fec::FecCodec;
 use rapidware_media::AudioConfig;
 use rapidware_netsim::{
     BernoulliLoss, DistanceLossModel, GilbertElliottLoss, LinearWalk, LossModel, PerfectLink,
     ScheduledLoss, SimTime, StrideLoss, WirelessLan,
 };
+use rapidware_raplets::{AdaptationEngine, FecResponder, LossRateObserver};
 
 /// A degenerate scenario description, rejected before any simulation state
 /// is built.
@@ -71,6 +74,25 @@ pub enum SpecError {
         /// The duplicated lane name.
         lane: String,
     },
+    /// An FEC code `(n, k)` the codec rejects (`k = 0`, `n < k` or
+    /// `n > 255`), named by a [`FecPolicy::Fixed`] or a [`RapletSet`] tier.
+    InvalidFecCode {
+        /// Name of the offending scenario.
+        scenario: String,
+        /// Total shards per block.
+        n: usize,
+        /// Source shards per block.
+        k: usize,
+    },
+    /// A [`RapletSet`] the loss observer rejects: a threshold outside
+    /// `[0, 1]`, a high threshold below the low one, or a smoothing factor
+    /// outside `(0, 1]`.
+    InvalidRaplets {
+        /// Name of the offending scenario.
+        scenario: String,
+        /// Which constraint the set breaks.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -96,6 +118,12 @@ impl fmt::Display for SpecError {
             }
             SpecError::DuplicateLane { scenario, lane } => {
                 write!(f, "{scenario}: duplicate lane name {lane:?}")
+            }
+            SpecError::InvalidFecCode { scenario, n, k } => {
+                write!(f, "{scenario}: FEC({n},{k}) is not a valid (n, k) code")
+            }
+            SpecError::InvalidRaplets { scenario, reason } => {
+                write!(f, "{scenario}: invalid raplet set: {reason}")
             }
         }
     }
@@ -267,6 +295,109 @@ impl RapletSet {
             strong_threshold: 0.10,
         }
     }
+
+    /// Checks the set against what the observer and the codec accept, so a
+    /// bad set comes back as a [`SpecError`] instead of a panic mid-run.
+    pub(super) fn validate(&self, scenario: &str) -> Result<(), SpecError> {
+        let invalid = |reason: String| {
+            Err(SpecError::InvalidRaplets {
+                scenario: scenario.to_string(),
+                reason,
+            })
+        };
+        let (high, low) = self.loss_thresholds;
+        if !(0.0..=1.0).contains(&high) || !(0.0..=1.0).contains(&low) {
+            return invalid(format!("loss thresholds ({high}, {low}) must lie in [0, 1]"));
+        }
+        if high < low {
+            return invalid(format!("high loss threshold {high} is below the low threshold {low}"));
+        }
+        if !(self.smoothing > 0.0 && self.smoothing <= 1.0) {
+            return invalid(format!("smoothing {} must lie in (0, 1]", self.smoothing));
+        }
+        self.decoder_codes()
+            .into_iter()
+            .try_for_each(|code| validate_code(code, scenario))
+    }
+
+    /// The observer/responder loop this set describes, ready to ingest
+    /// link samples.
+    pub(super) fn adaptation_engine(&self) -> AdaptationEngine {
+        let (high, low) = self.loss_thresholds;
+        let mut engine = AdaptationEngine::new();
+        engine.add_observer(Box::new(
+            LossRateObserver::with_thresholds(high, low).with_smoothing(self.smoothing),
+        ));
+        engine.add_responder(Box::new(FecResponder::new(
+            0,
+            self.fec_moderate,
+            self.fec_strong,
+            self.strong_threshold,
+        )));
+        engine
+    }
+
+    /// The distinct (n, k) codes the responder can install, which every
+    /// receiver must be able to decode.
+    pub(super) fn decoder_codes(&self) -> Vec<(usize, usize)> {
+        let mut codes = vec![self.fec_moderate];
+        if self.fec_strong != self.fec_moderate {
+            codes.push(self.fec_strong);
+        }
+        codes
+    }
+}
+
+fn validate_code((n, k): (usize, usize), scenario: &str) -> Result<(), SpecError> {
+    FecCodec::new(n, k)
+        .map(drop)
+        .map_err(|_| SpecError::InvalidFecCode {
+            scenario: scenario.to_string(),
+            n,
+            k,
+        })
+}
+
+/// How a flat scenario's sender chain carries FEC.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FecPolicy {
+    /// No FEC: the chain never carries an encoder and receivers surface
+    /// exactly what the link delivered.
+    Off,
+    /// A static `fec-encoder(n, k)`, installed before the first window and
+    /// kept for the whole run (the paper's Figure 7 setup).
+    Fixed(usize, usize),
+    /// The raplets insert, upgrade and remove the encoder as the monitored
+    /// link's loss changes.
+    Adaptive(RapletSet),
+}
+
+impl FecPolicy {
+    /// Checks the policy's codes and raplet set.
+    fn validate(&self, scenario: &str) -> Result<(), SpecError> {
+        match self {
+            FecPolicy::Off => Ok(()),
+            FecPolicy::Fixed(n, k) => validate_code((*n, *k), scenario),
+            FecPolicy::Adaptive(raplets) => raplets.validate(scenario),
+        }
+    }
+
+    /// The adaptation loop, for the adaptive policy only.
+    pub(super) fn adaptation_engine(&self) -> Option<AdaptationEngine> {
+        match self {
+            FecPolicy::Adaptive(raplets) => Some(raplets.adaptation_engine()),
+            _ => None,
+        }
+    }
+
+    /// The (n, k) codes each receiver decodes (none when FEC is off).
+    pub(super) fn decoder_codes(&self) -> Vec<(usize, usize)> {
+        match self {
+            FecPolicy::Off => Vec::new(),
+            FecPolicy::Fixed(n, k) => vec![(*n, *k)],
+            FecPolicy::Adaptive(raplets) => raplets.decoder_codes(),
+        }
+    }
 }
 
 /// A complete, declarative description of one closed-loop scenario.
@@ -287,8 +418,9 @@ pub struct ScenarioSpec {
     /// One loss regime per receiver; receiver 0 is the monitored link that
     /// feeds the adaptation engine.
     pub receivers: Vec<LossRegime>,
-    /// The raplets driving adaptation.
-    pub raplets: RapletSet,
+    /// How the sender chain carries FEC: not at all, a fixed code, or
+    /// under the raplets' control.
+    pub fec: FecPolicy,
     /// Width of the sampling window, in source packets.
     pub sample_interval: u64,
     /// Task batch size used by the live appliers (1 = per-packet).
@@ -317,7 +449,7 @@ impl ScenarioSpec {
             packets,
             audio: AudioConfig::pcm_8khz_stereo_8bit(),
             receivers,
-            raplets: RapletSet::paper_default(),
+            fec: FecPolicy::Adaptive(RapletSet::paper_default()),
             sample_interval: 50, // one second of audio per sample window
             batch_size: 8,
             expect_adaptation: true,
@@ -437,9 +569,52 @@ impl ScenarioSpec {
         ]
     }
 
+    /// The paper's Figure 7: 8 kHz stereo 8-bit PCM audio through a static
+    /// FEC(6,4) encoder, multicast to three laptops 25 m from the access
+    /// point (≈1.46 % loss each), 5,184 packets — twelve of the paper's
+    /// 432-packet statistics windows.  The paper reports 98.54 % received
+    /// and 99.98 % after reconstruction.
+    pub fn figure7() -> Self {
+        Self {
+            fec: FecPolicy::Fixed(6, 4),
+            expect_adaptation: false,
+            expect_clean_finish: false,
+            ..Self::base("figure7", 5_184, vec![LossRegime::AtDistance { meters: 25.0 }; 3])
+        }
+    }
+
+    /// The Figure 7 pipeline serving `receivers` laptops at 25 m instead of
+    /// three, over 2,000 packets.  Losses are independent per receiver, so
+    /// one parity packet repairs different packets at different receivers —
+    /// the paper's argument for block erasure codes on multicast.
+    pub fn multicast(receivers: usize) -> Self {
+        Self {
+            name: format!("multicast-{receivers}"),
+            packets: 2_000,
+            receivers: vec![LossRegime::AtDistance { meters: 25.0 }; receivers.max(1)],
+            ..Self::figure7()
+        }
+    }
+
+    /// The Section 3 walk: one user starts near the access point and walks
+    /// to a conference room down the hall while three minutes of audio
+    /// play; the raplets splice FEC in once loss rises.  The walk ends in
+    /// the lossy room, so FEC stays installed.
+    pub fn adaptive_walk() -> Self {
+        Self {
+            expect_clean_finish: false,
+            ..Self::base(
+                "adaptive-walk",
+                9_000,
+                vec![LossRegime::Walking(LinearWalk::office_to_conference_room())],
+            )
+        }
+    }
+
     /// Checks the spec for degenerate inputs that would otherwise panic
     /// deep inside the engine or the simulator: zero packets, no
-    /// receivers, empty phase lists, nested walks, zero strides.
+    /// receivers, empty phase lists, nested walks, zero strides, and FEC
+    /// codes or raplet sets the codec or the observer reject.
     ///
     /// The engines call this from `try_run_with`; callers constructing
     /// specs programmatically (the scenario generator does) can call it
@@ -458,7 +633,7 @@ impl ScenarioSpec {
         for (index, regime) in self.receivers.iter().enumerate() {
             validate_regime(regime, &self.name, &format!("receiver {index}"))?;
         }
-        Ok(())
+        self.fec.validate(&self.name)
     }
 
     /// Overrides the simulator seed.
@@ -548,7 +723,12 @@ mod tests {
 
     #[test]
     fn every_builtin_spec_validates() {
-        for spec in ScenarioSpec::builtin_matrix() {
+        let presets = [
+            ScenarioSpec::figure7(),
+            ScenarioSpec::multicast(16),
+            ScenarioSpec::adaptive_walk(),
+        ];
+        for spec in ScenarioSpec::builtin_matrix().into_iter().chain(presets) {
             assert_eq!(spec.validate(), Ok(()), "{} must validate", spec.name);
         }
     }

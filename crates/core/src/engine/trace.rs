@@ -257,7 +257,8 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-fn render_filters(filters: &[String]) -> String {
+/// A chain's filter names as `a+b`, or `-` for an empty chain.
+pub(super) fn render_filters(filters: &[String]) -> String {
     if filters.is_empty() {
         "-".to_string()
     } else {

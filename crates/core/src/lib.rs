@@ -20,24 +20,25 @@
 //! | [`media`] | `rapidware-media` | synthetic audio / video workloads and measurement sinks |
 //! | [`pavilion`] | `rapidware-pavilion` | the collaborative-session substrate (leadership, browsing, caching) |
 //!
-//! The [`scenario`] module glues these together into reproducible end-to-end
-//! experiments (the audio-multicast-over-WaveLAN setup of the paper's
-//! Figure 7 and its ablations), the [`engine`] module closes the control
-//! loop — seeded link samples drive the raplets, whose actions reconfigure
-//! a running chain, with every step recorded in a replayable trace — and
+//! The [`engine`] module glues these together into reproducible end-to-end
+//! experiments: one scenario system runs the paper's evaluation (the
+//! audio-multicast-over-WaveLAN setup of Figure 7, its sweeps and the
+//! adaptive walk) and closes the control loop — seeded link samples drive
+//! the raplets, whose actions reconfigure a running chain, with every step
+//! recorded in a replayable trace — on a sync chain or a live proxy alike.
 //! [`AdaptiveProxyBuilder`] assembles a live adaptive proxy in a few lines.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use rapidware::scenario::{FecScenario, ScenarioConfig};
+//! use rapidware::engine::{ScenarioEngine, ScenarioSpec};
 //!
-//! // The paper's operating point: FEC(6,4), laptops 25 m from the access
-//! // point — but only a second of audio so the doctest stays fast.
-//! let config = ScenarioConfig::figure7().with_packets(50).with_receivers(1);
-//! let report = FecScenario::new(config).run();
-//! let receiver = &report.receivers[0];
-//! assert!(receiver.reconstructed_pct() >= receiver.received_pct());
+//! // The paper's operating point: FEC(6,4), three laptops 25 m from the
+//! // access point — but only a second of audio so the doctest stays fast.
+//! let outcome = ScenarioEngine::new(ScenarioSpec::figure7().with_packets(50)).run_sync();
+//! let stats = outcome.receipt_stats(0, 432);
+//! assert!(stats.reconstructed_pct() >= stats.received_pct());
+//! assert_eq!(outcome.report.undelivered_total(), 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +58,6 @@ pub use rapidware_transport as transport;
 
 mod builder;
 pub mod engine;
-pub mod scenario;
 
 pub use builder::AdaptiveProxyBuilder;
 /// The sharded session runtime (re-exported from `rapidware-proxy`): the
@@ -69,10 +69,9 @@ pub use rapidware_proxy::runtime;
 pub mod prelude {
     pub use crate::builder::AdaptiveProxyBuilder;
     pub use crate::engine::{
-        Applier, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec, ScenarioTrace,
-        SyncApplier,
+        Applier, FecPolicy, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
+        ScenarioTrace, SyncApplier,
     };
-    pub use crate::scenario::{FecScenario, ReceiverReport, ScenarioConfig, ScenarioReport};
     pub use rapidware_fec::FecCodec;
     pub use rapidware_filters::{
         FecDecoderFilter, FecEncoderFilter, Filter, FilterChain, FilterContainer, FilterOutput,
@@ -96,4 +95,93 @@ pub mod prelude {
         AdaptationAction, AdaptationEngine, FecResponder, LinkSample, LossRateObserver,
     };
     pub use rapidware_streams::{pipe, DetachableReceiver, DetachableSender};
+}
+
+/// Paper-scenario checks of the engine's FEC policies: a fixed code's
+/// parity cost, the no-FEC baseline, seed reproducibility and independent
+/// per-receiver loss on multicast.
+#[cfg(test)]
+mod scenario {
+    mod tests {
+        use crate::prelude::*;
+
+        fn one_receiver(regime: LossRegime, fec: FecPolicy, packets: u64) -> ScenarioOutcome {
+            let spec = ScenarioSpec {
+                receivers: vec![regime],
+                fec,
+                ..ScenarioSpec::figure7().with_packets(packets)
+            };
+            ScenarioEngine::new(spec).run_sync()
+        }
+
+        #[test]
+        fn lossless_short_run_delivers_everything() {
+            let outcome = one_receiver(LossRegime::Perfect, FecPolicy::Fixed(6, 4), 200);
+            let stats = outcome.receipt_stats(0, 432);
+            assert_eq!(stats.received_pct(), 100.0);
+            assert_eq!(stats.reconstructed_pct(), 100.0);
+            assert_eq!(outcome.report.source_packets_sent, 200);
+            assert_eq!(
+                outcome.report.parity_packets_sent, 100,
+                "two parities per 4-packet block"
+            );
+            assert_eq!(outcome.report.receivers[0].delivered, 200);
+            assert_eq!(outcome.report.undelivered_total(), 0);
+            assert_eq!(outcome.report.final_filters, vec!["fec-encoder(6,4)"]);
+        }
+
+        #[test]
+        fn no_fec_baseline_has_no_parity_and_no_recovery() {
+            let outcome = one_receiver(LossRegime::Bernoulli { rate: 0.05 }, FecPolicy::Off, 500);
+            let stats = outcome.receipt_stats(0, 432);
+            assert_eq!(outcome.report.parity_packets_sent, 0);
+            assert_eq!(outcome.report.recovered_total(), 0);
+            assert_eq!(outcome.report.undelivered_total(), 0);
+            assert_eq!(stats.reconstructed_pct(), stats.received_pct());
+            assert!(stats.received_pct() < 100.0);
+        }
+
+        #[test]
+        fn same_seed_is_reproducible() {
+            let spec = ScenarioSpec {
+                receivers: vec![LossRegime::AtDistance { meters: 25.0 }; 2],
+                ..ScenarioSpec::figure7().with_packets(400)
+            };
+            let a = ScenarioEngine::new(spec.clone()).run_sync();
+            let b = ScenarioEngine::new(spec).run_sync();
+            assert_eq!(a.report, b.report);
+            assert_eq!(a.events, b.events, "per-seq fates differ");
+            assert_eq!(
+                a.receipt_stats(1, 432).windows(),
+                b.receipt_stats(1, 432).windows()
+            );
+        }
+
+        #[test]
+        fn multicast_fanout_recovers_independent_losses_everywhere() {
+            let outcome =
+                ScenarioEngine::new(ScenarioSpec::multicast(16).with_packets(600)).run_sync();
+            assert_eq!(outcome.report.receivers.len(), 16);
+            // Losses are independent per receiver: receivers must not all
+            // see the identical loss pattern...
+            let received: Vec<u64> = outcome
+                .report
+                .receivers
+                .iter()
+                .map(|r| r.delivered)
+                .collect();
+            assert!(
+                received.windows(2).any(|pair| pair[0] != pair[1]),
+                "16 receivers with identical receipt counts: losses not independent? {received:?}"
+            );
+            // ...yet FEC(6,4) must close the gap at every single one of them.
+            for index in 0..16 {
+                let reconstructed = outcome.receipt_stats(index, 432).reconstructed_pct();
+                assert!(
+                    reconstructed > 99.0,
+                    "receiver-{index} only reached {reconstructed:.2}%"
+                );
+            }
+        }
+    }
 }

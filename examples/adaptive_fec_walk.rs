@@ -1,9 +1,9 @@
 //! The paper's motivating scenario (Section 3): a user joins a collaborative
-//! session in her office near the access point, then walks to a conference
-//! room down the hall.  Packet loss rises sharply over a few tens of meters;
-//! a loss-rate observer raplet notices and a responder raplet splices an FEC
-//! encoder into the running audio stream, without disturbing the connection
-//! to the source.
+//! session in their office near the access point, then walks to a
+//! conference room down the hall.  Packet loss rises sharply over a few
+//! tens of meters; a loss-rate observer raplet notices and a responder
+//! raplet splices an FEC encoder into the running audio stream, without
+//! disturbing the connection to the source.
 //!
 //! Run with:
 //!
@@ -11,30 +11,25 @@
 //! cargo run --release --example adaptive_fec_walk
 //! ```
 
-use rapidware::netsim::{LinearWalk, SimTime};
-use rapidware::scenario::{FecScenario, ScenarioConfig};
+use rapidware::engine::{ScenarioEngine, ScenarioSpec};
 
 fn main() {
     // Three minutes of audio; the walk starts one minute in and covers
     // 5 m -> 35 m at 1 m/s.
-    let config = ScenarioConfig::adaptive_walk()
-        .with_packets(9_000)
-        .with_walk(LinearWalk::new(5.0, 35.0, SimTime::from_secs(60), 1.0));
+    let spec = ScenarioSpec::adaptive_walk();
     println!("running the adaptive office-to-conference-room walk ...");
-    let report = FecScenario::new(config).run();
+    let outcome = ScenarioEngine::new(spec).run_sync();
+    let report = &outcome.report;
 
-    println!("\nadaptation log:");
-    for record in &report.adaptation_log {
-        println!("  {record}");
-        for action in &record.actions {
-            println!("    -> {action:?}");
-        }
+    println!("\nadaptation timeline:");
+    for step in &report.timeline {
+        println!("  {step}");
     }
 
-    let receiver = &report.receivers[0];
+    let stats = outcome.receipt_stats(0, 432);
     println!("\nper-window receipt (window = 432 packets):");
     println!("  window-start  received%  reconstructed%");
-    for window in receiver.stats.windows() {
+    for window in stats.windows() {
         println!(
             "  {:>12}  {:>8.2}  {:>13.2}",
             window.start_seq,
@@ -46,9 +41,14 @@ fn main() {
     println!("\nsummary:");
     println!("  source packets sent   : {}", report.source_packets_sent);
     println!("  parity packets sent   : {}", report.parity_packets_sent);
-    println!("  bandwidth overhead    : {:.1}%", report.overhead() * 100.0);
-    println!("  raw receipt           : {:.2}%", receiver.received_pct());
-    println!("  after reconstruction  : {:.2}%", receiver.reconstructed_pct());
-    println!("  playout gaps          : {}", receiver.playout.gaps);
-    println!("  final sender filters  : {:?}", report.final_sender_filters);
+    println!(
+        "  parity overhead       : {:.1}%",
+        report.parity_overhead() * 100.0
+    );
+    println!("  raw receipt           : {:.2}%", stats.received_pct());
+    println!(
+        "  after reconstruction  : {:.2}%",
+        stats.reconstructed_pct()
+    );
+    println!("  final sender filters  : {:?}", report.final_filters);
 }

@@ -1,62 +1,70 @@
 //! Cross-crate integration test: the full FEC audio pipeline.
 //!
 //! media source -> filter chain (FEC encoder) -> simulated wireless LAN ->
-//! per-receiver FEC decoder -> media sink, plus the same pipeline on the
-//! threaded proxy runtime with in-chain fault injection.
+//! per-receiver FEC decoders, run by the scenario engine, plus the same
+//! pipeline on the threaded proxy runtime with in-chain fault injection.
 
 use rapidware::prelude::*;
-use rapidware::scenario::{FecScenario, ScenarioConfig};
 
 #[test]
 fn figure7_operating_point_recovers_nearly_everything() {
-    // A 2000-packet slice of the Figure 7 run (kept short for CI).
-    let report = FecScenario::new(
-        ScenarioConfig::figure7()
-            .with_packets(2_000)
-            .with_receivers(3),
-    )
-    .run();
-    assert_eq!(report.receivers.len(), 3);
-    for receiver in &report.receivers {
+    // 2000-packet slices of the Figure 7 run (kept short for CI): the
+    // paper's three laptops, then a whole room of sixteen.
+    for receivers in [3, 16] {
+        let outcome = ScenarioEngine::new(ScenarioSpec::multicast(receivers)).run_sync();
+        let report = &outcome.report;
+        assert_eq!(report.receivers.len(), receivers);
+        let mut received_counts = Vec::new();
+        for (index, receiver) in report.receivers.iter().enumerate() {
+            let stats = outcome.receipt_stats(index, 432);
+            assert!(
+                stats.received_pct() > 96.0 && stats.received_pct() < 100.0,
+                "raw receipt at 25 m should be close to but below 100% (got {:.2})",
+                stats.received_pct()
+            );
+            assert!(
+                stats.reconstructed_pct() > 99.5,
+                "FEC(6,4) should recover nearly everything at receiver-{index} (got {:.2})",
+                stats.reconstructed_pct()
+            );
+            assert!(receiver.recovered > 0, "receiver-{index} never used parity");
+            received_counts.push(receiver.delivered);
+        }
+        // Losses are independent per receiver: one parity packet repairs
+        // different packets at different receivers.
         assert!(
-            receiver.received_pct() > 96.0 && receiver.received_pct() < 100.0,
-            "raw receipt at 25 m should be close to but below 100% (got {:.2})",
-            receiver.received_pct()
+            received_counts.windows(2).any(|pair| pair[0] != pair[1]),
+            "{receivers} receivers with identical receipt counts: losses not independent? \
+             {received_counts:?}"
         );
-        assert!(
-            receiver.reconstructed_pct() > 99.5,
-            "FEC(6,4) should recover nearly everything (got {:.2})",
-            receiver.reconstructed_pct()
-        );
-        assert!(receiver.parity_received > 0);
+        // FEC(6,4) costs 2 parity packets per 4 source packets.
+        assert!((report.parity_overhead() - 0.5).abs() < 1e-9);
     }
-    // FEC(6,4) costs 2 parity packets per 4 source packets.
-    assert!((report.overhead() - 0.5).abs() < 0.1);
 }
 
 #[test]
 fn fec_beats_no_fec_at_every_distance() {
     for distance in [15.0, 25.0, 35.0] {
-        let with_fec = FecScenario::new(
-            ScenarioConfig::figure7()
-                .with_packets(1_200)
-                .with_receivers(1)
-                .with_distance(distance),
-        )
-        .run();
-        let without = FecScenario::new(
-            ScenarioConfig::figure7()
-                .without_fec()
-                .with_packets(1_200)
-                .with_receivers(1)
-                .with_distance(distance),
-        )
-        .run();
+        let at = |fec| ScenarioSpec {
+            receivers: vec![LossRegime::AtDistance { meters: distance }],
+            fec,
+            ..ScenarioSpec::figure7().with_packets(1_200)
+        };
+        let with_fec = ScenarioEngine::new(at(FecPolicy::Fixed(6, 4))).run_sync();
+        let without = ScenarioEngine::new(at(FecPolicy::Off)).run_sync();
+        let with_fec_stats = with_fec.receipt_stats(0, 432);
+        let without_stats = without.receipt_stats(0, 432);
         assert!(
-            with_fec.receivers[0].reconstructed_pct() > without.receivers[0].reconstructed_pct()
-                || without.receivers[0].reconstructed_pct() == 100.0,
+            with_fec_stats.reconstructed_pct() > without_stats.reconstructed_pct()
+                || without_stats.reconstructed_pct() == 100.0,
             "FEC must help (or tie) at {distance} m"
         );
+        // Without FEC nothing is on the air but the stream, nothing is
+        // repaired, and every delivered packet still reaches the receiver.
+        assert_eq!(without.report.parity_packets_sent, 0);
+        assert_eq!(without.report.recovered_total(), 0);
+        assert_eq!(without.report.undelivered_total(), 0);
+        assert_eq!(without_stats.reconstructed_pct(), without_stats.received_pct());
     }
 }
 

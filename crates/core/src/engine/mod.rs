@@ -72,7 +72,7 @@ use rapidware_raplets::{AdaptationAction, LinkSample};
 pub const MATRIX_SEEDS: [u64; 2] = [2001, 42];
 
 /// Worker-pool size the pooled scenario appliers run on.  Small enough to
-/// prove multiplexing (many chain tasks per worker), large enough to keep
+/// prove multiplexing (many session tasks per worker), large enough to keep
 /// work stealing in play; traces must not depend on it.
 pub const POOLED_APPLIER_SHARDS: usize = 4;
 

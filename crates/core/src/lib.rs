@@ -84,8 +84,8 @@ pub mod prelude {
     pub use rapidware_packet::{Packet, PacketKind, ReceiptStats, SeqNo, StreamId};
     pub use rapidware_pavilion::{CollaborativeSession, DeviceProfile};
     pub use rapidware_proxy::{
-        Command, ControlManager, FilterRegistry, FilterSpec, PooledChain, PooledSession, Proxy,
-        Runtime, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, ThreadedChain,
+        Command, ControlManager, FilterRegistry, FilterSpec, PooledSession, Proxy, Runtime,
+        RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, ThreadedChain,
         UdpCarrierConfig,
     };
     pub use rapidware_transport::{

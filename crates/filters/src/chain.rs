@@ -388,7 +388,7 @@ impl FilterChain {
     /// one.
     ///
     /// This is the re-entrant stepping interface the sharded runtime uses:
-    /// a pooled chain task owns a persistent output buffer (its
+    /// a pooled session task owns a persistent output buffer (its
     /// back-pressure queue towards the downstream pipe) and appends each
     /// batch's results to whatever could not be forwarded yet, so the hot
     /// loop allocates nothing when the chain is keeping up.

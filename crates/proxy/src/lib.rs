@@ -6,11 +6,12 @@
 //! * [`Proxy`] — one proxy process: a set of named streams and fanout
 //!   sessions, each with its own chain that can have filters **inserted,
 //!   removed, and reordered while packets are flowing**, plus the registry
-//!   and control plumbing.  Every stream ([`PooledChain`]) and session
-//!   ([`PooledSession`]) runs as cooperative tasks on the proxy's fixed
-//!   worker pool (the [`runtime`] module); two `EndPoint` handles (a
-//!   stream's input sender and output receiver) plus an empty chain form
-//!   the paper's "null proxy".
+//!   and control plumbing.  Every session ([`PooledSession`]) runs as one
+//!   cooperative task on the proxy's fixed worker pool (the [`runtime`]
+//!   module), and a flat stream is the one-lane case: an empty head and
+//!   one lane named after the stream.  Two `EndPoint` handles (a stream's
+//!   input sender and output receiver) plus an empty chain form the
+//!   paper's "null proxy".
 //! * [`FilterRegistry`] and [`FilterSpec`] — the dynamic-upload path.  The
 //!   paper serialises Java filter objects across the network into a running
 //!   proxy; the Rust equivalent is a serialisable filter *description*
@@ -26,7 +27,8 @@
 //!   thread, filters are connected by detachable pipes, and a splice is the
 //!   paper's pause → drain → reconnect protocol.  It is a library type the
 //!   experiment binaries and benches measure; a [`Proxy`] places no work on
-//!   it.
+//!   it — its live counterpart is a [`PooledSession`] lane, spliced under
+//!   the session's lock between two batches.
 //!
 //! ## Example
 //!
@@ -76,7 +78,7 @@ pub use error::ProxyError;
 pub use proxy::{Proxy, ProxyStatus, StreamStatus};
 pub use registry::{FilterRegistry, FilterSpec};
 pub use runtime::{
-    PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus, SocketDriver,
+    PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus, SocketDriver,
     SocketInterest, SocketStep, SocketWork,
 };
 pub use session::{LaneStatus, SessionStatus};

@@ -2,10 +2,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use rapidware_filters::{ChainSpans, Filter, SecureChannelSnapshot};
-use rapidware_packet::Packet;
+use rapidware_packet::{Packet, StreamId};
 use rapidware_streams::{DetachableReceiver, DetachableSender};
 use rapidware_telemetry::{Registry, StatSource, TelemetrySnapshot};
 
@@ -13,9 +14,7 @@ use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
-use crate::runtime::{
-    PooledChain, PooledSession, Runtime, RuntimeConfig, RuntimeStatus, SocketInterest,
-};
+use crate::runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus, SocketInterest};
 use crate::session::SessionStatus;
 use crate::threaded::ChainStats;
 use crate::udp::{
@@ -76,16 +75,34 @@ pub struct ProxyStatus {
 pub struct Proxy {
     name: String,
     registry: FilterRegistry,
-    streams: BTreeMap<String, PooledChain>,
+    /// Flat streams: each a session with an empty head and one lane named
+    /// after the stream.
+    streams: BTreeMap<String, PooledSession>,
     sessions: BTreeMap<String, PooledSession>,
     udp_carriers: BTreeMap<String, UdpCarrier>,
     runtime: Option<Arc<Runtime>>,
     telemetry: Option<Arc<Registry>>,
 }
 
-/// The latency spans of a flat stream (`stream.<name>.*`).
-fn stream_spans(registry: &Arc<Registry>, name: &str) -> Arc<ChainSpans> {
-    ChainSpans::egress(registry, format!("stream.{name}"))
+/// Puts a flat stream's latency spans (`stream.<name>.*`) on its lane.
+fn set_stream_spans(registry: &Arc<Registry>, stream: &PooledSession, name: &str) {
+    stream.set_lane_spans(name, ChainSpans::egress(registry, format!("stream.{name}")));
+}
+
+/// A flat stream's status: its lane's chain, fed by everything the
+/// stream's input accepted.
+fn stream_status(name: &str, stream: &PooledSession) -> StreamStatus {
+    let status = stream.status();
+    let lane = status.lanes.into_iter().next().expect("a flat stream keeps its lane");
+    StreamStatus {
+        name: name.to_string(),
+        filters: lane.filters,
+        stats: ChainStats {
+            packets_in: status.head_stats.packets_in,
+            ..lane.stats
+        },
+        secure: status.secure,
+    }
 }
 
 impl fmt::Debug for Proxy {
@@ -153,8 +170,8 @@ impl Proxy {
         if let Some(runtime) = &self.runtime {
             runtime.enable_telemetry(&registry);
         }
-        for (name, chain) in &self.streams {
-            chain.set_spans(stream_spans(&registry, name));
+        for (name, stream) in &self.streams {
+            set_stream_spans(&registry, stream, name);
         }
         for session in self.sessions.values() {
             session.enable_telemetry(&registry);
@@ -208,31 +225,39 @@ impl Proxy {
         name: impl Into<String>,
     ) -> Result<(DetachableSender<Packet>, DetachableReceiver<Packet>), ProxyError> {
         let name = name.into();
-        let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        let chain = runtime.add_chain(name.clone());
-        self.install_stream(name, chain)
+        let config = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?.config();
+        let (stream, output) = self.new_stream(&name, config.pipe_capacity, config.batch_size)?;
+        let input = stream.input();
+        self.streams.insert(name, stream);
+        Ok((input, output))
     }
 
-    fn install_stream(
-        &mut self,
-        name: String,
-        chain: PooledChain,
-    ) -> Result<(DetachableSender<Packet>, DetachableReceiver<Packet>), ProxyError> {
-        if self.streams.contains_key(&name) {
+    /// A flat stream, not yet installed: a session with an empty head and
+    /// one lane named after the stream, returned with the lane's output.
+    /// Its filters come from the proxy's own registry at splice time, so
+    /// the session holds none.
+    fn new_stream(
+        &self,
+        name: &str,
+        capacity: usize,
+        batch_size: usize,
+    ) -> Result<(PooledSession, DetachableReceiver<Packet>), ProxyError> {
+        let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
+        if self.streams.contains_key(name) {
             return Err(ProxyError::Splice(format!("stream {name} already exists")));
         }
-        let endpoints = (chain.input(), chain.output());
+        let stream = runtime.add_session_with(name, FilterRegistry::empty(), capacity, batch_size);
+        let output = stream.add_lane(name)?;
         if let Some(registry) = &self.telemetry {
-            chain.set_spans(stream_spans(registry, &name));
+            set_stream_spans(registry, &stream, name);
         }
-        self.streams.insert(name, chain);
-        Ok(endpoints)
+        Ok((stream, output))
     }
 
-    fn chain(&self, stream: &str) -> Result<&PooledChain, ProxyError> {
+    fn stream(&self, name: &str) -> Result<&PooledSession, ProxyError> {
         self.streams
-            .get(stream)
-            .ok_or_else(|| ProxyError::UnknownStream(stream.to_string()))
+            .get(name)
+            .ok_or_else(|| ProxyError::UnknownStream(name.to_string()))
     }
 
     /// Creates a fanout session through this proxy: one upstream input, a
@@ -259,18 +284,28 @@ impl Proxy {
         batch_size: usize,
     ) -> Result<DetachableSender<Packet>, ProxyError> {
         let name = name.into();
-        let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        if self.sessions.contains_key(&name) {
-            return Err(ProxyError::Splice(format!("session {name} already exists")));
-        }
-        let session =
-            runtime.add_session_with(name.clone(), self.registry.clone(), capacity, batch_size);
-        if let Some(registry) = &self.telemetry {
-            session.enable_telemetry(registry);
-        }
+        let session = self.new_session(&name, capacity, batch_size)?;
         let input = session.input();
         self.sessions.insert(name, session);
         Ok(input)
+    }
+
+    /// A fanout session, not yet installed.
+    fn new_session(
+        &self,
+        name: &str,
+        capacity: usize,
+        batch_size: usize,
+    ) -> Result<PooledSession, ProxyError> {
+        let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
+        if self.sessions.contains_key(name) {
+            return Err(ProxyError::Splice(format!("session {name} already exists")));
+        }
+        let session = runtime.add_session_with(name, self.registry.clone(), capacity, batch_size);
+        if let Some(registry) = &self.telemetry {
+            session.enable_telemetry(registry);
+        }
+        Ok(session)
     }
 
     /// The named fanout session.
@@ -378,10 +413,10 @@ impl Proxy {
 
     /// Creates a stream riding a carrier: datagrams arriving on the
     /// carrier whose stream id is in `config.streams` are decoded into the
-    /// chain (run in place by the carrier while the chain is caught up),
-    /// and the chain output is multiplexed back onto the carrier's socket
-    /// towards `config.egress_peer`, ending with the stream's FIN.  The chain is an
-    /// ordinary stream otherwise — it appears in
+    /// stream (run in place by the carrier while it is caught up), and the
+    /// stream's output is multiplexed back onto the carrier's socket
+    /// towards `config.egress_peer`, ending with the stream's FIN.  The
+    /// stream is an ordinary stream otherwise — it appears in
     /// [`stream_names`](Self::stream_names) and accepts live filter
     /// splices.
     ///
@@ -400,56 +435,15 @@ impl Proxy {
         config: SharedUdpStreamConfig,
     ) -> Result<SharedUdpStreamHandle, ProxyError> {
         let name = name.into();
-        if config.streams.is_empty() {
-            return Err(ProxyError::Splice(format!(
-                "shared stream {name} needs at least one stream id"
-            )));
-        }
-        if !self.udp_carriers.contains_key(&config.carrier) {
-            return Err(ProxyError::UnknownCarrier(config.carrier.clone()));
-        }
-        let runtime = self.runtime.as_ref().ok_or(ProxyError::RuntimeDisabled)?;
-        let chain =
-            runtime.add_chain_with(name.clone(), config.capacity, config.batch_size.max(1));
-        let inlet = chain.inlet();
-        let (input, output) = self.install_stream(name.clone(), chain)?;
-        let carrier = self
-            .udp_carriers
-            .get(&config.carrier)
-            .expect("carrier existence checked above");
-        let mut opened = Vec::with_capacity(config.streams.len());
-        for stream in &config.streams {
-            let route = carrier.ingress().open_stream_with_inlet(
-                *stream,
-                input.clone(),
-                Arc::clone(&inlet),
-            );
-            match route {
-                Ok(()) => opened.push(*stream),
-                Err(err) => {
-                    for stream in opened {
-                        carrier.ingress().close_stream(stream);
-                    }
-                    if let Some(chain) = self.streams.remove(&name) {
-                        let _ = chain.shutdown();
-                    }
-                    return Err(ProxyError::Splice(format!(
-                        "carrier {}: {err}",
-                        config.carrier
-                    )));
-                }
-            }
-        }
-        // Watch before attach: the egress task must wake for frames that
-        // land in the output pipe from here on.
-        carrier.egress_driver.watch_source(&output);
-        carrier
-            .egress
-            .attach(config.streams[0], config.egress_peer, output);
-        carrier.egress_driver.kick();
+        self.check_carrier_placement("stream", &name, &config.carrier, &config.streams)?;
+        let (stream, output) = self.new_stream(&name, config.capacity, config.batch_size.max(1))?;
+        let lanes = vec![(output, config.egress_peer)];
+        let ingress_addr = self.open_routes(&stream, &config.carrier, &config.streams, lanes)?;
+        let input = stream.input();
+        self.streams.insert(name, stream);
         Ok(SharedUdpStreamHandle {
             carrier: config.carrier,
-            ingress_addr: carrier.ingress().local_addr(),
+            ingress_addr,
             streams: config.streams,
             input,
         })
@@ -467,10 +461,8 @@ impl Proxy {
     /// # Errors
     ///
     /// Returns [`ProxyError::UnknownCarrier`] if `config.carrier` does not
-    /// exist, [`ProxyError::RuntimeDisabled`] after
-    /// [`shutdown`](Self::shutdown), or
-    /// [`ProxyError::Splice`] if the session name is taken, a stream id is
-    /// already routed, or `config.streams` is empty.
+    /// exist, or [`ProxyError::Splice`] if the session name is taken, a
+    /// stream id is already routed, or `config.streams` is empty.
     ///
     /// # Panics
     ///
@@ -481,62 +473,80 @@ impl Proxy {
         config: SharedUdpSessionConfig,
     ) -> Result<SharedUdpSessionHandle, ProxyError> {
         let name = name.into();
-        if config.streams.is_empty() {
-            return Err(ProxyError::Splice(format!(
-                "shared session {name} needs at least one stream id"
-            )));
-        }
-        if !self.udp_carriers.contains_key(&config.carrier) {
-            return Err(ProxyError::UnknownCarrier(config.carrier.clone()));
-        }
-        let input = self.add_session_pooled(name.clone(), config.capacity, config.batch_size.max(1))?;
-        let inlet = self.pooled_session(&name)?.inlet();
-        let carrier = self
-            .udp_carriers
-            .get(&config.carrier)
-            .expect("carrier existence checked above");
-        let mut opened = Vec::with_capacity(config.streams.len());
-        let outcome = (|| -> Result<(), ProxyError> {
-            // Every lane exists before the first route opens: a datagram
-            // that arrives during set-up must reach all of them, not be
-            // fanned out to none.
-            for (lane_name, peer) in &config.lanes {
-                let lane_output = self.pooled_session(&name)?.add_lane(lane_name)?;
-                carrier.egress_driver.watch_source(&lane_output);
-                carrier.egress.attach(config.streams[0], *peer, lane_output);
-            }
-            carrier.egress_driver.kick();
-            for stream in &config.streams {
-                carrier
-                    .ingress()
-                    .open_stream_with_inlet(*stream, input.clone(), Arc::clone(&inlet))
-                    .map_err(|err| {
-                        ProxyError::Splice(format!("carrier {}: {err}", config.carrier))
-                    })?;
-                opened.push(*stream);
-            }
-            Ok(())
-        })();
-        if let Err(err) = outcome {
-            // Undo in reverse: close the routes, then tear the session
-            // down so the name and the stream ids are free again.
-            // Already-attached egress lanes finish silently once the
-            // session's pipes close.
-            for stream in opened {
-                carrier.ingress().close_stream(stream);
-            }
-            if let Some(session) = self.sessions.remove(&name) {
-                let _ = session.shutdown();
-            }
-            return Err(err);
-        }
+        self.check_carrier_placement("session", &name, &config.carrier, &config.streams)?;
+        let session = self.new_session(&name, config.capacity, config.batch_size.max(1))?;
+        let lanes = config
+            .lanes
+            .iter()
+            .map(|(lane, peer)| Ok((session.add_lane(lane)?, *peer)))
+            .collect::<Result<Vec<_>, ProxyError>>()?;
+        let ingress_addr = self.open_routes(&session, &config.carrier, &config.streams, lanes)?;
+        let input = session.input();
+        self.sessions.insert(name, session);
         Ok(SharedUdpSessionHandle {
-            carrier: config.carrier.clone(),
-            ingress_addr: carrier.ingress().local_addr(),
+            carrier: config.carrier,
+            ingress_addr,
             streams: config.streams,
-            lanes: config.lanes.iter().map(|(lane, _)| lane.clone()).collect(),
+            lanes: config.lanes.into_iter().map(|(lane, _)| lane).collect(),
             input,
         })
+    }
+
+    /// The checks a carrier placement passes before anything is built: at
+    /// least one stream id, and a carrier that exists — which also means
+    /// the pool is live, as shutdown drops every carrier.
+    fn check_carrier_placement(
+        &self,
+        what: &str,
+        name: &str,
+        carrier: &str,
+        streams: &[StreamId],
+    ) -> Result<(), ProxyError> {
+        if streams.is_empty() {
+            return Err(ProxyError::Splice(format!(
+                "shared {what} {name} needs at least one stream id"
+            )));
+        }
+        if !self.udp_carriers.contains_key(carrier) {
+            return Err(ProxyError::UnknownCarrier(carrier.to_string()));
+        }
+        Ok(())
+    }
+
+    /// Routes `streams` on `carrier` into `session` and multiplexes each
+    /// lane output back out towards its peer; returns the carrier's
+    /// address.  Every lane is attached before the first route opens: a
+    /// datagram that arrives during set-up must reach all of them.  On
+    /// failure the routes opened so far close again; the caller then drops
+    /// the uninstalled session, whose attached lanes finish silently once
+    /// its pipes close.
+    fn open_routes(
+        &self,
+        session: &PooledSession,
+        carrier: &str,
+        streams: &[StreamId],
+        lanes: Vec<(DetachableReceiver<Packet>, SocketAddr)>,
+    ) -> Result<SocketAddr, ProxyError> {
+        let udp = &self.udp_carriers[carrier];
+        for (output, peer) in lanes {
+            // Watch before attach: the egress task must wake for frames
+            // that land in the output pipe from here on.
+            udp.egress_driver.watch_source(&output);
+            udp.egress.attach(streams[0], peer, output);
+        }
+        udp.egress_driver.kick();
+        let ingress = udp.ingress();
+        let (input, inlet) = (session.input(), session.inlet());
+        for (opened, stream) in streams.iter().enumerate() {
+            let route = ingress.open_stream_with_inlet(*stream, input.clone(), Arc::clone(&inlet));
+            if let Err(err) = route {
+                for stream in &streams[..opened] {
+                    ingress.close_stream(*stream);
+                }
+                return Err(ProxyError::Splice(format!("carrier {carrier}: {err}")));
+            }
+        }
+        Ok(ingress.local_addr())
     }
 
     /// Instantiates a filter from `spec` and splices it into `stream` at
@@ -569,7 +579,7 @@ impl Proxy {
         position: usize,
         filter: Box<dyn Filter>,
     ) -> Result<(), ProxyError> {
-        self.chain(stream)?.insert(position, filter)
+        self.stream(stream)?.insert_lane_filter_boxed(stream, position, filter)
     }
 
     /// Removes and returns the filter at `position` on `stream`.
@@ -583,7 +593,7 @@ impl Proxy {
         stream: &str,
         position: usize,
     ) -> Result<Box<dyn Filter>, ProxyError> {
-        self.chain(stream)?.remove(position)
+        self.stream(stream)?.remove_lane_filter(stream, position)
     }
 
     /// Moves a filter from one position to another on `stream` as one
@@ -596,7 +606,7 @@ impl Proxy {
     /// Returns [`ProxyError::UnknownStream`], position errors, or splice
     /// errors.
     pub fn move_filter(&self, stream: &str, from: usize, to: usize) -> Result<(), ProxyError> {
-        self.chain(stream)?.move_filter(from, to)
+        self.stream(stream)?.move_lane_filter(stream, from, to)
     }
 
     /// Names of the filters installed on `stream`.
@@ -605,7 +615,7 @@ impl Proxy {
     ///
     /// Returns [`ProxyError::UnknownStream`] for unknown streams.
     pub fn filter_names(&self, stream: &str) -> Result<Vec<String>, ProxyError> {
-        Ok(self.chain(stream)?.names())
+        self.stream(stream)?.lane_filter_names(stream)
     }
 
     /// Runtime statistics of `stream`.
@@ -614,7 +624,7 @@ impl Proxy {
     ///
     /// Returns [`ProxyError::UnknownStream`] for unknown streams.
     pub fn stream_stats(&self, stream: &str) -> Result<ChainStats, ProxyError> {
-        Ok(self.chain(stream)?.stats())
+        Ok(stream_status(stream, self.stream(stream)?).stats)
     }
 
     /// A full status snapshot (what the control manager renders).
@@ -629,12 +639,7 @@ impl Proxy {
         let streams: Vec<StreamStatus> = self
             .streams
             .iter()
-            .map(|(name, chain)| StreamStatus {
-                name: name.clone(),
-                filters: chain.names(),
-                stats: chain.stats(),
-                secure: chain.secure_snapshot(),
-            })
+            .map(|(name, stream)| stream_status(name, stream))
             .collect();
         let mut secure = SecureChannelSnapshot::default();
         for stream in &streams {
@@ -671,11 +676,11 @@ impl Proxy {
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let registry = self.telemetry.as_ref()?;
         let mut snapshot = registry.snapshot();
-        for (name, chain) in &self.streams {
-            snapshot.push_stats(&format!("stream.{name}"), chain.stats().snapshot());
-            let secure = chain.secure_snapshot();
-            if !secure.is_empty() {
-                snapshot.push_stats(&format!("stream.{name}.secure"), secure.snapshot());
+        for stream in self.streams.iter().map(|(name, stream)| stream_status(name, stream)) {
+            let scope = format!("stream.{}", stream.name);
+            snapshot.push_stats(&scope, stream.stats.snapshot());
+            if !stream.secure.is_empty() {
+                snapshot.push_stats(&format!("{scope}.secure"), stream.secure.snapshot());
             }
         }
         for session in self.sessions.values().map(PooledSession::status) {
@@ -735,8 +740,8 @@ impl Proxy {
             }
             carrier.ingress().close_all_streams();
         }
-        for (_, chain) in std::mem::take(&mut self.streams) {
-            if let Err(err) = chain.shutdown() {
+        for (_, stream) in std::mem::take(&mut self.streams) {
+            if let Err(err) = stream.shutdown() {
                 first_error.get_or_insert(err);
             }
         }
@@ -753,7 +758,7 @@ impl Proxy {
                 first_error.get_or_insert(err);
             }
         }
-        // Chains and sessions are down; stopping the workers last
+        // Streams and sessions are down; stopping the workers last
         // means every task could run to completion.
         if let Some(runtime) = self.runtime.take() {
             if let Err(err) = runtime.shutdown() {
@@ -1302,6 +1307,35 @@ mod tests {
                 SharedUdpStreamConfig::on_carrier("wire", peer).with_stream(StreamId::new(2)),
             )
             .unwrap();
+        proxy.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_shared_session_placed_without_lanes_holds_its_traffic_for_the_first_lane() {
+        // Lanes may join after placement; datagrams that arrive before the
+        // first one are held for it, not fanned out to nobody.
+        let mut proxy = Proxy::with_runtime("shared", RuntimeConfig::new(1, 4));
+        let carrier = proxy.add_udp_carrier("wire", UdpCarrierConfig::new()).unwrap();
+        let config = SharedUdpSessionConfig::on_carrier("wire").with_stream(StreamId::new(1));
+        proxy.add_session_udp_shared("late", config).unwrap();
+        let tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        for seq in 0..6 {
+            encode_to(&tx, carrier.ingress_addr(), &stream_packet(1, seq));
+        }
+        let session = proxy.pooled_session("late").unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while session.status().head_stats.packets_in < 6 {
+            assert!(std::time::Instant::now() < deadline, "the carrier never routed the datagrams");
+            std::thread::yield_now();
+        }
+        // Time for the task to run them through the head: the window in
+        // which a lane-less session used to drop them.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let lane = session.add_lane("first").unwrap();
+        for seq in 0..6 {
+            let packet = lane.recv_timeout(std::time::Duration::from_secs(30));
+            assert_eq!(packet.map(|p| p.seq().value()), Ok(seq), "held for the first lane");
+        }
         proxy.shutdown().unwrap();
     }
 

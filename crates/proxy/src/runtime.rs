@@ -1,5 +1,5 @@
-//! The sharded session runtime: many chains and sessions multiplexed over a
-//! **fixed** pool of workers.
+//! The sharded session runtime: many sessions multiplexed over a **fixed**
+//! pool of workers.
 //!
 //! This is the executor every [`Proxy`](crate::Proxy) stream and session
 //! runs on.  The paper's architecture spends one OS thread per filter — at
@@ -8,35 +8,33 @@
 //! the proxy is shaped like the worker-multiplexed stage executors of
 //! streaming-pipe systems instead: a [`Runtime`] owns `shards` worker
 //! threads, each with its own run queue of tasks, and every
-//! [`PooledChain`] and every [`PooledSession`] is exactly **one** task,
-//! never a thread.
+//! [`PooledSession`] is exactly **one** task, never a thread.  A flat
+//! stream is the one-lane case: an empty head and one lane named after the
+//! stream.
 //!
 //! ```text
 //!                 ┌─ shard 0: [task][task][task…]  ◀─ steal ─┐
 //!   N sessions ──▶┤  shard 1: [task][task…]                  ├─ workers
 //!   (tasks)       └─ shard …: [task…]             ◀─ steal ──┘
 //!
-//!   chain task:    inbox ─try_recv_up_to(batch)─▶ FilterChain::process_batch
-//!                    ─▶ pending ─try_send_batch─▶ outbox
-//!
-//!   session task:  inbox ─▶ head chain ─┬─▶ lane chain ─▶ pending ─▶ lane outbox
-//!                          (Arc clones) └─▶ lane chain ─▶ pending ─▶ lane outbox
+//!   session task:  inbox ─try_recv_up_to(batch)─▶ head chain ─┬─▶ lane chain ─▶ lane outbox
+//!                                          (Arc clones) └─▶ lane chain ─▶ lane outbox
+//!   flat stream:   inbox ─▶ (empty head) ─▶ its one lane's chain ─▶ outbox
 //!
 //!   carrier route: drain ─▶ task idle and caught up? ─yes─▶ the same body, in place
 //!   (see TaskInlet)                                  └─no──▶ inbox (as above)
 //! ```
 //!
-//! A chain task drains up to `batch_size` packets from its inbox pipe,
-//! pushes them through its (synchronous, re-entrant) `FilterChain`, and
-//! forwards the results to its outbox with
+//! A session task drains up to `batch_size` packets from its inbox pipe and
+//! runs them to completion in one step: its (synchronous, re-entrant) head
+//! `FilterChain` once, then every lane's chain on an `Arc`-clone of the
+//! head's output, forwarded into each lane's delivery pipe with
 //! [`try_send_batch`](rapidware_streams::DetachableSender::try_send_batch).
-//! A session task runs each batch to completion in the same step: the head
-//! chain once, then every lane's chain on an `Arc`-clone of the head's
-//! output, straight into each lane's delivery pipe.  When a downstream pipe
-//! is full the task parks — **without** holding a worker — until the pipe's
-//! space watcher fires; when its inbox is empty it parks until the data
-//! watcher fires.  Workers steal queued tasks from sibling shards, so a
-//! skewed session population cannot idle half the pool.
+//! When a downstream pipe is full the task parks — **without** holding a
+//! worker — until the pipe's space watcher fires; when its inbox is empty
+//! it parks until the data watcher fires.  Workers steal queued tasks from
+//! sibling shards, so a skewed session population cannot idle half the
+//! pool.
 //!
 //! Live reconfiguration needs no pipe splicing here: the filters live in a
 //! mutex-guarded `FilterChain`, so insert/remove serialise with batch
@@ -50,13 +48,14 @@
 //!
 //! # fn main() -> Result<(), rapidware_proxy::ProxyError> {
 //! let runtime = Runtime::start(RuntimeConfig::new(4, 16));
-//! let chain = runtime.add_chain("audio");
-//! let input = chain.input();
-//! let output = chain.output();
+//! // A flat stream: no head filters, one lane named after the stream.
+//! let stream = runtime.add_session("audio");
+//! let output = stream.add_lane("audio")?;
+//! let input = stream.input();
 //! input.send(Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![1, 2]))
-//!     .expect("pooled chain accepts packets");
+//!     .expect("pooled session accepts packets");
 //! assert_eq!(output.recv().expect("forwarded").seq().value(), 0);
-//! chain.shutdown()?;
+//! stream.shutdown()?;
 //! runtime.shutdown()?;
 //! # Ok(())
 //! # }
@@ -84,21 +83,21 @@ use crate::registry::{FilterRegistry, FilterSpec};
 use crate::session::{build_lane_filter, LaneStatus, SessionStatus};
 use crate::threaded::ChainStats;
 
-/// How long a graceful [`PooledChain::shutdown`] waits for the chain's task
-/// to finish before reporting it leaked.
+/// How long a graceful [`PooledSession::shutdown`] waits for the session's
+/// task to finish before reporting it leaked.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 
 /// Configuration of a [`Runtime`]: how many workers to run and how many
-/// packets a chain task drains from its inbox per scheduling step.
+/// packets a session task drains from its inbox per scheduling step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Number of shards — each shard owns one worker thread and one run
     /// queue.  The pool size is fixed for the runtime's lifetime.
     pub shards: usize,
-    /// Maximum packets a chain task drains (and processes as one
+    /// Maximum packets a session task drains (and processes as one
     /// `process_batch` call) per step.
     pub batch_size: usize,
-    /// Buffer capacity, in packets, of the inbox and outbox pipes of chains
+    /// Buffer capacity, in packets, of the inbox and lane pipes of sessions
     /// created through this runtime.
     pub pipe_capacity: usize,
 }
@@ -116,7 +115,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// Overrides the pipe capacity of chains created through the runtime.
+    /// Overrides the pipe capacity of sessions created through the runtime.
     #[must_use]
     pub fn with_pipe_capacity(mut self, capacity: usize) -> Self {
         self.pipe_capacity = capacity.max(1);
@@ -152,7 +151,7 @@ pub struct RuntimeStatus {
     /// Tasks a worker executed from a shard other than its own.
     pub steals: u64,
     /// Task steps workers have actually run (a step is one `poll` of a
-    /// chain, session, or socket task).
+    /// session or socket task).
     pub polls: u64,
 }
 
@@ -177,7 +176,7 @@ impl rapidware_telemetry::StatSource for RuntimeStatus {
 /// the hot path holds pre-resolved `Arc` handles and records with relaxed
 /// atomics — no locks, no allocation.
 struct RuntimeTelemetry {
-    /// Wall time of each task step (one chain/session/socket poll).
+    /// Wall time of each task step (one session/socket poll).
     poll_ns: Arc<Histogram>,
     /// Delay between a task entering a run queue and a worker picking its
     /// step up — the scheduling latency the paper's adaptation loop rides
@@ -239,7 +238,7 @@ struct Task {
     /// by the worker that picks the task up, yielding queue-wait latency.
     enqueued_ns: AtomicU64,
     work: Box<dyn TaskWork>,
-    /// Completion latch `PooledChain::shutdown` waits on.
+    /// Completion latch `PooledSession::shutdown` waits on.
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -327,7 +326,7 @@ impl fmt::Debug for Task {
 }
 
 /// A [`PipeWatcher`] that wakes a task.  Holds the task weakly so the pipes
-/// of a dropped chain cannot keep its task alive.
+/// of a dropped session cannot keep its task alive.
 struct TaskWaker {
     task: Weak<Task>,
 }
@@ -530,12 +529,12 @@ fn worker_loop(pool: &Arc<PoolShared>, home: usize) {
 // The runtime.
 // ---------------------------------------------------------------------------
 
-/// A fixed-size sharded worker pool hosting many [`PooledChain`]s and
-/// [`PooledSession`]s cooperatively.
+/// A fixed-size sharded worker pool hosting many [`PooledSession`]s
+/// cooperatively.
 ///
 /// See the [module documentation](self) for the execution model.  Shut
-/// chains and sessions down **before** the runtime: a task can only finish
-/// while workers are running.
+/// sessions down **before** the runtime: a task can only finish while
+/// workers are running.
 pub struct Runtime {
     shared: Arc<PoolShared>,
     config: RuntimeConfig,
@@ -601,7 +600,7 @@ impl Runtime {
     }
 
     /// Tasks registered with this runtime that have not completed yet.
-    /// Zero after every chain and session has shut down cleanly.
+    /// Zero after every session and socket driver has shut down cleanly.
     pub fn live_tasks(&self) -> usize {
         self.shared.live_tasks.load(Ordering::SeqCst)
     }
@@ -683,49 +682,6 @@ impl Runtime {
         task
     }
 
-    /// Creates a chain hosted on this pool: a null proxy with an input and
-    /// an output endpoint, reconfigurable while packets flow.
-    pub fn add_chain(self: &Arc<Self>, name: impl Into<String>) -> PooledChain {
-        self.add_chain_with(name, self.config.pipe_capacity, self.config.batch_size)
-    }
-
-    /// Creates a pooled chain with explicit pipe capacity and batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `batch_size` is zero.
-    pub fn add_chain_with(
-        self: &Arc<Self>,
-        name: impl Into<String>,
-        capacity: usize,
-        batch_size: usize,
-    ) -> PooledChain {
-        assert!(batch_size > 0, "batch size must be non-zero");
-        let (in_tx, in_rx) = pipe::<Packet>(capacity);
-        let (out_tx, out_rx) = pipe::<Packet>(capacity);
-        let work = Arc::new(ChainWork {
-            inner: Mutex::default(),
-            in_rx: in_rx.clone(),
-            out_tx: out_tx.clone(),
-            batch_size,
-        });
-        let task = self.register(|_| Box::new(Arc::clone(&work)));
-        // The task wakes when its inbox has data, when its outbox frees
-        // space, and when its outbox sender becomes usable again after a
-        // pause/reconnect splice.
-        in_rx.set_data_watcher(TaskWaker::of(&task));
-        out_rx.set_space_watcher(TaskWaker::of(&task));
-        out_tx.set_ready_watcher(TaskWaker::of(&task));
-        PooledChain {
-            name: name.into(),
-            runtime: Arc::clone(self),
-            work,
-            task,
-            input: in_tx,
-            output: out_rx,
-        }
-    }
-
     /// Creates a fanout session hosted on this pool: one input, a shared
     /// head chain, and live-addable receiver lanes — all run to completion
     /// by one task.
@@ -801,7 +757,7 @@ impl Runtime {
     }
 
     /// Registers socket-backed work as a pool task woken by the socket
-    /// reactor: the readiness analogue of a chain task's `PipeWatcher`
+    /// reactor: the readiness analogue of a session task's `PipeWatcher`
     /// wiring, so a socket costs a task, not a thread.
     ///
     /// The task is stepped whenever the reactor reports the registered
@@ -879,7 +835,7 @@ impl Runtime {
 
     /// Stops the worker pool: workers finish their current step and exit.
     ///
-    /// Chains and sessions must be shut down first — a task that still has
+    /// Sessions must be shut down first — a task that still has
     /// in-flight work when the pool stops can never complete, which
     /// [`live_tasks`](Self::live_tasks) will report as a leak.
     ///
@@ -949,7 +905,7 @@ pub enum SocketStep {
 }
 
 /// Non-blocking socket work driven as a pool task — the socket analogue of
-/// the (private) chain/session task work.  `service` must never block: it
+/// the (private) session task work.  `service` must never block: it
 /// drains or flushes at most one batch against a non-blocking socket and
 /// reports how it left things.
 pub trait SocketWork: Send + Sync {
@@ -1086,7 +1042,7 @@ fn reactor_loop(shared: &ReactorShared) {
 }
 
 /// Handle to a task registered with [`Runtime::drive_socket`]: the socket
-/// analogue of a [`PooledChain`]'s control surface.
+/// analogue of a [`PooledSession`]'s control surface.
 pub struct SocketDriver {
     task: Arc<Task>,
     stop: Arc<AtomicBool>,
@@ -1110,7 +1066,7 @@ impl SocketDriver {
     }
 
     /// Wakes the task whenever `source` has data, hits EOF, or closes —
-    /// the same `TaskWaker` wiring chain tasks get on their inboxes.  Use
+    /// the same `TaskWaker` wiring session tasks get on their inboxes.  Use
     /// this on every pipe a send-side [`SocketWork`] drains.
     pub fn watch_source(&self, source: &DetachableReceiver<Packet>) {
         source.set_data_watcher(TaskWaker::of(&self.task));
@@ -1156,13 +1112,12 @@ impl Drop for SocketDriver {
 }
 
 // ---------------------------------------------------------------------------
-// Chain tasks.
+// Stages.
 // ---------------------------------------------------------------------------
 
 /// A filter chain plus the output its downstream pipe has not taken yet:
-/// what a chain task runs, and what a session task runs for its head and
-/// for every lane.  Only touched under its task's lock, so a splice lands
-/// exactly between two batches.
+/// what a session task runs for its head and for every lane.  Only touched
+/// under its task's lock, so a splice lands exactly between two batches.
 #[derive(Default)]
 struct Stage {
     chain: FilterChain,
@@ -1244,265 +1199,11 @@ impl Stage {
     }
 }
 
-#[derive(Default)]
-struct ChainWorkInner {
-    stage: Stage,
-    /// Set once the inbox reported EOF/close and the chain was flushed:
-    /// only `stage.pending` remains to be forwarded.
-    draining: bool,
-    /// Packets a carrier route ran in place, past the inbox.
-    handed_in: u64,
-}
-
-struct ChainWork {
-    inner: Mutex<ChainWorkInner>,
-    in_rx: DetachableReceiver<Packet>,
-    out_tx: DetachableSender<Packet>,
-    batch_size: usize,
-}
-
-impl ChainWork {
-    /// A step's body, shared with the carrier inlet: runs one input batch
-    /// and forwards the output; `false` while some of it is left pending.
-    fn advance(&self, inner: &mut ChainWorkInner, batch: Vec<Packet>) -> bool {
-        inner.stage.process(batch);
-        inner.stage.forward(&self.out_tx)
-    }
-}
-
-impl TaskWork for Arc<ChainWork> {
-    fn step(&self) -> StepOutcome {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        // 1. Clear the back-pressure buffer first: nothing new may be
-        //    processed while older output waits, or order would be lost.
-        if !inner.stage.forward(&self.out_tx) {
-            return StepOutcome::Idle;
-        }
-        if !inner.draining {
-            // 2. Drain one batch from the inbox and run it through the chain.
-            let clear = match self.in_rx.try_recv_up_to(self.batch_size) {
-                Ok(batch) => self.advance(inner, batch),
-                Err(TryRecvError::Empty) => return StepOutcome::Idle,
-                // End of stream (or forced close): flush the chain's
-                // buffered state, then drain what the flush produced.
-                Err(TryRecvError::Eof) | Err(TryRecvError::Closed) => {
-                    inner.stage.flush();
-                    inner.draining = true;
-                    inner.stage.forward(&self.out_tx)
-                }
-            };
-            if !clear {
-                return StepOutcome::Idle;
-            }
-        }
-        if inner.draining {
-            // Everything flushed after EOF: propagate end of stream.
-            self.out_tx.close();
-            return StepOutcome::Done;
-        }
-        StepOutcome::Progress
-    }
-}
-
-/// A filter chain hosted on a [`Runtime`] worker pool: the whole chain is
-/// one cooperative task.
-///
-/// The public surface is `input`/`output` endpoints, live
-/// `insert`/`remove`/`move_filter`, `stats`, `shutdown`.  Reconfiguration
-/// takes effect between two batches and never loses, duplicates, or
-/// reorders a packet: the residue flushed out of a removed filter is
-/// forwarded ahead of all later traffic.
-pub struct PooledChain {
-    name: String,
-    /// Keeps the hosting pool alive: a chain's task can only run while its
-    /// workers do, so dropping every *other* handle to the runtime must
-    /// not stop the pool under a live chain.
-    runtime: Arc<Runtime>,
-    work: Arc<ChainWork>,
-    task: Arc<Task>,
-    input: DetachableSender<Packet>,
-    output: DetachableReceiver<Packet>,
-}
-
-impl fmt::Debug for PooledChain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PooledChain")
-            .field("name", &self.name)
-            .field("filters", &self.names())
-            .finish()
-    }
-}
-
-impl PooledChain {
-    /// The name this chain was created under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The runtime hosting this chain's task (kept alive by the chain: a
-    /// pooled chain can outlive every other handle to its pool).
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.runtime
-    }
-
-    /// A handle for pushing packets into the chain.
-    pub fn input(&self) -> DetachableSender<Packet> {
-        self.input.clone()
-    }
-
-    /// A handle for reading packets out of the chain.
-    pub fn output(&self) -> DetachableReceiver<Packet> {
-        self.output.clone()
-    }
-
-    /// Closes the chain input: once in-flight packets drain, the chain
-    /// flushes and the output observes end of stream.
-    pub fn close_input(&self) {
-        self.input.close();
-    }
-
-    /// Names of the installed filters, in stream order.
-    pub fn names(&self) -> Vec<String> {
-        self.work.inner.lock().stage.chain.names()
-    }
-
-    /// Number of installed filters.
-    pub fn len(&self) -> usize {
-        self.work.inner.lock().stage.chain.len()
-    }
-
-    /// Returns `true` if no filters are installed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The per-step batch size of this chain's task.
-    pub fn batch_size(&self) -> usize {
-        self.work.batch_size
-    }
-
-    /// Secure-channel counters summed over the installed crypto stages
-    /// (all-zero when no encrypt/decrypt filter is installed).
-    pub fn secure_snapshot(&self) -> rapidware_filters::SecureChannelSnapshot {
-        self.work.inner.lock().stage.chain.secure_snapshot()
-    }
-
-    /// Attaches latency spans: every batch the chain task processes records
-    /// into `spans`' instruments, and egress spans additionally record each
-    /// packet's ingress-to-exit latency as it leaves the chain.
-    pub fn set_spans(&self, spans: Arc<ChainSpans>) {
-        self.work.inner.lock().stage.chain.set_spans(spans);
-    }
-
-    /// Current chain statistics.
-    pub fn stats(&self) -> ChainStats {
-        let inner = self.work.inner.lock();
-        let packets_in = self.input.stats().items() + inner.handed_in;
-        inner.stage.stats(packets_in, self.output.stats().items())
-    }
-
-    /// The chain as a carrier route's [`RouteInlet`].
-    pub(crate) fn inlet(&self) -> Arc<dyn RouteInlet> {
-        let work = Arc::clone(&self.work);
-        let in_place = Box::new(move |run: Vec<Packet>| {
-            let Some(mut inner) = work.inner.try_lock() else {
-                return Err(run);
-            };
-            if inner.draining || !inner.stage.forward(&work.out_tx) || !work.in_rx.is_idle() {
-                return Err(run);
-            }
-            inner.handed_in += run.len() as u64;
-            Ok(!work.advance(&mut inner, run))
-        });
-        Arc::new(TaskInlet { task: Arc::downgrade(&self.task), in_place })
-    }
-
-    /// The chain's state, locked, while it still accepts splices.
-    fn splicable(&self) -> Result<MutexGuard<'_, ChainWorkInner>, ProxyError> {
-        let inner = self.work.inner.lock();
-        if inner.draining || self.task.is_done() {
-            return Err(ProxyError::ChainClosed);
-        }
-        Ok(inner)
-    }
-
-    /// Inserts `filter` at `position` while packets flow.  The insertion
-    /// serialises with batch processing (it waits for the in-flight batch,
-    /// bounded by `batch_size` packets) and affects every packet the task
-    /// has not yet pulled from its inbox.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::PositionOutOfRange`] for a bad position or
-    /// [`ProxyError::ChainClosed`] once the chain has finished.
-    pub fn insert(&self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
-        self.splicable()?.stage.insert(position, filter)?;
-        self.task.schedule();
-        Ok(())
-    }
-
-    /// Appends `filter` after the last installed filter.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`insert`](Self::insert).
-    pub fn push_back(&self, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
-        let position = self.len();
-        self.insert(position, filter)
-    }
-
-    /// Removes and returns the filter at `position`.  Anything the filter
-    /// had buffered is flushed through the remaining downstream filters and
-    /// forwarded ahead of later traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::PositionOutOfRange`] or
-    /// [`ProxyError::ChainClosed`].
-    pub fn remove(&self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
-        let filter = self.splicable()?.stage.remove(position)?;
-        self.task.schedule();
-        Ok(filter)
-    }
-
-    /// Moves the filter at `from` to position `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::PositionOutOfRange`] or
-    /// [`ProxyError::ChainClosed`].
-    pub fn move_filter(&self, from: usize, to: usize) -> Result<(), ProxyError> {
-        self.splicable()?.stage.move_filter(from, to)
-    }
-
-    /// Shuts the chain down: closes both endpoints (undrained output is
-    /// discarded) and waits for the task to finish its final flush.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::WorkerFailed`] if the task did not finish
-    /// within the shutdown grace period (e.g. because the runtime's workers
-    /// were stopped first).
-    pub fn shutdown(&self) -> Result<(), ProxyError> {
-        self.input.close();
-        self.output.close();
-        // Both closes fire the task's watchers; all that remains is to wait
-        // for the final step to observe them.
-        self.task.schedule();
-        if self.task.wait_finished() {
-            Ok(())
-        } else {
-            Err(ProxyError::WorkerFailed(format!("pooled chain {}", self.name)))
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Run-to-completion carrier routes.
 // ---------------------------------------------------------------------------
 
-/// A chain or session as its carrier route's inlet.  `in_place` takes a
+/// A session as its carrier route's inlet.  `in_place` takes a
 /// run only while the task is idle (`try_lock`: the drain never waits
 /// behind a step or a splice) and caught up — inbox empty and open,
 /// nothing pending, not draining — so it overtakes nothing; it counts the
@@ -1598,10 +1299,20 @@ struct SessionInner {
 }
 
 impl SessionInner {
+    /// Whether the head's output waits for a lane: with none live it is
+    /// held for the first to join instead of being dropped, until the
+    /// stream ends or the session shuts down.
+    fn awaiting_lane(&self) -> bool {
+        self.live.is_empty() && !self.draining && !self.closed
+    }
+
     /// Hands the head's output to every live lane — `Arc` clones (a
     /// refcount bump per payload) to all but the last, which takes the
     /// `Vec` itself — and runs each lane's chain on it.
     fn fan_out(&mut self) {
+        if self.awaiting_lane() {
+            return;
+        }
         let batch = std::mem::take(&mut self.head.pending);
         if batch.is_empty() {
             return;
@@ -1625,11 +1336,12 @@ impl SessionInner {
 
     /// Forwards every lane's pending output; a retired lane's pipe closes
     /// once it has drained.  Returns `false` while a lane that gates the
-    /// task is still owed output: any live lane — a slow receiver holds
-    /// the next batch back instead of growing a backlog — and, once the
-    /// stream has ended, any lane at all.
+    /// task is still owed output — any live lane (a slow receiver holds
+    /// the next batch back instead of growing a backlog) and, once the
+    /// stream has ended, any lane at all — or while head output waits for
+    /// a lane to join.
     fn forward(&mut self) -> bool {
-        let mut clear = true;
+        let mut clear = self.head.pending.is_empty() || !self.awaiting_lane();
         for lane in &mut self.live {
             clear &= lane.stage.forward(&lane.out_tx);
         }
@@ -1701,7 +1413,9 @@ impl TaskWork for Arc<SessionWork> {
 pub struct PooledSession {
     name: String,
     registry: FilterRegistry,
-    /// Keeps the hosting pool alive, as [`PooledChain`]'s does.
+    /// Keeps the hosting pool alive: a session's task can only run while
+    /// its workers do, so dropping every *other* handle to the runtime
+    /// must not stop the pool under a live session.
     _runtime: Arc<Runtime>,
     work: Arc<SessionWork>,
     task: Arc<Task>,
@@ -1753,6 +1467,15 @@ impl PooledSession {
         inner.telemetry = Some(Arc::clone(registry));
     }
 
+    /// Attaches `spans` to live `lane`'s chain alone: how a flat stream
+    /// records under its own `stream.<name>` scope instead of the session
+    /// scopes.
+    pub(crate) fn set_lane_spans(&self, lane: &str, spans: Arc<ChainSpans>) {
+        if let Ok(lane) = find_lane_mut(&mut self.work.inner.lock().live, lane) {
+            lane.stage.chain.set_spans(spans);
+        }
+    }
+
     /// Number of live receiver lanes.
     pub fn lane_count(&self) -> usize {
         self.work.inner.lock().live.len()
@@ -1796,6 +1519,12 @@ impl PooledSession {
             packets_in: 0,
             decoder_stats: Vec::new(),
         });
+        if !inner.head.pending.is_empty() {
+            // Output held for want of a lane goes to the first to join.
+            inner.fan_out();
+            drop(inner);
+            self.task.schedule();
+        }
         Ok(output)
     }
 
@@ -1902,6 +1631,22 @@ impl PooledSession {
         Ok(())
     }
 
+    /// Splices an already-constructed filter into `lane`'s tail chain at
+    /// `position`, as-is (a `fec-decoder` inserted this way reports no
+    /// per-lane `recovered` count).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProxyError::UnknownLane`], position, or splice errors.
+    pub fn insert_lane_filter_boxed(
+        &self,
+        lane: &str,
+        position: usize,
+        filter: Box<dyn Filter>,
+    ) -> Result<(), ProxyError> {
+        find_lane_mut(&mut self.splicable()?.live, lane)?.stage.insert(position, filter)
+    }
+
     /// Removes and returns the filter at `position` on `lane`'s tail chain.
     ///
     /// # Errors
@@ -1917,6 +1662,18 @@ impl PooledSession {
             .remove(position)?;
         self.task.schedule();
         Ok(filter)
+    }
+
+    /// Moves the filter at `from` to position `to` on `lane`'s tail chain
+    /// as one splice: the session is locked once, so no batch crosses the
+    /// lane with the filter absent, and the filter is not flushed (an FEC
+    /// encoder keeps its half-collected block).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProxyError::UnknownLane`], position, or splice errors.
+    pub fn move_lane_filter(&self, lane: &str, from: usize, to: usize) -> Result<(), ProxyError> {
+        find_lane_mut(&mut self.splicable()?.live, lane)?.stage.move_filter(from, to)
     }
 
     /// Names of the filters installed on `lane`'s tail chain.
@@ -2070,6 +1827,19 @@ mod tests {
         )
     }
 
+    /// A flat stream: an empty head and one lane named after the session.
+    fn one_lane(
+        runtime: &Arc<Runtime>,
+        name: &str,
+        capacity: usize,
+        batch_size: usize,
+    ) -> (PooledSession, DetachableReceiver<Packet>) {
+        let session =
+            runtime.add_session_with(name, FilterRegistry::with_builtins(), capacity, batch_size);
+        let output = session.add_lane(name).unwrap();
+        (session, output)
+    }
+
     fn collect_all(rx: &DetachableReceiver<Packet>) -> Vec<Packet> {
         let mut out = Vec::new();
         while let Ok(p) = rx.recv() {
@@ -2081,9 +1851,8 @@ mod tests {
     #[test]
     fn pooled_null_chain_forwards_everything_in_order() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
-        let chain = runtime.add_chain("s");
+        let (chain, output) = one_lane(&runtime, "s", 128, 8);
         let input = chain.input();
-        let output = chain.output();
         let producer = std::thread::spawn(move || {
             for seq in 0..5_000u64 {
                 input.send(packet(seq)).unwrap();
@@ -2105,12 +1874,16 @@ mod tests {
     #[test]
     fn pooled_fec_chain_recovers_like_threaded() {
         let runtime = Runtime::start(RuntimeConfig::new(4, 16));
-        let chain = runtime.add_chain("fec");
-        chain.push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap())).unwrap();
-        chain.push_back(Box::new(DropEveryNth::new(5))).unwrap();
-        chain.push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap())).unwrap();
+        let (chain, output) = one_lane(&runtime, "fec", 128, 16);
+        let filters: [Box<dyn Filter>; 3] = [
+            Box::new(FecEncoderFilter::fec_6_4().unwrap()),
+            Box::new(DropEveryNth::new(5)),
+            Box::new(FecDecoderFilter::fec_6_4().unwrap()),
+        ];
+        for (position, filter) in filters.into_iter().enumerate() {
+            chain.insert_lane_filter_boxed("fec", position, filter).unwrap();
+        }
         let input = chain.input();
-        let output = chain.output();
         let consumer = std::thread::spawn(move || collect_all(&output));
         for seq in 0..400u64 {
             input.send(packet(seq)).unwrap();
@@ -2128,9 +1901,8 @@ mod tests {
     #[test]
     fn live_insert_and_remove_lose_nothing() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 4));
-        let chain = runtime.add_chain("live");
+        let (chain, output) = one_lane(&runtime, "live", 128, 4);
         let input = chain.input();
-        let output = chain.output();
         let producer = {
             let input = input.clone();
             std::thread::spawn(move || {
@@ -2140,10 +1912,10 @@ mod tests {
             })
         };
         let consumer = std::thread::spawn(move || collect_all(&output));
-        chain.insert(0, Box::new(NullFilter::new())).unwrap();
-        chain.push_back(Box::new(NullFilter::new())).unwrap();
+        chain.insert_lane_filter_boxed("live", 0, Box::new(NullFilter::new())).unwrap();
+        chain.insert_lane_filter_boxed("live", 1, Box::new(NullFilter::new())).unwrap();
         std::thread::sleep(Duration::from_millis(5));
-        let removed = chain.remove(0).unwrap();
+        let removed = chain.remove_lane_filter("live", 0).unwrap();
         assert_eq!(removed.name(), "null");
         producer.join().unwrap();
         chain.close_input();
@@ -2152,7 +1924,7 @@ mod tests {
         for (i, p) in received.iter().enumerate() {
             assert_eq!(p.seq().value(), i as u64, "order preserved across splices");
         }
-        assert_eq!(chain.stats().splices, 3);
+        assert_eq!(chain.lane_stats("live").unwrap().splices, 3);
         chain.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
@@ -2163,9 +1935,8 @@ mod tests {
         // once the outbox fills, then finish the stream when the consumer
         // appears.
         let runtime = Runtime::start(RuntimeConfig::new(1, 4));
-        let chain = runtime.add_chain_with("bp", 8, 4);
+        let (chain, output) = one_lane(&runtime, "bp", 8, 4);
         let input = chain.input();
-        let output = chain.output();
         let producer = std::thread::spawn(move || {
             for seq in 0..100u64 {
                 input.send(packet(seq)).unwrap();
@@ -2189,14 +1960,11 @@ mod tests {
     #[test]
     fn many_chains_share_a_small_pool() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
-        let chains: Vec<PooledChain> =
-            (0..32).map(|i| runtime.add_chain(format!("c{i}"))).collect();
-        let consumers: Vec<_> = chains
-            .iter()
-            .map(|chain| {
-                let rx = chain.output();
-                std::thread::spawn(move || collect_all(&rx).len())
-            })
+        let (chains, outputs): (Vec<_>, Vec<_>) =
+            (0..32).map(|i| one_lane(&runtime, &format!("c{i}"), 128, 8)).unzip();
+        let consumers: Vec<_> = outputs
+            .into_iter()
+            .map(|rx| std::thread::spawn(move || collect_all(&rx).len()))
             .collect();
         for chain in &chains {
             let input = chain.input();
@@ -2211,7 +1979,7 @@ mod tests {
         for chain in &chains {
             chain.shutdown().unwrap();
         }
-        assert_eq!(runtime.live_tasks(), 0, "no leaked chain tasks");
+        assert_eq!(runtime.live_tasks(), 0, "no leaked stream tasks");
         runtime.shutdown().unwrap();
     }
 
@@ -2224,10 +1992,9 @@ mod tests {
         const RUNS: u64 = 1_500;
         const RUN: u64 = 3;
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
-        let chain = runtime.add_chain_with("flip", 4, 8);
+        let (chain, output) = one_lane(&runtime, "flip", 4, 8);
         let inlet = chain.inlet();
         let input = chain.input();
-        let output = chain.output();
         let mut delivered = Vec::new();
         let collect = |delivered: &mut Vec<u64>| {
             while let Ok(batch) = output.try_recv_up_to(64) {
@@ -2257,11 +2024,12 @@ mod tests {
             }
         }
         chain.close_input();
-        delivered.extend(collect_all(&chain.output()).iter().map(|p| p.seq().value()));
+        delivered.extend(collect_all(&output).iter().map(|p| p.seq().value()));
         let misplaced = delivered.iter().zip(0..).position(|(&seq, at)| seq != at);
         assert_eq!((delivered.len() as u64, misplaced), (RUNS * RUN, None), "once each, in order");
         assert!(in_place > 0 && queued > 0, "in place {in_place}, queued {queued}");
-        assert_eq!(chain.stats().packets_in, RUNS * RUN, "both paths count their input");
+        let head_in = chain.status().head_stats.packets_in;
+        assert_eq!(head_in, RUNS * RUN, "both paths count their input");
         chain.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
@@ -2422,6 +2190,31 @@ mod tests {
     }
 
     #[test]
+    fn a_session_without_lanes_holds_its_traffic_for_the_first_lane() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 4));
+        let session = runtime.add_session_with("held", FilterRegistry::with_builtins(), 8, 4);
+        let input = session.input();
+        for seq in 0..6 {
+            input.send(packet(seq)).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let lane = session.add_lane("first").unwrap();
+        session.close_input();
+        let seqs: Vec<u64> = collect_all(&lane).iter().map(|p| p.seq().value()).collect();
+        assert_eq!(seqs, (0..6).collect::<Vec<u64>>());
+        session.shutdown().unwrap();
+        // Nobody ever joins: shutdown does not wait on a lane.
+        let orphan = runtime.add_session_with("orphan", FilterRegistry::with_builtins(), 8, 4);
+        let input = orphan.input();
+        for seq in 0..6 {
+            input.send(packet(seq)).unwrap();
+        }
+        orphan.shutdown().unwrap();
+        assert_eq!(runtime.live_tasks(), 0);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
     fn removing_a_head_encoder_delivers_its_residue_on_every_lane_first() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
         let session = runtime.add_session("residue");
@@ -2447,6 +2240,47 @@ mod tests {
             assert_eq!(payload, [false, false, true], "{received:?}");
             assert_eq!(received[2].seq().value(), 2);
         }
+        session.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_boxed_insert_and_a_move_on_one_lane_leave_its_sibling_untouched() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let session = runtime.add_session("pair");
+        let a = session.add_lane("a").unwrap();
+        let b = session.add_lane("b").unwrap();
+        session
+            .insert_lane_filter_boxed("a", 0, Box::new(FecEncoderFilter::fec_6_4().unwrap()))
+            .unwrap();
+        session.insert_lane_filter_boxed("a", 1, Box::new(NullFilter::new())).unwrap();
+        let input = session.input();
+        // Half an FEC(6,4) block: lane a's encoder passes both sources and
+        // holds them towards its parity pair.
+        input.send(packet(0)).unwrap();
+        input.send(packet(1)).unwrap();
+        for lane in [&a, &b] {
+            assert_eq!(lane.recv().unwrap().seq().value(), 0);
+            assert_eq!(lane.recv().unwrap().seq().value(), 1);
+        }
+        session.move_lane_filter("a", 0, 1).unwrap();
+        assert_eq!(session.lane_filter_names("a").unwrap(), ["null", "fec-encoder(6,4)"]);
+        assert!(session.move_lane_filter("a", 0, 5).is_err());
+        input.send(packet(2)).unwrap();
+        input.send(packet(3)).unwrap();
+        session.close_input();
+        // Unflushed by the move, the encoder completes its block: two
+        // parities after sources 2 and 3, where a flush would have put a
+        // padded pair ahead of them.
+        let kinds = |lane| -> Vec<bool> {
+            collect_all(lane).iter().map(|p| p.kind().is_payload()).collect()
+        };
+        assert_eq!(kinds(&a), [true, true, false, false]);
+        assert_eq!(kinds(&b), [true, true], "lane b carries only the sources");
+        assert!(session.lane_filter_names("b").unwrap().is_empty());
+        let (a, b) = (session.lane_stats("a").unwrap(), session.lane_stats("b").unwrap());
+        assert_eq!((a.splices, a.packets_out), (3, 6), "two inserts and a move");
+        assert_eq!((b.splices, b.packets_out), (0, 4));
         session.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
@@ -2517,15 +2351,26 @@ mod tests {
     #[test]
     fn errors_and_validation() {
         let runtime = Runtime::start(RuntimeConfig::new(1, 1));
-        let chain = runtime.add_chain("v");
+        let (chain, _output) = one_lane(&runtime, "v", 128, 1);
         assert!(matches!(
-            chain.insert(3, Box::new(NullFilter::new())),
+            chain.insert_lane_filter_boxed("v", 3, Box::new(NullFilter::new())),
             Err(ProxyError::PositionOutOfRange { .. })
         ));
-        assert!(matches!(chain.remove(0), Err(ProxyError::PositionOutOfRange { .. })));
+        assert!(matches!(
+            chain.remove_lane_filter("v", 0),
+            Err(ProxyError::PositionOutOfRange { .. })
+        ));
+        assert!(matches!(
+            chain.move_lane_filter("v", 0, 0),
+            Err(ProxyError::PositionOutOfRange { .. })
+        ));
+        assert!(matches!(
+            chain.insert_lane_filter_boxed("nope", 0, Box::new(NullFilter::new())),
+            Err(ProxyError::UnknownLane(_))
+        ));
         chain.shutdown().unwrap();
         assert!(matches!(
-            chain.insert(0, Box::new(NullFilter::new())),
+            chain.insert_lane_filter_boxed("v", 0, Box::new(NullFilter::new())),
             Err(ProxyError::ChainClosed)
         ));
         let session = runtime.add_session("s");
@@ -2549,14 +2394,11 @@ mod tests {
         assert_eq!(status.workers, 3);
         assert_eq!(status.shards.len(), 3);
         assert!(!format!("{runtime:?}").is_empty());
-        let chain = runtime.add_chain("c");
-        assert_eq!(chain.batch_size(), 7);
-        assert!(!format!("{chain:?}").is_empty());
         let session = runtime.add_session("s");
+        assert_eq!((session.work.batch_size, session.capacity), (7, 64));
         assert!(!format!("{session:?}").is_empty());
         assert_eq!(session.lane_count(), 0);
         session.shutdown().unwrap();
-        chain.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
 

@@ -7,21 +7,22 @@
 //! streams and sessions ride it:
 //!
 //! ```text
-//!   one socket ──▶ SharedUdpIngress ──demux by stream id──▶ chain/session, in place or via input
-//!   chain/session outputs ──▶ SharedUdpEgress ──mux──▶ the same socket
+//!   one socket ──▶ SharedUdpIngress ──demux by stream id──▶ session, in place or via input
+//!   lane outputs ──▶ SharedUdpEgress ──mux──▶ the same socket
 //! ```
 //!
 //! [`Proxy::add_stream_udp_shared`](crate::Proxy::add_stream_udp_shared)
 //! and
 //! [`Proxy::add_session_udp_shared`](crate::Proxy::add_session_udp_shared)
-//! place a pooled chain or session on a named carrier: inbound datagrams
+//! place a pooled stream or session on a named carrier (a stream is the
+//! one-lane session): inbound datagrams
 //! are routed to it by the stream ids it claimed, and its output lanes are
 //! multiplexed back out, each ending with its stream's FIN.  A *dedicated*
 //! socket is a carrier with one such route.
 //!
-//! A chain or session that is idle and caught up is run in place by the
+//! A session that is idle and caught up is run in place by the
 //! carrier's receive task, straight into the pipes the egress watches.
-//! The chain itself is unchanged — it still reads and writes detachable
+//! The session itself is unchanged — it still reads and writes detachable
 //! pipes and is live-reconfigurable through the ordinary control surface
 //! (`insert_filter`, `remove_filter`, sessions' per-lane splices).  The
 //! carrier's rx/tx/drop/decode-error counters surface through
@@ -197,7 +198,10 @@ pub struct SharedUdpSessionConfig {
     /// Stream ids routed into the session's head chain.  The first id is
     /// stamped on each lane's egress FIN.  Must not be empty.
     pub streams: Vec<StreamId>,
-    /// `(lane name, egress destination)` pairs, one per receiver.
+    /// `(lane name, egress destination)` pairs, one per receiver.  Lanes
+    /// without an egress peer can join later through
+    /// [`PooledSession::add_lane`](crate::PooledSession::add_lane); the
+    /// first to join receives what arrived before it.
     pub lanes: Vec<(String, SocketAddr)>,
     /// Pipe capacity of the session.
     pub capacity: usize,

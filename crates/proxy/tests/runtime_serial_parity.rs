@@ -1,5 +1,6 @@
 //! Pooled/serial parity: for arbitrary chain specs, shard counts, and
-//! batch sizes, a chain hosted on the sharded worker pool emits exactly
+//! batch sizes, a flat stream hosted on the sharded worker pool (a session
+//! with an empty head and the chain on its one lane) emits exactly
 //! the byte-identical packet stream that the serial [`FilterChain`]
 //! baseline emits — scheduler shape (worker count, step batching, work
 //! stealing, back-pressure parking) must be invisible in the output.
@@ -97,7 +98,7 @@ proptest! {
             .collect();
 
         // Serial baseline: one packet at a time, then a final flush (the
-        // pooled chain flushes at EOF, so the comparison includes it).
+        // pooled stream flushes at EOF, so the comparison includes it).
         let mut serial_chain = FilterChain::new();
         for filter in build_filters(selector) {
             serial_chain.push_back(filter).unwrap();
@@ -112,12 +113,12 @@ proptest! {
         let runtime = Runtime::start(
             RuntimeConfig::new(shards, batch_size).with_pipe_capacity(capacity),
         );
-        let chain = runtime.add_chain("parity");
-        for filter in build_filters(selector) {
-            chain.push_back(filter).unwrap();
+        let chain = runtime.add_session("parity");
+        let output = chain.add_lane("parity").unwrap();
+        for (position, filter) in build_filters(selector).into_iter().enumerate() {
+            chain.insert_lane_filter_boxed("parity", position, filter).unwrap();
         }
         let input = chain.input();
-        let output = chain.output();
         let consumer = std::thread::spawn(move || {
             let mut out = Vec::new();
             while let Ok(packet) = output.recv() {
@@ -136,9 +137,9 @@ proptest! {
 
         // The pipe-stats invariants hold on the pooled path: everything
         // sent was counted in, everything emitted was counted out.
-        let stats = chain.stats();
-        prop_assert_eq!(stats.packets_in, packets.len() as u64);
-        prop_assert_eq!(stats.packets_out, serial_out.len() as u64);
+        let status = chain.status();
+        prop_assert_eq!(status.head_stats.packets_in, packets.len() as u64);
+        prop_assert_eq!(status.lanes[0].stats.packets_out, serial_out.len() as u64);
 
         chain.shutdown().unwrap();
         prop_assert_eq!(runtime.live_tasks(), 0);

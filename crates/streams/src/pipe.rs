@@ -926,7 +926,7 @@ impl<T> DetachableReceiver<T> {
     ///
     /// This is the cooperative-scheduler counterpart of
     /// [`recv_up_to`](Self::recv_up_to): where a thread-per-filter worker
-    /// parks on an empty pipe, a pooled chain task calls `try_recv_up_to`,
+    /// parks on an empty pipe, a pooled session task calls `try_recv_up_to`,
     /// and — when it reports [`TryRecvError::Empty`] — goes idle until the
     /// receiver's data [`PipeWatcher`] fires.  The returned batch preserves
     /// arrival order and is never empty.

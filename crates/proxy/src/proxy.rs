@@ -92,17 +92,10 @@ fn set_stream_spans(registry: &Arc<Registry>, stream: &PooledSession, name: &str
 /// A flat stream's status: its lane's chain, fed by everything the
 /// stream's input accepted.
 fn stream_status(name: &str, stream: &PooledSession) -> StreamStatus {
-    let status = stream.status();
-    let lane = status.lanes.into_iter().next().expect("a flat stream keeps its lane");
-    StreamStatus {
-        name: name.to_string(),
-        filters: lane.filters,
-        stats: ChainStats {
-            packets_in: status.head_stats.packets_in,
-            ..lane.stats
-        },
-        secure: status.secure,
-    }
+    let SessionStatus { head_stats, lanes, secure, .. } = stream.status();
+    let lane = lanes.into_iter().next().expect("a flat stream keeps its lane");
+    let stats = ChainStats { packets_in: head_stats.packets_in, ..lane.stats };
+    StreamStatus { name: name.to_string(), filters: lane.filters, stats, secure }
 }
 
 impl fmt::Debug for Proxy {
@@ -232,10 +225,9 @@ impl Proxy {
         Ok((input, output))
     }
 
-    /// A flat stream, not yet installed: a session with an empty head and
-    /// one lane named after the stream, returned with the lane's output.
-    /// Its filters come from the proxy's own registry at splice time, so
-    /// the session holds none.
+    /// A flat stream, not yet installed, and its output: a session with an
+    /// empty head and one lane named after the stream.  Its filters come
+    /// from the proxy's registry at splice time, so the session holds none.
     fn new_stream(
         &self,
         name: &str,
@@ -435,7 +427,7 @@ impl Proxy {
         config: SharedUdpStreamConfig,
     ) -> Result<SharedUdpStreamHandle, ProxyError> {
         let name = name.into();
-        self.check_carrier_placement("stream", &name, &config.carrier, &config.streams)?;
+        self.check_placement(&format!("stream {name}"), &config.carrier, &config.streams)?;
         let (stream, output) = self.new_stream(&name, config.capacity, config.batch_size.max(1))?;
         let lanes = vec![(output, config.egress_peer)];
         let ingress_addr = self.open_routes(&stream, &config.carrier, &config.streams, lanes)?;
@@ -473,7 +465,7 @@ impl Proxy {
         config: SharedUdpSessionConfig,
     ) -> Result<SharedUdpSessionHandle, ProxyError> {
         let name = name.into();
-        self.check_carrier_placement("session", &name, &config.carrier, &config.streams)?;
+        self.check_placement(&format!("session {name}"), &config.carrier, &config.streams)?;
         let session = self.new_session(&name, config.capacity, config.batch_size.max(1))?;
         let lanes = config
             .lanes
@@ -495,17 +487,14 @@ impl Proxy {
     /// The checks a carrier placement passes before anything is built: at
     /// least one stream id, and a carrier that exists — which also means
     /// the pool is live, as shutdown drops every carrier.
-    fn check_carrier_placement(
+    fn check_placement(
         &self,
         what: &str,
-        name: &str,
         carrier: &str,
         streams: &[StreamId],
     ) -> Result<(), ProxyError> {
         if streams.is_empty() {
-            return Err(ProxyError::Splice(format!(
-                "shared {what} {name} needs at least one stream id"
-            )));
+            return Err(ProxyError::Splice(format!("shared {what} needs at least one stream id")));
         }
         if !self.udp_carriers.contains_key(carrier) {
             return Err(ProxyError::UnknownCarrier(carrier.to_string()));
@@ -513,13 +502,11 @@ impl Proxy {
         Ok(())
     }
 
-    /// Routes `streams` on `carrier` into `session` and multiplexes each
-    /// lane output back out towards its peer; returns the carrier's
-    /// address.  Every lane is attached before the first route opens: a
-    /// datagram that arrives during set-up must reach all of them.  On
-    /// failure the routes opened so far close again; the caller then drops
-    /// the uninstalled session, whose attached lanes finish silently once
-    /// its pipes close.
+    /// Routes `streams` on `carrier` into `session` and sends each lane
+    /// output out towards its peer; returns the carrier's address.  Lanes
+    /// attach before the first route opens, so a datagram arriving during
+    /// set-up reaches all of them.  On failure the opened routes close; the
+    /// caller drops the session, whose lanes then finish silently.
     fn open_routes(
         &self,
         session: &PooledSession,
@@ -1328,8 +1315,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "the carrier never routed the datagrams");
             std::thread::yield_now();
         }
-        // Time for the task to run them through the head: the window in
-        // which a lane-less session used to drop them.
+        // Time for the task to take them through the head, so they wait
+        // for the lane there and not in the inbox.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let lane = session.add_lane("first").unwrap();
         for seq in 0..6 {

@@ -1301,8 +1301,8 @@ struct SessionInner {
 
 impl SessionInner {
     /// Whether the head's output waits for a lane: with none live it is
-    /// held for the first to join instead of being dropped, until the
-    /// stream ends or the session shuts down.
+    /// held for the first to join, until the stream ends or the session
+    /// shuts down.
     fn awaiting_lane(&self) -> bool {
         self.live.is_empty() && !self.draining && !self.closed
     }

@@ -28,9 +28,20 @@
 //!   tables on 1 KiB slices, asserted **≥ 4×** where the CPU has the
 //!   instruction;
 //! * `mac_kernel` — the AVX2 4-way Poly1305 against the scalar one on 1 KiB
-//!   messages, asserted **≥ 1.5×** where the CPU has AVX2.
+//!   messages, asserted **≥ 1.5×** where the CPU has AVX2;
+//! * `mac_ifma` — where the CPU has AVX-512 IFMA, the 8-way IFMA Poly1305
+//!   against the AVX2 4-way one on 1 KiB messages, asserted **≥ 1.25×**,
+//!   and the dispatched seal against the AVX2 one on 256 B and 384 B
+//!   payloads (around the MAC thresholds), asserted no slower with the
+//!   0.85 noise floor of `aead_avx512`;
+//! * `gf256_gfni` — where the CPU has GFNI and AVX-512BW, one row of the
+//!   code (`dot_into` over four 1 KiB sources, what the encoder and decoder
+//!   run) on the GFNI kernel against the AVX2 one, asserted **≥ 2×**, and
+//!   a single 1 KiB `addmul`, asserted **≥ 1.2×** (1.34–1.96× measured: a
+//!   `zmm` access that straddles two cache lines costs about twice one that
+//!   does not, and a `Vec` is only 16-byte aligned).
 //!
-//! The last three name each kernel directly from `Cpu::detected()`, so they
+//! The last five name each kernel directly from `Cpu::detected()`, so they
 //! hold whatever `RAPIDWARE_FORCE_SCALAR` says, and skip when the CPU lacks
 //! the kernel.
 
@@ -159,19 +170,47 @@ fn assert_speedup(group: &str, what: &str, len: usize, names: (&str, &str), rate
     );
 }
 
+/// An `addmul` routine on `kernel` into a 1 KiB target, a new coefficient
+/// per call.
+fn addmul(kernel: Kernel) -> impl FnMut(&[u8]) {
+    let mut target = vec![0u8; 1024];
+    let mut coefficient = 0u8;
+    move |source: &[u8]| {
+        coefficient = coefficient % 255 + 1;
+        kernel.addmul(&mut target, source, coefficient);
+        std::hint::black_box(&target);
+    }
+}
+
 fn bench_kernels(_c: &mut Criterion) {
-    let run = |kernel: Kernel| {
+    let active = gf256::active_kernel();
+    let rates = throughputs(1024, 200_000, 7, addmul(active), addmul(Kernel::Scalar));
+    assert_speedup("gf256_kernel", "addmul", 1024, (active.name(), "scalar"), rates, 2.0);
+}
+
+fn bench_gf256_gfni(_c: &mut Criterion) {
+    let Some(gfni) = Cpu::detected().gfni() else {
+        println!("gf256_gfni: no GFNI with AVX-512BW on this CPU, only the shuffle kernels exist — skipped");
+        return;
+    };
+    let avx2 = Kernel::Avx2(gfni.avx512().avx2());
+    let gfni = Kernel::Gfni(gfni);
+    // One parity of a (6,4) block: four sources, one output row.
+    let row = |kernel: Kernel| {
+        let others: Vec<Vec<u8>> = (1..4).map(|j| (0..1024).map(|i| (i * 13 + j * 71) as u8).collect()).collect();
         let mut target = vec![0u8; 1024];
         let mut coefficient = 0u8;
         move |source: &[u8]| {
-            coefficient = coefficient % 255 + 1;
-            kernel.addmul(&mut target, source, coefficient);
+            coefficient = coefficient % 251 + 1;
+            let terms = [source].into_iter().chain(others.iter().map(Vec::as_slice));
+            kernel.dot_into(&mut target, terms.zip([coefficient, coefficient + 1, coefficient + 2, coefficient + 3]));
             std::hint::black_box(&target);
         }
     };
-    let active = gf256::active_kernel();
-    let rates = throughputs(1024, 200_000, 7, run(active), run(Kernel::Scalar));
-    assert_speedup("gf256_kernel", "addmul", 1024, (active.name(), "scalar"), rates, 2.0);
+    let rates = throughputs(1024, 200_000, 7, row(gfni), row(avx2));
+    assert_speedup("gf256_gfni", "4-source row", 1024, (gfni.name(), avx2.name()), rates, 2.0);
+    let rates = throughputs(1024, 400_000, 7, addmul(gfni), addmul(avx2));
+    assert_speedup("gf256_gfni", "addmul", 1024, (gfni.name(), avx2.name()), rates, 1.2);
 }
 
 /// A seal routine on `kernel`: a fresh nonce per call, under a 32-byte
@@ -207,7 +246,7 @@ fn bench_aead_avx512(_c: &mut Criterion) {
     // Both sides run the same code, so the floor is the host's noise:
     // twice the repetitions, and 0.85×.
     let active = Keystream::new(Cpu::active());
-    if active != avx512 {
+    if active.name() != avx512.name() {
         println!("aead_avx512: dispatch pinned to {} — short-payload check skipped", active.name());
         return;
     }
@@ -233,19 +272,43 @@ fn bench_crc_kernels(_c: &mut Criterion) {
     assert_speedup("crc_kernel", "crc32", 1024, (folded.name(), tables.name()), rates, 4.0);
 }
 
+/// A Poly1305 routine on `kernel`'s MAC under a fixed one-time key.
+fn mac(kernel: Keystream) -> impl FnMut(&[u8]) {
+    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
+    move |input: &[u8]| {
+        std::hint::black_box(kernel.poly1305(std::hint::black_box(&key), input));
+    }
+}
+
 fn bench_mac_kernels(_c: &mut Criterion) {
     let Some(avx2) = Cpu::detected().avx2().map(Keystream::Avx2) else {
         println!("mac_kernel: no AVX2 on this CPU, only the scalar MAC exists — skipped");
         return;
     };
-    let key: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
-    let run = |kernel: Keystream| {
-        move |input: &[u8]| {
-            std::hint::black_box(kernel.poly1305(std::hint::black_box(&key), input));
-        }
-    };
-    let rates = throughputs(1024, 200_000, 7, run(avx2), run(Keystream::Scalar));
+    let rates = throughputs(1024, 200_000, 7, mac(avx2), mac(Keystream::Scalar));
     assert_speedup("mac_kernel", "poly1305", 1024, (avx2.mac_name(), "scalar"), rates, 1.5);
+}
+
+fn bench_mac_ifma(_c: &mut Criterion) {
+    let Some(ifma) = Cpu::detected().ifma() else {
+        println!("mac_ifma: no AVX-512 IFMA on this CPU, only the 4-way MAC exists — skipped");
+        return;
+    };
+    let avx2 = Keystream::Avx2(ifma.avx512().avx2());
+    let ifma = Keystream::Ifma(ifma);
+    let rates = throughputs(1024, 200_000, 15, mac(ifma), mac(avx2));
+    assert_speedup("mac_ifma", "poly1305", 1024, (ifma.mac_name(), avx2.mac_name()), rates, 1.25);
+    // Around the MAC thresholds the dispatched seal must be no slower than
+    // the AVX2 one, within the host's noise (see `aead_avx512`).
+    let active = Keystream::new(Cpu::active());
+    if active != ifma {
+        println!("mac_ifma: dispatch pinned to {} — short-payload check skipped", active.mac_name());
+        return;
+    }
+    for len in [256, 384] {
+        let rates = throughputs(len, 100_000, 15, sealer(active), sealer(avx2));
+        assert_speedup("mac_ifma", "seal", len, (active.mac_name(), avx2.mac_name()), rates, 0.85);
+    }
 }
 
 criterion_group!(
@@ -256,6 +319,8 @@ criterion_group!(
     bench_aead_kernels,
     bench_aead_avx512,
     bench_crc_kernels,
-    bench_mac_kernels
+    bench_mac_kernels,
+    bench_mac_ifma,
+    bench_gf256_gfni
 );
 criterion_main!(benches);

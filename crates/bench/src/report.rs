@@ -306,7 +306,7 @@ mod tests {
             .map(|(_, rest)| rest.split(' ').next().unwrap_or(""))
             .unwrap_or("");
         assert!(
-            matches!(kernel, "avx2" | "ssse3" | "scalar"),
+            matches!(kernel, "gfni" | "avx2" | "ssse3" | "scalar"),
             "unexpected kernel flag in {:?}",
             meta.flags
         );

@@ -88,10 +88,10 @@ impl FecCodec {
     /// `parities` is resized to `n − k` shards of the common source length;
     /// existing buffer allocations are reused, so a steady-state encoder
     /// (one block after another of the same shard length) allocates nothing.
-    /// Each parity row is produced with the bulk slice routines: the first
-    /// source is *written* through [`gf256::mul_slice_into`] and the rest
-    /// are accumulated with [`gf256::addmul_slice`], so the cost per byte is
-    /// one table lookup and one XOR.
+    /// Each parity row is one [`gf256::dot_into`]: on GFNI one pass that
+    /// writes each parity byte once, elsewhere the first source *written*
+    /// through [`gf256::mul_slice_into`] and the rest accumulated with
+    /// [`gf256::addmul_slice`].
     ///
     /// # Errors
     ///
@@ -158,10 +158,8 @@ impl FecCodec {
     /// written over `parity`.
     fn write_parity<S: AsRef<[u8]>>(&self, sources: &[S], index: usize, parity: &mut [u8]) {
         let row = self.k + index;
-        gf256::mul_slice_into(parity, sources[0].as_ref(), self.generator.get(row, 0));
-        for (col, source) in sources.iter().enumerate().skip(1) {
-            gf256::addmul_slice(parity, source.as_ref(), self.generator.get(row, col));
-        }
+        let terms = sources.iter().enumerate();
+        gf256::dot_into(parity, terms.map(|(col, source)| (source.as_ref(), self.generator.get(row, col))));
     }
 
     /// Reconstructs all `k` source shards from any `k` of the `n` encoded
@@ -287,18 +285,11 @@ impl FecCodec {
                 out.copy_from_slice(shards.clone().nth(at).expect("k shards chosen"));
                 continue;
             }
-            // Otherwise: the first shard is written (not accumulated), the
-            // rest are XORed in — whole-row bulk operations, and
-            // `mul_slice_into` overwrites every byte so stale buffer
-            // contents never leak through.
-            let mut terms = shards.clone().zip(scratch.inverse.row(row));
-            let (first, &coeff) = terms.next().expect("k ≥ 1 shards chosen");
-            gf256::mul_slice_into(out, first, coeff);
-            for (data, &coeff) in terms {
-                if coeff != 0 {
-                    gf256::addmul_slice(out, data, coeff);
-                }
-            }
+            // Otherwise one row of the inverse times the shards, which
+            // overwrites every byte, so stale buffer contents never leak
+            // through.
+            let terms = shards.clone().zip(scratch.inverse.row(row));
+            gf256::dot_into(out, terms.map(|(data, &coeff)| (data, coeff)));
         }
         Ok(())
     }

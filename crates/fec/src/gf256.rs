@@ -9,11 +9,23 @@
 //!
 //! # Bulk kernels
 //!
-//! The slice routines ([`addmul_slice`], [`mul_slice_into`], [`xor_slice`])
-//! are the encoder's and decoder's inner loops, and they run on the
+//! The slice routines ([`dot_into`], [`addmul_slice`], [`mul_slice_into`],
+//! [`xor_slice`]) are the encoder's and decoder's inner loops, and they run
+//! on the
 //! [`Kernel`] that `rapidware_packet::cpu::Cpu::active()` allows (see
 //! [`active_kernel`]):
 //!
+//! * **GFNI** (x86-64 with AVX-512BW, `gf256_simd.rs`) — one
+//!   `vgf2p8affineqb` multiplies 64 bytes by a coefficient: the map
+//!   `b ↦ c · b` is linear over GF(2), so it is an 8 × 8 bit matrix
+//!   (`affine_matrix`), and the instruction applies one matrix to every
+//!   byte.  (`vgf2p8mulb` would be one instruction too, but it hard-wires
+//!   AES's polynomial 0x11B, not this field's 0x11D.)  A ragged tail is
+//!   one masked load and store, so no slice ever reaches the scalar loop.
+//!   A whole row of the code — `Σ cⱼ · srcⱼ`, one parity or one rebuilt
+//!   source ([`dot_into`]) — is one pass: each 64 bytes of the output is
+//!   accumulated in a register over up to four sources and stored once,
+//!   where the other kernels store it once per source.
 //! * **AVX2** / **SSSE3** (x86-64, `gf256_simd.rs`) — splat-table
 //!   nibble-split kernels (`vpshufb`/`pshufb`): each coefficient's
 //!   multiplication map is two 16-entry tables (low and high nibble), so 32
@@ -23,7 +35,7 @@
 //!   reference: [`Kernel::Scalar`] is what the SIMD kernels are
 //!   property-tested against on any machine.
 
-use rapidware_packet::cpu::{Avx2, Cpu, Ssse3};
+use rapidware_packet::cpu::{Avx2, Cpu, Gfni, Ssse3};
 
 use crate::gf256_simd;
 
@@ -129,9 +141,51 @@ const fn build_nibble_tables() -> [NibblePair; 256] {
     tables
 }
 
+/// Per-coefficient GF(2) bit matrices (2 KiB), built at compile time: the
+/// `vgf2p8affineqb` operand of multiplication by `c`.
+static AFFINE_MATRICES: [u64; 256] = build_affine_matrices();
+
+/// Multiplication by `c` as the 8 × 8 bit matrix `vgf2p8affineqb` takes:
+/// bit `i` of a product is the parity of the input bits selected by byte
+/// `7 − i` of the matrix, and input bit `j` contributes bit `i` of
+/// `c · 2ʲ`.
+const fn build_affine_matrices() -> [u64; 256] {
+    let tables = build_tables();
+    let mut matrices = [0u64; 256];
+    let mut c = 1usize;
+    while c < 256 {
+        let log_c = tables.log[c] as usize;
+        let mut matrix = 0u64;
+        let mut j = 0;
+        while j < 8 {
+            // c · 2ʲ, the image of input bit j.
+            let column = tables.exp[log_c + j];
+            let mut i = 0;
+            while i < 8 {
+                if column >> i & 1 == 1 {
+                    matrix |= 1 << (8 * (7 - i) + j);
+                }
+                i += 1;
+            }
+            j += 1;
+        }
+        matrices[c] = matrix;
+        c += 1;
+    }
+    matrices
+}
+
+/// The bit matrix of multiplication by `c`, in `vgf2p8affineqb`'s layout.
+#[inline]
+pub(crate) fn affine_matrix(c: u8) -> u64 {
+    AFFINE_MATRICES[c as usize]
+}
+
 /// Which bulk-slice kernel a call runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
+    /// 64-byte `vgf2p8affineqb` kernel (x86-64 with GFNI and AVX-512BW).
+    Gfni(Gfni),
     /// 32-byte `vpshufb` nibble-split kernel (x86-64 with AVX2).
     Avx2(Avx2),
     /// 16-byte `pshufb` nibble-split kernel (x86-64 with SSSE3).
@@ -144,35 +198,41 @@ impl Kernel {
     /// The widest kernel `cpu` allows.
     #[inline]
     pub fn new(cpu: Cpu) -> Self {
-        match (cpu.avx2(), cpu.ssse3()) {
-            (Some(avx2), _) => Kernel::Avx2(avx2),
-            (None, Some(ssse3)) => Kernel::Ssse3(ssse3),
-            (None, None) => Kernel::Scalar,
+        match (cpu.gfni(), cpu.avx2(), cpu.ssse3()) {
+            (Some(gfni), _, _) => Kernel::Gfni(gfni),
+            (None, Some(avx2), _) => Kernel::Avx2(avx2),
+            (None, None, Some(ssse3)) => Kernel::Ssse3(ssse3),
+            (None, None, None) => Kernel::Scalar,
         }
     }
 
     /// A short stable name, suitable for bench-report metadata.
     pub fn name(self) -> &'static str {
         match self {
+            Kernel::Gfni(_) => "gfni",
             Kernel::Avx2(_) => "avx2",
             Kernel::Ssse3(_) => "ssse3",
             Kernel::Scalar => "scalar",
         }
     }
 
-    /// [`xor_slice`] on this kernel: AVX2 takes slices of 32 bytes and
-    /// more, 32 bytes per step; everything else runs eight bytes at a time
-    /// through `u64` words, which the compiler further vectorises.
+    /// [`xor_slice`] on this kernel: AVX2 (and GFNI, which implies it)
+    /// takes slices of 32 bytes and more, 32 bytes per step; everything
+    /// else runs eight bytes at a time through `u64` words, which the
+    /// compiler further vectorises.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn xor(self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-        if let Kernel::Avx2(avx2) = self {
-            if dst.len() >= 32 {
-                return gf256_simd::xor_avx2(avx2, dst, src);
-            }
+        let avx2 = match self {
+            Kernel::Gfni(gfni) => Some(gfni.avx512().avx2()),
+            Kernel::Avx2(avx2) => Some(avx2),
+            Kernel::Ssse3(_) | Kernel::Scalar => None,
+        };
+        if let Some(avx2) = avx2.filter(|_| dst.len() >= 32) {
+            return gf256_simd::xor_avx2(avx2, dst, src);
         }
         let mut dst_words = dst.chunks_exact_mut(8);
         let mut src_words = src.chunks_exact(8);
@@ -190,8 +250,9 @@ impl Kernel {
         }
     }
 
-    /// [`addmul_slice`] on this kernel: the SIMD ones take slices of one
-    /// vector (32 or 16 bytes) and more, the scalar loop everything else.
+    /// [`addmul_slice`] on this kernel: GFNI takes every slice, AVX2 and
+    /// SSSE3 slices of one vector (32 or 16 bytes) and more, the scalar
+    /// loop everything else.
     ///
     /// # Panics
     ///
@@ -220,11 +281,53 @@ impl Kernel {
         }
     }
 
+    /// [`dot_into`] on this kernel: GFNI in one pass per four sources, the
+    /// others [`mul_into`](Self::mul_into) for the first term
+    /// and [`addmul`](Self::addmul) for each other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is not as long as `dst`.
+    pub fn dot_into<'a>(self, dst: &mut [u8], terms: impl IntoIterator<Item = (&'a [u8], u8)>) {
+        let mut terms = terms.into_iter().fuse();
+        let Kernel::Gfni(gfni) = self else {
+            match terms.next() {
+                Some((src, c)) => self.mul_into(dst, src, c),
+                None => dst.fill(0),
+            }
+            for (src, c) in terms {
+                self.addmul(dst, src, c);
+            }
+            return;
+        };
+        let mut add = false;
+        loop {
+            let group: [Option<(&[u8], u8)>; DOT_TERMS] = core::array::from_fn(|_| terms.next());
+            let Some((first, _)) = group[0] else {
+                if !add {
+                    dst.fill(0);
+                }
+                return;
+            };
+            // A short group is filled with the zero matrix, whose product
+            // is zero whatever it multiplies.
+            let sources = group.map(|term| term.map_or(first, |(src, _)| src));
+            let matrices = group.map(|term| term.map_or(0, |(_, c)| affine_matrix(c)));
+            if add {
+                gf256_simd::dot_gfni::<true>(gfni, dst, sources, matrices);
+            } else {
+                gf256_simd::dot_gfni::<false>(gfni, dst, sources, matrices);
+            }
+            add = true;
+        }
+    }
+
     /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`.
     fn mul<const ADD: bool>(self, dst: &mut [u8], src: &[u8], c: u8) {
         let nibbles = &NIBBLE_TABLES[c as usize];
         let row = mul_row(c);
         match self {
+            Kernel::Gfni(gfni) => gf256_simd::mul_gfni::<ADD>(gfni, dst, src, affine_matrix(c)),
             Kernel::Avx2(avx2) if dst.len() >= 32 => gf256_simd::mul_avx2::<ADD>(avx2, dst, src, nibbles, row),
             Kernel::Ssse3(ssse3) if dst.len() >= 16 => gf256_simd::mul_ssse3::<ADD>(ssse3, dst, src, nibbles, row),
             _ => {
@@ -242,6 +345,20 @@ impl Kernel {
 #[inline]
 pub fn active_kernel() -> Kernel {
     Kernel::new(Cpu::active())
+}
+
+/// Sources one pass of the GFNI [`dot_into`] reads.
+pub(crate) const DOT_TERMS: usize = 4;
+
+/// Computes `dst = Σ cⱼ · srcⱼ` over the `(srcⱼ, cⱼ)` of `terms` on the
+/// [`active_kernel`] — one row of the code: a parity from the sources, or a
+/// lost source from the shards that arrived.  No terms give zeros.
+///
+/// # Panics
+///
+/// Panics if a source is not as long as `dst`.
+pub fn dot_into<'a>(dst: &mut [u8], terms: impl IntoIterator<Item = (&'a [u8], u8)>) {
+    active_kernel().dot_into(dst, terms);
 }
 
 /// Adds two field elements (XOR).
@@ -504,6 +621,22 @@ mod tests {
     }
 
     #[test]
+    fn affine_matrices_recompose_the_full_product() {
+        // `vgf2p8affineqb` evaluated in software: output bit i is the
+        // parity of `matrix.byte[7 - i] & b`.
+        for c in 0..=255u8 {
+            let matrix = affine_matrix(c);
+            for b in 0..=255u8 {
+                let product = (0..8).fold(0u8, |product, i| {
+                    let row = (matrix >> (8 * (7 - i))) as u8;
+                    product | (((row & b).count_ones() & 1) as u8) << i
+                });
+                assert_eq!(product, mul(c, b), "c={c} b={b}");
+            }
+        }
+    }
+
+    #[test]
     fn dispatched_kernels_match_scalar_across_lengths_and_coefficients() {
         // Exercises every kernel this machine has (the proptest suite
         // covers the same ground with random data and offsets).
@@ -535,9 +668,31 @@ mod tests {
     }
 
     #[test]
+    fn dot_into_matches_scalar_on_every_kernel() {
+        // Up to nine terms: no group, a short group, whole groups, and a
+        // whole group followed by a short one.
+        let len = 200;
+        let sources: Vec<Vec<u8>> = (0..9).map(|j| (0..len).map(|i| (i * 7 + j * 31 + 3) as u8).collect()).collect();
+        for kernel in Cpu::tiers().map(Kernel::new) {
+            for count in 0..=sources.len() {
+                let terms = || sources[..count].iter().enumerate().map(|(j, src)| (src.as_slice(), (j * 53 + 1) as u8));
+                let mut expected = vec![0u8; len];
+                for (src, c) in terms() {
+                    Kernel::Scalar.addmul(&mut expected, src, c);
+                }
+                for sub in [0, 1, 63, 64, 65, len] {
+                    let mut out = vec![0xA5u8; sub];
+                    kernel.dot_into(&mut out, terms().map(|(src, c)| (&src[..sub], c)));
+                    assert_eq!(out, expected[..sub], "{} kernel, {count} terms, len {sub}", kernel.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn kernel_name_is_stable() {
         let kernel = active_kernel();
-        assert!(matches!(kernel.name(), "avx2" | "ssse3" | "scalar"));
+        assert!(matches!(kernel.name(), "gfni" | "avx2" | "ssse3" | "scalar"));
         // Detection is cached: repeated calls agree.
         assert_eq!(active_kernel(), kernel);
     }

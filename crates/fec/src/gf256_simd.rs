@@ -1,6 +1,14 @@
 //! x86-64 SIMD kernels for the GF(2⁸) bulk slice routines.
 //!
-//! Every kernel is the PSHUFB nibble-split form of the scalar table loop in
+//! The GFNI kernel multiplies 64 bytes per `vgf2p8affineqb`: multiplication
+//! by a coefficient `c` is linear over GF(2), so it is one 8 × 8 bit matrix
+//! ([`affine_matrix`](crate::gf256::affine_matrix), built at compile time),
+//! and the instruction applies it to every byte of a `zmm` register.  A
+//! ragged tail is one AVX-512BW masked load and store.  [`dot_gfni`] sums
+//! up to four such products per 64 bytes in a register and stores the sum
+//! once: one row of the code in one pass.
+//!
+//! The other kernels are the PSHUFB nibble-split form of the scalar table loop in
 //! [`crate::gf256`]: a product `c · b` is split as
 //! `c · (b_lo ⊕ (b_hi << 4)) = (c · b_lo) ⊕ (c · (b_hi << 4))`, and each
 //! half is a 16-entry table lookup — exactly the shape `pshufb` /
@@ -18,12 +26,16 @@
 //!   instruction-set extension the build target may not guarantee, so
 //!   callers must prove the CPU supports it.  The kernels are reachable
 //!   only through the safe functions below, each of which demands the
-//!   matching `rapidware_packet::cpu` token ([`Avx2`], [`Ssse3`]) — proof of
-//!   detection that only `cpu.rs` can mint.
+//!   matching `rapidware_packet::cpu` token ([`Gfni`], [`Avx2`], [`Ssse3`])
+//!   — proof of detection that only `cpu.rs` can mint.
 //! * **unaligned vector loads/stores** — `_mm*_loadu_*`/`_mm*_storeu_*`
 //!   through raw pointers derived from the argument slices.  Every pointer
 //!   offset is bounded by the `while i + LANES <= len` loop condition, and
-//!   each safe function asserts `dst.len() == src.len()` before calling.
+//!   each safe function asserts that every source is as long as `dst`
+//!   before calling.
+//!   The GFNI kernel's tail goes through `_mm512_maskz_loadu_epi8` /
+//!   `_mm512_mask_storeu_epi8`, whose mask enables only the bytes below
+//!   the slices' common length (masked-off bytes are never accessed).
 //!
 //! The scalar arm of `gf256::Kernel` remains the always-compiled,
 //! always-correct baseline: these kernels are a pure drop-in with
@@ -31,9 +43,44 @@
 //! over lengths, alignments, and all 256 coefficients).
 #![allow(unsafe_code)]
 
-use rapidware_packet::cpu::{Avx2, Ssse3};
+use rapidware_packet::cpu::{Avx2, Gfni, Ssse3};
 
-use crate::gf256::NibblePair;
+use crate::gf256::{NibblePair, DOT_TERMS};
+
+/// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 64 bytes
+/// per step; `matrix` is `c`'s bit matrix.
+pub(crate) fn mul_gfni<const ADD: bool>(_gfni: Gfni, dst: &mut [u8], src: &[u8], matrix: u64) {
+    assert_eq!(dst.len(), src.len(), "gf256 slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Gfni` token proves GFNI, AVX-512F and AVX-512BW were
+    // detected, and the slices were just asserted to be the same length.
+    unsafe {
+        x86::mul_gfni::<ADD>(dst, src, matrix)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = matrix;
+        unreachable!("no Gfni token exists off x86-64");
+    }
+}
+
+/// `dst[i] ^= Σⱼ cⱼ * sources[j][i]` when `ADD`, else
+/// `dst[i] = Σⱼ cⱼ * sources[j][i]`, 64 bytes per step; `matrices[j]` is
+/// `cⱼ`'s bit matrix.
+pub(crate) fn dot_gfni<const ADD: bool>(_gfni: Gfni, dst: &mut [u8], sources: [&[u8]; DOT_TERMS], matrices: [u64; DOT_TERMS]) {
+    assert!(sources.iter().all(|src| src.len() == dst.len()), "gf256 slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Gfni` token proves GFNI, AVX-512F and AVX-512BW were
+    // detected, and every source was just asserted to be as long as `dst`.
+    unsafe {
+        x86::dot_gfni::<ADD>(dst, sources, matrices)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = matrices;
+        unreachable!("no Gfni token exists off x86-64");
+    }
+}
 
 /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 32 bytes
 /// per step; `nibbles` and `row` are `c`'s tables, the row finishing the
@@ -85,13 +132,88 @@ pub(crate) fn mul_ssse3<const ADD: bool>(_ssse3: Ssse3, dst: &mut [u8], src: &[u
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
+        __m128i, __m256i, __m512i, _mm512_gf2p8affine_epi64_epi8, _mm512_loadu_si512,
+        _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi8, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_storeu_si512,
+        _mm512_xor_si512, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
         _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
         _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
         _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
     };
 
-    use crate::gf256::NibblePair;
+    use crate::gf256::{NibblePair, DOT_TERMS};
+
+    /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 64
+    /// bytes per step and the rest in one masked step.
+    ///
+    /// # Safety
+    ///
+    /// Requires GFNI, AVX-512F, AVX-512BW and `dst.len() == src.len()`.
+    #[target_feature(enable = "gfni,avx512f,avx512bw")]
+    pub(super) unsafe fn mul_gfni<const ADD: bool>(dst: &mut [u8], src: &[u8], matrix: u64) {
+        let matrix = _mm512_set1_epi64(matrix as i64);
+        let len = dst.len();
+        let mut i = 0usize;
+        while i + 64 <= len {
+            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast::<__m512i>());
+            let mut prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix);
+            if ADD {
+                prod = _mm512_xor_si512(prod, _mm512_loadu_si512(dst.as_ptr().add(i).cast::<__m512i>()));
+            }
+            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast::<__m512i>(), prod);
+            i += 64;
+        }
+        if i < len {
+            // Fewer than 64 bytes are left: the mask enables exactly those.
+            let mask = (1u64 << (len - i)) - 1;
+            let s = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(i).cast::<i8>());
+            let mut prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix);
+            if ADD {
+                prod = _mm512_xor_si512(prod, _mm512_maskz_loadu_epi8(mask, dst.as_ptr().add(i).cast::<i8>()));
+            }
+            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast::<i8>(), mask, prod);
+        }
+    }
+
+    /// `dst[i] (^)= Σⱼ cⱼ * sources[j][i]`, 64 bytes per step and the rest
+    /// in one masked step: every source read and `dst` written once.
+    ///
+    /// # Safety
+    ///
+    /// Requires GFNI, AVX-512F, AVX-512BW, and every source as long as
+    /// `dst`.
+    #[target_feature(enable = "gfni,avx512f,avx512bw")]
+    pub(super) unsafe fn dot_gfni<const ADD: bool>(dst: &mut [u8], sources: [&[u8]; DOT_TERMS], matrices: [u64; DOT_TERMS]) {
+        let matrices = matrices.map(|matrix| _mm512_set1_epi64(matrix as i64));
+        let len = dst.len();
+        let mut i = 0usize;
+        while i + 64 <= len {
+            let mut sum = if ADD {
+                _mm512_loadu_si512(dst.as_ptr().add(i).cast::<__m512i>())
+            } else {
+                _mm512_setzero_si512()
+            };
+            for (src, matrix) in sources.iter().zip(matrices) {
+                let s = _mm512_loadu_si512(src.as_ptr().add(i).cast::<__m512i>());
+                sum = _mm512_xor_si512(sum, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix));
+            }
+            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast::<__m512i>(), sum);
+            i += 64;
+        }
+        if i < len {
+            // Fewer than 64 bytes are left: the mask enables exactly those.
+            let mask = (1u64 << (len - i)) - 1;
+            let mut sum = if ADD {
+                _mm512_maskz_loadu_epi8(mask, dst.as_ptr().add(i).cast::<i8>())
+            } else {
+                _mm512_setzero_si512()
+            };
+            for (src, matrix) in sources.iter().zip(matrices) {
+                let s = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(i).cast::<i8>());
+                sum = _mm512_xor_si512(sum, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix));
+            }
+            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast::<i8>(), mask, sum);
+        }
+    }
 
     /// `dst[i] ^= c * src[i]` when `ADD`, else `dst[i] = c * src[i]`, 32
     /// bytes per step.

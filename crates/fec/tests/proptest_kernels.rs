@@ -4,7 +4,7 @@
 //! The dispatched functions (`addmul_slice`, `mul_slice_into`, `xor_slice`)
 //! run the kernel `Cpu::active()` allows, and every kernel this host has is
 //! also run by name, built from each of `Cpu::tiers()` — SSSE3 as well as
-//! AVX2 on an AVX2 host.  These tests pin them all to the scalar path byte
+//! AVX2 on an AVX2 host, and AVX2 as well as GFNI on a GFNI host.  These tests pin them all to the scalar path byte
 //! for byte over arbitrary lengths, unaligned subslices, tail remainders
 //! shorter than one SIMD lane, and **all 256 coefficients**.  CI runs this
 //! suite twice — once as-is and once under `RAPIDWARE_FORCE_SCALAR=1` — so
@@ -44,14 +44,16 @@ fn cpuinfo_lists(flag: &str) -> bool {
 }
 
 /// Names every kernel this run held to the reference, on one line CI looks
-/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists SSSE3
-/// or AVX2 must have had that kernel checked.
+/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists SSSE3,
+/// AVX2 or GFNI must have had that kernel checked.
 #[test]
 fn the_kernels_checked_are_the_ones_the_cpu_has() {
     let names: Vec<&str> = every_kernel().into_iter().map(Kernel::name).collect();
     println!("gf256 kernels checked: {}", names.join(" "));
-    for flag in ["ssse3", "avx2"] {
-        if cpuinfo_lists(flag) {
+    let avx512 = cpuinfo_lists("avx512f") && cpuinfo_lists("avx512bw");
+    for flag in ["ssse3", "avx2", "gfni"] {
+        // The GFNI kernel is built for AVX-512BW registers.
+        if cpuinfo_lists(flag) && (flag != "gfni" || avx512) {
             assert!(names.contains(&flag), "the CPU lists {flag}, checked only {names:?}");
         }
     }
@@ -128,6 +130,34 @@ proptest! {
             let mut simd = backing.clone();
             kernel.xor(&mut simd[offset..], &source[offset..]);
             prop_assert_eq!(&simd, &scalar, "{} kernel", kernel.name());
+        }
+    }
+
+    /// `dot_into` (dispatched) and every kernel by name == the scalar
+    /// kernel's `mul_into` then `addmul`s, over any number of terms (so
+    /// whole and short groups of the GFNI one-pass kernel), arbitrary
+    /// coefficients and unaligned subslices, into a dirty target.
+    #[test]
+    fn dot_into_dispatch_matches_scalar(
+        terms in 0usize..10,
+        len in 0usize..300,
+        offset in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        let sources: Vec<Vec<u8>> = (0..terms).map(|j| fill(seed ^ (j as u64 + 1) << 40, offset + len)).collect();
+        let coefficients = fill(seed ^ 0xC0EF, terms);
+        let terms = || sources.iter().zip(&coefficients).map(|(src, &c)| (&src[offset..], c));
+        let mut scalar = vec![0u8; len];
+        for (src, c) in terms() {
+            Kernel::Scalar.addmul(&mut scalar, src, c);
+        }
+        let mut dispatched = vec![0x5A; offset + len];
+        gf256::dot_into(&mut dispatched[offset..], terms());
+        prop_assert_eq!(&dispatched[offset..], &scalar[..]);
+        for kernel in every_kernel() {
+            let mut simd = vec![0x5A; offset + len];
+            kernel.dot_into(&mut simd[offset..], terms());
+            prop_assert_eq!(&simd[offset..], &scalar[..], "{} kernel", kernel.name());
         }
     }
 

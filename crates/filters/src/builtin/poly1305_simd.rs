@@ -1,4 +1,5 @@
-//! x86-64 AVX2 kernel for Poly1305: four 16-byte blocks per step.
+//! x86-64 kernels for Poly1305: four 16-byte blocks per step on AVX2,
+//! eight on AVX-512 IFMA.
 //!
 //! Poly1305 evaluates `h = (h + mᵢ) · r` block after block, a serial chain
 //! of 130-bit multiplications.  Horner's rule splits four ways: with four
@@ -22,29 +23,55 @@
 //! stays the reference this kernel is held to
 //! (`tests/proptest_aead_kernels.rs`).
 //!
+//! ## The IFMA kernel
+//!
+//! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of two 64-bit
+//! lanes and add the low or the high 52 bits of the 104-bit product to a
+//! third, so a product of two `secure.rs` limbs (44 bits and a little) is
+//! two instructions and needs no re-cut: the kernel works in the scalar
+//! code's own 44/44/42-bit limbs, and the powers of `r` it steps by come
+//! straight from the scalar multiply.  Eight lanes of a `zmm` register
+//! take every eighth block, two steps at a time as above,
+//! `H ← H·r¹⁶ + M·r⁸ + M′`, and close with lane `j` multiplied by `r⁸⁻ʲ`.
+//! A column is kept as two sums — of the low halves and of the high
+//! halves, which weigh `2⁵²` — so a multiply is eighteen multiply-adds for
+//! eight blocks against the 4-way kernel's twenty-five `vpmuludq` for four.
+//!
 //! # Safety
 //!
 //! `unsafe` is used here for exactly two things:
 //!
-//! * **`#[target_feature]` calls** — the kernel is compiled for AVX2, which
-//!   the build target does not guarantee.  It is reachable only through
-//!   [`absorb`], which demands an [`Avx2`] token: proof of detection that
-//!   only `rapidware_packet::cpu` can mint.
+//! * **`#[target_feature]` calls** — the kernels are compiled for AVX2 and
+//!   AVX-512F/IFMA, which the build target does not guarantee.  They are
+//!   reachable only through [`absorb`], which demands an [`Avx2`] token,
+//!   and [`absorb_ifma`], which demands an [`Ifma`] token: proof of
+//!   detection that only `rapidware_packet::cpu` can mint.
 //! * **unaligned vector loads/stores** — `_mm256_loadu_si256` through
 //!   pointers taken from the two 32-byte halves of a `&[u8; 64]` (the input
 //!   is cut with `as_chunks::<64>`), and one `_mm256_storeu_si256` into a
-//!   local `[u64; 4]`.
+//!   local `[u64; 4]`; `_mm512_loadu_si512` through pointers taken from the
+//!   two 64-byte halves of a `&[u8; 128]` (cut with `as_chunks::<128>`).
 #![allow(unsafe_code)]
 
-use rapidware_packet::cpu::Avx2;
+use rapidware_packet::cpu::{Avx2, Ifma};
 
 /// Bytes the kernel absorbs per step: four blocks, one per lane.
 pub(crate) const GROUP_LEN: usize = 64;
+
+/// Bytes the IFMA kernel absorbs per step: eight blocks, one per lane.
+pub(crate) const IFMA_GROUP_LEN: usize = 128;
+
+/// `r¹ … r⁸` and `r¹⁶` (in that order) in `secure.rs`'s 44/44/42-bit limbs,
+/// as its multiply leaves them: the IFMA kernel's own limbs.
+pub(crate) type IfmaPowers = [[u64; 3]; 9];
 
 /// Low 26 bits of a limb.
 const M26: u64 = 0x03ff_ffff;
 /// Low 44 bits of a `secure.rs` limb.
 const M44: u64 = 0x0fff_ffff_ffff;
+/// Low 42 bits of a `secure.rs` top limb.
+#[cfg(target_arch = "x86_64")]
+const M42: u64 = 0x03ff_ffff_ffff;
 
 /// `r¹, r², r³, r⁴, r⁸` (in that order) as 26-bit limbs.
 #[derive(Clone, Copy)]
@@ -116,6 +143,30 @@ pub(crate) fn absorb(_avx2: Avx2, powers: &Powers, h: [u64; 3], groups: &[u8]) -
     limbs44(sums)
 }
 
+/// Absorbs `groups` — one or more whole [`IFMA_GROUP_LEN`]-byte runs of
+/// full blocks — into the accumulator `h` under the key whose powers are
+/// `powers`, and returns the three column sums of the result, not yet
+/// carried; limbs in are `secure.rs`'s.
+#[inline]
+pub(crate) fn absorb_ifma(_ifma: Ifma, powers: &IfmaPowers, h: [u64; 3], groups: &[u8]) -> [u128; 3] {
+    assert!(
+        !groups.is_empty() && groups.len().is_multiple_of(IFMA_GROUP_LEN),
+        "the 8-way kernel takes whole 128-byte groups, one or more"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the `Ifma` token proves AVX-512F and AVX-512 IFMA were
+    // detected (see the module doc), which is all the kernel requires of
+    // its caller.
+    unsafe {
+        x86::absorb_ifma(powers, h, groups)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (powers, h);
+        unreachable!("no Ifma token exists off x86-64")
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
@@ -125,7 +176,14 @@ mod x86 {
         _mm256_unpacklo_epi64,
     };
 
-    use super::M26;
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
+        _mm512_madd52lo_epu64, _mm512_or_si512, _mm512_permutex2var_epi64, _mm512_reduce_add_epi64,
+        _mm512_set1_epi64, _mm512_setr_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
+        _mm512_srli_epi64,
+    };
+
+    use super::{M26, M42, M44};
 
     /// Five limb vectors: limb `i` of all four lanes in vector `i`.
     type Limbs = [__m256i; 5];
@@ -301,6 +359,181 @@ mod x86 {
         pass(0, 1, false);
         pass(3, 4, false);
         d
+    }
+
+    /// Eight lanes of one 130-bit value each, limb `i` in vector `i`.
+    type Limbs8 = [__m512i; 3];
+
+    /// Three lane-wise column sums, each as the sum of the low and the sum
+    /// of the high 52-bit halves of its products (the latter weighing
+    /// `2⁵²`).
+    #[derive(Clone, Copy)]
+    struct Columns {
+        lo: [__m512i; 3],
+        hi: [__m512i; 3],
+    }
+
+    /// A per-lane multiplier: limbs `r₀, r₁, r₂` and `20·r₁, 20·r₂` (the
+    /// products that wrap past 2¹³⁰, where `2¹³² ≡ 20`).
+    struct Multiplier8 {
+        r: [__m512i; 3],
+        s: [__m512i; 2],
+    }
+
+    /// `powers[j]` is lane `j`'s multiplier.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn multiplier8(powers: [[u64; 3]; 8]) -> Multiplier8 {
+        let lanes = |limb: usize, scale: u64| {
+            let l = |j: usize| (powers[j][limb] * scale) as i64;
+            _mm512_setr_epi64(l(0), l(1), l(2), l(3), l(4), l(5), l(6), l(7))
+        };
+        Multiplier8 {
+            r: [lanes(0, 1), lanes(1, 1), lanes(2, 1)],
+            s: [lanes(1, 20), lanes(2, 20)],
+        }
+    }
+
+    /// Eight blocks as limb vectors, each with its 2¹²⁸ bit set.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_blocks8(group: &[u8; 128]) -> Limbs8 {
+        let (front, back) = group.split_at(64);
+        // Each half is 64 bytes (the array is 128) and `loadu` has no
+        // alignment requirement.
+        let front = _mm512_loadu_si512(front.as_ptr().cast::<__m512i>());
+        let back = _mm512_loadu_si512(back.as_ptr().cast::<__m512i>());
+        // [b0.lo b0.hi … b3.hi], [b4.lo … b7.hi] → low words, high words.
+        let lo = _mm512_permutex2var_epi64(front, _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14), back);
+        let hi = _mm512_permutex2var_epi64(front, _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15), back);
+        let mask = _mm512_set1_epi64(M44 as i64);
+        [
+            _mm512_and_si512(lo, mask),
+            _mm512_and_si512(_mm512_or_si512(_mm512_srli_epi64::<44>(lo), _mm512_slli_epi64::<20>(hi)), mask),
+            _mm512_or_si512(_mm512_srli_epi64::<24>(hi), _mm512_set1_epi64(1 << 40)),
+        ]
+    }
+
+    /// `into + a · m` mod 2¹³⁰ − 5, lane-wise, as column sums.  Limbs of
+    /// `a` and `m` must be below 2⁵² (they are below 2⁴⁶); with sums of up
+    /// to six products per column the low sums stay below 2⁵⁵ and the high
+    /// ones below 2⁴⁶.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512 IFMA.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    unsafe fn multiply8(a: Limbs8, m: &Multiplier8, into: Columns) -> Columns {
+        let Multiplier8 { r, s } = m;
+        // The top limb of `a` is carried first, so it leads each chain.
+        let lo = |acc, terms: [(__m512i, __m512i); 3]| {
+            terms.iter().fold(acc, |acc, &(x, y)| _mm512_madd52lo_epu64(acc, x, y))
+        };
+        let hi = |acc, terms: [(__m512i, __m512i); 3]| {
+            terms.iter().fold(acc, |acc, &(x, y)| _mm512_madd52hi_epu64(acc, x, y))
+        };
+        let col0 = [(a[2], s[0]), (a[1], s[1]), (a[0], r[0])];
+        let col1 = [(a[2], s[1]), (a[1], r[0]), (a[0], r[1])];
+        let col2 = [(a[2], r[0]), (a[1], r[1]), (a[0], r[2])];
+        Columns {
+            lo: [lo(into.lo[0], col0), lo(into.lo[1], col1), lo(into.lo[2], col2)],
+            hi: [hi(into.hi[0], col0), hi(into.hi[1], col1), hi(into.hi[2], col2)],
+        }
+    }
+
+    /// Carries column sums back to limbs below 2⁴⁴, 2⁴⁴ + 2¹⁰ and 2⁴², so a
+    /// block can be added before the next multiply.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn carry8(d: Columns) -> Limbs8 {
+        let m44 = _mm512_set1_epi64(M44 as i64);
+        let m42 = _mm512_set1_epi64(M42 as i64);
+        // Column i is lo + hi·2⁵², and 2⁵² is 2⁸ past the next limb's
+        // weight (2¹⁰ past 2¹³⁰ for the top column).
+        let over = |lo, hi| _mm512_add_epi64(_mm512_srli_epi64::<44>(lo), _mm512_slli_epi64::<8>(hi));
+        let c0 = over(d.lo[0], d.hi[0]);
+        let d1 = _mm512_add_epi64(d.lo[1], c0);
+        let c1 = over(d1, d.hi[1]);
+        let d2 = _mm512_add_epi64(d.lo[2], c1);
+        let c2 = _mm512_add_epi64(_mm512_srli_epi64::<42>(d2), _mm512_slli_epi64::<10>(d.hi[2]));
+        // 2¹³⁰ ≡ 5.
+        let h0 = _mm512_add_epi64(
+            _mm512_and_si512(d.lo[0], m44),
+            _mm512_add_epi64(c2, _mm512_slli_epi64::<2>(c2)),
+        );
+        [
+            _mm512_and_si512(h0, m44),
+            _mm512_add_epi64(_mm512_and_si512(d1, m44), _mm512_srli_epi64::<44>(h0)),
+            _mm512_and_si512(d2, m42),
+        ]
+    }
+
+    /// Limb-wise, lane-wise `a + b`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn add8(a: Limbs8, b: Limbs8) -> Limbs8 {
+        core::array::from_fn(|limb| _mm512_add_epi64(a[limb], b[limb]))
+    }
+
+    /// Runs the lane recurrence over `groups` and returns the three column
+    /// sums of the closing `Σ Hⱼ · r⁸⁻ʲ`, not yet carried.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and AVX-512 IFMA.  (An empty `groups` panics;
+    /// bytes past the last whole 128-byte group are ignored.)
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn absorb_ifma(powers: &[[u64; 3]; 9], h: [u64; 3], groups: &[u8]) -> [u128; 3] {
+        let (groups, _) = groups.as_chunks::<128>();
+        let (first, mut rest) = groups.split_first().expect("at least one group");
+        let zero = _mm512_setzero_si512();
+        let none = Columns { lo: [zero; 3], hi: [zero; 3] };
+
+        // The incoming accumulator joins the first block, in lane 0.
+        let mut acc = load_blocks8(first);
+        for (limb, h) in acc.iter_mut().zip(h) {
+            *limb = _mm512_add_epi64(*limb, _mm512_setr_epi64(h as i64, 0, 0, 0, 0, 0, 0, 0));
+        }
+        if !rest.is_empty() {
+            let r8 = multiplier8([powers[7]; 8]);
+            // An odd group goes first, alone, so that the others pair up.
+            if rest.len() % 2 == 1 {
+                acc = add8(carry8(multiply8(acc, &r8, none)), load_blocks8(&rest[0]));
+                rest = &rest[1..];
+            }
+            if !rest.is_empty() {
+                let r16 = multiplier8([powers[8]; 8]);
+                for pair in rest.chunks_exact(2) {
+                    let columns = multiply8(acc, &r16, multiply8(load_blocks8(&pair[0]), &r8, none));
+                    acc = add8(carry8(columns), load_blocks8(&pair[1]));
+                }
+            }
+        }
+
+        // Lane j holds the blocks that still owe r⁸⁻ʲ.
+        let closing = multiplier8(core::array::from_fn(|lane| powers[7 - lane]));
+        let Columns { lo, hi } = multiply8(acc, &closing, none);
+        core::array::from_fn(|column| {
+            let sum = |v| u128::from(_mm512_reduce_add_epi64(v) as u64);
+            sum(lo[column]) + (sum(hi[column]) << 52)
+        })
     }
 }
 

@@ -39,9 +39,11 @@
 //! (44-bit limbs, two blocks per step) is the reference and finishes every
 //! message; on the AVX2 kernel, frames of at least [`WIDE_MAC_MIN_LEN`]
 //! bytes hand their whole 64-byte groups to `poly1305_simd.rs`, four blocks
-//! per step under `r⁴`.  Both kernels produce identical bytes:
-//! `tests/proptest_aead_kernels.rs` holds them to each other and to the
-//! RFC vectors.
+//! per step under `r⁴`, and on a CPU with AVX-512 IFMA the same frames hand
+//! their whole 128-byte groups to the same module's 8-way kernel, which
+//! multiplies in this file's own limbs.  All three produce identical bytes:
+//! `tests/proptest_aead_kernels.rs` holds them to each other and to the RFC
+//! vectors.
 //!
 //! ## Nonce schedule
 //!
@@ -69,7 +71,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rapidware_packet::cpu::{Avx2, Avx512, Cpu};
+use rapidware_packet::cpu::{Avx2, Avx512, Cpu, Ifma};
 use rapidware_packet::{Bytes, Packet, PacketKind};
 
 use super::chacha_simd::{self, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
@@ -157,7 +159,9 @@ fn xor_into(dst: &mut [u8], src: &[u8], pad: &[u8]) {
 /// `chacha_simd.rs` (eight keystream blocks per call) and
 /// `poly1305_simd.rs` (four MAC blocks per step); or those two plus the
 /// AVX-512 keystream kernel of `chacha_simd.rs` (16 + 4 blocks per call),
-/// which takes every packet past one 8-way group.
+/// which takes every packet past one 8-way group; or, on a CPU with
+/// AVX-512 IFMA, the same keystream kernels with the 8-way IFMA MAC of
+/// `poly1305_simd.rs` in place of the 4-way one.
 ///
 /// The filters always run the kernels of `Cpu::active()`.  The type is
 /// exported (hidden from the documented API) only so the kernel parity
@@ -172,6 +176,9 @@ pub enum Keystream {
     Avx2(Avx2),
     /// The 16+4-way keystream kernel over the AVX2 ones.
     Avx512(Avx512),
+    /// The keystream kernels of [`Avx512`](Self::Avx512) and the 8-way
+    /// IFMA MAC.
+    Ifma(Ifma),
 }
 
 /// Blocks of keystream still needed from which one 8-way call beats going
@@ -198,59 +205,73 @@ const MAC_RUN_LEN: usize = 64 * 64;
 /// Keystream bytes a [`Cipher`] can hold ahead of use: one 16+4-way call.
 const AHEAD_LEN: usize = WIDEST_BLOCKS * 64;
 
-/// Ciphertext bytes from which a frame's MAC runs on the 4-way kernel.
-/// Below it the kernel's fixed costs — three more powers of `r`, the re-cut
-/// to 26-bit limbs, one closing multiply per `update` — outweigh what four
-/// lanes save over the two-blocks-per-step scalar loop (see ARCHITECTURE.md
-/// for the measurement).
+/// Ciphertext bytes from which a frame's MAC runs on a vector kernel.
+/// Below it the kernel's fixed costs — more powers of `r` (three for the
+/// 4-way kernel, seven for the 8-way one), the 4-way kernel's re-cut to
+/// 26-bit limbs, one closing multiply per `update` — outweigh what the
+/// lanes save over the two-blocks-per-step scalar loop.  Both kernels break
+/// even between 256 and 384 bytes (see ARCHITECTURE.md for the
+/// measurements).
 const WIDE_MAC_MIN_LEN: usize = 384;
 
 impl Keystream {
     /// The widest kernels `cpu` allows.
     #[inline]
     pub fn new(cpu: Cpu) -> Self {
-        match (cpu.avx512(), cpu.avx2()) {
-            (Some(avx512), _) => Keystream::Avx512(avx512),
-            (None, Some(avx2)) => Keystream::Avx2(avx2),
-            (None, None) => Keystream::Scalar,
+        match (cpu.ifma(), cpu.avx512(), cpu.avx2()) {
+            (Some(ifma), _, _) => Keystream::Ifma(ifma),
+            (None, Some(avx512), _) => Keystream::Avx512(avx512),
+            (None, None, Some(avx2)) => Keystream::Avx2(avx2),
+            (None, None, None) => Keystream::Scalar,
         }
     }
 
     /// The widest keystream kernel: `"avx512"`, `"avx2"` or `"scalar"`.
     pub fn name(self) -> &'static str {
         match self {
-            Keystream::Avx512(_) => "avx512",
+            Keystream::Avx512(_) | Keystream::Ifma(_) => "avx512",
             Keystream::Avx2(_) => "avx2",
             Keystream::Scalar => "scalar",
         }
     }
 
-    /// The MAC kernel, which has no AVX-512 form: `"avx2"` or `"scalar"`.
+    /// The MAC kernel: `"ifma"` (8-way, AVX-512 IFMA), `"avx2"` (4-way, on
+    /// both the AVX2 and the AVX-512F/BW keystream) or `"scalar"`.
     pub fn mac_name(self) -> &'static str {
-        if self.wide().is_some() {
-            "avx2"
-        } else {
-            "scalar"
-        }
-    }
-
-    /// The 8-way keystream and 4-way MAC kernels' token, which both wide
-    /// variants carry.
-    fn wide(self) -> Option<Avx2> {
         match self {
-            Keystream::Avx512(avx512) => Some(avx512.avx2()),
-            Keystream::Avx2(avx2) => Some(avx2),
-            Keystream::Scalar => None,
+            Keystream::Ifma(_) => "ifma",
+            Keystream::Avx512(_) | Keystream::Avx2(_) => "avx2",
+            Keystream::Scalar => "scalar",
         }
     }
 
-    /// These kernels as a packet needing `blocks` blocks of keystream
-    /// (block 0 included) runs them: the widest one that pays off.
+    /// The keystream kernels alone: [`Ifma`](Self::Ifma) runs those of
+    /// [`Avx512`](Self::Avx512), so a [`Cipher`] never holds it.
+    fn keystream(self) -> Self {
+        match self {
+            Keystream::Ifma(ifma) => Keystream::Avx512(ifma.avx512()),
+            _ => self,
+        }
+    }
+
+    /// These keystream kernels as a packet needing `blocks` blocks of
+    /// keystream (block 0 included) runs them: the widest one that pays
+    /// off.
     fn for_blocks(self, blocks: usize) -> Self {
-        match self {
+        match self.keystream() {
             _ if blocks < WIDE_MIN_BLOCKS => Keystream::Scalar,
             Keystream::Avx512(avx512) if blocks < WIDER_MIN_BLOCKS => Keystream::Avx2(avx512.avx2()),
-            _ => self,
+            keystream => keystream,
+        }
+    }
+
+    /// The kernel a frame of `ciphertext_len` bytes is MAC-ed on: this
+    /// one's, or the scalar MAC below [`WIDE_MAC_MIN_LEN`].
+    fn mac_for(self, ciphertext_len: usize) -> Self {
+        if ciphertext_len >= WIDE_MAC_MIN_LEN {
+            self
+        } else {
+            Keystream::Scalar
         }
     }
 
@@ -270,9 +291,10 @@ impl Keystream {
     /// The Poly1305 tag of `message` under a one-time `key` (RFC 8439
     /// §2.5) on this kernel's MAC — for the parity suite and the kernel
     /// bench, so without the length threshold [`seal`](Self::seal) applies:
-    /// the 4-way kernel takes every whole 64-byte group.
+    /// the 4-way kernel takes every whole 64-byte group, the 8-way one every
+    /// whole 128-byte group.
     pub fn poly1305(self, key: &[u8; 32], message: &[u8]) -> [u8; 16] {
-        let mut mac = Poly1305::new(key, self.wide());
+        let mut mac = Poly1305::new(key, self);
         mac.update(message);
         mac.finish()
     }
@@ -324,8 +346,7 @@ impl Keystream {
     /// Starts the tag computation of a frame of `ciphertext_len` bytes:
     /// picks the MAC kernel, then absorbs the padded associated data.
     fn mac_begin(self, otk: &[u8; 32], aad: &[u8], ciphertext_len: usize) -> Poly1305 {
-        let wide = self.wide().filter(|_| ciphertext_len >= WIDE_MAC_MIN_LEN);
-        let mut mac = Poly1305::new(otk, wide);
+        let mut mac = Poly1305::new(otk, self.mac_for(ciphertext_len));
         mac.update(aad);
         mac.pad16();
         mac
@@ -396,7 +417,7 @@ impl Cipher {
     fn at(kernel: Keystream, state: [u32; 16]) -> Self {
         Self {
             state,
-            kernel,
+            kernel: kernel.keystream(),
             ahead: None,
             ended: false,
         }
@@ -438,6 +459,7 @@ impl Cipher {
                 chacha_simd::blocks(avx512, &self.state, None, None, &mut ahead.bytes[..blocks * 64]);
                 ahead
             }
+            Keystream::Ifma(_) => unreachable!("a cipher holds keystream kernels alone"),
         };
         otk.copy_from_slice(&ahead.bytes[..32]);
         let blocks = ahead.end / 64;
@@ -588,13 +610,39 @@ fn carry_limbs(d: [u128; 3]) -> [u64; 3] {
     [h0 & M44, h1 + (h0 >> 44), h2]
 }
 
+/// A vector MAC kernel and the powers of r it steps by.
+enum Wide {
+    /// The 4-way kernel, its powers in its own 26-bit limbs.
+    Avx2(Avx2, poly1305_simd::Powers),
+    /// The 8-way kernel, its powers in this file's 44-bit limbs.
+    Ifma(Ifma, poly1305_simd::IfmaPowers),
+}
+
+impl Wide {
+    /// Bytes the kernel takes per step; it takes whole such groups only.
+    fn group_len(&self) -> usize {
+        match self {
+            Wide::Avx2(..) => poly1305_simd::GROUP_LEN,
+            Wide::Ifma(..) => poly1305_simd::IFMA_GROUP_LEN,
+        }
+    }
+
+    /// Absorbs whole groups into the accumulator `h`.
+    fn absorb(&self, h: [u64; 3], groups: &[u8]) -> [u64; 3] {
+        match self {
+            Wide::Avx2(avx2, powers) => poly1305_simd::absorb(*avx2, powers, h, groups),
+            Wide::Ifma(ifma, powers) => carry_limbs(poly1305_simd::absorb_ifma(*ifma, powers, h, groups)),
+        }
+    }
+}
+
 struct Poly1305 {
     r: [u64; 3],
     /// r², so two blocks are absorbed per carry chain.
     r_squared: [u64; 3],
-    /// The 4-way kernel and the powers of r it uses, in its limbs; `None`
-    /// keeps every block on the scalar code below.
-    wide: Option<(Avx2, poly1305_simd::Powers)>,
+    /// The vector kernel whole groups of blocks go to; `None` keeps every
+    /// block on the scalar code below.
+    wide: Option<Wide>,
     s: [u64; 2],
     h: [u64; 3],
     /// Bytes of an incomplete block carried between `update` calls.
@@ -603,10 +651,10 @@ struct Poly1305 {
 }
 
 impl Poly1305 {
-    /// A MAC under the one-time `key`; `wide` hands whole 64-byte groups to
-    /// the 4-way kernel (the caller decides whether the message is long
-    /// enough to repay the extra powers).
-    fn new(key: &[u8; 32], wide: Option<Avx2>) -> Self {
+    /// A MAC under the one-time `key` on `kernel`'s MAC: a vector one takes
+    /// whole groups of blocks (the caller decides whether the message is
+    /// long enough to repay the extra powers).
+    fn new(key: &[u8; 32], kernel: Keystream) -> Self {
         // Clamp r per the RFC, then split into 44/44/42-bit limbs.
         let t0 = le_u64(&key[..8]) & 0x0fff_fffc_0fff_ffff;
         let t1 = le_u64(&key[8..16]) & 0x0fff_fffc_0fff_fffc;
@@ -615,17 +663,39 @@ impl Poly1305 {
             ((t0 >> 44) | (t1 << 20)) & M44,
             (t1 >> 24) & M42,
         ];
-        let r_squared = carry_limbs(limb_products(r, r));
+        let mul = |a, b| carry_limbs(limb_products(a, b));
+        let r_squared = mul(r, r);
+        let avx2 = |avx2| {
+            let r_fourth = mul(r_squared, r_squared);
+            let powers = [r, r_squared, mul(r_squared, r), r_fourth, mul(r_fourth, r_fourth)];
+            Wide::Avx2(avx2, poly1305_simd::Powers::from_limbs44(powers))
+        };
+        let wide = match kernel {
+            Keystream::Scalar => None,
+            Keystream::Avx2(token) => Some(avx2(token)),
+            Keystream::Avx512(avx512) => Some(avx2(avx512.avx2())),
+            Keystream::Ifma(ifma) => {
+                let r_cubed = mul(r_squared, r);
+                let r_fourth = mul(r_squared, r_squared);
+                let r_eighth = mul(r_fourth, r_fourth);
+                let powers = [
+                    r,
+                    r_squared,
+                    r_cubed,
+                    r_fourth,
+                    mul(r_fourth, r),
+                    mul(r_fourth, r_squared),
+                    mul(r_fourth, r_cubed),
+                    r_eighth,
+                    mul(r_eighth, r_eighth),
+                ];
+                Some(Wide::Ifma(ifma, powers))
+            }
+        };
         Self {
             r,
             r_squared,
-            wide: wide.map(|simd| {
-                let r_cubed = carry_limbs(limb_products(r_squared, r));
-                let r_fourth = carry_limbs(limb_products(r_squared, r_squared));
-                let r_eighth = carry_limbs(limb_products(r_fourth, r_fourth));
-                let powers = [r, r_squared, r_cubed, r_fourth, r_eighth];
-                (simd, poly1305_simd::Powers::from_limbs44(powers))
-            }),
+            wide,
             s: [le_u64(&key[16..24]), le_u64(&key[24..32])],
             h: [0; 3],
             buf: [0; 16],
@@ -641,17 +711,17 @@ impl Poly1305 {
         self.h = carry_limbs(limb_products(sum, self.r));
     }
 
-    /// Absorbs whole full blocks: every whole 64-byte group on the 4-way
-    /// kernel when there is one, the rest two per step —
+    /// Absorbs whole full blocks: every whole group on the vector kernel
+    /// when there is one, the rest two per step —
     /// `h = (h + m₁) · r² + m₂ · r` is the same polynomial as two single
     /// steps, but its two products are independent and share one carry
     /// chain (1.57× the single-block loop on the development host).
     fn full_blocks(&mut self, mut data: &[u8]) {
         debug_assert_eq!(data.len() % 16, 0);
-        if let Some((simd, powers)) = &self.wide {
-            let (groups, rest) = data.split_at(data.len() - data.len() % poly1305_simd::GROUP_LEN);
+        if let Some(wide) = &self.wide {
+            let (groups, rest) = data.split_at(data.len() - data.len() % wide.group_len());
             if !groups.is_empty() {
-                self.h = poly1305_simd::absorb(*simd, powers, self.h, groups);
+                self.h = wide.absorb(self.h, groups);
             }
             data = rest;
         }
@@ -1332,7 +1402,7 @@ mod tests {
         let message: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
         for len in 0..=message.len() {
             let message = &message[..len];
-            let mut single = Poly1305::new(&key, None);
+            let mut single = Poly1305::new(&key, Keystream::Scalar);
             for chunk in message.chunks(16) {
                 if chunk.len() == 16 {
                     single.block(chunk, HIBIT);
@@ -1345,7 +1415,7 @@ mod tests {
                 let name = kernel.name();
                 assert_eq!(kernel.poly1305(&key, message), expected, "len {len}, one update, {name}");
                 for split in [1, 15, 16, 17, 33, 64, 100] {
-                    let mut pieces = Poly1305::new(&key, kernel.wide());
+                    let mut pieces = Poly1305::new(&key, kernel);
                     for piece in message.chunks(split) {
                         pieces.update(piece);
                     }
@@ -1419,7 +1489,7 @@ only one tip for the future, sunscreen would be it.";
         mac_input.extend(pad_to_16(payload.len()));
         mac_input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
         mac_input.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut single = Poly1305::new(&otk, None);
+        let mut single = Poly1305::new(&otk, Keystream::Scalar);
         let mut blocks = mac_input.chunks_exact(16);
         for block in &mut blocks {
             single.block(block, HIBIT);

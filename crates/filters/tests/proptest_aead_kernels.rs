@@ -14,7 +14,8 @@
 //! subslices; through the RFC 8439 vectors on each kernel (and through the
 //! row-layout blocks of the 16+4-way call); and across kernels (sealed on
 //! one, opened on the other).  The same [`Keystream`] value names the MAC kernel: the 4-way
-//! AVX2 Poly1305 is held to the scalar one at every length up to 2 KiB, on
+//! AVX2 Poly1305 and — on a CPU with AVX-512 IFMA — the 8-way IFMA one are
+//! held to the scalar one at every length up to 2 KiB, on
 //! messages built to push every limb carry and the final reduction to their
 //! edges, through the RFC vector, and — through the filter on each kernel,
 //! whole packets on the wire — to a digest recorded before any SIMD kernel
@@ -69,19 +70,36 @@ fn cpuinfo_lists(flag: &str) -> bool {
         .is_ok_and(|cpuinfo| cpuinfo.split_whitespace().any(|word| word == flag))
 }
 
-/// Names every kernel this run held to the reference, on one line CI looks
-/// for (run with `--show-output`); a CPU whose `/proc/cpuinfo` lists AVX2
-/// must have had the 8-way kernel checked, and one that lists AVX-512F and
-/// AVX-512BW the 16+4-way kernel.
+/// A kernel in a failure message: its keystream and its MAC kernel, which
+/// `Keystream::name` alone does not tell apart on an IFMA host.
+fn label(kernel: Keystream) -> String {
+    format!("{}/{}", kernel.name(), kernel.mac_name())
+}
+
+/// Names every kernel this run held to the reference — keystream and MAC
+/// kernels alike — on one line CI looks for (run with `--show-output`); a
+/// CPU whose `/proc/cpuinfo` lists AVX2 must have had the 8-way keystream
+/// and 4-way MAC checked, one that lists AVX-512F and AVX-512BW the
+/// 16+4-way keystream, and one that lists AVX-512 IFMA the 8-way MAC.
 #[test]
 fn the_kernels_checked_are_the_ones_the_cpu_has() {
-    let names: Vec<&str> = every_kernel().into_iter().map(Keystream::name).collect();
+    let mut names: Vec<&str> = Vec::new();
+    for kernel in every_kernel() {
+        for name in [kernel.name(), kernel.mac_name()] {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+    }
     println!("aead kernels checked: {}", names.join(" "));
     if cpuinfo_lists("avx2") {
         assert!(names.contains(&"avx2"), "the CPU lists AVX2, checked only {names:?}");
     }
     if cpuinfo_lists("avx512f") && cpuinfo_lists("avx512bw") {
         assert!(names.contains(&"avx512"), "the CPU lists AVX-512F/BW, checked only {names:?}");
+    }
+    if cpuinfo_lists("avx512ifma") {
+        assert!(names.contains(&"ifma"), "the CPU lists AVX-512 IFMA, checked only {names:?}");
     }
 }
 
@@ -111,7 +129,7 @@ fn assert_matches_scalar(len: usize, src_offset: usize, dst_offset: usize, count
             actual,
             expected,
             "{} kernel, len {len}, counter {counter:#x}, offsets {src_offset}/{dst_offset}",
-            kernel.name()
+            label(kernel)
         );
     }
 }
@@ -153,11 +171,11 @@ proptest! {
         prop_assert_eq!(reference.len(), len + TAG_LEN);
         for sealer in every_kernel() {
             let sealed = sealer.seal(&key, &nonce, &aad, &plaintext);
-            prop_assert_eq!(&sealed, &reference, "{} seal", sealer.name());
+            prop_assert_eq!(&sealed, &reference, "{} seal", label(sealer));
             let opened = Keystream::Scalar.open(&key, &nonce, &aad, &sealed);
-            prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} -> scalar", sealer.name());
+            prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} -> scalar", label(sealer));
             let opened = sealer.open(&key, &nonce, &aad, &reference);
-            prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "scalar -> {}", sealer.name());
+            prop_assert_eq!(opened.as_deref(), Some(&plaintext[..]), "scalar -> {}", label(sealer));
         }
     }
 
@@ -178,7 +196,7 @@ proptest! {
         let position = (position % victim.len() as u64) as usize;
         victim[position] ^= 1 << bit;
         for kernel in every_kernel() {
-            prop_assert!(kernel.open(&key, &nonce, &aad, &sealed).is_none(), "{}", kernel.name());
+            prop_assert!(kernel.open(&key, &nonce, &aad, &sealed).is_none(), "{}", label(kernel));
         }
     }
 }
@@ -236,9 +254,9 @@ fn every_residue_around_the_16_plus_4_call_ends_matches_scalar() {
         let plaintext = fill(len as u64, len);
         let reference = Keystream::Scalar.seal(&key, &nonce, &aad, &plaintext);
         for kernel in every_kernel() {
-            assert_eq!(kernel.seal(&key, &nonce, &aad, &plaintext), reference, "{} seal, len {len}", kernel.name());
+            assert_eq!(kernel.seal(&key, &nonce, &aad, &plaintext), reference, "{} seal, len {len}", label(kernel));
             let opened = kernel.open(&key, &nonce, &aad, &reference);
-            assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} open, len {len}", kernel.name());
+            assert_eq!(opened.as_deref(), Some(&plaintext[..]), "{} open, len {len}", label(kernel));
         }
     }
 }
@@ -300,9 +318,9 @@ fn rfc8439_2_3_2_block_function_on_each_kernel() {
     for kernel in every_kernel() {
         // Keystream alone is the XOR over zeros.
         let block = xor_as_head_of_two_groups(kernel, &key, &nonce, 1, &[0u8; 64]);
-        assert_eq!(block, expected, "{} kernel", kernel.name());
+        assert_eq!(block, expected, "{} kernel", label(kernel));
         let block = xor_in_the_row_blocks(kernel, &key, &nonce, 1, &[0u8; 64]);
-        assert_eq!(block, expected, "{} kernel, row-layout block", kernel.name());
+        assert_eq!(block, expected, "{} kernel, row-layout block", label(kernel));
     }
 }
 
@@ -324,14 +342,14 @@ fn rfc8439_2_4_2_encryption_on_each_kernel() {
         // As the RFC gives it: 114 bytes, which every kernel takes block by
         // block …
         let direct = xor_at_offset(kernel, &key, &nonce, 1, SUNSCREEN, 0);
-        assert_eq!(direct, expected, "{} kernel, 114 bytes", kernel.name());
+        assert_eq!(direct, expected, "{} kernel, 114 bytes", label(kernel));
         // … and as the head of a longer message, which the 8-way kernel
         // takes a group at a time.
         let grouped = xor_as_head_of_two_groups(kernel, &key, &nonce, 1, SUNSCREEN);
-        assert_eq!(grouped, expected, "{} kernel, in a group", kernel.name());
+        assert_eq!(grouped, expected, "{} kernel, in a group", label(kernel));
         // … and in the row-layout blocks of a 16+4-block call.
         let rows = xor_in_the_row_blocks(kernel, &key, &nonce, 1, SUNSCREEN);
-        assert_eq!(rows, expected, "{} kernel, row-layout blocks", kernel.name());
+        assert_eq!(rows, expected, "{} kernel, row-layout blocks", label(kernel));
     }
 }
 
@@ -348,7 +366,7 @@ fn rfc8439_2_5_2_poly1305() {
     ];
     let message = b"Cryptographic Forum Research Group";
     for kernel in every_kernel() {
-        assert_eq!(kernel.poly1305(&key, message), expected, "{} kernel", kernel.name());
+        assert_eq!(kernel.poly1305(&key, message), expected, "{} kernel", label(kernel));
         // 34 bytes never reach the 4-way kernel; five copies of the message
         // do, and must still be what the scalar MAC makes of them.
         let repeated = message.repeat(5);
@@ -356,7 +374,7 @@ fn rfc8439_2_5_2_poly1305() {
             kernel.poly1305(&key, &repeated),
             Keystream::Scalar.poly1305(&key, &repeated),
             "{} kernel, 170 bytes",
-            kernel.name()
+            label(kernel)
         );
     }
 }
@@ -382,9 +400,9 @@ fn rfc8439_2_8_2_aead_on_each_kernel() {
         // 114 bytes are two blocks after block 0: enough for the 8-way
         // kernel to take the packet, block 0 riding in its first group.
         let sealed = kernel.seal(&key, &nonce, &aad, SUNSCREEN);
-        assert_eq!(&sealed[..], &expected[..], "{} kernel", kernel.name());
+        assert_eq!(&sealed[..], &expected[..], "{} kernel", label(kernel));
         let opened = kernel.open(&key, &nonce, &aad, &expected);
-        assert_eq!(opened.as_deref(), Some(&SUNSCREEN[..]), "{} kernel", kernel.name());
+        assert_eq!(opened.as_deref(), Some(&SUNSCREEN[..]), "{} kernel", label(kernel));
     }
 }
 
@@ -399,8 +417,9 @@ fn mac_key(r: [u8; 16], s: [u8; 16]) -> [u8; 32] {
     key
 }
 
-/// The 4-way kernel takes whole 64-byte groups and the scalar code the rest,
-/// so every length 0..=2048 is every count of groups with every tail.
+/// The vector kernels take whole 64-byte (4-way) or 128-byte (8-way) groups
+/// and the scalar code the rest, so every length 0..=2048 is every count of
+/// groups with every tail.
 #[test]
 fn mac_kernels_agree_at_every_length() {
     let message = fill(0x004D_4143, 2_048);
@@ -408,7 +427,7 @@ fn mac_kernels_agree_at_every_length() {
         let key: [u8; 32] = fill(len as u64 + 1, 32).try_into().expect("32 bytes");
         let expected = Keystream::Scalar.poly1305(&key, &message[..len]);
         for kernel in every_kernel() {
-            assert_eq!(kernel.poly1305(&key, &message[..len]), expected, "{} kernel, len {len}", kernel.name());
+            assert_eq!(kernel.poly1305(&key, &message[..len]), expected, "{} kernel, len {len}", label(kernel));
         }
     }
 }
@@ -427,7 +446,7 @@ fn mac_kernels_agree_on_saturated_limbs() {
         for len in (0..=ones.len()).filter(|len| len % 64 < 2 || len % 16 == 15 || len % 64 == 48) {
             let expected = Keystream::Scalar.poly1305(&key, &ones[..len]);
             for kernel in every_kernel() {
-                assert_eq!(kernel.poly1305(&key, &ones[..len]), expected, "{} kernel, len {len}", kernel.name());
+                assert_eq!(kernel.poly1305(&key, &ones[..len]), expected, "{} kernel, len {len}", label(kernel));
             }
         }
     }
@@ -438,8 +457,9 @@ fn mac_kernels_agree_on_saturated_limbs() {
 /// a multiple of `p = 2¹³⁰ − 5`: three all-ones blocks and a fourth of
 /// `2¹²⁸ − 7 + δ` sum to `2p + δ`.  The tag is then `δ mod p` (plus `s = 0`),
 /// which every kernel must reach through its own carries: just below `p`,
-/// exactly `p`, just above — once as the only group and once after a group
-/// that leaves the accumulator at zero.
+/// exactly `p`, just above — once as the only group and once after one,
+/// three and five groups that leave the accumulator at zero (so the 8-way
+/// kernel closes, steps once, and steps twice at a time).
 #[test]
 fn mac_kernels_reduce_correctly_around_the_modulus() {
     let key = mac_key([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0; 16]);
@@ -454,10 +474,14 @@ fn mac_kernels_reduce_correctly_around_the_modulus() {
     above[0] = 1;
     for kernel in every_kernel() {
         for (delta, expected) in [(-1, below), (0, [0u8; 16]), (1, above)] {
-            let name = kernel.name();
+            let name = label(kernel);
             assert_eq!(kernel.poly1305(&key, &group(delta)), expected, "{name} kernel, δ = {delta}");
-            let two_groups = [group(0), group(delta)].concat();
-            assert_eq!(kernel.poly1305(&key, &two_groups), expected, "{name} kernel, 0 then δ = {delta}");
+            for zeros in [1, 3, 5] {
+                let mut groups = [group(0)].repeat(zeros);
+                groups.push(group(delta));
+                let groups = groups.concat();
+                assert_eq!(kernel.poly1305(&key, &groups), expected, "{name} kernel, {zeros} × 0 then δ = {delta}");
+            }
         }
     }
 }
@@ -513,7 +537,7 @@ fn sealed_packets_on_the_wire_are_byte_identical_to_the_recorded_digest() {
     assert_eq!(dispatched, named, "Filter::process runs the kernel of Cpu::active()");
     for kernel in every_kernel() {
         let digest = sealed_wire_digest(kernel);
-        assert_eq!(digest, SEALED_WIRE_DIGEST, "{} kernel: got {digest:#018x}", kernel.name());
+        assert_eq!(digest, SEALED_WIRE_DIGEST, "{} kernel: got {digest:#018x}", label(kernel));
     }
 }
 

@@ -9,9 +9,14 @@
 //! the build target does not promise.  Calling such a kernel on a CPU
 //! without the instructions is undefined behaviour, so each kernel demands
 //! a *proof token*: a zero-sized value ([`Ssse3`], [`Clmul`], [`Avx2`],
-//! [`Avx512`]) whose only field is private to this module.  This module is
-//! therefore the only code that can make one, and it makes one only after
-//! `is_x86_feature_detected!` has confirmed the instructions.
+//! [`Avx512`], [`Ifma`], [`Gfni`]) whose only field is private to this
+//! module.  This module is therefore the only code that can make one, and
+//! it makes one only after `is_x86_feature_detected!` has confirmed the
+//! instructions.  The AVX-512 tier has three: [`Avx512`] (F and BW, for the
+//! 16+4-way ChaCha20 keystream), [`Ifma`] (the 52-bit multiply-adds
+//! `vpmadd52luq`/`vpmadd52huq`, for the 8-way Poly1305 MAC) and [`Gfni`]
+//! (`vgf2p8affineqb`, for the GF(2⁸) multiply-adds); each of the last two
+//! implies the first, which implies [`Avx2`].
 //!
 //! A [`Cpu`] carries the tokens one host has:
 //!
@@ -53,6 +58,30 @@ impl Avx512 {
     }
 }
 
+/// Proof that this CPU executes AVX-512 IFMA on 256- and 512-bit vectors
+/// (`avx512ifma` and `avx512vl`), and AVX-512F/BW.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ifma(());
+
+impl Ifma {
+    /// The AVX-512F/BW token, which this one implies.
+    pub fn avx512(self) -> Avx512 {
+        Avx512(())
+    }
+}
+
+/// Proof that this CPU executes the GFNI instructions on 512-bit vectors
+/// (`gfni`), and AVX-512F/BW.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gfni(());
+
+impl Gfni {
+    /// The AVX-512F/BW token, which this one implies.
+    pub fn avx512(self) -> Avx512 {
+        Avx512(())
+    }
+}
+
 /// The instruction sets one process's kernels may use: a token for each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cpu {
@@ -60,6 +89,8 @@ pub struct Cpu {
     clmul: Option<Clmul>,
     avx2: Option<Avx2>,
     avx512: Option<Avx512>,
+    ifma: Option<Ifma>,
+    gfni: Option<Gfni>,
     forced_scalar: bool,
 }
 
@@ -71,6 +102,8 @@ impl Cpu {
             clmul: None,
             avx2: None,
             avx512: None,
+            ifma: None,
+            gfni: None,
             forced_scalar: false,
         }
     }
@@ -82,11 +115,14 @@ impl Cpu {
         {
             use std::arch::is_x86_feature_detected as has;
             let avx2 = has!("avx2");
+            let avx512 = avx2 && has!("avx512f") && has!("avx512bw");
             Self {
                 ssse3: has!("ssse3").then_some(Ssse3(())),
                 clmul: has!("pclmulqdq").then_some(Clmul(())),
                 avx2: avx2.then_some(Avx2(())),
-                avx512: (avx2 && has!("avx512f") && has!("avx512bw")).then_some(Avx512(())),
+                avx512: avx512.then_some(Avx512(())),
+                ifma: (avx512 && has!("avx512ifma") && has!("avx512vl")).then_some(Ifma(())),
+                gfni: (avx512 && has!("gfni")).then_some(Gfni(())),
                 forced_scalar: false,
             }
         }
@@ -115,10 +151,13 @@ impl Cpu {
     }
 
     /// [`scalar`](Self::scalar), then each wider tier this host has — the
-    /// 128-bit one (SSSE3 and `PCLMULQDQ`), AVX2, AVX-512 — each holding
-    /// the tokens of the tiers below it.  Ignores `RAPIDWARE_FORCE_SCALAR`:
-    /// mapping the tiers through a kernel family's constructor names every
-    /// kernel of that family this host can run, the reference first.
+    /// 128-bit one (SSSE3 and `PCLMULQDQ`), AVX2, AVX-512F/BW alone, and
+    /// AVX-512 with IFMA and GFNI — each holding the tokens of the tiers
+    /// below it.  Ignores `RAPIDWARE_FORCE_SCALAR`: mapping the tiers
+    /// through a kernel family's constructor names every kernel of that
+    /// family this host can run, the reference first, so a kernel that a
+    /// wider one displaces on this host (the AVX2 MAC under IFMA, the AVX2
+    /// GF(2⁸) kernel under GFNI) is still named.
     pub fn tiers() -> impl Iterator<Item = Cpu> {
         let host = Self::detected();
         let scalar = Self::scalar();
@@ -131,7 +170,11 @@ impl Cpu {
             avx2: host.avx2,
             ..narrow
         };
-        let mut tiers = vec![scalar, narrow, avx2, host];
+        let avx512 = Self {
+            avx512: host.avx512,
+            ..avx2
+        };
+        let mut tiers = vec![scalar, narrow, avx2, avx512, host];
         tiers.dedup();
         tiers.into_iter()
     }
@@ -154,6 +197,16 @@ impl Cpu {
     /// The AVX-512F/BW token, if this process may use it.
     pub fn avx512(self) -> Option<Avx512> {
         self.avx512
+    }
+
+    /// The AVX-512 IFMA token, if this process may use it.
+    pub fn ifma(self) -> Option<Ifma> {
+        self.ifma
+    }
+
+    /// The GFNI token, if this process may use it.
+    pub fn gfni(self) -> Option<Gfni> {
+        self.gfni
     }
 
     /// Whether `RAPIDWARE_FORCE_SCALAR` emptied this value (only ever true
@@ -179,6 +232,10 @@ mod tests {
         assert!(
             host.avx512.is_none() || host.avx2.is_some(),
             "AVX-512 implies AVX2"
+        );
+        assert!(
+            (host.ifma.is_none() && host.gfni.is_none()) || host.avx512.is_some(),
+            "IFMA and GFNI imply AVX-512F/BW"
         );
     }
 

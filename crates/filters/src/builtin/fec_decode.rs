@@ -15,7 +15,7 @@ use rapidware_fec::{BlockReconstructor, DecodeScratch, FecCodec, FecError};
 use rapidware_packet::{Packet, PacketKind};
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput};
 
 /// Blocks held open at once; opening one more closes the oldest.
 const MAX_OPEN_BLOCKS: usize = 64;
@@ -438,6 +438,10 @@ impl Filter for FecDecoderFilter {
             self.close_front();
         }
         Ok(())
+    }
+
+    fn counters(&self) -> Option<FilterCounters> {
+        Some(FilterCounters::FecDecoder(Arc::clone(&self.stats)))
     }
 
     fn descriptor(&self) -> FilterDescriptor {

@@ -77,7 +77,7 @@ use rapidware_packet::{Bytes, Packet, PacketKind};
 use super::chacha_simd::{self, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
 use super::poly1305_simd;
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput};
 
 /// AEAD tag length appended to every sealed payload.
 pub const TAG_LEN: usize = 16;
@@ -934,7 +934,7 @@ pub fn parse_rekey(packet: &Packet) -> Option<(u32, u64)> {
 /// Shared counters describing what a secure channel filter has done.
 ///
 /// Both [`EncryptFilter`] and [`DecryptFilter`] expose one of these through
-/// [`Filter::secure_stats`], so chains, sessions, and the proxy status
+/// [`Filter::counters`], so chains, sessions, and the proxy status
 /// surface can aggregate seal/reject totals without reaching into worker
 /// threads.
 #[derive(Debug, Default)]
@@ -1018,24 +1018,6 @@ impl SecureChannelSnapshot {
     /// `true` if every counter is zero (no secure filter did any work).
     pub fn is_empty(&self) -> bool {
         *self == SecureChannelSnapshot::default()
-    }
-}
-
-impl rapidware_telemetry::StatSource for SecureChannelStats {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        rapidware_telemetry::StatSource::snapshot(&self.snapshot())
-    }
-}
-
-impl rapidware_telemetry::StatSource for SecureChannelSnapshot {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        vec![
-            Metric::new("sealed", self.sealed),
-            Metric::new("opened", self.opened),
-            Metric::new("rejected", self.rejected),
-            Metric::new("rekeys", self.rekeys),
-        ]
     }
 }
 
@@ -1254,8 +1236,8 @@ impl Filter for EncryptFilter {
         }
     }
 
-    fn secure_stats(&self) -> Option<Arc<SecureChannelStats>> {
-        Some(Arc::clone(&self.stats))
+    fn counters(&self) -> Option<FilterCounters> {
+        Some(FilterCounters::Secure(Arc::clone(&self.stats)))
     }
 }
 
@@ -1329,8 +1311,8 @@ impl Filter for DecryptFilter {
         }
     }
 
-    fn secure_stats(&self) -> Option<Arc<SecureChannelStats>> {
-        Some(Arc::clone(&self.stats))
+    fn counters(&self) -> Option<FilterCounters> {
+        Some(FilterCounters::Secure(Arc::clone(&self.stats)))
     }
 }
 

@@ -162,7 +162,7 @@ impl FilterChain {
     pub fn secure_snapshot(&self) -> crate::SecureChannelSnapshot {
         let mut total = crate::SecureChannelSnapshot::default();
         for filter in self.filters.iter().chain(self.pending.iter().map(|p| &p.filter)) {
-            if let Some(stats) = filter.secure_stats() {
+            if let Some(crate::FilterCounters::Secure(stats)) = filter.counters() {
                 total.merge(stats.snapshot());
             }
         }

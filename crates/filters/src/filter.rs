@@ -1,10 +1,12 @@
 //! The [`Filter`] trait and its supporting types.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
+use crate::{FecDecoderStats, SecureChannelStats};
 
 /// Where, relative to the structure of the stream, a filter may be spliced
 /// into a running chain.
@@ -157,16 +159,24 @@ pub trait Filter: Send {
         }
     }
 
-    /// Shared seal/reject counters, for filters that are part of a secure
-    /// channel (see [`SecureChannelStats`](crate::SecureChannelStats)).
+    /// The shared counters this filter keeps, if any.
     ///
-    /// The proxy runtimes move filters onto worker threads at insertion
+    /// The proxy runtimes move filters onto worker tasks at insertion
     /// time, so status surfaces capture this handle *before* the move and
-    /// aggregate from it afterwards.  Filters with no crypto role return
+    /// read from it afterwards.  Filters that keep no counters return
     /// `None` (the default).
-    fn secure_stats(&self) -> Option<std::sync::Arc<crate::SecureChannelStats>> {
+    fn counters(&self) -> Option<FilterCounters> {
         None
     }
+}
+
+/// A handle on the counters a filter shares with status surfaces.
+#[derive(Debug, Clone)]
+pub enum FilterCounters {
+    /// Seal/open/reject/rekey counts of a secure-channel filter.
+    Secure(Arc<SecureChannelStats>),
+    /// Source/parity/recovery counts of an FEC decoder.
+    FecDecoder(Arc<FecDecoderStats>),
 }
 
 impl fmt::Debug for dyn Filter {

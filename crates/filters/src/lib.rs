@@ -92,5 +92,5 @@ pub use builtin::transcode::{AudioTranscoderFilter, TranscodeMode};
 pub use chain::{ChainEvent, FilterChain};
 pub use container::FilterContainer;
 pub use error::FilterError;
-pub use filter::{FilterDescriptor, Filter, FilterOutput, InsertionPoint};
+pub use filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput, InsertionPoint};
 pub use telemetry::{ChainSpans, STAGE_SAMPLE_EVERY};

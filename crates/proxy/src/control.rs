@@ -230,14 +230,13 @@ impl fmt::Display for Response {
                     )?;
                 }
                 if !status.secure.is_empty() {
-                    // The stats-struct metrics render in their snapshot
-                    // order: sealed, opened, rejected, rekeys.
                     write!(
                         f,
-                        " secure={}",
-                        rapidware_telemetry::format_metrics(
-                            &rapidware_telemetry::StatSource::snapshot(&status.secure)
-                        )
+                        " secure=sealed:{} opened:{} rejected:{} rekeys:{}",
+                        status.secure.sealed,
+                        status.secure.opened,
+                        status.secure.rejected,
+                        status.secure.rekeys
                     )?;
                 }
                 if let Some(runtime) = &status.runtime {

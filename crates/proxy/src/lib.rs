@@ -91,9 +91,6 @@ pub use udp::{
 // stats handles in a `UdpCarrierHandle`) need not depend on the transport crate.
 pub use rapidware_transport::{TransportSnapshot, TransportStats};
 // Re-exported so callers consuming `Proxy::telemetry()` snapshots (or
-// registering their own instruments on `Proxy::telemetry_registry()`) need
+// recording their own histograms on `Proxy::telemetry_registry()`) need
 // not depend on the telemetry crate.
-pub use rapidware_telemetry::{
-    format_metrics, Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, StatSource,
-    TelemetrySnapshot,
-};
+pub use rapidware_telemetry::{Histogram, HistogramSnapshot, Metric, Registry, TelemetrySnapshot};

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use rapidware_filters::{ChainSpans, Filter, SecureChannelSnapshot};
 use rapidware_packet::{Packet, StreamId};
 use rapidware_streams::{DetachableReceiver, DetachableSender};
-use rapidware_telemetry::{Registry, StatSource, TelemetrySnapshot};
+use rapidware_telemetry::{Metric, Registry, TelemetrySnapshot};
 
-use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, UdpConfig};
+use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, TransportSnapshot, UdpConfig};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
@@ -96,6 +96,98 @@ fn stream_status(name: &str, stream: &PooledSession) -> StreamStatus {
     let lane = lanes.into_iter().next().expect("a flat stream keeps its lane");
     let stats = ChainStats { packets_in: head_stats.packets_in, ..lane.stats };
     StreamStatus { name: name.to_string(), filters: lane.filters, stats, secure }
+}
+
+/// Every count `status` reports, as `scope.key` metrics: each stream
+/// (its chain, then its secure channel if that did work), each session
+/// (head, every lane, secure channel if it did work), each carrier
+/// (ingress, egress, socket) and the runtime.
+fn status_stats(status: &ProxyStatus) -> Vec<Metric> {
+    let mut stats = Vec::new();
+    let mut fold = |scope: &str, counts: &[(&str, u64)]| {
+        stats.extend(
+            counts.iter().map(|&(key, value)| Metric { name: format!("{scope}.{key}"), value }),
+        );
+    };
+    let chain = |chain: &ChainStats| {
+        [
+            ("filters", chain.filters as u64),
+            ("packets_in", chain.packets_in),
+            ("packets_out", chain.packets_out),
+            ("splices", chain.splices),
+            ("filter_errors", chain.filter_errors),
+        ]
+    };
+    let secure = |secure: &SecureChannelSnapshot| {
+        [
+            ("sealed", secure.sealed),
+            ("opened", secure.opened),
+            ("rejected", secure.rejected),
+            ("rekeys", secure.rekeys),
+        ]
+    };
+    let socket = |socket: &TransportSnapshot| {
+        [
+            ("rx_datagrams", socket.rx_datagrams),
+            ("rx_packets", socket.rx_packets),
+            ("tx_datagrams", socket.tx_datagrams),
+            ("tx_packets", socket.tx_packets),
+            ("tx_batches", socket.tx_batches),
+            ("gso_refused", socket.gso_refused),
+            ("decode_errors", socket.decode_errors),
+            ("dropped", socket.dropped),
+        ]
+    };
+    for stream in &status.streams {
+        let scope = format!("stream.{}", stream.name);
+        fold(&scope, &chain(&stream.stats));
+        if !stream.secure.is_empty() {
+            fold(&format!("{scope}.secure"), &secure(&stream.secure));
+        }
+    }
+    for session in &status.sessions {
+        let scope = format!("session.{}", session.name);
+        fold(&format!("{scope}.head"), &chain(&session.head_stats));
+        for lane in &session.lanes {
+            let lane_scope = format!("{scope}.lane.{}", lane.name);
+            fold(
+                &lane_scope,
+                &[
+                    ("delivered", lane.delivered),
+                    ("recovered", lane.recovered),
+                    ("queue_depth", lane.queue_depth as u64),
+                ],
+            );
+            fold(&lane_scope, &chain(&lane.stats));
+        }
+        if !session.secure.is_empty() {
+            fold(&format!("{scope}.secure"), &secure(&session.secure));
+        }
+    }
+    for carrier in &status.transports {
+        let scope = format!("udp.{}", carrier.name);
+        fold(&format!("{scope}.ingress"), &socket(&carrier.ingress));
+        fold(&format!("{scope}.egress"), &socket(&carrier.egress));
+        let socket_errors = [
+            ("unknown_streams", carrier.unknown_streams),
+            ("io_errors", carrier.io_errors),
+        ];
+        fold(&scope, &socket_errors);
+    }
+    if let Some(runtime) = &status.runtime {
+        fold(
+            "runtime",
+            &[
+                ("workers", runtime.workers as u64),
+                ("live_tasks", runtime.live_tasks as u64),
+                ("queued", runtime.shards.iter().map(|shard| shard.queued as u64).sum()),
+                ("executed", runtime.shards.iter().map(|shard| shard.executed).sum()),
+                ("steals", runtime.steals),
+                ("polls", runtime.polls),
+            ],
+        );
+    }
+    stats
 }
 
 impl fmt::Debug for Proxy {
@@ -649,53 +741,19 @@ impl Proxy {
     /// A unified telemetry snapshot, or `None` until
     /// [`enable_telemetry`](Self::enable_telemetry) is called.
     ///
-    /// The snapshot carries every registered instrument — the latency
-    /// histograms (`stream.*`/`session.*` batch, per-stage, and end-to-end
-    /// spans), the runtime profiling histograms (`runtime.poll_ns`,
+    /// Its histograms are the registry's: the latency spans
+    /// (`stream.*`/`session.*` batch, per-stage, and end-to-end), the
+    /// runtime profiling histograms (`runtime.poll_ns`,
     /// `runtime.queue_wait_ns`, `runtime.reactor.scan_ns`), and the carrier
     /// batch-shape histograms (`udp.*.drain_batch`, `udp.*.flush_batch`,
-    /// `udp.*.tx_segments`) — plus the legacy
-    /// stats structs folded in as flat metrics under the same scopes:
-    /// per-stream chain and secure-channel counters, per-session head and
-    /// lane counters, per-carrier rx/tx, unknown-stream and socket-error
-    /// counters, and
-    /// the runtime's worker/queue/steal/poll counters.
+    /// `udp.*.tx_segments`).  Its `stats` are [`status`](Self::status)
+    /// folded into flat `scope.key` counts under the same scopes:
+    /// per-stream chain and secure-channel counts, per-session head and
+    /// lane counts, per-carrier rx/tx, unknown-stream and socket-error
+    /// counts, and the runtime's worker/queue/steal/poll counts.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        let registry = self.telemetry.as_ref()?;
-        let mut snapshot = registry.snapshot();
-        for stream in self.streams.iter().map(|(name, stream)| stream_status(name, stream)) {
-            let scope = format!("stream.{}", stream.name);
-            snapshot.push_stats(&scope, stream.stats.snapshot());
-            if !stream.secure.is_empty() {
-                snapshot.push_stats(&format!("{scope}.secure"), stream.secure.snapshot());
-            }
-        }
-        for session in self.sessions.values().map(PooledSession::status) {
-            let scope = format!("session.{}", session.name);
-            snapshot.push_stats(&format!("{scope}.head"), session.head_stats.snapshot());
-            for lane in &session.lanes {
-                snapshot.push_stats(&format!("{scope}.lane.{}", lane.name), lane.snapshot());
-            }
-            if !session.secure.is_empty() {
-                snapshot.push_stats(&format!("{scope}.secure"), session.secure.snapshot());
-            }
-        }
-        for (name, carrier) in &self.udp_carriers {
-            let transport = carrier.status(name);
-            let scope = format!("udp.{name}");
-            snapshot.push_stats(&format!("{scope}.ingress"), transport.ingress.snapshot());
-            snapshot.push_stats(&format!("{scope}.egress"), transport.egress.snapshot());
-            snapshot.push_stats(
-                &scope,
-                vec![
-                    rapidware_telemetry::Metric::new("unknown_streams", transport.unknown_streams),
-                    rapidware_telemetry::Metric::new("io_errors", transport.io_errors),
-                ],
-            );
-        }
-        if let Some(runtime) = &self.runtime {
-            snapshot.push_stats("runtime", runtime.status().snapshot());
-        }
+        let mut snapshot = self.telemetry.as_ref()?.snapshot();
+        snapshot.stats = status_stats(&self.status());
         Some(snapshot)
     }
 

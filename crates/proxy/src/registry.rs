@@ -244,6 +244,7 @@ impl FilterRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapidware_filters::FilterCounters;
 
     #[test]
     fn builtin_kinds_are_registered() {
@@ -280,7 +281,7 @@ mod tests {
             .unwrap();
         assert_eq!(encrypt.name(), "encrypt(key=0x1092)");
         assert_eq!(decrypt.name(), "decrypt(key=0x1092)");
-        assert!(encrypt.secure_stats().is_some());
+        assert!(matches!(encrypt.counters(), Some(FilterCounters::Secure(_))));
         let original =
             Packet::new(StreamId::new(1), SeqNo::new(0), PacketKind::AudioData, vec![1u8; 32]);
         let mut sealed: Vec<Packet> = Vec::new();

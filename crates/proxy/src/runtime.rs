@@ -72,7 +72,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain};
+use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain, FilterCounters};
 use rapidware_telemetry::{now_ns, Histogram, Registry};
 use rapidware_packet::Packet;
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, PipeWatcher, TryRecvError};
@@ -80,7 +80,7 @@ use rapidware_transport::{Interest, Poller, RouteInlet, Token};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
-use crate::session::{build_lane_filter, LaneStatus, SessionStatus};
+use crate::session::{LaneStatus, SessionStatus};
 use crate::threaded::ChainStats;
 
 /// How long a graceful [`PooledSession::shutdown`] waits for the session's
@@ -153,22 +153,6 @@ pub struct RuntimeStatus {
     /// Task steps workers have actually run (a step is one `poll` of a
     /// session or socket task).
     pub polls: u64,
-}
-
-impl rapidware_telemetry::StatSource for RuntimeStatus {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        let queued: usize = self.shards.iter().map(|shard| shard.queued).sum();
-        let executed: u64 = self.shards.iter().map(|shard| shard.executed).sum();
-        vec![
-            Metric::new("workers", self.workers as u64),
-            Metric::new("live_tasks", self.live_tasks as u64),
-            Metric::new("queued", queued as u64),
-            Metric::new("executed", executed),
-            Metric::new("steals", self.steals),
-            Metric::new("polls", self.polls),
-        ]
-    }
 }
 
 /// The pool's own profiling instruments, installed by
@@ -1126,6 +1110,11 @@ struct Stage {
     pending: Vec<Packet>,
     splices: u64,
     errors: u64,
+    /// Each FEC decoder on the chain, with its recovery count when it
+    /// joined.
+    decoders: Vec<(Arc<FecDecoderStats>, u64)>,
+    /// Recoveries made here by decoders since removed.
+    recovered: u64,
 }
 
 impl Stage {
@@ -1167,19 +1156,42 @@ impl Stage {
         }
     }
 
+    /// Splices `filter` in at `position`; an FEC decoder's recoveries
+    /// count here from now on.
     fn insert(&mut self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
+        let decoder = match filter.counters() {
+            Some(FilterCounters::FecDecoder(stats)) => Some(stats),
+            _ => None,
+        };
         self.chain.insert(position, filter).map_err(map_chain_error)?;
         self.splices += 1;
+        if let Some(stats) = decoder {
+            let joined = stats.recovered();
+            self.decoders.push((stats, joined));
+        }
         Ok(())
     }
 
     /// Removes the filter at `position`; what it had buffered, run through
     /// the filters after it, joins `pending` ahead of all later traffic.
+    /// An FEC decoder's recoveries made here stay counted here.
     fn remove(&mut self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
         let (filter, residue) = self.chain.remove(position).map_err(map_chain_error)?;
         self.pending.extend(residue);
         self.splices += 1;
+        if let Some(FilterCounters::FecDecoder(stats)) = filter.counters() {
+            if let Some(index) = self.decoders.iter().position(|(s, _)| Arc::ptr_eq(s, &stats)) {
+                let (_, joined) = self.decoders.swap_remove(index);
+                self.recovered += stats.recovered() - joined;
+            }
+        }
         Ok(filter)
+    }
+
+    /// Source packets FEC decoders rebuilt while on this chain.
+    fn recovered(&self) -> u64 {
+        let present = self.decoders.iter().map(|(stats, joined)| stats.recovered() - joined);
+        self.recovered + present.sum::<u64>()
     }
 
     fn move_filter(&mut self, from: usize, to: usize) -> Result<(), ProxyError> {
@@ -1264,7 +1276,6 @@ struct Lane {
     output: DetachableReceiver<Packet>,
     /// Packets fanned out to this lane's chain.
     packets_in: u64,
-    decoder_stats: Vec<Arc<FecDecoderStats>>,
 }
 
 impl Lane {
@@ -1516,7 +1527,6 @@ impl PooledSession {
             out_tx,
             output: output.clone(),
             packets_in: 0,
-            decoder_stats: Vec::new(),
         });
         if !inner.head.pending.is_empty() {
             // Output held for want of a lane goes to the first to join.
@@ -1607,10 +1617,7 @@ impl PooledSession {
     }
 
     /// Instantiates a filter from `spec` and splices it into `lane`'s tail
-    /// chain at `position` — the per-receiver adaptation path.  The
-    /// built-in `fec-decoder` kind keeps its stats handle so per-lane
-    /// `recovered` counts surface in the status (a registry override of
-    /// that kind is installed as-is, without them).
+    /// chain at `position` — the per-receiver adaptation path.
     ///
     /// # Errors
     ///
@@ -1622,17 +1629,12 @@ impl PooledSession {
         position: usize,
         spec: &FilterSpec,
     ) -> Result<(), ProxyError> {
-        let (filter, decoder_stats) = build_lane_filter(&self.registry, spec)?;
-        let mut inner = self.splicable()?;
-        let lane = find_lane_mut(&mut inner.live, lane)?;
-        lane.stage.insert(position, filter)?;
-        lane.decoder_stats.extend(decoder_stats);
-        Ok(())
+        let filter = self.registry.instantiate(spec)?;
+        self.insert_lane_filter_boxed(lane, position, filter)
     }
 
     /// Splices an already-constructed filter into `lane`'s tail chain at
-    /// `position`, as-is (a `fec-decoder` inserted this way reports no
-    /// per-lane `recovered` count).
+    /// `position`.
     ///
     /// # Errors
     ///
@@ -1727,7 +1729,7 @@ impl PooledSession {
                         name: lane.name.clone(),
                         filters: lane.stage.chain.names(),
                         delivered: stats.packets_out,
-                        recovered: lane.decoder_stats.iter().map(|s| s.recovered()).sum(),
+                        recovered: lane.stage.recovered(),
                         queue_depth: lane.output.available(),
                         stats,
                     }

@@ -11,8 +11,8 @@
 //! bytes copies on write), and one live-reconfigurable lane chain per
 //! receiver writes straight into that receiver's delivery pipe.  This
 //! module holds what a session *reports* ([`SessionStatus`],
-//! [`LaneStatus`]) and how a lane filter is built; the session itself lives
-//! in [`runtime`](crate::runtime).
+//! [`LaneStatus`]); the session itself lives in
+//! [`runtime`](crate::runtime).
 //!
 //! ```
 //! use rapidware_proxy::runtime::{Runtime, RuntimeConfig};
@@ -38,12 +38,8 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
+use rapidware_filters::SecureChannelSnapshot;
 
-use rapidware_filters::{FecDecoderFilter, FecDecoderStats, Filter, SecureChannelSnapshot};
-
-use crate::error::ProxyError;
-use crate::registry::{FilterRegistry, FilterSpec};
 use crate::threaded::ChainStats;
 
 /// A status snapshot of one receiver lane.
@@ -55,28 +51,15 @@ pub struct LaneStatus {
     pub filters: Vec<String>,
     /// Packets this lane has delivered to its receiver endpoint.
     pub delivered: u64,
-    /// Source packets reconstructed by FEC decoders installed on this lane
-    /// through the session API (cumulative over the lane's lifetime, even
-    /// across decoder removal).
+    /// Source packets reconstructed by FEC decoders while they sat on this
+    /// lane, however they were inserted (cumulative over the lane's
+    /// lifetime, even across decoder removal).
     pub recovered: u64,
     /// Packets buffered at the lane's delivery endpoint, waiting for the
     /// receiver to read them.
     pub queue_depth: usize,
     /// Full tail-chain counters.
     pub stats: ChainStats,
-}
-
-impl rapidware_telemetry::StatSource for LaneStatus {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        let mut metrics = vec![
-            Metric::new("delivered", self.delivered),
-            Metric::new("recovered", self.recovered),
-            Metric::new("queue_depth", self.queue_depth as u64),
-        ];
-        metrics.extend(rapidware_telemetry::StatSource::snapshot(&self.stats));
-        metrics
-    }
 }
 
 /// A status snapshot of a whole fanout session: the shared head chain plus
@@ -96,49 +79,15 @@ pub struct SessionStatus {
     pub secure: SecureChannelSnapshot,
 }
 
-/// Builds the filter a lane-level insert installs, capturing the decoder
-/// stats handle when the spec names the built-in `fec-decoder` kind.  The
-/// (n, k) come from the registry-built filter's own name, so the registry
-/// stays the single source of truth for parameter handling; the direct
-/// construction only exists to capture the stats handle the boxed trait
-/// object cannot expose.
-pub(crate) type LaneFilterBuild = (Box<dyn Filter>, Option<Arc<FecDecoderStats>>);
-
-pub(crate) fn build_lane_filter(
-    registry: &FilterRegistry,
-    spec: &FilterSpec,
-) -> Result<LaneFilterBuild, ProxyError> {
-    let registry_filter = registry.instantiate(spec)?;
-    let decoder_code = (spec.kind == "fec-decoder")
-        .then(|| parse_decoder_code(registry_filter.name()))
-        .flatten();
-    match decoder_code {
-        Some((n, k)) => {
-            let decoder = FecDecoderFilter::new(n, k).map_err(ProxyError::Filter)?;
-            let stats = decoder.stats();
-            Ok((Box::new(decoder) as Box<dyn Filter>, Some(stats)))
-        }
-        None => Ok((registry_filter, None)),
-    }
-}
-
-/// Parses `(n, k)` out of the built-in decoder's display name
-/// (`fec-decoder(n,k)`); returns `None` for a registry override whose
-/// product does not follow the built-in naming convention (such a filter is
-/// installed as-is, without per-lane recovered stats).
-fn parse_decoder_code(name: &str) -> Option<(usize, usize)> {
-    let inner = name.strip_prefix("fec-decoder(")?.strip_suffix(')')?;
-    let (n, k) = inner.split_once(',')?;
-    Some((n.trim().parse().ok()?, k.trim().parse().ok()?))
-}
-
 #[cfg(test)]
 mod tests {
     //! Session behaviour, driven through [`PooledSession`] on a default
     //! pool.
 
-    use super::*;
+    use crate::error::ProxyError;
+    use crate::registry::{FilterRegistry, FilterSpec};
     use crate::runtime::{PooledSession, Runtime, RuntimeConfig};
+    use rapidware_filters::FecDecoderFilter;
     use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
     use rapidware_streams::DetachableReceiver;
 
@@ -340,6 +289,98 @@ mod tests {
         assert!(received.len() >= 395, "near-complete recovery, got {}", received.len());
         let status = session.status();
         assert!(status.lanes[0].recovered > 0, "decoder stats wired into the lane status");
+        session.shutdown().unwrap();
+    }
+
+    /// Adds lane `name` behind an FEC(6,4) encoder and a drop of every
+    /// fifth wire packet: a decoder spliced in at position 2 has repairs
+    /// to make.
+    fn lossy_lane(session: &PooledSession, name: &str) -> DetachableReceiver<Packet> {
+        let lane = session.add_lane(name).unwrap();
+        session.insert_lane_filter(name, 0, &FilterSpec::new("fec-encoder")).unwrap();
+        session
+            .insert_lane_filter(name, 1, &FilterSpec::new("drop-every").with_param("n", "5"))
+            .unwrap();
+        lane
+    }
+
+    #[test]
+    fn a_registry_override_of_the_decoder_kind_is_installed_as_built() {
+        let mut registry = FilterRegistry::with_builtins();
+        registry.register("fec-decoder", |_spec| {
+            let decoder = FecDecoderFilter::new(6, 4).map_err(ProxyError::Filter)?;
+            Ok(Box::new(decoder.forwarding_parity()))
+        });
+        let runtime = Runtime::start(RuntimeConfig::default());
+        let session = runtime.add_session_with("override", registry, 1024, 8);
+        let lane = lossy_lane(&session, "lossy");
+        session.insert_lane_filter("lossy", 2, &FilterSpec::new("fec-decoder")).unwrap();
+        let input = session.input();
+        for seq in 0..40u64 {
+            input.send(packet(seq)).unwrap();
+        }
+        session.close_input();
+        let received = collect_all(&lane);
+        let parities = received.iter().filter(|p| !p.kind().is_payload()).count();
+        assert_eq!(received.len() - parities, 40, "every source delivered or rebuilt");
+        assert!(parities > 0, "the override forwards parity");
+        assert!(session.status().lanes[0].recovered > 0, "the override's repairs are counted");
+        session.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_boxed_decoder_counts_its_recoveries_on_its_lane() {
+        let session = session_with("boxed", 1024, 8);
+        let lane = lossy_lane(&session, "lossy");
+        let decoder = FecDecoderFilter::new(6, 4).unwrap();
+        let stats = decoder.stats();
+        session.insert_lane_filter_boxed("lossy", 2, Box::new(decoder)).unwrap();
+        let consumer = std::thread::spawn(move || collect_all(&lane));
+        let input = session.input();
+        for seq in 0..400u64 {
+            input.send(packet(seq)).unwrap();
+        }
+        session.close_input();
+        assert_eq!(consumer.join().unwrap().len(), 400);
+        let recovered = session.status().lanes[0].recovered;
+        assert!(recovered > 0, "a boxed decoder's repairs reach the lane status");
+        assert_eq!(recovered, stats.recovered());
+        session.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_decoder_moved_to_another_lane_counts_each_recovery_once() {
+        let session = session_with("moved", 1024, 8);
+        let a = lossy_lane(&session, "a");
+        let b = lossy_lane(&session, "b");
+        let decoder = FecDecoderFilter::new(6, 4).unwrap();
+        let stats = decoder.stats();
+        session.insert_lane_filter_boxed("a", 2, Box::new(decoder)).unwrap();
+        let input = session.input();
+        for seq in 0..200u64 {
+            input.send(packet(seq)).unwrap();
+        }
+        // A rebuilt source leaves behind the rest of its block.
+        let mut first: Vec<u64> = (0..200).map(|_| a.recv().unwrap().seq().value()).collect();
+        first.sort_unstable();
+        assert_eq!(first, (0..200).collect::<Vec<_>>(), "lane a repairs every loss");
+        let decoder = session.remove_lane_filter("a", 2).unwrap();
+        let on_a = stats.recovered();
+        assert!(on_a > 0);
+        session.insert_lane_filter_boxed("b", 2, decoder).unwrap();
+        for seq in 200..400u64 {
+            input.send(packet(seq)).unwrap();
+        }
+        session.close_input();
+        collect_all(&a);
+        let later = |p: &&Packet| p.kind().is_payload() && p.seq().value() >= 200;
+        let second = collect_all(&b).iter().filter(later).count();
+        assert_eq!(second, 200, "lane b repairs every later loss");
+        let status = session.status();
+        let on_b = stats.recovered() - on_a;
+        assert!(on_b > 0, "the decoder kept repairing on lane b");
+        assert_eq!(status.lanes[0].recovered, on_a, "lane a keeps what it repaired, and no more");
+        assert_eq!(status.lanes[1].recovered, on_b, "lane b counts only its own repairs");
         session.shutdown().unwrap();
     }
 

@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use rapidware_filters::{
-    ChainSpans, Filter, FilterOutput, SecureChannelSnapshot, SecureChannelStats,
+    ChainSpans, Filter, FilterCounters, FilterOutput, SecureChannelSnapshot, SecureChannelStats,
 };
 use rapidware_telemetry::now_ns;
 use rapidware_packet::Packet;
@@ -47,19 +47,6 @@ pub struct ChainStats {
     pub splices: u64,
     /// Packets dropped because a filter reported an error.
     pub filter_errors: u64,
-}
-
-impl rapidware_telemetry::StatSource for ChainStats {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        vec![
-            Metric::new("filters", self.filters as u64),
-            Metric::new("packets_in", self.packets_in),
-            Metric::new("packets_out", self.packets_out),
-            Metric::new("splices", self.splices),
-            Metric::new("filter_errors", self.filter_errors),
-        ]
-    }
 }
 
 /// Adapter that lets a filter write into a detachable sender.
@@ -326,7 +313,10 @@ impl ThreadedChain {
             });
         }
         let name = filter.name().to_string();
-        let secure = filter.secure_stats();
+        let secure = match filter.counters() {
+            Some(FilterCounters::Secure(stats)) => Some(stats),
+            _ => None,
+        };
         let (out_tx, in_rx) = {
             let (tx, rx) = detached_pair::<Packet>(self.capacity);
             (tx, rx)

@@ -76,4 +76,4 @@ pub use pipe::{
     detached_pair, pipe, DetachableReceiver, DetachableSender, IntoIter, PipeWatcher,
     DEFAULT_CAPACITY,
 };
-pub use stats::{PipeStats, StatsSnapshot};
+pub use stats::PipeStats;

@@ -26,20 +26,6 @@ struct StatsInner {
     blocked_sends: AtomicU64,
 }
 
-/// A point-in-time copy of a [`PipeStats`], suitable for diffing between two
-/// observation instants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct StatsSnapshot {
-    /// Number of items successfully transferred through this half.
-    pub items: u64,
-    /// Number of completed `pause()` operations.
-    pub pauses: u64,
-    /// Number of completed `reconnect()` operations.
-    pub reconnects: u64,
-    /// Number of `send` calls that had to block (back-pressure or pause).
-    pub blocked_sends: u64,
-}
-
 impl PipeStats {
     /// Creates a fresh, zeroed statistics block.
     pub fn new() -> Self {
@@ -85,47 +71,6 @@ impl PipeStats {
     pub fn blocked_sends(&self) -> u64 {
         self.inner.blocked_sends.load(Ordering::Relaxed)
     }
-
-    /// Returns a consistent-enough point-in-time copy of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            items: self.items(),
-            pauses: self.pauses(),
-            reconnects: self.reconnects(),
-            blocked_sends: self.blocked_sends(),
-        }
-    }
-}
-
-impl rapidware_telemetry::StatSource for PipeStats {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        rapidware_telemetry::StatSource::snapshot(&self.snapshot())
-    }
-}
-
-impl rapidware_telemetry::StatSource for StatsSnapshot {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        vec![
-            Metric::new("items", self.items),
-            Metric::new("pauses", self.pauses),
-            Metric::new("reconnects", self.reconnects),
-            Metric::new("blocked_sends", self.blocked_sends),
-        ]
-    }
-}
-
-impl StatsSnapshot {
-    /// Returns the per-counter difference `self - earlier`, saturating at
-    /// zero so that a reset never produces nonsense deltas.
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            items: self.items.saturating_sub(earlier.items),
-            pauses: self.pauses.saturating_sub(earlier.pauses),
-            reconnects: self.reconnects.saturating_sub(earlier.reconnects),
-            blocked_sends: self.blocked_sends.saturating_sub(earlier.blocked_sends),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +80,8 @@ mod tests {
     #[test]
     fn counters_start_at_zero() {
         let stats = PipeStats::new();
-        assert_eq!(stats.snapshot(), StatsSnapshot::default());
+        let counts = [stats.items(), stats.pauses(), stats.reconnects(), stats.blocked_sends()];
+        assert_eq!(counts, [0; 4]);
     }
 
     #[test]
@@ -146,11 +92,10 @@ mod tests {
         stats.record_pause();
         stats.record_reconnect();
         stats.record_blocked_send();
-        let snap = stats.snapshot();
-        assert_eq!(snap.items, 2);
-        assert_eq!(snap.pauses, 1);
-        assert_eq!(snap.reconnects, 1);
-        assert_eq!(snap.blocked_sends, 1);
+        assert_eq!(stats.items(), 2);
+        assert_eq!(stats.pauses(), 1);
+        assert_eq!(stats.reconnects(), 1);
+        assert_eq!(stats.blocked_sends(), 1);
     }
 
     #[test]
@@ -159,25 +104,5 @@ mod tests {
         let clone = stats.clone();
         clone.record_item();
         assert_eq!(stats.items(), 1);
-    }
-
-    #[test]
-    fn delta_since_saturates() {
-        let a = StatsSnapshot {
-            items: 5,
-            pauses: 1,
-            reconnects: 0,
-            blocked_sends: 2,
-        };
-        let b = StatsSnapshot {
-            items: 3,
-            pauses: 2,
-            reconnects: 0,
-            blocked_sends: 1,
-        };
-        let d = a.delta_since(&b);
-        assert_eq!(d.items, 2);
-        assert_eq!(d.pauses, 0); // saturated
-        assert_eq!(d.blocked_sends, 1);
     }
 }

@@ -1,17 +1,20 @@
 //! # rapidware-telemetry — low-overhead observability primitives
 //!
-//! The metric layer under the composable proxy: every other rapidware
-//! crate records into the types defined here, and `Proxy::telemetry()`
-//! merges the result into one [`TelemetrySnapshot`].  The design goals,
-//! in order:
+//! The latency layer under the composable proxy: every other rapidware
+//! crate records its timings into the histograms defined here, and
+//! `Proxy::telemetry()` merges them into one [`TelemetrySnapshot`].
+//! Counts are not kept here: each stays in the object that owns it (a
+//! pipe, a filter, a carrier, the pool) for that object's lifetime, and
+//! the proxy folds its status into the snapshot's
+//! [`stats`](TelemetrySnapshot::stats) when asked.  The design goals, in
+//! order:
 //!
-//! 1. **Lock-free on the hot path.**  [`Counter`], [`Gauge`], and
-//!    [`Histogram`] are recorded with relaxed atomic increments only; the
-//!    single [`Registry`] mutex is touched at registration and snapshot
-//!    time, never per packet.
+//! 1. **Lock-free on the hot path.**  A [`Histogram`] is recorded with
+//!    relaxed atomic increments only; the single [`Registry`] mutex is
+//!    touched at registration and snapshot time, never per packet.
 //! 2. **No allocation after registration.**  Histograms are fixed
-//!    64-bucket log2 arrays; counters are fixed sharded cells.  Handles
-//!    are `Arc`s captured once and recorded into forever.
+//!    64-bucket log2 arrays.  Handles are `Arc`s captured once and
+//!    recorded into forever.
 //! 3. **Exact count conservation.**  A histogram's observation count *is*
 //!    the sum of its bucket counts — merging shards cannot lose or invent
 //!    observations, and a snapshot taken mid-record never undercounts
@@ -26,18 +29,16 @@
 //!
 //! let registry = Registry::new();
 //! let hist = registry.histogram("stream.audio.e2e_ns");
-//! let sent = registry.counter("stream.audio.packets");
 //!
 //! let start = now_ns();
-//! sent.add(3);
 //! hist.record(now_ns() - start);
 //! hist.record(1_500);
 //!
 //! let snapshot = registry.snapshot();
-//! assert_eq!(snapshot.counter("stream.audio.packets"), Some(3));
 //! let e2e = snapshot.histogram("stream.audio.e2e_ns").unwrap();
 //! assert_eq!(e2e.count(), 2);
 //! assert!(e2e.percentile(0.99) >= 1_500);
+//! assert!(snapshot.stats.is_empty(), "counts are folded in by their owner");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,14 +47,10 @@
 
 mod clock;
 mod hist;
-mod metrics;
 mod registry;
 mod sample;
-mod source;
 
 pub use clock::now_ns;
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
-pub use metrics::{Counter, Gauge};
-pub use registry::{Registry, TelemetrySnapshot};
+pub use registry::{Metric, Registry, TelemetrySnapshot};
 pub use sample::Sampler;
-pub use source::{format_metrics, Metric, StatSource};

@@ -1,34 +1,26 @@
-//! The metric registry and its merged snapshot.
+//! The histogram registry and its merged snapshot.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::metrics::{Counter, Gauge};
-use crate::source::Metric;
 
-/// Registered instruments, by name.  The map is behind a plain mutex —
-/// registration and snapshots are control-plane operations; the data plane
-/// only ever touches the `Arc` handles it captured at registration.
-#[derive(Debug, Default)]
-struct Instruments {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-/// A process-local metric registry.
+/// A process-local histogram registry.
 ///
-/// `counter`/`gauge`/`histogram` are get-or-register: the first call for a
-/// name allocates the instrument, later calls return the same handle, so
-/// independently wired subsystems can share one series.  [`snapshot`]
-/// merges everything into a [`TelemetrySnapshot`].
+/// [`histogram`] is get-or-register: the first call for a name allocates
+/// the histogram, later calls return the same handle, so independently
+/// wired subsystems can share one series.  The map is behind a plain
+/// mutex — registration and snapshots are control-plane operations; the
+/// data plane only ever touches the `Arc` handles it captured at
+/// registration.  [`snapshot`] merges everything into a
+/// [`TelemetrySnapshot`].
 ///
+/// [`histogram`]: Self::histogram
 /// [`snapshot`]: Self::snapshot
 #[derive(Debug, Default)]
 pub struct Registry {
-    instruments: Mutex<Instruments>,
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Registry {
@@ -37,55 +29,18 @@ impl Registry {
         Arc::new(Self::default())
     }
 
-    /// The counter called `name`, registering it on first use.
-    pub fn counter(&self, name: impl Into<String>) -> Arc<Counter> {
-        let mut instruments = self.instruments.lock().expect("registry mutex");
-        Arc::clone(
-            instruments
-                .counters
-                .entry(name.into())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
-    }
-
-    /// The gauge called `name`, registering it on first use.
-    pub fn gauge(&self, name: impl Into<String>) -> Arc<Gauge> {
-        let mut instruments = self.instruments.lock().expect("registry mutex");
-        Arc::clone(
-            instruments
-                .gauges
-                .entry(name.into())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
     /// The histogram called `name`, registering it on first use.
     pub fn histogram(&self, name: impl Into<String>) -> Arc<Histogram> {
-        let mut instruments = self.instruments.lock().expect("registry mutex");
-        Arc::clone(
-            instruments
-                .histograms
-                .entry(name.into())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        let mut histograms = self.histograms.lock().expect("registry mutex");
+        Arc::clone(histograms.entry(name.into()).or_insert_with(|| Arc::new(Histogram::new())))
     }
 
-    /// Merges every instrument into a point-in-time snapshot.
+    /// Merges every histogram into a point-in-time snapshot (with no
+    /// `stats`: those are the owner's to fold in).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let instruments = self.instruments.lock().expect("registry mutex");
+        let histograms = self.histograms.lock().expect("registry mutex");
         TelemetrySnapshot {
-            counters: instruments
-                .counters
-                .iter()
-                .map(|(name, counter)| (name.clone(), counter.value()))
-                .collect(),
-            gauges: instruments
-                .gauges
-                .iter()
-                .map(|(name, gauge)| (name.clone(), gauge.value()))
-                .collect(),
-            histograms: instruments
-                .histograms
+            histograms: histograms
                 .iter()
                 .map(|(name, hist)| (name.clone(), hist.snapshot()))
                 .collect(),
@@ -94,35 +49,26 @@ impl Registry {
     }
 }
 
-/// One coherent view of every registered instrument plus the legacy stats
-/// folded in by the proxy ([`TelemetrySnapshot::push_stats`]).
+/// One named count, read from the object that owns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Metric {
+    /// Dotted scope and key (e.g. `stream.audio.packets_in`).
+    pub name: String,
+    /// The reading.
+    pub value: u64,
+}
+
+/// One coherent view of every registered histogram plus the counts the
+/// proxy folds in from its status (`Proxy::telemetry`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
-    /// Counter readings, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge readings, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Legacy stats-struct readings (`StatSource` metrics with a scope
-    /// prefix), in the order the proxy appended them.
+    /// Counts with a scope prefix, in the order the proxy folded them.
     pub stats: Vec<Metric>,
 }
 
 impl TelemetrySnapshot {
-    /// The counter called `name`, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// The gauge called `name`, if registered.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     /// The histogram called `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -131,16 +77,9 @@ impl TelemetrySnapshot {
             .map(|(_, h)| h)
     }
 
-    /// The legacy stat called `name`, if present.
+    /// The count called `name`, if present.
     pub fn stat(&self, name: &str) -> Option<u64> {
         self.stats.iter().find(|m| m.name == name).map(|m| m.value)
-    }
-
-    /// Appends a stats struct's metrics under `scope.` (e.g.
-    /// `stream.audio.pipe` + `items` → `stream.audio.pipe.items`).
-    pub fn push_stats(&mut self, scope: &str, metrics: Vec<Metric>) {
-        self.stats
-            .extend(metrics.into_iter().map(|m| m.prefixed(scope)));
     }
 
     /// Every histogram whose name starts with `prefix`, merged into one.
@@ -160,19 +99,7 @@ impl TelemetrySnapshot {
     /// p50/p90/p99 estimates, and only their non-empty buckets as
     /// `[bucket_index, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (index, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if index == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    {}: {value}", json_string(name));
-        }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        for (index, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if index == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    {}: {value}", json_string(name));
-        }
-        out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
+        let mut out = String::from("{\n  \"histograms\": {");
         for (index, (name, hist)) in self.histograms.iter().enumerate() {
             let sep = if index == 0 { "\n" } else { ",\n" };
             let min = if hist.is_empty() { 0 } else { hist.min };
@@ -237,30 +164,18 @@ mod tests {
     #[test]
     fn get_or_register_returns_the_same_instrument() {
         let registry = Registry::new();
-        let a = registry.counter("x");
-        let b = registry.counter("x");
-        a.inc();
-        b.inc();
-        assert_eq!(registry.snapshot().counter("x"), Some(2));
-        assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&registry.histogram("h"), &registry.histogram("h")));
-        assert!(Arc::ptr_eq(&registry.gauge("g"), &registry.gauge("g")));
     }
 
     #[test]
     fn snapshot_merges_all_kinds() {
         let registry = Registry::new();
-        registry.counter("c").add(5);
-        registry.gauge("g").set(-3);
         registry.histogram("h").record(1_000);
         let mut snapshot = registry.snapshot();
-        snapshot.push_stats("scope", vec![Metric::new("items", 9)]);
-        assert_eq!(snapshot.counter("c"), Some(5));
-        assert_eq!(snapshot.gauge("g"), Some(-3));
+        assert!(snapshot.stats.is_empty(), "the registry holds no counts");
+        snapshot.stats.push(Metric { name: "scope.items".to_string(), value: 9 });
         assert_eq!(snapshot.histogram("h").map(|h| h.count()), Some(1));
         assert_eq!(snapshot.stat("scope.items"), Some(9));
-        assert_eq!(snapshot.counter("missing"), None);
-        assert_eq!(snapshot.gauge("missing"), None);
         assert!(snapshot.histogram("missing").is_none());
         assert_eq!(snapshot.stat("missing"), None);
     }
@@ -279,14 +194,13 @@ mod tests {
     #[test]
     fn json_has_all_sections_and_escapes() {
         let registry = Registry::new();
-        registry.counter("a\"b").add(1);
         registry.histogram("h").record(7);
         let mut snapshot = registry.snapshot();
-        snapshot.push_stats("s", vec![Metric::new("v", 2)]);
+        snapshot.stats.push(Metric { name: "a\"b".to_string(), value: 1 });
+        snapshot.stats.push(Metric { name: "s.v".to_string(), value: 2 });
         let json = snapshot.to_json();
-        assert!(json.contains("\"counters\""));
+        assert!(json.starts_with("{\n  \"histograms\": {"), "{json}");
         assert!(json.contains("\"a\\\"b\": 1"));
-        assert!(json.contains("\"gauges\": {}"));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"buckets\": [[3, 1]]"));
         assert!(json.contains("\"s.v\": 2"));

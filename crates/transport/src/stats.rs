@@ -151,46 +151,6 @@ impl TransportStats {
     }
 }
 
-impl rapidware_telemetry::StatSource for TransportStats {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        rapidware_telemetry::StatSource::snapshot(&self.snapshot())
-    }
-}
-
-impl rapidware_telemetry::StatSource for TransportSnapshot {
-    fn snapshot(&self) -> Vec<rapidware_telemetry::Metric> {
-        use rapidware_telemetry::Metric;
-        vec![
-            Metric::new("rx_datagrams", self.rx_datagrams),
-            Metric::new("rx_packets", self.rx_packets),
-            Metric::new("tx_datagrams", self.tx_datagrams),
-            Metric::new("tx_packets", self.tx_packets),
-            Metric::new("tx_batches", self.tx_batches),
-            Metric::new("gso_refused", self.gso_refused),
-            Metric::new("decode_errors", self.decode_errors),
-            Metric::new("dropped", self.dropped),
-        ]
-    }
-}
-
-impl TransportSnapshot {
-    /// Merges two snapshots counter-by-counter (used to aggregate the
-    /// per-lane egress endpoints of a UDP fanout session).
-    #[must_use]
-    pub fn merged(&self, other: &TransportSnapshot) -> TransportSnapshot {
-        TransportSnapshot {
-            rx_datagrams: self.rx_datagrams + other.rx_datagrams,
-            rx_packets: self.rx_packets + other.rx_packets,
-            tx_datagrams: self.tx_datagrams + other.tx_datagrams,
-            tx_packets: self.tx_packets + other.tx_packets,
-            tx_batches: self.tx_batches + other.tx_batches,
-            gso_refused: self.gso_refused + other.gso_refused,
-            decode_errors: self.decode_errors + other.decode_errors,
-            dropped: self.dropped + other.dropped,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,13 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_counters_and_snapshots_merge() {
+    fn a_clone_shares_the_counters() {
         let stats = TransportStats::new();
         let clone = stats.clone();
         clone.record_tx(1);
         assert_eq!(stats.tx_packets(), 1);
-        let merged = stats.snapshot().merged(&stats.snapshot());
-        assert_eq!(merged.tx_packets, 2);
-        assert_eq!(merged.rx_packets, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Telemetry snapshot: turn on the unified telemetry subsystem, stream
 //! packets through a pooled FEC chain, and read the whole story back —
 //! end-to-end latency percentiles, per-stage timings, runtime profiling,
-//! and the legacy stats — from one `Proxy::telemetry()` snapshot and from
+//! and the status counts — from one `Proxy::telemetry()` snapshot and from
 //! the control protocol's `telemetry` verb.
 //!
 //! Run with:
@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("delivered {delivered} packets through the pooled FEC chain\n");
 
     // 4. One snapshot carries everything: packet-lifecycle histograms with
-    //    derivable percentiles, runtime profiling, and the legacy stats
-    //    folded in as flat metrics.
+    //    derivable percentiles, runtime profiling, and every status count
+    //    folded in as a flat metric.
     let snapshot = proxy.telemetry().expect("telemetry was enabled");
     let e2e = snapshot
         .histogram("stream.audio.e2e_ns")
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         polls.mean(),
     );
     println!(
-        "legacy stats, same view:  packets_in={} packets_out={} runtime.polls={}",
+        "status counts, same view: packets_in={} packets_out={} runtime.polls={}",
         snapshot.stat("stream.audio.packets_in").unwrap_or(0),
         snapshot.stat("stream.audio.packets_out").unwrap_or(0),
         snapshot.stat("runtime.polls").unwrap_or(0),

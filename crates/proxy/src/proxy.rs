@@ -880,6 +880,56 @@ mod tests {
         proxy.shutdown().unwrap();
     }
 
+    /// Sends `count` packets into a stream and reads as many back out.
+    fn pump(input: &DetachableSender<Packet>, output: &DetachableReceiver<Packet>, count: u64) {
+        for seq in 0..count {
+            input.send(packet(seq)).unwrap();
+        }
+        for _ in 0..count {
+            output.recv().unwrap();
+        }
+    }
+
+    #[test]
+    fn removing_a_crypto_filter_keeps_its_counts() {
+        let mut proxy = Proxy::new("p");
+        proxy.enable_telemetry();
+        let (input, output) = proxy.add_stream_pooled("a").unwrap();
+        proxy.insert_filter("a", 0, &FilterSpec::new("encrypt")).unwrap();
+        pump(&input, &output, 10);
+        assert_eq!(proxy.status().secure.sealed, 10);
+
+        proxy.remove_filter("a", 0).unwrap();
+        let status = proxy.status();
+        assert_eq!(status.secure.sealed, 10, "a removal erases no seal");
+        assert_eq!(status.streams[0].secure.sealed, 10);
+        let telemetry = proxy.telemetry().unwrap();
+        assert_eq!(telemetry.stat("stream.a.secure.sealed"), Some(10));
+        proxy.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_crypto_filter_moved_between_streams_counts_each_seal_once() {
+        let mut proxy = Proxy::new("p");
+        proxy.enable_telemetry();
+        let (input_a, output_a) = proxy.add_stream_pooled("a").unwrap();
+        let (input_b, output_b) = proxy.add_stream_pooled("b").unwrap();
+        proxy.insert_filter("a", 0, &FilterSpec::new("encrypt")).unwrap();
+        pump(&input_a, &output_a, 10);
+
+        let encrypt = proxy.remove_filter("a", 0).unwrap();
+        proxy.insert_filter_boxed("b", 0, encrypt).unwrap();
+        pump(&input_b, &output_b, 5);
+        let status = proxy.status();
+        let sealed: Vec<u64> = status.streams.iter().map(|s| s.secure.sealed).collect();
+        assert_eq!(sealed, vec![10, 5], "each seal counts on the stream that made it");
+        assert_eq!(status.secure.sealed, 15);
+        let telemetry = proxy.telemetry().unwrap();
+        assert_eq!(telemetry.stat("stream.a.secure.sealed"), Some(10));
+        assert_eq!(telemetry.stat("stream.b.secure.sealed"), Some(5));
+        proxy.shutdown().unwrap();
+    }
+
     #[test]
     fn unknown_streams_and_kinds_are_reported() {
         let proxy = Proxy::new("p");

@@ -72,7 +72,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use rapidware_filters::{ChainSpans, FecDecoderStats, Filter, FilterChain, FilterCounters};
+use rapidware_filters::{ChainSpans, Filter, FilterChain, FilterCounters, SecureChannelSnapshot};
 use rapidware_telemetry::{now_ns, Histogram, Registry};
 use rapidware_packet::Packet;
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, PipeWatcher, TryRecvError};
@@ -1110,11 +1110,48 @@ struct Stage {
     pending: Vec<Packet>,
     splices: u64,
     errors: u64,
-    /// Each FEC decoder on the chain, with its recovery count when it
-    /// joined.
-    decoders: Vec<(Arc<FecDecoderStats>, u64)>,
-    /// Recoveries made here by decoders since removed.
+    /// Each counting filter on the chain (FEC decoder or crypto stage),
+    /// with its counts when it joined.
+    counted: Vec<(FilterCounters, Counts)>,
+    /// Counts made here by filters since removed.
+    departed: Counts,
+}
+
+/// What counting filters did: FEC recoveries and secure-channel work.
+#[derive(Clone, Copy, Default)]
+struct Counts {
     recovered: u64,
+    secure: SecureChannelSnapshot,
+}
+
+impl Counts {
+    /// The counts behind `counters` now.
+    fn of(counters: &FilterCounters) -> Self {
+        match counters {
+            FilterCounters::Secure(stats) => Counts { secure: stats.snapshot(), ..Counts::default() },
+            FilterCounters::FecDecoder(stats) => {
+                Counts { recovered: stats.recovered(), ..Counts::default() }
+            }
+        }
+    }
+
+    /// Adds what a filter counted between `joined` and `now`.
+    fn add_since(&mut self, now: Counts, joined: Counts) {
+        self.recovered += now.recovered - joined.recovered;
+        self.secure.sealed += now.secure.sealed - joined.secure.sealed;
+        self.secure.opened += now.secure.opened - joined.secure.opened;
+        self.secure.rejected += now.secure.rejected - joined.secure.rejected;
+        self.secure.rekeys += now.secure.rekeys - joined.secure.rekeys;
+    }
+}
+
+/// Whether two handles share one filter's counters.
+fn same_counters(a: &FilterCounters, b: &FilterCounters) -> bool {
+    match (a, b) {
+        (FilterCounters::Secure(a), FilterCounters::Secure(b)) => Arc::ptr_eq(a, b),
+        (FilterCounters::FecDecoder(a), FilterCounters::FecDecoder(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
 }
 
 impl Stage {
@@ -1156,42 +1193,43 @@ impl Stage {
         }
     }
 
-    /// Splices `filter` in at `position`; an FEC decoder's recoveries
+    /// Splices `filter` in at `position`; a counting filter's counts
     /// count here from now on.
     fn insert(&mut self, position: usize, filter: Box<dyn Filter>) -> Result<(), ProxyError> {
-        let decoder = match filter.counters() {
-            Some(FilterCounters::FecDecoder(stats)) => Some(stats),
-            _ => None,
-        };
+        let counters = filter.counters();
         self.chain.insert(position, filter).map_err(map_chain_error)?;
         self.splices += 1;
-        if let Some(stats) = decoder {
-            let joined = stats.recovered();
-            self.decoders.push((stats, joined));
+        if let Some(counters) = counters {
+            let joined = Counts::of(&counters);
+            self.counted.push((counters, joined));
         }
         Ok(())
     }
 
     /// Removes the filter at `position`; what it had buffered, run through
     /// the filters after it, joins `pending` ahead of all later traffic.
-    /// An FEC decoder's recoveries made here stay counted here.
+    /// What a counting filter counted here stays counted here.
     fn remove(&mut self, position: usize) -> Result<Box<dyn Filter>, ProxyError> {
         let (filter, residue) = self.chain.remove(position).map_err(map_chain_error)?;
         self.pending.extend(residue);
         self.splices += 1;
-        if let Some(FilterCounters::FecDecoder(stats)) = filter.counters() {
-            if let Some(index) = self.decoders.iter().position(|(s, _)| Arc::ptr_eq(s, &stats)) {
-                let (_, joined) = self.decoders.swap_remove(index);
-                self.recovered += stats.recovered() - joined;
+        if let Some(counters) = filter.counters() {
+            if let Some(index) = self.counted.iter().position(|(c, _)| same_counters(c, &counters)) {
+                let (_, joined) = self.counted.swap_remove(index);
+                self.departed.add_since(Counts::of(&counters), joined);
             }
         }
         Ok(filter)
     }
 
-    /// Source packets FEC decoders rebuilt while on this chain.
-    fn recovered(&self) -> u64 {
-        let present = self.decoders.iter().map(|(stats, joined)| stats.recovered() - joined);
-        self.recovered + present.sum::<u64>()
+    /// What counting filters did while on this chain, removed ones
+    /// included.
+    fn counts(&self) -> Counts {
+        let mut total = self.departed;
+        for (counters, joined) in &self.counted {
+            total.add_since(Counts::of(counters), *joined);
+        }
+        total
     }
 
     fn move_filter(&mut self, from: usize, to: usize) -> Result<(), ProxyError> {
@@ -1710,9 +1748,9 @@ impl PooledSession {
     /// recovery, and queue-depth counters.
     pub fn status(&self) -> SessionStatus {
         let inner = self.work.inner.lock();
-        let mut secure = inner.head.chain.secure_snapshot();
+        let mut secure = inner.head.counts().secure;
         for lane in inner.live.iter().chain(inner.retired.iter()) {
-            secure.merge(lane.stage.chain.secure_snapshot());
+            secure.merge(lane.stage.counts().secure);
         }
         SessionStatus {
             name: self.name.clone(),
@@ -1729,7 +1767,7 @@ impl PooledSession {
                         name: lane.name.clone(),
                         filters: lane.stage.chain.names(),
                         delivered: stats.packets_out,
-                        recovered: lane.stage.recovered(),
+                        recovered: lane.stage.counts().recovered,
                         queue_depth: lane.output.available(),
                         stats,
                     }

@@ -18,42 +18,6 @@ use crate::error::FilterError;
 use crate::filter::{Filter, FilterDescriptor, InsertionPoint};
 use crate::telemetry::ChainSpans;
 
-/// A record of a reconfiguration performed on a chain, for observability and
-/// tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainEvent {
-    /// A filter was inserted at the given position.
-    Inserted {
-        /// Filter name.
-        name: String,
-        /// Position in the chain.
-        position: usize,
-    },
-    /// A filter insertion was deferred until the next frame boundary.
-    InsertionDeferred {
-        /// Filter name.
-        name: String,
-        /// Requested position.
-        position: usize,
-    },
-    /// A filter was removed from the given position.
-    Removed {
-        /// Filter name.
-        name: String,
-        /// Position in the chain.
-        position: usize,
-    },
-    /// A filter was moved from one position to another.
-    Moved {
-        /// Filter name.
-        name: String,
-        /// Original position.
-        from: usize,
-        /// New position.
-        to: usize,
-    },
-}
-
 struct PendingInsertion {
     position: usize,
     filter: Box<dyn Filter>,
@@ -63,7 +27,6 @@ struct PendingInsertion {
 pub struct FilterChain {
     filters: Vec<Box<dyn Filter>>,
     pending: Vec<PendingInsertion>,
-    events: Vec<ChainEvent>,
     packets_in: u64,
     packets_out: u64,
     spans: Option<Arc<ChainSpans>>,
@@ -93,7 +56,6 @@ impl FilterChain {
         Self {
             filters: Vec::new(),
             pending: Vec::new(),
-            events: Vec::new(),
             packets_in: 0,
             packets_out: 0,
             spans: None,
@@ -151,11 +113,6 @@ impl FilterChain {
         self.packets_out
     }
 
-    /// Drains the log of reconfiguration events.
-    pub fn take_events(&mut self) -> Vec<ChainEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Aggregated seal/reject counters across every secure-channel filter
     /// in the chain (active and pending); all-zero when the chain carries
     /// no crypto stage.
@@ -198,20 +155,8 @@ impl FilterChain {
             });
         }
         match filter.insertion_point() {
-            InsertionPoint::Anywhere => {
-                self.events.push(ChainEvent::Inserted {
-                    name: filter.name().to_string(),
-                    position,
-                });
-                self.filters.insert(position, filter);
-            }
-            InsertionPoint::FrameBoundary => {
-                self.events.push(ChainEvent::InsertionDeferred {
-                    name: filter.name().to_string(),
-                    position,
-                });
-                self.pending.push(PendingInsertion { position, filter });
-            }
+            InsertionPoint::Anywhere => self.filters.insert(position, filter),
+            InsertionPoint::FrameBoundary => self.pending.push(PendingInsertion { position, filter }),
         }
         Ok(())
     }
@@ -237,10 +182,6 @@ impl FilterChain {
             });
         }
         let mut filter = self.filters.remove(position);
-        self.events.push(ChainEvent::Removed {
-            name: filter.name().to_string(),
-            position,
-        });
         // Flush the removed filter, then run its residue through the filters
         // that now occupy positions `position..`.
         let mut flushed: Vec<Packet> = Vec::new();
@@ -280,11 +221,6 @@ impl FilterChain {
             });
         }
         let filter = self.filters.remove(from);
-        self.events.push(ChainEvent::Moved {
-            name: filter.name().to_string(),
-            from,
-            to,
-        });
         self.filters.insert(to, filter);
         Ok(())
     }
@@ -510,10 +446,6 @@ impl FilterChain {
         let pending = std::mem::take(&mut self.pending);
         for insertion in pending {
             let position = insertion.position.min(self.filters.len());
-            self.events.push(ChainEvent::Inserted {
-                name: insertion.filter.name().to_string(),
-                position,
-            });
             self.filters.insert(position, insertion.filter);
         }
     }
@@ -784,10 +716,6 @@ mod tests {
         let out = chain.process(video_packet(1, true)).unwrap();
         assert_eq!(chain.len(), 1);
         assert_eq!(*out[0].payload().last().unwrap(), 7);
-
-        let events = chain.take_events();
-        assert!(matches!(events[0], ChainEvent::InsertionDeferred { .. }));
-        assert!(matches!(events[1], ChainEvent::Inserted { position: 0, .. }));
     }
 
     #[test]

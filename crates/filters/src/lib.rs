@@ -89,7 +89,7 @@ pub use builtin::secure::{
 pub use builtin::secure::Keystream;
 pub use builtin::tap::{TapCounters, TapFilter};
 pub use builtin::transcode::{AudioTranscoderFilter, TranscodeMode};
-pub use chain::{ChainEvent, FilterChain};
+pub use chain::FilterChain;
 pub use container::FilterContainer;
 pub use error::FilterError;
 pub use filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput, InsertionPoint};

@@ -77,8 +77,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nforwarded {forwarded} video packets, emitted {parity} parity packets");
-    for event in chain.take_events() {
-        println!("chain event: {event:?}");
-    }
     Ok(())
 }

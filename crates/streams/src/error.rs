@@ -31,6 +31,14 @@ impl<T> SendError<T> {
             SendError::Closed(item) | SendError::ReceiverClosed(item) => item,
         }
     }
+
+    /// Applies `f` to the undelivered item, keeping the variant.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> SendError<U> {
+        match self {
+            SendError::Closed(item) => SendError::Closed(f(item)),
+            SendError::ReceiverClosed(item) => SendError::ReceiverClosed(f(item)),
+        }
+    }
 }
 
 impl<T> fmt::Display for SendError<T> {

@@ -13,7 +13,10 @@
 //!
 //! Beside the blocking calls each pipe offers non-blocking ones
 //! (`try_send_batch`, `try_recv_up_to`) and [`PipeWatcher`] hooks for
-//! cooperative tasks.  Wakes go only where someone waits: a condvar
+//! cooperative tasks.  Every send, blocking or not, runs one send core
+//! (attach, push, release) and every receive one receive core (wait and
+//! pop), so the hand-off protocol and its wake and counting rules are
+//! written once per side.  Wakes go only where someone waits: a condvar
 //! notify with no waiter costs no syscall (see the `parking_lot` shim),
 //! and a pop fires the space watcher only after a `try_send_batch` was
 //! refused room, so a writer that keeps up is not re-woken per item.
@@ -22,7 +25,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -93,6 +96,15 @@ struct RecvShared<T> {
 }
 
 impl<T> RecvShared<T> {
+    /// Wakes who waits for items after a push: a blocked reader and the
+    /// data watcher.
+    fn wake_reader(&self, watcher: Option<Arc<dyn PipeWatcher>>) {
+        self.not_empty.notify_one();
+        if let Some(watcher) = watcher {
+            watcher.notify();
+        }
+    }
+
     /// Releases `r` after a pop (`many`: possibly several slots freed) and
     /// wakes who may be waiting for it: blocked senders, a pauser once the
     /// queue is empty, and the space watcher only if a `try_send_batch`
@@ -124,8 +136,6 @@ struct SendInner<T> {
     sink: Option<Arc<RecvShared<T>>>,
     paused: bool,
     closed: bool,
-    /// Notified when the sender becomes attached-and-unpaused (or closed).
-    ready_watcher: Option<Arc<dyn PipeWatcher>>,
     /// Number of `send` calls that have committed to the current sink but
     /// not yet finished pushing.  `pause` waits for this to reach zero so
     /// that no item can land on the *old* receiver after the pause completes
@@ -142,6 +152,38 @@ struct SendShared<T> {
     idle: Condvar,
     handles: AtomicUsize,
     stats: PipeStats,
+}
+
+/// What one send hands the send core: a single item (`Option`, so a
+/// per-item send allocates nothing) or a batch (`Vec`).  What is not
+/// delivered stays in it and goes back to the caller.
+trait Items<T> {
+    fn count(&self) -> usize;
+
+    /// Moves the first `n` items to the back of `queue`.
+    fn move_front(&mut self, n: usize, queue: &mut VecDeque<T>);
+}
+
+impl<T> Items<T> for Option<T> {
+    fn count(&self) -> usize {
+        usize::from(self.is_some())
+    }
+
+    fn move_front(&mut self, n: usize, queue: &mut VecDeque<T>) {
+        if n > 0 {
+            queue.extend(self.take());
+        }
+    }
+}
+
+impl<T> Items<T> for Vec<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn move_front(&mut self, n: usize, queue: &mut VecDeque<T>) {
+        queue.extend(self.drain(..n));
+    }
 }
 
 /// The writing half of a detachable pipe (the paper's
@@ -245,7 +287,6 @@ pub fn pipe<T>(capacity: usize) -> (DetachableSender<T>, DetachableReceiver<T>) 
                 sink: Some(Arc::clone(&receiver.shared)),
                 paused: false,
                 closed: false,
-                ready_watcher: None,
                 in_flight: 0,
             }),
             resumed: Condvar::new(),
@@ -280,7 +321,6 @@ impl<T> DetachableSender<T> {
                     sink: None,
                     paused: false,
                     closed: false,
-                    ready_watcher: None,
                     in_flight: 0,
                 }),
                 resumed: Condvar::new(),
@@ -305,35 +345,9 @@ impl<T> DetachableSender<T> {
     /// [`SendError::ReceiverClosed`] if the attached receiver was closed; in
     /// both cases the item is handed back inside the error.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-        // Phase 1: wait until we are attached to a live sink and not paused,
-        // then register the send as in-flight so a concurrent `pause` waits
-        // for it before declaring the old receiver drained.
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            loop {
-                if s.closed {
-                    return Err(SendError::Closed(item));
-                }
-                if !s.paused {
-                    if let Some(sink) = &s.sink {
-                        let sink = Arc::clone(sink);
-                        s.in_flight += 1;
-                        break sink;
-                    }
-                }
-                self.shared.stats.record_blocked_send();
-                self.shared.resumed.wait(&mut s);
-            }
-        };
-        // Phase 2: push into the sink buffer, honouring back-pressure.
-        let result = self.push_to(&sink, item);
-        // Phase 3: un-register the in-flight send and wake any pauser.
-        {
-            let mut s = self.shared.inner.lock();
-            s.in_flight -= 1;
-        }
-        self.shared.idle.notify_all();
-        result
+        self.send_items(Some(item), true)
+            .map(drop)
+            .map_err(|err| err.map(|item| item.expect("an undelivered item is handed back")))
     }
 
     /// Delivers a whole batch to the currently attached receiver with one
@@ -363,35 +377,7 @@ impl<T> DetachableSender<T> {
         if items.is_empty() {
             return Ok(());
         }
-        // Phase 1: as in `send`, wait until attached and unpaused, then
-        // register in-flight so a concurrent `pause` waits for the batch.
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            loop {
-                if s.closed {
-                    return Err(SendError::Closed(items));
-                }
-                if !s.paused {
-                    if let Some(sink) = &s.sink {
-                        let sink = Arc::clone(sink);
-                        s.in_flight += 1;
-                        break sink;
-                    }
-                }
-                self.shared.stats.record_blocked_send();
-                self.shared.resumed.wait(&mut s);
-            }
-        };
-        // Phase 2: push the whole batch under one receiver lock, stalling
-        // only when the buffer fills.
-        let result = self.push_batch_to(&sink, items);
-        // Phase 3: un-register and wake any pauser.
-        {
-            let mut s = self.shared.inner.lock();
-            s.in_flight -= 1;
-        }
-        self.shared.idle.notify_all();
-        result
+        self.send_items(items, true).map(drop)
     }
 
     /// Delivers as much of `items` as currently fits, **without blocking**,
@@ -425,177 +411,85 @@ impl<T> DetachableSender<T> {
         if items.is_empty() {
             return Ok(items);
         }
-        // Phase 1: non-blocking attachment check; register in-flight so a
-        // concurrent `pause` waits for the push below before detaching.
+        self.send_items(items, false)
+    }
+
+    /// The send core under every send: attach, push, release.
+    ///
+    /// Attach waits on `resumed` while the sender is paused or detached
+    /// when `block` is set, and hands every item back otherwise; then it
+    /// registers the send in flight, so a concurrent `pause` waits for the
+    /// push before it declares the old receiver drained.  Returns what was
+    /// not delivered, which only a non-blocking send leaves without error.
+    fn send_items<I: Items<T>>(&self, items: I, block: bool) -> Result<I, SendError<I>> {
         let sink = {
             let mut s = self.shared.inner.lock();
-            if s.closed {
-                return Err(SendError::Closed(items));
-            }
-            if s.paused {
-                self.shared.stats.record_blocked_send();
-                return Ok(items);
-            }
-            match &s.sink {
-                Some(sink) => {
+            loop {
+                if s.closed {
+                    return Err(SendError::Closed(items));
+                }
+                if let (false, Some(sink)) = (s.paused, &s.sink) {
                     let sink = Arc::clone(sink);
                     s.in_flight += 1;
-                    sink
+                    break sink;
                 }
-                None => {
-                    self.shared.stats.record_blocked_send();
+                self.shared.stats.record_blocked_send();
+                if !block {
                     return Ok(items);
                 }
+                self.shared.resumed.wait(&mut s);
             }
         };
-        // Phase 2: push the prefix that fits under one receiver lock.
-        let result = {
-            let mut items = items;
-            let mut r = sink.inner.lock();
-            if r.closed {
-                drop(r);
-                Err(SendError::ReceiverClosed(items))
-            } else {
-                let space = r.capacity.saturating_sub(r.queue.len());
-                let leftover = items.split_off(space.min(items.len()));
-                let delivered = items.len() as u64;
-                for item in items {
-                    r.queue.push_back(item);
-                }
-                if delivered > 0 {
-                    // Counted before the lock is released ("received ⇒
-                    // counted", as in the blocking paths).
-                    sink.stats.record_items(delivered);
-                    self.shared.stats.record_items(delivered);
-                }
-                let watcher = if delivered > 0 { r.data_watcher.clone() } else { None };
-                r.refused |= !leftover.is_empty();
-                drop(r);
-                if delivered > 0 {
-                    sink.not_empty.notify_one();
-                    if let Some(watcher) = watcher {
-                        watcher.notify();
-                    }
-                }
-                if !leftover.is_empty() {
-                    self.shared.stats.record_blocked_send();
-                }
-                Ok(leftover)
-            }
-        };
-        // Phase 3: un-register and wake any pauser.
-        {
-            let mut s = self.shared.inner.lock();
-            s.in_flight -= 1;
-        }
+        let result = self.push(&sink, items, block);
+        self.shared.inner.lock().in_flight -= 1;
         self.shared.idle.notify_all();
         result
     }
 
-    fn push_batch_to(
+    /// The push loop: fills the receiver's queue to capacity, then hands
+    /// the rest back (setting `refused`, so the next pop fires the space
+    /// watcher), waits on `not_full` when `block` is set, or returns
+    /// [`SendError::ReceiverClosed`] once the receiver is closed.
+    fn push<I: Items<T>>(
         &self,
-        sink: &Arc<RecvShared<T>>,
-        items: Vec<T>,
-    ) -> Result<(), SendError<Vec<T>>> {
-        let mut iter = items.into_iter();
-        let mut delivered = 0u64;
-        let mut recorded = 0u64;
-        let mut pending: Option<T> = None;
+        sink: &RecvShared<T>,
+        mut items: I,
+        block: bool,
+    ) -> Result<I, SendError<I>> {
         let mut r = sink.inner.lock();
-        // Stats are recorded while the receiver lock is still held (before
-        // every point that releases it, including the back-pressure wait):
-        // a consumer that popped one of these items must acquire the same
-        // lock afterwards, so an item a consumer has received is always
-        // already counted.
-        macro_rules! record_delivered {
-            () => {
-                if delivered > recorded {
-                    sink.stats.record_items(delivered - recorded);
-                    self.shared.stats.record_items(delivered - recorded);
-                    #[allow(unused_assignments)]
-                    {
-                        recorded = delivered;
-                    }
-                }
-            };
-        }
         loop {
             if r.closed {
-                let rest: Vec<T> = pending.into_iter().chain(iter).collect();
-                record_delivered!();
+                return Err(SendError::ReceiverClosed(items));
+            }
+            let pushed = items.count().min(r.capacity - r.queue.len());
+            items.move_front(pushed, &mut r.queue);
+            // Counted before the lock is released (here or by the wait
+            // below): a consumer that popped one of these items takes the
+            // same lock afterwards, so received implies counted.
+            let woken = (pushed > 0).then(|| {
+                sink.stats.record_items(pushed as u64);
+                self.shared.stats.record_items(pushed as u64);
+                r.data_watcher.clone()
+            });
+            let done = items.count() == 0;
+            if done || !block {
+                r.refused |= !done;
                 drop(r);
-                return Err(SendError::ReceiverClosed(rest));
-            }
-            while r.queue.len() < r.capacity {
-                match pending.take().or_else(|| iter.next()) {
-                    Some(item) => {
-                        r.queue.push_back(item);
-                        delivered += 1;
-                    }
-                    None => {
-                        record_delivered!();
-                        let watcher = r.data_watcher.clone();
-                        drop(r);
-                        sink.not_empty.notify_one();
-                        if let Some(watcher) = watcher {
-                            watcher.notify();
-                        }
-                        return Ok(());
-                    }
+                if let Some(watcher) = woken {
+                    sink.wake_reader(watcher);
                 }
-            }
-            match pending.take().or_else(|| iter.next()) {
-                None => {
-                    record_delivered!();
-                    let watcher = r.data_watcher.clone();
-                    drop(r);
-                    sink.not_empty.notify_one();
-                    if let Some(watcher) = watcher {
-                        watcher.notify();
-                    }
-                    return Ok(());
-                }
-                Some(item) => {
-                    // Buffer full with items left: wake the consumer and
-                    // wait for space (the wait releases the lock, so the
-                    // items pushed so far are counted first).
-                    pending = Some(item);
-                    record_delivered!();
-                    sink.not_empty.notify_one();
-                    if let Some(watcher) = r.data_watcher.clone() {
-                        watcher.notify();
-                    }
+                if !done {
                     self.shared.stats.record_blocked_send();
-                    sink.not_full.wait(&mut r);
                 }
+                return Ok(items);
             }
-        }
-    }
-
-    fn push_to(&self, sink: &Arc<RecvShared<T>>, item: T) -> Result<(), SendError<T>> {
-        let mut r = sink.inner.lock();
-        loop {
-            if r.closed {
-                return Err(SendError::ReceiverClosed(item));
-            }
-            if r.queue.len() < r.capacity {
-                break;
+            // Full with items left: wake the consumer and wait for space.
+            if let Some(watcher) = woken {
+                sink.wake_reader(watcher);
             }
             self.shared.stats.record_blocked_send();
             sink.not_full.wait(&mut r);
         }
-        r.queue.push_back(item);
-        // Counted before the lock is released: an item a consumer has
-        // received is always already visible in the stats.
-        sink.stats.record_item();
-        self.shared.stats.record_item();
-        let watcher = r.data_watcher.clone();
-        drop(r);
-        sink.not_empty.notify_one();
-        if let Some(watcher) = watcher {
-            watcher.notify();
-        }
-        Ok(())
     }
 
     /// Pauses the pipe: blocks new writes, waits until the attached
@@ -724,15 +618,11 @@ impl<T> DetachableSender<T> {
         }
         s.sink = Some(Arc::clone(&receiver.shared));
         s.paused = false;
-        let ready = s.ready_watcher.clone();
         drop(s);
         self.shared.stats.record_reconnect();
         receiver.shared.stats.record_reconnect();
         self.shared.resumed.notify_all();
         receiver.shared.not_empty.notify_all();
-        if let Some(ready) = ready {
-            ready.notify();
-        }
         Ok(())
     }
 
@@ -744,19 +634,16 @@ impl<T> DetachableSender<T> {
     }
 
     fn close_impl(&self) {
-        let (sink, ready) = {
+        let sink = {
             let mut s = self.shared.inner.lock();
             if s.closed {
-                (None, None)
+                None
             } else {
                 s.closed = true;
-                (s.sink.take(), s.ready_watcher.clone())
+                s.sink.take()
             }
         };
         self.shared.resumed.notify_all();
-        if let Some(ready) = ready {
-            ready.notify();
-        }
         if let Some(sink) = sink {
             let mut r = sink.inner.lock();
             r.eof = true;
@@ -792,26 +679,6 @@ impl<T> DetachableSender<T> {
     /// Lifetime transfer statistics for this sender.
     pub fn stats(&self) -> PipeStats {
         self.shared.stats.clone()
-    }
-
-    /// Installs (or replaces) the readiness watcher of this sender.
-    ///
-    /// The watcher is notified when a paused or detached sender becomes
-    /// attached-and-unpaused again ([`reconnect`](Self::reconnect)) and when
-    /// the sender is closed.  If the sender is already usable (or already
-    /// closed) at registration time, the watcher fires immediately — a
-    /// watcher registered "too late" can never miss the transition it was
-    /// installed to observe.
-    pub fn set_ready_watcher(&self, watcher: Arc<dyn PipeWatcher>) {
-        let fire = {
-            let mut s = self.shared.inner.lock();
-            let fire = s.closed || (s.sink.is_some() && !s.paused);
-            s.ready_watcher = Some(Arc::clone(&watcher));
-            fire
-        };
-        if fire {
-            watcher.notify();
-        }
     }
 }
 
@@ -856,20 +723,7 @@ impl<T> DetachableReceiver<T> {
     /// Returns [`RecvError::Eof`] after the attached sender closed and the
     /// buffer drained, or [`RecvError::Closed`] if the receiver was closed.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut r = self.shared.inner.lock();
-        loop {
-            if let Some(item) = r.queue.pop_front() {
-                self.shared.popped(r, false);
-                return Ok(item);
-            }
-            if r.closed {
-                return Err(RecvError::Closed);
-            }
-            if r.eof {
-                return Err(RecvError::Eof);
-            }
-            self.shared.not_empty.wait(&mut r);
-        }
+        self.pop(Wait::Forever, false, pop_one).map_err(ended)
     }
 
     /// Receives up to `max` buffered items with a single lock acquisition,
@@ -903,22 +757,7 @@ impl<T> DetachableReceiver<T> {
     /// Panics if `max` is zero.
     pub fn recv_up_to(&self, max: usize) -> Result<Vec<T>, RecvError> {
         assert!(max > 0, "recv_up_to needs a non-zero batch size");
-        let mut r = self.shared.inner.lock();
-        loop {
-            if !r.queue.is_empty() {
-                let take = r.queue.len().min(max);
-                let batch: Vec<T> = r.queue.drain(..take).collect();
-                self.shared.popped(r, true);
-                return Ok(batch);
-            }
-            if r.closed {
-                return Err(RecvError::Closed);
-            }
-            if r.eof {
-                return Err(RecvError::Eof);
-            }
-            self.shared.not_empty.wait(&mut r);
-        }
+        self.pop(Wait::Forever, true, pop_up_to(max)).map_err(ended)
     }
 
     /// Receives up to `max` buffered items with a single lock acquisition,
@@ -953,20 +792,7 @@ impl<T> DetachableReceiver<T> {
     /// Panics if `max` is zero.
     pub fn try_recv_up_to(&self, max: usize) -> Result<Vec<T>, TryRecvError> {
         assert!(max > 0, "try_recv_up_to needs a non-zero batch size");
-        let mut r = self.shared.inner.lock();
-        if !r.queue.is_empty() {
-            let take = r.queue.len().min(max);
-            let batch: Vec<T> = r.queue.drain(..take).collect();
-            self.shared.popped(r, true);
-            return Ok(batch);
-        }
-        if r.closed {
-            return Err(TryRecvError::Closed);
-        }
-        if r.eof {
-            return Err(TryRecvError::Eof);
-        }
-        Err(TryRecvError::Empty)
+        self.pop(Wait::Never, true, pop_up_to(max))
     }
 
     /// Like [`recv`](Self::recv) but gives up after `timeout`.
@@ -976,35 +802,7 @@ impl<T> DetachableReceiver<T> {
     /// Returns [`TryRecvError::Empty`] on timeout, and the usual end-of-stream
     /// or closed errors otherwise.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, TryRecvError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut r = self.shared.inner.lock();
-        loop {
-            if let Some(item) = r.queue.pop_front() {
-                self.shared.popped(r, false);
-                return Ok(item);
-            }
-            if r.closed {
-                return Err(TryRecvError::Closed);
-            }
-            if r.eof {
-                return Err(TryRecvError::Eof);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(TryRecvError::Empty);
-            }
-            if self
-                .shared
-                .not_empty
-                .wait_for(&mut r, deadline - now)
-                .timed_out()
-                && r.queue.is_empty()
-                && !r.closed
-                && !r.eof
-            {
-                return Err(TryRecvError::Empty);
-            }
-        }
+        self.pop(Wait::Until(Instant::now() + timeout), false, pop_one)
     }
 
     /// Returns an item if one is immediately available.
@@ -1015,18 +813,45 @@ impl<T> DetachableReceiver<T> {
     /// is still live), [`TryRecvError::Eof`] on clean end of stream, or
     /// [`TryRecvError::Closed`] if the receiver is closed.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
+        self.pop(Wait::Never, false, pop_one)
+    }
+
+    /// The receive core under every receive: pops with `take` once an item
+    /// is buffered, waiting on `not_empty` as `wait` allows, and reports a
+    /// closed receiver, then a drained end of stream, then an empty queue.
+    /// `many` marks a pop that may free several slots (every blocked sender
+    /// is woken, not one).
+    fn pop<R>(
+        &self,
+        wait: Wait,
+        many: bool,
+        take: impl FnOnce(&mut VecDeque<T>) -> R,
+    ) -> Result<R, TryRecvError> {
         let mut r = self.shared.inner.lock();
-        if let Some(item) = r.queue.pop_front() {
-            self.shared.popped(r, false);
-            return Ok(item);
+        loop {
+            if !r.queue.is_empty() {
+                let popped = take(&mut r.queue);
+                self.shared.popped(r, many);
+                return Ok(popped);
+            }
+            if r.closed {
+                return Err(TryRecvError::Closed);
+            }
+            if r.eof {
+                return Err(TryRecvError::Eof);
+            }
+            match wait {
+                Wait::Never => return Err(TryRecvError::Empty),
+                Wait::Forever => self.shared.not_empty.wait(&mut r),
+                Wait::Until(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(TryRecvError::Empty);
+                    }
+                    self.shared.not_empty.wait_for(&mut r, deadline - now);
+                }
+            }
         }
-        if r.closed {
-            return Err(TryRecvError::Closed);
-        }
-        if r.eof {
-            return Err(TryRecvError::Eof);
-        }
-        Err(TryRecvError::Empty)
     }
 
     /// Number of items currently buffered (the paper's `available()`).
@@ -1099,16 +924,6 @@ impl<T> DetachableReceiver<T> {
         }
     }
 
-    /// Drains every currently buffered item into a `Vec` without blocking.
-    pub fn drain_buffered(&self) -> Vec<T> {
-        let mut r = self.shared.inner.lock();
-        let items: Vec<T> = r.queue.drain(..).collect();
-        if !items.is_empty() {
-            self.shared.popped(r, true);
-        }
-        items
-    }
-
     /// Lifetime transfer statistics for this receiver.
     pub fn stats(&self) -> PipeStats {
         self.shared.stats.clone()
@@ -1157,6 +972,38 @@ impl<T> DetachableReceiver<T> {
         if fire {
             watcher.notify();
         }
+    }
+}
+
+/// How long a receive waits for an item.
+#[derive(Clone, Copy)]
+enum Wait {
+    Never,
+    Forever,
+    Until(Instant),
+}
+
+/// The single-item pop of the receive core (which pops only a non-empty
+/// queue).
+fn pop_one<T>(queue: &mut VecDeque<T>) -> T {
+    queue.pop_front().expect("the receive core pops a non-empty queue")
+}
+
+/// The batch pop of the receive core: up to `max` items, in order.
+fn pop_up_to<T>(max: usize) -> impl FnOnce(&mut VecDeque<T>) -> Vec<T> {
+    move |queue| {
+        let take = queue.len().min(max);
+        queue.drain(..take).collect()
+    }
+}
+
+/// A blocking receive's error: it waits out an empty queue, so only the
+/// stream's end or the receiver's close reaches the caller.
+fn ended(err: TryRecvError) -> RecvError {
+    match err {
+        TryRecvError::Closed => RecvError::Closed,
+        TryRecvError::Eof => RecvError::Eof,
+        TryRecvError::Empty => unreachable!("a blocking receive waits while the queue is empty"),
     }
 }
 
@@ -1526,16 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_buffered_empties_queue() {
-        let (tx, rx) = pipe::<u8>(8);
-        for i in 0..5 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.drain_buffered(), vec![0, 1, 2, 3, 4]);
-        assert!(rx.is_empty());
-    }
-
-    #[test]
     fn iterator_yields_until_eof() {
         let (tx, rx) = pipe::<u8>(8);
         for i in 0..3 {
@@ -1731,7 +1568,7 @@ mod tests {
         assert_eq!(watcher.count(), 2);
         tx.send_batch(vec![5, 6]).unwrap();
         assert_eq!(rx.recv_up_to(1).unwrap(), vec![5]);
-        assert_eq!(rx.drain_buffered(), vec![6]);
+        assert_eq!(rx.try_recv_up_to(4).unwrap(), vec![6]);
         assert_eq!(watcher.count(), 2, "blocking sends are never refused");
         // A second refusal is owed a second wake.
         tx.send_batch(vec![7, 8]).unwrap();
@@ -1773,20 +1610,6 @@ mod tests {
             rx.close();
             assert_eq!(watcher.count(), registered + 1, "setup {setup}");
         }
-    }
-
-    #[test]
-    fn ready_watcher_fires_on_reconnect_and_when_already_usable() {
-        let (tx, rx) = pipe::<u8>(4);
-        let watcher = CountingWatcher::new();
-        tx.set_ready_watcher(watcher.clone());
-        assert_eq!(watcher.count(), 1, "a connected sender is already usable");
-        watcher.reset();
-        tx.pause().unwrap();
-        let rx2 = DetachableReceiver::new_detached(4);
-        tx.reconnect(&rx2).unwrap();
-        assert!(watcher.wait_fired(Duration::from_secs(1)));
-        drop(rx);
     }
 
     #[test]

@@ -32,10 +32,6 @@ impl PipeStats {
         Self::default()
     }
 
-    pub(crate) fn record_item(&self) {
-        self.inner.items.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_items(&self, count: u64) {
         self.inner.items.fetch_add(count, Ordering::Relaxed);
     }
@@ -87,8 +83,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let stats = PipeStats::new();
-        stats.record_item();
-        stats.record_item();
+        stats.record_items(2);
         stats.record_pause();
         stats.record_reconnect();
         stats.record_blocked_send();
@@ -102,7 +97,7 @@ mod tests {
     fn clones_share_counters() {
         let stats = PipeStats::new();
         let clone = stats.clone();
-        clone.record_item();
+        clone.record_items(1);
         assert_eq!(stats.items(), 1);
     }
 }

@@ -28,9 +28,9 @@ pub const STAGE_SAMPLE_EVERY: u64 = 64;
 /// The latency instruments one chain records into.
 ///
 /// Created by the proxy when telemetry is enabled and attached with
-/// [`FilterChain::set_spans`](crate::FilterChain::set_spans) (or the
-/// threaded chain's equivalent).  All histograms live in the proxy-wide
-/// [`Registry`] under this chain's scope prefix:
+/// [`FilterChain::set_spans`](crate::FilterChain::set_spans).  All
+/// histograms live in the proxy-wide [`Registry`] under this chain's scope
+/// prefix:
 ///
 /// * `<scope>.batch_ns` — wall time one batch spent inside the chain;
 /// * `<scope>.e2e_ns` — ingress-to-chain-exit latency per packet

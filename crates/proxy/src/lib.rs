@@ -82,7 +82,7 @@ pub use runtime::{
     SocketInterest, SocketStep, SocketWork,
 };
 pub use session::{LaneStatus, SessionStatus};
-pub use threaded::{ChainStats, ThreadedChain, DEFAULT_BATCH_SIZE};
+pub use threaded::{ChainStats, ThreadedChain};
 pub use udp::{
     SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig, SharedUdpStreamHandle,
     UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,

@@ -9,16 +9,13 @@
 //! sender and output receiver) carry the stream in and out of the proxy.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use rapidware_filters::{
-    ChainSpans, Filter, FilterCounters, FilterOutput, SecureChannelSnapshot, SecureChannelStats,
-};
-use rapidware_telemetry::now_ns;
+use rapidware_filters::{Filter, FilterOutput};
 use rapidware_packet::Packet;
 use rapidware_streams::{
     detached_pair, pipe, DetachableReceiver, DetachableSender, RecvError,
@@ -28,11 +25,6 @@ use crate::error::ProxyError;
 
 /// Default per-pipe buffer capacity (packets) between stages.
 const DEFAULT_PIPE_CAPACITY: usize = 128;
-
-/// Default per-stage batch size: how many packets a filter worker drains
-/// from its input pipe per wake-up when batch mode is enabled (see
-/// [`ThreadedChain::with_batch_size`]).
-pub const DEFAULT_BATCH_SIZE: usize = 32;
 
 /// Counters describing a running [`ThreadedChain`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,13 +59,6 @@ struct Stage {
     in_rx: DetachableReceiver<Packet>,
     out_tx: DetachableSender<Packet>,
     worker: Option<JoinHandle<Box<dyn Filter>>>,
-    /// Seal/reject counters captured before the filter moved onto its
-    /// worker thread; `None` for filters with no crypto role.
-    secure: Option<Arc<SecureChannelStats>>,
-    /// `true` while this stage is the last filter of the chain — the stage
-    /// that records end-to-end latency when spans are attached.  Shared
-    /// with the worker thread and recomputed after every splice.
-    is_tail: Arc<AtomicBool>,
 }
 
 impl fmt::Debug for Stage {
@@ -100,9 +85,6 @@ pub struct ThreadedChain {
     capacity: usize,
     batch_size: usize,
     errors: Arc<AtomicU64>,
-    /// Latency spans handed to every stage spawned after
-    /// [`set_spans`](Self::set_spans).
-    spans: Mutex<Option<Arc<ChainSpans>>>,
 }
 
 impl fmt::Debug for ThreadedChain {
@@ -200,27 +182,7 @@ impl ThreadedChain {
             capacity,
             batch_size,
             errors: Arc::new(AtomicU64::new(0)),
-            spans: Mutex::new(None),
         })
-    }
-
-    /// Attaches latency spans to this chain: stages installed **after**
-    /// this call stamp packet ingress, record sampled per-filter timings,
-    /// and — at the tail stage — whole-batch and (for egress spans)
-    /// per-packet end-to-end latency.  The proxy enables telemetry before
-    /// installing filters, so in practice every stage records.
-    pub fn set_spans(&self, spans: Arc<ChainSpans>) {
-        *self.spans.lock() = Some(spans);
-    }
-
-    /// Creates a batched null proxy chain with the default pipe capacity
-    /// and [`DEFAULT_BATCH_SIZE`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible (see [`new`](Self::new)).
-    pub fn batched() -> Result<Self, ProxyError> {
-        Self::with_batch_size(DEFAULT_PIPE_CAPACITY, DEFAULT_BATCH_SIZE)
     }
 
     /// The per-stage batch size this chain was configured with.
@@ -272,19 +234,6 @@ impl ThreadedChain {
         }
     }
 
-    /// Aggregated seal/reject counters across the chain's secure-channel
-    /// stages; all-zero when no crypto filter is installed.
-    pub fn secure_snapshot(&self) -> SecureChannelSnapshot {
-        let inner = self.inner.lock();
-        let mut total = SecureChannelSnapshot::default();
-        for stage in &inner.stages {
-            if let Some(stats) = &stage.secure {
-                total.merge(stats.snapshot());
-            }
-        }
-        total
-    }
-
     /// Inserts `filter` at `position` (0 = closest to the input endpoint)
     /// while the stream is running.
     ///
@@ -313,10 +262,6 @@ impl ThreadedChain {
             });
         }
         let name = filter.name().to_string();
-        let secure = match filter.counters() {
-            Some(FilterCounters::Secure(stats)) => Some(stats),
-            _ => None,
-        };
         let (out_tx, in_rx) = {
             let (tx, rx) = detached_pair::<Packet>(self.capacity);
             (tx, rx)
@@ -349,15 +294,12 @@ impl ThreadedChain {
             .reconnect(&right_rx)
             .map_err(|err| ProxyError::Splice(format!("attach new filter downstream: {err}")))?;
 
-        let is_tail = Arc::new(AtomicBool::new(false));
         let worker = spawn_worker(
             filter,
             in_rx.clone(),
             out_tx.clone(),
             Arc::clone(&self.errors),
             self.batch_size,
-            self.spans.lock().clone(),
-            Arc::clone(&is_tail),
         );
         inner.stages.insert(
             position,
@@ -366,12 +308,9 @@ impl ThreadedChain {
                 in_rx,
                 out_tx,
                 worker: Some(worker),
-                secure,
-                is_tail,
             },
         );
         inner.splices += 1;
-        refresh_tail_flags(&inner.stages);
         Ok(())
     }
 
@@ -445,7 +384,6 @@ impl ThreadedChain {
             .reconnect(&right_rx)
             .map_err(|err| ProxyError::Splice(format!("close the gap after remove: {err}")))?;
         inner.splices += 1;
-        refresh_tail_flags(&inner.stages);
         Ok(filter)
     }
 
@@ -486,85 +424,31 @@ impl Drop for ThreadedChain {
     }
 }
 
-/// Records the tail stage's chain-exit instruments: the batch duration and
-/// (for egress spans) each emitted packet's ingress-to-exit latency.
-fn record_chain_exit(spans: &ChainSpans, start_ns: u64, exit_ns: u64, emitted: &[Packet]) {
-    spans.batch_ns().record(exit_ns.saturating_sub(start_ns));
-    if let Some(e2e) = spans.e2e() {
-        for packet in emitted {
-            let ingress = packet.ingress_ns();
-            if ingress != 0 {
-                e2e.record(exit_ns.saturating_sub(ingress));
-            }
-        }
-    }
-}
-
-/// Re-derives each stage's tail flag after a splice: exactly the last
-/// installed stage records chain-exit latency.
-fn refresh_tail_flags(stages: &[Stage]) {
-    let count = stages.len();
-    for (index, stage) in stages.iter().enumerate() {
-        stage.is_tail.store(index + 1 == count, Ordering::Relaxed);
-    }
-}
-
 /// Spawns the worker thread for one filter stage.
 ///
 /// With `batch_size == 1` the loop receives and processes one packet at a
 /// time (per-packet error isolation); with a larger batch it drains up to
 /// `batch_size` buffered packets per pipe lock and hands them to
 /// [`Filter::process_batch`] as one unit.
-///
-/// With `spans` attached, the worker stamps ingress on every packet it
-/// receives (first-touch-wins, so UDP-stamped packets keep the socket
-/// stamp), records sampled per-filter timings, and — while `is_tail` is
-/// set — the whole-batch duration plus per-packet end-to-end latency.
-#[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     mut filter: Box<dyn Filter>,
     in_rx: DetachableReceiver<Packet>,
     out_tx: DetachableSender<Packet>,
     errors: Arc<AtomicU64>,
     batch_size: usize,
-    spans: Option<Arc<ChainSpans>>,
-    is_tail: Arc<AtomicBool>,
 ) -> JoinHandle<Box<dyn Filter>> {
     std::thread::Builder::new()
         .name(format!("rapidware-filter-{}", filter.name()))
         .spawn(move || {
             loop {
                 let received: Result<(), RecvError> = if batch_size > 1 {
-                    in_rx.recv_up_to(batch_size).map(|mut batch| {
+                    in_rx.recv_up_to(batch_size).map(|batch| {
                         // Collect the filter's output and push it downstream
                         // as one batch: one pipe lock per batch on each side
                         // instead of one per packet.
                         let mut collected: Vec<Packet> = Vec::with_capacity(batch.len());
-                        match &spans {
-                            Some(spans) => {
-                                let start = now_ns();
-                                for packet in batch.iter_mut() {
-                                    packet.stamp_ingress_ns(start);
-                                }
-                                let timed = spans.sample_stages();
-                                if filter.process_batch(batch, &mut collected).is_err() {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                                let now = now_ns();
-                                if timed {
-                                    spans
-                                        .stage_histogram(filter.name())
-                                        .record(now.saturating_sub(start));
-                                }
-                                if is_tail.load(Ordering::Relaxed) {
-                                    record_chain_exit(spans, start, now, &collected);
-                                }
-                            }
-                            None => {
-                                if filter.process_batch(batch, &mut collected).is_err() {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                        if filter.process_batch(batch, &mut collected).is_err() {
+                            errors.fetch_add(1, Ordering::Relaxed);
                         }
                         // A closed downstream receiver means the chain is
                         // shutting down; dropping the batch mirrors the
@@ -572,33 +456,10 @@ fn spawn_worker(
                         let _ = out_tx.send_batch(collected);
                     })
                 } else {
-                    in_rx.recv().map(|mut packet| match &spans {
-                        Some(spans) => {
-                            let start = now_ns();
-                            packet.stamp_ingress_ns(start);
-                            let timed = spans.sample_stages();
-                            let mut collected: Vec<Packet> = Vec::new();
-                            if filter.process(packet, &mut collected).is_err() {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let now = now_ns();
-                            if timed {
-                                spans
-                                    .stage_histogram(filter.name())
-                                    .record(now.saturating_sub(start));
-                            }
-                            if is_tail.load(Ordering::Relaxed) {
-                                record_chain_exit(spans, start, now, &collected);
-                            }
-                            for packet in collected {
-                                let _ = out_tx.send(packet);
-                            }
-                        }
-                        None => {
-                            let mut output = SenderOutput { sender: &out_tx };
-                            if filter.process(packet, &mut output).is_err() {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
+                    in_rx.recv().map(|packet| {
+                        let mut output = SenderOutput { sender: &out_tx };
+                        if filter.process(packet, &mut output).is_err() {
+                            errors.fetch_add(1, Ordering::Relaxed);
                         }
                     })
                 };
@@ -870,8 +731,8 @@ mod tests {
     fn batched_fec_chain_recovers_like_per_packet() {
         // The same lossy encode → drop → decode pipeline as the per-packet
         // test, but with 32-packet batches at every stage.
-        let chain = ThreadedChain::batched().unwrap();
-        assert_eq!(chain.batch_size(), DEFAULT_BATCH_SIZE);
+        let chain = ThreadedChain::with_batch_size(128, 32).unwrap();
+        assert_eq!(chain.batch_size(), 32);
         chain
             .push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap()))
             .unwrap();
@@ -988,31 +849,6 @@ mod tests {
         let received = collect_all(&output);
         assert_eq!(received.len(), 5);
         assert_eq!(chain.stats().filter_errors, 5);
-        chain.shutdown().unwrap();
-    }
-
-    #[test]
-    fn secure_snapshot_aggregates_across_worker_threads() {
-        use rapidware_filters::{DecryptFilter, EncryptFilter};
-        let chain = ThreadedChain::new().unwrap();
-        chain.push_back(Box::new(EncryptFilter::new(0xFEED))).unwrap();
-        chain.push_back(Box::new(DecryptFilter::new(0xFEED))).unwrap();
-        let input = chain.input();
-        let output = chain.output();
-        for seq in 0..20 {
-            input.send(packet(seq)).unwrap();
-        }
-        chain.close_input();
-        let received = collect_all(&output);
-        assert_eq!(received.len(), 20);
-        for (i, p) in received.iter().enumerate() {
-            assert_eq!(p.seq().value(), i as u64);
-            assert_eq!(p.payload(), packet(i as u64).payload(), "round-trip restores bytes");
-        }
-        let snapshot = chain.secure_snapshot();
-        assert_eq!(snapshot.sealed, 20);
-        assert_eq!(snapshot.opened, 20);
-        assert_eq!(snapshot.rejected, 0);
         chain.shutdown().unwrap();
     }
 

@@ -571,8 +571,8 @@ impl FanoutEngine {
 
     /// Runs the scenario on a [`LiveApplier`] session over a
     /// [`LiveIo::Carrier`]: every packet crosses real loopback UDP sockets,
-    /// the whole session riding one carrier socket demuxed by the readiness
-    /// reactor onto the worker pool.  The report must agree with the
+    /// the whole session riding one carrier socket demuxed by its carrier
+    /// task on the worker pool.  The report must agree with the
     /// in-process appliers at the same seed.
     pub fn run_udp_shared(&self) -> FanoutOutcome {
         self.run_live(LiveIo::Carrier)

@@ -487,7 +487,7 @@ impl GeneratedSpec {
     /// * nothing delivered by the link fails to surface (`undelivered == 0`);
     /// * replaying the recorded trace reproduces the report;
     /// * with the `shared_udp` token, a run over a shared-socket carrier
-    ///   (reactor-demuxed, real loopback sockets) matches the sync applier
+    ///   (demuxed by its carrier task, real loopback sockets) matches the sync applier
     ///   byte for byte too.
     pub fn conformance_problems(&self) -> Vec<String> {
         match &self.shape {

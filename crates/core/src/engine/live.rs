@@ -24,8 +24,8 @@ pub enum LiveIo {
     /// session's input pipe, lane output is read off the proxy's pipes.
     Pipes,
     /// A loopback carrier: every packet crosses two real UDP sockets — the
-    /// proxy side a carrier demuxed by the readiness reactor onto the
-    /// worker pool, the application side one hand-drained socket per lane.
+    /// proxy side a carrier demuxed by its carrier task on the worker
+    /// pool, the application side one hand-drained socket per lane.
     Carrier,
 }
 

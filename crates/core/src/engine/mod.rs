@@ -249,7 +249,7 @@ impl ScenarioEngine {
     /// Runs the scenario against a [`LiveApplier`] stream over a
     /// [`LiveIo::Carrier`]: every packet crosses two real loopback UDP
     /// sockets on its way through the chain, the proxy side being a carrier
-    /// demuxed by the readiness reactor onto the worker pool.  The report
+    /// demuxed by its carrier task on the worker pool.  The report
     /// must agree with the in-process appliers at the same seed.
     pub fn run_udp_shared(&self) -> ScenarioOutcome {
         self.run_live(LiveIo::Carrier)

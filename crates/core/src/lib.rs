@@ -14,7 +14,7 @@
 //! | [`fec`] | `rapidware-fec` | (n, k) block erasure codes over GF(2⁸) |
 //! | [`filters`] | `rapidware-filters` | the `Filter` trait, the reconfigurable chain, and the built-in filter library |
 //! | [`proxy`] | `rapidware-proxy` | the proxy: live-reconfigurable streams and fanout sessions on a fixed worker pool, filter registry, control protocol (plus the paper's thread-per-filter `ThreadedChain` as a reference type) |
-//! | [`transport`] | `rapidware-transport` | reactor-driven UDP endpoints (N streams per socket) and the deterministic loopback impairment shim |
+//! | [`transport`] | `rapidware-transport` | readiness-driven UDP endpoints (N streams per socket) and the deterministic loopback impairment shim |
 //! | [`raplets`] | `rapidware-raplets` | observer / responder raplets and the adaptation engine |
 //! | [`netsim`] | `rapidware-netsim` | deterministic wireless LAN simulator (the testbed substitute) |
 //! | [`media`] | `rapidware-media` | synthetic audio / video workloads and measurement sinks |

@@ -113,19 +113,6 @@ impl FilterChain {
         self.packets_out
     }
 
-    /// Aggregated seal/reject counters across every secure-channel filter
-    /// in the chain (active and pending); all-zero when the chain carries
-    /// no crypto stage.
-    pub fn secure_snapshot(&self) -> crate::SecureChannelSnapshot {
-        let mut total = crate::SecureChannelSnapshot::default();
-        for filter in self.filters.iter().chain(self.pending.iter().map(|p| &p.filter)) {
-            if let Some(crate::FilterCounters::Secure(stats)) = filter.counters() {
-                total.merge(stats.snapshot());
-            }
-        }
-        total
-    }
-
     /// Appends a filter at the end of the chain.
     ///
     /// # Errors
@@ -742,15 +729,27 @@ mod tests {
     }
 
     #[test]
-    fn secure_snapshot_sums_the_crypto_stages() {
-        use crate::{DecryptFilter, EncryptFilter};
+    fn crypto_stage_counters_taken_before_the_push_count_the_chains_work() {
+        use crate::{DecryptFilter, EncryptFilter, FilterCounters, SecureChannelSnapshot};
+        let (encrypt, decrypt) = (EncryptFilter::new(0xFEED), DecryptFilter::new(0xFEED));
+        let counters = [encrypt.counters(), decrypt.counters()];
         let mut chain = FilterChain::new();
-        chain.push_back(Box::new(EncryptFilter::new(0xFEED))).unwrap();
-        chain.push_back(Box::new(DecryptFilter::new(0xFEED))).unwrap();
-        assert!(chain.secure_snapshot().is_empty());
+        chain.push_back(Box::new(encrypt)).unwrap();
+        chain.push_back(Box::new(decrypt)).unwrap();
+        let secure = || {
+            let mut total = SecureChannelSnapshot::default();
+            for counters in &counters {
+                let Some(FilterCounters::Secure(stats)) = counters else {
+                    panic!("a crypto stage counts its secure-channel work");
+                };
+                total.merge(stats.snapshot());
+            }
+            total
+        };
+        assert!(secure().is_empty());
         let out = chain.process(audio_packet(0)).unwrap();
         assert_eq!(out.len(), 1);
-        let snapshot = chain.secure_snapshot();
+        let snapshot = secure();
         assert_eq!(snapshot.sealed, 1);
         assert_eq!(snapshot.opened, 1);
         assert_eq!(snapshot.rejected, 0);

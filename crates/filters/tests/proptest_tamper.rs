@@ -26,7 +26,7 @@
 use proptest::prelude::*;
 use rapidware_filters::{
     rekey_packet, DecryptFilter, DropEveryNth, EncryptFilter, FecDecoderFilter, FecEncoderFilter,
-    Filter, FilterChain,
+    Filter, FilterChain, FilterCounters, SecureChannelSnapshot,
 };
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 
@@ -206,24 +206,24 @@ proptest! {
             .collect();
 
         // Batched path.
-        let mut chain = FilterChain::new();
-        chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
+        let mut chain = CryptoChain::default();
+        chain.push(Box::new(DecryptFilter::new(KEY)));
         let mut batched: Vec<Packet> = Vec::new();
         for chunk in sealed.chunks(batch_len) {
-            batched.extend(chain.process_batch(chunk.to_vec()).unwrap());
+            batched.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
         }
         prop_assert_eq!(&batched, &expected, "neighbours disturbed in the batch");
-        prop_assert_eq!(chain.secure_snapshot().rejected, 1);
+        prop_assert_eq!(chain.secure().rejected, 1);
 
         // Serial path agrees.
-        let mut serial_chain = FilterChain::new();
-        serial_chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
+        let mut serial_chain = CryptoChain::default();
+        serial_chain.push(Box::new(DecryptFilter::new(KEY)));
         let mut serial: Vec<Packet> = Vec::new();
         for packet in sealed {
-            serial.extend(serial_chain.process(packet).unwrap());
+            serial.extend(serial_chain.chain.process(packet).unwrap());
         }
         prop_assert_eq!(&serial, &expected);
-        prop_assert_eq!(serial_chain.secure_snapshot().rejected, 1);
+        prop_assert_eq!(serial_chain.secure().rejected, 1);
     }
 }
 
@@ -231,47 +231,75 @@ proptest! {
 // Batch/serial parity for chains containing the crypto stage.
 // ---------------------------------------------------------------------------
 
+/// A chain and the counters of its crypto stages, each handle taken from
+/// its filter before the filter is pushed.
+#[derive(Default)]
+struct CryptoChain {
+    chain: FilterChain,
+    counters: Vec<FilterCounters>,
+}
+
+impl CryptoChain {
+    fn push(&mut self, filter: Box<dyn Filter>) {
+        if let Some(counters @ FilterCounters::Secure(_)) = filter.counters() {
+            self.counters.push(counters);
+        }
+        self.chain.push_back(filter).unwrap();
+    }
+
+    /// What the crypto stages counted, summed.
+    fn secure(&self) -> SecureChannelSnapshot {
+        let mut total = SecureChannelSnapshot::default();
+        for counters in &self.counters {
+            if let FilterCounters::Secure(stats) = counters {
+                total.merge(stats.snapshot());
+            }
+        }
+        total
+    }
+}
+
 /// Chain shapes placing FEC before, after, and around the crypto stage;
 /// called twice per case so both chains start from identical state.
-fn crypto_chain(selector: usize) -> FilterChain {
-    let mut chain = FilterChain::new();
+fn crypto_chain(selector: usize) -> CryptoChain {
+    let mut chain = CryptoChain::default();
     match selector % 5 {
         // The bare pair.
         0 => {
-            chain.push_back(Box::new(EncryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
+            chain.push(Box::new(EncryptFilter::new(KEY)));
+            chain.push(Box::new(DecryptFilter::new(KEY)));
         }
         // FEC before the crypto stage: parity frames are sealed too.
         1 => {
-            chain.push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(EncryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap())).unwrap();
+            chain.push(Box::new(FecEncoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(EncryptFilter::new(KEY)));
+            chain.push(Box::new(DecryptFilter::new(KEY)));
+            chain.push(Box::new(FecDecoderFilter::fec_6_4().unwrap()));
         }
         // FEC after the crypto stage: parity is computed over ciphertext.
         2 => {
-            chain.push_back(Box::new(EncryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
+            chain.push(Box::new(EncryptFilter::new(KEY)));
+            chain.push(Box::new(FecEncoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(FecDecoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(DecryptFilter::new(KEY)));
         }
         // Sealed frames lost between the pair; FEC recovers the plaintext
         // from the frames that did open.
         3 => {
-            chain.push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(EncryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(DropEveryNth::new(3))).unwrap();
-            chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap())).unwrap();
+            chain.push(Box::new(FecEncoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(EncryptFilter::new(KEY)));
+            chain.push(Box::new(DropEveryNth::new(3)));
+            chain.push(Box::new(DecryptFilter::new(KEY)));
+            chain.push(Box::new(FecDecoderFilter::fec_6_4().unwrap()));
         }
         // Sealed frames lost *outside* the pair: FEC reconstructs the exact
         // sealed bytes and the decryptor must still open the recovery.
         _ => {
-            chain.push_back(Box::new(EncryptFilter::new(KEY))).unwrap();
-            chain.push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(DropEveryNth::new(3))).unwrap();
-            chain.push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap())).unwrap();
-            chain.push_back(Box::new(DecryptFilter::new(KEY))).unwrap();
+            chain.push(Box::new(EncryptFilter::new(KEY)));
+            chain.push(Box::new(FecEncoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(DropEveryNth::new(3)));
+            chain.push(Box::new(FecDecoderFilter::fec_6_4().unwrap()));
+            chain.push(Box::new(DecryptFilter::new(KEY)));
         }
     }
     chain
@@ -301,18 +329,18 @@ proptest! {
         let mut serial_chain = crypto_chain(selector);
         let mut serial_out: Vec<Packet> = Vec::new();
         for packet in &packets {
-            serial_out.extend(serial_chain.process(packet.clone()).unwrap());
+            serial_out.extend(serial_chain.chain.process(packet.clone()).unwrap());
         }
 
         let mut batch_chain = crypto_chain(selector);
         let mut batch_out: Vec<Packet> = Vec::new();
         for chunk in packets.chunks(batch_len) {
-            batch_out.extend(batch_chain.process_batch(chunk.to_vec()).unwrap());
+            batch_out.extend(batch_chain.chain.process_batch(chunk.to_vec()).unwrap());
         }
 
         prop_assert_eq!(&serial_out, &batch_out, "selector {}", selector);
-        prop_assert_eq!(serial_chain.flush().unwrap(), batch_chain.flush().unwrap());
-        prop_assert_eq!(serial_chain.secure_snapshot(), batch_chain.secure_snapshot());
+        prop_assert_eq!(serial_chain.chain.flush().unwrap(), batch_chain.chain.flush().unwrap());
+        prop_assert_eq!(serial_chain.secure(), batch_chain.secure());
     }
 
     /// A rekey control frame spliced anywhere into the stream rotates both
@@ -337,18 +365,18 @@ proptest! {
         let boundary = packets[rekey_at].seq().value();
         packets.insert(rekey_at, rekey_packet(StreamId::new(7), 1, boundary, 0));
 
-        let run = |mut chain: FilterChain, chunked: bool| {
+        let run = |mut chain: CryptoChain, chunked: bool| {
             let mut out: Vec<Packet> = Vec::new();
             if chunked {
                 for chunk in packets.chunks(batch_len) {
-                    out.extend(chain.process_batch(chunk.to_vec()).unwrap());
+                    out.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
                 }
             } else {
                 for packet in &packets {
-                    out.extend(chain.process(packet.clone()).unwrap());
+                    out.extend(chain.chain.process(packet.clone()).unwrap());
                 }
             }
-            let snapshot = chain.secure_snapshot();
+            let snapshot = chain.secure();
             (out, snapshot)
         };
 
@@ -396,14 +424,14 @@ fn a_rekey_at_every_batch_position_keeps_batch_serial_parity() {
                 let mut out: Vec<Packet> = Vec::new();
                 if chunked {
                     for chunk in packets.chunks(batch_len) {
-                        out.extend(chain.process_batch(chunk.to_vec()).unwrap());
+                        out.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
                     }
                 } else {
                     for packet in &packets {
-                        out.extend(chain.process(packet.clone()).unwrap());
+                        out.extend(chain.chain.process(packet.clone()).unwrap());
                     }
                 }
-                (out, chain.secure_snapshot())
+                (out, chain.secure())
             };
             let (serial, serial_stats) = pair(false);
             assert_eq!(serial, data, "{context}: the pair lost the plaintext");

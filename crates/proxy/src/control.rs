@@ -242,11 +242,12 @@ impl fmt::Display for Response {
                 if let Some(runtime) = &status.runtime {
                     write!(
                         f,
-                        " runtime=workers:{} live:{} steals:{} polls:{} depths:[{}]",
+                        " runtime=workers:{} live:{} steals:{} polls:{} parks:{} depths:[{}]",
                         runtime.workers,
                         runtime.live_tasks,
                         runtime.steals,
                         runtime.polls,
+                        runtime.parks,
                         runtime
                             .shards
                             .iter()

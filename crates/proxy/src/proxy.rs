@@ -18,9 +18,8 @@ use crate::runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus, Socke
 use crate::session::SessionStatus;
 use crate::threaded::ChainStats;
 use crate::udp::{
-    SharedEgressWork, SharedIngressWork, SharedUdpSessionConfig, SharedUdpSessionHandle,
-    SharedUdpStreamConfig, SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle,
-    UdpTransportStatus,
+    CarrierWork, SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig,
+    SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,
 };
 
 /// A snapshot of one stream's configuration and statistics.
@@ -184,6 +183,7 @@ fn status_stats(status: &ProxyStatus) -> Vec<Metric> {
                 ("executed", runtime.shards.iter().map(|shard| shard.executed).sum()),
                 ("steals", runtime.steals),
                 ("polls", runtime.polls),
+                ("parks", runtime.parks),
             ],
         );
     }
@@ -240,7 +240,7 @@ impl Proxy {
     /// records packet-lifecycle latency spans — per-batch chain latency,
     /// sampled per-filter stage timings, and ingress-to-egress end-to-end
     /// histograms — and the worker pool records its profiling histograms:
-    /// task poll duration, run-queue wait, and reactor scan latency.  Read
+    /// task poll duration, run-queue wait, and socket-poll scan latency.  Read
     /// the result with [`telemetry`](Self::telemetry) /
     /// [`telemetry_json`](Self::telemetry_json) or the `TELEMETRY` control
     /// verb.
@@ -262,7 +262,7 @@ impl Proxy {
             session.enable_telemetry(&registry);
         }
         for (name, carrier) in &self.udp_carriers {
-            carrier.enable_telemetry(&registry, name);
+            carrier.work.enable_telemetry(&registry, name);
         }
         registry
     }
@@ -410,9 +410,9 @@ impl Proxy {
 
     /// Binds a **carrier**: one UDP socket that many streams and
     /// sessions ride at once, demultiplexed by the stream id in every
-    /// packet header.  A carrier costs zero threads — the runtime's
-    /// readiness reactor wakes pool tasks that drain and flush the socket
-    /// in batches.
+    /// packet header.  A carrier costs zero threads — it is one pool task,
+    /// woken by socket readiness, that drains and flushes the socket in
+    /// batches.
     ///
     /// Place work on the carrier with
     /// [`add_stream_udp_shared`](Self::add_stream_udp_shared) and
@@ -452,40 +452,20 @@ impl Proxy {
             SharedUdpEgress::over(&ingress.socket(), &udp_config)
                 .map_err(|err| ProxyError::Transport(err.to_string()))?,
         );
-        // Two reactor-driven tasks per *carrier* (not per stream): the
-        // receive side wakes on socket readability, the send side on pipe
-        // watchers installed per attached lane (readability would be
-        // noise for it) and, after a refused send, on writability of its
-        // own fd for the same port.
-        let ingress_work = Arc::new(SharedIngressWork {
-            ingress: Arc::clone(&ingress),
-            drain_batch: std::sync::OnceLock::new(),
-        });
-        let ingress_driver = runtime.drive_socket(
-            ingress.socket(),
-            SocketInterest::Readable,
-            ingress_work.clone(),
-        );
-        let egress_driver = runtime.drive_socket(
-            egress.socket(),
-            SocketInterest::Writable,
-            Arc::new(SharedEgressWork {
-                egress: Arc::clone(&egress),
-            }),
-        );
+        // One task per *carrier* (not per stream), registered once: it
+        // wakes on socket readability, on the pipe watchers installed per
+        // attached lane and, after a refused send, on writability.
         let handle = UdpCarrierHandle {
-            ingress,
+            ingress: Arc::clone(&ingress),
             egress_stats: egress.stats(),
         };
-        let carrier = UdpCarrier {
-            ingress_work,
-            egress,
-            ingress_driver,
-            egress_driver,
-        };
+        let work = Arc::new(CarrierWork::new(ingress, egress));
         if let Some(registry) = &self.telemetry {
-            carrier.enable_telemetry(registry, &name);
+            work.enable_telemetry(registry, &name);
         }
+        let socket = handle.ingress.socket();
+        let driver = runtime.drive(socket, SocketInterest::Readable, Arc::clone(&work));
+        let carrier = UdpCarrier { work, driver };
         self.udp_carriers.insert(name, carrier);
         Ok(handle)
     }
@@ -608,13 +588,13 @@ impl Proxy {
     ) -> Result<SocketAddr, ProxyError> {
         let udp = &self.udp_carriers[carrier];
         for (output, peer) in lanes {
-            // Watch before attach: the egress task must wake for frames
+            // Watch before attach: the carrier task must wake for frames
             // that land in the output pipe from here on.
-            udp.egress_driver.watch_source(&output);
-            udp.egress.attach(streams[0], peer, output);
+            udp.driver.watch_source(&output);
+            udp.work.egress.attach(streams[0], peer, output);
         }
-        udp.egress_driver.kick();
-        let ingress = udp.ingress();
+        udp.driver.kick();
+        let ingress = &udp.work.ingress;
         let (input, inlet) = (session.input(), session.inlet());
         for (opened, stream) in streams.iter().enumerate() {
             let route = ingress.open_stream_with_inlet(*stream, input.clone(), Arc::clone(&inlet));
@@ -774,16 +754,14 @@ impl Proxy {
     /// remaining streams regardless).
     pub fn shutdown(&mut self) -> Result<(), ProxyError> {
         let mut first_error = None;
-        // Transport teardown brackets the chain teardown: each carrier's
-        // receive-side task stops first (one final drain, then no new
-        // arrivals) and its routes close, so every riding chain and
-        // session sees end-of-input and flushes.
+        // Transport teardown brackets the chain teardown: each carrier
+        // stops receiving first (one final drain, then no new arrivals)
+        // and its routes close, so every riding chain and session sees
+        // end-of-input and flushes.
         let udp_carriers = std::mem::take(&mut self.udp_carriers);
         for carrier in udp_carriers.values() {
-            if let Err(err) = carrier.ingress_driver.shutdown() {
-                first_error.get_or_insert(err);
-            }
-            carrier.ingress().close_all_streams();
+            carrier.work.stop_receiving();
+            carrier.work.ingress.close_all_streams();
         }
         for (_, stream) in std::mem::take(&mut self.streams) {
             if let Err(err) = stream.shutdown() {
@@ -795,11 +773,11 @@ impl Proxy {
                 first_error.get_or_insert(err);
             }
         }
-        // The carriers' send-side tasks stop after the chains have
-        // delivered their final output (one last flush pass each), so
-        // nothing in flight is stranded.
+        // The carriers' tasks stop after the chains have delivered their
+        // final output (one last flush pass each), so nothing in flight is
+        // stranded.
         for carrier in udp_carriers.values() {
-            if let Err(err) = carrier.egress_driver.shutdown() {
+            if let Err(err) = carrier.driver.shutdown() {
                 first_error.get_or_insert(err);
             }
         }
@@ -1218,8 +1196,8 @@ mod tests {
         assert!(rendered.contains(" gso-refused=0"), "{rendered}");
 
         // Zero per-socket threads: the only live transport machinery is the
-        // reactor registration (one ingress + one egress driver).
-        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 2);
+        // carrier task's one epoll registration.
+        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 1);
         handle_b.close_input();
         drain_app_until(&app, || {
             matches!(route_b.try_recv(), Err(rapidware_streams::TryRecvError::Eof))

@@ -34,7 +34,10 @@
 //! worker — until the pipe's space watcher fires; when its inbox is empty
 //! it parks until the data watcher fires.  Workers steal queued tasks from
 //! sibling shards, so a skewed session population cannot idle half the
-//! pool.
+//! pool.  A worker with nothing to run parks on the pool's condvar or —
+//! once the pool drives sockets, and if no other worker is there — in its
+//! epoll set, so the worker that learns a socket is readable runs that
+//! socket's task itself (see [`Runtime::drive_socket`]).
 //!
 //! Live reconfiguration needs no pipe splicing here: the filters live in a
 //! mutex-guarded `FilterChain`, so insert/remove serialise with batch
@@ -153,6 +156,10 @@ pub struct RuntimeStatus {
     /// Task steps workers have actually run (a step is one `poll` of a
     /// session or socket task).
     pub polls: u64,
+    /// Times a worker went to sleep, on the pool's condvar or in the
+    /// poller's `epoll_wait`: each park costs a wake-up to end, so parks
+    /// per packet count the thread hand-offs on the packet's path.
+    pub parks: u64,
 }
 
 /// The pool's own profiling instruments, installed by
@@ -166,8 +173,9 @@ struct RuntimeTelemetry {
     /// step up — the scheduling latency the paper's adaptation loop rides
     /// on.
     queue_wait_ns: Arc<Histogram>,
-    /// One sample per reactor wake: from `epoll_wait` returning to the
-    /// last ready task being scheduled.  An idle proxy records none.
+    /// One sample per poll of the socket set that reported at least one
+    /// socket: from `epoll_wait` returning to the last ready task being
+    /// queued.  An idle proxy records none.
     scan_ns: Arc<Histogram>,
 }
 
@@ -199,7 +207,8 @@ enum StepOutcome {
 /// only the non-blocking pipe operations and returns `Idle` when it cannot
 /// progress.
 trait TaskWork: Send + Sync {
-    fn step(&self) -> StepOutcome;
+    /// Runs one step of `task`, the task this work belongs to.
+    fn step(&self, task: &Task) -> StepOutcome;
 }
 
 /// Task scheduling states (the classic notify-while-running machine: a wake
@@ -228,9 +237,20 @@ struct Task {
 }
 
 impl Task {
-    /// Transitions the task towards `QUEUED` and enqueues it if it was
-    /// idle.  Safe to call from any thread, any number of times.
+    /// Enqueues the task if it was idle (see [`claim`](Self::claim)).  Safe
+    /// to call from any thread, any number of times.
     fn schedule(self: &Arc<Self>) {
+        if self.claim() {
+            if let Some(pool) = self.pool.upgrade() {
+                pool.enqueue(Arc::clone(self));
+            }
+        }
+    }
+
+    /// Transitions the task towards `QUEUED`: `true` if it was idle, and
+    /// the caller now owes it a run-queue slot; a running task is marked
+    /// notified instead.
+    fn claim(&self) -> bool {
         loop {
             match self.state.load(Ordering::SeqCst) {
                 IDLE => {
@@ -239,10 +259,7 @@ impl Task {
                         .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                     {
-                        if let Some(pool) = self.pool.upgrade() {
-                            pool.enqueue(Arc::clone(self));
-                        }
-                        return;
+                        return true;
                     }
                 }
                 RUNNING => {
@@ -256,13 +273,24 @@ impl Task {
                         )
                         .is_ok()
                     {
-                        return;
+                        return false;
                     }
                 }
                 // Already queued, already notified, or finished.
-                _ => return,
+                _ => return false,
             }
         }
+    }
+
+    /// Forgets the wakes raised since the running step began: for a step
+    /// whose remaining work answers every one of them.
+    fn settle(&self) {
+        let _ = self.state.compare_exchange(
+            RUNNING_NOTIFIED,
+            RUNNING,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
     }
 
     fn finish(&self) {
@@ -339,11 +367,19 @@ struct ShardQueue {
 struct PoolShared {
     shards: Vec<ShardQueue>,
     /// Total tasks currently sitting in run queues (the workers' sleep
-    /// condition; checked under the `sleepers` lock so a concurrent enqueue
-    /// can never slip between "saw zero" and "went to sleep").
+    /// condition; checked under the `sleepers` lock, or after claiming
+    /// `polling`, so a concurrent enqueue can never slip between "saw zero"
+    /// and "went to sleep").
     queued: AtomicUsize,
     sleepers: Mutex<usize>,
     wake: Condvar,
+    /// The readiness set of every socket task, made by the first
+    /// [`Runtime::drive_socket`]: a socket-free pool has none.
+    poller: OnceLock<Arc<Poller<Weak<Task>>>>,
+    /// A worker is parked in the poller's `epoll_wait` (at most one is).
+    polling: AtomicBool,
+    /// Times a worker parked, on `wake` or in the poller.
+    parks: AtomicU64,
     shutdown: AtomicBool,
     live_tasks: AtomicUsize,
     next_shard: AtomicUsize,
@@ -403,16 +439,108 @@ impl ChaosState {
 }
 
 impl PoolShared {
-    fn enqueue(&self, task: Arc<Task>) {
+    /// Puts `task` at the back of `shard`'s run queue and returns the
+    /// queue's new length.  Wakes nobody.
+    fn push(&self, shard: usize, task: Arc<Task>) -> usize {
         if self.telemetry.get().is_some() {
             task.enqueued_ns.store(now_ns(), Ordering::Relaxed);
         }
-        let shard = task.shard;
-        self.shards[shard].queue.lock().push_back(task);
+        let len = {
+            let mut queue = self.shards[shard].queue.lock();
+            queue.push_back(task);
+            queue.len()
+        };
         self.queued.fetch_add(1, Ordering::SeqCst);
+        len
+    }
+
+    /// Queues a woken task on its home shard and wakes a parked worker.
+    fn enqueue(&self, task: Arc<Task>) {
+        self.push(task.shard, task);
+        self.wake_one();
+    }
+
+    /// Requeues the task worker `home` just stepped on the worker's own
+    /// shard.  The worker pops it next, so a parked worker is woken only
+    /// if other work waits there.
+    fn requeue(&self, home: usize, task: &Arc<Task>) {
+        task.state.store(QUEUED, Ordering::SeqCst);
+        if self.push(home, Arc::clone(task)) > 1 {
+            self.wake_one();
+        }
+    }
+
+    /// Wakes one parked worker: a condvar sleeper if there is one, else
+    /// the worker parked in the poller, through its eventfd.
+    fn wake_one(&self) {
         let sleepers = self.sleepers.lock();
         if *sleepers > 0 {
             self.wake.notify_one();
+        } else if self.polling.load(Ordering::SeqCst) {
+            drop(sleepers);
+            self.wake_poller();
+        }
+    }
+
+    fn wake_poller(&self) {
+        if let Some(poller) = self.poller.get() {
+            poller.wake().expect("writing the pool's eventfd");
+        }
+    }
+
+    /// Parks worker `home` until there may be work: in the poller's
+    /// `epoll_wait` if the pool has sockets and no other worker waits
+    /// there, else on the condvar.  A worker that polled queues the socket
+    /// tasks its poll made ready.
+    fn park(&self, home: usize, ready: &mut Vec<Weak<Task>>) {
+        if let Some(poller) = self.poller.get() {
+            if self
+                .polling
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                // Checked after claiming `polling`: an enqueue this check
+                // misses sees the claim and writes the eventfd.
+                let idle = self.queued.load(Ordering::SeqCst) == 0;
+                if idle && !self.shutdown.load(Ordering::SeqCst) {
+                    self.parks.fetch_add(1, Ordering::Relaxed);
+                    poller.wait(ready).expect("waiting on the pool's epoll set");
+                }
+                self.polling.store(false, Ordering::SeqCst);
+                self.dispatch(home, ready);
+                return;
+            }
+        }
+        let mut sleepers = self.sleepers.lock();
+        if self.shutdown.load(Ordering::SeqCst) || self.queued.load(Ordering::SeqCst) > 0 {
+            return;
+        }
+        *sleepers += 1;
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        self.wake.wait(&mut sleepers);
+        *sleepers -= 1;
+    }
+
+    /// Queues the socket tasks a poll by worker `home` made ready on the
+    /// worker's own shard, where it runs them next, so nobody is woken
+    /// unless more than one became ready.
+    fn dispatch(&self, home: usize, ready: &mut Vec<Weak<Task>>) {
+        if ready.is_empty() {
+            return;
+        }
+        let polled = self.telemetry.get().map(|telemetry| (telemetry, now_ns()));
+        let mut queued = 0;
+        for task in ready.drain(..).filter_map(|task| task.upgrade()) {
+            if task.claim() {
+                self.push(home, task);
+                queued += 1;
+            }
+        }
+        if queued > 1 {
+            self.wake_one();
+        }
+        if let Some((telemetry, start)) = polled {
+            telemetry.scan_ns.record(now_ns().saturating_sub(start));
         }
     }
 
@@ -438,8 +566,9 @@ impl PoolShared {
     }
 }
 
-/// Runs one task step and applies the resulting state transition.
-fn run_task(task: &Arc<Task>, pool: &PoolShared) {
+/// Runs one task step on worker `home` and applies the resulting state
+/// transition.
+fn run_task(task: &Arc<Task>, pool: &PoolShared, home: usize) {
     if task
         .state
         .compare_exchange(QUEUED, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
@@ -459,16 +588,13 @@ fn run_task(task: &Arc<Task>, pool: &PoolShared) {
         }
         now
     });
-    let outcome = task.work.step();
+    let outcome = task.work.step(task);
     if let (Some(telemetry), Some(start)) = (telemetry, step_start) {
         telemetry.poll_ns.record(now_ns().saturating_sub(start));
     }
     match outcome {
         StepOutcome::Done => task.finish(),
-        StepOutcome::Progress => {
-            task.state.store(QUEUED, Ordering::SeqCst);
-            pool.enqueue(Arc::clone(task));
-        }
+        StepOutcome::Progress => pool.requeue(home, task),
         StepOutcome::Idle => {
             if task
                 .state
@@ -478,14 +604,22 @@ fn run_task(task: &Arc<Task>, pool: &PoolShared) {
                 // A watcher fired while the step ran: the condition it
                 // signalled may be the one the step just failed on, so the
                 // task goes straight back to the queue.
-                task.state.store(QUEUED, Ordering::SeqCst);
-                pool.enqueue(Arc::clone(task));
+                pool.requeue(home, task);
             }
         }
     }
 }
 
+/// Task steps a busy worker runs between two zero-timeout polls of the
+/// socket set, so a carrier cannot starve behind tasks that never let the
+/// pool park.
+const BUSY_POLL_STEPS: u64 = 61;
+
+/// A worker: runs tasks while any are queued, polling the socket set every
+/// [`BUSY_POLL_STEPS`] steps, and parks when none are.
 fn worker_loop(pool: &Arc<PoolShared>, home: usize) {
+    let mut ready = Vec::new();
+    let mut steps = 0u64;
     loop {
         if pool.shutdown.load(Ordering::SeqCst) {
             return;
@@ -493,19 +627,18 @@ fn worker_loop(pool: &Arc<PoolShared>, home: usize) {
         if let Some(task) = pool.pop(home) {
             #[cfg(any(test, feature = "chaos"))]
             pool.chaos.maybe_stall(home);
-            run_task(&task, pool);
+            run_task(&task, pool, home);
+            steps += 1;
+            match pool.poller.get() {
+                Some(poller) if steps.is_multiple_of(BUSY_POLL_STEPS) => {
+                    poller.try_wait(&mut ready).expect("polling the pool's epoll set");
+                    pool.dispatch(home, &mut ready);
+                }
+                _ => {}
+            }
             continue;
         }
-        let mut sleepers = pool.sleepers.lock();
-        if pool.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if pool.queued.load(Ordering::SeqCst) > 0 {
-            continue;
-        }
-        *sleepers += 1;
-        pool.wake.wait(&mut sleepers);
-        *sleepers -= 1;
+        pool.park(home, &mut ready);
     }
 }
 
@@ -523,10 +656,6 @@ pub struct Runtime {
     shared: Arc<PoolShared>,
     config: RuntimeConfig,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// The socket readiness loop, started lazily by the first
-    /// [`drive_socket`](Self::drive_socket) call so socket-free runtimes
-    /// spend no extra thread.
-    reactor: Mutex<Option<ReactorHandle>>,
 }
 
 impl fmt::Debug for Runtime {
@@ -552,6 +681,9 @@ impl Runtime {
             queued: AtomicUsize::new(0),
             sleepers: Mutex::new(0),
             wake: Condvar::new(),
+            poller: OnceLock::new(),
+            polling: AtomicBool::new(false),
+            parks: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             live_tasks: AtomicUsize::new(0),
             next_shard: AtomicUsize::new(0),
@@ -574,7 +706,6 @@ impl Runtime {
             shared,
             config,
             workers: Mutex::new(workers),
-            reactor: Mutex::new(None),
         })
     }
 
@@ -590,7 +721,7 @@ impl Runtime {
     }
 
     /// A snapshot of the pool: per-shard queue depths, live tasks, steals,
-    /// and total task polls.
+    /// total task polls and parks.
     ///
     /// The queue depths describe **one coherent instant**: every shard's
     /// queue lock is held at once while the depths are read, so a task
@@ -620,33 +751,27 @@ impl Runtime {
             live_tasks: self.live_tasks(),
             steals: self.shared.steals.load(Ordering::Relaxed),
             polls: self.shared.polls.load(Ordering::Relaxed),
+            parks: self.shared.parks.load(Ordering::Relaxed),
         }
     }
 
     /// Installs the pool's profiling instruments into `registry`: task poll
     /// durations (`runtime.poll_ns`), run-queue wait (`runtime.queue_wait_ns`),
-    /// and reactor dispatch time per wake (`runtime.reactor.scan_ns`).  Until
-    /// this is called the hot path pays nothing beyond one relaxed poll
-    /// counter.
+    /// and the time to queue what one poll of the socket set reported
+    /// (`runtime.reactor.scan_ns`).  Until this is called the hot path pays
+    /// nothing beyond one relaxed poll counter.
     ///
     /// Idempotent: the first registry wins; later calls are no-ops.
     pub fn enable_telemetry(&self, registry: &Arc<Registry>) {
-        let telemetry = Arc::clone(
-            self.shared
-                .telemetry
-                .get_or_init(|| RuntimeTelemetry::new(registry)),
-        );
-        // The reactor may already be running (drive_socket installs the
-        // instruments for the reverse ordering).
-        if let Some(reactor) = self.reactor.lock().as_ref() {
-            let _ = reactor.shared.telemetry.set(telemetry);
-        }
+        self.shared
+            .telemetry
+            .get_or_init(|| RuntimeTelemetry::new(registry));
     }
 
     /// Registers a work item as a task on the next shard (round robin) and
     /// gives it an initial kick.  `work` is built with the task's own weak
     /// handle in reach, for work that must hand its waker out before it can
-    /// exist (a socket's reactor registration).
+    /// exist (a socket's epoll registration).
     fn register(
         self: &Arc<Self>,
         work: impl FnOnce(&Weak<Task>) -> Box<dyn TaskWork>,
@@ -740,42 +865,47 @@ impl Runtime {
         self.shared.chaos.stalls_served.load(Ordering::SeqCst)
     }
 
-    /// Registers socket-backed work as a pool task woken by the socket
-    /// reactor: the readiness analogue of a session task's `PipeWatcher`
+    /// Registers socket-backed work as a pool task woken by socket
+    /// readiness: the readiness analogue of a session task's `PipeWatcher`
     /// wiring, so a socket costs a task, not a thread.
     ///
-    /// The task is stepped whenever the reactor reports the registered
-    /// interest on `socket` (or [`SocketDriver::kick`] / a watcher
-    /// installed via [`SocketDriver::watch_source`] fires), and calls
-    /// `work.service()` each step; see [`SocketWork`] for the contract.
-    /// The reactor thread itself is started lazily by the first driver and
-    /// is shared by every socket on this runtime — session counts scale
-    /// with **zero** additional threads.
+    /// The task is stepped whenever the socket reports the registered
+    /// interest (or [`SocketDriver::kick`] / a watcher installed via
+    /// [`SocketDriver::watch_source`] fires), and calls `work.service()`
+    /// each step; see [`SocketWork`] for the contract.  The first driver
+    /// makes the pool's readiness set; from then on an idle worker parks in
+    /// its `epoll_wait` (one at a time; the others on the condvar) and
+    /// steps what it reports itself — the pool runs **no** extra thread,
+    /// whatever the socket count.
     ///
-    /// The reactor keys registrations on the file descriptor, so two
-    /// drivers of one port (a receive half and a send half) each bring
-    /// their own fd — `SharedUdpEgress::over` `try_clone()`s one for the
-    /// send half.  Linux-only: the reactor blocks in `epoll_wait`.
+    /// The set keys registrations on the file descriptor, so two drivers
+    /// of one port each bring their own fd (a `try_clone()`).
+    /// Linux-only: workers block in `epoll_wait`.
     ///
     /// # Panics
     ///
-    /// Panics if the reactor cannot be created or refuses the socket: the
-    /// process is out of file descriptors or kernel memory, or this very
-    /// fd is registered already.
+    /// Panics if the readiness set cannot be created or refuses the
+    /// socket: the process is out of file descriptors or kernel memory, or
+    /// this very fd is registered already.
     pub fn drive_socket(
         self: &Arc<Self>,
         socket: Arc<UdpSocket>,
         interest: SocketInterest,
         work: Arc<dyn SocketWork>,
     ) -> SocketDriver {
-        let mut slot = self.reactor.lock();
-        let handle = slot.get_or_insert_with(ReactorHandle::start);
-        // A reactor started after enable_telemetry still gets the
-        // instruments (enable_telemetry handles the other ordering).
-        if let Some(telemetry) = self.shared.telemetry.get() {
-            let _ = handle.shared.telemetry.set(Arc::clone(telemetry));
-        }
-        let reactor = Arc::clone(&handle.shared);
+        self.drive(socket, interest, work)
+    }
+
+    /// [`drive_socket`](Self::drive_socket) for any [`SocketPass`].
+    pub(crate) fn drive<W: SocketPass + ?Sized + 'static>(
+        self: &Arc<Self>,
+        socket: Arc<UdpSocket>,
+        interest: SocketInterest,
+        work: Arc<W>,
+    ) -> SocketDriver {
+        let poller = Arc::clone(self.shared.poller.get_or_init(|| {
+            Arc::new(Poller::new().expect("creating the pool's epoll set and eventfd"))
+        }));
         let stop = Arc::new(AtomicBool::new(false));
         let idle_interest = match interest {
             SocketInterest::Readable => Interest::READABLE,
@@ -785,15 +915,14 @@ impl Runtime {
         // The socket is in the epoll set before the task's first step (the
         // initial kick inside `register`), so that step's re-arm finds it.
         let task = self.register(|task| {
-            let registered = reactor
-                .poller
+            let registered = poller
                 .add(socket, idle_interest, task.clone())
-                .expect("registering a socket with the reactor");
+                .expect("registering a socket with the pool's epoll set");
             token = Some(registered);
             Box::new(SocketTaskWork {
                 work,
                 stop: Arc::clone(&stop),
-                reactor: Arc::clone(&reactor),
+                poller: Arc::clone(&poller),
                 token: registered,
                 idle_interest,
             })
@@ -801,20 +930,17 @@ impl Runtime {
         SocketDriver {
             task,
             stop,
-            reactor,
+            poller,
             token: token.expect("register builds the work exactly once"),
         }
     }
 
-    /// Sockets currently registered with the reactor — zero when no
-    /// [`drive_socket`](Self::drive_socket) driver is live.  Exact: a
-    /// driver's registration is gone the moment its
+    /// Sockets currently registered with the pool's readiness set — zero
+    /// when no [`drive_socket`](Self::drive_socket) driver is live.  Exact:
+    /// a driver's registration is gone the moment its
     /// [`shutdown`](SocketDriver::shutdown) returns.
     pub fn reactor_sockets(&self) -> usize {
-        self.reactor
-            .lock()
-            .as_ref()
-            .map_or(0, |handle| handle.shared.poller.len())
+        self.shared.poller.get().map_or(0, |poller| poller.len())
     }
 
     /// Stops the worker pool: workers finish their current step and exit.
@@ -825,20 +951,17 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::WorkerFailed`] if a worker thread or the
-    /// socket reactor panicked.
+    /// Returns [`ProxyError::WorkerFailed`] if a worker thread panicked.
     pub fn shutdown(&self) -> Result<(), ProxyError> {
-        // The reactor goes first: with the wake source gone, no new socket
-        // work can be scheduled while the workers drain and exit.
-        let mut failure = None;
-        if let Some(reactor) = self.reactor.lock().take() {
-            failure = reactor.stop().err();
-        }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
             let _sleepers = self.shared.sleepers.lock();
             self.shared.wake.notify_all();
         }
+        // The worker parked in `epoll_wait`, if any, leaves through the
+        // eventfd.
+        self.shared.wake_poller();
+        let mut failure = None;
         for (index, handle) in self.workers.lock().drain(..).enumerate() {
             if handle.join().is_err() && failure.is_none() {
                 failure = Some(ProxyError::WorkerFailed(format!("shard worker {index}")));
@@ -858,7 +981,7 @@ impl Drop for Runtime {
 }
 
 // ---------------------------------------------------------------------------
-// Socket reactor.
+// Socket tasks.
 // ---------------------------------------------------------------------------
 
 /// Which readiness events should wake a [`drive_socket`] task.
@@ -897,130 +1020,89 @@ pub trait SocketWork: Send + Sync {
     fn service(&self) -> SocketStep;
 }
 
-/// Adapts a [`SocketWork`] to the pool's task state machine and owns the
-/// re-arm half of the reactor's one-shot protocol.  `stop` is the driver's
-/// abort flag: the task runs one final service pass (a best-effort flush)
-/// and finishes.
-struct SocketTaskWork {
-    work: Arc<dyn SocketWork>,
+/// What a socket task steps: any [`SocketWork`], or crate work with a hand
+/// in its own wake protocol (a carrier).
+pub(crate) trait SocketPass: Send + Sync {
+    /// Runs one bounded pass.  The pass may call `settle` once every wake
+    /// raised so far is answered by what it still has to do; the task then
+    /// forgets them instead of stepping again for nothing.
+    fn pass(&self, settle: &dyn Fn()) -> SocketStep;
+
+    /// Whether the idle task still wants its socket's readability.
+    fn reading(&self) -> bool {
+        true
+    }
+}
+
+impl<W: SocketWork + ?Sized> SocketPass for W {
+    fn pass(&self, _settle: &dyn Fn()) -> SocketStep {
+        self.service()
+    }
+}
+
+/// Adapts a [`SocketPass`] to the pool's task state machine and owns the
+/// re-arm half of the one-shot readiness protocol.  `stop` is the driver's
+/// abort flag: the task runs one final pass (a best-effort flush) and
+/// finishes.
+struct SocketTaskWork<W: ?Sized> {
+    work: Arc<W>,
     stop: Arc<AtomicBool>,
-    reactor: Arc<ReactorShared>,
+    poller: Arc<Poller<Weak<Task>>>,
     token: Token,
     /// What the socket is armed for while the task is idle.
     idle_interest: Interest,
 }
 
-impl SocketTaskWork {
+impl<W: ?Sized> SocketTaskWork<W> {
     /// Re-arms the socket's one-shot registration.  Runs inside the step,
-    /// *after* the service pass saw the socket run dry (or full): the
-    /// kernel re-polls the socket on re-arm, so readiness that appeared in
-    /// between fires at once and lands on the notify-while-running state
-    /// machine — no wake can be lost, and none arrives while a drain is
-    /// still making progress.
+    /// *after* the pass saw the socket run dry (or full): the kernel
+    /// re-polls the socket on re-arm, so readiness that appeared in between
+    /// fires at once and lands on the notify-while-running state machine —
+    /// no wake can be lost, and none arrives while a drain is still making
+    /// progress.
     fn arm(&self, interest: Interest) {
-        match self.reactor.poller.arm(self.token, interest) {
+        match self.poller.arm(self.token, interest) {
             Ok(()) => {}
             // The driver was deregistered while this step ran (its pool is
             // stopping): no further wake is owed.
             Err(err) if err.kind() == io::ErrorKind::NotFound => {}
-            Err(err) => panic!("re-arming a reactor socket failed: {err}"),
+            Err(err) => panic!("re-arming a socket in the pool's epoll set failed: {err}"),
         }
     }
 }
 
-impl TaskWork for SocketTaskWork {
-    fn step(&self) -> StepOutcome {
+impl<W: SocketPass + ?Sized> TaskWork for SocketTaskWork<W> {
+    fn step(&self, task: &Task) -> StepOutcome {
         if self.stop.load(Ordering::SeqCst) {
-            let _ = self.work.service();
+            let _ = self.work.pass(&|| {});
             return StepOutcome::Done;
         }
-        match self.work.service() {
+        let step = self.work.pass(&|| task.settle());
+        if self.stop.load(Ordering::SeqCst) {
+            // The pass may have settled the stop's own wake away: the next
+            // step is the final one.
+            return StepOutcome::Progress;
+        }
+        let idle = Interest {
+            readable: self.idle_interest.readable && self.work.reading(),
+            ..self.idle_interest
+        };
+        match step {
             SocketStep::Progress => StepOutcome::Progress,
             SocketStep::Idle => {
                 // A send half idles on its pipe watchers alone.
-                if self.idle_interest != Interest::NONE {
-                    self.arm(self.idle_interest);
+                if idle != Interest::NONE {
+                    self.arm(idle);
                 }
                 StepOutcome::Idle
             }
             SocketStep::Blocked => {
                 self.arm(Interest {
                     writable: true,
-                    ..self.idle_interest
+                    ..idle
                 });
                 StepOutcome::Idle
             }
-        }
-    }
-}
-
-struct ReactorShared {
-    /// Every registered socket, carrying the task its readiness wakes.
-    poller: Poller<Weak<Task>>,
-    /// Profiling instruments shared with the pool; empty until telemetry
-    /// is enabled on the owning runtime.
-    telemetry: OnceLock<Arc<RuntimeTelemetry>>,
-}
-
-/// The running reactor: one thread for *all* registered sockets.
-struct ReactorHandle {
-    shared: Arc<ReactorShared>,
-    join: JoinHandle<()>,
-}
-
-impl ReactorHandle {
-    fn start() -> Self {
-        let shared = Arc::new(ReactorShared {
-            poller: Poller::new().expect("creating the reactor's epoll set and eventfd"),
-            telemetry: OnceLock::new(),
-        });
-        let loop_shared = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name("rapidware-reactor".to_string())
-            .spawn(move || reactor_loop(&loop_shared))
-            .expect("spawning the reactor thread never fails");
-        Self { shared, join }
-    }
-
-    /// Wakes the reactor out of `epoll_wait` — the poller's wake-up has no
-    /// other use, so the loop takes it as the order to exit — and joins it.
-    fn stop(self) -> Result<(), ProxyError> {
-        // Without the wake the join below would never return.
-        self.shared.poller.wake().map_err(|err| {
-            ProxyError::WorkerFailed(format!("socket reactor could not be woken: {err}"))
-        })?;
-        self.join
-            .join()
-            .map_err(|_| ProxyError::WorkerFailed("socket reactor".to_string()))
-    }
-}
-
-/// The readiness loop: block in `epoll_wait` — no timeout, so an idle
-/// proxy makes no wake-ups at all — and schedule the task of every socket
-/// that fired, exactly the wake a `PipeWatcher` would deliver for a pipe.
-///
-/// Registrations are one-shot: a socket that fired stays disarmed until
-/// its task re-arms it (see [`SocketTaskWork::arm`]), so while a drain
-/// keeps reporting [`SocketStep::Progress`] the task requeues itself
-/// through the pool and the reactor sleeps.
-fn reactor_loop(shared: &ReactorShared) {
-    let mut ready = Vec::new();
-    loop {
-        let stopping = shared
-            .poller
-            .wait(&mut ready)
-            .expect("waiting on the reactor's epoll set");
-        if stopping {
-            return;
-        }
-        let woke = shared.telemetry.get().map(|telemetry| (telemetry, now_ns()));
-        for task in ready.drain(..) {
-            if let Some(task) = task.upgrade() {
-                task.schedule();
-            }
-        }
-        if let Some((telemetry, start)) = woke {
-            telemetry.scan_ns.record(now_ns().saturating_sub(start));
         }
     }
 }
@@ -1030,7 +1112,7 @@ fn reactor_loop(shared: &ReactorShared) {
 pub struct SocketDriver {
     task: Arc<Task>,
     stop: Arc<AtomicBool>,
-    reactor: Arc<ReactorShared>,
+    poller: Arc<Poller<Weak<Task>>>,
     token: Token,
 }
 
@@ -1062,20 +1144,20 @@ impl SocketDriver {
     }
 
     /// Stops the driver: the task runs one final service pass (best-effort
-    /// flush) and finishes, and the socket is deregistered from the
-    /// reactor before this returns.  Call while the runtime's workers are
-    /// still running.
+    /// flush) and finishes, and the socket is deregistered from the pool's
+    /// readiness set before this returns.  Call while the runtime's workers
+    /// are still running.
     ///
     /// # Errors
     ///
     /// Returns [`ProxyError::WorkerFailed`] if the task cannot complete
     /// because the pool stopped first, or [`ProxyError::Transport`] if the
-    /// reactor failed to deregister the socket.
+    /// socket could not be deregistered.
     pub fn shutdown(&self) -> Result<(), ProxyError> {
         self.stop.store(true, Ordering::SeqCst);
         self.task.schedule();
         let finished = self.task.wait_finished();
-        let deregistered = self.reactor.poller.remove(self.token);
+        let deregistered = self.poller.remove(self.token);
         if !finished {
             return Err(ProxyError::WorkerFailed(
                 "socket driver task never finished".to_string(),
@@ -1083,15 +1165,15 @@ impl SocketDriver {
         }
         deregistered
             .map(drop)
-            .map_err(|err| ProxyError::Transport(format!("deregistering a reactor socket: {err}")))
+            .map_err(|err| ProxyError::Transport(format!("deregistering a socket: {err}")))
     }
 }
 
 impl Drop for SocketDriver {
     fn drop(&mut self) {
         // A driver dropped without `shutdown` must not pin its socket in
-        // the reactor; after `shutdown` this finds nothing to remove.
-        let _ = self.reactor.poller.remove(self.token);
+        // the readiness set; after `shutdown` this finds nothing to remove.
+        let _ = self.poller.remove(self.token);
     }
 }
 
@@ -1413,7 +1495,7 @@ struct SessionWork {
 }
 
 impl TaskWork for Arc<SessionWork> {
-    fn step(&self) -> StepOutcome {
+    fn step(&self, _task: &Task) -> StepOutcome {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         if !inner.forward() {
@@ -2422,7 +2504,7 @@ mod tests {
         assert_eq!(config.batch_size, 1);
     }
 
-    // -- The reactor's wake protocol ---------------------------------------
+    // -- The socket wake protocol -------------------------------------------
     //
     // Each test scripts a fake `SocketWork` by step number and follows it
     // through a channel; the only clock is the bound on a genuine hang.
@@ -2557,11 +2639,12 @@ mod tests {
             });
         while passes.recv_timeout(HANG).expect("the drain runs to its end") < BUSY {}
         driver.shutdown().unwrap();
-        // Joins the reactor, so every sample it took is in the histogram.
+        // Joins the workers, so every sample a poll took is in the
+        // histogram.
         runtime.shutdown().unwrap();
         assert!(
             reactor_wakes(&registry) <= 1,
-            "{BUSY} busy passes over a readable socket woke the reactor {} times",
+            "{BUSY} busy passes over a readable socket: {} polls reported it",
             reactor_wakes(&registry)
         );
     }
@@ -2573,8 +2656,8 @@ mod tests {
         proxy
             .add_udp_carrier("wire", crate::UdpCarrierConfig::new())
             .unwrap();
-        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 2);
-        // The observation window, not a synchronisation: the old reactor
+        assert_eq!(proxy.runtime().unwrap().reactor_sockets(), 1);
+        // The observation window, not a synchronisation: a ticking poller
         // would have ticked ~800 times in it.
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(reactor_wakes(&registry), 0, "no traffic, no wake-ups");

@@ -2,14 +2,18 @@
 //! are real UDP sockets instead of in-process pipes.
 //!
 //! A **carrier** ([`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier))
-//! binds one UDP socket and registers it with the pooled runtime's
-//! readiness reactor, so it costs **zero** threads no matter how many
-//! streams and sessions ride it:
+//! binds one UDP socket and is **one** pool task with one epoll
+//! registration, so it costs **zero** threads no matter how many streams
+//! and sessions ride it.  Each step of the task is one pass:
 //!
 //! ```text
 //!   one socket ──▶ SharedUdpIngress ──demux by stream id──▶ session, in place or via input
-//!   lane outputs ──▶ SharedUdpEgress ──mux──▶ the same socket
+//!   lane outputs ──▶ SharedUdpEgress ──mux──▶ the same socket      (same step: one flush)
 //! ```
+//!
+//! The worker that learns the socket is readable runs that step itself, so
+//! a datagram caught up with its session is received, run and sent by one
+//! thread.
 //!
 //! [`Proxy::add_stream_udp_shared`](crate::Proxy::add_stream_udp_shared)
 //! and
@@ -21,7 +25,7 @@
 //! socket is a carrier with one such route.
 //!
 //! A session that is idle and caught up is run in place by the
-//! carrier's receive task, straight into the pipes the egress watches.
+//! carrier's task, straight into the lane pipes the same step flushes.
 //! The session itself is unchanged — it still reads and writes detachable
 //! pipes and is live-reconfigurable through the ordinary control surface
 //! (`insert_filter`, `remove_filter`, sessions' per-lane splices).  The
@@ -33,6 +37,8 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
+
 use rapidware_packet::{Packet, StreamId};
 use rapidware_streams::DetachableSender;
 use rapidware_telemetry::{Histogram, Registry};
@@ -41,7 +47,7 @@ use rapidware_transport::{
     TransportStats,
 };
 
-use crate::runtime::{SocketDriver, SocketStep, SocketWork};
+use crate::runtime::{SocketDriver, SocketPass, SocketStep};
 
 fn loopback_ephemeral() -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], 0))
@@ -82,7 +88,7 @@ pub struct UdpCarrierConfig {
     /// Pipe capacity behind each routed stream (back-pressure window, in
     /// packets).
     pub capacity: usize,
-    /// How many datagrams one reactor-driven drain/flush pass moves.
+    /// How many datagrams one drain/flush pass of the carrier moves.
     pub batch_size: usize,
 }
 
@@ -393,65 +399,52 @@ impl SharedUdpSessionHandle {
     }
 }
 
-/// Adapts a carrier's receive side to the reactor: a readiness wake runs
-/// one bounded demux drain.
-pub(crate) struct SharedIngressWork {
+/// A carrier's one task.  Each pass drains a batch off the socket — a
+/// caught-up route runs its session in place — then sends what every lane
+/// holds in one flush.  Socket readiness, lane-output watchers and kicks
+/// all wake this same task.
+pub(crate) struct CarrierWork {
     pub(crate) ingress: Arc<SharedUdpIngress>,
+    pub(crate) egress: Arc<SharedUdpEgress>,
+    /// Cleared by [`stop_receiving`](Self::stop_receiving); held across
+    /// every drain, so none runs after it.
+    receiving: Mutex<bool>,
     /// Once proxy telemetry is enabled, each drain pass records how many
-    /// datagrams it pulled off the socket (`udp.<carrier>.drain_batch`) —
-    /// the batching the reactor actually achieves under load.
-    pub(crate) drain_batch: OnceLock<Arc<Histogram>>,
+    /// datagrams it pulled off the socket (`udp.<carrier>.drain_batch`).
+    drain_batch: OnceLock<Arc<Histogram>>,
 }
 
-impl SocketWork for SharedIngressWork {
-    fn service(&self) -> SocketStep {
-        let drain = || match self.ingress.drain_batch() {
-            SharedDrain::MoreReady => SocketStep::Progress,
-            SharedDrain::Empty => SocketStep::Idle,
-        };
+impl CarrierWork {
+    pub(crate) fn new(ingress: Arc<SharedUdpIngress>, egress: Arc<SharedUdpEgress>) -> Self {
+        Self {
+            ingress,
+            egress,
+            receiving: Mutex::new(true),
+            drain_batch: OnceLock::new(),
+        }
+    }
+
+    fn drain(&self) -> SharedDrain {
         let Some(histogram) = self.drain_batch.get() else {
-            return drain();
+            return self.ingress.drain_batch();
         };
         let stats = self.ingress.stats();
         let before = stats.rx_datagrams();
-        let step = drain();
-        let drained = stats.rx_datagrams().saturating_sub(before);
-        if drained != 0 {
-            histogram.record(drained);
+        let drained = self.ingress.drain_batch();
+        let count = stats.rx_datagrams().saturating_sub(before);
+        if count != 0 {
+            histogram.record(count);
         }
-        step
+        drained
     }
-}
 
-/// Adapts a carrier's send side to the reactor: a pipe-watcher wake (or,
-/// after `Blocked`, the socket turning writable) runs one bounded mux
-/// flush.
-pub(crate) struct SharedEgressWork {
-    pub(crate) egress: Arc<SharedUdpEgress>,
-}
-
-impl SocketWork for SharedEgressWork {
-    fn service(&self) -> SocketStep {
-        match self.egress.flush_batch() {
-            SharedFlush::Progress => SocketStep::Progress,
-            SharedFlush::Idle => SocketStep::Idle,
-            SharedFlush::Blocked => SocketStep::Blocked,
+    /// The receive half of shutdown: one final drain, after which passes
+    /// only flush and the idle socket no longer wakes the task.
+    pub(crate) fn stop_receiving(&self) {
+        let mut receiving = self.receiving.lock();
+        if std::mem::replace(&mut *receiving, false) {
+            self.drain();
         }
-    }
-}
-
-/// The live state the proxy keeps per carrier: both endpoint halves plus
-/// the reactor drivers stepping them.
-pub(crate) struct UdpCarrier {
-    pub(crate) ingress_work: Arc<SharedIngressWork>,
-    pub(crate) egress: Arc<SharedUdpEgress>,
-    pub(crate) ingress_driver: SocketDriver,
-    pub(crate) egress_driver: SocketDriver,
-}
-
-impl UdpCarrier {
-    pub(crate) fn ingress(&self) -> &SharedUdpIngress {
-        &self.ingress_work.ingress
     }
 
     /// Registers `udp.<name>.drain_batch` and its send-side twins —
@@ -460,22 +453,56 @@ impl UdpCarrier {
     /// recording into them (idempotent, like every other
     /// `enable_telemetry`).
     pub(crate) fn enable_telemetry(&self, registry: &Registry, name: &str) {
-        self.ingress_work
-            .drain_batch
+        self.drain_batch
             .get_or_init(|| registry.histogram(format!("udp.{name}.drain_batch")));
         self.egress.record_send_shape(
             registry.histogram(format!("udp.{name}.flush_batch")),
             registry.histogram(format!("udp.{name}.tx_segments")),
         );
     }
+}
 
+impl SocketPass for CarrierWork {
+    fn pass(&self, settle: &dyn Fn()) -> SocketStep {
+        let drained = {
+            let receiving = self.receiving.lock();
+            if *receiving {
+                self.drain()
+            } else {
+                SharedDrain::Empty
+            }
+        };
+        // The flush visits every lane, so it answers each wake raised so
+        // far (this drain's in-place output, another task's, a new lane):
+        // without this the task would take an empty step after every pass.
+        settle();
+        match (drained, self.egress.flush_batch()) {
+            (_, SharedFlush::Blocked) => SocketStep::Blocked,
+            (SharedDrain::MoreReady, _) | (_, SharedFlush::Progress) => SocketStep::Progress,
+            (SharedDrain::Empty, SharedFlush::Idle) => SocketStep::Idle,
+        }
+    }
+
+    fn reading(&self) -> bool {
+        *self.receiving.lock()
+    }
+}
+
+/// The live state the proxy keeps per carrier: its task's work and the
+/// driver stepping it.
+pub(crate) struct UdpCarrier {
+    pub(crate) work: Arc<CarrierWork>,
+    pub(crate) driver: SocketDriver,
+}
+
+impl UdpCarrier {
     pub(crate) fn status(&self, name: &str) -> UdpTransportStatus {
-        let ingress = self.ingress();
+        let ingress = &self.work.ingress;
         UdpTransportStatus {
             name: name.to_string(),
             ingress_addr: ingress.local_addr().to_string(),
             ingress: ingress.stats().snapshot(),
-            egress: self.egress.stats().snapshot(),
+            egress: self.work.egress.stats().snapshot(),
             unknown_streams: ingress.unknown_streams(),
             io_errors: ingress.io_errors(),
         }

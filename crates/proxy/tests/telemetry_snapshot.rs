@@ -318,6 +318,7 @@ fn stats_from_status(status: &ProxyStatus) -> Vec<(String, u64)> {
                 ),
                 ("steals", runtime.steals),
                 ("polls", runtime.polls),
+                ("parks", runtime.parks),
             ],
         );
     }
@@ -381,11 +382,12 @@ fn query_from_status(status: &ProxyStatus) -> String {
         .map(|shard| shard.queued.to_string())
         .collect();
     line += &format!(
-        " runtime=workers:{} live:{} steals:{} polls:{} depths:[{}]",
+        " runtime=workers:{} live:{} steals:{} polls:{} parks:{} depths:[{}]",
         runtime.workers,
         runtime.live_tasks,
         runtime.steals,
         runtime.polls,
+        runtime.parks,
         depths.join(",")
     );
     line
@@ -524,7 +526,7 @@ fn a_quiescent_proxy_folds_every_status_count_into_telemetry_and_query() {
         "decode_errors", "dropped",
     ];
     let lane_counts = ["delivered", "recovered", "queue_depth"];
-    let runtime = ["workers", "live_tasks", "queued", "executed", "steals", "polls"];
+    let runtime = ["workers", "live_tasks", "queued", "executed", "steals", "polls", "parks"];
     let scoped = |scope: &str, keys: &[&str]| {
         keys.iter()
             .map(|key| format!("{scope}.{key}"))

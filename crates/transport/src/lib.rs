@@ -27,7 +27,7 @@
 //! The endpoints own no threads.  They expose non-blocking batch
 //! operations — [`drain_batch`] and [`flush_batch`] — and a driver calls
 //! them when the socket is readable or a lane pipe has data: inside a
-//! proxy that driver is the pooled runtime's readiness reactor, so hundreds
+//! proxy that driver is one pooled-runtime task per socket, so hundreds
 //! of sessions share a handful of sockets; an application (or a test) on
 //! the far end of the wire calls them from its own receive loop.  A
 //! *dedicated* socket is simply an endpoint with one route.

@@ -6,6 +6,8 @@
 //! socket once, blocks in [`Poller::wait`] with **no timeout**, and is
 //! woken exactly when a registered socket becomes ready or another thread
 //! calls [`Poller::wake`].  An idle set of sockets costs zero wake-ups.
+//! A busy driver checks the set in passing with [`Poller::try_wait`],
+//! which never blocks.
 //!
 //! Every registration is **one-shot**: once a socket has been reported it
 //! is disarmed, and stays silent — however many datagrams land on it —
@@ -33,7 +35,8 @@
 //!   registration is disabled after one report — including the
 //!   always-implied `EPOLLERR`/`EPOLLHUP` — until the next `MOD`.
 //! * `epoll_wait(epfd, *events, maxevents, timeout) -> n` — blocks until
-//!   at least one registration is ready (`timeout == -1`: indefinitely),
+//!   at least one registration is ready (`timeout == -1`: indefinitely;
+//!   `0`: not at all, so `n` may be zero),
 //!   writes at most `maxevents` (> 0) entries to `events` and returns how
 //!   many; `-1` + `EINTR` when a signal interrupted the wait.
 //! * `eventfd(initval, flags) -> fd` — a counter fd: a `write` of an
@@ -179,10 +182,10 @@ struct Entries<T> {
 /// `WouldBlock` never loses a wake-up and one that is still draining is
 /// never woken twice.
 ///
-/// One thread blocks in `wait`; any thread may [`add`](Self::add),
-/// [`arm`](Self::arm), [`remove`](Self::remove) and [`wake`](Self::wake)
-/// concurrently.  Dropping the poller closes its epoll fd and eventfd and
-/// releases every socket still registered.
+/// One thread blocks in `wait`; any thread may [`try_wait`](Self::try_wait),
+/// [`add`](Self::add), [`arm`](Self::arm), [`remove`](Self::remove) and
+/// [`wake`](Self::wake) concurrently.  Dropping the poller closes its epoll
+/// fd and eventfd and releases every socket still registered.
 pub struct Poller<T> {
     epoll: OwnedFd,
     waker: File,
@@ -312,12 +315,49 @@ impl<T> Poller<T> {
     where
         T: Clone,
     {
+        let woken = self.collect(ready, -1)?;
+        if woken {
+            let mut counter = [0u8; 8];
+            match (&self.waker).read(&mut counter) {
+                Ok(_) => {}
+                // Another `wait` got there first.
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {}
+                Err(err) => return Err(err),
+            }
+        }
+        Ok(woken)
+    }
+
+    /// The non-blocking [`wait`](Self::wait): appends the payload of every
+    /// socket ready right now to `ready` and returns at once.  A pending
+    /// wake-up is left for `wait` to consume, so a thread that checks the
+    /// set between two pieces of work never steals the wake meant for the
+    /// thread blocked in `wait`.
+    ///
+    /// # Errors
+    ///
+    /// Any `epoll_wait` failure other than `EINTR` (which is retried).
+    pub fn try_wait(&self, ready: &mut Vec<T>) -> io::Result<()>
+    where
+        T: Clone,
+    {
+        self.collect(ready, 0).map(drop)
+    }
+
+    /// One `epoll_wait` with `timeout_ms` (`-1`: none): appends the payload
+    /// of every socket that fired to `ready` and returns whether the
+    /// eventfd was among them.
+    fn collect(&self, ready: &mut Vec<T>, timeout_ms: i32) -> io::Result<bool>
+    where
+        T: Clone,
+    {
         let mut events = [EpollEvent { events: 0, token: 0 }; MAX_EVENTS];
         let fired = loop {
             // SAFETY: `events` is a live array of MAX_EVENTS entries and
             // that is the capacity passed; the epoll fd is owned by `self`.
             let count = unsafe {
-                epoll_wait(self.epoll.as_raw_fd(), events.as_mut_ptr(), MAX_EVENTS as i32, -1)
+                let epoll = self.epoll.as_raw_fd();
+                epoll_wait(epoll, events.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms)
             };
             if count >= 0 {
                 break count as usize;
@@ -336,16 +376,6 @@ impl<T> Poller<T> {
             } else if let Some(entry) = entries.by_token.get(&token) {
                 // A miss is an event for a registration removed since.
                 ready.push(entry.payload.clone());
-            }
-        }
-        drop(entries);
-        if woken {
-            let mut counter = [0u8; 8];
-            match (&self.waker).read(&mut counter) {
-                Ok(_) => {}
-                // Another `wait` got there first.
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {}
-                Err(err) => return Err(err),
             }
         }
         Ok(woken)
@@ -450,6 +480,24 @@ mod tests {
         let clone = Arc::new(shared.try_clone().unwrap());
         poller.add(clone, Interest::NONE, 1).unwrap();
         assert_eq!(poller.len(), 2);
+    }
+
+    #[test]
+    fn try_wait_reports_ready_sockets_and_leaves_the_wake_up() {
+        let poller = Poller::new().unwrap();
+        let rx = socket();
+        poller.add(Arc::clone(&rx), Interest::READABLE, "rx").unwrap();
+        let mut ready = Vec::new();
+        poller.try_wait(&mut ready).unwrap();
+        assert!(ready.is_empty(), "nothing is ready, and try_wait did not block");
+        send_to(&rx);
+        poller.wake().unwrap();
+        poller.try_wait(&mut ready).unwrap();
+        assert_eq!(ready, ["rx"]);
+        // The socket is disarmed, and the wake-up is still there for `wait`.
+        ready.clear();
+        assert!(poller.wait(&mut ready).unwrap());
+        assert!(ready.is_empty());
     }
 
     #[test]

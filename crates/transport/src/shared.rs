@@ -3,7 +3,7 @@
 //! The endpoints spend **zero** threads: they only expose non-blocking
 //! batch operations — [`SharedUdpIngress::drain_batch`] and
 //! [`SharedUdpEgress::flush_batch`] — and rely on a driver (inside a proxy,
-//! the pooled runtime's readiness reactor, blocked in a
+//! a pooled-runtime task whose idle workers wait in a
 //! [`Poller`](crate::Poller)) to call them when the socket is readable or a
 //! pipe has data:
 //!
@@ -102,7 +102,7 @@ pub enum SharedFlush {
 /// or a bridged route ([`open_stream_into`](Self::open_stream_into),
 /// delivering straight into a supplied sender such as a proxy chain
 /// input).  The endpoint owns no thread; a driver (normally a pooled-runtime
-/// task woken by the reactor) calls [`drain_batch`](Self::drain_batch)
+/// task woken by socket readiness) calls [`drain_batch`](Self::drain_batch)
 /// whenever the socket is readable.
 pub struct SharedUdpIngress {
     socket: Arc<UdpSocket>,

@@ -35,8 +35,8 @@ fn main() {
     let relay = ImpairedUdp::spawn(receiver.local_addr(), ImpairmentPlan::drop_every(2001, 5))
         .expect("spawning the impairment relay");
 
-    // The proxy: a carrier socket on the worker pool's reactor, and one
-    // stream riding it towards the lossy hop.
+    // The proxy: a carrier socket served as one task by the worker pool,
+    // and one stream riding it towards the lossy hop.
     let mut proxy = Proxy::with_runtime("edge-proxy", RuntimeConfig::new(2, 8));
     let carrier = proxy
         .add_udp_carrier("wire", UdpCarrierConfig::new())

@@ -1,7 +1,7 @@
 //! The readiness-reactor soak suite: **1000 concurrent UDP sessions
 //! multiplexed over 4 shared carrier sockets**, all of them serviced by a
-//! fixed 4-worker pool plus one reactor thread — zero per-session and
-//! zero per-socket threads.
+//! fixed 4-worker pool whose idle workers wait on the sockets themselves —
+//! zero per-session, zero per-socket and zero reactor threads.
 //!
 //! What it proves about the shared-socket data plane:
 //!
@@ -18,7 +18,7 @@
 //!   that session's app-side stream; its ~250 socket-mates on the same
 //!   carrier keep flowing until their own FIN;
 //! * **clean teardown** — after the proxy shuts down, the runtime reports
-//!   **zero** live tasks and the reactor thread is gone.
+//!   **zero** live tasks and no reactor thread ever ran.
 
 mod common;
 
@@ -215,7 +215,7 @@ fn run_soak() {
         "thread count must stay flat from {checkpoint} to {session_count} sessions"
     );
     let runtime = proxy.runtime().expect("the soak proxy runs a pool").clone();
-    assert_eq!(runtime.reactor_sockets(), 2 * CARRIERS, "one readable + one writable registration per carrier");
+    assert_eq!(runtime.reactor_sockets(), CARRIERS, "one registration per carrier");
 
     // Window-paced traffic: per chunk of sessions, burst WINDOW datagrams
     // each, then drain until the chunk has caught up.  The barrier bounds
@@ -251,16 +251,16 @@ fn run_soak() {
     }
 
     // By now every thread has been scheduled (traffic crossed all of
-    // them), so thread *names* are reliable: the process runs exactly one
-    // reactor thread and the fixed shard workers at any scale.  (A freshly
-    // spawned thread shows its parent's name until its first time slice,
-    // which is why this check sits after the traffic rounds rather than
-    // right after setup.)
+    // them), so thread *names* are reliable: the process runs the fixed
+    // shard workers at any scale and no reactor thread — idle workers wait
+    // on the sockets themselves.  (A freshly spawned thread shows its
+    // parent's name until its first time slice, which is why this check
+    // sits after the traffic rounds rather than right after setup.)
     let names = thread_names();
     assert_eq!(
         names.iter().filter(|name| name.starts_with("rapidware-react")).count(),
-        1,
-        "exactly one reactor thread services all carriers: {names:?}"
+        0,
+        "no reactor thread: the shard workers service all carriers: {names:?}"
     );
     assert_eq!(
         names.iter().filter(|name| name.starts_with("rapidware-shard")).count(),
@@ -326,7 +326,7 @@ fn run_soak() {
         assert_eq!(transport.egress.dropped, 0, "{}: egress dropped frames", transport.name);
     }
 
-    // Clean shutdown: no leaked tasks, reactor thread gone.
+    // Clean shutdown: no leaked tasks, and still no reactor thread.
     proxy.shutdown().expect("clean proxy shutdown");
     assert_eq!(runtime.live_tasks(), 0, "leaked shard tasks after proxy shutdown");
     assert!(

@@ -77,10 +77,7 @@ pub use control::{Command, ControlManager, Response};
 pub use error::ProxyError;
 pub use proxy::{Proxy, ProxyStatus, StreamStatus};
 pub use registry::{FilterRegistry, FilterSpec};
-pub use runtime::{
-    PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus, SocketDriver,
-    SocketInterest, SocketStep, SocketWork,
-};
+pub use runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus};
 pub use session::{LaneStatus, SessionStatus};
 pub use threaded::{ChainStats, ThreadedChain};
 pub use udp::{

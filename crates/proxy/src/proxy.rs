@@ -14,7 +14,7 @@ use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, TransportSnapshot, 
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
-use crate::runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus, SocketInterest};
+use crate::runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus};
 use crate::session::SessionStatus;
 use crate::threaded::ChainStats;
 use crate::udp::{
@@ -464,7 +464,7 @@ impl Proxy {
             work.enable_telemetry(registry, &name);
         }
         let socket = handle.ingress.socket();
-        let driver = runtime.drive(socket, SocketInterest::Readable, Arc::clone(&work));
+        let driver = runtime.drive(socket, Arc::clone(&work));
         let carrier = UdpCarrier { work, driver };
         self.udp_carriers.insert(name, carrier);
         Ok(handle)

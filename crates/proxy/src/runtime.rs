@@ -37,7 +37,8 @@
 //! pool.  A worker with nothing to run parks on the pool's condvar or —
 //! once the pool drives sockets, and if no other worker is there — in its
 //! epoll set, so the worker that learns a socket is readable runs that
-//! socket's task itself (see [`Runtime::drive_socket`]).
+//! socket's task itself (a UDP carrier's: see
+//! [`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier)).
 //!
 //! Live reconfiguration needs no pipe splicing here: the filters live in a
 //! mutex-guarded `FilterChain`, so insert/remove serialise with batch
@@ -303,10 +304,6 @@ impl Task {
         self.done_cv.notify_all();
     }
 
-    fn is_done(&self) -> bool {
-        *self.done.lock()
-    }
-
     /// Waits, bounded by [`SHUTDOWN_GRACE`], for the task to finish; `false`
     /// if it does not — certain once the pool has stopped its workers, the
     /// only threads that can run the task's final step.
@@ -325,15 +322,6 @@ impl Task {
             self.done_cv.wait_for(&mut done, deadline - now);
         }
         *done
-    }
-}
-
-impl fmt::Debug for Task {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Task")
-            .field("shard", &self.shard)
-            .field("state", &self.state.load(Ordering::SeqCst))
-            .finish()
     }
 }
 
@@ -373,8 +361,8 @@ struct PoolShared {
     queued: AtomicUsize,
     sleepers: Mutex<usize>,
     wake: Condvar,
-    /// The readiness set of every socket task, made by the first
-    /// [`Runtime::drive_socket`]: a socket-free pool has none.
+    /// The readiness set of every socket task, made by the first carrier:
+    /// a socket-free pool has none.
     poller: OnceLock<Arc<Poller<Weak<Task>>>>,
     /// A worker is parked in the poller's `epoll_wait` (at most one is).
     polling: AtomicBool,
@@ -865,80 +853,60 @@ impl Runtime {
         self.shared.chaos.stalls_served.load(Ordering::SeqCst)
     }
 
-    /// Registers socket-backed work as a pool task woken by socket
-    /// readiness: the readiness analogue of a session task's `PipeWatcher`
-    /// wiring, so a socket costs a task, not a thread.
+    /// Registers a socket's work as a pool task woken by socket readiness:
+    /// the readiness analogue of a session task's `PipeWatcher` wiring, so
+    /// a socket costs a task, not a thread.
     ///
-    /// The task is stepped whenever the socket reports the registered
-    /// interest (or [`SocketDriver::kick`] / a watcher installed via
-    /// [`SocketDriver::watch_source`] fires), and calls `work.service()`
-    /// each step; see [`SocketWork`] for the contract.  The first driver
-    /// makes the pool's readiness set; from then on an idle worker parks in
-    /// its `epoll_wait` (one at a time; the others on the condvar) and
-    /// steps what it reports itself — the pool runs **no** extra thread,
-    /// whatever the socket count.
-    ///
-    /// The set keys registrations on the file descriptor, so two drivers
-    /// of one port each bring their own fd (a `try_clone()`).
-    /// Linux-only: workers block in `epoll_wait`.
+    /// The task is stepped whenever the socket is readable while
+    /// `work.reading()` holds, writable after a [`SocketStep::Blocked`]
+    /// pass, or when [`SocketDriver::kick`] / a watcher installed via
+    /// [`SocketDriver::watch_source`] fires.  The first driver makes the
+    /// pool's readiness set; from then on an idle worker parks in its
+    /// `epoll_wait` (one at a time; the others on the condvar) and steps
+    /// what it reports itself — the pool runs **no** extra thread,
+    /// whatever the socket count.  The set keys registrations on the file
+    /// descriptor.  Linux-only: workers block in `epoll_wait`.
     ///
     /// # Panics
     ///
     /// Panics if the readiness set cannot be created or refuses the
     /// socket: the process is out of file descriptors or kernel memory, or
     /// this very fd is registered already.
-    pub fn drive_socket(
+    pub(crate) fn drive<W: SocketPass + 'static>(
         self: &Arc<Self>,
         socket: Arc<UdpSocket>,
-        interest: SocketInterest,
-        work: Arc<dyn SocketWork>,
-    ) -> SocketDriver {
-        self.drive(socket, interest, work)
-    }
-
-    /// [`drive_socket`](Self::drive_socket) for any [`SocketPass`].
-    pub(crate) fn drive<W: SocketPass + ?Sized + 'static>(
-        self: &Arc<Self>,
-        socket: Arc<UdpSocket>,
-        interest: SocketInterest,
         work: Arc<W>,
     ) -> SocketDriver {
         let poller = Arc::clone(self.shared.poller.get_or_init(|| {
             Arc::new(Poller::new().expect("creating the pool's epoll set and eventfd"))
         }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let idle_interest = match interest {
-            SocketInterest::Readable => Interest::READABLE,
-            SocketInterest::Writable => Interest::NONE,
-        };
-        let mut token = None;
+        let mut slot = None;
         // The socket is in the epoll set before the task's first step (the
         // initial kick inside `register`), so that step's re-arm finds it.
         let task = self.register(|task| {
-            let registered = poller
-                .add(socket, idle_interest, task.clone())
+            let token = poller
+                .add(socket, Interest::READABLE, task.clone())
                 .expect("registering a socket with the pool's epoll set");
-            token = Some(registered);
+            let registered = Arc::new(SocketSlot {
+                poller,
+                token,
+                stop: AtomicBool::new(false),
+            });
+            slot = Some(Arc::clone(&registered));
             Box::new(SocketTaskWork {
                 work,
-                stop: Arc::clone(&stop),
-                poller: Arc::clone(&poller),
-                token: registered,
-                idle_interest,
+                slot: registered,
             })
         });
         SocketDriver {
             task,
-            stop,
-            poller,
-            token: token.expect("register builds the work exactly once"),
+            slot: slot.expect("register builds the work exactly once"),
         }
     }
 
-    /// Sockets currently registered with the pool's readiness set — zero
-    /// when no [`drive_socket`](Self::drive_socket) driver is live.  Exact:
-    /// a driver's registration is gone the moment its
-    /// [`shutdown`](SocketDriver::shutdown) returns.
+    /// Sockets currently registered with the pool's readiness set — one
+    /// per live carrier.  Exact: a carrier's registration is gone the
+    /// moment [`Proxy::shutdown`](crate::Proxy::shutdown) returns.
     pub fn reactor_sockets(&self) -> usize {
         self.shared.poller.get().map_or(0, |poller| poller.len())
     }
@@ -984,24 +952,9 @@ impl Drop for Runtime {
 // Socket tasks.
 // ---------------------------------------------------------------------------
 
-/// Which readiness events should wake a [`drive_socket`] task.
-///
-/// [`drive_socket`]: Runtime::drive_socket
+/// How a socket pass left its socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketInterest {
-    /// Wake whenever the socket holds readable datagrams (a receive-side
-    /// driver).
-    Readable,
-    /// Wake only when the socket turns writable after a
-    /// [`SocketStep::Blocked`] service pass (a send-side driver: new frames
-    /// arrive via pipe watchers installed with
-    /// [`SocketDriver::watch_source`], so readability is noise).
-    Writable,
-}
-
-/// How socket-backed work left its socket after one service pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketStep {
+pub(crate) enum SocketStep {
     /// Work moved and more may be pending: step again immediately.
     Progress,
     /// Nothing to do until the socket or a watched pipe becomes ready.
@@ -1011,49 +964,28 @@ pub enum SocketStep {
     Blocked,
 }
 
-/// Non-blocking socket work driven as a pool task — the socket analogue of
-/// the (private) session task work.  `service` must never block: it
-/// drains or flushes at most one batch against a non-blocking socket and
-/// reports how it left things.
-pub trait SocketWork: Send + Sync {
-    /// Runs one bounded drain/flush pass.
-    fn service(&self) -> SocketStep;
-}
-
-/// What a socket task steps: any [`SocketWork`], or crate work with a hand
-/// in its own wake protocol (a carrier).
+/// What a socket task steps (a carrier, or a test's scripted fake).
 pub(crate) trait SocketPass: Send + Sync {
-    /// Runs one bounded pass.  The pass may call `settle` once every wake
-    /// raised so far is answered by what it still has to do; the task then
-    /// forgets them instead of stepping again for nothing.
+    /// Runs one bounded pass; must never block.  The pass may call
+    /// `settle` once every wake raised so far is answered by what it still
+    /// has to do; the task then forgets them instead of stepping again for
+    /// nothing.
     fn pass(&self, settle: &dyn Fn()) -> SocketStep;
 
     /// Whether the idle task still wants its socket's readability.
-    fn reading(&self) -> bool {
-        true
-    }
+    fn reading(&self) -> bool;
 }
 
-impl<W: SocketWork + ?Sized> SocketPass for W {
-    fn pass(&self, _settle: &dyn Fn()) -> SocketStep {
-        self.service()
-    }
-}
-
-/// Adapts a [`SocketPass`] to the pool's task state machine and owns the
-/// re-arm half of the one-shot readiness protocol.  `stop` is the driver's
-/// abort flag: the task runs one final pass (a best-effort flush) and
-/// finishes.
-struct SocketTaskWork<W: ?Sized> {
-    work: Arc<W>,
-    stop: Arc<AtomicBool>,
+/// A socket's registration in the pool's readiness set, shared by its task
+/// and its driver.  `stop` is the driver's abort flag: the task runs one
+/// final pass (a best-effort flush) and finishes.
+struct SocketSlot {
     poller: Arc<Poller<Weak<Task>>>,
     token: Token,
-    /// What the socket is armed for while the task is idle.
-    idle_interest: Interest,
+    stop: AtomicBool,
 }
 
-impl<W: ?Sized> SocketTaskWork<W> {
+impl SocketSlot {
     /// Re-arms the socket's one-shot registration.  Runs inside the step,
     /// *after* the pass saw the socket run dry (or full): the kernel
     /// re-polls the socket on re-arm, so readiness that appeared in between
@@ -1071,35 +1003,40 @@ impl<W: ?Sized> SocketTaskWork<W> {
     }
 }
 
-impl<W: SocketPass + ?Sized> TaskWork for SocketTaskWork<W> {
+/// Adapts a [`SocketPass`] to the pool's task state machine and owns the
+/// re-arm half of the one-shot readiness protocol.
+struct SocketTaskWork<W> {
+    work: Arc<W>,
+    slot: Arc<SocketSlot>,
+}
+
+impl<W: SocketPass> TaskWork for SocketTaskWork<W> {
     fn step(&self, task: &Task) -> StepOutcome {
-        if self.stop.load(Ordering::SeqCst) {
+        if self.slot.stop.load(Ordering::SeqCst) {
             let _ = self.work.pass(&|| {});
             return StepOutcome::Done;
         }
         let step = self.work.pass(&|| task.settle());
-        if self.stop.load(Ordering::SeqCst) {
+        if self.slot.stop.load(Ordering::SeqCst) {
             // The pass may have settled the stop's own wake away: the next
             // step is the final one.
             return StepOutcome::Progress;
         }
-        let idle = Interest {
-            readable: self.idle_interest.readable && self.work.reading(),
-            ..self.idle_interest
-        };
+        let readable = self.work.reading();
         match step {
             SocketStep::Progress => StepOutcome::Progress,
             SocketStep::Idle => {
-                // A send half idles on its pipe watchers alone.
-                if idle != Interest::NONE {
-                    self.arm(idle);
+                // A task past its final drain idles on its pipe watchers
+                // alone.
+                if readable {
+                    self.slot.arm(Interest::READABLE);
                 }
                 StepOutcome::Idle
             }
             SocketStep::Blocked => {
-                self.arm(Interest {
+                self.slot.arm(Interest {
+                    readable,
                     writable: true,
-                    ..idle
                 });
                 StepOutcome::Idle
             }
@@ -1107,44 +1044,28 @@ impl<W: SocketPass + ?Sized> TaskWork for SocketTaskWork<W> {
     }
 }
 
-/// Handle to a task registered with [`Runtime::drive_socket`]: the socket
+/// Handle to a task registered with [`Runtime::drive`]: the socket
 /// analogue of a [`PooledSession`]'s control surface.
-pub struct SocketDriver {
+pub(crate) struct SocketDriver {
     task: Arc<Task>,
-    stop: Arc<AtomicBool>,
-    poller: Arc<Poller<Weak<Task>>>,
-    token: Token,
-}
-
-impl fmt::Debug for SocketDriver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SocketDriver")
-            .field("task", &self.task)
-            .field("stopping", &self.stop.load(Ordering::SeqCst))
-            .finish()
-    }
+    slot: Arc<SocketSlot>,
 }
 
 impl SocketDriver {
     /// Schedules the task now (e.g. after attaching a new egress lane).
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         self.task.schedule();
     }
 
     /// Wakes the task whenever `source` has data, hits EOF, or closes —
-    /// the same `TaskWaker` wiring session tasks get on their inboxes.  Use
-    /// this on every pipe a send-side [`SocketWork`] drains.
-    pub fn watch_source(&self, source: &DetachableReceiver<Packet>) {
+    /// the same `TaskWaker` wiring session tasks get on their inboxes.  The
+    /// carrier calls this on every lane output it flushes.
+    pub(crate) fn watch_source(&self, source: &DetachableReceiver<Packet>) {
         source.set_data_watcher(TaskWaker::of(&self.task));
     }
 
-    /// `true` once the task has finished (after [`shutdown`](Self::shutdown)).
-    pub fn is_done(&self) -> bool {
-        self.task.is_done()
-    }
-
-    /// Stops the driver: the task runs one final service pass (best-effort
-    /// flush) and finishes, and the socket is deregistered from the pool's
+    /// Stops the driver: the task runs one final pass (best-effort flush)
+    /// and finishes, and the socket is deregistered from the pool's
     /// readiness set before this returns.  Call while the runtime's workers
     /// are still running.
     ///
@@ -1153,11 +1074,11 @@ impl SocketDriver {
     /// Returns [`ProxyError::WorkerFailed`] if the task cannot complete
     /// because the pool stopped first, or [`ProxyError::Transport`] if the
     /// socket could not be deregistered.
-    pub fn shutdown(&self) -> Result<(), ProxyError> {
-        self.stop.store(true, Ordering::SeqCst);
+    pub(crate) fn shutdown(&self) -> Result<(), ProxyError> {
+        self.slot.stop.store(true, Ordering::SeqCst);
         self.task.schedule();
         let finished = self.task.wait_finished();
-        let deregistered = self.poller.remove(self.token);
+        let deregistered = self.slot.poller.remove(self.slot.token);
         if !finished {
             return Err(ProxyError::WorkerFailed(
                 "socket driver task never finished".to_string(),
@@ -1173,7 +1094,7 @@ impl Drop for SocketDriver {
     fn drop(&mut self) {
         // A driver dropped without `shutdown` must not pin its socket in
         // the readiness set; after `shutdown` this finds nothing to remove.
-        let _ = self.poller.remove(self.token);
+        let _ = self.slot.poller.remove(self.slot.token);
     }
 }
 
@@ -2506,26 +2427,32 @@ mod tests {
 
     // -- The socket wake protocol -------------------------------------------
     //
-    // Each test scripts a fake `SocketWork` by step number and follows it
+    // Each test scripts a fake `SocketPass` by step number and follows it
     // through a channel; the only clock is the bound on a genuine hang.
 
     const HANG: Duration = Duration::from_secs(30);
 
-    /// A `SocketWork` whose `n`-th service pass runs `script(n, socket)`
-    /// and then reports `n` to the test.
+    /// A `SocketPass` whose `n`-th pass runs `script(n, socket)` and then
+    /// reports `n` to the test; it reads for its first `reading_passes`
+    /// passes.
     struct ScriptedWork<F> {
         socket: Arc<UdpSocket>,
         script: F,
         passes: AtomicU64,
+        reading_passes: u64,
         report: Mutex<std::sync::mpsc::Sender<u64>>,
     }
 
-    impl<F: Fn(u64, &UdpSocket) -> SocketStep + Send + Sync> SocketWork for ScriptedWork<F> {
-        fn service(&self) -> SocketStep {
+    impl<F: Fn(u64, &UdpSocket) -> SocketStep + Send + Sync> SocketPass for ScriptedWork<F> {
+        fn pass(&self, _settle: &dyn Fn()) -> SocketStep {
             let pass = self.passes.fetch_add(1, Ordering::SeqCst);
             let step = (self.script)(pass, &self.socket);
             let _ = self.report.lock().send(pass);
             step
+        }
+
+        fn reading(&self) -> bool {
+            self.passes.load(Ordering::SeqCst) < self.reading_passes
         }
     }
 
@@ -2547,10 +2474,19 @@ mod tests {
         std::iter::from_fn(|| socket.recv_from(&mut byte).ok()).count()
     }
 
+    /// Drives a scripted task that reads for its whole life.
     fn drive_scripted(
         runtime: &Arc<Runtime>,
         socket: &Arc<UdpSocket>,
-        interest: SocketInterest,
+        script: impl Fn(u64, &UdpSocket) -> SocketStep + Send + Sync + 'static,
+    ) -> (SocketDriver, std::sync::mpsc::Receiver<u64>) {
+        drive_reading(runtime, socket, u64::MAX, script)
+    }
+
+    fn drive_reading(
+        runtime: &Arc<Runtime>,
+        socket: &Arc<UdpSocket>,
+        reading_passes: u64,
         script: impl Fn(u64, &UdpSocket) -> SocketStep + Send + Sync + 'static,
     ) -> (SocketDriver, std::sync::mpsc::Receiver<u64>) {
         let (report, passes) = std::sync::mpsc::channel();
@@ -2558,9 +2494,10 @@ mod tests {
             socket: Arc::clone(socket),
             script,
             passes: AtomicU64::new(0),
+            reading_passes,
             report: Mutex::new(report),
         });
-        (runtime.drive_socket(Arc::clone(socket), interest, work), passes)
+        (runtime.drive(Arc::clone(socket), work), passes)
     }
 
     fn reactor_wakes(registry: &Registry) -> u64 {
@@ -2574,7 +2511,7 @@ mod tests {
         let consumed = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&consumed);
         let (driver, passes) =
-            drive_scripted(&runtime, &socket, SocketInterest::Readable, move |_, socket| {
+            drive_scripted(&runtime, &socket, move |_, socket| {
                 // The drain runs dry …
                 let drained = drain(socket) as u64;
                 if drained > 0 && seen.fetch_add(drained, Ordering::SeqCst) == 0 {
@@ -2600,18 +2537,43 @@ mod tests {
     fn reactor_blocked_wakes_on_writability() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
         let socket = loopback_socket();
-        let (driver, passes) =
-            drive_scripted(&runtime, &socket, SocketInterest::Writable, |pass, _| {
-                if pass == 0 {
-                    SocketStep::Blocked
-                } else {
-                    SocketStep::Idle
-                }
-            });
+        // Registered the way a carrier is: readable, with nothing ever
+        // arriving.
+        let (driver, passes) = drive_scripted(&runtime, &socket, |pass, _| {
+            if pass == 0 {
+                SocketStep::Blocked
+            } else {
+                SocketStep::Idle
+            }
+        });
         assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
-        // Nothing kicks the task and nothing is readable: only EPOLLOUT on
-        // the (empty, hence writable) socket can deliver this step.
+        // Nothing kicks the task and nothing is readable: only the EPOLLOUT
+        // the blocked pass armed, on the (empty, hence writable) socket,
+        // can deliver this step.
         assert_eq!(passes.recv_timeout(HANG), Ok(1));
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_stops_arming_readability_once_reading_ends() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        // Reads for the initial pass only and never drains, so the socket
+        // stays readable from the first datagram on.
+        let (driver, passes) = drive_reading(&runtime, &socket, 1, |_, _| SocketStep::Idle);
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        for _ in 0..3 {
+            send_to(&socket);
+        }
+        // The observation window, not a synchronisation: the registration's
+        // first arm may deliver one step, and a re-armed socket would have
+        // stepped the task without pause.
+        std::thread::sleep(Duration::from_millis(200));
+        let woken = passes.try_iter().count() as u64;
+        assert!(woken <= 1, "{woken} steps after reading ended");
+        driver.kick();
+        assert_eq!(passes.recv_timeout(HANG), Ok(1 + woken), "only a kick steps it now");
         driver.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }
@@ -2626,7 +2588,7 @@ mod tests {
         // Readable from the start: the registration fires exactly once.
         send_to(&socket);
         let (driver, passes) =
-            drive_scripted(&runtime, &socket, SocketInterest::Readable, |pass, socket| {
+            drive_scripted(&runtime, &socket, |pass, socket| {
                 if pass < BUSY {
                     // A drain that keeps finding work while more keeps
                     // landing on the (fired, hence silent) socket.

@@ -1,23 +1,10 @@
-//! The reactor's registration and file-descriptor lifecycle.
+//! The carrier's registration and file-descriptor lifecycle.
 //!
 //! One test, alone in its own binary on purpose: it counts the entries of
 //! `/proc/self/fd`, which is process-wide, so it cannot share a process
 //! with tests that open sockets of their own.
 
-use std::net::UdpSocket;
-use std::sync::Arc;
-
-use rapidware_proxy::runtime::{
-    Runtime, RuntimeConfig, SocketInterest, SocketStep, SocketWork,
-};
-
-struct IdleWork;
-
-impl SocketWork for IdleWork {
-    fn service(&self) -> SocketStep {
-        SocketStep::Idle
-    }
-}
+use rapidware_proxy::{Proxy, RuntimeConfig, UdpCarrierConfig};
 
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd")
@@ -29,21 +16,17 @@ fn open_fds() -> usize {
 fn reactor_cycles_leak_no_fd_and_deregister_at_once() {
     let before = open_fds();
     for _ in 0..200 {
-        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
-        // A carrier's two halves: one port, one fd each.
-        let read_half = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
-        let write_half = Arc::new(read_half.try_clone().unwrap());
-        let ingress = runtime.drive_socket(read_half, SocketInterest::Readable, Arc::new(IdleWork));
-        let egress = runtime.drive_socket(write_half, SocketInterest::Writable, Arc::new(IdleWork));
+        let mut proxy = Proxy::with_runtime("fd-lifecycle", RuntimeConfig::new(2, 8));
+        let runtime = proxy.runtime().cloned().expect("with_runtime starts a pool");
+        proxy.add_udp_carrier("a", UdpCarrierConfig::new()).unwrap();
+        proxy.add_udp_carrier("b", UdpCarrierConfig::new()).unwrap();
+        // Per carrier its socket and the egress `try_clone()`, plus the
+        // pool's epoll fd and eventfd.
+        assert_eq!(open_fds(), before + 2 * 2 + 2);
         assert_eq!(runtime.reactor_sockets(), 2);
-        ingress.shutdown().unwrap();
-        assert_eq!(runtime.reactor_sockets(), 1, "deregistered when shutdown returns");
-        egress.shutdown().unwrap();
-        assert_eq!(runtime.reactor_sockets(), 0);
-        assert!(ingress.is_done() && egress.is_done());
-        runtime.shutdown().unwrap();
+        proxy.shutdown().unwrap();
+        assert_eq!(runtime.reactor_sockets(), 0, "deregistered when shutdown returns");
     }
-    // Sockets, both clones, the epoll fd and the eventfd of every cycle
-    // are closed again.
+    // Every fd of every cycle is closed again.
     assert_eq!(open_fds(), before);
 }

@@ -671,11 +671,6 @@ impl<T> DetachableSender<T> {
         !s.closed && (s.paused || s.sink.is_none())
     }
 
-    /// Returns `true` if the sender has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.shared.inner.lock().closed
-    }
-
     /// Lifetime transfer statistics for this sender.
     pub fn stats(&self) -> PipeStats {
         self.shared.stats.clone()
@@ -880,17 +875,6 @@ impl<T> DetachableReceiver<T> {
     /// Returns `true` if a sender is currently attached.
     pub fn is_attached(&self) -> bool {
         self.shared.inner.lock().attached
-    }
-
-    /// Returns `true` if the stream has ended (sender closed) — buffered
-    /// items may still be readable.
-    pub fn is_eof(&self) -> bool {
-        self.shared.inner.lock().eof
-    }
-
-    /// Returns `true` if this receiver has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.shared.inner.lock().closed
     }
 
     /// Closes the receiver.  Blocked and future senders observe

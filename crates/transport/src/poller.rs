@@ -129,8 +129,7 @@ pub struct Interest {
 }
 
 impl Interest {
-    /// Registered but silent: what a send side wants until the OS refuses
-    /// a send.
+    /// Registered but silent.
     pub const NONE: Self = Self {
         readable: false,
         writable: false,

@@ -21,31 +21,6 @@ use crate::error::FecError;
 /// Maximum payload size representable by the two-byte length prefix.
 pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize;
 
-/// The output of assembling one complete FEC block on the sender side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedBlock {
-    /// Number of source payloads in the block (`k`).
-    pub k: usize,
-    /// Total number of encoded shards (`n`).
-    pub n: usize,
-    /// Common shard length used for this block.
-    pub shard_len: usize,
-    /// The `n − k` parity shards, in index order (`k`, `k + 1`, …, `n − 1`).
-    pub parities: Vec<Vec<u8>>,
-    /// Number of payloads that were real data (the rest were flush padding).
-    pub occupied: usize,
-}
-
-/// A payload recovered by the FEC decoder, tagged with its slot inside the
-/// block (0-based position among the `k` source packets).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredPayload {
-    /// Position of the payload within its block (`0..k`).
-    pub slot: usize,
-    /// The recovered payload bytes, with framing removed.
-    pub data: Vec<u8>,
-}
-
 /// Reusable decode-side buffers for [`BlockReconstructor::recover_with`].
 ///
 /// One scratch serves any number of reconstructors sequentially; in
@@ -106,21 +81,6 @@ impl FramedBlock<'_> {
     pub fn parity_into(&self, index: usize, parity: &mut [u8]) -> Result<(), FecError> {
         self.codec.encode_parity_into(self.shards, index, parity)
     }
-
-    /// All `n − k` parity shards in fresh buffers.
-    fn encoded(&self) -> Result<EncodedBlock, FecError> {
-        let mut parities = vec![vec![0u8; self.shard_len()]; self.codec.parity_count()];
-        for (index, parity) in parities.iter_mut().enumerate() {
-            self.parity_into(index, parity)?;
-        }
-        Ok(EncodedBlock {
-            k: self.codec.k(),
-            n: self.codec.n(),
-            shard_len: self.shard_len(),
-            parities,
-            occupied: self.occupied,
-        })
-    }
 }
 
 /// Groups source payloads into blocks of `k` and emits parity shards.
@@ -163,19 +123,6 @@ impl BlockAssembler {
         self.blocks_emitted
     }
 
-    /// Adds a source payload.  Returns a completed [`EncodedBlock`] when this
-    /// payload fills the current group of `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FecError::CorruptPayload`] if the payload is larger than
-    /// [`MAX_PAYLOAD_LEN`].
-    pub fn push(&mut self, payload: &[u8]) -> Result<Option<EncodedBlock>, FecError> {
-        self.push_with(|shard| shard.extend_from_slice(payload))?
-            .map(|block| block.encoded())
-            .transpose()
-    }
-
     /// Adds the source payload that `write` appends to the buffer it is
     /// handed — the payload's final place inside its framed shard, so a
     /// sender serialises each packet once, here, instead of into a scratch
@@ -200,18 +147,9 @@ impl BlockAssembler {
     }
 
     /// Completes the current block by padding it with empty payloads, if any
-    /// payloads are pending.  Used at end of stream so the tail of the stream
-    /// is still protected.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec errors (which cannot occur for well-formed state).
-    pub fn flush(&mut self) -> Result<Option<EncodedBlock>, FecError> {
-        self.flush_framed().map(|block| block.encoded()).transpose()
-    }
-
-    /// [`flush`](Self::flush), leaving the parities to be encoded in place
-    /// through the returned [`FramedBlock`].
+    /// payloads are pending, leaving its parities to be encoded in place
+    /// through the returned [`FramedBlock`].  Used at end of stream so the
+    /// tail of the stream is still protected.
     pub fn flush_framed(&mut self) -> Option<FramedBlock<'_>> {
         if self.pending_len == 0 {
             return None;
@@ -434,30 +372,6 @@ impl<S> BlockReconstructor<S> {
     }
 }
 
-impl<S: AsRef<[u8]>> BlockReconstructor<S> {
-    /// [`recover_with`](Self::recover_with) into fresh buffers, for handles
-    /// that are the payload and parity bytes themselves.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`recover_with`](Self::recover_with).
-    pub fn recover(&self, codec: &FecCodec) -> Result<Vec<RecoveredPayload>, FecError> {
-        let mut scratch = DecodeScratch::new();
-        let recovered = self.recover_with(
-            codec,
-            &mut scratch,
-            |source, shard| shard.extend_from_slice(source.as_ref()),
-            AsRef::as_ref,
-        )?;
-        Ok(recovered
-            .map(|(slot, data)| RecoveredPayload {
-                slot,
-                data: data.to_vec(),
-            })
-            .collect())
-    }
-}
-
 /// Frames one payload in `shard`, replacing its contents: `write` appends
 /// the payload behind a two-byte length prefix, which is then filled in.
 ///
@@ -504,22 +418,69 @@ mod tests {
             .collect()
     }
 
+    /// A completed block as its sender reads it.
+    #[derive(Debug)]
+    struct Block {
+        shard_len: usize,
+        occupied: usize,
+        parities: Vec<Vec<u8>>,
+    }
+
+    /// Reads every parity of `block` through `parity_into`, each written
+    /// behind an 8-byte header the way the encoder filter writes them.
+    fn read(block: &FramedBlock<'_>) -> Block {
+        let parities = (0..block.codec().parity_count())
+            .map(|index| {
+                let mut buffer = vec![0xEE; 8 + block.shard_len()];
+                block.parity_into(index, &mut buffer[8..]).unwrap();
+                buffer.split_off(8)
+            })
+            .collect();
+        Block {
+            shard_len: block.shard_len(),
+            occupied: block.occupied(),
+            parities,
+        }
+    }
+
+    fn push(assembler: &mut BlockAssembler, payload: &[u8]) -> Result<Option<Block>, FecError> {
+        let block = assembler.push_with(|shard| shard.extend_from_slice(payload))?;
+        Ok(block.as_ref().map(read))
+    }
+
+    /// Pushes `payloads` in order and returns the last block they complete.
+    fn push_all(assembler: &mut BlockAssembler, payloads: &[Vec<u8>]) -> Option<Block> {
+        payloads.iter().fold(None, |last, payload| push(assembler, payload).unwrap().or(last))
+    }
+
+    /// `recover_with` over byte handles, as owned `(slot, payload)` pairs.
+    fn recover<S: AsRef<[u8]>>(
+        reconstructor: &BlockReconstructor<S>,
+        scratch: &mut DecodeScratch,
+    ) -> Result<Vec<(usize, Vec<u8>)>, FecError> {
+        let recovered = reconstructor.recover_with(
+            &codec_6_4(),
+            scratch,
+            |source, shard| shard.extend_from_slice(source.as_ref()),
+            AsRef::as_ref,
+        )?;
+        Ok(recovered.map(|(slot, data)| (slot, data.to_vec())).collect())
+    }
+
     #[test]
     fn assembler_emits_block_every_k_payloads() {
         let mut assembler = BlockAssembler::new(codec_6_4());
         let data = payloads(&[100, 120, 80, 100, 60]);
-        assert!(assembler.push(&data[0]).unwrap().is_none());
-        assert!(assembler.push(&data[1]).unwrap().is_none());
-        assert!(assembler.push(&data[2]).unwrap().is_none());
-        let block = assembler.push(&data[3]).unwrap().expect("block complete");
-        assert_eq!(block.k, 4);
-        assert_eq!(block.n, 6);
+        assert!(push(&mut assembler, &data[0]).unwrap().is_none());
+        assert!(push(&mut assembler, &data[1]).unwrap().is_none());
+        assert!(push(&mut assembler, &data[2]).unwrap().is_none());
+        let block = push(&mut assembler, &data[3]).unwrap().expect("block complete");
         assert_eq!(block.parities.len(), 2);
         assert_eq!(block.shard_len, 122); // max payload 120 + 2-byte prefix
         assert_eq!(block.occupied, 4);
         assert_eq!(assembler.blocks_emitted(), 1);
         // Fifth payload starts a new block.
-        assert!(assembler.push(&data[4]).unwrap().is_none());
+        assert!(push(&mut assembler, &data[4]).unwrap().is_none());
         assert_eq!(assembler.pending(), 1);
     }
 
@@ -527,35 +488,27 @@ mod tests {
     fn flush_pads_partial_block() {
         let mut assembler = BlockAssembler::new(codec_6_4());
         let data = payloads(&[50, 60]);
-        assembler.push(&data[0]).unwrap();
-        assembler.push(&data[1]).unwrap();
-        let block = assembler.flush().unwrap().expect("partial block flushed");
+        push(&mut assembler, &data[0]).unwrap();
+        push(&mut assembler, &data[1]).unwrap();
+        let block = read(&assembler.flush_framed().expect("partial block flushed"));
         assert_eq!(block.occupied, 2);
         assert_eq!(block.parities.len(), 2);
-        assert!(assembler.flush().unwrap().is_none());
+        assert!(assembler.flush_framed().is_none());
     }
 
     #[test]
     fn oversized_payload_rejected() {
         let mut assembler = BlockAssembler::new(codec_6_4());
         let huge = vec![0u8; MAX_PAYLOAD_LEN + 1];
-        assert_eq!(
-            assembler.push(&huge).unwrap_err(),
-            FecError::CorruptPayload
-        );
+        assert_eq!(push(&mut assembler, &huge).unwrap_err(), FecError::CorruptPayload);
+        // The slot it touched is not taken.
+        assert_eq!(assembler.pending(), 0);
     }
 
     #[test]
     fn reconstructor_recovers_single_loss_from_one_parity() {
         let data = payloads(&[200, 37, 158, 90]);
-        let mut assembler = BlockAssembler::new(codec_6_4());
-        let mut block = None;
-        for payload in &data {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
-        }
-        let block = block.unwrap();
+        let block = push_all(&mut BlockAssembler::new(codec_6_4()), &data).unwrap();
 
         // Packet in slot 2 is lost; one parity arrives.
         let mut reconstructor = BlockReconstructor::new(&codec_6_4());
@@ -565,48 +518,28 @@ mod tests {
         reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
         assert_eq!(reconstructor.missing_slots().collect::<Vec<_>>(), vec![2]);
         assert!(reconstructor.is_decodable());
-        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].slot, 2);
-        assert_eq!(recovered[0].data, data[2]);
+        let recovered = recover(&reconstructor, &mut DecodeScratch::new()).unwrap();
+        assert_eq!(recovered, vec![(2, data[2].clone())]);
     }
 
     #[test]
     fn reconstructor_recovers_two_losses_from_two_parities() {
         let data = payloads(&[64, 64, 64, 64]);
-        let mut assembler = BlockAssembler::new(codec_6_4());
-        let mut block = None;
-        for payload in &data {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
-        }
-        let block = block.unwrap();
+        let block = push_all(&mut BlockAssembler::new(codec_6_4()), &data).unwrap();
 
         let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(1, &data[1]).unwrap();
         reconstructor.add_source(2, &data[2]).unwrap();
         reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
         reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
-        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[0].slot, 0);
-        assert_eq!(recovered[0].data, data[0]);
-        assert_eq!(recovered[1].slot, 3);
-        assert_eq!(recovered[1].data, data[3]);
+        let recovered = recover(&reconstructor, &mut DecodeScratch::new()).unwrap();
+        assert_eq!(recovered, vec![(0, data[0].clone()), (3, data[3].clone())]);
     }
 
     #[test]
     fn too_many_losses_cannot_be_recovered() {
         let data = payloads(&[32, 32, 32, 32]);
-        let mut assembler = BlockAssembler::new(codec_6_4());
-        let mut block = None;
-        for payload in &data {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
-        }
-        let block = block.unwrap();
+        let block = push_all(&mut BlockAssembler::new(codec_6_4()), &data).unwrap();
 
         // Three sources lost, only one source + two parities = 3 < k.
         let mut reconstructor = BlockReconstructor::new(&codec_6_4());
@@ -615,7 +548,7 @@ mod tests {
         reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
         assert!(!reconstructor.is_decodable());
         assert!(matches!(
-            reconstructor.recover(&codec_6_4()).unwrap_err(),
+            recover(&reconstructor, &mut DecodeScratch::new()).unwrap_err(),
             FecError::NotEnoughShards { .. }
         ));
     }
@@ -628,9 +561,8 @@ mod tests {
             reconstructor.add_source(slot, payload).unwrap();
         }
         assert!(reconstructor.is_decodable());
-        assert!(reconstructor.recover(&codec_6_4()).unwrap().is_empty());
+        assert!(recover(&reconstructor, &mut DecodeScratch::new()).unwrap().is_empty());
     }
-
     #[test]
     fn invalid_indices_rejected() {
         let mut reconstructor = BlockReconstructor::new(&codec_6_4());
@@ -677,30 +609,22 @@ mod tests {
     #[test]
     fn empty_payloads_survive_the_round_trip() {
         let data = vec![vec![], vec![1, 2, 3], vec![], vec![9]];
-        let mut assembler = BlockAssembler::new(codec_6_4());
-        let mut block = None;
-        for payload in &data {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
-        }
-        let block = block.unwrap();
+        let block = push_all(&mut BlockAssembler::new(codec_6_4()), &data).unwrap();
         let mut reconstructor = BlockReconstructor::new(&codec_6_4());
         reconstructor.add_source(1, &data[1]).unwrap();
         reconstructor.add_source(3, &data[3]).unwrap();
         reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
         reconstructor.add_parity(1, block.shard_len, &block.parities[1]).unwrap();
-        let recovered = reconstructor.recover(&codec_6_4()).unwrap();
-        assert_eq!(recovered[0].data, data[0]);
-        assert_eq!(recovered[1].data, data[2]);
+        let recovered = recover(&reconstructor, &mut DecodeScratch::new()).unwrap();
+        assert_eq!(recovered, vec![(0, data[0].clone()), (2, data[2].clone())]);
     }
 
     #[test]
     fn recover_with_reused_dirty_scratch_matches_recover() {
-        // Byte-parity regression for the scratch-arena path: a scratch and
-        // a reconstructor left dirty by a previous block (different shard
+        // Byte-parity regression for the scratch arena: a scratch and a
+        // reconstructor left dirty by a previous block (different shard
         // length, stale bytes, other missing slots) must produce exactly
-        // the same recovery as the allocating path.
+        // the same recovery as a fresh scratch.
         let codec = codec_6_4();
         let mut scratch = DecodeScratch::new();
         let mut reconstructor = BlockReconstructor::new(&codec);
@@ -713,14 +637,7 @@ mod tests {
         .enumerate()
         {
             let data = payloads(lens);
-            let mut assembler = BlockAssembler::new(codec.clone());
-            let mut block = None;
-            for payload in &data {
-                if let Some(b) = assembler.push(payload).unwrap() {
-                    block = Some(b);
-                }
-            }
-            let block = block.unwrap();
+            let block = push_all(&mut BlockAssembler::new(codec.clone()), &data).unwrap();
 
             reconstructor.clear();
             for &slot in kept {
@@ -730,22 +647,13 @@ mod tests {
                 reconstructor.add_parity(index, block.shard_len, parity).unwrap();
             }
 
-            let fresh = reconstructor.recover(&codec).unwrap();
-            let reused: Vec<RecoveredPayload> = reconstructor
-                .recover_with(
-                    &codec,
-                    &mut scratch,
-                    |source, shard| shard.extend_from_slice(source),
-                    Vec::as_slice,
-                )
-                .unwrap()
-                .map(|(slot, data)| RecoveredPayload { slot, data: data.to_vec() })
-                .collect();
+            let fresh = recover(&reconstructor, &mut DecodeScratch::new()).unwrap();
+            let reused = recover(&reconstructor, &mut scratch).unwrap();
             assert_eq!(fresh, reused, "block {block_index}");
             assert_eq!(reused.len(), 2);
-            for recovered in &reused {
-                assert!(!kept.contains(&recovered.slot));
-                assert_eq!(recovered.data, data[recovered.slot]);
+            for (slot, recovered) in &reused {
+                assert!(!kept.contains(slot));
+                assert_eq!(recovered, &data[*slot]);
             }
         }
     }
@@ -758,71 +666,48 @@ mod tests {
         let mut assembler = BlockAssembler::new(codec_6_4());
         let first = payloads(&[90, 100, 80, 70]);
         let second = payloads(&[5, 3, 8, 2]);
-        for payload in &first {
-            assembler.push(payload).unwrap();
-        }
-        let mut block = None;
-        for payload in &second {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
-        }
-        let block = block.unwrap();
+        push_all(&mut assembler, &first).unwrap();
+        let block = push_all(&mut assembler, &second).unwrap();
         assert_eq!(block.shard_len, 10); // max payload 8 + 2-byte prefix
 
         // Compare against a fresh assembler fed only the second batch.
-        let mut reference = BlockAssembler::new(codec_6_4());
-        let mut expected = None;
-        for payload in &second {
-            if let Some(b) = reference.push(payload).unwrap() {
-                expected = Some(b);
-            }
-        }
-        assert_eq!(block.parities, expected.unwrap().parities);
+        let expected = push_all(&mut BlockAssembler::new(codec_6_4()), &second).unwrap();
+        assert_eq!(block.parities, expected.parities);
     }
 
     #[test]
     fn payloads_written_in_place_frame_like_pushed_ones() {
-        // `push_with` + `parity_into` (behind a prefix, as the encoder
-        // filter uses them) against `push` on a second assembler, over two
-        // blocks so reused slots are covered, then a flushed partial block.
-        let mut in_place = BlockAssembler::new(codec_6_4());
-        let mut pushed = BlockAssembler::new(codec_6_4());
-        let parities_of = |block: &FramedBlock<'_>| -> Vec<Vec<u8>> {
-            (0..2)
-                .map(|index| {
-                    let mut buffer = vec![0xEE; 8 + block.shard_len()];
-                    block.parity_into(index, &mut buffer[8..]).unwrap();
-                    buffer.split_off(8)
-                })
-                .collect()
+        // `push_with` + `parity_into` (behind a header, as the encoder
+        // filter uses them) against the codec's own `encode` of the framed
+        // payloads, over two blocks so reused slots are covered, then a
+        // flushed partial block padded with empty payloads.
+        let reference = |payloads: &[&[u8]]| -> Vec<Vec<u8>> {
+            let shard_len = 2 + payloads.iter().map(|payload| payload.len()).max().unwrap();
+            let framed: Vec<Vec<u8>> =
+                payloads.iter().map(|payload| frame_payload(payload, shard_len)).collect();
+            let shards: Vec<&[u8]> = framed.iter().map(Vec::as_slice).collect();
+            codec_6_4().encode(&shards).unwrap()
         };
-        for payload in payloads(&[300, 7, 41, 128, 9, 0, 64, 2]) {
-            let expected = pushed.push(&payload).unwrap();
-            let block = in_place.push_with(|shard| shard.extend_from_slice(&payload)).unwrap();
-            assert_eq!(block.is_some(), expected.is_some());
-            if let (Some(block), Some(expected)) = (block, expected) {
-                assert_eq!(block.shard_len(), expected.shard_len);
-                assert_eq!(block.occupied(), 4);
-                assert_eq!(parities_of(&block), expected.parities);
+        let mut assembler = BlockAssembler::new(codec_6_4());
+        let data = payloads(&[300, 7, 41, 128, 9, 0, 64, 2]);
+        for (index, payload) in data.iter().enumerate() {
+            let block = push(&mut assembler, payload).unwrap();
+            assert_eq!(block.is_some(), index % 4 == 3);
+            if let Some(block) = block {
+                let sources: Vec<&[u8]> = data[index - 3..=index].iter().map(Vec::as_slice).collect();
+                assert_eq!(block.occupied, 4);
+                assert_eq!(block.parities, reference(&sources));
             }
         }
-        assert_eq!(in_place.blocks_emitted(), 2);
-
-        // Too long: refused, and the slot it touched is not taken.
-        let huge = vec![1u8; MAX_PAYLOAD_LEN + 1];
-        let refused = in_place.push_with(|shard| shard.extend_from_slice(&huge));
-        assert_eq!(refused.unwrap_err(), FecError::CorruptPayload);
-        assert_eq!(in_place.pending(), 0);
+        assert_eq!(assembler.blocks_emitted(), 2);
 
         let tail = payloads(&[50]);
-        pushed.push(&tail[0]).unwrap();
-        in_place.push_with(|shard| shard.extend_from_slice(&tail[0])).unwrap();
-        let expected = pushed.flush().unwrap().expect("partial block");
-        let block = in_place.flush_framed().expect("partial block");
-        assert_eq!(block.occupied(), 1);
-        assert_eq!(parities_of(&block), expected.parities);
-        assert!(in_place.flush_framed().is_none());
+        push(&mut assembler, &tail[0]).unwrap();
+        let block = read(&assembler.flush_framed().expect("partial block"));
+        assert_eq!(block.occupied, 1);
+        assert_eq!(block.shard_len, 52);
+        assert_eq!(block.parities, reference(&[&tail[0], &[], &[], &[]]));
+        assert!(assembler.flush_framed().is_none());
     }
 
     /// `payload` framed and padded to `shard_len`.

@@ -63,10 +63,7 @@ pub mod gf256;
 mod gf256_simd;
 mod matrix;
 
-pub use block::{
-    BlockAssembler, BlockReconstructor, DecodeScratch, EncodedBlock, FramedBlock,
-    RecoveredPayload, MAX_PAYLOAD_LEN,
-};
+pub use block::{BlockAssembler, BlockReconstructor, DecodeScratch, FramedBlock, MAX_PAYLOAD_LEN};
 pub use codec::{CodecScratch, FecCodec};
 pub use error::FecError;
 pub use matrix::Matrix;

@@ -2,7 +2,7 @@
 //! under arbitrary erasure patterns, and block framing round-trips.
 
 use proptest::prelude::*;
-use rapidware_fec::{gf256, BlockAssembler, BlockReconstructor, FecCodec};
+use rapidware_fec::{gf256, BlockAssembler, BlockReconstructor, DecodeScratch, FecCodec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -85,25 +85,38 @@ proptest! {
             .map(|&len| (0..len).map(|_| next()).collect())
             .collect();
 
+        // Sender side as the encoder filter runs it: each payload written
+        // in place, the completed block's parity encoded into its buffer.
         let mut assembler = BlockAssembler::new(codec.clone());
-        let mut block = None;
-        for payload in &payloads {
-            if let Some(b) = assembler.push(payload).unwrap() {
-                block = Some(b);
-            }
+        for payload in &payloads[..3] {
+            prop_assert!(assembler.push_with(|shard| shard.extend_from_slice(payload)).unwrap().is_none());
         }
-        let block = block.expect("four payloads complete a (6,4) block");
+        let block = assembler
+            .push_with(|shard| shard.extend_from_slice(&payloads[3]))
+            .unwrap()
+            .expect("four payloads complete a (6,4) block");
+        let shard_len = block.shard_len();
+        let mut parity = vec![0u8; shard_len];
+        block.parity_into(0, &mut parity).unwrap();
 
         let mut reconstructor = BlockReconstructor::new(&codec);
         for (slot, payload) in payloads.iter().enumerate() {
             if slot != lost_slot {
-                reconstructor.add_source(slot, payload).unwrap();
+                reconstructor.add_source(slot, payload.as_slice()).unwrap();
             }
         }
-        reconstructor.add_parity(0, block.shard_len, &block.parities[0]).unwrap();
-        let recovered = reconstructor.recover(&codec).unwrap();
-        prop_assert_eq!(recovered.len(), 1);
-        prop_assert_eq!(recovered[0].slot, lost_slot);
-        prop_assert_eq!(&recovered[0].data, &payloads[lost_slot]);
+        reconstructor.add_parity(0, shard_len, parity.as_slice()).unwrap();
+        let mut scratch = DecodeScratch::new();
+        let recovered: Vec<(usize, Vec<u8>)> = reconstructor
+            .recover_with(
+                &codec,
+                &mut scratch,
+                |source, shard| shard.extend_from_slice(source),
+                |parity| parity,
+            )
+            .unwrap()
+            .map(|(slot, data)| (slot, data.to_vec()))
+            .collect();
+        prop_assert_eq!(recovered, vec![(lost_slot, payloads[lost_slot].clone())]);
     }
 }

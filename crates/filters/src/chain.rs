@@ -244,22 +244,6 @@ impl FilterChain {
         Ok(out)
     }
 
-    /// Processes a batch of packets, concatenating the outputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first filter error encountered.
-    pub fn process_all(
-        &mut self,
-        packets: impl IntoIterator<Item = Packet>,
-    ) -> Result<Vec<Packet>, FilterError> {
-        let mut out = Vec::new();
-        for packet in packets {
-            out.extend(self.process(packet)?);
-        }
-        Ok(out)
-    }
-
     /// Processes a whole batch through the chain, returning everything that
     /// emerges at the far end.
     ///
@@ -715,17 +699,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].seq().value(), 0);
         assert_eq!(out[1].seq().value(), 1);
-    }
-
-    #[test]
-    fn process_all_concatenates_outputs() {
-        let mut chain = FilterChain::new();
-        chain.push_back(Box::new(Tagger::new(1))).unwrap();
-        let packets: Vec<Packet> = (0..5).map(audio_packet).collect();
-        let out = chain.process_all(packets).unwrap();
-        assert_eq!(out.len(), 5);
-        assert_eq!(chain.packets_in(), 5);
-        assert_eq!(chain.packets_out(), 5);
     }
 
     #[test]

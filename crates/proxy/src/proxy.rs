@@ -449,7 +449,7 @@ impl Proxy {
                 .map_err(|err| ProxyError::Transport(err.to_string()))?,
         );
         let egress = Arc::new(
-            SharedUdpEgress::over(&ingress.socket(), &udp_config)
+            SharedUdpEgress::over(ingress.socket(), &udp_config)
                 .map_err(|err| ProxyError::Transport(err.to_string()))?,
         );
         // One task per *carrier* (not per stream), registered once: it

@@ -65,12 +65,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod byte;
 mod error;
 mod pipe;
 mod stats;
 
-pub use byte::{byte_pipe, ByteReader, ByteWriter, DEFAULT_CHUNK_SIZE};
 pub use error::{PauseError, ReconnectError, RecvError, SendError, TryRecvError};
 pub use pipe::{
     detached_pair, pipe, DetachableReceiver, DetachableSender, IntoIter, PipeWatcher,

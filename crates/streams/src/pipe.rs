@@ -658,19 +658,6 @@ impl<T> DetachableSender<T> {
         }
     }
 
-    /// Returns `true` if the sender is currently attached to a receiver and
-    /// not paused.
-    pub fn is_connected(&self) -> bool {
-        let s = self.shared.inner.lock();
-        s.sink.is_some() && !s.paused && !s.closed
-    }
-
-    /// Returns `true` if the sender is paused (or detached) but not closed.
-    pub fn is_paused(&self) -> bool {
-        let s = self.shared.inner.lock();
-        !s.closed && (s.paused || s.sink.is_none())
-    }
-
     /// Lifetime transfer statistics for this sender.
     pub fn stats(&self) -> PipeStats {
         self.shared.stats.clone()
@@ -865,16 +852,6 @@ impl<T> DetachableReceiver<T> {
     pub fn is_idle(&self) -> bool {
         let r = self.shared.inner.lock();
         r.queue.is_empty() && !r.eof && !r.closed
-    }
-
-    /// Buffer capacity this receiver was created with.
-    pub fn capacity(&self) -> usize {
-        self.shared.inner.lock().capacity
-    }
-
-    /// Returns `true` if a sender is currently attached.
-    pub fn is_attached(&self) -> bool {
-        self.shared.inner.lock().attached
     }
 
     /// Closes the receiver.  Blocked and future senders observe
@@ -1111,8 +1088,12 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), 2);
         pauser.join().unwrap();
-        assert!(tx.is_paused());
-        assert!(!rx.is_attached());
+        // Paused: a send is handed back undelivered.
+        assert_eq!(tx.try_send_batch(vec![3]).unwrap(), vec![3]);
+        // The receiver was let go, so the sender can take it back.
+        tx.reconnect(&rx).unwrap();
+        tx.send(4).unwrap();
+        assert_eq!(rx.recv().unwrap(), 4);
     }
 
     #[test]
@@ -1181,8 +1162,7 @@ mod tests {
         tx.send(2).unwrap();
         // Nobody is reading rx, yet detach returns immediately.
         tx.detach().unwrap();
-        assert!(tx.is_paused());
-        assert!(!rx.is_attached());
+        assert_eq!(tx.try_send_batch(vec![9]).unwrap(), vec![9], "a detached send is handed back");
         // The buffered items are still there, in order.
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), 2);
@@ -1211,16 +1191,15 @@ mod tests {
         let (tx, _rx) = pipe::<u8>(4);
         tx.pause().unwrap();
         tx.pause().unwrap();
-        assert!(tx.is_paused());
+        assert_eq!(tx.try_send_batch(vec![1]).unwrap(), vec![1], "a paused send is handed back");
     }
 
     #[test]
     fn detached_pair_wires_up() {
         let (tx, rx) = detached_pair::<u8>(4);
-        assert!(!tx.is_connected());
-        assert!(!rx.is_attached());
+        assert_eq!(tx.try_send_batch(vec![1]).unwrap(), vec![1], "a detached send is handed back");
+        assert!(rx.is_empty());
         tx.reconnect(&rx).unwrap();
-        assert!(tx.is_connected());
         tx.send(3).unwrap();
         assert_eq!(rx.recv().unwrap(), 3);
     }
@@ -1314,7 +1293,7 @@ mod tests {
             match rx_a.recv_timeout(Duration::from_millis(20)) {
                 Ok(v) => seen_a.push(v),
                 Err(TryRecvError::Empty) => {
-                    if !rx_a.is_attached() && rx_a.is_empty() {
+                    if pauser.is_finished() && rx_a.is_empty() {
                         break;
                     }
                 }

@@ -122,7 +122,7 @@ proptest! {
             match rx_a.recv_timeout(std::time::Duration::from_millis(10)) {
                 Ok(v) => seen.push(v),
                 Err(TryRecvError::Empty) => {
-                    if !rx_a.is_attached() && rx_a.is_empty() {
+                    if pauser.is_finished() && rx_a.is_empty() {
                         break;
                     }
                 }
@@ -141,6 +141,9 @@ proptest! {
                 while let Ok(v) = rx_b.recv() {
                     seen.push(v);
                 }
+                // Every send after the reconnect landed at B: nothing
+                // reached A once the pause returned.
+                prop_assert_eq!(rx_a.try_recv(), Err(TryRecvError::Empty));
             }
             // Same interleaving seen from the sender: the producer closed
             // it before (the pause reports closed) or right after the pause.

@@ -117,7 +117,7 @@ const MAX_EVENTS: usize = 64;
 /// zero and never reach it.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Which readiness a registration is armed for.  [`NONE`](Self::NONE)
+/// Which readiness a registration is armed for.  Armed for neither, it
 /// still reports a socket error once: the kernel always implies
 /// `EPOLLERR`/`EPOLLHUP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,20 +129,10 @@ pub struct Interest {
 }
 
 impl Interest {
-    /// Registered but silent.
-    pub const NONE: Self = Self {
-        readable: false,
-        writable: false,
-    };
     /// Armed for readability.
     pub const READABLE: Self = Self {
         readable: true,
         writable: false,
-    };
-    /// Armed for writability.
-    pub const WRITABLE: Self = Self {
-        readable: false,
-        writable: true,
     };
 
     fn event(self, token: u64) -> EpollEvent {
@@ -286,8 +276,13 @@ impl<T> Poller<T> {
         };
         // Explicitly, before the fd closes: a `try_clone()`d fd shares its
         // open file with its original, and the kernel only forgets a
-        // registration by itself once the *file* is closed.
-        self.ctl(EPOLL_CTL_DEL, entry.socket.as_raw_fd(), Interest::NONE.event(token.0))?;
+        // registration by itself once the *file* is closed.  The kernel
+        // ignores the event passed with a delete.
+        let event = EpollEvent {
+            events: 0,
+            token: token.0,
+        };
+        self.ctl(EPOLL_CTL_DEL, entry.socket.as_raw_fd(), event)?;
         Ok(Some(entry.payload))
     }
 
@@ -415,6 +410,12 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    /// Registered but silent.
+    const SILENT: Interest = Interest {
+        readable: false,
+        writable: false,
+    };
+
     fn socket() -> Arc<UdpSocket> {
         let socket = UdpSocket::bind("127.0.0.1:0").expect("loopback bind");
         socket.set_nonblocking(true).expect("non-blocking");
@@ -452,7 +453,11 @@ mod tests {
 
         // An idle UDP socket is writable at once.
         ready.clear();
-        poller.arm(token, Interest::WRITABLE).unwrap();
+        let writable = Interest {
+            readable: false,
+            writable: true,
+        };
+        poller.arm(token, writable).unwrap();
         assert!(!poller.wait(&mut ready).unwrap());
         assert_eq!(ready, ["rx"]);
 
@@ -464,7 +469,7 @@ mod tests {
             io::ErrorKind::NotFound
         );
         // The fd is really out of the set: it can be added afresh.
-        poller.add(rx, Interest::NONE, "again").unwrap();
+        poller.add(rx, SILENT, "again").unwrap();
     }
 
     #[test]
@@ -472,12 +477,12 @@ mod tests {
         let poller = Poller::new().unwrap();
         let shared = socket();
         poller.add(Arc::clone(&shared), Interest::READABLE, 0).unwrap();
-        let err = poller.add(Arc::clone(&shared), Interest::NONE, 1).unwrap_err();
+        let err = poller.add(Arc::clone(&shared), SILENT, 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert_eq!(poller.len(), 1, "a refused add registers nothing");
         // The second user of the socket brings its own fd.
         let clone = Arc::new(shared.try_clone().unwrap());
-        poller.add(clone, Interest::NONE, 1).unwrap();
+        poller.add(clone, SILENT, 1).unwrap();
         assert_eq!(poller.len(), 2);
     }
 

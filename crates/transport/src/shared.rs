@@ -326,13 +326,16 @@ impl SharedUdpIngress {
             };
             self.stats.record_rx_datagram();
             match Packet::decode(&datagram[..len]) {
-                Ok(mut packet) => {
-                    // Stamp the span clock at the socket boundary so
-                    // end-to-end latency covers routing and demux time too.
-                    packet.stamp_ingress_ns(rapidware_telemetry::now_ns());
-                    pass.push(packet);
-                }
+                Ok(packet) => pass.push(packet),
                 Err(_) => self.stats.record_decode_error(),
+            }
+        }
+        // One span-clock read stamps the whole pass at the socket boundary,
+        // so end-to-end latency covers routing and demux time too.
+        if !pass.is_empty() {
+            let now = rapidware_telemetry::now_ns();
+            for packet in pass.iter_mut() {
+                packet.stamp_ingress_ns(now);
             }
         }
         self.route(pass);
@@ -485,33 +488,15 @@ impl fmt::Debug for SharedUdpEgress {
 }
 
 impl SharedUdpEgress {
-    /// Builds an egress over an existing socket — normally a
-    /// [`SharedUdpIngress::socket`], so one bound port carries both
-    /// directions of all its streams.
-    ///
-    /// The egress sends through its own `try_clone()` of `socket`: same
-    /// port, separate fd.  A [`Poller`](crate::Poller) keys registrations
-    /// on the fd, so the receive half and the send half of one port can
-    /// each be registered, and re-armed, without knowing about the other.
+    /// Builds an egress that sends through an existing socket — normally
+    /// a [`SharedUdpIngress::socket`], so one bound port, and one fd,
+    /// carries both directions of all its streams.
     ///
     /// # Errors
     ///
-    /// Any socket error from duplicating the fd, reading the local address
-    /// or switching the socket to non-blocking mode.
-    pub fn over(socket: &UdpSocket, config: &crate::UdpConfig) -> io::Result<Self> {
-        Self::from_socket(socket.try_clone()?, config)
-    }
-
-    /// Binds a fresh non-blocking socket on `addr` for a send-only egress.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error from binding.
-    pub fn bind(addr: impl ToSocketAddrs, config: &crate::UdpConfig) -> io::Result<Self> {
-        Self::from_socket(UdpSocket::bind(addr)?, config)
-    }
-
-    fn from_socket(socket: UdpSocket, config: &crate::UdpConfig) -> io::Result<Self> {
+    /// Any socket error from reading the local address or switching the
+    /// socket to non-blocking mode.
+    pub fn over(socket: Arc<UdpSocket>, config: &crate::UdpConfig) -> io::Result<Self> {
         let mut batch = SendBatch::default();
         Self::with_submit(
             socket,
@@ -520,15 +505,24 @@ impl SharedUdpEgress {
         )
     }
 
+    /// Binds a fresh non-blocking socket on `addr` for a send-only egress.
+    ///
+    /// # Errors
+    ///
+    /// Any socket error from binding.
+    pub fn bind(addr: impl ToSocketAddrs, config: &crate::UdpConfig) -> io::Result<Self> {
+        Self::over(Arc::new(UdpSocket::bind(addr)?), config)
+    }
+
     fn with_submit(
-        socket: UdpSocket,
+        socket: Arc<UdpSocket>,
         config: &crate::UdpConfig,
         submit: Submit,
     ) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
         let local_addr = socket.local_addr()?;
         Ok(Self {
-            socket: Arc::new(socket),
+            socket,
             local_addr,
             batch_size: config.batch_size.max(1),
             stats: TransportStats::new(),
@@ -547,12 +541,6 @@ impl SharedUdpEgress {
     /// The socket's bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The socket this egress sends through (for
-    /// [`Poller`](crate::Poller) registration).
-    pub fn socket(&self) -> Arc<UdpSocket> {
-        Arc::clone(&self.socket)
     }
 
     /// Delivery accounting for the whole socket (all lanes combined).
@@ -1165,7 +1153,7 @@ mod tests {
             }
             Ok(taken)
         });
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
         let config = UdpConfig::default().with_batch_size(batch_size);
         SharedUdpEgress::with_submit(socket, &config, submit).unwrap()
     }

@@ -272,19 +272,10 @@ impl ScenarioEngine {
     /// # Panics
     ///
     /// Panics if the spec is degenerate (see [`ScenarioSpec::validate`]) or
-    /// a filter fails, which the built-in scenarios never do.  Use
-    /// [`try_run_with`](Self::try_run_with) to get degenerate specs back as
-    /// typed errors instead.
+    /// a filter fails, which the built-in scenarios never do.
     pub fn run_with(&self, applier: &mut dyn Applier) -> ScenarioOutcome {
         self.valid_spec();
         self.run_validated(applier)
-    }
-
-    /// Runs the scenario against any applier, rejecting degenerate specs
-    /// with a typed [`SpecError`] instead of panicking.
-    pub fn try_run_with(&self, applier: &mut dyn Applier) -> Result<ScenarioOutcome, SpecError> {
-        self.spec.validate()?;
-        Ok(self.run_validated(applier))
     }
 
     /// The spec, checked once before any applier is built.

@@ -26,8 +26,8 @@ use rapidware_raplets::{AdaptationEngine, FecResponder, LossRateObserver};
 /// `netsim` — an empty [`LossRegime::Phased`] only blew up when
 /// `ScheduledLoss::new` was finally constructed).  Validation turns each
 /// degenerate input into a typed, test-able error at the API boundary:
-/// [`ScenarioSpec::validate`], [`FanoutSpec::validate`](super::FanoutSpec::validate),
-/// and the engines' `try_run_with` entry points all return it.
+/// [`ScenarioSpec::validate`], [`FanoutSpec::validate`](super::FanoutSpec::validate)
+/// and the engines' `try_run_sync` entry points all return it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The spec transmits zero source packets.
@@ -259,7 +259,7 @@ impl LossRegime {
     pub fn attach(&self, lan: &mut WirelessLan, name: &str) {
         match self {
             LossRegime::Walking(walk) => {
-                lan.add_mobile_receiver(name, DistanceLossModel::wavelan_2mbps(), Box::new(*walk));
+                lan.add_mobile_receiver(name, DistanceLossModel::wavelan_2mbps(), *walk);
             }
             other => {
                 lan.add_receiver(name, other.to_model());
@@ -616,9 +616,9 @@ impl ScenarioSpec {
     /// receivers, empty phase lists, nested walks, zero strides, and FEC
     /// codes or raplet sets the codec or the observer reject.
     ///
-    /// The engines call this from `try_run_with`; callers constructing
-    /// specs programmatically (the scenario generator does) can call it
-    /// directly to reject a sample before running anything.
+    /// The engines call this before they run; callers constructing specs
+    /// programmatically (the scenario generator does) can call it directly
+    /// to reject a sample before running anything.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.packets == 0 {
             return Err(SpecError::ZeroPackets {

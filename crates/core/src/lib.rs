@@ -26,7 +26,6 @@
 //! adaptive walk) and closes the control loop — seeded link samples drive
 //! the raplets, whose actions reconfigure a running chain, with every step
 //! recorded in a replayable trace — on a sync chain or a live proxy alike.
-//! [`AdaptiveProxyBuilder`] assembles a live adaptive proxy in a few lines.
 //!
 //! ## Quickstart
 //!
@@ -56,10 +55,8 @@ pub use rapidware_raplets as raplets;
 pub use rapidware_streams as streams;
 pub use rapidware_transport as transport;
 
-mod builder;
 pub mod engine;
 
-pub use builder::AdaptiveProxyBuilder;
 /// The sharded session runtime (re-exported from `rapidware-proxy`): the
 /// fixed worker pool that hosts every proxy stream and fanout session as
 /// cooperative tasks.
@@ -67,7 +64,6 @@ pub use rapidware_proxy::runtime;
 
 /// The most commonly used types, re-exported for glob import.
 pub mod prelude {
-    pub use crate::builder::AdaptiveProxyBuilder;
     pub use crate::engine::{
         Applier, FecPolicy, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
         ScenarioTrace, SyncApplier,
@@ -79,7 +75,7 @@ pub mod prelude {
     };
     pub use rapidware_media::{AudioConfig, AudioSource, MediaSink, VideoConfig, VideoSource};
     pub use rapidware_netsim::{
-        DistanceLossModel, LinearWalk, LinkConfig, LossModel, SimClock, SimTime, WirelessLan,
+        DistanceLossModel, LinearWalk, LinkConfig, LossModel, SimTime, WirelessLan,
     };
     pub use rapidware_packet::{Packet, PacketKind, ReceiptStats, SeqNo, StreamId};
     pub use rapidware_pavilion::{CollaborativeSession, DeviceProfile};

@@ -1,12 +1,6 @@
-//! Fault-injection filters used by tests and experiments.
-//!
-//! These filters deliberately misbehave — dropping, duplicating, or
-//! reordering packets — so the test suite can verify that the rest of the
-//! framework (FEC, reordering buffers, duplicate suppression) copes, and so
-//! experiments can create controlled loss inside a chain without involving
-//! the network simulator.
-
-use std::collections::VecDeque;
+//! Fault injection: [`DropEveryNth`] drops payload packets on a fixed
+//! stride, so tests and experiments can create controlled loss inside a
+//! chain without involving the network simulator.
 
 use rapidware_packet::Packet;
 
@@ -72,119 +66,6 @@ impl Filter for DropEveryNth {
     }
 }
 
-/// Duplicates every N-th payload packet.
-#[derive(Debug)]
-pub struct DuplicateFilter {
-    name: String,
-    n: u64,
-    counter: u64,
-    duplicated: u64,
-}
-
-impl DuplicateFilter {
-    /// Creates a filter that duplicates every `n`-th payload packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0, "duplication interval must be non-zero");
-        Self {
-            name: format!("duplicate-every({n})"),
-            n,
-            counter: 0,
-            duplicated: 0,
-        }
-    }
-
-    /// Number of extra copies emitted so far.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-}
-
-impl Filter for DuplicateFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        if packet.kind().is_payload() {
-            self.counter += 1;
-            if self.counter.is_multiple_of(self.n) {
-                self.duplicated += 1;
-                out.emit(packet.clone());
-            }
-        }
-        out.emit(packet);
-        Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "fault-duplicate".to_string(),
-            parameters: format!("n={}, duplicated={}", self.n, self.duplicated),
-        }
-    }
-}
-
-/// Reorders packets by holding them in a small shuffle window and releasing
-/// them in reversed batches.
-#[derive(Debug)]
-pub struct ReorderFilter {
-    name: String,
-    window: usize,
-    held: VecDeque<Packet>,
-}
-
-impl ReorderFilter {
-    /// Creates a filter that reverses the order of every `window` packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "reorder window must be non-zero");
-        Self {
-            name: format!("reorder(window={window})"),
-            window,
-            held: VecDeque::new(),
-        }
-    }
-}
-
-impl Filter for ReorderFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        self.held.push_back(packet);
-        if self.held.len() >= self.window {
-            while let Some(p) = self.held.pop_back() {
-                out.emit(p);
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        while let Some(p) = self.held.pop_back() {
-            out.emit(p);
-        }
-        Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "fault-reorder".to_string(),
-            parameters: format!("window={}", self.window),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,31 +96,6 @@ mod tests {
         filter.process(control.clone(), &mut out).unwrap();
         filter.process(packet(1), &mut out).unwrap();
         assert_eq!(out, vec![control]);
-    }
-
-    #[test]
-    fn duplicate_filter_emits_extra_copies() {
-        let mut filter = DuplicateFilter::new(2);
-        let mut out: Vec<Packet> = Vec::new();
-        for seq in 0..4 {
-            filter.process(packet(seq), &mut out).unwrap();
-        }
-        assert_eq!(out.len(), 6);
-        assert_eq!(filter.duplicated(), 2);
-        let copies_of_1 = out.iter().filter(|p| p.seq().value() == 1).count();
-        assert_eq!(copies_of_1, 2);
-    }
-
-    #[test]
-    fn reorder_filter_reverses_windows_and_flushes_remainder() {
-        let mut filter = ReorderFilter::new(3);
-        let mut out: Vec<Packet> = Vec::new();
-        for seq in 0..7 {
-            filter.process(packet(seq), &mut out).unwrap();
-        }
-        filter.flush(&mut out).unwrap();
-        let seqs: Vec<u64> = out.iter().map(|p| p.seq().value()).collect();
-        assert_eq!(seqs, vec![2, 1, 0, 5, 4, 3, 6]);
     }
 
     #[test]

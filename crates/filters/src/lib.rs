@@ -23,8 +23,7 @@
 //!   [`DescramblerFilter`]), an AEAD secure-channel pair ([`EncryptFilter`],
 //!   [`DecryptFilter`] — ChaCha20-Poly1305 with control-frame key
 //!   rotation), a counting tap ([`TapFilter`]), the identity
-//!   [`NullFilter`], and fault-injection filters ([`DropEveryNth`],
-//!   [`DuplicateFilter`], [`ReorderFilter`]).
+//!   [`NullFilter`], and a fault-injection filter ([`DropEveryNth`]).
 //!
 //! ## Example: splicing an FEC encoder into a live chain
 //!
@@ -72,7 +71,7 @@ mod filter;
 mod telemetry;
 
 pub use builtin::compress::{CompressorFilter, DecompressorFilter};
-pub use builtin::faults::{DropEveryNth, DuplicateFilter, ReorderFilter};
+pub use builtin::faults::DropEveryNth;
 pub use builtin::fec_decode::{FecDecoderFilter, FecDecoderStats};
 pub use builtin::fec_encode::FecEncoderFilter;
 pub use builtin::null::NullFilter;

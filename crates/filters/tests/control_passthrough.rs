@@ -7,9 +7,7 @@
 //! protocol is sound only if every filter a responder can splice into a
 //! live chain forwards control packets immediately — never dropping,
 //! buffering, or transforming them.  This test pins that invariant for the
-//! whole adaptive filter library (fault-injection filters like
-//! `ReorderFilter` are exempt: they exist to perturb streams in tests and
-//! are never installed by a responder).
+//! whole adaptive filter library.
 
 use rapidware_filters::{
     AudioTranscoderFilter, CompressorFilter, DecompressorFilter, DescramblerFilter, DropEveryNth,
@@ -33,7 +31,7 @@ fn adaptive_filters() -> Vec<Box<dyn Filter>> {
         // treats non-video kinds as top priority, so even an exhausted
         // budget must not shed them.
         Box::new(RateLimiterFilter::new(1, 1_000_000)),
-        // Fault filters that stay in the library's "forwarding" family.
+        // The fault filter forwards control packets too.
         Box::new(DropEveryNth::new(1)),
     ]
 }

@@ -1,27 +1,11 @@
-//! Point-to-point link modelling: bandwidth, latency, jitter, and loss.
+//! Link timing: bandwidth, latency and jitter of the radio a
+//! [`WirelessLan`](crate::WirelessLan) shares among its receivers.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use std::fmt;
-
-use crate::loss::{LossModel, PerfectLink};
 use crate::time::SimTime;
 
-/// Whether a link is a wired LAN segment or a wireless (WaveLAN-class) hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkKind {
-    /// Switched wired Ethernet: fast and effectively lossless.
-    Wired,
-    /// Shared wireless medium: slower, jittery, lossy.
-    Wireless,
-}
-
-/// Static configuration of a [`SimLink`].
+/// Static timing of a [`WirelessLan`](crate::WirelessLan)'s radio.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
-    /// Link kind (reporting only; behaviour is fully determined by the other
-    /// fields).
-    pub kind: LinkKind,
     /// Nominal bandwidth in bits per second.
     pub bandwidth_bps: u64,
     /// One-way propagation plus forwarding latency, in microseconds.
@@ -31,36 +15,13 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A 100 Mbps switched wired LAN segment, as used between the sender and
-    /// the proxy in the paper's testbed.
-    pub fn wired_100mbps() -> Self {
-        Self {
-            kind: LinkKind::Wired,
-            bandwidth_bps: 100_000_000,
-            base_latency_us: 200,
-            jitter_us: 50,
-        }
-    }
-
     /// A 2 Mbps WaveLAN wireless hop, the access technology of the paper's
     /// experiments.
     pub fn wavelan_2mbps() -> Self {
         Self {
-            kind: LinkKind::Wireless,
             bandwidth_bps: 2_000_000,
             base_latency_us: 1_000,
             jitter_us: 2_000,
-        }
-    }
-
-    /// An 11 Mbps 802.11b hop (used by ablation experiments to show the
-    /// framework is not tied to one bit-rate).
-    pub fn wifi_11mbps() -> Self {
-        Self {
-            kind: LinkKind::Wireless,
-            bandwidth_bps: 11_000_000,
-            base_latency_us: 800,
-            jitter_us: 1_200,
         }
     }
 
@@ -74,7 +35,7 @@ impl LinkConfig {
     }
 }
 
-/// Outcome of offering one packet to a link.
+/// Outcome of one transmission to one receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransmitOutcome {
     /// The packet will arrive at the far end at the given time.
@@ -101,197 +62,15 @@ impl TransmitOutcome {
     }
 }
 
-/// A simulated unidirectional link with its own loss model and statistics.
-pub struct SimLink {
-    config: LinkConfig,
-    loss: Box<dyn LossModel>,
-    /// Time at which the link finishes serialising the previous packet; used
-    /// to model queueing on slow links.
-    busy_until: SimTime,
-    sent: u64,
-    delivered: u64,
-    lost: u64,
-}
-
-impl fmt::Debug for SimLink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimLink")
-            .field("config", &self.config)
-            .field("loss", &self.loss)
-            .field("sent", &self.sent)
-            .field("delivered", &self.delivered)
-            .field("lost", &self.lost)
-            .finish()
-    }
-}
-
-impl SimLink {
-    /// Creates a link with the given configuration and loss model.
-    pub fn new(config: LinkConfig, loss: Box<dyn LossModel>) -> Self {
-        Self {
-            config,
-            loss,
-            busy_until: SimTime::ZERO,
-            sent: 0,
-            delivered: 0,
-            lost: 0,
-        }
-    }
-
-    /// Creates a lossless link with the given configuration.
-    pub fn lossless(config: LinkConfig) -> Self {
-        Self::new(config, Box::new(PerfectLink))
-    }
-
-    /// The link's static configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
-    /// Mutable access to the loss model (e.g. so a mobility model can update
-    /// the distance of a [`DistanceLossModel`](crate::DistanceLossModel)).
-    pub fn loss_model_mut(&mut self) -> &mut dyn LossModel {
-        self.loss.as_mut()
-    }
-
-    /// The loss model's current nominal loss rate.
-    pub fn nominal_loss_rate(&self) -> f64 {
-        self.loss.nominal_loss_rate()
-    }
-
-    /// Offers a packet of `len` bytes to the link at time `now`.
-    ///
-    /// Serialisation delay, queueing behind earlier packets, propagation
-    /// latency, and random jitter are all accounted for in the arrival time.
-    pub fn transmit(&mut self, rng: &mut StdRng, now: SimTime, len: usize) -> TransmitOutcome {
-        self.sent += 1;
-        // Queueing: the transmitter can only start once the previous packet
-        // has left the interface.
-        let start = if self.busy_until > now { self.busy_until } else { now };
-        let serialization = self.config.serialization_delay_us(len);
-        self.busy_until = start + serialization;
-
-        if self.loss.should_drop(rng, now, len) {
-            self.lost += 1;
-            return TransmitOutcome::Lost;
-        }
-        let jitter = if self.config.jitter_us == 0 {
-            0
-        } else {
-            rng.gen_range(0..=self.config.jitter_us)
-        };
-        let arrival = self.busy_until + self.config.base_latency_us + jitter;
-        self.delivered += 1;
-        TransmitOutcome::Delivered { arrival }
-    }
-
-    /// Number of packets offered to the link.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of packets delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Number of packets lost.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Observed loss rate so far (0 if nothing was sent).
-    pub fn observed_loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.sent as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::BernoulliLoss;
-    use rand::SeedableRng;
 
     #[test]
     fn serialization_delay_matches_bandwidth() {
         let config = LinkConfig::wavelan_2mbps();
         // 500 bytes at 2 Mbps = 4000 bits / 2e6 bps = 2 ms.
         assert_eq!(config.serialization_delay_us(500), 2_000);
-        let wired = LinkConfig::wired_100mbps();
-        assert_eq!(wired.serialization_delay_us(1250), 100);
-    }
-
-    #[test]
-    fn lossless_link_delivers_everything_with_latency() {
-        let mut link = SimLink::lossless(LinkConfig::wired_100mbps());
-        let mut rng = StdRng::seed_from_u64(1);
-        for i in 0..100 {
-            let outcome = link.transmit(&mut rng, SimTime::from_millis(i), 1000);
-            let arrival = outcome.arrival().expect("lossless link");
-            assert!(arrival > SimTime::from_millis(i));
-        }
-        assert_eq!(link.delivered(), 100);
-        assert_eq!(link.lost(), 0);
-        assert_eq!(link.observed_loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn lossy_link_reports_observed_rate() {
-        let mut link = SimLink::new(
-            LinkConfig::wavelan_2mbps(),
-            Box::new(BernoulliLoss::new(0.2)),
-        );
-        let mut rng = StdRng::seed_from_u64(9);
-        for i in 0..20_000u64 {
-            link.transmit(&mut rng, SimTime::from_micros(i * 4_000), 200);
-        }
-        assert!((link.observed_loss_rate() - 0.2).abs() < 0.02);
-        assert_eq!(link.sent(), 20_000);
-        assert_eq!(link.delivered() + link.lost(), 20_000);
-    }
-
-    #[test]
-    fn queueing_delays_back_to_back_packets() {
-        // Two 500-byte packets offered at the same instant on a 2 Mbps link:
-        // the second must arrive at least one serialisation time later.
-        let mut link = SimLink::lossless(LinkConfig {
-            jitter_us: 0,
-            ..LinkConfig::wavelan_2mbps()
-        });
-        let mut rng = StdRng::seed_from_u64(3);
-        let first = link
-            .transmit(&mut rng, SimTime::ZERO, 500)
-            .arrival()
-            .unwrap();
-        let second = link
-            .transmit(&mut rng, SimTime::ZERO, 500)
-            .arrival()
-            .unwrap();
-        assert_eq!(second - first, 2_000);
-    }
-
-    #[test]
-    fn transmissions_are_ordered_even_with_jitter_bounds() {
-        let mut link = SimLink::lossless(LinkConfig::wavelan_2mbps());
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut sent_at = SimTime::ZERO;
-        let mut last_arrival = SimTime::ZERO;
-        let mut inversions = 0;
-        for _ in 0..1000 {
-            sent_at += 4_000; // one packet every 4 ms
-            if let Some(arrival) = link.transmit(&mut rng, sent_at, 400).arrival() {
-                if arrival < last_arrival {
-                    inversions += 1;
-                }
-                last_arrival = arrival;
-            }
-        }
-        // With 2 ms max jitter and 4 ms spacing, no reordering is possible.
-        assert_eq!(inversions, 0);
     }
 
     #[test]

@@ -1,46 +1,13 @@
-//! Mobility models: how far a mobile host is from the access point as a
+//! Mobility: how far a mobile host is from the access point as a
 //! function of simulated time.
 //!
 //! The paper's motivating scenario (Section 3) is a user who "wants to
 //! maintain the connection as she moves from her office (near the access
 //! point) to a conference room down the hall", at which point packet loss
 //! rises and the RAPIDware observer inserts an FEC filter.  [`LinearWalk`]
-//! and [`WaypointWalk`] model exactly that kind of movement.
-
-use std::fmt;
+//! models exactly that movement.
 
 use crate::time::SimTime;
-
-/// Gives the distance (in meters) between a mobile host and its access point
-/// at any point in simulated time.
-pub trait MobilityModel: Send + fmt::Debug {
-    /// Distance from the access point at `time`, in meters.
-    fn distance_at(&self, time: SimTime) -> f64;
-}
-
-/// A host that does not move.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticPosition {
-    distance_m: f64,
-}
-
-impl StaticPosition {
-    /// Creates a stationary host at the given distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distance is negative or not finite.
-    pub fn new(distance_m: f64) -> Self {
-        assert!(distance_m.is_finite() && distance_m >= 0.0, "distance must be non-negative");
-        Self { distance_m }
-    }
-}
-
-impl MobilityModel for StaticPosition {
-    fn distance_at(&self, _time: SimTime) -> f64 {
-        self.distance_m
-    }
-}
 
 /// A host that walks at constant speed from one distance to another, then
 /// stays there.
@@ -83,10 +50,9 @@ impl LinearWalk {
         let travel_secs = (self.end_m - self.start_m).abs() / self.speed_mps;
         self.departure + (travel_secs * 1e6) as u64
     }
-}
 
-impl MobilityModel for LinearWalk {
-    fn distance_at(&self, time: SimTime) -> f64 {
+    /// Distance from the access point at `time`, in meters.
+    pub fn distance_at(&self, time: SimTime) -> f64 {
         if time <= self.departure {
             return self.start_m;
         }
@@ -103,75 +69,9 @@ impl MobilityModel for LinearWalk {
     }
 }
 
-/// A piecewise-linear mobility trace through a list of `(time, distance)`
-/// waypoints.
-#[derive(Debug, Clone)]
-pub struct WaypointWalk {
-    waypoints: Vec<(SimTime, f64)>,
-}
-
-impl WaypointWalk {
-    /// Creates a trace from waypoints.  Waypoints are sorted by time; the
-    /// distance before the first waypoint is the first waypoint's distance
-    /// and after the last waypoint the last one's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `waypoints` is empty or contains a negative distance.
-    pub fn new(mut waypoints: Vec<(SimTime, f64)>) -> Self {
-        assert!(!waypoints.is_empty(), "waypoint walk needs at least one waypoint");
-        assert!(
-            waypoints.iter().all(|(_, d)| *d >= 0.0),
-            "distances must be non-negative"
-        );
-        waypoints.sort_by_key(|(t, _)| *t);
-        Self { waypoints }
-    }
-
-    /// The waypoints of this trace, sorted by time.
-    pub fn waypoints(&self) -> &[(SimTime, f64)] {
-        &self.waypoints
-    }
-}
-
-impl MobilityModel for WaypointWalk {
-    fn distance_at(&self, time: SimTime) -> f64 {
-        let first = self.waypoints.first().expect("non-empty by construction");
-        if time <= first.0 {
-            return first.1;
-        }
-        for window in self.waypoints.windows(2) {
-            let (t0, d0) = window[0];
-            let (t1, d1) = window[1];
-            if time <= t1 {
-                let span = t1.micros_since(t0) as f64;
-                if span == 0.0 {
-                    return d1;
-                }
-                let progress = time.micros_since(t0) as f64 / span;
-                return d0 + (d1 - d0) * progress;
-            }
-        }
-        self.waypoints.last().expect("non-empty by construction").1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn static_position_never_moves() {
-        let host = StaticPosition::new(25.0);
-        assert_eq!(host.distance_at(SimTime::ZERO), 25.0);
-        assert_eq!(host.distance_at(SimTime::from_secs(1000)), 25.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_static_distance_panics() {
-        let _ = StaticPosition::new(-1.0);
-    }
 
     #[test]
     fn linear_walk_interpolates() {
@@ -197,27 +97,5 @@ mod tests {
         assert_eq!(walk.distance_at(SimTime::ZERO), 5.0);
         let far = walk.distance_at(SimTime::from_secs(200));
         assert!((far - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn waypoint_walk_interpolates_between_points() {
-        let walk = WaypointWalk::new(vec![
-            (SimTime::from_secs(10), 5.0),
-            (SimTime::ZERO, 5.0),
-            (SimTime::from_secs(20), 25.0),
-            (SimTime::from_secs(30), 15.0),
-        ]);
-        assert_eq!(walk.distance_at(SimTime::ZERO), 5.0);
-        assert_eq!(walk.distance_at(SimTime::from_secs(5)), 5.0);
-        assert!((walk.distance_at(SimTime::from_secs(15)) - 15.0).abs() < 1e-9);
-        assert!((walk.distance_at(SimTime::from_secs(25)) - 20.0).abs() < 1e-9);
-        assert_eq!(walk.distance_at(SimTime::from_secs(100)), 15.0);
-        assert_eq!(walk.waypoints().len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one waypoint")]
-    fn empty_waypoints_panic() {
-        let _ = WaypointWalk::new(Vec::new());
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::link::{LinkConfig, TransmitOutcome};
 use crate::loss::{DistanceLossModel, LossModel};
-use crate::mobility::MobilityModel;
+use crate::mobility::LinearWalk;
 use crate::time::SimTime;
 
 /// Identifies one receiver attached to a [`WirelessLan`].
@@ -48,25 +48,13 @@ impl DeliveryRecord {
     }
 }
 
+#[derive(Debug)]
 enum ReceiverLoss {
     Fixed(Box<dyn LossModel>),
     Mobile {
         loss: DistanceLossModel,
-        mobility: Box<dyn MobilityModel>,
+        mobility: LinearWalk,
     },
-}
-
-impl fmt::Debug for ReceiverLoss {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReceiverLoss::Fixed(model) => f.debug_tuple("Fixed").field(model).finish(),
-            ReceiverLoss::Mobile { loss, mobility } => f
-                .debug_struct("Mobile")
-                .field("loss", loss)
-                .field("mobility", mobility)
-                .finish(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -134,7 +122,7 @@ impl WirelessLan {
         &mut self,
         name: impl Into<String>,
         loss: DistanceLossModel,
-        mobility: Box<dyn MobilityModel>,
+        mobility: LinearWalk,
     ) -> ReceiverId {
         let id = ReceiverId(self.receivers.len());
         self.receivers.push(Receiver {
@@ -309,7 +297,6 @@ impl WirelessLan {
 mod tests {
     use super::*;
     use crate::loss::{BernoulliLoss, PerfectLink};
-    use crate::mobility::LinearWalk;
 
     #[test]
     fn broadcast_reaches_every_receiver_with_perfect_links() {
@@ -372,7 +359,7 @@ mod tests {
         let id = lan.add_mobile_receiver(
             "walker",
             DistanceLossModel::wavelan_2mbps(),
-            Box::new(LinearWalk::new(5.0, 45.0, SimTime::ZERO, 1.0)),
+            LinearWalk::new(5.0, 45.0, SimTime::ZERO, 1.0),
         );
         // Near the start of the walk the loss is tiny...
         let early = lan.receiver_nominal_loss(id, SimTime::from_secs(1));

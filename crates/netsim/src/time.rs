@@ -91,39 +91,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A monotonically advancing simulated clock.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock by `micros` microseconds and returns the new time.
-    pub fn advance_micros(&mut self, micros: u64) -> SimTime {
-        self.now += micros;
-        self.now
-    }
-
-    /// Advances the clock to `time` if `time` is in the future; a clock never
-    /// moves backwards.
-    pub fn advance_to(&mut self, time: SimTime) -> SimTime {
-        if time > self.now {
-            self.now = time;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,17 +110,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(2) - t, 1_000);
         assert_eq!(t - SimTime::from_millis(2), 0); // saturating
         assert_eq!(SimTime::from_millis(2).micros_since(t), 1_000);
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut clock = SimClock::new();
-        assert_eq!(clock.now(), SimTime::ZERO);
-        clock.advance_micros(10);
-        clock.advance_to(SimTime::from_micros(5));
-        assert_eq!(clock.now().as_micros(), 10, "clock never moves backwards");
-        clock.advance_to(SimTime::from_micros(50));
-        assert_eq!(clock.now().as_micros(), 50);
     }
 
     #[test]

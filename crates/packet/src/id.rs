@@ -5,13 +5,10 @@
 //! source of bugs in proxy code, so each gets its own newtype
 //! (per the C-NEWTYPE guideline).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A monotonically increasing per-stream packet sequence number.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeqNo(u64);
 
 impl SeqNo {
@@ -67,9 +64,7 @@ impl From<SeqNo> for u64 {
 
 /// Identifies one logical data stream handled by a proxy (a proxy may carry
 /// several streams, each with its own filter chain).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(u32);
 
 impl StreamId {
@@ -98,9 +93,7 @@ impl From<u32> for StreamId {
 
 /// Identifies one FEC block: a group of `k` consecutive source packets plus
 /// the `n - k` parity packets computed over them.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(u64);
 
 impl BlockId {

@@ -1,6 +1,5 @@
 //! Packet kinds and media frame types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::id::BlockId;
@@ -10,7 +9,7 @@ use crate::id::BlockId;
 /// The paper motivates frame-type awareness for FEC filters ("placing more
 /// redundancy in I frames than in B frames") and for choosing insertion
 /// points ("start the FEC filter at a frame boundary in the stream").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FrameType {
     /// Intra-coded frame: self-contained, most important.
     I,
@@ -43,7 +42,7 @@ impl fmt::Display for FrameType {
 }
 
 /// What a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// A block of PCM audio samples.
     AudioData,

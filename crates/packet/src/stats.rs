@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::SeqNo;
 
 /// The fate of one source packet at a receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LossEvent {
     /// The packet arrived over the network.
     Received,
@@ -25,7 +23,7 @@ pub enum LossEvent {
 }
 
 /// Aggregated statistics for one window of consecutive source packets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
     /// Sequence number of the first packet in the window.
     pub start_seq: u64,
@@ -63,7 +61,7 @@ impl fmt::Display for WindowStats {
 
 /// Accumulates per-packet outcomes into fixed-size windows, mirroring the
 /// x-axis of the paper's Figure 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReceiptStats {
     window_size: u64,
     windows: Vec<WindowStats>,

@@ -13,8 +13,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use rapidware_filters::{
     AudioTranscoderFilter, CompressorFilter, DecompressorFilter, DecryptFilter, DescramblerFilter,
     DropEveryNth, EncryptFilter, FecDecoderFilter, FecEncoderFilter, Filter, NullFilter,
@@ -24,7 +22,7 @@ use rapidware_filters::{
 use crate::error::ProxyError;
 
 /// A serialisable description of a filter to instantiate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterSpec {
     /// Registered kind name (e.g. `fec-encoder`).
     pub kind: String,

@@ -2016,6 +2016,9 @@ mod tests {
         // is handed back through the inbox — and the consumer: it empties
         // the 4-slot output only every eighth run, so the chain keeps going
         // from caught up (runs taken in place) to backed up (runs queued).
+        // After each emptying it waits for the task to settle — idle, inbox
+        // and output empty — so the next offer is taken in place however
+        // the workers are scheduled.
         const RUNS: u64 = 1_500;
         const RUN: u64 = 3;
         let runtime = Runtime::start(RuntimeConfig::new(2, 8));
@@ -2047,7 +2050,18 @@ mod tests {
                 }
             }
             if run % 8 == 7 {
-                collect(&mut delivered);
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                loop {
+                    collect(&mut delivered);
+                    // Idle first: an idle task stays idle until this thread
+                    // sends or receives, so the two pipe checks cannot race it.
+                    let idle = chain.task.state.load(Ordering::SeqCst) == IDLE;
+                    if idle && output.is_empty() && chain.work.in_rx.is_idle() {
+                        break;
+                    }
+                    assert!(std::time::Instant::now() < deadline, "the chain never settled");
+                    std::thread::yield_now();
+                }
             }
         }
         chain.close_input();

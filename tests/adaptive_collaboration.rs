@@ -60,11 +60,7 @@ fn observer_driven_adaptation_follows_a_simulated_walk() {
 
     let mut lan = WirelessLan::wavelan_2mbps(77);
     let walk = LinearWalk::new(5.0, 45.0, SimTime::from_secs(0), 2.0);
-    let receiver = lan.add_mobile_receiver(
-        "walker",
-        DistanceLossModel::wavelan_2mbps(),
-        Box::new(walk),
-    );
+    let receiver = lan.add_mobile_receiver("walker", DistanceLossModel::wavelan_2mbps(), walk);
 
     let mut installed_during_walk = false;
     for second in 0..40u64 {

@@ -1,13 +1,13 @@
 //! Batched data plane throughput: `process_batch` vs the per-packet path.
 //!
-//! Two comparisons, both on an FEC(6,4) encode → decode chain fed with the
-//! paper's 320-byte audio packets:
+//! Two comparisons on the synchronous `FilterChain` (the kernel every
+//! pooled stream and lane runs), fed with the paper's 320-byte audio
+//! packets:
 //!
-//! * `sync` — the synchronous `FilterChain`, per-packet `process` vs
+//! * `sync` — an FEC(6,4) encode → decode chain, per-packet `process` vs
 //!   `process_batch` at batch size 32;
-//! * `threaded` — the thread-per-filter `ThreadedChain`, per-packet workers
-//!   (batch size 1) vs batched workers draining up to 32 packets per pipe
-//!   lock.
+//! * `sync/batch-32-encrypted` — the same batched chain with the AEAD pair
+//!   sealing every frame, and its ratio to the plaintext chain.
 //!
 //! Prints packets/second for each path and the batched/per-packet speedup,
 //! and writes the criterion-style summary (median/min/max per path) to
@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use rapidware::filters::{DecryptFilter, EncryptFilter, FecDecoderFilter, FecEncoderFilter, FilterChain};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware::proxy::ThreadedChain;
 use rapidware_bench::report::{median, BenchReport};
 
 const PACKETS: usize = 8_192;
@@ -104,86 +103,14 @@ fn sync_batched_on(mut chain: FilterChain, packets: &[Packet]) -> f64 {
     packets.len() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Drives the thread-per-filter chain end to end.
-///
-/// `batched == false` is the per-packet path everywhere: per-packet sends
-/// into the chain, per-packet worker loops, per-packet receives at the
-/// output.  `batched == true` is the batched data plane: the producer sends
-/// 32-packet batches, every stage drains and emits batches, and the
-/// consumer drains batches.
-fn threaded(packets: &[Packet], batched: bool) -> f64 {
-    let batch_size = if batched { BATCH } else { 1 };
-    let chain = ThreadedChain::with_batch_size(128, batch_size).expect("chain");
-    chain
-        .push_back(Box::new(FecEncoderFilter::fec_6_4().expect("valid (n, k)")))
-        .expect("push encoder");
-    chain
-        .push_back(Box::new(FecDecoderFilter::fec_6_4().expect("valid (n, k)")))
-        .expect("push decoder");
-    let input = chain.input();
-    let output = chain.output();
-    let expected = packets.len();
-    let to_send = packets.to_vec();
-
-    let start = Instant::now();
-    let producer = std::thread::spawn(move || {
-        if batched {
-            let mut to_send = to_send;
-            while !to_send.is_empty() {
-                let rest = to_send.split_off(to_send.len().min(BATCH));
-                input.send_batch(to_send).expect("chain accepts packets");
-                to_send = rest;
-            }
-        } else {
-            for packet in to_send {
-                input.send(packet).expect("chain accepts packets");
-            }
-        }
-    });
-    let mut delivered = 0usize;
-    while delivered < expected {
-        if batched {
-            delivered += output.recv_up_to(BATCH).expect("stream open").len();
-        } else {
-            output.recv().expect("stream open");
-            delivered += 1;
-        }
-    }
-    let elapsed = start.elapsed();
-    producer.join().expect("producer");
-    chain.close_input();
-    chain.shutdown().expect("shutdown");
-    expected as f64 / elapsed.as_secs_f64()
-}
-
 fn main() {
     let packets = audio_packets();
     println!(
         "chain_batch_throughput: FEC(6,4) encode → decode, {PACKETS} packets × {PAYLOAD} B, batch {BATCH}"
     );
 
-    // The paper's architecture: thread-per-filter with pipes between the
-    // stages.  This is where batching pays — pipe locking, cross-thread
-    // wake-ups, and per-packet dispatch are amortised over each batch.
-    let threaded_serial_samples = pps_samples(|| threaded(&packets, false));
-    let threaded_batch_samples = pps_samples(|| threaded(&packets, true));
-    let threaded_serial = best(&threaded_serial_samples);
-    let threaded_batch = best(&threaded_batch_samples);
-    let speedup = threaded_batch / threaded_serial;
-    println!("threaded/per-packet:  {threaded_serial:>12.0} packets/s");
-    println!("threaded/batch-{BATCH}:    {threaded_batch:>12.0} packets/s");
-    println!(
-        "threaded speedup:     {speedup:.2}x ({})",
-        if speedup >= 1.5 {
-            "meets the >= 1.5x target"
-        } else {
-            "below the 1.5x target on this machine"
-        }
-    );
-
-    // Supplementary: the synchronous chain in isolation.  Here the FEC
-    // arithmetic dominates and batching only amortises dispatch and
-    // intermediate-buffer allocation, so the gap is small by design.
+    // The FEC arithmetic dominates, and batching only amortises dispatch
+    // and intermediate-buffer allocation, so the gap is small by design.
     let sync_serial_samples = pps_samples(|| sync_per_packet(&packets));
     let sync_batch_samples = pps_samples(|| sync_batched(&packets));
     let sync_serial = best(&sync_serial_samples);
@@ -206,17 +133,10 @@ fn main() {
     println!("encrypted/plaintext:  {ratio:.2}x");
 
     let mut report = BenchReport::new("chain_batch");
-    report.record("threaded/per-packet", "packets/s", &threaded_serial_samples);
-    report.record(format!("threaded/batch-{BATCH}"), "packets/s", &threaded_batch_samples);
     report.record("sync/per-packet", "packets/s", &sync_serial_samples);
     report.record(format!("sync/batch-{BATCH}"), "packets/s", &sync_batch_samples);
     report.record(format!("sync/batch-{BATCH}-encrypted"), "packets/s", &encrypted_samples);
     report.record("sync/encrypted-ratio", "x", &[ratio]);
-    report.record(
-        "threaded/speedup",
-        "x",
-        &[median(&threaded_batch_samples) / median(&threaded_serial_samples)],
-    );
     let path = report.write().expect("writing the bench report");
     println!("report: {}", path.display());
 }

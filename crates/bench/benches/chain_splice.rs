@@ -1,17 +1,13 @@
 //! E4 (bench form) — the cost of splicing a filter into a chain.
 //!
-//! Two measurements:
-//!
-//! * `splice_sync/insert+remove` — inserting and removing a filter in the
-//!   synchronous chain (pure data-structure cost);
-//! * `splice_threaded/insert+remove` — the same operation on the
-//!   thread-per-filter runtime with a live (but idle) stream, which includes
-//!   the pause → drain → reconnect protocol on the detachable pipes and the
-//!   worker thread lifecycle.
+//! `splice_sync/insert+remove` inserts and removes a filter in the
+//! synchronous chain: the pure data-structure cost of the splice a live
+//! stream performs under its session lock.  The live splice itself, on a
+//! running proxy stream, is timed by the `e4_insertion_latency` binary and
+//! by `proxybench`'s `proxy.splice_us_*` rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rapidware::filters::{FilterChain, NullFilter};
-use rapidware::proxy::ThreadedChain;
 
 fn bench_sync_splice(c: &mut Criterion) {
     let mut group = c.benchmark_group("splice_sync");
@@ -29,20 +25,5 @@ fn bench_sync_splice(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded_splice(c: &mut Criterion) {
-    let mut group = c.benchmark_group("splice_threaded");
-    group.sample_size(20);
-    group.bench_function("insert+remove", |b| {
-        let chain = ThreadedChain::new().expect("chain");
-        chain.push_back(Box::new(NullFilter::new())).expect("push");
-        b.iter(|| {
-            chain.insert(0, Box::new(NullFilter::new())).expect("insert");
-            chain.remove(0).expect("remove")
-        });
-        chain.shutdown().expect("shutdown");
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_sync_splice, bench_threaded_splice);
+criterion_group!(benches, bench_sync_splice);
 criterion_main!(benches);

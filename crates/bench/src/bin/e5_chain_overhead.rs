@@ -2,9 +2,10 @@
 //!
 //! The paper's architecture pays one thread plus one detachable pipe per
 //! filter.  This experiment measures stream throughput as a function of
-//! chain depth for do-nothing (null) filters, on both runtimes: the
-//! synchronous chain (pure composition cost) and the thread-per-filter
-//! runtime (adds pipe hand-off and context switching, as in the paper).
+//! chain depth for do-nothing (null) filters, two ways: the synchronous
+//! chain (pure composition cost) and a live pooled proxy stream (the same
+//! chain as one task on the worker pool, plus the pipe hand-off into and
+//! out of the proxy).
 //!
 //! Run with `cargo run --release -p rapidware-bench --bin e5_chain_overhead`.
 
@@ -13,7 +14,7 @@ use std::time::Instant;
 use rapidware::filters::{FilterChain, NullFilter};
 use rapidware::media::AudioSource;
 use rapidware::packet::StreamId;
-use rapidware::proxy::ThreadedChain;
+use rapidware::proxy::{FilterSpec, Proxy, RuntimeConfig};
 use rapidware_bench::rule;
 
 const PACKETS: u64 = 50_000;
@@ -34,13 +35,12 @@ fn sync_throughput(depth: usize) -> f64 {
     PACKETS as f64 / elapsed
 }
 
-fn threaded_throughput(depth: usize) -> f64 {
-    let chain = ThreadedChain::with_capacity(256).expect("chain");
-    for _ in 0..depth {
-        chain.push_back(Box::new(NullFilter::new())).expect("push");
+fn pooled_throughput(depth: usize) -> f64 {
+    let mut proxy = Proxy::with_runtime("e5", RuntimeConfig::default().with_pipe_capacity(256));
+    let (input, output) = proxy.add_stream_pooled("audio").expect("stream");
+    for position in 0..depth {
+        proxy.insert_filter("audio", position, &FilterSpec::new("null")).expect("insert");
     }
-    let input = chain.input();
-    let output = chain.output();
     let consumer = std::thread::spawn(move || {
         let mut count = 0u64;
         while output.recv().is_ok() {
@@ -53,11 +53,11 @@ fn threaded_throughput(depth: usize) -> f64 {
     for _ in 0..PACKETS {
         input.send(source.next_packet()).expect("send");
     }
-    chain.close_input();
+    input.close();
     let delivered = consumer.join().expect("consumer");
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(delivered, PACKETS);
-    chain.shutdown().expect("shutdown");
+    proxy.shutdown().expect("shutdown");
     PACKETS as f64 / elapsed
 }
 
@@ -65,25 +65,17 @@ fn main() {
     println!("E5: null-filter chain overhead ({PACKETS} packets of 320-byte audio per point)");
     println!(
         "{:>6}  {:>22}  {:>22}  {:>8}",
-        "depth", "sync (packets/s)", "threaded (packets/s)", "ratio"
+        "depth", "sync (packets/s)", "pooled (packets/s)", "ratio"
     );
     rule(66);
-    let mut base_sync = None;
     for depth in [0usize, 1, 2, 4, 6, 8] {
         let sync = sync_throughput(depth);
-        let threaded = threaded_throughput(depth);
-        base_sync.get_or_insert(sync);
-        println!(
-            "{:>6}  {:>22.0}  {:>22.0}  {:>8.2}",
-            depth,
-            sync,
-            threaded,
-            sync / threaded
-        );
+        let pooled = pooled_throughput(depth);
+        println!("{:>6}  {:>22.0}  {:>22.0}  {:>8.2}", depth, sync, pooled, sync / pooled);
     }
     rule(66);
-    println!("expected shape: throughput decreases roughly linearly with chain depth; the");
-    println!("threaded runtime pays an extra constant factor per stage for pipe hand-off");
-    println!("and context switches, which is the price of the paper's thread-per-filter");
-    println!("architecture (and of being able to splice stages independently).");
+    println!("expected shape: sync throughput decreases roughly linearly with chain depth;");
+    println!("the pooled stream pays a constant factor for the pipe hand-offs in and out");
+    println!("and the task wake-ups, but no per-stage thread or pipe, so its cost grows");
+    println!("with depth only by the filters' own work.");
 }

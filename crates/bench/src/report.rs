@@ -9,7 +9,7 @@
 //! {
 //!   "bench": "chain_batch",
 //!   "measurements": [
-//!     { "name": "threaded/batch-32", "unit": "packets/s",
+//!     { "name": "sync/batch-32", "unit": "packets/s",
 //!       "median": 1234567.0, "min": 1200000.0, "max": 1300000.0,
 //!       "samples": [1200000.0, 1234567.0, 1300000.0] }
 //!   ]
@@ -94,7 +94,7 @@ impl RunMeta {
 /// One named measurement: repeated samples of the same quantity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// What was measured (e.g. `threaded/batch-32`).
+    /// What was measured (e.g. `sync/batch-32`).
     pub name: String,
     /// The unit every sample is in (e.g. `packets/s`).
     pub unit: String,

@@ -9,11 +9,11 @@
 //!
 //! | subsystem | crate | what it is |
 //! |---|---|---|
-//! | [`streams`] | `rapidware-streams` | detachable pipes (pause / reconnect / splice) — the paper's detachable Java I/O streams |
+//! | [`streams`] | `rapidware-streams` | bounded detachable pipes with blocking and watcher-driven ends — the paper's detachable Java I/O streams |
 //! | [`packet`] | `rapidware-packet` | the packet model, reorder buffers, receipt statistics |
 //! | [`fec`] | `rapidware-fec` | (n, k) block erasure codes over GF(2⁸) |
 //! | [`filters`] | `rapidware-filters` | the `Filter` trait, the reconfigurable chain, and the built-in filter library |
-//! | [`proxy`] | `rapidware-proxy` | the proxy: live-reconfigurable streams and fanout sessions on a fixed worker pool, filter registry, control protocol (plus the paper's thread-per-filter `ThreadedChain` as a reference type) |
+//! | [`proxy`] | `rapidware-proxy` | the proxy: live-reconfigurable streams and fanout sessions on a fixed worker pool (a splice takes the session's lock between two batches), filter registry, control protocol |
 //! | [`transport`] | `rapidware-transport` | readiness-driven UDP endpoints (N streams per socket) and the deterministic loopback impairment shim |
 //! | [`raplets`] | `rapidware-raplets` | observer / responder raplets and the adaptation engine |
 //! | [`netsim`] | `rapidware-netsim` | deterministic wireless LAN simulator (the testbed substitute) |
@@ -81,8 +81,7 @@ pub mod prelude {
     pub use rapidware_pavilion::{CollaborativeSession, DeviceProfile};
     pub use rapidware_proxy::{
         Command, ControlManager, FilterRegistry, FilterSpec, PooledSession, Proxy, Runtime,
-        RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, ThreadedChain,
-        UdpCarrierConfig,
+        RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig, UdpCarrierConfig,
     };
     pub use rapidware_transport::{
         ImpairedUdp, ImpairmentPlan, SharedUdpEgress, SharedUdpIngress, UdpConfig,

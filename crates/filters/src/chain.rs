@@ -3,10 +3,10 @@
 //! `FilterChain` is the data-plane half of the paper's `ControlThread`: an
 //! ordered vector of filters through which every packet of a stream flows,
 //! supporting insertion, removal, replacement, and reordering *while the
-//! stream is running*.  The synchronous chain here is deterministic (used by
-//! the simulator and the benchmarks); the threaded proxy runtime in
-//! `rapidware-proxy` applies the same operations to thread-per-filter chains
-//! connected by detachable pipes.
+//! stream is running*.  The chain is deterministic, and it is what every
+//! live stream runs too: `rapidware-proxy` steps one chain per stream or
+//! lane as a task on its worker pool and applies the same operations to it
+//! between two batches, under the session's lock.
 
 use std::fmt;
 use std::sync::Arc;

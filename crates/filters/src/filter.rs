@@ -49,8 +49,8 @@ impl fmt::Display for FilterDescriptor {
 
 /// The downstream side of a filter: where processed packets go.
 ///
-/// In the synchronous chain the output is simply a `Vec<Packet>`; in the
-/// threaded proxy runtime it is an adapter over a detachable sender.
+/// In the chain the output is simply a `Vec<Packet>` (the proxy's runtime
+/// runs the same chain and hands the batch to the next pipe afterwards).
 pub trait FilterOutput {
     /// Emits one packet downstream.
     fn emit(&mut self, packet: Packet);
@@ -69,8 +69,9 @@ impl FilterOutput for Vec<Packet> {
 /// emits extra parity packets every `k` inputs, a rate limiter drops
 /// packets, a decompressor may emit several packets for one input.
 ///
-/// Filters must be `Send` so that the threaded proxy runtime can run each
-/// one on its own thread, exactly as the paper's filters each own a thread.
+/// Filters must be `Send` so that the proxy's runtime can step a chain on
+/// whichever pool worker runs its task (the paper gives each filter a
+/// thread of its own).
 pub trait Filter: Send {
     /// Short, stable, human-readable name of this filter instance.
     fn name(&self) -> &str;
@@ -87,8 +88,8 @@ pub trait Filter: Send {
     /// Processes a batch of packets in order.
     ///
     /// This is the hot path of the batched data plane: the synchronous
-    /// [`FilterChain`](crate::FilterChain) and the threaded proxy runtime
-    /// hand a filter a whole batch at a time so that per-packet dispatch,
+    /// [`FilterChain`](crate::FilterChain), which the proxy's runtime runs,
+    /// hands a filter a whole batch at a time so that per-packet dispatch,
     /// queue locking, and allocation are amortised across the batch.  The
     /// default implementation simply loops over [`process`](Self::process),
     /// so implementing `process` alone is always correct; hot filters

@@ -6,9 +6,9 @@
 //! edge of a stream or lane — the end-to-end latency histogram fed by the
 //! ingress stamps the packets carry ([`Packet::ingress_ns`]).
 //!
-//! The sync applier, the pooled runtime, and the thread-per-filter chain
-//! all attach the same type, so latency series have identical names and
-//! semantics whichever data plane a stream runs on.
+//! The sync applier and the pooled runtime attach the same type, so
+//! latency series have identical names and semantics whichever data plane
+//! a stream runs on.
 //!
 //! [`Packet::ingress_ns`]: rapidware_packet::Packet::ingress_ns
 

@@ -1,9 +1,10 @@
 //! Control packets must pass through every filter the adaptive control
 //! loop can install.
 //!
-//! The closed-loop scenario engine keeps its *threaded* applier
-//! deterministic by sending a [`PacketKind::Control`] marker after each
-//! sample window and draining the chain until the marker emerges.  That
+//! The closed-loop scenario engine keeps its *live* applier
+//! (`engine/live.rs`) deterministic by sending a [`PacketKind::Control`]
+//! marker after each sample window and draining the chain until the marker
+//! emerges.  That
 //! protocol is sound only if every filter a responder can splice into a
 //! live chain forwards control packets immediately — never dropping,
 //! buffering, or transforming them.  This test pins that invariant for the
@@ -78,7 +79,7 @@ fn every_adaptive_filter_forwards_control_packets_immediately() {
 
 #[test]
 fn control_packets_traverse_a_full_adaptive_chain_in_order() {
-    // The exact shape the threaded applier's quiescence relies on: payloads
+    // The exact shape the live applier's quiescence relies on: payloads
     // and a trailing marker through an encoder chain — everything the
     // window produced must come out before the marker does.
     let mut chain = FilterChain::new();

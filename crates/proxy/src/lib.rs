@@ -22,13 +22,15 @@
 //! * [`ControlManager`], [`Command`], [`Response`] — the management
 //!   interface (the paper's Swing GUI, minus the Swing): query a proxy's
 //!   configuration, insert/remove/move filters, upload filter bundles.
-//! * [`ThreadedChain`] — the reference implementation of the paper's
-//!   `ControlThread` plus its filter vector: every filter runs on its own
-//!   thread, filters are connected by detachable pipes, and a splice is the
-//!   paper's pause → drain → reconnect protocol.  It is a library type the
-//!   experiment binaries and benches measure; a [`Proxy`] places no work on
-//!   it — its live counterpart is a [`PooledSession`] lane, spliced under
-//!   the session's lock between two batches.
+//!
+//! The paper splices a filter into a live stream with a `ControlThread`
+//! that pauses the detachable stream in front of the splice point, waits
+//! for it to drain, and reconnects it through the new filter.  Here a
+//! splice takes the session's lock between two batches instead
+//! ([`PooledSession::insert_lane_filter`] and friends): no batch is inside
+//! the chain while it changes, so nothing is lost or reordered, and a
+//! removed filter's buffered output joins the stream ahead of later
+//! traffic.
 //!
 //! ## Example
 //!
@@ -70,7 +72,6 @@ mod proxy;
 mod registry;
 pub mod runtime;
 mod session;
-mod threaded;
 mod udp;
 
 pub use control::{Command, ControlManager, Response};
@@ -78,8 +79,7 @@ pub use error::ProxyError;
 pub use proxy::{Proxy, ProxyStatus, StreamStatus};
 pub use registry::{FilterRegistry, FilterSpec};
 pub use runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus, ShardStatus};
-pub use session::{LaneStatus, SessionStatus};
-pub use threaded::{ChainStats, ThreadedChain};
+pub use session::{ChainStats, LaneStatus, SessionStatus};
 pub use udp::{
     SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig, SharedUdpStreamHandle,
     UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,

@@ -15,8 +15,7 @@ use rapidware_transport::{SharedUdpEgress, SharedUdpIngress, TransportSnapshot, 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
 use crate::runtime::{PooledSession, Runtime, RuntimeConfig, RuntimeStatus};
-use crate::session::SessionStatus;
-use crate::threaded::ChainStats;
+use crate::session::{ChainStats, SessionStatus};
 use crate::udp::{
     CarrierWork, SharedUdpSessionConfig, SharedUdpSessionHandle, SharedUdpStreamConfig,
     SharedUdpStreamHandle, UdpCarrier, UdpCarrierConfig, UdpCarrierHandle, UdpTransportStatus,

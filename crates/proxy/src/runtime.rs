@@ -84,8 +84,7 @@ use rapidware_transport::{Interest, Poller, RouteInlet, Token};
 
 use crate::error::ProxyError;
 use crate::registry::{FilterRegistry, FilterSpec};
-use crate::session::{LaneStatus, SessionStatus};
-use crate::threaded::ChainStats;
+use crate::session::{ChainStats, LaneStatus, SessionStatus};
 
 /// How long a graceful [`PooledSession::shutdown`] waits for the session's
 /// task to finish before reporting it leaked.
@@ -1846,7 +1845,9 @@ fn find_lane_mut<'a>(lanes: &'a mut [Lane], name: &str) -> Result<&'a mut Lane, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapidware_filters::{DropEveryNth, FecDecoderFilter, FecEncoderFilter, NullFilter};
+    use rapidware_filters::{
+        DropEveryNth, FecDecoderFilter, FecEncoderFilter, FilterError, FilterOutput, NullFilter,
+    };
     use rapidware_packet::{PacketKind, SeqNo, StreamId};
 
     fn packet(seq: u64) -> Packet {
@@ -1921,6 +1922,71 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup();
         assert!(seqs.len() >= 395, "near-complete recovery, got {} of 400", seqs.len());
+        chain.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn filter_errors_are_counted_not_fatal() {
+        struct Failing;
+        impl Filter for Failing {
+            fn name(&self) -> &str {
+                "failing"
+            }
+            fn process(
+                &mut self,
+                packet: Packet,
+                out: &mut dyn FilterOutput,
+            ) -> Result<(), FilterError> {
+                if packet.seq().value().is_multiple_of(2) {
+                    Err(FilterError::Internal("simulated failure".into()))
+                } else {
+                    out.emit(packet);
+                    Ok(())
+                }
+            }
+        }
+        let runtime = Runtime::start(RuntimeConfig::new(1, 1));
+        let (chain, output) = one_lane(&runtime, "f", 128, 1);
+        chain.insert_lane_filter_boxed("f", 0, Box::new(Failing)).unwrap();
+        let input = chain.input();
+        for seq in 0..10 {
+            input.send(packet(seq)).unwrap();
+        }
+        chain.close_input();
+        let received: Vec<u64> = collect_all(&output).iter().map(|p| p.seq().value()).collect();
+        assert_eq!(received, vec![1, 3, 5, 7, 9]);
+        assert_eq!(chain.lane_stats("f").unwrap().filter_errors, 5);
+        chain.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn remove_with_unconsumed_output_does_not_block() {
+        // A filter whose flush produces residue (the FEC encoder with a
+        // partial block) is removed while nothing reads the lane.  The
+        // removal must not wait for the reader; the residue stays queued
+        // ahead of later traffic and is read afterwards.
+        let runtime = Runtime::start(RuntimeConfig::new(1, 8));
+        let (chain, output) = one_lane(&runtime, "r", 128, 8);
+        let encoder = FecEncoderFilter::fec_6_4().unwrap();
+        chain.insert_lane_filter_boxed("r", 0, Box::new(encoder)).unwrap();
+        let input = chain.input();
+        input.send(packet(0)).unwrap();
+        assert_eq!(output.recv().unwrap().seq().value(), 0);
+
+        let removed = chain.remove_lane_filter("r", 0).unwrap();
+        assert_eq!(removed.name(), "fec-encoder(6,4)");
+        input.send(packet(1)).unwrap();
+        chain.close_input();
+        let rest = collect_all(&output);
+        let parity = rest.iter().filter(|p| p.kind().is_parity()).count();
+        let payload: Vec<u64> =
+            rest.iter().filter(|p| p.kind().is_payload()).map(|p| p.seq().value()).collect();
+        assert_eq!(parity, 2);
+        assert_eq!(payload, vec![1]);
+        let first = |parity: bool| rest.iter().position(|p| p.kind().is_parity() == parity);
+        assert!(first(true) < first(false), "the residue comes first");
         chain.shutdown().unwrap();
         runtime.shutdown().unwrap();
     }

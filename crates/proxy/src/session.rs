@@ -40,7 +40,21 @@
 
 use rapidware_filters::SecureChannelSnapshot;
 
-use crate::threaded::ChainStats;
+/// Counters describing one chain of a session: its shared head chain or
+/// one receiver lane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainStats {
+    /// Number of filters currently installed.
+    pub filters: usize,
+    /// Packets accepted at the chain input so far.
+    pub packets_in: u64,
+    /// Packets delivered at the chain output so far.
+    pub packets_out: u64,
+    /// Number of completed splice operations (inserts, removals and moves).
+    pub splices: u64,
+    /// Packets dropped because a filter reported an error.
+    pub filter_errors: u64,
+}
 
 /// A status snapshot of one receiver lane.
 #[derive(Debug, Clone, PartialEq, Eq)]

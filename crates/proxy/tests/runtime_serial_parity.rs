@@ -6,10 +6,7 @@
 //! stealing, back-pressure parking) must be invisible in the output.
 //!
 //! This extends the PR 1/2 batch/serial parity suites from the data plane
-//! to the scheduler.  The thread-per-filter reference [`ThreadedChain`]
-//! rides along as one more executor (per-packet and batch-32 stage
-//! workers): nothing places work on it any more, so this is where it is
-//! held byte-identical to the serial chain.
+//! to the scheduler.
 
 use proptest::prelude::*;
 use rapidware_filters::{
@@ -18,7 +15,6 @@ use rapidware_filters::{
 };
 use rapidware_packet::{FrameType, Packet, PacketKind, SeqNo, StreamId};
 use rapidware_proxy::runtime::{Runtime, RuntimeConfig};
-use rapidware_proxy::ThreadedChain;
 
 /// Builds one of the built-in chain configurations as a filter list;
 /// called twice per case so the serial and pooled chains start from
@@ -144,27 +140,5 @@ proptest! {
         chain.shutdown().unwrap();
         prop_assert_eq!(runtime.live_tasks(), 0);
         runtime.shutdown().unwrap();
-
-        // The reference chain: one thread per filter, same filters, same
-        // packets, same EOF flush.
-        for stage_batch in [1, 32] {
-            let chain = ThreadedChain::with_batch_size(capacity, stage_batch).unwrap();
-            for filter in build_filters(selector) {
-                chain.push_back(filter).unwrap();
-            }
-            let input = chain.input();
-            let output = chain.output();
-            let consumer = std::thread::spawn(move || {
-                std::iter::from_fn(|| output.recv().ok()).collect::<Vec<Packet>>()
-            });
-            for packet in &packets {
-                input.send(packet.clone()).unwrap();
-            }
-            chain.close_input();
-            let threaded_out = consumer.join().unwrap();
-            prop_assert_eq!(&serial_out, &threaded_out, "selector {} threaded batch {}",
-                selector, stage_batch);
-            chain.shutdown().unwrap();
-        }
     }
 }

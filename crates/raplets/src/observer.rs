@@ -53,7 +53,7 @@ pub trait Observer: Send + fmt::Debug {
 /// Hysteresis (separate high and low thresholds) prevents the responder
 /// from thrashing — repeatedly inserting and removing the FEC filter — when
 /// the loss rate hovers near a single threshold, which matters because each
-/// reconfiguration costs a pause/splice on the live stream.
+/// reconfiguration costs a splice on the live stream.
 #[derive(Debug, Clone)]
 pub struct LossRateObserver {
     name: String,

@@ -17,10 +17,8 @@ pub enum SendError<T> {
     /// The sending half has been closed (explicitly or because every handle
     /// was dropped).  No further sends will ever succeed.
     Closed(T),
-    /// The receiver this sender is attached to has been closed or dropped.
-    /// The sender itself is still usable after a
-    /// [`reconnect`](crate::DetachableSender::reconnect) to a live
-    /// receiver.
+    /// The receiver has been closed or dropped.  No further sends will
+    /// ever succeed.
     ReceiverClosed(T),
 }
 
@@ -110,57 +108,6 @@ impl From<RecvError> for TryRecvError {
     }
 }
 
-/// Error returned by [`DetachableSender::pause`](crate::DetachableSender::pause).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PauseError {
-    /// The sender has already been closed.
-    Closed,
-}
-
-impl fmt::Display for PauseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PauseError::Closed => write!(f, "pause on a closed detachable sender"),
-        }
-    }
-}
-
-impl Error for PauseError {}
-
-/// Error returned by
-/// [`DetachableSender::reconnect`](crate::DetachableSender::reconnect).
-///
-/// Mirrors the `IOException("Already connected!")` thrown by the paper's
-/// `reconnect()` when either side is still attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReconnectError {
-    /// The sender is still attached to a receiver and has not been paused.
-    SenderStillConnected,
-    /// The target receiver already has a sender attached to it.
-    ReceiverStillConnected,
-    /// The sender has been closed.
-    SenderClosed,
-    /// The target receiver has been closed.
-    ReceiverClosed,
-}
-
-impl fmt::Display for ReconnectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReconnectError::SenderStillConnected => {
-                write!(f, "sender is already connected; call pause first")
-            }
-            ReconnectError::ReceiverStillConnected => {
-                write!(f, "receiver already has an attached sender")
-            }
-            ReconnectError::SenderClosed => write!(f, "reconnect on a closed sender"),
-            ReconnectError::ReceiverClosed => write!(f, "reconnect to a closed receiver"),
-        }
-    }
-}
-
-impl Error for ReconnectError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,11 +128,8 @@ mod tests {
             RecvError::Eof.to_string(),
             RecvError::Closed.to_string(),
             TryRecvError::Empty.to_string(),
-            PauseError::Closed.to_string(),
-            ReconnectError::SenderStillConnected.to_string(),
-            ReconnectError::ReceiverStillConnected.to_string(),
-            ReconnectError::SenderClosed.to_string(),
-            ReconnectError::ReceiverClosed.to_string(),
+            TryRecvError::Eof.to_string(),
+            TryRecvError::Closed.to_string(),
         ];
         for msg in messages {
             assert!(!msg.is_empty());
@@ -206,7 +150,5 @@ mod tests {
         assert_send_sync::<SendError<u32>>();
         assert_send_sync::<RecvError>();
         assert_send_sync::<TryRecvError>();
-        assert_send_sync::<PauseError>();
-        assert_send_sync::<ReconnectError>();
     }
 }

@@ -5,58 +5,57 @@
 //! McKinley & Padmanabhan in *"Design of Composable Proxy Filters for
 //! Heterogeneous Mobile Computing"* (ICDCS-21 workshop, 2001).
 //!
-//! A detachable pipe is a bounded, in-process, producer/consumer channel that
-//! — unlike an ordinary channel — can be **paused**, **disconnected**, and
-//! **reconnected** to a *different* peer while data is flowing.  This is the
-//! "glue" that lets a proxy insert, delete, and reorder filters on a live
-//! data stream without disturbing the endpoints and without losing,
-//! duplicating, or reordering any in-flight item.
+//! A detachable pipe is a bounded, in-process, producer/consumer channel
+//! with the paper's DOS/DIS shape: the buffer lives at the receiver, a
+//! closed sender is a clean end of stream, and back-pressure blocks a
+//! writer (or, for a cooperative task, hands its items back and fires a
+//! watcher when room opens up).  The paper also pauses and reconnects these
+//! streams to splice a filter into a live chain; in this workspace the
+//! splice happens one layer up instead — `rapidware-proxy` inserts or
+//! removes a filter between two batches under the session's lock — so a
+//! pipe here keeps its one peer for life and carries no pause state.
 //!
 //! ## Model
 //!
 //! * [`DetachableSender<T>`] is the analogue of `DetachableOutputStream`
-//!   (DOS): the writing half.  It holds a reference to the receiver it is
-//!   currently attached to (the paper's `DOS.sink`).
+//!   (DOS): the writing half.  It holds a reference to its receiver (the
+//!   paper's `DOS.sink`).
 //! * [`DetachableReceiver<T>`] is the analogue of `DetachableInputStream`
 //!   (DIS): the reading half.  The buffer lives on the receiver side, exactly
 //!   as in the paper, where data written to the DOS is buffered at the DIS.
 //! * [`pipe`] creates a connected pair, like the paper's `connect()`.
-//! * [`DetachableSender::pause`] implements the paper's `pause()` protocol:
-//!   block new writes, wait until the receiver has drained its buffer, then
-//!   mark both halves disconnected.
-//! * [`DetachableSender::reconnect`] implements `reconnect()`: attach the
-//!   sender to a (possibly different) receiver and resume any writers that
-//!   were blocked while the pipe was paused.
+//! * Blocking calls (`send`, `send_batch`, `recv`, `recv_up_to`,
+//!   `recv_timeout`) park the calling thread; the non-blocking ones
+//!   (`try_send_batch`, `try_recv`, `try_recv_up_to`) plus a
+//!   [`PipeWatcher`] serve a task on a worker pool.
 //!
 //! ## Integrity invariant
 //!
-//! For any interleaving of `send`, `recv`, `pause`, and `reconnect` calls,
-//! every item that `send` reports as delivered is received **exactly once**
-//! and **in order** by whichever receiver the sender was attached to at the
-//! time of the send.  Pausing never drops buffered items: `pause` returns
-//! only after the old receiver has drained everything that was sent to it.
+//! Every item that a send reports as delivered is received **exactly once**
+//! and **in order**, unless the receiver is closed first (which drops what
+//! it buffered), and it is counted in both halves' [`PipeStats`] before any
+//! reader can receive it.
 //!
 //! ## Example
 //!
 //! ```
-//! use rapidware_streams::pipe;
+//! use rapidware_streams::{pipe, RecvError};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A proxy forwards packets from an upstream filter to a downstream one.
-//! let (tx, rx) = pipe::<u32>(8);
+//! let (tx, rx) = pipe::<u32>(2);
 //! tx.send(1)?;
-//! tx.send(2)?;
-//! assert_eq!(rx.recv()?, 1);
 //!
-//! // Splice in a new stage: pause the sender (drains the old receiver),
-//! // then reconnect it to a brand-new receiver.
-//! let consumed: u32 = rx.recv()?; // drain so pause() does not block
-//! assert_eq!(consumed, 2);
-//! tx.pause()?;
-//! let (_new_tx, new_rx) = rapidware_streams::detached_pair::<u32>(8);
-//! tx.reconnect(&new_rx)?;
-//! tx.send(3)?;
-//! assert_eq!(new_rx.recv()?, 3);
+//! // A cooperative writer never blocks: what does not fit comes back.
+//! let leftover = tx.try_send_batch(vec![2, 3, 4])?;
+//! assert_eq!(leftover, vec![3, 4]);
+//! assert_eq!(rx.recv_up_to(8)?, vec![1, 2]);
+//!
+//! // Closing the sender ends the stream once the buffer drains.
+//! tx.send_batch(leftover)?;
+//! tx.close();
+//! assert_eq!(rx.recv_up_to(8)?, vec![3, 4]);
+//! assert_eq!(rx.recv(), Err(RecvError::Eof));
 //! # Ok(())
 //! # }
 //! ```
@@ -69,9 +68,6 @@ mod error;
 mod pipe;
 mod stats;
 
-pub use error::{PauseError, ReconnectError, RecvError, SendError, TryRecvError};
-pub use pipe::{
-    detached_pair, pipe, DetachableReceiver, DetachableSender, IntoIter, PipeWatcher,
-    DEFAULT_CAPACITY,
-};
+pub use error::{RecvError, SendError, TryRecvError};
+pub use pipe::{pipe, DetachableReceiver, DetachableSender, IntoIter, PipeWatcher, DEFAULT_CAPACITY};
 pub use stats::PipeStats;

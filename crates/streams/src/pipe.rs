@@ -1,25 +1,26 @@
 //! The detachable pipe itself: [`DetachableSender`] and [`DetachableReceiver`].
 //!
-//! The implementation mirrors the structure of the paper's
+//! The implementation keeps the structure of the paper's
 //! `DetachableOutputStream` / `DetachableInputStream` pair:
 //!
 //! * the item buffer lives on the **receiver** side (the DIS buffer);
-//! * the sender holds a reference to its current sink (the `DOS.sink` field);
-//! * `pause()` blocks new writes, waits for the receiver's buffer to drain,
-//!   and then marks both halves disconnected (the `swflag` protocol);
-//! * `reconnect()` validates that neither side is still connected, splices
-//!   the two halves together, clears the pause flag, and wakes every thread
-//!   that was blocked on the paused pipe (the `notifyAll()` calls).
+//! * the sender holds a reference to its sink (the `DOS.sink` field);
+//! * closing the sender is a clean end of stream the reader sees once the
+//!   buffer drains, and closing the receiver fails every later send.
+//!
+//! The paper's pause → drain → reconnect splice is not a pipe operation
+//! here: the proxy splices a filter into a session's chain between two
+//! batches under the session's lock, so a pipe never changes its peer.
 //!
 //! Beside the blocking calls each pipe offers non-blocking ones
 //! (`try_send_batch`, `try_recv_up_to`) and [`PipeWatcher`] hooks for
 //! cooperative tasks.  Every send, blocking or not, runs one send core
-//! (attach, push, release) and every receive one receive core (wait and
-//! pop), so the hand-off protocol and its wake and counting rules are
-//! written once per side.  Wakes go only where someone waits: a condvar
-//! notify with no waiter costs no syscall (see the `parking_lot` shim),
-//! and a pop fires the space watcher only after a `try_send_batch` was
-//! refused room, so a writer that keeps up is not re-woken per item.
+//! (closed? then push into the sink) and every receive one receive core
+//! (wait and pop), so the hand-off protocol and its wake and counting rules
+//! are written once per side.  Wakes go only where someone waits: a
+//! condvar notify with no waiter costs no syscall (see the `parking_lot`
+//! shim), and a pop fires the space watcher only after a `try_send_batch`
+//! was refused room, so a writer that keeps up is not re-woken per item.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::error::{PauseError, ReconnectError, RecvError, SendError, TryRecvError};
+use crate::error::{RecvError, SendError, TryRecvError};
 use crate::stats::PipeStats;
 
 /// Default buffer capacity (in items) of a detachable pipe created with
@@ -65,10 +66,8 @@ pub trait PipeWatcher: Send + Sync {
 struct RecvInner<T> {
     queue: VecDeque<T>,
     capacity: usize,
-    /// Whether a sender is currently attached to this receiver.
-    attached: bool,
-    /// Set when the attached sender closed the stream: once the queue drains,
-    /// `recv` reports a clean end of stream.
+    /// Set when the sender closed the stream: later sends fail, and once
+    /// the queue drains `recv` reports a clean end of stream.
     eof: bool,
     /// Set when every receiver handle has been dropped or `close` was called.
     closed: bool,
@@ -88,8 +87,6 @@ struct RecvShared<T> {
     not_empty: Condvar,
     /// Signalled when an item is popped (space is available again).
     not_full: Condvar,
-    /// Signalled when the queue becomes empty (pause() waits on this).
-    drained: Condvar,
     /// Number of live `DetachableReceiver` handles sharing this state.
     handles: AtomicUsize,
     stats: PipeStats,
@@ -106,21 +103,16 @@ impl<T> RecvShared<T> {
     }
 
     /// Releases `r` after a pop (`many`: possibly several slots freed) and
-    /// wakes who may be waiting for it: blocked senders, a pauser once the
-    /// queue is empty, and the space watcher only if a `try_send_batch`
-    /// was refused room since it last fired — a producer that was never
-    /// refused is not waiting for space.
+    /// wakes who may be waiting for it: blocked senders, and the space
+    /// watcher only if a `try_send_batch` was refused room since it last
+    /// fired — a producer that was never refused is not waiting for space.
     fn popped(&self, mut r: MutexGuard<'_, RecvInner<T>>, many: bool) {
-        let empty = r.queue.is_empty();
         let watcher = if std::mem::take(&mut r.refused) { r.space_watcher.clone() } else { None };
         drop(r);
         if many {
             self.not_full.notify_all();
         } else {
             self.not_full.notify_one();
-        }
-        if empty {
-            self.drained.notify_all();
         }
         if let Some(watcher) = watcher {
             watcher.notify();
@@ -132,24 +124,9 @@ impl<T> RecvShared<T> {
 // Sender-side shared state (the DOS).
 // ---------------------------------------------------------------------------
 
-struct SendInner<T> {
-    sink: Option<Arc<RecvShared<T>>>,
-    paused: bool,
-    closed: bool,
-    /// Number of `send` calls that have committed to the current sink but
-    /// not yet finished pushing.  `pause` waits for this to reach zero so
-    /// that no item can land on the *old* receiver after the pause completes
-    /// (the paper gets the same guarantee from `synchronized` write/pause).
-    in_flight: usize,
-}
-
 struct SendShared<T> {
-    inner: Mutex<SendInner<T>>,
-    /// Signalled when the sender is reconnected or closed, waking writers
-    /// that blocked while the pipe was paused or detached.
-    resumed: Condvar,
-    /// Signalled when an in-flight send completes (pause waits on this).
-    idle: Condvar,
+    /// The receiver this sender delivers into (the paper's `DOS.sink`).
+    sink: Arc<RecvShared<T>>,
     handles: AtomicUsize,
     stats: PipeStats,
 }
@@ -189,9 +166,8 @@ impl<T> Items<T> for Vec<T> {
 /// The writing half of a detachable pipe (the paper's
 /// `DetachableOutputStream`).
 ///
-/// Cloning a `DetachableSender` yields another handle to the *same* sender:
-/// the proxy's control thread typically keeps one clone for splicing while a
-/// filter thread uses another clone for writing.  The sender closes when the
+/// Cloning a `DetachableSender` yields another handle to the *same* sender,
+/// so several producers can feed one receiver.  The sender closes when the
 /// last handle is dropped or [`close`](Self::close) is called explicitly.
 pub struct DetachableSender<T> {
     shared: Arc<SendShared<T>>,
@@ -209,11 +185,10 @@ pub struct DetachableReceiver<T> {
 
 impl<T> fmt::Debug for DetachableSender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.shared.inner.lock();
+        let inner = self.shared.sink.inner.lock();
         f.debug_struct("DetachableSender")
-            .field("connected", &inner.sink.is_some())
-            .field("paused", &inner.paused)
-            .field("closed", &inner.closed)
+            .field("closed", &inner.eof)
+            .field("receiver_closed", &inner.closed)
             .finish()
     }
 }
@@ -224,7 +199,6 @@ impl<T> fmt::Debug for DetachableReceiver<T> {
         f.debug_struct("DetachableReceiver")
             .field("buffered", &inner.queue.len())
             .field("capacity", &inner.capacity)
-            .field("attached", &inner.attached)
             .field("eof", &inner.eof)
             .field("closed", &inner.closed)
             .finish()
@@ -276,21 +250,26 @@ impl<T> Drop for DetachableReceiver<T> {
 /// any item.
 pub fn pipe<T>(capacity: usize) -> (DetachableSender<T>, DetachableReceiver<T>) {
     assert!(capacity > 0, "detachable pipe capacity must be non-zero");
-    let receiver = DetachableReceiver::new_detached(capacity);
-    {
-        let mut r = receiver.shared.inner.lock();
-        r.attached = true;
-    }
+    let receiver = DetachableReceiver {
+        shared: Arc::new(RecvShared {
+            inner: Mutex::new(RecvInner {
+                queue: VecDeque::with_capacity(capacity.min(1024)),
+                capacity,
+                eof: false,
+                closed: false,
+                data_watcher: None,
+                space_watcher: None,
+                refused: false,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            handles: AtomicUsize::new(1),
+            stats: PipeStats::new(),
+        }),
+    };
     let sender = DetachableSender {
         shared: Arc::new(SendShared {
-            inner: Mutex::new(SendInner {
-                sink: Some(Arc::clone(&receiver.shared)),
-                paused: false,
-                closed: false,
-                in_flight: 0,
-            }),
-            resumed: Condvar::new(),
-            idle: Condvar::new(),
+            sink: Arc::clone(&receiver.shared),
             handles: AtomicUsize::new(1),
             stats: PipeStats::new(),
         }),
@@ -298,67 +277,31 @@ pub fn pipe<T>(capacity: usize) -> (DetachableSender<T>, DetachableReceiver<T>) 
     (sender, receiver)
 }
 
-/// Creates a sender and a receiver that are **not** connected to each other
-/// (nor to anything else).
-///
-/// Detached pairs are the raw material for splicing: the proxy creates a new
-/// filter with a detached input receiver and output sender, then uses
-/// [`DetachableSender::reconnect`] to wire it into a live chain.
-pub fn detached_pair<T>(capacity: usize) -> (DetachableSender<T>, DetachableReceiver<T>) {
-    (
-        DetachableSender::new_detached(),
-        DetachableReceiver::new_detached(capacity),
-    )
-}
-
 impl<T> DetachableSender<T> {
-    /// Creates a sender that is not attached to any receiver.  Sends block
-    /// until the sender is connected via [`reconnect`](Self::reconnect).
-    pub fn new_detached() -> Self {
-        Self {
-            shared: Arc::new(SendShared {
-                inner: Mutex::new(SendInner {
-                    sink: None,
-                    paused: false,
-                    closed: false,
-                    in_flight: 0,
-                }),
-                resumed: Condvar::new(),
-                idle: Condvar::new(),
-                handles: AtomicUsize::new(1),
-                stats: PipeStats::new(),
-            }),
-        }
-    }
-
-    /// Delivers `item` to the currently attached receiver.
+    /// Delivers `item` to the receiver.
     ///
-    /// If the pipe is paused or detached, the call **blocks** until the
-    /// sender is reconnected (this is what makes splicing transparent to the
-    /// upstream code, exactly as the paper's blocked writers are released by
-    /// `reconnect()`'s `notifyAll`).  If the receiver's buffer is full the
-    /// call blocks until space is available (back-pressure).
+    /// If the receiver's buffer is full the call **blocks** until space is
+    /// available (back-pressure).
     ///
     /// # Errors
     ///
     /// Returns [`SendError::Closed`] if this sender has been closed, or
-    /// [`SendError::ReceiverClosed`] if the attached receiver was closed; in
-    /// both cases the item is handed back inside the error.
+    /// [`SendError::ReceiverClosed`] if the receiver was closed; in both
+    /// cases the item is handed back inside the error.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
         self.send_items(Some(item), true)
             .map(drop)
             .map_err(|err| err.map(|item| item.expect("an undelivered item is handed back")))
     }
 
-    /// Delivers a whole batch to the currently attached receiver with one
-    /// lock acquisition (plus one per back-pressure stall).
+    /// Delivers a whole batch to the receiver with one lock acquisition
+    /// (plus one per back-pressure stall).
     ///
     /// Semantically equivalent to calling [`send`](Self::send) for each
-    /// item in order — the same blocking behaviour while paused or
-    /// detached, the same back-pressure against a full receiver buffer —
-    /// but the per-item mutex and wake-up costs are paid once per batch.
-    /// This is the sending half of the batched data plane; the receiving
-    /// half is [`DetachableReceiver::recv_up_to`].
+    /// item in order — the same back-pressure against a full receiver
+    /// buffer — but the per-item mutex and wake-up costs are paid once per
+    /// batch.  This is the sending half of the batched data plane; the
+    /// receiving half is [`DetachableReceiver::recv_up_to`].
     ///
     /// ```
     /// use rapidware_streams::pipe;
@@ -385,12 +328,12 @@ impl<T> DetachableSender<T> {
     ///
     /// This is the cooperative-scheduler counterpart of
     /// [`send_batch`](Self::send_batch): instead of parking the calling
-    /// thread on back-pressure, pause, or detachment, the call pushes the
-    /// longest prefix that fits and hands the rest back so the caller can
-    /// retry when its [`PipeWatcher`] fires.  An empty returned `Vec` means
-    /// everything was delivered.  Items delivered by this call are counted
-    /// in the pipe stats before the receiver lock is released, so an item a
-    /// consumer has received is always already counted.
+    /// thread on back-pressure, the call pushes the longest prefix that
+    /// fits and hands the rest back so the caller can retry when its
+    /// [`PipeWatcher`] fires.  An empty returned `Vec` means everything was
+    /// delivered.  Items delivered by this call are counted in the pipe
+    /// stats before the receiver lock is released, so an item a consumer
+    /// has received is always already counted.
     ///
     /// ```
     /// use rapidware_streams::pipe;
@@ -404,9 +347,8 @@ impl<T> DetachableSender<T> {
     /// # Errors
     ///
     /// Returns [`SendError::Closed`] if this sender has been closed or
-    /// [`SendError::ReceiverClosed`] if the attached receiver was closed,
-    /// carrying the undelivered items.  A paused or detached sender is not
-    /// an error: nothing is delivered and every item is handed back.
+    /// [`SendError::ReceiverClosed`] if the receiver was closed, carrying
+    /// the undelivered items.
     pub fn try_send_batch(&self, items: Vec<T>) -> Result<Vec<T>, SendError<Vec<T>>> {
         if items.is_empty() {
             return Ok(items);
@@ -414,49 +356,20 @@ impl<T> DetachableSender<T> {
         self.send_items(items, false)
     }
 
-    /// The send core under every send: attach, push, release.
+    /// The send core under every send: closed? then push into the sink.
     ///
-    /// Attach waits on `resumed` while the sender is paused or detached
-    /// when `block` is set, and hands every item back otherwise; then it
-    /// registers the send in flight, so a concurrent `pause` waits for the
-    /// push before it declares the old receiver drained.  Returns what was
-    /// not delivered, which only a non-blocking send leaves without error.
-    fn send_items<I: Items<T>>(&self, items: I, block: bool) -> Result<I, SendError<I>> {
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            loop {
-                if s.closed {
-                    return Err(SendError::Closed(items));
-                }
-                if let (false, Some(sink)) = (s.paused, &s.sink) {
-                    let sink = Arc::clone(sink);
-                    s.in_flight += 1;
-                    break sink;
-                }
-                self.shared.stats.record_blocked_send();
-                if !block {
-                    return Ok(items);
-                }
-                self.shared.resumed.wait(&mut s);
-            }
-        };
-        let result = self.push(&sink, items, block);
-        self.shared.inner.lock().in_flight -= 1;
-        self.shared.idle.notify_all();
-        result
-    }
-
-    /// The push loop: fills the receiver's queue to capacity, then hands
-    /// the rest back (setting `refused`, so the next pop fires the space
-    /// watcher), waits on `not_full` when `block` is set, or returns
-    /// [`SendError::ReceiverClosed`] once the receiver is closed.
-    fn push<I: Items<T>>(
-        &self,
-        sink: &RecvShared<T>,
-        mut items: I,
-        block: bool,
-    ) -> Result<I, SendError<I>> {
+    /// Fills the receiver's queue to capacity, then hands the rest back
+    /// (setting `refused`, so the next pop fires the space watcher), waits
+    /// on `not_full` when `block` is set, or returns
+    /// [`SendError::ReceiverClosed`] once the receiver is closed.  Returns
+    /// what was not delivered, which only a non-blocking send leaves
+    /// without error.
+    fn send_items<I: Items<T>>(&self, mut items: I, block: bool) -> Result<I, SendError<I>> {
+        let sink = &*self.shared.sink;
         let mut r = sink.inner.lock();
+        if r.eof {
+            return Err(SendError::Closed(items));
+        }
         loop {
             if r.closed {
                 return Err(SendError::ReceiverClosed(items));
@@ -492,169 +405,25 @@ impl<T> DetachableSender<T> {
         }
     }
 
-    /// Pauses the pipe: blocks new writes, waits until the attached
-    /// receiver's buffer has been fully drained by its reader, and then marks
-    /// both halves disconnected.
-    ///
-    /// After `pause` returns, the sender can be attached to a different
-    /// receiver with [`reconnect`](Self::reconnect).  Pausing an already
-    /// paused or detached sender is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PauseError::Closed`] if the sender has been closed.
-    ///
-    /// # Blocking
-    ///
-    /// This method blocks until the downstream reader drains the buffer; if
-    /// the reader has stopped reading (but is not closed) it blocks
-    /// indefinitely, matching the paper's `wait()` on the sink's sync object.
-    /// If the receiver is closed while waiting, the buffered items are
-    /// dropped along with the receiver and `pause` returns successfully.
-    pub fn pause(&self) -> Result<(), PauseError> {
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            if s.closed {
-                return Err(PauseError::Closed);
-            }
-            s.paused = true;
-            // Wait for sends that already committed to the current sink so
-            // no item can arrive at the old receiver after we detach.
-            while s.in_flight > 0 {
-                self.shared.idle.wait(&mut s);
-            }
-            s.sink.clone()
-        };
-        if let Some(sink) = sink {
-            let mut r = sink.inner.lock();
-            while !r.queue.is_empty() && !r.closed {
-                sink.drained.wait(&mut r);
-            }
-            r.attached = false;
-            drop(r);
-            // Wake a reader blocked on an empty queue so it can notice that
-            // the producer went away if it is polling connection state.
-            sink.not_empty.notify_all();
-        }
-        let mut s = self.shared.inner.lock();
-        s.sink = None;
-        drop(s);
-        self.shared.stats.record_pause();
-        Ok(())
-    }
-
-    /// Detaches this sender from its receiver **without** waiting for the
-    /// receiver's buffer to drain.
-    ///
-    /// Unlike [`pause`](Self::pause), which implements the paper's
-    /// drain-before-switch protocol (needed when the *same* sender will be
-    /// re-attached elsewhere and ordering across the splice must be
-    /// preserved), `detach` simply severs the connection: items already
-    /// buffered at the receiver stay there and will be consumed in order
-    /// before anything a *later* sender attaches and delivers.  This is the
-    /// right operation when a sender is being discarded (e.g. a filter is
-    /// removed from a chain) and the downstream consumer may be slow or
-    /// absent — waiting for a drain there could block forever.
-    ///
-    /// The sender is left in the paused state; it can be re-attached with
-    /// [`reconnect`](Self::reconnect) or simply dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PauseError::Closed`] if the sender has been closed.
-    pub fn detach(&self) -> Result<(), PauseError> {
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            if s.closed {
-                return Err(PauseError::Closed);
-            }
-            s.paused = true;
-            // Let sends that already committed to the old sink finish so the
-            // buffered prefix is complete and ordered.
-            while s.in_flight > 0 {
-                self.shared.idle.wait(&mut s);
-            }
-            s.sink.take()
-        };
-        if let Some(sink) = sink {
-            let mut r = sink.inner.lock();
-            r.attached = false;
-            drop(r);
-            sink.not_empty.notify_all();
-        }
-        self.shared.stats.record_pause();
-        Ok(())
-    }
-
-    /// Attaches this (paused or detached) sender to `receiver` and resumes
-    /// any writers that were blocked while the pipe was paused.
-    ///
-    /// # Errors
-    ///
-    /// * [`ReconnectError::SenderStillConnected`] if the sender is attached
-    ///   and has not been paused (call [`pause`](Self::pause) first);
-    /// * [`ReconnectError::ReceiverStillConnected`] if `receiver` already has
-    ///   a sender attached;
-    /// * [`ReconnectError::SenderClosed`] / [`ReconnectError::ReceiverClosed`]
-    ///   if either half has been closed.
-    pub fn reconnect(&self, receiver: &DetachableReceiver<T>) -> Result<(), ReconnectError> {
-        let mut s = self.shared.inner.lock();
-        if s.closed {
-            return Err(ReconnectError::SenderClosed);
-        }
-        if s.sink.is_some() && !s.paused {
-            return Err(ReconnectError::SenderStillConnected);
-        }
-        {
-            let mut r = receiver.shared.inner.lock();
-            if r.closed {
-                return Err(ReconnectError::ReceiverClosed);
-            }
-            if r.attached {
-                return Err(ReconnectError::ReceiverStillConnected);
-            }
-            r.attached = true;
-            r.eof = false;
-        }
-        s.sink = Some(Arc::clone(&receiver.shared));
-        s.paused = false;
-        drop(s);
-        self.shared.stats.record_reconnect();
-        receiver.shared.stats.record_reconnect();
-        self.shared.resumed.notify_all();
-        receiver.shared.not_empty.notify_all();
-        Ok(())
-    }
-
-    /// Closes the sender.  If a receiver is attached, it observes a clean end
-    /// of stream once its buffer drains.  Subsequent sends fail with
+    /// Closes the sender.  The receiver observes a clean end of stream once
+    /// its buffer drains.  Subsequent sends fail with
     /// [`SendError::Closed`].
     pub fn close(&self) {
         self.close_impl();
     }
 
     fn close_impl(&self) {
-        let sink = {
-            let mut s = self.shared.inner.lock();
-            if s.closed {
-                None
-            } else {
-                s.closed = true;
-                s.sink.take()
-            }
-        };
-        self.shared.resumed.notify_all();
-        if let Some(sink) = sink {
-            let mut r = sink.inner.lock();
-            r.eof = true;
-            r.attached = false;
-            let watcher = r.data_watcher.clone();
-            drop(r);
-            sink.not_empty.notify_all();
-            sink.drained.notify_all();
-            if let Some(watcher) = watcher {
-                watcher.notify();
-            }
+        let sink = &*self.shared.sink;
+        let mut r = sink.inner.lock();
+        if r.eof {
+            return;
+        }
+        r.eof = true;
+        let watcher = r.data_watcher.clone();
+        drop(r);
+        sink.not_empty.notify_all();
+        if let Some(watcher) = watcher {
+            watcher.notify();
         }
     }
 
@@ -665,49 +434,15 @@ impl<T> DetachableSender<T> {
 }
 
 impl<T> DetachableReceiver<T> {
-    /// Creates a receiver that is not attached to any sender.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new_detached(capacity: usize) -> Self {
-        assert!(capacity > 0, "detachable pipe capacity must be non-zero");
-        Self {
-            shared: Arc::new(RecvShared {
-                inner: Mutex::new(RecvInner {
-                    queue: VecDeque::with_capacity(capacity.min(1024)),
-                    capacity,
-                    attached: false,
-                    eof: false,
-                    closed: false,
-                    data_watcher: None,
-                    space_watcher: None,
-                    refused: false,
-                }),
-                not_empty: Condvar::new(),
-                not_full: Condvar::new(),
-                drained: Condvar::new(),
-                handles: AtomicUsize::new(1),
-                stats: PipeStats::new(),
-            }),
-        }
-    }
-
     /// Blocks until an item is available and returns it.
-    ///
-    /// While the pipe is paused for splicing, `recv` simply keeps waiting —
-    /// from the reader's perspective a splice is indistinguishable from a
-    /// quiet producer, which is exactly the transparency property the paper
-    /// requires of filter insertion.
     ///
     /// # Errors
     ///
-    /// Returns [`RecvError::Eof`] after the attached sender closed and the
-    /// buffer drained, or [`RecvError::Closed`] if the receiver was closed.
+    /// Returns [`RecvError::Eof`] after the sender closed and the buffer
+    /// drained, or [`RecvError::Closed`] if the receiver was closed.
     pub fn recv(&self) -> Result<T, RecvError> {
         self.pop(Wait::Forever, false, pop_one).map_err(ended)
     }
-
     /// Receives up to `max` buffered items with a single lock acquisition,
     /// blocking only for the first.
     ///
@@ -731,8 +466,8 @@ impl<T> DetachableReceiver<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RecvError::Eof`] after the attached sender closed and the
-    /// buffer drained, or [`RecvError::Closed`] if the receiver was closed.
+    /// Returns [`RecvError::Eof`] after the sender closed and the buffer
+    /// drained, or [`RecvError::Closed`] if the receiver was closed.
     ///
     /// # Panics
     ///
@@ -746,8 +481,8 @@ impl<T> DetachableReceiver<T> {
     /// **without blocking**.
     ///
     /// This is the cooperative-scheduler counterpart of
-    /// [`recv_up_to`](Self::recv_up_to): where a thread-per-filter worker
-    /// parks on an empty pipe, a pooled session task calls `try_recv_up_to`,
+    /// [`recv_up_to`](Self::recv_up_to): where a blocking reader parks its
+    /// thread on an empty pipe, a pooled session task calls `try_recv_up_to`,
     /// and — when it reports [`TryRecvError::Empty`] — goes idle until the
     /// receiver's data [`PipeWatcher`] fires.  The returned batch preserves
     /// arrival order and is never empty.
@@ -765,8 +500,8 @@ impl<T> DetachableReceiver<T> {
     /// # Errors
     ///
     /// Returns [`TryRecvError::Empty`] if nothing is buffered (but the
-    /// stream is still live), [`TryRecvError::Eof`] after the attached
-    /// sender closed and the buffer drained, or [`TryRecvError::Closed`] if
+    /// stream is still live), [`TryRecvError::Eof`] after the sender
+    /// closed and the buffer drained, or [`TryRecvError::Closed`] if
     /// the receiver was closed.
     ///
     /// # Panics
@@ -866,14 +601,12 @@ impl<T> DetachableReceiver<T> {
             return;
         }
         r.closed = true;
-        r.attached = false;
         r.queue.clear();
         let data_watcher = r.data_watcher.clone();
         let space_watcher = r.space_watcher.clone();
         drop(r);
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        self.shared.drained.notify_all();
         // Both sides of a cooperative pipeline must observe the close: a
         // reader task to stop waiting for data, a writer task to fail fast
         // instead of waiting for space that will never appear.
@@ -893,7 +626,7 @@ impl<T> DetachableReceiver<T> {
     /// Installs (or replaces) the data-readiness watcher of this receiver.
     ///
     /// The watcher is notified after items are delivered into the buffer,
-    /// when the attached sender closes (EOF becomes observable), and when
+    /// when the sender closes (EOF becomes observable), and when
     /// the receiver itself is closed.  If any of those conditions already
     /// holds at registration time the watcher fires immediately, so a
     /// consumer that registers *after* items arrived can never sleep
@@ -1075,136 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_waits_for_drain() {
-        let (tx, rx) = pipe::<u32>(8);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let tx_ctl = tx.clone();
-        let pauser = thread::spawn(move || {
-            tx_ctl.pause().unwrap();
-        });
-        thread::sleep(Duration::from_millis(50));
-        assert!(!pauser.is_finished(), "pause must wait for buffer drain");
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-        pauser.join().unwrap();
-        // Paused: a send is handed back undelivered.
-        assert_eq!(tx.try_send_batch(vec![3]).unwrap(), vec![3]);
-        // The receiver was let go, so the sender can take it back.
-        tx.reconnect(&rx).unwrap();
-        tx.send(4).unwrap();
-        assert_eq!(rx.recv().unwrap(), 4);
-    }
-
-    #[test]
-    fn paused_sender_blocks_until_reconnected() {
-        let (tx, rx) = pipe::<u32>(8);
-        tx.pause().unwrap();
-        let tx_writer = tx.clone();
-        let writer = thread::spawn(move || {
-            tx_writer.send(99).unwrap();
-        });
-        thread::sleep(Duration::from_millis(50));
-        assert!(!writer.is_finished(), "send must block while paused");
-        // Reconnect to a brand-new receiver; the blocked writer resumes and
-        // its item lands at the new receiver.
-        let new_rx = DetachableReceiver::new_detached(8);
-        tx.reconnect(&new_rx).unwrap();
-        writer.join().unwrap();
-        assert_eq!(new_rx.recv().unwrap(), 99);
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn reconnect_validations() {
-        let (tx, rx) = pipe::<u8>(4);
-        let other_rx = DetachableReceiver::new_detached(4);
-        // Still connected: must pause first.
-        assert_eq!(
-            tx.reconnect(&other_rx).unwrap_err(),
-            ReconnectError::SenderStillConnected
-        );
-        tx.pause().unwrap();
-        // Attaching to a receiver that already has a sender is rejected.
-        let (_tx2, rx2) = pipe::<u8>(4);
-        assert_eq!(
-            tx.reconnect(&rx2).unwrap_err(),
-            ReconnectError::ReceiverStillConnected
-        );
-        // Attaching to a closed receiver is rejected.
-        other_rx.close();
-        assert_eq!(
-            tx.reconnect(&other_rx).unwrap_err(),
-            ReconnectError::ReceiverClosed
-        );
-        // Reattaching to the original (now detached) receiver works.
-        tx.reconnect(&rx).unwrap();
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv().unwrap(), 5);
-    }
-
-    #[test]
-    fn reconnect_after_close_fails() {
-        let (tx, _rx) = pipe::<u8>(4);
-        tx.close();
-        let rx2 = DetachableReceiver::new_detached(4);
-        assert_eq!(
-            tx.reconnect(&rx2).unwrap_err(),
-            ReconnectError::SenderClosed
-        );
-        assert_eq!(tx.pause().unwrap_err(), PauseError::Closed);
-    }
-
-    #[test]
-    fn detach_does_not_wait_for_drain() {
-        let (tx, rx) = pipe::<u32>(8);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        // Nobody is reading rx, yet detach returns immediately.
-        tx.detach().unwrap();
-        assert_eq!(tx.try_send_batch(vec![9]).unwrap(), vec![9], "a detached send is handed back");
-        // The buffered items are still there, in order.
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-        // The receiver can be adopted by a new sender and ordering holds:
-        // old buffered items first, then the new sender's items.
-        let new_tx = DetachableSender::new_detached();
-        new_tx.reconnect(&rx).unwrap();
-        new_tx.send(3).unwrap();
-        assert_eq!(rx.recv().unwrap(), 3);
-        // The detached sender can also be re-attached elsewhere.
-        let other_rx = DetachableReceiver::new_detached(8);
-        tx.reconnect(&other_rx).unwrap();
-        tx.send(4).unwrap();
-        assert_eq!(other_rx.recv().unwrap(), 4);
-    }
-
-    #[test]
-    fn detach_on_closed_sender_errors() {
-        let (tx, _rx) = pipe::<u8>(4);
-        tx.close();
-        assert_eq!(tx.detach().unwrap_err(), PauseError::Closed);
-    }
-
-    #[test]
-    fn pause_is_idempotent() {
-        let (tx, _rx) = pipe::<u8>(4);
-        tx.pause().unwrap();
-        tx.pause().unwrap();
-        assert_eq!(tx.try_send_batch(vec![1]).unwrap(), vec![1], "a paused send is handed back");
-    }
-
-    #[test]
-    fn detached_pair_wires_up() {
-        let (tx, rx) = detached_pair::<u8>(4);
-        assert_eq!(tx.try_send_batch(vec![1]).unwrap(), vec![1], "a detached send is handed back");
-        assert!(rx.is_empty());
-        tx.reconnect(&rx).unwrap();
-        tx.send(3).unwrap();
-        assert_eq!(rx.recv().unwrap(), 3);
-    }
-
-    #[test]
     fn recv_up_to_batches_preserve_order_and_eof() {
         let (tx, rx) = pipe::<u32>(16);
         for item in 0..10 {
@@ -1261,77 +864,11 @@ mod tests {
     }
 
     #[test]
-    fn splice_moves_stream_mid_flight_without_loss() {
-        // Producer writes a monotone sequence; a "control thread" splices the
-        // stream from receiver A to receiver B mid-flight.  The union of
-        // items seen at A and B must be the exact sequence, in order.
-        const TOTAL: u64 = 10_000;
-        let (tx, rx_a) = pipe::<u64>(4);
-        let producer_tx = tx.clone();
-        let producer = thread::spawn(move || {
-            for i in 0..TOTAL {
-                producer_tx.send(i).unwrap();
-            }
-            producer_tx.close();
-        });
-
-        // Consume the head of the stream from A; with a 4-item buffer the
-        // producer cannot run far ahead, so the splice is guaranteed to
-        // happen mid-stream.
-        let mut seen_a = Vec::new();
-        for _ in 0..100 {
-            seen_a.push(rx_a.recv().unwrap());
-        }
-
-        // Initiate the splice from a control thread while this thread keeps
-        // draining A (pause() waits for the buffer to drain).
-        let pauser = {
-            let tx = tx.clone();
-            thread::spawn(move || tx.pause().unwrap())
-        };
-        loop {
-            match rx_a.recv_timeout(Duration::from_millis(20)) {
-                Ok(v) => seen_a.push(v),
-                Err(TryRecvError::Empty) => {
-                    if pauser.is_finished() && rx_a.is_empty() {
-                        break;
-                    }
-                }
-                Err(other) => panic!("unexpected receive error on A: {other}"),
-            }
-        }
-        pauser.join().unwrap();
-
-        // Reconnect the live sender to a brand-new receiver B.
-        let rx_b = DetachableReceiver::new_detached(4);
-        tx.reconnect(&rx_b).unwrap();
-
-        let mut seen_b = Vec::new();
-        while let Ok(v) = rx_b.recv() {
-            seen_b.push(v);
-        }
-        producer.join().unwrap();
-
-        let mut all = seen_a.clone();
-        all.extend(&seen_b);
-        assert_eq!(all.len() as u64, TOTAL, "no item lost or duplicated");
-        for (i, v) in all.iter().enumerate() {
-            assert_eq!(*v, i as u64, "items delivered in order");
-        }
-        assert!(!seen_b.is_empty(), "splice happened mid-stream");
-        assert!(seen_a.len() >= 100, "head of stream was seen at A");
-    }
-
-    #[test]
     fn stats_track_activity() {
         let (tx, rx) = pipe::<u8>(4);
         tx.send(1).unwrap();
         rx.recv().unwrap();
-        tx.pause().unwrap();
-        tx.reconnect(&rx).unwrap();
         assert_eq!(tx.stats().items(), 1);
-        assert_eq!(tx.stats().pauses(), 1);
-        assert_eq!(tx.stats().reconnects(), 1);
         assert_eq!(rx.stats().items(), 1);
     }
 
@@ -1429,15 +966,6 @@ mod tests {
         // Retrying the leftover now succeeds completely.
         assert!(tx.try_send_batch(leftover).unwrap().is_empty());
         assert_eq!(rx.recv_up_to(8).unwrap(), vec![3, 4]);
-    }
-
-    #[test]
-    fn try_send_batch_on_paused_or_detached_hands_everything_back() {
-        let (tx, _rx) = pipe::<u8>(4);
-        tx.pause().unwrap();
-        assert_eq!(tx.try_send_batch(vec![1, 2]).unwrap(), vec![1, 2]);
-        let detached = DetachableSender::<u8>::new_detached();
-        assert_eq!(detached.try_send_batch(vec![3]).unwrap(), vec![3]);
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub struct PipeStats {
 #[derive(Debug, Default)]
 struct StatsInner {
     items: AtomicU64,
-    pauses: AtomicU64,
-    reconnects: AtomicU64,
     blocked_sends: AtomicU64,
 }
 
@@ -36,14 +34,6 @@ impl PipeStats {
         self.inner.items.fetch_add(count, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_pause(&self) {
-        self.inner.pauses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_reconnect(&self) {
-        self.inner.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_blocked_send(&self) {
         self.inner.blocked_sends.fetch_add(1, Ordering::Relaxed);
     }
@@ -51,16 +41,6 @@ impl PipeStats {
     /// Number of items successfully transferred so far.
     pub fn items(&self) -> u64 {
         self.inner.items.load(Ordering::Relaxed)
-    }
-
-    /// Number of completed `pause()` operations so far.
-    pub fn pauses(&self) -> u64 {
-        self.inner.pauses.load(Ordering::Relaxed)
-    }
-
-    /// Number of completed `reconnect()` operations so far.
-    pub fn reconnects(&self) -> u64 {
-        self.inner.reconnects.load(Ordering::Relaxed)
     }
 
     /// Number of `send` calls that had to block before completing.
@@ -76,20 +56,15 @@ mod tests {
     #[test]
     fn counters_start_at_zero() {
         let stats = PipeStats::new();
-        let counts = [stats.items(), stats.pauses(), stats.reconnects(), stats.blocked_sends()];
-        assert_eq!(counts, [0; 4]);
+        assert_eq!([stats.items(), stats.blocked_sends()], [0; 2]);
     }
 
     #[test]
     fn counters_accumulate() {
         let stats = PipeStats::new();
         stats.record_items(2);
-        stats.record_pause();
-        stats.record_reconnect();
         stats.record_blocked_send();
         assert_eq!(stats.items(), 2);
-        assert_eq!(stats.pauses(), 1);
-        assert_eq!(stats.reconnects(), 1);
         assert_eq!(stats.blocked_sends(), 1);
     }
 

@@ -386,7 +386,7 @@ impl SharedUdpIngress {
             None => Some(run),
         };
         let Some(run) = offered else { return };
-        // Never block the drain: a full (or paused/closed) route sheds what
+        // Never block the drain: a full (or closed) route sheds what
         // it cannot take, UDP-style, instead of stalling neighbouring
         // streams.
         let shed = match route.sink.try_send_batch(run) {

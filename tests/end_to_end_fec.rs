@@ -2,7 +2,7 @@
 //!
 //! media source -> filter chain (FEC encoder) -> simulated wireless LAN ->
 //! per-receiver FEC decoders, run by the scenario engine, plus the same
-//! pipeline on the threaded proxy runtime with in-chain fault injection.
+//! pipeline on a live proxy stream with in-chain fault injection.
 
 use rapidware::prelude::*;
 
@@ -70,21 +70,19 @@ fn fec_beats_no_fec_at_every_distance() {
 
 #[test]
 fn threaded_proxy_pipeline_with_fault_injection_recovers_losses() {
-    // The same pipeline, but on real threads connected by detachable pipes,
-    // with the loss injected by a filter inside the chain.
-    let chain = ThreadedChain::new().expect("chain");
-    chain
-        .push_back(Box::new(FecEncoderFilter::fec_6_4().unwrap()))
-        .unwrap();
-    chain
-        .push_back(Box::new(rapidware::filters::DropEveryNth::new(7)))
-        .unwrap();
-    chain
-        .push_back(Box::new(FecDecoderFilter::fec_6_4().unwrap()))
-        .unwrap();
-
-    let input = chain.input();
-    let output = chain.output();
+    // The same pipeline on a live proxy stream (one pooled task on the
+    // proxy's worker threads, fed and drained through its pipes), with the
+    // loss injected by a filter inside the chain.
+    let mut proxy = Proxy::new("fec");
+    let (input, output) = proxy.add_stream_pooled("audio").expect("stream");
+    let filters: [Box<dyn Filter>; 3] = [
+        Box::new(FecEncoderFilter::fec_6_4().unwrap()),
+        Box::new(rapidware::filters::DropEveryNth::new(7)),
+        Box::new(FecDecoderFilter::fec_6_4().unwrap()),
+    ];
+    for (position, filter) in filters.into_iter().enumerate() {
+        proxy.insert_filter_boxed("audio", position, filter).unwrap();
+    }
     let consumer = std::thread::spawn(move || {
         let mut sink = MediaSink::new();
         while let Ok(packet) = output.recv() {
@@ -98,16 +96,16 @@ fn threaded_proxy_pipeline_with_fault_injection_recovers_losses() {
     for _ in 0..total {
         input.send(source.next_packet()).unwrap();
     }
-    chain.close_input();
+    input.close();
     let sink = consumer.join().unwrap();
     let report = sink.report(total);
     let available = report.received + report.recovered;
     assert!(
         available as f64 / total as f64 > 0.99,
-        "FEC over the threaded chain should repair the injected losses \
+        "FEC on a live proxy stream should repair the injected losses \
          (got {available}/{total})"
     );
-    chain.shutdown().unwrap();
+    proxy.shutdown().unwrap();
 }
 
 #[test]

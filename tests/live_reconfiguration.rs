@@ -2,11 +2,19 @@
 //!
 //! Exercises the property at the core of the paper — filters can be
 //! inserted, removed, and reordered on a running stream without losing,
-//! duplicating, or reordering application data — on the thread-per-filter
-//! reference chain, on a live proxy via the control protocol, and under
-//! repeated churn.
+//! duplicating, or reordering application data — on a live proxy: a flat
+//! stream and a two-lane fanout session spliced while packets flow, the
+//! control protocol, and repeated churn.  Every splice paces on what the
+//! receivers have already read, so it lands mid-stream without a sleep.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rapidware::prelude::*;
+use rapidware::streams::DetachableReceiver;
+
+const HANG: Duration = Duration::from_secs(30);
 
 fn audio_packet(seq: u64) -> Packet {
     Packet::new(
@@ -17,61 +25,144 @@ fn audio_packet(seq: u64) -> Packet {
     )
 }
 
+/// Reads `output` to end of stream on its own thread, bumping `delivered`
+/// once per packet.
+fn drain(
+    output: DetachableReceiver<Packet>,
+    delivered: &Arc<AtomicU64>,
+) -> std::thread::JoinHandle<Vec<Packet>> {
+    let delivered = Arc::clone(delivered);
+    std::thread::spawn(move || {
+        let mut packets = Vec::new();
+        while let Ok(packet) = output.recv() {
+            packets.push(packet);
+            delivered.fetch_add(1, Ordering::Relaxed);
+        }
+        packets
+    })
+}
+
+/// Yields until `counter` reaches `count`.
+fn wait_for(counter: &AtomicU64, count: u64) {
+    let deadline = Instant::now() + HANG;
+    while counter.load(Ordering::Relaxed) < count {
+        assert!(Instant::now() < deadline, "stalled below {count}");
+        std::thread::yield_now();
+    }
+}
+
+/// Asserts a loss-free, in-order splice on one endpoint: every payload
+/// packet of `0..total` exactly once, in order, with its bytes intact.
+fn assert_intact(endpoint: &str, packets: &[Packet], total: u64) {
+    let payload: Vec<&Packet> = packets.iter().filter(|p| p.kind().is_payload()).collect();
+    assert_eq!(payload.len() as u64, total, "{endpoint}: no loss or duplication");
+    for (index, packet) in payload.iter().enumerate() {
+        assert_eq!(packet.seq().value(), index as u64, "{endpoint}: order preserved");
+        assert_eq!(
+            packet.payload(),
+            audio_packet(index as u64).payload(),
+            "{endpoint}: payload intact end to end (seq {index})"
+        );
+    }
+}
+
 #[test]
 fn repeated_splice_churn_preserves_the_stream() {
-    let chain = ThreadedChain::with_capacity(32).expect("chain");
-    let input = chain.input();
-    let output = chain.output();
-    let total: u64 = 6_000;
-
-    let producer = std::thread::spawn(move || {
-        for seq in 0..total {
-            input.send(audio_packet(seq)).unwrap();
-        }
-    });
-    let consumer = std::thread::spawn(move || {
-        let mut seqs = Vec::new();
-        while let Ok(packet) = output.recv() {
-            if packet.kind().is_payload() {
-                seqs.push(packet.seq().value());
+    // Churn on a flat stream and on both lanes of a fanout session at
+    // once, each on its own schedule.
+    let mut proxy = Proxy::with_runtime("churn", RuntimeConfig::new(2, 8).with_pipe_capacity(32));
+    let (stream_in, stream_out) = proxy.add_stream_pooled("audio").unwrap();
+    let session_in = proxy.add_session_pooled("room", 32, 8).unwrap();
+    let lanes = ["wired", "wlan"];
+    let delivered = Arc::new(AtomicU64::new(0));
+    let mut consumers = vec![("audio", drain(stream_out, &delivered))];
+    for lane in lanes {
+        let output = proxy.pooled_session("room").unwrap().add_lane(lane).unwrap();
+        consumers.push((lane, drain(output, &delivered)));
+    }
+    // The stream runs in one chunk per churn round, the next chunk goes out
+    // only after that round's splices, and the inputs close only after the
+    // clean-up below, so every splice lands on an open stream with more to
+    // come, however the threads are scheduled.
+    const ROUNDS: u64 = 20;
+    const CHUNK: u64 = 300;
+    let total = ROUNDS * CHUNK;
+    let rounds_done = Arc::new(AtomicU64::new(0));
+    let producer = {
+        let rounds_done = Arc::clone(&rounds_done);
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                wait_for(&rounds_done, round);
+                for seq in round * CHUNK..(round + 1) * CHUNK {
+                    stream_in.send(audio_packet(seq)).unwrap();
+                    session_in.send(audio_packet(seq)).unwrap();
+                }
             }
-        }
-        seqs
-    });
+            wait_for(&rounds_done, ROUNDS + 1);
+            stream_in.close();
+            session_in.close();
+        })
+    };
 
-    // Churn: repeatedly add and remove filters while the stream runs.
-    let registry = FilterRegistry::with_builtins();
-    for round in 0..20 {
-        let kind = match round % 4 {
+    // Churn: repeatedly add and remove filters while the stream runs, each
+    // round once a third of its chunk has reached every receiver.
+    let session = proxy.pooled_session("room").unwrap();
+    for round in 0..ROUNDS {
+        wait_for(&delivered, 3 * (round * CHUNK + CHUNK / 3));
+        let kind = |offset: u64| match (round + offset) % 4 {
             0 => "null",
             1 => "tap",
             2 => "scrambler",
             _ => "descrambler",
         };
-        let spec = FilterSpec::new(kind).with_param("key", "9").with_param("name", "churn");
-        chain
-            .insert(chain.len().min(round % 2), registry.instantiate(&spec).unwrap())
-            .unwrap();
-        if chain.len() > 2 {
-            chain.remove(chain.len() - 1).unwrap();
+        let spec = |offset| {
+            FilterSpec::new(kind(offset)).with_param("key", "9").with_param("name", "churn")
+        };
+        let at = (round % 2) as usize;
+        let len = proxy.filter_names("audio").unwrap().len();
+        proxy.insert_filter("audio", len.min(at), &spec(0)).unwrap();
+        if len + 1 > 2 {
+            proxy.remove_filter("audio", len).unwrap();
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        for (offset, lane) in (1..).zip(lanes) {
+            let len = session.lane_filter_names(lane).unwrap().len();
+            session.insert_lane_filter(lane, len.min(at), &spec(offset)).unwrap();
+            if len + 1 > 2 {
+                session.remove_lane_filter(lane, len).unwrap();
+            }
+        }
+        rounds_done.store(round + 1, Ordering::Relaxed);
     }
     // Remove whatever is left so the payload reaches the output unscrambled
     // (scrambler/descrambler pairs may have been split by the churn).
-    while !chain.is_empty() {
-        chain.remove(0).unwrap();
+    while !proxy.filter_names("audio").unwrap().is_empty() {
+        proxy.remove_filter("audio", 0).unwrap();
     }
+    for lane in lanes {
+        while !session.lane_filter_names(lane).unwrap().is_empty() {
+            session.remove_lane_filter(lane, 0).unwrap();
+        }
+    }
+    rounds_done.store(ROUNDS + 1, Ordering::Relaxed);
 
     producer.join().unwrap();
-    chain.close_input();
-    let seqs = consumer.join().unwrap();
-    assert_eq!(seqs.len() as u64, total, "no loss or duplication under churn");
-    for (index, seq) in seqs.iter().enumerate() {
-        assert_eq!(*seq, index as u64, "order preserved under churn");
+    let mut seen = Vec::new();
+    for (endpoint, consumer) in consumers {
+        seen.push((endpoint, consumer.join().unwrap()));
     }
-    assert!(chain.stats().splices >= 20);
-    chain.shutdown().unwrap();
+    for (endpoint, packets) in &seen {
+        let seqs: Vec<u64> =
+            packets.iter().filter(|p| p.kind().is_payload()).map(|p| p.seq().value()).collect();
+        assert_eq!(seqs.len() as u64, total, "{endpoint}: no loss or duplication under churn");
+        for (index, seq) in seqs.iter().enumerate() {
+            assert_eq!(*seq, index as u64, "{endpoint}: order preserved under churn");
+        }
+    }
+    assert!(proxy.stream_stats("audio").unwrap().splices >= 20);
+    for lane in lanes {
+        assert!(session.lane_stats(lane).unwrap().splices >= 20, "{lane}");
+    }
+    proxy.shutdown().unwrap();
 }
 
 #[test]
@@ -89,14 +180,8 @@ fn control_protocol_drives_a_live_proxy() {
     });
 
     // Configure the chain entirely over the text protocol.
-    assert_eq!(
-        manager.execute_line("insert stream=audio pos=0 kind=fec-encoder n=6 k=4"),
-        "ok"
-    );
-    assert_eq!(
-        manager.execute_line("insert stream=audio pos=1 kind=compressor"),
-        "ok"
-    );
+    assert_eq!(manager.execute_line("insert stream=audio pos=0 kind=fec-encoder n=6 k=4"), "ok");
+    assert_eq!(manager.execute_line("insert stream=audio pos=1 kind=compressor"), "ok");
     let status = manager.execute_line("query");
     assert!(status.contains("fec-encoder(6,4)"));
     assert!(status.contains("compressor"));
@@ -125,51 +210,56 @@ fn control_protocol_drives_a_live_proxy() {
 #[test]
 fn scrambler_pair_survives_being_spliced_in_and_out() {
     // Insert a scrambler/descrambler pair into a live stream, then remove
-    // both; every payload byte must survive untouched end to end.
-    let chain = ThreadedChain::new().expect("chain");
-    let input = chain.input();
-    let output = chain.output();
+    // both; every payload byte must survive untouched end to end.  The
+    // same splices run on a flat stream and on one lane of a two-lane
+    // session, whose other lane is never touched.
+    let mut proxy = Proxy::new("scrambled");
+    let (stream_in, stream_out) = proxy.add_stream_pooled("audio").unwrap();
+    let session_in = proxy.add_session_pooled("room", 64, 16).unwrap();
+    let session = proxy.pooled_session("room").unwrap();
+    let delivered = Arc::new(AtomicU64::new(0));
+    let consumers = [
+        ("audio", drain(stream_out, &delivered)),
+        ("wired", drain(session.add_lane("wired").unwrap(), &delivered)),
+        ("wlan", drain(session.add_lane("wlan").unwrap(), &delivered)),
+    ];
     let total = 300u64;
-
-    let consumer = std::thread::spawn(move || {
-        let mut packets = Vec::new();
-        while let Ok(packet) = output.recv() {
-            packets.push(packet);
+    let send = |range: std::ops::Range<u64>| {
+        for seq in range {
+            stream_in.send(audio_packet(seq)).unwrap();
+            session_in.send(audio_packet(seq)).unwrap();
         }
-        packets
-    });
+    };
 
-    for seq in 0..100u64 {
-        input.send(audio_packet(seq)).unwrap();
+    // A pair is two splices, and a packet still queued in front of a
+    // chain meets whatever half is installed when its batch runs.  So each
+    // half-pair moment starts only once everything sent so far has come
+    // out: the drain the paper's pause performs in front of the splice.
+    send(0..100);
+    wait_for(&delivered, 3 * 100);
+    let scrambler = FilterSpec::new("scrambler").with_param("key", "1234");
+    let descrambler = FilterSpec::new("descrambler").with_param("key", "1234");
+    proxy.insert_filter("audio", 0, &scrambler).unwrap();
+    proxy.insert_filter("audio", 1, &descrambler).unwrap();
+    session.insert_lane_filter("wlan", 0, &scrambler).unwrap();
+    session.insert_lane_filter("wlan", 1, &descrambler).unwrap();
+    send(100..200);
+    wait_for(&delivered, 3 * 200);
+    for _ in 0..2 {
+        proxy.remove_filter("audio", 0).unwrap();
+        session.remove_lane_filter("wlan", 0).unwrap();
     }
-    chain
-        .insert(0, Box::new(rapidware::filters::ScramblerFilter::new(1234)))
-        .unwrap();
-    chain
-        .insert(1, Box::new(rapidware::filters::DescramblerFilter::new(1234)))
-        .unwrap();
-    for seq in 100..200u64 {
-        input.send(audio_packet(seq)).unwrap();
-    }
-    // Remove the upstream (scrambler) half first: its removal drains every
-    // in-flight packet through the downstream descrambler before the pair is
-    // split, so nothing can emerge scrambled.
-    chain.remove(0).unwrap();
-    chain.remove(0).unwrap();
-    for seq in 200..total {
-        input.send(audio_packet(seq)).unwrap();
-    }
-    chain.close_input();
+    send(200..total);
+    stream_in.close();
+    session_in.close();
 
-    let delivered = consumer.join().unwrap();
-    assert_eq!(delivered.len() as u64, total);
-    for (index, packet) in delivered.iter().enumerate() {
-        assert_eq!(packet.seq().value(), index as u64);
-        assert_eq!(
-            packet.payload(),
-            audio_packet(index as u64).payload(),
-            "payload intact end to end (seq {index})"
-        );
+    for (endpoint, consumer) in consumers {
+        let packets = consumer.join().unwrap();
+        assert_eq!(packets.len() as u64, total, "{endpoint}");
+        assert_intact(endpoint, &packets, total);
     }
-    chain.shutdown().unwrap();
+    assert_eq!(proxy.stream_stats("audio").unwrap().splices, 4);
+    assert_eq!(session.lane_stats("wlan").unwrap().splices, 4);
+    assert_eq!(session.lane_stats("wired").unwrap().splices, 0);
+    proxy.shutdown().unwrap();
 }

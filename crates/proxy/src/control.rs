@@ -12,6 +12,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use rapidware_packet::Packet;
+use rapidware_streams::DetachableSender;
+
 use crate::error::ProxyError;
 use crate::proxy::{Proxy, ProxyStatus};
 use crate::registry::FilterSpec;
@@ -270,12 +273,19 @@ impl fmt::Display for Response {
 #[derive(Debug)]
 pub struct ControlManager {
     proxy: Proxy,
+    /// The inputs of streams added over the protocol: a stream ends once
+    /// every handle on its input is dropped, so the manager holds one and
+    /// such a stream stays open for splices until the proxy shuts down.
+    inputs: Vec<DetachableSender<Packet>>,
 }
 
 impl ControlManager {
     /// Wraps a proxy for management.
     pub fn new(proxy: Proxy) -> Self {
-        Self { proxy }
+        Self {
+            proxy,
+            inputs: Vec::new(),
+        }
     }
 
     /// Read access to the managed proxy.
@@ -303,7 +313,10 @@ impl ControlManager {
             Command::ListKinds => {
                 return Response::Kinds(self.proxy.status().available_kinds);
             }
-            Command::AddStream { stream } => self.proxy.add_stream_pooled(stream).map(|_| ()),
+            Command::AddStream { stream } => self
+                .proxy
+                .add_stream_pooled(stream)
+                .map(|(input, _output)| self.inputs.push(input)),
             Command::Insert {
                 stream,
                 position,

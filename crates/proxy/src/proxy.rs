@@ -169,6 +169,7 @@ fn status_stats(status: &ProxyStatus) -> Vec<Metric> {
         let socket_errors = [
             ("unknown_streams", carrier.unknown_streams),
             ("io_errors", carrier.io_errors),
+            ("deferrals", carrier.deferrals),
         ];
         fold(&scope, &socket_errors);
     }
@@ -411,7 +412,11 @@ impl Proxy {
     /// sessions ride at once, demultiplexed by the stream id in every
     /// packet header.  A carrier costs zero threads — it is one pool task,
     /// woken by socket readiness, that drains and flushes the socket in
-    /// batches.
+    /// batches.  Under load one wake-up serves a batch: a pass that drained
+    /// four or more datagrams, sent everything and took less than 50 µs
+    /// leaves the socket disarmed and runs again from a timer at its start
+    /// plus 50 µs (counted as `deferrals`), so a busy carrier adds at most
+    /// 50 µs of latency and a lightly loaded one none.
     ///
     /// Place work on the carrier with
     /// [`add_stream_udp_shared`](Self::add_stream_udp_shared) and
@@ -962,8 +967,9 @@ mod tests {
     #[test]
     fn status_reports_streams_and_kinds() {
         let mut proxy = Proxy::new("status-proxy");
-        proxy.add_stream_pooled("audio").unwrap();
-        proxy.add_stream_pooled("video").unwrap();
+        // Each stream stays open while its input is held.
+        let _audio = proxy.add_stream_pooled("audio").unwrap();
+        let _video = proxy.add_stream_pooled("video").unwrap();
         proxy
             .insert_filter("video", 0, &FilterSpec::new("rate-limiter"))
             .unwrap();

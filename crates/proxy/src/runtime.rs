@@ -72,7 +72,7 @@ use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -818,7 +818,7 @@ impl Runtime {
             _runtime: Arc::clone(self),
             work,
             task,
-            input,
+            input: input.into_uncounted(),
             capacity,
         }
     }
@@ -858,8 +858,11 @@ impl Runtime {
     ///
     /// The task is stepped whenever the socket is readable while
     /// `work.reading()` holds, writable after a [`SocketStep::Blocked`]
-    /// pass, or when [`SocketDriver::kick`] / a watcher installed via
-    /// [`SocketDriver::watch_source`] fires.  The first driver makes the
+    /// pass, at the deadline of a [`SocketStep::IdleUntil`] pass, or when
+    /// [`SocketDriver::kick`] / a watcher installed via
+    /// [`SocketDriver::watch_source`] fires.  The socket and the task's
+    /// timer are two registrations with one payload, the task.  The first
+    /// driver makes the
     /// pool's readiness set; from then on an idle worker parks in its
     /// `epoll_wait` (one at a time; the others on the condvar) and steps
     /// what it reports itself — the pool runs **no** extra thread,
@@ -880,15 +883,20 @@ impl Runtime {
             Arc::new(Poller::new().expect("creating the pool's epoll set and eventfd"))
         }));
         let mut slot = None;
-        // The socket is in the epoll set before the task's first step (the
-        // initial kick inside `register`), so that step's re-arm finds it.
+        // The socket and the timer are in the epoll set before the task's
+        // first step (the initial kick inside `register`), so that step's
+        // re-arm finds them.
         let task = self.register(|task| {
             let token = poller
                 .add(socket, Interest::READABLE, task.clone())
                 .expect("registering a socket with the pool's epoll set");
+            let timer = poller
+                .add_timer(task.clone())
+                .expect("registering a socket task's timer with the pool's epoll set");
             let registered = Arc::new(SocketSlot {
                 poller,
                 token,
+                timer,
                 stop: AtomicBool::new(false),
             });
             slot = Some(Arc::clone(&registered));
@@ -961,6 +969,10 @@ pub(crate) enum SocketStep {
     /// The OS refused a send (`WouldBlock`): step again when the socket
     /// reports writable.
     Blocked,
+    /// Like `Idle`, but the socket stays disarmed and the task's timer
+    /// steps it again at the deadline: under load one wake-up then serves
+    /// what arrived in between as one batch (see `CarrierWork::pass`).
+    IdleUntil(Instant),
 }
 
 /// What a socket task steps (a carrier, or a test's scripted fake).
@@ -975,12 +987,13 @@ pub(crate) trait SocketPass: Send + Sync {
     fn reading(&self) -> bool;
 }
 
-/// A socket's registration in the pool's readiness set, shared by its task
-/// and its driver.  `stop` is the driver's abort flag: the task runs one
-/// final pass (a best-effort flush) and finishes.
+/// A socket's registration in the pool's readiness set, and its task's
+/// timer, shared by the task and its driver.  `stop` is the driver's abort
+/// flag: the task runs one final pass (a best-effort flush) and finishes.
 struct SocketSlot {
     poller: Arc<Poller<Weak<Task>>>,
     token: Token,
+    timer: Token,
     stop: AtomicBool,
 }
 
@@ -992,13 +1005,30 @@ impl SocketSlot {
     /// no wake can be lost, and none arrives while a drain is still making
     /// progress.
     fn arm(&self, interest: Interest) {
-        match self.poller.arm(self.token, interest) {
+        Self::armed(self.poller.arm(self.token, interest));
+    }
+
+    /// Sets the task's timer for `deadline`, leaving the socket disarmed.
+    fn arm_timer(&self, deadline: Instant) {
+        let after = deadline.saturating_duration_since(Instant::now());
+        Self::armed(self.poller.arm_timer(self.timer, after));
+    }
+
+    fn armed(result: io::Result<()>) {
+        match result {
             Ok(()) => {}
             // The driver was deregistered while this step ran (its pool is
             // stopping): no further wake is owed.
             Err(err) if err.kind() == io::ErrorKind::NotFound => {}
-            Err(err) => panic!("re-arming a socket in the pool's epoll set failed: {err}"),
+            Err(err) => panic!("arming a socket task in the pool's epoll set failed: {err}"),
         }
+    }
+
+    /// Takes the socket and the timer out of the readiness set.
+    fn deregister(&self) -> io::Result<()> {
+        let socket = self.poller.remove(self.token);
+        self.poller.remove(self.timer)?;
+        socket.map(drop)
     }
 }
 
@@ -1039,6 +1069,10 @@ impl<W: SocketPass> TaskWork for SocketTaskWork<W> {
                 });
                 StepOutcome::Idle
             }
+            SocketStep::IdleUntil(deadline) => {
+                self.slot.arm_timer(deadline);
+                StepOutcome::Idle
+            }
         }
     }
 }
@@ -1064,9 +1098,10 @@ impl SocketDriver {
     }
 
     /// Stops the driver: the task runs one final pass (best-effort flush)
-    /// and finishes, and the socket is deregistered from the pool's
-    /// readiness set before this returns.  Call while the runtime's workers
-    /// are still running.
+    /// and finishes — a pending timer does not delay it — and the socket
+    /// and the timer are deregistered from the pool's readiness set (the
+    /// timer closed) before this returns.  Call while the runtime's
+    /// workers are still running.
     ///
     /// # Errors
     ///
@@ -1077,23 +1112,22 @@ impl SocketDriver {
         self.slot.stop.store(true, Ordering::SeqCst);
         self.task.schedule();
         let finished = self.task.wait_finished();
-        let deregistered = self.slot.poller.remove(self.slot.token);
+        let deregistered = self.slot.deregister();
         if !finished {
             return Err(ProxyError::WorkerFailed(
                 "socket driver task never finished".to_string(),
             ));
         }
-        deregistered
-            .map(drop)
-            .map_err(|err| ProxyError::Transport(format!("deregistering a socket: {err}")))
+        deregistered.map_err(|err| ProxyError::Transport(format!("deregistering a socket: {err}")))
     }
 }
 
 impl Drop for SocketDriver {
     fn drop(&mut self) {
-        // A driver dropped without `shutdown` must not pin its socket in
-        // the readiness set; after `shutdown` this finds nothing to remove.
-        let _ = self.slot.poller.remove(self.slot.token);
+        // A driver dropped without `shutdown` must not pin its socket (or
+        // its timer) in the readiness set; after `shutdown` this finds
+        // nothing to remove.
+        let _ = self.slot.deregister();
     }
 }
 
@@ -1469,6 +1503,8 @@ pub struct PooledSession {
     _runtime: Arc<Runtime>,
     work: Arc<SessionWork>,
     task: Arc<Task>,
+    /// Uncounted: the handles [`input`](Self::input) gives out decide
+    /// when the stream ends, this one only closes it and reads its counts.
     input: DetachableSender<Packet>,
     /// Capacity of every lane's delivery pipe.
     capacity: usize,
@@ -1489,7 +1525,10 @@ impl PooledSession {
         &self.name
     }
 
-    /// The endpoint the upstream source writes into (feeds the head chain).
+    /// A handle on the endpoint the upstream source writes into (feeds the
+    /// head chain).  The stream ends once every handle given out is
+    /// dropped, or on [`close_input`](Self::close_input): the session's
+    /// own handle does not hold it open.
     pub fn input(&self) -> DetachableSender<Packet> {
         self.input.clone()
     }
@@ -2297,10 +2336,48 @@ mod tests {
     }
 
     #[test]
+    fn producers_that_only_drop_their_senders_end_the_stream() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 4));
+        let session = runtime.add_session("dropped");
+        let lane = session.add_lane("out").unwrap();
+        // Two producers, neither of which ever calls `close`.
+        let producers: Vec<_> = (0..2u64)
+            .map(|producer| {
+                let input = session.input();
+                std::thread::spawn(move || {
+                    for seq in 0..50 {
+                        input.send(packet(producer * 50 + seq)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        let mut received = 0;
+        loop {
+            match lane.recv_timeout(Duration::from_secs(30)) {
+                Ok(_) => received += 1,
+                Err(TryRecvError::Eof) => break,
+                Err(other) => panic!("the last dropped sender must end the stream: {other:?}"),
+            }
+        }
+        assert_eq!(received, 100);
+        assert_eq!(session.status().head_stats.packets_in, 100, "the session still counts");
+        // A handle given out after the end is a closed sender.
+        assert!(session.input().send(packet(100)).is_err());
+        session.shutdown().unwrap();
+        assert_eq!(runtime.live_tasks(), 0);
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
     fn a_session_without_lanes_holds_its_traffic_for_the_first_lane() {
         let runtime = Runtime::start(RuntimeConfig::new(2, 4));
         let session = runtime.add_session_with("held", FilterRegistry::with_builtins(), 8, 4);
-        session.input().send_batch((0..6).map(packet).collect()).unwrap();
+        // Held until the lane joins: dropping it would end the stream.
+        let input = session.input();
+        input.send_batch((0..6).map(packet).collect()).unwrap();
         // Time for the task to take a batch into the head, where it waits.
         std::thread::sleep(Duration::from_millis(20));
         let lane = session.add_lane("first").unwrap();
@@ -2704,5 +2781,159 @@ mod tests {
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(reactor_wakes(&registry), 0, "no traffic, no wake-ups");
         proxy.shutdown().unwrap();
+    }
+
+    // -- Deferral under load ------------------------------------------------
+    //
+    // A carrier pass reports the step `carrier_step` picks; each script
+    // below feeds that rule a pass's outcome and the test follows the task
+    // through the harness.  The only waits are observation windows three
+    // orders of magnitude longer than `DEFER_WINDOW`.
+
+    use crate::udp::{carrier_step, DEFER_MIN_DRAINED, DEFER_WINDOW};
+    use rapidware_transport::{SharedDrain, SharedFlush};
+
+    /// Long enough that a timer armed for `DEFER_WINDOW` would have fired.
+    const NO_TIMER: Duration = Duration::from_millis(50);
+
+    /// The rule's step for a pass that drained `drained` datagrams, ended
+    /// with `drain` and a flush that found nothing, and started just now.
+    fn quick_pass(drain: SharedDrain, drained: u64) -> SocketStep {
+        carrier_step(drain, SharedFlush::Idle, drained, Instant::now())
+    }
+
+    #[test]
+    fn reactor_defer_runs_a_deferred_pass_again_from_the_timer_alone() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let deadline = Arc::new(Mutex::new(None));
+        let ran = Arc::new(Mutex::new(None));
+        let (armed, woke) = (Arc::clone(&deadline), Arc::clone(&ran));
+        let (driver, passes) = drive_scripted(&runtime, &socket, move |pass, _| {
+            if pass > 0 {
+                woke.lock().get_or_insert(Instant::now());
+                return SocketStep::Idle;
+            }
+            // A preemption between the pass's two clock reads can outlast
+            // the window; a quick pass is retried, a rule that never
+            // defers is not.
+            let step = (0..100)
+                .map(|_| quick_pass(SharedDrain::Empty, DEFER_MIN_DRAINED))
+                .find(|step| matches!(step, SocketStep::IdleUntil(_)))
+                .unwrap_or(SocketStep::Idle);
+            if let SocketStep::IdleUntil(at) = step {
+                *armed.lock() = Some(at);
+            }
+            step
+        });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        let deadline = deadline.lock().expect("a quick pass of enough datagrams defers");
+        // Nothing is sent and nothing kicks the task: only its timer can
+        // deliver this step.
+        assert_eq!(passes.recv_timeout(HANG), Ok(1), "the timer steps a deferred task");
+        let ran = ran.lock().expect("the second pass ran");
+        assert!(ran >= deadline, "the timer fired {:?} early", deadline - ran);
+        assert!(passes.recv_timeout(NO_TIMER).is_err(), "one deadline, one step");
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    /// Drives a task whose `n`-th pass drains its socket, runs `pass` on
+    /// the count and the pass's start, and records the step it returned.
+    fn drive_recorded(
+        runtime: &Arc<Runtime>,
+        socket: &Arc<UdpSocket>,
+        pass: impl Fn(u64, u64, Instant) -> SocketStep + Send + Sync + 'static,
+    ) -> (SocketDriver, std::sync::mpsc::Receiver<u64>, Arc<Mutex<Vec<SocketStep>>>) {
+        let steps = Arc::new(Mutex::new(Vec::new()));
+        let recorded = Arc::clone(&steps);
+        let (driver, passes) = drive_scripted(runtime, socket, move |n, socket| {
+            let started = Instant::now();
+            let step = pass(n, drain(socket) as u64, started);
+            recorded.lock().push(step);
+            step
+        });
+        (driver, passes, steps)
+    }
+
+    #[test]
+    fn reactor_defer_a_one_datagram_pass_rearms_readiness_and_arms_no_timer() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let (driver, passes, steps) = drive_recorded(&runtime, &socket, |_, drained, started| {
+            carrier_step(SharedDrain::Empty, SharedFlush::Idle, drained, started)
+        });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        send_to(&socket);
+        assert_eq!(passes.recv_timeout(HANG), Ok(1), "readiness steps the task");
+        assert_eq!(steps.lock()[1], SocketStep::Idle, "one datagram does not defer");
+        assert!(passes.recv_timeout(NO_TIMER).is_err(), "no timer was armed");
+        // The re-armed socket is what wakes the task now.
+        send_to(&socket);
+        assert_eq!(passes.recv_timeout(HANG), Ok(2));
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_defer_a_full_batch_steps_again_at_once() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let (driver, passes, steps) = drive_recorded(&runtime, &socket, |n, _, _| {
+            if n == 0 {
+                quick_pass(SharedDrain::MoreReady, 32)
+            } else {
+                SocketStep::Idle
+            }
+        });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        // No datagram, no kick and no timer: only the requeue of a
+        // `Progress` step can deliver this one.
+        assert_eq!(passes.recv_timeout(HANG), Ok(1), "a full batch runs again at once");
+        assert_eq!(steps.lock()[0], SocketStep::Progress);
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_defer_a_pass_longer_than_the_window_never_defers() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        let (driver, passes, steps) = drive_recorded(&runtime, &socket, |_, _, started| {
+            // A pass busy for the whole window, with plenty drained.
+            while started.elapsed() < DEFER_WINDOW {
+                std::hint::spin_loop();
+            }
+            carrier_step(SharedDrain::Empty, SharedFlush::Idle, 4 * DEFER_MIN_DRAINED, started)
+        });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        assert_eq!(steps.lock()[0], SocketStep::Idle, "a saturated carrier is never delayed");
+        assert!(passes.recv_timeout(NO_TIMER).is_err(), "no timer was armed");
+        send_to(&socket);
+        assert_eq!(passes.recv_timeout(HANG), Ok(1), "readiness was re-armed at once");
+        driver.shutdown().unwrap();
+        runtime.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reactor_defer_stop_during_a_deferral_finishes_within_the_grace_period() {
+        let runtime = Runtime::start(RuntimeConfig::new(2, 8));
+        let socket = loopback_socket();
+        // A deadline far past the grace period: only the stop's own wake
+        // can get the final pass run in time.
+        let (driver, passes) = drive_scripted(&runtime, &socket, |pass, _| {
+            if pass == 0 {
+                SocketStep::IdleUntil(Instant::now() + 10 * SHUTDOWN_GRACE)
+            } else {
+                SocketStep::Idle
+            }
+        });
+        assert_eq!(passes.recv_timeout(HANG), Ok(0), "the initial kick");
+        let stopping = Instant::now();
+        driver.shutdown().expect("a deferred task finishes on stop");
+        assert!(stopping.elapsed() < SHUTDOWN_GRACE, "stop waited {:?}", stopping.elapsed());
+        assert_eq!(passes.try_recv(), Ok(1), "the final pass ran");
+        assert_eq!(runtime.live_tasks(), 0);
+        runtime.shutdown().unwrap();
     }
 }

@@ -35,7 +35,9 @@
 
 use std::fmt;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -70,6 +72,10 @@ pub struct UdpTransportStatus {
     pub unknown_streams: u64,
     /// Receive calls the socket failed with anything but `WouldBlock`.
     pub io_errors: u64,
+    /// Passes after which the carrier's task, under load, waited on its
+    /// timer for the rest of a 50 µs window instead of re-arming the socket
+    /// (see [`Proxy::add_udp_carrier`](crate::Proxy::add_udp_carrier)).
+    pub deferrals: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -399,10 +405,47 @@ impl SharedUdpSessionHandle {
     }
 }
 
+/// How long a busy carrier leaves its socket disarmed after a pass: a
+/// pass that drained at least [`DEFER_MIN_DRAINED`] datagrams, left nothing
+/// to send and started less than this long ago idles on the task's timer
+/// until its start plus this window, and the next pass drains everything
+/// that arrived in between.  It bounds the latency the deferral adds under
+/// load, and it is the pass length above which a carrier never defers.
+pub(crate) const DEFER_WINDOW: Duration = Duration::from_micros(50);
+
+/// Fewest datagrams a pass must have drained to defer: a lightly loaded
+/// carrier (one datagram per wake-up) re-arms at once, so its latency is
+/// untouched.
+pub(crate) const DEFER_MIN_DRAINED: u64 = 4;
+
+/// How a carrier pass that started at `started`, drained `drained`
+/// datagrams and ended with `drain`/`flush` leaves its task: another pass
+/// at once while the socket or a lane may hold more, a wait on the socket
+/// when blocked or idle — or, under load, a wait on the task's timer until
+/// `started + DEFER_WINDOW`.
+pub(crate) fn carrier_step(
+    drain: SharedDrain,
+    flush: SharedFlush,
+    drained: u64,
+    started: Instant,
+) -> SocketStep {
+    match (drain, flush) {
+        (_, SharedFlush::Blocked) => SocketStep::Blocked,
+        (SharedDrain::MoreReady, _) | (_, SharedFlush::Progress) => SocketStep::Progress,
+        (SharedDrain::Empty, SharedFlush::Idle) => {
+            if drained >= DEFER_MIN_DRAINED && started.elapsed() < DEFER_WINDOW {
+                SocketStep::IdleUntil(started + DEFER_WINDOW)
+            } else {
+                SocketStep::Idle
+            }
+        }
+    }
+}
+
 /// A carrier's one task.  Each pass drains a batch off the socket — a
 /// caught-up route runs its session in place — then sends what every lane
-/// holds in one flush.  Socket readiness, lane-output watchers and kicks
-/// all wake this same task.
+/// holds in one flush.  Socket readiness, the task's timer, lane-output
+/// watchers and kicks all wake this same task.
 pub(crate) struct CarrierWork {
     pub(crate) ingress: Arc<SharedUdpIngress>,
     pub(crate) egress: Arc<SharedUdpEgress>,
@@ -412,6 +455,8 @@ pub(crate) struct CarrierWork {
     /// Once proxy telemetry is enabled, each drain pass records how many
     /// datagrams it pulled off the socket (`udp.<carrier>.drain_batch`).
     drain_batch: OnceLock<Arc<Histogram>>,
+    /// Passes that ended in [`SocketStep::IdleUntil`].
+    deferrals: AtomicU64,
 }
 
 impl CarrierWork {
@@ -421,21 +466,20 @@ impl CarrierWork {
             egress,
             receiving: Mutex::new(true),
             drain_batch: OnceLock::new(),
+            deferrals: AtomicU64::new(0),
         }
     }
 
-    fn drain(&self) -> SharedDrain {
-        let Some(histogram) = self.drain_batch.get() else {
-            return self.ingress.drain_batch();
-        };
+    /// One drain pass and the number of datagrams it pulled off the socket.
+    fn drain(&self) -> (SharedDrain, u64) {
         let stats = self.ingress.stats();
         let before = stats.rx_datagrams();
         let drained = self.ingress.drain_batch();
         let count = stats.rx_datagrams().saturating_sub(before);
-        if count != 0 {
+        if let Some(histogram) = self.drain_batch.get().filter(|_| count != 0) {
             histogram.record(count);
         }
-        drained
+        (drained, count)
     }
 
     /// The receive half of shutdown: one final drain, after which passes
@@ -464,23 +508,24 @@ impl CarrierWork {
 
 impl SocketPass for CarrierWork {
     fn pass(&self, settle: &dyn Fn()) -> SocketStep {
-        let drained = {
+        let started = Instant::now();
+        let (drain, drained) = {
             let receiving = self.receiving.lock();
             if *receiving {
                 self.drain()
             } else {
-                SharedDrain::Empty
+                (SharedDrain::Empty, 0)
             }
         };
         // The flush visits every lane, so it answers each wake raised so
         // far (this drain's in-place output, another task's, a new lane):
         // without this the task would take an empty step after every pass.
         settle();
-        match (drained, self.egress.flush_batch()) {
-            (_, SharedFlush::Blocked) => SocketStep::Blocked,
-            (SharedDrain::MoreReady, _) | (_, SharedFlush::Progress) => SocketStep::Progress,
-            (SharedDrain::Empty, SharedFlush::Idle) => SocketStep::Idle,
+        let step = carrier_step(drain, self.egress.flush_batch(), drained, started);
+        if let SocketStep::IdleUntil(_) = step {
+            self.deferrals.fetch_add(1, Ordering::Relaxed);
         }
+        step
     }
 
     fn reading(&self) -> bool {
@@ -505,6 +550,7 @@ impl UdpCarrier {
             egress: self.work.egress.stats().snapshot(),
             unknown_streams: ingress.unknown_streams(),
             io_errors: ingress.io_errors(),
+            deferrals: self.work.deferrals.load(Ordering::Relaxed),
         }
     }
 }

@@ -299,6 +299,7 @@ fn stats_from_status(status: &ProxyStatus) -> Vec<(String, u64)> {
             &[
                 ("unknown_streams", carrier.unknown_streams),
                 ("io_errors", carrier.io_errors),
+                ("deferrals", carrier.deferrals),
             ],
         );
     }
@@ -544,7 +545,7 @@ fn a_quiescent_proxy_folds_every_status_count_into_telemetry_and_query() {
         scoped("session.fanout.secure", &secure),
         scoped("udp.wire.ingress", &transport),
         scoped("udp.wire.egress", &transport),
-        scoped("udp.wire", &["unknown_streams", "io_errors"]),
+        scoped("udp.wire", &["unknown_streams", "io_errors", "deferrals"]),
         scoped("runtime", &runtime),
     ]
     .concat();

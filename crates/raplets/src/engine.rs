@@ -276,7 +276,8 @@ mod tests {
     #[test]
     fn remove_kind_for_missing_filter_is_a_no_op() {
         let mut proxy = Proxy::new("p");
-        proxy.add_stream_pooled("s").unwrap();
+        // The stream stays open while its input is held.
+        let _ends = proxy.add_stream_pooled("s").unwrap();
         apply_to_proxy(
             &proxy,
             "s",

@@ -168,9 +168,12 @@ impl<T> Items<T> for Vec<T> {
 ///
 /// Cloning a `DetachableSender` yields another handle to the *same* sender,
 /// so several producers can feed one receiver.  The sender closes when the
-/// last handle is dropped or [`close`](Self::close) is called explicitly.
+/// last handle is dropped or [`close`](Self::close) is called explicitly;
+/// a handle made [`into_uncounted`](Self::into_uncounted) does not count.
 pub struct DetachableSender<T> {
     shared: Arc<SendShared<T>>,
+    /// Whether this handle keeps the sender open (see `into_uncounted`).
+    counted: bool,
 }
 
 /// The reading half of a detachable pipe (the paper's
@@ -206,10 +209,12 @@ impl<T> fmt::Debug for DetachableReceiver<T> {
 }
 
 impl<T> Clone for DetachableSender<T> {
+    /// Another handle to the same sender, counted whether or not `self` is.
     fn clone(&self) -> Self {
         self.shared.handles.fetch_add(1, Ordering::SeqCst);
         Self {
             shared: Arc::clone(&self.shared),
+            counted: true,
         }
     }
 }
@@ -225,7 +230,7 @@ impl<T> Clone for DetachableReceiver<T> {
 
 impl<T> Drop for DetachableSender<T> {
     fn drop(&mut self) {
-        if self.shared.handles.fetch_sub(1, Ordering::SeqCst) == 1 {
+        if self.counted && self.shared.handles.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.close_impl();
         }
     }
@@ -273,6 +278,7 @@ pub fn pipe<T>(capacity: usize) -> (DetachableSender<T>, DetachableReceiver<T>) 
             handles: AtomicUsize::new(1),
             stats: PipeStats::new(),
         }),
+        counted: true,
     };
     (sender, receiver)
 }
@@ -430,6 +436,33 @@ impl<T> DetachableSender<T> {
     /// Lifetime transfer statistics for this sender.
     pub fn stats(&self) -> PipeStats {
         self.shared.stats.clone()
+    }
+
+    /// Turns this handle into one that does not keep the sender open: the
+    /// sender closes once every *counted* handle is dropped, or on
+    /// [`close`](Self::close).  The handle still sends, closes, reads the
+    /// stats and — by `clone` — hands out ordinary, counted handles.  What
+    /// it is for: an owner that hands producers their senders but is no
+    /// producer itself (a session's input), so that the producers alone
+    /// decide when the stream ends.  Until one is handed out, the sender
+    /// stays open.
+    ///
+    /// ```
+    /// use rapidware_streams::{pipe, TryRecvError};
+    ///
+    /// let (tx, rx) = pipe::<u32>(4);
+    /// let owner = tx.into_uncounted();
+    /// let producer = owner.clone();
+    /// producer.send(7).unwrap();
+    /// drop(producer);
+    /// assert_eq!(rx.recv().unwrap(), 7);
+    /// assert!(matches!(rx.try_recv(), Err(TryRecvError::Eof)));
+    /// ```
+    pub fn into_uncounted(mut self) -> Self {
+        if std::mem::replace(&mut self.counted, false) {
+            self.shared.handles.fetch_sub(1, Ordering::SeqCst);
+        }
+        self
     }
 }
 

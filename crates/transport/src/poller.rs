@@ -17,8 +17,15 @@
 //! `WouldBlock` can never lose a wake-up, and a consumer that is still
 //! draining is never woken a second time.
 //!
+//! Beside sockets the set holds **timers** ([`Poller::add_timer`]): a
+//! `timerfd` the poller makes and owns, registered edge-triggered, so each
+//! [`Poller::arm_timer`] that expires is reported exactly once and the fd
+//! is never read.  A task that registers its socket and its timer under one
+//! payload can leave the socket disarmed and be woken at a deadline
+//! instead, with no timer slack and no thread asleep for it.
+//!
 //! The socket path is therefore **Linux-only**.  `std` has no wait on
-//! several sockets, but it links the C library, so four hand-declared
+//! several sockets, but it links the C library, so six hand-declared
 //! `extern "C"` items are enough (the offline build bakes in no `libc`
 //! crate).  Their man-page contracts, as relied on here:
 //!
@@ -44,22 +51,36 @@
 //!   resets it, and the fd polls readable while the counter is non-zero.
 //!   With `EFD_NONBLOCK` a `read` of a zero counter (or a `write` that
 //!   would overflow it) fails with `EAGAIN` instead of blocking.
+//! * `timerfd_create(clockid, flags) -> fd` — a timer fd on `clockid`
+//!   (`CLOCK_MONOTONIC` here, the clock `std::time::Instant` reads on
+//!   Linux), created disarmed; `-1` + `errno` on failure.  `TFD_CLOEXEC`
+//!   and `TFD_NONBLOCK` as for the eventfd.  The fd polls readable while
+//!   its expiration count is non-zero, and every expiry wakes its pollers.
+//! * `timerfd_settime(fd, flags, *new, *old) -> 0` — with `flags == 0`
+//!   arms the timer to expire once, `new.it_value` from now (a zero
+//!   `it_interval`: no repeat); an all-zero `it_value` *disarms* it
+//!   instead, so the shortest delay passed is 1 ns.  Re-arming replaces
+//!   the previous setting and resets the expiration count, so a timer that
+//!   is never read still wakes its pollers afresh at each new expiry.  The
+//!   kernel copies `*new` before returning; `old` may be null.
 //!
-//! The two fds are handed to `std` owners straight away (`OwnedFd`, and a
-//! `File` for the eventfd so its `read`/`write` are `std`'s), so closing
-//! them is `std`'s job and nothing here can leak or double-close one.
+//! The three kinds of fd are handed to `std` owners straight away
+//! (`OwnedFd`, and a `File` for the eventfd so its `read`/`write` are
+//! `std`'s), so closing them is `std`'s job and nothing here can leak or
+//! double-close one.
 //!
 //! # Safety
 //!
 //! This is the only module in the crate that uses `unsafe`, and it uses it
 //! for exactly two things:
 //!
-//! * **the four foreign calls above** — every pointer passed is derived
+//! * **the six foreign calls above** — every pointer passed is derived
 //!   from a live local or a live slice whose length is the count passed
-//!   next to it, and the kernel keeps none of them past the call;
-//! * **`from_raw_fd` on the two fds those calls return** — each is checked
-//!   to be non-negative first and wrapped exactly once, so the wrapper is
-//!   the fd's only owner.
+//!   next to it (or is null where the contract allows it), and the kernel
+//!   keeps none of them past the call;
+//! * **`from_raw_fd` on the three kinds of fd those calls return** — each
+//!   is checked to be non-negative first and wrapped exactly once, so the
+//!   wrapper is the fd's only owner.
 //!
 //! Nothing a caller of the safe API can pass — a socket registered twice,
 //! a stale [`Token`], a `wake` racing a `wait` — reaches the kernel as
@@ -69,16 +90,18 @@
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(
-    "rapidware-transport's socket path is Linux-only: `Poller` wraps epoll(7) and eventfd(2)"
+    "rapidware-transport's socket path is Linux-only: `Poller` wraps epoll(7), eventfd(2) and timerfd_create(2)"
 );
 
 use std::collections::HashMap;
+use std::ffi::c_long;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 // Values of the generic Linux ABI (x86-64, aarch64, riscv64, …).
 const EPOLL_CLOEXEC: i32 = 0o2_000_000;
@@ -90,6 +113,10 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLONESHOT: u32 = 1 << 30;
+const EPOLLET: u32 = 1 << 31;
+const CLOCK_MONOTONIC: i32 = 1;
+const TFD_CLOEXEC: i32 = 0o2_000_000;
+const TFD_NONBLOCK: i32 = 0o4_000;
 
 /// `struct epoll_event`.  The kernel ABI packs it on x86-64 (so 32- and
 /// 64-bit callers agree on the layout) and nowhere else.
@@ -101,12 +128,30 @@ struct EpollEvent {
     token: u64,
 }
 
+/// `struct timespec`: `time_t` and `long` are both a C `long` on the
+/// Linux ABIs listed above.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+/// `struct itimerspec`.
+#[repr(C)]
+struct Itimerspec {
+    it_interval: Timespec,
+    it_value: Timespec,
+}
+
 extern "C" {
     // From the C library std already links.
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn timerfd_create(clockid: i32, flags: i32) -> i32;
+    fn timerfd_settime(fd: i32, flags: i32, new: *const Itimerspec, old: *mut Itimerspec) -> i32;
 }
 
 /// Most registrations one [`Poller::wait`] reports; the rest stay ready in
@@ -152,9 +197,24 @@ impl Interest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(u64);
 
+/// What a registration watches, kept open for as long as it is in the set.
+enum Source {
+    Socket(Arc<UdpSocket>),
+    /// A timerfd the poller made: closed when the registration goes.
+    Timer(OwnedFd),
+}
+
+impl Source {
+    fn fd(&self) -> i32 {
+        match self {
+            Self::Socket(socket) => socket.as_raw_fd(),
+            Self::Timer(timer) => timer.as_raw_fd(),
+        }
+    }
+}
+
 struct Entry<T> {
-    /// Keeps the registered fd open for as long as it is in the set.
-    socket: Arc<UdpSocket>,
+    source: Source,
     payload: T,
 }
 
@@ -163,18 +223,21 @@ struct Entries<T> {
     by_token: HashMap<u64, Entry<T>>,
 }
 
-/// A one-shot readiness set over UDP sockets, on Linux `epoll(7)`: each
-/// registration carries a caller-chosen payload `T` that
-/// [`wait`](Self::wait) hands back when its socket fires.  A socket that
-/// fired is disarmed until [`arm`](Self::arm) re-arms it, and re-arming
-/// re-polls the socket, so a consumer that re-arms after its drain saw
-/// `WouldBlock` never loses a wake-up and one that is still draining is
-/// never woken twice.
+/// A one-shot readiness set over UDP sockets and timers, on Linux
+/// `epoll(7)`: each registration carries a caller-chosen payload `T` that
+/// [`wait`](Self::wait) hands back when its socket or timer fires.  A
+/// socket that fired is disarmed until [`arm`](Self::arm) re-arms it, and
+/// re-arming re-polls the socket, so a consumer that re-arms after its
+/// drain saw `WouldBlock` never loses a wake-up and one that is still
+/// draining is never woken twice.  A timer fires once per
+/// [`arm_timer`](Self::arm_timer).
 ///
 /// One thread blocks in `wait`; any thread may [`try_wait`](Self::try_wait),
-/// [`add`](Self::add), [`arm`](Self::arm), [`remove`](Self::remove) and
+/// [`add`](Self::add), [`add_timer`](Self::add_timer), [`arm`](Self::arm),
+/// [`arm_timer`](Self::arm_timer), [`remove`](Self::remove) and
 /// [`wake`](Self::wake) concurrently.  Dropping the poller closes its epoll
-/// fd and eventfd and releases every socket still registered.
+/// fd and eventfd, and every timer, and releases every socket still
+/// registered.
 pub struct Poller<T> {
     epoll: OwnedFd,
     waker: File,
@@ -236,11 +299,48 @@ impl<T> Poller<T> {
     /// of one socket each register their own `try_clone()` — or any other
     /// `epoll_ctl` failure.  Nothing is registered on error.
     pub fn add(&self, socket: Arc<UdpSocket>, interest: Interest, payload: T) -> io::Result<Token> {
+        let event = |token| interest.event(token);
+        self.register(Source::Socket(socket), event, payload)
+    }
+
+    /// Registers a new timer, disarmed, whose expiries [`wait`](Self::wait)
+    /// reports with `payload`; [`arm_timer`](Self::arm_timer) sets it.
+    /// The timer is closed when the registration is
+    /// [`remove`](Self::remove)d or the poller drops.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `timerfd_create` or `epoll_ctl` reports (in practice: the
+    /// process is out of file descriptors).  Nothing is registered on
+    /// error.
+    pub fn add_timer(&self, payload: T) -> io::Result<Token> {
+        // SAFETY: no pointer arguments; the result is checked below.
+        let timer = unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK) };
+        if timer < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `timer` is a fresh, valid fd nothing else owns.
+        let timer = unsafe { OwnedFd::from_raw_fd(timer) };
+        // Edge-triggered, not one-shot: every expiry is one report, and the
+        // fd never needs a read or a re-registration.
+        let event = |token| EpollEvent {
+            events: EPOLLIN | EPOLLET,
+            token,
+        };
+        self.register(Source::Timer(timer), event, payload)
+    }
+
+    fn register(
+        &self,
+        source: Source,
+        event: impl FnOnce(u64) -> EpollEvent,
+        payload: T,
+    ) -> io::Result<Token> {
         let mut entries = self.lock();
         let token = entries.next_token;
-        self.ctl(EPOLL_CTL_ADD, socket.as_raw_fd(), interest.event(token))?;
+        self.ctl(EPOLL_CTL_ADD, source.fd(), event(token))?;
         entries.next_token += 1;
-        entries.by_token.insert(token, Entry { socket, payload });
+        entries.by_token.insert(token, Entry { source, payload });
         Ok(Token(token))
     }
 
@@ -250,21 +350,74 @@ impl<T> Poller<T> {
     ///
     /// # Errors
     ///
-    /// `NotFound` if `token` is not (or no longer) registered, or any
-    /// `epoll_ctl` failure.
+    /// `NotFound` if `token` is not (or no longer) registered,
+    /// `InvalidInput` if it names a timer, or any `epoll_ctl` failure.
     pub fn arm(&self, token: Token, interest: Interest) -> io::Result<()> {
         // The lock is held across the call so the fd cannot be removed,
         // closed and reused under it.
         let entries = self.lock();
-        let entry = entries
+        match &Self::entry(&entries, token)?.source {
+            Source::Socket(socket) => {
+                self.ctl(EPOLL_CTL_MOD, socket.as_raw_fd(), interest.event(token.0))
+            }
+            Source::Timer(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a timer is armed with arm_timer",
+            )),
+        }
+    }
+
+    /// Sets a timer registration to fire once, `after` from now (a zero
+    /// `after` fires at once), replacing whatever it was set to.  The
+    /// expiry is reported by one [`wait`](Self::wait) or
+    /// [`try_wait`](Self::try_wait), with no timer slack.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` if `token` is not (or no longer) registered,
+    /// `InvalidInput` if it names a socket, or any `timerfd_settime`
+    /// failure.
+    pub fn arm_timer(&self, token: Token, after: Duration) -> io::Result<()> {
+        // Held across the call, as in `arm`.
+        let entries = self.lock();
+        let Source::Timer(timer) = &Self::entry(&entries, token)?.source else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a socket is armed with arm",
+            ));
+        };
+        // An all-zero `it_value` would disarm the timer instead.
+        let after = after.max(Duration::from_nanos(1));
+        let spec = Itimerspec {
+            it_interval: Timespec {
+                tv_sec: 0,
+                tv_nsec: 0,
+            },
+            it_value: Timespec {
+                tv_sec: c_long::try_from(after.as_secs()).unwrap_or(c_long::MAX),
+                tv_nsec: c_long::from(after.subsec_nanos()),
+            },
+        };
+        // SAFETY: `spec` is a live local the kernel copies before the call
+        // returns, `old` is null (allowed), and the timer fd is owned by
+        // its entry, which the held lock keeps in the set.
+        if unsafe { timerfd_settime(timer.as_raw_fd(), 0, &spec, std::ptr::null_mut()) } == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+
+    fn entry(entries: &Entries<T>, token: Token) -> io::Result<&Entry<T>> {
+        entries
             .by_token
             .get(&token.0)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "token is not registered"))?;
-        self.ctl(EPOLL_CTL_MOD, entry.socket.as_raw_fd(), interest.event(token.0))
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "token is not registered"))
     }
 
     /// Deregisters `token` and returns its payload, or `None` if it was
-    /// not registered.  The socket is released either way.
+    /// not registered.  The socket is released (or the timer closed) either
+    /// way.
     ///
     /// # Errors
     ///
@@ -282,13 +435,18 @@ impl<T> Poller<T> {
             events: 0,
             token: token.0,
         };
-        self.ctl(EPOLL_CTL_DEL, entry.socket.as_raw_fd(), event)?;
+        self.ctl(EPOLL_CTL_DEL, entry.source.fd(), event)?;
         Ok(Some(entry.payload))
     }
 
-    /// Number of sockets currently registered.
+    /// Number of sockets currently registered (timers are not counted).
     pub fn len(&self) -> usize {
-        self.lock().by_token.len()
+        let entries = self.lock();
+        entries
+            .by_token
+            .values()
+            .filter(|entry| matches!(entry.source, Source::Socket(_)))
+            .count()
     }
 
     /// `true` when no socket is registered.
@@ -296,10 +454,10 @@ impl<T> Poller<T> {
         self.len() == 0
     }
 
-    /// Blocks — with no timeout — until a registered socket is ready or
-    /// [`wake`](Self::wake) is called, appends the payload of every socket
-    /// that fired to `ready`, and returns whether a wake-up was consumed.
-    /// Each reported socket is left disarmed.
+    /// Blocks — with no timeout — until a registered socket is ready, a
+    /// timer expires or [`wake`](Self::wake) is called, appends the payload
+    /// of every registration that fired to `ready`, and returns whether a
+    /// wake-up was consumed.  Each reported socket is left disarmed.
     ///
     /// # Errors
     ///
@@ -323,10 +481,10 @@ impl<T> Poller<T> {
     }
 
     /// The non-blocking [`wait`](Self::wait): appends the payload of every
-    /// socket ready right now to `ready` and returns at once.  A pending
-    /// wake-up is left for `wait` to consume, so a thread that checks the
-    /// set between two pieces of work never steals the wake meant for the
-    /// thread blocked in `wait`.
+    /// registration ready right now to `ready` and returns at once.  A
+    /// pending wake-up is left for `wait` to consume, so a thread that
+    /// checks the set between two pieces of work never steals the wake
+    /// meant for the thread blocked in `wait`.
     ///
     /// # Errors
     ///
@@ -339,7 +497,7 @@ impl<T> Poller<T> {
     }
 
     /// One `epoll_wait` with `timeout_ms` (`-1`: none): appends the payload
-    /// of every socket that fired to `ready` and returns whether the
+    /// of every registration that fired to `ready` and returns whether the
     /// eventfd was among them.
     fn collect(&self, ready: &mut Vec<T>, timeout_ms: i32) -> io::Result<bool>
     where
@@ -502,6 +660,62 @@ mod tests {
         ready.clear();
         assert!(poller.wait(&mut ready).unwrap());
         assert!(ready.is_empty());
+    }
+
+    #[test]
+    fn a_timer_fires_once_per_arm_and_is_never_read() {
+        let poller = Poller::new().unwrap();
+        let rx = socket();
+        let socket_token = poller.add(rx, Interest::READABLE, "rx").unwrap();
+        let timer = poller.add_timer("timer").unwrap();
+        assert_eq!(poller.len(), 1, "timers are not counted as sockets");
+        let mut ready = Vec::new();
+        poller.try_wait(&mut ready).unwrap();
+        assert!(ready.is_empty(), "a new timer is disarmed");
+
+        let delay = Duration::from_millis(2);
+        let armed = std::time::Instant::now();
+        poller.arm_timer(timer, delay).unwrap();
+        assert!(!poller.wait(&mut ready).unwrap());
+        assert_eq!(ready, ["timer"]);
+        assert!(armed.elapsed() >= delay, "a timer never fires early");
+
+        // One report per expiry: the unread, still readable timer is
+        // silent until it is set again — the waker is the only thing that
+        // can end this wait.
+        ready.clear();
+        poller.wake().unwrap();
+        assert!(poller.wait(&mut ready).unwrap());
+        assert!(ready.is_empty(), "an expired timer is reported once");
+
+        // Set again without a read in between, it fires again; a zero
+        // delay fires at once instead of disarming it.
+        poller.arm_timer(timer, Duration::ZERO).unwrap();
+        assert!(!poller.wait(&mut ready).unwrap());
+        assert_eq!(ready, ["timer"]);
+
+        // Re-setting a pending timer replaces its deadline.
+        ready.clear();
+        poller.arm_timer(timer, Duration::from_secs(3600)).unwrap();
+        poller.arm_timer(timer, Duration::ZERO).unwrap();
+        assert!(!poller.wait(&mut ready).unwrap());
+        assert_eq!(ready, ["timer"]);
+
+        let kind = |err: io::Error| err.kind();
+        assert_eq!(
+            poller.arm(timer, Interest::READABLE).map_err(kind),
+            Err(io::ErrorKind::InvalidInput)
+        );
+        assert_eq!(
+            poller.arm_timer(socket_token, delay).map_err(kind),
+            Err(io::ErrorKind::InvalidInput)
+        );
+        assert_eq!(poller.remove(timer).unwrap(), Some("timer"));
+        assert_eq!(
+            poller.arm_timer(timer, delay).map_err(kind),
+            Err(io::ErrorKind::NotFound)
+        );
+        assert_eq!(poller.len(), 1);
     }
 
     #[test]

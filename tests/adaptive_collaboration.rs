@@ -16,10 +16,12 @@ fn session_members_get_proxies_matching_their_devices() {
     // Build one proxy stream per member that needs one, with filters chosen
     // from the device profile.
     let mut proxy = Proxy::new("session-proxy");
+    // Each stream stays open while its input is held.
+    let mut ends = Vec::new();
     for id in session.members_needing_proxies() {
         let member = session.member(id).unwrap().clone();
         let stream = member.name.clone();
-        proxy.add_stream_pooled(stream.clone()).unwrap();
+        ends.push(proxy.add_stream_pooled(stream.clone()).unwrap());
         let mut position = 0;
         if member.device.needs_transcoding() {
             proxy

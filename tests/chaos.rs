@@ -65,6 +65,7 @@ fn a_stalled_shard_never_breaks_conservation_or_leaks_tasks() {
 
         struct Stream {
             session: rapidware::runtime::PooledSession,
+            input: rapidware::streams::DetachableSender<Packet>,
             name: String,
             backlog: Vec<Packet>,
             base_rx: rapidware::streams::DetachableReceiver<Packet>,
@@ -80,6 +81,7 @@ fn a_stalled_shard_never_breaks_conservation_or_leaks_tasks() {
                 let session = runtime.add_session(&name);
                 let base_rx = session.add_lane("base").expect("fresh session");
                 Stream {
+                    input: session.input(),
                     session,
                     name,
                     backlog: Vec::new(),
@@ -141,7 +143,7 @@ fn a_stalled_shard_never_breaks_conservation_or_leaks_tasks() {
                     if !s.backlog.is_empty() {
                         let pending = std::mem::take(&mut s.backlog);
                         s.backlog =
-                            s.session.input().try_send_batch(pending).expect("inputs stay open");
+                            s.input.try_send_batch(pending).expect("inputs stay open");
                     }
                     while let Ok(batch) = s.base_rx.try_recv_up_to(BATCH_SIZE) {
                         s.base_delivered += batch.len() as u64;
@@ -593,8 +595,9 @@ fn a_duplicated_reordered_rekey_on_a_pooled_session_conserves() {
         assert_eq!(encrypt.stats().rekeys(), 1, "the duplicate install is idempotent");
 
         let mut backlog = wire;
+        let input = session.input();
         while !backlog.is_empty() {
-            backlog = session.input().try_send_batch(backlog).expect("input stays open");
+            backlog = input.try_send_batch(backlog).expect("input stays open");
             std::thread::yield_now();
         }
         session.close_input();

@@ -4,15 +4,23 @@
 //! inserted, removed, and reordered on a running stream without losing,
 //! duplicating, or reordering application data — on a live proxy: a flat
 //! stream and a two-lane fanout session spliced while packets flow, the
-//! control protocol, and repeated churn.  Every splice paces on what the
-//! receivers have already read, so it lands mid-stream without a sleep.
+//! same lane churn on a session riding a UDP carrier under closed-loop
+//! socket load, the control protocol, and repeated churn.  Every splice
+//! paces on what the receivers have already read, so it lands mid-stream
+//! without a sleep.
 
+mod common;
+
+use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rapidware::prelude::*;
+use rapidware::proxy::{SharedUdpSessionConfig, UdpCarrierConfig};
 use rapidware::streams::DetachableReceiver;
+
+use common::{bind_app, poll_app, recv_app_to_eof, send_encoded};
 
 const HANG: Duration = Duration::from_secs(30);
 
@@ -261,5 +269,108 @@ fn scrambler_pair_survives_being_spliced_in_and_out() {
     assert_eq!(proxy.stream_stats("audio").unwrap().splices, 4);
     assert_eq!(session.lane_stats("wlan").unwrap().splices, 4);
     assert_eq!(session.lane_stats("wired").unwrap().splices, 0);
+    proxy.shutdown().unwrap();
+}
+
+#[test]
+fn lane_churn_on_a_carrier_session_under_closed_loop_load_preserves_every_lane() {
+    // The session rides a carrier: datagrams in, one socket task draining,
+    // running the session in place or queueing on its inbox, and flushing
+    // both lanes back out.  The sender keeps a window of datagrams in
+    // flight in bursts, so the carrier drains batches (and may defer its
+    // wake-ups between them) while the lanes are spliced.
+    const ROUNDS: u64 = 20;
+    const CHUNK: u64 = 300;
+    const WINDOW: u64 = 64;
+    const BURST: u64 = 16;
+    let total = ROUNDS * CHUNK;
+    let lanes = ["wired", "wlan"];
+    let apps: Vec<_> = lanes.iter().map(|_| bind_app(&[1])).collect();
+    let mut proxy =
+        Proxy::with_runtime("carrier-churn", RuntimeConfig::new(2, 8).with_pipe_capacity(256));
+    let carrier = proxy
+        .add_udp_carrier("wire", UdpCarrierConfig::new().with_batch_size(32))
+        .unwrap();
+    let mut config = SharedUdpSessionConfig::on_carrier("wire").with_stream(StreamId::new(1));
+    for (lane, (app, _)) in lanes.iter().zip(&apps) {
+        config = config.with_lane(*lane, app.local_addr());
+    }
+    let handle = proxy.add_session_udp_shared("room", config).unwrap();
+    let ingress = handle.ingress_addr();
+
+    // What the slower lane has received: the window and the splices pace
+    // on it.
+    let delivered = Arc::new(AtomicU64::new(0));
+    let receiver = {
+        let delivered = Arc::clone(&delivered);
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + HANG;
+            let mut received = vec![Vec::new(); apps.len()];
+            while received.iter().any(|packets| (packets.len() as u64) < total) {
+                assert!(Instant::now() < deadline, "carrier lanes stalled below {total}");
+                for ((app, route), packets) in apps.iter().zip(&mut received) {
+                    assert!(poll_app(app, route, packets), "a lane ended early");
+                }
+                let slowest = received.iter().map(Vec::len).min().unwrap_or(0);
+                delivered.store(slowest as u64, Ordering::Relaxed);
+                std::thread::yield_now();
+            }
+            for ((app, route), packets) in apps.iter().zip(&mut received) {
+                packets.extend(recv_app_to_eof(app, route, Instant::now() + HANG));
+            }
+            received
+        })
+    };
+    let rounds_done = Arc::new(AtomicU64::new(0));
+    let sender = {
+        let (delivered, rounds_done) = (Arc::clone(&delivered), Arc::clone(&rounds_done));
+        std::thread::spawn(move || {
+            let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let mut seq = 0;
+            for round in 0..ROUNDS {
+                wait_for(&rounds_done, round);
+                while seq < (round + 1) * CHUNK {
+                    // Closed loop: UDP has no back-pressure, so the window
+                    // keeps every socket and route far from overflowing.
+                    wait_for(&delivered, (seq + BURST).saturating_sub(WINDOW));
+                    for _ in 0..BURST.min((round + 1) * CHUNK - seq) {
+                        send_encoded(&socket, ingress, &audio_packet(seq));
+                        seq += 1;
+                    }
+                }
+            }
+        })
+    };
+
+    let session = proxy.pooled_session("room").unwrap();
+    for round in 0..ROUNDS {
+        wait_for(&delivered, round * CHUNK + CHUNK / 3);
+        let spec = |offset: u64| {
+            let kind = if (round + offset).is_multiple_of(2) { "null" } else { "tap" };
+            FilterSpec::new(kind).with_param("name", "churn")
+        };
+        let at = (round % 2) as usize;
+        for (offset, lane) in (0..).zip(lanes) {
+            let len = session.lane_filter_names(lane).unwrap().len();
+            session.insert_lane_filter(lane, len.min(at), &spec(offset)).unwrap();
+            if len + 1 > 2 {
+                session.remove_lane_filter(lane, len).unwrap();
+            }
+        }
+        rounds_done.store(round + 1, Ordering::Relaxed);
+    }
+    sender.join().unwrap();
+    wait_for(&delivered, total);
+    handle.close_input();
+    let received = receiver.join().unwrap();
+    for (lane, packets) in lanes.iter().zip(&received) {
+        assert_eq!(packets.len() as u64, total, "{lane}: nothing after the FIN but the end");
+        assert_intact(lane, packets, total);
+        assert!(session.lane_stats(lane).unwrap().splices >= ROUNDS, "{lane}");
+    }
+    let ingress = carrier.ingress_stats();
+    assert_eq!(ingress.rx_packets(), total);
+    assert_eq!(ingress.dropped(), 0, "the window kept every route in bounds");
+    assert_eq!(ingress.decode_errors(), 0);
     proxy.shutdown().unwrap();
 }

@@ -25,7 +25,7 @@ use std::time::Duration;
 use rapidware::packet::Packet;
 use rapidware::proxy::FilterSpec;
 use rapidware::runtime::{PooledSession, Runtime, RuntimeConfig};
-use rapidware::streams::{DetachableReceiver, TryRecvError};
+use rapidware::streams::{DetachableReceiver, DetachableSender, TryRecvError};
 
 use common::{assert_conservation, audio_packet, drain_count_to_eof, watchdog};
 
@@ -45,6 +45,9 @@ fn packet(seq: u64) -> Packet {
 /// One soak session as a driver sees it.
 struct SoakSession {
     session: PooledSession,
+    /// The driver's producer handle: the session's input stays open while
+    /// it is held.
+    input: DetachableSender<Packet>,
     name: String,
     next_seq: u64,
     /// Source packets accepted by the session input but possibly not yet
@@ -101,8 +104,7 @@ impl SoakSession {
         let before = self.backlog.len();
         let pending = std::mem::take(&mut self.backlog);
         self.backlog = self
-            .session
-            .input()
+            .input
             .try_send_batch(pending)
             .expect("soak session inputs stay open");
         self.backlog.len() != before
@@ -157,6 +159,7 @@ fn run_soak() {
                         let session = runtime.add_session(&name);
                         let base_rx = session.add_lane("base").expect("fresh session");
                         SoakSession {
+                            input: session.input(),
                             session,
                             name,
                             next_seq: 0,

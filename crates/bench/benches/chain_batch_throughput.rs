@@ -1,11 +1,13 @@
-//! Batched data plane throughput: `process_batch` vs the per-packet path.
+//! Batched data plane throughput: `process_batch_into` vs the per-packet
+//! path.
 //!
 //! Two comparisons on the synchronous `FilterChain` (the kernel every
 //! pooled stream and lane runs), fed with the paper's 320-byte audio
 //! packets:
 //!
-//! * `sync` — an FEC(6,4) encode → decode chain, per-packet `process` vs
-//!   `process_batch` at batch size 32;
+//! * `sync` — an FEC(6,4) encode → decode chain, per-packet
+//!   `FilterChain::process` vs `FilterChain::process_batch_into` at batch
+//!   size 32 (the same engine, fed one packet or 32 at a time);
 //! * `sync/batch-32-encrypted` — the same batched chain with the AEAD pair
 //!   sealing every frame, and its ratio to the plaintext chain.
 //!
@@ -97,7 +99,11 @@ fn sync_batched_on(mut chain: FilterChain, packets: &[Packet]) -> f64 {
     let start = Instant::now();
     let mut delivered = 0usize;
     for chunk in packets.chunks(BATCH) {
-        delivered += chain.process_batch(chunk.to_vec()).expect("process_batch").len();
+        let mut out: Vec<Packet> = Vec::with_capacity(chunk.len());
+        chain
+            .process_batch_into(chunk.to_vec(), &mut out)
+            .expect("process_batch_into");
+        delivered += out.len();
     }
     assert_eq!(delivered, packets.len(), "lossless chain round-trip");
     packets.len() as f64 / start.elapsed().as_secs_f64()

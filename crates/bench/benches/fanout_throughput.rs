@@ -92,7 +92,11 @@ fn independent_chains_pps(packets: &[Packet]) -> f64 {
     let start = Instant::now();
     let mut delivered = 0usize;
     for chain in &mut chains {
-        delivered += chain.process_batch(packets.to_vec()).expect("encode succeeds").len();
+        let mut out: Vec<Packet> = Vec::with_capacity(packets.len());
+        chain
+            .process_batch_into(packets.to_vec(), &mut out)
+            .expect("encode succeeds");
+        delivered += out.len();
         delivered += chain.flush().expect("flush succeeds").len();
     }
     let elapsed = start.elapsed().as_secs_f64();

@@ -55,7 +55,11 @@ fn run_chain(mut chain: FilterChain, packets: &[Packet]) -> f64 {
     let start = Instant::now();
     let mut delivered = 0usize;
     for chunk in packets.chunks(BATCH) {
-        delivered += chain.process_batch(chunk.to_vec()).expect("process_batch").len();
+        let mut out: Vec<Packet> = Vec::with_capacity(chunk.len());
+        chain
+            .process_batch_into(chunk.to_vec(), &mut out)
+            .expect("process_batch_into");
+        delivered += out.len();
     }
     assert_eq!(delivered, packets.len(), "lossless chain round-trip");
     packets.len() as f64 / start.elapsed().as_secs_f64()

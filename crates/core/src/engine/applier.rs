@@ -189,9 +189,9 @@ impl SyncApplier {
 
 impl Applier for SyncApplier {
     fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>> {
-        let shared = self
-            .head
-            .process_batch(packets)
+        let mut shared = Vec::new();
+        self.head
+            .process_batch_into(packets, &mut shared)
             .expect("scenario head filters do not fail");
         // Like the live session task: clone for all but the last lane,
         // move into the last.
@@ -206,7 +206,10 @@ impl Applier for SyncApplier {
                 } else {
                     shared.as_ref().expect("batch present until the last lane").clone()
                 };
-                lane.process_batch(batch).expect("scenario lane filters do not fail")
+                let mut out = Vec::new();
+                lane.process_batch_into(batch, &mut out)
+                    .expect("scenario lane filters do not fail");
+                out
             })
             .collect()
     }
@@ -231,8 +234,8 @@ impl Applier for SyncApplier {
         self.lanes
             .iter_mut()
             .map(|lane| {
-                let mut out = lane
-                    .process_batch(head_residue.clone())
+                let mut out = Vec::new();
+                lane.process_batch_into(head_residue.clone(), &mut out)
                     .expect("scenario lane filters do not fail");
                 out.extend(lane.flush().expect("scenario lane filters do not fail"));
                 out

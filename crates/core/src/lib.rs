@@ -70,8 +70,7 @@ pub mod prelude {
     };
     pub use rapidware_fec::FecCodec;
     pub use rapidware_filters::{
-        FecDecoderFilter, FecEncoderFilter, Filter, FilterChain, FilterContainer, FilterOutput,
-        NullFilter, TapFilter,
+        FecDecoderFilter, FecEncoderFilter, Filter, FilterChain, NullFilter, TapFilter,
     };
     pub use rapidware_media::{AudioConfig, AudioSource, MediaSink, VideoConfig, VideoSource};
     pub use rapidware_netsim::{

@@ -14,7 +14,7 @@
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 const MARKER_RAW: u8 = 0x00;
 const MARKER_RLE: u8 = 0x01;
@@ -24,8 +24,8 @@ const MARKER_RLE: u8 = 0x01;
 pub struct CompressorFilter {
     bytes_in: u64,
     bytes_out: u64,
-    /// Reused RLE work buffer so steady-state compression (especially the
-    /// batched path) does not allocate a throwaway encoding per packet.
+    /// Reused RLE work buffer so steady-state compression does not
+    /// allocate a throwaway encoding per packet.
     scratch: Vec<u8>,
 }
 
@@ -112,13 +112,15 @@ impl DecompressorFilter {
     }
 }
 
-impl CompressorFilter {
-    /// Compresses one packet; shared by the serial and batched paths so
-    /// both produce identical output.
-    fn compress_one(&mut self, packet: Packet, out: &mut dyn FilterOutput) {
+impl Filter for CompressorFilter {
+    fn name(&self) -> &str {
+        "compressor(rle)"
+    }
+
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
-            return;
+            out.push(packet);
+            return Ok(());
         }
         self.bytes_in += packet.payload_len() as u64;
         rle_encode_into(packet.payload(), &mut self.scratch);
@@ -134,39 +136,8 @@ impl CompressorFilter {
             body
         };
         self.bytes_out += payload.len() as u64;
-        out.emit(packet.with_payload(payload));
-    }
-}
-
-impl Filter for CompressorFilter {
-    fn name(&self) -> &str {
-        "compressor(rle)"
-    }
-
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        self.compress_one(packet, out);
+        out.push(packet.with_payload(payload));
         Ok(())
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // The RLE work buffer is warm after the first packet, so the rest of
-        // the batch compresses with zero transient allocations.
-        for packet in packets {
-            self.compress_one(packet, out);
-        }
-        Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name().to_string(),
-            kind: "compressor".to_string(),
-            parameters: format!("ratio={:.2}", self.observed_ratio()),
-        }
     }
 }
 
@@ -175,9 +146,9 @@ impl Filter for DecompressorFilter {
         "decompressor(rle)"
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
         self.bytes_in += packet.payload_len() as u64;
@@ -193,16 +164,8 @@ impl Filter for DecompressorFilter {
             None => Vec::new(),
         };
         self.bytes_out += restored.len() as u64;
-        out.emit(packet.with_payload(restored));
+        out.push(packet.with_payload(restored));
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name().to_string(),
-            kind: "decompressor".to_string(),
-            parameters: String::new(),
-        }
     }
 }
 

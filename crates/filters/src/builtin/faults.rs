@@ -5,7 +5,7 @@
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 /// Drops every N-th payload packet (deterministically).
 #[derive(Debug)]
@@ -43,9 +43,9 @@ impl Filter for DropEveryNth {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
         self.counter += 1;
@@ -53,16 +53,8 @@ impl Filter for DropEveryNth {
             self.dropped += 1;
             return Ok(());
         }
-        out.emit(packet);
+        out.push(packet);
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "fault-drop".to_string(),
-            parameters: format!("n={}, dropped={}", self.n, self.dropped),
-        }
     }
 }
 

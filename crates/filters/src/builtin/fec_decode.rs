@@ -15,7 +15,7 @@ use rapidware_fec::{BlockReconstructor, DecodeScratch, FecCodec, FecError};
 use rapidware_packet::{Packet, PacketKind};
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput};
+use crate::filter::{Filter, FilterCounters};
 
 /// Blocks held open at once; opening one more closes the oldest.
 const MAX_OPEN_BLOCKS: usize = 64;
@@ -245,7 +245,7 @@ impl FecDecoderFilter {
         recovered_seqs: &mut SeqRing<()>,
         stats: &FecDecoderStats,
         scratch: &mut DecodeScratch,
-        out: &mut dyn FilterOutput,
+        out: &mut Vec<Packet>,
     ) -> Result<(), FilterError> {
         if !block.shards.is_decodable() {
             return Ok(());
@@ -271,7 +271,7 @@ impl FecDecoderFilter {
             debug_assert_eq!(seq, block.first_seq.wrapping_add(slot as u64));
             if recovered_seqs.insert(seq, ()) {
                 stats.recovered.fetch_add(1, Ordering::Relaxed);
-                out.emit(packet);
+                out.push(packet);
             }
         }
         block.decoded = true;
@@ -279,13 +279,15 @@ impl FecDecoderFilter {
     }
 }
 
-impl FecDecoderFilter {
-    /// Decodes one packet; shared by the serial and batched paths so both
-    /// produce identical output.  Does **not** bump the `sources_seen` /
-    /// `parities_seen` counters — the callers do, per packet or per batch.
-    fn decode_one(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+impl Filter for FecDecoderFilter {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         match packet.kind() {
             PacketKind::Parity { index, k, n, .. } => {
+                self.stats.parities_seen.fetch_add(1, Ordering::Relaxed);
                 if usize::from(k) != self.codec.k() || usize::from(n) != self.codec.n() {
                     return Err(FilterError::Unsupported(format!(
                         "parity packet for fec({n},{k}) fed to a {} decoder",
@@ -330,7 +332,7 @@ impl FecDecoderFilter {
                     )?;
                 }
                 if self.forward_parity {
-                    out.emit(packet);
+                    out.push(packet);
                 }
                 while self.blocks.len() > MAX_OPEN_BLOCKS {
                     self.close_front();
@@ -338,6 +340,7 @@ impl FecDecoderFilter {
                 Ok(())
             }
             kind if kind.is_payload() => {
+                self.stats.sources_seen.fetch_add(1, Ordering::Relaxed);
                 let seq = packet.seq().value();
                 if self.recovered_seqs.get(seq).is_some() {
                     // A late copy of a packet we already rebuilt: suppress it
@@ -368,72 +371,21 @@ impl FecDecoderFilter {
                         out,
                     )?;
                 }
-                out.emit(packet);
+                out.push(packet);
                 Ok(())
             }
             _ => {
-                out.emit(packet);
+                out.push(packet);
                 Ok(())
             }
         }
-    }
-}
-
-impl Filter for FecDecoderFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        match packet.kind() {
-            PacketKind::Parity { .. } => {
-                self.stats.parities_seen.fetch_add(1, Ordering::Relaxed);
-            }
-            kind if kind.is_payload() => {
-                self.stats.sources_seen.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        self.decode_one(packet, out)
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // Tally the observation counters locally and publish once per
-        // batch; the wire-encoding scratch stays warm across the whole
-        // batch.  Decode order and outputs are identical to the serial
-        // path (asserted by the batch/serial parity property test).
-        let mut sources = 0u64;
-        let mut parities = 0u64;
-        let mut result = Ok(());
-        for packet in packets {
-            match packet.kind() {
-                PacketKind::Parity { .. } => parities += 1,
-                kind if kind.is_payload() => sources += 1,
-                _ => {}
-            }
-            if let Err(error) = self.decode_one(packet, out) {
-                result = Err(error);
-                break;
-            }
-        }
-        if sources > 0 {
-            self.stats.sources_seen.fetch_add(sources, Ordering::Relaxed);
-        }
-        if parities > 0 {
-            self.stats.parities_seen.fetch_add(parities, Ordering::Relaxed);
-        }
-        result
     }
 
     /// End of stream, or the decoder leaving its chain: every open block
     /// closes, so one still missing packets it could not recover is
     /// counted in [`FecDecoderStats::unrecoverable_blocks`].  Nothing is
     /// emitted.
-    fn flush(&mut self, _out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn flush(&mut self, _out: &mut Vec<Packet>) -> Result<(), FilterError> {
         while !self.blocks.is_empty() {
             self.close_front();
         }
@@ -442,19 +394,6 @@ impl Filter for FecDecoderFilter {
 
     fn counters(&self) -> Option<FilterCounters> {
         Some(FilterCounters::FecDecoder(Arc::clone(&self.stats)))
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "fec-decoder".to_string(),
-            parameters: format!(
-                "n={}, k={}, recovered={}",
-                self.codec.n(),
-                self.codec.k(),
-                self.stats.recovered()
-            ),
-        }
     }
 }
 

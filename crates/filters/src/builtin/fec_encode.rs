@@ -24,7 +24,7 @@ use rapidware_fec::{BlockAssembler, FecCodec, FramedBlock};
 use rapidware_packet::{BlockId, Bytes, Packet, PacketKind, SeqNo, StreamId};
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput, InsertionPoint};
+use crate::filter::{Filter, InsertionPoint};
 
 /// A composable proxy filter that adds (n, k) block-erasure parity packets
 /// to a stream.
@@ -58,7 +58,7 @@ impl ParityStamper {
     }
 
     /// Emits the `n − k` parity packets of a completed block.
-    fn emit(&mut self, block: &FramedBlock<'_>, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn emit(&mut self, block: &FramedBlock<'_>, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         let first_seq = self
             .first_seq
             .take()
@@ -85,7 +85,7 @@ impl ParityStamper {
             // space" derived from the block so they never collide with
             // source sequence numbers at a reordering buffer.
             let parity_seq = SeqNo::new(u64::MAX / 2 + block_id.value() * n as u64 + index as u64);
-            out.emit(Packet::with_timestamp(self.stream, parity_seq, kind, self.timestamp_us, payload));
+            out.push(Packet::with_timestamp(self.stream, parity_seq, kind, self.timestamp_us, payload));
             self.parities_emitted += 1;
         }
         Ok(())
@@ -153,14 +153,18 @@ impl FecEncoderFilter {
     pub fn parities_emitted(&self) -> u64 {
         self.parities.parities_emitted
     }
+}
 
-    /// Encodes one packet; shared by the serial and batched paths so both
-    /// produce identical output.
-    fn encode_one(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+impl Filter for FecEncoderFilter {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         // Non-payload packets (control, parity from an upstream encoder) are
         // forwarded untouched and do not join a block.
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
         self.parities.note_source(&packet);
@@ -169,40 +173,14 @@ impl FecEncoderFilter {
         let block = self.assembler.push_with(|shard| packet.encode_append(shard))?;
         // The source packet itself is forwarded immediately (systematic
         // code: zero added latency on the data path).
-        out.emit(packet);
+        out.push(packet);
         match block {
             Some(block) => self.parities.emit(&block, out),
             None => Ok(()),
         }
     }
-}
 
-impl Filter for FecEncoderFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        self.encode_one(packet, out)
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // The assembler's shard slots stay warm for the whole batch and each
-        // completed block's parities are produced by the codec's bulk
-        // slice routines, so a 32-packet batch through FEC(6,4) costs eight
-        // block encodes and no allocation beyond the parity payloads
-        // themselves.
-        for packet in packets {
-            self.encode_one(packet, out)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn flush(&mut self, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         match self.assembler.flush_framed() {
             Some(block) => self.parities.emit(&block, out),
             None => Ok(()),
@@ -214,20 +192,6 @@ impl Filter for FecEncoderFilter {
             InsertionPoint::FrameBoundary
         } else {
             InsertionPoint::Anywhere
-        }
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "fec-encoder".to_string(),
-            parameters: format!(
-                "n={}, k={}, blocks={}, parities={}",
-                self.n(),
-                self.k(),
-                self.blocks_encoded(),
-                self.parities_emitted()
-            ),
         }
     }
 }
@@ -332,14 +296,5 @@ mod tests {
         assert_eq!(encoder.insertion_point(), InsertionPoint::FrameBoundary);
         let plain = FecEncoderFilter::fec_6_4().unwrap();
         assert_eq!(plain.insertion_point(), InsertionPoint::Anywhere);
-    }
-
-    #[test]
-    fn descriptor_reports_parameters() {
-        let encoder = FecEncoderFilter::fec_6_4().unwrap();
-        let descriptor = encoder.descriptor();
-        assert_eq!(descriptor.kind, "fec-encoder");
-        assert!(descriptor.parameters.contains("n=6, k=4"));
-        assert_eq!(encoder.name(), "fec-encoder(6,4)");
     }
 }

@@ -3,7 +3,7 @@
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterOutput};
+use crate::filter::Filter;
 
 /// A filter that forwards every packet unchanged.
 ///
@@ -28,21 +28,8 @@ impl Filter for NullFilter {
         "null"
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        out.emit(packet);
-        Ok(())
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // One tight emit loop for the whole batch: no per-packet fallible
-        // dispatch through `process`.
-        for packet in packets {
-            out.emit(packet);
-        }
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
+        out.push(packet);
         Ok(())
     }
 }

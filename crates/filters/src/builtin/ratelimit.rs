@@ -9,7 +9,7 @@
 use rapidware_packet::{FrameType, Packet, PacketKind};
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 /// A token-bucket style rate limiter with frame-type-aware shedding.
 #[derive(Debug)]
@@ -84,7 +84,7 @@ impl Filter for RateLimiterFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         // Roll the window forward based on stream timestamps, so behaviour
         // is deterministic and independent of wall-clock time.
         let now = packet.timestamp_us();
@@ -106,19 +106,8 @@ impl Filter for RateLimiterFilter {
         }
         self.used_bytes += size;
         self.forwarded += 1;
-        out.emit(packet);
+        out.push(packet);
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "rate-limiter".to_string(),
-            parameters: format!(
-                "budget={}B/{}us, forwarded={}, dropped={}",
-                self.budget_bytes, self.window_us, self.forwarded, self.dropped
-            ),
-        }
     }
 }
 

@@ -12,7 +12,7 @@
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 fn keystream_byte(key: u64, seq: u64, index: usize) -> u8 {
     // A small xorshift-style mixer seeded by (key, seq, index); not secure,
@@ -41,7 +41,6 @@ fn apply(key: u64, mut packet: Packet) -> Packet {
 pub struct ScramblerFilter {
     name: String,
     key: u64,
-    packets: u64,
 }
 
 /// Reverses [`ScramblerFilter`] (the transformation is an involution, but a
@@ -50,7 +49,6 @@ pub struct ScramblerFilter {
 pub struct DescramblerFilter {
     name: String,
     key: u64,
-    packets: u64,
 }
 
 impl ScramblerFilter {
@@ -59,7 +57,6 @@ impl ScramblerFilter {
         Self {
             name: format!("scrambler(key={key:#x})"),
             key,
-            packets: 0,
         }
     }
 }
@@ -70,7 +67,6 @@ impl DescramblerFilter {
         Self {
             name: format!("descrambler(key={key:#x})"),
             key,
-            packets: 0,
         }
     }
 }
@@ -80,22 +76,13 @@ impl Filter for ScramblerFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
-        self.packets += 1;
-        out.emit(apply(self.key, packet));
+        out.push(apply(self.key, packet));
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "scrambler".to_string(),
-            parameters: format!("packets={}", self.packets),
-        }
     }
 }
 
@@ -104,22 +91,13 @@ impl Filter for DescramblerFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
-        self.packets += 1;
-        out.emit(apply(self.key, packet));
+        out.push(apply(self.key, packet));
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "descrambler".to_string(),
-            parameters: format!("packets={}", self.packets),
-        }
     }
 }
 
@@ -193,11 +171,5 @@ mod tests {
         let mut out: Vec<Packet> = Vec::new();
         scrambler.process(control.clone(), &mut out).unwrap();
         assert_eq!(out[0], control);
-    }
-
-    #[test]
-    fn descriptors_mention_kind() {
-        assert_eq!(ScramblerFilter::new(1).descriptor().kind, "scrambler");
-        assert_eq!(DescramblerFilter::new(1).descriptor().kind, "descrambler");
     }
 }

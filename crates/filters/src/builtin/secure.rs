@@ -77,7 +77,7 @@ use rapidware_packet::{Bytes, Packet, PacketKind};
 use super::chacha_simd::{self, GROUP_LEN, LANE_BLOCKS, WIDEST_BLOCKS};
 use super::poly1305_simd;
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput};
+use crate::filter::{Filter, FilterCounters};
 
 /// AEAD tag length appended to every sealed payload.
 pub const TAG_LEN: usize = 16;
@@ -967,20 +967,6 @@ impl SecureChannelStats {
         self.rekeys.load(Ordering::Relaxed)
     }
 
-    /// Adds what a filter tallied over one packet or one batch.
-    fn publish(&self, tally: SecureChannelSnapshot) {
-        for (counter, count) in [
-            (&self.sealed, tally.sealed),
-            (&self.opened, tally.opened),
-            (&self.rejected, tally.rejected),
-            (&self.rekeys, tally.rekeys),
-        ] {
-            if count > 0 {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> SecureChannelSnapshot {
         SecureChannelSnapshot {
@@ -1170,34 +1156,20 @@ impl EncryptFilter {
     /// `Cpu::active()` allows: for the parity suite, which pins the sealed
     /// wire bytes under every kernel the CPU has.
     #[doc(hidden)]
-    pub fn process_on(&mut self, kernel: Keystream, packet: Packet, out: &mut dyn FilterOutput) {
-        let mut tally = SecureChannelSnapshot::default();
-        self.seal_into(kernel, packet, out, &mut tally);
-        self.stats.publish(tally);
-    }
-
-    /// Seals (or, for a control frame, installs and forwards) one packet,
-    /// tallying into `tally` rather than the shared counters.
-    fn seal_into(
-        &mut self,
-        kernel: Keystream,
-        packet: Packet,
-        out: &mut dyn FilterOutput,
-        tally: &mut SecureChannelSnapshot,
-    ) {
+    pub fn process_on(&mut self, kernel: Keystream, packet: Packet, out: &mut Vec<Packet>) {
         if packet.kind() == PacketKind::Control {
             if let Some((epoch, boundary)) = parse_rekey(&packet) {
                 if self.table.install(epoch, boundary) {
-                    tally.rekeys += 1;
+                    self.stats.rekeys.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            out.emit(packet);
+            out.push(packet);
             return;
         }
         let key = self.table.key_for(packet.seq().value());
         let sealed = kernel.seal(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload());
-        tally.sealed += 1;
-        out.emit(packet.with_payload(sealed));
+        self.stats.sealed.fetch_add(1, Ordering::Relaxed);
+        out.push(packet.with_payload(sealed));
     }
 }
 
@@ -1206,72 +1178,13 @@ impl Filter for EncryptFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         self.process_on(Keystream::new(Cpu::active()), packet, out);
         Ok(())
     }
 
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // One kernel choice and one counter update per batch; the key is
-        // looked up once per run of same-epoch packets, and a rekey frame
-        // takes effect at its own position, exactly as on the serial path.
-        let kernel = Keystream::new(Cpu::active());
-        let mut tally = SecureChannelSnapshot::default();
-        for packet in packets {
-            self.seal_into(kernel, packet, out, &mut tally);
-        }
-        self.stats.publish(tally);
-        Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "encrypt".to_string(),
-            parameters: "aead=chacha20-poly1305".to_string(),
-        }
-    }
-
     fn counters(&self) -> Option<FilterCounters> {
         Some(FilterCounters::Secure(Arc::clone(&self.stats)))
-    }
-}
-
-impl DecryptFilter {
-    /// Opens (or rejects, or for a rekey frame installs and consumes) one
-    /// packet, tallying into `tally` rather than the shared counters.
-    fn open_into(
-        &mut self,
-        kernel: Keystream,
-        packet: Packet,
-        out: &mut dyn FilterOutput,
-        tally: &mut SecureChannelSnapshot,
-    ) {
-        if packet.kind() == PacketKind::Control {
-            if let Some((epoch, boundary)) = parse_rekey(&packet) {
-                if self.table.install(epoch, boundary) {
-                    tally.rekeys += 1;
-                }
-                // Consumed: rotation plumbing never reaches a sink.
-                return;
-            }
-            out.emit(packet);
-            return;
-        }
-        let key = self.table.key_for(packet.seq().value());
-        match kernel.open(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload()) {
-            Some(plaintext) => {
-                tally.opened += 1;
-                out.emit(packet.with_payload(plaintext));
-            }
-            // A counted drop: never a panic, never a forwarded corrupt
-            // frame, and the rest of the batch is untouched.
-            None => tally.rejected += 1,
-        }
     }
 }
 
@@ -1280,35 +1193,34 @@ impl Filter for DecryptFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        let mut tally = SecureChannelSnapshot::default();
-        self.open_into(Keystream::new(Cpu::active()), packet, out, &mut tally);
-        self.stats.publish(tally);
-        Ok(())
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // As `EncryptFilter::process_batch`: one kernel choice, one counter
-        // update, one key lookup per same-epoch run.
+    /// Opens (or rejects, or for a rekey frame installs and consumes) one
+    /// packet.
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
+        if packet.kind() == PacketKind::Control {
+            if let Some((epoch, boundary)) = parse_rekey(&packet) {
+                if self.table.install(epoch, boundary) {
+                    self.stats.rekeys.fetch_add(1, Ordering::Relaxed);
+                }
+                // Consumed: rotation plumbing never reaches a sink.
+                return Ok(());
+            }
+            out.push(packet);
+            return Ok(());
+        }
+        let key = self.table.key_for(packet.seq().value());
         let kernel = Keystream::new(Cpu::active());
-        let mut tally = SecureChannelSnapshot::default();
-        for packet in packets {
-            self.open_into(kernel, packet, out, &mut tally);
+        match kernel.open(key, &packet_nonce(&packet), &packet.aad_bytes(), packet.payload()) {
+            Some(plaintext) => {
+                self.stats.opened.fetch_add(1, Ordering::Relaxed);
+                out.push(packet.with_payload(plaintext));
+            }
+            // A counted drop: never a panic, never a forwarded corrupt
+            // frame, and the rest of the batch is untouched.
+            None => {
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.stats.publish(tally);
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "decrypt".to_string(),
-            parameters: "aead=chacha20-poly1305".to_string(),
-        }
     }
 
     fn counters(&self) -> Option<FilterCounters> {
@@ -1743,13 +1655,15 @@ only one tip for the future, sunscreen would be it.";
     fn batch_and_serial_orders_agree() {
         let packets: Vec<Packet> = (0..20).map(|s| packet(s, vec![s as u8; 48])).collect();
         let mut serial_out: Vec<Packet> = Vec::new();
-        let mut encrypt = EncryptFilter::new(7);
+        let mut chain = crate::FilterChain::new();
+        chain.push_back(Box::new(EncryptFilter::new(7))).unwrap();
         for p in packets.clone() {
-            encrypt.process(p, &mut serial_out).unwrap();
+            serial_out.extend(chain.process(p).unwrap());
         }
         let mut batch_out: Vec<Packet> = Vec::new();
-        let mut encrypt = EncryptFilter::new(7);
-        encrypt.process_batch(packets, &mut batch_out).unwrap();
+        let mut chain = crate::FilterChain::new();
+        chain.push_back(Box::new(EncryptFilter::new(7))).unwrap();
+        chain.process_batch_into(packets, &mut batch_out).unwrap();
         assert_eq!(serial_out, batch_out);
     }
 
@@ -1780,9 +1694,7 @@ only one tip for the future, sunscreen would be it.";
     }
 
     #[test]
-    fn descriptors_mention_kind() {
-        assert_eq!(EncryptFilter::new(1).descriptor().kind, "encrypt");
-        assert_eq!(DecryptFilter::new(1).descriptor().kind, "decrypt");
+    fn filters_debug_print() {
         assert!(!format!("{:?}", EncryptFilter::new(1)).is_empty());
         assert!(!format!("{:?}", DecryptFilter::new(1)).is_empty());
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 /// Shared counters exposed by a [`TapFilter`].
 #[derive(Debug, Default)]
@@ -71,7 +71,7 @@ impl Filter for TapFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         self.counters.packets.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes
@@ -82,49 +82,8 @@ impl Filter for TapFilter {
         if packet.kind().is_parity() {
             self.counters.parity_packets.fetch_add(1, Ordering::Relaxed);
         }
-        out.emit(packet);
+        out.push(packet);
         Ok(())
-    }
-
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        // Tally locally and publish once: one atomic RMW per counter per
-        // batch instead of up to four per packet.
-        let mut total = 0u64;
-        let mut bytes = 0u64;
-        let mut payload = 0u64;
-        let mut parity = 0u64;
-        for packet in packets {
-            total += 1;
-            bytes += packet.payload_len() as u64;
-            if packet.kind().is_payload() {
-                payload += 1;
-            }
-            if packet.kind().is_parity() {
-                parity += 1;
-            }
-            out.emit(packet);
-        }
-        self.counters.packets.fetch_add(total, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.counters
-            .payload_packets
-            .fetch_add(payload, Ordering::Relaxed);
-        self.counters
-            .parity_packets
-            .fetch_add(parity, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "tap".to_string(),
-            parameters: format!("packets={}", self.counters.packets()),
-        }
     }
 }
 
@@ -157,6 +116,5 @@ mod tests {
         assert_eq!(counters.bytes(), 150);
         assert_eq!(counters.payload_packets(), 1);
         assert_eq!(counters.parity_packets(), 1);
-        assert!(tap.descriptor().parameters.contains("packets=2"));
     }
 }

@@ -11,7 +11,7 @@
 use rapidware_packet::Packet;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, FilterOutput};
+use crate::filter::Filter;
 
 /// How the transcoder reduces the stream's bit-rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,24 +114,16 @@ impl Filter for AudioTranscoderFilter {
         &self.name
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         if !packet.kind().is_payload() {
-            out.emit(packet);
+            out.push(packet);
             return Ok(());
         }
         self.bytes_in += packet.payload_len() as u64;
         let transcoded = self.transcode(packet.payload());
         self.bytes_out += transcoded.len() as u64;
-        out.emit(packet.with_payload(transcoded));
+        out.push(packet.with_payload(transcoded));
         Ok(())
-    }
-
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name.clone(),
-            kind: "transcoder".to_string(),
-            parameters: format!("mode={}, ratio={:.2}", self.mode.label(), self.observed_ratio()),
-        }
     }
 }
 
@@ -185,7 +177,6 @@ mod tests {
         assert_eq!(filter.bytes_out(), 1600);
         assert!((filter.observed_ratio() - 2.0).abs() < 1e-9);
         assert!((filter.mode().compression_factor() - 2.0).abs() < 1e-9);
-        assert!(filter.descriptor().parameters.contains("ratio=2.00"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rapidware_packet::Packet;
 use rapidware_telemetry::now_ns;
 
 use crate::error::FilterError;
-use crate::filter::{Filter, FilterDescriptor, InsertionPoint};
+use crate::filter::{Filter, InsertionPoint};
 use crate::telemetry::ChainSpans;
 
 struct PendingInsertion {
@@ -27,8 +27,6 @@ struct PendingInsertion {
 pub struct FilterChain {
     filters: Vec<Box<dyn Filter>>,
     pending: Vec<PendingInsertion>,
-    packets_in: u64,
-    packets_out: u64,
     spans: Option<Arc<ChainSpans>>,
 }
 
@@ -43,8 +41,6 @@ impl fmt::Debug for FilterChain {
         f.debug_struct("FilterChain")
             .field("filters", &self.names())
             .field("pending", &self.pending.len())
-            .field("packets_in", &self.packets_in)
-            .field("packets_out", &self.packets_out)
             .finish()
     }
 }
@@ -56,8 +52,6 @@ impl FilterChain {
         Self {
             filters: Vec::new(),
             pending: Vec::new(),
-            packets_in: 0,
-            packets_out: 0,
             spans: None,
         }
     }
@@ -95,22 +89,6 @@ impl FilterChain {
     /// Names of the active filters, in order.
     pub fn names(&self) -> Vec<String> {
         self.filters.iter().map(|f| f.name().to_string()).collect()
-    }
-
-    /// Descriptors of the active filters, in order (what the control manager
-    /// displays).
-    pub fn descriptors(&self) -> Vec<FilterDescriptor> {
-        self.filters.iter().map(|f| f.descriptor()).collect()
-    }
-
-    /// Total packets accepted by the chain so far.
-    pub fn packets_in(&self) -> u64 {
-        self.packets_in
-    }
-
-    /// Total packets emitted by the chain so far.
-    pub fn packets_out(&self) -> u64 {
-        self.packets_out
     }
 
     /// Appends a filter at the end of the chain.
@@ -173,8 +151,8 @@ impl FilterChain {
         // that now occupy positions `position..`.
         let mut flushed: Vec<Packet> = Vec::new();
         filter.flush(&mut flushed)?;
-        let forwarded = self.run_from(position, flushed)?;
-        self.packets_out += forwarded.len() as u64;
+        let mut forwarded: Vec<Packet> = Vec::new();
+        self.run_batch_from(position, flushed, &mut forwarded)?;
         Ok((filter, forwarded))
     }
 
@@ -221,45 +199,35 @@ impl FilterChain {
     /// that emerge at the far end.
     ///
     /// Deferred insertions are applied first if this packet is an insertion
-    /// boundary.
+    /// boundary.  This is [`process_batch_into`](Self::process_batch_into)
+    /// with a batch of one.
     ///
     /// # Errors
     ///
     /// Propagates the first filter error encountered.
-    pub fn process(&mut self, mut packet: Packet) -> Result<Vec<Packet>, FilterError> {
-        let span = self.spans.as_ref().map(|spans| {
-            let now = now_ns();
-            packet.stamp_ingress_ns(now);
-            (Arc::clone(spans), now)
-        });
-        self.packets_in += 1;
-        if !self.pending.is_empty() && packet.is_insertion_boundary() {
-            self.apply_pending();
-        }
-        let out = self.run_from(0, vec![packet])?;
-        self.packets_out += out.len() as u64;
-        if let Some((spans, start)) = span {
-            record_exit(&spans, start, &out);
-        }
-        Ok(out)
+    pub fn process(&mut self, packet: Packet) -> Result<Vec<Packet>, FilterError> {
+        let mut output: Vec<Packet> = Vec::new();
+        self.process_batch_into(vec![packet], &mut output)?;
+        Ok(output)
     }
 
-    /// Processes a whole batch through the chain, returning everything that
-    /// emerges at the far end.
+    /// Processes a whole batch through the chain, appending everything that
+    /// emerges at the far end to `output`.
     ///
-    /// This is the batched data plane's entry point: instead of threading
-    /// each packet through every filter individually (one intermediate
-    /// `Vec` per filter *per packet*), the batch flows level by level —
-    /// each filter's [`Filter::process_batch`] consumes the whole batch and
-    /// emits into a single output buffer, so per-packet dispatch and
-    /// allocation are amortised across the batch.
-    ///
-    /// The output is exactly what the same packets fed one at a time
-    /// through [`process`](Self::process) would produce, including the
-    /// frame-boundary handling of deferred insertions: when insertions are
-    /// pending, the batch is split at each insertion boundary and the
+    /// The batch flows level by level: each filter's
+    /// [`Filter::process`] runs over the whole batch into one buffer before
+    /// the next filter starts, so a filter's scratch stays warm across the
+    /// batch.  The output is exactly what the same packets fed one at a
+    /// time through [`process`](Self::process) would produce, including
+    /// the frame-boundary handling of deferred insertions: when insertions
+    /// are pending, the batch is split at each insertion boundary and the
     /// pending filters are activated before the boundary packet is
     /// processed.
+    ///
+    /// A pooled session task of the proxy's runtime owns a persistent
+    /// output buffer (its back-pressure queue towards the downstream pipe)
+    /// and appends each batch's results to whatever could not be forwarded
+    /// yet, so the hot loop allocates nothing when the chain is keeping up.
     ///
     /// ```
     /// use rapidware_filters::{FecEncoderFilter, FilterChain};
@@ -272,7 +240,8 @@ impl FilterChain {
     /// let batch: Vec<Packet> = (0..8u64)
     ///     .map(|seq| Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![0u8; 64]))
     ///     .collect();
-    /// let out = chain.process_batch(batch)?;
+    /// let mut out = Vec::new();
+    /// chain.process_batch_into(batch, &mut out)?;
     /// // 8 sources plus two blocks' worth of FEC(6,4) parities.
     /// assert_eq!(out.len(), 12);
     /// # Ok(())
@@ -282,28 +251,8 @@ impl FilterChain {
     /// # Errors
     ///
     /// Propagates the first filter error encountered; the remainder of the
-    /// batch is not processed (and does not count towards
-    /// [`packets_in`](Self::packets_in)).
-    pub fn process_batch(&mut self, packets: Vec<Packet>) -> Result<Vec<Packet>, FilterError> {
-        let mut output: Vec<Packet> = Vec::with_capacity(packets.len());
-        self.process_batch_into(packets, &mut output)?;
-        Ok(output)
-    }
-
-    /// Like [`process_batch`](Self::process_batch), but appends the chain's
-    /// output to a caller-provided buffer instead of allocating a fresh
-    /// one.
-    ///
-    /// This is the re-entrant stepping interface the sharded runtime uses:
-    /// a pooled session task owns a persistent output buffer (its
-    /// back-pressure queue towards the downstream pipe) and appends each
-    /// batch's results to whatever could not be forwarded yet, so the hot
-    /// loop allocates nothing when the chain is keeping up.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first filter error encountered; packets appended to
-    /// `output` before the error stay appended.
+    /// batch is not processed, and packets appended to `output` before the
+    /// error stay appended.
     pub fn process_batch_into(
         &mut self,
         mut packets: Vec<Packet>,
@@ -341,25 +290,20 @@ impl FilterChain {
                 self.run_batch_from(0, segment, output)?;
             }
         }
-        self.packets_out += (output.len() - before) as u64;
         if let Some((spans, start)) = span {
             record_exit(&spans, start, &output[before..]);
         }
         Ok(())
     }
 
-    /// Runs one batch through the filters starting at `start`, appending
-    /// the survivors to `output`.
+    /// The chain's one engine: runs a batch through the filters starting
+    /// at `start`, level by level, appending the survivors to `output`.
     fn run_batch_from(
         &mut self,
         start: usize,
         packets: Vec<Packet>,
         output: &mut Vec<Packet>,
     ) -> Result<(), FilterError> {
-        // Counted per segment (not per whole batch) so that a filter error
-        // does not inflate packets_in with packets that were never offered
-        // to the filters.
-        self.packets_in += packets.len() as u64;
         // Per-filter timing is sampled: most batches take the untimed
         // branch and pay nothing beyond the `Option` check.
         let timing = match &self.spans {
@@ -371,43 +315,43 @@ impl FilterChain {
             if current.is_empty() {
                 break;
             }
+            let filter = &mut self.filters[index];
             let mut next: Vec<Packet> = Vec::with_capacity(current.len());
-            if let Some(spans) = &timing {
-                let stage_start = now_ns();
-                self.filters[index].process_batch(current, &mut next)?;
+            let stage_start = timing.is_some().then(now_ns);
+            for packet in current {
+                filter.process(packet, &mut next)?;
+            }
+            if let (Some(spans), Some(stage_start)) = (&timing, stage_start) {
                 let elapsed = now_ns().saturating_sub(stage_start);
-                spans.stage_histogram(self.filters[index].name()).record(elapsed);
-            } else {
-                self.filters[index].process_batch(current, &mut next)?;
+                spans.stage_histogram(filter.name()).record(elapsed);
             }
             current = next;
         }
-        output.append(&mut current);
+        // An empty output takes the survivors' buffer instead of a copy, so
+        // a batch of one through `process` allocates no second buffer.
+        if output.is_empty() {
+            *output = current;
+        } else {
+            output.append(&mut current);
+        }
         Ok(())
     }
 
     /// Flushes every filter (front to back), applying any still-pending
-    /// insertions first, and returns the packets that emerge.
+    /// insertions first, and returns the packets that emerge: each
+    /// filter's residue runs through the filters after it.
     ///
     /// # Errors
     ///
     /// Propagates the first filter error encountered.
     pub fn flush(&mut self) -> Result<Vec<Packet>, FilterError> {
         self.apply_pending();
-        let mut carried: Vec<Packet> = Vec::new();
         let mut output: Vec<Packet> = Vec::new();
         for index in 0..self.filters.len() {
-            // Packets carried from upstream flushes pass through this filter
-            // first, then the filter itself is flushed.
-            let mut next: Vec<Packet> = Vec::new();
-            for packet in carried.drain(..) {
-                self.filters[index].process(packet, &mut next)?;
-            }
-            self.filters[index].flush(&mut next)?;
-            carried = next;
+            let mut residue: Vec<Packet> = Vec::new();
+            self.filters[index].flush(&mut residue)?;
+            self.run_batch_from(index + 1, residue, &mut output)?;
         }
-        output.extend(carried);
-        self.packets_out += output.len() as u64;
         Ok(output)
     }
 
@@ -419,22 +363,6 @@ impl FilterChain {
             let position = insertion.position.min(self.filters.len());
             self.filters.insert(position, insertion.filter);
         }
-    }
-
-    /// Runs `packets` through the filters starting at `start`.
-    fn run_from(&mut self, start: usize, packets: Vec<Packet>) -> Result<Vec<Packet>, FilterError> {
-        let mut current = packets;
-        for index in start..self.filters.len() {
-            if current.is_empty() {
-                break;
-            }
-            let mut next: Vec<Packet> = Vec::new();
-            for packet in current {
-                self.filters[index].process(packet, &mut next)?;
-            }
-            current = next;
-        }
-        Ok(current)
     }
 }
 
@@ -473,7 +401,6 @@ fn record_exit(spans: &ChainSpans, start_ns: u64, emitted: &[Packet]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterOutput;
     use rapidware_packet::{FrameType, PacketKind, SeqNo, StreamId};
 
     fn audio_packet(seq: u64) -> Packet {
@@ -518,14 +445,10 @@ mod tests {
             &self.name
         }
 
-        fn process(
-            &mut self,
-            packet: Packet,
-            out: &mut dyn FilterOutput,
-        ) -> Result<(), FilterError> {
+        fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
             let mut payload = packet.payload().to_vec();
             payload.push(self.tag);
-            out.emit(packet.with_payload(payload));
+            out.push(packet.with_payload(payload));
             Ok(())
         }
     }
@@ -540,18 +463,14 @@ mod tests {
             "hoarder"
         }
 
-        fn process(
-            &mut self,
-            packet: Packet,
-            _out: &mut dyn FilterOutput,
-        ) -> Result<(), FilterError> {
+        fn process(&mut self, packet: Packet, _out: &mut Vec<Packet>) -> Result<(), FilterError> {
             self.held.push(packet);
             Ok(())
         }
 
-        fn flush(&mut self, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+        fn flush(&mut self, out: &mut Vec<Packet>) -> Result<(), FilterError> {
             for packet in self.held.drain(..) {
-                out.emit(packet);
+                out.push(packet);
             }
             Ok(())
         }
@@ -565,11 +484,7 @@ mod tests {
             self.0.name()
         }
 
-        fn process(
-            &mut self,
-            packet: Packet,
-            out: &mut dyn FilterOutput,
-        ) -> Result<(), FilterError> {
+        fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
             self.0.process(packet, out)
         }
 
@@ -585,8 +500,6 @@ mod tests {
         let packet = audio_packet(0);
         let out = chain.process(packet.clone()).unwrap();
         assert_eq!(out, vec![packet]);
-        assert_eq!(chain.packets_in(), 1);
-        assert_eq!(chain.packets_out(), 1);
     }
 
     #[test]
@@ -729,12 +642,11 @@ mod tests {
     }
 
     #[test]
-    fn get_and_descriptors() {
+    fn get_and_debug() {
         let mut chain = FilterChain::new();
         chain.push_back(Box::new(Tagger::new(4))).unwrap();
         assert_eq!(chain.get(0).unwrap().name(), "tagger-4");
         assert!(chain.get(1).is_none());
-        assert_eq!(chain.descriptors()[0].name, "tagger-4");
         assert!(!format!("{chain:?}").is_empty());
     }
 }

@@ -25,43 +25,6 @@ pub enum InsertionPoint {
     FrameBoundary,
 }
 
-/// Description of a filter instance, reported to the control manager when it
-/// queries a proxy for its current configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterDescriptor {
-    /// The filter's unique-enough display name (e.g. `fec-encoder(6,4)`).
-    pub name: String,
-    /// The general kind of filter (e.g. `fec-encoder`).
-    pub kind: String,
-    /// Human-readable parameter summary.
-    pub parameters: String,
-}
-
-impl fmt::Display for FilterDescriptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.parameters.is_empty() {
-            write!(f, "{}", self.name)
-        } else {
-            write!(f, "{} [{}]", self.name, self.parameters)
-        }
-    }
-}
-
-/// The downstream side of a filter: where processed packets go.
-///
-/// In the chain the output is simply a `Vec<Packet>` (the proxy's runtime
-/// runs the same chain and hands the batch to the next pipe afterwards).
-pub trait FilterOutput {
-    /// Emits one packet downstream.
-    fn emit(&mut self, packet: Packet);
-}
-
-impl FilterOutput for Vec<Packet> {
-    fn emit(&mut self, packet: Packet) {
-        self.push(packet);
-    }
-}
-
 /// A composable proxy filter.
 ///
 /// A filter receives packets one at a time and emits zero or more packets to
@@ -76,42 +39,24 @@ pub trait Filter: Send {
     /// Short, stable, human-readable name of this filter instance.
     fn name(&self) -> &str;
 
-    /// Processes one packet.
+    /// Processes one packet, pushing what it emits onto `out`.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`FilterError`] if the packet cannot be processed; the
-    /// chain treats filter errors as fatal for the offending packet but not
-    /// for the stream.
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError>;
-
-    /// Processes a batch of packets in order.
-    ///
-    /// This is the hot path of the batched data plane: the synchronous
-    /// [`FilterChain`](crate::FilterChain), which the proxy's runtime runs,
-    /// hands a filter a whole batch at a time so that per-packet dispatch,
-    /// queue locking, and allocation are amortised across the batch.  The
-    /// default implementation simply loops over [`process`](Self::process),
-    /// so implementing `process` alone is always correct; hot filters
-    /// override this to reuse scratch buffers or coalesce counter updates.
-    ///
-    /// **Contract:** for any packet sequence, `process_batch` must emit
-    /// exactly what the equivalent sequence of `process` calls would emit,
-    /// in the same order (the batch/serial parity property tests assert
-    /// this for every built-in filter).
+    /// This is a filter's only packet method.  The chain, and the proxy's
+    /// runtime above it, call it once per packet of a batch with the same
+    /// output buffer, so a filter keeps whatever scratch it reuses in its
+    /// own state.
     ///
     /// ```
     /// use rapidware_filters::{Filter, NullFilter};
     /// use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
     ///
     /// # fn main() -> Result<(), rapidware_filters::FilterError> {
-    /// let batch: Vec<Packet> = (0..32u64)
-    ///     .map(|seq| Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![0u8; 64]))
-    ///     .collect();
-    ///
     /// let mut filter = NullFilter::new();
-    /// let mut out: Vec<Packet> = Vec::with_capacity(batch.len());
-    /// filter.process_batch(batch, &mut out)?;
+    /// let mut out: Vec<Packet> = Vec::with_capacity(32);
+    /// for seq in 0..32u64 {
+    ///     let packet = Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![0u8; 64]);
+    ///     filter.process(packet, &mut out)?;
+    /// }
     /// assert_eq!(out.len(), 32);
     /// # Ok(())
     /// # }
@@ -119,19 +64,10 @@ pub trait Filter: Send {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`FilterError`] encountered; packets already
-    /// emitted downstream stay emitted, and the remainder of the batch is
-    /// not processed.
-    fn process_batch(
-        &mut self,
-        packets: Vec<Packet>,
-        out: &mut dyn FilterOutput,
-    ) -> Result<(), FilterError> {
-        for packet in packets {
-            self.process(packet, out)?;
-        }
-        Ok(())
-    }
+    /// Returns a [`FilterError`] if the packet cannot be processed; the
+    /// chain treats filter errors as fatal for the offending packet but not
+    /// for the stream.
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError>;
 
     /// Flushes any buffered state downstream.
     ///
@@ -141,7 +77,7 @@ pub trait Filter: Send {
     /// # Errors
     ///
     /// Returns a [`FilterError`] if buffered state cannot be flushed.
-    fn flush(&mut self, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
+    fn flush(&mut self, out: &mut Vec<Packet>) -> Result<(), FilterError> {
         let _ = out;
         Ok(())
     }
@@ -149,15 +85,6 @@ pub trait Filter: Send {
     /// Where this filter may be spliced into a running stream.
     fn insertion_point(&self) -> InsertionPoint {
         InsertionPoint::Anywhere
-    }
-
-    /// A structured description of this filter for management tooling.
-    fn descriptor(&self) -> FilterDescriptor {
-        FilterDescriptor {
-            name: self.name().to_string(),
-            kind: self.name().split('(').next().unwrap_or(self.name()).to_string(),
-            parameters: String::new(),
-        }
     }
 
     /// The shared counters this filter keeps, if any.
@@ -198,13 +125,9 @@ mod tests {
             "doubler"
         }
 
-        fn process(
-            &mut self,
-            packet: Packet,
-            out: &mut dyn FilterOutput,
-        ) -> Result<(), FilterError> {
-            out.emit(packet.clone());
-            out.emit(packet);
+        fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
+            out.push(packet.clone());
+            out.push(packet);
             Ok(())
         }
     }
@@ -222,24 +145,11 @@ mod tests {
     fn default_trait_methods() {
         let filter = Doubler;
         assert_eq!(filter.insertion_point(), InsertionPoint::Anywhere);
-        let descriptor = filter.descriptor();
-        assert_eq!(descriptor.name, "doubler");
-        assert_eq!(descriptor.kind, "doubler");
-        assert_eq!(descriptor.to_string(), "doubler");
+        assert!(filter.counters().is_none());
         let mut out: Vec<Packet> = Vec::new();
         let mut filter = Doubler;
         filter.flush(&mut out).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn descriptor_display_with_parameters() {
-        let descriptor = FilterDescriptor {
-            name: "fec-encoder(6,4)".to_string(),
-            kind: "fec-encoder".to_string(),
-            parameters: "n=6, k=4".to_string(),
-        };
-        assert_eq!(descriptor.to_string(), "fec-encoder(6,4) [n=6, k=4]");
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //!
 //! * [`Filter`] — the trait every proxy filter implements (the analogue of
 //!   the paper's `Filter` base class).  A filter consumes packets one at a
-//!   time and emits zero or more packets downstream through a
-//!   [`FilterOutput`].
+//!   time and pushes zero or more packets onto an output `Vec`.
 //! * [`FilterChain`] — an ordered, *dynamically reconfigurable* sequence of
 //!   filters (the data-plane state managed by the paper's `ControlThread`).
 //!   Filters can be inserted, removed, replaced, and reordered while packets
 //!   are flowing; insertions that require a clean point in the stream are
 //!   deferred until the next frame boundary.
-//! * [`FilterContainer`] — a named bundle of filters used when uploading new
-//!   filter implementations into a proxy (the paper's `FilterContainer`).
 //! * Built-in filters: FEC encoder/decoder ([`FecEncoderFilter`],
 //!   [`FecDecoderFilter`]), an audio transcoder ([`AudioTranscoderFilter`]),
 //!   a run-length compressor pair ([`CompressorFilter`],
@@ -65,7 +62,6 @@
 
 mod builtin;
 mod chain;
-mod container;
 mod error;
 mod filter;
 mod telemetry;
@@ -89,7 +85,6 @@ pub use builtin::secure::Keystream;
 pub use builtin::tap::{TapCounters, TapFilter};
 pub use builtin::transcode::{AudioTranscoderFilter, TranscodeMode};
 pub use chain::FilterChain;
-pub use container::FilterContainer;
 pub use error::FilterError;
-pub use filter::{Filter, FilterCounters, FilterDescriptor, FilterOutput, InsertionPoint};
+pub use filter::{Filter, FilterCounters, InsertionPoint};
 pub use telemetry::{ChainSpans, STAGE_SAMPLE_EVERY};

@@ -1,10 +1,9 @@
 //! Differential test of the FEC decoder filter: a self-contained reference
 //! model of the decoding rules — written against nothing but
 //! [`FecCodec::decode`] and [`Packet`] — runs beside [`FecDecoderFilter`]
-//! on encoded streams that lose, reorder and duplicate frames, split at
-//! random between `process` and `process_batch`.  Both must emit the same
-//! packets, in the same order, with the same bytes, and agree on all five
-//! counters.
+//! on encoded streams that lose, reorder and duplicate frames.  Both must
+//! emit the same packets, in the same order, with the same bytes, and agree
+//! on all five counters.
 //!
 //! The model's rules:
 //!
@@ -317,20 +316,9 @@ proptest! {
 
         let mut emitted = Vec::new();
         let mut expected = Vec::new();
-        let mut rest = frames.as_slice();
-        while !rest.is_empty() {
-            let (chunk, tail) = rest.split_at((1 + rng.below(8) as usize).min(rest.len()));
-            rest = tail;
-            if rng.below(2) == 0 {
-                decoder.process_batch(chunk.to_vec(), &mut emitted).unwrap();
-            } else {
-                for packet in chunk {
-                    decoder.process(packet.clone(), &mut emitted).unwrap();
-                }
-            }
-            for packet in chunk {
-                model.process(packet.clone(), &mut expected);
-            }
+        for packet in &frames {
+            decoder.process(packet.clone(), &mut emitted).unwrap();
+            model.process(packet.clone(), &mut expected);
             prop_assert_eq!(emitted.len(), expected.len());
         }
         let before_flush = emitted.len();

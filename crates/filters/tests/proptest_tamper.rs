@@ -16,12 +16,11 @@
 //!   has rotated past it is rejected (the stale-key replay);
 //! * a tampered frame in the middle of a batch never disturbs its
 //!   neighbours: the good frames open in order, bit-exact;
-//! * `Encrypt ∘ Decrypt` obeys the batch/serial parity contract across the
-//!   built-in chain shapes, with FEC placed before *and* after the crypto
-//!   stage, including loss-and-recovery of sealed frames, and with a rekey
-//!   frame at every position of a batch (the filters' batch path looks a
-//!   key up once per same-epoch run, so a rotation must still land exactly
-//!   where its frame does).
+//! * a chain holding `Encrypt ∘ Decrypt` emits the same frames however a
+//!   stream is cut into batches, across the built-in chain shapes, with FEC
+//!   placed before *and* after the crypto stage, including loss-and-recovery
+//!   of sealed frames, and with a rekey frame at every position of a batch
+//!   (a rotation must land exactly where its frame does).
 
 use proptest::prelude::*;
 use rapidware_filters::{
@@ -210,7 +209,7 @@ proptest! {
         chain.push(Box::new(DecryptFilter::new(KEY)));
         let mut batched: Vec<Packet> = Vec::new();
         for chunk in sealed.chunks(batch_len) {
-            batched.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
+            chain.chain.process_batch_into(chunk.to_vec(), &mut batched).unwrap();
         }
         prop_assert_eq!(&batched, &expected, "neighbours disturbed in the batch");
         prop_assert_eq!(chain.secure().rejected, 1);
@@ -308,8 +307,8 @@ fn crypto_chain(selector: usize) -> CryptoChain {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `process_batch` emits exactly what per-packet `process` emits for
-    /// every crypto chain shape, packet mix, and batch partition — and the
+    /// `process_batch_into` emits exactly what per-packet `process` emits
+    /// for every crypto chain shape, packet mix, and batch partition — and the
     /// secure counters agree too.
     #[test]
     fn batch_equals_serial_for_crypto_chains(
@@ -335,7 +334,7 @@ proptest! {
         let mut batch_chain = crypto_chain(selector);
         let mut batch_out: Vec<Packet> = Vec::new();
         for chunk in packets.chunks(batch_len) {
-            batch_out.extend(batch_chain.chain.process_batch(chunk.to_vec()).unwrap());
+            batch_chain.chain.process_batch_into(chunk.to_vec(), &mut batch_out).unwrap();
         }
 
         prop_assert_eq!(&serial_out, &batch_out, "selector {}", selector);
@@ -369,7 +368,7 @@ proptest! {
             let mut out: Vec<Packet> = Vec::new();
             if chunked {
                 for chunk in packets.chunks(batch_len) {
-                    out.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
+                    chain.chain.process_batch_into(chunk.to_vec(), &mut out).unwrap();
                 }
             } else {
                 for packet in &packets {
@@ -393,38 +392,45 @@ proptest! {
     }
 }
 
-/// `EncryptFilter` and `DecryptFilter` take a batch with one kernel choice,
-/// one key lookup per same-epoch run and one counter update; a rekey frame
-/// must still take effect exactly at its own position.  Every position of a
-/// rekey frame inside batches of every length up to 9 (and one of 32), on
-/// the pair and on each filter alone: the batched output and counters equal
-/// the serial ones, and the pair returns the plaintext.
+/// A rekey frame takes effect exactly at its own position, however the
+/// batch is cut.  Every position of a rekey frame inside batches of every
+/// length up to 9 (and one of 32): the pair's batched output and counters
+/// equal the serial ones and the pair returns the plaintext; each filter
+/// alone counts the rotation once and seals or opens every data frame.
 #[test]
 fn a_rekey_at_every_batch_position_keeps_batch_serial_parity() {
     let data: Vec<Packet> = (0..40u64)
         .map(|seq| data_packet(seq, (0..(seq as usize * 37) % 300).map(|i| (i * 13 + seq as usize) as u8).collect()))
         .collect();
-    let sealed_serially = |packets: &[Packet]| {
-        let mut encrypt = EncryptFilter::new(KEY);
-        let mut out: Vec<Packet> = Vec::new();
-        for packet in packets {
-            encrypt.process(packet.clone(), &mut out).expect("encrypt never fails");
-        }
-        out
-    };
-    for batch_len in (1..=9).chain([32]) {
-        for rekey_at in 0..data.len() {
-            let mut packets = data.clone();
-            let boundary = packets[rekey_at].seq().value();
-            packets.insert(rekey_at, rekey_packet(StreamId::new(7), 1, boundary, 0));
-            let context = format!("batch of {batch_len}, rekey at {rekey_at}");
+    for rekey_at in 0..data.len() {
+        let mut packets = data.clone();
+        let boundary = packets[rekey_at].seq().value();
+        packets.insert(rekey_at, rekey_packet(StreamId::new(7), 1, boundary, 0));
 
+        // Each filter alone.
+        let mut encrypt = EncryptFilter::new(KEY);
+        let mut sealed: Vec<Packet> = Vec::new();
+        for packet in &packets {
+            encrypt.process(packet.clone(), &mut sealed).expect("encrypt never fails");
+        }
+        assert_eq!((encrypt.stats().sealed(), encrypt.stats().rekeys()), (40, 1), "rekey at {rekey_at}");
+        let mut decrypt = DecryptFilter::new(KEY);
+        let mut opened: Vec<Packet> = Vec::new();
+        for packet in sealed {
+            decrypt.process(packet, &mut opened).expect("decrypt never errors");
+        }
+        assert_eq!(opened, data, "rekey at {rekey_at}: decrypt");
+        let stats = decrypt.stats().snapshot();
+        assert_eq!((stats.opened, stats.rejected, stats.rekeys), (40, 0, 1), "rekey at {rekey_at}");
+
+        for batch_len in (1..=9).chain([32]) {
+            let context = format!("batch of {batch_len}, rekey at {rekey_at}");
             let pair = |chunked: bool| {
                 let mut chain = crypto_chain(0);
                 let mut out: Vec<Packet> = Vec::new();
                 if chunked {
                     for chunk in packets.chunks(batch_len) {
-                        out.extend(chain.chain.process_batch(chunk.to_vec()).unwrap());
+                        chain.chain.process_batch_into(chunk.to_vec(), &mut out).unwrap();
                     }
                 } else {
                     for packet in &packets {
@@ -436,25 +442,6 @@ fn a_rekey_at_every_batch_position_keeps_batch_serial_parity() {
             let (serial, serial_stats) = pair(false);
             assert_eq!(serial, data, "{context}: the pair lost the plaintext");
             assert_eq!(pair(true), (serial, serial_stats), "{context}: pair");
-
-            // Each filter alone, batched, against the same filter serially.
-            let sealed = sealed_serially(&packets);
-            let mut encrypt = EncryptFilter::new(KEY);
-            let mut batched: Vec<Packet> = Vec::new();
-            for chunk in packets.chunks(batch_len) {
-                encrypt.process_batch(chunk.to_vec(), &mut batched).unwrap();
-            }
-            assert_eq!(batched, sealed, "{context}: encrypt");
-            assert_eq!((encrypt.stats().sealed(), encrypt.stats().rekeys()), (40, 1), "{context}");
-
-            let mut decrypt = DecryptFilter::new(KEY);
-            let mut opened: Vec<Packet> = Vec::new();
-            for chunk in sealed.chunks(batch_len) {
-                decrypt.process_batch(chunk.to_vec(), &mut opened).unwrap();
-            }
-            assert_eq!(opened, data, "{context}: decrypt");
-            let stats = decrypt.stats().snapshot();
-            assert_eq!((stats.opened, stats.rejected, stats.rekeys), (40, 0, 1), "{context}");
         }
     }
 }

@@ -13,9 +13,6 @@
 //!   of data carried by a detachable stream, with a compact wire encoding
 //!   ([`Packet::encode`] / [`Packet::decode`]) protected by a CRC-32.
 //! * [`SeqNo`], [`StreamId`], [`BlockId`] — newtype identifiers.
-//! * [`PacketBuffer`] — the reordering/jitter buffer that sits between a
-//!   receiver object and a consumer (the paper's `PacketBuffer` component in
-//!   Figure 6).
 //! * [`ReceiptStats`] / [`WindowStats`] — per-window receipt and
 //!   reconstruction accounting used to regenerate the paper's Figure 7.
 //! * [`cpu`] — the one decision of which SIMD kernels this host runs, for
@@ -45,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod buffer;
 pub mod cpu;
 mod crc;
 mod crc_simd;
@@ -54,7 +50,6 @@ mod kind;
 mod packet;
 mod stats;
 
-pub use buffer::{BufferPush, PacketBuffer};
 /// The reference-counted payload buffer [`Packet`] carries, re-exported so
 /// a filter can build a payload in place and hand it over without a copy.
 pub use bytes::Bytes;

@@ -21,7 +21,8 @@
 //!   code loading.
 //! * [`ControlManager`], [`Command`], [`Response`] — the management
 //!   interface (the paper's Swing GUI, minus the Swing): query a proxy's
-//!   configuration, insert/remove/move filters, upload filter bundles.
+//!   status and telemetry, list the filter kinds it can build, add a
+//!   stream, and insert/remove/move filters.
 //!
 //! The paper splices a filter into a live stream with a `ControlThread`
 //! that pauses the detachable stream in front of the splice point, waits

@@ -630,8 +630,7 @@ impl Proxy {
     }
 
     /// Splices an already-constructed filter into `stream` at `position`
-    /// (the path used when a filter comes from an uploaded
-    /// [`FilterContainer`](rapidware_filters::FilterContainer)).
+    /// (for a filter built outside the registry).
     ///
     /// # Errors
     ///

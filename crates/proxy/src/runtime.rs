@@ -97,8 +97,8 @@ pub struct RuntimeConfig {
     /// Number of shards — each shard owns one worker thread and one run
     /// queue.  The pool size is fixed for the runtime's lifetime.
     pub shards: usize,
-    /// Maximum packets a session task drains (and processes as one
-    /// `process_batch` call) per step.
+    /// Maximum packets a session task drains (and runs through its chain
+    /// as one batch) per step.
     pub batch_size: usize,
     /// Buffer capacity, in packets, of the inbox and lane pipes of sessions
     /// created through this runtime.
@@ -1885,7 +1885,7 @@ fn find_lane_mut<'a>(lanes: &'a mut [Lane], name: &str) -> Result<&'a mut Lane, 
 mod tests {
     use super::*;
     use rapidware_filters::{
-        DropEveryNth, FecDecoderFilter, FecEncoderFilter, FilterError, FilterOutput, NullFilter,
+        DropEveryNth, FecDecoderFilter, FecEncoderFilter, FilterError, NullFilter,
     };
     use rapidware_packet::{PacketKind, SeqNo, StreamId};
 
@@ -1972,15 +1972,11 @@ mod tests {
             fn name(&self) -> &str {
                 "failing"
             }
-            fn process(
-                &mut self,
-                packet: Packet,
-                out: &mut dyn FilterOutput,
-            ) -> Result<(), FilterError> {
+            fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
                 if packet.seq().value().is_multiple_of(2) {
                     Err(FilterError::Internal("simulated failure".into()))
                 } else {
-                    out.emit(packet);
+                    out.push(packet);
                     Ok(())
                 }
             }

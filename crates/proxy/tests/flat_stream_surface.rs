@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use rapidware_filters::{Filter, FilterError, FilterOutput, SecureChannelSnapshot};
+use rapidware_filters::{Filter, FilterError, SecureChannelSnapshot};
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware_proxy::{
     ChainStats, ControlManager, FilterSpec, Proxy, RuntimeConfig, SharedUdpStreamConfig,
@@ -26,8 +26,8 @@ impl Filter for Named {
         self.0
     }
 
-    fn process(&mut self, packet: Packet, out: &mut dyn FilterOutput) -> Result<(), FilterError> {
-        out.emit(packet);
+    fn process(&mut self, packet: Packet, out: &mut Vec<Packet>) -> Result<(), FilterError> {
+        out.push(packet);
         Ok(())
     }
 }

@@ -1011,7 +1011,13 @@ impl SecureChannelSnapshot {
 // The epoch table shared by both filters.
 // ---------------------------------------------------------------------------
 
-/// Installed epochs, newest last; every entry is `(epoch, boundary, key)`.
+/// Epochs an [`EpochTable`] holds: the newest few, so re-ordered
+/// stragglers from just before a rotation still open, while a flood of
+/// distinct forged rekey frames costs a bounded table.
+const EPOCH_WINDOW: usize = 4;
+
+/// Installed epochs, newest last, at most [`EPOCH_WINDOW`] of them; every
+/// entry is `(epoch, boundary, key)`.
 struct EpochTable {
     base: [u8; 32],
     epochs: Vec<(u32, u64, [u8; 32])>,
@@ -1032,22 +1038,29 @@ impl EpochTable {
         }
     }
 
-    /// Installs `(epoch, boundary)`; duplicated or re-ordered rekey frames
-    /// are idempotent.
+    /// Installs `(epoch, boundary)`, dropping the oldest epoch once more
+    /// than [`EPOCH_WINDOW`] are held; duplicated or re-ordered rekey
+    /// frames are idempotent.  Returns `false`, installing nothing, for an
+    /// epoch already held or older than the oldest held.
     fn install(&mut self, epoch: u32, boundary: u64) -> bool {
-        if self.epochs.iter().any(|(e, _, _)| *e == epoch) {
+        let Err(position) = self.epochs.binary_search_by_key(&epoch, |(e, _, _)| *e) else {
+            return false;
+        };
+        if position == 0 {
             return false;
         }
         let key = epoch_key(&self.base, epoch);
-        self.epochs.push((epoch, boundary, key));
-        self.epochs.sort_by_key(|(e, _, _)| *e);
+        self.epochs.insert(position, (epoch, boundary, key));
+        if self.epochs.len() > EPOCH_WINDOW {
+            self.epochs.remove(0);
+        }
         self.last = None;
         true
     }
 
     /// The key for `seq`: the highest installed epoch whose boundary does
-    /// not exceed `seq`.  Old keys stay installed so re-ordered
-    /// pre-boundary frames still open.
+    /// not exceed `seq`.  The [`EPOCH_WINDOW`] newest keys stay installed
+    /// so re-ordered pre-boundary frames still open.
     fn key_for(&mut self, seq: u64) -> &[u8; 32] {
         let index = match &self.last {
             Some((index, seqs)) if seqs.contains(&seq) => *index,
@@ -1619,6 +1632,37 @@ only one tip for the future, sunscreen would be it.";
         let sealed = seal_one(&mut encrypt, straggler.clone());
         decrypt.process(sealed, &mut out).unwrap();
         assert_eq!(out, vec![straggler]);
+    }
+
+    #[test]
+    fn a_flood_of_forged_rekeys_leaves_the_epoch_table_at_its_bound() {
+        let mut encrypt = EncryptFilter::new(4);
+        let mut decrypt = DecryptFilter::new(4);
+        let mut out: Vec<Packet> = Vec::new();
+        let genuine = rekey_packet(StreamId::new(1), 1_000_000, 8, 0);
+        encrypt.process(genuine.clone(), &mut out).unwrap();
+        decrypt.process(genuine, &mut out).unwrap();
+
+        // 100 k distinct forged epochs, all older than the genuine one.
+        for epoch in 1..=100_000 {
+            decrypt
+                .process(rekey_packet(StreamId::new(1), epoch, u64::from(epoch), 0), &mut out)
+                .unwrap();
+        }
+        assert_eq!(decrypt.table.epochs.len(), EPOCH_WINDOW);
+        let rekeys = decrypt.stats().rekeys();
+        decrypt.process(rekey_packet(StreamId::new(1), 1, 1, 0), &mut out).unwrap();
+        assert_eq!(decrypt.stats().rekeys(), rekeys, "older than the oldest held: not installed");
+        assert!(out.len() == 1 && out[0].kind() == PacketKind::Control, "rekeys consumed");
+
+        out.clear();
+        let frames: Vec<Packet> = (10..20).map(|seq| packet(seq, vec![seq as u8; 48])).collect();
+        for frame in &frames {
+            let sealed = seal_one(&mut encrypt, frame.clone());
+            decrypt.process(sealed, &mut out).unwrap();
+        }
+        assert_eq!(out, frames, "genuine frames still open");
+        assert_eq!(decrypt.stats().rejected(), 0);
     }
 
     #[test]

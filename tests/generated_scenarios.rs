@@ -134,3 +134,30 @@ fn sampled_digests_are_reproducible_within_the_harness() {
     digests.dedup();
     assert_eq!(digests.len(), specs.len(), "distinct seeds collided on digest");
 }
+
+/// Every corpus line's sync `reference_digest()`, folded in corpus order
+/// (FNV-1a over each digest's little-endian bytes).  The digest is the
+/// canonical trace's identity, so this one constant pins the trace text of
+/// all corpus lines: an engine change that moves any of them fails here.
+const CORPUS_DIGEST_FOLD: u64 = 0x58fe_951c_e8ce_6d16;
+
+#[test]
+fn every_corpus_reference_digest_is_pinned() {
+    let specs = GeneratedSpec::parse_corpus(CORPUS).expect("the checked-in corpus parses");
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    let mut lines = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        let digest = spec.reference_digest();
+        for byte in digest.to_le_bytes() {
+            fold ^= u64::from(byte);
+            fold = fold.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        lines.push(format!("{digest:#018x}  {}", spec.to_line()));
+    }
+    assert_eq!(
+        fold,
+        CORPUS_DIGEST_FOLD,
+        "the corpus traces moved (fold {fold:#018x}); per-line digests:\n{}",
+        lines.join("\n")
+    );
+}

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use rapidware::engine::{Applier, FanoutSpec, LaneSpec, SyncApplier};
+use rapidware::engine::{Applier, LaneSpec, ScenarioSpec, SyncApplier};
 use rapidware::filters::{FecEncoderFilter, FilterChain};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware::proxy::{FilterSpec, Proxy, RuntimeConfig};
@@ -42,8 +42,8 @@ fn audio_packets() -> Vec<Packet> {
         .collect()
 }
 
-fn fanout_spec() -> FanoutSpec {
-    let mut spec = FanoutSpec::all_wired();
+fn fanout_spec() -> ScenarioSpec {
+    let mut spec = ScenarioSpec::all_wired();
     spec.head_filters = vec![FilterSpec::new("fec-encoder")];
     spec.lanes = (0..LANES).map(|i| LaneSpec::wired(&format!("lane-{i}"))).collect();
     spec
@@ -61,9 +61,7 @@ fn best(samples: &[f64]) -> f64 {
 
 /// Shared head chain, one encode per packet, zero-copy fanout to N lanes.
 fn fanout_pps(packets: &[Packet]) -> f64 {
-    let spec = fanout_spec();
-    let lanes: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
-    let mut applier = SyncApplier::new(&spec.name, &spec.head_filters, &lanes);
+    let mut applier = SyncApplier::new(&fanout_spec());
     let start = Instant::now();
     let per_lane = applier.process(packets.to_vec());
     let residue = applier.finish();

@@ -14,9 +14,10 @@ const PACKETS: u64 = 3_000; // one minute of 50 packet/s audio
 
 fn one_receiver(meters: f64, fec: FecPolicy) -> ScenarioSpec {
     ScenarioSpec {
-        receivers: vec![LossRegime::AtDistance { meters }],
         fec,
-        ..ScenarioSpec::figure7().with_packets(PACKETS)
+        ..ScenarioSpec::figure7()
+            .with_packets(PACKETS)
+            .with_receivers(vec![LossRegime::AtDistance { meters }])
     }
 }
 

@@ -21,9 +21,10 @@ const PACKETS: u64 = 4_000;
 
 fn run(meters: f64, fec: FecPolicy) -> rapidware::engine::ScenarioOutcome {
     ScenarioEngine::new(ScenarioSpec {
-        receivers: vec![LossRegime::AtDistance { meters }],
         fec,
-        ..ScenarioSpec::figure7().with_packets(PACKETS)
+        ..ScenarioSpec::figure7()
+            .with_packets(PACKETS)
+            .with_receivers(vec![LossRegime::AtDistance { meters }])
     })
     .run_sync()
 }

@@ -20,9 +20,10 @@ const PACKETS: u64 = 4_000;
 
 fn run(rate: f64, fec: FecPolicy) -> ScenarioOutcome {
     ScenarioEngine::new(ScenarioSpec {
-        receivers: vec![LossRegime::Bernoulli { rate }],
         fec,
-        ..ScenarioSpec::figure7().with_packets(PACKETS)
+        ..ScenarioSpec::figure7()
+            .with_packets(PACKETS)
+            .with_receivers(vec![LossRegime::Bernoulli { rate }])
     })
     .run_sync()
 }

@@ -28,14 +28,10 @@ use rapidware_bench::{pct, rule};
 
 fn run(fec: FecPolicy) -> ScenarioOutcome {
     ScenarioEngine::new(ScenarioSpec {
-        receivers: vec![LossRegime::Walking(LinearWalk::new(
-            5.0,
-            38.0,
-            SimTime::from_secs(60),
-            1.0,
-        ))],
         fec,
-        ..ScenarioSpec::adaptive_walk()
+        ..ScenarioSpec::adaptive_walk().with_receivers(vec![LossRegime::Walking(
+            LinearWalk::new(5.0, 38.0, SimTime::from_secs(60), 1.0),
+        )])
     })
     .run_sync()
 }
@@ -90,7 +86,7 @@ fn main() {
     }
     println!(
         "\nfinal sender chain (adaptive policy): {:?}",
-        adaptive.report.final_filters
+        adaptive.report.head_filters
     );
     println!("\nexpected shape: 'none' degrades sharply once the walk starts; 'static' keeps");
     println!("quality but pays 50% parity overhead for the whole session; 'adaptive'");

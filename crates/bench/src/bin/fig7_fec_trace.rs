@@ -26,19 +26,20 @@ const WINDOW: u64 = 432;
 
 fn main() {
     let spec = ScenarioSpec::figure7();
-    let LossRegime::AtDistance { meters: distance } = spec.receivers[0] else {
+    let receivers = &spec.lanes[0].receivers;
+    let LossRegime::AtDistance { meters: distance } = receivers[0] else {
         unreachable!("the Figure 7 receivers are stationary")
     };
     println!(
         "Figure 7 reproduction: {} packets, FEC(6,4), {} receivers at {} m, seed {}",
         spec.packets,
-        spec.receivers.len(),
+        receivers.len(),
         distance,
         spec.seed
     );
     let outcome = ScenarioEngine::new(spec).run_sync();
     let report = &outcome.report;
-    let stats: Vec<_> = (0..report.receivers.len())
+    let stats: Vec<_> = (0..outcome.events.len())
         .map(|receiver| outcome.receipt_stats(receiver, WINDOW))
         .collect();
 
@@ -92,7 +93,7 @@ fn main() {
     println!(
         "\nFEC overhead: {:.1}% ({} parity packets for {} source packets)",
         report.parity_overhead() * 100.0,
-        report.parity_packets_sent,
+        report.parity_total(),
         report.source_packets_sent
     );
 }

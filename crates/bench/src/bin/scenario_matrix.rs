@@ -1,7 +1,7 @@
 //! Scenario-matrix runner: executes every built-in closed-loop scenario —
-//! the flat matrix and the fanout family — at two fixed seeds and fails
-//! (exit code 1) on any panic, non-convergence, undelivered data, spurious
-//! per-lane adaptation, or trace diff between repeated runs.
+//! the one-lane multicast scenarios and the fanout scenarios — at two fixed
+//! seeds and fails (exit code 1) on any panic, non-convergence, undelivered
+//! data, spurious per-lane adaptation, or trace diff between repeated runs.
 //!
 //! This is the tooling face of the `tests/scenario_matrix.rs` harness: the
 //! per-run pass/fail criteria are the shared
@@ -13,34 +13,7 @@
 //! cargo run -p rapidware-bench --bin scenario_matrix
 //! ```
 
-use rapidware::engine::{FanoutEngine, FanoutSpec, ScenarioEngine, ScenarioSpec, MATRIX_SEEDS};
-
-/// The shared pass/fail protocol of both scenario families: print the
-/// report, then either `OK` or every violated property, bumping the
-/// failure count.  `trace_identical` is the caller's byte-comparison of
-/// two runs of the same spec and seed.
-fn report_outcome(
-    report: String,
-    mut problems: Vec<String>,
-    trace_identical: bool,
-    failures: &mut u32,
-) {
-    if !trace_identical {
-        problems.push("trace diff between identical runs".to_string());
-    }
-    print!("{}", report);
-    if !report.ends_with('\n') {
-        println!();
-    }
-    if problems.is_empty() {
-        println!("  OK");
-    } else {
-        *failures += 1;
-        for problem in &problems {
-            println!("  FAIL: {problem}");
-        }
-    }
-}
+use rapidware::engine::{ScenarioEngine, ScenarioSpec, MATRIX_SEEDS};
 
 fn main() {
     let mut failures = 0u32;
@@ -51,24 +24,19 @@ fn main() {
             let engine = ScenarioEngine::new(spec.clone());
             let outcome = engine.run_sync();
             let rerun = engine.run_sync();
-            report_outcome(
-                outcome.report.to_string(),
-                outcome.health_problems(&spec),
-                outcome.trace.canonical_text() == rerun.trace.canonical_text(),
-                &mut failures,
-            );
-        }
-        for spec in FanoutSpec::fanout_matrix() {
-            let spec = spec.with_seed(seed);
-            let engine = FanoutEngine::new(spec.clone());
-            let outcome = engine.run_sync();
-            let rerun = engine.run_sync();
-            report_outcome(
-                outcome.report.to_string(),
-                outcome.health_problems(&spec),
-                outcome.trace.canonical_text() == rerun.trace.canonical_text(),
-                &mut failures,
-            );
+            let mut problems = outcome.health_problems(&spec);
+            if outcome.trace.canonical_text() != rerun.trace.canonical_text() {
+                problems.push("trace diff between identical runs".to_string());
+            }
+            println!("{}", outcome.report);
+            if problems.is_empty() {
+                println!("  OK");
+            } else {
+                failures += 1;
+                for problem in &problems {
+                    println!("  FAIL: {problem}");
+                }
+            }
         }
     }
     if failures > 0 {

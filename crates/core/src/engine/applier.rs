@@ -3,25 +3,25 @@
 //! The [`AdaptationEngine`](rapidware_raplets::AdaptationEngine) emits
 //! [`AdaptationAction`]s without touching any chain; an [`Applier`] owns
 //! the chains a scenario runs through and applies them.  Every applier has
-//! one shape — a shared head chain feeding one tail chain per receiver
-//! lane — and a flat scenario is the one-lane case with an empty head.
-//! Two appliers exist, and a scenario must behave identically on both:
+//! one shape — a shared head chain feeding one tail chain per lane.  Two
+//! appliers exist, and a scenario must behave identically on both:
 //!
 //! * [`SyncApplier`] — deterministic, synchronous [`FilterChain`]s, used
 //!   by simulations and benchmarks.
 //! * [`LiveApplier`](super::LiveApplier) — a live
-//!   [`Proxy`](rapidware_proxy::Proxy) stream or session on the proxy's
-//!   worker pool, fed over in-process pipes or a loopback UDP carrier.
+//!   [`Proxy`](rapidware_proxy::Proxy) session on the proxy's worker pool,
+//!   fed over in-process pipes or a loopback UDP carrier.
 
 use std::fmt;
 use std::sync::Arc;
 
 use rapidware_filters::{ChainSpans, FilterChain};
 use rapidware_packet::{Packet, StreamId};
-use rapidware_proxy::{FilterRegistry, FilterSpec, Registry};
+use rapidware_proxy::{FilterRegistry, Registry};
 use rapidware_raplets::AdaptationAction;
 
 use super::report::LatencySummary;
+use super::spec::ScenarioSpec;
 
 /// Stream id reserved for quiescence markers so they can never collide with
 /// media traffic.
@@ -29,27 +29,45 @@ pub(super) fn marker_stream() -> StreamId {
     StreamId::new(u32::MAX)
 }
 
-/// The chains a scenario runs through: a shared head chain and one tail
-/// chain per receiver lane, and where per-lane adaptation actions land.
+/// One chain of an applier: the head every lane shares, or one lane's
+/// tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chain {
+    /// The shared head chain.
+    Head,
+    /// The tail chain of the lane at this index.
+    Lane(usize),
+}
+
+impl Chain {
+    /// The lane index, or `None` for the head.
+    pub(super) fn lane(self) -> Option<usize> {
+        match self {
+            Chain::Head => None,
+            Chain::Lane(lane) => Some(lane),
+        }
+    }
+}
+
+/// The chains a scenario runs through — a shared head chain and one tail
+/// chain per lane — and where adaptation actions land.
 ///
-/// `process` and `finish` return one output vector **per lane**, in lane
-/// order, and `apply` returns the residue of one lane; the engine puts all
-/// of it on the air.  Implementations must preserve packet order and must
-/// be deterministic for a given input sequence.
+/// `process`, `apply` and `finish` return one output vector **per lane**,
+/// in lane order; the engine puts all of it on the air.  Implementations
+/// must preserve packet order and must be deterministic for a given input
+/// sequence.
 pub trait Applier {
     /// Pushes one window of source packets through the head chain and every
     /// lane tail, returning each lane's emissions in lane order.
     fn process(&mut self, packets: Vec<Packet>) -> Vec<Vec<Packet>>;
 
-    /// Applies adaptation actions to one lane's tail chain, returning any
-    /// residue flushed out of removed or replaced filters on that lane.
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet>;
+    /// Applies adaptation actions to one chain, returning each lane's share
+    /// of the residue flushed out of removed or replaced filters (a head
+    /// filter's residue crosses every lane's tail).
+    fn apply(&mut self, chain: Chain, actions: &[AdaptationAction]) -> Vec<Vec<Packet>>;
 
-    /// Names of the filters installed on `lane`'s tail chain.
-    fn lane_filters(&self, lane: usize) -> Vec<String>;
-
-    /// Names of the filters installed on the shared head chain.
-    fn head_filters(&self) -> Vec<String>;
+    /// Names of the filters installed on `chain`.
+    fn filters(&self, chain: Chain) -> Vec<String>;
 
     /// Ends the stream: flushes the head chain through every lane and every
     /// lane tail, returning each lane's residue in lane order.  The applier
@@ -144,36 +162,38 @@ impl fmt::Debug for SyncApplier {
 }
 
 impl SyncApplier {
-    /// Creates the sync applier: the head chain is populated from
-    /// `head_filters`, and one empty tail chain per lane name.  `name`
-    /// labels the telemetry spans (`session.<name>.head`,
+    /// Creates the sync applier for `spec`: the head chain populated from
+    /// its head filters, and one empty tail chain per lane.  The spec's
+    /// name labels the telemetry spans (`session.<name>.head`,
     /// `session.<name>.lane.<lane>`), as on a live session.
     ///
     /// # Panics
     ///
-    /// Panics if a head filter spec names an unknown kind (specs are
-    /// expected to reference registered kinds).
-    pub fn new(name: &str, head_filters: &[FilterSpec], lanes: &[String]) -> Self {
+    /// Panics if a head filter cannot be built ([`ScenarioSpec::validate`]
+    /// rejects such a spec).
+    pub fn new(spec: &ScenarioSpec) -> Self {
         let registry = FilterRegistry::with_builtins();
         let telemetry = Registry::new();
+        let name = &spec.name;
         let mut head = FilterChain::new();
         // Interior spans on the head stamp ingress; egress spans on each
         // lane close the ingress-to-egress measurement, so lane e2e covers
         // the full head-plus-tail path.
         head.set_spans(ChainSpans::interior(&telemetry, format!("session.{name}.head")));
-        for filter_spec in head_filters {
+        for filter_spec in &spec.head_filters {
             let filter = registry
                 .instantiate(filter_spec)
-                .expect("head filter specs reference registered kinds");
+                .expect("validated specs build their head filters");
             head.push_back(filter).expect("appending to a fresh chain never fails");
         }
-        let lanes = lanes
+        let lanes = spec
+            .lanes
             .iter()
             .map(|lane| {
                 let mut chain = FilterChain::new();
                 chain.set_spans(ChainSpans::egress(
                     &telemetry,
-                    format!("session.{name}.lane.{lane}"),
+                    format!("session.{name}.lane.{}", lane.name),
                 ));
                 chain
             })
@@ -185,6 +205,29 @@ impl SyncApplier {
             telemetry,
         }
     }
+
+    /// Runs one batch of head output through every lane's tail, like the
+    /// live session task: cloned for all but the last lane, moved into the
+    /// last.
+    fn through_lanes(&mut self, batch: Vec<Packet>) -> Vec<Vec<Packet>> {
+        let last = self.lanes.len().saturating_sub(1);
+        let mut batch = Some(batch);
+        self.lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(index, lane)| {
+                let input = if index == last {
+                    batch.take().expect("only the last lane takes the batch")
+                } else {
+                    batch.as_ref().expect("batch present until the last lane").clone()
+                };
+                let mut out = Vec::new();
+                lane.process_batch_into(input, &mut out)
+                    .expect("scenario lane filters do not fail");
+                out
+            })
+            .collect()
+    }
 }
 
 impl Applier for SyncApplier {
@@ -193,37 +236,28 @@ impl Applier for SyncApplier {
         self.head
             .process_batch_into(packets, &mut shared)
             .expect("scenario head filters do not fail");
-        // Like the live session task: clone for all but the last lane,
-        // move into the last.
-        let last = self.lanes.len().saturating_sub(1);
-        let mut shared = Some(shared);
-        self.lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(index, lane)| {
-                let batch = if index == last {
-                    shared.take().expect("only the last lane takes the batch")
-                } else {
-                    shared.as_ref().expect("batch present until the last lane").clone()
-                };
-                let mut out = Vec::new();
-                lane.process_batch_into(batch, &mut out)
-                    .expect("scenario lane filters do not fail");
+        self.through_lanes(shared)
+    }
+
+    fn apply(&mut self, chain: Chain, actions: &[AdaptationAction]) -> Vec<Vec<Packet>> {
+        match chain {
+            Chain::Head => {
+                let residue = apply_actions_to_chain(&mut self.head, &self.registry, actions);
+                self.through_lanes(residue)
+            }
+            Chain::Lane(lane) => {
+                let mut out = vec![Vec::new(); self.lanes.len()];
+                out[lane] = apply_actions_to_chain(&mut self.lanes[lane], &self.registry, actions);
                 out
-            })
-            .collect()
+            }
+        }
     }
 
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        apply_actions_to_chain(&mut self.lanes[lane], &self.registry, actions)
-    }
-
-    fn lane_filters(&self, lane: usize) -> Vec<String> {
-        self.lanes[lane].names()
-    }
-
-    fn head_filters(&self) -> Vec<String> {
-        self.head.names()
+    fn filters(&self, chain: Chain) -> Vec<String> {
+        match chain {
+            Chain::Head => self.head.names(),
+            Chain::Lane(lane) => self.lanes[lane].names(),
+        }
     }
 
     fn finish(&mut self) -> Vec<Vec<Packet>> {
@@ -231,16 +265,11 @@ impl Applier for SyncApplier {
         // filter) flows through every lane before the lanes flush, exactly
         // as EOF propagates through a live session.
         let head_residue = self.head.flush().expect("scenario head filters do not fail");
-        self.lanes
-            .iter_mut()
-            .map(|lane| {
-                let mut out = Vec::new();
-                lane.process_batch_into(head_residue.clone(), &mut out)
-                    .expect("scenario lane filters do not fail");
-                out.extend(lane.flush().expect("scenario lane filters do not fail"));
-                out
-            })
-            .collect()
+        let mut out = self.through_lanes(head_residue);
+        for (lane, out) in self.lanes.iter_mut().zip(&mut out) {
+            out.extend(lane.flush().expect("scenario lane filters do not fail"));
+        }
+        out
     }
 
     fn latency(&self) -> Option<LatencySummary> {
@@ -253,6 +282,7 @@ mod tests {
     use super::*;
     use crate::engine::{LiveApplier, LiveIo};
     use rapidware_packet::{PacketKind, SeqNo};
+    use rapidware_proxy::FilterSpec;
 
     fn audio(seq: u64) -> Packet {
         Packet::new(StreamId::new(1), SeqNo::new(seq), PacketKind::AudioData, vec![seq as u8; 32])
@@ -273,17 +303,18 @@ mod tests {
         }
     }
 
-    /// Drives the same script through lane 0 of an applier: plain window,
-    /// insert FEC, encoded window, remove FEC, final window, finish.
-    fn run_script(applier: &mut dyn Applier) -> Vec<(u64, bool)> {
+    /// Drives the same script through one chain of an applier: plain
+    /// window, insert FEC, encoded window, remove FEC, final window,
+    /// finish.
+    fn run_script(applier: &mut dyn Applier, chain: Chain) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         out.extend(applier.process((0..4).map(audio).collect()).swap_remove(0));
-        assert!(applier.lane_filters(0).is_empty());
-        out.extend(applier.apply(0, &[insert_fec()]));
-        assert_eq!(applier.lane_filters(0), vec!["fec-encoder(6,4)"]);
+        assert!(applier.filters(chain).is_empty());
+        out.extend(applier.apply(chain, &[insert_fec()]).swap_remove(0));
+        assert_eq!(applier.filters(chain), vec!["fec-encoder(6,4)"]);
         out.extend(applier.process((4..10).map(audio).collect()).swap_remove(0));
-        out.extend(applier.apply(0, &[remove_fec()]));
-        assert!(applier.lane_filters(0).is_empty());
+        out.extend(applier.apply(chain, &[remove_fec()]).swap_remove(0));
+        assert!(applier.filters(chain).is_empty());
         out.extend(applier.process((10..12).map(audio).collect()).swap_remove(0));
         out.extend(applier.finish().swap_remove(0));
         out.iter()
@@ -293,19 +324,23 @@ mod tests {
 
     #[test]
     fn sync_and_pooled_appliers_emit_identical_streams() {
-        let sync = run_script(&mut SyncApplier::new("unit", &[], &["unit".to_string()]));
-        let pooled = run_script(&mut LiveApplier::stream(LiveIo::Pipes, 4, 4, 16));
-        assert_eq!(sync, pooled);
-        // 12 payloads; seqs 4..8 form one full FEC block (2 parities) and
-        // 8..10 a partial block flushed on removal (2 more parities).
-        assert_eq!(sync.iter().filter(|(_, parity)| !parity).count(), 12);
-        assert_eq!(sync.iter().filter(|(_, parity)| *parity).count(), 4);
+        let spec = ScenarioSpec::steady_wlan().with_batch_size(4);
+        for chain in [Chain::Head, Chain::Lane(0)] {
+            let sync = run_script(&mut SyncApplier::new(&spec), chain);
+            let pooled = run_script(&mut LiveApplier::session(LiveIo::Pipes, &spec, 4), chain);
+            assert_eq!(sync, pooled, "{chain:?}");
+            // 12 payloads; seqs 4..8 form one full FEC block (2 parities)
+            // and 8..10 a partial block flushed on removal (2 more).
+            assert_eq!(sync.iter().filter(|(_, parity)| !parity).count(), 12);
+            assert_eq!(sync.iter().filter(|(_, parity)| *parity).count(), 4);
+        }
     }
 
     #[test]
     fn pooled_applier_is_reusable_across_many_windows() {
-        let mut applier = LiveApplier::stream(LiveIo::Pipes, 2, 2, 8);
-        applier.apply(0, &[insert_fec()]);
+        let spec = ScenarioSpec::steady_wlan().with_batch_size(2);
+        let mut applier = LiveApplier::session(LiveIo::Pipes, &spec, 2);
+        applier.apply(Chain::Lane(0), &[insert_fec()]);
         let mut total = 0;
         for window in 0..10u64 {
             let packets: Vec<Packet> = (window * 8..(window + 1) * 8).map(audio).collect();

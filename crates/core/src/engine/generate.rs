@@ -1,13 +1,14 @@
 //! Property-based scenario generation.
 //!
-//! The built-in matrices cover six hand-written flat scenarios and three
-//! fanout scenarios — a vanishingly small slice of the regime × topology ×
-//! runtime space the engines support.  This module turns the deterministic
-//! trace/replay machinery into a *factory* for reproducible regression
-//! tests: [`GeneratedSpec::sample`] derives a complete scenario — loss
-//! phases with arbitrary boundaries, chain/head shapes, fanout topology,
-//! lane-churn schedule, and runtime placement — from a single `u64` seed,
-//! and everything downstream is a pure function of that seed.
+//! The built-in matrix covers six hand-written one-lane multicast
+//! scenarios and three fanout scenarios — a vanishingly small slice of the
+//! regime × topology × runtime space the engine supports.  This module
+//! turns the deterministic trace/replay machinery into a *factory* for
+//! reproducible regression tests: [`GeneratedSpec::sample`] derives a
+//! complete scenario — loss phases with arbitrary boundaries, head chain,
+//! lane topology and FEC site, lane-churn schedule, and runtime placement —
+//! from a single `u64` seed, and everything downstream is a pure function
+//! of that seed.
 //!
 //! Three properties make generated specs usable as regression artifacts:
 //!
@@ -46,10 +47,8 @@ use rand::{Rng, SeedableRng};
 use rapidware_netsim::{sample_phase_boundaries, SimTime};
 use rapidware_proxy::FilterSpec;
 
-use super::fanout::{live_applier, FanoutEngine, FanoutSpec, LaneSpec};
-use super::spec::{LossRegime, ScenarioSpec};
-use super::trace::ScenarioTrace;
-use super::{LiveApplier, LiveIo, ScenarioEngine, POOLED_APPLIER_SHARDS};
+use super::spec::{LaneSpec, LossRegime, ScenarioSpec};
+use super::{LiveIo, ScenarioEngine, POOLED_APPLIER_SHARDS};
 
 /// Which applier family a generated run is placed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,16 +94,6 @@ pub struct ChurnEvent {
     pub lossy: bool,
 }
 
-/// The derived scenario of a generated spec: flat (one shared sender chain)
-/// or fanout (per-lane tail chains).
-#[derive(Debug, Clone, PartialEq)]
-pub enum GeneratedShape {
-    /// A flat scenario for the [`ScenarioEngine`].
-    Flat(ScenarioSpec),
-    /// A fanout scenario for the [`FanoutEngine`].
-    Fanout(FanoutSpec),
-}
-
 /// Shrink overrides: post-sampling restrictions applied to the derived
 /// scenario.  Kept separate from the sample so a shrunk spec still
 /// serializes as `seed + overrides` and replays byte-identically.
@@ -122,8 +111,9 @@ struct Shrink {
     /// exercise the shared-socket path.
     shared_udp: bool,
     /// Brackets the derived scenario with the AEAD secure-channel pair
-    /// (flat: `ScenarioSpec::secure`, with a midpoint key rotation; fanout:
-    /// encrypt/decrypt appended to the head filters) and widens conformance
+    /// (FEC on the head: `ScenarioSpec::secure`, with a midpoint key
+    /// rotation; FEC on the lanes: encrypt/decrypt appended to the head
+    /// filters) and widens conformance
     /// with the shared-UDP appliers.  Unlike `shared_udp` this
     /// token is *shrinkable*: dropping it is the first candidate tried, so
     /// a failure that reproduces without crypto minimizes to a plaintext
@@ -134,12 +124,13 @@ struct Shrink {
 /// A fully derived, serializable, shrinkable generated scenario.
 ///
 /// Equality compares the generative state (seed + shrink overrides); the
-/// derived shape, placement, and churn schedule are pure functions of it.
+/// derived scenario, placement, and churn schedule are pure functions of
+/// it.
 #[derive(Debug, Clone)]
 pub struct GeneratedSpec {
     seed: u64,
     shrink: Shrink,
-    shape: GeneratedShape,
+    spec: ScenarioSpec,
     placement: PlacementSpec,
     churn: Vec<ChurnEvent>,
 }
@@ -166,9 +157,9 @@ impl GeneratedSpec {
         self.seed
     }
 
-    /// The derived flat or fanout scenario.
-    pub fn shape(&self) -> &GeneratedShape {
-        &self.shape
+    /// The derived scenario.
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
     }
 
     /// The sampled runtime placement.
@@ -176,17 +167,16 @@ impl GeneratedSpec {
         self.placement
     }
 
-    /// The sampled lane-churn schedule (fanout shapes only; always empty
-    /// for flat shapes).
+    /// The sampled lane-churn schedule (always empty when FEC acts on the
+    /// head).
     pub fn churn(&self) -> &[ChurnEvent] {
         &self.churn
     }
 
     /// `true` if this spec's corpus line carries the `shared_udp` token:
     /// conformance additionally runs the scenario over a shared-socket
-    /// carrier ([`ScenarioEngine::run_udp_shared`] /
-    /// [`FanoutEngine::run_udp_shared`]) and holds it to the sync
-    /// applier's bytes.
+    /// carrier ([`ScenarioEngine::run_udp_shared`]) and holds it to the
+    /// sync applier's bytes.
     pub fn shared_udp(&self) -> bool {
         self.shrink.shared_udp
     }
@@ -207,7 +197,8 @@ impl GeneratedSpec {
 
     /// `true` if this spec's corpus line carries the `secure` token: the
     /// derived scenario runs under the AEAD secure-channel pair (sealed
-    /// payloads, a midpoint key rotation on flat shapes) and conformance
+    /// payloads, a midpoint key rotation when FEC acts on the head) and
+    /// conformance
     /// additionally runs the shared-UDP appliers.
     pub fn secure(&self) -> bool {
         self.shrink.secure
@@ -255,7 +246,9 @@ impl GeneratedSpec {
             packets * rapidware_media::AudioConfig::pcm_8khz_stereo_8bit().packet_interval_us(),
         );
 
-        let (shape, churn) = if flat {
+        // A flat draw is one lane reaching every receiver, with FEC on the
+        // head; a fanout draw is one receiver per lane, FEC on each lane.
+        let (spec, churn) = if flat {
             let receiver_count = rng.gen_range(1usize..=3);
             let mut receivers = vec![sample_phased_regime(&mut rng, horizon)];
             for _ in 1..receiver_count {
@@ -273,28 +266,22 @@ impl GeneratedSpec {
                 name: format!("gen-flat-{seed}"),
                 seed,
                 packets,
-                receivers,
                 batch_size,
                 // Random regimes can promise neither adaptation nor a
                 // clean finish; the conformance harness checks universal
                 // invariants instead of these expectation flags.
-                expect_adaptation: false,
                 expect_clean_finish: false,
                 secure: shrink.secure,
-                ..ScenarioSpec::steady_wlan()
+                ..ScenarioSpec::steady_wlan().with_receivers(receivers)
             };
-            (GeneratedShape::Flat(spec), Vec::new())
+            (spec, Vec::new())
         } else {
             let lane_count = rng.gen_range(1usize..=4);
             let head_set = rng.gen_range(0u32..4);
             let mut lanes = Vec::with_capacity(lane_count);
             for index in 0..lane_count {
-                lanes.push(LaneSpec {
-                    name: format!("lane-{index}"),
-                    regime: sample_phased_regime(&mut rng, horizon),
-                    adaptive: true,
-                    expect_adaptation: false,
-                });
+                let regime = sample_phased_regime(&mut rng, horizon);
+                lanes.push(LaneSpec::new(&format!("lane-{index}"), vec![regime]));
             }
             let churn_count = rng.gen_range(0usize..=2);
             let mut churn = Vec::with_capacity(churn_count);
@@ -315,8 +302,8 @@ impl GeneratedSpec {
                 lanes.truncate(max.max(1));
             }
             if let Some(max) = shrink.max_phases {
-                for lane in &mut lanes {
-                    truncate_phases(&mut lane.regime, max.max(1));
+                for regime in lanes.iter_mut().flat_map(|lane| &mut lane.receivers) {
+                    truncate_phases(regime, max.max(1));
                 }
             }
             let head_filters = if shrink.drop_head { 0 } else { head_set };
@@ -328,7 +315,7 @@ impl GeneratedSpec {
                 head_filters.push(secure_filter_spec("encrypt"));
                 head_filters.push(secure_filter_spec("decrypt"));
             }
-            let spec = FanoutSpec {
+            let spec = ScenarioSpec {
                 name: format!("gen-fanout-{seed}"),
                 seed,
                 packets,
@@ -336,15 +323,15 @@ impl GeneratedSpec {
                 lanes,
                 batch_size,
                 expect_clean_finish: false,
-                ..FanoutSpec::all_wired()
+                ..ScenarioSpec::all_wired()
             };
-            (GeneratedShape::Fanout(spec), churn)
+            (spec, churn)
         };
 
         Self {
             seed,
             shrink,
-            shape,
+            spec,
             placement: PlacementSpec {
                 kind,
                 shards,
@@ -356,28 +343,21 @@ impl GeneratedSpec {
 
     /// A one-line human summary for failure messages.
     pub fn describe(&self) -> String {
-        match &self.shape {
-            GeneratedShape::Flat(spec) => format!(
-                "{} [flat, {} packets, {} receivers, batch {}, placement {}x{}]",
-                spec.name,
-                spec.packets,
-                spec.receivers.len(),
-                spec.batch_size,
-                self.placement.kind,
-                self.placement.shards,
-            ),
-            GeneratedShape::Fanout(spec) => format!(
-                "{} [fanout, {} packets, {} lanes, {} head filters, {} churn events, batch {}, \
-                 placement {}]",
-                spec.name,
-                spec.packets,
-                spec.lanes.len(),
-                spec.head_filters.len(),
-                self.churn.len(),
-                spec.batch_size,
-                self.placement.kind,
-            ),
-        }
+        let spec = &self.spec;
+        let receivers: usize = spec.lanes.iter().map(|lane| lane.receivers.len()).sum();
+        format!(
+            "{} [FEC on {:?}, {} packets, {} lanes, {receivers} receivers, {} head filters, \
+             {} churn events, batch {}, placement {}x{}]",
+            spec.name,
+            spec.fec_site,
+            spec.packets,
+            spec.lanes.len(),
+            spec.head_filters.len(),
+            self.churn.len(),
+            spec.batch_size,
+            self.placement.kind,
+            self.placement.shards,
+        )
     }
 
     /// Serializes the generative state to one corpus line.
@@ -461,14 +441,7 @@ impl GeneratedSpec {
     /// compact identity a corpus entry or failure report can quote, and the
     /// value a replay from [`from_line`](Self::from_line) must reproduce exactly.
     pub fn reference_digest(&self) -> u64 {
-        match &self.shape {
-            GeneratedShape::Flat(spec) => {
-                ScenarioEngine::new(spec.clone()).run_sync().trace.digest()
-            }
-            GeneratedShape::Fanout(spec) => {
-                FanoutEngine::new(spec.clone()).run_sync().trace.digest()
-            }
-        }
+        ScenarioEngine::new(self.spec.clone()).run_sync().trace.digest()
     }
 
     /// Runs the derived scenario on every applier and returns one line per
@@ -480,37 +453,25 @@ impl GeneratedSpec {
     /// * the sync run is deterministic (two runs, identical bytes);
     /// * the pooled applier produces a byte-identical canonical trace and
     ///   an equal report;
-    /// * a pooled run at the sampled placement shard count agrees too, flat
-    ///   or fanout (scheduler shape must be invisible);
-    /// * every receiver/lane accounts for every packet
-    ///   (`delivered + recovered + lost + undelivered == packets`);
-    /// * nothing delivered by the link fails to surface (`undelivered == 0`);
-    /// * replaying the recorded trace reproduces the report;
-    /// * with the `shared_udp` token, a run over a shared-socket carrier
-    ///   (demuxed by its carrier task, real loopback sockets) matches the sync applier
-    ///   byte for byte too.
+    /// * a pooled run at the sampled placement shard count agrees too
+    ///   (scheduler shape must be invisible);
+    /// * with the `shared_udp` or `secure` token, a run over a
+    ///   shared-socket carrier (demuxed by its carrier task, real loopback
+    ///   sockets) matches the sync applier byte for byte too;
+    /// * the [accounting invariants](super::ScenarioOutcome::accounting_problems):
+    ///   every receiver accounts for every packet
+    ///   (`delivered + recovered + lost + undelivered == packets`), nothing
+    ///   delivered by the link fails to surface, and replaying the recorded
+    ///   trace reproduces the report.
     pub fn conformance_problems(&self) -> Vec<String> {
-        match &self.shape {
-            GeneratedShape::Flat(spec) => self.flat_conformance(spec),
-            GeneratedShape::Fanout(spec) => self.fanout_conformance(spec),
-        }
-    }
-
-    /// Holds every placement to the sync reference run: a second sync run
-    /// (determinism), the pooled run, the shared-UDP run when the
-    /// `shared_udp` or `secure` token asks for it, and a pooled run at the
-    /// sampled shard count when that differs from the default.  `run`
-    /// runs the scenario on the sync applier (`None`) or on a live applier
-    /// with the given I/O and shard count.
-    fn placement_problems<R: PartialEq>(
-        &self,
-        trace: &ScenarioTrace,
-        report: &R,
-        run: impl Fn(Option<(LiveIo, usize)>) -> (ScenarioTrace, R),
-    ) -> Vec<String> {
-        let reference = trace.canonical_text();
+        let engine = ScenarioEngine::new(self.spec.clone());
+        let reference = match engine.try_run_sync() {
+            Ok(outcome) => outcome,
+            Err(err) => return vec![format!("sampled spec rejected: {err}")],
+        };
+        let text = reference.trace.canonical_text();
         let mut problems = Vec::new();
-        if run(None).0.canonical_text() != reference {
+        if engine.run_sync().trace.canonical_text() != text {
             problems.push("sync applier is not deterministic per seed".to_string());
         }
         let mut placements = vec![("pooled".to_string(), LiveIo::Pipes, POOLED_APPLIER_SHARDS)];
@@ -526,105 +487,15 @@ impl GeneratedSpec {
             placements.push((format!("pooled at {shards} shards"), LiveIo::Pipes, shards));
         }
         for (label, io, shards) in placements {
-            let (placed_trace, placed_report) = run(Some((io, shards)));
-            if placed_trace.canonical_text() != reference {
+            let placed = engine.run_live(io, shards);
+            if placed.trace.canonical_text() != text {
                 problems.push(format!("{label} trace diverges from sync"));
             }
-            if placed_report != *report {
+            if placed.report != reference.report {
                 problems.push(format!("{label} report diverges from sync"));
             }
         }
-        problems
-    }
-
-    fn flat_conformance(&self, spec: &ScenarioSpec) -> Vec<String> {
-        let engine = ScenarioEngine::new(spec.clone());
-        let reference = match engine.try_run_sync() {
-            Ok(outcome) => outcome,
-            Err(err) => return vec![format!("sampled spec rejected: {err}")],
-        };
-        let window = spec.sample_interval as usize;
-        let mut problems = self.placement_problems(&reference.trace, &reference.report, |live| {
-            let outcome = match live {
-                None => engine.run_sync(),
-                Some((io, shards)) => engine.run_with(&mut LiveApplier::stream(
-                    io,
-                    shards,
-                    spec.batch_size,
-                    window,
-                )),
-            };
-            (outcome.trace, outcome.report)
-        });
-        let report = &reference.report;
-        if report.source_packets_sent != spec.packets {
-            problems.push(format!(
-                "transmitted {} source packets, spec says {}",
-                report.source_packets_sent, spec.packets
-            ));
-        }
-        for (index, receiver) in report.receivers.iter().enumerate() {
-            let accounted =
-                receiver.delivered + receiver.recovered + receiver.lost + receiver.undelivered;
-            if accounted != spec.packets {
-                problems.push(format!(
-                    "receiver {index} accounts for {accounted} of {} packets",
-                    spec.packets
-                ));
-            }
-            if receiver.undelivered != 0 {
-                problems.push(format!(
-                    "receiver {index}: {} delivered packets never surfaced",
-                    receiver.undelivered
-                ));
-            }
-        }
-        if reference.trace.replay() != reference.report {
-            problems.push("replaying the trace does not reproduce the report".to_string());
-        }
-        problems
-    }
-
-    fn fanout_conformance(&self, spec: &FanoutSpec) -> Vec<String> {
-        let engine = FanoutEngine::new(spec.clone());
-        let reference = match engine.try_run_sync() {
-            Ok(outcome) => outcome,
-            Err(err) => return vec![format!("sampled spec rejected: {err}")],
-        };
-        let mut problems = self.placement_problems(&reference.trace, &reference.report, |live| {
-            let outcome = match live {
-                None => engine.run_sync(),
-                Some((io, shards)) => engine.run_with(&mut live_applier(spec, io, shards)),
-            };
-            (outcome.trace, outcome.report)
-        });
-        let report = &reference.report;
-        if report.source_packets_sent != spec.packets {
-            problems.push(format!(
-                "transmitted {} source packets, spec says {}",
-                report.source_packets_sent, spec.packets
-            ));
-        }
-        for lane in &report.lanes {
-            let outcome = &lane.outcome;
-            let accounted =
-                outcome.delivered + outcome.recovered + outcome.lost + outcome.undelivered;
-            if accounted != spec.packets {
-                problems.push(format!(
-                    "lane {} accounts for {accounted} of {} packets",
-                    lane.name, spec.packets
-                ));
-            }
-            if outcome.undelivered != 0 {
-                problems.push(format!(
-                    "lane {}: {} delivered packets never surfaced",
-                    lane.name, outcome.undelivered
-                ));
-            }
-        }
-        if super::FanoutReport::replay(&reference.trace) != reference.report {
-            problems.push("replaying the trace does not reproduce the report".to_string());
-        }
+        problems.extend(reference.accounting_problems(&self.spec));
         problems
     }
 
@@ -644,22 +515,18 @@ impl GeneratedSpec {
                 },
             ));
         }
-        let (packets, phases, lanes, receivers, head) = match &self.shape {
-            GeneratedShape::Flat(spec) => (
-                spec.packets,
-                spec.receivers.iter().map(phase_count).max().unwrap_or(1),
-                1,
-                spec.receivers.len(),
-                0,
-            ),
-            GeneratedShape::Fanout(spec) => (
-                spec.packets,
-                spec.lanes.iter().map(|l| phase_count(&l.regime)).max().unwrap_or(1),
-                spec.lanes.len(),
-                1,
-                spec.head_filters.len(),
-            ),
-        };
+        let spec = &self.spec;
+        let packets = spec.packets;
+        let phases = spec
+            .lanes
+            .iter()
+            .flat_map(|lane| &lane.receivers)
+            .map(phase_count)
+            .max()
+            .unwrap_or(1);
+        let lanes = spec.lanes.len();
+        let receivers = spec.lanes.iter().map(|lane| lane.receivers.len()).max().unwrap_or(1);
+        let head = spec.head_filters.len();
         if packets > MIN_PACKETS {
             let halved = (packets / 2).max(MIN_PACKETS) / MIN_PACKETS * MIN_PACKETS;
             candidates.push(Self::build(
@@ -802,9 +669,9 @@ fn head_filter_set(index: u32) -> Vec<FilterSpec> {
     }
 }
 
-/// One half of the secure-channel pair, keyed like the flat engine's
+/// One half of the secure-channel pair, keyed like the engine's own
 /// bracket ([`super::SECURE_SCENARIO_KEY`]) so filter names agree across
-/// every generated shape.
+/// every generated scenario.
 fn secure_filter_spec(kind: &str) -> FilterSpec {
     FilterSpec::new(kind).with_param("key", super::SECURE_SCENARIO_KEY)
 }
@@ -812,6 +679,21 @@ fn secure_filter_spec(kind: &str) -> FilterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::FecSite;
+
+    /// A small one-lane spec with FEC on the head, for cheap end-to-end
+    /// conformance runs.
+    fn small_flat_seed() -> u64 {
+        (0..50u64)
+            .find(|&seed| {
+                let spec = GeneratedSpec::sample(seed);
+                let spec = spec.spec();
+                spec.fec_site == FecSite::Head
+                    && spec.packets <= 300
+                    && spec.lanes[0].receivers.len() == 1
+            })
+            .expect("small flat samples exist")
+    }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
@@ -819,7 +701,7 @@ mod tests {
             let a = GeneratedSpec::sample(seed);
             let b = GeneratedSpec::sample(seed);
             assert_eq!(a, b);
-            assert_eq!(a.shape(), b.shape(), "derived shapes match at seed {seed}");
+            assert_eq!(a.spec(), b.spec(), "derived scenarios match at seed {seed}");
             assert_eq!(a.placement(), b.placement());
             assert_eq!(a.churn(), b.churn());
         }
@@ -829,14 +711,7 @@ mod tests {
     fn sampled_specs_always_validate() {
         for seed in 0..200u64 {
             let spec = GeneratedSpec::sample(seed);
-            match spec.shape() {
-                GeneratedShape::Flat(flat) => {
-                    assert_eq!(flat.validate(), Ok(()), "{}", spec.describe())
-                }
-                GeneratedShape::Fanout(fanout) => {
-                    assert_eq!(fanout.validate(), Ok(()), "{}", spec.describe())
-                }
-            }
+            assert_eq!(spec.spec().validate(), Ok(()), "{}", spec.describe());
             for event in spec.churn() {
                 assert!(event.join_at < event.leave_at, "{}", spec.describe());
             }
@@ -855,22 +730,16 @@ mod tests {
             let spec = GeneratedSpec::sample(seed);
             placements.insert(format!("{}", spec.placement().kind));
             batches.insert(spec.placement().batch_size);
-            match spec.shape() {
-                GeneratedShape::Flat(inner) => {
-                    flat += 1;
-                    if inner.receivers.iter().any(|r| phase_count(r) > 1) {
-                        multi_phase += 1;
-                    }
-                }
-                GeneratedShape::Fanout(inner) => {
-                    fanout += 1;
-                    if inner.lanes.iter().any(|l| phase_count(&l.regime) > 1) {
-                        multi_phase += 1;
-                    }
-                    if !spec.churn().is_empty() {
-                        churned += 1;
-                    }
-                }
+            let inner = spec.spec();
+            match inner.fec_site {
+                FecSite::Head => flat += 1,
+                FecSite::Lanes => fanout += 1,
+            }
+            if inner.lanes.iter().flat_map(|l| &l.receivers).any(|r| phase_count(r) > 1) {
+                multi_phase += 1;
+            }
+            if !spec.churn().is_empty() {
+                churned += 1;
             }
         }
         assert!(flat > 50 && fanout > 50, "both shapes sampled ({flat}/{fanout})");
@@ -886,7 +755,7 @@ mod tests {
             let spec = GeneratedSpec::sample(seed);
             let replayed = GeneratedSpec::from_line(&spec.to_line()).unwrap();
             assert_eq!(spec, replayed);
-            assert_eq!(spec.shape(), replayed.shape());
+            assert_eq!(spec.spec(), replayed.spec());
         }
         // Shrunk specs round-trip too, overrides included.
         let spec = GeneratedSpec::build(
@@ -907,7 +776,7 @@ mod tests {
         assert!(line.contains(" secure"), "{line}");
         let replayed = GeneratedSpec::from_line(&line).unwrap();
         assert_eq!(spec, replayed);
-        assert_eq!(spec.shape(), replayed.shape());
+        assert_eq!(spec.spec(), replayed.spec());
     }
 
     #[test]
@@ -935,46 +804,33 @@ mod tests {
         // shrink dimension is exercised.
         let seed = (0..200u64)
             .find(|&seed| {
-                matches!(
-                    GeneratedSpec::sample(seed).shape(),
-                    GeneratedShape::Fanout(f)
-                        if f.lanes.len() > 1
-                            && f.packets > 2 * MIN_PACKETS
-                            && !f.head_filters.is_empty()
-                )
+                let spec = GeneratedSpec::sample(seed);
+                let f = spec.spec();
+                f.lanes.len() > 1 && f.packets > 2 * MIN_PACKETS && !f.head_filters.is_empty()
             })
             .expect("the sampler covers multi-lane fanouts");
         let spec = GeneratedSpec::sample(seed);
         // A predicate that keeps failing all the way down: every spec
         // "fails", so the shrinker must bottom out at the global minimum.
         let minimal = GeneratedSpec::shrink_to_minimal(spec, &|_| true);
-        let GeneratedShape::Fanout(inner) = minimal.shape() else {
-            panic!("shrinking never changes the shape family");
-        };
+        let inner = minimal.spec();
+        assert_eq!(inner.fec_site, FecSite::Lanes, "shrinking never moves the FEC site");
         assert_eq!(inner.packets, MIN_PACKETS);
         assert_eq!(inner.lanes.len(), 1);
         assert!(inner.head_filters.is_empty());
-        assert!(inner.lanes.iter().all(|l| phase_count(&l.regime) == 1));
+        assert!(inner.lanes.iter().all(|l| phase_count(&l.receivers[0]) == 1));
         // The minimal spec replays byte-identically from its line.
         let replayed = GeneratedSpec::from_line(&minimal.to_line()).unwrap();
-        assert_eq!(minimal.shape(), replayed.shape());
+        assert_eq!(minimal.spec(), replayed.spec());
 
         // A predicate that stops failing once packets shrink must leave
         // everything else untouched.
         let spec = GeneratedSpec::sample(seed);
-        let original_lanes = match spec.shape() {
-            GeneratedShape::Fanout(f) => f.lanes.len(),
-            GeneratedShape::Flat(_) => unreachable!(),
-        };
+        let original_lanes = spec.spec().lanes.len();
         let picky = GeneratedSpec::shrink_to_minimal(spec, &|candidate| {
-            match candidate.shape() {
-                GeneratedShape::Fanout(f) => f.lanes.len() > 1,
-                GeneratedShape::Flat(_) => false,
-            }
+            candidate.spec().lanes.len() > 1
         });
-        let GeneratedShape::Fanout(inner) = picky.shape() else {
-            panic!("shape family is stable under shrinking");
-        };
+        let inner = picky.spec();
         assert_eq!(inner.lanes.len(), 2, "shrunk to the smallest still-failing lane count");
         assert!(original_lanes > 2 || inner.lanes.len() <= original_lanes);
     }
@@ -984,13 +840,7 @@ mod tests {
         // One cheap end-to-end conformance run as a unit test; the full
         // ≥64-spec sweep lives in the generated_scenarios integration
         // suite.
-        let seed = (0..50u64)
-            .find(|&seed| {
-                matches!(GeneratedSpec::sample(seed).shape(), GeneratedShape::Flat(f)
-                    if f.packets <= 300 && f.receivers.len() == 1)
-            })
-            .expect("small flat samples exist");
-        let spec = GeneratedSpec::sample(seed);
+        let spec = GeneratedSpec::sample(small_flat_seed());
         assert_eq!(spec.conformance_problems(), Vec::<String>::new(), "{}", spec.describe());
     }
 
@@ -998,7 +848,7 @@ mod tests {
     fn the_shared_udp_token_survives_shrinking_and_widens_conformance() {
         let spec = GeneratedSpec::from_line("seed=4 shared_udp").unwrap();
         assert!(spec.shared_udp());
-        assert_eq!(spec.shape(), GeneratedSpec::sample(4).shape(), "flag leaves the shape alone");
+        assert_eq!(spec.spec(), GeneratedSpec::sample(4).spec(), "flag leaves the scenario alone");
         // Shrinking keeps the flag: a minimized shared-socket failure still
         // reproduces over the shared socket.
         let minimal = GeneratedSpec::shrink_to_minimal(spec, &|_| true);
@@ -1007,13 +857,7 @@ mod tests {
 
         // One cheap end-to-end shared-socket conformance run as a unit
         // test; the corpus sweep lives in the generated_scenarios suite.
-        let seed = (0..50u64)
-            .find(|&seed| {
-                matches!(GeneratedSpec::sample(seed).shape(), GeneratedShape::Flat(f)
-                    if f.packets <= 300 && f.receivers.len() == 1)
-            })
-            .expect("small flat samples exist");
-        let spec = GeneratedSpec::sample(seed).with_shared_udp();
+        let spec = GeneratedSpec::sample(small_flat_seed()).with_shared_udp();
         assert_eq!(spec.conformance_problems(), Vec::<String>::new(), "{}", spec.describe());
     }
 
@@ -1021,12 +865,10 @@ mod tests {
     fn the_secure_token_installs_the_channel_and_shrinks_away() {
         let spec = GeneratedSpec::from_line("seed=4 secure").unwrap();
         assert!(spec.secure());
-        match spec.shape() {
-            GeneratedShape::Flat(flat) => assert!(flat.secure),
-            GeneratedShape::Fanout(fanout) => assert!(fanout
-                .head_filters
-                .iter()
-                .any(|f| f.kind == "encrypt")),
+        let inner = spec.spec();
+        match inner.fec_site {
+            FecSite::Head => assert!(inner.secure),
+            FecSite::Lanes => assert!(inner.head_filters.iter().any(|f| f.kind == "encrypt")),
         }
 
         // Unlike shared_udp, the token is itself a shrink dimension — and
@@ -1050,13 +892,7 @@ mod tests {
 
         // One cheap end-to-end secure conformance run as a unit test; the
         // corpus sweep lives in the generated_scenarios suite.
-        let seed = (0..50u64)
-            .find(|&seed| {
-                matches!(GeneratedSpec::sample(seed).shape(), GeneratedShape::Flat(f)
-                    if f.packets <= 300 && f.receivers.len() == 1)
-            })
-            .expect("small flat samples exist");
-        let spec = GeneratedSpec::sample(seed).with_secure();
+        let spec = GeneratedSpec::sample(small_flat_seed()).with_secure();
         assert_eq!(spec.conformance_problems(), Vec::<String>::new(), "{}", spec.describe());
     }
 

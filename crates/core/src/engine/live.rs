@@ -6,22 +6,20 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{
-    FilterSpec, Proxy, RuntimeConfig, SharedUdpSessionConfig, SharedUdpStreamConfig,
-    UdpCarrierConfig,
-};
-use rapidware_raplets::{apply_to_pooled_session, apply_to_proxy, AdaptationAction};
+use rapidware_proxy::{PooledSession, Proxy, RuntimeConfig, SharedUdpSessionConfig, UdpCarrierConfig};
+use rapidware_raplets::{apply_to_pooled_session, apply_to_session_head, AdaptationAction};
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, TryRecvError};
 use rapidware_transport::{SharedDrain, SharedUdpIngress, UdpConfig};
 
-use super::applier::{marker_stream, Applier};
+use super::applier::{marker_stream, Applier, Chain};
 use super::report::LatencySummary;
+use super::spec::ScenarioSpec;
 
 /// How a [`LiveApplier`] reaches its proxy: the two live placements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiveIo {
-    /// In-process pipes: packets go straight into the stream's or
-    /// session's input pipe, lane output is read off the proxy's pipes.
+    /// In-process pipes: packets go straight into the session's input
+    /// pipe, lane output is read off the proxy's pipes.
     Pipes,
     /// A loopback carrier: every packet crosses two real UDP sockets — the
     /// proxy side a carrier demuxed by its carrier task on the worker
@@ -36,21 +34,11 @@ fn scenario_stream() -> StreamId {
     StreamId::new(1)
 }
 
-/// The name of the flat stream a one-lane applier places.
-const STREAM: &str = "scenario";
-
 /// The name every applier-owned carrier registers under.
 const CARRIER: &str = "carrier";
 
 /// How long a drain naps when no lane made progress.
 const DRAIN_POLL: Duration = Duration::from_micros(50);
-
-/// What the chains run on: a flat proxy stream (lane 0) or a session.
-#[derive(Debug)]
-enum Target {
-    Stream,
-    Session { name: String, lanes: Vec<String> },
-}
 
 /// The engine's side of the placement: where packets go in, how lane
 /// output is pulled up to the lane pipes, and how the input ends.
@@ -102,16 +90,16 @@ impl Ends {
 /// ([`Proxy::with_runtime`]), reconfigured through the proxy's control
 /// surface while packets flow.
 ///
-/// Its target is a flat proxy stream ([`stream`](Self::stream), the
-/// one-lane case) or a fanout session ([`session`](Self::session)); its
-/// [`LiveIo`] picks how packets reach the proxy and come back:
+/// The chains are one pooled session — the spec's head chain and one
+/// egress lane per lane of the spec; its [`LiveIo`] picks how packets reach
+/// the proxy and come back:
 ///
 /// ```text
 ///  Pipes:    engine ──▶ input pipe ──▶ pooled task ──▶ lane pipes ──▶ engine
-///            (Proxy::add_stream_pooled / add_session_pooled)
+///            (Proxy::add_session_pooled)
 ///  Carrier:  engine ──encode──▶ UDP ──▶ carrier demux ──▶ pooled task
 ///              ──▶ carrier mux ──▶ UDP, one app socket per lane ──decode──▶ engine
-///            (Proxy::add_stream_udp_shared / add_session_udp_shared)
+///            (Proxy::add_session_udp_shared)
 /// ```
 ///
 /// The applier stays deterministic by quiescing at every step: after
@@ -127,14 +115,13 @@ impl Ends {
 /// route pipe, which keeps the single-socket order.
 pub struct LiveApplier {
     // First field, so it drops first: `Proxy`'s own drop shuts every
-    // carrier, stream and session down before the engine-side ends go.
+    // carrier and session down before the engine-side ends go.
     proxy: Proxy,
-    target: Target,
+    session: String,
+    lanes: Vec<String>,
     ends: Ends,
     outputs: Vec<DetachableReceiver<Packet>>,
-    /// Per lane, everything drained and not yet handed back, in order: a
-    /// lane's packets collected while another lane was being reconfigured
-    /// wait here for its next `process`, so nothing is ever dropped.
+    /// Per lane, everything drained and not yet handed back, in order.
     pending: Vec<Vec<Packet>>,
     next_marker: u64,
 }
@@ -142,146 +129,91 @@ pub struct LiveApplier {
 impl fmt::Debug for LiveApplier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LiveApplier")
-            .field("target", &self.target)
-            .field("lanes", &self.outputs.len())
+            .field("session", &self.session)
+            .field("lanes", &self.lanes)
             .finish()
     }
 }
 
 impl LiveApplier {
-    /// Places one flat stream — the one-lane case, with no head chain — on
-    /// a fresh proxy with a `shards`-worker pool processing batches of up
-    /// to `batch_size`.  `window` sizes the pipes (and, on a carrier, the
-    /// socket queues) so a whole sample window plus parity overhead fits
-    /// without blocking the driver or shedding frames.
+    /// Places `spec`'s chains on a fresh proxy as a session named after the
+    /// spec: the head chain populated from its head filters, one egress
+    /// lane per lane, on a `shards`-worker pool processing batches of the
+    /// spec's batch size.  The pipes (and, on a carrier, the socket queues)
+    /// are sized so a whole sample window plus parity overhead fits without
+    /// blocking the driver or shedding frames.
     ///
     /// # Panics
     ///
-    /// Panics if a loopback socket cannot be bound or the fresh proxy
-    /// refuses the placement (resource exhaustion only).
-    pub fn stream(io: LiveIo, shards: usize, batch_size: usize, window: usize) -> Self {
-        Self::place(io, shards, batch_size, window, |proxy, capacity| {
-            let (ends, output) = match io {
-                LiveIo::Pipes => {
-                    let (input, output) = proxy
-                        .add_stream_pooled(STREAM)
-                        .expect("a fresh proxy accepts its first stream");
-                    (Ends::Pipes(input), output)
-                }
-                LiveIo::Carrier => {
-                    let (app, output) = bind_app_socket(capacity);
-                    let config = SharedUdpStreamConfig::on_carrier(CARRIER, app.local_addr())
-                        .with_stream(scenario_stream())
-                        .with_stream(marker_stream())
-                        .with_capacity(capacity)
-                        .with_batch_size(batch_size);
-                    let handle = proxy
-                        .add_stream_udp_shared(STREAM, config)
-                        .expect("a fresh carrier accepts its first stream");
-                    let ingress = handle.ingress_addr();
-                    let close_input = Box::new(move || handle.close_input());
-                    (carrier_ends(ingress, vec![app], close_input), output)
-                }
-            };
-            (Target::Stream, ends, vec![output])
-        })
-    }
-
-    /// Places a fanout session named `name` on a fresh proxy: the head
-    /// chain populated from `head_filters`, one egress lane per entry of
-    /// `lanes`; shards, batch size and window as for
-    /// [`stream`](Self::stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a loopback socket cannot be bound, a head filter spec
-    /// names an unknown kind, or a lane name repeats (validated specs
-    /// never do).
-    pub fn session(
-        io: LiveIo,
-        name: &str,
-        head_filters: &[FilterSpec],
-        lanes: &[String],
-        shards: usize,
-        batch_size: usize,
-        window: usize,
-    ) -> Self {
-        Self::place(io, shards, batch_size, window, |proxy, capacity| {
-            let (ends, outputs) = match io {
-                LiveIo::Pipes => {
-                    let input = proxy
-                        .add_session_pooled(name, capacity, batch_size.max(1))
-                        .expect("a fresh proxy accepts its first session");
-                    let session = proxy.pooled_session(name).expect("the session was just created");
-                    let outputs = lanes
-                        .iter()
-                        .map(|lane| session.add_lane(lane).expect("lane names are unique"))
-                        .collect();
-                    (Ends::Pipes(input), outputs)
-                }
-                LiveIo::Carrier => {
-                    let (apps, outputs): (Vec<_>, Vec<_>) =
-                        lanes.iter().map(|_| bind_app_socket(capacity)).unzip();
-                    let mut config = SharedUdpSessionConfig::on_carrier(CARRIER)
-                        .with_stream(scenario_stream())
-                        .with_stream(marker_stream())
-                        .with_capacity(capacity)
-                        .with_batch_size(batch_size);
-                    for (lane, app) in lanes.iter().zip(&apps) {
-                        config = config.with_lane(lane, app.local_addr());
-                    }
-                    let handle = proxy
-                        .add_session_udp_shared(name, config)
-                        .expect("a fresh carrier accepts its first session");
-                    let ingress = handle.ingress_addr();
-                    let close_input = Box::new(move || handle.close_input());
-                    (carrier_ends(ingress, apps, close_input), outputs)
-                }
-            };
-            let session = proxy.pooled_session(name).expect("the session was just created");
-            for (position, filter_spec) in head_filters.iter().enumerate() {
-                session
-                    .insert_head_filter(position, filter_spec)
-                    .expect("head filter specs reference registered kinds");
-            }
-            let target = Target::Session {
-                name: name.to_string(),
-                lanes: lanes.to_vec(),
-            };
-            (target, ends, outputs)
-        })
-    }
-
-    /// Starts the proxy every placement shares — telemetry (spans plus
-    /// runtime profiling) on before anything is placed and, for
-    /// [`LiveIo::Carrier`], the carrier bound — then lets `target` place
-    /// the stream or session with pipes of the capacity a `window` needs.
-    fn place(
-        io: LiveIo,
-        shards: usize,
-        batch_size: usize,
-        window: usize,
-        target: impl FnOnce(&mut Proxy, usize) -> (Target, Ends, Vec<DetachableReceiver<Packet>>),
-    ) -> Self {
-        let capacity = window.max(32) * 4;
+    /// Panics if a loopback socket cannot be bound, a head filter cannot be
+    /// built, or a lane name repeats ([`ScenarioSpec::validate`] rejects
+    /// both).
+    pub fn session(io: LiveIo, spec: &ScenarioSpec, shards: usize) -> Self {
+        let name = spec.name.as_str();
+        let batch_size = spec.batch_size.max(1);
+        let lanes: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
+        let capacity = (spec.sample_interval as usize).max(32) * 4;
         let mut proxy = Proxy::with_runtime(
             "scenario-proxy",
             RuntimeConfig::new(shards, batch_size).with_pipe_capacity(capacity),
         );
+        // Telemetry (spans plus runtime profiling) goes on before anything
+        // is placed.
         proxy.enable_telemetry();
-        if io == LiveIo::Carrier {
-            let config = UdpCarrierConfig::new().with_capacity(capacity).with_batch_size(batch_size);
-            proxy.add_udp_carrier(CARRIER, config).expect("a fresh proxy accepts its first carrier");
+        let (ends, outputs) = match io {
+            LiveIo::Pipes => {
+                let input = proxy
+                    .add_session_pooled(name, capacity, batch_size)
+                    .expect("a fresh proxy accepts its first session");
+                let session = proxy.pooled_session(name).expect("the session was just created");
+                let outputs = lanes
+                    .iter()
+                    .map(|lane| session.add_lane(lane).expect("lane names are unique"))
+                    .collect();
+                (Ends::Pipes(input), outputs)
+            }
+            LiveIo::Carrier => {
+                let carrier = UdpCarrierConfig::new().with_capacity(capacity).with_batch_size(batch_size);
+                proxy.add_udp_carrier(CARRIER, carrier).expect("a fresh proxy accepts its first carrier");
+                let (apps, outputs): (Vec<_>, Vec<_>) =
+                    lanes.iter().map(|_| bind_app_socket(capacity)).unzip();
+                let mut config = SharedUdpSessionConfig::on_carrier(CARRIER)
+                    .with_stream(scenario_stream())
+                    .with_stream(marker_stream())
+                    .with_capacity(capacity)
+                    .with_batch_size(batch_size);
+                for (lane, app) in lanes.iter().zip(&apps) {
+                    config = config.with_lane(lane, app.local_addr());
+                }
+                let handle = proxy
+                    .add_session_udp_shared(name, config)
+                    .expect("a fresh carrier accepts its first session");
+                let ingress = handle.ingress_addr();
+                let close_input = Box::new(move || handle.close_input());
+                (carrier_ends(ingress, apps, close_input), outputs)
+            }
+        };
+        let session = proxy.pooled_session(name).expect("the session was just created");
+        for (position, filter_spec) in spec.head_filters.iter().enumerate() {
+            session
+                .insert_head_filter(position, filter_spec)
+                .expect("validated specs build their head filters");
         }
-        let (target, ends, outputs) = target(&mut proxy, capacity);
         Self {
             proxy,
-            target,
+            session: name.to_string(),
+            lanes,
             ends,
             pending: vec![Vec::new(); outputs.len()],
             outputs,
             next_marker: 0,
         }
+    }
+
+    fn pooled_session(&self) -> &PooledSession {
+        self.proxy
+            .pooled_session(&self.session)
+            .expect("the session exists for the applier's lifetime")
     }
 
     /// Sends one control marker (a session fans it out to every lane) and
@@ -380,42 +312,27 @@ impl Applier for LiveApplier {
         self.take_all()
     }
 
-    fn apply(&mut self, lane: usize, actions: &[AdaptationAction]) -> Vec<Packet> {
-        match &self.target {
-            Target::Stream => apply_to_proxy(&self.proxy, STREAM, actions),
-            Target::Session { name, lanes } => self
-                .proxy
-                .pooled_session(name)
-                .and_then(|session| apply_to_pooled_session(session, &lanes[lane], actions)),
+    fn apply(&mut self, chain: Chain, actions: &[AdaptationAction]) -> Vec<Vec<Packet>> {
+        let session = self.pooled_session();
+        match chain {
+            Chain::Head => apply_to_session_head(session, actions),
+            Chain::Lane(lane) => apply_to_pooled_session(session, &self.lanes[lane], actions),
         }
         .expect("responder actions are valid for the live chain");
         // Residue flushed out of a removed or replaced filter lands in the
-        // task's pending buffer; quiescing picks it up in order.  Other
-        // lanes have no traffic in flight at an apply point, but anything
-        // they do produce stays pending for their next window.
+        // task's pending buffer (a head filter's crosses every lane);
+        // quiescing picks it up in order.
         self.quiesce();
-        std::mem::take(&mut self.pending[lane])
+        self.take_all()
     }
 
-    fn lane_filters(&self, lane: usize) -> Vec<String> {
-        match &self.target {
-            Target::Stream => self.proxy.filter_names(STREAM),
-            Target::Session { name, lanes } => self
-                .proxy
-                .pooled_session(name)
-                .and_then(|session| session.lane_filter_names(&lanes[lane])),
-        }
-        .expect("placed lanes exist for the applier's lifetime")
-    }
-
-    fn head_filters(&self) -> Vec<String> {
-        match &self.target {
-            Target::Stream => Vec::new(),
-            Target::Session { name, .. } => self
-                .proxy
-                .pooled_session(name)
-                .expect("the session exists for the applier's lifetime")
-                .head_filter_names(),
+    fn filters(&self, chain: Chain) -> Vec<String> {
+        let session = self.pooled_session();
+        match chain {
+            Chain::Head => session.head_filter_names(),
+            Chain::Lane(lane) => session
+                .lane_filter_names(&self.lanes[lane])
+                .expect("placed lanes exist for the applier's lifetime"),
         }
     }
 
@@ -433,24 +350,21 @@ impl Applier for LiveApplier {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{FanoutEngine, FanoutSpec, ScenarioEngine, ScenarioSpec};
+    use crate::engine::{ScenarioEngine, ScenarioSpec};
 
     #[test]
     fn the_shared_applier_matches_the_sync_applier_on_a_small_scenario() {
-        let spec = ScenarioSpec::handoff_cliff().with_packets(400);
-        let engine = ScenarioEngine::new(spec);
-        let sync = engine.run_sync();
-        let shared = engine.run_udp_shared();
-        assert_eq!(sync.report, shared.report, "the carrier must not change the outcome");
-        assert_eq!(sync.trace.canonical_text(), shared.trace.canonical_text());
-    }
-
-    #[test]
-    fn the_shared_fanout_applier_matches_the_sync_applier_on_a_small_spec() {
-        let spec = FanoutSpec::all_wired().with_packets(300);
-        let engine = FanoutEngine::new(spec);
-        let sync = engine.run_sync();
-        let shared = engine.run_udp_shared();
-        assert_eq!(sync.report, shared.report, "the carrier must not change the outcome");
+        // FEC on the head of a one-lane session, then on each lane of a
+        // four-lane one behind a head tap.
+        for spec in [
+            ScenarioSpec::handoff_cliff().with_packets(400),
+            ScenarioSpec::all_wired().with_packets(300),
+        ] {
+            let engine = ScenarioEngine::new(spec);
+            let sync = engine.run_sync();
+            let shared = engine.run_udp_shared();
+            assert_eq!(sync.report, shared.report, "the carrier must not change the outcome");
+            assert_eq!(sync.trace.canonical_text(), shared.trace.canonical_text());
+        }
     }
 }

@@ -108,29 +108,64 @@ impl fmt::Display for LatencySummary {
     }
 }
 
-/// The outcome of one closed-loop scenario run: delivery accounting plus
-/// the adaptation timeline.
+/// Final accounting for one egress lane of a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneReport {
+    /// Delivery accounting per receiver the lane reaches, in spec order.
+    pub receivers: Vec<ReceiverOutcome>,
+    /// Parity packets this lane transmitted.
+    pub parity_sent: u64,
+    /// This lane's own adaptation steps (empty when FEC acts on the head).
+    pub timeline: Vec<TimelineEntry>,
+    /// Tail filters still installed on this lane when the run ended.
+    pub final_filters: Vec<String>,
+}
+
+impl LaneReport {
+    /// `true` if this lane's own timeline shows a FEC insertion followed
+    /// by its removal.
+    pub fn fec_inserted_then_removed(&self) -> bool {
+        inserted_then_removed(&self.timeline)
+    }
+}
+
+/// `true` if the first FEC insertion in `steps` precedes the first removal.
+pub(super) fn inserted_then_removed(steps: &[TimelineEntry]) -> bool {
+    let insert = steps.iter().position(is_fec_insert);
+    let remove = steps.iter().position(is_fec_remove);
+    matches!((insert, remove), (Some(i), Some(r)) if i < r)
+}
+
+fn is_fec_insert(step: &TimelineEntry) -> bool {
+    step.entry.starts_with("action insert") && step.entry.contains("fec-encoder")
+}
+
+fn is_fec_remove(step: &TimelineEntry) -> bool {
+    step.entry.starts_with("action remove fec-encoder")
+}
+
+/// The outcome of one closed-loop scenario run: per-lane delivery
+/// accounting plus the adaptation timelines.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// Scenario name (from the spec).
     pub scenario: String,
     /// Simulator seed of the run.
     pub seed: u64,
-    /// Source payload packets transmitted.
+    /// Source payload packets generated upstream of the head chain.
     pub source_packets_sent: u64,
-    /// Parity packets transmitted.
-    pub parity_packets_sent: u64,
-    /// Per-receiver accounting, in topology order.
-    pub receivers: Vec<ReceiverOutcome>,
-    /// Every observer event, applied action, and chain reconfiguration, in
-    /// order.
+    /// The head loop's observer events, applied actions and chain
+    /// reconfigurations, in order (empty when FEC acts on each lane).
     pub timeline: Vec<TimelineEntry>,
-    /// Filters still installed on the sender chain when the run ended.
-    pub final_filters: Vec<String>,
-    /// End-to-end latency percentiles, when the applier was instrumented
-    /// with telemetry spans.  Excluded from `PartialEq`: latency is host-
-    /// and scheduler-dependent, while the rest of the report is
-    /// deterministic given the seed.
+    /// Filters installed on the head chain when the run ended.
+    pub head_filters: Vec<String>,
+    /// Per-lane accounting, in spec order.
+    pub lanes: Vec<LaneReport>,
+    /// End-to-end latency percentiles (head ingress to lane egress, all
+    /// lanes merged), when the applier was instrumented with telemetry
+    /// spans.  Excluded from `PartialEq`: latency is host- and
+    /// scheduler-dependent, while the rest of the report is deterministic
+    /// given the seed.
     pub latency: Option<LatencySummary>,
 }
 
@@ -142,99 +177,110 @@ impl PartialEq for ScenarioReport {
         self.scenario == other.scenario
             && self.seed == other.seed
             && self.source_packets_sent == other.source_packets_sent
-            && self.parity_packets_sent == other.parity_packets_sent
-            && self.receivers == other.receivers
             && self.timeline == other.timeline
-            && self.final_filters == other.final_filters
+            && self.head_filters == other.head_filters
+            && self.lanes == other.lanes
     }
 }
 
 impl ScenarioReport {
+    /// Every receiver's accounting, lane by lane — the order
+    /// [`ScenarioOutcome::events`](super::ScenarioOutcome::events) uses.
+    pub fn receivers(&self) -> impl Iterator<Item = &ReceiverOutcome> {
+        self.lanes.iter().flat_map(|lane| &lane.receivers)
+    }
+
     /// Total packets the network delivered but receivers failed to surface,
     /// across all receivers.  Must be zero in a healthy run.
     pub fn undelivered_total(&self) -> u64 {
-        self.receivers.iter().map(|r| r.undelivered).sum()
+        self.receivers().map(|r| r.undelivered).sum()
     }
 
     /// Total packets lost beyond recovery, across all receivers.
     pub fn lost_total(&self) -> u64 {
-        self.receivers.iter().map(|r| r.lost).sum()
+        self.receivers().map(|r| r.lost).sum()
     }
 
     /// Total packets recovered by FEC, across all receivers.
     pub fn recovered_total(&self) -> u64 {
-        self.receivers.iter().map(|r| r.recovered).sum()
+        self.receivers().map(|r| r.recovered).sum()
+    }
+
+    /// Parity packets transmitted, across all lanes.
+    pub fn parity_total(&self) -> u64 {
+        self.lanes.iter().map(|lane| lane.parity_sent).sum()
     }
 
     /// FEC overhead: parity packets sent per source packet sent (0.5 for
-    /// FEC(6,4) over whole blocks).
+    /// FEC(6,4) over whole blocks on one lane).
     pub fn parity_overhead(&self) -> f64 {
         if self.source_packets_sent == 0 {
             0.0
         } else {
-            self.parity_packets_sent as f64 / self.source_packets_sent as f64
+            self.parity_total() as f64 / self.source_packets_sent as f64
         }
     }
 
-    /// `true` if the chain converged back to empty by the end of the run
-    /// (the expected end state when the link finishes clean).
+    /// `true` if no FEC encoder is left on the head or on any lane (the
+    /// expected end state when every link finishes clean).
     pub fn converged(&self) -> bool {
-        self.final_filters.is_empty()
+        std::iter::once(&self.head_filters)
+            .chain(self.lanes.iter().map(|lane| &lane.final_filters))
+            .flatten()
+            .all(|name| !name.starts_with("fec-encoder"))
     }
 
-    /// `true` if the timeline shows at least one FEC insertion.
+    /// `true` if the head timeline shows at least one FEC insertion.
     pub fn fec_was_inserted(&self) -> bool {
-        self.timeline
-            .iter()
-            .any(|t| t.entry.starts_with("action insert") && t.entry.contains("fec-encoder"))
+        self.timeline.iter().any(is_fec_insert)
     }
 
-    /// `true` if the timeline shows the FEC encoder being removed again.
+    /// `true` if the head timeline shows the FEC encoder being removed.
     pub fn fec_was_removed(&self) -> bool {
-        self.timeline
-            .iter()
-            .any(|t| t.entry.starts_with("action remove fec-encoder"))
+        self.timeline.iter().any(is_fec_remove)
     }
 
-    /// `true` if the first FEC insertion precedes the first removal — i.e.
-    /// the loop inserted FEC in response to the spike and took it out after
-    /// recovery, in that order.
+    /// `true` if the head loop's first FEC insertion precedes its first
+    /// removal — i.e. it inserted FEC in response to the spike and took it
+    /// out after recovery, in that order.
     pub fn fec_inserted_then_removed(&self) -> bool {
-        let insert = self
-            .timeline
-            .iter()
-            .position(|t| t.entry.starts_with("action insert") && t.entry.contains("fec-encoder"));
-        let remove = self
-            .timeline
-            .iter()
-            .position(|t| t.entry.starts_with("action remove fec-encoder"));
-        matches!((insert, remove), (Some(i), Some(r)) if i < r)
+        inserted_then_removed(&self.timeline)
     }
 }
 
 impl fmt::Display for ScenarioReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
-            "{} (seed {}): {} source + {} parity packets, {} adaptation steps",
+            "{} (seed {}): {} source + {} parity packets, {} head adaptation steps, head {}",
             self.scenario,
             self.seed,
             self.source_packets_sent,
-            self.parity_packets_sent,
-            self.timeline.len()
+            self.parity_total(),
+            self.timeline.len(),
+            render_filters(&self.head_filters)
         )?;
-        for (index, receiver) in self.receivers.iter().enumerate() {
-            writeln!(
+        for (index, lane) in self.lanes.iter().enumerate() {
+            write!(
                 f,
-                "  receiver-{index}: delivered={} recovered={} lost={} undelivered={} availability={:.2}%",
-                receiver.delivered,
-                receiver.recovered,
-                receiver.lost,
-                receiver.undelivered,
-                receiver.availability() * 100.0
+                "\n  lane {index}: parity={} steps={} final={}",
+                lane.parity_sent,
+                lane.timeline.len(),
+                render_filters(&lane.final_filters)
             )?;
+            for (receiver, outcome) in lane.receivers.iter().enumerate() {
+                write!(
+                    f,
+                    "\n    receiver-{receiver}: delivered={} recovered={} lost={} undelivered={} availability={:.2}%",
+                    outcome.delivered,
+                    outcome.recovered,
+                    outcome.lost,
+                    outcome.undelivered,
+                    outcome.availability() * 100.0
+                )?;
+            }
         }
-        write!(f, "  final chain: {}", render_filters(&self.final_filters))
+        Ok(())
     }
 }
 
@@ -247,21 +293,6 @@ mod tests {
             scenario: "unit".into(),
             seed: 1,
             source_packets_sent: 100,
-            parity_packets_sent: 20,
-            receivers: vec![
-                ReceiverOutcome {
-                    delivered: 90,
-                    recovered: 8,
-                    lost: 2,
-                    undelivered: 0,
-                },
-                ReceiverOutcome {
-                    delivered: 100,
-                    recovered: 0,
-                    lost: 0,
-                    undelivered: 0,
-                },
-            ],
             timeline: vec![
                 TimelineEntry {
                     time: SimTime::from_secs(2),
@@ -276,7 +307,26 @@ mod tests {
                     entry: "action remove fec-encoder".into(),
                 },
             ],
-            final_filters: Vec::new(),
+            head_filters: Vec::new(),
+            lanes: vec![LaneReport {
+                receivers: vec![
+                    ReceiverOutcome {
+                        delivered: 90,
+                        recovered: 8,
+                        lost: 2,
+                        undelivered: 0,
+                    },
+                    ReceiverOutcome {
+                        delivered: 100,
+                        recovered: 0,
+                        lost: 0,
+                        undelivered: 0,
+                    },
+                ],
+                parity_sent: 20,
+                timeline: Vec::new(),
+                final_filters: Vec::new(),
+            }],
             latency: None,
         }
     }
@@ -292,8 +342,11 @@ mod tests {
         assert!(report.fec_was_inserted());
         assert!(report.fec_was_removed());
         assert!(report.fec_inserted_then_removed());
-        assert!((report.receivers[0].availability() - 0.98).abs() < 1e-9);
-        assert!((report.receivers[1].availability() - 1.0).abs() < 1e-9);
+        assert!((report.lanes[0].receivers[0].availability() - 0.98).abs() < 1e-9);
+        assert!((report.lanes[0].receivers[1].availability() - 1.0).abs() < 1e-9);
+        let mut leftover = report.clone();
+        leftover.lanes[0].final_filters = vec!["fec-encoder(6,4)".into()];
+        assert!(!leftover.converged(), "an encoder left on a lane is not converged");
     }
 
     #[test]
@@ -309,7 +362,8 @@ mod tests {
         let text = report().to_string();
         assert!(text.contains("unit (seed 1)"));
         assert!(text.contains("receiver-0"));
-        assert!(text.contains("final chain: -"));
+        assert!(text.contains("head -"));
+        assert!(text.contains("lane 0: parity=20 steps=0 final=-"));
         assert!((ReceiverOutcome::default().availability() - 1.0).abs() < 1e-9);
     }
 

@@ -1,33 +1,36 @@
 //! Declarative scenario descriptions.
 //!
-//! A [`ScenarioSpec`] says *what* to simulate — topology, loss regime,
-//! media workload, FEC policy, batch size — without saying how; the
-//! [`ScenarioEngine`](super::ScenarioEngine) turns it into a closed-loop
-//! run.  The module ships the built-in scenario matrix the test harness and
-//! CI run at fixed seeds (steady WLAN, bursty Gilbert–Elliott, handoff
-//! cliff, multicast fan-out with one lossy receiver, congestion ramp, and a
-//! flapping link) and the paper's evaluation presets: Figure 7, its
-//! multicast widening, and the adaptive office-to-conference-room walk.
+//! A [`ScenarioSpec`] says *what* to simulate — a head chain, the lanes
+//! that fan out of it and the receivers each lane reaches, the media
+//! workload, the FEC policy and where it acts, batch size — without saying
+//! how; the [`ScenarioEngine`](super::ScenarioEngine) turns it into a
+//! closed-loop run.  The module ships the built-in scenarios the test
+//! harness and CI run at fixed seeds: six one-lane multicast scenarios
+//! (steady WLAN, bursty Gilbert–Elliott, handoff cliff, multicast fan-out
+//! with one lossy receiver, congestion ramp, and a flapping link), three
+//! fanout scenarios with one receiver per lane, and the paper's evaluation
+//! presets: Figure 7, its multicast widening, and the adaptive
+//! office-to-conference-room walk.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use rapidware_fec::FecCodec;
 use rapidware_media::AudioConfig;
 use rapidware_netsim::{
     BernoulliLoss, DistanceLossModel, GilbertElliottLoss, LinearWalk, LossModel, PerfectLink,
-    ScheduledLoss, SimTime, StrideLoss, WirelessLan,
+    ReceiverId, ScheduledLoss, SimTime, StrideLoss, WirelessLan,
 };
+use rapidware_proxy::{FilterRegistry, FilterSpec};
 use rapidware_raplets::{AdaptationEngine, FecResponder, LossRateObserver};
 
 /// A degenerate scenario description, rejected before any simulation state
 /// is built.
 ///
-/// The engines used to `assert!` their way past these (or panic deep inside
-/// `netsim` — an empty [`LossRegime::Phased`] only blew up when
-/// `ScheduledLoss::new` was finally constructed).  Validation turns each
-/// degenerate input into a typed, test-able error at the API boundary:
-/// [`ScenarioSpec::validate`], [`FanoutSpec::validate`](super::FanoutSpec::validate)
-/// and the engines' `try_run_sync` entry points all return it.
+/// Validation turns each degenerate input into a typed, test-able error at
+/// the API boundary: [`ScenarioSpec::validate`] and
+/// [`ScenarioEngine::try_run_sync`](super::ScenarioEngine::try_run_sync)
+/// return it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The spec transmits zero source packets.
@@ -35,21 +38,23 @@ pub enum SpecError {
         /// Name of the offending scenario.
         scenario: String,
     },
-    /// A flat scenario with no receivers.
-    NoReceivers {
-        /// Name of the offending scenario.
-        scenario: String,
-    },
-    /// A fanout scenario with no lanes.
+    /// A scenario with no lanes.
     NoLanes {
         /// Name of the offending scenario.
         scenario: String,
+    },
+    /// A lane that reaches no receiver.
+    NoReceivers {
+        /// Name of the offending scenario.
+        scenario: String,
+        /// The lane without receivers.
+        lane: String,
     },
     /// A [`LossRegime::Phased`] with an empty phase list.
     EmptyPhases {
         /// Name of the offending scenario.
         scenario: String,
-        /// Which receiver or lane carries the empty schedule.
+        /// Which receiver carries the empty schedule.
         context: String,
     },
     /// A [`LossRegime::Walking`] nested inside [`LossRegime::Phased`]
@@ -57,22 +62,32 @@ pub enum SpecError {
     NestedWalk {
         /// Name of the offending scenario.
         scenario: String,
-        /// Which receiver or lane carries the nested walk.
+        /// Which receiver carries the nested walk.
         context: String,
     },
     /// A stride regime with a zero stride.
     ZeroStride {
         /// Name of the offending scenario.
         scenario: String,
-        /// Which receiver or lane carries the zero stride.
+        /// Which receiver carries the zero stride.
         context: String,
     },
-    /// Two fanout lanes share a name (live sessions key lanes by name).
+    /// Two lanes share a name (live sessions key lanes by name).
     DuplicateLane {
         /// Name of the offending scenario.
         scenario: String,
         /// The duplicated lane name.
         lane: String,
+    },
+    /// A head filter the filter registry cannot build: an unknown kind or
+    /// parameters its constructor rejects.
+    InvalidHeadFilter {
+        /// Name of the offending scenario.
+        scenario: String,
+        /// The head filter's kind.
+        kind: String,
+        /// The registry's reason.
+        reason: String,
     },
     /// An FEC code `(n, k)` the codec rejects (`k = 0`, `n < k` or
     /// `n > 255`), named by a [`FecPolicy::Fixed`] or a [`RapletSet`] tier.
@@ -101,11 +116,11 @@ impl fmt::Display for SpecError {
             SpecError::ZeroPackets { scenario } => {
                 write!(f, "{scenario}: a scenario must transmit at least one packet")
             }
-            SpecError::NoReceivers { scenario } => {
-                write!(f, "{scenario}: a scenario needs at least one receiver")
-            }
             SpecError::NoLanes { scenario } => {
-                write!(f, "{scenario}: a fanout scenario needs at least one lane")
+                write!(f, "{scenario}: a scenario needs at least one lane")
+            }
+            SpecError::NoReceivers { scenario, lane } => {
+                write!(f, "{scenario}: lane {lane} needs at least one receiver")
             }
             SpecError::EmptyPhases { scenario, context } => {
                 write!(f, "{scenario}: {context} has a phased regime with no phases")
@@ -119,6 +134,11 @@ impl fmt::Display for SpecError {
             SpecError::DuplicateLane { scenario, lane } => {
                 write!(f, "{scenario}: duplicate lane name {lane:?}")
             }
+            SpecError::InvalidHeadFilter {
+                scenario,
+                kind,
+                reason,
+            } => write!(f, "{scenario}: head filter {kind} cannot be built: {reason}"),
             SpecError::InvalidFecCode { scenario, n, k } => {
                 write!(f, "{scenario}: FEC({n},{k}) is not a valid (n, k) code")
             }
@@ -131,13 +151,8 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Validates one receiver/lane regime, shared by [`ScenarioSpec::validate`]
-/// and [`FanoutSpec::validate`](super::FanoutSpec::validate).
-pub(super) fn validate_regime(
-    regime: &LossRegime,
-    scenario: &str,
-    context: &str,
-) -> Result<(), SpecError> {
+/// Validates one receiver's regime.
+fn validate_regime(regime: &LossRegime, scenario: &str, context: &str) -> Result<(), SpecError> {
     match regime {
         LossRegime::Stride { every: 0 } => Err(SpecError::ZeroStride {
             scenario: scenario.to_string(),
@@ -256,14 +271,12 @@ impl LossRegime {
     }
 
     /// Attaches a receiver with this regime to `lan` under `name`.
-    pub fn attach(&self, lan: &mut WirelessLan, name: &str) {
+    pub fn attach(&self, lan: &mut WirelessLan, name: &str) -> ReceiverId {
         match self {
             LossRegime::Walking(walk) => {
-                lan.add_mobile_receiver(name, DistanceLossModel::wavelan_2mbps(), *walk);
+                lan.add_mobile_receiver(name, DistanceLossModel::wavelan_2mbps(), *walk)
             }
-            other => {
-                lan.add_receiver(name, other.to_model());
-            }
+            other => lan.add_receiver(name, other.to_model()),
         }
     }
 }
@@ -358,10 +371,10 @@ fn validate_code((n, k): (usize, usize), scenario: &str) -> Result<(), SpecError
         })
 }
 
-/// How a flat scenario's sender chain carries FEC.
+/// How a scenario's chains carry FEC.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FecPolicy {
-    /// No FEC: the chain never carries an encoder and receivers surface
+    /// No FEC: the chains never carry an encoder and receivers surface
     /// exactly what the link delivered.
     Off,
     /// A static `fec-encoder(n, k)`, installed before the first window and
@@ -400,11 +413,72 @@ impl FecPolicy {
     }
 }
 
-/// A complete, declarative description of one closed-loop scenario.
+/// Where a scenario's [`FecPolicy`] acts: the chain its encoder sits on and
+/// its adaptation loop watches and splices.  It also fixes how the trace
+/// names each step, so it is the one datum that tells a one-lane multicast
+/// run from a one-lane fanout run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FecSite {
+    /// The head chain, which every lane shares: one loop watches the first
+    /// receiver of the first lane and splices the head.  This is the
+    /// paper's multicast argument — one adapted chain, and the clean
+    /// receivers absorb the parity inserted for a lossy one.  Trace steps
+    /// carry no lane index.
+    Head,
+    /// Each lane's own tail: every lane runs its own loop on its own first
+    /// receiver and splices only its tail, so FEC appears only where a link
+    /// needs it.  Trace steps carry `lane=`.
+    Lanes,
+}
+
+/// One egress lane of a scenario: the receivers its traffic reaches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneSpec {
+    /// Lane name (the live session's lane key; lane traces name it).
+    pub name: String,
+    /// One loss regime per receiver this lane reaches; receiver 0 is the
+    /// lane's monitored link.  One transmission reaches them all.
+    pub receivers: Vec<LossRegime>,
+    /// Whether this lane's loss schedule should provoke at least one FEC
+    /// insertion on the chain it crosses (checked by the health harness;
+    /// its inverse — no parity, no actions — is checked when `false`).
+    pub expect_adaptation: bool,
+}
+
+impl LaneSpec {
+    /// A lane reaching `receivers`, expected to stay quiet.
+    pub fn new(name: &str, receivers: Vec<LossRegime>) -> Self {
+        Self {
+            name: name.to_string(),
+            receivers,
+            expect_adaptation: false,
+        }
+    }
+
+    /// A wired lane: one lossless receiver, expected to stay quiet.
+    pub fn wired(name: &str) -> Self {
+        Self::new(name, vec![LossRegime::Perfect])
+    }
+
+    /// A lane to one receiver under `regime` whose loop is expected to
+    /// fire.
+    pub fn lossy(name: &str, regime: LossRegime) -> Self {
+        Self {
+            expect_adaptation: true,
+            ..Self::new(name, vec![regime])
+        }
+    }
+}
+
+/// The lane name of the one-lane multicast built-ins.
+const MULTICAST_LANE: &str = "lan";
+
+/// A complete, declarative description of one closed-loop scenario: one
+/// source, a head chain, and the lanes that fan out of it.
 ///
 /// Everything a run depends on is in the spec: the same spec and seed yield
 /// a byte-identical [`ScenarioTrace`](super::ScenarioTrace) on every run,
-/// on either applier.
+/// on every applier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (used in traces and reports).
@@ -415,46 +489,70 @@ pub struct ScenarioSpec {
     pub packets: u64,
     /// The media workload (packet sizes, rates, timestamps).
     pub audio: AudioConfig,
-    /// One loss regime per receiver; receiver 0 is the monitored link that
-    /// feeds the adaptation engine.
-    pub receivers: Vec<LossRegime>,
-    /// How the sender chain carries FEC: not at all, a fixed code, or
-    /// under the raplets' control.
+    /// Filters installed on the head chain before the run starts.
+    pub head_filters: Vec<FilterSpec>,
+    /// The egress lanes, in order; each carries the head's output to its
+    /// receivers.
+    pub lanes: Vec<LaneSpec>,
+    /// How the chains carry FEC: not at all, a fixed code, or under the
+    /// raplets' control.
     pub fec: FecPolicy,
+    /// Which chain the FEC policy acts on: the shared head or each lane.
+    pub fec_site: FecSite,
     /// Width of the sampling window, in source packets.
     pub sample_interval: u64,
     /// Task batch size used by the live appliers (1 = per-packet).
     pub batch_size: usize,
-    /// Whether this scenario's loss schedule should provoke at least one
-    /// FEC insertion (checked by the scenario-matrix harness).
-    pub expect_adaptation: bool,
-    /// Whether the link is clean again at the end of the run, so the chain
-    /// must have converged back to empty (no FEC installed).
+    /// Whether every link is clean again at the end of the run, so no FEC
+    /// encoder may be left installed.
     pub expect_clean_finish: bool,
-    /// Whether the run brackets the chain with the AEAD secure-channel
-    /// pair: an `encrypt` stage seals every payload and a `decrypt` stage
-    /// verifies-then-strips it, with one key rotation spliced in at the
-    /// run's midpoint.  The stages are installed before the first window,
-    /// so FEC adaptation (which inserts at the head) ends up upstream of
-    /// them and parity is sealed too.  Specs with this flag cannot expect
-    /// a clean finish (the crypto stages stay installed).
+    /// Whether the run brackets the chains the FEC policy acts on with the
+    /// AEAD secure-channel pair: an `encrypt` stage seals every payload and
+    /// a `decrypt` stage verifies-then-strips it, with one key rotation
+    /// spliced in at the run's midpoint.  The stages are installed before
+    /// the first window, so FEC (which inserts at the front) ends up
+    /// upstream of them and parity is sealed too.
     pub secure: bool,
 }
 
 impl ScenarioSpec {
-    fn base(name: &str, packets: u64, receivers: Vec<LossRegime>) -> Self {
+    /// The one-lane multicast shape: one lane reaching every receiver, the
+    /// paper's raplets adapting the shared head.
+    fn multicast_base(name: &str, packets: u64, receivers: Vec<LossRegime>) -> Self {
         Self {
             name: name.to_string(),
             seed: 2001,
             packets,
             audio: AudioConfig::pcm_8khz_stereo_8bit(),
-            receivers,
+            head_filters: Vec::new(),
+            lanes: vec![LaneSpec {
+                expect_adaptation: true,
+                ..LaneSpec::new(MULTICAST_LANE, receivers)
+            }],
             fec: FecPolicy::Adaptive(RapletSet::paper_default()),
+            fec_site: FecSite::Head,
             sample_interval: 50, // one second of audio per sample window
             batch_size: 8,
-            expect_adaptation: true,
             expect_clean_finish: true,
             secure: false,
+        }
+    }
+
+    /// The fanout shape: one receiver per lane, each lane adapting its own
+    /// tail.
+    pub(super) fn fanout_base(name: &str, packets: u64, lanes: Vec<LaneSpec>) -> Self {
+        Self {
+            lanes,
+            fec_site: FecSite::Lanes,
+            ..Self::multicast_base(name, packets, Vec::new())
+        }
+    }
+
+    /// The one-lane multicast shape with its lane expected to stay quiet.
+    fn quiet_multicast(name: &str, packets: u64, receivers: Vec<LossRegime>) -> Self {
+        Self {
+            lanes: vec![LaneSpec::new(MULTICAST_LANE, receivers)],
+            ..Self::multicast_base(name, packets, Vec::new())
         }
     }
 
@@ -462,21 +560,14 @@ impl ScenarioSpec {
     /// Loss stays far below the observer's threshold, so the control loop
     /// must stay quiet — the no-false-positive baseline.
     pub fn steady_wlan() -> Self {
-        Self {
-            expect_adaptation: false,
-            ..Self::base(
-                "steady-wlan",
-                1_500,
-                vec![LossRegime::AtDistance { meters: 10.0 }],
-            )
-        }
+        Self::quiet_multicast("steady-wlan", 1_500, vec![LossRegime::AtDistance { meters: 10.0 }])
     }
 
     /// Bursty Gilbert–Elliott interference: a clean lead-in, a long bursty
     /// middle, and a clean tail.  FEC must appear during the bursts and
     /// disappear after they end.
     pub fn bursty_gilbert_elliott() -> Self {
-        Self::base(
+        Self::multicast_base(
             "bursty-gilbert-elliott",
             2_500,
             vec![LossRegime::Phased(vec![
@@ -500,7 +591,7 @@ impl ScenarioSpec {
     /// heavy enough that the responder should go straight to its strong
     /// FEC tier.
     pub fn handoff_cliff() -> Self {
-        Self::base(
+        Self::multicast_base(
             "handoff-cliff",
             2_000,
             vec![LossRegime::Phased(vec![
@@ -522,14 +613,14 @@ impl ScenarioSpec {
             (SimTime::from_secs(26), LossRegime::Perfect),
         ])];
         receivers.extend((0..4).map(|_| LossRegime::AtDistance { meters: 8.0 }));
-        Self::base("multicast-fanout-lossy-receiver", 2_200, receivers)
+        Self::multicast_base("multicast-fanout-lossy-receiver", 2_200, receivers)
     }
 
     /// Congestion ramp: loss climbs in steps, peaks, and subsides — the
     /// adaptation should track it up (possibly upgrading the code) and back
     /// down to an empty chain.
     pub fn congestion_ramp() -> Self {
-        Self::base(
+        Self::multicast_base(
             "congestion-ramp",
             2_800,
             vec![LossRegime::Phased(vec![
@@ -554,10 +645,11 @@ impl ScenarioSpec {
             phases.push((SimTime::from_secs(start), LossRegime::Bernoulli { rate: 0.30 }));
             phases.push((SimTime::from_secs(start + 5), LossRegime::Perfect));
         }
-        Self::base("flapping-link", 2_600, vec![LossRegime::Phased(phases)])
+        Self::multicast_base("flapping-link", 2_600, vec![LossRegime::Phased(phases)])
     }
 
-    /// The whole built-in scenario matrix, in a stable order.
+    /// The built-in scenarios, in a stable order: the six one-lane
+    /// multicast scenarios, then the three fanout scenarios.
     pub fn builtin_matrix() -> Vec<Self> {
         vec![
             Self::steady_wlan(),
@@ -566,6 +658,9 @@ impl ScenarioSpec {
             Self::multicast_fanout_lossy_receiver(),
             Self::congestion_ramp(),
             Self::flapping_link(),
+            Self::wired_plus_lossy_wlan(),
+            Self::tiered_wireless(),
+            Self::all_wired(),
         ]
     }
 
@@ -577,9 +672,12 @@ impl ScenarioSpec {
     pub fn figure7() -> Self {
         Self {
             fec: FecPolicy::Fixed(6, 4),
-            expect_adaptation: false,
             expect_clean_finish: false,
-            ..Self::base("figure7", 5_184, vec![LossRegime::AtDistance { meters: 25.0 }; 3])
+            ..Self::quiet_multicast(
+                "figure7",
+                5_184,
+                vec![LossRegime::AtDistance { meters: 25.0 }; 3],
+            )
         }
     }
 
@@ -591,8 +689,8 @@ impl ScenarioSpec {
         Self {
             name: format!("multicast-{receivers}"),
             packets: 2_000,
-            receivers: vec![LossRegime::AtDistance { meters: 25.0 }; receivers.max(1)],
             ..Self::figure7()
+                .with_receivers(vec![LossRegime::AtDistance { meters: 25.0 }; receivers.max(1)])
         }
     }
 
@@ -603,7 +701,7 @@ impl ScenarioSpec {
     pub fn adaptive_walk() -> Self {
         Self {
             expect_clean_finish: false,
-            ..Self::base(
+            ..Self::multicast_base(
                 "adaptive-walk",
                 9_000,
                 vec![LossRegime::Walking(LinearWalk::office_to_conference_room())],
@@ -612,26 +710,51 @@ impl ScenarioSpec {
     }
 
     /// Checks the spec for degenerate inputs that would otherwise panic
-    /// deep inside the engine or the simulator: zero packets, no
-    /// receivers, empty phase lists, nested walks, zero strides, and FEC
-    /// codes or raplet sets the codec or the observer reject.
+    /// deep inside the engine, the live session or the simulator: zero
+    /// packets, no lanes, a lane without receivers, duplicate lane names,
+    /// empty phase lists, nested walks, zero strides, head filters the
+    /// registry cannot build, and FEC codes or raplet sets the codec or the
+    /// observer reject.
     ///
-    /// The engines call this before they run; callers constructing specs
+    /// The engine calls this before it runs; callers constructing specs
     /// programmatically (the scenario generator does) can call it directly
     /// to reject a sample before running anything.
     pub fn validate(&self) -> Result<(), SpecError> {
+        let scenario = || self.name.clone();
         if self.packets == 0 {
-            return Err(SpecError::ZeroPackets {
-                scenario: self.name.clone(),
-            });
+            return Err(SpecError::ZeroPackets { scenario: scenario() });
         }
-        if self.receivers.is_empty() {
-            return Err(SpecError::NoReceivers {
-                scenario: self.name.clone(),
-            });
+        if self.lanes.is_empty() {
+            return Err(SpecError::NoLanes { scenario: scenario() });
         }
-        for (index, regime) in self.receivers.iter().enumerate() {
-            validate_regime(regime, &self.name, &format!("receiver {index}"))?;
+        let mut seen = HashSet::new();
+        for lane in &self.lanes {
+            if !seen.insert(lane.name.as_str()) {
+                return Err(SpecError::DuplicateLane {
+                    scenario: scenario(),
+                    lane: lane.name.clone(),
+                });
+            }
+            if lane.receivers.is_empty() {
+                return Err(SpecError::NoReceivers {
+                    scenario: scenario(),
+                    lane: lane.name.clone(),
+                });
+            }
+            for (index, regime) in lane.receivers.iter().enumerate() {
+                let context = format!("lane {} receiver {index}", lane.name);
+                validate_regime(regime, &self.name, &context)?;
+            }
+        }
+        let registry = FilterRegistry::with_builtins();
+        for filter in &self.head_filters {
+            if let Err(err) = registry.instantiate(filter) {
+                return Err(SpecError::InvalidHeadFilter {
+                    scenario: scenario(),
+                    kind: filter.kind.clone(),
+                    reason: err.to_string(),
+                });
+            }
         }
         self.fec.validate(&self.name)
     }
@@ -657,6 +780,18 @@ impl ScenarioSpec {
         self
     }
 
+    /// Replaces the first lane's receivers (the one-lane presets' whole
+    /// audience).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has no lanes.
+    #[must_use]
+    pub fn with_receivers(mut self, receivers: Vec<LossRegime>) -> Self {
+        self.lanes[0].receivers = receivers;
+        self
+    }
+
     /// Enables the AEAD secure-channel bracket (see
     /// [`secure`](Self::secure)).  Clears `expect_clean_finish`: the crypto
     /// stages are meant to outlive the run.
@@ -675,7 +810,7 @@ mod tests {
     #[test]
     fn builtin_matrix_is_complete_and_named() {
         let matrix = ScenarioSpec::builtin_matrix();
-        assert_eq!(matrix.len(), 6);
+        assert_eq!(matrix.len(), 9);
         let names: Vec<&str> = matrix.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -686,12 +821,24 @@ mod tests {
                 "multicast-fanout-lossy-receiver",
                 "congestion-ramp",
                 "flapping-link",
+                "fanout-wired-plus-lossy-wlan",
+                "fanout-tiered-wireless",
+                "fanout-all-wired",
             ]
         );
         for spec in &matrix {
-            assert!(!spec.receivers.is_empty(), "{} has no receivers", spec.name);
+            assert!(!spec.lanes.is_empty(), "{} has no lanes", spec.name);
             assert!(spec.packets > 0);
             assert!(spec.sample_interval > 0);
+            // One lane reaching every receiver adapts the head; one
+            // receiver per lane adapts each lane, and some lane stays quiet.
+            match spec.fec_site {
+                FecSite::Head => assert_eq!(spec.lanes.len(), 1, "{}", spec.name),
+                FecSite::Lanes => {
+                    assert!(spec.lanes.iter().all(|lane| lane.receivers.len() == 1));
+                    assert!(spec.lanes.iter().any(|lane| !lane.expect_adaptation));
+                }
+            }
         }
     }
 
@@ -746,26 +893,26 @@ mod tests {
 
     #[test]
     fn a_spec_without_receivers_is_rejected_with_a_typed_error() {
-        let mut spec = ScenarioSpec::steady_wlan();
-        spec.receivers.clear();
+        let spec = ScenarioSpec::steady_wlan().with_receivers(Vec::new());
         assert_eq!(
             spec.validate(),
             Err(SpecError::NoReceivers {
-                scenario: "steady-wlan".into()
+                scenario: "steady-wlan".into(),
+                lane: "lan".into()
             })
         );
     }
 
     #[test]
     fn an_empty_phase_list_is_rejected_with_a_typed_error() {
-        let mut spec = ScenarioSpec::steady_wlan();
-        spec.receivers = vec![LossRegime::Perfect, LossRegime::Phased(Vec::new())];
+        let spec = ScenarioSpec::steady_wlan()
+            .with_receivers(vec![LossRegime::Perfect, LossRegime::Phased(Vec::new())]);
         let err = spec.validate().unwrap_err();
         assert_eq!(
             err,
             SpecError::EmptyPhases {
                 scenario: "steady-wlan".into(),
-                context: "receiver 1".into()
+                context: "lane lan receiver 1".into()
             }
         );
         assert!(err.to_string().contains("no phases"), "{err}");
@@ -773,23 +920,21 @@ mod tests {
 
     #[test]
     fn a_walk_nested_inside_phases_is_rejected_with_a_typed_error() {
-        let mut spec = ScenarioSpec::steady_wlan();
-        spec.receivers = vec![LossRegime::Phased(vec![(
+        let spec = ScenarioSpec::steady_wlan().with_receivers(vec![LossRegime::Phased(vec![(
             SimTime::ZERO,
             LossRegime::Walking(LinearWalk::office_to_conference_room()),
-        )])];
+        )])]);
         assert!(matches!(spec.validate(), Err(SpecError::NestedWalk { .. })));
     }
 
     #[test]
     fn a_zero_stride_is_rejected_with_a_typed_error() {
-        let mut spec = ScenarioSpec::steady_wlan();
-        spec.receivers = vec![LossRegime::Phased(vec![(
+        let spec = ScenarioSpec::steady_wlan().with_receivers(vec![LossRegime::Phased(vec![(
             SimTime::ZERO,
             LossRegime::Stride { every: 0 },
-        )])];
+        )])]);
         assert!(matches!(spec.validate(), Err(SpecError::ZeroStride { .. })));
-        spec.receivers = vec![LossRegime::Stride { every: 3 }];
+        let spec = spec.with_receivers(vec![LossRegime::Stride { every: 3 }]);
         assert_eq!(spec.validate(), Ok(()));
     }
 

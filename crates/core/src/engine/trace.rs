@@ -18,7 +18,7 @@ use std::fmt;
 use rapidware_netsim::SimTime;
 use rapidware_raplets::{AdaptationAction, AdaptationEvent};
 
-use super::report::{ReceiverOutcome, ScenarioReport, TimelineEntry};
+use super::report::{LaneReport, ReceiverOutcome, ScenarioReport, TimelineEntry};
 
 /// Renders an observer event in the trace's canonical form.
 ///
@@ -53,10 +53,16 @@ pub fn describe_action(action: &AdaptationAction) -> String {
 }
 
 /// One recorded step of a closed-loop run.
+///
+/// The four loop steps carry the lane whose loop took them, or `None` for
+/// the head loop ([`FecSite`](super::FecSite) decides which); a lane step
+/// renders with a `lane=` prefix.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A link sample was taken on the monitored receiver.
+    /// A link sample was taken on a monitored receiver.
     Sample {
+        /// The lane whose loop sampled, or `None` for the head loop.
+        lane: Option<usize>,
         /// End of the sample window.
         time: SimTime,
         /// Payload packets put on the air during the window.
@@ -68,28 +74,35 @@ pub enum TraceEvent {
     },
     /// An observer raised an adaptation event.
     Observed {
+        /// The lane whose loop observed, or `None` for the head loop.
+        lane: Option<usize>,
         /// When the triggering sample was observed.
         time: SimTime,
         /// Canonical event rendering (see [`describe_event`]).
         event: String,
     },
-    /// An action was applied to the chain.
+    /// An action was applied to a chain.
     ActionApplied {
+        /// The lane whose tail took the action, or `None` for the head.
+        lane: Option<usize>,
         /// When the action was applied.
         time: SimTime,
         /// Canonical action rendering (see [`describe_action`]).
         action: String,
     },
-    /// The chain's installed filters after applying a batch of actions.
+    /// A chain's installed filters after applying a batch of actions.
     ChainReconfigured {
+        /// The lane whose tail changed, or `None` for the head.
+        lane: Option<usize>,
         /// When the reconfiguration completed.
         time: SimTime,
         /// Installed filter names, in stream order.
         filters: Vec<String>,
     },
-    /// Final per-receiver accounting, recorded once at the end of the run.
+    /// Final accounting of one receiver of a run whose FEC acts on the
+    /// head, recorded once at the end of the run.
     ReceiverTotals {
-        /// Receiver index in the spec's topology.
+        /// Receiver index within its lane (0 opens the next lane).
         receiver: usize,
         /// Payload packets delivered directly over the network.
         delivered: u64,
@@ -101,66 +114,28 @@ pub enum TraceEvent {
         /// failed to surface (must be zero in a healthy run).
         undelivered: u64,
     },
-    /// Run-level totals, recorded once at the end of the run.
+    /// Run-level totals of a run whose FEC acts on the head, recorded once
+    /// at the end.
     RunSummary {
         /// Source payload packets transmitted.
         source_packets: u64,
-        /// Parity packets transmitted.
+        /// Parity packets each lane transmitted.
         parity_packets: u64,
-        /// Filters still installed when the run ended.
+        /// Filters still installed on the head when the run ended.
         final_filters: Vec<String>,
     },
-    /// A link sample was taken on one receiver lane of a fanout run.
-    LaneSample {
-        /// Lane index in the fanout spec.
-        lane: usize,
-        /// End of the sample window.
-        time: SimTime,
-        /// Payload packets this lane put on the air during the window.
-        sent: u64,
-        /// Payload packets this lane's receiver got during the window.
-        delivered: u64,
-        /// The window's raw loss rate on this lane.
-        loss_rate: f64,
-    },
-    /// A lane's observer raised an adaptation event.
-    LaneObserved {
-        /// Lane index in the fanout spec.
-        lane: usize,
-        /// When the triggering sample was observed.
-        time: SimTime,
-        /// Canonical event rendering (see [`describe_event`]).
-        event: String,
-    },
-    /// An action was applied to one lane's tail chain.
-    LaneActionApplied {
-        /// Lane index in the fanout spec.
-        lane: usize,
-        /// When the action was applied.
-        time: SimTime,
-        /// Canonical action rendering (see [`describe_action`]).
-        action: String,
-    },
-    /// One lane's tail chain after applying a batch of actions.
-    LaneChainReconfigured {
-        /// Lane index in the fanout spec.
-        lane: usize,
-        /// When the reconfiguration completed.
-        time: SimTime,
-        /// Installed tail filter names, in stream order.
-        filters: Vec<String>,
-    },
-    /// Final accounting for one receiver lane of a fanout run.
+    /// Final accounting of one receiver of a run whose FEC acts on each
+    /// lane (one record per receiver the lane reaches).
     LaneTotals {
-        /// Lane index in the fanout spec.
+        /// Lane index in the spec.
         lane: usize,
         /// Lane name (from the spec).
         name: String,
-        /// Payload packets delivered directly over this lane's link.
+        /// Payload packets delivered directly over this receiver's link.
         delivered: u64,
-        /// Payload packets reconstructed by this lane's FEC decoders.
+        /// Payload packets reconstructed by this receiver's FEC decoders.
         recovered: u64,
-        /// Payload packets neither delivered nor recovered on this lane.
+        /// Payload packets neither delivered nor recovered.
         lost: u64,
         /// Payload packets the link delivered but the lane pipeline failed
         /// to surface (must be zero in a healthy run).
@@ -170,28 +145,62 @@ pub enum TraceEvent {
         /// Tail filters still installed on this lane when the run ended.
         final_filters: Vec<String>,
     },
-    /// Run-level totals of a fanout run, recorded once at the end.
+    /// Run-level totals of a run whose FEC acts on each lane, recorded once
+    /// at the end.
     FanoutSummary {
         /// Source payload packets generated upstream of the head chain.
         source_packets: u64,
-        /// Filters installed on the shared head chain when the run ended.
+        /// Filters installed on the head chain when the run ended.
         head_filters: Vec<String>,
     },
+}
+
+impl TraceEvent {
+    /// The loop step this event records, with its lane: observer events,
+    /// applied actions and chain states, the entries of a timeline.
+    fn step(&self) -> Option<(Option<usize>, TimelineEntry)> {
+        let (lane, time, entry) = match self {
+            TraceEvent::Observed { lane, time, event } => (lane, time, format!("event {event}")),
+            TraceEvent::ActionApplied { lane, time, action } => {
+                (lane, time, format!("action {action}"))
+            }
+            TraceEvent::ChainReconfigured { lane, time, filters } => {
+                (lane, time, format!("chain {}", render_filters(filters)))
+            }
+            _ => return None,
+        };
+        Some((*lane, TimelineEntry { time: *time, entry }))
+    }
+}
+
+/// The `[time] ` stamp of a loop step, plus `lane=i ` for a lane's loop.
+fn stamp(f: &mut fmt::Formatter<'_>, time: &SimTime, lane: &Option<usize>) -> fmt::Result {
+    write!(f, "[{time}] ")?;
+    match lane {
+        Some(lane) => write!(f, "lane={lane} "),
+        None => Ok(()),
+    }
 }
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceEvent::Sample {
+                lane,
                 time,
                 sent,
                 delivered,
                 loss_rate,
-            } => write!(f, "[{time}] sample sent={sent} delivered={delivered} loss={loss_rate:.6}"),
-            TraceEvent::Observed { time, event } => write!(f, "[{time}] event {event}"),
-            TraceEvent::ActionApplied { time, action } => write!(f, "[{time}] action {action}"),
-            TraceEvent::ChainReconfigured { time, filters } => {
-                write!(f, "[{time}] chain {}", render_filters(filters))
+            } => {
+                stamp(f, time, lane)?;
+                write!(f, "sample sent={sent} delivered={delivered} loss={loss_rate:.6}")
+            }
+            TraceEvent::Observed { .. }
+            | TraceEvent::ActionApplied { .. }
+            | TraceEvent::ChainReconfigured { .. } => {
+                let (lane, step) = self.step().expect("loop steps have a timeline entry");
+                stamp(f, &step.time, &lane)?;
+                f.write_str(&step.entry)
             }
             TraceEvent::ReceiverTotals {
                 receiver,
@@ -212,25 +221,6 @@ impl fmt::Display for TraceEvent {
                 "summary sources={source_packets} parity={parity_packets} final={}",
                 render_filters(final_filters)
             ),
-            TraceEvent::LaneSample {
-                lane,
-                time,
-                sent,
-                delivered,
-                loss_rate,
-            } => write!(
-                f,
-                "[{time}] lane={lane} sample sent={sent} delivered={delivered} loss={loss_rate:.6}"
-            ),
-            TraceEvent::LaneObserved { lane, time, event } => {
-                write!(f, "[{time}] lane={lane} event {event}")
-            }
-            TraceEvent::LaneActionApplied { lane, time, action } => {
-                write!(f, "[{time}] lane={lane} action {action}")
-            }
-            TraceEvent::LaneChainReconfigured { lane, time, filters } => {
-                write!(f, "[{time}] lane={lane} chain {}", render_filters(filters))
-            }
             TraceEvent::LaneTotals {
                 lane,
                 name,
@@ -332,74 +322,107 @@ impl ScenarioTrace {
         hash
     }
 
-    /// The adaptation timeline: every observer event, applied action, and
-    /// chain reconfiguration, in order, with timestamps.  This is the
-    /// subsequence that must match between the sync and live appliers.
-    pub fn adaptation_timeline(&self) -> Vec<TimelineEntry> {
-        self.events
-            .iter()
-            .filter_map(|event| match event {
-                TraceEvent::Observed { time, event } => Some(TimelineEntry {
-                    time: *time,
-                    entry: format!("event {event}"),
-                }),
-                TraceEvent::ActionApplied { time, action } => Some(TimelineEntry {
-                    time: *time,
-                    entry: format!("action {action}"),
-                }),
-                TraceEvent::ChainReconfigured { time, filters } => Some(TimelineEntry {
-                    time: *time,
-                    entry: format!("chain {}", render_filters(filters)),
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Folds the recorded trace back into the report of the run that
-    /// produced it, without re-simulating: per-receiver totals come from
-    /// the [`TraceEvent::ReceiverTotals`] records, run totals and the final
-    /// chain from [`TraceEvent::RunSummary`], and the timeline from the
-    /// observer/action/chain events.  Replaying a live run's trace yields a
-    /// report equal to the live report.
+    /// produced it, without re-simulating: the head and lane timelines come
+    /// from the loop steps, per-receiver totals from the
+    /// [`TraceEvent::ReceiverTotals`] or [`TraceEvent::LaneTotals`]
+    /// records, and run totals and final chains from
+    /// [`TraceEvent::RunSummary`] or [`TraceEvent::FanoutSummary`].
+    /// Replaying a run's trace yields a report equal to the run's report.
     pub fn replay(&self) -> ScenarioReport {
         let mut report = ScenarioReport {
             scenario: self.scenario.clone(),
             seed: self.seed,
             source_packets_sent: 0,
-            parity_packets_sent: 0,
-            receivers: Vec::new(),
-            timeline: self.adaptation_timeline(),
-            final_filters: Vec::new(),
+            timeline: Vec::new(),
+            head_filters: Vec::new(),
+            lanes: Vec::new(),
             // Traces record packet accounting, not wall-clock timing, so a
             // replayed report never carries latency (and equality with the
-            // live report ignores the field).
+            // run's report ignores the field).
             latency: None,
         };
+        let new_lane = |parity_sent: u64, final_filters: &[String]| LaneReport {
+            receivers: Vec::new(),
+            parity_sent,
+            timeline: Vec::new(),
+            final_filters: final_filters.to_vec(),
+        };
+        let mut lane_steps = Vec::new();
         for event in &self.events {
+            if let Some((lane, step)) = event.step() {
+                match lane {
+                    Some(lane) => lane_steps.push((lane, step)),
+                    None => report.timeline.push(step),
+                }
+                continue;
+            }
             match event {
                 TraceEvent::ReceiverTotals {
+                    receiver,
                     delivered,
                     recovered,
                     lost,
                     undelivered,
-                    ..
-                } => report.receivers.push(ReceiverOutcome {
-                    delivered: *delivered,
-                    recovered: *recovered,
-                    lost: *lost,
-                    undelivered: *undelivered,
-                }),
+                } => {
+                    if *receiver == 0 || report.lanes.is_empty() {
+                        report.lanes.push(new_lane(0, &[]));
+                    }
+                    report.lanes.last_mut().expect("a lane was opened").receivers.push(
+                        ReceiverOutcome {
+                            delivered: *delivered,
+                            recovered: *recovered,
+                            lost: *lost,
+                            undelivered: *undelivered,
+                        },
+                    );
+                }
                 TraceEvent::RunSummary {
                     source_packets,
                     parity_packets,
                     final_filters,
                 } => {
                     report.source_packets_sent = *source_packets;
-                    report.parity_packets_sent = *parity_packets;
-                    report.final_filters = final_filters.clone();
+                    report.head_filters = final_filters.clone();
+                    for lane in &mut report.lanes {
+                        lane.parity_sent = *parity_packets;
+                    }
+                }
+                TraceEvent::LaneTotals {
+                    lane,
+                    delivered,
+                    recovered,
+                    lost,
+                    undelivered,
+                    parity_sent,
+                    final_filters,
+                    ..
+                } => {
+                    if *lane >= report.lanes.len() {
+                        report.lanes.push(new_lane(*parity_sent, final_filters));
+                    }
+                    report.lanes.last_mut().expect("a lane was opened").receivers.push(
+                        ReceiverOutcome {
+                            delivered: *delivered,
+                            recovered: *recovered,
+                            lost: *lost,
+                            undelivered: *undelivered,
+                        },
+                    );
+                }
+                TraceEvent::FanoutSummary {
+                    source_packets,
+                    head_filters,
+                } => {
+                    report.source_packets_sent = *source_packets;
+                    report.head_filters = head_filters.clone();
                 }
                 _ => {}
+            }
+        }
+        for (lane, step) in lane_steps {
+            if let Some(lane) = report.lanes.get_mut(lane) {
+                lane.timeline.push(step);
             }
         }
         report
@@ -414,12 +437,14 @@ mod tests {
     fn sample_trace() -> ScenarioTrace {
         let mut trace = ScenarioTrace::new("unit", 7);
         trace.push(TraceEvent::Sample {
+            lane: None,
             time: SimTime::from_secs(1),
             sent: 50,
             delivered: 40,
             loss_rate: 0.2,
         });
         trace.push(TraceEvent::Observed {
+            lane: None,
             time: SimTime::from_secs(1),
             event: describe_event(&AdaptationEvent::LossRoseAbove {
                 rate: 0.2,
@@ -427,6 +452,7 @@ mod tests {
             }),
         });
         trace.push(TraceEvent::ActionApplied {
+            lane: None,
             time: SimTime::from_secs(1),
             action: describe_action(&AdaptationAction::Insert {
                 position: 0,
@@ -434,6 +460,7 @@ mod tests {
             }),
         });
         trace.push(TraceEvent::ChainReconfigured {
+            lane: None,
             time: SimTime::from_secs(1),
             filters: vec!["fec-encoder(6,4)".to_string()],
         });
@@ -471,11 +498,12 @@ mod tests {
         assert_eq!(report.scenario, "unit");
         assert_eq!(report.seed, 7);
         assert_eq!(report.source_packets_sent, 50);
-        assert_eq!(report.parity_packets_sent, 10);
-        assert_eq!(report.receivers.len(), 1);
-        assert_eq!(report.receivers[0].recovered, 9);
+        assert_eq!(report.lanes.len(), 1);
+        assert_eq!(report.lanes[0].parity_sent, 10);
+        assert_eq!(report.lanes[0].receivers.len(), 1);
+        assert_eq!(report.lanes[0].receivers[0].recovered, 9);
         assert_eq!(report.timeline.len(), 3, "sample and totals are not timeline entries");
-        assert!(report.final_filters.is_empty());
+        assert!(report.head_filters.is_empty());
         assert_eq!(trace.replay(), report, "replay is deterministic");
     }
 
@@ -485,6 +513,7 @@ mod tests {
         assert_eq!(trace.digest(), sample_trace().digest(), "digest is deterministic");
         let mut other = sample_trace();
         other.push(TraceEvent::Observed {
+            lane: None,
             time: SimTime::from_secs(2),
             event: "extra".into(),
         });

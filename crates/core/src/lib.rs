@@ -21,11 +21,14 @@
 //! | [`pavilion`] | `rapidware-pavilion` | the collaborative-session substrate (leadership, browsing, caching) |
 //!
 //! The [`engine`] module glues these together into reproducible end-to-end
-//! experiments: one scenario system runs the paper's evaluation (the
-//! audio-multicast-over-WaveLAN setup of Figure 7, its sweeps and the
-//! adaptive walk) and closes the control loop — seeded link samples drive
-//! the raplets, whose actions reconfigure a running chain, with every step
-//! recorded in a replayable trace — on a sync chain or a live proxy alike.
+//! experiments: one scenario engine over one spec — a head chain and the
+//! lanes fanning out of it — runs the paper's evaluation (the
+//! audio-multicast-over-WaveLAN setup of Figure 7 as one lane reaching
+//! every receiver, its sweeps, the adaptive walk) and the heterogeneous
+//! fanout scenarios alike.  It closes the control loop — seeded link
+//! samples drive the raplets, whose actions reconfigure the head or a
+//! lane's tail of a running chain, with every step recorded in a
+//! replayable trace — on a sync chain or a live proxy session alike.
 //!
 //! ## Quickstart
 //!
@@ -65,8 +68,8 @@ pub use rapidware_proxy::runtime;
 /// The most commonly used types, re-exported for glob import.
 pub mod prelude {
     pub use crate::engine::{
-        Applier, FecPolicy, LossRegime, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
-        ScenarioTrace, SyncApplier,
+        Applier, FecPolicy, FecSite, LaneSpec, LossRegime, ScenarioEngine, ScenarioOutcome,
+        ScenarioSpec, ScenarioTrace, SyncApplier,
     };
     pub use rapidware_fec::FecCodec;
     pub use rapidware_filters::{
@@ -101,9 +104,8 @@ mod scenario {
 
         fn one_receiver(regime: LossRegime, fec: FecPolicy, packets: u64) -> ScenarioOutcome {
             let spec = ScenarioSpec {
-                receivers: vec![regime],
                 fec,
-                ..ScenarioSpec::figure7().with_packets(packets)
+                ..ScenarioSpec::figure7().with_packets(packets).with_receivers(vec![regime])
             };
             ScenarioEngine::new(spec).run_sync()
         }
@@ -116,19 +118,20 @@ mod scenario {
             assert_eq!(stats.reconstructed_pct(), 100.0);
             assert_eq!(outcome.report.source_packets_sent, 200);
             assert_eq!(
-                outcome.report.parity_packets_sent, 100,
+                outcome.report.parity_total(),
+                100,
                 "two parities per 4-packet block"
             );
-            assert_eq!(outcome.report.receivers[0].delivered, 200);
+            assert_eq!(outcome.report.lanes[0].receivers[0].delivered, 200);
             assert_eq!(outcome.report.undelivered_total(), 0);
-            assert_eq!(outcome.report.final_filters, vec!["fec-encoder(6,4)"]);
+            assert_eq!(outcome.report.head_filters, vec!["fec-encoder(6,4)"]);
         }
 
         #[test]
         fn no_fec_baseline_has_no_parity_and_no_recovery() {
             let outcome = one_receiver(LossRegime::Bernoulli { rate: 0.05 }, FecPolicy::Off, 500);
             let stats = outcome.receipt_stats(0, 432);
-            assert_eq!(outcome.report.parity_packets_sent, 0);
+            assert_eq!(outcome.report.parity_total(), 0);
             assert_eq!(outcome.report.recovered_total(), 0);
             assert_eq!(outcome.report.undelivered_total(), 0);
             assert_eq!(stats.reconstructed_pct(), stats.received_pct());
@@ -137,10 +140,9 @@ mod scenario {
 
         #[test]
         fn same_seed_is_reproducible() {
-            let spec = ScenarioSpec {
-                receivers: vec![LossRegime::AtDistance { meters: 25.0 }; 2],
-                ..ScenarioSpec::figure7().with_packets(400)
-            };
+            let spec = ScenarioSpec::figure7()
+                .with_packets(400)
+                .with_receivers(vec![LossRegime::AtDistance { meters: 25.0 }; 2]);
             let a = ScenarioEngine::new(spec.clone()).run_sync();
             let b = ScenarioEngine::new(spec).run_sync();
             assert_eq!(a.report, b.report);
@@ -155,15 +157,10 @@ mod scenario {
         fn multicast_fanout_recovers_independent_losses_everywhere() {
             let outcome =
                 ScenarioEngine::new(ScenarioSpec::multicast(16).with_packets(600)).run_sync();
-            assert_eq!(outcome.report.receivers.len(), 16);
+            assert_eq!(outcome.report.receivers().count(), 16);
             // Losses are independent per receiver: receivers must not all
             // see the identical loss pattern...
-            let received: Vec<u64> = outcome
-                .report
-                .receivers
-                .iter()
-                .map(|r| r.delivered)
-                .collect();
+            let received: Vec<u64> = outcome.report.receivers().map(|r| r.delivered).collect();
             assert!(
                 received.windows(2).any(|pair| pair[0] != pair[1]),
                 "16 receivers with identical receipt counts: losses not independent? {received:?}"

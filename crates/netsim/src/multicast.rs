@@ -73,8 +73,6 @@ pub struct WirelessLan {
     receivers: Vec<Receiver>,
     rng: StdRng,
     busy_until: SimTime,
-    broadcasts: u64,
-    unicasts: u64,
 }
 
 impl WirelessLan {
@@ -85,8 +83,6 @@ impl WirelessLan {
             receivers: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             busy_until: SimTime::ZERO,
-            broadcasts: 0,
-            unicasts: 0,
         }
     }
 
@@ -159,16 +155,6 @@ impl WirelessLan {
         &self.config
     }
 
-    /// Number of broadcasts performed.
-    pub fn broadcasts(&self) -> u64 {
-        self.broadcasts
-    }
-
-    /// Number of unicasts performed.
-    pub fn unicasts(&self) -> u64 {
-        self.unicasts
-    }
-
     /// Current distance of a receiver, if it is distance-modelled.
     pub fn receiver_distance(&self, id: ReceiverId, now: SimTime) -> Option<f64> {
         match &self.receivers[id.0].loss {
@@ -197,21 +183,37 @@ impl WirelessLan {
         }
     }
 
-    /// Multicasts a packet of `len` bytes at time `now`, returning one
-    /// delivery record per receiver.
-    ///
-    /// The access point serialises the packet once (all receivers share the
-    /// medium); each receiver then independently loses or receives it, with
-    /// its own jitter.
+    /// Multicasts a packet of `len` bytes at time `now` to every receiver,
+    /// returning one delivery record per receiver.
     pub fn broadcast(&mut self, now: SimTime, len: usize) -> Vec<DeliveryRecord> {
-        self.broadcasts += 1;
+        let everyone = self.receiver_ids();
+        self.transmit(&everyone, now, len)
+    }
+
+    /// Transmits a packet of `len` bytes at time `now` to the receivers in
+    /// `group`, returning one delivery record per group member, in group
+    /// order.
+    ///
+    /// The access point serialises the packet once (the medium is shared,
+    /// so a transmission also queues behind earlier ones); each member then
+    /// independently loses or receives it, with its own jitter.  A fanout
+    /// lane sends its *own* adapted stream to its own group, so a group of
+    /// one is a unicast.  Loss and jitter draw from the LAN's single seeded
+    /// RNG in group order, so runs are exactly reproducible as long as the
+    /// call sequence is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member of `group` does not belong to this LAN.
+    pub fn transmit(&mut self, group: &[ReceiverId], now: SimTime, len: usize) -> Vec<DeliveryRecord> {
         let start = if self.busy_until > now { self.busy_until } else { now };
         let serialization = self.config.serialization_delay_us(len);
         self.busy_until = start + serialization;
         let ready = self.busy_until + self.config.base_latency_us;
 
-        let mut records = Vec::with_capacity(self.receivers.len());
-        for receiver in &mut self.receivers {
+        let mut records = Vec::with_capacity(group.len());
+        for id in group {
+            let receiver = &mut self.receivers[id.0];
             receiver.sent += 1;
             let dropped = match &mut receiver.loss {
                 ReceiverLoss::Fixed(model) => model.should_drop(&mut self.rng, now, len),
@@ -240,57 +242,6 @@ impl WirelessLan {
         }
         records
     }
-
-    /// Transmits a packet of `len` bytes at time `now` to **one** receiver,
-    /// returning its delivery record.
-    ///
-    /// This is the per-lane transmission of a fanout session: unlike
-    /// [`broadcast`](Self::broadcast), where every receiver hears the same
-    /// transmission, each receiver lane sends its *own* adapted stream (its
-    /// own FEC strength, rate, payload transform) to its own receiver.  The
-    /// medium is still shared — the transmission serialises on the same
-    /// radio and queues behind earlier transmissions — and the receiver's
-    /// loss model and jitter draw from the LAN's single seeded RNG, so runs
-    /// remain exactly reproducible as long as the call sequence is
-    /// deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this LAN.
-    pub fn unicast(&mut self, id: ReceiverId, now: SimTime, len: usize) -> DeliveryRecord {
-        self.unicasts += 1;
-        let start = if self.busy_until > now { self.busy_until } else { now };
-        let serialization = self.config.serialization_delay_us(len);
-        self.busy_until = start + serialization;
-        let ready = self.busy_until + self.config.base_latency_us;
-
-        let receiver = &mut self.receivers[id.0];
-        receiver.sent += 1;
-        let dropped = match &mut receiver.loss {
-            ReceiverLoss::Fixed(model) => model.should_drop(&mut self.rng, now, len),
-            ReceiverLoss::Mobile { loss, mobility } => {
-                loss.set_distance(mobility.distance_at(now));
-                loss.should_drop(&mut self.rng, now, len)
-            }
-        };
-        let outcome = if dropped {
-            TransmitOutcome::Lost
-        } else {
-            receiver.delivered += 1;
-            let jitter = if self.config.jitter_us == 0 {
-                0
-            } else {
-                self.rng.gen_range(0..=self.config.jitter_us)
-            };
-            TransmitOutcome::Delivered {
-                arrival: ready + jitter,
-            }
-        };
-        DeliveryRecord {
-            receiver: receiver.id,
-            outcome,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,9 +259,33 @@ mod tests {
         assert!(records.iter().all(DeliveryRecord::is_delivered));
         assert_eq!(records[0].receiver, a);
         assert_eq!(records[1].receiver, b);
-        assert_eq!(lan.broadcasts(), 1);
         assert_eq!(lan.receiver_name(a), "laptop-a");
         assert_eq!(lan.receiver_count(), 2);
+    }
+
+    #[test]
+    fn one_group_call_draws_like_a_broadcast_and_like_unicasts_in_order() {
+        let lan = |seed| {
+            let mut lan = WirelessLan::wavelan_2mbps(seed);
+            let ids: Vec<_> = (0..3)
+                .map(|i| lan.add_receiver(format!("r{i}"), Box::new(BernoulliLoss::new(0.4))))
+                .collect();
+            (lan, ids)
+        };
+        let (mut grouped, ids) = lan(3);
+        let (mut broadcast, _) = lan(3);
+        let (mut one_by_one, _) = lan(3);
+        for i in 0..500u64 {
+            let now = SimTime::from_micros(i * 5_000);
+            let group = grouped.transmit(&ids, now, 300);
+            assert_eq!(group, broadcast.broadcast(now, 300));
+            let singles: Vec<_> =
+                ids.iter().map(|id| one_by_one.transmit(&[*id], now, 300)[0]).collect();
+            let delivered = |records: &[DeliveryRecord]| {
+                records.iter().map(DeliveryRecord::is_delivered).collect::<Vec<_>>()
+            };
+            assert_eq!(delivered(&group), delivered(&singles), "same draws, same losses");
+        }
     }
 
     #[test]
@@ -388,15 +363,14 @@ mod tests {
         );
         let a = lan.add_receiver("a", Box::new(PerfectLink));
         let b = lan.add_receiver("b", Box::new(PerfectLink));
-        let first = lan.unicast(a, SimTime::ZERO, 500);
+        let first = lan.transmit(&[a], SimTime::ZERO, 500)[0];
         assert_eq!(first.receiver, a);
         assert!(first.is_delivered());
         // Only receiver a saw traffic.
         assert_eq!(lan.receiver_delivery_rate(b), 1.0);
-        assert_eq!(lan.unicasts(), 1);
-        // The medium serialises: a back-to-back unicast to b queues behind
-        // the transmission to a.
-        let second = lan.unicast(b, SimTime::ZERO, 500);
+        // The medium serialises: a back-to-back transmission to b queues
+        // behind the one to a.
+        let second = lan.transmit(&[b], SimTime::ZERO, 500)[0];
         let gap = second.outcome.arrival().unwrap() - first.outcome.arrival().unwrap();
         assert_eq!(gap, 2_000);
     }
@@ -407,8 +381,8 @@ mod tests {
         let lossy = lan.add_receiver("lossy", Box::new(BernoulliLoss::new(0.4)));
         let clean = lan.add_receiver("clean", Box::new(PerfectLink));
         for i in 0..5_000u64 {
-            lan.unicast(lossy, SimTime::from_micros(i * 2_000), 200);
-            lan.unicast(clean, SimTime::from_micros(i * 2_000), 200);
+            lan.transmit(&[lossy], SimTime::from_micros(i * 2_000), 200);
+            lan.transmit(&[clean], SimTime::from_micros(i * 2_000), 200);
         }
         assert!((lan.receiver_delivery_rate(lossy) - 0.6).abs() < 0.05);
         assert_eq!(lan.receiver_delivery_rate(clean), 1.0);

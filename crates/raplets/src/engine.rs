@@ -147,11 +147,33 @@ pub fn apply_to_pooled_session(
     )
 }
 
-/// The shared action-dispatch logic behind [`apply_to_proxy`] and
-/// [`apply_to_pooled_session`]: insert at a position, remove/replace by kind
-/// prefix, with a replace of a missing kind falling back to an insert at
-/// the head.  Keeping one implementation guarantees proxy streams and
-/// session lanes can never drift in how they interpret actions.
+/// Applies adaptation actions to the head chain of a live
+/// [`PooledSession`] — the chain every lane shares, so one adaptation
+/// serves every receiver (the paper's multicast case).  Residue flushed out
+/// of a removed head filter goes out on every lane.
+///
+/// # Errors
+///
+/// Propagates the first proxy error encountered; earlier actions stay
+/// applied.
+pub fn apply_to_session_head(
+    session: &PooledSession,
+    actions: &[AdaptationAction],
+) -> Result<(), ProxyError> {
+    apply_to_chain_surface(
+        actions,
+        |position, spec| session.insert_head_filter(position, spec),
+        |position| session.remove_head_filter(position).map(|_| ()),
+        || Ok(session.head_filter_names()),
+    )
+}
+
+/// The shared action-dispatch logic behind [`apply_to_proxy`],
+/// [`apply_to_pooled_session`] and [`apply_to_session_head`]: insert at a
+/// position, remove/replace by kind prefix, with a replace of a missing
+/// kind falling back to an insert at the head.  Keeping one implementation
+/// guarantees proxy streams, session heads and session lanes can never
+/// drift in how they interpret actions.
 fn apply_to_chain_surface(
     actions: &[AdaptationAction],
     insert: impl Fn(usize, &rapidware_proxy::FilterSpec) -> Result<(), ProxyError>,

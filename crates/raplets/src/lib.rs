@@ -23,7 +23,8 @@
 //! implementation it runs (a live proxy or the deterministic synchronous
 //! chain used by simulations).  [`apply_to_proxy`] is the glue for a live
 //! proxy stream, [`apply_to_pooled_session`] for one lane of a fanout
-//! session.
+//! session and [`apply_to_session_head`] for the head chain its lanes
+//! share.
 //!
 //! ## Example
 //!
@@ -53,7 +54,10 @@ mod observer;
 mod responder;
 mod sample;
 
-pub use engine::{apply_to_pooled_session, apply_to_proxy, AdaptationEngine, AdaptationRecord};
+pub use engine::{
+    apply_to_pooled_session, apply_to_proxy, apply_to_session_head, AdaptationEngine,
+    AdaptationRecord,
+};
 pub use observer::{AdaptationEvent, LossRateObserver, Observer, ThroughputObserver};
 pub use responder::{AdaptationAction, FecResponder, Responder, TranscoderResponder};
 pub use sample::LinkSample;

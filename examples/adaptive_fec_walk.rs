@@ -40,7 +40,7 @@ fn main() {
 
     println!("\nsummary:");
     println!("  source packets sent   : {}", report.source_packets_sent);
-    println!("  parity packets sent   : {}", report.parity_packets_sent);
+    println!("  parity packets sent   : {}", report.parity_total());
     println!(
         "  parity overhead       : {:.1}%",
         report.parity_overhead() * 100.0
@@ -50,5 +50,5 @@ fn main() {
         "  after reconstruction  : {:.2}%",
         stats.reconstructed_pct()
     );
-    println!("  final sender filters  : {:?}", report.final_filters);
+    println!("  final sender filters  : {:?}", report.head_filters);
 }

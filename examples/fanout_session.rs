@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --release -p rapidware --example fanout_session`.
 
-use rapidware::engine::{FanoutEngine, FanoutSpec};
+use rapidware::engine::{ScenarioEngine, ScenarioSpec};
 use rapidware::packet::{Packet, PacketKind, SeqNo, StreamId};
 use rapidware::proxy::Proxy;
 
@@ -37,8 +37,8 @@ fn main() {
     // three wired peers, each lane running its own observer/responder
     // loop.  Loss rises on the WLAN lane mid-run; FEC appears there — and
     // only there — then disappears after the link recovers.
-    let spec = FanoutSpec::wired_plus_lossy_wlan();
-    let outcome = FanoutEngine::new(spec.clone()).run_sync();
+    let spec = ScenarioSpec::wired_plus_lossy_wlan();
+    let outcome = ScenarioEngine::new(spec.clone()).run_sync();
     println!("\n{}", outcome.report);
 
     println!("adaptation timeline of the lossy lane:");

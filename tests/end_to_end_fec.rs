@@ -13,9 +13,9 @@ fn figure7_operating_point_recovers_nearly_everything() {
     for receivers in [3, 16] {
         let outcome = ScenarioEngine::new(ScenarioSpec::multicast(receivers)).run_sync();
         let report = &outcome.report;
-        assert_eq!(report.receivers.len(), receivers);
+        assert_eq!(report.receivers().count(), receivers);
         let mut received_counts = Vec::new();
-        for (index, receiver) in report.receivers.iter().enumerate() {
+        for (index, receiver) in report.receivers().enumerate() {
             let stats = outcome.receipt_stats(index, 432);
             assert!(
                 stats.received_pct() > 96.0 && stats.received_pct() < 100.0,
@@ -46,9 +46,10 @@ fn figure7_operating_point_recovers_nearly_everything() {
 fn fec_beats_no_fec_at_every_distance() {
     for distance in [15.0, 25.0, 35.0] {
         let at = |fec| ScenarioSpec {
-            receivers: vec![LossRegime::AtDistance { meters: distance }],
             fec,
-            ..ScenarioSpec::figure7().with_packets(1_200)
+            ..ScenarioSpec::figure7()
+                .with_packets(1_200)
+                .with_receivers(vec![LossRegime::AtDistance { meters: distance }])
         };
         let with_fec = ScenarioEngine::new(at(FecPolicy::Fixed(6, 4))).run_sync();
         let without = ScenarioEngine::new(at(FecPolicy::Off)).run_sync();
@@ -61,7 +62,7 @@ fn fec_beats_no_fec_at_every_distance() {
         );
         // Without FEC nothing is on the air but the stream, nothing is
         // repaired, and every delivered packet still reaches the receiver.
-        assert_eq!(without.report.parity_packets_sent, 0);
+        assert_eq!(without.report.parity_total(), 0);
         assert_eq!(without.report.recovered_total(), 0);
         assert_eq!(without.report.undelivered_total(), 0);
         assert_eq!(without_stats.reconstructed_pct(), without_stats.received_pct());

@@ -6,8 +6,8 @@
 //!
 //! The run is the `ScenarioSpec::figure7()` preset on the scenario engine,
 //! so it obeys the engine's conformance rule: the sync applier, a live
-//! pooled proxy stream and a live stream over a shared loopback UDP carrier
-//! produce the same report.
+//! pooled proxy session and a live session over a shared loopback UDP
+//! carrier produce the same report.
 //!
 //! Tolerance: the 25 m link is calibrated to 1.46 % loss, so one seed's
 //! three-receiver mean raw receipt has a standard deviation of about
@@ -44,8 +44,8 @@ fn figure7_matches_the_paper_over_five_seeds() {
             Vec::<String>::new(),
             "seed {seed}"
         );
-        assert_eq!(outcome.report.final_filters, vec!["fec-encoder(6,4)"]);
-        assert_eq!(outcome.report.parity_packets_sent, spec.packets / 2);
+        assert_eq!(outcome.report.head_filters, vec!["fec-encoder(6,4)"]);
+        assert_eq!(outcome.report.parity_total(), spec.packets / 2);
 
         let raw = mean_pct(&outcome, ReceiptStats::received_pct);
         let reconstructed = mean_pct(&outcome, ReceiptStats::reconstructed_pct);
@@ -69,7 +69,7 @@ fn the_presets_describe_the_papers_setup() {
     let figure7 = ScenarioSpec::figure7();
     assert_eq!(figure7.fec, FecPolicy::Fixed(6, 4));
     assert_eq!(
-        figure7.receivers,
+        figure7.lanes[0].receivers,
         vec![LossRegime::AtDistance { meters: 25.0 }; 3]
     );
     assert_eq!(
@@ -79,16 +79,16 @@ fn the_presets_describe_the_papers_setup() {
     );
 
     let room = ScenarioSpec::multicast(16);
-    assert_eq!(room.receivers.len(), 16);
+    assert_eq!(room.lanes[0].receivers.len(), 16);
     assert_eq!(
-        (room.fec, room.receivers[15].clone()),
-        (figure7.fec, figure7.receivers[0].clone())
+        (room.fec, room.lanes[0].receivers[15].clone()),
+        (figure7.fec, figure7.lanes[0].receivers[0].clone())
     );
-    assert_eq!(ScenarioSpec::multicast(0).receivers.len(), 1);
+    assert_eq!(ScenarioSpec::multicast(0).lanes[0].receivers.len(), 1);
 
     let walk = ScenarioSpec::adaptive_walk();
     assert!(matches!(walk.fec, FecPolicy::Adaptive(_)));
-    assert!(matches!(walk.receivers[..], [LossRegime::Walking(_)]));
+    assert!(matches!(walk.lanes[0].receivers[..], [LossRegime::Walking(_)]));
     assert_eq!(walk.packets, 9_000, "three minutes of 50 packet/s audio");
 }
 
@@ -127,9 +127,11 @@ fn figure7_on_a_live_proxy_reports_what_the_sync_run_reports() {
 #[test]
 fn stronger_codes_recover_more_at_heavy_loss() {
     let at_15_percent = |fec| ScenarioSpec {
-        receivers: vec![LossRegime::Bernoulli { rate: 0.15 }],
         fec,
-        ..ScenarioSpec::figure7().with_packets(1_000).with_seed(7)
+        ..ScenarioSpec::figure7()
+            .with_packets(1_000)
+            .with_seed(7)
+            .with_receivers(vec![LossRegime::Bernoulli { rate: 0.15 }])
     };
     let weak = ScenarioEngine::new(at_15_percent(FecPolicy::Fixed(5, 4))).run_sync();
     let strong = ScenarioEngine::new(at_15_percent(FecPolicy::Fixed(8, 4))).run_sync();
@@ -144,22 +146,21 @@ fn stronger_codes_recover_more_at_heavy_loss() {
 
 #[test]
 fn the_adaptive_walk_splices_fec_in_once_loss_rises() {
-    let spec = ScenarioSpec {
-        receivers: vec![LossRegime::Walking(LinearWalk::new(
+    let spec = ScenarioSpec::adaptive_walk()
+        .with_packets(4_000)
+        .with_receivers(vec![LossRegime::Walking(LinearWalk::new(
             5.0,
             40.0,
             SimTime::from_secs(10),
             2.0,
-        ))],
-        ..ScenarioSpec::adaptive_walk().with_packets(4_000)
-    };
+        ))]);
     let outcome = ScenarioEngine::new(spec).run_sync();
     let report = &outcome.report;
     assert!(report.fec_was_inserted(), "{:?}", report.timeline);
-    assert!(report.parity_packets_sent > 0);
+    assert!(report.parity_total() > 0);
     assert!(
         report
-            .final_filters
+            .head_filters
             .iter()
             .any(|name| name.starts_with("fec-encoder")),
         "the walk ends far from the access point, so FEC stays installed"

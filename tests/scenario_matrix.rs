@@ -22,20 +22,32 @@
 mod common;
 
 use rapidware::engine::{
-    FanoutEngine, FanoutSpec, LiveApplier, LiveIo, ScenarioEngine, ScenarioSpec, MATRIX_SEEDS,
+    FecSite, LiveApplier, LiveIo, ScenarioEngine, ScenarioSpec, MATRIX_SEEDS,
 };
 
 use common::assert_same_outcome;
 
-#[test]
-fn every_builtin_scenario_closes_the_loop_on_both_appliers_at_both_seeds() {
+/// The built-in scenarios whose FEC acts on `site`.
+fn builtins_at(site: FecSite) -> Vec<ScenarioSpec> {
+    ScenarioSpec::builtin_matrix()
+        .into_iter()
+        .filter(|spec| spec.fec_site == site)
+        .collect()
+}
+
+/// Runs every built-in at `site` on the sync and pooled appliers at both
+/// matrix seeds: healthy per its spec, and byte-identical across appliers.
+fn every_builtin_closes_its_loops(site: FecSite) {
     for seed in MATRIX_SEEDS {
-        for spec in ScenarioSpec::builtin_matrix() {
+        for spec in builtins_at(site) {
             let spec = spec.with_seed(seed);
             let engine = ScenarioEngine::new(spec.clone());
             let outcome = engine.run_sync();
             let context = format!("{} @ seed {seed}", spec.name);
 
+            // Per-lane health: full accounting, zero undelivered, FEC
+            // cycles only where the loss schedule demands them, no parity
+            // on quiet links, convergence, trace replay.
             let problems = outcome.health_problems(&spec);
             assert!(
                 problems.is_empty(),
@@ -43,11 +55,11 @@ fn every_builtin_scenario_closes_the_loop_on_both_appliers_at_both_seeds() {
                 outcome.report.timeline
             );
 
-            // The pooled applier — the whole chain as one cooperative task
-            // on a sharded worker pool, reconfigured through the live
-            // proxy's control surface — must agree with the sync run byte
-            // for byte, which transitively gives it every property checked
-            // above.
+            // The pooled applier — the head, the fanout and every lane as
+            // one cooperative task on a sharded worker pool, reconfigured
+            // through the live proxy's control surface — must agree with
+            // the sync run byte for byte, which transitively gives it every
+            // property checked above.
             let pooled = engine.run_pooled();
             assert_same_outcome(
                 &context,
@@ -61,9 +73,9 @@ fn every_builtin_scenario_closes_the_loop_on_both_appliers_at_both_seeds() {
     }
 }
 
-#[test]
-fn same_spec_and_seed_yield_byte_identical_traces() {
-    for spec in ScenarioSpec::builtin_matrix() {
+/// Two sync runs of every built-in at `site` are byte-identical.
+fn builtin_traces_repeat(site: FecSite) {
+    for spec in builtins_at(site) {
         let engine = ScenarioEngine::new(spec.clone());
         let first = engine.run_sync();
         let second = engine.run_sync();
@@ -75,6 +87,16 @@ fn same_spec_and_seed_yield_byte_identical_traces() {
         );
         assert_eq!(first.report, second.report);
     }
+}
+
+#[test]
+fn every_builtin_scenario_closes_the_loop_on_both_appliers_at_both_seeds() {
+    every_builtin_closes_its_loops(FecSite::Head);
+}
+
+#[test]
+fn same_spec_and_seed_yield_byte_identical_traces() {
+    builtin_traces_repeat(FecSite::Head);
 }
 
 #[test]
@@ -95,68 +117,34 @@ fn different_seeds_change_the_trace_but_not_the_guarantees() {
 
 #[test]
 fn every_fanout_scenario_closes_its_per_lane_loops_on_both_appliers_at_both_seeds() {
-    for seed in MATRIX_SEEDS {
-        for spec in FanoutSpec::fanout_matrix() {
-            let spec = spec.with_seed(seed);
-            let engine = FanoutEngine::new(spec.clone());
-            let outcome = engine.run_sync();
-            let context = format!("{} @ seed {seed}", spec.name);
-
-            // Per-lane health: full accounting, zero undelivered, FEC
-            // cycles only on the lanes whose loss schedule demands them,
-            // no parity on quiet lanes, convergence, trace replay.
-            let problems = outcome.health_problems(&spec);
-            assert!(problems.is_empty(), "{context}: {problems:?}");
-
-            // The live session applier — shared head chain, fanout stage,
-            // one tail chain per lane, all tasks on a fixed worker pool,
-            // reconfigured lane by lane while packets flow — must agree
-            // with the sync run byte for byte.
-            let pooled = engine.run_pooled();
-            assert_same_outcome(
-                &context,
-                "pooled fanout",
-                &outcome.trace.canonical_text(),
-                &outcome.report,
-                &pooled.trace.canonical_text(),
-                &pooled.report,
-            );
-        }
-    }
+    every_builtin_closes_its_loops(FecSite::Lanes);
 }
 
 #[test]
 fn fanout_traces_are_byte_identical_per_spec_and_seed() {
-    for spec in FanoutSpec::fanout_matrix() {
-        let engine = FanoutEngine::new(spec.clone());
-        let first = engine.run_sync();
-        let second = engine.run_sync();
-        assert_eq!(
-            first.trace.canonical_text(),
-            second.trace.canonical_text(),
-            "{}: two runs of the same spec+seed differ",
-            spec.name
-        );
-        assert_eq!(first.report, second.report);
-    }
+    builtin_traces_repeat(FecSite::Lanes);
 }
 
 #[test]
 fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier() {
     // The wire must be invisible to the closed loop: the same scenario at
-    // the same seed, run with every packet crossing two real loopback UDP
+    // the same seed, run with every packet crossing real loopback UDP
     // sockets (app socket → carrier demuxed by stream id onto the worker
-    // pool → app socket, via `Proxy::add_stream_udp_shared`), must produce
-    // the sync applier's report — delivered + recovered totals exactly —
-    // and the identical canonical trace, byte for byte, at both matrix
-    // seeds.
-    for seed in MATRIX_SEEDS {
-        let spec = ScenarioSpec::handoff_cliff().with_seed(seed);
+    // pool → one app socket per lane, via `Proxy::add_session_udp_shared`),
+    // must produce the sync applier's report — delivered + recovered
+    // totals exactly — and the identical canonical trace, byte for byte:
+    // FEC on the head at both matrix seeds, and FEC on each lane.
+    let specs = MATRIX_SEEDS
+        .iter()
+        .map(|&seed| ScenarioSpec::handoff_cliff().with_seed(seed))
+        .chain([ScenarioSpec::wired_plus_lossy_wlan().with_seed(MATRIX_SEEDS[0])]);
+    for spec in specs {
+        let context = format!("{} @ seed {}", spec.name, spec.seed);
         let engine = ScenarioEngine::new(spec);
         let sync = engine.run_sync();
         let shared = engine.run_udp_shared();
         assert_same_outcome(
-            &format!("handoff-cliff @ seed {seed}"),
+            &context,
             "shared-udp",
             &sync.trace.canonical_text(),
             &sync.report,
@@ -164,25 +152,6 @@ fn a_fixed_seed_scenario_over_a_shared_socket_carrier_matches_the_sync_applier()
             &shared.report,
         );
     }
-
-    // Same bar for a fanout spec: every lane multiplexed back out of the
-    // one carrier socket towards its own app-side peer.
-    let fanout = FanoutSpec::fanout_matrix()
-        .into_iter()
-        .next()
-        .expect("the fanout matrix is non-empty")
-        .with_seed(MATRIX_SEEDS[0]);
-    let engine = FanoutEngine::new(fanout);
-    let sync = engine.run_sync();
-    let shared = engine.run_udp_shared();
-    assert_same_outcome(
-        "fanout @ shared carrier",
-        "shared-udp fanout",
-        &sync.trace.canonical_text(),
-        &sync.report,
-        &shared.trace.canonical_text(),
-        &shared.report,
-    );
 }
 
 #[test]
@@ -202,33 +171,21 @@ fn scheduler_shape_does_not_change_the_closed_loop() {
     // worker count and step batch size are pure execution details, so a
     // 1-shard batch-1 pool and an 8-shard batch-32 pool produce the same
     // trace as each other (and, via the matrix test, as the sync run) —
-    // for a flat stream and for a fanout session alike.
-    let spec = ScenarioSpec::handoff_cliff().with_packets(1_200);
-    let engine = ScenarioEngine::new(spec);
-    let window = 50usize;
-    let single = engine.run_with(&mut LiveApplier::stream(LiveIo::Pipes, 1, 1, window));
-    let wide = engine.run_with(&mut LiveApplier::stream(LiveIo::Pipes, 8, 32, window));
-    assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
-    assert_eq!(single.report, wide.report);
-
-    let spec = FanoutSpec::wired_plus_lossy_wlan().with_packets(600);
-    let lanes: Vec<String> = spec.lanes.iter().map(|lane| lane.name.clone()).collect();
-    let session = |shards, batch_size| {
-        LiveApplier::session(
-            LiveIo::Pipes,
-            &spec.name,
-            &spec.head_filters,
-            &lanes,
-            shards,
-            batch_size,
-            spec.sample_interval as usize,
-        )
-    };
-    let engine = FanoutEngine::new(spec.clone());
-    let single = engine.run_with(&mut session(1, 1));
-    let wide = engine.run_with(&mut session(8, 32));
-    assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
-    assert_eq!(single.report, wide.report);
+    // with FEC on the head and on each lane alike.
+    for spec in [
+        ScenarioSpec::handoff_cliff().with_packets(1_200),
+        ScenarioSpec::wired_plus_lossy_wlan().with_packets(600),
+    ] {
+        let engine = ScenarioEngine::new(spec.clone());
+        let on = |shards, batch_size| {
+            let placed = spec.clone().with_batch_size(batch_size);
+            engine.run_with(&mut LiveApplier::session(LiveIo::Pipes, &placed, shards))
+        };
+        let single = on(1, 1);
+        let wide = on(8, 32);
+        assert_eq!(single.trace.canonical_text(), wide.trace.canonical_text());
+        assert_eq!(single.report, wide.report);
+    }
 }
 
 /// Canonical-trace digests of every built-in sync run — the six flat
@@ -265,10 +222,6 @@ fn builtin_sync_trace_digests_are_pinned() {
     for seed in MATRIX_SEEDS {
         for spec in ScenarioSpec::builtin_matrix() {
             let outcome = ScenarioEngine::new(spec.clone().with_seed(seed)).run_sync();
-            actual.push((spec.name, seed, outcome.trace.digest()));
-        }
-        for spec in FanoutSpec::fanout_matrix() {
-            let outcome = FanoutEngine::new(spec.clone().with_seed(seed)).run_sync();
             actual.push((spec.name, seed, outcome.trace.digest()));
         }
     }

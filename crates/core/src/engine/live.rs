@@ -6,7 +6,9 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use rapidware_packet::{Packet, PacketKind, SeqNo, StreamId};
-use rapidware_proxy::{PooledSession, Proxy, RuntimeConfig, SharedUdpSessionConfig, UdpCarrierConfig};
+use rapidware_proxy::{
+    PooledSession, Proxy, RuntimeConfig, SharedUdpSessionConfig, UdpCarrierConfig,
+};
 use rapidware_raplets::{apply_to_pooled_session, apply_to_session_head, AdaptationAction};
 use rapidware_streams::{pipe, DetachableReceiver, DetachableSender, TryRecvError};
 use rapidware_transport::{SharedDrain, SharedUdpIngress, UdpConfig};
@@ -173,8 +175,11 @@ impl LiveApplier {
                 (Ends::Pipes(input), outputs)
             }
             LiveIo::Carrier => {
-                let carrier = UdpCarrierConfig::new().with_capacity(capacity).with_batch_size(batch_size);
-                proxy.add_udp_carrier(CARRIER, carrier).expect("a fresh proxy accepts its first carrier");
+                let carrier =
+                    UdpCarrierConfig::new().with_capacity(capacity).with_batch_size(batch_size);
+                proxy
+                    .add_udp_carrier(CARRIER, carrier)
+                    .expect("a fresh proxy accepts its first carrier");
                 let (apps, outputs): (Vec<_>, Vec<_>) =
                     lanes.iter().map(|_| bind_app_socket(capacity)).unzip();
                 let mut config = SharedUdpSessionConfig::on_carrier(CARRIER)

@@ -126,11 +126,12 @@ impl ScenarioOutcome {
     /// unsurfaced, and the trace replaying into the report.
     pub fn accounting_problems(&self, spec: &ScenarioSpec) -> Vec<String> {
         let report = &self.report;
+        let packets = spec.packets;
         let mut problems = Vec::new();
-        if report.source_packets_sent != spec.packets {
+        if report.source_packets_sent != packets {
             problems.push(format!(
-                "transmitted {} source packets, spec says {}",
-                report.source_packets_sent, spec.packets
+                "transmitted {} source packets, spec says {packets}",
+                report.source_packets_sent
             ));
         }
         for (lane_spec, lane) in spec.lanes.iter().zip(&report.lanes) {
@@ -138,8 +139,8 @@ impl ScenarioOutcome {
                 let at = format!("lane {} receiver {index}", lane_spec.name);
                 let accounted =
                     receiver.delivered + receiver.recovered + receiver.lost + receiver.undelivered;
-                if accounted != spec.packets {
-                    problems.push(format!("{at} accounts for {accounted} of {} packets", spec.packets));
+                if accounted != packets {
+                    problems.push(format!("{at} accounts for {accounted} of {packets} packets"));
                 }
                 if receiver.undelivered != 0 {
                     problems.push(format!(
@@ -179,7 +180,8 @@ impl ScenarioOutcome {
             };
             if lane_spec.expect_adaptation {
                 if !inserted_then_removed(steps) {
-                    problems.push(format!("lane {name}: missing insert-then-remove adaptation cycle"));
+                    problems
+                        .push(format!("lane {name}: missing insert-then-remove adaptation cycle"));
                 }
                 if lane.parity_sent == 0 {
                     problems.push(format!("lane {name}: no parity on the air"));
@@ -258,7 +260,7 @@ impl ScenarioEngine {
 
     /// Runs the scenario against the synchronous [`SyncApplier`].
     pub fn run_sync(&self) -> ScenarioOutcome {
-        self.run_with(&mut SyncApplier::new(self.valid_spec()))
+        self.run_validated(&mut SyncApplier::new(self.valid_spec()))
     }
 
     /// Like [`run_sync`](Self::run_sync), but rejects degenerate specs with
@@ -289,7 +291,7 @@ impl ScenarioEngine {
     /// Runs the scenario against a [`LiveApplier`] session over `io` on a
     /// `shards`-worker pool.
     pub fn run_live(&self, io: LiveIo, shards: usize) -> ScenarioOutcome {
-        self.run_with(&mut LiveApplier::session(io, self.valid_spec(), shards))
+        self.run_validated(&mut LiveApplier::session(io, self.valid_spec(), shards))
     }
 
     /// Runs the scenario against any applier built for this spec.
@@ -758,6 +760,41 @@ mod tests {
             assert_eq!(relabelled, sync.report);
             relabelled.source_packets_sent += 1;
             assert_ne!(relabelled, sync.report);
+        }
+    }
+
+    /// The shapes no built-in uses: FEC on the head serving two lanes, and
+    /// per-lane FEC on a lane reaching two receivers.  Both replay into
+    /// their report and agree across appliers.
+    #[test]
+    fn every_lane_shape_replays_and_agrees_across_appliers() {
+        let lossy = LossRegime::Bernoulli { rate: 0.2 };
+        let lanes = vec![
+            LaneSpec::new("pair", vec![lossy.clone(), LossRegime::Perfect]),
+            LaneSpec::wired("wired"),
+        ];
+        let head = ScenarioSpec {
+            lanes,
+            ..ScenarioSpec::handoff_cliff().with_packets(600)
+        };
+        let per_lane = ScenarioSpec {
+            fec_site: FecSite::Lanes,
+            ..head.clone()
+        };
+        for spec in [head, per_lane] {
+            let engine = ScenarioEngine::new(spec.clone());
+            let sync = engine.run_sync();
+            assert_eq!(sync.trace.replay(), sync.report, "{:?}", spec.fec_site);
+            assert_eq!(sync.events.len(), 3);
+            let pooled = engine.run_pooled();
+            assert_eq!(sync.trace.canonical_text(), pooled.trace.canonical_text());
+            let parity: Vec<u64> = sync.report.lanes.iter().map(|l| l.parity_sent).collect();
+            match spec.fec_site {
+                // The head's parity crosses every lane.
+                FecSite::Head => assert!(parity[0] > 0 && parity[0] == parity[1], "{parity:?}"),
+                // Only the lossy lane's own loop inserts FEC.
+                FecSite::Lanes => assert!(parity[0] > 0 && parity[1] == 0, "{parity:?}"),
+            }
         }
     }
 

@@ -830,15 +830,6 @@ mod tests {
             assert!(!spec.lanes.is_empty(), "{} has no lanes", spec.name);
             assert!(spec.packets > 0);
             assert!(spec.sample_interval > 0);
-            // One lane reaching every receiver adapts the head; one
-            // receiver per lane adapts each lane, and some lane stays quiet.
-            match spec.fec_site {
-                FecSite::Head => assert_eq!(spec.lanes.len(), 1, "{}", spec.name),
-                FecSite::Lanes => {
-                    assert!(spec.lanes.iter().all(|lane| lane.receivers.len() == 1));
-                    assert!(spec.lanes.iter().any(|lane| !lane.expect_adaptation));
-                }
-            }
         }
     }
 

@@ -174,7 +174,7 @@ impl TraceEvent {
 }
 
 /// The `[time] ` stamp of a loop step, plus `lane=i ` for a lane's loop.
-fn stamp(f: &mut fmt::Formatter<'_>, time: &SimTime, lane: &Option<usize>) -> fmt::Result {
+fn stamp(f: &mut fmt::Formatter<'_>, time: SimTime, lane: Option<usize>) -> fmt::Result {
     write!(f, "[{time}] ")?;
     match lane {
         Some(lane) => write!(f, "lane={lane} "),
@@ -192,14 +192,14 @@ impl fmt::Display for TraceEvent {
                 delivered,
                 loss_rate,
             } => {
-                stamp(f, time, lane)?;
+                stamp(f, *time, *lane)?;
                 write!(f, "sample sent={sent} delivered={delivered} loss={loss_rate:.6}")
             }
             TraceEvent::Observed { .. }
             | TraceEvent::ActionApplied { .. }
             | TraceEvent::ChainReconfigured { .. } => {
                 let (lane, step) = self.step().expect("loop steps have a timeline entry");
-                stamp(f, &step.time, &lane)?;
+                stamp(f, step.time, lane)?;
                 f.write_str(&step.entry)
             }
             TraceEvent::ReceiverTotals {

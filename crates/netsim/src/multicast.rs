@@ -205,7 +205,12 @@ impl WirelessLan {
     /// # Panics
     ///
     /// Panics if a member of `group` does not belong to this LAN.
-    pub fn transmit(&mut self, group: &[ReceiverId], now: SimTime, len: usize) -> Vec<DeliveryRecord> {
+    pub fn transmit(
+        &mut self,
+        group: &[ReceiverId],
+        now: SimTime,
+        len: usize,
+    ) -> Vec<DeliveryRecord> {
         let start = if self.busy_until > now { self.busy_until } else { now };
         let serialization = self.config.serialization_delay_us(len);
         self.busy_until = start + serialization;
